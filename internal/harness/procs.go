@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -150,11 +151,32 @@ func (p *ShardProc) Kill() error {
 // leader's hedged duplicate requests fire, where SIGKILL's instant
 // connection-refused never would. Undo with Resume (or escalate to Kill;
 // a SIGKILL reaps a stopped process fine).
+//
+// Stop returns only once the kernel reports the child stopped. kill(2)
+// merely queues the signal: until one thread of the child is scheduled and
+// dequeues it, the others keep serving, and on a busy box the next request
+// can still be answered — by a shard the caller believes frozen.
 func (p *ShardProc) Stop() error {
 	if p.cmd == nil || p.cmd.Process == nil {
 		return fmt.Errorf("harness: shard %d is not running", p.Index)
 	}
-	return p.cmd.Process.Signal(syscall.SIGSTOP)
+	if err := p.cmd.Process.Signal(syscall.SIGSTOP); err != nil {
+		return err
+	}
+	var ws syscall.WaitStatus
+	for {
+		_, err := syscall.Wait4(p.cmd.Process.Pid, &ws, syscall.WUNTRACED, nil)
+		if errors.Is(err, syscall.EINTR) {
+			continue
+		}
+		if err != nil {
+			return fmt.Errorf("harness: awaiting shard %d's stop: %w", p.Index, err)
+		}
+		if !ws.Stopped() {
+			return fmt.Errorf("harness: shard %d exited instead of stopping", p.Index)
+		}
+		return nil
+	}
 }
 
 // Resume thaws a Stop-frozen child with SIGCONT.

@@ -37,6 +37,9 @@ type batchQuery struct {
 type batchResult struct {
 	Result *queryResponse `json:"result,omitempty"`
 	Error  string         `json:"error,omitempty"`
+	// err is how the slot's evaluation failed: errInternal (a panic) becomes
+	// the item's Error, anything else fails the whole request.
+	err error
 }
 
 // errInternal marks a batch item whose evaluation panicked; the panic is
@@ -51,54 +54,118 @@ type batchSlot struct {
 	exact  bool
 }
 
-// evalSlots evaluates every runnable slot concurrently on the worker pool
-// through eval — the leader's cached evaluator or a follower view's. The
-// caller pins the epoch (read lock or follower view) around the call.
-func (s *Server) evalSlots(ctx context.Context, slots []batchSlot, work int,
-	results []batchResult, errs []error,
-	eval func(ctx context.Context, q batchSlot) (queryResponse, error)) {
+// evalSlots is the one read path: every GET /query (a batch of one) and every
+// POST /query/batch lands here with its parsed slots, and here alone it is
+// decided who answers — a caught-up follower's pinned view, the remote
+// tier's lock-free seqlock scatter, or the leader's router under the read
+// lock (one epoch for the whole batch, whatever updates are racing it).
+// Answers land in results; an item whose evaluation panicked fails only its
+// own slot. The returned error fails the whole request: a cancellation, a
+// deadline or a down shard abandoned the remaining answers mid-flight.
+func (s *Server) evalSlots(ctx context.Context, slots []batchSlot, results []batchResult) error {
+	// Volume drives the pool's work estimate, so point lookups stay inline
+	// while big scans fan out.
+	work, live := 0, 0
+	for i := range slots {
+		if slots[i].region != nil {
+			work += slots[i].region.Volume()
+			live++
+		}
+	}
+	if live == 0 {
+		return nil
+	}
+	if rep := s.pickFollower(); rep != nil {
+		// Balanced read: everything evaluates against one follower view — a
+		// single pinned epoch, already verified to include everything
+		// committed at dispatch. Follower answers bypass the leader's result
+		// cache (its entries are keyed to the leader's epoch, not this
+		// replica's).
+		rt, release := rep.f.View()
+		s.runSlots(ctx, rt, false, slots, work, results)
+		release()
+		rep.batches.Inc()
+	} else {
+		// The remote scatter runs before the read lock is taken: it holds no
+		// leader state, and pinning the lock across its network round trips
+		// would serialize every leader-bound read against the
+		// write-preferring commit path (whose fsync holds the lock for the
+		// full disk latency). Consistency comes from the scatter seqlock
+		// instead — see evalRemoteSums.
+		if s.remoteEngines != nil {
+			live -= s.evalRemoteSums(ctx, slots, results)
+		}
+		if live > 0 {
+			s.mu.RLock()
+			s.runSlots(ctx, s.router, true, slots, work, results)
+			s.mu.RUnlock()
+		}
+	}
+	var fatal error
+	for i := range results {
+		switch err := results[i].err; {
+		case err == nil:
+		case errors.Is(err, errInternal):
+			results[i].Error = errInternal.Error()
+		default:
+			fatal = err
+		}
+	}
+	return fatal
+}
+
+// runSlots evaluates every runnable slot against rt, a batch concurrently on
+// the worker pool and a single query on the calling goroutine; the caller
+// pins rt's epoch around the call.
+func (s *Server) runSlots(ctx context.Context, rt *shard.Router, cached bool, slots []batchSlot, work int, results []batchResult) {
+	if len(slots) == 1 {
+		s.runSlot(ctx, rt, cached, slots[0], &results[0])
+		return
+	}
 	parallel.For(len(slots), work+len(slots), func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
-			if slots[i].region == nil {
-				continue
+			if slots[i].region != nil {
+				s.runSlot(ctx, rt, cached, slots[i], &results[i])
 			}
-			func() {
-				// A panic on a pool goroutine would kill the process (the
-				// recovered middleware only guards the handler goroutine),
-				// so evaluation failures degrade to an item error.
-				defer func() {
-					if p := recover(); p != nil {
-						s.met.panics.Inc()
-						s.logf("server: batch query %d (%s over %v) rid=%s panicked: %v",
-							i, slots[i].op, slots[i].region, RequestIDFrom(ctx), p)
-						errs[i] = errInternal
-					}
-				}()
-				// One child span per evaluated item: evalQueryOn publishes the
-				// §8 cost counters into it, so a slow batch's trace shows
-				// which item paid. Child is nil (free) unless the request's
-				// trace is being recorded.
-				sp := trace.FromContext(ctx).Child("query." + slots[i].op)
-				resp, err := eval(trace.NewContext(ctx, sp), slots[i])
-				if err != nil {
-					sp.SetError(err.Error())
-					sp.End()
-					errs[i] = err
-					return
-				}
-				sp.End()
-				results[i].Result = &resp
-			}()
 		}
 	})
 }
 
-// handleQueryBatch evaluates a JSON array of range queries concurrently on
-// the worker pool under one read-lock epoch: every item sees the same cube
-// state, whatever updates are racing the batch. Item-level failures (bad
-// selector, unknown op, a panic in evaluation) are isolated to their slot;
-// a cancellation or deadline fails the whole request, since the remaining
-// answers were abandoned mid-flight.
+// runSlot evaluates one slot into res.
+func (s *Server) runSlot(ctx context.Context, rt *shard.Router, cached bool, q batchSlot, res *batchResult) {
+	// A panic on a pool goroutine would kill the process (the recovered
+	// middleware only guards the handler goroutine), so evaluation failures
+	// degrade to an item error.
+	defer func() {
+		if p := recover(); p != nil {
+			s.met.panics.Inc()
+			s.logf("server: query (%s over %v) rid=%s panicked: %v", q.op, q.region, RequestIDFrom(ctx), p)
+			res.err = errInternal
+		}
+	}()
+	// One child span per evaluated item: evalSlot publishes the §8 cost
+	// counters into it, so a slow batch's trace shows which item paid. There
+	// is none (and no name to build) unless the request's trace is being
+	// recorded.
+	var sp *trace.Span
+	if parent := trace.FromContext(ctx); parent.Recording() {
+		sp = parent.Child("query." + q.op)
+		ctx = trace.NewContext(ctx, sp)
+	}
+	resp, err := s.evalSlot(ctx, rt, cached, q)
+	if err != nil {
+		sp.SetError(err.Error())
+		sp.End()
+		res.err = err
+		return
+	}
+	sp.End()
+	res.Result = &resp
+}
+
+// handleQueryBatch parses a JSON array of range queries and evaluates them
+// through evalSlots under one epoch. Item-level failures (bad selector,
+// unknown op, a panic in evaluation) are isolated to their slot.
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	if s.awaitingState.Load() {
 		s.writeAwaiting(w, r)
@@ -127,10 +194,8 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.batchQueries.Observe(int64(len(items)))
 
-	// Parse every item up front; only well-formed items join the parallel
-	// evaluation (region == nil marks a dead slot). Volume drives the
-	// pool's work estimate, so a batch of point lookups stays inline while
-	// big scans fan out.
+	// Parse every item up front; only well-formed items are evaluated
+	// (region == nil marks a dead slot).
 	// Parsing is lock-free on every server that cannot accept a /state push:
 	// its cube and dimensions are immutable, so a batch never queues behind
 	// the commit path's write-preferring lock just to read them — that wait
@@ -142,8 +207,6 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	// epoch; same-shape state copies keep old regions valid.)
 	results := make([]batchResult, len(items))
 	slots := make([]batchSlot, len(items))
-	work := 0
-	runnable := 0
 	if s.opts.AcceptState {
 		s.mu.RLock()
 	}
@@ -163,63 +226,13 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		s.qlog.Add(region)
 		slots[i] = batchSlot{op: op, region: region, exact: q.Exact && op == "sum"}
-		work += region.Volume()
-		runnable++
 	}
 	if s.opts.AcceptState {
 		s.mu.RUnlock()
 	}
 
-	var ctxErr error
-	if runnable > 0 {
-		ctx := r.Context()
-		errs := make([]error, len(items))
-		if rep := s.pickFollower(); rep != nil {
-			// Balanced read: the whole batch evaluates against one follower
-			// view — a single pinned epoch, already verified to include
-			// everything committed at dispatch. Follower answers bypass the
-			// leader's result cache (its entries are keyed to the leader's
-			// epoch, not this replica's).
-			rt, release := rep.f.View()
-			s.evalSlots(ctx, slots, work, results, errs, func(ctx context.Context, q batchSlot) (queryResponse, error) {
-				return s.evalQueryOn(ctx, rt, q.op, q.region, q.exact)
-			})
-			release()
-			rep.batches.Inc()
-		} else {
-			// The remote scatter runs before the read lock is taken: it holds
-			// no leader state, and pinning the lock across its network round
-			// trips would serialize every leader-bound batch against the
-			// write-preferring commit path (whose fsync holds the lock for
-			// the full disk latency). Consistency comes from the scatter
-			// seqlock instead — see evalRemoteSums.
-			s.evalRemoteSums(ctx, slots, results, errs)
-			live := 0
-			for i := range slots {
-				if slots[i].region != nil {
-					live++
-				}
-			}
-			if live > 0 {
-				s.mu.RLock()
-				s.evalSlots(ctx, slots, work, results, errs, func(ctx context.Context, q batchSlot) (queryResponse, error) {
-					return s.evalCached(ctx, q.op, q.region, q.exact)
-				})
-				s.mu.RUnlock()
-			}
-		}
-		for i, err := range errs {
-			switch {
-			case err == nil:
-			case errors.Is(err, errInternal):
-				results[i].Error = errInternal.Error()
-			default:
-				ctxErr = err
-			}
-		}
-	}
-	if ctxErr != nil {
-		s.writeCtxError(w, r, ctxErr)
+	if err := s.evalSlots(r.Context(), slots, results); err != nil {
+		s.writeCtxError(w, r, err)
 		return
 	}
 	itemErrs := int64(0)
@@ -241,14 +254,14 @@ type batchEnvelope struct {
 	Results []batchResult `json:"results"`
 }
 
-// evalRemoteSums pre-answers every op=sum slot of a batch through the
-// router's batched scatter when the shard tier is remote: all of the batch's
-// sum sub-queries reach each shard process as one POST /query/batch instead
-// of one GET /query per item, which is what keeps the multi-process tier's
-// batch throughput within sight of the in-process tier's. Answered slots are
-// cleared so evalSlots skips them. The result cache is bypassed both ways —
-// partial answers must never be cached, and the batched scatter is already
-// the cheap path.
+// evalRemoteSums pre-answers every op=sum slot through the router's batched
+// scatter when the shard tier is remote: all of the batch's sum sub-queries
+// reach each shard process as one POST /query/batch instead of one GET
+// /query per item, which is what keeps the multi-process tier's batch
+// throughput within sight of the in-process tier's. Answered (or failed)
+// slots are cleared so runSlots skips them; their count is returned. The
+// result cache is bypassed both ways — partial answers must never be cached,
+// and the batched scatter is already the cheap path.
 //
 // The call runs without the leader's read lock. Cross-shard snapshot
 // consistency is validated optimistically against the commit path's scatter
@@ -258,10 +271,7 @@ type batchEnvelope struct {
 // attempts under sustained write pressure the last answer is kept — each
 // shard is internally consistent, so the worst case is a sum reflecting a
 // prefix of one racing group, never garbage.
-func (s *Server) evalRemoteSums(ctx context.Context, slots []batchSlot, results []batchResult, errs []error) {
-	if s.remoteEngines == nil {
-		return
-	}
+func (s *Server) evalRemoteSums(ctx context.Context, slots []batchSlot, results []batchResult) int {
 	var idx []int
 	var regs []ndarray.Region
 	for i := range slots {
@@ -271,7 +281,7 @@ func (s *Server) evalRemoteSums(ctx context.Context, slots []batchSlot, results 
 		}
 	}
 	if len(regs) == 0 {
-		return
+		return 0
 	}
 	store := make([]metrics.Counter, len(regs))
 	counters := make([]*metrics.Counter, len(regs))
@@ -305,34 +315,22 @@ func (s *Server) evalRemoteSums(ctx context.Context, slots []batchSlot, results 
 			store[k] = metrics.Counter{}
 		}
 	}
-	if err != nil {
-		// The scatter failed as a whole (cancellation, or a shard error with
-		// no partial form); the batch fails like any abandoned evaluation.
-		for _, i := range idx {
-			errs[i] = err
-			slots[i].region = nil
-		}
-		return
-	}
 	for k, i := range idx {
-		res := rs[k]
-		lo, hi := res.Lo, res.Hi
-		resp := queryResponse{
-			Op:       "sum",
-			Value:    res.Value,
-			Volume:   slots[i].region.Volume(),
-			Accesses: store[k].Total(),
-			LowerBnd: &lo,
-			UpperBnd: &hi,
+		vol := slots[i].region.Volume()
+		slots[i].region = nil
+		if err != nil {
+			// The scatter failed as a whole (cancellation, or a shard error
+			// with no partial form); its slots fail like any abandoned
+			// evaluation.
+			results[i].err = err
+			continue
 		}
-		if res.Partial() {
-			resp.Partial = true
-			resp.Missing = res.Missing
-		}
+		resp := queryResponse{Op: "sum", Volume: vol, Accesses: store[k].Total()}
+		resp.setSum(rs[k])
 		store[k].Publish(s.met.costObs["sum"])
 		results[i].Result = &resp
-		slots[i].region = nil
 	}
+	return len(idx)
 }
 
 // awaitScatterQuiesce naps until no commit scatter is propagating to the

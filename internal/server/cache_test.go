@@ -191,7 +191,7 @@ func TestAvgEmptyRegion(t *testing.T) {
 	s := New(uniqueCube(7), 5, 4)
 	empty := ndarray.Region{{Lo: 0, Hi: -1}, {Lo: 0, Hi: 9}, {Lo: 0, Hi: 1}}
 	for _, op := range []string{"avg", "sum", "count", "max", "min"} {
-		resp, err := s.evalQuery(t.Context(), op, empty, false)
+		resp, err := s.evalSlot(t.Context(), s.router, true, batchSlot{op: op, region: empty})
 		if err != nil {
 			t.Fatalf("op=%s over empty region: %v", op, err)
 		}

@@ -8,25 +8,16 @@ import (
 	"sync"
 	"time"
 
-	"rangecube/internal/core/batchsum"
-	"rangecube/internal/core/maxtree"
 	"rangecube/internal/ingest"
 	"rangecube/internal/shard"
 	"rangecube/internal/trace"
 	"rangecube/internal/wal"
 )
 
-// The flush path converts each committed group into three structure-update
-// slices (WAL batch, §5 prefix-sum deltas, §7 max/min reassignments). None
-// of the consumers retain the slices past the call — wal.Append encodes
-// synchronously, batchsum copies before re-sorting, maxtree dedups into its
-// own carried list — so the backing arrays are pooled instead of allocated
-// fresh per batch.
-var (
-	walUpsPool = sync.Pool{New: func() any { return new([]wal.Update) }}
-	sumUpsPool = sync.Pool{New: func() any { return new([]batchsum.IntUpdate) }}
-	maxUpsPool = sync.Pool{New: func() any { return new([]maxtree.PointUpdate[int64]) }}
-)
+// The flush path converts each committed group into a WAL batch. wal.Append
+// encodes synchronously and does not retain the slice past the call, so the
+// backing array is pooled instead of allocated fresh per batch.
+var walUpsPool = sync.Pool{New: func() any { return new([]wal.Update) }}
 
 // SubmitUpdates feeds validated point updates straight into the ingestion
 // path, bypassing HTTP — the embedded-use API the benchmark harness
@@ -65,19 +56,12 @@ func (s *Server) SubmitUpdates(ups []ingest.Update, sync bool) (<-chan ingest.Re
 	return ack, nil
 }
 
-// cellDelta is one coalesced update: the net value-to-add for a single
-// cell after merging every duplicate coordinate in the group.
-type cellDelta struct {
-	coords []int
-	delta  int64
-}
-
 // commitGroups is the single commit point for update ingestion — the
 // batcher's CommitFunc, and (wrapped in a one-element group) the direct
 // per-request path. It coalesces the group through the §5 update model,
-// appends one WAL batch with one fsync, applies everything to the
-// prefix-sum, blocked, max and min structures under one write-lock epoch,
-// and returns the committed sequence number.
+// appends one WAL batch with one fsync, applies everything to the router's
+// structures under one write-lock epoch, and returns the committed sequence
+// number.
 //
 // Coalescing merges duplicate coordinates additively (the §5
 // value-to-add form is order-independent, so concurrent writers' deltas
@@ -110,21 +94,23 @@ func (s *Server) commitGroups(ctx context.Context, groups [][]ingest.Update) (ui
 	// coalescing pass runs outside the lock.
 	a := s.cube.Data()
 	byOff := make(map[int]int, raw)
-	cells := make([]cellDelta, 0, raw)
+	// One coalesced update per cell: the net value-to-add after merging every
+	// duplicate coordinate in the group.
+	cells := make([]shard.PointDelta, 0, raw)
 	for _, g := range groups {
 		for i := range g {
 			off := a.Offset(g[i].Coords...)
 			if j, ok := byOff[off]; ok {
-				cells[j].delta += g[i].Delta
+				cells[j].Delta += g[i].Delta
 			} else {
 				byOff[off] = len(cells)
-				cells = append(cells, cellDelta{coords: g[i].Coords, delta: g[i].Delta})
+				cells = append(cells, shard.PointDelta{Coords: g[i].Coords, Delta: g[i].Delta})
 			}
 		}
 	}
 	live := cells[:0]
 	for _, c := range cells {
-		if c.delta != 0 {
+		if c.Delta != 0 {
 			live = append(live, c)
 		}
 	}
@@ -171,7 +157,7 @@ func (s *Server) commitGroups(ctx context.Context, groups [][]ingest.Update) (ui
 // structures and the sequence is unchanged. ctx carries the commit span;
 // the WAL append, the remote scatter and the structure apply each record a
 // child, so a slow commit's trace shows which phase held the lock.
-func (s *Server) applyLocked(ctx context.Context, cells []cellDelta) (uint64, error) {
+func (s *Server) applyLocked(ctx context.Context, cells []shard.PointDelta) (uint64, error) {
 	// Remote tier: launch the scatter to the shard processes now, overlapped
 	// with the WAL fsync below. The two are independent — the scatter's
 	// round trips and the fsync's disk wait add nothing to each other — and
@@ -181,10 +167,6 @@ func (s *Server) applyLocked(ctx context.Context, cells []cellDelta) (uint64, er
 	// out the full hold.
 	var scatterDone chan struct{}
 	if s.remoteEngines != nil {
-		pds := make([]shard.PointDelta, len(cells))
-		for i, c := range cells {
-			pds[i] = shard.PointDelta{Coords: c.coords, Delta: c.delta}
-		}
 		scatterDone = make(chan struct{})
 		ssp := trace.FromContext(ctx).Child("commit.scatter")
 		sctx := trace.NewContext(ctx, ssp)
@@ -196,7 +178,7 @@ func (s *Server) applyLocked(ctx context.Context, cells []cellDelta) (uint64, er
 			// batched readers that overlap it retry; ones that land between
 			// scatters see every shard pre-batch or every shard post-batch.
 			s.scatterSeq.Add(1)
-			s.router.Apply(sctx, pds)
+			s.router.Apply(sctx, cells)
 			s.scatterSeq.Add(1)
 		}()
 	}
@@ -209,7 +191,7 @@ func (s *Server) applyLocked(ctx context.Context, cells []cellDelta) (uint64, er
 		wupsP := walUpsPool.Get().(*[]wal.Update)
 		wups := (*wupsP)[:0]
 		for _, c := range cells {
-			wups = append(wups, wal.Update{Coords: c.coords, Delta: c.delta})
+			wups = append(wups, wal.Update{Coords: c.Coords, Delta: c.Delta})
 		}
 		wsp := trace.FromContext(ctx).Child("wal.append")
 		err := s.wal.Append(wal.Batch{Seq: s.seq + 1, Updates: wups})
@@ -262,48 +244,22 @@ func (s *Server) applyLocked(ctx context.Context, cells []cellDelta) (uint64, er
 // flushes the result cache. The caller holds the write lock and owns
 // sequencing and durability — the local commit path WAL-logs first, the
 // replication path (ApplyReplicated) trusts the leader's log instead.
-func (s *Server) applyCellsLocked(ctx context.Context, cells []cellDelta) {
-	if s.router != nil {
-		// Sharded leader: keep the logical cube itself current (snapshots,
-		// recovery and follower boots read it), then scatter the batch to
-		// the owning shards — each shard applies only its slab's share, so
-		// the write-lock hold shrinks as the shard count grows. For the
-		// remote tier the scatter is already in flight, launched by
-		// applyLocked alongside the WAL fsync; only the cube update remains.
+func (s *Server) applyCellsLocked(ctx context.Context, cells []shard.PointDelta) {
+	// Exactly one owner writes each logical cube cell (snapshots, recovery and
+	// follower boots read the cube): a one-shard router serves the cube's
+	// array in place and its Apply writes the cells; slab copies and shard
+	// processes hold their own, so there the server keeps the cube current.
+	if !s.router.InPlace() {
 		a := s.cube.Data()
-		pds := make([]shard.PointDelta, len(cells))
-		for i, c := range cells {
-			a.Set(a.At(c.coords...)+c.delta, c.coords...)
-			pds[i] = shard.PointDelta{Coords: c.coords, Delta: c.delta}
-		}
-		if s.remoteEngines == nil {
-			s.router.Apply(ctx, pds)
-		}
-	} else {
-		bupsP := sumUpsPool.Get().(*[]batchsum.IntUpdate)
-		bups := (*bupsP)[:0]
 		for _, c := range cells {
-			bups = append(bups, batchsum.IntUpdate{Coords: c.coords, Delta: c.delta})
+			a.Set(a.At(c.Coords...)+c.Delta, c.Coords...)
 		}
-		// The prefix-sum index holds its own P; the blocked index additionally
-		// applies the deltas to the shared cube cells (§5.2).
-		batchsum.ApplyInt(s.sum, bups, nil)
-		batchsum.ApplyBlockedInt(s.blk, bups, nil)
-		*bupsP = bups[:0]
-		sumUpsPool.Put(bupsP)
-
-		// The max/min trees share that cube, which now holds the final values:
-		// feed those values through the §7 protocol (re-assigning a cell its
-		// current value is a no-op on A but repairs the tree nodes).
-		mupsP := maxUpsPool.Get().(*[]maxtree.PointUpdate[int64])
-		mups := (*mupsP)[:0]
-		for _, c := range cells {
-			mups = append(mups, maxtree.PointUpdate[int64]{Coords: c.coords, Value: s.cube.Data().At(c.coords...)})
-		}
-		s.max.BatchUpdate(mups, nil)
-		s.min.BatchUpdate(mups, nil)
-		*mupsP = mups[:0]
-		maxUpsPool.Put(mupsP)
+	}
+	// Each shard applies only its slab's share, so the write-lock hold
+	// shrinks as the shard count grows. For the remote tier the scatter is
+	// already in flight, launched by applyLocked alongside the WAL fsync.
+	if s.remoteEngines == nil {
+		s.router.Apply(ctx, cells)
 	}
 
 	// Invalidate every cached answer before the batch is acknowledged:

@@ -169,42 +169,16 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, status, h)
 }
 
-// startProbe launches the background recovery prober. It only exists when a
-// WAL is configured; without one there is no storage to degrade over.
-func (s *Server) startProbe() {
-	s.probeStop = make(chan struct{})
-	s.probeDone = make(chan struct{})
-	go s.probeLoop()
-}
-
-// stopProbe terminates the prober and waits for it; safe to call more than
-// once and without startProbe having run.
-func (s *Server) stopProbe() {
-	if s.probeStop == nil {
+// probeStorage is one tick of the background recovery prober: attempt
+// storage recovery while degraded. Healthy ticks are a single atomic load.
+// The prober only exists when a WAL is configured; without one there is no
+// storage to degrade over.
+func (s *Server) probeStorage() {
+	if !s.degraded.Load() {
 		return
 	}
-	s.probeOnce.Do(func() { close(s.probeStop) })
-	<-s.probeDone
-}
-
-// probeLoop periodically attempts storage recovery while degraded. Healthy
-// ticks are a single atomic load.
-func (s *Server) probeLoop() {
-	defer close(s.probeDone)
-	t := time.NewTicker(s.opts.DegradedProbe)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.probeStop:
-			return
-		case <-t.C:
-			if !s.degraded.Load() {
-				continue
-			}
-			if err := s.recoverStorage(); err != nil {
-				s.logf("server: degraded-mode recovery attempt failed: %v", err)
-			}
-		}
+	if err := s.recoverStorage(); err != nil {
+		s.logf("server: degraded-mode recovery attempt failed: %v", err)
 	}
 }
 

@@ -1,0 +1,246 @@
+package server
+
+import (
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"rangecube/internal/cube"
+	"rangecube/internal/ingest"
+	"rangecube/internal/naive"
+	"rangecube/internal/ndarray"
+)
+
+// onePathCube is a small 2-d cube whose split dimension (x, the larger) is
+// wide enough for three slabs.
+func onePathCube() *cube.Cube {
+	c := cube.New(
+		cube.NewIntDimension("x", 0, 11),
+		cube.NewIntDimension("y", 0, 6),
+	)
+	for x := 0; x < 12; x++ {
+		for y := 0; y < 7; y++ {
+			c.Data().Set(int64((x*31+y*7)%53-9), x, y)
+		}
+	}
+	return c
+}
+
+// answerFields is what GET /query and a one-item POST /query/batch must
+// agree on; accesses and cached are per-evaluation bookkeeping and excluded.
+type answerFields struct {
+	Value   int64
+	Lo, Hi  *int64
+	At      []string
+	Volume  int
+	Empty   bool
+	Partial bool
+	Missing []int
+}
+
+func fieldsOf(r queryResponse) answerFields {
+	return answerFields{r.Value, r.LowerBnd, r.UpperBnd, r.At, r.Volume, r.Empty, r.Partial, r.Missing}
+}
+
+// TestQueryIsBatchOfOne holds the merged read path to its contract: on a
+// one-shard server, an in-process sharded server and a remote-shard leader,
+// GET /query and a one-item POST /query/batch return the same value, bounds,
+// position, volume and empty/partial markers for all five ops, and the value
+// is the naive oracle's. The remote leader is checked again with a shard
+// down, where sums degrade to the same partial envelope on both routes.
+func TestQueryIsBatchOfOne(t *testing.T) {
+	p0 := startShardProc(t, "127.0.0.1:0")
+	p1 := startShardProc(t, "127.0.0.1:0")
+	p2 := startShardProc(t, "127.0.0.1:0")
+	t.Cleanup(func() { p0.stop(); p1.stop(); p2.stop() })
+	quiet := func(string, ...any) {}
+	configs := []struct {
+		name   string
+		opts   Options
+		engine string // cube_query_cost_* engine label of op=sum
+	}{
+		{"one-shard", Options{BlockSize: 3, Fanout: 3, Metrics: true, Logf: quiet}, "prefixsum"},
+		{"shards-3", Options{BlockSize: 3, Fanout: 3, Shards: 3, SumEngine: "blocked", Metrics: true, Logf: quiet}, "sharded:blocked"},
+		{"shard-urls", Options{BlockSize: 3, Fanout: 3, Metrics: true, Logf: quiet,
+			ShardURLs:    []string{"http://" + p0.addr, "http://" + p1.addr, "http://" + p2.addr},
+			ShardTimeout: 2 * time.Second, ShardProbe: -1}, "sharded:prefixsum"},
+	}
+	selectors := []struct {
+		get string
+		sel map[string]string
+		r   ndarray.Region
+	}{
+		{"x=2..9&y=1..5", map[string]string{"x": "2..9", "y": "1..5"}, ndarray.Region{{Lo: 2, Hi: 9}, {Lo: 1, Hi: 5}}},
+		{"x=0..3", map[string]string{"x": "0..3"}, ndarray.Region{{Lo: 0, Hi: 3}, {Lo: 0, Hi: 6}}},
+		{"x=7&y=*", map[string]string{"x": "7", "y": "*"}, ndarray.Region{{Lo: 7, Hi: 7}, {Lo: 0, Hi: 6}}},
+	}
+	for _, cfg := range configs {
+		t.Run(cfg.name, func(t *testing.T) {
+			c := onePathCube()
+			oracle := c.Data().Clone()
+			s, err := NewWithOptions(c, cfg.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(s.Handler())
+			t.Cleanup(func() { ts.Close(); s.Close() })
+
+			both := func(op, params string, sel map[string]string) queryResponse {
+				t.Helper()
+				var one queryResponse
+				if code := get(t, ts, "/query?op="+op+"&"+params, &one); code != http.StatusOK {
+					t.Fatalf("GET %s %s: status %d", op, params, code)
+				}
+				code, out, raw := postQueryBatch(t, ts, marshalBatch(t, []batchQuery{{Op: op, Select: sel}}))
+				if code != http.StatusOK || len(out.Results) != 1 || out.Results[0].Result == nil {
+					t.Fatalf("batch of one %s %s: status %d body %s", op, params, code, raw)
+				}
+				if a, b := fieldsOf(one), fieldsOf(*out.Results[0].Result); !reflect.DeepEqual(a, b) {
+					t.Fatalf("%s over %s: GET %+v, batch of one %+v", op, params, a, b)
+				}
+				return one
+			}
+			for _, q := range selectors {
+				sum := naive.SumInt64(oracle, q.r, nil)
+				for _, op := range []string{"sum", "count", "avg", "max", "min"} {
+					one := both(op, q.get, q.sel)
+					want := sum
+					switch op {
+					case "count":
+						want = int64(q.r.Volume())
+					case "max":
+						_, want, _ = naive.Max(oracle, q.r, nil)
+					case "min":
+						_, want, _ = naive.Min(oracle, q.r, nil)
+					}
+					if one.Value != want || one.Partial || one.Volume != q.r.Volume() {
+						t.Fatalf("%s over %s = %+v, oracle says %d", op, q.get, one, want)
+					}
+					if op == "sum" && (one.LowerBnd == nil || *one.LowerBnd > sum || *one.UpperBnd < sum) {
+						t.Fatalf("sum bounds over %s exclude the oracle's %d: %+v", q.get, sum, one)
+					}
+				}
+			}
+
+			// The engine label follows the router's shard count, so a remote
+			// leader (Shards unset) is labelled sharded like an in-process one.
+			var metrics strings.Builder
+			resp, err := ts.Client().Get(ts.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(&metrics, resp.Body)
+			resp.Body.Close()
+			want := fmt.Sprintf(`cube_query_cost_cells_count{op="sum",engine=%q}`, cfg.engine)
+			if !strings.Contains(metrics.String(), want) {
+				t.Fatalf("/metrics lacks %s", want)
+			}
+
+			if cfg.opts.ShardURLs == nil {
+				return
+			}
+			// Take the last slab's shard away: both routes must degrade the
+			// same sum to the same partial envelope, containing the oracle.
+			p2.stop()
+			q := selectors[0]
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				one := both("sum", q.get, q.sel)
+				if one.Partial {
+					sum := naive.SumInt64(oracle, q.r, nil)
+					if len(one.Missing) != 1 || one.Missing[0] != 2 || *one.LowerBnd > sum || *one.UpperBnd < sum {
+						t.Fatalf("partial sum %+v does not cover the oracle's %d with shard 2 missing", one, sum)
+					}
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("sum never degraded to partial: %+v", one)
+				}
+			}
+		})
+	}
+}
+
+// TestOneShardServesCubeInPlaceOnce pins the two aliasing hazards of the
+// one-shard router. It serves the cube's own array, so a commit must reach
+// each cell exactly once — through the engine, not also through the server.
+// And a follower of that server must hold its own cells: it may not see an
+// update until its pump applies it (the blocked engine reads raw cells at
+// region boundaries, so shared cells would show), and its apply may not
+// write the leader's cube a second time.
+func TestOneShardServesCubeInPlaceOnce(t *testing.T) {
+	c := onePathCube()
+	oracle := c.Data().Clone()
+	dir := t.TempDir()
+	s, err := NewWithOptions(c, Options{
+		BlockSize: 3, Fanout: 3, SumEngine: "blocked",
+		WALPath:   filepath.Join(dir, "updates.wal"),
+		Followers: 1,
+		Logf:      func(string, ...any) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	if !s.router.InPlace() {
+		t.Fatal("a server without Shards must serve its cube in place")
+	}
+	s.stopPumps() // the follower now advances only when the test syncs it
+
+	whole := ndarray.Region{{Lo: 1, Hi: 10}, {Lo: 1, Hi: 5}} // off the block grid on every side
+	followerSum := func() int64 {
+		rt, release := s.followers[0].f.View()
+		defer release()
+		v, err := rt.Sum(t.Context(), whole, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	before := naive.SumInt64(oracle, whole, nil)
+	for b := 0; b < 8; b++ {
+		// Duplicate coordinates inside a batch coalesce; the net delta must
+		// land once.
+		ups := []ingest.Update{
+			{Coords: []int{b, b % 7}, Delta: int64(10 + b)},
+			{Coords: []int{11 - b, 3}, Delta: int64(-4 * b)},
+			{Coords: []int{b, b % 7}, Delta: 5},
+		}
+		ack, err := s.SubmitUpdates(ups, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := <-ack; res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		for _, u := range ups {
+			oracle.Set(oracle.At(u.Coords...)+u.Delta, u.Coords...)
+		}
+	}
+	if got, want := s.cube.Data().Data(), oracle.Data(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("cube cells after 8 batches differ from the once-applied oracle:\n got %v\nwant %v", got, want)
+	}
+	s.mu.RLock()
+	leader, err := s.router.Sum(t.Context(), whole, nil)
+	s.mu.RUnlock()
+	after := naive.SumInt64(oracle, whole, nil)
+	if err != nil || leader != after {
+		t.Fatalf("leader sum %d (err %v), oracle %d", leader, err, after)
+	}
+	if got := followerSum(); got != before {
+		t.Fatalf("follower saw sum %d before its pump ran; its cells alias the leader's (boot sum %d, leader now %d)", got, before, after)
+	}
+	s.syncFollower(s.followers[0])
+	if got := followerSum(); got != after {
+		t.Fatalf("follower sum %d after sync, want %d", got, after)
+	}
+	if got, want := s.cube.Data().Data(), oracle.Data(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the follower's apply wrote the leader's cube:\n got %v\nwant %v", got, want)
+	}
+}

@@ -6,17 +6,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"rangecube/internal/client"
-	"rangecube/internal/core/blocked"
-	"rangecube/internal/core/maxtree"
-	"rangecube/internal/core/prefixsum"
 	"rangecube/internal/cube"
 	"rangecube/internal/ndarray"
 	"rangecube/internal/persist"
-	"rangecube/internal/planner"
 	"rangecube/internal/shard"
 )
 
@@ -36,7 +33,7 @@ const shardStateTimeout = 30 * time.Second
 const maxStateBytes = 1 << 30
 
 // initRemoteSharding builds the remote engines and the router over them.
-// Called by initSharding when ShardURLs is set; the state push happens later
+// Called by buildRouter when ShardURLs is set; the state push happens later
 // (attachRemoteShards), after recovery has produced the cells to push.
 func (s *Server) initRemoteSharding(m shard.Map) error {
 	stats := &shard.RemoteStats{}
@@ -73,7 +70,7 @@ func (s *Server) initRemoteSharding(m shard.Map) error {
 	if err != nil {
 		return err
 	}
-	s.router, s.remoteEngines, s.remoteStats = rt, remotes, stats
+	s.router, s.remoteEngines = rt, remotes
 	return nil
 }
 
@@ -109,20 +106,9 @@ func (s *Server) resyncShard(e *shard.RemoteEngine) error {
 	var seq uint64
 	for attempt := 0; attempt < attempts; attempt++ {
 		s.mu.RLock()
-		slab := shard.SlabCopy(s.cube.Data(), s.shardMap, e.Shard())
+		slab := shard.SlabCopy(s.cube.Data(), s.router.Map(), e.Shard())
 		seq = s.seq
-		var lo, hi int64
-		if data := slab.Data(); len(data) > 0 {
-			lo, hi = data[0], data[0]
-			for _, v := range data[1:] {
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
-			}
-		}
+		lo, hi := shard.ValueBounds(slab)
 		// Seed the engine's conservative cell-value bounds while the capture
 		// is still atomic with the cube (Apply only widens them under the
 		// write lock): even if the push below fails, a never-synced shard's
@@ -173,42 +159,15 @@ func (s *Server) pushState(e *shard.RemoteEngine, body []byte) error {
 	return nil
 }
 
-// startShardProbe launches the resync probe: every ShardProbe tick each
-// down engine gets one fresh state push. Healthy ticks are a handful of
-// atomic loads.
-func (s *Server) startShardProbe() {
-	s.shardProbeStop = make(chan struct{})
-	s.shardProbeDone = make(chan struct{})
-	go s.shardProbeLoop()
-}
-
-// stopShardProbe terminates the probe and waits for it; safe to call more
-// than once and without startShardProbe having run.
-func (s *Server) stopShardProbe() {
-	if s.shardProbeStop == nil {
-		return
-	}
-	s.shardProbeOnce.Do(func() { close(s.shardProbeStop) })
-	<-s.shardProbeDone
-}
-
-func (s *Server) shardProbeLoop() {
-	defer close(s.shardProbeDone)
-	t := time.NewTicker(s.opts.ShardProbe)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.shardProbeStop:
-			return
-		case <-t.C:
-			for _, e := range s.remoteEngines {
-				if !e.Down() {
-					continue
-				}
-				if err := s.resyncShard(e); err != nil {
-					s.logf("server: shard %d resync failed: %v", e.Shard(), err)
-				}
-			}
+// resyncDownShards is one tick of the resync probe: each down engine gets
+// one fresh state push. Healthy ticks are a handful of atomic loads.
+func (s *Server) resyncDownShards() {
+	for _, e := range s.remoteEngines {
+		if !e.Down() {
+			continue
+		}
+		if err := s.resyncShard(e); err != nil {
+			s.logf("server: shard %d resync failed: %v", e.Shard(), err)
 		}
 	}
 }
@@ -240,7 +199,7 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 }
 
 // resetState replaces the server's cube state with a replicated snapshot
-// and rebuilds every serving structure over it, all under one write epoch.
+// and rebuilds the router over it, all under one write epoch.
 // A shape change is only legal while the server is still awaiting its first
 // state (the placeholder cube has no meaning); afterwards the shape is
 // pinned and a mismatched push is rejected. The follower pump also lands
@@ -250,7 +209,7 @@ func (s *Server) resetState(seq uint64, cells *ndarray.Array[int64]) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	shape := cells.Shape()
-	if shapeEqual(s.cube.Shape(), shape) {
+	if slices.Equal(s.cube.Shape(), shape) {
 		copy(s.cube.Data().Data(), cells.Data())
 	} else {
 		if !s.awaitingState.Load() {
@@ -266,29 +225,15 @@ func (s *Server) resetState(seq uint64, cells *ndarray.Array[int64]) error {
 		c := cube.New(dims...)
 		copy(c.Data().Data(), cells.Data())
 		s.cube = c
-		n := s.opts.Shards
-		if n < 1 {
-			n = 1
-		}
-		m, err := shard.NewMap(shape, planner.SplitDimension(shape, nil), n)
-		if err != nil {
-			return err
-		}
-		s.shardMap = m
 	}
-
-	if s.opts.Shards > 1 {
-		rt, err := shard.NewRouter(s.cube.Data(), s.shardMap, s.opts.BlockSize, s.opts.Fanout, s.opts.SumEngine)
-		if err != nil {
-			return err
-		}
-		s.router = rt
-	} else {
-		d := s.cube.Data()
-		s.sum = prefixsum.BuildInt(d)
-		s.blk = blocked.BuildInt(d, s.opts.BlockSize)
-		s.max = maxtree.Build(d.Clone(), s.opts.Fanout)
-		s.min = maxtree.BuildMin(d.Clone(), s.opts.Fanout)
+	prev := s.router.Shards()
+	if err := s.buildRouter(); err != nil {
+		return err
+	}
+	if s.router.Shards() != prev {
+		// The placeholder was too small to split; the engine label follows
+		// the real shard count.
+		s.met.pinCostObservers(s)
 	}
 	s.cache.Flush()
 	s.seq = seq

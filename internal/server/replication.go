@@ -16,6 +16,7 @@ import (
 	"rangecube/internal/cube"
 	"rangecube/internal/ndarray"
 	"rangecube/internal/persist"
+	"rangecube/internal/shard"
 	"rangecube/internal/wal"
 )
 
@@ -161,9 +162,9 @@ func (s *Server) ApplyReplicated(batches []wal.Batch) int {
 			s.mu.Unlock()
 			continue
 		}
-		cells := make([]cellDelta, len(b.Updates))
+		cells := make([]shard.PointDelta, len(b.Updates))
 		for i, u := range b.Updates {
-			cells[i] = cellDelta{coords: u.Coords, delta: u.Delta}
+			cells[i] = shard.PointDelta{Coords: u.Coords, Delta: u.Delta}
 		}
 		s.applyCellsLocked(context.Background(), cells)
 		s.seq = b.Seq
@@ -267,36 +268,12 @@ func fetchSnapshot(ctx context.Context, cl *client.Client, leaderURL string) (se
 }
 
 // startFollowPump launches the WAL-shipping poll loop from the given
-// generation and byte offset.
+// generation and byte offset; Close stops it.
 func (s *Server) startFollowPump(leaderURL string, gen uint64, offset int64) {
-	s.followStop = make(chan struct{})
-	s.followDone = make(chan struct{})
-	go s.followLoop(leaderURL, gen, offset)
-}
-
-// stopFollowPump terminates the pump and waits for it; safe to call more
-// than once and without a pump running.
-func (s *Server) stopFollowPump() {
-	if s.followStop == nil {
-		return
-	}
-	s.followOnce.Do(func() { close(s.followStop) })
-	<-s.followDone
-}
-
-func (s *Server) followLoop(leaderURL string, gen uint64, offset int64) {
-	defer close(s.followDone)
 	cl := client.New(client.Options{MaxAttempts: 2, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 200 * time.Millisecond})
-	t := time.NewTicker(s.opts.FollowPoll)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.followStop:
-			return
-		case <-t.C:
-		}
+	s.tickers = append(s.tickers, startTicker(s.opts.FollowPoll, func() {
 		gen, offset = s.followFetch(cl, leaderURL, gen, offset)
-	}
+	}))
 }
 
 // followFetch performs one replication poll and returns the advanced

@@ -33,16 +33,15 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"net/url"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"rangecube/internal/core/blocked"
-	"rangecube/internal/core/maxtree"
-	"rangecube/internal/core/prefixsum"
 	"rangecube/internal/cube"
 	"rangecube/internal/ingest"
 	"rangecube/internal/metrics"
@@ -70,12 +69,13 @@ type Options struct {
 	// under updates either way; this picks which one serves reads.
 	SumEngine string
 
-	// Shards > 1 slab-partitions the logical cube across that many engine
-	// shards along the planner-chosen dimension (see planner.SplitDimension)
-	// and serves every query by scatter–gather over them. Answers are
-	// bit-identical to the unsharded structures; updates scatter to the
-	// owning shards, so each shard's apply cost shrinks with its slab.
-	// 0 or 1 keeps the flat structures.
+	// Shards is how many engine shards the logical cube is slab-partitioned
+	// across, along the planner-chosen dimension (see planner.SplitDimension).
+	// The server always serves through a shard.Router: 0 or 1 is a one-shard
+	// map whose engine is built in place over the cube's own cells; more
+	// copy one slab each and answer by scatter–gather, bit-identically, with
+	// updates scattered to the owning shards so each shard's apply cost
+	// shrinks with its slab.
 	Shards int
 	// ShardURLs, when non-empty, serves the sharded tier over remote shard
 	// processes instead of in-process slabs: entry i is the base URL of the
@@ -272,9 +272,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Server holds the cube and its indexes. Queries take the read lock;
-// update batches take the write lock and rebuild nothing — they run the
-// §5/§7 incremental algorithms.
+// Server holds the cube and, in a shard.Router, every structure that
+// answers queries over it. Queries take the read lock; update batches take
+// the write lock and rebuild nothing — the router's engines run the §5/§7
+// incremental algorithms.
 type Server struct {
 	opts Options
 	logf func(format string, args ...any)
@@ -282,24 +283,14 @@ type Server struct {
 	mu sync.RWMutex
 
 	cube *cube.Cube
-	// The flat structures serve reads when Shards <= 1; with Shards > 1
-	// they stay nil and router serves instead (see sharding.go).
-	sum *prefixsum.IntArray
-	blk *blocked.IntArray
-	max *maxtree.Tree[int64]
-	min *maxtree.Tree[int64]
+	// router is the one structure set (see sharding.go): a one-shard map
+	// serving the cube's cells in place, in-process slab copies, or remote
+	// shard processes. A /state push replaces it under the write lock.
+	router *shard.Router
 
-	shardMap shard.Map     // slab partition of the cube (1 slab when unsharded)
-	router   *shard.Router // sharded serving structures; nil when Shards <= 1
-
-	// Remote shard tier (remote.go): the engines behind the router when
-	// ShardURLs is set, their shared failure counters, and the resync probe
-	// that pushes slab state back to shards marked down.
-	remoteEngines  []*shard.RemoteEngine
-	remoteStats    *shard.RemoteStats
-	shardProbeStop chan struct{}
-	shardProbeDone chan struct{}
-	shardProbeOnce sync.Once
+	// remoteEngines are the engines behind the router when ShardURLs is set
+	// (remote.go); nil otherwise.
+	remoteEngines []*shard.RemoteEngine
 
 	// scatterSeq is a seqlock around the commit path's remote scatter: odd
 	// while a batch's deltas are propagating to the shard processes (the
@@ -308,13 +299,13 @@ type Server struct {
 	// holding the read lock across network round trips (batch.go).
 	scatterSeq atomic.Uint64
 
-	// Remote replication (replication.go): awaitingState gates serving until
-	// the first /state push installs real data; the follow pump tails a
-	// leader's /wal stream when this server was built with JoinLeader.
+	// awaitingState gates serving until the first /state push installs real
+	// data (remote.go).
 	awaitingState atomic.Bool
-	followStop    chan struct{}
-	followDone    chan struct{}
-	followOnce    sync.Once
+
+	// tickers are the background loops — degraded-storage probe, shard
+	// resync probe, WAL-shipping follow pump — that Close stops.
+	tickers []*ticker
 
 	wal       *wal.Log // nil when WALPath is empty
 	seq       uint64   // sequence number of the last applied batch
@@ -363,9 +354,33 @@ type Server struct {
 	degraded       atomic.Bool
 	degradedReason atomic.Value // string: the fault that flipped the mode
 	draining       atomic.Bool  // graceful shutdown: /readyz 503, still serving
-	probeStop      chan struct{}
-	probeDone      chan struct{}
-	probeOnce      sync.Once
+}
+
+// ticker is a background goroutine calling fn every period until stopped.
+type ticker struct{ quit, done chan struct{} }
+
+func startTicker(period time.Duration, fn func()) *ticker {
+	t := &ticker{quit: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(t.done)
+		tk := time.NewTicker(period)
+		defer tk.Stop()
+		for {
+			select {
+			case <-t.quit:
+				return
+			case <-tk.C:
+				fn()
+			}
+		}
+	}()
+	return t
+}
+
+// stop ends the loop and waits out a running fn. Call it once.
+func (t *ticker) stop() {
+	close(t.quit)
+	<-t.done
 }
 
 // New builds a purely in-memory server over the cube with the given uniform
@@ -458,23 +473,15 @@ func NewWithOptions(c *cube.Cube, opts Options) (*Server, error) {
 		}
 	}
 
-	if opts.Shards <= 1 {
-		// The blocked index shares (and updates) the cube's array; the max and
-		// min trees get their own copies so the §7 update protocol can compare
-		// old and new cell values independently of the §5 path.
-		s.sum = prefixsum.BuildInt(c.Data())
-		s.blk = blocked.BuildInt(c.Data(), opts.BlockSize)
-		s.max = maxtree.Build(c.Data().Clone(), opts.Fanout)
-		s.min = maxtree.BuildMin(c.Data().Clone(), opts.Fanout)
-	}
-	// Sharded leader structures and follower replicas build over the same
-	// recovered cells; their pumps start here, before any request arrives.
+	// The router and the follower replicas build over the recovered cells;
+	// the pumps start here, before any request arrives.
 	if err := s.initSharding(); err != nil {
 		if s.wal != nil {
 			s.wal.Close()
 		}
 		return nil, err
 	}
+	s.met.pinCostObservers(s)
 	s.committed.Store(s.seq)
 	if opts.AwaitState {
 		s.awaitingState.Store(true)
@@ -485,7 +492,7 @@ func NewWithOptions(c *cube.Cube, opts Options) (*Server, error) {
 		// then its slabs answer as missing.
 		s.attachRemoteShards()
 		if opts.ShardProbe > 0 {
-			s.startShardProbe()
+			s.tickers = append(s.tickers, startTicker(opts.ShardProbe, s.resyncDownShards))
 		}
 	}
 
@@ -508,7 +515,7 @@ func NewWithOptions(c *cube.Cube, opts Options) (*Server, error) {
 	// no snapshot path a probe could never succeed: a poisoned WAL-only
 	// server stays degraded (still serving reads) until restarted.
 	if s.wal != nil && opts.SnapshotPath != "" && opts.DegradedProbe > 0 {
-		s.startProbe()
+		s.tickers = append(s.tickers, startTicker(opts.DegradedProbe, s.probeStorage))
 	}
 	return s, nil
 }
@@ -528,25 +535,13 @@ func (s *Server) loadSnapshot() error {
 		return fmt.Errorf("server: loading snapshot %s: %w", s.opts.SnapshotPath, err)
 	}
 	dst := s.cube.Data()
-	if !shapeEqual(dst.Shape(), cells.Shape()) {
+	if !slices.Equal(dst.Shape(), cells.Shape()) {
 		return fmt.Errorf("server: snapshot shape %v does not match cube %v", cells.Shape(), dst.Shape())
 	}
 	copy(dst.Data(), cells.Data())
 	s.seq = seq
 	s.logf("server: loaded snapshot %s (seq %d)", s.opts.SnapshotPath, seq)
 	return nil
-}
-
-func shapeEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // replayBatch applies a recovered WAL batch directly to the cube cells; the
@@ -586,9 +581,10 @@ func (s *Server) Checkpoint() error {
 // Close drains the ingestion pipeline, checkpoints if possible and
 // releases the WAL file. The server must not serve requests afterwards.
 func (s *Server) Close() error {
-	s.stopFollowPump()
-	s.stopShardProbe()
-	s.stopProbe()
+	for _, t := range s.tickers {
+		t.stop()
+	}
+	s.tickers = nil // a second Close finds nothing left to stop
 	s.stopPumps()
 	for _, r := range s.followers {
 		r.f.Close()
@@ -747,9 +743,9 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 }
 
 // parseRegion translates query parameters into a rank-domain region.
-func (s *Server) parseRegion(r *http.Request) (ndarray.Region, error) {
-	var sels []cube.Selector
-	for name, vals := range r.URL.Query() {
+func (s *Server) parseRegion(params url.Values) (ndarray.Region, error) {
+	sels := make([]cube.Selector, 0, len(params))
+	for name, vals := range params {
 		if name == "op" {
 			continue
 		}
@@ -822,12 +818,24 @@ type queryResponse struct {
 	Missing []int `json:"missing_shards,omitempty"`
 }
 
+// setSum fills in an op=sum answer: the value, its §11 bounds and, when
+// shards were unreachable, the partial-answer envelope.
+func (q *queryResponse) setSum(res shard.SumResult) {
+	q.Value = res.Value
+	lo, hi := res.Lo, res.Hi
+	q.LowerBnd, q.UpperBnd = &lo, &hi
+	q.Partial, q.Missing = res.Partial(), res.Missing
+}
+
+// handleQuery answers one query as a batch of one: its own parse and 400s,
+// then the same evaluation as POST /query/batch (evalSlots).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.awaitingState.Load() {
 		s.writeAwaiting(w, r)
 		return
 	}
-	op := r.URL.Query().Get("op")
+	params := r.URL.Query() // parsed once: op and the selectors both read it
+	op := params.Get("op")
 	if op == "" {
 		op = "sum"
 	}
@@ -836,109 +844,94 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Only an AcceptState server (shard process, joined follower) parses
-	// under the read epoch: its /state push may swap the cube, and a region
-	// parsed against the old dimensions must never meet the new structures.
-	// Every other server's cube is immutable, so parsing stays off the
-	// write-preferring lock and never queues behind a commit's fsync.
-	locked := s.opts.AcceptState
-	if locked {
+	// under the read epoch: its /state push may swap the cube. Every other
+	// server's cube is immutable, so parsing stays off the write-preferring
+	// lock and never queues behind a commit's fsync.
+	if s.opts.AcceptState {
 		s.mu.RLock()
 	}
-	region, err := s.parseRegion(r)
+	region, err := s.parseRegion(params)
+	if s.opts.AcceptState {
+		s.mu.RUnlock()
+	}
 	if err != nil {
-		if locked {
-			s.mu.RUnlock()
-		}
 		s.writeError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.qlog.Add(region)
-	if !locked {
-		s.mu.RLock()
-	}
-	resp, err := s.evalCached(r.Context(), op, region, false)
-	s.mu.RUnlock()
-	if err != nil {
+	results := make([]batchResult, 1)
+	if err := s.evalSlots(r.Context(), []batchSlot{{op: op, region: region}}, results); err != nil {
 		s.writeCtxError(w, r, err)
 		return
 	}
-	s.writeJSON(w, r, http.StatusOK, resp)
-}
-
-// evalQuery answers one validated query on the leader's structures. The
-// caller must hold the read lock; a non-nil error is always a context
-// cancellation or deadline.
-func (s *Server) evalQuery(ctx context.Context, op string, region ndarray.Region, exact bool) (queryResponse, error) {
-	return s.evalQueryOn(ctx, s.backend(), op, region, exact)
-}
-
-// evalQueryOn answers one validated query against an explicit structure
-// set — the leader's (flat or sharded) or a follower replica's. The caller
-// must pin the backend's epoch (the server's read lock, or the follower's
-// view) for the duration. exact (op=sum only, from the batch API) skips
-// the §11 interval estimate and reports the exact sum as its own [v, v]
-// bounds.
-func (s *Server) evalQueryOn(ctx context.Context, be backend, op string, region ndarray.Region, exact bool) (queryResponse, error) {
-	var c metrics.Counter
-	resp := queryResponse{Op: op, Volume: region.Volume()}
-	if resp.Volume == 0 {
-		// A zero-volume region has a defined answer shape — explicitly
-		// empty, identity sum, no average — rather than NaN or a bogus
-		// extreme leaking into the encoder. (The HTTP selector grammar
-		// cannot express an empty region today; this guards direct callers
-		// and future grammars.)
-		resp.Empty = true
+	if results[0].Result == nil {
+		s.writeError(w, r, http.StatusInternalServerError, "%s", results[0].Error)
+		return
 	}
-	switch op {
+	s.writeJSON(w, r, http.StatusOK, results[0].Result)
+}
+
+// evalSlot answers one validated query against rt — the leader's router or a
+// follower replica's. The caller pins rt's epoch (the server's read lock, or
+// the follower's view) for the duration; cached, set only under the read
+// lock, serves and fills the result cache, which is what makes reading s.seq
+// and publishing against it race-free. q.exact (op=sum only, from the batch
+// API) skips the §11 interval estimate and reports the exact sum as its own
+// [v, v] bounds. A non-nil error is a cancellation, a deadline or a down
+// shard.
+func (s *Server) evalSlot(ctx context.Context, rt *shard.Router, cached bool, q batchSlot) (queryResponse, error) {
+	var key string
+	if cached && s.cache != nil {
+		key = cacheKey(q.op, q.region)
+		if q.exact {
+			// Exact answers carry [v, v] bounds; an interval answer for the same
+			// region must never be served in their place (or vice versa).
+			key = "x\x00" + key
+		}
+		if resp, ok := s.cache.Get(key, s.seq); ok {
+			resp.Cached = true
+			resp.Accesses = 0
+			return resp, nil
+		}
+	}
+	var c metrics.Counter
+	resp := queryResponse{Op: q.op, Volume: q.region.Volume()}
+	// A zero-volume region has a defined answer shape — explicitly empty,
+	// identity sum, no average — rather than NaN or a bogus extreme leaking
+	// into the encoder. (The HTTP selector grammar cannot express an empty
+	// region today; this guards direct callers and future grammars.)
+	resp.Empty = resp.Volume == 0
+	switch q.op {
 	case "sum":
-		if exact {
-			v, err := be.Sum(ctx, region, &c)
+		if q.exact {
+			v, err := rt.Sum(ctx, q.region, &c)
 			if err != nil {
 				return resp, err
 			}
-			resp.Value = v
-			lo, hi := v, v
-			resp.LowerBnd, resp.UpperBnd = &lo, &hi
+			resp.setSum(shard.SumResult{Value: v, Lo: v, Hi: v})
 			break
 		}
-		if fs, ok := be.(fullSummer); ok {
-			// One gather answers the sum, its §11 bounds and the
-			// partial-failure envelope together — for remote shards that is
-			// one round trip per sub-query instead of two.
-			res, err := fs.SumFull(ctx, region, &c)
-			if err != nil {
-				return resp, err
-			}
-			resp.Value = res.Value
-			lo, hi := res.Lo, res.Hi
-			resp.LowerBnd, resp.UpperBnd = &lo, &hi
-			if res.Partial() {
-				resp.Partial = true
-				resp.Missing = res.Missing
-			}
-			break
-		}
-		lo, hi, err := be.SumBounds(ctx, region)
+		// One gather answers the sum, its §11 bounds and the partial-failure
+		// envelope together — for remote shards that is one round trip per
+		// sub-query instead of two.
+		res, err := rt.SumFull(ctx, q.region, &c)
 		if err != nil {
 			return resp, err
 		}
-		resp.LowerBnd, resp.UpperBnd = &lo, &hi
-		if resp.Value, err = be.Sum(ctx, region, &c); err != nil {
-			return resp, err
-		}
+		resp.setSum(res)
 	case "count":
-		resp.Value = int64(region.Volume())
+		resp.Value = int64(resp.Volume)
 	case "avg":
-		sum, err := be.Sum(ctx, region, &c)
+		sum, err := rt.Sum(ctx, q.region, &c)
 		if err != nil {
 			return resp, err
 		}
-		if v := region.Volume(); v > 0 {
-			resp.Average = float64(sum) / float64(v)
+		if resp.Volume > 0 {
+			resp.Average = float64(sum) / float64(resp.Volume)
 		}
 		resp.Value = sum
 	case "max", "min":
-		coords, v, ok, err := be.Extreme(ctx, region, op == "min", &c)
+		coords, v, ok, err := rt.Extreme(ctx, q.region, q.op == "min", &c)
 		if err != nil {
 			return resp, err
 		}
@@ -957,49 +950,22 @@ func (s *Server) evalQueryOn(ctx context.Context, be backend, op string, region 
 	// cache hits never reach this point, so the distributions describe real
 	// evaluation work only. The observers are pinned per op at construction,
 	// so this is three atomic histogram records, no label resolution.
-	c.Publish(s.met.costObs[op])
-	// The same counter annotates the active span (the request span for
-	// GET /query, the per-item span for a batch item) with the §8 cost.
+	c.Publish(s.met.costObs[q.op])
+	// The same counter annotates the active span (the per-item span evalSlots
+	// opens) with the §8 cost.
 	if sp := trace.FromContext(ctx); sp != nil {
 		c.Publish(sp)
-		sp.SetEngine(s.engineLabel(op))
+		sp.SetEngine(engineLabel(rt, s.opts.SumEngine, q.op))
 		if resp.Partial {
 			sp.SetPartial()
 		}
 	}
-	return resp, nil
-}
-
-// evalCached is evalQuery behind the result cache: hits are served from the
-// current epoch's cache with Cached=true and zero reported accesses; misses
-// are evaluated and stored. The caller must hold the read lock — that is
-// what makes reading s.seq and publishing against it race-free.
-func (s *Server) evalCached(ctx context.Context, op string, region ndarray.Region, exact bool) (queryResponse, error) {
-	if s.cache == nil {
-		return s.evalQuery(ctx, op, region, exact)
+	// A partial answer reflects which shards happened to be down, not the
+	// epoch's data; caching it would keep serving degraded bounds after the
+	// shards return.
+	if key != "" && !resp.Partial {
+		s.cache.Put(key, s.seq, resp)
 	}
-	key := cacheKey(op, region)
-	if exact {
-		// Exact answers carry [v, v] bounds; an interval answer for the same
-		// region must never be served in their place (or vice versa).
-		key = "x\x00" + key
-	}
-	if resp, ok := s.cache.Get(key, s.seq); ok {
-		resp.Cached = true
-		resp.Accesses = 0
-		return resp, nil
-	}
-	resp, err := s.evalQuery(ctx, op, region, exact)
-	if err != nil {
-		return resp, err
-	}
-	if resp.Partial {
-		// A partial answer reflects which shards happened to be down, not
-		// the epoch's data; caching it would keep serving degraded bounds
-		// after the shards return.
-		return resp, nil
-	}
-	s.cache.Put(key, s.seq, resp)
 	return resp, nil
 }
 

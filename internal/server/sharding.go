@@ -1,88 +1,28 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"strconv"
 	"sync/atomic"
 	"time"
 
-	"rangecube/internal/core/blocked"
-	"rangecube/internal/metrics"
-	"rangecube/internal/ndarray"
 	"rangecube/internal/planner"
 	"rangecube/internal/shard"
 	"rangecube/internal/telemetry"
 )
 
-// The sharded serving tier. With Options.Shards > 1 the leader's query
-// structures are a shard.Router — the logical cube slab-partitioned along
-// the planner-chosen dimension, answered by scatter–gather — instead of the
-// flat structures. With Options.Followers > 0 the server additionally runs
-// in-process read replicas fed by the WAL: each commit notifies per-replica
-// pump goroutines that tail the log's committed prefix (the same bytes
-// crash recovery replays) and apply each batch as one epoch; /query/batch
-// reads are then balanced across leader and followers, with a follower
-// eligible only when it has applied everything committed at dispatch time —
-// so a balanced read can never observe a torn epoch or a state older than
-// one already acknowledged to a writer.
-
-// backend answers the three structure-backed query shapes. The flat
-// structures and the shard router both implement it, which is what lets
-// evalQueryOn serve the leader, the sharded leader and any follower replica
-// through one code path — their answers are bit-identical by construction.
-type backend interface {
-	Sum(ctx context.Context, r ndarray.Region, c *metrics.Counter) (int64, error)
-	SumBounds(ctx context.Context, r ndarray.Region) (int64, int64, error)
-	Extreme(ctx context.Context, r ndarray.Region, min bool, c *metrics.Counter) ([]int, int64, bool, error)
-}
-
-// fullSummer is the optional backend fast path for op=sum: one gather
-// answering the sum, its §11 bounds and the partial-failure envelope
-// together. The shard router implements it — a remote shard then costs one
-// round trip per sub-query instead of two, and a down shard degrades the
-// answer instead of failing it. The flat structures answer through the
-// separate Sum/SumBounds calls.
-type fullSummer interface {
-	SumFull(ctx context.Context, r ndarray.Region, c *metrics.Counter) (shard.SumResult, error)
-}
-
-// flatBackend adapts the unsharded structures (prefix sum, blocked index,
-// max/min trees) to the backend interface.
-type flatBackend struct{ s *Server }
-
-func (b flatBackend) Sum(ctx context.Context, r ndarray.Region, c *metrics.Counter) (int64, error) {
-	if b.s.opts.SumEngine == "blocked" {
-		return b.s.blk.SumContext(ctx, r, c)
-	}
-	// The §3 prefix-sum answer touches 2^d cells; no cancellation
-	// checkpoints needed.
-	return b.s.sum.Sum(r, c), nil
-}
-
-func (b flatBackend) SumBounds(ctx context.Context, r ndarray.Region) (int64, int64, error) {
-	return blocked.BoundsContext(ctx, b.s.blk, r, nil)
-}
-
-func (b flatBackend) Extreme(ctx context.Context, r ndarray.Region, min bool, c *metrics.Counter) ([]int, int64, bool, error) {
-	tree := b.s.max
-	if min {
-		tree = b.s.min
-	}
-	off, v, ok, err := tree.MaxIndexContext(ctx, r, c)
-	if err != nil || !ok {
-		return nil, 0, false, err
-	}
-	return b.s.cube.Data().Coords(off, nil), v, true, nil
-}
-
-// backend returns the structure set serving the leader's reads.
-func (s *Server) backend() backend {
-	if s.router != nil {
-		return s.router
-	}
-	return flatBackend{s}
-}
+// The serving tier. The leader's query structures are always a shard.Router
+// over the logical cube slab-partitioned along the planner-chosen dimension:
+// one shard serving the cube's cells in place (Options.Shards <= 1),
+// in-process slab copies answered by scatter–gather (Shards > 1), or remote
+// shard processes (ShardURLs, remote.go). With Options.Followers > 0 the
+// server additionally runs in-process read replicas fed by the WAL: each
+// commit notifies per-replica pump goroutines that tail the log's committed
+// prefix (the same bytes crash recovery replays) and apply each batch as one
+// epoch; reads are then balanced across leader and followers, with a
+// follower eligible only when it has applied everything committed at
+// dispatch time — so a balanced read can never observe a torn epoch or a
+// state older than one already acknowledged to a writer.
 
 // replica is one follower and its serving-tier state: the notify channel
 // its pump waits on and its pinned telemetry children.
@@ -122,7 +62,7 @@ func (b *balancer) pick(n int) int {
 	return int(x % uint64(n))
 }
 
-// pickFollower returns a follower eligible to serve a batch read, or nil
+// pickFollower returns a follower eligible to serve a read, or nil
 // when the read stays on the leader. Slot 0 of the balanced rotation is the
 // leader itself (it holds the result cache, so it should keep a share); a
 // picked follower is eligible only when its applied sequence has reached
@@ -156,39 +96,41 @@ func (s *Server) pickFollower() *replica {
 	return r
 }
 
-// initSharding builds the shard map, the sharded leader structures (when
-// Shards > 1) and the follower replicas (when Followers > 0). Called by
-// NewWithOptions after recovery, so every structure is built over the
-// recovered cells; the pumps start last.
-func (s *Server) initSharding() error {
-	shape := s.cube.Shape()
-	n := s.opts.Shards
+// buildRouter partitions the cube and builds the router over its current
+// cells: remote engines when ShardURLs is set (one shard per URL), else
+// Shards in-process ones, a single shard serving the cube's array in place.
+func (s *Server) buildRouter() error {
+	n := max(s.opts.Shards, 1)
 	if len(s.opts.ShardURLs) > 0 {
 		n = len(s.opts.ShardURLs)
 	}
-	if n < 1 {
-		n = 1
-	}
+	shape := s.cube.Shape()
 	m, err := shard.NewMap(shape, planner.SplitDimension(shape, nil), n)
 	if err != nil {
 		return err
 	}
-	s.shardMap = m
-	switch {
-	case len(s.opts.ShardURLs) > 0:
+	if len(s.opts.ShardURLs) > 0 {
 		// Remote tier: every shard is a cubeserver process spoken to over
 		// HTTP through the same Engine contract the in-process slabs serve.
-		if err := s.initRemoteSharding(m); err != nil {
-			return err
-		}
-		s.logf("server: %d remote shards along dimension %d (%s)", m.Shards(), m.Dim(), s.cube.Dimension(m.Dim()).Name())
-	case n > 1:
-		rt, err := shard.NewRouter(s.cube.Data(), m, s.opts.BlockSize, s.opts.Fanout, s.opts.SumEngine)
-		if err != nil {
-			return err
-		}
-		s.router = rt
-		s.logf("server: sharded %d ways along dimension %d (%s)", m.Shards(), m.Dim(), s.cube.Dimension(m.Dim()).Name())
+		return s.initRemoteSharding(m)
+	}
+	s.router, err = shard.NewRouter(s.cube.Data(), m, s.opts.BlockSize, s.opts.Fanout, s.opts.SumEngine)
+	return err
+}
+
+// initSharding builds the router and the follower replicas (when
+// Followers > 0). Called by NewWithOptions after recovery, so every
+// structure is built over the recovered cells; the pumps start last.
+func (s *Server) initSharding() error {
+	if err := s.buildRouter(); err != nil {
+		return err
+	}
+	m := s.router.Map()
+	switch dim := s.cube.Dimension(m.Dim()).Name(); {
+	case s.remoteEngines != nil:
+		s.logf("server: %d remote shards along dimension %d (%s)", m.Shards(), m.Dim(), dim)
+	case m.Shards() > 1:
+		s.logf("server: sharded %d ways along dimension %d (%s)", m.Shards(), m.Dim(), dim)
 	}
 	if s.opts.Followers <= 0 {
 		return nil

@@ -10,6 +10,7 @@ import (
 	"rangecube/internal/ingest"
 	"rangecube/internal/metrics"
 	"rangecube/internal/parallel"
+	"rangecube/internal/shard"
 	"rangecube/internal/telemetry"
 	"rangecube/internal/trace"
 	"rangecube/internal/wal"
@@ -75,8 +76,8 @@ type serverMetrics struct {
 	resyncShard    *telemetry.Counter
 
 	costCells *telemetry.HistogramVec // op, engine — the paper's §8 Cells
-	costAux    *telemetry.HistogramVec // op, engine — §8 auxiliary reads
-	costSteps  *telemetry.HistogramVec // op, engine — §8 combining steps
+	costAux   *telemetry.HistogramVec // op, engine — §8 auxiliary reads
+	costSteps *telemetry.HistogramVec // op, engine — §8 combining steps
 
 	// costObs pins one observer per op. The engine serving each op is fixed
 	// at construction, so the label resolution (a locked map lookup in the
@@ -163,77 +164,53 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 	m.recoveries = reg.Counter("cube_storage_recoveries_total",
 		"Degraded-mode recoveries completed (fresh snapshot + new WAL).")
 
-	// Sharded serving tier. The shard counters read the leader router by
-	// callback (0 while unsharded); replica series are pinned per follower
-	// at construction.
+	// Serving tier. The shard counters read the leader router by callback
+	// (a one-shard router counts every structure-backed query as one query
+	// of one sub-query); replica series are pinned per follower at
+	// construction.
+	routerStat := func(i int) func() int64 {
+		return func() int64 {
+			q, sq, sc := s.liveRouter().Stats()
+			return int64([...]uint64{q, sq, sc}[i])
+		}
+	}
 	reg.GaugeFunc("cube_shards",
 		"Engine shards the logical cube is partitioned across (1 = unsharded).",
-		func() int64 {
-			if s.router != nil {
-				return int64(s.router.Shards())
-			}
-			return 1
-		})
+		func() int64 { return int64(s.liveRouter().Shards()) })
 	reg.GaugeFunc("cube_followers",
 		"In-process follower replicas fed by the WAL replication stream.",
 		func() int64 { return int64(len(s.followers)) })
 	reg.CounterFunc("cube_shard_queries_total",
-		"Queries scatter–gathered across the leader's shards.",
-		func() int64 {
-			if s.router == nil {
-				return 0
-			}
-			q, _, _ := s.router.Stats()
-			return int64(q)
-		})
+		"Queries scatter–gathered across the leader's shards.", routerStat(0))
 	reg.CounterFunc("cube_shard_subqueries_total",
 		"Per-shard sub-queries those queries decomposed into (ratio to cube_shard_queries_total is the live fan-out).",
-		func() int64 {
-			if s.router == nil {
-				return 0
-			}
-			_, sq, _ := s.router.Stats()
-			return int64(sq)
-		})
+		routerStat(1))
 	reg.CounterFunc("cube_shard_scatter_cells_total",
-		"Coalesced cell deltas scattered to owning shards by commits.",
-		func() int64 {
-			if s.router == nil {
+		"Coalesced cell deltas scattered to owning shards by commits.", routerStat(2))
+	// Remote shard tier: the engines record into RemoteStats, exported by
+	// callback (0 while the shards are in-process).
+	remoteStat := func(pick func(*shard.RemoteStats) uint64) func() int64 {
+		return func() int64 {
+			st := s.liveRouter().RemoteStats()
+			if st == nil {
 				return 0
 			}
-			_, _, sc := s.router.Stats()
-			return int64(sc)
-		})
-	// Remote shard tier: the engines record into RemoteStats, exported by
-	// callback (0 while the shards are in-process or the tier is off).
+			return int64(pick(st))
+		}
+	}
 	reg.CounterFunc("cube_shard_remote_errors_total",
 		"Remote shard sub-queries and state pushes that failed (marking the shard down).",
-		func() int64 {
-			if s.remoteStats == nil {
-				return 0
-			}
-			return int64(s.remoteStats.Errors.Load())
-		})
+		remoteStat(func(st *shard.RemoteStats) uint64 { return st.Errors.Load() }))
 	reg.CounterFunc("cube_shard_remote_hedges_total",
 		"Hedged duplicate requests launched against slow remote shards.",
-		func() int64 {
-			if s.remoteStats == nil {
-				return 0
-			}
-			return int64(s.remoteStats.Hedges.Load())
-		})
+		remoteStat(func(st *shard.RemoteStats) uint64 { return st.Hedges.Load() }))
 	reg.CounterFunc("cube_shard_remote_partials_total",
 		"Sum answers degraded to partial (bounds-only) by a down remote shard.",
-		func() int64 {
-			if s.remoteStats == nil {
-				return 0
-			}
-			return int64(s.remoteStats.Partials.Load())
-		})
+		remoteStat(func(st *shard.RemoteStats) uint64 { return st.Partials.Load() }))
 	m.replicaLag = reg.GaugeVec("cube_replica_lag",
 		"Committed batches a follower replica has not yet applied.", "replica")
 	m.replicaBatches = reg.CounterVec("cube_replica_batches_total",
-		"/query/batch requests served by each follower replica.", "replica")
+		"Read requests (/query/batch, and /query as a batch of one) served by each follower replica.", "replica")
 	m.replicaFallbacks = reg.Counter("cube_replica_fallbacks_total",
 		"Balanced reads that fell back to the leader because the picked follower was behind the committed epoch.")
 	m.tornScatters = reg.Counter("cube_shard_remote_torn_reads_total",
@@ -345,17 +322,6 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 		"Auxiliary precomputed entries read per query (§8 cost model).", 1, "op", "engine")
 	m.costSteps = reg.HistogramVec("cube_query_cost_steps",
 		"Combining operations per query (§8 cost model).", 1, "op", "engine")
-	if reg != nil {
-		m.costObs = make(map[string]metrics.Observer, 5)
-		for _, op := range []string{"sum", "count", "avg", "max", "min"} {
-			eng := s.engineLabel(op)
-			m.costObs[op] = costObserver{
-				cells: m.costCells.With(op, eng),
-				aux:   m.costAux.With(op, eng),
-				steps: m.costSteps.With(op, eng),
-			}
-		}
-	}
 
 	// Sources that keep their own counts are exported by callback — the
 	// cache and pool numbers exist whether or not telemetry is on, and a
@@ -390,6 +356,33 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 	return m
 }
 
+// liveRouter returns the router under the read lock: a /state push may
+// replace it, and scrape callbacks run on their own goroutines.
+func (s *Server) liveRouter() *shard.Router {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.router
+}
+
+// pinCostObservers resolves the per-op cost observers against the router's
+// engine labels. Called once the router exists, and again if a /state push
+// changes its shard count.
+func (m *serverMetrics) pinCostObservers(s *Server) {
+	if m.reg == nil {
+		return
+	}
+	obs := make(map[string]metrics.Observer, 5)
+	for _, op := range []string{"sum", "count", "avg", "max", "min"} {
+		eng := engineLabel(s.router, s.opts.SumEngine, op)
+		obs[op] = costObserver{
+			cells: m.costCells.With(op, eng),
+			aux:   m.costAux.With(op, eng),
+			steps: m.costSteps.With(op, eng),
+		}
+	}
+	m.costObs = obs
+}
+
 // costObserver bridges one query's metrics.Counter into the §8 histograms.
 type costObserver struct {
 	cells, aux, steps *telemetry.Histogram
@@ -401,16 +394,17 @@ func (o costObserver) ObserveCost(cells, aux, steps int64) {
 	o.steps.Observe(steps)
 }
 
-// engineLabel names the structure that answered op, the "engine" dimension
-// of the cost histograms.
-func (s *Server) engineLabel(op string) string {
+// engineLabel names the structure that answered op on rt, the "engine"
+// dimension of the cost histograms; a router of more than one shard — in
+// process or remote — prefixes it with "sharded:".
+func engineLabel(rt *shard.Router, sumEngine, op string) string {
 	sharded := ""
-	if s.opts.Shards > 1 {
+	if rt.Shards() > 1 {
 		sharded = "sharded:"
 	}
 	switch op {
 	case "sum", "avg":
-		return sharded + s.opts.SumEngine
+		return sharded + sumEngine
 	case "max":
 		return sharded + "maxtree"
 	case "min":

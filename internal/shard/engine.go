@@ -23,9 +23,9 @@ var ErrShardDown = errors.New("shard: shard unavailable")
 // (with the §11 bounds in the same call, so a remote shard costs one round
 // trip), range extremes, and scattered update batches. All regions and
 // coordinates are in the shard's local (slab) frame; the router owns the
-// translation. Two implementations exist: localEngine (private structures
-// over a materialized slab, the in-process tier) and RemoteEngine (the same
-// contract spoken over the HTTP query surface to a cubeserver process).
+// translation. Two implementations exist: localEngine (the paper's four
+// structures over one slab, in process) and RemoteEngine (the same contract
+// spoken over the HTTP query surface to a cubeserver process).
 type Engine interface {
 	// SumWithBounds answers the range sum and its §11 [lo, hi] bounds
 	// together — the exact value plus the bounds a blocked index derives
@@ -33,15 +33,12 @@ type Engine interface {
 	SumWithBounds(ctx context.Context, r ndarray.Region, c *metrics.Counter) (val, lo, hi int64, err error)
 	// Sum answers the range sum alone.
 	Sum(ctx context.Context, r ndarray.Region, c *metrics.Counter) (int64, error)
-	// SumBounds answers the §11 bounds alone.
-	SumBounds(ctx context.Context, r ndarray.Region) (lo, hi int64, err error)
 	// Extreme answers a range max (min=false) or min (min=true), reporting
 	// the winning cell in local coordinates; ok=false means the region is
 	// empty.
 	Extreme(ctx context.Context, r ndarray.Region, min bool, c *metrics.Counter) (local []int, v int64, ok bool, err error)
 	// Apply commits one scattered update batch (local coordinates). The
-	// caller serializes Apply against queries, exactly like the flat
-	// structures' batch updates.
+	// caller serializes Apply against queries.
 	Apply(ctx context.Context, ups []batchsum.IntUpdate) error
 	// CellBounds reports a conservative [lo, hi] interval containing every
 	// current cell value in the slab. It never narrows under updates, so a
@@ -50,26 +47,23 @@ type Engine interface {
 	CellBounds() (lo, hi int64)
 }
 
-// localEngine is one shard's private copy of the serving structures, built
-// over a materialized slab of the logical cube: the §3 prefix sum and §4
-// blocked index for sums, the §6 max and min trees for extremes. It mirrors
-// the unsharded server's per-structure update protocol exactly, just at
-// slab scale — which is why sharded answers are bit-identical.
+// localEngine is the repository's one set of serving structures, built over
+// one slab of the logical cube (the whole cube when the map has one shard):
+// the §3 prefix sum and §4 blocked index for sums, the §6 max and min trees
+// for extremes. The blocked index shares cells and writes deltas into it;
+// the trees hold their own copies, so the §7 protocol can compare old and
+// new values independently of the §5 path.
 type localEngine struct {
-	cells     *ndarray.Array[int64] // slab copy; blk applies deltas into it
+	cells     *ndarray.Array[int64] // the slab; blk applies deltas into it
 	sum       *prefixsum.IntArray
 	blk       *blocked.IntArray
 	max       *maxtree.Tree[int64]
 	min       *maxtree.Tree[int64]
 	sumEngine string // "prefixsum" or "blocked" — which structure answers Sum
-
-	// Running per-cell value bounds (see Engine.CellBounds): exact at
-	// build, widened by every applied absolute value, never narrowed.
-	cellLo, cellHi int64
 }
 
 func newLocalEngine(a *ndarray.Array[int64], blockSize, fanout int, sumEngine string) *localEngine {
-	e := &localEngine{
+	return &localEngine{
 		cells:     a,
 		sum:       prefixsum.BuildInt(a),
 		blk:       blocked.BuildInt(a, blockSize),
@@ -77,19 +71,20 @@ func newLocalEngine(a *ndarray.Array[int64], blockSize, fanout int, sumEngine st
 		min:       maxtree.BuildMin(a.Clone(), fanout),
 		sumEngine: sumEngine,
 	}
+}
+
+// ValueBounds returns the smallest and largest cell value of a ([0, 0] for
+// an empty array): the exact bounds a RemoteEngine's conservative interval
+// restarts from.
+func ValueBounds(a *ndarray.Array[int64]) (lo, hi int64) {
 	data := a.Data()
 	if len(data) > 0 {
-		e.cellLo, e.cellHi = data[0], data[0]
+		lo, hi = data[0], data[0]
 		for _, v := range data[1:] {
-			if v < e.cellLo {
-				e.cellLo = v
-			}
-			if v > e.cellHi {
-				e.cellHi = v
-			}
+			lo, hi = min(lo, v), max(hi, v)
 		}
 	}
-	return e
+	return lo, hi
 }
 
 func (e *localEngine) Sum(ctx context.Context, r ndarray.Region, c *metrics.Counter) (int64, error) {
@@ -99,15 +94,10 @@ func (e *localEngine) Sum(ctx context.Context, r ndarray.Region, c *metrics.Coun
 	return e.sum.Sum(r, c), nil
 }
 
-func (e *localEngine) SumBounds(ctx context.Context, r ndarray.Region) (int64, int64, error) {
-	return blocked.BoundsContext(ctx, e.blk, r, nil)
-}
-
 func (e *localEngine) SumWithBounds(ctx context.Context, r ndarray.Region, c *metrics.Counter) (int64, int64, int64, error) {
 	// Bounds first, then the exact answer, with the bounds' accesses kept
-	// out of c — the same accounting the separate-call path has always
-	// reported for op=sum.
-	lo, hi, err := e.SumBounds(ctx, r)
+	// out of c: op=sum reports the cost of the exact answer alone.
+	lo, hi, err := blocked.BoundsContext(ctx, e.blk, r, nil)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -136,18 +126,13 @@ func (e *localEngine) Apply(_ context.Context, deltas []batchsum.IntUpdate) erro
 	batchsum.ApplyBlockedInt(e.blk, deltas, nil)
 	assigns := make([]maxtree.PointUpdate[int64], len(deltas))
 	for i, d := range deltas {
-		v := e.cells.At(d.Coords...)
-		assigns[i] = maxtree.PointUpdate[int64]{Coords: d.Coords, Value: v}
-		if v < e.cellLo {
-			e.cellLo = v
-		}
-		if v > e.cellHi {
-			e.cellHi = v
-		}
+		assigns[i] = maxtree.PointUpdate[int64]{Coords: d.Coords, Value: e.cells.At(d.Coords...)}
 	}
 	e.max.BatchUpdate(assigns, nil)
 	e.min.BatchUpdate(assigns, nil)
 	return nil
 }
 
-func (e *localEngine) CellBounds() (int64, int64) { return e.cellLo, e.cellHi }
+// CellBounds scans the slab: a local engine is never down, so no serving
+// path asks and nothing is kept running for it.
+func (e *localEngine) CellBounds() (int64, int64) { return ValueBounds(e.cells) }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -53,9 +54,15 @@ type Follower struct {
 // NewFollower boots a replica from an in-memory state: a cube at sequence
 // seq, tailing the WAL generation gen from byte offset. The server uses it
 // at construction time, when the leader has just recovered and its state
-// is the cheapest snapshot available.
+// is the cheapest snapshot available. a stays the caller's: the replica
+// serves its own copy of the cells.
 func NewFollower(id int, a *ndarray.Array[int64], seq, gen uint64, offset int64, m Map, blockSize, fanout int, sumEngine string) (*Follower, error) {
 	f := &Follower{id: id, m: m, blockSize: blockSize, fanout: fanout, sumEngine: sumEngine}
+	if m.Shards() == 1 {
+		// A one-shard router serves its array in place; slab copies are the
+		// replica's own cells already.
+		a = a.Clone()
+	}
 	if err := f.rebase(a, seq, gen, offset); err != nil {
 		return nil, err
 	}
@@ -99,7 +106,7 @@ func LoadSnapshot(path string, shape []int) (*ndarray.Array[int64], uint64, erro
 	if err != nil {
 		return nil, 0, fmt.Errorf("shard: follower snapshot %s: %w", path, err)
 	}
-	if !shapeEq(cells.Shape(), shape) {
+	if !slices.Equal(cells.Shape(), shape) {
 		return nil, 0, fmt.Errorf("shard: snapshot shape %v does not match cube %v", cells.Shape(), shape)
 	}
 	copy(a.Data(), cells.Data())
@@ -116,8 +123,8 @@ func (f *Follower) AppliedSeq() uint64 { return f.applied.Load() }
 
 // Gen returns the WAL generation the replica is synced to, and Offset the
 // byte offset its next scan resumes from.
-func (f *Follower) Gen() uint64    { return f.gen.Load() }
-func (f *Follower) Offset() int64  { return f.offset.Load() }
+func (f *Follower) Gen() uint64   { return f.gen.Load() }
+func (f *Follower) Offset() int64 { return f.offset.Load() }
 
 // View pins the replica's current epoch for reading: it returns the router
 // and a release func. Every query evaluated before release sees one
@@ -128,7 +135,8 @@ func (f *Follower) View() (*Router, func()) {
 }
 
 // Rebase resets the replica to a new base state (cube at seq, WAL
-// generation gen, resume offset). The server pump calls it after the
+// generation gen, resume offset), taking a over — a one-shard replica serves
+// it in place. The server pump calls it after the
 // leader's WAL was reset — compaction or degraded-mode recovery superseded
 // the old log, so the replica re-bootstraps from the snapshot that
 // superseded it.

@@ -316,11 +316,6 @@ func (e *RemoteEngine) Sum(ctx context.Context, r ndarray.Region, c *metrics.Cou
 	return ans.Value, err
 }
 
-func (e *RemoteEngine) SumBounds(ctx context.Context, r ndarray.Region) (int64, int64, error) {
-	_, lo, hi, err := e.SumWithBounds(ctx, r, nil)
-	return lo, hi, err
-}
-
 func (e *RemoteEngine) Extreme(ctx context.Context, r ndarray.Region, min bool, c *metrics.Counter) ([]int, int64, bool, error) {
 	op := "max"
 	if min {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -28,15 +29,16 @@ type PointDelta struct {
 // and §11 bounds merge by split-additivity; max/min by folding per-shard
 // extremes; point-update batches scatter to the owning shards.
 //
-// Shards are Engines: in-process structures over a materialized slab, or
-// remote cubeserver processes spoken to over HTTP. A remote shard that is
-// down degrades sums to partial answers (SumFull) with the §11 bounds
+// Shards are Engines: in-process structures over a slab, or remote
+// cubeserver processes spoken to over HTTP. A one-shard map is the unsharded
+// server: its single engine serves the caller's array in place, and every
+// gather is one sub-query run on the calling goroutine. A remote shard that
+// is down degrades sums to partial answers (SumFull) with the §11 bounds
 // machinery covering the absent slabs; every other operation fails with an
 // error naming the shard.
 //
-// The router performs no locking: like the flat structures it replaces,
-// callers serialize queries against updates (the server holds its RWMutex,
-// a follower its own).
+// The router performs no locking: callers serialize queries against updates
+// (the server holds its RWMutex, a follower its own).
 type Router struct {
 	m         Map
 	sumEngine string // "prefixsum" or "blocked" — which structure answers Sum
@@ -72,24 +74,36 @@ func (rt *Router) Stats() (queries, subqueries, scatterCells uint64) {
 // all-local router.
 func (rt *Router) RemoteStats() *RemoteStats { return rt.remote }
 
-// NewRouter materializes the slab partition of a: each shard copies its
-// slab and builds private structures over it. sumEngine selects the
-// structure answering Sum ("prefixsum" or "blocked"), mirroring the
+// NewRouter builds in-process structures over the slab partition of a. With
+// two or more shards each shard copies its slab; with one, the engine is
+// built in place over a itself — no second copy of the cells — and Apply
+// writes them, so the caller hands a over (see InPlace). sumEngine selects
+// the structure answering Sum ("prefixsum" or "blocked"), mirroring the
 // server's SumEngine option.
 func NewRouter(a *ndarray.Array[int64], m Map, blockSize, fanout int, sumEngine string) (*Router, error) {
 	sumEngine, err := normalizeSumEngine(sumEngine)
 	if err != nil {
 		return nil, err
 	}
-	if !shapeEq(a.Shape(), m.Shape()) {
+	if !slices.Equal(a.Shape(), m.Shape()) {
 		return nil, fmt.Errorf("shard: cube shape %v does not match map shape %v", a.Shape(), m.Shape())
 	}
 	rt := &Router{m: m, sumEngine: sumEngine, shards: make([]Engine, m.Shards())}
 	for i := range rt.shards {
-		rt.shards[i] = newLocalEngine(SlabCopy(a, m, i), blockSize, fanout, sumEngine)
+		slab := a
+		if m.Shards() > 1 {
+			slab = SlabCopy(a, m, i)
+		}
+		rt.shards[i] = newLocalEngine(slab, blockSize, fanout, sumEngine)
 	}
 	return rt, nil
 }
+
+// InPlace reports whether the router's single local engine serves the array
+// NewRouter was given rather than slab copies of it. Apply then updates that
+// array's cells itself; otherwise keeping the logical cube current is the
+// caller's job.
+func (rt *Router) InPlace() bool { return !rt.netIO && len(rt.shards) == 1 }
 
 // NewRouterEngines builds a router over caller-provided engines — the
 // multi-process tier, where each engine is a RemoteEngine speaking to a
@@ -134,44 +148,23 @@ func SlabCopy(a *ndarray.Array[int64], m Map, i int) *ndarray.Array[int64] {
 	return local
 }
 
-func shapeEq(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Map returns the slab partition the router serves.
 func (rt *Router) Map() Map { return rt.m }
 
 // Shards returns the number of engine shards.
 func (rt *Router) Shards() int { return len(rt.shards) }
 
-// Engine returns shard i's engine (the serving tier inspects remote
-// engines' down state through it).
-func (rt *Router) Engine(i int) Engine { return rt.shards[i] }
-
 // gather runs one body per sub-query concurrently and folds the per-shard
 // counters into c in sub-query order (deterministic totals, like every
 // parallel kernel in this repository). Errors are wrapped with the failing
-// shard's index. The sub-queries share one cancelable child context: the
-// first hard failure cancels the siblings, so a shard that fails fast never
-// leaves the others running to completion — with remote shards those
-// abandoned sub-queries would hold sockets, not just CPU.
-//
-// With partialOK, a sub-query failing with ErrShardDown is not an error: it
-// is returned in missing and does not cancel its siblings (the answer
-// degrades, the rest of the gather is still wanted).
-func (rt *Router) gather(ctx context.Context, r ndarray.Region, c *metrics.Counter, partialOK bool,
-	body func(ctx context.Context, sub SubQuery, c *metrics.Counter) error) (subs, missing []SubQuery, err error) {
-	subs = rt.m.Decompose(r)
+// shard's index. Remote sub-queries share one cancelable child context: the
+// first failure cancels the siblings, so a shard that fails fast never
+// leaves the others holding sockets to completion.
+func (rt *Router) gather(ctx context.Context, r ndarray.Region, c *metrics.Counter,
+	body func(ctx context.Context, sub SubQuery, c *metrics.Counter) error) ([]SubQuery, error) {
+	subs := rt.m.Decompose(r)
 	if len(subs) == 0 {
-		return nil, nil, nil
+		return nil, nil
 	}
 	rt.queries.Add(1)
 	rt.subqueries.Add(uint64(len(subs)))
@@ -215,11 +208,8 @@ func (rt *Router) gather(ctx context.Context, r ndarray.Region, c *metrics.Count
 				// profile of a stalled gather shows which shard it is waiting
 				// on, without any tracing enabled.
 				pprof.Do(ctx, pprof.Labels("cube_op", "gather", "cube_shard", strconv.Itoa(subs[i].Shard)), func(ctx context.Context) {
-					if err := body(ctx, subs[i], &counters[i]); err != nil {
-						errs[i] = err
-						if !(partialOK && errors.Is(err, ErrShardDown)) {
-							cancel()
-						}
+					if errs[i] = body(ctx, subs[i], &counters[i]); errs[i] != nil {
+						cancel()
 					}
 				})
 			}(i)
@@ -230,23 +220,18 @@ func (rt *Router) gather(ctx context.Context, r ndarray.Region, c *metrics.Count
 		}
 	}
 	for i, e := range errs {
-		if e == nil {
-			continue
+		if e != nil {
+			return subs, fmt.Errorf("shard %d: %w", subs[i].Shard, e)
 		}
-		if partialOK && errors.Is(e, ErrShardDown) {
-			missing = append(missing, subs[i])
-			continue
-		}
-		return subs, nil, fmt.Errorf("shard %d: %w", subs[i].Shard, e)
 	}
-	return subs, missing, nil
+	return subs, nil
 }
 
 // Sum answers a range sum over the logical cube: the split-additive merge
 // of the per-shard sub-range sums. An empty region sums to 0.
 func (rt *Router) Sum(ctx context.Context, r ndarray.Region, c *metrics.Counter) (int64, error) {
 	partial := make([]int64, len(rt.shards))
-	_, _, err := rt.gather(ctx, r, c, false, func(ctx context.Context, sub SubQuery, c *metrics.Counter) error {
+	_, err := rt.gather(ctx, r, c, func(ctx context.Context, sub SubQuery, c *metrics.Counter) error {
 		v, err := rt.shards[sub.Shard].Sum(ctx, sub.Local, c)
 		partial[sub.Shard] = v
 		return err
@@ -259,27 +244,6 @@ func (rt *Router) Sum(ctx context.Context, r ndarray.Region, c *metrics.Counter)
 		total += v
 	}
 	return total, nil
-}
-
-// SumBounds answers the §11 [lower, upper] bounds for a range sum: each
-// shard's blocked index bounds its sub-range, and by SUM additivity the
-// per-shard bounds add to valid bounds for the whole region.
-func (rt *Router) SumBounds(ctx context.Context, r ndarray.Region) (lo, hi int64, err error) {
-	los := make([]int64, len(rt.shards))
-	his := make([]int64, len(rt.shards))
-	_, _, err = rt.gather(ctx, r, nil, false, func(ctx context.Context, sub SubQuery, c *metrics.Counter) error {
-		l, h, err := rt.shards[sub.Shard].SumBounds(ctx, sub.Local)
-		los[sub.Shard], his[sub.Shard] = l, h
-		return err
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	for i := range los {
-		lo += los[i]
-		hi += his[i]
-	}
-	return lo, hi, nil
 }
 
 // SumResult is a range sum with its §11 bounds and, when shards were
@@ -299,47 +263,14 @@ type SumResult struct {
 func (r SumResult) Partial() bool { return len(r.Missing) > 0 }
 
 // SumFull answers a range sum, its §11 bounds, and — when remote shards are
-// down — the partial-answer degradation in one gather: each reachable shard
-// contributes its exact sub-sum and sub-bounds (one round trip for a remote
-// shard), each unreachable slab contributes [V·cellLo, V·cellHi] to the
-// bounds and is listed in Missing.
+// down — the partial-answer degradation in one gather: SumFullBatch of the
+// one region.
 func (rt *Router) SumFull(ctx context.Context, r ndarray.Region, c *metrics.Counter) (SumResult, error) {
-	type part struct{ v, lo, hi int64 }
-	parts := make([]part, len(rt.shards))
-	subs, missing, err := rt.gather(ctx, r, c, true, func(ctx context.Context, sub SubQuery, c *metrics.Counter) error {
-		v, lo, hi, err := rt.shards[sub.Shard].SumWithBounds(ctx, sub.Local, c)
-		parts[sub.Shard] = part{v, lo, hi}
-		return err
-	})
+	rs, err := rt.SumFullBatch(ctx, []ndarray.Region{r}, []*metrics.Counter{c})
 	if err != nil {
 		return SumResult{}, err
 	}
-	down := make(map[int]bool, len(missing))
-	for _, sub := range missing {
-		down[sub.Shard] = true
-	}
-	var res SumResult
-	for _, sub := range subs {
-		if down[sub.Shard] {
-			cl, ch := rt.shards[sub.Shard].CellBounds()
-			vol := int64(sub.Local.Volume())
-			res.Lo += vol * cl
-			res.Hi += vol * ch
-			res.Missing = append(res.Missing, sub.Shard)
-			continue
-		}
-		p := parts[sub.Shard]
-		res.Value += p.v
-		res.Lo += p.lo
-		res.Hi += p.hi
-	}
-	if res.Partial() {
-		if rt.remote != nil {
-			rt.remote.Partials.Add(1)
-		}
-		trace.StatsFrom(ctx).SetPartial()
-	}
-	return res, nil
+	return rs[0], nil
 }
 
 // SumPart is one sub-query's batched answer: the exact sub-sum and its §11
@@ -355,122 +286,117 @@ type batchFullSummer interface {
 	SumBatchFull(ctx context.Context, regions []ndarray.Region, cs []*metrics.Counter) ([]SumPart, error)
 }
 
-// SumFullBatch answers many range sums in one scatter, with the same
-// partial-failure envelope as SumFull per region. Every region's sub-queries
-// are grouped by shard so each shard is consulted once — for a remote shard
-// that is one batched round trip for the whole client batch instead of one
-// per item, which is what keeps the multi-process tier's batch throughput
-// within sight of the in-process tier's. cs[qi] (nillable entries) receives
-// region qi's access cost; totals are merged in sub-query order, so they are
-// identical to per-item SumFull calls.
+// SumFullBatch answers many range sums in one scatter: each reachable shard
+// contributes its exact sub-sums and their §11 bounds, each unreachable slab
+// contributes [V·cellLo, V·cellHi] to the bounds and is listed in Missing.
+// Every region's sub-queries are grouped by shard so each shard is consulted
+// once — for a remote shard that is one batched round trip for the whole
+// client batch instead of one per item, which is what keeps the
+// multi-process tier's batch throughput within sight of the in-process
+// tier's. cs[qi] (nillable entries) receives region qi's access cost, merged
+// in sub-query order.
 func (rt *Router) SumFullBatch(ctx context.Context, regions []ndarray.Region, cs []*metrics.Counter) ([]SumResult, error) {
-	groups := make([][]*subRef, len(rt.shards))
-	subsOf := make([][]*subRef, len(regions))
-	total := 0
+	// Sub-queries are grouped by shard as they are cut, each remembering its
+	// region: a region's sub-queries ascend by shard, so walking the groups
+	// in shard order below merges every region in sub-query order.
+	groups := make([][]subRef, len(rt.shards))
+	total, work, busy, last := 0, 0, 0, 0
 	for qi, r := range regions {
 		for _, sub := range rt.m.Decompose(r) {
-			ref := &subRef{shard: sub.Shard, local: sub.Local}
-			groups[sub.Shard] = append(groups[sub.Shard], ref)
-			subsOf[qi] = append(subsOf[qi], ref)
+			if len(groups[sub.Shard]) == 0 {
+				busy, last = busy+1, sub.Shard
+			}
+			groups[sub.Shard] = append(groups[sub.Shard], subRef{region: qi, local: sub.Local})
 			total++
+			work += sub.Local.Volume()
 		}
 	}
 	rt.queries.Add(uint64(len(regions)))
 	rt.subqueries.Add(uint64(total))
 	trace.StatsFrom(ctx).AddFanout(total)
 	sp := trace.FromContext(ctx).Child("router.scatter")
-	sp.Set("regions", strconv.Itoa(len(regions)))
-	sp.Set("subqueries", strconv.Itoa(total))
-	defer sp.End()
-	ctx = trace.NewContext(ctx, sp)
+	if sp != nil {
+		sp.Set("regions", strconv.Itoa(len(regions)))
+		sp.Set("subqueries", strconv.Itoa(total))
+		defer sp.End()
+	}
+	sctx := trace.NewContext(ctx, sp)
 
-	// One goroutine per shard with work; the first hard failure cancels the
-	// siblings, a down shard degrades its sub-queries instead (the SumFull
-	// contract, batched).
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	errs := make([]error, len(rt.shards))
-	var wg sync.WaitGroup
-	for i := range rt.shards {
-		if len(groups[i]) == 0 {
+	switch {
+	case busy == 0:
+	case busy == 1:
+		// One shard holds every sub-query (always so for a one-shard map):
+		// nothing to overlap, so the scatter is a call on this goroutine.
+		errs[last] = rt.sumGroup(sctx, last, groups[last])
+	case !rt.netIO:
+		// In-process engines: the shared worker pool under the work
+		// estimate, so a small scatter stays on the calling goroutine.
+		parallel.For(len(rt.shards), work, func(lo, hi, _ int) {
+			for i := lo; i < hi; i++ {
+				errs[i] = rt.sumGroup(sctx, i, groups[i])
+			}
+		})
+	default:
+		// One goroutine per shard with work, so the round trips overlap; the
+		// first hard failure cancels the siblings, a down shard only
+		// degrades its own sub-queries.
+		gctx, cancel := context.WithCancel(sctx)
+		defer cancel()
+		var wg sync.WaitGroup
+		for i := range rt.shards {
+			if len(groups[i]) == 0 {
+				continue
+			}
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				// Label the scatter goroutine for pprof: a profile of a stalled
+				// batch shows which shard's round trip it is blocked on.
+				pprof.SetGoroutineLabels(pprof.WithLabels(gctx, pprof.Labels("cube_op", "scatter", "cube_shard", strconv.Itoa(i))))
+				if errs[i] = rt.sumGroup(gctx, i, groups[i]); errs[i] != nil && !errors.Is(errs[i], ErrShardDown) {
+					cancel()
+				}
+			}(i)
+		}
+		wg.Wait()
+	}
+
+	// A down shard's error stays in errs and degrades its sub-queries in
+	// the merge below; anything else fails the scatter.
+	for i, err := range errs {
+		if err == nil || errors.Is(err, ErrShardDown) {
 			continue
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Label the scatter goroutine for pprof: a profile of a stalled
-			// batch shows which shard's round trip it is blocked on.
-			pprof.SetGoroutineLabels(pprof.WithLabels(gctx, pprof.Labels("cube_op", "scatter", "cube_shard", strconv.Itoa(i))))
-			g := groups[i]
-			if bs, ok := rt.shards[i].(batchFullSummer); ok && len(g) > 1 {
-				regs := make([]ndarray.Region, len(g))
-				counters := make([]*metrics.Counter, len(g))
-				for k, ref := range g {
-					regs[k], counters[k] = ref.local, &ref.c
-				}
-				parts, err := bs.SumBatchFull(gctx, regs, counters)
-				if err != nil {
-					errs[i] = err
-				} else {
-					for k, ref := range g {
-						ref.part = parts[k]
-					}
-				}
-			} else {
-				for _, ref := range g {
-					v, lo, hi, err := rt.shards[i].SumWithBounds(gctx, ref.local, &ref.c)
-					if err != nil {
-						errs[i] = err
-						break
-					}
-					ref.part = SumPart{Value: v, Lo: lo, Hi: hi}
-				}
-			}
-			if errs[i] != nil && !errors.Is(errs[i], ErrShardDown) {
-				cancel()
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	down := make([]bool, len(rt.shards))
-	for i, err := range errs {
-		switch {
-		case err == nil:
-		case errors.Is(err, ErrShardDown):
-			down[i] = true
-		default:
-			if ctx.Err() != nil {
-				// The caller's own deadline/cancel, not a shard failure.
-				return nil, ctx.Err()
-			}
-			return nil, fmt.Errorf("shard %d: %w", i, err)
+		if ctx.Err() != nil {
+			// The caller's own deadline/cancel, not a shard failure.
+			return nil, ctx.Err()
 		}
+		return nil, fmt.Errorf("shard %d: %w", i, err)
 	}
-	// Merge per region in decompose order — counters, values and missing
-	// lists all come out identical to per-item SumFull calls.
 	out := make([]SumResult, len(regions))
-	for qi := range regions {
-		var c *metrics.Counter
-		if qi < len(cs) {
-			c = cs[qi]
-		}
-		res := &out[qi]
-		for _, ref := range subsOf[qi] {
-			if down[ref.shard] {
-				cl, ch := rt.shards[ref.shard].CellBounds()
+	for i, g := range groups {
+		for k := range g {
+			ref := &g[k]
+			res := &out[ref.region]
+			if errs[i] != nil {
+				cl, ch := rt.shards[i].CellBounds()
 				vol := int64(ref.local.Volume())
 				res.Lo += vol * cl
 				res.Hi += vol * ch
-				res.Missing = append(res.Missing, ref.shard)
+				res.Missing = append(res.Missing, i)
 				continue
 			}
 			res.Value += ref.part.Value
 			res.Lo += ref.part.Lo
 			res.Hi += ref.part.Hi
-			c.Merge(&ref.c)
+			if ref.region < len(cs) {
+				cs[ref.region].Merge(&ref.c)
+			}
 		}
-		if res.Partial() {
+	}
+	for qi := range out {
+		if out[qi].Partial() {
 			if rt.remote != nil {
 				rt.remote.Partials.Add(1)
 			}
@@ -481,14 +407,46 @@ func (rt *Router) SumFullBatch(ctx context.Context, regions []ndarray.Region, cs
 	return out, nil
 }
 
-// subRef is one region's sub-query within a batched scatter, carrying its
-// answer and private counter back to the merge.
-type subRef struct {
-	shard int
-	local ndarray.Region
-	part  SumPart
-	c     metrics.Counter
+// sumGroup answers shard i's share of one scatter, filling each ref's part
+// and private counter: one batched exchange when the engine offers it and
+// there is more than one sub-query to carry, one SumWithBounds each otherwise.
+func (rt *Router) sumGroup(ctx context.Context, i int, g []subRef) error {
+	if bs, ok := rt.shards[i].(batchFullSummer); ok && len(g) > 1 {
+		regs := make([]ndarray.Region, len(g))
+		counters := make([]*metrics.Counter, len(g))
+		for k := range g {
+			regs[k], counters[k] = g[k].local, &g[k].c
+		}
+		parts, err := bs.SumBatchFull(ctx, regs, counters)
+		if err != nil {
+			return err
+		}
+		for k := range g {
+			g[k].part = parts[k]
+		}
+		return nil
+	}
+	for k := range g {
+		v, lo, hi, err := rt.shards[i].SumWithBounds(ctx, g[k].local, &g[k].c)
+		if err != nil {
+			return err
+		}
+		g[k].part = SumPart{Value: v, Lo: lo, Hi: hi}
+	}
+	return nil
 }
+
+// subRef is one sub-query of a batched scatter: which region it was cut
+// from, its shard-local region, and the answer and private counter the merge
+// reads back.
+type subRef struct {
+	region int
+	local  ndarray.Region
+	part   SumPart
+	c      metrics.Counter
+}
+
+// Extreme answers a range max (min=false) or min (min=true) by folding
 // the per-shard extremes, in shard order with strict improvement — the
 // same first-wins tie-break a single tree's descent uses, so the reported
 // cell is deterministic. Coords are in logical-cube coordinates; ok=false
@@ -501,7 +459,7 @@ func (rt *Router) Extreme(ctx context.Context, r ndarray.Region, min bool, c *me
 		ok    bool
 	}
 	hits := make([]hit, len(rt.shards))
-	subs, _, err := rt.gather(ctx, r, c, false, func(ctx context.Context, sub SubQuery, c *metrics.Counter) error {
+	subs, err := rt.gather(ctx, r, c, func(ctx context.Context, sub SubQuery, c *metrics.Counter) error {
 		local, v, ok, err := rt.shards[sub.Shard].Extreme(ctx, sub.Local, min, c)
 		hits[sub.Shard] = hit{local: local, v: v, ok: ok}
 		return err
@@ -528,8 +486,7 @@ func (rt *Router) Extreme(ctx context.Context, r ndarray.Region, min bool, c *me
 
 // Apply scatters one coalesced update batch to the owning shards and
 // commits each shard's piece concurrently. The batch is one epoch: the
-// caller must exclude queries for the duration (the same contract as the
-// flat structures' batch updates).
+// caller must exclude queries for the duration.
 //
 // A remote shard that fails its scatter does not fail the commit: the
 // leader's cube and WAL are authoritative, the engine marks itself down,

@@ -5,8 +5,14 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"rangecube/internal/core/batchsum"
+	"rangecube/internal/core/blocked"
+	"rangecube/internal/core/maxtree"
+	"rangecube/internal/core/prefixsum"
+	"rangecube/internal/metrics"
 	"rangecube/internal/ndarray"
 	"rangecube/internal/workload"
 )
@@ -302,12 +308,12 @@ func TestRouterMatchesNaive(t *testing.T) {
 				if want := naiveSum(mirror, r); got != want {
 					t.Fatalf("%s shards=%v step %d: Sum(%v) = %d, want %d", sumEngine, m.slabs, step, r, got, want)
 				}
-				lo, hi, err := rt.SumBounds(ctx, r)
+				full, err := rt.SumFull(ctx, r, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := naiveSum(mirror, r); want < lo || want > hi {
-					t.Fatalf("%s shards=%v step %d: bounds [%d,%d] exclude true sum %d over %v", sumEngine, m.slabs, step, lo, hi, want, r)
+				if want := naiveSum(mirror, r); full.Value != want || want < full.Lo || want > full.Hi || full.Partial() {
+					t.Fatalf("%s shards=%v step %d: SumFull(%v) = %+v, want value %d inside the bounds", sumEngine, m.slabs, step, r, full, want)
 				}
 				for _, min := range []bool{false, true} {
 					coords, v, ok, err := rt.Extreme(ctx, r, min, nil)
@@ -351,5 +357,123 @@ func TestRouterMatchesNaive(t *testing.T) {
 				t.Fatalf("stats (%d,%d,%d) do not reflect the workload", q, sq, sc)
 			}
 		}
+	}
+}
+
+// TestOneShardRouterIsTheStructures pins the claim the unsharded server rests
+// on: a router over a one-shard map is the paper's structures called
+// directly. Sum, SumFull and Extreme return the same values, bounds, cells
+// and §8 cost counters as prefixsum/blocked/maxtree built over the same
+// cells and fed the same update batches, for both sum engines — and the
+// router serves the array it was given in place, each delta landing once.
+func TestOneShardRouterIsTheStructures(t *testing.T) {
+	g := workload.SeededGen(t, *seedFlag, 2)
+	ctx := context.Background()
+	const blockSize, fanout = 3, 3
+	for _, sumEngine := range []string{"prefixsum", "blocked"} {
+		shape := []int{9, 7, 4}
+		cells := g.UniformCube(shape, 100)
+		m, err := NewMap(shape, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own := cells.Clone() // the directly-built structures' cube
+		ps := prefixsum.BuildInt(own)
+		bl := blocked.BuildInt(own, blockSize)
+		mx := maxtree.Build(own.Clone(), fanout)
+		mn := maxtree.BuildMin(own.Clone(), fanout)
+		rt, err := NewRouter(cells, m, blockSize, fanout, sumEngine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rt.InPlace() {
+			t.Fatal("one-shard router does not serve in place")
+		}
+		for step := 0; step < 25; step++ {
+			r := g.UniformRegion(shape)
+			var want, got, gotFull metrics.Counter
+			wantSum := ps.Sum(r, &want)
+			if sumEngine == "blocked" {
+				want = metrics.Counter{}
+				if wantSum, err = bl.SumContext(ctx, r, &want); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wantLo, wantHi, err := blocked.BoundsContext(ctx, bl, r, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum, err := rt.Sum(ctx, r, &got)
+			if err != nil || sum != wantSum || got != want {
+				t.Fatalf("%s step %d: Sum(%v) = %d cost %v (err %v), direct %d cost %v", sumEngine, step, r, sum, got, err, wantSum, want)
+			}
+			full, err := rt.SumFull(ctx, r, &gotFull)
+			if err != nil || full.Value != wantSum || full.Lo != wantLo || full.Hi != wantHi || full.Partial() || gotFull != want {
+				t.Fatalf("%s step %d: SumFull(%v) = %+v cost %v (err %v), direct %d in [%d,%d] cost %v",
+					sumEngine, step, r, full, gotFull, err, wantSum, wantLo, wantHi, want)
+			}
+			for _, tree := range []*maxtree.Tree[int64]{mx, mn} {
+				var want, got metrics.Counter
+				off, wantV, wantOK, err := tree.MaxIndexContext(ctx, r, &want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				coords, v, ok, err := rt.Extreme(ctx, r, tree == mn, &got)
+				if err != nil || ok != wantOK || v != wantV || got != want {
+					t.Fatalf("%s step %d min=%v: Extreme(%v) = (%d,%v) cost %v (err %v), direct (%d,%v) cost %v",
+						sumEngine, step, tree == mn, r, v, ok, got, err, wantV, wantOK, want)
+				}
+				if ok && !reflect.DeepEqual(coords, own.Coords(off, nil)) {
+					t.Fatalf("%s step %d: Extreme at %v, direct tree at %v", sumEngine, step, coords, own.Coords(off, nil))
+				}
+			}
+			ups := g.Updates(shape, 1+step%4, 20)
+			deltas := make([]batchsum.IntUpdate, len(ups))
+			pds := make([]PointDelta, len(ups))
+			for i, u := range ups {
+				deltas[i] = batchsum.IntUpdate{Coords: u.Coords, Delta: u.Delta}
+				pds[i] = PointDelta{Coords: u.Coords, Delta: u.Delta}
+			}
+			batchsum.ApplyInt(ps, deltas, nil)
+			batchsum.ApplyBlockedInt(bl, deltas, nil)
+			assigns := make([]maxtree.PointUpdate[int64], len(ups))
+			for i, u := range ups {
+				assigns[i] = maxtree.PointUpdate[int64]{Coords: u.Coords, Value: own.At(u.Coords...)}
+			}
+			mx.BatchUpdate(assigns, nil)
+			mn.BatchUpdate(assigns, nil)
+			rt.Apply(ctx, pds)
+			if !reflect.DeepEqual(cells.Data(), own.Data()) {
+				t.Fatalf("%s step %d: the router's in-place cells diverged from the directly-updated cube", sumEngine, step)
+			}
+		}
+	}
+}
+
+// TestOneShardSumFullStaysCheap pins what the router may add to the
+// unsharded server's hottest call: on a one-shard map SumFull is the engine's
+// SumWithBounds plus a fixed handful of small allocations (the scatter's
+// group, merge and decompose slices: six today), run on the calling
+// goroutine. Per-sub heap pointers, a closure for the pool and a reassigned
+// captured context took it to ten, which showed end to end as a slower and
+// less steady GET /query.
+func TestOneShardSumFullStaysCheap(t *testing.T) {
+	g := workload.SeededGen(t, *seedFlag, 2)
+	ctx := context.Background()
+	shape := []int{64, 64}
+	m, err := NewMap(shape, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRouter(g.UniformCube(shape, 100), m, 8, 4, "prefixsum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := ndarray.Region{{Lo: 5, Hi: 40}, {Lo: 9, Hi: 33}}
+	var c metrics.Counter
+	direct := testing.AllocsPerRun(200, func() { rt.shards[0].SumWithBounds(ctx, r, &c) })
+	routed := testing.AllocsPerRun(200, func() { rt.SumFull(ctx, r, &c) })
+	if routed > direct+7 {
+		t.Fatalf("one-shard SumFull allocates %.0f times per call, the engine alone %.0f: the router may add at most 7", routed, direct)
 	}
 }
