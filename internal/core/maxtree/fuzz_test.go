@@ -28,6 +28,7 @@ func FuzzRangeMax(f *testing.F) {
 		a := ndarray.New[int64](shape...)
 		a.Fill(func([]int) int64 { return int64(rng.Intn(401) - 200) })
 		tr := Build(a, fanout)
+		twin := Build(a.Clone(), fanout) // repaired by a caller that writes the cube itself
 
 		r := ndarray.Region{
 			{Lo: int(lo0) % shape[0], Hi: 0},
@@ -63,7 +64,11 @@ func FuzzRangeMax(f *testing.F) {
 		if len(ups) > 1 {
 			ups[len(ups)-1].Coords = append([]int(nil), ups[0].Coords...)
 		}
-		tr.BatchUpdate(ups, nil)
+		stats := tr.BatchUpdate(ups, nil)
 		checkAgainstNaive("after batch update")
+		if got := repairAsCaller(twin, ups); got != stats || !sameTree(tr, twin) {
+			t.Fatalf("shape=%v b=%d ups=%v: Repair over a pre-written cube (stats %+v) left a different tree than BatchUpdate (stats %+v)",
+				shape, fanout, ups, got, stats)
+		}
 	})
 }

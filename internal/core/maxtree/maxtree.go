@@ -65,8 +65,9 @@ func build[T cmp.Ordered](a *ndarray.Array[T], b int, min bool) *Tree[T] {
 	t := &Tree[T]{a: a, b: b, min: min}
 	// Build levels bottom-up until a single node covers everything, exactly
 	// as §6.1.1/§6.2 describe; dimensions whose extent reaches 1 simply stop
-	// contracting (the tree "degenerates into a lower dimension").
-	prevVals, prevOffs := a, flatOffsets(a)
+	// contracting (the tree "degenerates into a lower dimension"). Level 0 is
+	// the cube, where an entry's offset is its own index: no offset slice.
+	prevVals, prevOffs := a, []int(nil)
 	for {
 		shape := prevVals.Shape()
 		done := true
@@ -86,24 +87,13 @@ func build[T cmp.Ordered](a *ndarray.Array[T], b int, min bool) *Tree[T] {
 	return t
 }
 
-// flatOffsets returns the identity offset slice for level 0; for large
-// cubes the fill is fanned out across the worker pool.
-func flatOffsets[T cmp.Ordered](a *ndarray.Array[T]) []int {
-	offs := make([]int, a.Size())
-	parallel.For(len(offs), len(offs), func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			offs[i] = i
-		}
-	})
-	return offs
-}
-
 // contract builds the next level from the previous one: every b×...×b block
 // of the previous grid is reduced to its best entry. The walk is
 // line-oriented and fanned out across the worker pool by slabs of the
 // contracted leading dimension (disjoint output nodes per worker); within a
 // slab cells are still visited in storage order, so ties resolve exactly as
-// in a sequential walk — the first candidate in storage order wins.
+// in a sequential walk — the first candidate in storage order wins. A nil
+// prevOffs means prevVals is the cube itself (entry i sits at cube offset i).
 func contract[T cmp.Ordered](t *Tree[T], prevVals *ndarray.Array[T], prevOffs []int) level[T] {
 	b := t.b
 	shape := prevVals.Shape()
@@ -126,7 +116,10 @@ func contract[T cmp.Ordered](t *Tree[T], prevVals *ndarray.Array[T], prevOffs []
 			v, o, sn := vdata[slot], offs[slot], seen[slot]
 			for ; x < end; x++ {
 				if !sn || t.better(data[off+x], v) {
-					v, o, sn = data[off+x], prevOffs[off+x], true
+					v, o, sn = data[off+x], off+x, true
+					if prevOffs != nil {
+						o = prevOffs[off+x]
+					}
 				}
 			}
 			vdata[slot], offs[slot], seen[slot] = v, o, sn

@@ -37,49 +37,61 @@ type carried[T any] struct {
 	newArg   int
 }
 
+// CellChange is one cube cell whose value has already been rewritten in
+// place: its flat offset and its value before and after the write.
+type CellChange[T any] struct {
+	Off      int
+	Old, New T
+}
+
 // BatchUpdate applies a batch of point updates to the cube and repairs the
-// precomputed tree level by level using the paper's tag protocol (§7):
-// tag = 0 means the parent needs no update, tag = 1 means new_max_index
-// holds the parent's new maximum, and tag = −1 means the known maximum was
-// destroyed by a decrease-update and the block must be searched in full —
-// but only if no later increase-update recovers it first.
-//
-// Duplicate indices in the batch are combined first (last value wins), the
-// "minor modification" the paper says lifts its distinct-index assumption.
+// precomputed tree with Repair. Duplicate indices in the batch are combined
+// first (last value wins), the "minor modification" the paper says lifts its
+// distinct-index assumption.
 func (t *Tree[T]) BatchUpdate(updates []PointUpdate[T], c *metrics.Counter) UpdateStats {
-	var stats UpdateStats
-	if len(updates) == 0 {
-		return stats
-	}
 	// Phase 0 input: dedup by cell, record old values, write the cube.
-	seen := make(map[int]int) // cube offset -> index in list
-	var list []carried[T]
+	data := t.a.Data()
+	seen := make(map[int]int, len(updates)) // cube offset -> index in changes
+	changes := make([]CellChange[T], 0, len(updates))
 	for _, u := range updates {
 		off := t.a.Offset(u.Coords...)
 		if i, ok := seen[off]; ok {
-			list[i].newVal = u.Value
+			changes[i].New = u.Value
 			continue
 		}
-		seen[off] = len(list)
-		list = append(list, carried[T]{
-			childOff: off,
-			oldVal:   t.a.Data()[off], oldArg: off,
-			newVal: u.Value, newArg: off,
-		})
+		seen[off] = len(changes)
+		changes = append(changes, CellChange[T]{Off: off, Old: data[off], New: u.Value})
 	}
-	for _, u := range list {
-		t.a.Data()[u.childOff] = u.newVal
+	for _, ch := range changes {
+		data[ch.Off] = ch.New
 		c.AddCells(1)
 	}
-	// Drop no-ops.
-	filtered := list[:0]
-	for _, u := range list {
-		if u.newVal != u.oldVal {
-			filtered = append(filtered, u)
+	return t.Repair(changes, c)
+}
+
+// Repair brings the tree back in line with a cube the caller has already
+// written, level by level using the paper's tag protocol (§7): tag = 0 means
+// the parent needs no update, tag = 1 means new_max_index holds the parent's
+// new maximum, and tag = −1 means the known maximum was destroyed by a
+// decrease-update and the block must be searched in full — but only if no
+// later increase-update recovers it first.
+//
+// Every cell of the batch must be written before the call (a level-1 rescan
+// reads the cube), offsets must be distinct, and Old must be the value the
+// tree was last consistent with. changes is only read, so a max and a min
+// tree over the same cells are repaired from the same list.
+func (t *Tree[T]) Repair(changes []CellChange[T], c *metrics.Counter) UpdateStats {
+	var stats UpdateStats
+	list := make([]carried[T], 0, len(changes))
+	for _, ch := range changes {
+		if ch.New != ch.Old { // drop no-ops
+			list = append(list, carried[T]{
+				childOff: ch.Off,
+				oldVal:   ch.Old, oldArg: ch.Off,
+				newVal: ch.New, newArg: ch.Off,
+			})
 		}
 	}
-	list = filtered
-
 	for lvlIdx := 1; lvlIdx <= len(t.levels) && len(list) > 0; lvlIdx++ {
 		list = t.updateLevel(lvlIdx, list, c, &stats)
 	}

@@ -2,6 +2,7 @@ package maxtree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -215,4 +216,76 @@ func TestPassiveUpdateStopsPropagation(t *testing.T) {
 		t.Fatalf("touched %d blocks, want 1", stats.Touched)
 	}
 	checkInvariants(t, tr)
+}
+
+// repairAsCaller applies a batch the way a caller sharing the cube with other
+// structures does: record each distinct cell's old value, write every cell
+// (last value wins), and only then hand the (offset, old, new) list to Repair.
+func repairAsCaller(tr *Tree[int64], ups []PointUpdate[int64]) UpdateStats {
+	a := tr.Cube()
+	at := make(map[int]int)
+	var changes []CellChange[int64]
+	for _, u := range ups {
+		off := a.Offset(u.Coords...)
+		if i, ok := at[off]; ok {
+			changes[i].New = u.Value
+			continue
+		}
+		at[off] = len(changes)
+		changes = append(changes, CellChange[int64]{Off: off, Old: a.Data()[off], New: u.Value})
+	}
+	for _, ch := range changes {
+		a.Data()[ch.Off] = ch.New
+	}
+	return tr.Repair(changes, nil)
+}
+
+// sameTree reports whether two trees hold the same cube and the same stored
+// value and argmax offset in every node.
+func sameTree(x, y *Tree[int64]) bool {
+	if !slices.Equal(x.a.Data(), y.a.Data()) || len(x.levels) != len(y.levels) {
+		return false
+	}
+	for li := range x.levels {
+		if !slices.Equal(x.levels[li].vals.Data(), y.levels[li].vals.Data()) ||
+			!slices.Equal(x.levels[li].offs, y.levels[li].offs) {
+			return false
+		}
+	}
+	return true
+}
+
+// Repair on a cube the caller has already written must be BatchUpdate in
+// everything but who writes: the same nodes, argmax offsets and UpdateStats,
+// batch after batch, for max and min trees — including duplicate indices,
+// no-op assignments and decreases of a block's current extreme (rescans).
+func TestRepairMatchesBatchUpdate(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		a := randomCube(rng, 3, 11)
+		b := 2 + rng.Intn(3)
+		build := Build[int64]
+		if seed%2 == 0 {
+			build = BuildMin[int64]
+		}
+		batch, repair := build(a, b), build(a.Clone(), b)
+		for round := 0; round < 4; round++ {
+			ups := randomUpdatesFor(rng, a.Shape(), 1+rng.Intn(10), 1200)
+			// The root's extreme loses its value, one cell is named twice and
+			// one is assigned the value it already holds.
+			root := batch.levels[len(batch.levels)-1]
+			ups = append(ups,
+				PointUpdate[int64]{Coords: a.Coords(root.offs[0], nil), Value: int64(rng.Intn(1200))},
+				PointUpdate[int64]{Coords: ups[0].Coords, Value: int64(rng.Intn(1200))},
+				PointUpdate[int64]{Coords: a.Coords(round%a.Size(), nil), Value: a.Data()[round%a.Size()]})
+			rng.Shuffle(len(ups), func(i, j int) { ups[i], ups[j] = ups[j], ups[i] })
+			if batch.BatchUpdate(ups, nil) != repairAsCaller(repair, ups) || !sameTree(batch, repair) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -141,6 +141,11 @@ func TestQueryIsBatchOfOne(t *testing.T) {
 			if !strings.Contains(metrics.String(), want) {
 				t.Fatalf("/metrics lacks %s", want)
 			}
+			// Structure bytes are this process's own: a leader of remote
+			// shards holds none of the structures and exports no sample.
+			if has := strings.Contains(metrics.String(), "cube_structure_bytes{"); has != (cfg.opts.ShardURLs == nil) {
+				t.Fatalf("/metrics carries cube_structure_bytes samples = %v", has)
+			}
 
 			if cfg.opts.ShardURLs == nil {
 				return

@@ -62,11 +62,14 @@ type Options struct {
 	BlockSize int
 	// Fanout is the branching factor of the §6 max/min trees.
 	Fanout int
-	// SumEngine selects the structure answering op=sum and op=avg:
-	// "prefixsum" (default; the §3 array, 2^d accesses per query) or
-	// "blocked" (the §4 decomposition over the blocked index, whose
-	// boundary scans parallelize for large regions). Both stay maintained
-	// under updates either way; this picks which one serves reads.
+	// SumEngine selects the structure answering op=sum and op=avg, and with
+	// it what is built and updated: "prefixsum" (default; the §3 array P, 2^d
+	// accesses per query, 8 bytes per cell and a §5 batch update over P on
+	// every commit) or "blocked" (the §4 decomposition over the blocked
+	// index, whose boundary scans parallelize for large regions; P is never
+	// built). The blocked index (8/b^d bytes per cell) exists either way: it
+	// supplies the §11 lo/hi of every sum answer and its apply writes the
+	// cells. See shard's localEngine for the full per-structure account.
 	SumEngine string
 
 	// Shards is how many engine shards the logical cube is slab-partitioned

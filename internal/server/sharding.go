@@ -143,9 +143,16 @@ func (s *Server) initSharding() error {
 	s.pumpStop = make(chan struct{})
 	for i := 0; i < s.opts.Followers; i++ {
 		// The recovered leader state is the cheapest snapshot: the follower
-		// copies it at the current sequence and resumes the WAL at its
-		// committed end, so it boots caught up.
-		f, err := shard.NewFollower(i, s.cube.Data(), s.seq, 1, s.wal.Size(),
+		// starts from it at the current sequence and resumes the WAL at its
+		// committed end, so it boots caught up. NewFollower takes its array
+		// over and a one-shard replica serves it in place, so that one gets a
+		// copy (more shards copy their slabs anyway): a replica never shares
+		// cells with its leader.
+		base := s.cube.Data()
+		if m.Shards() == 1 {
+			base = base.Clone()
+		}
+		f, err := shard.NewFollower(i, base, s.seq, 1, s.wal.Size(),
 			m, s.opts.BlockSize, s.opts.Fanout, s.opts.SumEngine)
 		if err != nil {
 			return err

@@ -15,8 +15,9 @@ import (
 )
 
 // metricsTestServer builds a fully featured server — WAL, snapshot, cache,
-// admission limit, metrics endpoint — over a small cube.
-func metricsTestServer(t *testing.T) (*Server, *httptest.Server) {
+// admission limit, metrics endpoint — over a small cube, answering sums with
+// sumEngine ("" is the default, prefixsum).
+func metricsTestServer(t *testing.T, sumEngine string) (*Server, *httptest.Server) {
 	t.Helper()
 	c := cube.New(
 		cube.NewIntDimension("age", 1, 50),
@@ -32,6 +33,7 @@ func metricsTestServer(t *testing.T) (*Server, *httptest.Server) {
 	s, err := NewWithOptions(c, Options{
 		BlockSize:    5,
 		Fanout:       4,
+		SumEngine:    sumEngine,
 		WALPath:      filepath.Join(dir, "updates.wal"),
 		SnapshotPath: filepath.Join(dir, "cube.snap"),
 		CacheSize:    32,
@@ -94,9 +96,16 @@ func seriesValue(body, name, labelSubstr string) float64 {
 // hits), a batch with one poisoned item, an update through the WAL — then
 // scrapes /metrics and asserts every required series is present with a sane
 // value: per-endpoint request accounting, the live §8 cost histograms,
-// cache counters and WAL fsync latency.
+// cache counters, WAL fsync latency and — for both sum engines — the bytes of
+// exactly the structures that engine builds.
 func TestMetricsEndToEnd(t *testing.T) {
-	_, ts := metricsTestServer(t)
+	for _, engine := range []string{"prefixsum", "blocked"} {
+		t.Run(engine, func(t *testing.T) { testMetricsEndToEnd(t, engine) })
+	}
+}
+
+func testMetricsEndToEnd(t *testing.T, engine string) {
+	_, ts := metricsTestServer(t, engine)
 
 	get := func(path string) {
 		resp, err := ts.Client().Get(ts.URL + path)
@@ -141,7 +150,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		{"cube_http_requests_total", `path="/query"`, 8},
 		{"cube_http_requests_total", `path="/update"`, 1},
 		{"cube_http_request_seconds_count", `path="/query"`, 8},
-		{"cube_query_cost_cells_count", `op="sum",engine="prefixsum"`, 1},
+		{"cube_query_cost_cells_count", `op="sum",engine="` + engine + `"`, 1},
 		{"cube_query_cost_aux_count", `op="max",engine="maxtree"`, 1},
 		{"cube_query_cost_steps_count", `op="sum"`, 1},
 		{"cube_cache_hits_total", "", 4},
@@ -169,8 +178,20 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	// The cached answers must not have fed the cost histograms: 5 identical
 	// sum queries = 1 evaluation.
-	if got := seriesValue(body, "cube_query_cost_cells_count", `op="sum",engine="prefixsum"`); got >= 5 {
+	if got := seriesValue(body, "cube_query_cost_cells_count", `op="sum",engine="`+engine+`"`); got >= 5 {
 		t.Errorf("cost histogram saw %v sum evaluations; cache hits must not record cost", got)
+	}
+	// Only what answers is built: 50×10 cells of 8 bytes; P as large again
+	// under prefixsum and absent under blocked; one 8-byte entry per 5×5 block;
+	// 13×3 + 4×1 + 1 fanout-4 tree nodes of 16 bytes in each tree.
+	wantBytes := map[string]float64{"cells": 4000, "prefixsum": 4000, "blocked": 160, "maxtree": 704, "mintree": 704}
+	if engine == "blocked" {
+		wantBytes["prefixsum"] = 0
+	}
+	for structure, want := range wantBytes {
+		if got := seriesValue(body, "cube_structure_bytes", `structure="`+structure+`"`); got != want {
+			t.Errorf("cube_structure_bytes{structure=%q} = %v under %s, want %v", structure, got, engine, want)
+		}
 	}
 }
 
@@ -178,7 +199,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 // missing or hostile one is replaced with a minted ID; error bodies carry
 // the ID for correlation.
 func TestRequestIDPropagation(t *testing.T) {
-	_, ts := metricsTestServer(t)
+	_, ts := metricsTestServer(t, "")
 
 	req, _ := http.NewRequest("GET", ts.URL+"/query?op=sum&age=1..5", nil)
 	req.Header.Set("X-Request-Id", "client-abc.123")
@@ -234,7 +255,7 @@ func TestRequestIDPropagation(t *testing.T) {
 // committed code — an explicit error status, and the implicit 200 of a
 // handler that only writes a body.
 func TestStatusWriterCapturesCode(t *testing.T) {
-	_, ts := metricsTestServer(t)
+	_, ts := metricsTestServer(t, "")
 
 	get := func(path string) int {
 		resp, err := ts.Client().Get(ts.URL + path)

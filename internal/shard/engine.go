@@ -23,7 +23,7 @@ var ErrShardDown = errors.New("shard: shard unavailable")
 // (with the §11 bounds in the same call, so a remote shard costs one round
 // trip), range extremes, and scattered update batches. All regions and
 // coordinates are in the shard's local (slab) frame; the router owns the
-// translation. Two implementations exist: localEngine (the paper's four
+// translation. Two implementations exist: localEngine (the paper's
 // structures over one slab, in process) and RemoteEngine (the same contract
 // spoken over the HTTP query surface to a cubeserver process).
 type Engine interface {
@@ -48,29 +48,40 @@ type Engine interface {
 }
 
 // localEngine is the repository's one set of serving structures, built over
-// one slab of the logical cube (the whole cube when the map has one shard):
-// the §3 prefix sum and §4 blocked index for sums, the §6 max and min trees
-// for extremes. The blocked index shares cells and writes deltas into it;
-// the trees hold their own copies, so the §7 protocol can compare old and
-// new values independently of the §5 path.
+// one slab of the logical cube (the whole cube when the map has one shard).
+// It builds what answers and nothing else; in bytes per cell:
+//
+//	cells  8            the slab, which every structure below indexes in place
+//	sum    8            the §3 array P, only when it answers Sum ("prefixsum")
+//	blk    8/b^d        the §4 blocked index, under both engines: it answers
+//	                    Sum under "blocked", supplies the §11 lo/hi of every
+//	                    SumWithBounds (a leader's RemoteEngine reads them off
+//	                    its shard servers) and its §5.2 apply writes cells
+//	max    ≈16/(f^d−1)  the §6 max tree
+//	min    ≈16/(f^d−1)  the §6 min tree
+//
+// blk, max and min alias cells, so exactly one of them writes per commit (see
+// Apply) and the trees are told each cell's old and new value instead of
+// comparing against copies of their own.
 type localEngine struct {
-	cells     *ndarray.Array[int64] // the slab; blk applies deltas into it
-	sum       *prefixsum.IntArray
-	blk       *blocked.IntArray
-	max       *maxtree.Tree[int64]
-	min       *maxtree.Tree[int64]
-	sumEngine string // "prefixsum" or "blocked" — which structure answers Sum
+	cells *ndarray.Array[int64]
+	sum   *prefixsum.IntArray // nil unless the sum engine is "prefixsum"
+	blk   *blocked.IntArray
+	max   *maxtree.Tree[int64]
+	min   *maxtree.Tree[int64]
 }
 
 func newLocalEngine(a *ndarray.Array[int64], blockSize, fanout int, sumEngine string) *localEngine {
-	return &localEngine{
-		cells:     a,
-		sum:       prefixsum.BuildInt(a),
-		blk:       blocked.BuildInt(a, blockSize),
-		max:       maxtree.Build(a.Clone(), fanout),
-		min:       maxtree.BuildMin(a.Clone(), fanout),
-		sumEngine: sumEngine,
+	e := &localEngine{
+		cells: a,
+		blk:   blocked.BuildInt(a, blockSize),
+		max:   maxtree.Build(a, fanout),
+		min:   maxtree.BuildMin(a, fanout),
 	}
+	if sumEngine == "prefixsum" {
+		e.sum = prefixsum.BuildInt(a)
+	}
+	return e
 }
 
 // ValueBounds returns the smallest and largest cell value of a ([0, 0] for
@@ -88,7 +99,7 @@ func ValueBounds(a *ndarray.Array[int64]) (lo, hi int64) {
 }
 
 func (e *localEngine) Sum(ctx context.Context, r ndarray.Region, c *metrics.Counter) (int64, error) {
-	if e.sumEngine == "blocked" {
+	if e.sum == nil {
 		return e.blk.SumContext(ctx, r, c)
 	}
 	return e.sum.Sum(r, c), nil
@@ -117,22 +128,57 @@ func (e *localEngine) Extreme(ctx context.Context, r ndarray.Region, min bool, c
 	return tree.Cube().Coords(off, nil), v, true, nil
 }
 
-// Apply commits one coalesced batch to every structure: §5 deltas to the
-// prefix sums (the blocked index also folds them into the shared slab
-// cells), then the §7 reassignment protocol feeds the resulting absolute
-// values to the max and min trees.
+// Apply commits one batch to every structure. The three structures over cells
+// share one array, so the order is fixed: record each distinct cell's old
+// value (a batch may name a cell twice — replay and replication do not
+// coalesce), let the §5 deltas land — the blocked index's apply is what
+// writes cells — and only then, with every cell of the batch written, hand
+// both trees the same (old, new) list for the §7 repair.
 func (e *localEngine) Apply(_ context.Context, deltas []batchsum.IntUpdate) error {
-	batchsum.ApplyInt(e.sum, deltas, nil)
-	batchsum.ApplyBlockedInt(e.blk, deltas, nil)
-	assigns := make([]maxtree.PointUpdate[int64], len(deltas))
-	for i, d := range deltas {
-		assigns[i] = maxtree.PointUpdate[int64]{Coords: d.Coords, Value: e.cells.At(d.Coords...)}
+	data := e.cells.Data()
+	seen := make(map[int]struct{}, len(deltas))
+	changes := make([]maxtree.CellChange[int64], 0, len(deltas))
+	for _, d := range deltas {
+		off := e.cells.Offset(d.Coords...)
+		if _, dup := seen[off]; !dup {
+			seen[off] = struct{}{}
+			changes = append(changes, maxtree.CellChange[int64]{Off: off, Old: data[off]})
+		}
 	}
-	e.max.BatchUpdate(assigns, nil)
-	e.min.BatchUpdate(assigns, nil)
+	if e.sum != nil {
+		batchsum.ApplyInt(e.sum, deltas, nil)
+	}
+	batchsum.ApplyBlockedInt(e.blk, deltas, nil)
+	for i := range changes {
+		changes[i].New = data[changes[i].Off]
+	}
+	e.max.Repair(changes, nil)
+	e.min.Repair(changes, nil)
 	return nil
 }
 
 // CellBounds scans the slab: a local engine is never down, so no serving
 // path asks and nothing is kept running for it.
 func (e *localEngine) CellBounds() (int64, int64) { return ValueBounds(e.cells) }
+
+// StructureBytes reports the bytes each serving structure holds, summed over
+// the router's local engines and keyed cells, prefixsum, blocked, maxtree and
+// mintree (0 for one that is not built). It is nil for a router of remote
+// engines, whose structures live in the shard processes.
+func (rt *Router) StructureBytes() map[string]int64 {
+	if rt.netIO {
+		return nil
+	}
+	out := map[string]int64{"prefixsum": 0} // reported, as 0, when no engine builds it
+	for _, e := range rt.shards {
+		le := e.(*localEngine)
+		out["cells"] += 8 * int64(le.cells.Size())
+		if le.sum != nil {
+			out["prefixsum"] += 8 * int64(le.sum.Size())
+		}
+		out["blocked"] += 8 * int64(le.blk.AuxSize())
+		out["maxtree"] += 16 * int64(le.max.Nodes()) // a value and an argmax offset per node
+		out["mintree"] += 16 * int64(le.min.Nodes())
+	}
+	return out
+}

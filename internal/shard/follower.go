@@ -54,15 +54,11 @@ type Follower struct {
 // NewFollower boots a replica from an in-memory state: a cube at sequence
 // seq, tailing the WAL generation gen from byte offset. The server uses it
 // at construction time, when the leader has just recovered and its state
-// is the cheapest snapshot available. a stays the caller's: the replica
-// serves its own copy of the cells.
+// is the cheapest snapshot available. Like Rebase it takes a over — a
+// one-shard replica serves it in place — so a caller that keeps using the
+// array passes a copy.
 func NewFollower(id int, a *ndarray.Array[int64], seq, gen uint64, offset int64, m Map, blockSize, fanout int, sumEngine string) (*Follower, error) {
 	f := &Follower{id: id, m: m, blockSize: blockSize, fanout: fanout, sumEngine: sumEngine}
-	if m.Shards() == 1 {
-		// A one-shard router serves its array in place; slab copies are the
-		// replica's own cells already.
-		a = a.Clone()
-	}
 	if err := f.rebase(a, seq, gen, offset); err != nil {
 		return nil, err
 	}

@@ -32,7 +32,7 @@ type family struct {
 
 	mu       sync.Mutex
 	children map[string]*child
-	fn       func() int64 // value callback for *Func metrics; nil otherwise
+	collect  func() map[string]int64 // GaugeVecFunc callback; nil otherwise
 }
 
 type child struct {
@@ -131,6 +131,16 @@ func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
 	}
 	f := r.register(name, help, "gauge", 1, nil)
 	f.children[""] = &child{fn: fn}
+}
+
+// GaugeVecFunc registers a one-label gauge family whose samples are read from
+// fn at render time: one per key of the returned map (the label value), none
+// for a nil map — for a source whose set of children is itself live state.
+func (r *Registry) GaugeVecFunc(name, help, label string, fn func() map[string]int64) {
+	if r == nil {
+		return
+	}
+	r.register(name, help, "gauge", 1, []string{label}).collect = fn
 }
 
 // Histogram registers and returns an unlabeled histogram. scale multiplies
@@ -267,6 +277,18 @@ func (f *family) write(w *bufio.Writer) error {
 		fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 	}
 	fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ)
+	if f.collect != nil {
+		vals := f.collect()
+		keys := make([]string, 0, len(vals))
+		for k := range vals {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Fprintf(w, "%s%s %d\n", f.name, labelString(f.labels, []string{k}, "", ""), vals[k])
+		}
+		return nil
+	}
 
 	f.mu.Lock()
 	keys := make([]string, 0, len(f.children))

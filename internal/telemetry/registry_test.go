@@ -19,6 +19,10 @@ func TestExpositionGolden(t *testing.T) {
 	rv.With("/u", "200").Inc()
 	r.Gauge("t_inflight", "In-flight requests.").Set(2)
 	r.GaugeFunc("t_entries", "Cache entries.", func() int64 { return 7 })
+	r.GaugeVecFunc("t_bytes", "Bytes by part.", "part", func() map[string]int64 {
+		return map[string]int64{"tree": 16, "cells": 8}
+	})
+	r.GaugeVecFunc("t_absent", "No samples.", "part", func() map[string]int64 { return nil })
 	h := r.Histogram("t_cost", "Cost in elements.", 1)
 	for _, v := range []int64{0, 1, 3, 100} {
 		h.Observe(v)
@@ -28,11 +32,17 @@ func TestExpositionGolden(t *testing.T) {
 	if err := r.WriteText(&b); err != nil {
 		t.Fatal(err)
 	}
-	want := `# HELP t_by_path_total Requests by path and status.
+	want := `# HELP t_absent No samples.
+# TYPE t_absent gauge
+# HELP t_by_path_total Requests by path and status.
 # TYPE t_by_path_total counter
 t_by_path_total{path="/q",status="200"} 2
 t_by_path_total{path="/q",status="500"} 1
 t_by_path_total{path="/u",status="200"} 1
+# HELP t_bytes Bytes by part.
+# TYPE t_bytes gauge
+t_bytes{part="cells"} 8
+t_bytes{part="tree"} 16
 # HELP t_cost Cost in elements.
 # TYPE t_cost histogram
 t_cost_bucket{le="0"} 1

@@ -139,6 +139,7 @@ func TestNilSafety(t *testing.T) {
 	hv := r.HistogramVec("xv_seconds", "", 1e-9, "a")
 	r.CounterFunc("xf_total", "", func() int64 { return 1 })
 	r.GaugeFunc("xf", "", func() int64 { return 1 })
+	r.GaugeVecFunc("xvf", "", "a", func() map[string]int64 { return nil })
 
 	c.Inc()
 	c.Add(5)
