@@ -24,24 +24,27 @@ import (
 // experiment, emitted by cubebench -exp scale -json as BENCH_scale.json:
 // read throughput of /query/batch under a durable write load, as the cube
 // is sharded 1→4 ways and follower replicas absorb a growing share of the
-// balanced reads. The acceptance number is MonotoneQPS: each row of the
-// scaling curve must serve at least as many queries per second as the one
-// before it.
+// balanced reads. MonotoneQPS records whether each row of the curve served
+// at least as many queries per second as the one before it.
 //
 // On a small machine the curve is not about CPU parallelism (the worker
-// pool may well be a single worker): it measures contention. Every durable
-// commit holds the leader's write lock across the WAL write+fsync — and
-// the lock is write-preferring, so a steady writer convoys the leader's
-// readers behind disk I/O. Follower reads only need the replica's read
-// lock: they proceed through the commit stalls the leader's readers lose.
-// More followers → a larger balanced share dodges the stall → higher QPS.
+// pool may well be a single worker): it measures contention. While every
+// durable commit held the leader's write-preferring lock across the WAL
+// write+fsync, a steady writer convoyed the leader's readers behind disk
+// I/O, follower reads (which need only the replica's read lock) went
+// through those stalls, and the curve rose with the follower share. The
+// commit now fsyncs before it takes the write lock, so the leader's own
+// readers wait out the in-memory apply alone: the rows measure level, and
+// MonotoneQPS is an observation, no longer an acceptance bar — what is
+// left to compare is whether a follower's extra copy of the structures
+// buys anything on one box (ROADMAP item 2, "Then delete").
 //
-// The commit stall is made deterministic with the faultio slow-disk
+// The commit's disk wait is made deterministic with the faultio slow-disk
 // flavor: every WAL write and fsync pays SyncDelayMS of injected latency,
-// modeling the durable-commit cost of networked block storage (where
-// read replicas earn their keep) instead of whatever this machine's local
-// fsync happens to cost today. That keeps the curve about the serving
-// tier's architecture, not the benchmark host's disk cache.
+// modeling the durable-commit cost of networked block storage instead of
+// whatever this machine's local fsync happens to cost today. That keeps
+// the curve about the serving tier's architecture, not the benchmark
+// host's disk cache.
 type ScaleResult struct {
 	Shape       []int      `json:"shape"`
 	BatchSize   int        `json:"batch_size"`
@@ -142,9 +145,9 @@ func Scale(n int, curve []ScalePoint, readers, writers, perReader, batchSize int
 	tab := Table{
 		Title: "Serving-tier scaling: sharded scatter-gather with WAL-fed follower reads",
 		Note: fmt.Sprintf("%d readers x %d /query/batch requests of %d sums each, racing %d durable writers; "+
-			"each commit holds the leader's write-preferring lock across a WAL write+fsync on a simulated "+
-			"%.2gms-per-op disk (faultio, the networked-storage regime); follower reads dodge the commit "+
-			"stall; rounds alternate across configurations, best round kept; speedup is vs the unsharded "+
+			"each commit appends and fsyncs on a simulated %.2gms-per-op disk (faultio, the networked-storage "+
+			"regime) before it takes the write lock, so neither leader nor follower reads wait out the disk; "+
+			"rounds alternate across configurations, best round kept; speedup is vs the unsharded "+
 			"leader-only row.",
 			readers, perReader, batchSize, writers, res.SyncDelayMS),
 		Headers: []string{"tier", "shards", "followers", "queries", "commits", "total ms", "queries/s", "speedup"},
@@ -305,12 +308,13 @@ func newScaleConfig(n int, cells []int64, p ScalePoint, bin string, readers, per
 // with the write load running for exactly the duration of the round.
 func (c *scaleConfig) runRound(readers, writers int) int64 {
 	// The write load is ticker-paced: each writer commits durably (one
-	// fsync under the leader's write lock) on a fixed clock, so every
-	// configuration faces the same commit rate — a free-running writer's
-	// rate would float with disk latency and make rows incomparable. The
-	// pace leaves room between commits for the replicas to catch up (a
-	// tail read plus a one-cell apply, well under the interval), so
-	// followers stay eligible for balanced reads through the next fsync.
+	// fsync, then one apply under the leader's write lock) on a fixed
+	// clock, so every configuration faces the same commit rate — a
+	// free-running writer's rate would float with disk latency and make
+	// rows incomparable. The pace leaves room between commits for the
+	// replicas to catch up (a tail read plus a one-cell apply, well under
+	// the interval), so followers stay eligible for balanced reads through
+	// the next commit.
 	stop := make(chan struct{})
 	var writerWG sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -374,9 +378,9 @@ const scaleRounds = 5
 
 // scalePace is the writers' commit tick, and scaleSyncDelay the injected
 // per-operation latency of the simulated disk the WAL rides (an Append is
-// one write plus one fsync, so a commit stalls the leader for about twice
-// the delay). Together they fix the write lock's stall duty cycle at
-// roughly a third — high enough that dodging it is measurable, low enough
+// one write plus one fsync, so a commit waits on the disk for about twice
+// the delay — a third of every tick, which was the write lock's stall duty
+// cycle while the lock was held across the fsync). The pace is slow enough
 // that the replicas' catch-up (a tail read plus a one-cell apply, well
 // under a millisecond) keeps them eligible for balanced reads through the
 // next commit.

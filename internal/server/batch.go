@@ -87,11 +87,11 @@ func (s *Server) evalSlots(ctx context.Context, slots []batchSlot, results []bat
 		rep.batches.Inc()
 	} else {
 		// The remote scatter runs before the read lock is taken: it holds no
-		// leader state, and pinning the lock across its network round trips
-		// would serialize every leader-bound read against the
-		// write-preferring commit path (whose fsync holds the lock for the
-		// full disk latency). Consistency comes from the scatter seqlock
-		// instead — see evalRemoteSums.
+		// leader state, and a read lock pinned across its network round trips
+		// would make every commit wait out the slowest gather before it could
+		// apply (the lock is write-preferring, so every later read would queue
+		// behind that commit in turn). Consistency comes from the scatter
+		// seqlock instead — see evalRemoteSums.
 		if s.remoteEngines != nil {
 			live -= s.evalRemoteSums(ctx, slots, results)
 		}
@@ -199,8 +199,8 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	// Parsing is lock-free on every server that cannot accept a /state push:
 	// its cube and dimensions are immutable, so a batch never queues behind
 	// the commit path's write-preferring lock just to read them — that wait
-	// would also tax follower-bound batches whose whole point is dodging the
-	// leader's commit stalls. Only an AcceptState server (a shard process, a
+	// would also tax follower-bound batches, which never need the leader's
+	// lock at all. Only an AcceptState server (a shard process, a
 	// joined follower) takes a read epoch here: a push may swap the cube, and
 	// a region parsed against the old dimensions must never reach the new
 	// structures. (The lock is dropped before evaluation, which pins its own
@@ -296,7 +296,8 @@ func (s *Server) evalRemoteSums(ctx context.Context, slots []batchSlot, results 
 		// validating after the fact alone: a commit's propagation window
 		// would fail every concurrent batch at once, and the resulting
 		// re-scatter stampede costs far more than the sub-millisecond nap
-		// (the window is the /update round trips, not the commit's fsync).
+		// (the window is the /update round trips alone: the commit's fsync
+		// is over before its scatter starts).
 		e0 := s.awaitScatterQuiesce(ctx)
 		rs, err = s.router.SumFullBatch(ctx, regs, counters)
 		if err != nil {

@@ -125,15 +125,12 @@ func (s *Server) commitGroups(ctx context.Context, groups [][]ingest.Update) (ui
 	sp.Set("cells", strconv.Itoa(len(live)))
 
 	if len(live) == 0 {
-		s.mu.RLock()
-		seq := s.seq
-		s.mu.RUnlock()
-		return seq, nil
+		return s.Seq(), nil
 	}
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seq, err := s.applyLocked(ctx, live)
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
+	seq, err := s.commitLocked(ctx, live)
 	if err != nil {
 		// The error fans out to every sync writer in the group via their
 		// acks; log it too so async writers' losses are never silent.
@@ -152,48 +149,27 @@ func (s *Server) commitGroups(ctx context.Context, groups [][]ingest.Update) (ui
 	return seq, nil
 }
 
-// applyLocked durably commits one coalesced batch. The caller holds the
-// write lock; on a WAL failure nothing has been applied to the leader's
-// structures and the sequence is unchanged. ctx carries the commit span;
-// the WAL append, the remote scatter and the structure apply each record a
-// child, so a slow commit's trace shows which phase held the lock.
-func (s *Server) applyLocked(ctx context.Context, cells []shard.PointDelta) (uint64, error) {
-	// Remote tier: launch the scatter to the shard processes now, overlapped
-	// with the WAL fsync below. The two are independent — the scatter's
-	// round trips and the fsync's disk wait add nothing to each other — and
-	// both are joined before the write lock releases, so the lock is held
-	// for max(fsync, scatter) instead of their sum. That difference is the
-	// leader's read availability under write load: every queued reader waits
-	// out the full hold.
-	var scatterDone chan struct{}
-	if s.remoteEngines != nil {
-		scatterDone = make(chan struct{})
-		ssp := trace.FromContext(ctx).Child("commit.scatter")
-		sctx := trace.NewContext(ctx, ssp)
-		go func() {
-			defer close(scatterDone)
-			defer ssp.End()
-			// The seqlock brackets only the scatter itself — the window in
-			// which the shard processes disagree about the batch. Lock-free
-			// batched readers that overlap it retry; ones that land between
-			// scatters see every shard pre-batch or every shard post-batch.
-			s.scatterSeq.Add(1)
-			s.router.Apply(sctx, cells)
-			s.scatterSeq.Add(1)
-		}()
-	}
-
-	// Durability first: the batch must be on disk before any structure
-	// sees it, so a crash between here and the end of the commit replays
-	// it instead of losing it. One Append is one fsync for the whole
-	// group — the amortization the pipeline exists for.
+// commitLocked commits one coalesced batch, durable first and applied
+// second: the caller holds commitMu, under which the batch is appended and
+// fsynced as seq+1 while readers run on, and the write lock is then held for
+// the in-memory change alone — sequence bump, shard scatter, structure
+// apply, cache flush and publication as one epoch. A crash in between
+// replays the batch at boot; a WAL failure returns before anything was
+// applied anywhere, with the sequence unchanged. ctx carries the commit
+// span; each phase records a child, so a slow commit's trace shows whether
+// it waited on the disk, on readers or on the shards.
+func (s *Server) commitLocked(ctx context.Context, cells []shard.PointDelta) (uint64, error) {
+	sp := trace.FromContext(ctx)
+	var end int64
 	if s.wal != nil {
+		// One Append is one fsync for the whole group — the amortization the
+		// pipeline exists for.
 		wupsP := walUpsPool.Get().(*[]wal.Update)
 		wups := (*wupsP)[:0]
 		for _, c := range cells {
 			wups = append(wups, wal.Update{Coords: c.Coords, Delta: c.Delta})
 		}
-		wsp := trace.FromContext(ctx).Child("wal.append")
+		wsp := sp.Child("wal.append")
 		err := s.wal.Append(wal.Batch{Seq: s.seq + 1, Updates: wups})
 		if err != nil {
 			wsp.SetError(err.Error())
@@ -202,42 +178,51 @@ func (s *Server) applyLocked(ctx context.Context, cells []shard.PointDelta) (uin
 		*wupsP = wups[:0]
 		walUpsPool.Put(wupsP)
 		if err != nil {
-			if scatterDone != nil {
-				// The shards may already hold deltas the leader is not going
-				// to commit. Their slabs are derived state: mark every remote
-				// engine down so the resync probe re-pushes the authoritative
-				// slab, restoring agreement.
-				<-scatterDone
-				for _, e := range s.remoteEngines {
-					e.MarkDown(fmt.Errorf("scattered batch lost its WAL commit: %w", err))
-				}
-			}
 			return 0, err
 		}
 		s.sinceSnap++
-	}
-	s.seq++
-	asp := trace.FromContext(ctx).Child("structures.apply")
-	s.applyCellsLocked(ctx, cells)
-	asp.End()
-	if scatterDone != nil {
-		<-scatterDone
+		end = s.wal.Size()
 	}
 
+	lsp := sp.Child("commit.lockwait")
+	s.mu.Lock()
+	lsp.End()
+	held := time.Now()
+	s.seq++
+	seq := s.seq
+	if s.remoteEngines != nil {
+		// The seqlock brackets the window in which the shard processes
+		// disagree about the batch: lock-free batched readers that overlap it
+		// retry, ones that land between scatters see every shard pre-batch or
+		// every shard post-batch. It sits in the same write-lock hold as the
+		// sequence bump, which is what lets resyncShard conclude from an
+		// unchanged seq that no scatter slipped past its state push.
+		ssp := sp.Child("commit.scatter")
+		s.scatterSeq.Add(1)
+		s.router.Apply(trace.NewContext(ctx, ssp), cells)
+		s.scatterSeq.Add(1)
+		ssp.End()
+	}
+	asp := sp.Child("structures.apply")
+	s.applyCellsLocked(ctx, cells)
+	asp.End()
 	// Publish the commit to the replication tier: the lock-free committed
-	// mirror gates follower eligibility, and the notify wakes each pump to
-	// tail the record just fsynced.
-	s.committed.Store(s.seq)
+	// mirror gates follower eligibility, and walEnd lets the replication
+	// readers at the record just applied.
+	s.committed.Store(seq)
+	s.walEnd.Store(end)
+	s.mu.Unlock()
+	s.met.writeLockHold.Observe(time.Since(held).Nanoseconds())
 	s.notifyFollowers()
 
 	if s.sinceSnap >= s.opts.CompactEvery {
-		if err := s.compactLocked(); err != nil {
+		if err := s.compact(); err != nil {
 			// The WAL still has everything; compaction will be retried on
 			// the next batch.
 			s.logf("%v", err)
 		}
 	}
-	return s.seq, nil
+	return seq, nil
 }
 
 // applyCellsLocked applies one coalesced batch to the serving structures and
@@ -256,8 +241,8 @@ func (s *Server) applyCellsLocked(ctx context.Context, cells []shard.PointDelta)
 		}
 	}
 	// Each shard applies only its slab's share, so the write-lock hold
-	// shrinks as the shard count grows. For the remote tier the scatter is
-	// already in flight, launched by applyLocked alongside the WAL fsync.
+	// shrinks as the shard count grows. Shard processes already hold the
+	// batch: commitLocked scattered it inside the seqlock bracket.
 	if s.remoteEngines == nil {
 		s.router.Apply(ctx, cells)
 	}

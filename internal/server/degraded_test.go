@@ -196,20 +196,21 @@ func TestDegradedModeAndProbeRecovery(t *testing.T) {
 func TestFlusherCommitErrorFansOutAndRecovers(t *testing.T) {
 	s, _, inj, dir := faultyServer(t, func(o *Options) { o.IngestQueue = 64 })
 
-	// Park the flusher's first commit on the write lock so later
-	// submissions pile into the queue behind it.
-	s.mu.RLock()
+	// Park the flusher's first commit on the commit mutex, ahead of its WAL
+	// append (the write lock would park it after), so later submissions pile
+	// into the queue behind it.
+	s.commitMu.Lock()
 	var acks []<-chan ingest.Result
 	for i := 0; i < 3; i++ {
 		ack, err := s.SubmitUpdates([]ingest.Update{{Coords: []int{i, i}, Delta: int64(10 * (i + 1))}}, true)
 		if err != nil {
-			s.mu.RUnlock()
+			s.commitMu.Unlock()
 			t.Fatal(err)
 		}
 		acks = append(acks, ack)
 	}
 	inj.FailSyncs(64, faultio.ErrNoSpace)
-	s.mu.RUnlock()
+	s.commitMu.Unlock()
 
 	// Every queued submission fails: the first group hits the fault burst
 	// and poisons the log; groups behind it hit the poisoned fail-fast. No

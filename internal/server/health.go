@@ -182,23 +182,24 @@ func (s *Server) probeStorage() {
 	}
 }
 
-// recoverStorage rebuilds durability under the write lock and, on success,
-// exits degraded mode.
+// recoverStorage rebuilds durability under the commit mutex — queries keep
+// being answered throughout — and, on success, exits degraded mode.
 func (s *Server) recoverStorage() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
 	if !s.degraded.Load() {
 		return nil
 	}
 	return s.recoverStorageLocked()
 }
 
-// recoverStorageLocked supersedes a poisoned WAL. Order matters: first a
-// fresh snapshot makes the entire in-memory state durable (every batch the
-// poisoned log acked is applied in memory, so nothing depends on the old
-// file once the snapshot lands); only then is the log file recreated, which
-// truncates it. A failure at either step leaves the old WAL's committed
-// prefix untouched and the server degraded for the next probe tick.
+// recoverStorageLocked supersedes a poisoned WAL; the caller holds commitMu.
+// Order matters: first a fresh snapshot makes the entire in-memory state
+// durable (every batch the poisoned log acked is applied in memory, so
+// nothing depends on the old file once the snapshot lands); only then is the
+// log file recreated, which truncates it. A failure at either step leaves
+// the old WAL's committed prefix untouched and the server degraded for the
+// next probe tick.
 func (s *Server) recoverStorageLocked() error {
 	if s.wal == nil {
 		return errors.New("server: no WAL to recover")
@@ -223,10 +224,12 @@ func (s *Server) recoverStorageLocked() error {
 	}
 	nl.SetMetrics(&s.met.walMet)
 	old := s.wal
+	s.mu.Lock()
 	s.wal = nl
+	s.mu.Unlock()
 	// The poisoned log is superseded: replicas re-anchor on the recovery
 	// snapshot and tail the fresh file from its first record.
-	s.bumpWALGen()
+	s.publishWALReset()
 	// The old handle shares the (now truncated) inode and is never written
 	// again; its close error is cosmetic.
 	if cerr := old.Close(); cerr != nil {

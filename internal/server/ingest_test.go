@@ -4,19 +4,23 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"rangecube/internal/cube"
 	"rangecube/internal/naive"
 	"rangecube/internal/ndarray"
+	"rangecube/internal/persist"
 	"rangecube/internal/wal"
 )
 
@@ -122,6 +126,178 @@ func sumBatches(batches []wal.Batch) *ndarray.Array[int64] {
 		}
 	}
 	return oracle
+}
+
+// syncGate is a WALOpenFile whose Sync can park one caller at either edge of
+// the real fsync: before it (the disk is slow and the batch not yet durable)
+// or after it (the batch is durable and nothing has applied it). Arming a
+// flag parks the next Sync only.
+type syncGate struct {
+	before, after atomic.Bool
+	parked        chan chan struct{} // a parked Sync hands over the channel that releases it
+}
+
+func newSyncGate() *syncGate { return &syncGate{parked: make(chan chan struct{})} }
+
+func (g *syncGate) open(path string) (wal.File, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return gatedFile{File: f, g: g}, nil
+}
+
+func (g *syncGate) park(armed *atomic.Bool) {
+	if armed.CompareAndSwap(true, false) {
+		release := make(chan struct{})
+		g.parked <- release
+		<-release
+	}
+}
+
+// awaitPark blocks until a Sync is parked at the gate and returns the func
+// that lets it go — idempotent, and also run at cleanup, so a failed
+// assertion cannot strand the parked commit under the server's Close.
+func (g *syncGate) awaitPark(t *testing.T) func() {
+	t.Helper()
+	select {
+	case ch := <-g.parked:
+		var once sync.Once
+		release := func() { once.Do(func() { close(ch) }) }
+		t.Cleanup(release)
+		return release
+	case <-time.After(5 * time.Second):
+		t.Fatal("no Sync reached the gate")
+		return nil
+	}
+}
+
+type gatedFile struct {
+	wal.File
+	g *syncGate
+}
+
+func (f gatedFile) Sync() error {
+	f.g.park(&f.g.before)
+	err := f.File.Sync()
+	f.g.park(&f.g.after)
+	return err
+}
+
+// replicationView is what one read of every surface must agree on.
+type replicationView struct {
+	sum    int64  // whole-cube sum
+	seq    uint64 // last applied batch
+	walEnd int64  // end of the log's applied prefix
+}
+
+// checkEverySurface reads GET /query, POST /query/batch, GET /wal and GET
+// /snapshot (in that order) and fails unless each shows exactly want.
+func checkEverySurface(t *testing.T, ts *httptest.Server, stage string, want replicationView) {
+	t.Helper()
+	var q queryResponse
+	if code := get(t, ts, "/query?op=sum", &q); code != http.StatusOK || q.Value != want.sum {
+		t.Fatalf("%s: GET /query sum %d (status %d), want %d", stage, q.Value, code, want.sum)
+	}
+	code, out, raw := postQueryBatch(t, ts, []byte(`[{"op":"sum"}]`))
+	if code != http.StatusOK || len(out.Results) != 1 || out.Results[0].Result == nil || out.Results[0].Result.Value != want.sum {
+		t.Fatalf("%s: POST /query/batch answered %d %s, want sum %d", stage, code, raw, want.sum)
+	}
+	stamp := func(path string) []byte {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatalf("%s: GET %s: %v", stage, path, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: GET %s: status %d, err %v", stage, path, resp.StatusCode, err)
+		}
+		if got := resp.Header.Get(hdrSeq); got != strconv.FormatUint(want.seq, 10) {
+			t.Fatalf("%s: GET %s stamped seq %s, want %d", stage, path, got, want.seq)
+		}
+		if got := resp.Header.Get(hdrWALSize); got != strconv.FormatInt(want.walEnd, 10) {
+			t.Fatalf("%s: GET %s stamped WAL end %s, want %d", stage, path, got, want.walEnd)
+		}
+		return body
+	}
+	batches, n, err := wal.ScanStream(bytes.NewReader(stamp("/wal")))
+	if err != nil || uint64(len(batches)) != want.seq || n != want.walEnd-wal.HeaderSize {
+		t.Fatalf("%s: GET /wal shipped %d batches in %d clean bytes (%v), want %d in %d", stage, len(batches), n, err, want.seq, want.walEnd-wal.HeaderSize)
+	}
+	seq, cells, err := persist.ReadSnapshot(bytes.NewReader(stamp("/snapshot")))
+	if err != nil || seq != want.seq || naive.SumInt64(cells, ndarray.Reg(0, 7, 0, 7), nil) != want.sum {
+		t.Fatalf("%s: GET /snapshot decoded to seq %d (%v), want seq %d summing to %d", stage, seq, err, want.seq, want.sum)
+	}
+}
+
+// TestIngestReadersDoNotWaitOutDisk parks a sync update inside its WAL fsync
+// and reads every surface meanwhile: each must answer at once, with the
+// pre-update value, sequence and log end — the commit holds no lock a reader
+// takes while it waits for the disk — and once the fsync returns the update
+// is acknowledged and the very next read shows it. Compaction gets the same
+// treatment: with the log truncation's fsync parked, queries still answer.
+func TestIngestReadersDoNotWaitOutDisk(t *testing.T) {
+	dir := t.TempDir()
+	gate := newSyncGate()
+	s, ts := ingestTestServer(t, dir, func(o *Options) {
+		o.WALOpenFile = gate.open
+		o.SnapshotPath = filepath.Join(dir, "cube.snap")
+	})
+	t.Cleanup(func() { ts.Close(); s.Close() })
+	// A read queued behind the disk fails here, not at the suite's timeout.
+	ts.Client().Timeout = 5 * time.Second
+
+	if code, _ := postUpdates(t, ts, "sync", []jsonUpdate{{Coords: []int{1, 1}, Delta: 5}}); code != http.StatusOK {
+		t.Fatalf("seed update: status %d", code)
+	}
+	before := replicationView{sum: 5, seq: 1, walEnd: s.walEnd.Load()}
+	checkEverySurface(t, ts, "idle", before)
+
+	gate.before.Store(true)
+	acked := make(chan updateResponse, 1)
+	go func() {
+		code, ack := postUpdates(t, ts, "sync", []jsonUpdate{{Coords: []int{2, 2}, Delta: 7}})
+		if code != http.StatusOK {
+			t.Errorf("parked update: status %d", code)
+		}
+		acked <- ack
+	}()
+	release := gate.awaitPark(t)
+	checkEverySurface(t, ts, "update parked in fsync", before)
+	select {
+	case ack := <-acked:
+		t.Fatalf("update acknowledged (%+v) before its fsync returned", ack)
+	default:
+	}
+	release()
+	if ack := <-acked; ack.Seq != 2 {
+		t.Fatalf("released update acked %+v, want seq 2", ack)
+	}
+	after := replicationView{sum: 12, seq: 2, walEnd: s.walEnd.Load()}
+	if after.walEnd <= before.walEnd {
+		t.Fatalf("published WAL end %d did not move past %d with the commit", after.walEnd, before.walEnd)
+	}
+	checkEverySurface(t, ts, "update acknowledged", after)
+
+	// Compaction: the snapshot is written and the log truncated, and the
+	// truncation's fsync is parked — under the commit mutex alone.
+	gate.before.Store(true)
+	compacted := make(chan error, 1)
+	go func() { compacted <- s.Checkpoint() }()
+	release = gate.awaitPark(t)
+	var q queryResponse
+	if code := get(t, ts, "/query?op=sum", &q); code != http.StatusOK || q.Value != after.sum {
+		t.Fatalf("compaction parked in fsync: GET /query sum %d (status %d), want %d", q.Value, code, after.sum)
+	}
+	release()
+	if err := <-compacted; err != nil {
+		t.Fatal(err)
+	}
+	if gen, end := s.walGen.Load(), s.walEnd.Load(); gen != 2 || end != wal.HeaderSize {
+		t.Fatalf("after compaction: WAL generation %d ending at %d, want generation 2 at the header (%d)", gen, end, wal.HeaderSize)
+	}
 }
 
 // TestIngestSyncCrashAtEveryOffset drives concurrent sync-mode writers
@@ -257,6 +433,87 @@ func TestIngestSyncCrashAtEveryOffset(t *testing.T) {
 		if limit == len(full) && uint64(len(committed)) != maxSeq {
 			t.Fatalf("full-file recovery lost batches: %d of %d", len(committed), maxSeq)
 		}
+	}
+}
+
+// TestIngestCrashBetweenFsyncAndApply crashes in the window the
+// durable-then-apply order opens: the commit's fsync has returned and the
+// write lock has not been taken, so the batch is on disk and in no
+// structure. The disk image of that instant — snapshot plus log tail — must
+// boot to a server that includes the batch: an update is never acknowledged
+// from this window, but recovery may not lose it either, or a crash one
+// instruction later (after the apply) would recover to a different state.
+func TestIngestCrashBetweenFsyncAndApply(t *testing.T) {
+	dir := t.TempDir()
+	gate := newSyncGate()
+	walPath, snapPath := filepath.Join(dir, "updates.wal"), filepath.Join(dir, "cube.snap")
+	s, ts := ingestTestServer(t, dir, func(o *Options) {
+		o.WALOpenFile = gate.open
+		o.SnapshotPath = snapPath
+	})
+	t.Cleanup(func() { ts.Close(); s.Close() })
+
+	// Four batches with a compaction after the second, so the image is a
+	// snapshot at seq 2 and a two-record log before the crashing commit.
+	for i := 0; i < 4; i++ {
+		if code, _ := postUpdates(t, ts, "sync", []jsonUpdate{{Coords: []int{i, i}, Delta: int64(i + 1)}}); code != http.StatusOK {
+			t.Fatalf("batch %d: status %d", i, code)
+		}
+		if i == 1 {
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	gate.after.Store(true)
+	acked := make(chan updateResponse, 1)
+	go func() {
+		_, ack := postUpdates(t, ts, "sync", []jsonUpdate{{Coords: []int{7, 7}, Delta: 100}})
+		acked <- ack
+	}()
+	release := gate.awaitPark(t)
+	if got := s.Seq(); got != 4 {
+		t.Fatalf("seq %d with the commit parked after its fsync, want 4: the batch was applied before it was durable", got)
+	}
+	image := map[string][]byte{}
+	for _, p := range []string{walPath, snapPath} {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		image[filepath.Base(p)] = b
+	}
+	release()
+	if ack := <-acked; ack.Seq != 5 {
+		t.Fatalf("released update acked %+v, want seq 5", ack)
+	}
+
+	dir2 := t.TempDir()
+	for name, b := range image {
+		if err := os.WriteFile(filepath.Join(dir2, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2, err := NewWithOptions(cube.New(cube.NewIntDimension("x", 0, 7), cube.NewIntDimension("y", 0, 7)), Options{
+		BlockSize:    3,
+		Fanout:       3,
+		WALPath:      filepath.Join(dir2, "updates.wal"),
+		SnapshotPath: filepath.Join(dir2, "cube.snap"),
+		CompactEvery: 1 << 30,
+		Logf:         func(string, ...any) {},
+	})
+	if err != nil {
+		t.Fatalf("booting the crash image: %v", err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	t.Cleanup(func() { ts2.Close(); s2.Close() })
+	if got := s2.Seq(); got != 5 {
+		t.Fatalf("crash image recovered to seq %d, want 5: the durable, unapplied batch was not replayed", got)
+	}
+	var q queryResponse
+	if code := get(t, ts2, "/query?op=sum", &q); code != http.StatusOK || q.Value != 1+2+3+4+100 {
+		t.Fatalf("crash image sums to %d (status %d), want %d", q.Value, code, 1+2+3+4+100)
 	}
 }
 

@@ -97,10 +97,11 @@ func (s *Server) attachRemoteShards() {
 // dropped, so the pushed state is already stale by the time it lands.
 // Marking up is therefore gated on s.seq not having moved past the
 // captured sequence — checked under the read lock, which excludes the
-// commit path (it holds the write lock across its whole scatter), so no
-// batch can slip between the check and the MarkUp. A lost race re-captures
-// and re-pushes a few times; if write load keeps winning, the engine stays
-// down and the probe retries next tick.
+// commit path (it bumps seq and scatters inside one write-lock hold; only
+// its WAL append runs outside, and that touches neither), so no batch can
+// slip between the check and the MarkUp. A lost race re-captures and
+// re-pushes a few times; if write load keeps winning, the engine stays down
+// and the probe retries next tick.
 func (s *Server) resyncShard(e *shard.RemoteEngine) error {
 	const attempts = 3
 	var seq uint64
@@ -199,13 +200,40 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 }
 
 // resetState replaces the server's cube state with a replicated snapshot
-// and rebuilds the router over it, all under one write epoch.
+// and rebuilds the router over it, all under one write epoch, then
+// re-anchors local durability on it with only commitMu held.
 // A shape change is only legal while the server is still awaiting its first
 // state (the placeholder cube has no meaning); afterwards the shape is
 // pinned and a mismatched push is rejected. The follower pump also lands
 // here when the leader's WAL generation moved and the follower re-bootstraps
 // from /snapshot.
 func (s *Server) resetState(seq uint64, cells *ndarray.Array[int64]) error {
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
+	if err := s.installState(seq, cells); err != nil {
+		return err
+	}
+	// Everything previously logged or snapshotted locally describes a state
+	// this server no longer holds.
+	if s.wal != nil {
+		if s.opts.SnapshotPath != "" {
+			s.sinceSnap = 1 // force the compaction even if nothing was logged
+			if err := s.compact(); err != nil {
+				s.logf("%v", err)
+			}
+		} else if err := s.wal.Reset(); err != nil {
+			s.logf("server: resetting WAL after state push: %v", err)
+		} else {
+			s.publishWALReset()
+		}
+	}
+	s.awaitingState.Store(false)
+	s.logf("server: installed pushed state: shape %v, seq %d", cells.Shape(), seq)
+	return nil
+}
+
+// installState is resetState's write epoch; the caller holds commitMu.
+func (s *Server) installState(seq uint64, cells *ndarray.Array[int64]) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	shape := cells.Shape()
@@ -238,22 +266,5 @@ func (s *Server) resetState(seq uint64, cells *ndarray.Array[int64]) error {
 	s.cache.Flush()
 	s.seq = seq
 	s.committed.Store(seq)
-
-	// Re-anchor durability on the new state: everything previously logged
-	// or snapshotted locally describes a state this server no longer holds.
-	if s.wal != nil {
-		if s.opts.SnapshotPath != "" {
-			s.sinceSnap = 1 // force the compaction even if nothing was logged
-			if err := s.compactLocked(); err != nil {
-				s.logf("%v", err)
-			}
-		} else if err := s.wal.Reset(); err != nil {
-			s.logf("server: resetting WAL after state push: %v", err)
-		} else {
-			s.bumpWALGen()
-		}
-	}
-	s.awaitingState.Store(false)
-	s.logf("server: installed pushed state: shape %v, seq %d", shape, seq)
 	return nil
 }

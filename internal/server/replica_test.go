@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"rangecube/internal/cube"
 	"rangecube/internal/ingest"
 	"rangecube/internal/ndarray"
+	"rangecube/internal/wal"
 )
 
 // replicaSeedFlag reproduces the randomized replication tests: the fixed
@@ -261,5 +263,93 @@ func TestPickFollowerStalenessGate(t *testing.T) {
 	}
 	if !served {
 		t.Fatal("no follower picked in 200 tries after sync (balancer starved the replicas)")
+	}
+}
+
+// TestFollowerNeverAheadOfLeader stops a commit between its fsync and its
+// apply — first parked right after the fsync, then queued for a write lock
+// this test holds for reading — while the pump's fallback ticker keeps
+// firing. The batch's record is whole and durable on disk, past the end
+// offset the leader has published, and nothing may read it: the in-process
+// follower stays at the leader's committed sequence and a /wal fetch ships
+// the published prefix only. A replica that applied the record would answer
+// a balanced read at seq 2 and the leader the next one at seq 1.
+func TestFollowerNeverAheadOfLeader(t *testing.T) {
+	dir := t.TempDir()
+	gate := newSyncGate()
+	walPath := filepath.Join(dir, "updates.wal")
+	s, err := NewWithOptions(cube.New(cube.NewIntDimension("x", 0, 7), cube.NewIntDimension("y", 0, 5)), Options{
+		BlockSize:    2,
+		Fanout:       2,
+		WALPath:      walPath,
+		WALOpenFile:  gate.open,
+		CompactEvery: 1 << 30,
+		Followers:    1,
+		Logf:         func(string, ...any) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
+	f := s.followers[0].f
+
+	commit := func(x int) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			ack, err := s.SubmitUpdates([]ingest.Update{{Coords: []int{x, 0}, Delta: 1}}, true)
+			if err == nil {
+				err = (<-ack).Err
+			}
+			done <- err
+		}()
+		return done
+	}
+	// fetched GETs /wal and returns the stamped sequence and the batches shipped.
+	fetched := func() (string, int) {
+		t.Helper()
+		resp := fetchWAL(t, ts, "")
+		defer resp.Body.Close()
+		batches, _, err := wal.ScanStream(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /wal: status %d, %v", resp.StatusCode, err)
+		}
+		return resp.Header.Get(hdrSeq), len(batches)
+	}
+	if err := <-commit(0); err != nil {
+		t.Fatal(err)
+	}
+	waitSynced(t, s)
+
+	gate.after.Store(true)
+	done := commit(1)
+	release := gate.awaitPark(t)
+	published := s.walEnd.Load()
+	if info, err := os.Stat(walPath); err != nil || info.Size() <= published {
+		t.Fatalf("record 2 is not on disk past the published end %d (%v): the window under test is not open", published, err)
+	}
+	if seq, n := fetched(); seq != "1" || n != 1 {
+		t.Fatalf("GET /wal between fsync and apply stamped seq %s and shipped %d batches, want seq 1 and 1 batch", seq, n)
+	}
+	// From here the apply waits for this read lock (and new read locks for the
+	// apply, which is why /wal was fetched first); the pump takes neither.
+	s.mu.RLock()
+	release()
+	time.Sleep(3 * replicaPollInterval)
+	applied, committed, end := f.AppliedSeq(), s.committed.Load(), s.walEnd.Load()
+	s.mu.RUnlock()
+	if applied != 1 || committed != 1 || end != published {
+		t.Fatalf("with the apply held back the follower reached seq %d, the leader committed %d and published WAL end %d, want 1, 1 and %d", applied, committed, end, published)
+	}
+
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	waitSynced(t, s)
+	if got := f.AppliedSeq(); got != 2 {
+		t.Fatalf("follower at seq %d once the commit was applied and published, want 2", got)
+	}
+	if seq, n := fetched(); seq != "2" || n != 2 {
+		t.Fatalf("GET /wal after the apply stamped seq %s and shipped %d batches, want seq 2 and 2 batches", seq, n)
 	}
 }

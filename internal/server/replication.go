@@ -50,21 +50,22 @@ func drainBody(resp *http.Response) {
 	resp.Body.Close()
 }
 
-// handleWALFetch streams the WAL's committed prefix from ?from=<offset>.
-// The size and generation are captured under one read epoch — commits hold
-// the write lock through Append, so everything below the captured size is a
-// whole, fsynced record. The stream itself runs unlocked from a private
+// handleWALFetch streams the WAL's applied prefix from ?from=<offset>.
+// The end offset, sequence and generation are captured under one read
+// epoch: a commit publishes walEnd in the write-lock hold that applies its
+// batch, so everything below it is a whole, fsynced record this server
+// already shows — the file may hold one more, durable but unapplied, which
+// must not ship yet. The stream itself runs unlocked from a private
 // file handle; if a compaction truncates the log mid-stream the reader gets
 // a short body, applies the clean prefix, and its next poll turns into a
 // 410 re-bootstrap.
 func (s *Server) handleWALFetch(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	if s.wal == nil {
-		s.mu.RUnlock()
+	if s.opts.WALPath == "" {
 		s.writeError(w, r, http.StatusNotFound, "no write-ahead log configured")
 		return
 	}
-	size := s.wal.Size()
+	s.mu.RLock()
+	size := s.walEnd.Load()
 	seq := s.seq
 	gen := s.walGen.Load()
 	s.mu.RUnlock()
@@ -119,9 +120,9 @@ func (s *Server) handleWALFetch(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSnapshotFetch serves the full cube state as a snapshot, stamped
-// with the WAL generation and size captured in the same read epoch — the
-// exact resume point for a follower that applies this snapshot: every
-// record at or past that offset postdates these cells.
+// with the WAL generation and applied end offset captured in the same read
+// epoch — the exact resume point for a follower that applies this snapshot:
+// every record at or past that offset postdates these cells.
 func (s *Server) handleSnapshotFetch(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	var b bytes.Buffer
@@ -132,10 +133,7 @@ func (s *Server) handleSnapshotFetch(w http.ResponseWriter, r *http.Request) {
 	}
 	seq := s.seq
 	gen := s.walGen.Load()
-	wsize := wal.HeaderSize
-	if s.wal != nil {
-		wsize = s.wal.Size()
-	}
+	wsize := max(s.walEnd.Load(), wal.HeaderSize) // 0 without a WAL
 	s.mu.RUnlock()
 
 	w.Header().Set(hdrWALGen, strconv.FormatUint(gen, 10))
@@ -155,6 +153,8 @@ func (s *Server) handleSnapshotFetch(w http.ResponseWriter, r *http.Request) {
 // pending stream) are idempotent. Durability is the leader's: nothing is
 // re-logged here. Returns how many batches were applied.
 func (s *Server) ApplyReplicated(batches []wal.Batch) int {
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
 	n := 0
 	for _, b := range batches {
 		s.mu.Lock()

@@ -233,11 +233,7 @@ func TestWALFetchGenMismatch(t *testing.T) {
 
 	// Compaction snapshots then truncates the log, superseding every byte
 	// offset a follower holds.
-	s.mu.Lock()
-	s.sinceSnap = 1
-	err := s.compactLocked()
-	s.mu.Unlock()
-	if err != nil {
+	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -354,11 +350,7 @@ func TestJoinLeaderFollowsAndRebootstraps(t *testing.T) {
 
 	// Compact: the follower's byte offset dies with the old log; the pump
 	// must take the 410, re-bootstrap from /snapshot and keep tailing.
-	leader.mu.Lock()
-	leader.sinceSnap = 1
-	err = leader.compactLocked()
-	leader.mu.Unlock()
-	if err != nil {
+	if err := leader.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 9; i < 13; i++ {
@@ -447,11 +439,7 @@ func TestFollowerLagGauges(t *testing.T) {
 
 	// Compact the leader: the follower's byte offset dies with the old log,
 	// the pump re-bootstraps on the 410 and the resync counter must tick.
-	leader.mu.Lock()
-	leader.sinceSnap = 1
-	err = leader.compactLocked()
-	leader.mu.Unlock()
-	if err != nil {
+	if err := leader.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 9; i < 13; i++ {

@@ -263,6 +263,42 @@ func TestWALFailureFailsUpdate(t *testing.T) {
 	if before != after {
 		t.Fatal("non-durable batch leaked into memory")
 	}
+
+	// Remote-shard leader: the scatter starts only once the batch is durable,
+	// so a failed append reaches no shard — there is nothing to compensate
+	// for, and no engine is marked down to force a resync.
+	p0, p1 := startShardProc(t, "127.0.0.1:0"), startShardProc(t, "127.0.0.1:0")
+	t.Cleanup(func() { p0.stop(); p1.stop() })
+	leader, err := NewWithOptions(uniqueCube(7), Options{
+		BlockSize: 5, Fanout: 4,
+		WALPath:    filepath.Join(dir, "leader.wal"),
+		ShardURLs:  []string{"http://" + p0.addr, "http://" + p1.addr},
+		ShardProbe: -1,
+		Logf:       t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lts := httptest.NewServer(leader.Handler())
+	t.Cleanup(func() { lts.Close(); leader.Close() })
+	_, before = getBody(t, lts, "/query?op=sum&age=1..50")
+
+	leader.wal.Close()
+	code, body = postBatch(t, lts, []map[string]any{{"coords": []int{0, 0, 0}, "delta": 1}})
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("leader update on dead WAL: %d %s", code, body)
+	}
+	for i, p := range []*shardProc{p0, p1} {
+		if got := p.s.Seq(); got != 0 {
+			t.Fatalf("shard %d applied %d batches of an update its leader never committed", i, got)
+		}
+	}
+	if h := leader.Health(); len(h.ShardsDown) != 0 || h.Seq != 0 {
+		t.Fatalf("leader after the failed append: %+v, want every shard up at seq 0", h)
+	}
+	if _, after = getBody(t, lts, "/query?op=sum&age=1..50"); before != after {
+		t.Fatalf("non-durable batch leaked into the tier: %s, was %s", after, before)
+	}
 }
 
 // TestSheddingUnderLoad holds a slot with a blocked request and checks the

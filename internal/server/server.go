@@ -283,7 +283,14 @@ type Server struct {
 	opts Options
 	logf func(format string, args ...any)
 
-	mu sync.RWMutex
+	// commitMu serializes everything that changes the cube's cells, seq or
+	// the WAL: commits, compaction, storage recovery, /state installs,
+	// replicated applies and Close. Readers never take it, and all disk I/O
+	// happens under it alone; mu is write-locked only for the in-memory
+	// change a reader could observe (structure apply, a swapped pointer, a
+	// published offset). Lock order: commitMu, then mu — everywhere.
+	commitMu sync.Mutex
+	mu       sync.RWMutex
 
 	cube *cube.Cube
 	// router is the one structure set (see sharding.go): a one-shard map
@@ -310,15 +317,24 @@ type Server struct {
 	// resync probe, WAL-shipping follow pump — that Close stops.
 	tickers []*ticker
 
+	// Once the server is built, wal and seq are written with commitMu and the
+	// write lock both held, so either lock suffices to read them; sinceSnap
+	// belongs to commitMu alone.
 	wal       *wal.Log // nil when WALPath is empty
 	seq       uint64   // sequence number of the last applied batch
 	sinceSnap int      // batches logged since the last snapshot
 
 	// Replication (sharding.go): committed mirrors seq for lock-free
 	// follower-eligibility checks; walGen counts WAL resets/recreations so
-	// followers detect a superseded log (0 when no followers track it).
+	// followers detect a superseded log (0 without a WAL); walEnd is the log
+	// offset below which every record is applied. A record is durable before
+	// it is applied, so the file may run one record past walEnd: replication
+	// readers (GET /wal, the /snapshot stamp, the follower pumps) stop at
+	// walEnd and never ask the file or the Log for a length. All three are
+	// stored inside a write-lock hold, so a read epoch sees them agree.
 	committed atomic.Uint64
 	walGen    atomic.Uint64
+	walEnd    atomic.Int64
 	followers []*replica
 	balance   *balancer
 	pumpStop  chan struct{}
@@ -453,6 +469,7 @@ func NewWithOptions(c *cube.Cube, opts Options) (*Server, error) {
 			return nil, err
 		}
 		s.wal = l
+		s.walEnd.Store(l.Size())
 		l.SetMetrics(&s.met.walMet)
 		// Generation tracking is always on with a WAL: GET /wal hands out a
 		// generation token even when no in-process follower runs, so remote
@@ -576,9 +593,9 @@ func (s *Server) Seq() uint64 {
 // Checkpoint forces a snapshot-and-truncate compaction. It is what the
 // process calls on graceful shutdown so the next boot replays nothing.
 func (s *Server) Checkpoint() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.compactLocked()
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
+	return s.compact()
 }
 
 // Close drains the ingestion pipeline, checkpoints if possible and
@@ -594,40 +611,40 @@ func (s *Server) Close() error {
 	}
 	if s.batcher != nil {
 		// Stop before taking the lock: the drain commits queued groups,
-		// and each commit needs the write lock itself.
+		// and each commit needs the commit mutex itself.
 		s.batcher.Stop()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
 	if s.wal == nil {
 		return nil
 	}
+	// A poisoned log cannot be compacted (Reset fails fast). One last
+	// recovery attempt captures the state in a snapshot and supersedes the
+	// log; if that also fails the state is still durable on the old
+	// committed prefix, so closing is safe, just noisy.
 	var err error
-	if s.wal.Poisoned() != nil {
-		// A poisoned log cannot be compacted (Reset fails fast). One last
-		// recovery attempt captures the state in a snapshot and supersedes
-		// the log; if that also fails the state is still durable on the old
-		// committed prefix, so closing is safe, just noisy.
-		if rerr := s.recoverStorageLocked(); rerr != nil {
-			s.logf("server: shutdown recovery failed, closing degraded: %v", rerr)
-			err = s.wal.Close()
-			s.wal = nil
-			return err
-		}
+	if s.wal.Poisoned() == nil {
+		err = s.compact()
+	} else if rerr := s.recoverStorageLocked(); rerr != nil {
+		s.logf("server: shutdown recovery failed, closing degraded: %v", rerr)
 	}
-	err = s.compactLocked()
 	if cerr := s.wal.Close(); err == nil {
 		err = cerr
 	}
+	s.mu.Lock()
 	s.wal = nil
+	s.mu.Unlock()
 	return err
 }
 
-// compactLocked writes an atomic checksummed snapshot of the current cells
-// and truncates the WAL. Called with the write lock held. A snapshot
-// failure leaves the WAL intact: the state is still durable, just longer to
-// replay.
-func (s *Server) compactLocked() error {
+// compact writes an atomic checksummed snapshot of the current cells and
+// truncates the WAL. The caller holds commitMu and not the write lock: no
+// writer can run, so the cells and seq are stable while queries keep
+// reading them, and the write lock is taken only to publish the truncation.
+// A snapshot failure leaves the WAL intact: the state is still durable, just
+// longer to replay.
+func (s *Server) compact() error {
 	if s.wal == nil || s.opts.SnapshotPath == "" {
 		return nil
 	}
@@ -647,7 +664,7 @@ func (s *Server) compactLocked() error {
 	}
 	// Replicas tailing the old log must re-anchor on the snapshot just
 	// written — their byte offsets no longer mean anything.
-	s.bumpWALGen()
+	s.publishWALReset()
 	s.met.compactions.Inc()
 	s.sinceSnap = 0
 	s.logf("server: snapshot %s at seq %d, WAL truncated", s.opts.SnapshotPath, s.seq)
@@ -849,7 +866,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Only an AcceptState server (shard process, joined follower) parses
 	// under the read epoch: its /state push may swap the cube. Every other
 	// server's cube is immutable, so parsing stays off the write-preferring
-	// lock and never queues behind a commit's fsync.
+	// lock and never queues behind a commit's apply.
 	if s.opts.AcceptState {
 		s.mu.RLock()
 	}

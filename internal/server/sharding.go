@@ -9,6 +9,7 @@ import (
 	"rangecube/internal/planner"
 	"rangecube/internal/shard"
 	"rangecube/internal/telemetry"
+	"rangecube/internal/wal"
 )
 
 // The serving tier. The leader's query structures are always a shard.Router
@@ -152,7 +153,7 @@ func (s *Server) initSharding() error {
 		if m.Shards() == 1 {
 			base = base.Clone()
 		}
-		f, err := shard.NewFollower(i, base, s.seq, 1, s.wal.Size(),
+		f, err := shard.NewFollower(i, base, s.seq, 1, s.walEnd.Load(),
 			m, s.opts.BlockSize, s.opts.Fanout, s.opts.SumEngine)
 		if err != nil {
 			return err
@@ -218,7 +219,10 @@ func (s *Server) pumpLoop(r *replica) {
 
 // syncFollower advances one replica: re-bootstrap from the snapshot if the
 // WAL generation moved (the log it was tailing was superseded by compaction
-// or degraded-mode recovery), then apply the log's new committed prefix.
+// or degraded-mode recovery), then apply the log's new committed prefix up
+// to walEnd — the file itself may already hold the record of a commit that
+// is durable but not yet applied here, and a replica ahead of its leader
+// would break monotonic reads across balanced requests.
 // The generation is re-checked after the scan: a reset that raced it could
 // have let the scan resume mid-file in a regrown log, so the replica
 // rebuilds from the snapshot — which, being always written before the log
@@ -231,7 +235,7 @@ func (s *Server) syncFollower(r *replica) {
 			return
 		}
 	}
-	if _, err := r.f.CatchUp(s.opts.WALPath); err != nil {
+	if _, err := r.f.CatchUp(s.opts.WALPath, s.walEnd.Load()); err != nil {
 		s.logf("server: follower %d catch-up: %v", r.f.ID(), err)
 		// wal.ErrTruncated (and any transient read failure) falls through to
 		// the generation re-check below or the next tick.
@@ -241,7 +245,7 @@ func (s *Server) syncFollower(r *replica) {
 			s.logf("server: follower %d reboot: %v", r.f.ID(), err)
 			return
 		}
-		if _, err := r.f.CatchUp(s.opts.WALPath); err != nil {
+		if _, err := r.f.CatchUp(s.opts.WALPath, s.walEnd.Load()); err != nil {
 			s.logf("server: follower %d catch-up: %v", r.f.ID(), err)
 		}
 	}
@@ -269,13 +273,15 @@ func (s *Server) rebootFollower(f *shard.Follower, gen uint64) error {
 	return f.Rebase(a, seq, gen, 0)
 }
 
-// bumpWALGen records that the WAL was reset or recreated: replicas must not
-// trust their byte offsets into it anymore. Called with the write lock held,
-// after the snapshot that supersedes the old log contents is durable.
-func (s *Server) bumpWALGen() {
-	if s.walGen.Load() == 0 {
-		return // no followers: generations are not tracked
-	}
+// publishWALReset records that the WAL was truncated or recreated: replicas
+// must not trust their byte offsets into it anymore. The caller holds
+// commitMu, and the snapshot that supersedes the old log contents is
+// durable. The new (generation, end) pair is stored under the write lock so
+// no read epoch pairs one log's offset with the other's generation.
+func (s *Server) publishWALReset() {
+	s.mu.Lock()
+	s.walEnd.Store(wal.HeaderSize)
 	s.walGen.Add(1)
+	s.mu.Unlock()
 	s.notifyFollowers()
 }

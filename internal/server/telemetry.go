@@ -45,6 +45,7 @@ type serverMetrics struct {
 	updateCells   *telemetry.Counter
 	compactions   *telemetry.Counter
 	snapshotNanos *telemetry.Histogram // compaction snapshot write latency
+	writeLockHold *telemetry.Histogram // per commit: how long readers were excluded
 	walMet        wal.Metrics
 
 	// Ingestion pipeline: the batcher records its own series through
@@ -122,6 +123,8 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 		"Snapshot-then-truncate compactions completed.")
 	m.snapshotNanos = reg.Histogram("cube_snapshot_seconds",
 		"Latency of writing one compaction snapshot.", 1e-9)
+	m.writeLockHold = reg.Histogram("cube_write_lock_hold_seconds",
+		"Time one commit held the write lock, readers excluded: shard scatter and structure apply, never the WAL append or fsync.", 1e-9)
 
 	// Ingestion pipeline. cube_ingest_batch_updates doubles as the fsync
 	// amortization distribution: with a WAL attached every flushed group

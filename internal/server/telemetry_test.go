@@ -160,6 +160,7 @@ func testMetricsEndToEnd(t *testing.T, engine string) {
 		{"cube_wal_append_bytes_total", "", 1},
 		{"cube_update_batches_total", "", 1},
 		{"cube_update_cells_total", "", 1},
+		{"cube_write_lock_hold_seconds_count", "", 1}, // one observation per commit
 		{"cube_batch_queries_count", "", 1},
 		{"cube_batch_item_errors_sum", "", 1}, // the bogus op failed its slot
 		{"cube_server_seq", "", 1},
@@ -175,6 +176,11 @@ func testMetricsEndToEnd(t *testing.T, engine string) {
 	// The WAL fsync histogram must report real time: a positive sum.
 	if sum := seriesValue(body, "cube_wal_fsync_seconds_sum", ""); sum <= 0 {
 		t.Errorf("cube_wal_fsync_seconds_sum = %v, want > 0", sum)
+	}
+	// Exactly one observation for the one commit: the commit side records its
+	// own hold, the eight reads above recorded nothing.
+	if n := seriesValue(body, "cube_write_lock_hold_seconds_count", ""); n != 1 {
+		t.Errorf("cube_write_lock_hold_seconds_count = %v after one commit, want 1", n)
 	}
 	// The cached answers must not have fed the cost histograms: 5 identical
 	// sum queries = 1 evaluation.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 	"sync"
@@ -78,7 +79,7 @@ func OpenFollower(id int, snapPath, walPath string, shape []int, m Map, blockSiz
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.CatchUp(walPath); err != nil {
+	if _, err := f.CatchUp(walPath, math.MaxInt64); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -181,13 +182,17 @@ func (f *Follower) ApplyBatches(batches []wal.Batch) int {
 }
 
 // CatchUp scans the WAL's committed prefix from the replica's resume
-// offset and applies what it finds, advancing the offset to the new end of
-// prefix. A torn or in-flight tail ends the scan silently (the next call
-// resumes at the boundary); wal.ErrTruncated means the log was reset under
-// the replica and the caller must Rebase from the snapshot. The underlying
-// handle persists across calls (see Tailer); an error drops it so the next
-// call reopens fresh.
-func (f *Follower) CatchUp(walPath string) (int, error) {
+// offset up to byte offset end and applies what it finds, advancing the
+// offset to the new end of prefix. end is the log end the leader has
+// published: a record is durable before the leader applies it, and a replica
+// that read past the published end would serve a state the leader does not
+// yet show (math.MaxInt64 when no live leader owns the log). A torn or
+// in-flight tail ends the scan silently (the next call resumes at the
+// boundary); wal.ErrTruncated means the log was reset under the replica and
+// the caller must Rebase from the snapshot. The underlying handle persists
+// across calls (see Tailer); an error drops it so the next call reopens
+// fresh.
+func (f *Follower) CatchUp(walPath string, end int64) (int, error) {
 	f.tailMu.Lock()
 	defer f.tailMu.Unlock()
 	if f.tail != nil && (f.tailPath != walPath || f.tail.Offset() != f.Offset()) {
@@ -200,7 +205,7 @@ func (f *Follower) CatchUp(walPath string) (int, error) {
 		}
 		f.tail, f.tailPath = t, walPath
 	}
-	batches, err := f.tail.Next()
+	batches, err := f.tail.Next(end)
 	if err != nil {
 		f.dropTailLocked()
 		return 0, err

@@ -183,15 +183,21 @@ func TestFollowerIncrementalTail(t *testing.T) {
 		mirror.Set(mirror.At(coords...)+d, coords...)
 	}
 	append1(1)
-	if n, err := f.CatchUp(walPath); err != nil || n != 1 {
+	if n, err := f.CatchUp(walPath, l.Size()); err != nil || n != 1 {
 		t.Fatalf("first catch-up applied %d (%v), want 1", n, err)
 	}
+	// A record the leader has made durable but not yet published is on disk
+	// past the published end: the replica must not read it.
+	published := l.Size()
 	append1(2)
+	if n, err := f.CatchUp(walPath, published); err != nil || n != 0 || f.Offset() != published {
+		t.Fatalf("catch-up bounded below record 2 applied %d (%v) and parked at %d, want 0 at %d", n, err, f.Offset(), published)
+	}
 	append1(3)
-	if n, err := f.CatchUp(walPath); err != nil || n != 2 {
+	if n, err := f.CatchUp(walPath, l.Size()); err != nil || n != 2 {
 		t.Fatalf("second catch-up applied %d (%v), want 2", n, err)
 	}
-	if n, err := f.CatchUp(walPath); err != nil || n != 0 {
+	if n, err := f.CatchUp(walPath, l.Size()); err != nil || n != 0 {
 		t.Fatalf("synced catch-up applied %d (%v), want 0", n, err)
 	}
 	if f.AppliedSeq() != 3 || f.Offset() != l.Size() {
@@ -231,7 +237,7 @@ func TestFollowerRebaseAfterReset(t *testing.T) {
 	}
 	apply(1, 0, 0, 5)
 	apply(2, 3, 3, 7)
-	if _, err := f.CatchUp(walPath); err != nil {
+	if _, err := f.CatchUp(walPath, l.Size()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -244,7 +250,7 @@ func TestFollowerRebaseAfterReset(t *testing.T) {
 	}
 	apply(3, 1, 2, -4)
 
-	if _, err := f.CatchUp(walPath); !errors.Is(err, wal.ErrTruncated) {
+	if _, err := f.CatchUp(walPath, l.Size()); !errors.Is(err, wal.ErrTruncated) {
 		t.Fatalf("catch-up across a reset returned %v, want wal.ErrTruncated", err)
 	}
 	a, seq, err := LoadSnapshot(snapPath, shape)
@@ -254,7 +260,7 @@ func TestFollowerRebaseAfterReset(t *testing.T) {
 	if err := f.Rebase(a, seq, 2, 0); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := f.CatchUp(walPath); err != nil || n != 1 {
+	if n, err := f.CatchUp(walPath, l.Size()); err != nil || n != 1 {
 		t.Fatalf("post-rebase catch-up applied %d (%v), want 1", n, err)
 	}
 	if f.Gen() != 2 || f.AppliedSeq() != 3 {

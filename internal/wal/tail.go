@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 )
 
@@ -34,7 +35,7 @@ func ScanFrom(path string, off int64) (batches []Batch, next int64, err error) {
 		return nil, off, err
 	}
 	defer t.Close()
-	batches, err = t.Next()
+	batches, err = t.Next(math.MaxInt64)
 	return batches, t.Offset(), err
 }
 
@@ -80,24 +81,29 @@ func (t *Tailer) Offset() int64 { return t.off }
 
 // Next scans the log's committed prefix from the current offset, returning
 // the newly visible batches and advancing the offset to the prefix's new
-// end. A log that has not grown returns (nil, nil) after a single fstat; a
-// log shorter than the offset returns ErrTruncated and the caller must
-// re-bootstrap (the offset is no longer a record boundary).
-func (t *Tailer) Next() ([]Batch, error) {
+// end. It never reads at or past byte offset end: a durable record is on disk
+// before its owner has applied it, so an owner that applies after the fsync
+// passes the end offset it has published and the reader cannot run ahead of
+// it (math.MaxInt64 reads whatever the file holds). A log that has not grown
+// returns (nil, nil) after a single fstat; a log shorter than the offset
+// returns ErrTruncated and the caller must re-bootstrap (the offset is no
+// longer a record boundary).
+func (t *Tailer) Next(end int64) ([]Batch, error) {
 	info, err := t.f.Stat()
 	if err != nil {
 		return nil, err
 	}
-	if info.Size() < t.off {
-		return nil, fmt.Errorf("wal: %s is %d bytes, resume offset %d: %w", t.f.Name(), info.Size(), t.off, ErrTruncated)
+	end = min(end, info.Size())
+	if end < t.off {
+		return nil, fmt.Errorf("wal: %s ends at %d bytes, resume offset %d: %w", t.f.Name(), end, t.off, ErrTruncated)
 	}
-	if info.Size() == t.off {
+	if end == t.off {
 		return nil, nil
 	}
 	if _, err := t.f.Seek(t.off, io.SeekStart); err != nil {
 		return nil, err
 	}
-	batches, n, err := scanRecords(t.f)
+	batches, n, err := scanRecords(io.LimitReader(t.f, end-t.off))
 	t.off += n
 	return batches, err
 }

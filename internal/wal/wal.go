@@ -289,7 +289,11 @@ func osOpen(path string) (File, error) {
 	return os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 }
 
-// Log is an open write-ahead log file positioned for appends.
+// Log is an open write-ahead log file positioned for appends. It is not
+// safe for concurrent use: every method but LastAppendNano runs under the
+// owner's commit serialization (the server's commit mutex, which readers
+// never take — so a reader wanting the log's length asks the owner for the
+// end offset it has published, never Size).
 type Log struct {
 	f       File
 	path    string
@@ -300,9 +304,7 @@ type Log struct {
 	// Atomic, unlike every other field: telemetry gauges poll it without
 	// the owner's commit serialization.
 	lastAppend atomic.Int64
-	// poisoned is the fault that disabled appends, nil while healthy. Reads
-	// and writes happen under the owner's commit serialization (the server's
-	// write lock), like every other Log field.
+	// poisoned is the fault that disabled appends, nil while healthy.
 	poisoned error
 }
 
