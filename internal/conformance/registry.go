@@ -144,7 +144,8 @@ func serverSum(name string, batch bool, tune func(*server.Options)) SumFactory {
 }
 
 // DefaultMaxEngines returns the max-side registry: §6 max trees at two
-// fanouts and the MIN twin.
+// fanouts and the MIN twin, then the same trees behind the shard router, in
+// process and across HTTP.
 func DefaultMaxEngines() []MaxFactory {
 	mk := func(name string, build func(a *ndarray.Array[int64]) MaxEngine) MaxFactory {
 		return MaxFactory{Name: name, New: func(_ Env, a *ndarray.Array[int64]) (MaxEngine, error) {
@@ -162,6 +163,14 @@ func DefaultMaxEngines() []MaxFactory {
 		}},
 		{Name: "sharded-min/3", New: func(_ Env, a *ndarray.Array[int64]) (MaxEngine, error) {
 			return newShardedMax(a, 3, true)
+		}},
+		// Extremes over the wire: the leader folds two HTTP shard servers'
+		// answers to its scatter frames, and Checkpoint crash-recovers it alone.
+		{Name: "remote-shard-max/2", New: func(env Env, a *ndarray.Array[int64]) (MaxEngine, error) {
+			return newRemoteShardMax(env, a, 2, false)
+		}},
+		{Name: "remote-shard-min/2", New: func(env Env, a *ndarray.Array[int64]) (MaxEngine, error) {
+			return newRemoteShardMax(env, a, 2, true)
 		}},
 	}
 }

@@ -44,10 +44,16 @@ func Run(sc *Scenario, opts Options) (*Failure, error) {
 	var sums []SumEngine
 	var maxes []MaxEngine
 	defer func() {
-		for _, e := range sums {
+		closeIf := func(e any) {
 			if c, ok := e.(Closer); ok {
 				c.Close()
 			}
+		}
+		for _, e := range sums {
+			closeIf(e)
+		}
+		for _, e := range maxes {
+			closeIf(e)
 		}
 	}()
 	for _, f := range opts.Sum {
@@ -181,6 +187,24 @@ func Run(sc *Scenario, opts Options) (*Failure, error) {
 				}
 				if got != want {
 					return fail(e.Name(), "checkpoint", got, want, "whole-cube sum after recovery"), nil
+				}
+			}
+			for _, e := range maxes {
+				cp, ok := e.(Checkpointer)
+				if !ok {
+					continue
+				}
+				if err := cp.Checkpoint(); err != nil {
+					return fail(e.Name(), "checkpoint", 0, 0, err.Error()), nil
+				}
+				want, _ := oracle.Max(sc.Bounds())
+				if e.IsMin() {
+					want, _ = oracle.Min(sc.Bounds())
+				}
+				if got, _, err := e.Extreme(sc.Bounds()); err != nil {
+					return fail(e.Name(), "error", 0, want, err.Error()), nil
+				} else if got != want {
+					return fail(e.Name(), "checkpoint", got, want, "whole-cube extreme after recovery"), nil
 				}
 			}
 		}

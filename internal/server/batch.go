@@ -19,16 +19,10 @@ import (
 // batchQuery is one element of a POST /query/batch request body (a JSON
 // array). Select maps dimension names to the same selector grammar as the
 // GET /query parameters: "lo..hi", "*", or a single value. Op defaults to
-// "sum". Exact (op=sum only) skips the §11 interval estimate and reports
-// the exact sum as its own [v, v] bounds — about a fifth of a batched
-// sum's evaluation cost when the caller has no use for the estimate. The
-// leader's shard scatter sets it: a healthy shard's exact sub-sum is
-// already the tightest possible bound on its slab's contribution, so the
-// partial-failure envelope gets tighter, not looser.
+// "sum".
 type batchQuery struct {
 	Op     string            `json:"op"`
 	Select map[string]string `json:"select"`
-	Exact  bool              `json:"exact,omitempty"`
 }
 
 // batchResult is one element of the response array, in request order:
@@ -51,17 +45,17 @@ var errInternal = errors.New("internal error")
 type batchSlot struct {
 	op     string
 	region ndarray.Region
-	exact  bool
 }
 
 // evalSlots is the one read path: every GET /query (a batch of one) and every
 // POST /query/batch lands here with its parsed slots, and here alone it is
 // decided who answers — a caught-up follower's pinned view, the remote
-// tier's lock-free seqlock scatter, or the leader's router under the read
-// lock (one epoch for the whole batch, whatever updates are racing it).
-// Answers land in results; an item whose evaluation panicked fails only its
-// own slot. The returned error fails the whole request: a cancellation, a
-// deadline or a down shard abandoned the remaining answers mid-flight.
+// tier's lock-free seqlock scatter (every slot that touches a shard), or the
+// leader's router under the read lock (one epoch for the whole batch,
+// whatever updates are racing it). Answers land in results; an item whose
+// evaluation panicked fails only its own slot. The returned error fails the
+// whole request: a cancellation, a deadline or a down shard abandoned the
+// remaining answers mid-flight.
 func (s *Server) evalSlots(ctx context.Context, slots []batchSlot, results []batchResult) error {
 	// Volume drives the pool's work estimate, so point lookups stay inline
 	// while big scans fan out.
@@ -86,14 +80,16 @@ func (s *Server) evalSlots(ctx context.Context, slots []batchSlot, results []bat
 		release()
 		rep.batches.Inc()
 	} else {
-		// The remote scatter runs before the read lock is taken: it holds no
-		// leader state, and a read lock pinned across its network round trips
-		// would make every commit wait out the slowest gather before it could
-		// apply (the lock is write-preferring, so every later read would queue
-		// behind that commit in turn). Consistency comes from the scatter
-		// seqlock instead — see evalRemoteSums.
+		// The remote scatter runs before the read lock is taken, and takes
+		// every slot that needs a shard: it holds no leader state, and a read
+		// lock pinned across its network round trips would make every commit
+		// wait out the slowest shard before it could apply (the lock is
+		// write-preferring, so every later read would queue behind that commit
+		// in turn). Consistency comes from the scatter seqlock instead — see
+		// evalRemote. What is left for the lock (counts, empty regions) reaches
+		// no shard.
 		if s.remoteEngines != nil {
-			live -= s.evalRemoteSums(ctx, slots, results)
+			live -= s.evalRemote(ctx, slots, results)
 		}
 		if live > 0 {
 			s.mu.RLock()
@@ -133,16 +129,7 @@ func (s *Server) runSlots(ctx context.Context, rt *shard.Router, cached bool, sl
 
 // runSlot evaluates one slot into res.
 func (s *Server) runSlot(ctx context.Context, rt *shard.Router, cached bool, q batchSlot, res *batchResult) {
-	// A panic on a pool goroutine would kill the process (the recovered
-	// middleware only guards the handler goroutine), so evaluation failures
-	// degrade to an item error.
-	defer func() {
-		if p := recover(); p != nil {
-			s.met.panics.Inc()
-			s.logf("server: query (%s over %v) rid=%s panicked: %v", q.op, q.region, RequestIDFrom(ctx), p)
-			res.err = errInternal
-		}
-	}()
+	defer s.isolatePanic(ctx, q.op, q.region, &res.err)
 	// One child span per evaluated item: evalSlot publishes the §8 cost
 	// counters into it, so a slow batch's trace shows which item paid. There
 	// is none (and no name to build) unless the request's trace is being
@@ -161,6 +148,18 @@ func (s *Server) runSlot(ctx context.Context, rt *shard.Router, cached bool, q b
 	}
 	sp.End()
 	res.Result = &resp
+}
+
+// isolatePanic, deferred around one item's evaluation, turns a panic into
+// that item's errInternal: a panic on a pool goroutine would kill the process
+// (the recovered middleware only guards the handler goroutine), so evaluation
+// failures degrade to an item error.
+func (s *Server) isolatePanic(ctx context.Context, op string, region ndarray.Region, err *error) {
+	if p := recover(); p != nil {
+		s.met.panics.Inc()
+		s.logf("server: query (%s over %v) rid=%s panicked: %v", op, region, RequestIDFrom(ctx), p)
+		*err = errInternal
+	}
 }
 
 // handleQueryBatch parses a JSON array of range queries and evaluates them
@@ -225,7 +224,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		s.qlog.Add(region)
-		slots[i] = batchSlot{op: op, region: region, exact: q.Exact && op == "sum"}
+		slots[i] = batchSlot{op: op, region: region}
 	}
 	if s.opts.AcceptState {
 		s.mu.RUnlock()
@@ -243,8 +242,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.batchItemErrs.Observe(itemErrs)
 	// A typed envelope, not map[string]any: the batch response is encoded on
-	// every request (twice per query in the multi-process tier — shard to
-	// leader, leader to client), and map encoding sorts keys reflectively.
+	// every request, and map encoding sorts keys reflectively.
 	s.writeJSON(w, r, http.StatusOK, batchEnvelope{Count: len(items), Results: results})
 }
 
@@ -254,14 +252,13 @@ type batchEnvelope struct {
 	Results []batchResult `json:"results"`
 }
 
-// evalRemoteSums pre-answers every op=sum slot through the router's batched
-// scatter when the shard tier is remote: all of the batch's sum sub-queries
-// reach each shard process as one POST /query/batch instead of one GET
-// /query per item, which is what keeps the multi-process tier's batch
-// throughput within sight of the in-process tier's. Answered (or failed)
-// slots are cleared so runSlots skips them; their count is returned. The
-// result cache is bypassed both ways — partial answers must never be cached,
-// and the batched scatter is already the cheap path.
+// evalRemote answers, when the shard tier is remote, every slot that touches a
+// shard — sum, avg, max and min over a non-empty region — through one
+// Router.Answer: each shard process gets one scatter frame for the whole
+// client batch, whatever the ops, instead of an exchange per item. Answered
+// (or failed) slots are cleared so runSlots skips them; their count is
+// returned. The result cache is bypassed both ways — partial answers must
+// never be cached, and the batched scatter is already the cheap path.
 //
 // The call runs without the leader's read lock. Cross-shard snapshot
 // consistency is validated optimistically against the commit path's scatter
@@ -269,26 +266,26 @@ type batchEnvelope struct {
 // in which the shards disagree) is retried, one that lands between scatters
 // saw every shard at the same group-commit boundary. After a few torn
 // attempts under sustained write pressure the last answer is kept — each
-// shard is internally consistent, so the worst case is a sum reflecting a
+// shard is internally consistent, so the worst case is an answer reflecting a
 // prefix of one racing group, never garbage.
-func (s *Server) evalRemoteSums(ctx context.Context, slots []batchSlot, results []batchResult) int {
-	var idx []int
-	var regs []ndarray.Region
+func (s *Server) evalRemote(ctx context.Context, slots []batchSlot, results []batchResult) int {
+	idx := make([]int, 0, len(slots))
+	qs := make([]shard.Query, 0, len(slots))
 	for i := range slots {
-		if slots[i].op == "sum" && slots[i].region != nil && slots[i].region.Volume() > 0 {
+		if rop, ok := routerOp(slots[i].op); ok && slots[i].region != nil && slots[i].region.Volume() > 0 {
 			idx = append(idx, i)
-			regs = append(regs, slots[i].region)
+			qs = append(qs, shard.Query{Op: rop, Region: slots[i].region})
 		}
 	}
-	if len(regs) == 0 {
+	if len(qs) == 0 {
 		return 0
 	}
-	store := make([]metrics.Counter, len(regs))
-	counters := make([]*metrics.Counter, len(regs))
+	store := make([]metrics.Counter, len(qs))
+	counters := make([]*metrics.Counter, len(qs))
 	for k := range counters {
 		counters[k] = &store[k]
 	}
-	var rs []shard.SumResult
+	var as []shard.Answer
 	var err error
 	const maxTorn = 4
 	for attempt := 0; ; attempt++ {
@@ -299,7 +296,7 @@ func (s *Server) evalRemoteSums(ctx context.Context, slots []batchSlot, results 
 		// (the window is the /update round trips alone: the commit's fsync
 		// is over before its scatter starts).
 		e0 := s.awaitScatterQuiesce(ctx)
-		rs, err = s.router.SumFullBatch(ctx, regs, counters)
+		as, err = s.router.Answer(ctx, qs, counters)
 		if err != nil {
 			break
 		}
@@ -317,18 +314,19 @@ func (s *Server) evalRemoteSums(ctx context.Context, slots []batchSlot, results 
 		}
 	}
 	for k, i := range idx {
-		vol := slots[i].region.Volume()
+		resp := queryResponse{Op: slots[i].op, Volume: slots[i].region.Volume(), Accesses: store[k].Total()}
 		slots[i].region = nil
-		if err != nil {
-			// The scatter failed as a whole (cancellation, or a shard error
-			// with no partial form); its slots fail like any abandoned
-			// evaluation.
-			results[i].err = err
+		// A scatter that failed as a whole (cancellation, a shard error that is
+		// not absence) fails every slot like any abandoned evaluation; a down
+		// shard fails only the slots with no partial form.
+		if results[i].err = err; err == nil {
+			results[i].err = as[k].Err
+		}
+		if results[i].err != nil {
 			continue
 		}
-		resp := queryResponse{Op: "sum", Volume: vol, Accesses: store[k].Total()}
-		resp.setSum(rs[k])
-		store[k].Publish(s.met.costObs["sum"])
+		s.setAnswer(&resp, as[k])
+		store[k].Publish(s.met.costObs[resp.Op])
 		results[i].Result = &resp
 	}
 	return len(idx)

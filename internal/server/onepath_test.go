@@ -150,6 +150,20 @@ func TestQueryIsBatchOfOne(t *testing.T) {
 			if cfg.opts.ShardURLs == nil {
 				return
 			}
+			// What the leader asked over the wire is visible on each shard where
+			// an operator looks: the scatter frames under their own path label,
+			// and the per-op cost series counting the items they carried.
+			for i, p := range []*shardProc{p0, p1, p2} {
+				rec := httptest.NewRecorder()
+				p.s.Metrics().Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+				body := rec.Body.String()
+				if seriesValue(body, "cube_http_requests_total", `path="/shard/query"`) == 0 || strings.Contains(body, `path="other"`) {
+					t.Fatalf("shard %d does not count its scatter frames under their own path label", i)
+				}
+				if seriesValue(body, "cube_query_cost_cells_count", `op="max",engine="maxtree"`) == 0 {
+					t.Fatalf("shard %d's max cost series did not count the frames' max items", i)
+				}
+			}
 			// Take the last slab's shard away: both routes must degrade the
 			// same sum to the same partial envelope, containing the oracle.
 			p2.stop()

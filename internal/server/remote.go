@@ -7,19 +7,23 @@ import (
 	"io"
 	"net/http"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"rangecube/internal/client"
 	"rangecube/internal/cube"
 	"rangecube/internal/ndarray"
+	"rangecube/internal/parallel"
 	"rangecube/internal/persist"
 	"rangecube/internal/shard"
+	"rangecube/internal/wal"
 )
 
 // The remote shard tier: Options.ShardURLs turns the leader's router into a
 // fleet of RemoteEngines, each speaking the Engine contract to a cubeserver
-// shard process over its ordinary HTTP surface. The leader's cube and WAL
+// shard process: reads as scatter frames on POST /shard/query, writes on the
+// ordinary POST /update, state on POST /state. The leader's cube and WAL
 // stay authoritative — shard processes hold derived state the leader can
 // regenerate at any time, which is what makes partial failure survivable:
 // a shard that dies loses nothing, it just stops answering until the resync
@@ -170,6 +174,94 @@ func (s *Server) resyncDownShards() {
 		if err := s.resyncShard(e); err != nil {
 			s.logf("server: shard %d resync failed: %v", e.Shard(), err)
 		}
+	}
+}
+
+// frameBufs recycles the buffer a scatter frame is read into and its answer
+// is then built in; decoded items hold no reference into it.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// handleShardQuery answers one scatter frame (shard/frame.go): every
+// sub-query a leader's client batch has for this shard, whatever the ops.
+// The frame is nothing but Router.Answer serialised — each item runs through
+// this server's own router on the worker pool, under one read epoch, feeds
+// the per-op §8 cost observers like any query, and a panic fails its item
+// alone. The decoder has bounded count, dimensionality and body before
+// anything was allocated; whether a range fits the cube is checked here,
+// inside the epoch that evaluates it, because a /state push may swap the cube.
+func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
+	if s.awaitingState.Load() {
+		s.writeAwaiting(w, r)
+		return
+	}
+	// The leader always declares the frame's length, so the body is bounded
+	// before a byte of it is buffered.
+	if r.ContentLength < 0 || r.ContentLength > s.opts.MaxUpdateBytes {
+		s.met.tooLarge.Inc()
+		s.writeError(w, r, http.StatusRequestEntityTooLarge, "scatter frame of %d bytes (at most %d, length required)", r.ContentLength, s.opts.MaxUpdateBytes)
+		return
+	}
+	bufP := frameBufs.Get().(*[]byte)
+	defer frameBufs.Put(bufP)
+	buf := slices.Grow((*bufP)[:0], int(r.ContentLength))[:r.ContentLength]
+	*bufP = buf
+	_, err := io.ReadFull(r.Body, buf)
+	var items []shard.Item
+	if err == nil {
+		var payload []byte
+		if payload, err = wal.OpenRecord(buf); err == nil {
+			items, err = shard.DecodeQueries(payload, s.opts.MaxBatchQueries)
+		}
+	}
+	if err != nil {
+		s.writeError(w, r, http.StatusBadRequest, "scatter frame: %v", err)
+		return
+	}
+	ctx := r.Context()
+	s.mu.RLock()
+	shape, work := s.cube.Shape(), len(items)
+	for i := range items {
+		it := &items[i]
+		if len(it.Local) != len(shape) {
+			it.Err = fmt.Errorf("%d-dimensional region over a %d-dimensional slab", len(it.Local), len(shape))
+		}
+		for j := 0; it.Err == nil && j < len(shape); j++ {
+			if it.Local[j].Hi >= shape[j] {
+				it.Err = fmt.Errorf("range %v outside dimension %d of slab %v", it.Local[j], j, shape)
+			}
+		}
+		work += it.Local.Volume()
+	}
+	parallel.For(len(items), work, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			if items[i].Err == nil {
+				s.answerItem(ctx, &items[i])
+			}
+		}
+	})
+	s.mu.RUnlock()
+	if err := ctx.Err(); err != nil {
+		s.writeCtxError(w, r, err)
+		return
+	}
+	out, err := wal.SealRecord(shard.AppendAnswers(buf[:wal.FrameSize], items))
+	if err != nil {
+		s.writeError(w, r, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	*bufP = out // keeps an array the answer has grown
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Write(out)
+}
+
+// answerItem evaluates one item of a scatter frame against the router. The
+// caller holds the read lock.
+func (s *Server) answerItem(ctx context.Context, it *shard.Item) {
+	defer s.isolatePanic(ctx, it.Op.String(), it.Local, &it.Err)
+	a, err := s.router.AnswerOne(ctx, shard.Query{Op: it.Op, Region: it.Local}, &it.Cost)
+	if it.Err = err; err == nil {
+		it.Value, it.At = a.Value, a.At
+		it.Cost.Publish(s.met.costObs[it.Op.String()])
 	}
 }
 

@@ -11,6 +11,8 @@
 //	POST /query/batch                 JSON array of {op, select}, answered
 //	                                  concurrently under one read epoch
 //	POST /update                      JSON batch of {coords, delta}
+//	POST /shard/query                 internal: a leader's binary scatter
+//	                                  frame of sub-queries (remote.go)
 //	GET  /advise?space=100000         §9 planner choices for the query log
 //
 // Selector syntax per dimension: name=value, name=lo..hi, name=*
@@ -89,10 +91,10 @@ type Options struct {
 	// that stays unreachable degrades sums to partial answers with §11
 	// bounds covering the absent slab; other ops fail with 503.
 	ShardURLs []string
-	// ShardTimeout bounds each remote sub-query or scatter round trip,
-	// hedge included. 0 means 2s.
+	// ShardTimeout bounds each remote read or scatter round trip, hedge
+	// included. 0 means 2s.
 	ShardTimeout time.Duration
-	// ShardHedgeAfter is how long a remote sub-query may stall before one
+	// ShardHedgeAfter is how long a remote read may stall before one
 	// hedged duplicate is launched (first answer wins). 0 means 100ms;
 	// negative disables hedging. Only idempotent reads hedge — update
 	// scatters are sent at most once and resolve failure via resync.
@@ -305,8 +307,8 @@ type Server struct {
 	// scatterSeq is a seqlock around the commit path's remote scatter: odd
 	// while a batch's deltas are propagating to the shard processes (the
 	// shards are heterogeneous), even once every shard has applied them.
-	// Batched remote reads run lock-free and validate against it instead of
-	// holding the read lock across network round trips (batch.go).
+	// Remote reads run lock-free and validate against it instead of holding
+	// the read lock across network round trips (batch.go).
 	scatterSeq atomic.Uint64
 
 	// awaitingState gates serving until the first /state push installs real
@@ -681,6 +683,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /schema", s.handleSchema)
 	mux.Handle("GET /query", s.limited(s.deadlined(http.HandlerFunc(s.handleQuery))))
 	mux.Handle("POST /query/batch", s.limited(s.deadlined(http.HandlerFunc(s.handleQueryBatch))))
+	// The tier's internal read RPC (remote.go): a leader's scatter frame.
+	mux.Handle("POST /shard/query", s.limited(s.deadlined(http.HandlerFunc(s.handleShardQuery))))
 	// Updates pass admission control too — an update flood must shed at the
 	// same MaxInflight cap as queries, not bypass it — but take no deadline:
 	// once a batch is WAL-logged it must finish applying, never abandon
@@ -891,23 +895,56 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, http.StatusOK, results[0].Result)
 }
 
+// routerOp maps a public op onto the router's: op=sum is the sum with §11
+// bounds and the partial envelope, op=avg an exact sum divided by the volume.
+// ok is false for count, which the region's geometry answers alone.
+func routerOp(op string) (rop shard.Op, ok bool) {
+	switch op {
+	case "sum":
+		return shard.OpSumFull, true
+	case "avg":
+		return shard.OpSum, true
+	case "max":
+		return shard.OpMax, true
+	case "min":
+		return shard.OpMin, true
+	}
+	return 0, false
+}
+
+// setAnswer shapes the router's answer to resp.Op into the public response.
+func (s *Server) setAnswer(resp *queryResponse, a shard.Answer) {
+	switch resp.Op {
+	case "sum":
+		resp.setSum(a.SumResult)
+	case "avg":
+		if resp.Volume > 0 {
+			resp.Average = float64(a.Value) / float64(resp.Volume)
+		}
+		resp.Value = a.Value
+	default: // max, min
+		if a.At == nil {
+			resp.Empty = true
+			break
+		}
+		resp.Value = a.Value
+		resp.At = make([]string, len(a.At))
+		for i, rank := range a.At {
+			resp.At[i] = fmt.Sprintf("%s=%s", s.cube.Dimension(i).Name(), s.cube.Dimension(i).ValueAt(rank))
+		}
+	}
+}
+
 // evalSlot answers one validated query against rt — the leader's router or a
 // follower replica's. The caller pins rt's epoch (the server's read lock, or
 // the follower's view) for the duration; cached, set only under the read
 // lock, serves and fills the result cache, which is what makes reading s.seq
-// and publishing against it race-free. q.exact (op=sum only, from the batch
-// API) skips the §11 interval estimate and reports the exact sum as its own
-// [v, v] bounds. A non-nil error is a cancellation, a deadline or a down
-// shard.
+// and publishing against it race-free. A non-nil error is a cancellation, a
+// deadline or a down shard.
 func (s *Server) evalSlot(ctx context.Context, rt *shard.Router, cached bool, q batchSlot) (queryResponse, error) {
 	var key string
 	if cached && s.cache != nil {
 		key = cacheKey(q.op, q.region)
-		if q.exact {
-			// Exact answers carry [v, v] bounds; an interval answer for the same
-			// region must never be served in their place (or vice versa).
-			key = "x\x00" + key
-		}
 		if resp, ok := s.cache.Get(key, s.seq); ok {
 			resp.Cached = true
 			resp.Accesses = 0
@@ -921,49 +958,16 @@ func (s *Server) evalSlot(ctx context.Context, rt *shard.Router, cached bool, q 
 	// into the encoder. (The HTTP selector grammar cannot express an empty
 	// region today; this guards direct callers and future grammars.)
 	resp.Empty = resp.Volume == 0
-	switch q.op {
-	case "sum":
-		if q.exact {
-			v, err := rt.Sum(ctx, q.region, &c)
-			if err != nil {
-				return resp, err
-			}
-			resp.setSum(shard.SumResult{Value: v, Lo: v, Hi: v})
-			break
-		}
-		// One gather answers the sum, its §11 bounds and the partial-failure
-		// envelope together — for remote shards that is one round trip per
-		// sub-query instead of two.
-		res, err := rt.SumFull(ctx, q.region, &c)
-		if err != nil {
-			return resp, err
-		}
-		resp.setSum(res)
-	case "count":
+	if rop, ok := routerOp(q.op); !ok {
 		resp.Value = int64(resp.Volume)
-	case "avg":
-		sum, err := rt.Sum(ctx, q.region, &c)
+	} else {
+		// One scatter answers the query whole — a sum with its §11 bounds and
+		// the partial-failure envelope together.
+		a, err := rt.AnswerOne(ctx, shard.Query{Op: rop, Region: q.region}, &c)
 		if err != nil {
 			return resp, err
 		}
-		if resp.Volume > 0 {
-			resp.Average = float64(sum) / float64(resp.Volume)
-		}
-		resp.Value = sum
-	case "max", "min":
-		coords, v, ok, err := rt.Extreme(ctx, q.region, q.op == "min", &c)
-		if err != nil {
-			return resp, err
-		}
-		if !ok {
-			resp.Empty = true
-			break
-		}
-		resp.Value = v
-		resp.At = make([]string, len(coords))
-		for i, rank := range coords {
-			resp.At[i] = fmt.Sprintf("%s=%s", s.cube.Dimension(i).Name(), s.cube.Dimension(i).ValueAt(rank))
-		}
+		s.setAnswer(&resp, a)
 	}
 	resp.Accesses = c.Total()
 	// Bridge the paper's per-query cost counter into the live §8 histograms;

@@ -424,7 +424,7 @@ func engineLabel(rt *shard.Router, sumEngine, op string) string {
 // label stays low-cardinality no matter what clients probe for.
 func pathLabel(p string) string {
 	switch p {
-	case "/schema", "/query", "/query/batch", "/update", "/advise", "/metrics",
+	case "/schema", "/query", "/query/batch", "/shard/query", "/update", "/advise", "/metrics",
 		"/healthz", "/readyz", "/wal", "/snapshot", "/state", "/debug/traces":
 		return p
 	}

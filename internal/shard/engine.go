@@ -19,24 +19,16 @@ import (
 // bounds covering the absent slab, instead of failing the query.
 var ErrShardDown = errors.New("shard: shard unavailable")
 
-// Engine is one shard's serving surface as the router sees it: range sums
-// (with the §11 bounds in the same call, so a remote shard costs one round
-// trip), range extremes, and scattered update batches. All regions and
-// coordinates are in the shard's local (slab) frame; the router owns the
-// translation. Two implementations exist: localEngine (the paper's
-// structures over one slab, in process) and RemoteEngine (the same contract
-// spoken over the HTTP query surface to a cubeserver process).
+// Engine is one shard's serving surface as the router sees it: one batched
+// read and scattered update batches. All regions and coordinates are in the
+// shard's local (slab) frame; the router owns the translation. Two
+// implementations exist: localEngine (the paper's structures over one slab,
+// in process) and RemoteEngine (the same contract spoken to a cubeserver
+// process, the read as one binary scatter frame).
 type Engine interface {
-	// SumWithBounds answers the range sum and its §11 [lo, hi] bounds
-	// together — the exact value plus the bounds a blocked index derives
-	// without boundary scans.
-	SumWithBounds(ctx context.Context, r ndarray.Region, c *metrics.Counter) (val, lo, hi int64, err error)
-	// Sum answers the range sum alone.
-	Sum(ctx context.Context, r ndarray.Region, c *metrics.Counter) (int64, error)
-	// Extreme answers a range max (min=false) or min (min=true), reporting
-	// the winning cell in local coordinates; ok=false means the region is
-	// empty.
-	Extreme(ctx context.Context, r ndarray.Region, min bool, c *metrics.Counter) (local []int, v int64, ok bool, err error)
+	// Answer evaluates items — every sub-query one scatter has for this shard,
+	// whatever their ops — in place. An error fails them all.
+	Answer(ctx context.Context, items []Item) error
 	// Apply commits one scattered update batch (local coordinates). The
 	// caller serializes Apply against queries.
 	Apply(ctx context.Context, ups []batchsum.IntUpdate) error
@@ -47,6 +39,41 @@ type Engine interface {
 	CellBounds() (lo, hi int64)
 }
 
+// Op is one read operation. OpSum, OpMax and OpMin are what a shard is asked;
+// OpSumFull is the router's: an OpSum that also reports §11 bounds and, with
+// shards down, degrades to a partial answer instead of failing.
+type Op uint8
+
+const (
+	OpSum Op = iota
+	OpMax
+	OpMin
+	OpSumFull
+)
+
+// String names the op as the public API and the cost series do.
+func (op Op) String() string { return [...]string{"sum", "max", "min", "sum"}[op] }
+
+// Item is one shard-local sub-query and, once its engine has answered, the
+// answer — what a scatter frame carries per item in each direction.
+type Item struct {
+	Op    Op
+	Local ndarray.Region // in the shard's slab frame
+	// Value is the sum or the extreme. [Lo, Hi] bound a sum: the §11 estimate
+	// for OpSumFull on an in-process engine, [Value, Value] everywhere else.
+	Value, Lo, Hi int64
+	// At is an extreme's cell in local coordinates; nil for a region holding
+	// no cell, and for sums.
+	At []int
+	// Cost is the §8 access cost of the answer.
+	Cost metrics.Counter
+	// Err is the answering shard's refusal of this item: it travels as the
+	// status byte, and DecodeAnswers fails on it.
+	Err error
+
+	query int // the query of the batch this item was cut from
+}
+
 // localEngine is the repository's one set of serving structures, built over
 // one slab of the logical cube (the whole cube when the map has one shard).
 // It builds what answers and nothing else; in bytes per cell:
@@ -55,8 +82,7 @@ type Engine interface {
 //	sum    8            the §3 array P, only when it answers Sum ("prefixsum")
 //	blk    8/b^d        the §4 blocked index, under both engines: it answers
 //	                    Sum under "blocked", supplies the §11 lo/hi of every
-//	                    SumWithBounds (a leader's RemoteEngine reads them off
-//	                    its shard servers) and its §5.2 apply writes cells
+//	                    SumWithBounds and its §5.2 apply writes cells
 //	max    ≈16/(f^d−1)  the §6 max tree
 //	min    ≈16/(f^d−1)  the §6 min tree
 //
@@ -96,6 +122,26 @@ func ValueBounds(a *ndarray.Array[int64]) (lo, hi int64) {
 		}
 	}
 	return lo, hi
+}
+
+// Answer runs each item against the structure its op names.
+func (e *localEngine) Answer(ctx context.Context, items []Item) (err error) {
+	for k := range items {
+		it := &items[k]
+		switch it.Op {
+		case OpSumFull:
+			it.Value, it.Lo, it.Hi, err = e.SumWithBounds(ctx, it.Local, &it.Cost)
+		case OpSum:
+			it.Value, err = e.Sum(ctx, it.Local, &it.Cost)
+			it.Lo, it.Hi = it.Value, it.Value
+		default:
+			it.At, it.Value, _, err = e.Extreme(ctx, it.Local, it.Op == OpMin, &it.Cost)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (e *localEngine) Sum(ctx context.Context, r ndarray.Region, c *metrics.Counter) (int64, error) {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,12 +18,13 @@ import (
 	"rangecube/internal/metrics"
 	"rangecube/internal/ndarray"
 	"rangecube/internal/trace"
+	"rangecube/internal/wal"
 )
 
 // RemoteStats aggregates the remote tier's failure handling across all of a
 // router's engines, for the cube_shard_remote_* telemetry series.
 type RemoteStats struct {
-	// Errors counts sub-queries and scatters that exhausted their retries
+	// Errors counts reads and scatters that exhausted their retries
 	// and hedge against a shard (each one marks the shard down).
 	Errors atomic.Uint64
 	// Hedges counts hedged duplicate requests launched after a primary
@@ -35,10 +35,10 @@ type RemoteStats struct {
 }
 
 // RemoteOptions tunes one RemoteEngine. The zero value is usable: 2s
-// per-sub-query deadline, one hedged retry after 100ms, a fresh retrying
+// per-exchange deadline, one hedged retry after 100ms, a fresh retrying
 // client over the default transport.
 type RemoteOptions struct {
-	// Timeout bounds each sub-query or scatter round trip (including the
+	// Timeout bounds each read or scatter round trip (including the
 	// retrying client's attempts and the hedge). 0 means 2s.
 	Timeout time.Duration
 	// HedgeAfter is how long the primary request may stall before one
@@ -65,12 +65,11 @@ type RemoteOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// RemoteEngine speaks the Engine contract to a cubeserver shard process
-// over its existing HTTP surface: sums and extremes through GET /query
-// (whose op=sum response carries the §11 bounds, so SumWithBounds is one
-// round trip), scatters through POST /update. The shard process serves its
-// slab as a cube with canonical integer dimensions d0..dk (value == rank),
-// so local-frame regions translate directly to selector parameters.
+// RemoteEngine speaks the Engine contract to a cubeserver shard process in
+// two RPCs: Answer is one binary scatter frame (frame.go) on POST
+// /shard/query, whatever the ops it carries, and Apply is the JSON POST
+// /update every writer uses. The shard process serves its slab as a cube in
+// the slab's own frame, so local regions and coordinates travel as they are.
 //
 // Partial-failure handling lives here: every round trip gets a per-shard
 // deadline, reads get one hedged retry (updates are never hedged or
@@ -191,158 +190,61 @@ func (e *RemoteEngine) CellBounds() (int64, int64) {
 	return e.cellLo, e.cellHi
 }
 
-// queryURL renders a local-frame region as /query selector parameters on
-// the shard's canonical d0..dk integer dimensions.
-func (e *RemoteEngine) queryURL(op string, r ndarray.Region) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s/query?op=%s", e.base, url.QueryEscape(op))
-	for j, rng := range r {
-		fmt.Fprintf(&b, "&d%d=%d..%d", j, rng.Lo, rng.Hi)
+// Answer asks the shard every item in one exchange: one deadline, one hedge
+// and one down-marking for the lot. A frame the shard refuses (4xx) or an
+// answer that does not decode — an item it rejected, a version it does not
+// speak — is a permanent error: the shard is up, so it is neither hedged nor
+// marked down.
+func (e *RemoteEngine) Answer(ctx context.Context, items []Item) error {
+	if len(items) == 0 {
+		return nil
 	}
-	return b.String()
-}
-
-// remoteAnswer is the subset of the shard's /query response the router
-// consumes.
-type remoteAnswer struct {
-	Value    int64    `json:"value"`
-	At       []string `json:"at"`
-	Empty    bool     `json:"empty"`
-	LowerBnd *int64   `json:"lower_bound"`
-	UpperBnd *int64   `json:"upper_bound"`
-	Accesses int64    `json:"accesses"`
-}
-
-func (e *RemoteEngine) query(ctx context.Context, op string, r ndarray.Region, c *metrics.Counter) (remoteAnswer, error) {
-	var ans remoteAnswer
-	data, err := e.roundTrip(ctx, http.MethodGet, e.queryURL(op, r), nil, true)
+	// The request buffer is not pooled: a hedged duplicate may still be
+	// sending it after the exchange has resolved.
+	size := wal.FrameSize + frameHeader + len(items)*querySize(len(items[0].Local))
+	req, err := wal.SealRecord(AppendQueries(make([]byte, wal.FrameSize, size), items))
 	if err != nil {
-		return ans, err
+		return err
 	}
-	if err := json.Unmarshal(data, &ans); err != nil {
-		return ans, fmt.Errorf("decoding shard answer: %w", err)
+	data, err := e.roundTrip(ctx, e.base+"/shard/query", req, len(items), true)
+	if err != nil {
+		return err
 	}
-	// The shard's reported cost folds into the gather's counter as
-	// auxiliary accesses: the leader did not touch those cells itself, but
-	// the work was done on the query's behalf.
-	c.AddAux(ans.Accesses)
-	return ans, nil
+	payload, err := wal.OpenRecord(data)
+	if err == nil {
+		err = DecodeAnswers(payload, items)
+	}
+	if err != nil {
+		return fmt.Errorf("shard %d answer: %w", e.shard, err)
+	}
+	return nil
 }
 
-// SumBatchFull answers many local-frame sum sub-queries against the shard
-// in one POST /query/batch exchange — the transport that keeps a client
-// batch's fan-out at one round trip per shard instead of one per item.
-// cs[k] (nillable) receives item k's reported access cost as auxiliary
-// work. The whole exchange shares one deadline, hedge and down-marking,
-// exactly like a single query.
+// SumPart is one sub-query's answer from SumBatchFull: the exact sub-sum and
+// its bounds.
+type SumPart struct {
+	Value, Lo, Hi int64
+}
+
+// SumBatchFull answers many local-frame sums in one Answer exchange; cs[k]
+// (nillable, may be short) receives item k's reported cost. The benchmark's
+// ladder times and meters the wire through it.
 func (e *RemoteEngine) SumBatchFull(ctx context.Context, regions []ndarray.Region, cs []*metrics.Counter) ([]SumPart, error) {
-	// Hand-rolled encoding: the scatter is the leader's hottest write of
-	// leader-generated content (canonical d0..dk names, integer ranks), and
-	// reflection-based marshalling of per-item maps is measurable CPU on the
-	// batch path. The grammar is the same one queryURL renders.
-	body := make([]byte, 0, 8+48*len(regions))
-	body = append(body, '[')
+	items := make([]Item, len(regions))
 	for k, r := range regions {
-		if k > 0 {
-			body = append(body, ',')
-		}
-		// exact: the shard's §11 interval estimate is dead weight here — a
-		// healthy shard's exact sub-sum is already the tightest bound on its
-		// slab's contribution, and the estimate is a fifth of a batched sum's
-		// cost on the shard.
-		body = append(body, `{"op":"sum","exact":true,"select":{`...)
-		for j, rng := range r {
-			if j > 0 {
-				body = append(body, ',')
-			}
-			body = append(body, `"d`...)
-			body = strconv.AppendInt(body, int64(j), 10)
-			body = append(body, `":"`...)
-			body = strconv.AppendInt(body, int64(rng.Lo), 10)
-			body = append(body, `..`...)
-			body = strconv.AppendInt(body, int64(rng.Hi), 10)
-			body = append(body, '"')
-		}
-		body = append(body, `}}`...)
+		items[k] = Item{Op: OpSum, Local: r}
 	}
-	body = append(body, ']')
-	data, err := e.roundTrip(ctx, http.MethodPost, e.base+"/query/batch", body, true)
-	if err != nil {
+	if err := e.Answer(ctx, items); err != nil {
 		return nil, err
 	}
-	var out struct {
-		Results []struct {
-			Result *remoteAnswer `json:"result"`
-			Error  string        `json:"error"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("decoding shard batch answer: %w", err)
-	}
-	if len(out.Results) != len(regions) {
-		return nil, fmt.Errorf("shard %d answered %d of %d batched sums", e.shard, len(out.Results), len(regions))
-	}
-	parts := make([]SumPart, len(regions))
-	for k, r := range out.Results {
-		// The selectors are leader-generated; an item error means a real
-		// disagreement about the slab, not client input to isolate.
-		if r.Error != "" || r.Result == nil {
-			return nil, fmt.Errorf("shard %d batched sum %d failed: %s", e.shard, k, r.Error)
-		}
-		if r.Result.LowerBnd == nil || r.Result.UpperBnd == nil {
-			return nil, fmt.Errorf("shard %d batched sum %d missing bounds", e.shard, k)
-		}
-		parts[k] = SumPart{Value: r.Result.Value, Lo: *r.Result.LowerBnd, Hi: *r.Result.UpperBnd}
+	parts := make([]SumPart, len(items))
+	for k := range items {
+		parts[k] = SumPart{Value: items[k].Value, Lo: items[k].Lo, Hi: items[k].Hi}
 		if k < len(cs) {
-			cs[k].AddAux(r.Result.Accesses)
+			cs[k].Merge(&items[k].Cost)
 		}
 	}
 	return parts, nil
-}
-
-func (e *RemoteEngine) SumWithBounds(ctx context.Context, r ndarray.Region, c *metrics.Counter) (int64, int64, int64, error) {
-	ans, err := e.query(ctx, "sum", r, c)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if ans.LowerBnd == nil || ans.UpperBnd == nil {
-		return 0, 0, 0, fmt.Errorf("shard answer missing sum bounds")
-	}
-	return ans.Value, *ans.LowerBnd, *ans.UpperBnd, nil
-}
-
-func (e *RemoteEngine) Sum(ctx context.Context, r ndarray.Region, c *metrics.Counter) (int64, error) {
-	ans, err := e.query(ctx, "sum", r, c)
-	return ans.Value, err
-}
-
-func (e *RemoteEngine) Extreme(ctx context.Context, r ndarray.Region, min bool, c *metrics.Counter) ([]int, int64, bool, error) {
-	op := "max"
-	if min {
-		op = "min"
-	}
-	ans, err := e.query(ctx, op, r, c)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	if ans.Empty {
-		return nil, 0, false, nil
-	}
-	local := make([]int, len(ans.At))
-	for j, at := range ans.At {
-		// The shard's dimensions are canonical integers (value == rank), so
-		// "d3=17" parses directly back to local coordinate 17.
-		_, val, ok := strings.Cut(at, "=")
-		if !ok {
-			return nil, 0, false, fmt.Errorf("malformed shard extreme position %q", at)
-		}
-		x, err := strconv.Atoi(val)
-		if err != nil {
-			return nil, 0, false, fmt.Errorf("malformed shard extreme position %q: %v", at, err)
-		}
-		local[j] = x
-	}
-	return local, ans.Value, true, nil
 }
 
 // Apply scatters one local-frame update batch to the shard process. The
@@ -381,7 +283,7 @@ func (e *RemoteEngine) Apply(ctx context.Context, ups []batchsum.IntUpdate) erro
 	if err != nil {
 		return err
 	}
-	_, err = e.roundTrip(ctx, http.MethodPost, e.base+"/update?durability=sync", body, false)
+	_, err = e.roundTrip(ctx, e.base+"/update?durability=sync", body, len(ups), false)
 	return err
 }
 
@@ -391,22 +293,26 @@ type permanentError struct{ msg string }
 
 func (e *permanentError) Error() string { return e.msg }
 
-// roundTrip performs one logical request against the shard with the
-// partial-failure machinery: fail fast when down, a per-shard deadline, one
-// hedged duplicate after the hedge delay (first success wins, the child
-// context cancels the loser), and a down-marking on exhaustion.
+// roundTrip performs one logical POST of body, carrying items sub-queries or
+// deltas, against the shard with the partial-failure machinery: fail fast
+// when down, a per-shard deadline, one hedged duplicate after the hedge delay
+// (first success wins, the child context cancels the loser), and a
+// down-marking on exhaustion.
 //
 // idempotent=false (update scatters) disables the hedge and routes through
 // the non-retrying write client: the shard cannot dedupe a duplicate delta
 // batch, so the batch is sent at most once per transport exchange and a
 // failure is resolved by down-marking + resync, never by a blind re-send.
-func (e *RemoteEngine) roundTrip(ctx context.Context, method, u string, body []byte, idempotent bool) ([]byte, error) {
+func (e *RemoteEngine) roundTrip(ctx context.Context, u string, body []byte, items int, idempotent bool) ([]byte, error) {
 	name := "shard.query"
 	if !idempotent {
 		name = "shard.scatter"
 	}
 	sp := trace.FromContext(ctx).Child(name)
 	sp.SetShard(e.shard)
+	if sp != nil {
+		sp.Set("items", strconv.Itoa(items))
+	}
 	defer sp.End()
 	if e.down.Load() {
 		sp.SetError("fast fail: shard marked down")
@@ -425,7 +331,7 @@ func (e *RemoteEngine) roundTrip(ctx context.Context, method, u string, body []b
 	}
 	ch := make(chan result, 2)
 	attempt := func(actx context.Context) {
-		data, err := e.once(actx, cl, method, u, body)
+		data, err := e.once(actx, cl, u, body)
 		ch <- result{data, err}
 	}
 	go attempt(rctx)
@@ -485,8 +391,8 @@ func (e *RemoteEngine) roundTrip(ctx context.Context, method, u string, body []b
 // once is a single client exchange through cl (the retrying read client or
 // the non-retrying write client); the response body is fully read so the
 // connection returns to the keep-alive pool.
-func (e *RemoteEngine) once(ctx context.Context, cl *client.Client, method, u string, body []byte) ([]byte, error) {
-	resp, err := cl.Do(ctx, method, u, body)
+func (e *RemoteEngine) once(ctx context.Context, cl *client.Client, u string, body []byte) ([]byte, error) {
+	resp, err := cl.Do(ctx, http.MethodPost, u, body)
 	if err != nil {
 		return nil, err
 	}
@@ -499,7 +405,7 @@ func (e *RemoteEngine) once(ctx context.Context, cl *client.Client, method, u st
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		msg := fmt.Sprintf("shard %d: %s %s: %s: %s", e.shard, method, u, resp.Status, firstLine(data))
+		msg := fmt.Sprintf("shard %d: POST %s: %s: %s", e.shard, u, resp.Status, firstLine(data))
 		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
 			return nil, &permanentError{msg: msg}
 		}

@@ -11,6 +11,7 @@ import (
 
 	"rangecube/internal/core/batchsum"
 	"rangecube/internal/ndarray"
+	"rangecube/internal/wal"
 )
 
 // The hedge must fire for idempotent reads and must NOT fire for update
@@ -19,21 +20,25 @@ import (
 // diverge the shard from the leader.
 func TestUpdateScatterNeverHedges(t *testing.T) {
 	var gets, posts atomic.Int64
+	answer, err := wal.SealRecord(AppendAnswers(make([]byte, wal.FrameSize), []Item{{Local: ndarray.Region{{Lo: 0, Hi: 3}}, Value: 5}}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// Count arrivals before the stall: a canceled hedge loser still
 		// arrived, and the assertion is about what was *sent*. The stall
 		// outlasts the hedge delay so a hedged duplicate, if armed, always
 		// launches before the primary answers.
 		switch r.URL.Path {
-		case "/query":
+		case "/shard/query":
 			gets.Add(1)
 		case "/update":
 			posts.Add(1)
 		}
 		time.Sleep(60 * time.Millisecond)
 		switch r.URL.Path {
-		case "/query":
-			w.Write([]byte(`{"value":5,"lower_bound":5,"upper_bound":5,"accesses":1}`))
+		case "/shard/query":
+			w.Write(answer)
 		case "/update":
 			w.Write([]byte(`{}`))
 		default:
@@ -49,8 +54,8 @@ func TestUpdateScatterNeverHedges(t *testing.T) {
 	})
 	r := ndarray.Region{{Lo: 0, Hi: 3}}
 
-	if _, _, _, err := e.SumWithBounds(context.Background(), r, nil); err != nil {
-		t.Fatal(err)
+	if parts, err := e.SumBatchFull(context.Background(), []ndarray.Region{r}, nil); err != nil || parts[0] != (SumPart{5, 5, 5}) {
+		t.Fatalf("stalled read answered %v, %v", parts, err)
 	}
 	if got := gets.Load(); got < 2 {
 		t.Fatalf("stalled read saw %d requests, want >= 2 (hedge must fire)", got)

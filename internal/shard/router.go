@@ -32,10 +32,11 @@ type PointDelta struct {
 // Shards are Engines: in-process structures over a slab, or remote
 // cubeserver processes spoken to over HTTP. A one-shard map is the unsharded
 // server: its single engine serves the caller's array in place, and every
-// gather is one sub-query run on the calling goroutine. A remote shard that
-// is down degrades sums to partial answers (SumFull) with the §11 bounds
-// machinery covering the absent slabs; every other operation fails with an
-// error naming the shard.
+// scatter is a call on the calling goroutine. A remote shard that is down
+// degrades sums to partial answers (OpSumFull) with the §11 bounds machinery
+// covering the absent slabs; every other operation fails with an error naming
+// the shard. Answer is the one read path; AnswerOne, Sum, SumFull and Extreme
+// are single-query calls of it.
 //
 // The router performs no locking: callers serialize queries against updates
 // (the server holds its RWMutex, a follower its own).
@@ -55,11 +56,7 @@ type Router struct {
 	remote *RemoteStats
 
 	// netIO marks a router whose engines block on network round trips
-	// (NewRouterEngines). Scatters and gathers then get a goroutine per
-	// shard so the round trips overlap; an all-local router keeps its
-	// sub-queries on the shared worker pool instead — they are
-	// microsecond-scale structure walks, and paying goroutine and context
-	// churn per query is measurable against them.
+	// (NewRouterEngines); fanOut picks its concurrency by it.
 	netIO bool
 }
 
@@ -154,96 +151,10 @@ func (rt *Router) Map() Map { return rt.m }
 // Shards returns the number of engine shards.
 func (rt *Router) Shards() int { return len(rt.shards) }
 
-// gather runs one body per sub-query concurrently and folds the per-shard
-// counters into c in sub-query order (deterministic totals, like every
-// parallel kernel in this repository). Errors are wrapped with the failing
-// shard's index. Remote sub-queries share one cancelable child context: the
-// first failure cancels the siblings, so a shard that fails fast never
-// leaves the others holding sockets to completion.
-func (rt *Router) gather(ctx context.Context, r ndarray.Region, c *metrics.Counter,
-	body func(ctx context.Context, sub SubQuery, c *metrics.Counter) error) ([]SubQuery, error) {
-	subs := rt.m.Decompose(r)
-	if len(subs) == 0 {
-		return nil, nil
-	}
-	rt.queries.Add(1)
-	rt.subqueries.Add(uint64(len(subs)))
-	// The per-request record (access log, request span) sees the true shard
-	// fan-out this query decomposed into.
-	trace.StatsFrom(ctx).AddFanout(len(subs))
-	errs := make([]error, len(subs))
-	switch {
-	case len(subs) == 1:
-		errs[0] = body(ctx, subs[0], c)
-	case !rt.netIO:
-		// In-process engines: each sub-query is a microsecond-scale
-		// structure walk, so the gather runs on the shared worker pool under
-		// its work estimate — small gathers stay inline on the calling
-		// goroutine rather than paying goroutine and cancel-context churn
-		// per query. Errors here are only context expiry, so there is
-		// nothing to cancel early either.
-		counters := make([]metrics.Counter, len(subs))
-		work := 0
-		for _, s := range subs {
-			work += s.Local.Volume()
-		}
-		parallel.For(len(subs), work, func(lo, hi, _ int) {
-			for i := lo; i < hi; i++ {
-				errs[i] = body(ctx, subs[i], &counters[i])
-			}
-		})
-		for i := range counters {
-			c.Merge(&counters[i])
-		}
-	default:
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		counters := make([]metrics.Counter, len(subs))
-		var wg sync.WaitGroup
-		for i := range subs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				// pprof labels on the scatter goroutines: a CPU or goroutine
-				// profile of a stalled gather shows which shard it is waiting
-				// on, without any tracing enabled.
-				pprof.Do(ctx, pprof.Labels("cube_op", "gather", "cube_shard", strconv.Itoa(subs[i].Shard)), func(ctx context.Context) {
-					if errs[i] = body(ctx, subs[i], &counters[i]); errs[i] != nil {
-						cancel()
-					}
-				})
-			}(i)
-		}
-		wg.Wait()
-		for i := range counters {
-			c.Merge(&counters[i])
-		}
-	}
-	for i, e := range errs {
-		if e != nil {
-			return subs, fmt.Errorf("shard %d: %w", subs[i].Shard, e)
-		}
-	}
-	return subs, nil
-}
-
-// Sum answers a range sum over the logical cube: the split-additive merge
-// of the per-shard sub-range sums. An empty region sums to 0.
-func (rt *Router) Sum(ctx context.Context, r ndarray.Region, c *metrics.Counter) (int64, error) {
-	partial := make([]int64, len(rt.shards))
-	_, err := rt.gather(ctx, r, c, func(ctx context.Context, sub SubQuery, c *metrics.Counter) error {
-		v, err := rt.shards[sub.Shard].Sum(ctx, sub.Local, c)
-		partial[sub.Shard] = v
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, v := range partial {
-		total += v
-	}
-	return total, nil
+// Query is one read of the logical cube.
+type Query struct {
+	Op     Op
+	Region ndarray.Region
 }
 
 // SumResult is a range sum with its §11 bounds and, when shards were
@@ -262,108 +173,57 @@ type SumResult struct {
 // Partial reports whether the answer is missing any slab.
 func (r SumResult) Partial() bool { return len(r.Missing) > 0 }
 
-// SumFull answers a range sum, its §11 bounds, and — when remote shards are
-// down — the partial-answer degradation in one gather: SumFullBatch of the
-// one region.
-func (rt *Router) SumFull(ctx context.Context, r ndarray.Region, c *metrics.Counter) (SumResult, error) {
-	rs, err := rt.SumFullBatch(ctx, []ndarray.Region{r}, []*metrics.Counter{c})
-	if err != nil {
-		return SumResult{}, err
-	}
-	return rs[0], nil
+// Answer is one query's merged result: a sum fills the SumResult, an extreme
+// Value and At.
+type Answer struct {
+	SumResult
+	// At is the extreme's cell in logical-cube coordinates; nil for a region
+	// holding no cell, and for sums.
+	At []int
+	// Err fails this query alone: a shard it needs is down and its op has no
+	// partial form (every op but OpSumFull).
+	Err error
 }
 
-// SumPart is one sub-query's batched answer: the exact sub-sum and its §11
-// bounds over one shard-local region.
-type SumPart struct {
-	Value, Lo, Hi int64
-}
-
-// batchFullSummer is the optional Engine fast path for batched sums: all of
-// one scatter's sub-queries against a shard answered in a single exchange.
-// RemoteEngine implements it with one POST /query/batch round trip.
-type batchFullSummer interface {
-	SumBatchFull(ctx context.Context, regions []ndarray.Region, cs []*metrics.Counter) ([]SumPart, error)
-}
-
-// SumFullBatch answers many range sums in one scatter: each reachable shard
-// contributes its exact sub-sums and their §11 bounds, each unreachable slab
-// contributes [V·cellLo, V·cellHi] to the bounds and is listed in Missing.
-// Every region's sub-queries are grouped by shard so each shard is consulted
-// once — for a remote shard that is one batched round trip for the whole
-// client batch instead of one per item, which is what keeps the
-// multi-process tier's batch throughput within sight of the in-process
-// tier's. cs[qi] (nillable entries) receives region qi's access cost, merged
-// in sub-query order.
-func (rt *Router) SumFullBatch(ctx context.Context, regions []ndarray.Region, cs []*metrics.Counter) ([]SumResult, error) {
-	// Sub-queries are grouped by shard as they are cut, each remembering its
-	// region: a region's sub-queries ascend by shard, so walking the groups
-	// in shard order below merges every region in sub-query order.
-	groups := make([][]subRef, len(rt.shards))
-	total, work, busy, last := 0, 0, 0, 0
-	for qi, r := range regions {
-		for _, sub := range rt.m.Decompose(r) {
-			if len(groups[sub.Shard]) == 0 {
-				busy, last = busy+1, sub.Shard
+// Answer is the router's one read path: a batch of queries, whatever their
+// ops, answered with one consultation of each shard that holds a piece of any
+// of them — for a remote shard one exchange per client batch, not one per
+// item. Every region is cut along the slab map and the pieces are grouped by
+// shard as they are cut; a region's pieces ascend by shard, so walking the
+// groups in shard order merges every query in sub-query order. Sums merge by
+// split-additivity; extremes fold with strict improvement, the first-wins
+// tie-break a single tree's descent uses, so the reported cell is
+// deterministic. A down shard degrades an OpSumFull (its slab contributes
+// [V·cellLo, V·cellHi] to the bounds and is listed in Missing) and fails every
+// other op that needs it, in that query's Err. cs[qi] (nillable entries)
+// receives query qi's access cost. The returned error fails the whole batch:
+// the caller's context ended, or a shard failed in a way that is not absence.
+func (rt *Router) Answer(ctx context.Context, qs []Query, cs []*metrics.Counter) ([]Answer, error) {
+	groups := make([][]Item, len(rt.shards))
+	total, work := 0, 0
+	for qi, q := range qs {
+		rt.m.cut(q.Region, func(i int, local ndarray.Region) {
+			if groups[i] == nil {
+				// Each later query adds at most one more piece to this shard.
+				groups[i] = make([]Item, 0, len(qs)-qi)
 			}
-			groups[sub.Shard] = append(groups[sub.Shard], subRef{region: qi, local: sub.Local})
+			groups[i] = append(groups[i], Item{Op: q.Op, Local: local, query: qi})
 			total++
-			work += sub.Local.Volume()
-		}
+			work += local.Volume()
+		})
 	}
-	rt.queries.Add(uint64(len(regions)))
+	rt.queries.Add(uint64(len(qs)))
 	rt.subqueries.Add(uint64(total))
+	// The per-request record (access log, request span) sees the true shard
+	// fan-out this batch decomposed into.
 	trace.StatsFrom(ctx).AddFanout(total)
 	sp := trace.FromContext(ctx).Child("router.scatter")
 	if sp != nil {
-		sp.Set("regions", strconv.Itoa(len(regions)))
+		sp.Set("queries", strconv.Itoa(len(qs)))
 		sp.Set("subqueries", strconv.Itoa(total))
 		defer sp.End()
 	}
-	sctx := trace.NewContext(ctx, sp)
-
-	errs := make([]error, len(rt.shards))
-	switch {
-	case busy == 0:
-	case busy == 1:
-		// One shard holds every sub-query (always so for a one-shard map):
-		// nothing to overlap, so the scatter is a call on this goroutine.
-		errs[last] = rt.sumGroup(sctx, last, groups[last])
-	case !rt.netIO:
-		// In-process engines: the shared worker pool under the work
-		// estimate, so a small scatter stays on the calling goroutine.
-		parallel.For(len(rt.shards), work, func(lo, hi, _ int) {
-			for i := lo; i < hi; i++ {
-				errs[i] = rt.sumGroup(sctx, i, groups[i])
-			}
-		})
-	default:
-		// One goroutine per shard with work, so the round trips overlap; the
-		// first hard failure cancels the siblings, a down shard only
-		// degrades its own sub-queries.
-		gctx, cancel := context.WithCancel(sctx)
-		defer cancel()
-		var wg sync.WaitGroup
-		for i := range rt.shards {
-			if len(groups[i]) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				// Label the scatter goroutine for pprof: a profile of a stalled
-				// batch shows which shard's round trip it is blocked on.
-				pprof.SetGoroutineLabels(pprof.WithLabels(gctx, pprof.Labels("cube_op", "scatter", "cube_shard", strconv.Itoa(i))))
-				if errs[i] = rt.sumGroup(gctx, i, groups[i]); errs[i] != nil && !errors.Is(errs[i], ErrShardDown) {
-					cancel()
-				}
-			}(i)
-		}
-		wg.Wait()
-	}
-
-	// A down shard's error stays in errs and degrades its sub-queries in
-	// the merge below; anything else fails the scatter.
+	errs := fanOut(trace.NewContext(ctx, sp), rt, "scatter", groups, work, Engine.Answer)
 	for i, err := range errs {
 		if err == nil || errors.Is(err, ErrShardDown) {
 			continue
@@ -374,24 +234,32 @@ func (rt *Router) SumFullBatch(ctx context.Context, regions []ndarray.Region, cs
 		}
 		return nil, fmt.Errorf("shard %d: %w", i, err)
 	}
-	out := make([]SumResult, len(regions))
+	out := make([]Answer, len(qs))
 	for i, g := range groups {
 		for k := range g {
-			ref := &g[k]
-			res := &out[ref.region]
-			if errs[i] != nil {
+			it, a := &g[k], &out[g[k].query]
+			switch {
+			case errs[i] != nil && it.Op == OpSumFull:
 				cl, ch := rt.shards[i].CellBounds()
-				vol := int64(ref.local.Volume())
-				res.Lo += vol * cl
-				res.Hi += vol * ch
-				res.Missing = append(res.Missing, i)
+				vol := int64(it.Local.Volume())
+				a.Lo += vol * cl
+				a.Hi += vol * ch
+				a.Missing = append(a.Missing, i)
+			case errs[i] != nil && a.Err == nil:
+				a.Err = fmt.Errorf("shard %d: %w", i, errs[i])
+			}
+			if errs[i] != nil {
 				continue
 			}
-			res.Value += ref.part.Value
-			res.Lo += ref.part.Lo
-			res.Hi += ref.part.Hi
-			if ref.region < len(cs) {
-				cs[ref.region].Merge(&ref.c)
+			if it.Op == OpSum || it.Op == OpSumFull {
+				a.Value += it.Value
+				a.Lo += it.Lo
+				a.Hi += it.Hi
+			} else if it.At != nil && (a.At == nil || (it.Op == OpMin && it.Value < a.Value) || (it.Op == OpMax && it.Value > a.Value)) {
+				a.Value, a.At = it.Value, rt.m.Global(i, it.At, it.At)
+			}
+			if it.query < len(cs) {
+				cs[it.query].Merge(&it.Cost)
 			}
 		}
 	}
@@ -407,81 +275,94 @@ func (rt *Router) SumFullBatch(ctx context.Context, regions []ndarray.Region, cs
 	return out, nil
 }
 
-// sumGroup answers shard i's share of one scatter, filling each ref's part
-// and private counter: one batched exchange when the engine offers it and
-// there is more than one sub-query to carry, one SumWithBounds each otherwise.
-func (rt *Router) sumGroup(ctx context.Context, i int, g []subRef) error {
-	if bs, ok := rt.shards[i].(batchFullSummer); ok && len(g) > 1 {
-		regs := make([]ndarray.Region, len(g))
-		counters := make([]*metrics.Counter, len(g))
-		for k := range g {
-			regs[k], counters[k] = g[k].local, &g[k].c
+// fanOut is the router's one fan-out, reads and update scatters alike:
+// call(shard i, groups[i]) for every shard with a non-empty group, errors by
+// shard. One busy shard (always so for a one-shard map) is a call on this
+// goroutine. In-process engines run on the shared worker pool under the work
+// estimate — their calls are microsecond-scale structure walks, and goroutine
+// and context churn per query is measurable against them. Network engines get
+// a goroutine per busy shard so the round trips overlap, and the first
+// failure that is not a down shard cancels the siblings.
+func fanOut[T any](ctx context.Context, rt *Router, label string, groups [][]T, work int, call func(Engine, context.Context, []T) error) []error {
+	errs := make([]error, len(groups))
+	busy, last := 0, 0
+	for i := range groups {
+		if len(groups[i]) > 0 {
+			busy, last = busy+1, i
 		}
-		parts, err := bs.SumBatchFull(ctx, regs, counters)
-		if err != nil {
-			return err
-		}
-		for k := range g {
-			g[k].part = parts[k]
-		}
-		return nil
 	}
-	for k := range g {
-		v, lo, hi, err := rt.shards[i].SumWithBounds(ctx, g[k].local, &g[k].c)
-		if err != nil {
-			return err
+	switch {
+	case busy == 0:
+	case busy == 1:
+		errs[last] = call(rt.shards[last], ctx, groups[last])
+	case !rt.netIO:
+		parallel.For(len(groups), work, func(lo, hi, _ int) {
+			for i := lo; i < hi; i++ {
+				if len(groups[i]) > 0 {
+					errs[i] = call(rt.shards[i], ctx, groups[i])
+				}
+			}
+		})
+	default:
+		gctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		var wg sync.WaitGroup
+		for i := range groups {
+			if len(groups[i]) == 0 {
+				continue
+			}
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				// Label the goroutine for pprof: a profile of a stalled batch or
+				// commit shows which shard's round trip it is blocked on.
+				pprof.SetGoroutineLabels(pprof.WithLabels(gctx, pprof.Labels("cube_op", label, "cube_shard", strconv.Itoa(i))))
+				if errs[i] = call(rt.shards[i], gctx, groups[i]); errs[i] != nil && !errors.Is(errs[i], ErrShardDown) {
+					cancel()
+				}
+			}(i)
 		}
-		g[k].part = SumPart{Value: v, Lo: lo, Hi: hi}
+		wg.Wait()
 	}
-	return nil
+	return errs
 }
 
-// subRef is one sub-query of a batched scatter: which region it was cut
-// from, its shard-local region, and the answer and private counter the merge
-// reads back.
-type subRef struct {
-	region int
-	local  ndarray.Region
-	part   SumPart
-	c      metrics.Counter
-}
-
-// Extreme answers a range max (min=false) or min (min=true) by folding
-// the per-shard extremes, in shard order with strict improvement — the
-// same first-wins tie-break a single tree's descent uses, so the reported
-// cell is deterministic. Coords are in logical-cube coordinates; ok=false
-// means the region is empty. Unlike sums, an extreme has no partial form: a
-// down shard fails the query.
-func (rt *Router) Extreme(ctx context.Context, r ndarray.Region, min bool, c *metrics.Counter) (coords []int, v int64, ok bool, err error) {
-	type hit struct {
-		local []int
-		v     int64
-		ok    bool
-	}
-	hits := make([]hit, len(rt.shards))
-	subs, err := rt.gather(ctx, r, c, func(ctx context.Context, sub SubQuery, c *metrics.Counter) error {
-		local, v, ok, err := rt.shards[sub.Shard].Extreme(ctx, sub.Local, min, c)
-		hits[sub.Shard] = hit{local: local, v: v, ok: ok}
-		return err
-	})
+// AnswerOne is Answer of a single query, its own Err surfaced as the error.
+func (rt *Router) AnswerOne(ctx context.Context, q Query, c *metrics.Counter) (Answer, error) {
+	as, err := rt.Answer(ctx, []Query{q}, []*metrics.Counter{c})
 	if err != nil {
+		return Answer{}, err
+	}
+	return as[0], as[0].Err
+}
+
+// Sum answers an exact range sum over the logical cube; an empty region sums
+// to 0, a down shard fails it.
+func (rt *Router) Sum(ctx context.Context, r ndarray.Region, c *metrics.Counter) (int64, error) {
+	a, err := rt.AnswerOne(ctx, Query{Op: OpSum, Region: r}, c)
+	return a.Value, err
+}
+
+// SumFull answers a range sum, its §11 bounds and — when remote shards are
+// down — the partial-answer degradation.
+func (rt *Router) SumFull(ctx context.Context, r ndarray.Region, c *metrics.Counter) (SumResult, error) {
+	a, err := rt.AnswerOne(ctx, Query{Op: OpSumFull, Region: r}, c)
+	return a.SumResult, err
+}
+
+// Extreme answers a range max (min=false) or min (min=true). Coords are in
+// logical-cube coordinates; ok=false means the region is empty. Unlike
+// SumFull, an extreme has no partial form: a down shard fails the query.
+func (rt *Router) Extreme(ctx context.Context, r ndarray.Region, min bool, c *metrics.Counter) (coords []int, v int64, ok bool, err error) {
+	q := Query{Op: OpMax, Region: r}
+	if min {
+		q.Op = OpMin
+	}
+	a, err := rt.AnswerOne(ctx, q, c)
+	if err != nil || a.At == nil {
 		return nil, 0, false, err
 	}
-	best := -1
-	for _, sub := range subs {
-		h := hits[sub.Shard]
-		if !h.ok {
-			continue
-		}
-		better := best < 0 || (min && h.v < v) || (!min && h.v > v)
-		if better {
-			best, v = sub.Shard, h.v
-		}
-	}
-	if best < 0 {
-		return nil, 0, false, nil
-	}
-	return rt.m.Global(best, hits[best].local, nil), v, true, nil
+	return a.At, a.Value, true, nil
 }
 
 // Apply scatters one coalesced update batch to the owning shards and
@@ -508,36 +389,17 @@ func (rt *Router) Apply(ctx context.Context, cells []PointDelta) {
 		groups[i] = append(groups[i], batchsum.IntUpdate{Coords: local, Delta: c.Delta})
 		work += 1 << len(c.Coords) // update-class fan-out proxy
 	}
-	if rt.netIO {
-		// Remote engines: one goroutine per shard, so the scatter window is
-		// one round trip, not a sequential sweep of them — that window is
-		// exactly how long the commit path's seqlock holds lock-free batch
-		// readers off the shards (server/commit.go).
-		var wg sync.WaitGroup
-		for i := range rt.shards {
-			if len(groups[i]) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				pprof.SetGoroutineLabels(pprof.WithLabels(ctx, pprof.Labels("cube_op", "apply", "cube_shard", strconv.Itoa(i))))
-				// A failed remote scatter is recorded by the engine itself
-				// (down flag + error counter); the commit proceeds on the
-				// leader's authoritative state. Detach from the caller's
-				// deadline, keep its trace.
-				_ = rt.shards[i].Apply(trace.NewContext(context.Background(), trace.FromContext(ctx)), groups[i])
-			}(i)
-		}
-		wg.Wait()
-		return
-	}
-	parallel.For(len(rt.shards), work, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			if len(groups[i]) > 0 {
-				_ = rt.shards[i].Apply(context.Background(), groups[i])
-			}
-		}
+	// Detached from the caller's deadline, keeping its trace. For remote shards
+	// the fan-out's window is one round trip, not a sequential sweep of them —
+	// exactly how long the commit path's seqlock holds lock-free readers off
+	// the shards (server/commit.go).
+	ctx = trace.NewContext(context.Background(), trace.FromContext(ctx))
+	fanOut(ctx, rt, "apply", groups, work, func(e Engine, ctx context.Context, ups []batchsum.IntUpdate) error {
+		// A failed remote scatter is recorded by the engine itself (down flag
+		// + error counter) and the commit proceeds on the leader's
+		// authoritative state; reporting it here would cancel the siblings.
+		_ = e.Apply(ctx, ups)
+		return nil
 	})
 }
 

@@ -139,21 +139,27 @@ type SubQuery struct {
 // that makes sharded sums, counts and averages lossless. An empty region
 // decomposes to nothing.
 func (m Map) Decompose(r ndarray.Region) []SubQuery {
-	if len(r) != len(m.shape) || r.Empty() {
-		return nil
-	}
 	var subs []SubQuery
+	m.cut(r, func(i int, local ndarray.Region) { subs = append(subs, SubQuery{Shard: i, Local: local}) })
+	return subs
+}
+
+// cut is Decompose as a visit in shard order, for the router's scatter: the
+// pieces go straight into its per-shard groups.
+func (m Map) cut(r ndarray.Region, visit func(shard int, local ndarray.Region)) {
+	if len(r) != len(m.shape) || r.Empty() {
+		return
+	}
 	want := r[m.dim]
 	for i, slab := range m.slabs {
-		cut := want.Intersect(slab)
-		if cut.Empty() {
+		piece := want.Intersect(slab)
+		if piece.Empty() {
 			continue
 		}
 		local := r.Clone()
-		local[m.dim] = ndarray.Range{Lo: cut.Lo - slab.Lo, Hi: cut.Hi - slab.Lo}
-		subs = append(subs, SubQuery{Shard: i, Local: local})
+		local[m.dim] = ndarray.Range{Lo: piece.Lo - slab.Lo, Hi: piece.Hi - slab.Lo}
+		visit(i, local)
 	}
-	return subs
 }
 
 // Global translates shard i's local coordinates back to the logical cube

@@ -453,10 +453,11 @@ func TestOneShardRouterIsTheStructures(t *testing.T) {
 // TestOneShardSumFullStaysCheap pins what the router may add to the
 // unsharded server's hottest call: on a one-shard map SumFull is the engine's
 // SumWithBounds plus a fixed handful of small allocations (the scatter's
-// group, merge and decompose slices: six today), run on the calling
-// goroutine. Per-sub heap pointers, a closure for the pool and a reassigned
-// captured context took it to ten, which showed end to end as a slower and
-// less steady GET /query.
+// groups, the cut region and its item, the error and answer slices: five
+// today), run on the calling goroutine. Per-sub heap pointers, a closure for
+// the pool and a reassigned captured context took it to ten, which showed end
+// to end as a slower and less steady GET /query. Extreme rides the same path
+// and is held to what it cost before it did (six).
 func TestOneShardSumFullStaysCheap(t *testing.T) {
 	g := workload.SeededGen(t, *seedFlag, 2)
 	ctx := context.Background()
@@ -471,9 +472,15 @@ func TestOneShardSumFullStaysCheap(t *testing.T) {
 	}
 	r := ndarray.Region{{Lo: 5, Hi: 40}, {Lo: 9, Hi: 33}}
 	var c metrics.Counter
-	direct := testing.AllocsPerRun(200, func() { rt.shards[0].SumWithBounds(ctx, r, &c) })
+	e := rt.shards[0].(*localEngine)
+	direct := testing.AllocsPerRun(200, func() { e.SumWithBounds(ctx, r, &c) })
 	routed := testing.AllocsPerRun(200, func() { rt.SumFull(ctx, r, &c) })
 	if routed > direct+7 {
 		t.Fatalf("one-shard SumFull allocates %.0f times per call, the engine alone %.0f: the router may add at most 7", routed, direct)
+	}
+	direct = testing.AllocsPerRun(200, func() { e.Extreme(ctx, r, false, &c) })
+	routed = testing.AllocsPerRun(200, func() { rt.Extreme(ctx, r, false, &c) })
+	if routed > direct+6 {
+		t.Fatalf("one-shard Extreme allocates %.0f times per call, the engine alone %.0f: the router may add at most 6", routed, direct)
 	}
 }

@@ -143,17 +143,45 @@ func DecodeBatch(p []byte) (Batch, error) {
 	return b, nil
 }
 
+// FrameSize is the record frame in front of every payload: u32 length, u32
+// CRC32C.
+const FrameSize = frameSize
+
+// SealRecord fills in the frame of rec, a payload built behind FrameSize
+// reserved bytes, and returns rec. It is the one framing in the repository:
+// the log's records and the shard tier's scatter frames are both sealed here
+// and checked by OpenRecord.
+func SealRecord(rec []byte) ([]byte, error) {
+	n := len(rec) - frameSize
+	if n < 0 || n > maxRecord {
+		return nil, fmt.Errorf("wal: record of %d bytes outside the frame's limits", n)
+	}
+	binary.LittleEndian.PutUint32(rec[0:], uint32(n))
+	binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(rec[frameSize:], castagnoli))
+	return rec, nil
+}
+
+// OpenRecord returns the payload of rec (aliasing it) when rec is exactly one
+// sealed record: the declared length is the length present and the checksum
+// matches.
+func OpenRecord(rec []byte) ([]byte, error) {
+	if len(rec) < frameSize || int64(binary.LittleEndian.Uint32(rec[0:])) != int64(len(rec)-frameSize) {
+		return nil, fmt.Errorf("wal: %d bytes are not one framed record", len(rec))
+	}
+	if crc32.Checksum(rec[frameSize:], castagnoli) != binary.LittleEndian.Uint32(rec[4:]) {
+		return nil, errors.New("wal: record checksum mismatch")
+	}
+	return rec[frameSize:], nil
+}
+
 // AppendRecord frames and writes one payload: length, CRC32C, bytes. It
 // performs a single Write so a short write leaves at most one torn record
 // at the tail, which recovery discards.
 func AppendRecord(w io.Writer, payload []byte) error {
-	if len(payload) > maxRecord {
-		return fmt.Errorf("wal: record of %d bytes exceeds limit", len(payload))
+	rec, err := SealRecord(append(make([]byte, frameSize, frameSize+len(payload)), payload...))
+	if err != nil {
+		return err
 	}
-	rec := make([]byte, frameSize+len(payload))
-	binary.LittleEndian.PutUint32(rec[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(payload, castagnoli))
-	copy(rec[frameSize:], payload)
 	n, err := w.Write(rec)
 	if err == nil && n < len(rec) {
 		err = io.ErrShortWrite
@@ -495,12 +523,9 @@ func (l *Log) Append(b Batch) error {
 	}
 	*recP = rec[:0] // keep the (possibly grown) backing array for reuse
 	defer recordPool.Put(recP)
-	payloadLen := len(rec) - frameSize
-	if payloadLen > maxRecord {
-		return fmt.Errorf("wal: record of %d bytes exceeds limit", payloadLen)
+	if _, err := SealRecord(rec); err != nil {
+		return err
 	}
-	binary.LittleEndian.PutUint32(rec[0:], uint32(payloadLen))
-	binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(rec[frameSize:], castagnoli))
 
 	werr := l.writeRecord(rec)
 	if werr != nil {
