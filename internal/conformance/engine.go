@@ -3,6 +3,7 @@ package conformance
 import (
 	"fmt"
 
+	"rangecube/internal/algebra"
 	"rangecube/internal/core/batchsum"
 	"rangecube/internal/core/blocked"
 	"rangecube/internal/core/maxtree"
@@ -60,9 +61,12 @@ func newPrefixSum(a *ndarray.Array[int64]) SumEngine {
 	return &prefixSumEngine{ps: prefixsum.BuildInt(a)}
 }
 
-func (e *prefixSumEngine) Name() string                          { return "prefixsum" }
-func (e *prefixSumEngine) Sum(r ndarray.Region) (int64, error)   { return e.ps.Sum(r, nil), nil }
-func (e *prefixSumEngine) Apply(b []batchsum.IntUpdate) error    { batchsum.ApplyInt(e.ps, b, nil); return nil }
+func (e *prefixSumEngine) Name() string                        { return "prefixsum" }
+func (e *prefixSumEngine) Sum(r ndarray.Region) (int64, error) { return e.ps.Sum(r, nil), nil }
+func (e *prefixSumEngine) Apply(b []batchsum.IntUpdate) error {
+	batchsum.ApplyInt(e.ps, b, nil)
+	return nil
+}
 
 // --- blocked prefix sum (§4) ---
 
@@ -75,14 +79,27 @@ func newBlocked(a *ndarray.Array[int64], b int) SumEngine {
 	return &blockedEngine{name: fmt.Sprintf("blocked/b=%d", b), bl: blocked.BuildInt(a, b)}
 }
 
-// newBlockedDims exercises the per-dimension block-size generalization
-// (§9.2): dimension j gets block size bs[j mod len(bs)].
-func newBlockedDims(a *ndarray.Array[int64], bs []int) SumEngine {
+// blockSizes gives dimension j the block size bs[j mod len(bs)].
+func blockSizes(a *ndarray.Array[int64], bs []int) []int {
 	full := make([]int, a.Dims())
 	for j := range full {
 		full[j] = bs[j%len(bs)]
 	}
+	return full
+}
+
+// newBlockedDims exercises the per-dimension block-size generalization
+// (§9.2).
+func newBlockedDims(a *ndarray.Array[int64], bs []int) SumEngine {
+	full := blockSizes(a, bs)
 	return &blockedEngine{name: fmt.Sprintf("blocked/dims=%v", full), bl: blocked.BuildIntDims(a, full)}
+}
+
+// newBlockedEdges is the blocked structure as a serving engine builds it,
+// with edge arrays: the same answers from different reads, and an Apply that
+// has the edge arrays to keep current.
+func newBlockedEdges(name string, a *ndarray.Array[int64], bs []int) SumEngine {
+	return &blockedEngine{name: "blocked+edges/" + name, bl: blocked.BuildWithEdges[int64, algebra.IntSum](a, blockSizes(a, bs))}
 }
 
 func (e *blockedEngine) Name() string                        { return e.name }

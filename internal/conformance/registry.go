@@ -51,8 +51,8 @@ func simpleSum(name string, build func(a *ndarray.Array[int64]) SumEngine) SumFa
 
 // DefaultSumEngines returns the full sum-side registry: the §3 prefix sum,
 // the §4 blocked structure at several uniform block sizes plus a mixed
-// per-dimension one, the §8 sum tree at two fanouts, the §10 sparse cube,
-// and the WAL-recovered HTTP server.
+// per-dimension one, one of each again with edge arrays, the §8 sum tree at
+// two fanouts, the §10 sparse cube, and the WAL-recovered HTTP server.
 func DefaultSumEngines() []SumFactory {
 	return []SumFactory{
 		simpleSum("prefixsum", newPrefixSum),
@@ -61,6 +61,8 @@ func DefaultSumEngines() []SumFactory {
 		simpleSum("blocked/b=3", func(a *ndarray.Array[int64]) SumEngine { return newBlocked(a, 3) }),
 		simpleSum("blocked/b=7", func(a *ndarray.Array[int64]) SumEngine { return newBlocked(a, 7) }),
 		simpleSum("blocked/dims", func(a *ndarray.Array[int64]) SumEngine { return newBlockedDims(a, []int{1, 3, 2, 5}) }),
+		simpleSum("blocked+edges/b=3", func(a *ndarray.Array[int64]) SumEngine { return newBlockedEdges("b=3", a, []int{3}) }),
+		simpleSum("blocked+edges/dims", func(a *ndarray.Array[int64]) SumEngine { return newBlockedEdges("dims", a, []int{1, 3, 2, 5}) }),
 		simpleSum("sumtree/b=2", func(a *ndarray.Array[int64]) SumEngine { return newSumTree(a, 2) }),
 		simpleSum("sumtree/b=4", func(a *ndarray.Array[int64]) SumEngine { return newSumTree(a, 4) }),
 		simpleSum("sparse", newSparse),

@@ -151,16 +151,15 @@ func ApplyInt(ps *prefixsum.IntArray, updates []IntUpdate, c *metrics.Counter) i
 // falling in the same b×...×b block (contracting the index space by b per
 // dimension); phase two runs the basic batch-update algorithm on the packed
 // prefix-sum array with one update per touched block. It also applies the
-// updates to the retained cube. It returns the number of update-class
-// regions used on the packed array.
+// updates to the retained cube and, where the structure has edge arrays, to
+// the one entry of each that covers the cell (counted as Aux). It returns the
+// number of update-class regions used on the packed array.
 func ApplyBlocked[T any, G algebra.Group[T]](bl *blocked.Array[T, G], updates []Update[T], c *metrics.Counter) int {
 	var g G
 	bs := bl.BlockSizes()
-	a := bl.Cube()
 	// Update the cube cells themselves.
 	for _, u := range updates {
-		off := a.Offset(u.Coords...)
-		a.Data()[off] = g.Combine(a.Data()[off], u.Delta)
+		c.AddAux(int64(bl.AddToCell(u.Coords, u.Delta)))
 		c.AddCells(1)
 	}
 	// Phase 1: contract updates per block (per-dimension block sizes).

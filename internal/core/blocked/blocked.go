@@ -10,6 +10,11 @@
 // sums; each boundary region is answered either by scanning the cube
 // directly or by the superblock-minus-complement trick, whichever touches
 // fewer cells (§4.2).
+//
+// A structure built with BuildWithEdges also holds edge arrays (edges.go): a
+// boundary region that is block-aligned in some dimensions is then scanned
+// in the cube contracted over exactly those dimensions instead of in the
+// cube itself.
 package blocked
 
 import (
@@ -24,10 +29,11 @@ import (
 	"rangecube/internal/parallel"
 )
 
-// parBoundaryCells is the minimum total boundary-region volume (in cell
-// visits) before a single query fans its 3^d sub-regions out across the
-// worker pool; below it the decomposition runs inline. It is a variable so
-// equivalence tests can force the parallel path on tiny cubes.
+// parBoundaryCells is the minimum total boundary work (cells the scans of one
+// query will read, in whichever arrays they read them) before the query fans
+// its 3^d sub-regions out across the worker pool; below it the decomposition
+// runs inline. It is a variable so equivalence tests can force the parallel
+// path on tiny cubes.
 var parBoundaryCells = parallel.Grain
 
 // Array is a blocked prefix-sum structure over a retained data cube. Unlike
@@ -42,7 +48,11 @@ type Array[T any, G algebra.Group[T]] struct {
 	// chosen per dimension (b = 1 in a dimension keeps full resolution
 	// there, e.g. for attributes queried as singletons).
 	bs []int
-	g  G
+	// edges is nil for the paper's structure. BuildWithEdges fills it,
+	// indexed by the set of dimensions an array keeps at cell resolution
+	// (bit j for dimension j); see edges.go.
+	edges []*ndarray.Array[T]
+	g     G
 }
 
 // IntArray is the blocked structure for the canonical int64 SUM.
@@ -76,72 +86,7 @@ func Build[T any, G algebra.Group[T]](a *ndarray.Array[T], b int) *Array[T, G] {
 // size of 1 in a dimension keeps prefix sums at full resolution there,
 // which is the right choice for attributes queried as singletons (§9.1).
 func BuildDims[T any, G algebra.Group[T]](a *ndarray.Array[T], bs []int) *Array[T, G] {
-	if len(bs) != a.Dims() {
-		panic(fmt.Sprintf("blocked: %d block sizes for %d dimensions", len(bs), a.Dims()))
-	}
-	for j, b := range bs {
-		if b < 1 {
-			panic(fmt.Sprintf("blocked: block size %d < 1 in dimension %d", b, j))
-		}
-	}
-	var g G
-	pshape := make([]int, a.Dims())
-	for i, n := range a.Shape() {
-		pshape[i] = (n + bs[i] - 1) / bs[i]
-	}
-	contracted := ndarray.New[T](pshape...)
-	for i := range contracted.Data() {
-		contracted.Data()[i] = g.Identity()
-	}
-	// Phase 1: contract. The cube is walked in storage order, innermost
-	// line by innermost line, each line folding its cells into the run of
-	// contracted slots it overlaps. Workers own disjoint slabs of the
-	// contracted leading dimension — cube rows [klo·b0, khi·b0) — so their
-	// writes to the contracted array never collide and each worker still
-	// walks its slab in storage order.
-	contract[T, G](a, contracted, bs)
-	// Phase 2: prefix-sum the contracted array in place.
-	packed := prefixsum.Wrap[T, G](contracted)
-	return &Array[T, G]{a: a, packed: packed, bs: append([]int(nil), bs...)}
-}
-
-// contract folds each bs-sized block of a into its slot of the contracted
-// array via the shared slab driver, with a specialized kernel for the
-// canonical int64 SUM (no generic-dictionary Combine calls) and a generic
-// kernel for every other group. Both walk each innermost-axis run in
-// block-sized segments, so there is no per-cell division.
-func contract[T any, G algebra.Group[T]](a *ndarray.Array[T], contracted *ndarray.Array[T], bs []int) {
-	var g G
-	adata, cdata := a.Data(), contracted.Data()
-	b := bs[a.Dims()-1]
-	if data64, ok := any(adata).([]int64); ok {
-		if _, ok := any(g).(algebra.IntSum); ok {
-			cdata64 := any(cdata).([]int64)
-			ndarray.ContractSlabs(a, bs, contracted.Strides(), func(off, lo, hi, cbase int) {
-				for x := lo; x < hi; {
-					q := x / b
-					end := min((q+1)*b, hi)
-					acc := cdata64[cbase+q]
-					for ; x < end; x++ {
-						acc += data64[off+x]
-					}
-					cdata64[cbase+q] = acc
-				}
-			})
-			return
-		}
-	}
-	ndarray.ContractSlabs(a, bs, contracted.Strides(), func(off, lo, hi, cbase int) {
-		for x := lo; x < hi; {
-			q := x / b
-			end := min((q+1)*b, hi)
-			acc := cdata[cbase+q]
-			for ; x < end; x++ {
-				acc = g.Combine(acc, adata[off+x])
-			}
-			cdata[cbase+q] = acc
-		}
-	})
+	return build[T, G](a, bs, false)
 }
 
 // FromParts reassembles a blocked structure from its persisted pieces: the
@@ -188,8 +133,10 @@ const (
 
 // dimSplit holds the §4.2 quantities for one dimension (Figure 4).
 type dimSplit struct {
-	parts  []ndarray.Range // the adjoining sub-ranges (empties filtered out later)
-	kinds  []rangeKind
+	parts  [3]ndarray.Range // the adjoining sub-ranges (empties filtered out later)
+	kinds  [3]rangeKind
+	n      int // parts in use: 3, or 1 for the single range
+	cur    int // the decomposition odometer's digit
 	l2, h2 int // ℓ″ and h″ (superblock outer bounds)
 	lp, hp int // ℓ′ and h′
 }
@@ -215,19 +162,19 @@ func (bl *Array[T, G]) split(j int, r ndarray.Range) dimSplit {
 	}
 	ds := dimSplit{l2: l2, h2: h2, lp: lp, hp: hp}
 	if lp <= hp {
-		ds.parts = []ndarray.Range{{Lo: r.Lo, Hi: lp - 1}, {Lo: lp, Hi: hp - 1}, {Lo: hp, Hi: r.Hi}}
-		ds.kinds = []rangeKind{kindLow, kindMid, kindHigh}
+		ds.parts = [3]ndarray.Range{{Lo: r.Lo, Hi: lp - 1}, {Lo: lp, Hi: hp - 1}, {Lo: hp, Hi: r.Hi}}
+		ds.kinds = [3]rangeKind{kindLow, kindMid, kindHigh}
+		ds.n = 3
 	} else {
 		// The whole range lies strictly inside one block: no aligned middle.
-		ds.parts = []ndarray.Range{r}
-		ds.kinds = []rangeKind{kindSingle}
+		ds.parts[0], ds.kinds[0], ds.n = r, kindSingle, 1
 	}
 	return ds
 }
 
 // superRange returns the superblock range B_j for a sub-range of the given
 // kind (§4.2): the smallest block-aligned range containing it.
-func (ds dimSplit) superRange(k rangeKind) ndarray.Range {
+func (ds *dimSplit) superRange(k rangeKind) ndarray.Range {
 	switch k {
 	case kindLow:
 		return ndarray.Range{Lo: ds.l2, Hi: ds.lp - 1}
@@ -240,12 +187,126 @@ func (ds dimSplit) superRange(k rangeKind) ndarray.Range {
 	}
 }
 
+// subRegion is one non-empty sub-region of the 3^d decomposition.
+type subRegion struct {
+	keep  uint           // the dimensions in which it is not block-aligned; none for the internal region
+	sub   ndarray.Region // the sub-region R
+	super ndarray.Region // its superblock B (§4.2)
+	block ndarray.Region // B in packed's index space (R = B for the internal region)
+}
+
+// subRegionOver returns a subRegion whose three regions are the 3d ranges of
+// buf.
+func subRegionOver(buf []ndarray.Range) subRegion {
+	d := len(buf) / 3
+	return subRegion{sub: buf[:d:d], super: buf[d : 2*d : 2*d], block: buf[2*d:]}
+}
+
+// piece is a sub-region and how Sum answers it. The internal region is one
+// packed lookup of block; a boundary region, once planned, scans arr, the
+// coarsest array that resolves it: the cube, or with edge arrays the cube
+// contracted over the dimensions in which the region is block-aligned.
+type piece[T any] struct {
+	subRegion                   // plan moves sub and super into arr's index space
+	arr       *ndarray.Array[T] // nil for the internal region
+	direct    bool              // scan R rather than B ∖ R: vol(R) ≤ vol(B∖R) + 2^d − 1
+	cells     int               // entries of arr the chosen scans read
+}
+
+// decomposition is the one walk over the §4.2 decomposition that Sum, Bounds
+// and SumBoundsContext share: an odometer over the per-dimension sub-ranges.
+type decomposition struct {
+	bs     []int
+	splits []dimSplit // nil once exhausted
+	count  int        // at most this many pieces: ∏ sub-ranges per dimension
+}
+
+// decompose splits r per dimension. The region must lie within the cube
+// bounds; an empty region has no pieces.
+func (bl *Array[T, G]) decompose(r ndarray.Region) decomposition {
+	d := bl.a.Dims()
+	if len(r) != d {
+		panic(fmt.Sprintf("blocked: query of dimension %d against cube of dimension %d", len(r), d))
+	}
+	if r.Empty() {
+		return decomposition{}
+	}
+	shape := bl.a.Shape()
+	for j, rng := range r {
+		if rng.Lo < 0 || rng.Hi >= shape[j] {
+			panic(fmt.Sprintf("blocked: query %v out of bounds for shape %v", r, shape))
+		}
+	}
+	w := decomposition{bs: bl.bs, splits: make([]dimSplit, d), count: 1}
+	for j := range w.splits {
+		w.splits[j] = bl.split(j, r[j])
+		w.count *= w.splits[j].n
+	}
+	return w
+}
+
+// next fills s, whose regions the caller provides, with the next non-empty
+// sub-region in odometer order — so partial results merge back
+// deterministically — and reports false when there is none left.
+func (w *decomposition) next(s *subRegion) bool {
+	for w.splits != nil {
+		s.keep = 0
+		empty := false
+		for j := range w.splits {
+			ds := &w.splits[j]
+			s.sub[j] = ds.parts[ds.cur]
+			s.super[j] = ds.superRange(ds.kinds[ds.cur])
+			s.block[j] = ndarray.Range{Lo: s.super[j].Lo / w.bs[j], Hi: s.super[j].Hi / w.bs[j]}
+			if ds.kinds[ds.cur] != kindMid {
+				s.keep |= 1 << j
+			}
+			empty = empty || s.sub[j].Empty()
+		}
+		j := len(w.splits) - 1
+		for ; j >= 0; j-- {
+			if w.splits[j].cur++; w.splits[j].cur < w.splits[j].n {
+				break
+			}
+			w.splits[j].cur = 0
+		}
+		if j < 0 {
+			w.splits = nil
+		}
+		if !empty {
+			return true
+		}
+	}
+	return false
+}
+
+// plan picks the array a boundary region is scanned in and, by the §4.2 rule
+// applied to the volumes in that array, between scanning the region and
+// scanning its complement in the superblock.
+func (bl *Array[T, G]) plan(p *piece[T]) {
+	p.arr = bl.a
+	if bl.edges != nil && bl.edges[p.keep] != nil {
+		p.arr = bl.edges[p.keep]
+		for j := range p.sub {
+			if p.keep&(1<<j) == 0 { // aligned here, so R and B are the same run of whole blocks
+				p.sub[j], p.super[j] = p.block[j], p.block[j]
+			}
+		}
+	}
+	volR := p.sub.Volume()
+	volC := p.super.Volume() - volR
+	p.direct = volR <= volC+(1<<len(p.sub))-1
+	p.cells = volC
+	if p.direct {
+		p.cells = volR
+	}
+}
+
 // Sum answers Sum(ℓ1:h1, ..., ℓd:hd) with the §4.2 blocked algorithm. The
 // region must lie within the cube bounds; an empty region yields the group
-// identity. Costs are attributed to c: packed prefix-sum reads as Aux,
-// original-cube reads as Cells.
+// identity. Costs are attributed to c: packed prefix-sum and edge-array
+// reads as Aux, original-cube reads as Cells.
 func (bl *Array[T, G]) Sum(r ndarray.Region, c *metrics.Counter) T {
-	v, _ := bl.sum(nil, r, c) // a nil context never cancels
+	v, _, _, _ := bl.sum(nil, r, c, false) // a nil context never cancels
 	return v
 }
 
@@ -256,186 +317,129 @@ func (bl *Array[T, G]) Sum(r ndarray.Region, c *metrics.Counter) T {
 // returns ctx's error and a meaningless partial value; the counter reflects
 // only the work actually done.
 func (bl *Array[T, G]) SumContext(ctx context.Context, r ndarray.Region, c *metrics.Counter) (T, error) {
-	return bl.sum(ctx, r, c)
+	v, _, _, err := bl.sum(ctx, r, c, false)
+	return v, err
 }
 
-// sumTask is one non-empty sub-region of the 3^d decomposition, recorded in
-// odometer order so results and counter shards merge back deterministically.
-type sumTask struct {
-	sub    ndarray.Region
-	kinds  []rangeKind
-	allMid bool
-}
-
-func (bl *Array[T, G]) sum(ctx context.Context, r ndarray.Region, c *metrics.Counter) (T, error) {
-	d := bl.a.Dims()
-	if len(r) != d {
-		panic(fmt.Sprintf("blocked: query of dimension %d against cube of dimension %d", len(r), d))
-	}
-	if r.Empty() {
-		return bl.g.Identity(), nil
-	}
-	shape := bl.a.Shape()
-	for j, rng := range r {
-		if rng.Lo < 0 || rng.Hi >= shape[j] {
-			panic(fmt.Sprintf("blocked: query %v out of bounds for shape %v", r, shape))
-		}
-	}
-	splits := make([]dimSplit, d)
-	for j := range splits {
-		splits[j] = bl.split(j, r[j])
-	}
-	// Odometer over the per-dimension sub-range choices (up to 3^d),
-	// collecting the non-empty sub-regions in visit order. Boundary volume
-	// (cells the scans will touch) decides whether fanning out pays.
-	var tasks []sumTask
+// sum evaluates one decomposition: the exact value, costed to c, and when
+// bounds is set the §11 bounds of the same pieces, whose packed reads are
+// kept out of c.
+func (bl *Array[T, G]) sum(ctx context.Context, r ndarray.Region, c *metrics.Counter, bounds bool) (total, lo, hi T, err error) {
+	total, lo, hi = bl.g.Identity(), bl.g.Identity(), bl.g.Identity()
+	// Every non-empty piece, planned, its regions in one buffer. What the
+	// boundary scans will read decides whether fanning out pays.
+	w := bl.decompose(r)
+	d := len(r)
+	pieces := make([]piece[T], 0, w.count)
+	ranges := make([]ndarray.Range, 3*d*w.count)
 	boundaryCells := 0
-	choice := make([]int, d)
-	sub := make(ndarray.Region, d)
-	kinds := make([]rangeKind, d)
-	for {
-		allMid := true
-		empty := false
-		for j, ci := range choice {
-			sub[j] = splits[j].parts[ci]
-			kinds[j] = splits[j].kinds[ci]
-			if kinds[j] != kindMid {
-				allMid = false
-			}
-			if sub[j].Empty() {
-				empty = true
-			}
-		}
-		if !empty {
-			tasks = append(tasks, sumTask{
-				sub:    sub.Clone(),
-				kinds:  append([]rangeKind(nil), kinds...),
-				allMid: allMid,
-			})
-			if !allMid {
-				boundaryCells += sub.Volume()
-			}
-		}
-		// Advance the odometer.
-		j := d - 1
-		for ; j >= 0; j-- {
-			choice[j]++
-			if choice[j] < len(splits[j].parts) {
-				break
-			}
-			choice[j] = 0
-		}
-		if j < 0 {
+	for len(ranges) > 0 { // room for count pieces, so the walk may end first
+		p := piece[T]{subRegion: subRegionOver(ranges[:3*d])}
+		if !w.next(&p.subRegion) {
 			break
 		}
+		if p.keep != 0 {
+			bl.plan(&p)
+			boundaryCells += p.cells
+		}
+		pieces = append(pieces, p)
+		ranges = ranges[3*d:]
 	}
-	// eval answers one sub-region; it is internally sequential, so each
-	// task's value and counter shard are the same bits whether the tasks run
-	// inline or on the pool.
-	eval := func(t sumTask, c *metrics.Counter, ck *ctxcheck.Checker) (T, error) {
-		if t.allMid {
-			if err := ck.Tick(1); err != nil {
-				return bl.g.Identity(), err
+	// fold merges one piece's value, in odometer order on either path below.
+	fold := func(p *piece[T], v T) {
+		total = bl.g.Combine(total, v)
+		if !bounds {
+			return
+		}
+		if p.keep != 0 {
+			v = bl.packed.Sum(p.block, nil)
+		} else {
+			lo = bl.g.Combine(lo, v)
+		}
+		hi = bl.g.Combine(hi, v)
+	}
+	if len(pieces) < 2 || boundaryCells < parBoundaryCells || parallel.Workers() < 2 {
+		ck := ctxcheck.New(ctx)
+		for i := range pieces {
+			v, err := bl.eval(&pieces[i], c, ck)
+			if err != nil {
+				return total, lo, hi, err
 			}
-			v := bl.alignedSum(t.sub, c)
-			c.AddSteps(1)
-			return v, nil
+			fold(&pieces[i], v)
 		}
-		v, err := bl.boundarySum(t.sub, t.kinds, splits, c, ck)
-		if err != nil {
-			return v, err
+		return total, lo, hi, nil
+	}
+	// Parallel path: one result and counter shard per piece, bodies loop over
+	// contiguous chunks with a per-goroutine cancellation checker
+	// (ctxcheck.Checker is not goroutine-safe). eval is internally
+	// sequential, so merging values and shards in piece order reproduces the
+	// sequential bits exactly — floats included — because ⊕ is applied in the
+	// same order to the same partials.
+	results := make([]T, len(pieces))
+	errs := make([]error, len(pieces))
+	shards := make([]metrics.Counter, len(pieces))
+	parallel.For(len(pieces), boundaryCells, func(from, to, _ int) {
+		ck := ctxcheck.New(ctx)
+		for i := from; i < to; i++ {
+			results[i], errs[i] = bl.eval(&pieces[i], &shards[i], ck)
 		}
+	})
+	for i := range pieces {
+		c.Merge(&shards[i])
+		if errs[i] != nil {
+			return total, lo, hi, errs[i]
+		}
+		fold(&pieces[i], results[i])
+	}
+	return total, lo, hi, nil
+}
+
+// eval answers one piece: the internal region in up to 2^d packed accesses,
+// a boundary region by the scans its plan chose.
+func (bl *Array[T, G]) eval(p *piece[T], c *metrics.Counter, ck *ctxcheck.Checker) (T, error) {
+	if p.keep == 0 {
+		if err := ck.Tick(1); err != nil {
+			return bl.g.Identity(), err
+		}
+		v := bl.packed.Sum(p.block, c)
 		c.AddSteps(1)
 		return v, nil
 	}
-
-	total := bl.g.Identity()
-	if len(tasks) < 2 || boundaryCells < parBoundaryCells || parallel.Workers() < 2 {
-		ck := ctxcheck.New(ctx)
-		for _, t := range tasks {
-			v, err := eval(t, c, ck)
+	var total T
+	var err error
+	if p.direct {
+		total, err = bl.scan(p.arr, p.sub, c, ck)
+	} else {
+		// Superblock sum (pure prefix-sum accesses) minus the complement.
+		total = bl.packed.Sum(p.block, c)
+		forEachComplementSlab(p.super, p.sub, func(slab ndarray.Region) {
 			if err != nil {
-				return total, err
+				return
 			}
-			total = bl.g.Combine(total, v)
-		}
-		return total, nil
+			var part T
+			if part, err = bl.scan(p.arr, slab, c, ck); err != nil {
+				return
+			}
+			total = bl.g.Inverse(total, part)
+			c.AddSteps(1)
+		})
 	}
-	// Parallel path: one result and counter shard per task, bodies loop over
-	// contiguous task chunks with a per-goroutine cancellation checker
-	// (ctxcheck.Checker is not goroutine-safe). Merging values and shards in
-	// task order reproduces the sequential bits exactly — floats included —
-	// because ⊕ is applied in the same order to the same partials.
-	results := make([]T, len(tasks))
-	errs := make([]error, len(tasks))
-	shards := make([]metrics.Counter, len(tasks))
-	parallel.For(len(tasks), boundaryCells, func(lo, hi, _ int) {
-		ck := ctxcheck.New(ctx)
-		for i := lo; i < hi; i++ {
-			results[i], errs[i] = eval(tasks[i], &shards[i], ck)
-		}
-	})
-	for i := range tasks {
-		c.Merge(&shards[i])
-		if errs[i] != nil {
-			return total, errs[i]
-		}
-		total = bl.g.Combine(total, results[i])
+	if err != nil {
+		return total, err
 	}
+	c.AddSteps(1)
 	return total, nil
 }
 
-// alignedSum answers a block-aligned region (every Lo a multiple of b and
-// every Hi+1 a multiple of b or equal to nj) purely from the packed prefix
-// sums, in up to 2^d accesses.
-func (bl *Array[T, G]) alignedSum(r ndarray.Region, c *metrics.Counter) T {
-	packed := make(ndarray.Region, len(r))
-	for j, rng := range r {
-		packed[j] = ndarray.Range{Lo: rng.Lo / bl.bs[j], Hi: rng.Hi / bl.bs[j]}
-	}
-	return bl.packed.Sum(packed, c)
-}
-
-// boundarySum answers one boundary region, choosing per region between the
-// direct scan of A and the superblock-minus-complement method (§4.2): the
-// direct method is used when vol(R) ≤ vol(complement) + 2^d − 1.
-func (bl *Array[T, G]) boundarySum(r ndarray.Region, kinds []rangeKind, splits []dimSplit, c *metrics.Counter, ck *ctxcheck.Checker) (T, error) {
-	d := len(r)
-	super := make(ndarray.Region, d)
-	for j := range r {
-		super[j] = splits[j].superRange(kinds[j])
-	}
-	volR := r.Volume()
-	volC := super.Volume() - volR
-	if volR <= volC+(1<<d)-1 {
-		return bl.scan(r, c, ck)
-	}
-	// Superblock sum (pure prefix-sum accesses) minus the complement cells.
-	total := bl.alignedSum(super, c)
-	var err error
-	bl.forEachComplementSlab(super, r, func(slab ndarray.Region) {
-		if err != nil {
-			return
-		}
-		var part T
-		if part, err = bl.scan(slab, c, ck); err != nil {
-			return
-		}
-		total = bl.g.Inverse(total, part)
-		c.AddSteps(1)
-	})
-	return total, err
-}
-
-// scan sums the original-cube cells of region r directly, one contiguous
-// innermost-axis line at a time, accounting the counter once per scan
-// rather than once per cell (totals are unchanged).
-func (bl *Array[T, G]) scan(r ndarray.Region, c *metrics.Counter, ck *ctxcheck.Checker) (T, error) {
+// scan sums region r of arr — the cube or an edge array — directly, one
+// contiguous innermost-axis line at a time, accounting the counter once per
+// scan rather than once per entry (totals are unchanged).
+func (bl *Array[T, G]) scan(arr *ndarray.Array[T], r ndarray.Region, c *metrics.Counter, ck *ctxcheck.Checker) (T, error) {
 	total := bl.g.Identity()
-	data := bl.a.Data()
+	data := arr.Data()
 	cells := int64(0)
 	var err error
-	ndarray.ForEachLine(bl.a, r, func(ln ndarray.Line) {
+	ndarray.ForEachLine(arr, r, func(ln ndarray.Line) {
 		// The checkpoint fires between lines; a canceled query skips the
 		// remaining lines (their descriptors are still enumerated, but no
 		// cells are touched or accounted).
@@ -451,16 +455,21 @@ func (bl *Array[T, G]) scan(r ndarray.Region, c *metrics.Counter, ck *ctxcheck.C
 		}
 		cells += int64(ln.Len)
 	})
-	c.AddCells(cells)
+	if arr == bl.a {
+		c.AddCells(cells)
+	} else {
+		c.AddAux(cells)
+	}
 	c.AddSteps(cells)
 	return total, err
 }
 
 // forEachComplementSlab decomposes super \ r into disjoint rectangular
-// slabs and visits each. It relies on r[j] ⊆ super[j] per dimension and the
-// identity B \ R = ⋃_j (R_1×…×R_{j−1} × (B_j∖R_j) × B_{j+1}×…×B_d), where
-// B_j ∖ R_j is at most two intervals (one below r[j], one above).
-func (bl *Array[T, G]) forEachComplementSlab(super, r ndarray.Region, visit func(ndarray.Region)) {
+// slabs and visits each; the slab is reused between visits. It relies on
+// r[j] ⊆ super[j] per dimension and the identity
+// B \ R = ⋃_j (R_1×…×R_{j−1} × (B_j∖R_j) × B_{j+1}×…×B_d), where B_j ∖ R_j
+// is at most two intervals (one below r[j], one above).
+func forEachComplementSlab(super, r ndarray.Region, visit func(ndarray.Region)) {
 	d := len(r)
 	slab := make(ndarray.Region, d)
 	for j := 0; j < d; j++ {
@@ -480,7 +489,7 @@ func (bl *Array[T, G]) forEachComplementSlab(super, r ndarray.Region, visit func
 				slab[i] = super[i]
 			}
 			if !slab.Empty() {
-				visit(slab.Clone())
+				visit(slab)
 			}
 		}
 	}

@@ -26,77 +26,36 @@ func Bounds[T cmp.Ordered, G algebra.Group[T]](bl *Array[T, G], r ndarray.Region
 	return lo, hi
 }
 
-// BoundsContext is Bounds with cooperative cancellation: the odometer over
-// the up-to-3^d decomposed sub-regions checkpoints ctx, so even a
+// BoundsContext is Bounds with cooperative cancellation: the pass over the
+// up-to-3^d decomposed sub-regions checkpoints ctx, so even a
 // high-dimensional bounds pass abandons a canceled request promptly. On
 // cancellation the returned bounds are partial and meaningless.
 func BoundsContext[T cmp.Ordered, G algebra.Group[T]](ctx context.Context, bl *Array[T, G], r ndarray.Region, c *metrics.Counter) (lo, hi T, err error) {
 	return bounds(bl, r, c, ctxcheck.New(ctx))
 }
 
+// SumBoundsContext is SumContext and BoundsContext over one decomposition of
+// r: the exact sum v with its cost attributed to c, and the §11 bounds of
+// the same sub-regions, bit-identical to BoundsContext's, whose packed reads
+// are kept out of c.
+func SumBoundsContext[T cmp.Ordered, G algebra.Group[T]](ctx context.Context, bl *Array[T, G], r ndarray.Region, c *metrics.Counter) (v, lo, hi T, err error) {
+	return bl.sum(ctx, r, c, true)
+}
+
 func bounds[T cmp.Ordered, G algebra.Group[T]](bl *Array[T, G], r ndarray.Region, c *metrics.Counter, ck *ctxcheck.Checker) (lo, hi T, err error) {
-	d := bl.a.Dims()
-	if len(r) != d {
-		panic("blocked: bounds query dimensionality mismatch")
-	}
 	lo, hi = bl.g.Identity(), bl.g.Identity()
-	if r.Empty() {
-		return lo, hi, nil
-	}
-	shape := bl.a.Shape()
-	for j, rng := range r {
-		if rng.Lo < 0 || rng.Hi >= shape[j] {
-			panic("blocked: bounds query out of bounds")
+	w := bl.decompose(r)
+	p := subRegionOver(make([]ndarray.Range, 3*len(r)))
+	for w.next(&p) {
+		if err := ck.Tick(1); err != nil {
+			return lo, hi, err
 		}
-	}
-	splits := make([]dimSplit, d)
-	for j := range splits {
-		splits[j] = bl.split(j, r[j])
-	}
-	choice := make([]int, d)
-	sub := make(ndarray.Region, d)
-	kinds := make([]rangeKind, d)
-	super := make(ndarray.Region, d)
-	for {
-		allMid := true
-		empty := false
-		for j, ci := range choice {
-			sub[j] = splits[j].parts[ci]
-			kinds[j] = splits[j].kinds[ci]
-			if kinds[j] != kindMid {
-				allMid = false
-			}
-			if sub[j].Empty() {
-				empty = true
-			}
+		s := bl.packed.Sum(p.block, c) // the superblock; the region itself when internal
+		if p.keep == 0 {
+			lo = bl.g.Combine(lo, s)
 		}
-		if !empty {
-			if err := ck.Tick(1); err != nil {
-				return lo, hi, err
-			}
-			if allMid {
-				exact := bl.alignedSum(sub, c)
-				lo = bl.g.Combine(lo, exact)
-				hi = bl.g.Combine(hi, exact)
-			} else {
-				for j := range sub {
-					super[j] = splits[j].superRange(kinds[j])
-				}
-				hi = bl.g.Combine(hi, bl.alignedSum(super, c))
-			}
-			c.AddSteps(1)
-		}
-		j := d - 1
-		for ; j >= 0; j-- {
-			choice[j]++
-			if choice[j] < len(splits[j].parts) {
-				break
-			}
-			choice[j] = 0
-		}
-		if j < 0 {
-			break
-		}
+		hi = bl.g.Combine(hi, s)
+		c.AddSteps(1)
 	}
 	return lo, hi, nil
 }

@@ -1,15 +1,19 @@
-package blocked
+package blocked_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"rangecube/internal/core/batchsum"
+	"rangecube/internal/core/blocked"
 	"rangecube/internal/naive"
 	"rangecube/internal/ndarray"
 )
 
-// FuzzBlockedSum drives the blocked algorithm with fuzzer-chosen geometry
-// and verifies it against the naive scan; any mismatch or panic is a bug.
+// FuzzBlockedSum drives the blocked algorithm with fuzzer-chosen geometry,
+// built both as the paper's structure and with edge arrays, through rounds
+// of a query and a batch update, and verifies both against the naive scan;
+// any mismatch or panic is a bug.
 func FuzzBlockedSum(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(3), uint8(5), uint8(0), uint8(2), uint8(1), uint8(4))
 	f.Add(int64(7), uint8(9), uint8(1), uint8(1), uint8(3), uint8(8), uint8(0), uint8(0))
@@ -20,15 +24,34 @@ func FuzzBlockedSum(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		a := ndarray.New[int64](shape...)
 		a.Fill(func([]int) int64 { return int64(rng.Intn(201) - 100) })
-		bl := BuildIntDims(a, bs)
+		paper := blocked.BuildIntDims(a.Clone(), bs)
+		edged := buildWithEdges(a.Clone(), bs)
 		r := ndarray.Region{
 			{Lo: int(lo0) % shape[0], Hi: 0},
 			{Lo: int(lo1) % shape[1], Hi: 0},
 		}
 		r[0].Hi = r[0].Lo + int(len0)%(shape[0]-r[0].Lo)
 		r[1].Hi = r[1].Lo + int(len0/2)%(shape[1]-r[1].Lo)
-		if got, want := bl.Sum(r, nil), naive.SumInt64(a, r, nil); got != want {
-			t.Fatalf("shape=%v bs=%v r=%v: blocked %d != naive %d", shape, bs, r, got, want)
+		for round := 0; round < 3; round++ {
+			want := naive.SumInt64(a, r, nil)
+			if got := paper.Sum(r, nil); got != want {
+				t.Fatalf("shape=%v bs=%v r=%v round %d: blocked %d != naive %d", shape, bs, r, round, got, want)
+			}
+			if got := edged.Sum(r, nil); got != want {
+				t.Fatalf("shape=%v bs=%v r=%v round %d: blocked with edge arrays %d != naive %d", shape, bs, r, round, got, want)
+			}
+			ups := make([]batchsum.IntUpdate, 1+rng.Intn(4))
+			for i := range ups {
+				ups[i] = batchsum.IntUpdate{Coords: []int{rng.Intn(shape[0]), rng.Intn(shape[1])}, Delta: int64(rng.Intn(201) - 100)}
+				a.Set(a.At(ups[i].Coords...)+ups[i].Delta, ups[i].Coords...)
+			}
+			batchsum.ApplyBlockedInt(paper, ups, nil)
+			batchsum.ApplyBlockedInt(edged, ups, nil)
+			// The next round asks about a region that holds an updated cell.
+			r = ndarray.Region{
+				{Lo: rng.Intn(ups[0].Coords[0] + 1), Hi: ups[0].Coords[0] + rng.Intn(shape[0]-ups[0].Coords[0])},
+				{Lo: rng.Intn(ups[0].Coords[1] + 1), Hi: ups[0].Coords[1] + rng.Intn(shape[1]-ups[0].Coords[1])},
+			}
 		}
 	})
 }

@@ -68,10 +68,13 @@ type Options struct {
 	// it what is built and updated: "prefixsum" (default; the §3 array P, 2^d
 	// accesses per query, 8 bytes per cell and a §5 batch update over P on
 	// every commit) or "blocked" (the §4 decomposition over the blocked
-	// index, whose boundary scans parallelize for large regions; P is never
-	// built). The blocked index (8/b^d bytes per cell) exists either way: it
-	// supplies the §11 lo/hi of every sum answer and its apply writes the
-	// cells. See shard's localEngine for the full per-structure account.
+	// index, whose boundary scans read its edge arrays wherever a region is
+	// block-aligned and parallelize for large regions; P is never built). The
+	// blocked index (8/b^d bytes per cell) exists either way: it supplies the
+	// §11 lo/hi of every sum answer and its apply writes the cells. Its edge
+	// arrays (8·((1+1/b)^d − 1 − 1/b^d) bytes per cell, one more write each
+	// per delta) exist only under "blocked". See shard's localEngine for the
+	// full per-structure account.
 	SumEngine string
 
 	// Shards is how many engine shards the logical cube is slab-partitioned

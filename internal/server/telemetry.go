@@ -191,7 +191,7 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 	reg.CounterFunc("cube_shard_scatter_cells_total",
 		"Coalesced cell deltas scattered to owning shards by commits.", routerStat(2))
 	reg.GaugeVecFunc("cube_structure_bytes",
-		"Bytes held by each serving structure of this process's shards (cells, prefixsum, blocked, maxtree, mintree): 0 for one the sum engine does not build, no samples on a leader of remote shards.",
+		"Bytes held by each serving structure of this process's shards (cells, prefixsum, blocked, edges, maxtree, mintree): 0 for one the sum engine does not build, no samples on a leader of remote shards.",
 		"structure", func() map[string]int64 { return s.liveRouter().StructureBytes() })
 	// Remote shard tier: the engines record into RemoteStats, exported by
 	// callback (0 while the shards are in-process).

@@ -188,11 +188,12 @@ func testMetricsEndToEnd(t *testing.T, engine string) {
 		t.Errorf("cost histogram saw %v sum evaluations; cache hits must not record cost", got)
 	}
 	// Only what answers is built: 50×10 cells of 8 bytes; P as large again
-	// under prefixsum and absent under blocked; one 8-byte entry per 5×5 block;
-	// 13×3 + 4×1 + 1 fanout-4 tree nodes of 16 bytes in each tree.
-	wantBytes := map[string]float64{"cells": 4000, "prefixsum": 4000, "blocked": 160, "maxtree": 704, "mintree": 704}
+	// under prefixsum and absent under blocked; one 8-byte packed entry per 5×5
+	// block under both; the edge arrays, 50×2 and 10×10 entries, only under
+	// blocked; 13×3 + 4×1 + 1 fanout-4 tree nodes of 16 bytes in each tree.
+	wantBytes := map[string]float64{"cells": 4000, "prefixsum": 4000, "blocked": 160, "edges": 0, "maxtree": 704, "mintree": 704}
 	if engine == "blocked" {
-		wantBytes["prefixsum"] = 0
+		wantBytes["prefixsum"], wantBytes["edges"] = 0, 1600
 	}
 	for structure, want := range wantBytes {
 		if got := seriesValue(body, "cube_structure_bytes", `structure="`+structure+`"`); got != want {

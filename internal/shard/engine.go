@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 
+	"rangecube/internal/algebra"
 	"rangecube/internal/core/batchsum"
 	"rangecube/internal/core/blocked"
 	"rangecube/internal/core/maxtree"
@@ -83,6 +84,10 @@ type Item struct {
 //	blk    8/b^d        the §4 blocked index, under both engines: it answers
 //	                    Sum under "blocked", supplies the §11 lo/hi of every
 //	                    SumWithBounds and its §5.2 apply writes cells
+//	edges  8·((1+1/b)^d − 1 − 1/b^d)
+//	                    the blocked index's edge arrays, only when it answers
+//	                    Sum ("blocked"): what its boundary scans read instead
+//	                    of cells wherever a region is block-aligned
 //	max    ≈16/(f^d−1)  the §6 max tree
 //	min    ≈16/(f^d−1)  the §6 min tree
 //
@@ -100,14 +105,26 @@ type localEngine struct {
 func newLocalEngine(a *ndarray.Array[int64], blockSize, fanout int, sumEngine string) *localEngine {
 	e := &localEngine{
 		cells: a,
-		blk:   blocked.BuildInt(a, blockSize),
 		max:   maxtree.Build(a, fanout),
 		min:   maxtree.BuildMin(a, fanout),
 	}
 	if sumEngine == "prefixsum" {
 		e.sum = prefixsum.BuildInt(a)
+		e.blk = blocked.BuildInt(a, blockSize)
+	} else {
+		e.blk = newBlockedSum(a, blockSize)
 	}
 	return e
+}
+
+// newBlockedSum builds the blocked index the way an engine whose sums it
+// answers does: with edge arrays.
+func newBlockedSum(a *ndarray.Array[int64], blockSize int) *blocked.IntArray {
+	bs := make([]int, a.Dims())
+	for j := range bs {
+		bs[j] = blockSize
+	}
+	return blocked.BuildWithEdges[int64, algebra.IntSum](a, bs)
 }
 
 // ValueBounds returns the smallest and largest cell value of a ([0, 0] for
@@ -152,14 +169,16 @@ func (e *localEngine) Sum(ctx context.Context, r ndarray.Region, c *metrics.Coun
 }
 
 func (e *localEngine) SumWithBounds(ctx context.Context, r ndarray.Region, c *metrics.Counter) (int64, int64, int64, error) {
-	// Bounds first, then the exact answer, with the bounds' accesses kept
-	// out of c: op=sum reports the cost of the exact answer alone.
+	// The bounds' accesses are kept out of c: op=sum reports the cost of the
+	// exact answer alone.
+	if e.sum == nil {
+		return blocked.SumBoundsContext(ctx, e.blk, r, c)
+	}
 	lo, hi, err := blocked.BoundsContext(ctx, e.blk, r, nil)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	v, err := e.Sum(ctx, r, c)
-	return v, lo, hi, err
+	return e.sum.Sum(r, c), lo, hi, nil
 }
 
 func (e *localEngine) Extreme(ctx context.Context, r ndarray.Region, min bool, c *metrics.Counter) ([]int, int64, bool, error) {
@@ -208,14 +227,15 @@ func (e *localEngine) Apply(_ context.Context, deltas []batchsum.IntUpdate) erro
 func (e *localEngine) CellBounds() (int64, int64) { return ValueBounds(e.cells) }
 
 // StructureBytes reports the bytes each serving structure holds, summed over
-// the router's local engines and keyed cells, prefixsum, blocked, maxtree and
-// mintree (0 for one that is not built). It is nil for a router of remote
-// engines, whose structures live in the shard processes.
+// the router's local engines and keyed cells, prefixsum, blocked (the packed
+// array), edges, maxtree and mintree (0 for one that is not built). It is nil
+// for a router of remote engines, whose structures live in the shard
+// processes.
 func (rt *Router) StructureBytes() map[string]int64 {
 	if rt.netIO {
 		return nil
 	}
-	out := map[string]int64{"prefixsum": 0} // reported, as 0, when no engine builds it
+	out := map[string]int64{"prefixsum": 0, "edges": 0} // reported, as 0, when no engine builds them
 	for _, e := range rt.shards {
 		le := e.(*localEngine)
 		out["cells"] += 8 * int64(le.cells.Size())
@@ -223,6 +243,7 @@ func (rt *Router) StructureBytes() map[string]int64 {
 			out["prefixsum"] += 8 * int64(le.sum.Size())
 		}
 		out["blocked"] += 8 * int64(le.blk.AuxSize())
+		out["edges"] += 8 * int64(le.blk.EdgeSize())
 		out["maxtree"] += 16 * int64(le.max.Nodes()) // a value and an argmax offset per node
 		out["mintree"] += 16 * int64(le.min.Nodes())
 	}

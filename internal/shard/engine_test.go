@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"rangecube/internal/core/batchsum"
+	"rangecube/internal/core/blocked"
 	"rangecube/internal/core/maxtree"
+	"rangecube/internal/metrics"
 	"rangecube/internal/naive"
 	"rangecube/internal/ndarray"
 	"rangecube/internal/workload"
@@ -47,6 +49,46 @@ func checkTreeIsFresh(t *testing.T, tree *maxtree.Tree[int64], what string) {
 	}
 }
 
+// checkEdgesFresh reads every entry of every edge array of bl from outside —
+// a sum over exactly the cells one entry covers is answered from that entry,
+// or from a coarser array, and never from the cells — and holds it to a naive
+// scan of those cells. wantEdges is whether bl answers its engine's sums: only
+// then are there edge arrays, one per non-empty proper subset of the
+// dimensions, as long as the block size gives them something to contract.
+func checkEdgesFresh(t *testing.T, bl *blocked.IntArray, wantEdges bool, what string) {
+	t.Helper()
+	a, b := bl.Cube(), bl.BlockSize()
+	shape, d := a.Shape(), a.Dims()
+	entries := 0
+	for keep := 1; wantEdges && b > 1 && keep < 1<<d-1; keep++ {
+		grid := make([]int, d)
+		for j, n := range shape {
+			grid[j] = n
+			if keep&(1<<j) == 0 {
+				grid[j] = (n + b - 1) / b
+			}
+		}
+		ndarray.New[bool](grid...).Bounds().ForEach(func(k []int) {
+			entries++
+			covered := make(ndarray.Region, d)
+			for j := range k {
+				covered[j] = ndarray.Range{Lo: k[j], Hi: k[j]}
+				if keep&(1<<j) == 0 {
+					covered[j] = ndarray.Range{Lo: k[j] * b, Hi: min((k[j]+1)*b, shape[j]) - 1}
+				}
+			}
+			var c metrics.Counter
+			if got, want := bl.Sum(covered, &c), naiveSum(a, covered); got != want || c.Cells != 0 {
+				t.Fatalf("%s: the edge array keeping dimensions %b answers %d for entry %v (cells %v, %d of them read), a fresh contraction %d",
+					what, keep, got, k, covered, c.Cells, want)
+			}
+		})
+	}
+	if bl.EdgeSize() != entries {
+		t.Fatalf("%s: the edge arrays hold %d entries, want %d", what, bl.EdgeSize(), entries)
+	}
+}
+
 // TestStructuresShareCells drives the aliasing the engine rests on: the
 // blocked index and both trees index one cell array, one of them writes it,
 // and the trees repair from the (old, new) list the engine captured around
@@ -54,7 +96,8 @@ func checkTreeIsFresh(t *testing.T, tree *maxtree.Tree[int64], what string) {
 // cell named twice, a cell whose deltas cancel, and a decrease of the current
 // maximum and increase of the current minimum (forced §7 rescans) — and after
 // every batch the whole query surface equals a naive mirror, each tree equals
-// a fresh build over the cells, and the structures still alias one array.
+// a fresh build over the cells, every edge array equals a fresh contraction of
+// them, and the structures still alias one array.
 func TestStructuresShareCells(t *testing.T) {
 	g := workload.SeededGen(t, *seedFlag, 3)
 	rng := rand.New(rand.NewSource(*seedFlag + 0x5a11))
@@ -132,6 +175,7 @@ func TestStructuresShareCells(t *testing.T) {
 						if !slices.Equal(e.cells.Data(), SlabCopy(mirror, m, i).Data()) {
 							t.Fatalf("%s step %d shard %d: cells diverged from the mirror's slab", what, step, i)
 						}
+						checkEdgesFresh(t, e.blk, sumEngine == "blocked", what)
 						checkTreeIsFresh(t, e.max, what+" max tree")
 						checkTreeIsFresh(t, e.min, what+" min tree")
 					}
@@ -142,30 +186,42 @@ func TestStructuresShareCells(t *testing.T) {
 }
 
 // TestOnlyWhatAnswersIsBuilt holds the engine's space to the paper's trade: a
-// "blocked" engine allocates no N-sized array at all while it is built (the
-// blocked index and both trees together stay under half the cells' own
-// size), a "prefixsum" engine exactly one, P — and a "blocked" router's Apply
-// has no prefix-sum array to touch.
+// "blocked" engine allocates no N-sized array at all while it is built — the
+// packed array, the edge arrays and both trees together stay within the closed
+// form cells·(∏(1+1/b_j) − 1) plus the trees' nodes — a "prefixsum" engine
+// exactly one, P, and no edge array; and a "blocked" router's Apply has no
+// prefix-sum array to touch.
 func TestOnlyWhatAnswersIsBuilt(t *testing.T) {
 	shape := []int{512, 512}
+	const blockSize, fanout = 10, 4
 	cells := workload.New(*seedFlag).UniformCube(shape, 1000)
 	cellBytes := uint64(8 * cells.Size())
-	for _, tc := range []struct {
-		sumEngine string
-		limit     uint64
-	}{
-		{"blocked", cellBytes / 2},
-		{"prefixsum", cellBytes * 3 / 2},
-	} {
+	for _, sumEngine := range []string{"blocked", "prefixsum"} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		e := newLocalEngine(cells, 10, 4, tc.sumEngine)
+		e := newLocalEngine(cells, blockSize, fanout, sumEngine)
 		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got >= tc.limit {
-			t.Errorf("%s: building the engine allocated %d bytes over %d bytes of cells, want under %d", tc.sumEngine, got, cellBytes, tc.limit)
+		trees := uint64(16 * (e.max.Nodes() + e.min.Nodes()))
+		// Slack, 5% of the cells, of which half is used: 512 is not a multiple
+		// of 10, so every contracted extent is 52 where the closed form has
+		// 51.2 (+7 KiB), and the tree builds' transients (~42 KiB).
+		limit := trees + cellBytes/20
+		if sumEngine == "blocked" {
+			limit += cellBytes * ((blockSize+1)*(blockSize+1) - blockSize*blockSize) / (blockSize * blockSize)
+			if want := 2 * 512 * 52; e.blk.EdgeSize() != want {
+				t.Errorf("blocked: the edge arrays hold %d entries, want %d", e.blk.EdgeSize(), want)
+			}
+		} else {
+			limit += cellBytes + cellBytes/(blockSize*blockSize)
+			if e.blk.EdgeSize() != 0 {
+				t.Errorf("prefixsum: %d edge-array entries built for a blocked index that answers no sum", e.blk.EdgeSize())
+			}
 		}
-		if (e.sum != nil) != (tc.sumEngine == "prefixsum") {
-			t.Errorf("%s: prefix-sum array built = %v", tc.sumEngine, e.sum != nil)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+			t.Errorf("%s: building the engine allocated %d bytes over %d bytes of cells, want under %d", sumEngine, got, cellBytes, limit)
+		}
+		if (e.sum != nil) != (sumEngine == "prefixsum") {
+			t.Errorf("%s: prefix-sum array built = %v", sumEngine, e.sum != nil)
 		}
 	}
 
@@ -173,7 +229,7 @@ func TestOnlyWhatAnswersIsBuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewRouter(cells, m, 10, 4, "blocked")
+	rt, err := NewRouter(cells, m, blockSize, fanout, "blocked")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +244,13 @@ func TestOnlyWhatAnswersIsBuilt(t *testing.T) {
 	}
 }
 
-// The paper's space/update trade (§4, §5.2), one command away:
+// The paper's space/update/query trade (§4, §5.2), one command away:
 //
 //	go test -run '^$' -bench LocalEngine -benchmem ./internal/shard
 //
 // Build reports what each engine allocates over a 1024² slab, Apply what one
-// commit of 16 deltas costs it.
+// commit of 16 deltas costs it, Sum what one range-sum with §11 bounds costs
+// it over the benchmark's 16 pairs of query sides.
 func BenchmarkLocalEngineBuild(b *testing.B) {
 	cells := workload.New(1).UniformCube([]int{1024, 1024}, 1000)
 	for _, sumEngine := range []string{"prefixsum", "blocked"} {
@@ -226,6 +283,31 @@ func BenchmarkLocalEngineApply(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+func BenchmarkLocalEngineSum(b *testing.B) {
+	g := workload.New(1)
+	const n = 1024
+	shape := []int{n, n}
+	sides := []int{n / 16, n / 8, n / 4, n / 2}
+	regions := make([]ndarray.Region, 256)
+	for i := range regions {
+		regions[i] = g.FixedSizeRegion(shape, []int{sides[i%4], sides[i/4%4]})
+	}
+	for _, sumEngine := range []string{"prefixsum", "blocked"} {
+		b.Run(sumEngine, func(b *testing.B) {
+			e := newLocalEngine(g.UniformCube(shape, 1000), 10, 4, sumEngine)
+			var cost metrics.Counter
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, _, err := e.SumWithBounds(context.Background(), regions[i%len(regions)], &cost); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(cost.Total())/float64(b.N), "accesses/op")
 		})
 	}
 }

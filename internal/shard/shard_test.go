@@ -380,6 +380,9 @@ func TestOneShardRouterIsTheStructures(t *testing.T) {
 		own := cells.Clone() // the directly-built structures' cube
 		ps := prefixsum.BuildInt(own)
 		bl := blocked.BuildInt(own, blockSize)
+		if sumEngine == "blocked" {
+			bl = newBlockedSum(own, blockSize) // with edge arrays, as the engine builds the index that answers
+		}
 		mx := maxtree.Build(own.Clone(), fanout)
 		mn := maxtree.BuildMin(own.Clone(), fanout)
 		rt, err := NewRouter(cells, m, blockSize, fanout, sumEngine)
