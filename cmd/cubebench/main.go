@@ -5,17 +5,14 @@
 //	cubebench -exp figure11         # one experiment
 //	cubebench -exp figure11 -quick  # skip the measured columns / shrink sizes
 //
-// Experiments: figure1, figure11, figure12, figure13, figure14, theorem3,
-// rangesum, rangemax, update, sparse, kernels, queries, ingest, scale,
-// chaos.
+// Experiments: figure1, figure11, figure12, figure13, figure14, paging,
+// bounds, theorem3, rangesum, rangemax, update, sparse, chaos.
 //
-// With -json, the kernels and queries experiments additionally write their
-// timing records to BENCH_kernels.json / BENCH_queries.json in the current
-// directory.
+// The serving stack's performance is measured by bench/ (see
+// bench/README.md), not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -24,26 +21,9 @@ import (
 	"rangecube/internal/harness"
 )
 
-// writeJSON persists one experiment's machine-readable record when -json is
-// set.
-func writeJSON(enabled bool, path string, rec any) {
-	if !enabled {
-		return
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err == nil {
-		err = os.WriteFile(path, append(data, '\n'), 0o644)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cubebench: writing %s: %v\n", path, err)
-		os.Exit(1)
-	}
-}
-
 func main() {
-	exp := flag.String("exp", "all", "experiment id (all, figure1, figure11, figure12, figure13, figure14, paging, bounds, theorem3, rangesum, rangemax, update, sparse, kernels, queries, ingest, scale, chaos)")
+	exp := flag.String("exp", "all", "experiment id (all, figure1, figure11, figure12, figure13, figure14, paging, bounds, theorem3, rangesum, rangemax, update, sparse, chaos)")
 	quick := flag.Bool("quick", false, "smaller sizes, skip measured Figure 11 columns")
-	jsonOut := flag.Bool("json", false, "write machine-readable results (kernels -> BENCH_kernels.json)")
 	flag.Parse()
 
 	type experiment struct {
@@ -69,64 +49,12 @@ func main() {
 		{"rangemax", func() harness.Table { return harness.RangeMaxMethods(n, 8) }},
 		{"update", func() harness.Table { return harness.UpdateSweep(n/2, []int{1, 4, 16, 64}) }},
 		{"sparse", func() harness.Table { return harness.SparseExperiment(n / 2) }},
-		{"kernels", func() harness.Table {
-			tab, rec := harness.Kernels(n)
-			writeJSON(*jsonOut, "BENCH_kernels.json", rec)
-			return tab
-		}},
-		{"queries", func() harness.Table {
-			nq := 2048
-			if *quick {
-				nq = 256
-			}
-			tab, rec := harness.Queries(n/2, nq)
-			writeJSON(*jsonOut, "BENCH_queries.json", rec)
-			return tab
-		}},
-		{"ingest", func() harness.Table {
-			writers, per := 64, 96
-			if *quick {
-				writers, per = 16, 8
-			}
-			tab, rec := harness.Ingest(16, writers, per)
-			writeJSON(*jsonOut, "BENCH_ingest.json", rec)
-			return tab
-		}},
-		{"scale", func() harness.Table {
-			readers, per := 8, 96
-			if *quick {
-				readers, per = 4, 8
-			}
-			curve := []harness.ScalePoint{
-				{Shards: 1},
-				{Shards: 2, Followers: 1},
-				{Shards: 4, Followers: 2},
-				// The same 4-way, 2-follower tier with every shard a separate
-				// cubeserver process: the sub-query fan-out crosses a real
-				// process + loopback-TCP boundary instead of a method call,
-				// everything else — follower balancing included — identical.
-				{Shards: 4, Followers: 2, Remote: true},
-			}
-			tab, rec := harness.Scale(n/4, curve, readers, 1, per, 32)
-			writeJSON(*jsonOut, "BENCH_scale.json", rec)
-			// Quick rounds are too short to carry a curve (a round sees one
-			// or two commits); they smoke-test the harness, not the shape.
-			if !rec.MonotoneQPS && !*quick {
-				fmt.Fprintln(os.Stderr, "cubebench: scale: QPS curve is not monotone (see table above)")
-			}
-			if rec.RemoteVsLocalQPS > 0 && rec.RemoteVsLocalQPS < 0.5 && !*quick {
-				fmt.Fprintf(os.Stderr, "cubebench: scale: process-per-shard tier at %.2fx of in-process QPS (bar: ≥ 0.50x)\n",
-					rec.RemoteVsLocalQPS)
-			}
-			return tab
-		}},
 		{"chaos", func() harness.Table {
 			dur := 3 * time.Second
 			if *quick {
 				dur = 500 * time.Millisecond
 			}
 			tab, rec := harness.Chaos(12, 4, 3, dur)
-			writeJSON(*jsonOut, "BENCH_chaos.json", rec)
 			if len(rec.Failures) > 0 {
 				tab.Fprint(os.Stdout)
 				for _, f := range rec.Failures {

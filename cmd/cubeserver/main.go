@@ -39,7 +39,7 @@
 //
 // Observability: -metrics (default on) mounts GET /metrics with the
 // Prometheus text exposition — per-route latency histograms, shed/timeout
-// counters, cache and WAL series, and the paper's §8 cost histograms per op
+// counters, WAL series, and the paper's §8 cost histograms per op
 // and engine. -access-log logs one line per request with its correlation ID
 // (X-Request-Id, accepted or minted, echoed on every response and error
 // body). -debug-addr serves /debug/pprof and /debug/vars on a separate
@@ -89,41 +89,89 @@ func main() {
 	}
 }
 
+// serverFlags registers on fs every flag that sets a server.Options field
+// directly, and returns the function that builds those Options once fs is
+// parsed.
+func serverFlags(fs *flag.FlagSet) func() server.Options {
+	block := fs.Int("block", 10, "block size for the blocked prefix sum")
+	fanout := fs.Int("fanout", 4, "per-dimension fanout of the max/min trees")
+	walPath := fs.String("wal", "", "write-ahead log path (durability off when empty)")
+	snapPath := fs.String("snapshot", "", "snapshot path for compaction and recovery")
+	compactEvery := fs.Int("compact-every", 64, "snapshot and truncate the WAL every N batches")
+	maxInflight := fs.Int("max-inflight", 64, "max concurrent requests (queries and updates) before shedding with 429 (0 = unlimited)")
+	queryTimeout := fs.Duration("query-timeout", 10*time.Second, "per-query deadline (0 = none)")
+	sumEngine := fs.String("sum-engine", "prefixsum", "structure answering range sums: prefixsum or blocked")
+	shards := fs.Int("shards", 1, "slab-partition the cube across N engine shards along the planner-chosen dimension (1 = unsharded)")
+	shardTimeout := fs.Duration("shard-timeout", 2*time.Second, "per-sub-query deadline against a remote shard")
+	shardHedge := fs.Duration("shard-hedge-after", 100*time.Millisecond, "launch one hedged duplicate read sub-query after a remote shard is silent this long (0 = no hedging; updates are never hedged)")
+	shardProbe := fs.Duration("shard-probe", time.Second, "how often down remote shards are re-pushed their slab state (0 = probe off)")
+	ingestQueue := fs.Int("ingest-queue", 256, "ingestion pipeline queue depth; concurrent /update writers group-commit with one fsync per flushed group (0 = commit per request)")
+	ingestMaxWait := fs.Duration("ingest-max-wait", 0, "how long the flusher holds an under-filled group open for more writers (0 = commit as soon as the queue is momentarily empty)")
+	ingestDurability := fs.String("ingest-durability", "sync", "default /update ack mode: sync (200 after the group fsync) or async (202 at enqueue); clients override per request with ?durability=")
+	metrics := fs.Bool("metrics", true, "serve the Prometheus exposition at GET /metrics")
+	accessLog := fs.Bool("access-log", false, "log one line per request (method, path, status, bytes, latency, request ID, shard fan-out, trace ID when sampled)")
+	traceSample := fs.Float64("trace-sample", 0.01, "fraction of requests traced into GET /debug/traces; slow, partial and error requests are always kept (0 = tracing off)")
+	traceStore := fs.Int("trace-store", 256, "spans retained in the in-memory trace ring")
+	slowQuery := fs.Duration("slow-query", 250*time.Millisecond, "requests at or over this latency log a slow-query exemplar line and are always traced (0 = off)")
+	degradedProbe := fs.Duration("degraded-probe", time.Second, "how often a poisoned WAL triggers a storage-recovery attempt while degraded (negative = probe off)")
+	return func() server.Options {
+		opts := server.Options{
+			BlockSize:    *block,
+			Fanout:       *fanout,
+			WALPath:      *walPath,
+			SnapshotPath: *snapPath,
+			CompactEvery: *compactEvery,
+			MaxInflight:  *maxInflight,
+			QueryTimeout: *queryTimeout,
+			SumEngine:    *sumEngine,
+			Shards:       *shards,
+			Metrics:      *metrics,
+			AccessLog:    *accessLog,
+			TraceSample:  *traceSample,
+			TraceStore:   *traceStore,
+			SlowQuery:    *slowQuery,
+
+			IngestQueue:      *ingestQueue,
+			IngestMaxWait:    *ingestMaxWait,
+			IngestDurability: *ingestDurability,
+
+			DegradedProbe: *degradedProbe,
+
+			ShardTimeout:    *shardTimeout,
+			ShardHedgeAfter: *shardHedge,
+			ShardProbe:      *shardProbe,
+		}
+		// These flags' contract is "0 = off"; the options reserve 0 for their
+		// defaults and disable only on negative.
+		if *shardHedge == 0 {
+			opts.ShardHedgeAfter = -1
+		}
+		if *shardProbe == 0 {
+			opts.ShardProbe = -1
+		}
+		if *traceSample == 0 {
+			opts.TraceSample = -1
+		}
+		if *slowQuery == 0 {
+			opts.SlowQuery = -1
+		}
+		return opts
+	}
+}
+
 func run() error {
 	data := flag.String("data", "", "CSV file with a header row")
 	measure := flag.String("measure", "revenue", "name of the integer measure column")
 	addr := flag.String("addr", ":8080", "listen address")
-	block := flag.Int("block", 10, "block size for the blocked prefix sum")
-	fanout := flag.Int("fanout", 4, "per-dimension fanout of the max/min trees")
-	walPath := flag.String("wal", "", "write-ahead log path (durability off when empty)")
-	snapPath := flag.String("snapshot", "", "snapshot path for compaction and recovery")
-	compactEvery := flag.Int("compact-every", 64, "snapshot and truncate the WAL every N batches")
-	maxInflight := flag.Int("max-inflight", 64, "max concurrent requests (queries and updates) before shedding with 429 (0 = unlimited)")
-	queryTimeout := flag.Duration("query-timeout", 10*time.Second, "per-query deadline (0 = none)")
-	cacheSize := flag.Int("cache-size", 0, "result cache entries, flushed on every update batch (0 = caching off)")
-	sumEngine := flag.String("sum-engine", "prefixsum", "structure answering range sums: prefixsum or blocked")
-	shards := flag.Int("shards", 1, "slab-partition the cube across N engine shards along the planner-chosen dimension (1 = unsharded)")
+	options := serverFlags(flag.CommandLine)
 	shardURLs := flag.String("shard-urls", "", "comma-separated base URLs of shard processes; the leader pushes each its slab and scatter–gathers queries across them (overrides -shards)")
-	shardTimeout := flag.Duration("shard-timeout", 2*time.Second, "per-sub-query deadline against a remote shard")
-	shardHedge := flag.Duration("shard-hedge-after", 100*time.Millisecond, "launch one hedged duplicate read sub-query after a remote shard is silent this long (0 = no hedging; updates are never hedged)")
-	shardProbe := flag.Duration("shard-probe", time.Second, "how often down remote shards are re-pushed their slab state (0 = probe off)")
 	serveShard := flag.Int("serve-shard", -1, "run as shard process N: boot empty, await the leader's slab push on POST /state (-data not required)")
 	join := flag.String("join", "", "run as a read-only follower of the leader at this URL, bootstrapping from /snapshot and tailing /wal (-data not required)")
-	followers := flag.Int("followers", 0, "in-process follower replicas fed by the WAL; /query/batch reads balance across them (requires -wal)")
-	balanceSeed := flag.Uint64("balance-seed", 0, "seed for the deterministic follower load-balancer (0 = fixed default; pass the workload seed for replayable runs)")
-	ingestQueue := flag.Int("ingest-queue", 256, "ingestion pipeline queue depth; concurrent /update writers group-commit with one fsync per flushed group (0 = commit per request)")
-	ingestMaxWait := flag.Duration("ingest-max-wait", 0, "how long the flusher holds an under-filled group open for more writers (0 = commit as soon as the queue is momentarily empty)")
-	ingestDurability := flag.String("ingest-durability", "sync", "default /update ack mode: sync (200 after the group fsync) or async (202 at enqueue); clients override per request with ?durability=")
 	drain := flag.Duration("drain", 10*time.Second, "grace period for in-flight requests on shutdown")
-	metrics := flag.Bool("metrics", true, "serve the Prometheus exposition at GET /metrics")
-	accessLog := flag.Bool("access-log", false, "log one line per request (method, path, status, bytes, latency, request ID, shard fan-out, trace ID when sampled)")
-	traceSample := flag.Float64("trace-sample", 0.01, "fraction of requests traced into GET /debug/traces; slow, partial and error requests are always kept (0 = tracing off)")
-	traceStore := flag.Int("trace-store", 256, "spans retained in the in-memory trace ring")
-	slowQuery := flag.Duration("slow-query", 250*time.Millisecond, "requests at or over this latency log a slow-query exemplar line and are always traced (0 = off)")
 	debugAddr := flag.String("debug-addr", "", "separate listener for /debug/pprof and /debug/vars (off when empty)")
-	degradedProbe := flag.Duration("degraded-probe", time.Second, "how often a poisoned WAL triggers a storage-recovery attempt while degraded (negative = probe off)")
 	chaosWAL := flag.String("chaos-wal", "", "TESTING ONLY: inject WAL fsync faults, as after:count — let AFTER syncs succeed, then fail the next COUNT (requires -wal)")
 	flag.Parse()
+	opts := options()
 	if *serveShard >= 0 && *join != "" {
 		return errors.New("-serve-shard and -join are exclusive modes")
 	}
@@ -131,11 +179,8 @@ func run() error {
 		fmt.Fprintln(os.Stderr, "cubeserver: -data is required (generate one with cubegen), unless running as -serve-shard or -join")
 		os.Exit(2)
 	}
-	if *snapPath != "" && *walPath == "" {
+	if opts.SnapshotPath != "" && opts.WALPath == "" {
 		return errors.New("-snapshot requires -wal (a snapshot alone cannot make updates durable)")
-	}
-	if *followers > 0 && *walPath == "" {
-		return errors.New("-followers requires -wal (replicas tail the write-ahead log)")
 	}
 
 	// The cube: inferred from the CSV in leader mode; a shard process boots a
@@ -157,48 +202,6 @@ func run() error {
 		c = cube.New(cube.NewIntDimension("d0", 0, 0))
 	}
 
-	opts := server.Options{
-		BlockSize:    *block,
-		Fanout:       *fanout,
-		WALPath:      *walPath,
-		SnapshotPath: *snapPath,
-		CompactEvery: *compactEvery,
-		MaxInflight:  *maxInflight,
-		QueryTimeout: *queryTimeout,
-		CacheSize:    *cacheSize,
-		SumEngine:    *sumEngine,
-		Shards:       *shards,
-		Followers:    *followers,
-		BalanceSeed:  *balanceSeed,
-		Metrics:      *metrics,
-		AccessLog:    *accessLog,
-		TraceSample:  *traceSample,
-		TraceStore:   *traceStore,
-		SlowQuery:    *slowQuery,
-
-		IngestQueue:      *ingestQueue,
-		IngestMaxWait:    *ingestMaxWait,
-		IngestDurability: *ingestDurability,
-
-		DegradedProbe: *degradedProbe,
-
-		ShardTimeout:    *shardTimeout,
-		ShardHedgeAfter: *shardHedge,
-		ShardProbe:      *shardProbe,
-	}
-	if *shardHedge == 0 {
-		// The flag's contract is "0 = no hedging"; the engine option reserves
-		// 0 for its 100ms default and disables only on negative.
-		opts.ShardHedgeAfter = -1
-	}
-	if *traceSample == 0 {
-		// Same idiom: the flag's 0 means "tracing off", the option reserves 0
-		// for its 1% default and disables only on negative.
-		opts.TraceSample = -1
-	}
-	if *slowQuery == 0 {
-		opts.SlowQuery = -1
-	}
 	if *shardURLs != "" {
 		if *serveShard >= 0 || *join != "" {
 			return errors.New("-shard-urls is a leader flag; it cannot combine with -serve-shard or -join")
@@ -221,7 +224,7 @@ func run() error {
 		// answers to a fault injector armed to fail a burst of fsyncs after a
 		// warm-up, driving the live server through poison → degraded →
 		// probe-recovery without any real disk misbehavior.
-		if *walPath == "" {
+		if opts.WALPath == "" {
 			return errors.New("-chaos-wal requires -wal")
 		}
 		var after, count int

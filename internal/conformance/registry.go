@@ -70,9 +70,6 @@ func DefaultSumEngines() []SumFactory {
 		// /query/batch answering on the parallel blocked engine: one read
 		// epoch per batch, per-item error isolation, boundary-region fan-out.
 		serverSum("server/batch", true, func(o *server.Options) { o.SumEngine = "blocked" }),
-		// The epoch-invalidated result cache: hits must be bit-identical to
-		// recomputation across every interleaved update and recovery.
-		serverSum("server/cached", false, func(o *server.Options) { o.CacheSize = 64 }),
 		// The async ingestion pipeline: updates coalesce through the §5
 		// update-class machinery and group-commit in one WAL fsync. Sync
 		// acks keep the harness's update→query ordering, so the coalesced
@@ -92,16 +89,6 @@ func DefaultSumEngines() []SumFactory {
 		SumFactory{Name: "sharded/4", New: func(_ Env, a *ndarray.Array[int64]) (SumEngine, error) {
 			return newShardedSum(a, -1, 4)
 		}},
-		// The full replicated serving tier: a 2-shard leader with 2 WAL-fed
-		// follower replicas, every sum asked through /query/batch so the
-		// seeded balancer routes reads across leader and followers. Any
-		// stale-follower read or torn epoch shows up as a differential
-		// mismatch against the oracle.
-		serverSum("sharded/replica", true, func(o *server.Options) {
-			o.Shards = 2
-			o.Followers = 2
-			o.BalanceSeed = 1
-		}),
 		// The multi-process tier: the leader scatter–gathers over HTTP shard
 		// servers it bootstraps by pushing slab state, and Checkpoint
 		// crash-recovers the leader alone — the re-attach push must restore

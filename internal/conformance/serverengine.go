@@ -45,9 +45,8 @@ func newServerEngine(a *ndarray.Array[int64], dir string) (SumEngine, error) {
 
 // newServerVariant builds a named serving-stack engine. batch routes every
 // Sum through the concurrent /query/batch endpoint; tune mutates the server
-// options (result cache, sum engine selection) before startup, so the
-// cached and blocked-engine configurations are held to the same oracle as
-// the plain one.
+// options (sum engine, ingestion pipeline) before startup, so those
+// configurations are held to the same oracle as the plain one.
 func newServerVariant(a *ndarray.Array[int64], dir, name string, batch bool, tune func(*server.Options)) (SumEngine, error) {
 	e := &serverEngine{
 		name:  name,

@@ -18,34 +18,34 @@ import (
 	"rangecube/internal/wal"
 )
 
-// ChaosResult is the machine-readable record of the disk-chaos soak,
-// emitted by cubebench -json as BENCH_chaos.json. The soak drives live
-// read/write HTTP traffic through the retrying client while a chaos
-// goroutine injects ENOSPC/EIO/fsync-failure/slow-I/O faults into the WAL's
-// backing file, then verifies three invariants: no acknowledged update is
+// ChaosResult is the record of the disk-chaos soak (cubebench -exp chaos,
+// TestChaosSoak). The soak drives live read/write HTTP traffic through the
+// retrying client while a chaos goroutine injects
+// ENOSPC/EIO/fsync-failure/slow-I/O faults into the WAL's backing file,
+// then verifies three invariants: no acknowledged update is
 // ever lost (including across a restart), no query returns an answer
 // inconsistent with the acked oracle, and the server transitions degraded →
 // recovered without a restart. Failures is empty on a passing run.
 type ChaosResult struct {
-	Shape      []int `json:"shape"`
-	Writers    int   `json:"writers"`
-	Readers    int   `json:"readers"`
-	DurationNS int64 `json:"duration_ns"`
+	Shape      []int
+	Writers    int
+	Readers    int
+	DurationNS int64
 
-	AckedUpdates int64 `json:"acked_updates"`
-	AckedSum     int64 `json:"acked_sum"`
-	ShedWrites   int64 `json:"shed_writes"`
-	Queries      int64 `json:"queries"`
+	AckedUpdates int64
+	AckedSum     int64
+	ShedWrites   int64
+	Queries      int64
 
-	FaultsInjected   int64  `json:"faults_injected"`
-	WALFaults        uint64 `json:"wal_faults"`
-	WALRepairs       uint64 `json:"wal_repairs"`
-	Recoveries       uint64 `json:"recoveries"`
-	DegradedObserved bool   `json:"degraded_observed"`
-	FinalSeq         uint64 `json:"final_seq"`
-	RestartSeq       uint64 `json:"restart_seq"`
+	FaultsInjected   int64
+	WALFaults        uint64
+	WALRepairs       uint64
+	Recoveries       uint64
+	DegradedObserved bool
+	FinalSeq         uint64
+	RestartSeq       uint64
 
-	Failures []string `json:"failures,omitempty"`
+	Failures []string
 }
 
 // chaosRun carries the soak's shared state.
@@ -99,7 +99,6 @@ func Chaos(n, writers, readers int, duration time.Duration) (Table, ChaosResult)
 		WALPath:       filepath.Join(dir, "updates.wal"),
 		SnapshotPath:  filepath.Join(dir, "cube.snap"),
 		CompactEvery:  8, // cross compaction boundaries during the soak
-		CacheSize:     128,
 		IngestQueue:   4 * writers,
 		IngestMaxWait: 200 * time.Microsecond,
 		WALOpenFile:   func(p string) (wal.File, error) { return inj.Open(p) },

@@ -49,13 +49,12 @@ type batchSlot struct {
 
 // evalSlots is the one read path: every GET /query (a batch of one) and every
 // POST /query/batch lands here with its parsed slots, and here alone it is
-// decided who answers — a caught-up follower's pinned view, the remote
-// tier's lock-free seqlock scatter (every slot that touches a shard), or the
-// leader's router under the read lock (one epoch for the whole batch,
-// whatever updates are racing it). Answers land in results; an item whose
-// evaluation panicked fails only its own slot. The returned error fails the
-// whole request: a cancellation, a deadline or a down shard abandoned the
-// remaining answers mid-flight.
+// decided who answers — the remote tier's lock-free seqlock scatter (every
+// slot that touches a shard), or the router under the read lock (one epoch
+// for the whole batch, whatever updates are racing it). Answers land in
+// results; an item whose evaluation panicked fails only its own slot. The
+// returned error fails the whole request: a cancellation, a deadline or a
+// down shard abandoned the remaining answers mid-flight.
 func (s *Server) evalSlots(ctx context.Context, slots []batchSlot, results []batchResult) error {
 	// Volume drives the pool's work estimate, so point lookups stay inline
 	// while big scans fan out.
@@ -69,33 +68,20 @@ func (s *Server) evalSlots(ctx context.Context, slots []batchSlot, results []bat
 	if live == 0 {
 		return nil
 	}
-	if rep := s.pickFollower(); rep != nil {
-		// Balanced read: everything evaluates against one follower view — a
-		// single pinned epoch, already verified to include everything
-		// committed at dispatch. Follower answers bypass the leader's result
-		// cache (its entries are keyed to the leader's epoch, not this
-		// replica's).
-		rt, release := rep.f.View()
-		s.runSlots(ctx, rt, false, slots, work, results)
-		release()
-		rep.batches.Inc()
-	} else {
-		// The remote scatter runs before the read lock is taken, and takes
-		// every slot that needs a shard: it holds no leader state, and a read
-		// lock pinned across its network round trips would make every commit
-		// wait out the slowest shard before it could apply (the lock is
-		// write-preferring, so every later read would queue behind that commit
-		// in turn). Consistency comes from the scatter seqlock instead — see
-		// evalRemote. What is left for the lock (counts, empty regions) reaches
-		// no shard.
-		if s.remoteEngines != nil {
-			live -= s.evalRemote(ctx, slots, results)
-		}
-		if live > 0 {
-			s.mu.RLock()
-			s.runSlots(ctx, s.router, true, slots, work, results)
-			s.mu.RUnlock()
-		}
+	// The remote scatter runs before the read lock is taken, and takes every
+	// slot that needs a shard: it holds no leader state, and a read lock
+	// pinned across its network round trips would make every commit wait out
+	// the slowest shard before it could apply (the lock is write-preferring,
+	// so every later read would queue behind that commit in turn).
+	// Consistency comes from the scatter seqlock instead — see evalRemote.
+	// What is left for the lock (counts, empty regions) reaches no shard.
+	if s.remoteEngines != nil {
+		live -= s.evalRemote(ctx, slots, results)
+	}
+	if live > 0 {
+		s.mu.RLock()
+		s.runSlots(ctx, slots, work, results)
+		s.mu.RUnlock()
 	}
 	var fatal error
 	for i := range results {
@@ -110,25 +96,25 @@ func (s *Server) evalSlots(ctx context.Context, slots []batchSlot, results []bat
 	return fatal
 }
 
-// runSlots evaluates every runnable slot against rt, a batch concurrently on
-// the worker pool and a single query on the calling goroutine; the caller
-// pins rt's epoch around the call.
-func (s *Server) runSlots(ctx context.Context, rt *shard.Router, cached bool, slots []batchSlot, work int, results []batchResult) {
+// runSlots evaluates every runnable slot, a batch concurrently on the worker
+// pool and a single query on the calling goroutine; the caller holds the
+// read lock around the call.
+func (s *Server) runSlots(ctx context.Context, slots []batchSlot, work int, results []batchResult) {
 	if len(slots) == 1 {
-		s.runSlot(ctx, rt, cached, slots[0], &results[0])
+		s.runSlot(ctx, slots[0], &results[0])
 		return
 	}
 	parallel.For(len(slots), work+len(slots), func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
 			if slots[i].region != nil {
-				s.runSlot(ctx, rt, cached, slots[i], &results[i])
+				s.runSlot(ctx, slots[i], &results[i])
 			}
 		}
 	})
 }
 
 // runSlot evaluates one slot into res.
-func (s *Server) runSlot(ctx context.Context, rt *shard.Router, cached bool, q batchSlot, res *batchResult) {
+func (s *Server) runSlot(ctx context.Context, q batchSlot, res *batchResult) {
 	defer s.isolatePanic(ctx, q.op, q.region, &res.err)
 	// One child span per evaluated item: evalSlot publishes the §8 cost
 	// counters into it, so a slow batch's trace shows which item paid. There
@@ -139,7 +125,7 @@ func (s *Server) runSlot(ctx context.Context, rt *shard.Router, cached bool, q b
 		sp = parent.Child("query." + q.op)
 		ctx = trace.NewContext(ctx, sp)
 	}
-	resp, err := s.evalSlot(ctx, rt, cached, q)
+	resp, err := s.evalSlot(ctx, q)
 	if err != nil {
 		sp.SetError(err.Error())
 		sp.End()
@@ -198,9 +184,9 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	// Parsing is lock-free on every server that cannot accept a /state push:
 	// its cube and dimensions are immutable, so a batch never queues behind
 	// the commit path's write-preferring lock just to read them — that wait
-	// would also tax follower-bound batches, which never need the leader's
-	// lock at all. Only an AcceptState server (a shard process, a
-	// joined follower) takes a read epoch here: a push may swap the cube, and
+	// would also tax remote-bound batches, which never need the leader's
+	// lock at all. Only an AcceptState server (a shard process, a joined
+	// follower) takes a read epoch here: a push may swap the cube, and
 	// a region parsed against the old dimensions must never reach the new
 	// structures. (The lock is dropped before evaluation, which pins its own
 	// epoch; same-shape state copies keep old regions valid.)
@@ -257,8 +243,7 @@ type batchEnvelope struct {
 // Router.Answer: each shard process gets one scatter frame for the whole
 // client batch, whatever the ops, instead of an exchange per item. Answered
 // (or failed) slots are cleared so runSlots skips them; their count is
-// returned. The result cache is bypassed both ways — partial answers must
-// never be cached, and the batched scatter is already the cheap path.
+// returned.
 //
 // The call runs without the leader's read lock. Cross-shard snapshot
 // consistency is validated optimistically against the commit path's scatter

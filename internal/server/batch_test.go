@@ -242,12 +242,12 @@ func TestUpdateAdmissionShedding(t *testing.T) {
 }
 
 // TestBatchQuerySoak races concurrent /query/batch requests against /update
-// batches on a cached, blocked-engine server, then checks the drained state
-// against the naive oracle. This is the -race soak CI runs.
+// batches on a blocked-engine server, then checks the drained state against
+// the naive oracle. This is the -race soak CI runs.
 func TestBatchQuerySoak(t *testing.T) {
 	c := uniqueCube(11)
 	s, err := NewWithOptions(c, Options{
-		BlockSize: 5, Fanout: 4, SumEngine: "blocked", CacheSize: 32, Logf: t.Logf,
+		BlockSize: 5, Fanout: 4, SumEngine: "blocked", Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +301,7 @@ func TestBatchQuerySoak(t *testing.T) {
 	wg.Wait()
 
 	// Quiescent: every batch answer must now agree with the oracle over the
-	// drained cube, and repeats must come from the cache with the same bits.
+	// drained cube, and a repeat must answer with the same bits.
 	rng := rand.New(rand.NewSource(99))
 	for k := 0; k < 20; k++ {
 		lo := 1 + rng.Intn(50)
@@ -318,12 +318,8 @@ func TestBatchQuerySoak(t *testing.T) {
 			t.Fatalf("drained sum over %v = %d, oracle %d", region, out.Results[0].Result.Value, want)
 		}
 		_, out2, _ := postQueryBatch(t, ts, marshalBatch(t, items))
-		if got := out2.Results[0].Result; !got.Cached || got.Value != out.Results[0].Result.Value {
-			t.Fatalf("repeat not served identically from cache: %+v", got)
+		if got := out2.Results[0].Result; got.Value != out.Results[0].Result.Value {
+			t.Fatalf("repeat answered differently: %+v", got)
 		}
-	}
-	hits, misses, _, flushes := s.cache.Stats()
-	if hits == 0 || misses == 0 || flushes == 0 {
-		t.Fatalf("soak never exercised the cache: hits=%d misses=%d flushes=%d", hits, misses, flushes)
 	}
 }

@@ -67,7 +67,7 @@ func (s *Server) SubmitUpdates(ups []ingest.Update, sync bool) (<-chan ingest.Re
 // value-to-add form is order-independent, so concurrent writers' deltas
 // fold freely) and drops cells whose net delta is zero. A group that
 // coalesces to nothing commits nothing: no WAL record, no sequence bump,
-// no cache flush, no max/min-tree walk — the acked sequence is simply the
+// no max/min-tree walk — the acked sequence is simply the
 // current one, which recovery reproduces exactly because nothing was
 // logged.
 //
@@ -153,7 +153,7 @@ func (s *Server) commitGroups(ctx context.Context, groups [][]ingest.Update) (ui
 // second: the caller holds commitMu, under which the batch is appended and
 // fsynced as seq+1 while readers run on, and the write lock is then held for
 // the in-memory change alone — sequence bump, shard scatter, structure
-// apply, cache flush and publication as one epoch. A crash in between
+// apply and publication as one epoch. A crash in between
 // replays the batch at boot; a WAL failure returns before anything was
 // applied anywhere, with the sequence unchanged. ctx carries the commit
 // span; each phase records a child, so a slow commit's trace shows whether
@@ -206,14 +206,12 @@ func (s *Server) commitLocked(ctx context.Context, cells []shard.PointDelta) (ui
 	asp := sp.Child("structures.apply")
 	s.applyCellsLocked(ctx, cells)
 	asp.End()
-	// Publish the commit to the replication tier: the lock-free committed
-	// mirror gates follower eligibility, and walEnd lets the replication
-	// readers at the record just applied.
+	// Publish the commit: the lock-free committed mirror, and walEnd, which
+	// lets the replication readers at the record just applied.
 	s.committed.Store(seq)
 	s.walEnd.Store(end)
 	s.mu.Unlock()
 	s.met.writeLockHold.Observe(time.Since(held).Nanoseconds())
-	s.notifyFollowers()
 
 	if s.sinceSnap >= s.opts.CompactEvery {
 		if err := s.compact(); err != nil {
@@ -225,13 +223,12 @@ func (s *Server) commitLocked(ctx context.Context, cells []shard.PointDelta) (ui
 	return seq, nil
 }
 
-// applyCellsLocked applies one coalesced batch to the serving structures and
-// flushes the result cache. The caller holds the write lock and owns
-// sequencing and durability — the local commit path WAL-logs first, the
+// applyCellsLocked applies one coalesced batch to the serving structures.
+// The caller holds the write lock and owns sequencing and durability — the local commit path WAL-logs first, the
 // replication path (ApplyReplicated) trusts the leader's log instead.
 func (s *Server) applyCellsLocked(ctx context.Context, cells []shard.PointDelta) {
-	// Exactly one owner writes each logical cube cell (snapshots, recovery and
-	// follower boots read the cube): a one-shard router serves the cube's
+	// Exactly one owner writes each logical cube cell (snapshots and
+	// recovery read the cube): a one-shard router serves the cube's
 	// array in place and its Apply writes the cells; slab copies and shard
 	// processes hold their own, so there the server keeps the cube current.
 	if !s.router.InPlace() {
@@ -246,9 +243,4 @@ func (s *Server) applyCellsLocked(ctx context.Context, cells []shard.PointDelta)
 	if s.remoteEngines == nil {
 		s.router.Apply(ctx, cells)
 	}
-
-	// Invalidate every cached answer before the batch is acknowledged:
-	// the write lock is held, so no reader can observe the new cells with
-	// a pre-update cache entry.
-	s.cache.Flush()
 }

@@ -135,8 +135,8 @@ func ceilSeconds(d time.Duration) int {
 
 // retryAfterHint estimates when the ingest queue will have room again:
 // current depth times the median group-commit latency, rounded up to whole
-// seconds and clamped to [1, 30]. Before any commit has been measured (or
-// with telemetry off) the estimate falls back to 1 second.
+// seconds and clamped to [1, 30]. Before any commit has been measured the
+// estimate falls back to 1 second.
 func (s *Server) retryAfterHint() string {
 	if s.batcher == nil {
 		return "1"

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -33,7 +32,7 @@ func onePathCube() *cube.Cube {
 }
 
 // answerFields is what GET /query and a one-item POST /query/batch must
-// agree on; accesses and cached are per-evaluation bookkeeping and excluded.
+// agree on; accesses are per-evaluation bookkeeping and excluded.
 type answerFields struct {
 	Value   int64
 	Lo, Hi  *int64
@@ -186,22 +185,15 @@ func TestQueryIsBatchOfOne(t *testing.T) {
 	}
 }
 
-// TestOneShardServesCubeInPlaceOnce pins the two aliasing hazards of the
-// one-shard router. It serves the cube's own array, so a commit must reach
+// TestOneShardServesCubeInPlaceOnce pins the aliasing hazard of the
+// one-shard router: it serves the cube's own array, so a commit must reach
 // each cell exactly once — through the engine, not also through the server.
-// And a follower of that server must hold its own cells: it may not see an
-// update until its pump applies it (the blocked engine reads raw cells at
-// region boundaries, so shared cells would show), and its apply may not
-// write the leader's cube a second time.
 func TestOneShardServesCubeInPlaceOnce(t *testing.T) {
 	c := onePathCube()
 	oracle := c.Data().Clone()
-	dir := t.TempDir()
 	s, err := NewWithOptions(c, Options{
 		BlockSize: 3, Fanout: 3, SumEngine: "blocked",
-		WALPath:   filepath.Join(dir, "updates.wal"),
-		Followers: 1,
-		Logf:      func(string, ...any) {},
+		Logf: func(string, ...any) {},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -210,19 +202,8 @@ func TestOneShardServesCubeInPlaceOnce(t *testing.T) {
 	if !s.router.InPlace() {
 		t.Fatal("a server without Shards must serve its cube in place")
 	}
-	s.stopPumps() // the follower now advances only when the test syncs it
 
 	whole := ndarray.Region{{Lo: 1, Hi: 10}, {Lo: 1, Hi: 5}} // off the block grid on every side
-	followerSum := func() int64 {
-		rt, release := s.followers[0].f.View()
-		defer release()
-		v, err := rt.Sum(t.Context(), whole, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
-	}
-	before := naive.SumInt64(oracle, whole, nil)
 	for b := 0; b < 8; b++ {
 		// Duplicate coordinates inside a batch coalesce; the net delta must
 		// land once.
@@ -246,20 +227,9 @@ func TestOneShardServesCubeInPlaceOnce(t *testing.T) {
 		t.Fatalf("cube cells after 8 batches differ from the once-applied oracle:\n got %v\nwant %v", got, want)
 	}
 	s.mu.RLock()
-	leader, err := s.router.Sum(t.Context(), whole, nil)
+	got, err := s.router.Sum(t.Context(), whole, nil)
 	s.mu.RUnlock()
-	after := naive.SumInt64(oracle, whole, nil)
-	if err != nil || leader != after {
-		t.Fatalf("leader sum %d (err %v), oracle %d", leader, err, after)
-	}
-	if got := followerSum(); got != before {
-		t.Fatalf("follower saw sum %d before its pump ran; its cells alias the leader's (boot sum %d, leader now %d)", got, before, after)
-	}
-	s.syncFollower(s.followers[0])
-	if got := followerSum(); got != after {
-		t.Fatalf("follower sum %d after sync, want %d", got, after)
-	}
-	if got, want := s.cube.Data().Data(), oracle.Data(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("the follower's apply wrote the leader's cube:\n got %v\nwant %v", got, want)
+	if want := naive.SumInt64(oracle, whole, nil); err != nil || got != want {
+		t.Fatalf("sum %d (err %v), oracle %d", got, err, want)
 	}
 }

@@ -355,7 +355,6 @@ func (s *Server) installState(seq uint64, cells *ndarray.Array[int64]) error {
 		// the real shard count.
 		s.met.pinCostObservers(s)
 	}
-	s.cache.Flush()
 	s.seq = seq
 	s.committed.Store(seq)
 	return nil

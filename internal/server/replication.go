@@ -187,11 +187,10 @@ func JoinLeader(ctx context.Context, leaderURL string, opts Options) (*Server, e
 	leaderURL = strings.TrimRight(leaderURL, "/")
 	opts.ReadOnly = true
 	opts.LeaderURL = leaderURL
-	// A follower holds derived state: no local durability, no sub-replicas,
-	// no remote shards, no ingestion pipeline.
+	// A follower holds derived state: no local durability, no remote
+	// shards, no ingestion pipeline.
 	opts.WALPath = ""
 	opts.SnapshotPath = ""
-	opts.Followers = 0
 	opts.IngestQueue = 0
 	opts.ShardURLs = nil
 	opts.AcceptState = false

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -261,6 +262,88 @@ func TestWALFetchGenMismatch(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("resume at snapshot point: status %d", resp.StatusCode)
+	}
+}
+
+// TestFollowerNeverAheadOfLeader stops a commit between its fsync and its
+// apply — first parked right after the fsync, then queued for a write lock
+// this test holds for reading. The batch's record is whole and durable on
+// disk, past the end offset the leader has published, and nothing may ship
+// it: the leader publishes walEnd only in the write-lock hold that applies
+// the batch, so a /wal fetch serves the applied prefix only. A -join
+// follower that applied the record would answer a read at seq 2 while its
+// leader answers the next one at seq 1.
+func TestFollowerNeverAheadOfLeader(t *testing.T) {
+	dir := t.TempDir()
+	gate := newSyncGate()
+	walPath := filepath.Join(dir, "updates.wal")
+	s, err := NewWithOptions(cube.New(cube.NewIntDimension("x", 0, 7), cube.NewIntDimension("y", 0, 5)), Options{
+		BlockSize:    2,
+		Fanout:       2,
+		WALPath:      walPath,
+		WALOpenFile:  gate.open,
+		CompactEvery: 1 << 30,
+		Logf:         func(string, ...any) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
+
+	commit := func(x int) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			ack, err := s.SubmitUpdates([]ingest.Update{{Coords: []int{x, 0}, Delta: 1}}, true)
+			if err == nil {
+				err = (<-ack).Err
+			}
+			done <- err
+		}()
+		return done
+	}
+	// fetched GETs /wal and returns the stamped sequence and the batches shipped.
+	fetched := func() (string, int) {
+		t.Helper()
+		resp := fetchWAL(t, ts, "")
+		defer resp.Body.Close()
+		batches, _, err := wal.ScanStream(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /wal: status %d, %v", resp.StatusCode, err)
+		}
+		return resp.Header.Get(hdrSeq), len(batches)
+	}
+	if err := <-commit(0); err != nil {
+		t.Fatal(err)
+	}
+
+	gate.after.Store(true)
+	done := commit(1)
+	release := gate.awaitPark(t)
+	published := s.walEnd.Load()
+	if info, err := os.Stat(walPath); err != nil || info.Size() <= published {
+		t.Fatalf("record 2 is not on disk past the published end %d (%v): the window under test is not open", published, err)
+	}
+	if seq, n := fetched(); seq != "1" || n != 1 {
+		t.Fatalf("GET /wal between fsync and apply stamped seq %s and shipped %d batches, want seq 1 and 1 batch", seq, n)
+	}
+	// From here the apply waits for this read lock (and new read locks for the
+	// apply, which is why /wal was fetched first); nothing may be published
+	// while it waits.
+	s.mu.RLock()
+	release()
+	time.Sleep(50 * time.Millisecond)
+	committed, end := s.committed.Load(), s.walEnd.Load()
+	s.mu.RUnlock()
+	if committed != 1 || end != published {
+		t.Fatalf("with the apply held back the leader committed %d and published WAL end %d, want 1 and %d", committed, end, published)
+	}
+
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if seq, n := fetched(); seq != "2" || n != 2 {
+		t.Fatalf("GET /wal after the apply stamped seq %s and shipped %d batches, want seq 2 and 2 batches", seq, n)
 	}
 }
 

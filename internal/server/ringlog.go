@@ -12,27 +12,19 @@ import (
 // without bound under sustained load (or, as before this existed, freezing
 // the log at its first 10000 queries forever).
 type queryLog struct {
-	size int // capacity; immutable after construction
 	mu   sync.Mutex
-	buf  []ndarray.Region
-	next int  // overwrite position once full
-	full bool // buf has wrapped at least once
+	buf  []ndarray.Region // capacity is the ring size
+	next int              // overwrite position once full
+	full bool             // buf has wrapped at least once
 }
 
+// newQueryLog returns an empty ring of size > 0 regions.
 func newQueryLog(size int) *queryLog {
-	if size < 0 {
-		size = 0
-	}
-	return &queryLog{size: size, buf: make([]ndarray.Region, 0, size)}
+	return &queryLog{buf: make([]ndarray.Region, 0, size)}
 }
 
 // Add records one queried region (cloned: callers reuse their buffers).
-// The emptiness check reads the immutable size, not the buffer, so the
-// fast path needs no lock and cannot race the append below.
 func (q *queryLog) Add(r ndarray.Region) {
-	if q.size == 0 {
-		return
-	}
 	r = r.Clone()
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -127,26 +127,6 @@ type Options struct {
 	// JoinLeader. 0 means 50ms.
 	FollowPoll time.Duration
 
-	// Followers > 0 runs that many in-process read replicas of the whole
-	// logical cube, fed by the WAL's committed prefix as a replication
-	// stream (requires WALPath). /query/batch reads are balanced across
-	// leader and followers; a follower serves only when it has applied
-	// everything committed at dispatch, so balanced reads are
-	// epoch-consistent and never behind an acknowledged write.
-	Followers int
-	// BalanceSeed seeds the follower load-balancer's deterministic pick
-	// stream (the workload.SeededGen convention: pass the harness -seed for
-	// replayable runs). 0 uses a fixed default seed.
-	BalanceSeed uint64
-
-	// CacheSize bounds the query result cache (in entries); 0 disables
-	// caching. Cached answers are keyed by canonicalized (op, region) and
-	// are valid for one update epoch: any applied /update batch flushes the
-	// cache wholesale before it is acknowledged, so a cached answer can
-	// never be stale — including across the WAL/snapshot recovery path,
-	// which replays updates before the cache exists.
-	CacheSize int
-
 	// WALPath, when non-empty, enables write-ahead logging: every /update
 	// batch is appended and fsynced before it is applied. On startup the
 	// log's committed prefix is replayed over the cube (after the snapshot,
@@ -177,9 +157,6 @@ type Options struct {
 	// MaxBatchQueries caps the number of queries in one /query/batch
 	// request; larger batches fail with 413. 0 means 1024.
 	MaxBatchQueries int
-	// QueryLogSize caps the /advise query log: the ring buffer keeps the
-	// most recent QueryLogSize queried regions. 0 means 10000.
-	QueryLogSize int
 	// QueryTimeout bounds each /query request; past the deadline the
 	// scan abandons work at its next cancellation checkpoint and the
 	// request fails with 503. 0 means no deadline.
@@ -195,9 +172,6 @@ type Options struct {
 	// with one fsync, and applies it under one write-lock epoch. A full
 	// queue sheds writers with 429. 0 keeps the direct per-request path.
 	IngestQueue int
-	// IngestMaxBatch caps the point updates gathered into one flushed
-	// group. 0 means 4096.
-	IngestMaxBatch int
 	// IngestMaxWait is how long the flusher holds an under-filled group
 	// open for more arrivals. 0 commits as soon as the queue is
 	// momentarily empty — batches then form naturally while a commit's
@@ -233,10 +207,6 @@ type Options struct {
 	// AccessLog emits one Logf line per served request: method, path,
 	// status, bytes, latency, request ID.
 	AccessLog bool
-	// NoTelemetry disables all metric recording (every series no-ops and
-	// /metrics is never mounted). It exists for the benchmark guard that
-	// measures instrumentation overhead; production servers leave it off.
-	NoTelemetry bool
 
 	// Logf receives operational log lines (recovery, compaction, panics).
 	// Nil means log.Printf.
@@ -256,14 +226,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatchQueries <= 0 {
 		o.MaxBatchQueries = 1024
 	}
-	if o.QueryLogSize <= 0 {
-		o.QueryLogSize = 10000
-	}
 	if o.SumEngine == "" {
 		o.SumEngine = "prefixsum"
-	}
-	if o.IngestMaxBatch <= 0 {
-		o.IngestMaxBatch = 4096
 	}
 	if o.ShardProbe == 0 {
 		o.ShardProbe = time.Second
@@ -279,6 +243,14 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+// Sizes no deployment tunes: the /advise ring keeps the most recent
+// queryLogSize queried regions, and the ingest flusher gathers at most
+// ingestMaxBatch point updates into one group.
+const (
+	queryLogSize   = 10000
+	ingestMaxBatch = 4096
+)
 
 // Server holds the cube and, in a shard.Router, every structure that
 // answers queries over it. Queries take the read lock; update batches take
@@ -329,31 +301,25 @@ type Server struct {
 	seq       uint64   // sequence number of the last applied batch
 	sinceSnap int      // batches logged since the last snapshot
 
-	// Replication (sharding.go): committed mirrors seq for lock-free
-	// follower-eligibility checks; walGen counts WAL resets/recreations so
-	// followers detect a superseded log (0 without a WAL); walEnd is the log
-	// offset below which every record is applied. A record is durable before
-	// it is applied, so the file may run one record past walEnd: replication
-	// readers (GET /wal, the /snapshot stamp, the follower pumps) stop at
-	// walEnd and never ask the file or the Log for a length. All three are
+	// Replication (replication.go): committed mirrors seq for lock-free
+	// readers (the shard-down lag stamp); walGen counts WAL resets and
+	// recreations so -join followers detect a superseded log (0 without a
+	// WAL); walEnd is the log offset below which every record is applied. A
+	// record is durable before it is applied, so the file may run one record
+	// past walEnd: replication readers (GET /wal, the /snapshot stamp) stop
+	// at walEnd and never ask the file or the Log for a length. All three are
 	// stored inside a write-lock hold, so a read epoch sees them agree.
 	committed atomic.Uint64
 	walGen    atomic.Uint64
 	walEnd    atomic.Int64
-	followers []*replica
-	balance   *balancer
-	pumpStop  chan struct{}
-	pumpOnce  sync.Once
-	pumpWG    sync.WaitGroup
 
 	batcher *ingest.Batcher // nil when IngestQueue is 0 (direct commits)
 
 	inflight chan struct{} // admission semaphore; nil when unlimited
 
-	qlog  *queryLog    // recent query regions, input to /advise
-	cache *resultCache // epoch-invalidated result cache; nil when disabled
+	qlog *queryLog // recent query regions, input to /advise
 
-	met       *serverMetrics // always non-nil; its primitives are nil when telemetry is off
+	met       *serverMetrics // every series the server records into
 	ridPrefix string         // per-server random prefix for minted request IDs
 	ridSeq    atomic.Uint64  // sequence for minted request IDs
 
@@ -431,8 +397,8 @@ func NewWithOptions(c *cube.Cube, opts Options) (*Server, error) {
 	if opts.IngestDurability != "sync" && opts.IngestDurability != "async" {
 		return nil, fmt.Errorf("server: unknown ingest durability %q (sync, async)", opts.IngestDurability)
 	}
-	if opts.Shards < 0 || opts.Followers < 0 {
-		return nil, fmt.Errorf("server: negative shard (%d) or follower (%d) count", opts.Shards, opts.Followers)
+	if opts.Shards < 0 {
+		return nil, fmt.Errorf("server: negative shard count %d", opts.Shards)
 	}
 	if opts.AwaitState && !opts.AcceptState {
 		return nil, errors.New("server: AwaitState requires AcceptState (the state must be allowed to arrive)")
@@ -441,8 +407,7 @@ func NewWithOptions(c *cube.Cube, opts Options) (*Server, error) {
 		return nil, errors.New("server: a remote-shard leader's state is authoritative, it cannot also accept pushes")
 	}
 	s := &Server{opts: opts, logf: opts.Logf, cube: c}
-	s.qlog = newQueryLog(opts.QueryLogSize)
-	s.cache = newResultCache(opts.CacheSize)
+	s.qlog = newQueryLog(queryLogSize)
 	s.ridPrefix = ridPrefix()
 	// The tracer exists before telemetry registration so the span counters
 	// can be exported by callback; trace.New returns nil (all span calls
@@ -454,14 +419,8 @@ func NewWithOptions(c *cube.Cube, opts Options) (*Server, error) {
 	})
 
 	// Telemetry registration precedes recovery so the WAL can be wired the
-	// moment it opens. With NoTelemetry the registry is nil and every
-	// primitive below no-ops; s.met itself is always non-nil so recording
-	// sites need no branches.
-	var reg *telemetry.Registry
-	if !opts.NoTelemetry {
-		reg = telemetry.NewRegistry()
-	}
-	s.met = newServerMetrics(s, reg)
+	// moment it opens.
+	s.met = newServerMetrics(s, telemetry.NewRegistry())
 
 	if opts.SnapshotPath != "" {
 		if err := s.loadSnapshot(); err != nil {
@@ -476,9 +435,8 @@ func NewWithOptions(c *cube.Cube, opts Options) (*Server, error) {
 		s.wal = l
 		s.walEnd.Store(l.Size())
 		l.SetMetrics(&s.met.walMet)
-		// Generation tracking is always on with a WAL: GET /wal hands out a
-		// generation token even when no in-process follower runs, so remote
-		// followers detect a compacted (superseded) log and re-bootstrap.
+		// GET /wal hands out a generation token, so -join followers detect a
+		// compacted (superseded) log and re-bootstrap.
 		s.walGen.Store(1)
 		replayed := 0
 		for _, b := range batches {
@@ -498,8 +456,7 @@ func NewWithOptions(c *cube.Cube, opts Options) (*Server, error) {
 		}
 	}
 
-	// The router and the follower replicas build over the recovered cells;
-	// the pumps start here, before any request arrives.
+	// The router builds over the recovered cells, before any request arrives.
 	if err := s.initSharding(); err != nil {
 		if s.wal != nil {
 			s.wal.Close()
@@ -530,7 +487,7 @@ func NewWithOptions(c *cube.Cube, opts Options) (*Server, error) {
 		// enabled.
 		s.batcher = ingest.New(ingest.Options{
 			QueueSize: opts.IngestQueue,
-			MaxBatch:  opts.IngestMaxBatch,
+			MaxBatch:  ingestMaxBatch,
 			MaxWait:   opts.IngestMaxWait,
 			Commit:    s.commitGroups,
 			Metrics:   &s.met.ingestMet,
@@ -610,10 +567,6 @@ func (s *Server) Close() error {
 		t.stop()
 	}
 	s.tickers = nil // a second Close finds nothing left to stop
-	s.stopPumps()
-	for _, r := range s.followers {
-		r.f.Close()
-	}
 	if s.batcher != nil {
 		// Stop before taking the lock: the drain commits queued groups,
 		// and each commit needs the commit mutex itself.
@@ -667,7 +620,7 @@ func (s *Server) compact() error {
 	if err := s.wal.Reset(); err != nil {
 		return fmt.Errorf("server: truncating WAL after snapshot: %w", err)
 	}
-	// Replicas tailing the old log must re-anchor on the snapshot just
+	// Followers tailing the old log must re-anchor on the snapshot just
 	// written — their byte offsets no longer mean anything.
 	s.publishWALReset()
 	s.met.compactions.Inc()
@@ -708,7 +661,7 @@ func (s *Server) Handler() http.Handler {
 	if s.opts.AcceptState {
 		mux.HandleFunc("POST /state", s.handleState)
 	}
-	if s.opts.Metrics && s.met.reg != nil {
+	if s.opts.Metrics {
 		mux.Handle("GET /metrics", s.met.reg.Handler())
 	}
 	// The trace store, like /metrics and the probes, bypasses admission
@@ -718,8 +671,8 @@ func (s *Server) Handler() http.Handler {
 	return s.instrumented(s.recovered(mux))
 }
 
-// Metrics returns the server's telemetry registry, or nil when telemetry is
-// disabled — for embedding the exposition somewhere other than /metrics.
+// Metrics returns the server's telemetry registry, for embedding the
+// exposition somewhere other than /metrics.
 func (s *Server) Metrics() *telemetry.Registry {
 	return s.met.reg
 }
@@ -831,16 +784,13 @@ type queryResponse struct {
 	LowerBnd *int64 `json:"lower_bound,omitempty"`
 	UpperBnd *int64 `json:"upper_bound,omitempty"`
 	Volume   int    `json:"volume"`
-	// Accesses is the paper's cost proxy for answering this request; a
-	// cache hit reports 0 accesses and Cached=true.
+	// Accesses is the paper's cost proxy for answering this request.
 	Accesses int64 `json:"accesses"`
-	Cached   bool  `json:"cached,omitempty"`
 	// Partial marks a sum answered with one or more remote shards
 	// unreachable: Value is the exact sum over the reachable slabs only,
 	// while the §11 [lower, upper] bounds still contain the true answer —
 	// each missing slab contributes volume × its conservative cell-value
-	// bounds. Missing lists the absent shard indices. Partial answers are
-	// never cached.
+	// bounds. Missing lists the absent shard indices.
 	Partial bool  `json:"partial,omitempty"`
 	Missing []int `json:"missing_shards,omitempty"`
 }
@@ -938,22 +888,10 @@ func (s *Server) setAnswer(resp *queryResponse, a shard.Answer) {
 	}
 }
 
-// evalSlot answers one validated query against rt — the leader's router or a
-// follower replica's. The caller pins rt's epoch (the server's read lock, or
-// the follower's view) for the duration; cached, set only under the read
-// lock, serves and fills the result cache, which is what makes reading s.seq
-// and publishing against it race-free. A non-nil error is a cancellation, a
+// evalSlot answers one validated query against the router; the caller holds
+// the read lock for the duration. A non-nil error is a cancellation, a
 // deadline or a down shard.
-func (s *Server) evalSlot(ctx context.Context, rt *shard.Router, cached bool, q batchSlot) (queryResponse, error) {
-	var key string
-	if cached && s.cache != nil {
-		key = cacheKey(q.op, q.region)
-		if resp, ok := s.cache.Get(key, s.seq); ok {
-			resp.Cached = true
-			resp.Accesses = 0
-			return resp, nil
-		}
-	}
+func (s *Server) evalSlot(ctx context.Context, q batchSlot) (queryResponse, error) {
 	var c metrics.Counter
 	resp := queryResponse{Op: q.op, Volume: q.region.Volume()}
 	// A zero-volume region has a defined answer shape — explicitly empty,
@@ -966,32 +904,25 @@ func (s *Server) evalSlot(ctx context.Context, rt *shard.Router, cached bool, q 
 	} else {
 		// One scatter answers the query whole — a sum with its §11 bounds and
 		// the partial-failure envelope together.
-		a, err := rt.AnswerOne(ctx, shard.Query{Op: rop, Region: q.region}, &c)
+		a, err := s.router.AnswerOne(ctx, shard.Query{Op: rop, Region: q.region}, &c)
 		if err != nil {
 			return resp, err
 		}
 		s.setAnswer(&resp, a)
 	}
 	resp.Accesses = c.Total()
-	// Bridge the paper's per-query cost counter into the live §8 histograms;
-	// cache hits never reach this point, so the distributions describe real
-	// evaluation work only. The observers are pinned per op at construction,
-	// so this is three atomic histogram records, no label resolution.
+	// Bridge the paper's per-query cost counter into the live §8 histograms.
+	// The observers are pinned per op at construction, so this is three
+	// atomic histogram records, no label resolution.
 	c.Publish(s.met.costObs[q.op])
 	// The same counter annotates the active span (the per-item span evalSlots
 	// opens) with the §8 cost.
 	if sp := trace.FromContext(ctx); sp != nil {
 		c.Publish(sp)
-		sp.SetEngine(engineLabel(rt, s.opts.SumEngine, q.op))
+		sp.SetEngine(engineLabel(s.router, s.opts.SumEngine, q.op))
 		if resp.Partial {
 			sp.SetPartial()
 		}
-	}
-	// A partial answer reflects which shards happened to be down, not the
-	// epoch's data; caching it would keep serving degraded bounds after the
-	// shards return.
-	if key != "" && !resp.Partial {
-		s.cache.Put(key, s.seq, resp)
 	}
 	return resp, nil
 }

@@ -12,6 +12,7 @@ import (
 
 	"rangecube/internal/cube"
 	"rangecube/internal/naive"
+	"rangecube/internal/ndarray"
 )
 
 func testServer(t *testing.T) (*Server, *cube.Cube) {
@@ -280,4 +281,27 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestAvgEmptyRegion checks the defined empty-region answer shape: explicit
+// empty marker, no NaN anywhere (NaN would make json.Marshal fail), no
+// division by zero.
+func TestAvgEmptyRegion(t *testing.T) {
+	s := New(uniqueCube(7), 5, 4)
+	empty := ndarray.Region{{Lo: 0, Hi: -1}, {Lo: 0, Hi: 9}, {Lo: 0, Hi: 1}}
+	for _, op := range []string{"avg", "sum", "count", "max", "min"} {
+		resp, err := s.evalSlot(t.Context(), batchSlot{op: op, region: empty})
+		if err != nil {
+			t.Fatalf("op=%s over empty region: %v", op, err)
+		}
+		if !resp.Empty {
+			t.Fatalf("op=%s over empty region not marked empty: %+v", op, resp)
+		}
+		if resp.Value != 0 || resp.Average != 0 || resp.Volume != 0 {
+			t.Fatalf("op=%s over empty region = %+v, want zero values", op, resp)
+		}
+		if _, err := json.Marshal(resp); err != nil {
+			t.Fatalf("op=%s empty answer does not encode: %v", op, err)
+		}
+	}
 }

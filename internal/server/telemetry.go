@@ -17,11 +17,7 @@ import (
 )
 
 // serverMetrics is every telemetry series the serving stack records into,
-// registered once per server. With telemetry disabled (Options.NoTelemetry)
-// the registry is nil and so is every primitive below — recording through
-// them is a no-op, so the instrumented code paths are identical either way
-// and the on/off delta measured by the benchmark guard is purely the atomic
-// adds.
+// registered once per server.
 //
 // Naming scheme (DESIGN.md §10): everything is prefixed cube_, units are
 // encoded in the suffix (_total for monotonic counts, _seconds, _bytes),
@@ -60,14 +56,9 @@ type serverMetrics struct {
 	// walMet. cube_degraded itself is a callback gauge over Server.degraded.
 	recoveries *telemetry.Counter
 
-	// Sharded serving tier: per-replica lag and served batches, plus the
-	// fallbacks where a picked follower was behind the committed epoch and
-	// the leader served instead. The cube_shard_* series export the
-	// router's own scatter–gather counts by callback.
-	replicaLag       *telemetry.GaugeVec   // replica
-	replicaBatches   *telemetry.CounterVec // replica
-	replicaFallbacks *telemetry.Counter
-	tornScatters     *telemetry.Counter // lock-free remote reads that gave up the seqlock retry
+	// Sharded serving tier. The cube_shard_* series export the router's own
+	// scatter–gather counts by callback.
+	tornScatters *telemetry.Counter // lock-free remote reads that gave up the seqlock retry
 
 	// Resynchronizations: a follower re-bootstrapping after its shipped WAL
 	// was superseded (kind=follower), or a leader pushing full state to a
@@ -83,14 +74,13 @@ type serverMetrics struct {
 	// costObs pins one observer per op. The engine serving each op is fixed
 	// at construction, so the label resolution (a locked map lookup in the
 	// registry) happens once here instead of three times per evaluated
-	// query — under concurrent batch evaluation that lock is hot. Nil when
-	// telemetry is off.
+	// query — under concurrent batch evaluation that lock is hot.
 	costObs map[string]metrics.Observer
 }
 
 // newServerMetrics registers the full series set. s must already hold its
-// cache and query log (their stats are exported by callback so the counts
-// are never double-accounted); the WAL is wired afterwards via walMet.
+// query log (its length is exported by callback); the WAL is wired
+// afterwards via walMet.
 func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 	m := &serverMetrics{reg: reg}
 
@@ -167,10 +157,9 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 	m.recoveries = reg.Counter("cube_storage_recoveries_total",
 		"Degraded-mode recoveries completed (fresh snapshot + new WAL).")
 
-	// Serving tier. The shard counters read the leader router by callback
-	// (a one-shard router counts every structure-backed query as one query
-	// of one sub-query); replica series are pinned per follower at
-	// construction.
+	// Serving tier. The shard counters read the router by callback (a
+	// one-shard router counts every structure-backed query as one query of
+	// one sub-query).
 	routerStat := func(i int) func() int64 {
 		return func() int64 {
 			q, sq, sc := s.liveRouter().Stats()
@@ -180,9 +169,6 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 	reg.GaugeFunc("cube_shards",
 		"Engine shards the logical cube is partitioned across (1 = unsharded).",
 		func() int64 { return int64(s.liveRouter().Shards()) })
-	reg.GaugeFunc("cube_followers",
-		"In-process follower replicas fed by the WAL replication stream.",
-		func() int64 { return int64(len(s.followers)) })
 	reg.CounterFunc("cube_shard_queries_total",
 		"Queries scatter–gathered across the leader's shards.", routerStat(0))
 	reg.CounterFunc("cube_shard_subqueries_total",
@@ -213,12 +199,6 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 	reg.CounterFunc("cube_shard_remote_partials_total",
 		"Sum answers degraded to partial (bounds-only) by a down remote shard.",
 		remoteStat(func(st *shard.RemoteStats) uint64 { return st.Partials.Load() }))
-	m.replicaLag = reg.GaugeVec("cube_replica_lag",
-		"Committed batches a follower replica has not yet applied.", "replica")
-	m.replicaBatches = reg.CounterVec("cube_replica_batches_total",
-		"Read requests (/query/batch, and /query as a batch of one) served by each follower replica.", "replica")
-	m.replicaFallbacks = reg.Counter("cube_replica_fallbacks_total",
-		"Balanced reads that fell back to the leader because the picked follower was behind the committed epoch.")
 	m.tornScatters = reg.Counter("cube_shard_remote_torn_reads_total",
 		"Lock-free remote batch reads that exhausted the scatter-seqlock retry budget and kept a possibly-torn answer.")
 
@@ -329,20 +309,8 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 	m.costSteps = reg.HistogramVec("cube_query_cost_steps",
 		"Combining operations per query (§8 cost model).", 1, "op", "engine")
 
-	// Sources that keep their own counts are exported by callback — the
-	// cache and pool numbers exist whether or not telemetry is on, and a
+	// Sources that keep their own counts are exported by callback — a
 	// callback cannot drift from them.
-	reg.CounterFunc("cube_cache_hits_total",
-		"Result-cache hits.", func() int64 { h, _, _, _ := s.cache.Stats(); return int64(h) })
-	reg.CounterFunc("cube_cache_misses_total",
-		"Result-cache misses.", func() int64 { _, mi, _, _ := s.cache.Stats(); return int64(mi) })
-	reg.CounterFunc("cube_cache_evictions_total",
-		"Result-cache LRU evictions.", func() int64 { _, _, e, _ := s.cache.Stats(); return int64(e) })
-	reg.CounterFunc("cube_cache_flushes_total",
-		"Result-cache wholesale flushes (one per applied update batch).",
-		func() int64 { _, _, _, f := s.cache.Stats(); return int64(f) })
-	reg.GaugeFunc("cube_cache_entries",
-		"Result-cache entries currently held.", func() int64 { return int64(s.cache.Len()) })
 	reg.GaugeFunc("cube_advise_log_entries",
 		"Query regions held in the /advise ring buffer.", func() int64 { return int64(s.qlog.Len()) })
 
@@ -374,9 +342,6 @@ func (s *Server) liveRouter() *shard.Router {
 // engine labels. Called once the router exists, and again if a /state push
 // changes its shard count.
 func (m *serverMetrics) pinCostObservers(s *Server) {
-	if m.reg == nil {
-		return
-	}
 	obs := make(map[string]metrics.Observer, 5)
 	for _, op := range []string{"sum", "count", "avg", "max", "min"} {
 		eng := engineLabel(s.router, s.opts.SumEngine, op)

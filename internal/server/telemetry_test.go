@@ -14,7 +14,7 @@ import (
 	"rangecube/internal/cube"
 )
 
-// metricsTestServer builds a fully featured server — WAL, snapshot, cache,
+// metricsTestServer builds a fully featured server — WAL, snapshot,
 // admission limit, metrics endpoint — over a small cube, answering sums with
 // sumEngine ("" is the default, prefixsum).
 func metricsTestServer(t *testing.T, sumEngine string) (*Server, *httptest.Server) {
@@ -36,7 +36,6 @@ func metricsTestServer(t *testing.T, sumEngine string) (*Server, *httptest.Serve
 		SumEngine:    sumEngine,
 		WALPath:      filepath.Join(dir, "updates.wal"),
 		SnapshotPath: filepath.Join(dir, "cube.snap"),
-		CacheSize:    32,
 		MaxInflight:  8,
 		Metrics:      true,
 		Logf:         func(string, ...any) {},
@@ -92,12 +91,13 @@ func seriesValue(body, name, labelSubstr string) float64 {
 	return -1
 }
 
-// TestMetricsEndToEnd drives a mixed load — queries (repeated, so the cache
-// hits), a batch with one poisoned item, an update through the WAL — then
-// scrapes /metrics and asserts every required series is present with a sane
-// value: per-endpoint request accounting, the live §8 cost histograms,
-// cache counters, WAL fsync latency and — for both sum engines — the bytes of
-// exactly the structures that engine builds.
+// TestMetricsEndToEnd drives a mixed load — repeated queries, a batch with
+// one poisoned item, an update through the WAL — then scrapes /metrics and
+// asserts every required series is present with a sane value: per-endpoint
+// request accounting, the live §8 cost histograms (one observation per
+// evaluated query), WAL fsync latency and — for both sum engines — the bytes
+// of exactly the structures that engine builds. Series of deleted features
+// (the result cache, in-process followers) must stay gone.
 func TestMetricsEndToEnd(t *testing.T) {
 	for _, engine := range []string{"prefixsum", "blocked"} {
 		t.Run(engine, func(t *testing.T) { testMetricsEndToEnd(t, engine) })
@@ -131,7 +131,7 @@ func testMetricsEndToEnd(t *testing.T, engine string) {
 	}
 
 	for i := 0; i < 5; i++ {
-		get("/query?op=sum&age=3..40&year=1991..1997") // identical: 4 cache hits
+		get("/query?op=sum&age=3..40&year=1991..1997") // identical: 5 evaluations
 	}
 	get("/query?op=max&age=10..30")
 	get("/query?op=min&year=1992..1995")
@@ -153,9 +153,6 @@ func testMetricsEndToEnd(t *testing.T, engine string) {
 		{"cube_query_cost_cells_count", `op="sum",engine="` + engine + `"`, 1},
 		{"cube_query_cost_aux_count", `op="max",engine="maxtree"`, 1},
 		{"cube_query_cost_steps_count", `op="sum"`, 1},
-		{"cube_cache_hits_total", "", 4},
-		{"cube_cache_misses_total", "", 1},
-		{"cube_cache_flushes_total", "", 1},
 		{"cube_wal_fsync_seconds_count", "", 1},
 		{"cube_wal_append_bytes_total", "", 1},
 		{"cube_update_batches_total", "", 1},
@@ -182,10 +179,18 @@ func testMetricsEndToEnd(t *testing.T, engine string) {
 	if n := seriesValue(body, "cube_write_lock_hold_seconds_count", ""); n != 1 {
 		t.Errorf("cube_write_lock_hold_seconds_count = %v after one commit, want 1", n)
 	}
-	// The cached answers must not have fed the cost histograms: 5 identical
-	// sum queries = 1 evaluation.
-	if got := seriesValue(body, "cube_query_cost_cells_count", `op="sum",engine="`+engine+`"`); got >= 5 {
-		t.Errorf("cost histogram saw %v sum evaluations; cache hits must not record cost", got)
+	// Every sum is evaluated: the 5 identical GETs and the batch's one.
+	if got := seriesValue(body, "cube_query_cost_cells_count", `op="sum",engine="`+engine+`"`); got != 6 {
+		t.Errorf("cost histogram saw %v sum evaluations, want 6", got)
+	}
+	for _, gone := range []string{
+		"cube_cache_hits_total", "cube_cache_misses_total", "cube_cache_evictions_total",
+		"cube_cache_flushes_total", "cube_cache_entries",
+		"cube_followers", "cube_replica_lag", "cube_replica_batches_total", "cube_replica_fallbacks_total",
+	} {
+		if got := seriesValue(body, gone, ""); got != -1 || strings.Contains(body, "# HELP "+gone+" ") {
+			t.Errorf("removed series %s is exported", gone)
+		}
 	}
 	// Only what answers is built: 50×10 cells of 8 bytes; P as large again
 	// under prefixsum and absent under blocked; one 8-byte packed entry per 5×5
@@ -340,9 +345,7 @@ func TestShedAccounting(t *testing.T) {
 	mux.Handle("/query", s.limited(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 	})))
-	if s.met.reg != nil {
-		mux.Handle("/metrics", s.met.reg.Handler())
-	}
+	mux.Handle("/metrics", s.met.reg.Handler())
 	ts := httptest.NewServer(s.instrumented(s.recovered(mux)))
 	defer ts.Close()
 

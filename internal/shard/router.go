@@ -39,7 +39,7 @@ type PointDelta struct {
 // are single-query calls of it.
 //
 // The router performs no locking: callers serialize queries against updates
-// (the server holds its RWMutex, a follower its own).
+// (the server holds its RWMutex).
 type Router struct {
 	m         Map
 	sumEngine string // "prefixsum" or "blocked" — which structure answers Sum

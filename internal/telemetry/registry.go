@@ -16,8 +16,7 @@ import (
 // recording may race freely afterwards.
 //
 // A nil *Registry is valid: every constructor returns nil primitives, which
-// record nothing, so a server built with telemetry disabled threads nils
-// through the exact same code paths.
+// record nothing, through the exact same code paths.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family

@@ -17,8 +17,8 @@
 // determinism contract the kernel counters in internal/metrics follow.
 //
 // Nil receivers are valid everywhere and record nothing, mirroring
-// metrics.Counter: a server built with telemetry disabled passes nil
-// primitives around and pays one nil check per event.
+// metrics.Counter: code holding an unwired primitive (a WAL opened outside a
+// server) pays one nil check per event.
 package telemetry
 
 import (

@@ -230,7 +230,7 @@ func readLogHeader(r io.Reader) error {
 // scanRecords reads framed records from the current stream position until
 // the committed prefix ends, returning the decoded batches and how many
 // bytes of clean records were consumed. Shared by Scan (recovery from the
-// header) and ScanFrom (replication tailing from an arbitrary boundary).
+// header) and ScanStream (a GET /wal body from an arbitrary boundary).
 func scanRecords(r io.Reader) (batches []Batch, n int64, err error) {
 	var seq uint64
 	valid := int64(0)
