@@ -101,7 +101,6 @@ func serverFlags(fs *flag.FlagSet) func() server.Options {
 	maxInflight := fs.Int("max-inflight", 64, "max concurrent requests (queries and updates) before shedding with 429 (0 = unlimited)")
 	queryTimeout := fs.Duration("query-timeout", 10*time.Second, "per-query deadline (0 = none)")
 	sumEngine := fs.String("sum-engine", "prefixsum", "structure answering range sums: prefixsum or blocked")
-	shards := fs.Int("shards", 1, "slab-partition the cube across N engine shards along the planner-chosen dimension (1 = unsharded)")
 	shardTimeout := fs.Duration("shard-timeout", 2*time.Second, "per-sub-query deadline against a remote shard")
 	shardHedge := fs.Duration("shard-hedge-after", 100*time.Millisecond, "launch one hedged duplicate read sub-query after a remote shard is silent this long (0 = no hedging; updates are never hedged)")
 	shardProbe := fs.Duration("shard-probe", time.Second, "how often down remote shards are re-pushed their slab state (0 = probe off)")
@@ -124,7 +123,6 @@ func serverFlags(fs *flag.FlagSet) func() server.Options {
 			MaxInflight:  *maxInflight,
 			QueryTimeout: *queryTimeout,
 			SumEngine:    *sumEngine,
-			Shards:       *shards,
 			Metrics:      *metrics,
 			AccessLog:    *accessLog,
 			TraceSample:  *traceSample,
@@ -164,7 +162,7 @@ func run() error {
 	measure := flag.String("measure", "revenue", "name of the integer measure column")
 	addr := flag.String("addr", ":8080", "listen address")
 	options := serverFlags(flag.CommandLine)
-	shardURLs := flag.String("shard-urls", "", "comma-separated base URLs of shard processes; the leader pushes each its slab and scatter–gathers queries across them (overrides -shards)")
+	shardURLs := flag.String("shard-urls", "", "comma-separated base URLs of shard processes; the leader slab-partitions the cube along the planner-chosen dimension, pushes each its slab and scatter–gathers queries across them")
 	serveShard := flag.Int("serve-shard", -1, "run as shard process N: boot empty, await the leader's slab push on POST /state (-data not required)")
 	join := flag.String("join", "", "run as a read-only follower of the leader at this URL, bootstrapping from /snapshot and tailing /wal (-data not required)")
 	drain := flag.Duration("drain", 10*time.Second, "grace period for in-flight requests on shutdown")

@@ -11,7 +11,8 @@ import (
 
 // TestZeroFlagMeansOff pins the flags whose help promises "0 = off": the
 // Options they map to reserve 0 for a default that is on, so each must reach
-// the server as a negative value, while the flag's own default stays on.
+// the server as a negative value, while the flag's own default stays on. The
+// defaults also mount GET /metrics, which the operator runbooks scrape.
 func TestZeroFlagMeansOff(t *testing.T) {
 	cases := []struct {
 		flag string
@@ -33,6 +34,9 @@ func TestZeroFlagMeansOff(t *testing.T) {
 		return options()
 	}
 	defaults := parse()
+	if !defaults.Metrics {
+		t.Error("cubeserver's defaults do not mount /metrics")
+	}
 	for _, c := range cases {
 		if got := c.get(defaults); got <= 0 {
 			t.Errorf("-%s unset: option %v, want the flag's positive default", c.flag, got)

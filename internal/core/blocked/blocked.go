@@ -26,15 +26,7 @@ import (
 	"rangecube/internal/ctxcheck"
 	"rangecube/internal/metrics"
 	"rangecube/internal/ndarray"
-	"rangecube/internal/parallel"
 )
-
-// parBoundaryCells is the minimum total boundary work (cells the scans of one
-// query will read, in whichever arrays they read them) before the query fans
-// its 3^d sub-regions out across the worker pool; below it the decomposition
-// runs inline. It is a variable so equivalence tests can force the parallel
-// path on tiny cubes.
-var parBoundaryCells = parallel.Grain
 
 // Array is a blocked prefix-sum structure over a retained data cube. Unlike
 // the basic algorithm, the original cube cannot be dropped (§4.1).
@@ -210,7 +202,6 @@ type piece[T any] struct {
 	subRegion                   // plan moves sub and super into arr's index space
 	arr       *ndarray.Array[T] // nil for the internal region
 	direct    bool              // scan R rather than B ∖ R: vol(R) ≤ vol(B∖R) + 2^d − 1
-	cells     int               // entries of arr the chosen scans read
 }
 
 // decomposition is the one walk over the §4.2 decomposition that Sum, Bounds
@@ -218,7 +209,6 @@ type piece[T any] struct {
 type decomposition struct {
 	bs     []int
 	splits []dimSplit // nil once exhausted
-	count  int        // at most this many pieces: ∏ sub-ranges per dimension
 }
 
 // decompose splits r per dimension. The region must lie within the cube
@@ -237,10 +227,9 @@ func (bl *Array[T, G]) decompose(r ndarray.Region) decomposition {
 			panic(fmt.Sprintf("blocked: query %v out of bounds for shape %v", r, shape))
 		}
 	}
-	w := decomposition{bs: bl.bs, splits: make([]dimSplit, d), count: 1}
+	w := decomposition{bs: bl.bs, splits: make([]dimSplit, d)}
 	for j := range w.splits {
 		w.splits[j] = bl.split(j, r[j])
-		w.count *= w.splits[j].n
 	}
 	return w
 }
@@ -295,10 +284,6 @@ func (bl *Array[T, G]) plan(p *piece[T]) {
 	volR := p.sub.Volume()
 	volC := p.super.Volume() - volR
 	p.direct = volR <= volC+(1<<len(p.sub))-1
-	p.cells = volC
-	if p.direct {
-		p.cells = volR
-	}
 }
 
 // Sum answers Sum(ℓ1:h1, ..., ℓd:hd) with the §4.2 blocked algorithm. The
@@ -321,35 +306,25 @@ func (bl *Array[T, G]) SumContext(ctx context.Context, r ndarray.Region, c *metr
 	return v, err
 }
 
-// sum evaluates one decomposition: the exact value, costed to c, and when
-// bounds is set the §11 bounds of the same pieces, whose packed reads are
-// kept out of c.
+// sum evaluates one decomposition, folding each piece in odometer order as the
+// walk yields it: the exact value, costed to c, and when bounds is set the
+// §11 bounds of the same pieces, whose packed reads are kept out of c.
 func (bl *Array[T, G]) sum(ctx context.Context, r ndarray.Region, c *metrics.Counter, bounds bool) (total, lo, hi T, err error) {
 	total, lo, hi = bl.g.Identity(), bl.g.Identity(), bl.g.Identity()
-	// Every non-empty piece, planned, its regions in one buffer. What the
-	// boundary scans will read decides whether fanning out pays.
 	w := bl.decompose(r)
-	d := len(r)
-	pieces := make([]piece[T], 0, w.count)
-	ranges := make([]ndarray.Range, 3*d*w.count)
-	boundaryCells := 0
-	for len(ranges) > 0 { // room for count pieces, so the walk may end first
-		p := piece[T]{subRegion: subRegionOver(ranges[:3*d])}
-		if !w.next(&p.subRegion) {
-			break
-		}
+	p := piece[T]{subRegion: subRegionOver(make([]ndarray.Range, 3*len(r)))}
+	ck := ctxcheck.New(ctx)
+	for w.next(&p.subRegion) {
 		if p.keep != 0 {
 			bl.plan(&p)
-			boundaryCells += p.cells
 		}
-		pieces = append(pieces, p)
-		ranges = ranges[3*d:]
-	}
-	// fold merges one piece's value, in odometer order on either path below.
-	fold := func(p *piece[T], v T) {
+		v, err := bl.eval(&p, c, ck)
+		if err != nil {
+			return total, lo, hi, err
+		}
 		total = bl.g.Combine(total, v)
 		if !bounds {
-			return
+			continue
 		}
 		if p.keep != 0 {
 			v = bl.packed.Sum(p.block, nil)
@@ -357,39 +332,6 @@ func (bl *Array[T, G]) sum(ctx context.Context, r ndarray.Region, c *metrics.Cou
 			lo = bl.g.Combine(lo, v)
 		}
 		hi = bl.g.Combine(hi, v)
-	}
-	if len(pieces) < 2 || boundaryCells < parBoundaryCells || parallel.Workers() < 2 {
-		ck := ctxcheck.New(ctx)
-		for i := range pieces {
-			v, err := bl.eval(&pieces[i], c, ck)
-			if err != nil {
-				return total, lo, hi, err
-			}
-			fold(&pieces[i], v)
-		}
-		return total, lo, hi, nil
-	}
-	// Parallel path: one result and counter shard per piece, bodies loop over
-	// contiguous chunks with a per-goroutine cancellation checker
-	// (ctxcheck.Checker is not goroutine-safe). eval is internally
-	// sequential, so merging values and shards in piece order reproduces the
-	// sequential bits exactly — floats included — because ⊕ is applied in the
-	// same order to the same partials.
-	results := make([]T, len(pieces))
-	errs := make([]error, len(pieces))
-	shards := make([]metrics.Counter, len(pieces))
-	parallel.For(len(pieces), boundaryCells, func(from, to, _ int) {
-		ck := ctxcheck.New(ctx)
-		for i := from; i < to; i++ {
-			results[i], errs[i] = bl.eval(&pieces[i], &shards[i], ck)
-		}
-	})
-	for i := range pieces {
-		c.Merge(&shards[i])
-		if errs[i] != nil {
-			return total, lo, hi, errs[i]
-		}
-		fold(&pieces[i], results[i])
 	}
 	return total, lo, hi, nil
 }

@@ -19,11 +19,3 @@ func (bl *Array[T, G]) Edges() map[uint]*ndarray.Array[T] {
 	}
 	return out
 }
-
-// ForceFanOut makes every multi-piece query take the parallel path until the
-// returned restore function runs.
-func ForceFanOut() (restore func()) {
-	prev := parBoundaryCells
-	parBoundaryCells = 1
-	return func() { parBoundaryCells = prev }
-}

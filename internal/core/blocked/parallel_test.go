@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"rangecube/internal/algebra"
-	"rangecube/internal/metrics"
 	"rangecube/internal/parallel"
 	"rangecube/internal/workload"
 
@@ -56,81 +55,6 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 			if got.Sum(r, nil) != want.Sum(r, nil) {
 				t.Fatalf("shape %v bs %v: query %v differs", tc.shape, tc.bs, r)
 			}
-		}
-	}
-}
-
-// TestParallelQuerySumMatchesSequential proves the fanned-out evaluation of
-// the 3^d query decomposition is bit-identical to the sequential walk: each
-// sub-region is answered independently and the partials (and counter
-// shards) are folded back in odometer order, so values AND counter totals
-// must match exactly. The volume gate is forced to 1 so the parallel path
-// runs on small cubes.
-func TestParallelQuerySumMatchesSequential(t *testing.T) {
-	prev := parallel.SetMaxWorkers(4)
-	t.Cleanup(func() { parallel.SetMaxWorkers(prev) })
-	prevGate := parBoundaryCells
-	parBoundaryCells = 1
-	t.Cleanup(func() { parBoundaryCells = prevGate })
-
-	cases := []struct {
-		shape []int
-		bs    []int
-	}{
-		{[]int{500}, []int{7}},
-		{[]int{64, 66}, []int{8, 8}},
-		{[]int{61, 67}, []int{1, 8}},
-		{[]int{17, 19, 23}, []int{4, 5, 4}},
-	}
-	g := workload.SeededGen(t, *seedFlag, 3)
-	for _, tc := range cases {
-		a := g.UniformCube(tc.shape, 1000)
-		bl := BuildIntDims(a, tc.bs)
-		for i := 0; i < 64; i++ {
-			r := g.UniformRegion(tc.shape)
-			var cseq, cpar metrics.Counter
-			want := func() int64 {
-				p := parallel.SetMaxWorkers(1)
-				defer parallel.SetMaxWorkers(p)
-				return bl.Sum(r, &cseq)
-			}()
-			got := bl.Sum(r, &cpar)
-			if got != want {
-				t.Fatalf("shape %v bs %v query %v: parallel sum %d, sequential %d", tc.shape, tc.bs, r, got, want)
-			}
-			if cpar != cseq {
-				t.Fatalf("shape %v bs %v query %v: parallel counter %v, sequential %v", tc.shape, tc.bs, r, &cpar, &cseq)
-			}
-		}
-	}
-}
-
-// TestParallelQuerySumFloat repeats the equivalence check for a
-// non-commutative-rounding group: float64 addition. Bit-identity holds
-// because every sub-region is summed sequentially inside one task and the
-// task results combine in the same fixed order as the sequential walk.
-func TestParallelQuerySumFloat(t *testing.T) {
-	prev := parallel.SetMaxWorkers(4)
-	t.Cleanup(func() { parallel.SetMaxWorkers(prev) })
-	prevGate := parBoundaryCells
-	parBoundaryCells = 1
-	t.Cleanup(func() { parBoundaryCells = prevGate })
-
-	a := ndarray.New[float64](67, 71)
-	for i := range a.Data() {
-		a.Data()[i] = float64(i%13)/8 - 0.3
-	}
-	bl := Build[float64, algebra.FloatSum](a, 9)
-	g := workload.SeededGen(t, *seedFlag, 4)
-	for i := 0; i < 64; i++ {
-		r := g.UniformRegion([]int{67, 71})
-		want := func() float64 {
-			p := parallel.SetMaxWorkers(1)
-			defer parallel.SetMaxWorkers(p)
-			return bl.Sum(r, nil)
-		}()
-		if got := bl.Sum(r, nil); got != want {
-			t.Fatalf("query %v: parallel float sum %v, sequential %v", r, got, want)
 		}
 	}
 }

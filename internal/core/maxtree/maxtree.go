@@ -20,14 +20,7 @@ import (
 	"rangecube/internal/ctxcheck"
 	"rangecube/internal/metrics"
 	"rangecube/internal/ndarray"
-	"rangecube/internal/parallel"
 )
-
-// parDescendVolume is the minimum query-region volume before the root of
-// the branch-and-bound search fans its Bout subtrees out across the worker
-// pool; below it the whole descent runs inline. It is a variable so
-// equivalence tests can force the parallel path on tiny cubes.
-var parDescendVolume = parallel.Grain
 
 // Tree is the precomputed hierarchy. Level 0 is the cube itself; level i>0
 // is a contracted grid of ⌈nj/b^i⌉ per dimension whose node (k1,...,kd)
@@ -270,74 +263,8 @@ func (t *Tree[T]) maxIndex(ctx context.Context, r ndarray.Region, c *metrics.Cou
 	}
 	c.AddCells(1)
 	curVal := t.a.Data()[curOff]
-	curOff, curVal, err = t.descendRoot(ctx, lvl, node, r, curOff, curVal, c)
+	curOff, curVal, err = t.descend(lvl, node, r, curOff, curVal, c, ctxcheck.New(ctx))
 	return curOff, curVal, true, err
-}
-
-// descendRoot runs the first level of the branch-and-bound descent, fanning
-// the root's Bout subtrees out across the worker pool when the query region
-// is large enough to pay for it. Every Bout subtree is searched from the
-// shared pre-descent candidate instead of the running one, which weakens
-// pruning (the counters may record more node and cell visits than a
-// sequential run) but cannot change the answer: a subtree whose true
-// maximum beats the start candidate is never pruned, and descend returns
-// the first occurrence of the subtree maximum in the canonical visit order
-// regardless of the start value, so folding the per-subtree results back in
-// Bout order with the same strict comparison reproduces the sequential
-// (offset, value) pair bit for bit.
-func (t *Tree[T]) descendRoot(ctx context.Context, levelIdx int, node []int, r ndarray.Region, curOff int, curVal T, c *metrics.Counter) (int, T, error) {
-	if levelIdx < 2 || parallel.Workers() < 2 || r.Volume() < parDescendVolume {
-		return t.descend(levelIdx, node, r, curOff, curVal, c, ctxcheck.New(ctx))
-	}
-	ck := ctxcheck.New(ctx)
-	curOff, curVal, bouts, err := t.scanChildren(levelIdx, node, r, curOff, curVal, c, ck)
-	if err != nil || len(bouts) == 0 {
-		return curOff, curVal, err
-	}
-	lv := t.levels[levelIdx-2]
-	if len(bouts) == 1 {
-		c.AddSteps(1)
-		if t.better(lv.vals.Data()[bouts[0].noff], curVal) {
-			k := lv.vals.Coords(bouts[0].noff, nil)
-			return t.descend(levelIdx-1, k, bouts[0].inter, curOff, curVal, c, ck)
-		}
-		return curOff, curVal, nil
-	}
-	startOff, startVal := curOff, curVal
-	offs := make([]int, len(bouts))
-	vals := make([]T, len(bouts))
-	errs := make([]error, len(bouts))
-	shards := make([]metrics.Counter, len(bouts))
-	work := 0
-	for _, bo := range bouts {
-		work += bo.inter.Volume()
-	}
-	parallel.For(len(bouts), work, func(lo, hi, _ int) {
-		// One cancellation checker per goroutine (ctxcheck.Checker is not
-		// goroutine-safe); one counter shard per subtree so merge order
-		// stays the Bout visit order, not the chunking.
-		ck := ctxcheck.New(ctx)
-		for i := lo; i < hi; i++ {
-			bo := bouts[i]
-			co, cv := startOff, startVal
-			shards[i].AddSteps(1)
-			if t.better(lv.vals.Data()[bo.noff], cv) {
-				k := lv.vals.Coords(bo.noff, nil)
-				co, cv, errs[i] = t.descend(levelIdx-1, k, bo.inter, co, cv, &shards[i], ck)
-			}
-			offs[i], vals[i] = co, cv
-		}
-	})
-	for i := range bouts {
-		c.Merge(&shards[i])
-		if errs[i] != nil {
-			return curOff, curVal, errs[i]
-		}
-		if t.better(vals[i], curVal) {
-			curOff, curVal = offs[i], vals[i]
-		}
-	}
-	return curOff, curVal, nil
 }
 
 // MaxBounds implements the §11 approximate answer for range-max: a lower

@@ -19,7 +19,6 @@
 package parallel
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -42,13 +41,13 @@ var maxWorkers atomic.Int64
 // totals. The sequential fallback pays exactly one atomic add per call and
 // the parallel path three more per dispatch — nothing per item.
 var (
-	forCalls     atomic.Int64 // For/ForContext invocations (both paths)
+	forCalls     atomic.Int64 // For invocations (both paths)
 	chunksRun    atomic.Int64 // chunks dispatched, inline chunk 0 included
 	activeChunks atomic.Int64 // chunks executing right now
 )
 
 // Stats reports the pool's lifetime dispatch counts and current occupancy:
-// calls to For/ForContext, total chunks those calls dispatched, and the
+// calls to For, total chunks those calls dispatched, and the
 // number of chunks executing at this instant.
 func Stats() (calls, chunks, active int64) {
 	return forCalls.Load(), chunksRun.Load(), activeChunks.Load()
@@ -130,72 +129,4 @@ func For(n, work int, body func(lo, hi, worker int)) int {
 	body(0, n/w, 0)
 	wg.Wait()
 	return w
-}
-
-// ForContext is For with cooperative cancellation: each worker walks its
-// chunk in strips of roughly Grain cells and re-checks ctx between strips,
-// abandoning the rest of its chunk once the context is done. Chunk
-// boundaries are identical to For's, so a run that completes without
-// cancellation is bit-identical to For.
-//
-// It returns nil when every item ran, and ctx.Err() when any strip was
-// skipped — the caller must then treat its output as partial and discard
-// it (there is no rollback; this is for abandoning work whose result no
-// longer matters, e.g. a build serving a canceled request).
-func ForContext(ctx context.Context, n, work int, body func(lo, hi, worker int)) error {
-	if ctx.Done() == nil {
-		For(n, work, body)
-		return nil
-	}
-	if n <= 0 {
-		return ctx.Err()
-	}
-	forCalls.Add(1)
-	// Strip length in items such that a strip is ~Grain cells of work.
-	per := work / n // cells per item, floored
-	if per < 1 {
-		per = 1
-	}
-	strip := Grain / per
-	if strip < 1 {
-		strip = 1
-	}
-	var stopped atomic.Bool
-	run := func(lo, hi, worker int) {
-		for s := lo; s < hi; s += strip {
-			if stopped.Load() || ctx.Err() != nil {
-				stopped.Store(true)
-				return
-			}
-			e := s + strip
-			if e > hi {
-				e = hi
-			}
-			body(s, e, worker)
-		}
-	}
-	w := chunks(n, work)
-	if w == 1 {
-		run(0, n, 0)
-	} else {
-		chunksRun.Add(int64(w))
-		activeChunks.Add(int64(w))
-		defer activeChunks.Add(-int64(w))
-		var wg sync.WaitGroup
-		wg.Add(w - 1)
-		for k := 1; k < w; k++ {
-			lo, hi := k*n/w, (k+1)*n/w
-			k := k
-			go func() {
-				defer wg.Done()
-				run(lo, hi, k)
-			}()
-		}
-		run(0, n/w, 0)
-		wg.Wait()
-	}
-	if stopped.Load() {
-		return ctx.Err()
-	}
-	return nil
 }

@@ -19,14 +19,14 @@ import (
 // backing array is pooled instead of allocated fresh per batch.
 var walUpsPool = sync.Pool{New: func() any { return new([]wal.Update) }}
 
-// SubmitUpdates feeds validated point updates straight into the ingestion
-// path, bypassing HTTP — the embedded-use API the benchmark harness
-// drives. With sync=true the returned channel delivers exactly one Result
-// after the group's durable commit; with sync=false (which requires the
-// pipeline) the updates are acknowledged by enqueue and the channel is
-// nil. A full queue returns ingest.ErrQueueFull; the caller should back
-// off and retry. Coordinates are not bounds-checked here: out-of-range
-// coords panic in the commit path, exactly like a direct structure update.
+// SubmitUpdates feeds point updates straight into the ingestion path,
+// bypassing HTTP — the embedded-use API the benchmark harness drives. With
+// sync=true the returned channel delivers exactly one Result after the
+// group's durable commit; with sync=false (which requires the pipeline) the
+// updates are acknowledged by enqueue and the channel is nil. A full queue
+// returns ingest.ErrQueueFull; the caller should back off and retry. An
+// update whose coordinates name no cell fails the whole submission with an
+// error, as /update fails it with 400, and nothing of it is queued.
 func (s *Server) SubmitUpdates(ups []ingest.Update, sync bool) (<-chan ingest.Result, error) {
 	if s.opts.ReadOnly {
 		return nil, ErrReadOnly
@@ -37,6 +37,12 @@ func (s *Server) SubmitUpdates(ups []ingest.Update, sync bool) (<-chan ingest.Re
 			reason = ": " + v
 		}
 		return nil, fmt.Errorf("%w%s", ErrDegraded, reason)
+	}
+	shape := s.cube.Shape() // lock-free, as in handleUpdate
+	for i, u := range ups {
+		if err := checkCoords(shape, u.Coords); err != nil {
+			return nil, fmt.Errorf("server: update %d: %w", i, err)
+		}
 	}
 	if s.batcher == nil {
 		if !sync {
@@ -226,21 +232,20 @@ func (s *Server) commitLocked(ctx context.Context, cells []shard.PointDelta) (ui
 // applyCellsLocked applies one coalesced batch to the serving structures.
 // The caller holds the write lock and owns sequencing and durability — the local commit path WAL-logs first, the
 // replication path (ApplyReplicated) trusts the leader's log instead.
+//
+// Exactly one owner writes each logical cube cell (snapshots and recovery
+// read the cube). A remote leader's shard processes hold their own slabs and
+// already have the batch (commitLocked scattered it inside the seqlock
+// bracket), so the leader writes its cube itself; every other server's
+// one-shard router serves the cube's array in place, and its Apply writes
+// the cells.
 func (s *Server) applyCellsLocked(ctx context.Context, cells []shard.PointDelta) {
-	// Exactly one owner writes each logical cube cell (snapshots and
-	// recovery read the cube): a one-shard router serves the cube's
-	// array in place and its Apply writes the cells; slab copies and shard
-	// processes hold their own, so there the server keeps the cube current.
-	if !s.router.InPlace() {
+	if s.remoteEngines != nil {
 		a := s.cube.Data()
 		for _, c := range cells {
 			a.Set(a.At(c.Coords...)+c.Delta, c.Coords...)
 		}
+		return
 	}
-	// Each shard applies only its slab's share, so the write-lock hold
-	// shrinks as the shard count grows. Shard processes already hold the
-	// batch: commitLocked scattered it inside the seqlock bracket.
-	if s.remoteEngines == nil {
-		s.router.Apply(ctx, cells)
-	}
+	s.router.Apply(ctx, cells)
 }

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"rangecube/internal/cube"
+	"rangecube/internal/ingest"
 	"rangecube/internal/naive"
 	"rangecube/internal/ndarray"
 	"rangecube/internal/persist"
@@ -826,6 +827,46 @@ func TestIngestZeroDeltaSkips(t *testing.T) {
 			}
 			if out.Value != 8 {
 				t.Fatalf("sum after updates = %d, want 8", out.Value)
+			}
+		})
+	}
+}
+
+// TestIngestSubmitRejectsBadCoords: SubmitUpdates checks coordinates as
+// /update does. A submission naming a cell outside the cube (out of range,
+// or of the wrong rank) returns an error and commits none of its updates —
+// unchecked, it panicked in the commit path, on the pipeline's flusher
+// goroutine, killing the process and every writer's update queued with it —
+// and a valid submission after it is acked.
+func TestIngestSubmitRejectsBadCoords(t *testing.T) {
+	for _, mode := range []string{"direct", "pipeline"} {
+		t.Run(mode, func(t *testing.T) {
+			s, ts := ingestTestServer(t, t.TempDir(), func(o *Options) {
+				if mode == "direct" {
+					o.IngestQueue = 0
+				}
+			})
+			defer ts.Close()
+			defer s.Close()
+			for _, bad := range [][]ingest.Update{
+				{{Coords: []int{1, 1}, Delta: 1}, {Coords: []int{8, 0}, Delta: 1}},
+				{{Coords: []int{0, -1}, Delta: 1}},
+				{{Coords: []int{1}, Delta: 1}},
+			} {
+				if _, err := s.SubmitUpdates(bad, true); err == nil {
+					t.Fatalf("SubmitUpdates(%v) accepted, want an error", bad)
+				}
+			}
+			ack, err := s.SubmitUpdates([]ingest.Update{{Coords: []int{7, 7}, Delta: 4}}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := <-ack; res.Err != nil || res.Seq != 1 {
+				t.Fatalf("valid submission after the bad ones: seq %d, err %v; want seq 1", res.Seq, res.Err)
+			}
+			var out queryResponse
+			if code := get(t, ts, "/query?op=sum", &out); code != http.StatusOK || out.Value != 4 {
+				t.Fatalf("whole-cube sum = %d (status %d), want 4: only the valid submission applied", out.Value, code)
 			}
 		})
 	}

@@ -48,7 +48,7 @@ func fieldsOf(r queryResponse) answerFields {
 }
 
 // TestQueryIsBatchOfOne holds the merged read path to its contract: on a
-// one-shard server, an in-process sharded server and a remote-shard leader,
+// one-shard server under each sum engine and a remote-shard leader,
 // GET /query and a one-item POST /query/batch return the same value, bounds,
 // position, volume and empty/partial markers for all five ops, and the value
 // is the naive oracle's. The remote leader is checked again with a shard
@@ -65,7 +65,7 @@ func TestQueryIsBatchOfOne(t *testing.T) {
 		engine string // cube_query_cost_* engine label of op=sum
 	}{
 		{"one-shard", Options{BlockSize: 3, Fanout: 3, Metrics: true, Logf: quiet}, "prefixsum"},
-		{"shards-3", Options{BlockSize: 3, Fanout: 3, Shards: 3, SumEngine: "blocked", Metrics: true, Logf: quiet}, "sharded:blocked"},
+		{"one-shard-blocked", Options{BlockSize: 3, Fanout: 3, SumEngine: "blocked", Metrics: true, Logf: quiet}, "blocked"},
 		{"shard-urls", Options{BlockSize: 3, Fanout: 3, Metrics: true, Logf: quiet,
 			ShardURLs:    []string{"http://" + p0.addr, "http://" + p1.addr, "http://" + p2.addr},
 			ShardTimeout: 2 * time.Second, ShardProbe: -1}, "sharded:prefixsum"},
@@ -128,7 +128,7 @@ func TestQueryIsBatchOfOne(t *testing.T) {
 			}
 
 			// The engine label follows the router's shard count, so a remote
-			// leader (Shards unset) is labelled sharded like an in-process one.
+			// leader is labelled sharded.
 			var metrics strings.Builder
 			resp, err := ts.Client().Get(ts.URL + "/metrics")
 			if err != nil {
@@ -199,9 +199,6 @@ func TestOneShardServesCubeInPlaceOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	if !s.router.InPlace() {
-		t.Fatal("a server without Shards must serve its cube in place")
-	}
 
 	whole := ndarray.Region{{Lo: 1, Hi: 10}, {Lo: 1, Hi: 5}} // off the block grid on every side
 	for b := 0; b < 8; b++ {

@@ -75,6 +75,7 @@ func (s *Server) initRemoteSharding(m shard.Map) error {
 		return err
 	}
 	s.router, s.remoteEngines = rt, remotes
+	s.logf("server: %d remote shards along dimension %d (%s)", m.Shards(), m.Dim(), s.cube.Dimension(m.Dim()).Name())
 	return nil
 }
 
@@ -346,14 +347,8 @@ func (s *Server) installState(seq uint64, cells *ndarray.Array[int64]) error {
 		copy(c.Data().Data(), cells.Data())
 		s.cube = c
 	}
-	prev := s.router.Shards()
 	if err := s.buildRouter(); err != nil {
 		return err
-	}
-	if s.router.Shards() != prev {
-		// The placeholder was too small to split; the engine label follows
-		// the real shard count.
-		s.met.pinCostObservers(s)
 	}
 	s.seq = seq
 	s.committed.Store(seq)

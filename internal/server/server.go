@@ -77,18 +77,12 @@ type Options struct {
 	// full per-structure account.
 	SumEngine string
 
-	// Shards is how many engine shards the logical cube is slab-partitioned
-	// across, along the planner-chosen dimension (see planner.SplitDimension).
-	// The server always serves through a shard.Router: 0 or 1 is a one-shard
-	// map whose engine is built in place over the cube's own cells; more
-	// copy one slab each and answer by scatter–gather, bit-identically, with
-	// updates scattered to the owning shards so each shard's apply cost
-	// shrinks with its slab.
-	Shards int
-	// ShardURLs, when non-empty, serves the sharded tier over remote shard
-	// processes instead of in-process slabs: entry i is the base URL of the
-	// cubeserver process serving shard i (booted with -serve-shard i). The
-	// shard count is len(ShardURLs); Shards is ignored. On boot the leader
+	// ShardURLs, when non-empty, slab-partitions the logical cube along the
+	// planner-chosen dimension (see planner.SplitDimension) across remote
+	// shard processes: entry i is the base URL of the cubeserver process
+	// serving shard i (booted with -serve-shard i). Without it the server
+	// answers through a one-shard router whose engine is built in place over
+	// the cube's own cells. On boot the leader
 	// pushes each shard its authoritative slab state (POST /state), and a
 	// background probe re-pushes whenever a shard was marked down. A shard
 	// that stays unreachable degrades sums to partial answers with §11
@@ -397,9 +391,6 @@ func NewWithOptions(c *cube.Cube, opts Options) (*Server, error) {
 	if opts.IngestDurability != "sync" && opts.IngestDurability != "async" {
 		return nil, fmt.Errorf("server: unknown ingest durability %q (sync, async)", opts.IngestDurability)
 	}
-	if opts.Shards < 0 {
-		return nil, fmt.Errorf("server: negative shard count %d", opts.Shards)
-	}
 	if opts.AwaitState && !opts.AcceptState {
 		return nil, errors.New("server: AwaitState requires AcceptState (the state must be allowed to arrive)")
 	}
@@ -457,7 +448,7 @@ func NewWithOptions(c *cube.Cube, opts Options) (*Server, error) {
 	}
 
 	// The router builds over the recovered cells, before any request arrives.
-	if err := s.initSharding(); err != nil {
+	if err := s.buildRouter(); err != nil {
 		if s.wal != nil {
 			s.wal.Close()
 		}
@@ -530,17 +521,27 @@ func (s *Server) loadSnapshot() error {
 // query structures are built afterwards, so no incremental repair is needed.
 func (s *Server) replayBatch(b wal.Batch) error {
 	a := s.cube.Data()
-	shape := a.Shape()
 	for _, u := range b.Updates {
-		if len(u.Coords) != len(shape) {
-			return fmt.Errorf("update has %d coords, want %d", len(u.Coords), len(shape))
-		}
-		for j, x := range u.Coords {
-			if x < 0 || x >= shape[j] {
-				return fmt.Errorf("coordinate %d out of bounds in dimension %d", x, j)
-			}
+		if err := checkCoords(a.Shape(), u.Coords); err != nil {
+			return err
 		}
 		a.Set(a.At(u.Coords...)+u.Delta, u.Coords...)
+	}
+	return nil
+}
+
+// checkCoords reports why coords do not name a cell of a cube of the given
+// shape: a wrong rank or a coordinate out of range. Every update is checked
+// before it is queued or applied, because the commit path computes cell
+// offsets, which panic on such coordinates.
+func checkCoords(shape, coords []int) error {
+	if len(coords) != len(shape) {
+		return fmt.Errorf("%d coords, want %d", len(coords), len(shape))
+	}
+	for j, x := range coords {
+		if x < 0 || x >= shape[j] {
+			return fmt.Errorf("coordinate %d out of bounds in dimension %d", x, j)
+		}
 	}
 	return nil
 }
@@ -1020,15 +1021,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// commit is parked on the write lock.
 	shape := s.cube.Shape()
 	for i, u := range req.Updates {
-		if len(u.Coords) != len(shape) {
-			s.writeError(w, r, http.StatusBadRequest, "update %d has %d coords, want %d", i, len(u.Coords), len(shape))
+		if err := checkCoords(shape, u.Coords); err != nil {
+			s.writeError(w, r, http.StatusBadRequest, "update %d: %v", i, err)
 			return
-		}
-		for j, x := range u.Coords {
-			if x < 0 || x >= shape[j] {
-				s.writeError(w, r, http.StatusBadRequest, "update %d out of bounds in dimension %d", i, j)
-				return
-			}
 		}
 	}
 	mode := s.opts.IngestDurability

@@ -339,8 +339,8 @@ func (s *Server) liveRouter() *shard.Router {
 }
 
 // pinCostObservers resolves the per-op cost observers against the router's
-// engine labels. Called once the router exists, and again if a /state push
-// changes its shard count.
+// engine labels. Called once the router exists; a /state push rebuilds the
+// router with the same shard count, so the labels stand.
 func (m *serverMetrics) pinCostObservers(s *Server) {
 	obs := make(map[string]metrics.Observer, 5)
 	for _, op := range []string{"sum", "count", "avg", "max", "min"} {
@@ -366,8 +366,8 @@ func (o costObserver) ObserveCost(cells, aux, steps int64) {
 }
 
 // engineLabel names the structure that answered op on rt, the "engine"
-// dimension of the cost histograms; a router of more than one shard — in
-// process or remote — prefixes it with "sharded:".
+// dimension of the cost histograms; a router of more than one shard
+// prefixes it with "sharded:".
 func engineLabel(rt *shard.Router, sumEngine, op string) string {
 	sharded := ""
 	if rt.Shards() > 1 {

@@ -13,7 +13,6 @@ import (
 	"rangecube/internal/core/batchsum"
 	"rangecube/internal/metrics"
 	"rangecube/internal/ndarray"
-	"rangecube/internal/parallel"
 	"rangecube/internal/trace"
 )
 
@@ -31,12 +30,12 @@ type PointDelta struct {
 //
 // Shards are Engines: in-process structures over a slab, or remote
 // cubeserver processes spoken to over HTTP. A one-shard map is the unsharded
-// server: its single engine serves the caller's array in place, and every
-// scatter is a call on the calling goroutine. A remote shard that is down
-// degrades sums to partial answers (OpSumFull) with the §11 bounds machinery
-// covering the absent slabs; every other operation fails with an error naming
-// the shard. Answer is the one read path; AnswerOne, Sum, SumFull and Extreme
-// are single-query calls of it.
+// server: its single engine serves the caller's array in place. A scatter to
+// in-process engines is one call per shard on the calling goroutine. A remote
+// shard that is down degrades sums to partial answers (OpSumFull) with the
+// §11 bounds machinery covering the absent slabs; every other operation fails
+// with an error naming the shard. Answer is the one read path; AnswerOne, Sum,
+// SumFull and Extreme are single-query calls of it.
 //
 // The router performs no locking: callers serialize queries against updates
 // (the server holds its RWMutex).
@@ -74,7 +73,7 @@ func (rt *Router) RemoteStats() *RemoteStats { return rt.remote }
 // NewRouter builds in-process structures over the slab partition of a. With
 // two or more shards each shard copies its slab; with one, the engine is
 // built in place over a itself — no second copy of the cells — and Apply
-// writes them, so the caller hands a over (see InPlace). sumEngine selects
+// writes them, so the caller hands a over. sumEngine selects
 // the structure answering Sum ("prefixsum" or "blocked"), mirroring the
 // server's SumEngine option.
 func NewRouter(a *ndarray.Array[int64], m Map, blockSize, fanout int, sumEngine string) (*Router, error) {
@@ -95,12 +94,6 @@ func NewRouter(a *ndarray.Array[int64], m Map, blockSize, fanout int, sumEngine 
 	}
 	return rt, nil
 }
-
-// InPlace reports whether the router's single local engine serves the array
-// NewRouter was given rather than slab copies of it. Apply then updates that
-// array's cells itself; otherwise keeping the logical cube current is the
-// caller's job.
-func (rt *Router) InPlace() bool { return !rt.netIO && len(rt.shards) == 1 }
 
 // NewRouterEngines builds a router over caller-provided engines — the
 // multi-process tier, where each engine is a RemoteEngine speaking to a
@@ -200,7 +193,7 @@ type Answer struct {
 // the caller's context ended, or a shard failed in a way that is not absence.
 func (rt *Router) Answer(ctx context.Context, qs []Query, cs []*metrics.Counter) ([]Answer, error) {
 	groups := make([][]Item, len(rt.shards))
-	total, work := 0, 0
+	total := 0
 	for qi, q := range qs {
 		rt.m.cut(q.Region, func(i int, local ndarray.Region) {
 			if groups[i] == nil {
@@ -209,7 +202,6 @@ func (rt *Router) Answer(ctx context.Context, qs []Query, cs []*metrics.Counter)
 			}
 			groups[i] = append(groups[i], Item{Op: q.Op, Local: local, query: qi})
 			total++
-			work += local.Volume()
 		})
 	}
 	rt.queries.Add(uint64(len(qs)))
@@ -223,7 +215,7 @@ func (rt *Router) Answer(ctx context.Context, qs []Query, cs []*metrics.Counter)
 		sp.Set("subqueries", strconv.Itoa(total))
 		defer sp.End()
 	}
-	errs := fanOut(trace.NewContext(ctx, sp), rt, "scatter", groups, work, Engine.Answer)
+	errs := fanOut(trace.NewContext(ctx, sp), rt, "scatter", groups, Engine.Answer)
 	for i, err := range errs {
 		if err == nil || errors.Is(err, ErrShardDown) {
 			continue
@@ -277,53 +269,46 @@ func (rt *Router) Answer(ctx context.Context, qs []Query, cs []*metrics.Counter)
 
 // fanOut is the router's one fan-out, reads and update scatters alike:
 // call(shard i, groups[i]) for every shard with a non-empty group, errors by
-// shard. One busy shard (always so for a one-shard map) is a call on this
-// goroutine. In-process engines run on the shared worker pool under the work
-// estimate — their calls are microsecond-scale structure walks, and goroutine
-// and context churn per query is measurable against them. Network engines get
-// a goroutine per busy shard so the round trips overlap, and the first
-// failure that is not a down shard cancels the siblings.
-func fanOut[T any](ctx context.Context, rt *Router, label string, groups [][]T, work int, call func(Engine, context.Context, []T) error) []error {
+// shard. In-process engines, and a single busy network engine, are called in
+// shard order on this goroutine: a read forks only over its batch, above the
+// router, never below it. Network engines get a goroutine per busy shard so
+// the round trips overlap, and the first failure that is not a down shard
+// cancels the siblings.
+func fanOut[T any](ctx context.Context, rt *Router, label string, groups [][]T, call func(Engine, context.Context, []T) error) []error {
 	errs := make([]error, len(groups))
-	busy, last := 0, 0
+	busy := 0
 	for i := range groups {
 		if len(groups[i]) > 0 {
-			busy, last = busy+1, i
+			busy++
 		}
 	}
-	switch {
-	case busy == 0:
-	case busy == 1:
-		errs[last] = call(rt.shards[last], ctx, groups[last])
-	case !rt.netIO:
-		parallel.For(len(groups), work, func(lo, hi, _ int) {
-			for i := lo; i < hi; i++ {
-				if len(groups[i]) > 0 {
-					errs[i] = call(rt.shards[i], ctx, groups[i])
-				}
-			}
-		})
-	default:
-		gctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		var wg sync.WaitGroup
+	if !rt.netIO || busy < 2 {
 		for i := range groups {
-			if len(groups[i]) == 0 {
-				continue
+			if len(groups[i]) > 0 {
+				errs[i] = call(rt.shards[i], ctx, groups[i])
 			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				// Label the goroutine for pprof: a profile of a stalled batch or
-				// commit shows which shard's round trip it is blocked on.
-				pprof.SetGoroutineLabels(pprof.WithLabels(gctx, pprof.Labels("cube_op", label, "cube_shard", strconv.Itoa(i))))
-				if errs[i] = call(rt.shards[i], gctx, groups[i]); errs[i] != nil && !errors.Is(errs[i], ErrShardDown) {
-					cancel()
-				}
-			}(i)
 		}
-		wg.Wait()
+		return errs
 	}
+	gctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var wg sync.WaitGroup
+	for i := range groups {
+		if len(groups[i]) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			// Label the goroutine for pprof: a profile of a stalled batch or
+			// commit shows which shard's round trip it is blocked on.
+			pprof.SetGoroutineLabels(pprof.WithLabels(gctx, pprof.Labels("cube_op", label, "cube_shard", strconv.Itoa(i))))
+			if errs[i] = call(rt.shards[i], gctx, groups[i]); errs[i] != nil && !errors.Is(errs[i], ErrShardDown) {
+				cancel()
+			}
+		}(i)
+	}
+	wg.Wait()
 	return errs
 }
 
@@ -366,8 +351,9 @@ func (rt *Router) Extreme(ctx context.Context, r ndarray.Region, min bool, c *me
 }
 
 // Apply scatters one coalesced update batch to the owning shards and
-// commits each shard's piece concurrently. The batch is one epoch: the
-// caller must exclude queries for the duration.
+// commits each shard's piece: in shard order on this goroutine for
+// in-process engines, concurrently for remote ones. The batch is one epoch:
+// the caller must exclude queries for the duration.
 //
 // A remote shard that fails its scatter does not fail the commit: the
 // leader's cube and WAL are authoritative, the engine marks itself down,
@@ -381,20 +367,18 @@ func (rt *Router) Apply(ctx context.Context, cells []PointDelta) {
 	rt.scatterCells.Add(uint64(len(cells)))
 	groups := make([][]batchsum.IntUpdate, len(rt.shards))
 	dim := rt.m.Dim()
-	work := 0
 	for _, c := range cells {
 		i := rt.m.Owner(c.Coords[dim])
 		local := append([]int(nil), c.Coords...)
 		local[dim] -= rt.m.Slab(i).Lo
 		groups[i] = append(groups[i], batchsum.IntUpdate{Coords: local, Delta: c.Delta})
-		work += 1 << len(c.Coords) // update-class fan-out proxy
 	}
 	// Detached from the caller's deadline, keeping its trace. For remote shards
 	// the fan-out's window is one round trip, not a sequential sweep of them —
 	// exactly how long the commit path's seqlock holds lock-free readers off
 	// the shards (server/commit.go).
 	ctx = trace.NewContext(context.Background(), trace.FromContext(ctx))
-	fanOut(ctx, rt, "apply", groups, work, func(e Engine, ctx context.Context, ups []batchsum.IntUpdate) error {
+	fanOut(ctx, rt, "apply", groups, func(e Engine, ctx context.Context, ups []batchsum.IntUpdate) error {
 		// A failed remote scatter is recorded by the engine itself (down flag
 		// + error counter) and the commit proceeds on the leader's
 		// authoritative state; reporting it here would cancel the siblings.

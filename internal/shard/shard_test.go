@@ -14,6 +14,7 @@ import (
 	"rangecube/internal/core/prefixsum"
 	"rangecube/internal/metrics"
 	"rangecube/internal/ndarray"
+	"rangecube/internal/parallel"
 	"rangecube/internal/workload"
 )
 
@@ -389,7 +390,7 @@ func TestOneShardRouterIsTheStructures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !rt.InPlace() {
+		if rt.shards[0].(*localEngine).cells != cells {
 			t.Fatal("one-shard router does not serve in place")
 		}
 		for step := 0; step < 25; step++ {
@@ -485,5 +486,59 @@ func TestOneShardSumFullStaysCheap(t *testing.T) {
 	routed = testing.AllocsPerRun(200, func() { rt.Extreme(ctx, r, false, &c) })
 	if routed > direct+6 {
 		t.Fatalf("one-shard Extreme allocates %.0f times per call, the engine alone %.0f: the router may add at most 6", routed, direct)
+	}
+}
+
+// TestQueriesDoNotFork pins the one level of query parallelism: a read forks
+// over its batch (the server's runSlots and shard handler) and nowhere below.
+// With four workers on offer, none of these calls dispatches a single pool
+// run: a blocked sum whose boundary scans read more than the pool's grain, a
+// max descent over more than the grain's cells, and a batch over a 4-shard
+// in-process router.
+func TestQueriesDoNotFork(t *testing.T) {
+	prev := parallel.SetMaxWorkers(4)
+	t.Cleanup(func() { parallel.SetMaxWorkers(prev) })
+	g := workload.SeededGen(t, *seedFlag, 3)
+	ctx := context.Background()
+
+	big := g.UniformCube([]int{1024, 1024}, 1000)
+	big.Set(1_000_000, 0, 0) // the cube's maximum lies outside r, so the search descends
+	paper := blocked.BuildInt(big, 32)
+	tree := maxtree.Build(big, 4)
+	m, err := NewMap([]int{64, 64}, 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRouter(g.UniformCube([]int{64, 64}, 100), m, 4, 4, "blocked")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r := ndarray.Region{{Lo: 16, Hi: 1007}, {Lo: 16, Hi: 1007}} // mid-block on every side: the strips are scanned directly
+	calls, _, _ := parallel.Stats()
+	var c metrics.Counter
+	paper.Sum(r, &c)
+	if c.Cells < parallel.Grain {
+		t.Fatalf("the sum's boundary scans read %d cells, under the pool's grain %d", c.Cells, parallel.Grain)
+	}
+	if after, _, _ := parallel.Stats(); after != calls {
+		t.Errorf("one blocked sum made %d pool dispatches, want 0", after-calls)
+	}
+
+	calls, _, _ = parallel.Stats()
+	if _, v, _ := tree.MaxIndex(r, nil); v == 1_000_000 {
+		t.Fatal("the max search found the cell outside its region")
+	}
+	if after, _, _ := parallel.Stats(); after != calls {
+		t.Errorf("one max descent over %d cells made %d pool dispatches, want 0", r.Volume(), after-calls)
+	}
+
+	calls, _, _ = parallel.Stats()
+	whole := ndarray.Region{{Lo: 0, Hi: 63}, {Lo: 0, Hi: 63}}
+	if _, err := rt.Answer(ctx, []Query{{OpSumFull, whole}, {OpMax, whole}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if after, _, _ := parallel.Stats(); after != calls {
+		t.Errorf("one batch over a 4-shard in-process router made %d pool dispatches, want 0", after-calls)
 	}
 }
