@@ -93,18 +93,17 @@ func main() {
 // directly, and returns the function that builds those Options once fs is
 // parsed.
 func serverFlags(fs *flag.FlagSet) func() server.Options {
-	block := fs.Int("block", 10, "block size for the blocked prefix sum")
+	block := fs.Int("block", 1, "block size b of the range-sum structure: 1 = the §3 prefix-sum array, larger = the §4 blocked array (b^d times smaller, cheaper updates, boundary scans per sum)")
 	fanout := fs.Int("fanout", 4, "per-dimension fanout of the max/min trees")
 	walPath := fs.String("wal", "", "write-ahead log path (durability off when empty)")
 	snapPath := fs.String("snapshot", "", "snapshot path for compaction and recovery")
 	compactEvery := fs.Int("compact-every", 64, "snapshot and truncate the WAL every N batches")
 	maxInflight := fs.Int("max-inflight", 64, "max concurrent requests (queries and updates) before shedding with 429 (0 = unlimited)")
 	queryTimeout := fs.Duration("query-timeout", 10*time.Second, "per-query deadline (0 = none)")
-	sumEngine := fs.String("sum-engine", "prefixsum", "structure answering range sums: prefixsum or blocked")
 	shardTimeout := fs.Duration("shard-timeout", 2*time.Second, "per-sub-query deadline against a remote shard")
 	shardHedge := fs.Duration("shard-hedge-after", 100*time.Millisecond, "launch one hedged duplicate read sub-query after a remote shard is silent this long (0 = no hedging; updates are never hedged)")
 	shardProbe := fs.Duration("shard-probe", time.Second, "how often down remote shards are re-pushed their slab state (0 = probe off)")
-	ingestQueue := fs.Int("ingest-queue", 256, "ingestion pipeline queue depth; concurrent /update writers group-commit with one fsync per flushed group (0 = commit per request)")
+	ingestQueue := fs.Int("ingest-queue", 256, "ingestion pipeline queue depth; concurrent /update writers group-commit with one fsync per flushed group")
 	ingestMaxWait := fs.Duration("ingest-max-wait", 0, "how long the flusher holds an under-filled group open for more writers (0 = commit as soon as the queue is momentarily empty)")
 	ingestDurability := fs.String("ingest-durability", "sync", "default /update ack mode: sync (200 after the group fsync) or async (202 at enqueue); clients override per request with ?durability=")
 	metrics := fs.Bool("metrics", true, "serve the Prometheus exposition at GET /metrics")
@@ -112,7 +111,7 @@ func serverFlags(fs *flag.FlagSet) func() server.Options {
 	traceSample := fs.Float64("trace-sample", 0.01, "fraction of requests traced into GET /debug/traces; slow, partial and error requests are always kept (0 = tracing off)")
 	traceStore := fs.Int("trace-store", 256, "spans retained in the in-memory trace ring")
 	slowQuery := fs.Duration("slow-query", 250*time.Millisecond, "requests at or over this latency log a slow-query exemplar line and are always traced (0 = off)")
-	degradedProbe := fs.Duration("degraded-probe", time.Second, "how often a poisoned WAL triggers a storage-recovery attempt while degraded (negative = probe off)")
+	degradedProbe := fs.Duration("degraded-probe", time.Second, "how often a poisoned WAL triggers a storage-recovery attempt while degraded (0 = probe off)")
 	return func() server.Options {
 		opts := server.Options{
 			BlockSize:    *block,
@@ -122,7 +121,6 @@ func serverFlags(fs *flag.FlagSet) func() server.Options {
 			CompactEvery: *compactEvery,
 			MaxInflight:  *maxInflight,
 			QueryTimeout: *queryTimeout,
-			SumEngine:    *sumEngine,
 			Metrics:      *metrics,
 			AccessLog:    *accessLog,
 			TraceSample:  *traceSample,
@@ -152,6 +150,9 @@ func serverFlags(fs *flag.FlagSet) func() server.Options {
 		}
 		if *slowQuery == 0 {
 			opts.SlowQuery = -1
+		}
+		if *degradedProbe == 0 {
+			opts.DegradedProbe = -1
 		}
 		return opts
 	}

@@ -22,6 +22,7 @@ func TestZeroFlagMeansOff(t *testing.T) {
 		{"shard-probe", func(o server.Options) float64 { return float64(o.ShardProbe) }},
 		{"trace-sample", func(o server.Options) float64 { return o.TraceSample }},
 		{"slow-query", func(o server.Options) float64 { return float64(o.SlowQuery) }},
+		{"degraded-probe", func(o server.Options) float64 { return float64(o.DegradedProbe) }},
 	}
 	parse := func(args ...string) server.Options {
 		t.Helper()

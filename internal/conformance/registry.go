@@ -66,18 +66,14 @@ func DefaultSumEngines() []SumFactory {
 		simpleSum("sumtree/b=2", func(a *ndarray.Array[int64]) SumEngine { return newSumTree(a, 2) }),
 		simpleSum("sumtree/b=4", func(a *ndarray.Array[int64]) SumEngine { return newSumTree(a, 4) }),
 		simpleSum("sparse", newSparse),
+		// The serving stack at b = 1 (§3's P). Updates coalesce through the §5
+		// update-class machinery and group-commit in one WAL fsync; sync acks
+		// keep the harness's update→query ordering, so the coalesced answers
+		// must stay bit-identical to the naive oracle.
 		serverSum("server", false, nil),
-		// /query/batch answering on the parallel blocked engine: one read
-		// epoch per batch, per-item error isolation, boundary-region fan-out.
-		serverSum("server/batch", true, func(o *server.Options) { o.SumEngine = "blocked" }),
-		// The async ingestion pipeline: updates coalesce through the §5
-		// update-class machinery and group-commit in one WAL fsync. Sync
-		// acks keep the harness's update→query ordering, so the coalesced
-		// answers must stay bit-identical to the naive oracle.
-		serverSum("server/async", false, func(o *server.Options) {
-			o.IngestQueue = 128
-			o.IngestDurability = "sync"
-		}),
+		// /query/batch answering on the blocked index at b = 2: one read epoch
+		// per batch and per-item error isolation.
+		serverSum("server/batch", true, func(o *server.Options) { o.BlockSize = 2 }),
 		// The slab-partitioned scatter–gather router, driven directly: sums
 		// decompose into per-shard sub-ranges (split along the first and last
 		// dimension respectively) and merge by §3 additivity; updates scatter

@@ -45,7 +45,7 @@ func newServerEngine(a *ndarray.Array[int64], dir string) (SumEngine, error) {
 
 // newServerVariant builds a named serving-stack engine. batch routes every
 // Sum through the concurrent /query/batch endpoint; tune mutates the server
-// options (sum engine, ingestion pipeline) before startup, so those
+// options (block size, disk, remote shards) before startup, so those
 // configurations are held to the same oracle as the plain one.
 func newServerVariant(a *ndarray.Array[int64], dir, name string, batch bool, tune func(*server.Options)) (SumEngine, error) {
 	e := &serverEngine{
@@ -58,7 +58,7 @@ func newServerVariant(a *ndarray.Array[int64], dir, name string, batch bool, tun
 		e.dims = append(e.dims, cube.NewIntDimension(fmt.Sprintf("d%d", j), 0, n-1))
 	}
 	e.opts = server.Options{
-		BlockSize:    2,
+		BlockSize:    1,
 		Fanout:       2,
 		WALPath:      filepath.Join(dir, "updates.wal"),
 		SnapshotPath: filepath.Join(dir, "cube.snap"),

@@ -35,7 +35,7 @@ func newShardedSum(a *ndarray.Array[int64], dim, n int) (SumEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt, err := shard.NewRouter(a, m, 2, 2, "blocked")
+	rt, err := shard.NewRouter(a, m, 2, 2, "")
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +73,7 @@ func newShardedMax(a *ndarray.Array[int64], n int, isMin bool) (MaxEngine, error
 	if err != nil {
 		return nil, err
 	}
-	rt, err := shard.NewRouter(a, m, 2, 3, "prefixsum")
+	rt, err := shard.NewRouter(a, m, 1, 3, "")
 	if err != nil {
 		return nil, err
 	}

@@ -20,6 +20,7 @@ package blocked
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"rangecube/internal/algebra"
 	"rangecube/internal/core/prefixsum"
@@ -310,6 +311,16 @@ func (bl *Array[T, G]) SumContext(ctx context.Context, r ndarray.Region, c *metr
 // walk yields it: the exact value, costed to c, and when bounds is set the
 // §11 bounds of the same pieces, whose packed reads are kept out of c.
 func (bl *Array[T, G]) sum(ctx context.Context, r ndarray.Region, c *metrics.Counter, bounds bool) (total, lo, hi T, err error) {
+	if slices.Max(bl.bs) == 1 && !r.Empty() {
+		// Every b_j = 1, §4's degenerate case, which is §3: the decomposition
+		// is one piece, the internal region r itself, one packed (P) lookup in
+		// one step, exact, so its bounds are its value. Taken without the walk
+		// it costs what the walk counts, allocates nothing and, being 2^d
+		// lookups, has no scan for a canceled ctx to abandon.
+		total = bl.packed.Sum(r, c)
+		c.AddSteps(1)
+		return total, total, total, nil
+	}
 	total, lo, hi = bl.g.Identity(), bl.g.Identity(), bl.g.Identity()
 	w := bl.decompose(r)
 	p := piece[T]{subRegion: subRegionOver(make([]ndarray.Range, 3*len(r)))}

@@ -110,9 +110,11 @@ func build[T any, G algebra.Group[T]](a *ndarray.Array[T], bs []int, withEdges b
 			}
 		}
 		arr := ndarray.New[T](shape...)
-		data, id := arr.Data(), g.Identity()
-		for i := range data {
-			data[i] = id
+		if _, zero := any(g).(algebra.IntSum); !zero { // New already holds IntSum's identity
+			data, id := arr.Data(), g.Identity()
+			for i := range data {
+				data[i] = id
+			}
 		}
 		return arr
 	}
@@ -152,7 +154,8 @@ type target[T any] struct {
 // Combine calls, each block summed once for all targets); every other group
 // folds cell by cell into each target, which keeps ⊕ applied in the order a
 // walk for that target alone would apply it. Both walk a line in block-sized
-// segments, so there is no per-cell division.
+// segments, so there is no per-cell division. A b = 1 innermost axis has
+// nothing to contract, so there every target takes whole lines.
 func contract[T any, G algebra.Group[T]](a *ndarray.Array[T], bs []int, targets []target[T]) {
 	var g G
 	shape, strides := a.Shape(), a.Strides()
@@ -163,7 +166,7 @@ func contract[T any, G algebra.Group[T]](a *ndarray.Array[T], bs []int, targets 
 	lastBit := uint(1) << last
 	sort.SliceStable(targets, func(i, j int) bool { return targets[i].keep&lastBit < targets[j].keep&lastBit })
 	nb := 0
-	for nb < len(targets) && targets[nb].keep&lastBit == 0 {
+	for b > 1 && nb < len(targets) && targets[nb].keep&lastBit == 0 {
 		nb++
 	}
 	outs := make([][]T, len(targets))
@@ -195,6 +198,16 @@ func contract[T any, G algebra.Group[T]](a *ndarray.Array[T], bs []int, targets 
 		if _, ok := any(g).(algebra.IntSum); ok {
 			outs64 := any(outs).([][]int64)
 			kernel = func(off, lo, hi int, bases []int) {
+				if nb == 0 {
+					line := data64[off+lo : off+hi]
+					for i, out := range outs64 {
+						row := out[bases[i]+lo:][:len(line)]
+						for k, v := range line {
+							row[k] += v
+						}
+					}
+					return
+				}
 				for x := lo; x < hi; {
 					q := x / b
 					end := min((q+1)*b, hi)

@@ -94,7 +94,7 @@ func Chaos(n, writers, readers int, duration time.Duration) (Table, ChaosResult)
 
 	inj := faultio.NewInjector()
 	opts := server.Options{
-		BlockSize:     3,
+		BlockSize:     1,
 		Fanout:        3,
 		WALPath:       filepath.Join(dir, "updates.wal"),
 		SnapshotPath:  filepath.Join(dir, "cube.snap"),
@@ -206,7 +206,7 @@ func Chaos(n, writers, readers int, duration time.Duration) (Table, ChaosResult)
 		r.failf("close: %v", err)
 	}
 	srv2 := newBenchServer(n, make([]int64, n*n), server.Options{
-		BlockSize: 3, Fanout: 3,
+		BlockSize: 1, Fanout: 3,
 		WALPath:      filepath.Join(dir, "updates.wal"),
 		SnapshotPath: filepath.Join(dir, "cube.snap"),
 	})

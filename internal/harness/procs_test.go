@@ -55,7 +55,7 @@ func TestMultiProcessSmoke(t *testing.T) {
 	oracle := append([]int64(nil), cells.Data()...) // naive mirror, row-major
 	dir := t.TempDir()
 	srv := newBenchServer(n, cells.Data(), server.Options{
-		BlockSize: 7, Fanout: 4, SumEngine: "prefixsum",
+		BlockSize: 1, Fanout: 4,
 		WALPath:      dir + "/updates.wal",
 		SnapshotPath: dir + "/cube.snap",
 		CompactEvery: 1 << 30,
@@ -176,7 +176,7 @@ func TestMultiProcessSmoke(t *testing.T) {
 	// widening for the partial intervals to stay honest.
 	procs[1].Kill()
 	for i := 0; i < 8; i++ {
-		update([]int{(i * 13) % n, (i * 5) % n}, int64(-3 - i))
+		update([]int{(i * 13) % n, (i * 5) % n}, int64(-3-i))
 	}
 	assertPartialContains := func(ans smokeAnswer, r [4]int, path string) {
 		want := oracleSum(r[0], r[1], r[2], r[3])

@@ -125,7 +125,7 @@ func TestMultiProcessTraceSmoke(t *testing.T) {
 	g := workload.New(131)
 	cells := g.UniformCube([]int{n, n}, 1000)
 	srv := newBenchServer(n, cells.Data(), server.Options{
-		BlockSize: 7, Fanout: 4, SumEngine: "prefixsum",
+		BlockSize: 1, Fanout: 4,
 		ShardURLs:       urls,
 		ShardTimeout:    300 * time.Millisecond,
 		ShardHedgeAfter: 50 * time.Millisecond,

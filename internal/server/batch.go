@@ -172,9 +172,9 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, "empty query batch")
 		return
 	}
-	if len(items) > s.opts.MaxBatchQueries {
+	if len(items) > maxBatchQueries {
 		s.met.tooLarge.Inc()
-		s.writeError(w, r, http.StatusRequestEntityTooLarge, "batch of %d queries exceeds the %d-query limit", len(items), s.opts.MaxBatchQueries)
+		s.writeError(w, r, http.StatusRequestEntityTooLarge, "batch of %d queries exceeds the %d-query limit", len(items), maxBatchQueries)
 		return
 	}
 	s.met.batchQueries.Observe(int64(len(items)))

@@ -148,12 +148,13 @@ func TestQueryBatchErrorIsolation(t *testing.T) {
 }
 
 // TestQueryBatchLimits covers the request-level rejections: bad JSON and an
-// empty array are 400, an oversized batch is 413.
+// empty array are 400, a batch over the 1,024-query limit is 413.
 func TestQueryBatchLimits(t *testing.T) {
-	s, err := NewWithOptions(uniqueCube(7), Options{BlockSize: 5, Fanout: 4, MaxBatchQueries: 3, Logf: t.Logf})
+	s, err := NewWithOptions(uniqueCube(7), Options{BlockSize: 5, Fanout: 4, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -163,13 +164,13 @@ func TestQueryBatchLimits(t *testing.T) {
 	if code, _, raw := postQueryBatch(t, ts, []byte(`[]`)); code != http.StatusBadRequest {
 		t.Fatalf("empty batch: %d %s", code, raw)
 	}
-	four := marshalBatch(t, make([]batchQuery, 4))
-	if code, _, raw := postQueryBatch(t, ts, four); code != http.StatusRequestEntityTooLarge {
+	over := marshalBatch(t, make([]batchQuery, maxBatchQueries+1))
+	if code, _, raw := postQueryBatch(t, ts, over); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized batch: %d %s", code, raw)
 	}
-	three := marshalBatch(t, make([]batchQuery, 3))
-	if code, _, raw := postQueryBatch(t, ts, three); code != http.StatusOK {
-		t.Fatalf("at-limit batch: %d %s", code, raw)
+	at := marshalBatch(t, make([]batchQuery, maxBatchQueries))
+	if code, _, raw := postQueryBatch(t, ts, at); code != http.StatusOK {
+		t.Fatalf("at-limit batch: %d %.200s", code, raw)
 	}
 }
 
@@ -247,7 +248,7 @@ func TestUpdateAdmissionShedding(t *testing.T) {
 func TestBatchQuerySoak(t *testing.T) {
 	c := uniqueCube(11)
 	s, err := NewWithOptions(c, Options{
-		BlockSize: 5, Fanout: 4, SumEngine: "blocked", Logf: t.Logf,
+		BlockSize: 5, Fanout: 4, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

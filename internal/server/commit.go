@@ -22,11 +22,11 @@ var walUpsPool = sync.Pool{New: func() any { return new([]wal.Update) }}
 // SubmitUpdates feeds point updates straight into the ingestion path,
 // bypassing HTTP — the embedded-use API the benchmark harness drives. With
 // sync=true the returned channel delivers exactly one Result after the
-// group's durable commit; with sync=false (which requires the pipeline) the
-// updates are acknowledged by enqueue and the channel is nil. A full queue
-// returns ingest.ErrQueueFull; the caller should back off and retry. An
-// update whose coordinates name no cell fails the whole submission with an
-// error, as /update fails it with 400, and nothing of it is queued.
+// group's durable commit; with sync=false the updates are acknowledged by
+// enqueue and the channel is nil. A full queue returns ingest.ErrQueueFull;
+// the caller should back off and retry. An update whose coordinates name no
+// cell fails the whole submission with an error, as /update fails it with
+// 400, and nothing of it is queued.
 func (s *Server) SubmitUpdates(ups []ingest.Update, sync bool) (<-chan ingest.Result, error) {
 	if s.opts.ReadOnly {
 		return nil, ErrReadOnly
@@ -44,17 +44,6 @@ func (s *Server) SubmitUpdates(ups []ingest.Update, sync bool) (<-chan ingest.Re
 			return nil, fmt.Errorf("server: update %d: %w", i, err)
 		}
 	}
-	if s.batcher == nil {
-		if !sync {
-			return nil, errors.New("server: async submission requires the ingestion pipeline (IngestQueue > 0)")
-		}
-		enq := time.Now()
-		seq, err := s.commitGroups(context.Background(), [][]ingest.Update{ups})
-		ack := make(chan ingest.Result, 1)
-		done := time.Now()
-		ack <- ingest.Result{Seq: seq, Enqueued: enq, Flushed: enq, Committed: done, Err: err}
-		return ack, nil
-	}
 	ack, _, err := s.batcher.Submit(ups, sync)
 	if err != nil {
 		return nil, err
@@ -62,12 +51,11 @@ func (s *Server) SubmitUpdates(ups []ingest.Update, sync bool) (<-chan ingest.Re
 	return ack, nil
 }
 
-// commitGroups is the single commit point for update ingestion — the
-// batcher's CommitFunc, and (wrapped in a one-element group) the direct
-// per-request path. It coalesces the group through the §5 update model,
-// appends one WAL batch with one fsync, applies everything to the router's
-// structures under one write-lock epoch, and returns the committed sequence
-// number.
+// commitGroups is the single commit point for update ingestion, called only
+// as the batcher's CommitFunc. It coalesces the group through the §5 update
+// model, appends one WAL batch with one fsync, applies everything to the
+// router's structures under one write-lock epoch, and returns the committed
+// sequence number.
 //
 // Coalescing merges duplicate coordinates additively (the §5
 // value-to-add form is order-independent, so concurrent writers' deltas
@@ -77,16 +65,12 @@ func (s *Server) SubmitUpdates(ups []ingest.Update, sync bool) (<-chan ingest.Re
 // current one, which recovery reproduces exactly because nothing was
 // logged.
 //
-// ctx carries observability only, never cancellation: a group whose sync
-// writers are waiting on durability must run to completion. A request-path
-// commit arrives with the request's span (the commit becomes a child); a
-// batcher-flushed group arrives bare and roots its own sampled span, so the
-// ingest pipeline's fsync and apply phases are traceable without a request.
+// The batcher's ctx is bare and never canceled: a group whose sync writers
+// are waiting on durability must run to completion. The group roots its own
+// sampled span, so the pipeline's fsync and apply phases are traceable
+// without a request.
 func (s *Server) commitGroups(ctx context.Context, groups [][]ingest.Update) (uint64, error) {
-	sp := trace.FromContext(ctx).Child("commit")
-	if sp == nil {
-		sp = s.tracer.Root("commit")
-	}
+	sp := s.tracer.Root("commit")
 	defer sp.End()
 	ctx = trace.NewContext(ctx, sp)
 

@@ -138,9 +138,6 @@ func ceilSeconds(d time.Duration) int {
 // seconds and clamped to [1, 30]. Before any commit has been measured the
 // estimate falls back to 1 second.
 func (s *Server) retryAfterHint() string {
-	if s.batcher == nil {
-		return "1"
-	}
 	depth := s.batcher.Depth()
 	snap := s.met.ingestMet.CommitNanos.Snapshot()
 	if depth == 0 || snap.Count == 0 {

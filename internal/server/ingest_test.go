@@ -763,73 +763,67 @@ func TestIngestDuplicateCoordsRacingQueries(t *testing.T) {
 
 // TestIngestZeroDeltaSkips pins the all-zero fast path: a group whose
 // coalesced deltas are all zero must not bump the sequence and not write to
-// the WAL — through both the direct path and the pipeline.
+// the WAL.
 func TestIngestZeroDeltaSkips(t *testing.T) {
-	for _, mode := range []string{"direct", "pipeline"} {
-		t.Run(mode, func(t *testing.T) {
-			dir := t.TempDir()
-			s, ts := ingestTestServer(t, dir, func(o *Options) {
-				if mode == "direct" {
-					o.IngestQueue = 0
-				}
-			})
-			defer ts.Close()
-			defer s.Close()
+	t.Run("pipeline", func(t *testing.T) {
+		dir := t.TempDir()
+		s, ts := ingestTestServer(t, dir, nil)
+		defer ts.Close()
+		defer s.Close()
 
-			// Establish state.
-			if code, _ := postUpdates(t, ts, "", []jsonUpdate{{Coords: []int{1, 1}, Delta: 5}}); code != http.StatusOK {
-				t.Fatalf("seed update: status %d", code)
-			}
-			const q = "/query?op=sum&x=0..3&y=0..3"
-			var out queryResponse
-			seqBefore := s.Seq()
-			walSize, err := os.Stat(filepath.Join(dir, "updates.wal"))
-			if err != nil {
-				t.Fatal(err)
-			}
+		// Establish state.
+		if code, _ := postUpdates(t, ts, "", []jsonUpdate{{Coords: []int{1, 1}, Delta: 5}}); code != http.StatusOK {
+			t.Fatalf("seed update: status %d", code)
+		}
+		const q = "/query?op=sum&x=0..3&y=0..3"
+		var out queryResponse
+		seqBefore := s.Seq()
+		walSize, err := os.Stat(filepath.Join(dir, "updates.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			// Explicit zeros and exact cancellations both coalesce to nothing.
-			for _, ups := range [][]jsonUpdate{
-				{{Coords: []int{2, 2}, Delta: 0}, {Coords: []int{3, 3}, Delta: 0}},
-				{{Coords: []int{2, 2}, Delta: 7}, {Coords: []int{2, 2}, Delta: -7}},
-			} {
-				code, ack := postUpdates(t, ts, "sync", ups)
-				if code != http.StatusOK {
-					t.Fatalf("zero-delta update: status %d", code)
-				}
-				if ack.Seq != seqBefore {
-					t.Fatalf("zero-delta update acked seq %d, want unchanged %d", ack.Seq, seqBefore)
-				}
+		// Explicit zeros and exact cancellations both coalesce to nothing.
+		for _, ups := range [][]jsonUpdate{
+			{{Coords: []int{2, 2}, Delta: 0}, {Coords: []int{3, 3}, Delta: 0}},
+			{{Coords: []int{2, 2}, Delta: 7}, {Coords: []int{2, 2}, Delta: -7}},
+		} {
+			code, ack := postUpdates(t, ts, "sync", ups)
+			if code != http.StatusOK {
+				t.Fatalf("zero-delta update: status %d", code)
 			}
-			if got := s.Seq(); got != seqBefore {
-				t.Fatalf("sequence bumped to %d by all-zero groups", got)
+			if ack.Seq != seqBefore {
+				t.Fatalf("zero-delta update acked seq %d, want unchanged %d", ack.Seq, seqBefore)
 			}
-			after, err := os.Stat(filepath.Join(dir, "updates.wal"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if after.Size() != walSize.Size() {
-				t.Fatalf("WAL grew %d -> %d bytes on all-zero groups", walSize.Size(), after.Size())
-			}
-			if code := get(t, ts, q, &out); code != http.StatusOK || out.Value != 5 {
-				t.Fatalf("sum after all-zero groups = %d (status %d), want 5", out.Value, code)
-			}
+		}
+		if got := s.Seq(); got != seqBefore {
+			t.Fatalf("sequence bumped to %d by all-zero groups", got)
+		}
+		after, err := os.Stat(filepath.Join(dir, "updates.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.Size() != walSize.Size() {
+			t.Fatalf("WAL grew %d -> %d bytes on all-zero groups", walSize.Size(), after.Size())
+		}
+		if code := get(t, ts, q, &out); code != http.StatusOK || out.Value != 5 {
+			t.Fatalf("sum after all-zero groups = %d (status %d), want 5", out.Value, code)
+		}
 
-			// A real delta still commits.
-			if code, _ := postUpdates(t, ts, "", []jsonUpdate{{Coords: []int{1, 1}, Delta: 3}}); code != http.StatusOK {
-				t.Fatal("live update failed")
-			}
-			if s.Seq() != seqBefore+1 {
-				t.Fatalf("live update did not bump seq: %d", s.Seq())
-			}
-			if code := get(t, ts, q, &out); code != http.StatusOK {
-				t.Fatalf("sum after live update: status %d", code)
-			}
-			if out.Value != 8 {
-				t.Fatalf("sum after updates = %d, want 8", out.Value)
-			}
-		})
-	}
+		// A real delta still commits.
+		if code, _ := postUpdates(t, ts, "", []jsonUpdate{{Coords: []int{1, 1}, Delta: 3}}); code != http.StatusOK {
+			t.Fatal("live update failed")
+		}
+		if s.Seq() != seqBefore+1 {
+			t.Fatalf("live update did not bump seq: %d", s.Seq())
+		}
+		if code := get(t, ts, q, &out); code != http.StatusOK {
+			t.Fatalf("sum after live update: status %d", code)
+		}
+		if out.Value != 8 {
+			t.Fatalf("sum after updates = %d, want 8", out.Value)
+		}
+	})
 }
 
 // TestIngestSubmitRejectsBadCoords: SubmitUpdates checks coordinates as
@@ -839,35 +833,29 @@ func TestIngestZeroDeltaSkips(t *testing.T) {
 // goroutine, killing the process and every writer's update queued with it —
 // and a valid submission after it is acked.
 func TestIngestSubmitRejectsBadCoords(t *testing.T) {
-	for _, mode := range []string{"direct", "pipeline"} {
-		t.Run(mode, func(t *testing.T) {
-			s, ts := ingestTestServer(t, t.TempDir(), func(o *Options) {
-				if mode == "direct" {
-					o.IngestQueue = 0
-				}
-			})
-			defer ts.Close()
-			defer s.Close()
-			for _, bad := range [][]ingest.Update{
-				{{Coords: []int{1, 1}, Delta: 1}, {Coords: []int{8, 0}, Delta: 1}},
-				{{Coords: []int{0, -1}, Delta: 1}},
-				{{Coords: []int{1}, Delta: 1}},
-			} {
-				if _, err := s.SubmitUpdates(bad, true); err == nil {
-					t.Fatalf("SubmitUpdates(%v) accepted, want an error", bad)
-				}
+	t.Run("pipeline", func(t *testing.T) {
+		s, ts := ingestTestServer(t, t.TempDir(), nil)
+		defer ts.Close()
+		defer s.Close()
+		for _, bad := range [][]ingest.Update{
+			{{Coords: []int{1, 1}, Delta: 1}, {Coords: []int{8, 0}, Delta: 1}},
+			{{Coords: []int{0, -1}, Delta: 1}},
+			{{Coords: []int{1}, Delta: 1}},
+		} {
+			if _, err := s.SubmitUpdates(bad, true); err == nil {
+				t.Fatalf("SubmitUpdates(%v) accepted, want an error", bad)
 			}
-			ack, err := s.SubmitUpdates([]ingest.Update{{Coords: []int{7, 7}, Delta: 4}}, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res := <-ack; res.Err != nil || res.Seq != 1 {
-				t.Fatalf("valid submission after the bad ones: seq %d, err %v; want seq 1", res.Seq, res.Err)
-			}
-			var out queryResponse
-			if code := get(t, ts, "/query?op=sum", &out); code != http.StatusOK || out.Value != 4 {
-				t.Fatalf("whole-cube sum = %d (status %d), want 4: only the valid submission applied", out.Value, code)
-			}
-		})
-	}
+		}
+		ack, err := s.SubmitUpdates([]ingest.Update{{Coords: []int{7, 7}, Delta: 4}}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := <-ack; res.Err != nil || res.Seq != 1 {
+			t.Fatalf("valid submission after the bad ones: seq %d, err %v; want seq 1", res.Seq, res.Err)
+		}
+		var out queryResponse
+		if code := get(t, ts, "/query?op=sum", &out); code != http.StatusOK || out.Value != 4 {
+			t.Fatalf("whole-cube sum = %d (status %d), want 4: only the valid submission applied", out.Value, code)
+		}
+	})
 }

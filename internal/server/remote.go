@@ -70,7 +70,7 @@ func (s *Server) initRemoteSharding(m shard.Map) error {
 		})
 		remotes[i], engines[i] = e, e
 	}
-	rt, err := shard.NewRouterEngines(m, engines, s.opts.SumEngine, stats)
+	rt, err := shard.NewRouterEngines(m, engines, stats)
 	if err != nil {
 		return err
 	}
@@ -211,7 +211,7 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		var payload []byte
 		if payload, err = wal.OpenRecord(buf); err == nil {
-			items, err = shard.DecodeQueries(payload, s.opts.MaxBatchQueries)
+			items, err = shard.DecodeQueries(payload, maxBatchQueries)
 		}
 	}
 	if err != nil {

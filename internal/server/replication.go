@@ -188,10 +188,9 @@ func JoinLeader(ctx context.Context, leaderURL string, opts Options) (*Server, e
 	opts.ReadOnly = true
 	opts.LeaderURL = leaderURL
 	// A follower holds derived state: no local durability, no remote
-	// shards, no ingestion pipeline.
+	// shards, and (being ReadOnly) no ingestion pipeline.
 	opts.WALPath = ""
 	opts.SnapshotPath = ""
-	opts.IngestQueue = 0
 	opts.ShardURLs = nil
 	opts.AcceptState = false
 	opts.AwaitState = false

@@ -16,8 +16,9 @@
 //	GET  /advise?space=100000         §9 planner choices for the query log
 //
 // Selector syntax per dimension: name=value, name=lo..hi, name=*
-// (unspecified dimensions default to "all"). op=sum responses include the
-// §11 [lower, upper] bounds computed before the exact answer.
+// (unspecified dimensions default to "all"). op=sum responses include §11
+// [lower, upper] bounds, computed in the same walk as the exact answer; at
+// BlockSize 1, and on a healthy remote leader, both equal the value.
 //
 // Robustness model: update batches are appended to a write-ahead log and
 // fsynced before they touch memory, a checksummed snapshot of the cube is
@@ -60,21 +61,20 @@ import (
 // reproduces the original in-memory server: no durability, no admission
 // limit, no deadline.
 type Options struct {
-	// BlockSize is the uniform block size of the §5.2 blocked index.
+	// BlockSize is the uniform block size b of the blocked index that answers
+	// op=sum and op=avg, the sum structure's only knob. 0 means 1: b = 1 is the
+	// §3 array P (2^d accesses per query, 8 bytes per cell, a §5 batch update
+	// over P on every commit, §11 bounds equal to the value); a larger b is
+	// the §4 decomposition (8/b^d bytes per cell plus edge arrays of
+	// 8·((1+1/b)^d − 1 − 1/b^d), which its boundary scans read wherever a
+	// region is block-aligned). See shard's localEngine for the full
+	// per-structure account.
 	BlockSize int
 	// Fanout is the branching factor of the §6 max/min trees.
 	Fanout int
-	// SumEngine selects the structure answering op=sum and op=avg, and with
-	// it what is built and updated: "prefixsum" (default; the §3 array P, 2^d
-	// accesses per query, 8 bytes per cell and a §5 batch update over P on
-	// every commit) or "blocked" (the §4 decomposition over the blocked
-	// index, whose boundary scans read its edge arrays wherever a region is
-	// block-aligned and parallelize for large regions; P is never built). The
-	// blocked index (8/b^d bytes per cell) exists either way: it supplies the
-	// §11 lo/hi of every sum answer and its apply writes the cells. Its edge
-	// arrays (8·((1+1/b)^d − 1 − 1/b^d) bytes per cell, one more write each
-	// per delta) exist only under "blocked". See shard's localEngine for the
-	// full per-structure account.
+	// SumEngine is a deprecated alias for a block size, kept until the
+	// benchmark stops naming engines: "prefixsum" means BlockSize 1,
+	// "blocked" or "" means BlockSize itself (shard.ResolveBlockSize).
 	SumEngine string
 
 	// ShardURLs, when non-empty, slab-partitions the logical cube along the
@@ -148,9 +148,6 @@ type Options struct {
 	// /update and /advise requests; excess requests are shed immediately
 	// with 429 and Retry-After. 0 means unlimited.
 	MaxInflight int
-	// MaxBatchQueries caps the number of queries in one /query/batch
-	// request; larger batches fail with 413. 0 means 1024.
-	MaxBatchQueries int
 	// QueryTimeout bounds each /query request; past the deadline the
 	// scan abandons work at its next cancellation checkpoint and the
 	// request fails with 503. 0 means no deadline.
@@ -159,12 +156,12 @@ type Options struct {
 	// with 413. 0 means 8 MiB.
 	MaxUpdateBytes int64
 
-	// IngestQueue, when > 0, enables the async ingestion pipeline: /update
-	// writers enqueue into a bounded group-commit batcher (this many
-	// pending submissions) and a single flusher coalesces each drained
-	// group through the §5 update-class machinery, appends one WAL batch
-	// with one fsync, and applies it under one write-lock epoch. A full
-	// queue sheds writers with 429. 0 keeps the direct per-request path.
+	// IngestQueue bounds the group-commit batcher every writable server
+	// commits through: /update writers enqueue (this many pending
+	// submissions) and a single flusher coalesces each drained group
+	// through the §5 update-class machinery, appends one WAL batch with one
+	// fsync, and applies it under one write-lock epoch. A full queue sheds
+	// writers with 429. 0 means 256.
 	IngestQueue int
 	// IngestMaxWait is how long the flusher holds an under-filled group
 	// open for more arrivals. 0 commits as soon as the queue is
@@ -174,8 +171,7 @@ type Options struct {
 	// IngestDurability is the default /update acknowledgment mode:
 	// "sync" (ack after the group's WAL fsync; the default) or "async"
 	// (ack 202 at enqueue; a crash before the flush loses the update).
-	// Writers may override per request with ?durability=. Only meaningful
-	// with IngestQueue > 0.
+	// Writers may override per request with ?durability=.
 	IngestDurability string
 
 	// TraceSample is the distributed-tracing head-sampling rate in [0, 1]:
@@ -217,11 +213,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxUpdateBytes <= 0 {
 		o.MaxUpdateBytes = 8 << 20
 	}
-	if o.MaxBatchQueries <= 0 {
-		o.MaxBatchQueries = 1024
-	}
-	if o.SumEngine == "" {
-		o.SumEngine = "prefixsum"
+	if o.IngestQueue <= 0 {
+		o.IngestQueue = 256
 	}
 	if o.ShardProbe == 0 {
 		o.ShardProbe = time.Second
@@ -239,11 +232,13 @@ func (o Options) withDefaults() Options {
 }
 
 // Sizes no deployment tunes: the /advise ring keeps the most recent
-// queryLogSize queried regions, and the ingest flusher gathers at most
-// ingestMaxBatch point updates into one group.
+// queryLogSize queried regions, the ingest flusher gathers at most
+// ingestMaxBatch point updates into one group, and a /query/batch request or
+// scatter frame may hold at most maxBatchQueries queries.
 const (
-	queryLogSize   = 10000
-	ingestMaxBatch = 4096
+	queryLogSize    = 10000
+	ingestMaxBatch  = 4096
+	maxBatchQueries = 1024
 )
 
 // Server holds the cube and, in a shard.Router, every structure that
@@ -307,7 +302,7 @@ type Server struct {
 	walGen    atomic.Uint64
 	walEnd    atomic.Int64
 
-	batcher *ingest.Batcher // nil when IngestQueue is 0 (direct commits)
+	batcher *ingest.Batcher // the one commit entry; nil only on a ReadOnly server
 
 	inflight chan struct{} // admission semaphore; nil when unlimited
 
@@ -385,8 +380,9 @@ func New(c *cube.Cube, blockSize, fanout int) *Server {
 // The cube's cell array is mutated in place to the recovered state.
 func NewWithOptions(c *cube.Cube, opts Options) (*Server, error) {
 	opts = opts.withDefaults()
-	if opts.SumEngine != "prefixsum" && opts.SumEngine != "blocked" {
-		return nil, fmt.Errorf("server: unknown sum engine %q (prefixsum, blocked)", opts.SumEngine)
+	var err error
+	if opts.BlockSize, err = shard.ResolveBlockSize(opts.SumEngine, opts.BlockSize); err != nil {
+		return nil, err
 	}
 	if opts.IngestDurability != "sync" && opts.IngestDurability != "async" {
 		return nil, fmt.Errorf("server: unknown ingest durability %q (sync, async)", opts.IngestDurability)
@@ -472,10 +468,10 @@ func NewWithOptions(c *cube.Cube, opts Options) (*Server, error) {
 	if opts.MaxInflight > 0 {
 		s.inflight = make(chan struct{}, opts.MaxInflight)
 	}
-	if opts.IngestQueue > 0 {
+	if !opts.ReadOnly {
 		// The batcher starts only after recovery so its commits never race
-		// the replay; its flusher is the sole caller of commitGroups when
-		// enabled.
+		// the replay; its flusher is the sole caller of commitGroups. A
+		// ReadOnly server rejects every update before the commit path.
 		s.batcher = ingest.New(ingest.Options{
 			QueueSize: opts.IngestQueue,
 			MaxBatch:  ingestMaxBatch,
@@ -920,7 +916,7 @@ func (s *Server) evalSlot(ctx context.Context, q batchSlot) (queryResponse, erro
 	// opens) with the §8 cost.
 	if sp := trace.FromContext(ctx); sp != nil {
 		c.Publish(sp)
-		sp.SetEngine(engineLabel(s.router, s.opts.SumEngine, q.op))
+		sp.SetEngine(engineLabel(s.router, s.opts.BlockSize, q.op))
 		if resp.Partial {
 			sp.SetPartial()
 		}
@@ -1038,23 +1034,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	for i, u := range req.Updates {
 		ups[i] = ingest.Update{Coords: u.Coords, Delta: u.Delta}
 	}
-
-	if s.batcher == nil {
-		if mode == "async" {
-			s.writeError(w, r, http.StatusBadRequest, "async durability requires the ingestion pipeline (IngestQueue > 0)")
-			return
-		}
-		seq, err := s.commitGroups(r.Context(), [][]ingest.Update{ups})
-		if err != nil {
-			s.logf("server: WAL append failed: %v", err)
-			w.Header().Set("Retry-After", strconv.Itoa(ceilSeconds(s.opts.DegradedProbe)))
-			s.writeError(w, r, http.StatusServiceUnavailable, "update not durable: %v", err)
-			return
-		}
-		s.writeJSON(w, r, http.StatusOK, updateResponse{Applied: len(ups), Seq: seq, Durability: "sync"})
-		return
-	}
-
 	ack, enq, err := s.batcher.Submit(ups, mode == "sync")
 	switch {
 	case errors.Is(err, ingest.ErrQueueFull):

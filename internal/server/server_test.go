@@ -32,7 +32,7 @@ func testServer(t *testing.T) (*Server, *cube.Cube) {
 			t.Fatal(err)
 		}
 	}
-	return New(c, 5, 4), c
+	return New(c, 1, 4), c
 }
 
 func get(t *testing.T, ts *httptest.Server, path string, out any) int {

@@ -27,7 +27,7 @@ func (s *Server) buildRouter() error {
 		// HTTP through the same Engine contract the in-process engine serves.
 		return s.initRemoteSharding(m)
 	}
-	s.router, err = shard.NewRouter(s.cube.Data(), m, s.opts.BlockSize, s.opts.Fanout, s.opts.SumEngine)
+	s.router, err = shard.NewRouter(s.cube.Data(), m, s.opts.BlockSize, s.opts.Fanout, "")
 	return err
 }
 

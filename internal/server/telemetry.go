@@ -177,7 +177,7 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 	reg.CounterFunc("cube_shard_scatter_cells_total",
 		"Coalesced cell deltas scattered to owning shards by commits.", routerStat(2))
 	reg.GaugeVecFunc("cube_structure_bytes",
-		"Bytes held by each serving structure of this process's shards (cells, prefixsum, blocked, edges, maxtree, mintree): 0 for one the sum engine does not build, no samples on a leader of remote shards.",
+		"Bytes held by each serving structure of this process's shards (cells, blocked, edges, maxtree, mintree; blocked is the §3 array P and edges 0 at block size 1), no samples on a leader of remote shards.",
 		"structure", func() map[string]int64 { return s.liveRouter().StructureBytes() })
 	// Remote shard tier: the engines record into RemoteStats, exported by
 	// callback (0 while the shards are in-process).
@@ -344,7 +344,7 @@ func (s *Server) liveRouter() *shard.Router {
 func (m *serverMetrics) pinCostObservers(s *Server) {
 	obs := make(map[string]metrics.Observer, 5)
 	for _, op := range []string{"sum", "count", "avg", "max", "min"} {
-		eng := engineLabel(s.router, s.opts.SumEngine, op)
+		eng := engineLabel(s.router, s.opts.BlockSize, op)
 		obs[op] = costObserver{
 			cells: m.costCells.With(op, eng),
 			aux:   m.costAux.With(op, eng),
@@ -367,15 +367,19 @@ func (o costObserver) ObserveCost(cells, aux, steps int64) {
 
 // engineLabel names the structure that answered op on rt, the "engine"
 // dimension of the cost histograms; a router of more than one shard
-// prefixes it with "sharded:".
-func engineLabel(rt *shard.Router, sumEngine, op string) string {
+// prefixes it with "sharded:". A sum is answered by the blocked index at
+// block size b, which is §3's "prefixsum" array P at b = 1.
+func engineLabel(rt *shard.Router, b int, op string) string {
 	sharded := ""
 	if rt.Shards() > 1 {
 		sharded = "sharded:"
 	}
 	switch op {
 	case "sum", "avg":
-		return sharded + sumEngine
+		if b == 1 {
+			return sharded + "prefixsum"
+		}
+		return sharded + "blocked"
 	case "max":
 		return sharded + "maxtree"
 	case "min":

@@ -16,8 +16,8 @@ import (
 
 // metricsTestServer builds a fully featured server — WAL, snapshot,
 // admission limit, metrics endpoint — over a small cube, answering sums with
-// sumEngine ("" is the default, prefixsum).
-func metricsTestServer(t *testing.T, sumEngine string) (*Server, *httptest.Server) {
+// the blocked index at blockSize.
+func metricsTestServer(t *testing.T, blockSize int) (*Server, *httptest.Server) {
 	t.Helper()
 	c := cube.New(
 		cube.NewIntDimension("age", 1, 50),
@@ -31,9 +31,8 @@ func metricsTestServer(t *testing.T, sumEngine string) (*Server, *httptest.Serve
 	}
 	dir := t.TempDir()
 	s, err := NewWithOptions(c, Options{
-		BlockSize:    5,
+		BlockSize:    blockSize,
 		Fanout:       4,
-		SumEngine:    sumEngine,
 		WALPath:      filepath.Join(dir, "updates.wal"),
 		SnapshotPath: filepath.Join(dir, "cube.snap"),
 		MaxInflight:  8,
@@ -95,17 +94,17 @@ func seriesValue(body, name, labelSubstr string) float64 {
 // one poisoned item, an update through the WAL — then scrapes /metrics and
 // asserts every required series is present with a sane value: per-endpoint
 // request accounting, the live §8 cost histograms (one observation per
-// evaluated query), WAL fsync latency and — for both sum engines — the bytes
-// of exactly the structures that engine builds. Series of deleted features
-// (the result cache, in-process followers) must stay gone.
+// evaluated query), WAL fsync latency and — at b = 1, labelled prefixsum, and
+// at b = 5, labelled blocked — the bytes of exactly the structures built.
+// Series of deleted features (the result cache, in-process followers) must
+// stay gone.
 func TestMetricsEndToEnd(t *testing.T) {
-	for _, engine := range []string{"prefixsum", "blocked"} {
-		t.Run(engine, func(t *testing.T) { testMetricsEndToEnd(t, engine) })
-	}
+	t.Run("prefixsum", func(t *testing.T) { testMetricsEndToEnd(t, "prefixsum", 1) })
+	t.Run("blocked", func(t *testing.T) { testMetricsEndToEnd(t, "blocked", 5) })
 }
 
-func testMetricsEndToEnd(t *testing.T, engine string) {
-	_, ts := metricsTestServer(t, engine)
+func testMetricsEndToEnd(t *testing.T, engine string, blockSize int) {
+	_, ts := metricsTestServer(t, blockSize)
 
 	get := func(path string) {
 		resp, err := ts.Client().Get(ts.URL + path)
@@ -192,18 +191,21 @@ func testMetricsEndToEnd(t *testing.T, engine string) {
 			t.Errorf("removed series %s is exported", gone)
 		}
 	}
-	// Only what answers is built: 50×10 cells of 8 bytes; P as large again
-	// under prefixsum and absent under blocked; one 8-byte packed entry per 5×5
-	// block under both; the edge arrays, 50×2 and 10×10 entries, only under
-	// blocked; 13×3 + 4×1 + 1 fanout-4 tree nodes of 16 bytes in each tree.
-	wantBytes := map[string]float64{"cells": 4000, "prefixsum": 4000, "blocked": 160, "edges": 0, "maxtree": 704, "mintree": 704}
-	if engine == "blocked" {
-		wantBytes["prefixsum"], wantBytes["edges"] = 0, 1600
+	// Only what answers is built: 50×10 cells of 8 bytes; one 8-byte packed
+	// entry per block, which at b = 1 is P, as large as the cells, with nothing
+	// beside it, and at b = 5 is 10×2 entries plus the edge arrays' 50×2 and
+	// 10×10; 13×3 + 4×1 + 1 fanout-4 tree nodes of 16 bytes in each tree.
+	wantBytes := map[string]float64{"cells": 4000, "blocked": 4000, "edges": 0, "maxtree": 704, "mintree": 704}
+	if blockSize == 5 {
+		wantBytes["blocked"], wantBytes["edges"] = 160, 1600
 	}
 	for structure, want := range wantBytes {
 		if got := seriesValue(body, "cube_structure_bytes", `structure="`+structure+`"`); got != want {
 			t.Errorf("cube_structure_bytes{structure=%q} = %v under %s, want %v", structure, got, engine, want)
 		}
+	}
+	if strings.Contains(body, `cube_structure_bytes{structure="prefixsum"}`) {
+		t.Error(`cube_structure_bytes reports structure="prefixsum": P is never built beside the index`)
 	}
 }
 
@@ -211,7 +213,7 @@ func testMetricsEndToEnd(t *testing.T, engine string) {
 // missing or hostile one is replaced with a minted ID; error bodies carry
 // the ID for correlation.
 func TestRequestIDPropagation(t *testing.T) {
-	_, ts := metricsTestServer(t, "")
+	_, ts := metricsTestServer(t, 1)
 
 	req, _ := http.NewRequest("GET", ts.URL+"/query?op=sum&age=1..5", nil)
 	req.Header.Set("X-Request-Id", "client-abc.123")
@@ -267,7 +269,7 @@ func TestRequestIDPropagation(t *testing.T) {
 // committed code — an explicit error status, and the implicit 200 of a
 // handler that only writes a body.
 func TestStatusWriterCapturesCode(t *testing.T) {
-	_, ts := metricsTestServer(t, "")
+	_, ts := metricsTestServer(t, 1)
 
 	get := func(path string) int {
 		resp, err := ts.Client().Get(ts.URL + path)

@@ -8,7 +8,6 @@ import (
 	"rangecube/internal/core/batchsum"
 	"rangecube/internal/core/blocked"
 	"rangecube/internal/core/maxtree"
-	"rangecube/internal/core/prefixsum"
 	"rangecube/internal/metrics"
 	"rangecube/internal/ndarray"
 )
@@ -80,14 +79,14 @@ type Item struct {
 // It builds what answers and nothing else; in bytes per cell:
 //
 //	cells  8            the slab, which every structure below indexes in place
-//	sum    8            the §3 array P, only when it answers Sum ("prefixsum")
-//	blk    8/b^d        the §4 blocked index, under both engines: it answers
-//	                    Sum under "blocked", supplies the §11 lo/hi of every
-//	                    SumWithBounds and its §5.2 apply writes cells
+//	blk    8/b^d        the §4 blocked index: it answers Sum with §11 lo/hi,
+//	                    and its §5.2 apply writes cells. At b = 1 it is §3's
+//	                    array P (§4: "b = 1 degenerates to the basic
+//	                    algorithm"), and every sum's bounds are its value.
 //	edges  8·((1+1/b)^d − 1 − 1/b^d)
-//	                    the blocked index's edge arrays, only when it answers
-//	                    Sum ("blocked"): what its boundary scans read instead
-//	                    of cells wherever a region is block-aligned
+//	                    the blocked index's edge arrays: what its boundary
+//	                    scans read instead of cells wherever a region is
+//	                    block-aligned; none at b = 1, which has no boundary
 //	max    ≈16/(f^d−1)  the §6 max tree
 //	min    ≈16/(f^d−1)  the §6 min tree
 //
@@ -96,29 +95,22 @@ type Item struct {
 // comparing against copies of their own.
 type localEngine struct {
 	cells *ndarray.Array[int64]
-	sum   *prefixsum.IntArray // nil unless the sum engine is "prefixsum"
 	blk   *blocked.IntArray
 	max   *maxtree.Tree[int64]
 	min   *maxtree.Tree[int64]
 }
 
-func newLocalEngine(a *ndarray.Array[int64], blockSize, fanout int, sumEngine string) *localEngine {
-	e := &localEngine{
+func newLocalEngine(a *ndarray.Array[int64], blockSize, fanout int) *localEngine {
+	return &localEngine{
 		cells: a,
 		max:   maxtree.Build(a, fanout),
 		min:   maxtree.BuildMin(a, fanout),
+		blk:   newBlockedSum(a, blockSize),
 	}
-	if sumEngine == "prefixsum" {
-		e.sum = prefixsum.BuildInt(a)
-		e.blk = blocked.BuildInt(a, blockSize)
-	} else {
-		e.blk = newBlockedSum(a, blockSize)
-	}
-	return e
 }
 
-// newBlockedSum builds the blocked index the way an engine whose sums it
-// answers does: with edge arrays.
+// newBlockedSum builds the blocked index the way an engine does: with edge
+// arrays.
 func newBlockedSum(a *ndarray.Array[int64], blockSize int) *blocked.IntArray {
 	bs := make([]int, a.Dims())
 	for j := range bs {
@@ -162,23 +154,13 @@ func (e *localEngine) Answer(ctx context.Context, items []Item) (err error) {
 }
 
 func (e *localEngine) Sum(ctx context.Context, r ndarray.Region, c *metrics.Counter) (int64, error) {
-	if e.sum == nil {
-		return e.blk.SumContext(ctx, r, c)
-	}
-	return e.sum.Sum(r, c), nil
+	return e.blk.SumContext(ctx, r, c)
 }
 
+// SumWithBounds keeps the bounds' accesses out of c: op=sum reports the cost
+// of the exact answer alone.
 func (e *localEngine) SumWithBounds(ctx context.Context, r ndarray.Region, c *metrics.Counter) (int64, int64, int64, error) {
-	// The bounds' accesses are kept out of c: op=sum reports the cost of the
-	// exact answer alone.
-	if e.sum == nil {
-		return blocked.SumBoundsContext(ctx, e.blk, r, c)
-	}
-	lo, hi, err := blocked.BoundsContext(ctx, e.blk, r, nil)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return e.sum.Sum(r, c), lo, hi, nil
+	return blocked.SumBoundsContext(ctx, e.blk, r, c)
 }
 
 func (e *localEngine) Extreme(ctx context.Context, r ndarray.Region, min bool, c *metrics.Counter) ([]int, int64, bool, error) {
@@ -210,9 +192,6 @@ func (e *localEngine) Apply(_ context.Context, deltas []batchsum.IntUpdate) erro
 			changes = append(changes, maxtree.CellChange[int64]{Off: off, Old: data[off]})
 		}
 	}
-	if e.sum != nil {
-		batchsum.ApplyInt(e.sum, deltas, nil)
-	}
 	batchsum.ApplyBlockedInt(e.blk, deltas, nil)
 	for i := range changes {
 		changes[i].New = data[changes[i].Off]
@@ -227,21 +206,17 @@ func (e *localEngine) Apply(_ context.Context, deltas []batchsum.IntUpdate) erro
 func (e *localEngine) CellBounds() (int64, int64) { return ValueBounds(e.cells) }
 
 // StructureBytes reports the bytes each serving structure holds, summed over
-// the router's local engines and keyed cells, prefixsum, blocked (the packed
-// array), edges, maxtree and mintree (0 for one that is not built). It is nil
-// for a router of remote engines, whose structures live in the shard
-// processes.
+// the router's local engines and keyed cells, blocked (the packed array, §3's
+// P at b = 1), edges (0 at b = 1), maxtree and mintree. It is nil for a
+// router of remote engines, whose structures live in the shard processes.
 func (rt *Router) StructureBytes() map[string]int64 {
 	if rt.netIO {
 		return nil
 	}
-	out := map[string]int64{"prefixsum": 0, "edges": 0} // reported, as 0, when no engine builds them
+	out := make(map[string]int64, 5)
 	for _, e := range rt.shards {
 		le := e.(*localEngine)
 		out["cells"] += 8 * int64(le.cells.Size())
-		if le.sum != nil {
-			out["prefixsum"] += 8 * int64(le.sum.Size())
-		}
 		out["blocked"] += 8 * int64(le.blk.AuxSize())
 		out["edges"] += 8 * int64(le.blk.EdgeSize())
 		out["maxtree"] += 16 * int64(le.max.Nodes()) // a value and an argmax offset per node

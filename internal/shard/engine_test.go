@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -52,15 +53,14 @@ func checkTreeIsFresh(t *testing.T, tree *maxtree.Tree[int64], what string) {
 // checkEdgesFresh reads every entry of every edge array of bl from outside —
 // a sum over exactly the cells one entry covers is answered from that entry,
 // or from a coarser array, and never from the cells — and holds it to a naive
-// scan of those cells. wantEdges is whether bl answers its engine's sums: only
-// then are there edge arrays, one per non-empty proper subset of the
-// dimensions, as long as the block size gives them something to contract.
-func checkEdgesFresh(t *testing.T, bl *blocked.IntArray, wantEdges bool, what string) {
+// scan of those cells. There is one edge array per non-empty proper subset of
+// the dimensions, as long as the block size gives them something to contract.
+func checkEdgesFresh(t *testing.T, bl *blocked.IntArray, what string) {
 	t.Helper()
 	a, b := bl.Cube(), bl.BlockSize()
 	shape, d := a.Shape(), a.Dims()
 	entries := 0
-	for keep := 1; wantEdges && b > 1 && keep < 1<<d-1; keep++ {
+	for keep := 1; b > 1 && keep < 1<<d-1; keep++ {
 		grid := make([]int, d)
 		for j, n := range shape {
 			grid[j] = n
@@ -97,12 +97,13 @@ func checkEdgesFresh(t *testing.T, bl *blocked.IntArray, wantEdges bool, what st
 // maximum and increase of the current minimum (forced §7 rescans) — and after
 // every batch the whole query surface equals a naive mirror, each tree equals
 // a fresh build over the cells, every edge array equals a fresh contraction of
-// them, and the structures still alias one array.
+// them, and the structures still alias one array — at b = 1, where the index
+// is §3's P and nothing is built beside it, as at b > 1.
 func TestStructuresShareCells(t *testing.T) {
 	g := workload.SeededGen(t, *seedFlag, 3)
 	rng := rand.New(rand.NewSource(*seedFlag + 0x5a11))
 	ctx := context.Background()
-	for _, sumEngine := range []string{"prefixsum", "blocked"} {
+	for _, blockSize := range []int{1, 2, 3} {
 		for d := 1; d <= 3; d++ {
 			for _, shards := range []int{1, 3} {
 				shape := make([]int, d)
@@ -118,11 +119,11 @@ func TestStructuresShareCells(t *testing.T) {
 					mirror.Data()[i] -= 100
 				}
 				given := mirror.Clone()
-				rt, err := NewRouter(given, m, 1+rng.Intn(3), 2+rng.Intn(2), sumEngine)
+				rt, err := NewRouter(given, m, blockSize, 2+rng.Intn(2), "")
 				if err != nil {
 					t.Fatal(err)
 				}
-				what := fmt.Sprintf("%s d=%d shards=%d", sumEngine, d, shards)
+				what := fmt.Sprintf("b=%d d=%d shards=%d", blockSize, d, shards)
 				for step := 0; step < 12; step++ {
 					var cells []PointDelta
 					for _, u := range g.Updates(shape, 1+rng.Intn(6), 150) {
@@ -152,7 +153,8 @@ func TestStructuresShareCells(t *testing.T) {
 						if got, err := rt.Sum(ctx, r, nil); err != nil || got != want {
 							t.Fatalf("%s step %d: Sum(%v) = %d (err %v), want %d", what, step, r, got, err, want)
 						}
-						if full, err := rt.SumFull(ctx, r, nil); err != nil || full.Value != want || full.Partial() {
+						full, err := rt.SumFull(ctx, r, nil)
+						if err != nil || full.Value != want || full.Partial() || (blockSize == 1 && (full.Lo != want || full.Hi != want)) {
 							t.Fatalf("%s step %d: SumFull(%v) = %+v (err %v), want %d", what, step, r, full, err, want)
 						}
 						for _, min := range []bool{false, true} {
@@ -169,13 +171,14 @@ func TestStructuresShareCells(t *testing.T) {
 						if e.blk.Cube() != e.cells || e.max.Cube() != e.cells || e.min.Cube() != e.cells || (shards == 1 && e.cells != given) {
 							t.Fatalf("%s step %d shard %d: the structures no longer index one cell array", what, step, i)
 						}
-						if (e.sum != nil) != (sumEngine == "prefixsum") {
-							t.Fatalf("%s step %d shard %d: prefix-sum array built = %v", what, step, i, e.sum != nil)
+						if blockSize == 1 && (e.blk.AuxSize() != e.cells.Size() || e.blk.EdgeSize() != 0) {
+							t.Fatalf("%s step %d shard %d: the b = 1 index holds %d packed and %d edge entries over %d cells, want P alone",
+								what, step, i, e.blk.AuxSize(), e.blk.EdgeSize(), e.cells.Size())
 						}
 						if !slices.Equal(e.cells.Data(), SlabCopy(mirror, m, i).Data()) {
 							t.Fatalf("%s step %d shard %d: cells diverged from the mirror's slab", what, step, i)
 						}
-						checkEdgesFresh(t, e.blk, sumEngine == "blocked", what)
+						checkEdgesFresh(t, e.blk, what)
 						checkTreeIsFresh(t, e.max, what+" max tree")
 						checkTreeIsFresh(t, e.min, what+" min tree")
 					}
@@ -185,43 +188,41 @@ func TestStructuresShareCells(t *testing.T) {
 	}
 }
 
-// TestOnlyWhatAnswersIsBuilt holds the engine's space to the paper's trade: a
-// "blocked" engine allocates no N-sized array at all while it is built — the
-// packed array, the edge arrays and both trees together stay within the closed
-// form cells·(∏(1+1/b_j) − 1) plus the trees' nodes — a "prefixsum" engine
-// exactly one, P, and no edge array; and a "blocked" router's Apply has no
-// prefix-sum array to touch.
+// TestOnlyWhatAnswersIsBuilt holds the engine's space to the paper's trade: at
+// b > 1 it allocates no N-sized array at all while it is built — the packed
+// array, the edge arrays and both trees together stay within the closed form
+// cells·(∏(1+1/b_j) − 1) plus the trees' nodes — and at b = 1 exactly one, the
+// packed array that is §3's P, with no edge array and no second copy of P
+// beside it. A router reports those bytes under the same names, and the block
+// size is the one knob: the deprecated engine names resolve to a block size,
+// and nothing else does.
 func TestOnlyWhatAnswersIsBuilt(t *testing.T) {
 	shape := []int{512, 512}
-	const blockSize, fanout = 10, 4
+	const fanout = 4
 	cells := workload.New(*seedFlag).UniformCube(shape, 1000)
 	cellBytes := uint64(8 * cells.Size())
-	for _, sumEngine := range []string{"blocked", "prefixsum"} {
+	for _, blockSize := range []uint64{10, 1} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		e := newLocalEngine(cells, blockSize, fanout, sumEngine)
+		e := newLocalEngine(cells, int(blockSize), fanout)
 		runtime.ReadMemStats(&after)
 		trees := uint64(16 * (e.max.Nodes() + e.min.Nodes()))
 		// Slack, 5% of the cells, of which half is used: 512 is not a multiple
 		// of 10, so every contracted extent is 52 where the closed form has
 		// 51.2 (+7 KiB), and the tree builds' transients (~42 KiB).
-		limit := trees + cellBytes/20
-		if sumEngine == "blocked" {
-			limit += cellBytes * ((blockSize+1)*(blockSize+1) - blockSize*blockSize) / (blockSize * blockSize)
-			if want := 2 * 512 * 52; e.blk.EdgeSize() != want {
-				t.Errorf("blocked: the edge arrays hold %d entries, want %d", e.blk.EdgeSize(), want)
+		limit := trees + cellBytes/20 + cellBytes*((blockSize+1)*(blockSize+1)-blockSize*blockSize)/(blockSize*blockSize)
+		wantEdges := 2 * 512 * 52
+		if blockSize == 1 {
+			limit, wantEdges = trees+cellBytes/20+cellBytes, 0
+			if e.blk.AuxSize() != cells.Size() {
+				t.Errorf("b=1: the packed array holds %d entries over %d cells, want P", e.blk.AuxSize(), cells.Size())
 			}
-		} else {
-			limit += cellBytes + cellBytes/(blockSize*blockSize)
-			if e.blk.EdgeSize() != 0 {
-				t.Errorf("prefixsum: %d edge-array entries built for a blocked index that answers no sum", e.blk.EdgeSize())
-			}
+		}
+		if e.blk.EdgeSize() != wantEdges {
+			t.Errorf("b=%d: the edge arrays hold %d entries, want %d", blockSize, e.blk.EdgeSize(), wantEdges)
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
-			t.Errorf("%s: building the engine allocated %d bytes over %d bytes of cells, want under %d", sumEngine, got, cellBytes, limit)
-		}
-		if (e.sum != nil) != (sumEngine == "prefixsum") {
-			t.Errorf("%s: prefix-sum array built = %v", sumEngine, e.sum != nil)
+			t.Errorf("b=%d: building the engine allocated %d bytes over %d bytes of cells, want under %d", blockSize, got, cellBytes, limit)
 		}
 	}
 
@@ -229,18 +230,32 @@ func TestOnlyWhatAnswersIsBuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewRouter(cells, m, blockSize, fanout, "blocked")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.Apply(context.Background(), []PointDelta{{Coords: []int{3, 3}, Delta: 5}, {Coords: []int{400, 9}, Delta: -2}})
-	for i, eng := range rt.shards {
-		if eng.(*localEngine).sum != nil {
-			t.Errorf("shard %d of a blocked router holds a prefix-sum array", i)
+	for _, alias := range []string{"blocked", "prefixsum"} {
+		rt, err := NewRouter(cells.Clone(), m, 10, fanout, alias)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.Apply(context.Background(), []PointDelta{{Coords: []int{3, 3}, Delta: 5}, {Coords: []int{400, 9}, Delta: -2}})
+		got := rt.StructureBytes()
+		want := map[string]int64{"cells": 8 * 512 * 512, "blocked": 8 * 52 * 52, "edges": 8 * 2 * 512 * 52, "maxtree": got["maxtree"], "mintree": got["mintree"]}
+		if alias == "prefixsum" {
+			want["blocked"], want["edges"] = want["cells"], 0
+		}
+		if !maps.Equal(got, want) {
+			t.Errorf("%s router: StructureBytes %v, want %v", alias, got, want)
 		}
 	}
-	if got, want := rt.StructureBytes()["prefixsum"], int64(0); got != want {
-		t.Errorf("StructureBytes reports %d prefix-sum bytes under blocked, want 0", got)
+	for _, c := range []struct {
+		alias     string
+		blockSize int
+		want      int
+	}{{"", 10, 10}, {"blocked", 10, 10}, {"prefixsum", 10, 1}, {"", 0, 1}, {"blocked", -3, 1}} {
+		if got, err := ResolveBlockSize(c.alias, c.blockSize); err != nil || got != c.want {
+			t.Errorf("ResolveBlockSize(%q, %d) = %d, %v; want %d", c.alias, c.blockSize, got, err, c.want)
+		}
+	}
+	if _, err := NewRouter(cells, m, 10, fanout, "sumtree"); err == nil {
+		t.Error("NewRouter accepted an unknown sum engine")
 	}
 }
 
@@ -248,16 +263,22 @@ func TestOnlyWhatAnswersIsBuilt(t *testing.T) {
 //
 //	go test -run '^$' -bench LocalEngine -benchmem ./internal/shard
 //
-// Build reports what each engine allocates over a 1024² slab, Apply what one
+// Build reports what an engine allocates over a 1024² slab, Apply what one
 // commit of 16 deltas costs it, Sum what one range-sum with §11 bounds costs
-// it over the benchmark's 16 pairs of query sides.
+// it over the benchmark's 16 pairs of query sides, each at b = 1 (§3's P,
+// "prefixsum") and at b = 10 ("blocked").
+var benchBlockSizes = []struct {
+	name      string
+	blockSize int
+}{{"prefixsum", 1}, {"blocked", 10}}
+
 func BenchmarkLocalEngineBuild(b *testing.B) {
 	cells := workload.New(1).UniformCube([]int{1024, 1024}, 1000)
-	for _, sumEngine := range []string{"prefixsum", "blocked"} {
-		b.Run(sumEngine, func(b *testing.B) {
+	for _, eng := range benchBlockSizes {
+		b.Run(eng.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				newLocalEngine(cells, 10, 4, sumEngine)
+				newLocalEngine(cells, eng.blockSize, 4)
 			}
 		})
 	}
@@ -266,9 +287,9 @@ func BenchmarkLocalEngineBuild(b *testing.B) {
 func BenchmarkLocalEngineApply(b *testing.B) {
 	g := workload.New(1)
 	shape := []int{1024, 1024}
-	for _, sumEngine := range []string{"prefixsum", "blocked"} {
-		b.Run(sumEngine, func(b *testing.B) {
-			e := newLocalEngine(g.UniformCube(shape, 1000), 10, 4, sumEngine)
+	for _, eng := range benchBlockSizes {
+		b.Run(eng.name, func(b *testing.B) {
+			e := newLocalEngine(g.UniformCube(shape, 1000), eng.blockSize, 4)
 			var deltas []batchsum.IntUpdate
 			for _, u := range g.Updates(shape, 16, 100) {
 				deltas = append(deltas, batchsum.IntUpdate{Coords: u.Coords, Delta: u.Delta})
@@ -296,9 +317,9 @@ func BenchmarkLocalEngineSum(b *testing.B) {
 	for i := range regions {
 		regions[i] = g.FixedSizeRegion(shape, []int{sides[i%4], sides[i/4%4]})
 	}
-	for _, sumEngine := range []string{"prefixsum", "blocked"} {
-		b.Run(sumEngine, func(b *testing.B) {
-			e := newLocalEngine(g.UniformCube(shape, 1000), 10, 4, sumEngine)
+	for _, eng := range benchBlockSizes {
+		b.Run(eng.name, func(b *testing.B) {
+			e := newLocalEngine(g.UniformCube(shape, 1000), eng.blockSize, 4)
 			var cost metrics.Counter
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -40,9 +40,8 @@ type PointDelta struct {
 // The router performs no locking: callers serialize queries against updates
 // (the server holds its RWMutex).
 type Router struct {
-	m         Map
-	sumEngine string // "prefixsum" or "blocked" — which structure answers Sum
-	shards    []Engine
+	m      Map
+	shards []Engine
 
 	// Scatter–gather accounting, atomic because queries run concurrently
 	// under the caller's read lock. Exported via Stats for telemetry.
@@ -73,51 +72,53 @@ func (rt *Router) RemoteStats() *RemoteStats { return rt.remote }
 // NewRouter builds in-process structures over the slab partition of a. With
 // two or more shards each shard copies its slab; with one, the engine is
 // built in place over a itself — no second copy of the cells — and Apply
-// writes them, so the caller hands a over. sumEngine selects
-// the structure answering Sum ("prefixsum" or "blocked"), mirroring the
-// server's SumEngine option.
+// writes them, so the caller hands a over. Every engine's sum structure is
+// the blocked index at the block size ResolveBlockSize gives; sumEngine is a
+// deprecated alias for a block size, kept until the benchmark stops naming
+// engines.
 func NewRouter(a *ndarray.Array[int64], m Map, blockSize, fanout int, sumEngine string) (*Router, error) {
-	sumEngine, err := normalizeSumEngine(sumEngine)
+	b, err := ResolveBlockSize(sumEngine, blockSize)
 	if err != nil {
 		return nil, err
 	}
 	if !slices.Equal(a.Shape(), m.Shape()) {
 		return nil, fmt.Errorf("shard: cube shape %v does not match map shape %v", a.Shape(), m.Shape())
 	}
-	rt := &Router{m: m, sumEngine: sumEngine, shards: make([]Engine, m.Shards())}
+	rt := &Router{m: m, shards: make([]Engine, m.Shards())}
 	for i := range rt.shards {
 		slab := a
 		if m.Shards() > 1 {
 			slab = SlabCopy(a, m, i)
 		}
-		rt.shards[i] = newLocalEngine(slab, blockSize, fanout, sumEngine)
+		rt.shards[i] = newLocalEngine(slab, b, fanout)
 	}
 	return rt, nil
+}
+
+// ResolveBlockSize is the one place a sum structure's block size is decided.
+// The block size is its only knob: b = 1 is §3's prefix-sum array P (§4:
+// "b = 1 degenerates to the basic algorithm"), and a larger b is §4's blocked
+// array. The deprecated engine name "prefixsum" means b = 1; "blocked" or ""
+// means blockSize; a blockSize under 1 means 1. Any other name is an error.
+func ResolveBlockSize(sumEngine string, blockSize int) (int, error) {
+	switch sumEngine {
+	case "prefixsum":
+		return 1, nil
+	case "", "blocked":
+		return max(blockSize, 1), nil
+	}
+	return 0, fmt.Errorf("shard: unknown sum engine %q (prefixsum, blocked)", sumEngine)
 }
 
 // NewRouterEngines builds a router over caller-provided engines — the
 // multi-process tier, where each engine is a RemoteEngine speaking to a
 // cubeserver shard process. stats (may be nil) aggregates the engines'
 // failure counters for telemetry.
-func NewRouterEngines(m Map, engines []Engine, sumEngine string, stats *RemoteStats) (*Router, error) {
-	sumEngine, err := normalizeSumEngine(sumEngine)
-	if err != nil {
-		return nil, err
-	}
+func NewRouterEngines(m Map, engines []Engine, stats *RemoteStats) (*Router, error) {
 	if len(engines) != m.Shards() {
 		return nil, fmt.Errorf("shard: %d engines for a %d-shard map", len(engines), m.Shards())
 	}
-	return &Router{m: m, sumEngine: sumEngine, shards: engines, remote: stats, netIO: true}, nil
-}
-
-func normalizeSumEngine(sumEngine string) (string, error) {
-	if sumEngine == "" {
-		return "prefixsum", nil
-	}
-	if sumEngine != "prefixsum" && sumEngine != "blocked" {
-		return "", fmt.Errorf("shard: unknown sum engine %q (prefixsum, blocked)", sumEngine)
-	}
-	return sumEngine, nil
+	return &Router{m: m, shards: engines, remote: stats, netIO: true}, nil
 }
 
 // SlabCopy materializes shard i's sub-cube. Region iteration and the local

@@ -364,14 +364,16 @@ func TestRouterMatchesNaive(t *testing.T) {
 // TestOneShardRouterIsTheStructures pins the claim the unsharded server rests
 // on: a router over a one-shard map is the paper's structures called
 // directly. Sum, SumFull and Extreme return the same values, bounds, cells
-// and §8 cost counters as prefixsum/blocked/maxtree built over the same
-// cells and fed the same update batches, for both sum engines — and the
-// router serves the array it was given in place, each delta landing once.
+// and §8 cost counters as blocked/maxtree built over the same cells and fed
+// the same update batches, and the router serves the array it was given in
+// place, each delta landing once. At b = 1 the index is §3 itself: the values
+// and accesses of prefixsum.Sum over P, one more step (the fold of the one,
+// internal, region) and bounds equal to the value.
 func TestOneShardRouterIsTheStructures(t *testing.T) {
 	g := workload.SeededGen(t, *seedFlag, 2)
 	ctx := context.Background()
-	const blockSize, fanout = 3, 3
-	for _, sumEngine := range []string{"prefixsum", "blocked"} {
+	const fanout = 3
+	for _, blockSize := range []int{1, 3} {
 		shape := []int{9, 7, 4}
 		cells := g.UniformCube(shape, 100)
 		m, err := NewMap(shape, 0, 1)
@@ -380,13 +382,10 @@ func TestOneShardRouterIsTheStructures(t *testing.T) {
 		}
 		own := cells.Clone() // the directly-built structures' cube
 		ps := prefixsum.BuildInt(own)
-		bl := blocked.BuildInt(own, blockSize)
-		if sumEngine == "blocked" {
-			bl = newBlockedSum(own, blockSize) // with edge arrays, as the engine builds the index that answers
-		}
+		bl := newBlockedSum(own, blockSize) // with edge arrays, as the engine builds it
 		mx := maxtree.Build(own.Clone(), fanout)
 		mn := maxtree.BuildMin(own.Clone(), fanout)
-		rt, err := NewRouter(cells, m, blockSize, fanout, sumEngine)
+		rt, err := NewRouter(cells, m, blockSize, fanout, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,25 +395,28 @@ func TestOneShardRouterIsTheStructures(t *testing.T) {
 		for step := 0; step < 25; step++ {
 			r := g.UniformRegion(shape)
 			var want, got, gotFull metrics.Counter
-			wantSum := ps.Sum(r, &want)
-			if sumEngine == "blocked" {
-				want = metrics.Counter{}
-				if wantSum, err = bl.SumContext(ctx, r, &want); err != nil {
-					t.Fatal(err)
-				}
+			wantSum, err := bl.SumContext(ctx, r, &want)
+			if err != nil {
+				t.Fatal(err)
 			}
 			wantLo, wantHi, err := blocked.BoundsContext(ctx, bl, r, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if blockSize == 1 {
+				var pc metrics.Counter
+				if v := ps.Sum(r, &pc); v != wantSum || wantLo != v || wantHi != v || pc.Cells != want.Cells || pc.Aux != want.Aux || pc.Steps+1 != want.Steps {
+					t.Fatalf("step %d: b=1 sums %v to %d in [%d,%d] cost %v, P to %d cost %v", step, r, wantSum, wantLo, wantHi, want, v, pc)
+				}
+			}
 			sum, err := rt.Sum(ctx, r, &got)
 			if err != nil || sum != wantSum || got != want {
-				t.Fatalf("%s step %d: Sum(%v) = %d cost %v (err %v), direct %d cost %v", sumEngine, step, r, sum, got, err, wantSum, want)
+				t.Fatalf("b=%d step %d: Sum(%v) = %d cost %v (err %v), direct %d cost %v", blockSize, step, r, sum, got, err, wantSum, want)
 			}
 			full, err := rt.SumFull(ctx, r, &gotFull)
 			if err != nil || full.Value != wantSum || full.Lo != wantLo || full.Hi != wantHi || full.Partial() || gotFull != want {
-				t.Fatalf("%s step %d: SumFull(%v) = %+v cost %v (err %v), direct %d in [%d,%d] cost %v",
-					sumEngine, step, r, full, gotFull, err, wantSum, wantLo, wantHi, want)
+				t.Fatalf("b=%d step %d: SumFull(%v) = %+v cost %v (err %v), direct %d in [%d,%d] cost %v",
+					blockSize, step, r, full, gotFull, err, wantSum, wantLo, wantHi, want)
 			}
 			for _, tree := range []*maxtree.Tree[int64]{mx, mn} {
 				var want, got metrics.Counter
@@ -424,11 +426,11 @@ func TestOneShardRouterIsTheStructures(t *testing.T) {
 				}
 				coords, v, ok, err := rt.Extreme(ctx, r, tree == mn, &got)
 				if err != nil || ok != wantOK || v != wantV || got != want {
-					t.Fatalf("%s step %d min=%v: Extreme(%v) = (%d,%v) cost %v (err %v), direct (%d,%v) cost %v",
-						sumEngine, step, tree == mn, r, v, ok, got, err, wantV, wantOK, want)
+					t.Fatalf("b=%d step %d min=%v: Extreme(%v) = (%d,%v) cost %v (err %v), direct (%d,%v) cost %v",
+						blockSize, step, tree == mn, r, v, ok, got, err, wantV, wantOK, want)
 				}
 				if ok && !reflect.DeepEqual(coords, own.Coords(off, nil)) {
-					t.Fatalf("%s step %d: Extreme at %v, direct tree at %v", sumEngine, step, coords, own.Coords(off, nil))
+					t.Fatalf("b=%d step %d: Extreme at %v, direct tree at %v", blockSize, step, coords, own.Coords(off, nil))
 				}
 			}
 			ups := g.Updates(shape, 1+step%4, 20)
@@ -448,7 +450,7 @@ func TestOneShardRouterIsTheStructures(t *testing.T) {
 			mn.BatchUpdate(assigns, nil)
 			rt.Apply(ctx, pds)
 			if !reflect.DeepEqual(cells.Data(), own.Data()) {
-				t.Fatalf("%s step %d: the router's in-place cells diverged from the directly-updated cube", sumEngine, step)
+				t.Fatalf("b=%d step %d: the router's in-place cells diverged from the directly-updated cube", blockSize, step)
 			}
 		}
 	}
