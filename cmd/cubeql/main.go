@@ -148,7 +148,7 @@ func parse(c *cube.Cube, line string) (rangecube.Region, string, error) {
 func describe(c *cube.Cube, coords []int) string {
 	parts := make([]string, len(coords))
 	for i, r := range coords {
-		parts[i] = fmt.Sprintf("%s=%s", c.Dimension(i).Name(), c.Dimension(i).ValueAt(r))
+		parts[i] = c.Dimension(i).Name() + "=" + c.Dimension(i).ValueAt(r)
 	}
 	return strings.Join(parts, " ")
 }

@@ -4,8 +4,10 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
+	"math/bits"
+	"slices"
 	"strconv"
+	"strings"
 )
 
 // InferCSV reads CSV data with a header row, infers a dimension per column
@@ -18,6 +20,10 @@ import (
 // Column order in the header determines dimension order. The measure
 // column may appear anywhere. Returns the cube and the number of records
 // loaded.
+//
+// The input is read once. No record is kept: each dimension column holds
+// one int per record and the measures one int64 per record, so a load holds
+// 8·(d+1) bytes per record besides the cube.
 func InferCSV(r io.Reader, measureCol string) (*Cube, int, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true
@@ -26,13 +32,7 @@ func InferCSV(r io.Reader, measureCol string) (*Cube, int, error) {
 		return nil, 0, fmt.Errorf("cube: reading CSV header: %w", err)
 	}
 	header = append([]string(nil), header...)
-	measureIdx := -1
-	for i, h := range header {
-		if h == measureCol {
-			measureIdx = i
-			break
-		}
-	}
+	measureIdx := slices.Index(header, measureCol)
 	if measureIdx < 0 {
 		return nil, 0, fmt.Errorf("cube: measure column %q not in header %v", measureCol, header)
 	}
@@ -40,21 +40,17 @@ func InferCSV(r io.Reader, measureCol string) (*Cube, int, error) {
 		return nil, 0, fmt.Errorf("cube: need at least one dimension column besides the measure")
 	}
 
-	// Pass 1: buffer rows and profile each dimension column.
-	type profile struct {
-		allInt   bool
-		min, max int
-		distinct map[string]bool
-	}
-	profiles := make([]*profile, len(header))
-	for i := range profiles {
+	cols := make([]*column, 0, len(header)-1)
+	for i, h := range header {
 		if i != measureIdx {
-			profiles[i] = &profile{allInt: true, distinct: make(map[string]bool)}
+			cols = append(cols, &column{name: h, field: i, allInt: true})
 		}
 	}
-	var rows [][]string
-	line := 1
+	var measures []int64
+	var badMeasure error // returned only once every record has been read
 	for {
+		// encoding/csv rejects a record whose field count differs from the
+		// header's, so rec has a field for every column.
 		rec, err := cr.Read()
 		if err == io.EOF {
 			break
@@ -62,81 +58,171 @@ func InferCSV(r io.Reader, measureCol string) (*Cube, int, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("cube: reading CSV: %w", err)
 		}
-		line++
-		if len(rec) != len(header) {
-			return nil, 0, fmt.Errorf("cube: line %d has %d fields, want %d", line, len(rec), len(header))
+		m, err := strconv.ParseInt(rec[measureIdx], 10, 64)
+		if err != nil && badMeasure == nil {
+			badMeasure = fmt.Errorf("cube: record %d: measure %q is not an integer", len(measures)+1, rec[measureIdx])
 		}
-		row := append([]string(nil), rec...)
-		rows = append(rows, row)
-		for i, p := range profiles {
-			if p == nil {
-				continue
-			}
-			v := row[i]
-			if p.allInt {
-				if n, err := strconv.Atoi(v); err == nil {
-					if len(p.distinct) == 0 || n < p.min {
-						p.min = n
-					}
-					if len(p.distinct) == 0 || n > p.max {
-						p.max = n
-					}
-				} else {
-					p.allInt = false
-				}
-			}
-			p.distinct[v] = true
+		measures = append(measures, m)
+		for _, c := range cols {
+			c.add(rec[c.field])
 		}
 	}
-	if len(rows) == 0 {
+	if len(measures) == 0 {
 		return nil, 0, fmt.Errorf("cube: no records")
 	}
 
-	// Build dimensions. Integer domains that would be enormously sparse
-	// (range much larger than the distinct count) fall back to categorical
-	// to keep the dense array sensible.
-	dims := make([]*Dimension, 0, len(header)-1)
-	dimCols := make([]int, 0, len(header)-1)
-	for i, p := range profiles {
-		if p == nil {
-			continue
-		}
-		name := header[i]
-		if p.allInt && p.max-p.min+1 <= 16*len(p.distinct)+64 {
-			dims = append(dims, NewIntDimension(name, p.min, p.max))
-		} else {
-			values := make([]string, 0, len(p.distinct))
-			for v := range p.distinct {
-				values = append(values, v)
+	dims := make([]*Dimension, len(cols))
+	for k, c := range cols {
+		for _, p := range cols[:k] {
+			if p.name == c.name {
+				return nil, 0, fmt.Errorf("cube: header repeats dimension column %q", c.name)
 			}
-			sort.Strings(values)
-			dims = append(dims, NewCategoryDimension(name, values...))
 		}
-		dimCols = append(dimCols, i)
+		dims[k] = c.dimension(len(measures))
 	}
+	if badMeasure != nil {
+		return nil, 0, badMeasure
+	}
+	out := New(dims...)
+	data, strides := out.data.Data(), out.data.Strides()
+	for rec, m := range measures {
+		off := 0
+		for k, c := range cols {
+			off += c.vals[rec] * strides[k]
+		}
+		data[off] += m
+	}
+	return out, len(measures), nil
+}
 
-	// Pass 2: load.
-	c := New(dims...)
-	values := make([]any, len(dims))
-	for rowIdx, row := range rows {
-		measure, err := strconv.ParseInt(row[measureIdx], 10, 64)
-		if err != nil {
-			return nil, 0, fmt.Errorf("cube: record %d: measure %q is not an integer", rowIdx+1, row[measureIdx])
-		}
-		for k, col := range dimCols {
-			if c.dims[k].index == nil {
-				n, err := strconv.Atoi(row[col])
-				if err != nil {
-					return nil, 0, fmt.Errorf("cube: record %d: %q not an integer for %q", rowIdx+1, row[col], header[col])
-				}
-				values[k] = n
-			} else {
-				values[k] = row[col]
+// column is one dimension column of a load. vals holds an int per record:
+// the value itself while every spelling so far is a canonical integer, after
+// that an id into dict, the column's distinct spellings; dimension rewrites
+// both kinds to ranks.
+type column struct {
+	name     string
+	field    int
+	vals     []int
+	dict     map[string]int
+	allInt   bool // every value so far parses as an int, and min and max bound them
+	min, max int
+}
+
+func (c *column) add(s string) {
+	if c.allInt {
+		v, err := strconv.Atoi(s)
+		if err == nil {
+			if len(c.vals) == 0 || v < c.min {
+				c.min = v
 			}
-		}
-		if err := c.Add(measure, values...); err != nil {
-			return nil, 0, fmt.Errorf("cube: record %d: %w", rowIdx+1, err)
+			if len(c.vals) == 0 || v > c.max {
+				c.max = v
+			}
+			if c.dict == nil && canonical(s) {
+				c.vals = append(c.vals, v)
+				return
+			}
+		} else {
+			c.allInt = false
 		}
 	}
-	return c, len(rows), nil
+	if c.dict == nil {
+		c.spell()
+	}
+	c.vals = append(c.vals, c.intern(s))
+}
+
+// canonical reports whether s, which strconv.Atoi accepted, is the spelling
+// strconv.Itoa gives its value: no '+', no leading zero, no "-0". Other
+// spellings ("007", "+7") are distinct values of the column.
+func canonical(s string) bool {
+	if s[0] == '-' {
+		return s[1] != '0'
+	}
+	return s[0] != '+' && (s[0] != '0' || s == "0")
+}
+
+// spell turns a column of values into ids of their spellings, which are all
+// canonical.
+func (c *column) spell() {
+	c.dict = make(map[string]int)
+	for i, v := range c.vals {
+		c.vals[i] = c.intern(strconv.Itoa(v))
+	}
+}
+
+func (c *column) intern(s string) int {
+	id, ok := c.dict[s]
+	if !ok {
+		id = len(c.dict)
+		c.dict[strings.Clone(s)] = id // s points into the whole record
+	}
+	return id
+}
+
+// dimension decides the column's domain and rewrites vals to ranks in it.
+// An integer column is a dense domain min..max unless its extent exceeds
+// 16·distinct+64, counting distinct spellings; otherwise, and for any other
+// column, the domain is the distinct spellings in sorted order.
+func (c *column) dimension(rows int) *Dimension {
+	if c.allInt {
+		span := uint64(c.max) - uint64(c.min) // max−min, exact over all of int
+		distinct := len(c.dict)
+		if c.dict == nil {
+			distinct = rows // a span past 16·rows+64 is sparse whatever the count
+			if span < uint64(16*rows+64) {
+				distinct = c.distinctInts(span)
+			}
+		}
+		if span < uint64(16*distinct+64) {
+			if c.dict == nil {
+				for i := range c.vals {
+					c.vals[i] -= c.min
+				}
+			} else {
+				rank := make([]int, len(c.dict))
+				for s, id := range c.dict {
+					v, _ := strconv.Atoi(s)
+					rank[id] = v - c.min
+				}
+				c.remap(rank)
+			}
+			return NewIntDimension(c.name, c.min, c.max)
+		}
+	}
+	if c.dict == nil {
+		c.spell()
+	}
+	values := make([]string, 0, len(c.dict))
+	for s := range c.dict {
+		values = append(values, s)
+	}
+	slices.Sort(values)
+	rank := make([]int, len(values))
+	for r, s := range values {
+		rank[c.dict[s]] = r
+	}
+	c.remap(rank)
+	return NewCategoryDimension(c.name, values...)
+}
+
+// distinctInts counts the column's distinct values with a bitset over
+// min..min+span.
+func (c *column) distinctInts(span uint64) int {
+	set := make([]uint64, span/64+1)
+	for _, v := range c.vals {
+		o := uint64(v) - uint64(c.min)
+		set[o/64] |= 1 << (o % 64)
+	}
+	n := 0
+	for _, w := range set {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+func (c *column) remap(rank []int) {
+	for i, id := range c.vals {
+		c.vals[i] = rank[id]
+	}
 }

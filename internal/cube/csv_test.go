@@ -1,6 +1,13 @@
 package cube
 
 import (
+	"bytes"
+	"encoding/csv"
+	"fmt"
+	"io"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -68,17 +75,328 @@ func TestInferCSVSparseIntFallsBackToCategorical(t *testing.T) {
 	}
 }
 
-func TestInferCSVErrors(t *testing.T) {
-	cases := map[string]string{
-		"missing measure": "a,b\n1,2\n",
-		"no dimensions":   "m\n1\n",
-		"no records":      "a,m\n",
-		"ragged row":      "a,m\n1,2,3\n",
-		"bad measure":     "a,m\n1,xyz\n",
+// A column spanning all of int64 has an extent that does not fit an int:
+// it must fall back to categorical, not wrap to a zero-sized dimension.
+func TestInferCSVSpanOverflowIsCategorical(t *testing.T) {
+	data := "x,m\n-9223372036854775808,1\n9223372036854775807,2\n"
+	c, n, err := InferCSV(strings.NewReader(data), "m")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, data := range cases {
-		if _, _, err := InferCSV(strings.NewReader(data), "m"); err == nil {
-			t.Errorf("%s: no error", name)
+	d := c.Dimension(0)
+	if n != 2 || d.index == nil || d.Size() != 2 || d.ValueAt(0) != "-9223372036854775808" {
+		t.Fatalf("n = %d, x: categorical %v, size %d, first %q", n, d.index != nil, d.Size(), d.ValueAt(0))
+	}
+	if got := c.Data().Data(); got[0] != 1 || got[1] != 2 {
+		t.Fatalf("cells = %v, want [1 2]", got)
+	}
+}
+
+func TestInferCSVErrors(t *testing.T) {
+	cases := map[string]struct{ data, want string }{
+		"missing measure":    {"a,b\n1,2\n", "not in header"},
+		"no dimensions":      {"m\n1\n", "at least one dimension"},
+		"no records":         {"a,m\n", "no records"},
+		"ragged row":         {"a,m\n1,2,3\n", "wrong number of fields"},
+		"bad measure":        {"a,m\n1,xyz\n", `record 1: measure "xyz"`},
+		"ragged after bad":   {"a,m\n1,xyz\n1,2,3\n", "wrong number of fields"},
+		"repeated dimension": {"a,a,m\n1,2,3\n", `repeats dimension column "a"`},
+	}
+	for name, tc := range cases {
+		_, _, err := InferCSV(strings.NewReader(tc.data), "m")
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", name, err, tc.want)
 		}
 	}
+}
+
+// gridCSV renders a side×side grid the way bench/ renders its cells: one
+// record per cell, integer dimensions d0, d1 and the measure revenue.
+func gridCSV(side int) string {
+	var b strings.Builder
+	b.WriteString("d0,d1,revenue\n")
+	for i := 0; i < side; i++ {
+		for j := 0; j < side; j++ {
+			fmt.Fprintf(&b, "%d,%d,%d\n", i, j, (i*7919+j*104729)%1000-500)
+		}
+	}
+	return b.String()
+}
+
+// inferCSVCorpus seeds FuzzInferCSV and is TestInferCSVMatchesReference's
+// table: the inputs whose handling the one-pass loader must keep.
+var inferCSVCorpus = []struct{ name, data, measure string }{
+	{"sample", sampleCSV, "revenue"},
+	{"sparse id", "id,flag,measure\n1,a,10\n1000000,b,20\n", "measure"},
+	{"odd spellings dense", "x,y,m\n7,a,1\n007,b,2\n+7,a,3\n-0,b,4\n0,a,5\n", "m"},
+	{"odd spellings categorical", "x,m\n007,1\n7,2\nfoo,3\n+7,4\n", "m"},
+	{"odd spelling sparse", "id,m\n1,1\n0001000000,2\n1,3\n", "m"},
+	{"odd spelling tips dense", "x,m\n0,1\n96,2\n096,3\n", "m"}, // 3 spellings allow a span of 96, 2 values do not
+	{"span at the limit", "x,m\n0,1\n95,2\n", "m"},
+	{"measure first", "m,b,a\n5,x,3\n-2,y,1\n7,x,3\n", "m"},
+	{"measure twice", "m,a,m\n1,2,3\n4,5,6\n", "m"},
+	{"ragged row", "a,b,m\n1,2,3\n4,5\n", "m"},
+	{"bad measure then ragged", "a,m\n1,x\n2,3,4\n", "m"},
+	{"bad measure twice", "a,m\n1,2\n1,x\n2,y\n", "m"},
+	{"quoted", "\"a,1\",b,m\n\"x,y\",\"line\nbreak\",3\n\"x,y\",\"\"\"q\"\"\",-4\nz,\"line\nbreak\",5\n", "m"},
+	{"bare quote", "a,m\nx\"y,1\n", "m"},
+	{"missing measure", "a,b\n1,2\n", "m"},
+	{"no records", "a,m\n", "m"},
+	{"repeated dimension", "a,a,m\n1,2,3\n", "m"},
+	{"span overflow", "x,m\n-9223372036854775808,1\n9223372036854775807,2\n", "m"},
+	{"grid 64x64", gridCSV(64), "revenue"},
+}
+
+// cellBudget caps the cells a fuzz input may ask for, so that neither loader
+// allocates more than a few MiB per input.
+const cellBudget = 1 << 21
+
+// withinBudget bounds the cube data would load into: a dimension column of
+// D distinct spellings has at most 16·D+64 ranks whichever domain it gets.
+func withinBudget(data, measure string) bool {
+	cr := csv.NewReader(strings.NewReader(data))
+	header, err := cr.Read()
+	if err != nil {
+		return true
+	}
+	header = slices.Clone(header)
+	distinct := make([]map[string]bool, len(header))
+	for i := range distinct {
+		distinct[i] = map[string]bool{}
+	}
+	for {
+		rec, err := cr.Read()
+		if err != nil {
+			break
+		}
+		for i, v := range rec {
+			distinct[i][v] = true
+		}
+	}
+	measureIdx := slices.Index(header, measure)
+	cells := 1.0
+	for i, d := range distinct {
+		if i != measureIdx {
+			cells *= float64(16*len(d) + 64)
+		}
+	}
+	return cells <= cellBudget
+}
+
+// referenceOutcome runs inferCSVReference, turning a panic into a value.
+func referenceOutcome(data, measure string) (c *Cube, n int, err error, panicked any) {
+	defer func() { panicked = recover() }()
+	c, n, err = inferCSVReference(strings.NewReader(data), measure)
+	return c, n, err, nil
+}
+
+// matchReference fails t unless InferCSV gives what inferCSVReference gives:
+// the same error text, or the same record count, dimensions (name, kind,
+// size, every value) and cells. Where the reference panics, InferCSV must
+// return an error or a cube holding every record's measure.
+func matchReference(t *testing.T, data, measure string) {
+	t.Helper()
+	want, wantN, wantErr, panicked := referenceOutcome(data, measure)
+	got, n, err := InferCSV(strings.NewReader(data), measure)
+	if panicked != nil {
+		if err == nil && naive.SumInt64(got.Data(), got.Data().Bounds(), nil) != measureTotal(data, measure) {
+			t.Fatalf("reference panicked (%v); InferCSV returned a cube that lost measures", panicked)
+		}
+		return
+	}
+	if wantErr != nil || err != nil {
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("error %v, reference %v", err, wantErr)
+		}
+		return
+	}
+	if n != wantN || got.Dims() != want.Dims() {
+		t.Fatalf("%d records over %d dims, reference %d over %d", n, got.Dims(), wantN, want.Dims())
+	}
+	for k := range want.dims {
+		g, w := got.Dimension(k), want.Dimension(k)
+		if g.Name() != w.Name() || (g.index == nil) != (w.index == nil) || g.Size() != w.Size() {
+			t.Fatalf("dim %d: %q int=%v size %d, reference %q int=%v size %d",
+				k, g.Name(), g.index == nil, g.Size(), w.Name(), w.index == nil, w.Size())
+		}
+		for r := 0; r < w.Size(); r++ {
+			if g.ValueAt(r) != w.ValueAt(r) {
+				t.Fatalf("dim %q rank %d: %q, reference %q", w.Name(), r, g.ValueAt(r), w.ValueAt(r))
+			}
+		}
+	}
+	if !slices.Equal(got.Data().Data(), want.Data().Data()) {
+		t.Fatal("cells differ from the reference's")
+	}
+}
+
+// measureTotal sums the measure column of a CSV that loaded.
+func measureTotal(data, measure string) int64 {
+	recs, _ := csv.NewReader(strings.NewReader(data)).ReadAll()
+	i := slices.Index(recs[0], measure)
+	var total int64
+	for _, rec := range recs[1:] {
+		m, _ := strconv.ParseInt(rec[i], 10, 64)
+		total += m
+	}
+	return total
+}
+
+func TestInferCSVMatchesReference(t *testing.T) {
+	for _, tc := range inferCSVCorpus {
+		t.Run(tc.name, func(t *testing.T) { matchReference(t, tc.data, tc.measure) })
+	}
+}
+
+func FuzzInferCSV(f *testing.F) {
+	for _, tc := range inferCSVCorpus {
+		f.Add(tc.data, tc.measure)
+	}
+	f.Fuzz(func(t *testing.T, data, measure string) {
+		if len(data) > 1<<17 || !withinBudget(data, measure) {
+			t.Skip()
+		}
+		matchReference(t, data, measure)
+	})
+}
+
+// The loader keeps no record: what it allocates per record is encoding/csv's
+// one string, plus amortised growth of the typed column buffers.
+func TestInferCSVAllocsPerRecord(t *testing.T) {
+	const side = 64
+	data := []byte(gridCSV(side))
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, _, err := InferCSV(bytes.NewReader(data), "revenue"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRecord := allocs / (side * side); perRecord > 1.1 {
+		t.Fatalf("%.2f allocations per record (%.0f for %d records), want ≤ 1.1", perRecord, allocs, side*side)
+	}
+}
+
+// inferCSVReference is InferCSV as it was before the one-pass loader: it
+// buffers every record as strings, profiles each column with a map of its
+// spellings, then loads through Cube.Add. Tests compare against it.
+func inferCSVReference(r io.Reader, measureCol string) (*Cube, int, error) {
+	cr := csv.NewReader(r)
+	cr.ReuseRecord = true
+	header, err := cr.Read()
+	if err != nil {
+		return nil, 0, fmt.Errorf("cube: reading CSV header: %w", err)
+	}
+	header = append([]string(nil), header...)
+	measureIdx := -1
+	for i, h := range header {
+		if h == measureCol {
+			measureIdx = i
+			break
+		}
+	}
+	if measureIdx < 0 {
+		return nil, 0, fmt.Errorf("cube: measure column %q not in header %v", measureCol, header)
+	}
+	if len(header) < 2 {
+		return nil, 0, fmt.Errorf("cube: need at least one dimension column besides the measure")
+	}
+
+	// Pass 1: buffer rows and profile each dimension column.
+	type profile struct {
+		allInt   bool
+		min, max int
+		distinct map[string]bool
+	}
+	profiles := make([]*profile, len(header))
+	for i := range profiles {
+		if i != measureIdx {
+			profiles[i] = &profile{allInt: true, distinct: make(map[string]bool)}
+		}
+	}
+	var rows [][]string
+	line := 1
+	for {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, 0, fmt.Errorf("cube: reading CSV: %w", err)
+		}
+		line++
+		if len(rec) != len(header) {
+			return nil, 0, fmt.Errorf("cube: line %d has %d fields, want %d", line, len(rec), len(header))
+		}
+		row := append([]string(nil), rec...)
+		rows = append(rows, row)
+		for i, p := range profiles {
+			if p == nil {
+				continue
+			}
+			v := row[i]
+			if p.allInt {
+				if n, err := strconv.Atoi(v); err == nil {
+					if len(p.distinct) == 0 || n < p.min {
+						p.min = n
+					}
+					if len(p.distinct) == 0 || n > p.max {
+						p.max = n
+					}
+				} else {
+					p.allInt = false
+				}
+			}
+			p.distinct[v] = true
+		}
+	}
+	if len(rows) == 0 {
+		return nil, 0, fmt.Errorf("cube: no records")
+	}
+
+	// Build dimensions. Integer domains that would be enormously sparse
+	// (range much larger than the distinct count) fall back to categorical
+	// to keep the dense array sensible.
+	dims := make([]*Dimension, 0, len(header)-1)
+	dimCols := make([]int, 0, len(header)-1)
+	for i, p := range profiles {
+		if p == nil {
+			continue
+		}
+		name := header[i]
+		if p.allInt && p.max-p.min+1 <= 16*len(p.distinct)+64 {
+			dims = append(dims, NewIntDimension(name, p.min, p.max))
+		} else {
+			values := make([]string, 0, len(p.distinct))
+			for v := range p.distinct {
+				values = append(values, v)
+			}
+			sort.Strings(values)
+			dims = append(dims, NewCategoryDimension(name, values...))
+		}
+		dimCols = append(dimCols, i)
+	}
+
+	// Pass 2: load.
+	c := New(dims...)
+	values := make([]any, len(dims))
+	for rowIdx, row := range rows {
+		measure, err := strconv.ParseInt(row[measureIdx], 10, 64)
+		if err != nil {
+			return nil, 0, fmt.Errorf("cube: record %d: measure %q is not an integer", rowIdx+1, row[measureIdx])
+		}
+		for k, col := range dimCols {
+			if c.dims[k].index == nil {
+				n, err := strconv.Atoi(row[col])
+				if err != nil {
+					return nil, 0, fmt.Errorf("cube: record %d: %q not an integer for %q", rowIdx+1, row[col], header[col])
+				}
+				values[k] = n
+			} else {
+				values[k] = row[col]
+			}
+		}
+		if err := c.Add(measure, values...); err != nil {
+			return nil, 0, fmt.Errorf("cube: record %d: %w", rowIdx+1, err)
+		}
+	}
+	return c, len(rows), nil
 }

@@ -13,6 +13,7 @@ package cube
 
 import (
 	"fmt"
+	"strconv"
 
 	"rangecube/internal/ndarray"
 )
@@ -96,7 +97,7 @@ func (d *Dimension) ValueAt(rank int) string {
 	if d.index != nil {
 		return d.values[rank]
 	}
-	return fmt.Sprint(d.lo + rank)
+	return strconv.Itoa(d.lo + rank)
 }
 
 // Cube is the materialized MDDB: the dense measure array plus the
@@ -186,16 +187,16 @@ func (c *Cube) Region(sels ...Selector) (ndarray.Region, error) {
 	for i, d := range c.dims {
 		r[i] = ndarray.Range{Lo: 0, Hi: d.Size() - 1}
 	}
-	seen := make(map[int]bool, len(sels))
-	for _, s := range sels {
+	for k, s := range sels {
 		i, ok := c.byName[s.dim]
 		if !ok {
 			return nil, fmt.Errorf("cube: unknown dimension %q", s.dim)
 		}
-		if seen[i] {
-			return nil, fmt.Errorf("cube: dimension %q selected twice", s.dim)
+		for _, p := range sels[:k] {
+			if p.dim == s.dim {
+				return nil, fmt.Errorf("cube: dimension %q selected twice", s.dim)
+			}
 		}
-		seen[i] = true
 		switch {
 		case s.all:
 			// keep the full range

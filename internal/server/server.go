@@ -878,10 +878,12 @@ func (s *Server) setAnswer(resp *queryResponse, a shard.Answer) {
 			break
 		}
 		resp.Value = a.Value
-		resp.At = make([]string, len(a.At))
+		at := make([]string, len(a.At))
 		for i, rank := range a.At {
-			resp.At[i] = fmt.Sprintf("%s=%s", s.cube.Dimension(i).Name(), s.cube.Dimension(i).ValueAt(rank))
+			d := s.cube.Dimension(i)
+			at[i] = d.Name() + "=" + d.ValueAt(rank)
 		}
+		resp.At = at
 	}
 }
 
