@@ -8,8 +8,9 @@
 package batchsum
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rangecube/internal/algebra"
 	"rangecube/internal/core/blocked"
@@ -52,52 +53,57 @@ func ForEachRegion[T any, G algebra.Group[T]](shape []int, updates []Update[T], 
 	}
 	prefix := make(ndarray.Region, d)
 	ups := append([]Update[T](nil), updates...)
-	return forEach[T, G](shape, 0, ups, prefix, visit)
+	slices.SortStableFunc(ups, func(a, b Update[T]) int { return cmp.Compare(a.Coords[0], b.Coords[0]) })
+	// One scratch list per recursion depth below the first, in one backing
+	// array: depth j's holds the updates carried into it, sorted by dimension j.
+	scratch := make([][]Update[T], d)
+	backing := make([]Update[T], len(ups)*(d-1))
+	for j := 1; j < d; j++ {
+		scratch[j] = backing[(j-1)*len(ups) : j*len(ups)]
+	}
+	return forEach[T, G](shape, 0, ups, prefix, scratch, visit)
 }
 
-// forEach recursively partitions dimension j. ups is owned by this call and
-// may be re-sorted; prefix holds the ranges already fixed for dimensions
-// < j.
-func forEach[T any, G algebra.Group[T]](shape []int, j int, ups []Update[T], prefix ndarray.Region, visit func(ndarray.Region, T)) int {
+// forEach recursively partitions dimension j at the sorted update indices:
+// region i, from update i's index up to the next one's, carries the first
+// i+1 updates into the (d−1)-dimensional sub-problem, and in the last
+// dimension takes their combined value-to-add V_i = v_1 ⊕ ... ⊕ v_i. ups is
+// sorted by dimension j (stably, so updates tied there keep their order) and
+// is not modified; prefix holds the ranges already fixed for dimensions < j;
+// scratch[j+1] is this call's to fill. The carried updates are kept sorted by
+// dimension j+1 by inserting each after the ones it ties with, which is the
+// order a stable sort of the first i+1 would give.
+func forEach[T any, G algebra.Group[T]](shape []int, j int, ups []Update[T], prefix ndarray.Region, scratch [][]Update[T], visit func(ndarray.Region, T)) int {
 	var g G
-	sort.SliceStable(ups, func(a, b int) bool { return ups[a].Coords[j] < ups[b].Coords[j] })
-	count := 0
-	if j == len(shape)-1 {
-		// One-dimensional base case: k+1 adjoining regions with cumulative
-		// combined values-to-add V_i = v_1 ⊕ ... ⊕ v_i.
-		cum := g.Identity()
-		for i := range ups {
-			cum = g.Combine(cum, ups[i].Delta)
-			hi := shape[j] - 1
-			if i+1 < len(ups) {
-				hi = ups[i+1].Coords[j] - 1
-			}
-			lo := ups[i].Coords[j]
-			if lo > hi {
-				continue // duplicate index: empty region, deltas combine into the next
-			}
-			prefix[j] = ndarray.Range{Lo: lo, Hi: hi}
-			visit(prefix, cum)
-			count++
-		}
-		return count
+	last := j == len(shape)-1
+	var carried []Update[T]
+	if !last {
+		carried = scratch[j+1][:0]
 	}
-	// Partition dimension j at the sorted update indices; region i carries
-	// the first i+1 updates into the (d−1)-dimensional sub-problem.
+	cum := g.Identity()
+	count := 0
 	for i := range ups {
+		if last {
+			cum = g.Combine(cum, ups[i].Delta)
+		} else {
+			x := ups[i].Coords[j+1]
+			at, _ := slices.BinarySearchFunc(carried, x+1, func(u Update[T], x int) int { return cmp.Compare(u.Coords[j+1], x) })
+			carried = slices.Insert(carried, at, ups[i])
+		}
 		hi := shape[j] - 1
 		if i+1 < len(ups) {
 			hi = ups[i+1].Coords[j] - 1
 		}
-		lo := ups[i].Coords[j]
-		if lo > hi {
-			continue
+		if ups[i].Coords[j] > hi {
+			continue // a duplicate index: an empty region, its deltas combine into the next
 		}
-		prefix[j] = ndarray.Range{Lo: lo, Hi: hi}
-		// Copy the carried updates: the recursion re-sorts by dimension
-		// j+1 and must not disturb this level's order.
-		carried := append([]Update[T](nil), ups[:i+1]...)
-		count += forEach[T, G](shape, j+1, carried, prefix, visit)
+		prefix[j] = ndarray.Range{Lo: ups[i].Coords[j], Hi: hi}
+		if last {
+			visit(prefix, cum)
+			count++
+		} else {
+			count += forEach[T, G](shape, j+1, carried, prefix, scratch, visit)
+		}
 	}
 	return count
 }
@@ -116,23 +122,24 @@ func forEach[T any, G algebra.Group[T]](shape []int, j int, ups []Update[T], pre
 // whose total affected volume is small run inline on the caller's
 // goroutine.
 func Apply[T any, G algebra.Group[T]](ps *prefixsum.Array[T, G], updates []Update[T], c *metrics.Counter) int {
-	type classRegion struct {
-		r     ndarray.Region
-		delta T
-	}
-	var regions []classRegion
+	// A counting pass sizes the region list, whose bounds share one backing
+	// array: region i is bounds[i·d : (i+1)·d].
 	vol := 0
-	count := ForEachRegion[T, G](ps.Shape(), updates, func(r ndarray.Region, delta T) {
-		regions = append(regions, classRegion{r: r.Clone(), delta: delta})
-		vol += r.Volume()
-	})
+	count := ForEachRegion[T, G](ps.Shape(), updates, func(r ndarray.Region, _ T) { vol += r.Volume() })
 	if count == 0 {
 		return 0
 	}
+	d := ps.Dims()
+	bounds := make(ndarray.Region, 0, count*d)
+	deltas := make([]T, 0, count)
+	ForEachRegion[T, G](ps.Shape(), updates, func(r ndarray.Region, delta T) {
+		bounds = append(bounds, r...)
+		deltas = append(deltas, delta)
+	})
 	shards := make([]metrics.Counter, parallel.Workers())
-	parallel.For(len(regions), vol, func(lo, hi, w int) {
+	parallel.For(count, vol, func(lo, hi, w int) {
 		for i := lo; i < hi; i++ {
-			ps.AddRegion(regions[i].r, regions[i].delta, &shards[w])
+			ps.AddRegion(bounds[i*d:(i+1)*d], deltas[i], &shards[w])
 		}
 	})
 	for i := range shards {

@@ -45,7 +45,13 @@ type Array[T any, G algebra.Group[T]] struct {
 	// indexed by the set of dimensions an array keeps at cell resolution
 	// (bit j for dimension j); see edges.go.
 	edges []*ndarray.Array[T]
-	g     G
+	// qoff, qval and qat are the queue of packed's deferred §5 value-to-adds
+	// (queue.go): one per block, sorted by packed offset, with the block's
+	// packed coordinates past the first, d − 1 per block, in qat.
+	qoff []int
+	qval []T
+	qat  []int
+	g    G
 }
 
 // IntArray is the blocked structure for the canonical int64 SUM.
@@ -110,7 +116,7 @@ func (bl *Array[T, G]) Cube() *ndarray.Array[T] { return bl.a }
 
 // Packed exposes the packed block-level prefix-sum array; the batch-update
 // layer (§5.2) treats it as a basic prefix-sum array over the contracted
-// index space.
+// index space. What ApplyQueued queues reaches it only at Flush.
 func (bl *Array[T, G]) Packed() *prefixsum.Array[T, G] { return bl.packed }
 
 // rangeKind tags the role of a per-dimension sub-range in the 3^d
@@ -317,7 +323,7 @@ func (bl *Array[T, G]) sum(ctx context.Context, r ndarray.Region, c *metrics.Cou
 		// one step, exact, so its bounds are its value. Taken without the walk
 		// it costs what the walk counts, allocates nothing and, being 2^d
 		// lookups, has no scan for a canceled ctx to abandon.
-		total = bl.packed.Sum(r, c)
+		total = bl.packedSum(r, c)
 		c.AddSteps(1)
 		return total, total, total, nil
 	}
@@ -338,7 +344,7 @@ func (bl *Array[T, G]) sum(ctx context.Context, r ndarray.Region, c *metrics.Cou
 			continue
 		}
 		if p.keep != 0 {
-			v = bl.packed.Sum(p.block, nil)
+			v = bl.packedSum(p.block, nil)
 		} else {
 			lo = bl.g.Combine(lo, v)
 		}
@@ -354,7 +360,7 @@ func (bl *Array[T, G]) eval(p *piece[T], c *metrics.Counter, ck *ctxcheck.Checke
 		if err := ck.Tick(1); err != nil {
 			return bl.g.Identity(), err
 		}
-		v := bl.packed.Sum(p.block, c)
+		v := bl.packedSum(p.block, c)
 		c.AddSteps(1)
 		return v, nil
 	}
@@ -364,7 +370,7 @@ func (bl *Array[T, G]) eval(p *piece[T], c *metrics.Counter, ck *ctxcheck.Checke
 		total, err = bl.scan(p.arr, p.sub, c, ck)
 	} else {
 		// Superblock sum (pure prefix-sum accesses) minus the complement.
-		total = bl.packed.Sum(p.block, c)
+		total = bl.packedSum(p.block, c)
 		forEachComplementSlab(p.super, p.sub, func(slab ndarray.Region) {
 			if err != nil {
 				return

@@ -50,7 +50,7 @@ func bounds[T cmp.Ordered, G algebra.Group[T]](bl *Array[T, G], r ndarray.Region
 		if err := ck.Tick(1); err != nil {
 			return lo, hi, err
 		}
-		s := bl.packed.Sum(p.block, c) // the superblock; the region itself when internal
+		s := bl.packedSum(p.block, c) // the superblock; the region itself when internal
 		if p.keep == 0 {
 			lo = bl.g.Combine(lo, s)
 		}

@@ -11,9 +11,10 @@ import (
 )
 
 // FuzzBlockedSum drives the blocked algorithm with fuzzer-chosen geometry,
-// built both as the paper's structure and with edge arrays, through rounds
-// of a query and a batch update, and verifies both against the naive scan;
-// any mismatch or panic is a bug.
+// built as the paper's structure, with edge arrays, and with edge arrays and
+// its packed half queued and folded as a serving engine updates it, through
+// rounds of a query and a batch update, and verifies all three against the
+// naive scan; any mismatch or panic is a bug.
 func FuzzBlockedSum(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(3), uint8(5), uint8(0), uint8(2), uint8(1), uint8(4))
 	f.Add(int64(7), uint8(9), uint8(1), uint8(1), uint8(3), uint8(8), uint8(0), uint8(0))
@@ -26,6 +27,7 @@ func FuzzBlockedSum(f *testing.F) {
 		a.Fill(func([]int) int64 { return int64(rng.Intn(201) - 100) })
 		paper := blocked.BuildIntDims(a.Clone(), bs)
 		edged := buildWithEdges(a.Clone(), bs)
+		queued := buildWithEdges(a.Clone(), bs)
 		r := ndarray.Region{
 			{Lo: int(lo0) % shape[0], Hi: 0},
 			{Lo: int(lo1) % shape[1], Hi: 0},
@@ -40,6 +42,9 @@ func FuzzBlockedSum(f *testing.F) {
 			if got := edged.Sum(r, nil); got != want {
 				t.Fatalf("shape=%v bs=%v r=%v round %d: blocked with edge arrays %d != naive %d", shape, bs, r, round, got, want)
 			}
+			if got := queued.Sum(r, nil); got != want {
+				t.Fatalf("shape=%v bs=%v r=%v round %d: blocked with a queue %d != naive %d", shape, bs, r, round, got, want)
+			}
 			ups := make([]batchsum.IntUpdate, 1+rng.Intn(4))
 			for i := range ups {
 				ups[i] = batchsum.IntUpdate{Coords: []int{rng.Intn(shape[0]), rng.Intn(shape[1])}, Delta: int64(rng.Intn(201) - 100)}
@@ -47,6 +52,7 @@ func FuzzBlockedSum(f *testing.F) {
 			}
 			batchsum.ApplyBlockedInt(paper, ups, nil)
 			batchsum.ApplyBlockedInt(edged, ups, nil)
+			applyQueued(queued, ups)
 			// The next round asks about a region that holds an updated cell.
 			r = ndarray.Region{
 				{Lo: rng.Intn(ups[0].Coords[0] + 1), Hi: ups[0].Coords[0] + rng.Intn(shape[0]-ups[0].Coords[0])},

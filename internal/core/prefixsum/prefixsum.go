@@ -315,8 +315,9 @@ func (ps *Array[T, G]) ApplyPoint(coords []int, delta T, c *metrics.Counter) {
 //
 // The region is decomposed into contiguous innermost-axis lines; each line
 // is written by a tight loop and the worker pool shards the lines when the
-// region is large. Counters are accumulated per region, not per cell — the
-// totals (Aux and Steps both gain one per entry written) are identical to
+// region is large. A region under parallel.Grain entries is written inline
+// and allocates nothing. Counters are accumulated per region, not per cell —
+// the totals (Aux and Steps both gain one per entry written) are identical to
 // the per-cell accounting this replaced.
 func (ps *Array[T, G]) AddRegion(r ndarray.Region, delta T, c *metrics.Counter) {
 	ls := ndarray.LinesOf(ps.p, r, ps.p.Dims()-1)
@@ -325,28 +326,130 @@ func (ps *Array[T, G]) AddRegion(r ndarray.Region, delta T, c *metrics.Counter) 
 		return
 	}
 	vol := lines * lineLen
-	if data64, fast := fastInt64[T, G](ps.p.Data(), ps.g); fast {
-		d64 := any(delta).(int64)
-		parallel.For(lines, vol, func(lo, hi, _ int) {
-			ls.ForEach(lo, hi, func(ln ndarray.Line) {
-				row := data64[ln.Off : ln.Off+ln.Len]
-				for i := range row {
-					row[i] += d64
-				}
-			})
-		})
+	if vol < parallel.Grain { // what parallel.For would run inline, without its closure
+		ps.addLines(ls, 0, lines, delta)
 	} else {
-		data := ps.p.Data()
-		g := ps.g
-		parallel.For(lines, vol, func(lo, hi, _ int) {
-			ls.ForEach(lo, hi, func(ln ndarray.Line) {
-				row := data[ln.Off : ln.Off+ln.Len]
-				for i := range row {
-					row[i] = g.Combine(row[i], delta)
-				}
-			})
-		})
+		parallel.For(lines, vol, func(lo, hi, _ int) { ps.addLines(ls, lo, hi, delta) })
 	}
 	c.AddAux(int64(vol))
 	c.AddSteps(int64(vol))
+}
+
+// addLines combines delta into lines lo..hi−1 of ls.
+func (ps *Array[T, G]) addLines(ls ndarray.Lines, lo, hi int, delta T) {
+	if data64, fast := fastInt64[T, G](ps.p.Data(), ps.g); fast {
+		d64 := any(delta).(int64)
+		ls.ForEach(lo, hi, func(ln ndarray.Line) {
+			row := data64[ln.Off : ln.Off+ln.Len]
+			for i := range row {
+				row[i] += d64
+			}
+		})
+		return
+	}
+	data := ps.p.Data()
+	ls.ForEach(lo, hi, func(ln ndarray.Line) {
+		row := data[ln.Off : ln.Off+ln.Len]
+		for i := range row {
+			row[i] = ps.g.Combine(row[i], delta)
+		}
+	})
+}
+
+// AddPoints combines point value-to-adds into P: the cube cell at offset
+// offs[i] gains deltas[i], so every entry absorbs the deltas of the points it
+// dominates — what batchsum.Apply does with the same points, reached without
+// its Theorem 2 regions (up to k(k+1)/2 of them in 2-d). offs must be strictly
+// increasing. It is one storage-order pass over the entries at or after
+// offs[0], each written once whatever the number of points. A slab one
+// dimension-0 row wide holds the points of the rows passed so far, prefix-summed
+// over dimensions 1..d−2 (at d = 2, none: the points themselves), and rebuilt
+// only after a row that holds points; each row adds it prefix-summed along the
+// innermost axis by a running total. Workers take bands of dimension-0 rows,
+// each seeding its slab from the points before its band. Aux and Steps gain
+// one per entry written.
+func (ps *Array[T, G]) AddPoints(offs []int, deltas []T, c *metrics.Counter) {
+	data := ps.p.Data()
+	if len(offs) != len(deltas) {
+		panic(fmt.Sprintf("prefixsum: %d point offsets for %d deltas", len(offs), len(deltas)))
+	}
+	for i, off := range offs {
+		if off < 0 || off >= len(data) || (i > 0 && off <= offs[i-1]) {
+			panic(fmt.Sprintf("prefixsum: point offsets %v are not increasing offsets into %d entries", offs, len(data)))
+		}
+	}
+	if len(offs) == 0 {
+		return
+	}
+	shape, strides := ps.p.Shape(), ps.p.Strides()
+	d := len(shape)
+	w := strides[0] // entries per dimension-0 row
+	n := 1          // entries per innermost line of a row
+	if d > 1 {
+		n = shape[d-1]
+	}
+	first := offs[0] / w
+	g := ps.g
+	data64, fast := fastInt64[T, G](data, g)
+	parallel.For(shape[0]-first, len(data)-offs[0], func(lo, hi, _ int) {
+		raw := make([]T, w)
+		if !fast {
+			for t := range raw {
+				raw[t] = g.Identity()
+			}
+		}
+		part := raw
+		if d > 2 {
+			part = make([]T, w)
+		}
+		part64, _ := any(part).([]int64)
+		k := 0
+		for y := first + lo; y < first+hi; y++ {
+			dirty := false
+			for ; k < len(offs) && offs[k] < (y+1)*w; k++ {
+				raw[offs[k]%w] = g.Combine(raw[offs[k]%w], deltas[k])
+				dirty = true
+			}
+			if dirty && d > 2 {
+				copy(part, raw)
+				prefixAxes(part, shape[1:d-1], strides[1:d-1], g)
+			}
+			// Entries of the first row before offs[0] dominate no point.
+			for o := max(y*w, offs[0]) - y*w; o < w; o = (o/n + 1) * n {
+				end := (o/n + 1) * n
+				if fast {
+					row, add := data64[y*w+o:y*w+end], part64[o:end]
+					var acc int64
+					for t, v := range add {
+						acc += v
+						row[t] += acc
+					}
+					continue
+				}
+				row, acc := data[y*w+o:y*w+end], g.Identity()
+				for t, v := range part[o:end] {
+					acc = g.Combine(acc, v)
+					row[t] = g.Combine(row[t], acc)
+				}
+			}
+		}
+	})
+	c.AddAux(int64(len(data) - offs[0]))
+	c.AddSteps(int64(len(data) - offs[0]))
+}
+
+// prefixAxes prefix-sums slab, a row-major block of the given shape and
+// strides, in place along each of its axes, on the calling goroutine.
+func prefixAxes[T any, G algebra.Group[T]](slab []T, shape, strides []int, g G) {
+	slab64, fast := fastInt64[T, G](slab, g)
+	for j, nj := range shape {
+		inner, panel := strides[j], nj*strides[j]
+		for o := 0; o < len(slab); o += panel {
+			if fast {
+				passInt64(slab64[o:o+panel], nj, inner, 0, inner)
+			} else {
+				passGeneric[T](slab[o:o+panel], nj, inner, 0, inner, g)
+			}
+		}
+	}
 }

@@ -19,16 +19,18 @@ type Line struct {
 //
 // The value is immutable after construction and safe for concurrent use:
 // ForEach keeps its cursor in locals, so disjoint chunks may be visited
-// from different goroutines simultaneously.
+// from different goroutines simultaneously. It refers to the region it was
+// built from, which must not change while the value is in use; building and
+// walking one allocates nothing for d ≤ 4.
 type Lines struct {
 	axis    int
 	lineLen int // cells per run (r[axis].Len())
 	stride  int // array stride of the axis
 	count   int // number of runs
 	base    int // offset of the region's low corner
-	// Row-major factorization of the run index over the non-axis dims.
-	outerLens    []int // r[j].Len() for j != axis, in dimension order
-	outerStrides []int // matching array strides
+	// The run index factors row-major over r's dimensions other than axis.
+	r       Region
+	strides []int // the array's strides
 }
 
 // LinesOf decomposes region r of the array into its 1-D runs along the
@@ -55,15 +57,14 @@ func LinesOf[T any](a *Array[T], r Region, axis int) Lines {
 		lineLen: r[axis].Len(),
 		stride:  a.strides[axis],
 		count:   1,
+		r:       r,
+		strides: a.strides,
 	}
 	for j, rng := range r {
 		ls.base += rng.Lo * a.strides[j]
-		if j == axis {
-			continue
+		if j != axis {
+			ls.count *= rng.Len()
 		}
-		ls.outerLens = append(ls.outerLens, rng.Len())
-		ls.outerStrides = append(ls.outerStrides, a.strides[j])
-		ls.count *= rng.Len()
 	}
 	return ls
 }
@@ -85,9 +86,12 @@ func (ls Lines) Line(i int) Line {
 		panic(fmt.Sprintf("ndarray: line index %d out of range [0,%d)", i, ls.count))
 	}
 	off := ls.base
-	for j := len(ls.outerLens) - 1; j >= 0; j-- {
-		off += (i % ls.outerLens[j]) * ls.outerStrides[j]
-		i /= ls.outerLens[j]
+	for j := len(ls.r) - 1; j >= 0; j-- {
+		if j != ls.axis {
+			n := ls.r[j].Len()
+			off += (i % n) * ls.strides[j]
+			i /= n
+		}
 	}
 	return Line{Off: off, Len: ls.lineLen, Stride: ls.stride}
 }
@@ -103,28 +107,38 @@ func (ls Lines) ForEach(lo, hi int, visit func(ln Line)) {
 	if lo == hi {
 		return
 	}
-	// Seed the outer odometer at line lo.
-	d := len(ls.outerLens)
-	coords := make([]int, d)
+	// Seed the odometer over the dimensions other than axis at line lo;
+	// coords[axis] stays 0.
+	var buf [4]int
+	coords := buf[:]
+	if len(ls.r) > len(buf) {
+		coords = make([]int, len(ls.r))
+	}
 	off := ls.base
 	rem := lo
-	for j := d - 1; j >= 0; j-- {
-		coords[j] = rem % ls.outerLens[j]
-		off += coords[j] * ls.outerStrides[j]
-		rem /= ls.outerLens[j]
+	for j := len(ls.r) - 1; j >= 0; j-- {
+		if j != ls.axis {
+			n := ls.r[j].Len()
+			coords[j] = rem % n
+			off += coords[j] * ls.strides[j]
+			rem /= n
+		}
 	}
 	for i := lo; ; {
 		visit(Line{Off: off, Len: ls.lineLen, Stride: ls.stride})
 		if i++; i >= hi {
 			return
 		}
-		for j := d - 1; ; j-- {
+		for j := len(ls.r) - 1; ; j-- {
+			if j == ls.axis {
+				continue
+			}
 			coords[j]++
-			off += ls.outerStrides[j]
-			if coords[j] < ls.outerLens[j] {
+			off += ls.strides[j]
+			if coords[j] < ls.r[j].Len() {
 				break
 			}
-			off -= coords[j] * ls.outerStrides[j]
+			off -= coords[j] * ls.strides[j]
 			coords[j] = 0
 		}
 	}

@@ -194,7 +194,7 @@ func (s *Server) commitLocked(ctx context.Context, cells []shard.PointDelta) (ui
 		ssp.End()
 	}
 	asp := sp.Child("structures.apply")
-	s.applyCellsLocked(ctx, cells)
+	s.applyCellsLocked(trace.NewContext(ctx, asp), cells)
 	asp.End()
 	// Publish the commit: the lock-free committed mirror, and walEnd, which
 	// lets the replication readers at the record just applied.

@@ -151,12 +151,25 @@ func (s *Server) handleSnapshotFetch(w http.ResponseWriter, r *http.Request) {
 // sequence order, each as one write epoch. Batches at or below the current
 // sequence are skipped, so overlapping fetches (a snapshot resume racing a
 // pending stream) are idempotent. Durability is the leader's: nothing is
-// re-logged here. Returns how many batches were applied.
-func (s *Server) ApplyReplicated(batches []wal.Batch) int {
+// re-logged here. Every batch is checked against the cube's shape before any
+// is applied: a batch naming a cell that does not exist, and every batch after
+// it, is left unapplied with an error. It returns how many batches, from the
+// first, this server now holds, applied here or skipped as already held.
+func (s *Server) ApplyReplicated(batches []wal.Batch) (applied int, err error) {
+	shape := s.cube.Shape() // immutable, as in SubmitUpdates
+	valid := len(batches)
+check:
+	for i, b := range batches {
+		for k, u := range b.Updates {
+			if cerr := checkCoords(shape, u.Coords); cerr != nil {
+				valid, err = i, fmt.Errorf("server: replicated batch seq %d, update %d: %w", b.Seq, k, cerr)
+				break check
+			}
+		}
+	}
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
-	n := 0
-	for _, b := range batches {
+	for _, b := range batches[:valid] {
 		s.mu.Lock()
 		if b.Seq <= s.seq {
 			s.mu.Unlock()
@@ -170,9 +183,8 @@ func (s *Server) ApplyReplicated(batches []wal.Batch) int {
 		s.seq = b.Seq
 		s.committed.Store(s.seq)
 		s.mu.Unlock()
-		n++
 	}
-	return n
+	return valid, err
 }
 
 // JoinLeader builds a read-only follower of the cubeserver at leaderURL:
@@ -276,8 +288,9 @@ func (s *Server) startFollowPump(leaderURL string, gen uint64, offset int64) {
 
 // followFetch performs one replication poll and returns the advanced
 // (generation, offset) cursor. Transport errors leave the cursor where it
-// was; a 410 means the log the cursor points into was superseded, so the
-// follower re-bootstraps from a fresh snapshot.
+// was; a 410 means the log the cursor points into was superseded, and a batch
+// this cube cannot apply means the log is not one it can follow, so in both
+// cases the follower re-bootstraps from a fresh snapshot.
 func (s *Server) followFetch(cl *client.Client, leaderURL string, gen uint64, offset int64) (uint64, int64) {
 	ctx, cancel := context.WithTimeout(context.Background(), followFetchTimeout)
 	defer cancel()
@@ -307,7 +320,19 @@ func (s *Server) followFetch(cl *client.Client, leaderURL string, gen uint64, of
 			sp := s.tracer.Root("follow.fetch")
 			sp.Set("batches", strconv.Itoa(len(batches)))
 			sp.Set("bytes", strconv.FormatInt(n, 10))
-			s.ApplyReplicated(batches)
+			applied, aerr := s.ApplyReplicated(batches)
+			if aerr != nil {
+				// The leader's log names a cell this cube does not have: the
+				// stream past the last good batch cannot be applied, so start
+				// over from the leader's state.
+				sp.SetError(aerr.Error())
+				sp.End()
+				s.logf("server: follower apply: %v", aerr)
+				for _, b := range batches[:applied] {
+					offset += recordBytes(b)
+				}
+				return s.followRebootstrap(ctx, cl, leaderURL, gen, offset)
+			}
 			sp.End()
 		}
 		if serr != nil {
@@ -316,19 +341,31 @@ func (s *Server) followFetch(cl *client.Client, leaderURL string, gen uint64, of
 		s.followProgress.Store(time.Now().UnixNano())
 		return gen, offset + n
 	case http.StatusGone:
-		ngen, noff, rerr := s.rebootstrap(ctx, cl, leaderURL)
-		if rerr != nil {
-			s.logf("server: follower re-bootstrap: %v", rerr)
-			return gen, offset
-		}
-		s.met.resyncFollower.Inc()
-		s.followProgress.Store(time.Now().UnixNano())
-		s.logf("server: follower re-bootstrapped (WAL gen %d, offset %d)", ngen, noff)
-		return ngen, noff
+		return s.followRebootstrap(ctx, cl, leaderURL, gen, offset)
 	default:
 		s.logf("server: follower fetch: unexpected status %s", resp.Status)
 		return gen, offset
 	}
+}
+
+// followRebootstrap re-bootstraps the follower and returns the cursor to
+// resume from: the snapshot's, or (gen, offset) when that failed.
+func (s *Server) followRebootstrap(ctx context.Context, cl *client.Client, leaderURL string, gen uint64, offset int64) (uint64, int64) {
+	ngen, noff, err := s.rebootstrap(ctx, cl, leaderURL)
+	if err != nil {
+		s.logf("server: follower re-bootstrap: %v", err)
+		return gen, offset
+	}
+	s.met.resyncFollower.Inc()
+	s.followProgress.Store(time.Now().UnixNano())
+	s.logf("server: follower re-bootstrapped (WAL gen %d, offset %d)", ngen, noff)
+	return ngen, noff
+}
+
+// recordBytes is the length of b's record in the log: its frame and payload.
+func recordBytes(b wal.Batch) int64 {
+	p, _ := wal.EncodeBatch(b) // b was decoded from a record, so it encodes
+	return wal.FrameSize + int64(len(p))
 }
 
 // rebootstrap refreshes the follower from the leader's snapshot after its

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -20,6 +21,8 @@ import (
 	"rangecube/internal/cube"
 	"rangecube/internal/ingest"
 	"rangecube/internal/naive"
+	"rangecube/internal/ndarray"
+	"rangecube/internal/persist"
 	"rangecube/internal/wal"
 )
 
@@ -933,4 +936,87 @@ func sumOf2(t *testing.T, ts *httptest.Server, q string) (queryResponse, int) {
 		io.Copy(io.Discard, resp.Body)
 	}
 	return out, resp.StatusCode
+}
+
+// TestApplyReplicatedRejectsBadCoords: a leader whose /wal serves a CRC-valid
+// record naming a cell the follower's cube does not have. The follower applies
+// the good batch before it, leaves that record unapplied, and re-bootstraps
+// from /snapshot, as on a 410. It used to apply the record unchecked, which
+// panicked on the follow pump's goroutine with the commit and write locks
+// held and took the process down.
+func TestApplyReplicatedRejectsBadCoords(t *testing.T) {
+	var log bytes.Buffer
+	for _, b := range []wal.Batch{
+		{Seq: 1, Updates: []wal.Update{{Coords: []int{1, 1}, Delta: 9}}},
+		{Seq: 2, Updates: []wal.Update{{Coords: []int{2, 3}, Delta: 5}, {Coords: []int{7, 0}, Delta: 1}}}, // a 4×4 cube has no (7, 0)
+	} {
+		p, err := wal.EncodeBatch(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wal.AppendRecord(&log, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The leader's state after the log: what the follower must converge to.
+	later := ndarray.New[int64](4, 4)
+	later.Set(9, 1, 1)
+	later.Set(5, 2, 3)
+	snapshot := func(seq uint64, cells *ndarray.Array[int64]) []byte {
+		var b bytes.Buffer
+		if err := persist.WriteSnapshot(&b, seq, cells); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	var snapshots, fetches atomic.Int32
+	leader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/schema":
+			io.WriteString(w, `{"dimensions":[{"name":"x","size":4},{"name":"y","size":4}]}`)
+		case "/snapshot":
+			// Join at seq 0 before the log; re-bootstrap at its end.
+			seq, cells, end := uint64(0), ndarray.New[int64](4, 4), wal.HeaderSize
+			if snapshots.Add(1) > 1 {
+				seq, cells, end = 2, later, wal.HeaderSize+int64(log.Len())
+			}
+			w.Header().Set(hdrWALGen, "1")
+			w.Header().Set(hdrWALSize, strconv.FormatInt(end, 10))
+			w.Write(snapshot(seq, cells))
+		case "/wal":
+			fetches.Add(1)
+			from, _ := strconv.ParseInt(r.URL.Query().Get("from"), 10, 64)
+			w.Header().Set(hdrSeq, "2")
+			w.Write(log.Bytes()[min(max(from-wal.HeaderSize, 0), int64(log.Len())):])
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	t.Cleanup(leader.Close)
+
+	f, err := JoinLeader(context.Background(), leader.URL, Options{
+		BlockSize:  1,
+		Fanout:     2,
+		FollowPoll: 2 * time.Millisecond,
+		Logf:       func(string, ...any) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	deadline := time.Now().Add(5 * time.Second)
+	for snapshots.Load() < 2 || f.Seq() != 2 || fetches.Load() < 4 {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower at seq %d after %d snapshots and %d fetches, want a re-bootstrap to seq 2", f.Seq(), snapshots.Load(), fetches.Load())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	if got := f.cube.Data().Data(); !slices.Equal(got, later.Data()) || snapshots.Load() != 2 {
+		t.Fatalf("follower holds %v after %d snapshots, want the leader's %v after 2", got, snapshots.Load(), later.Data())
+	}
+	if s, err := f.router.Sum(context.Background(), ndarray.Reg(0, 3, 0, 3), nil); err != nil || s != 14 {
+		t.Fatalf("follower's full-cube sum = %d (err %v), want 14", s, err)
+	}
 }

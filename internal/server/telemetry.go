@@ -177,8 +177,13 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 	reg.CounterFunc("cube_shard_scatter_cells_total",
 		"Coalesced cell deltas scattered to owning shards by commits.", routerStat(2))
 	reg.GaugeVecFunc("cube_structure_bytes",
-		"Bytes held by each serving structure of this process's shards (cells, blocked, edges, maxtree, mintree; blocked is the §3 array P and edges 0 at block size 1), no samples on a leader of remote shards.",
-		"structure", func() map[string]int64 { return s.liveRouter().StructureBytes() })
+		"Bytes held by each serving structure of this process's shards (cells, blocked, edges, maxtree, mintree; blocked is the packed array and its queue of deferred value-to-adds, the packed array being the §3 array P and edges 0 at block size 1), no samples on a leader of remote shards.",
+		"structure", func() map[string]int64 {
+			// Under the read lock: the blocked index's queue moves with commits.
+			s.mu.RLock()
+			defer s.mu.RUnlock()
+			return s.router.StructureBytes()
+		})
 	// Remote shard tier: the engines record into RemoteStats, exported by
 	// callback (0 while the shards are in-process).
 	remoteStat := func(pick func(*shard.RemoteStats) uint64) func() int64 {

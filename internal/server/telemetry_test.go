@@ -7,11 +7,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"rangecube/internal/cube"
+	"rangecube/internal/ingest"
+	"rangecube/internal/trace"
 )
 
 // metricsTestServer builds a fully featured server — WAL, snapshot,
@@ -195,9 +198,11 @@ func testMetricsEndToEnd(t *testing.T, engine string, blockSize int) {
 	// entry per block, which at b = 1 is P, as large as the cells, with nothing
 	// beside it, and at b = 5 is 10×2 entries plus the edge arrays' 50×2 and
 	// 10×10; 13×3 + 4×1 + 1 fanout-4 tree nodes of 16 bytes in each tree.
-	wantBytes := map[string]float64{"cells": 4000, "blocked": 4000, "edges": 0, "maxtree": 704, "mintree": 704}
+	// Beside packed, its queue holds the update's block: an offset, a value
+	// and its coordinate past the first, 24 bytes.
+	wantBytes := map[string]float64{"cells": 4000, "blocked": 4000 + 24, "edges": 0, "maxtree": 704, "mintree": 704}
 	if blockSize == 5 {
-		wantBytes["blocked"], wantBytes["edges"] = 160, 1600
+		wantBytes["blocked"], wantBytes["edges"] = 160+24, 1600
 	}
 	for structure, want := range wantBytes {
 		if got := seriesValue(body, "cube_structure_bytes", `structure="`+structure+`"`); got != want {
@@ -386,5 +391,45 @@ func TestShedAccounting(t *testing.T) {
 	}
 	if got := seriesValue(body, "cube_http_requests_total", `status="429"`); got < 1 {
 		t.Errorf("no 429 accounted in cube_http_requests_total: %v", got)
+	}
+}
+
+// TestCommitTraceShowsTheQueueFold: each commit's structures.apply span
+// carries the length of the blocked index's queue of deferred value-to-adds,
+// and exactly the commit that fills it — ⌈√64⌉ = 8 blocks on an 8×8 cube at
+// b = 1 — has a structures.flush child, after which the queue starts over.
+func TestCommitTraceShowsTheQueueFold(t *testing.T) {
+	c := cube.New(cube.NewIntDimension("x", 0, 7), cube.NewIntDimension("y", 0, 7))
+	s, err := NewWithOptions(c, Options{BlockSize: 1, Fanout: 4, TraceSample: 1, Logf: func(string, ...any) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	for i := 0; i < 11; i++ {
+		ack, err := s.SubmitUpdates([]ingest.Update{{Coords: []int{i % 8, i * 3 % 8}, Delta: int64(i + 1)}}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := <-ack; res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	var queued []string
+	applies := map[string]bool{}
+	var flushes []trace.SpanData
+	for _, sp := range s.tracer.Snapshot() {
+		switch sp.Name {
+		case "structures.apply":
+			queued = append(queued, sp.Attrs["queued"])
+			applies[sp.SpanID] = sp.Attrs["queued"] == "8"
+		case "structures.flush":
+			flushes = append(flushes, sp)
+		}
+	}
+	if want := []string{"1", "2", "3", "4", "5", "6", "7", "8", "1", "2", "3"}; !slices.Equal(queued, want) {
+		t.Fatalf("structures.apply spans carry queued=%v, want %v", queued, want)
+	}
+	if len(flushes) != 1 || !applies[flushes[0].ParentID] {
+		t.Fatalf("%d structures.flush spans (%+v), want one, under the apply that filled the queue", len(flushes), flushes)
 	}
 }

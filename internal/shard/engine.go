@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"strconv"
 
 	"rangecube/internal/algebra"
 	"rangecube/internal/core/batchsum"
@@ -10,6 +11,7 @@ import (
 	"rangecube/internal/core/maxtree"
 	"rangecube/internal/metrics"
 	"rangecube/internal/ndarray"
+	"rangecube/internal/trace"
 )
 
 // ErrShardDown marks a sub-query or scatter that could not reach its shard:
@@ -80,9 +82,11 @@ type Item struct {
 //
 //	cells  8            the slab, which every structure below indexes in place
 //	blk    8/b^d        the §4 blocked index: it answers Sum with §11 lo/hi,
-//	                    and its §5.2 apply writes cells. At b = 1 it is §3's
-//	                    array P (§4: "b = 1 degenerates to the basic
+//	                    and its queued §5 apply writes cells. At b = 1 it is
+//	                    §3's array P (§4: "b = 1 degenerates to the basic
 //	                    algorithm"), and every sum's bounds are its value.
+//	                    Plus its queue: ≤ ⌈√(packed entries)⌉ deferred
+//	                    value-to-adds of 8·(1+d) bytes each.
 //	edges  8·((1+1/b)^d − 1 − 1/b^d)
 //	                    the blocked index's edge arrays: what its boundary
 //	                    scans read instead of cells wherever a region is
@@ -98,6 +102,9 @@ type localEngine struct {
 	blk   *blocked.IntArray
 	max   *maxtree.Tree[int64]
 	min   *maxtree.Tree[int64]
+	// queued is how many blocks blk's queue holds: written by the commit under
+	// the caller's write lock, read by StructureBytes under its read lock.
+	queued int
 }
 
 func newLocalEngine(a *ndarray.Array[int64], blockSize, fanout int) *localEngine {
@@ -178,10 +185,18 @@ func (e *localEngine) Extreme(ctx context.Context, r ndarray.Region, min bool, c
 // Apply commits one batch to every structure. The three structures over cells
 // share one array, so the order is fixed: record each distinct cell's old
 // value (a batch may name a cell twice — replay and replication do not
-// coalesce), let the §5 deltas land — the blocked index's apply is what
-// writes cells — and only then, with every cell of the batch written, hand
-// both trees the same (old, new) list for the §7 repair.
-func (e *localEngine) Apply(_ context.Context, deltas []batchsum.IntUpdate) error {
+// coalesce), let the deltas land — the blocked index writes cells and edge
+// entries and queues the packed half, folding the queue in once it is full —
+// and only then, with every cell of the batch written, hand both trees the
+// same (old, new) list for the §7 repair. The commit's span gains the queue's
+// length and, when the fold runs, a structures.flush child.
+func (e *localEngine) Apply(ctx context.Context, deltas []batchsum.IntUpdate) error {
+	e.apply(ctx, deltas, nil)
+	return nil
+}
+
+// apply is Apply with the blocked index's writes counted in c.
+func (e *localEngine) apply(ctx context.Context, deltas []batchsum.IntUpdate, c *metrics.Counter) {
 	data := e.cells.Data()
 	seen := make(map[int]struct{}, len(deltas))
 	changes := make([]maxtree.CellChange[int64], 0, len(deltas))
@@ -192,13 +207,24 @@ func (e *localEngine) Apply(_ context.Context, deltas []batchsum.IntUpdate) erro
 			changes = append(changes, maxtree.CellChange[int64]{Off: off, Old: data[off]})
 		}
 	}
-	batchsum.ApplyBlockedInt(e.blk, deltas, nil)
+	full := false
+	for _, d := range deltas {
+		e.queued, full = e.blk.ApplyQueued(d.Coords, d.Delta, c)
+	}
+	if sp := trace.FromContext(ctx); sp.Recording() {
+		sp.Set("queued", strconv.Itoa(e.queued))
+	}
+	if full {
+		sp := trace.FromContext(ctx).Child("structures.flush")
+		e.blk.Flush(c)
+		e.queued = 0
+		sp.End()
+	}
 	for i := range changes {
 		changes[i].New = data[changes[i].Off]
 	}
 	e.max.Repair(changes, nil)
 	e.min.Repair(changes, nil)
-	return nil
 }
 
 // CellBounds scans the slab: a local engine is never down, so no serving
@@ -207,8 +233,10 @@ func (e *localEngine) CellBounds() (int64, int64) { return ValueBounds(e.cells) 
 
 // StructureBytes reports the bytes each serving structure holds, summed over
 // the router's local engines and keyed cells, blocked (the packed array, §3's
-// P at b = 1), edges (0 at b = 1), maxtree and mintree. It is nil for a
-// router of remote engines, whose structures live in the shard processes.
+// P at b = 1, and its queue: a packed offset, a value-to-add and d − 1 packed
+// coordinates per queued block), edges (0 at b = 1), maxtree and mintree. It
+// is nil for a router of remote engines, whose structures live in the shard
+// processes. The caller excludes commits.
 func (rt *Router) StructureBytes() map[string]int64 {
 	if rt.netIO {
 		return nil
@@ -217,7 +245,7 @@ func (rt *Router) StructureBytes() map[string]int64 {
 	for _, e := range rt.shards {
 		le := e.(*localEngine)
 		out["cells"] += 8 * int64(le.cells.Size())
-		out["blocked"] += 8 * int64(le.blk.AuxSize())
+		out["blocked"] += 8*int64(le.blk.AuxSize()) + 8*int64(1+le.cells.Dims())*int64(le.queued)
 		out["edges"] += 8 * int64(le.blk.EdgeSize())
 		out["maxtree"] += 16 * int64(le.max.Nodes()) // a value and an argmax offset per node
 		out["mintree"] += 16 * int64(le.min.Nodes())

@@ -12,6 +12,7 @@ import (
 	"rangecube/internal/core/batchsum"
 	"rangecube/internal/core/blocked"
 	"rangecube/internal/core/maxtree"
+	"rangecube/internal/core/prefixsum"
 	"rangecube/internal/metrics"
 	"rangecube/internal/naive"
 	"rangecube/internal/ndarray"
@@ -241,6 +242,9 @@ func TestOnlyWhatAnswersIsBuilt(t *testing.T) {
 		if alias == "prefixsum" {
 			want["blocked"], want["edges"] = want["cells"], 0
 		}
+		// Each shard's queue holds its one delta's block: an offset, a value
+		// and one coordinate of 8 bytes.
+		want["blocked"] += 2 * 24
 		if !maps.Equal(got, want) {
 			t.Errorf("%s router: StructureBytes %v, want %v", alias, got, want)
 		}
@@ -259,14 +263,86 @@ func TestOnlyWhatAnswersIsBuilt(t *testing.T) {
 	}
 }
 
+// TestCommitQueuesInsteadOfRewritingP is the counting pin of the queued §5
+// apply. On a 1024² engine at b = 1, where the eager apply rewrote most of P
+// on every commit, a commit of 16 deltas writes its 16 cells and no packed
+// entry while the queue fills. The commit that brings it to ⌈√N⌉ = 1,024
+// blocks folds it, writing each P entry at or after the first queued one
+// exactly once, and leaves P what a fresh build over the cells holds.
+func TestCommitQueuesInsteadOfRewritingP(t *testing.T) {
+	const n = 1024
+	shape := []int{n, n}
+	g := workload.New(*seedFlag)
+	e := newLocalEngine(g.UniformCube(shape, 1000), 1, 4)
+	queued, first := map[int]bool{}, n*n
+	for commit := 1; ; commit++ {
+		var deltas []batchsum.IntUpdate
+		for _, u := range g.Updates(shape, 16, 100) {
+			deltas = append(deltas, batchsum.IntUpdate{Coords: u.Coords, Delta: u.Delta})
+			queued[e.cells.Offset(u.Coords...)] = true
+			first = min(first, e.cells.Offset(u.Coords...))
+		}
+		var c metrics.Counter
+		e.apply(context.Background(), deltas, &c)
+		if len(queued) < n {
+			if c.Cells != 16 || c.Aux != 0 || c.Steps != 0 || e.queued != len(queued) {
+				t.Fatalf("commit %d, %d blocks queued: wrote %v with %d queued, want 16 cells and nothing else", commit, len(queued), &c, e.queued)
+			}
+			continue
+		}
+		if want := int64(n*n - first); c.Cells != 16 || c.Aux != want || c.Steps != want || e.queued != 0 {
+			t.Fatalf("commit %d folds %d blocks from offset %d: wrote %v with %d left queued, want 16 cells and %d P entries",
+				commit, len(queued), first, &c, e.queued, want)
+		}
+		t.Logf("commit %d folded %d blocks: %d P writes, %.0f per commit", commit, len(queued), c.Aux, float64(c.Aux)/float64(commit))
+		break
+	}
+	if fresh := prefixsum.BuildInt(e.cells); !slices.Equal(e.blk.Packed().P().Data(), fresh.P().Data()) {
+		t.Fatal("after the fold P differs from a fresh build over the cells")
+	}
+}
+
+// TestQueuedSumAllocatesNothing: a b = 1 sum over a full queue — ⌈√N⌉ − 1
+// blocks, the most a reader can find there — still allocates nothing, and
+// reports exactly the accesses it reports over an empty queue: the queue is
+// the write side's bookkeeping, not a §8 structure.
+func TestQueuedSumAllocatesNothing(t *testing.T) {
+	const n = 256
+	shape := []int{n, n}
+	g := workload.New(*seedFlag)
+	e := newLocalEngine(g.UniformCube(shape, 1000), 1, 4)
+	ctx := context.Background()
+	regions := make([]ndarray.Region, 32)
+	costs := make([]metrics.Counter, len(regions))
+	for i := range regions {
+		regions[i] = g.UniformRegion(shape)
+		e.Sum(ctx, regions[i], &costs[i])
+	}
+	for i := 0; i < n-1; i++ {
+		e.Apply(ctx, []batchsum.IntUpdate{{Coords: []int{i, i * 7 % n}, Delta: int64(i - 100)}})
+	}
+	if e.queued != n-1 {
+		t.Fatalf("%d blocks queued, want %d", e.queued, n-1)
+	}
+	for i, r := range regions {
+		var c metrics.Counter
+		if v, err := e.Sum(ctx, r, &c); err != nil || v != naiveSum(e.cells, r) || c != costs[i] {
+			t.Fatalf("Sum(%v) over a full queue = %d at cost %v (err %v), want %d at %v", r, v, &c, err, naiveSum(e.cells, r), &costs[i])
+		}
+		if allocs := testing.AllocsPerRun(20, func() { e.Sum(ctx, r, &c) }); allocs != 0 {
+			t.Fatalf("Sum(%v) over a full queue allocates %v objects, want 0", r, allocs)
+		}
+	}
+}
+
 // The paper's space/update/query trade (§4, §5.2), one command away:
 //
 //	go test -run '^$' -bench LocalEngine -benchmem ./internal/shard
 //
 // Build reports what an engine allocates over a 1024² slab, Apply what one
-// commit of 16 deltas costs it, Sum what one range-sum with §11 bounds costs
-// it over the benchmark's 16 pairs of query sides, each at b = 1 (§3's P,
-// "prefixsum") and at b = 10 ("blocked").
+// commit of 16 deltas costs it, the queue's fold amortized, Sum what one
+// range-sum with §11 bounds costs it over the benchmark's 16 pairs of query
+// sides, each at b = 1 (§3's P, "prefixsum") and at b = 10 ("blocked").
 var benchBlockSizes = []struct {
 	name      string
 	blockSize int
@@ -290,17 +366,18 @@ func BenchmarkLocalEngineApply(b *testing.B) {
 	for _, eng := range benchBlockSizes {
 		b.Run(eng.name, func(b *testing.B) {
 			e := newLocalEngine(g.UniformCube(shape, 1000), eng.blockSize, 4)
-			var deltas []batchsum.IntUpdate
-			for _, u := range g.Updates(shape, 16, 100) {
-				deltas = append(deltas, batchsum.IntUpdate{Coords: u.Coords, Delta: u.Delta})
+			// Fresh cells every commit, so the queue fills and folds as it does
+			// in service: the cost per op includes the fold, amortized.
+			commits := make([][]batchsum.IntUpdate, 4096)
+			for i := range commits {
+				for _, u := range g.Updates(shape, 16, 100) {
+					commits[i] = append(commits[i], batchsum.IntUpdate{Coords: u.Coords, Delta: u.Delta})
+				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for j := range deltas {
-					deltas[j].Delta = -deltas[j].Delta // keeps the cells bounded over b.N commits
-				}
-				if err := e.Apply(context.Background(), deltas); err != nil {
+				if err := e.Apply(context.Background(), commits[i%len(commits)]); err != nil {
 					b.Fatal(err)
 				}
 			}
