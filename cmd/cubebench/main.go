@@ -8,6 +8,10 @@
 // Experiments: figure1, figure11, figure12, figure13, figure14, paging,
 // bounds, theorem3, rangesum, rangemax, update, sparse, chaos.
 //
+// Every experiment but chaos is deterministic: cubebench_output.txt at the
+// repository root is their full-size output, and a test in this package
+// holds the command to it byte for byte.
+//
 // The serving stack's performance is measured by bench/ (see
 // bench/README.md), not here.
 package main
@@ -21,24 +25,22 @@ import (
 	"rangecube/internal/harness"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment id (all, figure1, figure11, figure12, figure13, figure14, paging, bounds, theorem3, rangesum, rangemax, update, sparse, chaos)")
-	quick := flag.Bool("quick", false, "smaller sizes, skip measured Figure 11 columns")
-	flag.Parse()
+type experiment struct {
+	id  string
+	run func() harness.Table
+}
 
-	type experiment struct {
-		id  string
-		run func() harness.Table
-	}
+// experiments lists every experiment in the order cubebench runs them.
+func experiments(quick bool) []experiment {
 	n := 512
 	trials := 4000
-	if *quick {
+	if quick {
 		n = 128
 		trials = 500
 	}
-	experiments := []experiment{
+	return []experiment{
 		{"figure1", harness.Figure1},
-		{"figure11", func() harness.Table { return harness.Figure11(!*quick) }},
+		{"figure11", func() harness.Table { return harness.Figure11(!quick) }},
 		{"figure12", harness.Figure12},
 		{"figure13", harness.GreedyCuboids},
 		{"figure14", harness.Figure14},
@@ -51,7 +53,7 @@ func main() {
 		{"sparse", func() harness.Table { return harness.SparseExperiment(n / 2) }},
 		{"chaos", func() harness.Table {
 			dur := 3 * time.Second
-			if *quick {
+			if quick {
 				dur = 500 * time.Millisecond
 			}
 			tab, rec := harness.Chaos(12, 4, 3, dur)
@@ -65,9 +67,15 @@ func main() {
 			return tab
 		}},
 	}
+}
+
+func main() {
+	exp := flag.String("exp", "all", "experiment id (all, figure1, figure11, figure12, figure13, figure14, paging, bounds, theorem3, rangesum, rangemax, update, sparse, chaos)")
+	quick := flag.Bool("quick", false, "smaller sizes, skip measured Figure 11 columns")
+	flag.Parse()
 
 	ran := 0
-	for _, e := range experiments {
+	for _, e := range experiments(*quick) {
 		if *exp != "all" && *exp != e.id {
 			continue
 		}

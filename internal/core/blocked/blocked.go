@@ -12,14 +12,14 @@
 // fewer cells (§4.2).
 //
 // A structure built with BuildWithEdges also holds edge arrays (edges.go): a
-// boundary region that is block-aligned in some dimensions is then scanned
-// in the cube contracted over exactly those dimensions instead of in the
-// cube itself.
+// boundary region is then read from the cube contracted over the dimensions
+// in which it is block-aligned, and the §4.2 choice is made per dimension.
 package blocked
 
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"rangecube/internal/algebra"
@@ -194,21 +194,28 @@ type subRegion struct {
 	block ndarray.Region // B in packed's index space (R = B for the internal region)
 }
 
-// subRegionOver returns a subRegion whose three regions are the 3d ranges of
-// buf.
-func subRegionOver(buf []ndarray.Range) subRegion {
-	d := len(buf) / 3
-	return subRegion{sub: buf[:d:d], super: buf[d : 2*d : 2*d], block: buf[2*d:]}
+// subRegionOver returns a subRegion whose three d-dimensional regions lie in
+// buf when it has room for them.
+func subRegionOver(buf []ndarray.Range, d int) subRegion {
+	if len(buf) < 3*d {
+		buf = make([]ndarray.Range, 3*d)
+	}
+	return subRegion{sub: buf[:d:d], super: buf[d : 2*d : 2*d], block: buf[2*d : 3*d]}
 }
 
-// piece is a sub-region and how Sum answers it. The internal region is one
-// packed lookup of block; a boundary region, once planned, scans arr, the
-// coarsest array that resolves it: the cube, or with edge arrays the cube
-// contracted over the dimensions in which the region is block-aligned.
-type piece[T any] struct {
-	subRegion                   // plan moves sub and super into arr's index space
-	arr       *ndarray.Array[T] // nil for the internal region
-	direct    bool              // scan R rather than B ∖ R: vol(R) ≤ vol(B∖R) + 2^d − 1
+// gaps returns the gap G_j = B_j ∖ R_j in dimension j as its part below R_j
+// and its part above, either possibly empty.
+func (s *subRegion) gaps(j int) (below, above ndarray.Range) {
+	return ndarray.Range{Lo: s.super[j].Lo, Hi: s.sub[j].Lo - 1}, ndarray.Range{Lo: s.sub[j].Hi + 1, Hi: s.super[j].Hi}
+}
+
+// piece is a sub-region and how Sum answers it: the internal region is one
+// packed lookup of block, a boundary region the terms plan chose.
+type piece struct {
+	subRegion
+	// cmp is the set C of partial dimensions in which eval writes R_j as
+	// B_j − G_j; none scans R itself.
+	cmp uint
 }
 
 // decomposition is the one walk over the §4.2 decomposition that Sum, Bounds
@@ -218,9 +225,9 @@ type decomposition struct {
 	splits []dimSplit // nil once exhausted
 }
 
-// decompose splits r per dimension. The region must lie within the cube
-// bounds; an empty region has no pieces.
-func (bl *Array[T, G]) decompose(r ndarray.Region) decomposition {
+// decompose splits r per dimension, into buf when it has room for d splits.
+// The region must lie within the cube bounds; an empty region has no pieces.
+func (bl *Array[T, G]) decompose(r ndarray.Region, buf []dimSplit) decomposition {
 	d := bl.a.Dims()
 	if len(r) != d {
 		panic(fmt.Sprintf("blocked: query of dimension %d against cube of dimension %d", len(r), d))
@@ -234,7 +241,10 @@ func (bl *Array[T, G]) decompose(r ndarray.Region) decomposition {
 			panic(fmt.Sprintf("blocked: query %v out of bounds for shape %v", r, shape))
 		}
 	}
-	w := decomposition{bs: bl.bs, splits: make([]dimSplit, d)}
+	if len(buf) < d {
+		buf = make([]dimSplit, d)
+	}
+	w := decomposition{bs: bl.bs, splits: buf[:d]}
 	for j := range w.splits {
 		w.splits[j] = bl.split(j, r[j])
 	}
@@ -275,22 +285,55 @@ func (w *decomposition) next(s *subRegion) bool {
 	return false
 }
 
-// plan picks the array a boundary region is scanned in and, by the §4.2 rule
-// applied to the volumes in that array, between scanning the region and
-// scanning its complement in the superblock.
-func (bl *Array[T, G]) plan(p *piece[T]) {
-	p.arr = bl.a
-	if bl.edges != nil && bl.edges[p.keep] != nil {
-		p.arr = bl.edges[p.keep]
-		for j := range p.sub {
-			if p.keep&(1<<j) == 0 { // aligned here, so R and B are the same run of whole blocks
-				p.sub[j], p.super[j] = p.block[j], p.block[j]
-			}
+// plan picks, by the §4.2 rule — fewest predicted §8 accesses — the set C of
+// a boundary region's partial dimensions K in which eval writes R_j as the
+// superblock range minus the gap. The paper's structure has only the cube to
+// read, so C is none (scan R) or all of K (scan B ∖ R), a packed read costing
+// 2^d − 1 lookups as in §4.2. With edge arrays C may be any subset of K: a
+// term of C's expansion is R_j in K∖C, one block or the gap in C, and the
+// aligned blocks in m entries elsewhere, so the terms of C read
+// m·∏_{K∖C}|R_j|·∏_C(1+|G_j|) entries, but for the packed read that replaces
+// C = K's first. That read is costed at its exact count — 2^d lookups less
+// the corners below index 0 — so every option is costed as eval reads it, and
+// no plan reads more than the paper's structure does.
+func (bl *Array[T, G]) plan(p *piece) {
+	if bl.edges == nil {
+		volR := p.sub.Volume()
+		p.cmp = 0
+		if volR > p.super.Volume()-volR+1<<len(p.sub)-1 {
+			p.cmp = p.keep
+		}
+		return
+	}
+	m, lookups := 1, 1
+	for j, blk := range p.block {
+		if p.keep&(1<<j) == 0 {
+			m *= blk.Len()
+		}
+		if blk.Lo > 0 {
+			lookups *= 2
 		}
 	}
-	volR := p.sub.Volume()
-	volC := p.super.Volume() - volR
-	p.direct = volR <= volC+(1<<len(p.sub))-1
+	best := -1
+	for c := uint(0); ; c = (c - p.keep) & p.keep { // every subset of K, ∅ first
+		cost := m
+		for j, r := range p.sub {
+			if bit := uint(1) << j; c&bit != 0 {
+				cost *= 1 + p.super[j].Len() - r.Len()
+			} else if p.keep&bit != 0 {
+				cost *= r.Len()
+			}
+		}
+		if c == p.keep {
+			cost += lookups - m
+		}
+		if best < 0 || cost < best {
+			best, p.cmp = cost, c
+		}
+		if c == p.keep {
+			return
+		}
+	}
 }
 
 // Sum answers Sum(ℓ1:h1, ..., ℓd:hd) with the §4.2 blocked algorithm. The
@@ -315,7 +358,8 @@ func (bl *Array[T, G]) SumContext(ctx context.Context, r ndarray.Region, c *metr
 
 // sum evaluates one decomposition, folding each piece in odometer order as the
 // walk yields it: the exact value, costed to c, and when bounds is set the
-// §11 bounds of the same pieces, whose packed reads are kept out of c.
+// §11 bounds of the same pieces, whose packed reads are kept out of c. For
+// d ≤ 4 it allocates nothing.
 func (bl *Array[T, G]) sum(ctx context.Context, r ndarray.Region, c *metrics.Counter, bounds bool) (total, lo, hi T, err error) {
 	if slices.Max(bl.bs) == 1 && !r.Empty() {
 		// Every b_j = 1, §4's degenerate case, which is §3: the decomposition
@@ -328,8 +372,10 @@ func (bl *Array[T, G]) sum(ctx context.Context, r ndarray.Region, c *metrics.Cou
 		return total, total, total, nil
 	}
 	total, lo, hi = bl.g.Identity(), bl.g.Identity(), bl.g.Identity()
-	w := bl.decompose(r)
-	p := piece[T]{subRegion: subRegionOver(make([]ndarray.Range, 3*len(r)))}
+	var splits [4]dimSplit
+	var ranges [3 * 4]ndarray.Range
+	w := bl.decompose(r, splits[:])
+	p := piece{subRegion: subRegionOver(ranges[:], len(r))}
 	ck := ctxcheck.New(ctx)
 	for w.next(&p.subRegion) {
 		if p.keep != 0 {
@@ -353,9 +399,15 @@ func (bl *Array[T, G]) sum(ctx context.Context, r ndarray.Region, c *metrics.Cou
 	return total, lo, hi, nil
 }
 
-// eval answers one piece: the internal region in up to 2^d packed accesses,
-// a boundary region by the scans its plan chose.
-func (bl *Array[T, G]) eval(p *piece[T], c *metrics.Counter, ck *ctxcheck.Checker) (T, error) {
+// eval answers one piece: the internal region in up to 2^d packed accesses, a
+// boundary region by the terms its plan chose. With R_j = B_j − G_j in each
+// dimension of C, inclusion–exclusion writes R as Σ_{S⊆C} (−1)^|S| G_S ×
+// B_{C∖S} × R_{K∖C}. Such a term is block-aligned outside S ∪ (K∖C), so it is
+// read from the array that keeps exactly those dimensions: packed when there
+// are none, the cube when they are every blocked one, an edge array otherwise;
+// a gap on both sides of R_j makes two terms of one. The paper's structure
+// reads B ∖ R in disjoint slabs of the cube instead (complement).
+func (bl *Array[T, G]) eval(p *piece, c *metrics.Counter, ck *ctxcheck.Checker) (T, error) {
 	if p.keep == 0 {
 		if err := ck.Tick(1); err != nil {
 			return bl.g.Identity(), err
@@ -364,56 +416,157 @@ func (bl *Array[T, G]) eval(p *piece[T], c *metrics.Counter, ck *ctxcheck.Checke
 		c.AddSteps(1)
 		return v, nil
 	}
-	var total T
-	var err error
-	if p.direct {
-		total, err = bl.scan(p.arr, p.sub, c, ck)
-	} else {
-		// Superblock sum (pure prefix-sum accesses) minus the complement.
-		total = bl.packedSum(p.block, c)
-		forEachComplementSlab(p.super, p.sub, func(slab ndarray.Region) {
-			if err != nil {
-				return
+	var buf [4]ndarray.Range
+	reg := ndarray.Region(buf[:])
+	if len(p.sub) > len(buf) {
+		reg = make(ndarray.Region, len(p.sub))
+	}
+	reg = reg[:len(p.sub)]
+	if p.cmp != 0 && bl.edges == nil {
+		return bl.complement(p, reg, c, ck)
+	}
+	total := bl.g.Identity()
+	for s := uint(0); ; s = (s - p.cmp) & p.cmp { // every S ⊆ C, ∅ first
+		keep := s | p.keep&^p.cmp
+		if keep == 0 { // C = K, S = ∅: the superblock
+			total = bl.packedSum(p.block, c)
+		} else {
+			arr := bl.a
+			if bl.edges != nil && bl.edges[keep] != nil {
+				arr = bl.edges[keep]
 			}
-			var part T
-			if part, err = bl.scan(p.arr, slab, c, ck); err != nil {
-				return
+			both := uint(0) // the dimensions of S with a gap on both sides of R_j
+			for j := range reg {
+				bit := uint(1) << j
+				switch {
+				case keep&bit == 0 && arr != bl.a: // whole blocks: B_j, or aligned
+					reg[j] = p.block[j]
+				case s&bit == 0: // R_j, or aligned in the cube
+					reg[j] = p.sub[j]
+				default:
+					if below, above := p.gaps(j); !below.Empty() && !above.Empty() {
+						both |= bit
+					}
+				}
+			}
+			for side := uint(0); ; side = (side - both) & both { // below before above
+				for j := range reg {
+					if s&(1<<j) != 0 {
+						below, above := p.gaps(j)
+						if reg[j] = below; below.Empty() || side&(1<<j) != 0 {
+							reg[j] = above
+						}
+					}
+				}
+				v, err := bl.scan(arr, reg, c, ck)
+				if err != nil {
+					return total, err
+				}
+				if bits.OnesCount(s)%2 == 1 {
+					total = bl.g.Inverse(total, v)
+				} else {
+					total = bl.g.Combine(total, v)
+				}
+				if s != 0 {
+					c.AddSteps(1)
+				}
+				if side == both {
+					break
+				}
+			}
+		}
+		if s == p.cmp {
+			break
+		}
+	}
+	c.AddSteps(1)
+	return total, nil
+}
+
+// complement is the paper's method 2 for a region of its structure: the
+// superblock sum minus B ∖ R, read from the cube as the disjoint slabs
+// R_1×…×R_{j−1} × (B_j∖R_j) × B_{j+1}×…×B_d, B_j ∖ R_j being at most two
+// ranges. reg is scratch of the region's dimension.
+func (bl *Array[T, G]) complement(p *piece, reg ndarray.Region, c *metrics.Counter, ck *ctxcheck.Checker) (T, error) {
+	total := bl.packedSum(p.block, c)
+	copy(reg, p.super)
+	for j := range reg {
+		below, above := p.gaps(j)
+		for _, gap := range [2]ndarray.Range{below, above} {
+			if reg[j] = gap; reg.Empty() {
+				continue
+			}
+			part, err := bl.scan(bl.a, reg, c, ck)
+			if err != nil {
+				return total, err
 			}
 			total = bl.g.Inverse(total, part)
 			c.AddSteps(1)
-		})
-	}
-	if err != nil {
-		return total, err
+		}
+		reg[j] = p.sub[j]
 	}
 	c.AddSteps(1)
 	return total, nil
 }
 
 // scan sums region r of arr — the cube or an edge array — directly, one
-// contiguous innermost-axis line at a time, accounting the counter once per
-// scan rather than once per entry (totals are unchanged).
+// contiguous innermost-axis line at a time, checkpointing ck per line and
+// accounting the counter once per scan rather than once per entry. The
+// canonical int64 SUM sums each line in a plain int64 loop.
 func (bl *Array[T, G]) scan(arr *ndarray.Array[T], r ndarray.Region, c *metrics.Counter, ck *ctxcheck.Checker) (T, error) {
 	total := bl.g.Identity()
-	data := arr.Data()
-	cells := int64(0)
+	if r.Empty() {
+		return total, nil
+	}
+	data, strides := arr.Data(), arr.Strides()
+	last := len(r) - 1
+	n, off, lines := r[last].Len(), 0, 1
+	for j, rng := range r {
+		off += rng.Lo * strides[j]
+		if j < last {
+			lines *= rng.Len()
+		}
+	}
+	var buf [4]int // the line's position in r, over dimensions 0..d−2
+	at := buf[:]
+	if last > len(buf) {
+		at = make([]int, last)
+	}
+	data64, _ := any(data).([]int64)
+	if _, ok := any(bl.g).(algebra.IntSum); !ok {
+		data64 = nil
+	}
+	var sum64 int64
 	var err error
-	ndarray.ForEachLine(arr, r, func(ln ndarray.Line) {
-		// The checkpoint fires between lines; a canceled query skips the
-		// remaining lines (their descriptors are still enumerated, but no
-		// cells are touched or accounted).
-		if err != nil {
-			return
+	done := 0
+	for ; done < lines; done++ {
+		// A canceled query stops between lines, having touched and
+		// accounted only the lines before.
+		if err = ck.Tick(int64(n)); err != nil {
+			break
 		}
-		if err = ck.Tick(int64(ln.Len)); err != nil {
-			return
+		if data64 != nil {
+			for _, v := range data64[off : off+n] {
+				sum64 += v
+			}
+		} else {
+			for _, v := range data[off : off+n] {
+				total = bl.g.Combine(total, v)
+			}
 		}
-		row := data[ln.Off : ln.Off+ln.Len]
-		for _, v := range row {
-			total = bl.g.Combine(total, v)
+		for j := last - 1; j >= 0; j-- {
+			off += strides[j]
+			if at[j]++; at[j] < r[j].Len() {
+				break
+			}
+			off -= at[j] * strides[j]
+			at[j] = 0
 		}
-		cells += int64(ln.Len)
-	})
+	}
+	if data64 != nil {
+		total = any(sum64).(T)
+	}
+	cells := int64(done * n)
 	if arr == bl.a {
 		c.AddCells(cells)
 	} else {
@@ -421,37 +574,6 @@ func (bl *Array[T, G]) scan(arr *ndarray.Array[T], r ndarray.Region, c *metrics.
 	}
 	c.AddSteps(cells)
 	return total, err
-}
-
-// forEachComplementSlab decomposes super \ r into disjoint rectangular
-// slabs and visits each; the slab is reused between visits. It relies on
-// r[j] ⊆ super[j] per dimension and the identity
-// B \ R = ⋃_j (R_1×…×R_{j−1} × (B_j∖R_j) × B_{j+1}×…×B_d), where B_j ∖ R_j
-// is at most two intervals (one below r[j], one above).
-func forEachComplementSlab(super, r ndarray.Region, visit func(ndarray.Region)) {
-	d := len(r)
-	slab := make(ndarray.Region, d)
-	for j := 0; j < d; j++ {
-		gaps := [2]ndarray.Range{
-			{Lo: super[j].Lo, Hi: r[j].Lo - 1},
-			{Lo: r[j].Hi + 1, Hi: super[j].Hi},
-		}
-		for _, gap := range gaps {
-			if gap.Empty() {
-				continue
-			}
-			for i := 0; i < j; i++ {
-				slab[i] = r[i]
-			}
-			slab[j] = gap
-			for i := j + 1; i < d; i++ {
-				slab[i] = super[i]
-			}
-			if !slab.Empty() {
-				visit(slab)
-			}
-		}
-	}
 }
 
 // Cell returns a single cube cell (directly — the cube is retained).

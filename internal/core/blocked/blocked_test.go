@@ -1,10 +1,12 @@
 package blocked
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"rangecube/internal/algebra"
 	"rangecube/internal/metrics"
 	"rangecube/internal/naive"
 	"rangecube/internal/ndarray"
@@ -334,15 +336,34 @@ func TestBuildDimsValidation(t *testing.T) {
 
 // TestSumAllocations pins what one decomposition costs the allocator: a 2-d
 // sum with all nine sub-regions allocated 74 objects while the odometer
-// cloned a region and a kind list per sub-region, and 30 while it collected
-// the planned pieces before evaluating them; the streaming walk keeps one
-// piece's regions in one buffer, and what is left is mostly the line
-// iterator's three per scan.
+// cloned a region and a kind list per sub-region, 30 while it collected the
+// planned pieces before evaluating them, and 2–7 while the splits, the piece
+// and each complement slab were on the heap and each scan walked its lines
+// through a closure. For d ≤ 4 the walk keeps all of them on the stack, so a
+// sum of the paper's structure or of one with edge arrays, with or without
+// its §11 bounds, allocates nothing.
 func TestSumAllocations(t *testing.T) {
-	a := ndarray.New[int64](256, 256)
-	bl := BuildInt(a, 16)
-	r := ndarray.Reg(5, 200, 7, 130)
-	if got := testing.AllocsPerRun(100, func() { bl.Sum(r, nil) }); got > 29 {
-		t.Fatalf("Sum(%v) allocates %v objects, want at most 29", r, got)
+	rng := rand.New(rand.NewSource(16))
+	for d := 1; d <= 4; d++ {
+		shape := make([]int, d)
+		for j := range shape {
+			shape[j] = 1 << (8 / d)
+		}
+		a := ndarray.New[int64](shape...)
+		bs := make([]int, d)
+		for j := range bs {
+			bs[j] = 3
+		}
+		for _, bl := range []*IntArray{BuildIntDims(a, bs), BuildWithEdges[int64, algebra.IntSum](a, bs)} {
+			for q := 0; q < 8; q++ {
+				r := randomRegion(rng, shape)
+				if got := testing.AllocsPerRun(20, func() { bl.Sum(r, nil) }); got != 0 {
+					t.Fatalf("d=%d edges=%v: Sum(%v) allocates %v objects, want 0", d, bl.edges != nil, r, got)
+				}
+				if got := testing.AllocsPerRun(20, func() { SumBoundsContext(context.Background(), bl, r, nil) }); got != 0 {
+					t.Fatalf("d=%d edges=%v: SumBoundsContext(%v) allocates %v objects, want 0", d, bl.edges != nil, r, got)
+				}
+			}
+		}
 	}
 }

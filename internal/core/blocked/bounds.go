@@ -44,8 +44,10 @@ func SumBoundsContext[T cmp.Ordered, G algebra.Group[T]](ctx context.Context, bl
 
 func bounds[T cmp.Ordered, G algebra.Group[T]](bl *Array[T, G], r ndarray.Region, c *metrics.Counter, ck *ctxcheck.Checker) (lo, hi T, err error) {
 	lo, hi = bl.g.Identity(), bl.g.Identity()
-	w := bl.decompose(r)
-	p := subRegionOver(make([]ndarray.Range, 3*len(r)))
+	var splits [4]dimSplit
+	var ranges [3 * 4]ndarray.Range
+	w := bl.decompose(r, splits[:])
+	p := subRegionOver(ranges[:], len(r))
 	for w.next(&p) {
 		if err := ck.Tick(1); err != nil {
 			return lo, hi, err

@@ -64,6 +64,34 @@ func TestSumContextCanceledAbandonsScan(t *testing.T) {
 	if elapsed > 100*time.Millisecond {
 		t.Fatalf("canceled query took %v, want < 100ms", elapsed)
 	}
+
+	// With edge arrays at b = 256 the first boundary region of r2, the
+	// 156×100 low corner, is planned as the single-dimension complement
+	// C = {0}: B_0 × R_1 read from the edge array keeping dimension 1, minus
+	// G_0 × R_1 read from the cube (10,100 reads, against 15,600 for R and
+	// 15,857 for C = {0, 1}). A canceled ctx must abandon those terms too.
+	edged := BuildWithEdges[int64, algebra.IntSum](bl.Cube(), []int{256, 256})
+	r2 := ndarray.Region{{Lo: 100, Hi: 510}, {Lo: 156, Hi: 510}}
+	p := piece{subRegion: subRegionOver(nil, 2)}
+	w := edged.decompose(r2, nil)
+	if w.next(&p.subRegion); p.keep != 0b11 {
+		t.Fatalf("the first piece of %v is partial in dimensions %b, want both", r2, p.keep)
+	}
+	if edged.plan(&p); p.cmp != 0b01 {
+		t.Fatalf("the low corner of %v is planned with C = %b, want {0}", r2, p.cmp)
+	}
+	full = metrics.Counter{}
+	want := edged.Sum(r2, &full)
+	if got, err := edged.SumContext(context.Background(), r2, nil); err != nil || got != want || want != bl.Sum(r2, nil) {
+		t.Fatalf("edged SumContext(%v) = %d (err %v), Sum %d, the paper's structure %d", r2, got, err, want, bl.Sum(r2, nil))
+	}
+	c = metrics.Counter{}
+	if _, err := edged.SumContext(ctx, r2, &c); err != context.Canceled {
+		t.Fatalf("edged: err = %v, want context.Canceled", err)
+	}
+	if c.Total() >= full.Total() {
+		t.Fatalf("edged: the canceled sum read %v, the full sum %v — no work was saved", &c, &full)
+	}
 }
 
 func TestBoundsContextMatchesBounds(t *testing.T) {

@@ -1,11 +1,13 @@
 package blocked_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"rangecube/internal/core/batchsum"
 	"rangecube/internal/core/blocked"
+	"rangecube/internal/metrics"
 	"rangecube/internal/naive"
 	"rangecube/internal/ndarray"
 )
@@ -14,11 +16,16 @@ import (
 // built as the paper's structure, with edge arrays, and with edge arrays and
 // its packed half queued and folded as a serving engine updates it, through
 // rounds of a query and a batch update, and verifies all three against the
-// naive scan; any mismatch or panic is a bug.
+// naive scan. The two edge-built structures must also answer SumBoundsContext
+// with the paper structure's §11 bounds and report no more accesses than it:
+// the per-dimension plan only ever picks a cheaper reading of a region. Any
+// mismatch or panic is a bug.
 func FuzzBlockedSum(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(3), uint8(5), uint8(0), uint8(2), uint8(1), uint8(4))
 	f.Add(int64(7), uint8(9), uint8(1), uint8(1), uint8(3), uint8(8), uint8(0), uint8(0))
 	f.Add(int64(42), uint8(16), uint8(7), uint8(12), uint8(15), uint8(15), uint8(2), uint8(6))
+	f.Add(int64(3), uint8(19), uint8(19), uint8(7), uint8(7), uint8(1), uint8(17), uint8(2)) // corners inside one block
+	ctx := context.Background()
 	f.Fuzz(func(t *testing.T, seed int64, n0, n1, b0, b1, lo0, len0, lo1 uint8) {
 		shape := []int{int(n0%20) + 1, int(n1%20) + 1}
 		bs := []int{int(b0%8) + 1, int(b1%8) + 1}
@@ -36,14 +43,24 @@ func FuzzBlockedSum(f *testing.F) {
 		r[1].Hi = r[1].Lo + int(len0/2)%(shape[1]-r[1].Lo)
 		for round := 0; round < 3; round++ {
 			want := naive.SumInt64(a, r, nil)
-			if got := paper.Sum(r, nil); got != want {
+			var cp metrics.Counter
+			if got := paper.Sum(r, &cp); got != want {
 				t.Fatalf("shape=%v bs=%v r=%v round %d: blocked %d != naive %d", shape, bs, r, round, got, want)
 			}
-			if got := edged.Sum(r, nil); got != want {
-				t.Fatalf("shape=%v bs=%v r=%v round %d: blocked with edge arrays %d != naive %d", shape, bs, r, round, got, want)
-			}
-			if got := queued.Sum(r, nil); got != want {
-				t.Fatalf("shape=%v bs=%v r=%v round %d: blocked with a queue %d != naive %d", shape, bs, r, round, got, want)
+			_, wantLo, wantHi, _ := blocked.SumBoundsContext(ctx, paper, r, nil)
+			for _, s := range []struct {
+				what string
+				bl   *blocked.IntArray
+			}{{"with edge arrays", edged}, {"with a queue", queued}} {
+				var c metrics.Counter
+				v, lo, hi, err := blocked.SumBoundsContext(ctx, s.bl, r, &c)
+				if err != nil || v != want || lo != wantLo || hi != wantHi {
+					t.Fatalf("shape=%v bs=%v r=%v round %d: blocked %s %d in [%d,%d] (err %v), naive %d, paper bounds [%d,%d]",
+						shape, bs, r, round, s.what, v, lo, hi, err, want, wantLo, wantHi)
+				}
+				if c.Total() > cp.Total() {
+					t.Fatalf("shape=%v bs=%v r=%v round %d: blocked %s reads %v, the paper's structure %v", shape, bs, r, round, s.what, &c, &cp)
+				}
 			}
 			ups := make([]batchsum.IntUpdate, 1+rng.Intn(4))
 			for i := range ups {

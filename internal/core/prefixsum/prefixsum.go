@@ -240,7 +240,7 @@ func (ps *Array[T, G]) Sum(r ndarray.Region, c *metrics.Counter) T {
 	shape := ps.p.Shape()
 	for j, rng := range r {
 		if rng.Lo < 0 || rng.Hi >= shape[j] {
-			panic(fmt.Sprintf("prefixsum: query %v out of bounds for shape %v", r, shape))
+			panic(fmt.Sprintf("prefixsum: query %v out of bounds for shape %v", r.String(), shape)) // String keeps r off the heap
 		}
 	}
 	strides := ps.p.Strides()

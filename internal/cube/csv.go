@@ -8,6 +8,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+
+	"rangecube/internal/ndarray"
 )
 
 // InferCSV reads CSV data with a header row, infers a dimension per column
@@ -82,6 +84,13 @@ func InferCSV(r io.Reader, measureCol string) (*Cube, int, error) {
 	}
 	if badMeasure != nil {
 		return nil, 0, badMeasure
+	}
+	shape := make([]int, len(dims))
+	for k, d := range dims {
+		shape[k] = d.Size()
+	}
+	if _, err := ndarray.CheckShape[int64](shape); err != nil {
+		return nil, 0, fmt.Errorf("cube: the columns' domains make no cube: %w", err)
 	}
 	out := New(dims...)
 	data, strides := out.data.Data(), out.data.Strides()

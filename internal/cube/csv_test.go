@@ -145,6 +145,7 @@ var inferCSVCorpus = []struct{ name, data, measure string }{
 	{"repeated dimension", "a,a,m\n1,2,3\n", "m"},
 	{"span overflow", "x,m\n-9223372036854775808,1\n9223372036854775807,2\n", "m"},
 	{"grid 64x64", gridCSV(64), "revenue"},
+	{"too many cells", "a,b,c,d,e,f,g,m\n0,0,0,0,0,0,0,1\n79,79,79,79,79,79,79,2\n", "m"}, // 80^7 cells: an error, not a panic
 }
 
 // cellBudget caps the cells a fuzz input may ask for, so that neither loader
@@ -240,6 +241,22 @@ func measureTotal(data, measure string) int64 {
 		total += m
 	}
 	return total
+}
+
+// TestInferCSVRejectsShapeTooLarge: 65,536 records with the value i in every
+// column infer three dense dimensions of 65,536 ranks, 2^48 cells. The
+// loader used to panic in ndarray.New (and cubeserver -data with it); it
+// returns an error that names the shape.
+func TestInferCSVRejectsShapeTooLarge(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("a,b,c,revenue\n")
+	for i := 0; i < 1<<16; i++ {
+		fmt.Fprintf(&b, "%d,%d,%d,%d\n", i, i, i, i)
+	}
+	_, _, err := InferCSV(strings.NewReader(b.String()), "revenue")
+	if err == nil || !strings.Contains(err.Error(), "[65536 65536 65536]") {
+		t.Fatalf("InferCSV = %v, want an error naming the shape [65536 65536 65536]", err)
+	}
 }
 
 func TestInferCSVMatchesReference(t *testing.T) {

@@ -9,8 +9,12 @@
 package ndarray
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
+	"unsafe"
 )
 
 // Array is a dense d-dimensional array of T stored in row-major order (the
@@ -43,21 +47,39 @@ func FromSlice[T any](data []T, shape ...int) *Array[T] {
 	return a
 }
 
-// header validates shape and builds an array with shape and strides set but
-// no backing data, returning it with the total cell count.
-func header[T any](shape []int) (*Array[T], int) {
+// maxBytes bounds the backing slice of one array: below what the Go runtime
+// can allocate in one piece on any 64-bit platform.
+const maxBytes = min(1<<47, math.MaxInt)
+
+// CheckShape returns the cell count of an array of T with the given shape,
+// or an error naming the shape where New would panic: no dimension, an
+// extent below 1, or more cells than one slice of T can hold. Callers that
+// take a shape from input check it here first.
+func CheckShape[T any](shape []int) (int, error) {
 	if len(shape) == 0 {
-		panic("ndarray: New requires at least one dimension")
+		return 0, errors.New("ndarray: New requires at least one dimension")
 	}
+	limit := maxBytes / max(int(unsafe.Sizeof(*new(T))), 1)
 	n := 1
 	for i, s := range shape {
 		if s < 1 {
-			panic(fmt.Sprintf("ndarray: dimension %d has non-positive extent %d", i, s))
+			return 0, fmt.Errorf("ndarray: dimension %d has non-positive extent %d", i, s)
 		}
-		if n > (1<<62)/s {
-			panic("ndarray: total size overflows")
+		if n > limit/s {
+			// A copy, so that shape (New's variadic slice) stays off the heap.
+			return 0, fmt.Errorf("ndarray: shape %v has more cells than an array can hold", slices.Clone(shape))
 		}
 		n *= s
+	}
+	return n, nil
+}
+
+// header validates shape and builds an array with shape and strides set but
+// no backing data, returning it with the total cell count.
+func header[T any](shape []int) (*Array[T], int) {
+	n, err := CheckShape[T](shape)
+	if err != nil {
+		panic(err.Error())
 	}
 	a := &Array[T]{
 		shape:   append([]int(nil), shape...),

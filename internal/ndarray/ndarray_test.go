@@ -1,7 +1,9 @@
 package ndarray
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -19,6 +21,32 @@ func TestNewShapeAndSize(t *testing.T) {
 		if s != wantStrides[i] {
 			t.Fatalf("Strides = %v, want %v", a.Strides(), wantStrides)
 		}
+	}
+}
+
+// TestCheckShape: the shapes New refuses come back as errors naming them,
+// before anything is allocated, and the ones it takes as their cell count.
+func TestCheckShape(t *testing.T) {
+	if n, err := CheckShape[int64]([]int{3, 4, 5}); err != nil || n != 60 {
+		t.Fatalf("CheckShape(3,4,5) = %d, %v; want 60", n, err)
+	}
+	for _, shape := range [][]int{{}, {0}, {3, -1}, {1 << 16, 1 << 16, 1 << 16}, {1 << 31, 1 << 31, 1 << 31}} {
+		if _, err := CheckShape[int64](shape); err == nil {
+			t.Errorf("CheckShape(%v) accepted the shape", shape)
+		} else if len(shape) == 3 && shape[2] > 0 && !strings.Contains(err.Error(), fmt.Sprint(shape)) {
+			t.Errorf("CheckShape(%v) = %v, want an error naming the shape", shape, err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%v) did not panic", shape)
+				}
+			}()
+			New[int64](shape...)
+		}()
+	}
+	if _, err := CheckShape[bool]([]int{1 << 16, 1 << 16, 1 << 12}); err != nil {
+		t.Errorf("CheckShape[bool] refused 2^44 one-byte cells: %v", err)
 	}
 }
 

@@ -335,6 +335,32 @@ func TestQueuedSumAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestEdgedSumAllocatesNothing: at b = 32 over a 1024² slab, where every sum
+// walks the §4.2 decomposition and plans its corners per dimension, a sum
+// with and without its §11 bounds allocates nothing over the benchmark's 16
+// pairs of query sides.
+func TestEdgedSumAllocatesNothing(t *testing.T) {
+	const n = 1024
+	shape := []int{n, n}
+	g := workload.New(*seedFlag)
+	e := newLocalEngine(g.UniformCube(shape, 1000), 32, 4)
+	ctx := context.Background()
+	sides := []int{n / 16, n / 8, n / 4, n / 2}
+	for i := 0; i < 16; i++ {
+		r := g.FixedSizeRegion(shape, []int{sides[i%4], sides[i/4]})
+		var c metrics.Counter
+		if v, err := e.Sum(ctx, r, &c); err != nil || v != naiveSum(e.cells, r) || c.Cells+c.Aux == 0 {
+			t.Fatalf("Sum(%v) = %d at cost %v (err %v), want %d", r, v, &c, err, naiveSum(e.cells, r))
+		}
+		if allocs := testing.AllocsPerRun(20, func() { e.Sum(ctx, r, &c) }); allocs != 0 {
+			t.Fatalf("Sum(%v) allocates %v objects, want 0", r, allocs)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { e.SumWithBounds(ctx, r, &c) }); allocs != 0 {
+			t.Fatalf("SumWithBounds(%v) allocates %v objects, want 0", r, allocs)
+		}
+	}
+}
+
 // The paper's space/update/query trade (§4, §5.2), one command away:
 //
 //	go test -run '^$' -bench LocalEngine -benchmem ./internal/shard
