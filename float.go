@@ -70,8 +70,9 @@ func (s *FloatBlockedSumIndex) Sum(r Region) float64 { return s.bl.Sum(r, nil) }
 // SumCounted is Sum with cost accounting.
 func (s *FloatBlockedSumIndex) SumCounted(r Region, c *Counter) float64 { return s.bl.Sum(r, c) }
 
-// Apply runs the §5.2 two-phase batch update: the deltas are applied to the
-// retained cube cells and, block-contracted, to the packed prefix sums.
+// Apply runs the §5.2 batch update as BlockedSumIndex.Update does: the
+// deltas go to the retained cube cells at once and, combined per block, to a
+// queue folded into the packed prefix sums whenever it fills.
 func (s *FloatBlockedSumIndex) Apply(updates []FloatUpdate) {
 	batchsum.ApplyBlocked[float64, algebra.FloatSum](s.bl, updates, nil)
 }

@@ -153,46 +153,22 @@ func ApplyInt(ps *prefixsum.IntArray, updates []IntUpdate, c *metrics.Counter) i
 	return Apply[int64, algebra.IntSum](ps, updates, c)
 }
 
-// ApplyBlocked performs the §5.2 two-phase batch update of a blocked
-// prefix-sum structure: phase one combines the values-to-add of all updates
-// falling in the same b×...×b block (contracting the index space by b per
-// dimension); phase two runs the basic batch-update algorithm on the packed
-// prefix-sum array with one update per touched block. It also applies the
-// updates to the retained cube and, where the structure has edge arrays, to
-// the one entry of each that covers the cell (counted as Aux). It returns the
-// number of update-class regions used on the packed array.
+// ApplyBlocked runs the §5.2 batch update of a blocked prefix-sum structure
+// the way a serving engine does: each update goes at once to the retained
+// cube and to the edge arrays' entries covering it, and is queued, combined
+// per block, for packed (ApplyQueued); whenever the queue fills, Flush folds
+// it into packed in one pass. It checks after every update, not once per
+// batch: a queue insert costs O(queue), and a batch of any size must keep
+// the queue at most ⌈√N⌉ blocks long (N the packed entries). It returns the
+// number of blocks folded: 0 while the queue has room.
 func ApplyBlocked[T any, G algebra.Group[T]](bl *blocked.Array[T, G], updates []Update[T], c *metrics.Counter) int {
-	var g G
-	bs := bl.BlockSizes()
-	// Update the cube cells themselves.
-	for _, u := range updates {
-		c.AddAux(int64(bl.AddToCell(u.Coords, u.Delta)))
-		c.AddCells(1)
-	}
-	// Phase 1: contract updates per block (per-dimension block sizes).
-	packed := bl.Packed()
-	pstrides := packed.P().Strides()
-	combined := make(map[int]T)
-	order := make([]int, 0, len(updates))
-	for _, u := range updates {
-		boff := 0
-		for j, x := range u.Coords {
-			boff += (x / bs[j]) * pstrides[j]
-		}
-		if old, ok := combined[boff]; ok {
-			combined[boff] = g.Combine(old, u.Delta)
-		} else {
-			combined[boff] = u.Delta
-			order = append(order, boff)
+	folded := 0
+	for ; len(updates) > 0; updates = updates[1:] {
+		if _, full := bl.ApplyQueued(updates[0].Coords, updates[0].Delta, c); full {
+			folded += bl.Flush(c)
 		}
 	}
-	// Phase 2: one update per touched block against the packed array.
-	blockUpdates := make([]Update[T], 0, len(order))
-	for _, boff := range order {
-		coords := packed.P().Coords(boff, nil)
-		blockUpdates = append(blockUpdates, Update[T]{Coords: coords, Delta: combined[boff]})
-	}
-	return Apply[T, G](packed, blockUpdates, c)
+	return folded
 }
 
 // ApplyBlockedInt is ApplyBlocked for the canonical int64 SUM measure.

@@ -268,23 +268,33 @@ func TestApplyBlockedProperty(t *testing.T) {
 	}
 }
 
+// TestApplyBlockedContractsPerBlock: four updates in one block queue one
+// combined value-to-add for the 2×2 packed array, whose queue folds at
+// ⌈√4⌉ = 2 blocks, so nothing is folded and the sums read the queue; a fifth
+// update, in another block, fills the queue and folds both blocks.
 func TestApplyBlockedContractsPerBlock(t *testing.T) {
 	a := ndarray.New[int64](8, 8)
 	bl := blocked.BuildInt(a, 4)
-	// Four updates in the same block contract to one packed update, which
-	// partitions the 2×2 packed array into at most 1 region.
 	ups := []IntUpdate{
 		{Coords: []int{0, 0}, Delta: 1},
 		{Coords: []int{1, 1}, Delta: 2},
 		{Coords: []int{2, 3}, Delta: 3},
 		{Coords: []int{3, 2}, Delta: 4},
 	}
-	regions := ApplyBlockedInt(bl, ups, nil)
-	if regions != 1 {
-		t.Fatalf("same-block updates used %d packed regions, want 1", regions)
+	if folded := ApplyBlockedInt(bl, ups, nil); folded != 0 {
+		t.Fatalf("same-block updates folded %d blocks, want 0", folded)
 	}
 	if got := bl.Sum(ndarray.Reg(0, 7, 0, 7), nil); got != 10 {
 		t.Fatalf("total after update = %d, want 10", got)
+	}
+	if got := bl.Packed().Sum(ndarray.Reg(0, 1, 0, 1), nil); got != 0 {
+		t.Fatalf("packed holds %d before the fold, want 0", got)
+	}
+	if folded := ApplyBlockedInt(bl, []IntUpdate{{Coords: []int{7, 7}, Delta: 5}}, nil); folded != 2 {
+		t.Fatalf("an update in a second block folded %d blocks, want 2", folded)
+	}
+	if got := bl.Packed().Sum(ndarray.Reg(0, 1, 0, 1), nil); got != 15 {
+		t.Fatalf("packed holds %d after the fold, want 15", got)
 	}
 }
 

@@ -21,16 +21,18 @@ import (
 // bs[j] cells outside it, and — unlike packed — not prefix-summed, which is
 // what keeps an update at one entry per array (§5.2's reason for blocking).
 //
-// One array is kept for every non-empty proper subset S of the dimensions
-// whose block size exceeds 1. A region is never partial in a b = 1
-// dimension, S = ∅ is the contraction packed is built from, and the full set
-// is the cube itself, so none of those is stored. With every b_j > 1 that is
-// 2^d − 2 arrays of N·(∏(1+1/b_j) − 1 − ∏1/b_j) entries together.
+// One array is kept for every non-empty proper subset S of the blocked
+// dimensions: those whose block size and extent both exceed 1. A region is
+// never partial in a b = 1 dimension, nor in an extent-1 one (split makes
+// [0,0] its aligned middle), S = ∅ is the contraction packed is built from,
+// and the full set is the cube itself, so none of those is stored. With k
+// blocked dimensions that is 2^k − 2 arrays; with every b_j > 1 and n_j > 1,
+// N·(∏(1+1/b_j) − 1 − ∏1/b_j) entries together.
 
 // BuildWithEdges is BuildDims plus the edge arrays, all filled in the same
 // single storage-order walk of the cube. Sums, bounds and errors are those of
-// the paper's structure; boundary scans read fewer entries, and
-// batchsum.ApplyBlocked keeps the edge arrays current through AddToCell.
+// the paper's structure; boundary scans read fewer entries, and ApplyQueued
+// keeps the edge arrays current.
 func BuildWithEdges[T any, G algebra.Group[T]](a *ndarray.Array[T], bs []int) *Array[T, G] {
 	return build[T, G](a, bs, true)
 }
@@ -47,10 +49,10 @@ func (bl *Array[T, G]) EdgeSize() int {
 	return size
 }
 
-// AddToCell combines delta into the cube cell at coords and into the entry
+// addToCell combines delta into the cube cell at coords and into the entry
 // covering that cell in every edge array, and returns how many edge entries
-// it wrote. Packed is not touched: §5.2 updates it per batch.
-func (bl *Array[T, G]) AddToCell(coords []int, delta T) int {
+// it wrote. Packed is not touched: ApplyQueued queues its half.
+func (bl *Array[T, G]) addToCell(coords []int, delta T) int {
 	data := bl.a.Data()
 	off := bl.a.Offset(coords...)
 	data[off] = bl.g.Combine(data[off], delta)
@@ -92,11 +94,12 @@ func build[T any, G algebra.Group[T]](a *ndarray.Array[T], bs []int, withEdges b
 		panic(fmt.Sprintf("blocked: %d block sizes for %d dimensions", len(bs), d))
 	}
 	blockedDims := uint(0)
-	for j, b := range bs {
+	for j, n := range a.Shape() {
+		b := bs[j]
 		if b < 1 {
 			panic(fmt.Sprintf("blocked: block size %d < 1 in dimension %d", b, j))
 		}
-		if b > 1 {
+		if b > 1 && n > 1 {
 			blockedDims |= 1 << j
 		}
 	}

@@ -23,13 +23,14 @@ func buildWithEdges(a *ndarray.Array[int64], bs []int) *blocked.IntArray {
 
 // checkEdgesFresh holds every edge array of bl to a fresh contraction of its
 // cells, and the set of arrays to the one the block sizes call for: every
-// non-empty proper subset of the dimensions blocked by more than 1.
+// non-empty proper subset of the blocked dimensions, those of block size and
+// extent both over 1.
 func checkEdgesFresh(t *testing.T, bl *blocked.IntArray, what string) {
 	t.Helper()
 	a, bs := bl.Cube(), bl.BlockSizes()
 	blockedDims, nBlocked := uint(0), 0
 	for j, b := range bs {
-		if b > 1 {
+		if b > 1 && a.Shape()[j] > 1 {
 			blockedDims |= 1 << j
 			nBlocked++
 		}
@@ -65,11 +66,12 @@ func checkEdgesFresh(t *testing.T, bl *blocked.IntArray, what string) {
 }
 
 // TestEdgeArraysAnswerAsThePaperStructure: over d = 1..4, extents that are
-// not multiples of the block size, uniform b ∈ {1,2,3,5,8} and mixed
-// per-dimension block sizes, the edge-built structure, the paper's structure
-// and the naive scan agree on every sum and the two structures on every §11
-// bound — before and after ApplyBlocked batches that name cells twice — and
-// the edge arrays stay the contraction of the cells.
+// not multiples of the block size, some of them 1, uniform b ∈ {1,2,3,5,8}
+// and mixed per-dimension block sizes, the edge-built structure, the paper's
+// structure and the naive scan agree on every sum and the two structures on
+// every §11 bound — before and after ApplyBlocked batches that name cells
+// twice — and the edge arrays stay the contraction of the cells, 2^k − 2 of
+// them for k blocked dimensions of extent over 1.
 func TestEdgeArraysAnswerAsThePaperStructure(t *testing.T) {
 	g := workload.SeededGen(t, *blocked.SeedFlag, 5)
 	rng := rand.New(rand.NewSource(*blocked.SeedFlag + 0xed6e))
@@ -93,6 +95,9 @@ func TestEdgeArraysAnswerAsThePaperStructure(t *testing.T) {
 			shape := make([]int, d)
 			for j := range shape {
 				shape[j] = 3 + rng.Intn(40/d)
+				if rng.Intn(5) == 0 {
+					shape[j] = 1
+				}
 			}
 			what := fmt.Sprintf("shape %v bs %v", shape, bs)
 			mirror := g.UniformCube(shape, 201)
@@ -136,6 +141,40 @@ func TestEdgeArraysAnswerAsThePaperStructure(t *testing.T) {
 				batchsum.ApplyBlockedInt(edged, ups, nil)
 				checkEdgesFresh(t, edged, fmt.Sprintf("%s after batch %d", what, step))
 			}
+		}
+	}
+}
+
+// TestExtentOneDimensionsAddNoEdgeArrays: a dimension one cell thick, as a
+// constant CSV column makes, is never partial in a region, so it adds no edge
+// array: at 256², b = 32, the edge arrays hold 2·N/b entries with up to six
+// such dimensions beside the two real ones. An array keeping one would be as
+// large as the one contracting it, and one keeping both real dimensions a
+// copy of the cells.
+func TestExtentOneDimensionsAddNoEdgeArrays(t *testing.T) {
+	const n, b = 256, 32
+	cells := workload.New(43).UniformCube([]int{n, n}, 1000)
+	want := buildWithEdges(cells, []int{b, b}).EdgeSize()
+	if want != 2*n*n/b {
+		t.Fatalf("EdgeSize = %d at %d², b = %d, want 2·N/b = %d", want, n, b, 2*n*n/b)
+	}
+	for _, ones := range []int{1, 2, 4, 6} {
+		shape, bs := []int{n, n}, []int{b, b}
+		for i := 0; i < ones; i++ {
+			shape, bs = append(shape, 1), append(bs, b)
+		}
+		a := ndarray.FromSlice(cells.Data(), shape...)
+		bl := buildWithEdges(a, bs)
+		if got := bl.EdgeSize(); got != want {
+			t.Errorf("shape %v: EdgeSize = %d, want %d as without the extent-1 dimensions", shape, got, want)
+		}
+		checkEdgesFresh(t, bl, fmt.Sprintf("shape %v", shape))
+		r := ndarray.Region{{Lo: 3, Hi: 200}, {Lo: 17, Hi: 250}}
+		for len(r) < len(shape) {
+			r = append(r, ndarray.Range{Lo: 0, Hi: 0})
+		}
+		if got, want := bl.Sum(r, nil), naive.SumInt64(a, r, nil); got != want {
+			t.Errorf("shape %v: Sum(%v) = %d, naive %d", shape, r, got, want)
 		}
 	}
 }

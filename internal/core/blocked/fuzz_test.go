@@ -13,13 +13,13 @@ import (
 )
 
 // FuzzBlockedSum drives the blocked algorithm with fuzzer-chosen geometry,
-// built as the paper's structure, with edge arrays, and with edge arrays and
-// its packed half queued and folded as a serving engine updates it, through
-// rounds of a query and a batch update, and verifies all three against the
-// naive scan. The two edge-built structures must also answer SumBoundsContext
-// with the paper structure's §11 bounds and report no more accesses than it:
-// the per-dimension plan only ever picks a cheaper reading of a region. Any
-// mismatch or panic is a bug.
+// built as the paper's structure and with edge arrays, through rounds of a
+// query and a batch update, and verifies both against the naive scan. Both
+// take their updates as a serving engine does, their packed half queued and
+// folded (ApplyBlocked). The edge-built structure must also answer
+// SumBoundsContext with the paper structure's §11 bounds and report no more
+// accesses than it: the per-dimension plan only ever picks a cheaper reading
+// of a region. Any mismatch or panic is a bug.
 func FuzzBlockedSum(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(3), uint8(5), uint8(0), uint8(2), uint8(1), uint8(4))
 	f.Add(int64(7), uint8(9), uint8(1), uint8(1), uint8(3), uint8(8), uint8(0), uint8(0))
@@ -34,7 +34,6 @@ func FuzzBlockedSum(f *testing.F) {
 		a.Fill(func([]int) int64 { return int64(rng.Intn(201) - 100) })
 		paper := blocked.BuildIntDims(a.Clone(), bs)
 		edged := buildWithEdges(a.Clone(), bs)
-		queued := buildWithEdges(a.Clone(), bs)
 		r := ndarray.Region{
 			{Lo: int(lo0) % shape[0], Hi: 0},
 			{Lo: int(lo1) % shape[1], Hi: 0},
@@ -48,19 +47,14 @@ func FuzzBlockedSum(f *testing.F) {
 				t.Fatalf("shape=%v bs=%v r=%v round %d: blocked %d != naive %d", shape, bs, r, round, got, want)
 			}
 			_, wantLo, wantHi, _ := blocked.SumBoundsContext(ctx, paper, r, nil)
-			for _, s := range []struct {
-				what string
-				bl   *blocked.IntArray
-			}{{"with edge arrays", edged}, {"with a queue", queued}} {
-				var c metrics.Counter
-				v, lo, hi, err := blocked.SumBoundsContext(ctx, s.bl, r, &c)
-				if err != nil || v != want || lo != wantLo || hi != wantHi {
-					t.Fatalf("shape=%v bs=%v r=%v round %d: blocked %s %d in [%d,%d] (err %v), naive %d, paper bounds [%d,%d]",
-						shape, bs, r, round, s.what, v, lo, hi, err, want, wantLo, wantHi)
-				}
-				if c.Total() > cp.Total() {
-					t.Fatalf("shape=%v bs=%v r=%v round %d: blocked %s reads %v, the paper's structure %v", shape, bs, r, round, s.what, &c, &cp)
-				}
+			var c metrics.Counter
+			v, lo, hi, err := blocked.SumBoundsContext(ctx, edged, r, &c)
+			if err != nil || v != want || lo != wantLo || hi != wantHi {
+				t.Fatalf("shape=%v bs=%v r=%v round %d: blocked with edge arrays %d in [%d,%d] (err %v), naive %d, paper bounds [%d,%d]",
+					shape, bs, r, round, v, lo, hi, err, want, wantLo, wantHi)
+			}
+			if c.Total() > cp.Total() {
+				t.Fatalf("shape=%v bs=%v r=%v round %d: blocked with edge arrays reads %v, the paper's structure %v", shape, bs, r, round, &c, &cp)
 			}
 			ups := make([]batchsum.IntUpdate, 1+rng.Intn(4))
 			for i := range ups {
@@ -69,7 +63,6 @@ func FuzzBlockedSum(f *testing.F) {
 			}
 			batchsum.ApplyBlockedInt(paper, ups, nil)
 			batchsum.ApplyBlockedInt(edged, ups, nil)
-			applyQueued(queued, ups)
 			// The next round asks about a region that holds an updated cell.
 			r = ndarray.Region{
 				{Lo: rng.Intn(ups[0].Coords[0] + 1), Hi: ups[0].Coords[0] + rng.Intn(shape[0]-ups[0].Coords[0])},

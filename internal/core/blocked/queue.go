@@ -17,13 +17,13 @@ import (
 // to N/q fold writes: q = ⌈√N⌉ balances the two.
 
 // ApplyQueued combines delta into the cube cell at coords and into the entry
-// covering it in every edge array, as AddToCell does, and queues it for the
-// packed block holding the cell instead of updating packed. It accounts the
-// cell and the edge entries to c as ApplyBlocked does. It returns how many
-// distinct blocks are queued, and full once that reaches ⌈√(packed entries)⌉,
-// when the caller should Flush.
+// covering it in every edge array, and queues it for the packed block holding
+// the cell instead of updating packed; it is the only write to the cells and
+// the edge arrays. It accounts the cell to c as Cells and the edge entries as
+// Aux. It returns how many distinct blocks are queued, and full once that
+// reaches ⌈√(packed entries)⌉, when the caller should Flush.
 func (bl *Array[T, G]) ApplyQueued(coords []int, delta T, c *metrics.Counter) (queued int, full bool) {
-	c.AddAux(int64(bl.AddToCell(coords, delta)))
+	c.AddAux(int64(bl.addToCell(coords, delta)))
 	c.AddCells(1)
 	strides := bl.packed.P().Strides()
 	off := 0

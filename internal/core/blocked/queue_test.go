@@ -1,38 +1,42 @@
 package blocked_test
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"rangecube/internal/algebra"
 	"rangecube/internal/core/batchsum"
 	"rangecube/internal/core/blocked"
 	"rangecube/internal/metrics"
+	"rangecube/internal/ndarray"
 	"rangecube/internal/workload"
 )
 
-// applyQueued drives bl the way a serving engine does: every delta through the
-// queue, and a fold once the queue is full. It reports whether it folded.
-func applyQueued(bl *blocked.IntArray, ups []batchsum.IntUpdate) bool {
-	full := false
-	for _, u := range ups {
-		_, full = bl.ApplyQueued(u.Coords, u.Delta, nil)
-	}
-	if full {
-		bl.Flush(nil)
-	}
-	return full
+// TestQueuedApplyMatchesEager: for d = 1..3, uniform block sizes and mixed
+// ones with b = 1 in one dimension, a structure updated by ApplyBlocked — its
+// packed half queued and folded as a serving engine updates it — answers every
+// Sum and SumBoundsContext, value, §11 bounds and counted accesses, exactly as
+// a fresh BuildWithEdges over the same cells does, with its queue empty, part
+// full and just folded; and after a Flush its packed and edge arrays are that
+// fresh build's. The int64 SUM reads its queue under a mask; every other group
+// takes the generic branch, here XOR, whose answers are exact.
+func TestQueuedApplyMatchesEager(t *testing.T) {
+	t.Run("int64", func(t *testing.T) {
+		queuedMatchesFresh[int64, algebra.IntSum](t, func(x int64) int64 { return x })
+	})
+	t.Run("xor", func(t *testing.T) {
+		queuedMatchesFresh[uint64, algebra.Xor](t, func(x int64) uint64 { return uint64(x) })
+	})
 }
 
-// TestQueuedApplyMatchesEager: for d = 1..3, uniform block sizes and mixed
-// ones with b = 1 in one dimension, a structure whose packed half is queued
-// and folded answers every Sum and SumBoundsContext — value, §11 bounds and
-// counted accesses — exactly as one updated by ApplyBlocked, with its queue
-// empty, part full and just folded; and after a Flush its packed array is a
-// fresh build's over the same cells.
-func TestQueuedApplyMatchesEager(t *testing.T) {
+// queuedMatchesFresh is TestQueuedApplyMatchesEager for the group G, whose
+// values of measures and deltas are of(x) for the int64 workload's x.
+func queuedMatchesFresh[T cmp.Ordered, G algebra.Group[T]](t *testing.T, of func(int64) T) {
+	var grp G
 	g := workload.SeededGen(t, *blocked.SeedFlag, 8)
 	rng := rand.New(rand.NewSource(*blocked.SeedFlag + 0x9e7e))
 	ctx := context.Background()
@@ -57,35 +61,40 @@ func TestQueuedApplyMatchesEager(t *testing.T) {
 				shape[j] = 3 + rng.Intn(30/d)
 			}
 			what := fmt.Sprintf("shape %v bs %v", shape, bs)
-			cells := g.UniformCube(shape, 201)
-			for i := range cells.Data() {
-				cells.Data()[i] -= 100
+			mirror := ndarray.New[T](shape...)
+			for i, x := range g.UniformCube(shape, 201).Data() {
+				mirror.Data()[i] = of(x - 100)
 			}
-			eager := buildWithEdges(cells.Clone(), bs)
-			queued := buildWithEdges(cells, bs)
+			queued := blocked.BuildWithEdges[T, G](mirror.Clone(), bs)
 			folds := 0
 			for step := 0; step < 40; step++ {
-				var ups []batchsum.IntUpdate
+				var ups []batchsum.Update[T]
 				for _, u := range g.Updates(shape, 1+rng.Intn(5), 150) {
-					ups = append(ups, batchsum.IntUpdate{Coords: u.Coords, Delta: u.Delta})
+					ups = append(ups, batchsum.Update[T]{Coords: u.Coords, Delta: of(u.Delta)})
 				}
-				ups = append(ups, batchsum.IntUpdate{Coords: ups[0].Coords, Delta: int64(rng.Intn(301) - 150)})
-				batchsum.ApplyBlockedInt(eager, ups, nil)
-				if applyQueued(queued, ups) {
+				ups = append(ups, batchsum.Update[T]{Coords: ups[0].Coords, Delta: of(int64(rng.Intn(301) - 150))})
+				for _, u := range ups {
+					mirror.Set(grp.Combine(mirror.At(u.Coords...), u.Delta), u.Coords...)
+				}
+				if batchsum.ApplyBlocked(queued, ups, nil) > 0 {
 					folds++
 				}
+				if !slices.Equal(queued.Cube().Data(), mirror.Data()) {
+					t.Fatalf("%s step %d: the queued structure's cells diverged from the mirror", what, step)
+				}
+				fresh := blocked.BuildWithEdges[T, G](mirror.Clone(), bs)
 				for q := 0; q < 6; q++ {
 					r := g.UniformRegion(shape)
-					var ce, cq metrics.Counter
-					if got, want := queued.Sum(r, &cq), eager.Sum(r, &ce); got != want || cq != ce {
-						t.Fatalf("%s step %d: queued Sum(%v) = %d at cost %v, eager %d at %v", what, step, r, got, &cq, want, &ce)
+					var cf, cq metrics.Counter
+					if got, want := queued.Sum(r, &cq), fresh.Sum(r, &cf); got != want || cq != cf {
+						t.Fatalf("%s step %d: queued Sum(%v) = %v at cost %v, a fresh build %v at %v", what, step, r, got, &cq, want, &cf)
 					}
-					ce, cq = metrics.Counter{}, metrics.Counter{}
+					cf, cq = metrics.Counter{}, metrics.Counter{}
 					v, lo, hi, err := blocked.SumBoundsContext(ctx, queued, r, &cq)
-					wv, wlo, whi, _ := blocked.SumBoundsContext(ctx, eager, r, &ce)
-					if err != nil || v != wv || lo != wlo || hi != whi || cq != ce {
-						t.Fatalf("%s step %d: queued SumBoundsContext(%v) = %d in [%d,%d] at cost %v (err %v), eager %d in [%d,%d] at %v",
-							what, step, r, v, lo, hi, &cq, err, wv, wlo, whi, &ce)
+					wv, wlo, whi, _ := blocked.SumBoundsContext(ctx, fresh, r, &cf)
+					if err != nil || v != wv || lo != wlo || hi != whi || cq != cf {
+						t.Fatalf("%s step %d: queued SumBoundsContext(%v) = %v in [%v,%v] at cost %v (err %v), a fresh build %v in [%v,%v] at %v",
+							what, step, r, v, lo, hi, &cq, err, wv, wlo, whi, &cf)
 					}
 				}
 			}
@@ -93,14 +102,18 @@ func TestQueuedApplyMatchesEager(t *testing.T) {
 				t.Fatalf("%s: 40 batches never filled the queue", what)
 			}
 			queued.Flush(nil)
-			if !slices.Equal(queued.Cube().Data(), eager.Cube().Data()) {
-				t.Fatalf("%s: the queued structure's cells diverged from the eager one's", what)
-			}
-			fresh := blocked.BuildIntDims(queued.Cube().Clone(), bs)
+			fresh := blocked.BuildWithEdges[T, G](mirror.Clone(), bs)
 			if !slices.Equal(queued.Packed().P().Data(), fresh.Packed().P().Data()) {
 				t.Fatalf("%s: after Flush packed is %v, a rebuild from the cells %v", what, queued.Packed().P().Data(), fresh.Packed().P().Data())
 			}
-			checkEdgesFresh(t, queued, what)
+			for keep, e := range fresh.Edges() {
+				if !slices.Equal(queued.Edges()[keep].Data(), e.Data()) {
+					t.Fatalf("%s: the edge array keeping dimensions %b is not a rebuild's", what, keep)
+				}
+			}
+			if len(queued.Edges()) != len(fresh.Edges()) {
+				t.Fatalf("%s: %d edge arrays, a rebuild has %d", what, len(queued.Edges()), len(fresh.Edges()))
+			}
 		}
 	}
 }

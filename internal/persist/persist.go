@@ -237,7 +237,10 @@ func ReadPrefixSum(r io.Reader) (*prefixsum.IntArray, error) {
 }
 
 // WriteBlocked serializes a blocked index: block sizes, cube, packed sums.
+// It first folds bl's queued value-to-adds into packed (Flush), since the
+// format holds no queue: without the fold a restored index would lose them.
 func WriteBlocked(w io.Writer, bl *blocked.IntArray) error {
+	bl.Flush(nil)
 	cw := &crcWriter{w: w}
 	if err := writeHeader(cw, KindBlocked); err != nil {
 		return err

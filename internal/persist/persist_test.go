@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"rangecube/internal/core/batchsum"
 	"rangecube/internal/core/blocked"
 	"rangecube/internal/core/maxtree"
 	"rangecube/internal/core/prefixsum"
@@ -87,6 +88,33 @@ func TestBlockedRoundTrip(t *testing.T) {
 	for i, b := range got.BlockSizes() {
 		if b != bs[i] {
 			t.Fatalf("BlockSizes = %v, want %v", got.BlockSizes(), bs)
+		}
+	}
+}
+
+// TestBlockedRoundTripKeepsQueuedDeltas: a blocked index holds its updates'
+// packed half in a queue until enough blocks are queued, and the format has
+// no queue, so WriteBlocked folds it first: one delta of 9 on a 64² cube at
+// b = 4, queued and not folded, survives the round trip.
+func TestBlockedRoundTripKeepsQueuedDeltas(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	a := ndarray.New[int64](64, 64)
+	a.Fill(func([]int) int64 { return int64(rng.Intn(500) - 250) })
+	bl := blocked.BuildInt(a, 4)
+	if folded := batchsum.ApplyBlockedInt(bl, []batchsum.IntUpdate{{Coords: []int{21, 42}, Delta: 9}}, nil); folded != 0 {
+		t.Fatalf("one delta folded %d blocks, want it queued", folded)
+	}
+	var buf bytes.Buffer
+	if err := WriteBlocked(&buf, bl); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadBlocked(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []ndarray.Region{a.Bounds(), ndarray.Reg(20, 40, 40, 63), ndarray.Reg(0, 21, 0, 42)} {
+		if g, w := got.Sum(r, nil), naive.SumInt64(a, r, nil); g != w {
+			t.Fatalf("restored blocked Sum(%v) = %d, want %d", r, g, w)
 		}
 	}
 }

@@ -150,7 +150,7 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 		Resets: reg.Counter("cube_wal_resets_total",
 			"WAL truncations back to the header after a snapshot."),
 		Faults: reg.Counter("cube_wal_faults_total",
-			"Append-path storage errors (failed writes and fsyncs) observed by the WAL."),
+			"WAL storage errors: failed append writes and fsyncs, and failed compaction resets."),
 		Repairs: reg.Counter("cube_wal_repairs_total",
 			"WAL append faults healed in place by the rewind-and-retry path."),
 	}

@@ -151,15 +151,21 @@ func TestAppendPoisonsAfterRepeatedFaults(t *testing.T) {
 }
 
 // Reset must not report success when the post-truncate fsync fails — the
-// on-disk length would be unproven — and the failure poisons the log.
+// on-disk length would be unproven — and the failure poisons the log and
+// counts as one fault.
 func TestResetFsyncFailurePoisons(t *testing.T) {
 	l, inj, _ := openFaulty(t)
+	met, faults, _ := faultMetrics()
+	l.SetMetrics(met)
 	if err := l.Append(testBatches(1)[0]); err != nil {
 		t.Fatal(err)
 	}
 	inj.FailSyncs(1, faultio.ErrIO)
 	if err := l.Reset(); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("Reset with failed fsync: %v, want ErrPoisoned", err)
+	}
+	if got := faults.Value(); got != 1 {
+		t.Fatalf("Faults = %d after a Reset fsync failure poisoned the log, want 1", got)
 	}
 	inj.Clear()
 	if err := l.Append(testBatches(2)[1]); !errors.Is(err, ErrPoisoned) {

@@ -283,10 +283,11 @@ type Metrics struct {
 	FsyncSeconds *telemetry.Histogram
 	// Resets counts snapshot-driven truncations back to the header.
 	Resets *telemetry.Counter
-	// Faults counts append-path storage errors (failed writes and fsyncs),
-	// and Repairs the faults healed in place by the rewind-and-retry path.
-	// Faults minus Repairs that did not poison the log is always 0 or 1 —
-	// a second fault inside one append poisons it.
+	// Faults counts storage errors: Append's failed writes and fsyncs, and
+	// the failed truncate, fsync or seek with which Reset poisons the log.
+	// Repairs counts the Append faults healed in place by the
+	// rewind-and-retry path. Faults minus Repairs grows only when the log
+	// poisons, by 1 or 2 — a second fault inside one append poisons it.
 	Faults  *telemetry.Counter
 	Repairs *telemetry.Counter
 }
@@ -583,14 +584,23 @@ func (l *Log) Reset() error {
 		return l.Poisoned()
 	}
 	if err := l.f.Truncate(headerSize); err != nil {
+		if l.met != nil {
+			l.met.Faults.Inc()
+		}
 		l.poison(fmt.Errorf("reset truncate failed: %v", err))
 		return l.Poisoned()
 	}
 	if err := l.f.Sync(); err != nil {
+		if l.met != nil {
+			l.met.Faults.Inc()
+		}
 		l.poison(fmt.Errorf("reset fsync failed: %v", err))
 		return l.Poisoned()
 	}
 	if _, err := l.f.Seek(headerSize, io.SeekStart); err != nil {
+		if l.met != nil {
+			l.met.Faults.Inc()
+		}
 		l.poison(fmt.Errorf("reset seek failed: %v", err))
 		return l.Poisoned()
 	}

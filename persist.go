@@ -24,7 +24,7 @@ func ReadSumIndex(r io.Reader) (*SumIndex, error) {
 }
 
 // Save serializes the blocked index: cube, packed prefix sums and block
-// sizes.
+// sizes. It first folds the queued value-to-adds into the packed sums.
 func (s *BlockedSumIndex) Save(w io.Writer) error { return persist.WriteBlocked(w, s.bl) }
 
 // ReadBlockedSumIndex deserializes a blocked index written by Save.

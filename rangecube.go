@@ -164,8 +164,11 @@ func (s *BlockedSumIndex) Sum(r Region) int64 { return s.bl.Sum(r, nil) }
 // SumCounted is Sum with cost accounting.
 func (s *BlockedSumIndex) SumCounted(r Region, c *Counter) int64 { return s.bl.Sum(r, c) }
 
-// Update applies a batch of updates to both the cube and the packed prefix
-// sums (§5.2), returning the packed region count.
+// Update applies a batch of updates the way a server does (§5.1, §5.2): the
+// cube cells at once, and one combined value-to-add per block to a queue
+// that is folded into the packed prefix sums in one pass whenever it reaches
+// ⌈√(packed entries)⌉ blocks. Sums count the queue at every point. It returns
+// the number of blocks folded: 0 while the queue has room.
 func (s *BlockedSumIndex) Update(batch []SumUpdate) int {
 	return batchsum.ApplyBlockedInt(s.bl, batch, nil)
 }
