@@ -10,7 +10,6 @@
 //	curl 'localhost:8080/query?op=max&state=CA..TX'
 //	curl -X POST localhost:8080/query/batch -d '[{"op":"sum","select":{"age":"37..52"}},{"op":"max"}]'
 //	curl -X POST localhost:8080/update -d '{"updates":[{"coords":[0,0,0,0],"delta":5}]}'
-//	curl 'localhost:8080/advise?space=100000'
 //
 // With -wal and -snapshot the server is crash-safe: update batches are
 // fsynced to the write-ahead log before they apply, the cube is snapshotted

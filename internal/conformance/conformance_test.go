@@ -62,11 +62,11 @@ func TestEmptyAndDegenerateRegions(t *testing.T) {
 			-9, 1, 1, -300,
 		},
 		Ops: []Op{
-			{Kind: OpSum, Region: Rect{{0, -1}, {0, 0}, {0, 3}}},  // empty in dim 0
-			{Kind: OpMax, Region: Rect{{0, 2}, {0, 0}, {2, 1}}},   // empty in dim 2
-			{Kind: OpSum, Region: Rect{{1, 1}, {0, 0}, {3, 3}}},   // single cell
-			{Kind: OpSum, Region: Rect{{0, 2}, {0, 0}, {0, 3}}},   // full cube
-			{Kind: OpMax, Region: Rect{{2, 2}, {0, 0}, {0, 3}}},   // one line
+			{Kind: OpSum, Region: Rect{{0, -1}, {0, 0}, {0, 3}}}, // empty in dim 0
+			{Kind: OpMax, Region: Rect{{0, 2}, {0, 0}, {2, 1}}},  // empty in dim 2
+			{Kind: OpSum, Region: Rect{{1, 1}, {0, 0}, {3, 3}}},  // single cell
+			{Kind: OpSum, Region: Rect{{0, 2}, {0, 0}, {0, 3}}},  // full cube
+			{Kind: OpMax, Region: Rect{{2, 2}, {0, 0}, {0, 3}}},  // one line
 			{Kind: OpUpdate, Assigns: []Assign{{Coords: []int{0, 0, 2}, Value: 11}}},
 			{Kind: OpSum, Region: Rect{{0, 0}, {0, 0}, {2, 2}}},
 		},

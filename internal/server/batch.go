@@ -209,7 +209,6 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 			results[i].Error = err.Error()
 			continue
 		}
-		s.qlog.Add(region)
 		slots[i] = batchSlot{op: op, region: region}
 	}
 	if s.opts.AcceptState {

@@ -150,8 +150,9 @@ func (s *Server) commitGroups(ctx context.Context, groups [][]ingest.Update) (ui
 // it waited on the disk, on readers or on the shards.
 func (s *Server) commitLocked(ctx context.Context, cells []shard.PointDelta) (uint64, error) {
 	sp := trace.FromContext(ctx)
-	var end int64
+	var at, end int64 // the batch's record in the log
 	if s.wal != nil {
+		at = s.wal.Size()
 		// One Append is one fsync for the whole group — the amortization the
 		// pipeline exists for.
 		wupsP := walUpsPool.Get().(*[]wal.Update)
@@ -196,10 +197,13 @@ func (s *Server) commitLocked(ctx context.Context, cells []shard.PointDelta) (ui
 	asp := sp.Child("structures.apply")
 	s.applyCellsLocked(trace.NewContext(ctx, asp), cells)
 	asp.End()
-	// Publish the commit: the lock-free committed mirror, and walEnd, which
-	// lets the replication readers at the record just applied.
+	// Publish the commit: the lock-free committed mirror, and walEnd and the
+	// record's offset, which let GET /wal at the record just applied.
 	s.committed.Store(seq)
 	s.walEnd.Store(end)
+	if s.wal != nil {
+		s.walOffs = append(s.walOffs, at)
+	}
 	s.mu.Unlock()
 	s.met.writeLockHold.Observe(time.Since(held).Nanoseconds())
 

@@ -298,8 +298,7 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 // A shape change is only legal while the server is still awaiting its first
 // state (the placeholder cube has no meaning); afterwards the shape is
 // pinned and a mismatched push is rejected. The follower pump also lands
-// here when the leader's WAL generation moved and the follower re-bootstraps
-// from /snapshot.
+// here when it re-bootstraps from the leader's /snapshot.
 func (s *Server) resetState(seq uint64, cells *ndarray.Array[int64]) error {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()

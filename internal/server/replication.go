@@ -20,25 +20,21 @@ import (
 	"rangecube/internal/wal"
 )
 
-// WAL shipping over HTTP: GET /wal?from=<offset>&gen=<generation> streams
-// the log's committed prefix from a byte offset, so a remote follower
-// resumes replication from wherever it left off. The generation token is
-// the correctness hinge — compaction and degraded-mode recovery truncate
-// and regrow the log, after which old byte offsets silently point at
-// different records; the bumped generation turns that silent corruption
-// into an explicit 410 that sends the follower back to /snapshot.
+// WAL shipping over HTTP: GET /wal?after=<seq> streams the leader's log
+// records of every batch above seq, so a remote follower resumes from the one
+// cursor it already holds, its own applied seq. The seq is also the
+// correctness check: a follower applies only the batch numbered one past its
+// own, so a stream that skips, repeats or mixes logs never advances it past a
+// gap. When the leader's log no longer holds the batch after seq (a
+// compaction truncated it), the leader answers 410 and the follower
+// re-bootstraps from /snapshot.
 
 // ErrReadOnly rejects writes submitted to a read-only follower.
 var ErrReadOnly = errors.New("server: read-only follower, updates go to the leader")
 
-// Replication response headers: the WAL generation the body belongs to, the
-// byte range it covers, and the sequence committed at capture time.
-const (
-	hdrWALGen  = "X-Cube-Wal-Gen"
-	hdrWALFrom = "X-Cube-Wal-From"
-	hdrWALSize = "X-Cube-Wal-Size"
-	hdrSeq     = "X-Cube-Seq"
-)
+// hdrSeq stamps a replication response with the sequence committed at
+// capture time.
+const hdrSeq = "X-Cube-Seq"
 
 // followFetchTimeout bounds one follower poll (WAL fetch or snapshot
 // re-bootstrap).
@@ -50,51 +46,44 @@ func drainBody(resp *http.Response) {
 	resp.Body.Close()
 }
 
-// handleWALFetch streams the WAL's applied prefix from ?from=<offset>.
-// The end offset, sequence and generation are captured under one read
-// epoch: a commit publishes walEnd in the write-lock hold that applies its
-// batch, so everything below it is a whole, fsynced record this server
-// already shows — the file may hold one more, durable but unapplied, which
-// must not ship yet. The stream itself runs unlocked from a private
-// file handle; if a compaction truncates the log mid-stream the reader gets
-// a short body, applies the clean prefix, and its next poll turns into a
-// 410 re-bootstrap.
+// handleWALFetch streams the log records of the batches above ?after=<seq>
+// (default 0). The offset of batch after+1 is looked up in walOffs, and the
+// end offset and sequence are captured, under one read epoch: a commit
+// publishes walEnd and its record's offset in the write-lock hold that
+// applies its batch, so everything below walEnd is a whole, fsynced record
+// this server already shows — the file may hold one more, durable but
+// unapplied, which must not ship yet. A log that does not hold batch after+1,
+// or an after above this server's seq, answers 410. The stream itself runs
+// unlocked from a private file handle: if a compaction truncates the log
+// mid-stream the reader gets a short body, and if the log regrows under it
+// the reader may get records of the new log at the old offsets. The follower
+// applies only the batch after its own seq, so either way it holds a prefix
+// of the leader's batches.
 func (s *Server) handleWALFetch(w http.ResponseWriter, r *http.Request) {
 	if s.opts.WALPath == "" {
 		s.writeError(w, r, http.StatusNotFound, "no write-ahead log configured")
 		return
 	}
-	s.mu.RLock()
-	size := s.walEnd.Load()
-	seq := s.seq
-	gen := s.walGen.Load()
-	s.mu.RUnlock()
-
-	from := wal.HeaderSize
-	if v := r.URL.Query().Get("from"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			s.writeError(w, r, http.StatusBadRequest, "bad from offset %q", v)
-			return
-		}
-		if n > from {
-			from = n
-		}
-	}
-	w.Header().Set(hdrWALGen, strconv.FormatUint(gen, 10))
-	if v := r.URL.Query().Get("gen"); v != "" {
-		g, err := strconv.ParseUint(v, 10, 64)
+	var after uint64
+	if v := r.URL.Query().Get("after"); v != "" {
+		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			s.writeError(w, r, http.StatusBadRequest, "bad generation %q", v)
+			s.writeError(w, r, http.StatusBadRequest, "bad after seq %q", v)
 			return
 		}
-		if g != gen {
-			s.writeError(w, r, http.StatusGone, "WAL generation %d superseded by %d, re-bootstrap from /snapshot", g, gen)
-			return
-		}
+		after = n
 	}
-	if from > size {
-		s.writeError(w, r, http.StatusGone, "offset %d past the log end %d, re-bootstrap from /snapshot", from, size)
+	s.mu.RLock()
+	size, seq := s.walEnd.Load(), s.seq
+	from := int64(-1) // the log holds no record of batch after+1
+	if after == seq {
+		from = size
+	} else if i := after - s.walBase; i < uint64(len(s.walOffs)) { // after < walBase wraps past the slice
+		from = s.walOffs[i]
+	}
+	s.mu.RUnlock()
+	if from < 0 {
+		s.writeError(w, r, http.StatusGone, "log holds no batch after seq %d (leader at seq %d), re-bootstrap from /snapshot", after, seq)
 		return
 	}
 
@@ -108,8 +97,6 @@ func (s *Server) handleWALFetch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusInternalServerError, "seeking WAL: %v", err)
 		return
 	}
-	w.Header().Set(hdrWALFrom, strconv.FormatInt(from, 10))
-	w.Header().Set(hdrWALSize, strconv.FormatInt(size, 10))
 	w.Header().Set(hdrSeq, strconv.FormatUint(seq, 10))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.FormatInt(size-from, 10))
@@ -119,10 +106,9 @@ func (s *Server) handleWALFetch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleSnapshotFetch serves the full cube state as a snapshot, stamped
-// with the WAL generation and applied end offset captured in the same read
-// epoch — the exact resume point for a follower that applies this snapshot:
-// every record at or past that offset postdates these cells.
+// handleSnapshotFetch serves the full cube state as a snapshot. The seq
+// inside it, also stamped as X-Cube-Seq, is the resume point of a follower
+// that applies it: GET /wal?after=<seq> ships every later batch.
 func (s *Server) handleSnapshotFetch(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	var b bytes.Buffer
@@ -132,12 +118,8 @@ func (s *Server) handleSnapshotFetch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	seq := s.seq
-	gen := s.walGen.Load()
-	wsize := max(s.walEnd.Load(), wal.HeaderSize) // 0 without a WAL
 	s.mu.RUnlock()
 
-	w.Header().Set(hdrWALGen, strconv.FormatUint(gen, 10))
-	w.Header().Set(hdrWALSize, strconv.FormatInt(wsize, 10))
 	w.Header().Set(hdrSeq, strconv.FormatUint(seq, 10))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(b.Len()))
@@ -150,11 +132,13 @@ func (s *Server) handleSnapshotFetch(w http.ResponseWriter, r *http.Request) {
 // ApplyReplicated applies a leader's WAL batches to this server in
 // sequence order, each as one write epoch. Batches at or below the current
 // sequence are skipped, so overlapping fetches (a snapshot resume racing a
-// pending stream) are idempotent. Durability is the leader's: nothing is
-// re-logged here. Every batch is checked against the cube's shape before any
-// is applied: a batch naming a cell that does not exist, and every batch after
-// it, is left unapplied with an error. It returns how many batches, from the
-// first, this server now holds, applied here or skipped as already held.
+// pending stream) are idempotent; any other batch must be numbered one past
+// the current sequence. Durability is the leader's: nothing is re-logged here.
+// Every batch is checked against the cube's shape before any is applied. A
+// batch naming a cell that does not exist, or leaving a gap in the sequence,
+// is left unapplied with an error, and so is every batch after it. It returns
+// how many batches, from the first, this server now holds, applied here or
+// skipped as already held.
 func (s *Server) ApplyReplicated(batches []wal.Batch) (applied int, err error) {
 	shape := s.cube.Shape() // immutable, as in SubmitUpdates
 	valid := len(batches)
@@ -169,16 +153,18 @@ check:
 	}
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
-	for _, b := range batches[:valid] {
-		s.mu.Lock()
+	for i, b := range batches[:valid] {
 		if b.Seq <= s.seq {
-			s.mu.Unlock()
 			continue
 		}
-		cells := make([]shard.PointDelta, len(b.Updates))
-		for i, u := range b.Updates {
-			cells[i] = shard.PointDelta{Coords: u.Coords, Delta: u.Delta}
+		if b.Seq != s.seq+1 {
+			return i, fmt.Errorf("server: replicated batch seq %d does not follow seq %d", b.Seq, s.seq)
 		}
+		cells := make([]shard.PointDelta, len(b.Updates))
+		for k, u := range b.Updates {
+			cells[k] = shard.PointDelta{Coords: u.Coords, Delta: u.Delta}
+		}
+		s.mu.Lock()
 		s.applyCellsLocked(context.Background(), cells)
 		s.seq = b.Seq
 		s.committed.Store(s.seq)
@@ -217,7 +203,7 @@ func JoinLeader(ctx context.Context, leaderURL string, opts Options) (*Server, e
 	if _, err := cl.DoJSON(ctx, http.MethodGet, leaderURL+"/schema", nil, &sch); err != nil {
 		return nil, fmt.Errorf("server: joining %s: %w", leaderURL, err)
 	}
-	seq, cells, gen, wsize, err := fetchSnapshot(ctx, cl, leaderURL)
+	seq, cells, err := fetchSnapshot(ctx, cl, leaderURL)
 	if err != nil {
 		return nil, fmt.Errorf("server: joining %s: %w", leaderURL, err)
 	}
@@ -248,57 +234,48 @@ func JoinLeader(ctx context.Context, leaderURL string, opts Options) (*Server, e
 	// so the follower starts caught up with a fresh progress stamp.
 	s.followLeaderSeq.Store(seq)
 	s.followProgress.Store(time.Now().UnixNano())
-	s.startFollowPump(leaderURL, gen, wsize)
-	s.logf("server: joined leader %s at seq %d (WAL gen %d, offset %d)", leaderURL, seq, gen, wsize)
+	s.startFollowPump(leaderURL)
+	s.logf("server: joined leader %s at seq %d", leaderURL, seq)
 	return s, nil
 }
 
-// fetchSnapshot retrieves the leader's current state plus the WAL resume
-// point stamped on it.
-func fetchSnapshot(ctx context.Context, cl *client.Client, leaderURL string) (seq uint64, cells *ndarray.Array[int64], gen uint64, wsize int64, err error) {
+// fetchSnapshot retrieves the leader's current state and its seq.
+func fetchSnapshot(ctx context.Context, cl *client.Client, leaderURL string) (seq uint64, cells *ndarray.Array[int64], err error) {
 	resp, err := cl.Do(ctx, http.MethodGet, leaderURL+"/snapshot", nil)
 	if err != nil {
-		return 0, nil, 0, 0, err
+		return 0, nil, err
 	}
 	defer drainBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return 0, nil, 0, 0, fmt.Errorf("GET /snapshot: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
+		return 0, nil, fmt.Errorf("GET /snapshot: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
 	}
 	seq, cells, err = persist.ReadSnapshot(resp.Body)
 	if err != nil {
-		return 0, nil, 0, 0, fmt.Errorf("decoding snapshot: %w", err)
+		return 0, nil, fmt.Errorf("decoding snapshot: %w", err)
 	}
-	gen, _ = strconv.ParseUint(resp.Header.Get(hdrWALGen), 10, 64)
-	wsize, _ = strconv.ParseInt(resp.Header.Get(hdrWALSize), 10, 64)
-	if wsize < wal.HeaderSize {
-		wsize = wal.HeaderSize
-	}
-	return seq, cells, gen, wsize, nil
+	return seq, cells, nil
 }
 
-// startFollowPump launches the WAL-shipping poll loop from the given
-// generation and byte offset; Close stops it.
-func (s *Server) startFollowPump(leaderURL string, gen uint64, offset int64) {
+// startFollowPump launches the WAL-shipping poll loop; Close stops it.
+func (s *Server) startFollowPump(leaderURL string) {
 	cl := client.New(client.Options{MaxAttempts: 2, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 200 * time.Millisecond})
-	s.tickers = append(s.tickers, startTicker(s.opts.FollowPoll, func() {
-		gen, offset = s.followFetch(cl, leaderURL, gen, offset)
-	}))
+	s.tickers = append(s.tickers, startTicker(s.opts.FollowPoll, func() { s.followFetch(cl, leaderURL) }))
 }
 
-// followFetch performs one replication poll and returns the advanced
-// (generation, offset) cursor. Transport errors leave the cursor where it
-// was; a 410 means the log the cursor points into was superseded, and a batch
-// this cube cannot apply means the log is not one it can follow, so in both
-// cases the follower re-bootstraps from a fresh snapshot.
-func (s *Server) followFetch(cl *client.Client, leaderURL string, gen uint64, offset int64) (uint64, int64) {
+// followFetch performs one replication poll for the batches after this
+// server's seq. A transport error leaves the follower where it was, for the
+// next poll to retry. A 410 means the leader's log no longer reaches back to
+// this seq, and a batch this cube cannot apply means the log is not one it
+// can follow, so in both cases the follower re-bootstraps from a fresh
+// snapshot.
+func (s *Server) followFetch(cl *client.Client, leaderURL string) {
 	ctx, cancel := context.WithTimeout(context.Background(), followFetchTimeout)
 	defer cancel()
-	u := fmt.Sprintf("%s/wal?from=%d&gen=%d", leaderURL, offset, gen)
-	resp, err := cl.Do(ctx, http.MethodGet, u, nil)
+	resp, err := cl.Do(ctx, http.MethodGet, fmt.Sprintf("%s/wal?after=%d", leaderURL, s.Seq()), nil)
 	if err != nil {
 		s.logf("server: follower fetch: %v", err)
-		return gen, offset
+		return
 	}
 	defer drainBody(resp)
 	switch resp.StatusCode {
@@ -309,9 +286,8 @@ func (s *Server) followFetch(cl *client.Client, leaderURL string, gen uint64, of
 		if lead, perr := strconv.ParseUint(resp.Header.Get(hdrSeq), 10, 64); perr == nil {
 			s.followLeaderSeq.Store(lead)
 		}
-		// A short or torn body decodes to its clean record prefix; the
-		// cursor advances exactly past what was applied, so the remainder
-		// is refetched next poll.
+		// A short or torn body decodes to its clean record prefix; the next
+		// poll asks for what follows the batches applied from it.
 		batches, n, serr := wal.ScanStream(resp.Body)
 		if len(batches) > 0 {
 			// Root a span per applying poll (not per idle poll — those are
@@ -320,63 +296,40 @@ func (s *Server) followFetch(cl *client.Client, leaderURL string, gen uint64, of
 			sp := s.tracer.Root("follow.fetch")
 			sp.Set("batches", strconv.Itoa(len(batches)))
 			sp.Set("bytes", strconv.FormatInt(n, 10))
-			applied, aerr := s.ApplyReplicated(batches)
-			if aerr != nil {
-				// The leader's log names a cell this cube does not have: the
-				// stream past the last good batch cannot be applied, so start
-				// over from the leader's state.
+			if _, aerr := s.ApplyReplicated(batches); aerr != nil {
+				// The stream past the last good batch cannot be applied, so
+				// start over from the leader's state.
 				sp.SetError(aerr.Error())
 				sp.End()
 				s.logf("server: follower apply: %v", aerr)
-				for _, b := range batches[:applied] {
-					offset += recordBytes(b)
-				}
-				return s.followRebootstrap(ctx, cl, leaderURL, gen, offset)
+				s.rebootstrap(ctx, cl, leaderURL)
+				return
 			}
 			sp.End()
 		}
 		if serr != nil {
-			s.logf("server: follower scan at offset %d: %v", offset, serr)
+			s.logf("server: follower scan after seq %d: %v", s.Seq(), serr)
 		}
 		s.followProgress.Store(time.Now().UnixNano())
-		return gen, offset + n
 	case http.StatusGone:
-		return s.followRebootstrap(ctx, cl, leaderURL, gen, offset)
+		s.rebootstrap(ctx, cl, leaderURL)
 	default:
 		s.logf("server: follower fetch: unexpected status %s", resp.Status)
-		return gen, offset
 	}
 }
 
-// followRebootstrap re-bootstraps the follower and returns the cursor to
-// resume from: the snapshot's, or (gen, offset) when that failed.
-func (s *Server) followRebootstrap(ctx context.Context, cl *client.Client, leaderURL string, gen uint64, offset int64) (uint64, int64) {
-	ngen, noff, err := s.rebootstrap(ctx, cl, leaderURL)
+// rebootstrap replaces the follower's state with the leader's snapshot. On
+// a failure the follower keeps its state and the next poll tries again.
+func (s *Server) rebootstrap(ctx context.Context, cl *client.Client, leaderURL string) {
+	seq, cells, err := fetchSnapshot(ctx, cl, leaderURL)
+	if err == nil {
+		err = s.resetState(seq, cells)
+	}
 	if err != nil {
 		s.logf("server: follower re-bootstrap: %v", err)
-		return gen, offset
+		return
 	}
 	s.met.resyncFollower.Inc()
 	s.followProgress.Store(time.Now().UnixNano())
-	s.logf("server: follower re-bootstrapped (WAL gen %d, offset %d)", ngen, noff)
-	return ngen, noff
-}
-
-// recordBytes is the length of b's record in the log: its frame and payload.
-func recordBytes(b wal.Batch) int64 {
-	p, _ := wal.EncodeBatch(b) // b was decoded from a record, so it encodes
-	return wal.FrameSize + int64(len(p))
-}
-
-// rebootstrap refreshes the follower from the leader's snapshot after its
-// WAL cursor was invalidated.
-func (s *Server) rebootstrap(ctx context.Context, cl *client.Client, leaderURL string) (uint64, int64, error) {
-	seq, cells, gen, wsize, err := fetchSnapshot(ctx, cl, leaderURL)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := s.resetState(seq, cells); err != nil {
-		return 0, 0, err
-	}
-	return gen, wsize, nil
+	s.logf("server: follower re-bootstrapped at seq %d", seq)
 }

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"rangecube/internal/client"
 	"rangecube/internal/cube"
 	"rangecube/internal/ingest"
 	"rangecube/internal/naive"
@@ -102,97 +103,93 @@ func checkBatches(t *testing.T, got []wal.Batch, from, n int) {
 	}
 }
 
-// TestWALFetchResumeSweep resumes the replication stream from every byte
-// offset of the log. Offsets on record boundaries must yield exactly the
-// remaining batches; every other offset must decode to nothing (the CRC
-// framing rejects mid-record starts) — never to a wrong or duplicated
-// batch.
-func TestWALFetchResumeSweep(t *testing.T) {
-	const K = 12
-	_, ts := replLeader(t, K, nil)
-
-	resp := fetchWAL(t, ts, "")
-	full, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("full fetch: status %d", resp.StatusCode)
+// restartedLeader boots a second leader from copies of s's snapshot and log
+// as a crash leaves them: s is not closed, so nothing is compacted first.
+func restartedLeader(t *testing.T, s *Server) *httptest.Server {
+	t.Helper()
+	dir := t.TempDir()
+	opts := s.opts
+	opts.WALPath = filepath.Join(dir, "updates.wal")
+	opts.SnapshotPath = filepath.Join(dir, "cube.snap")
+	for from, to := range map[string]string{s.opts.WALPath: opts.WALPath, s.opts.SnapshotPath: opts.SnapshotPath} {
+		data, err := os.ReadFile(from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(to, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := resp.Header.Get("X-Cube-Seq"); got != strconv.Itoa(K) {
-		t.Fatalf("X-Cube-Seq %q, want %d", got, K)
-	}
+	r, err := NewWithOptions(cube.New(
+		cube.NewIntDimension("x", 0, 7),
+		cube.NewIntDimension("y", 0, 7),
+	), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, n, _ := wal.ScanStream(bytes.NewReader(full))
-	if n != int64(len(full)) {
-		t.Fatalf("full stream consumed %d of %d bytes", n, len(full))
-	}
-	checkBatches(t, all, 0, K)
+	ts := httptest.NewServer(r.Handler())
+	t.Cleanup(func() { ts.Close(); r.Close() })
+	return ts
+}
 
-	// Record boundaries, as stream-relative offsets: the prefix lengths that
-	// scan clean to the full prefix.
-	boundary := map[int64]int{0: 0} // relative offset -> batches before it
-	for limit := 1; limit <= len(full); limit++ {
-		b, n, _ := wal.ScanStream(bytes.NewReader(full[:limit]))
-		if n == int64(limit) {
-			boundary[n] = len(b)
-		}
+// TestWALFetchResumeSweep resumes the replication stream after every seq,
+// on a leader whose log was compacted at seq 3 and then took seqs 4–7, and on
+// the same leader restarted from its files: the restarted one rebuilds its
+// index of record offsets at boot. After k, for k = 3…7, must yield exactly
+// batches k+1…7 (nothing at 7); an after the log does not reach back to, or
+// one past the leader's seq, answers 410; an unparseable one, 400.
+func TestWALFetchResumeSweep(t *testing.T) {
+	const base, K = 3, 7
+	s, ts := replLeader(t, base, nil)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
-	if len(boundary) != K+1 {
-		t.Fatalf("found %d record boundaries, want %d", len(boundary), K+1)
+	for i := base; i < K; i++ {
+		commitOne(t, s, i)
 	}
-
-	size := wal.HeaderSize + int64(len(full))
-	for off := int64(0); off <= size; off++ {
-		resp := fetchWAL(t, ts, fmt.Sprintf("?from=%d", off))
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("from=%d: status %d err %v", off, resp.StatusCode, err)
+	for name, ts := range map[string]*httptest.Server{"live": ts, "restarted": restartedLeader(t, s)} {
+		for after := 0; after <= K+1; after++ {
+			resp := fetchWAL(t, ts, fmt.Sprintf("?after=%d", after))
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if after < base || after > K {
+				if resp.StatusCode != http.StatusGone {
+					t.Fatalf("%s, after=%d: status %d, want 410", name, after, resp.StatusCode)
+				}
+				continue
+			}
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s, after=%d: status %d err %v", name, after, resp.StatusCode, err)
+			}
+			if got := resp.Header.Get(hdrSeq); got != strconv.Itoa(K) {
+				t.Fatalf("%s, after=%d: X-Cube-Seq %q, want %d", name, after, got, K)
+			}
+			got, n, serr := wal.ScanStream(bytes.NewReader(body))
+			if serr != nil || n != int64(len(body)) {
+				t.Fatalf("%s, after=%d: scanned %d of %d bytes (%v)", name, after, n, len(body), serr)
+			}
+			checkBatches(t, got, after, K)
 		}
-		want := off
-		if want < wal.HeaderSize {
-			want = wal.HeaderSize
+		for _, q := range []string{"?after=x", "?after=-1"} {
+			resp := fetchWAL(t, ts, q)
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s, %s: status %d, want 400", name, q, resp.StatusCode)
+			}
 		}
-		if got := resp.Header.Get("X-Cube-Wal-From"); got != strconv.FormatInt(want, 10) {
-			t.Fatalf("from=%d: X-Cube-Wal-From %q, want %d", off, got, want)
-		}
-		if int64(len(body)) != size-want {
-			t.Fatalf("from=%d: body %d bytes, want %d", off, len(body), size-want)
-		}
-		got, _, _ := wal.ScanStream(bytes.NewReader(body))
-		if applied, ok := boundary[want-wal.HeaderSize]; ok {
-			checkBatches(t, got, applied, K)
-		} else if len(got) != 0 {
-			t.Fatalf("from=%d (mid-record): decoded %d batches, want 0", off, len(got))
-		}
-	}
-
-	// Past the end: 410, go re-bootstrap.
-	resp = fetchWAL(t, ts, fmt.Sprintf("?from=%d", size+1))
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("from past end: status %d, want 410", resp.StatusCode)
-	}
-	// Unparseable offset: 400.
-	resp = fetchWAL(t, ts, "?from=x")
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad offset: status %d, want 400", resp.StatusCode)
 	}
 }
 
 // TestWALFetchTornStream cuts the replication stream at every byte — a
 // dropped connection mid-transfer — and checks the follower contract: the
-// torn prefix applies only whole records, and resuming from the advanced
-// offset yields exactly the missing batches, each applied once.
+// torn prefix applies only whole records, and resuming after the last batch
+// it decoded yields exactly the missing batches, each applied once.
 func TestWALFetchTornStream(t *testing.T) {
 	const K = 8
 	_, ts := replLeader(t, K, nil)
 
-	resp := fetchWAL(t, ts, "")
+	resp := fetchWAL(t, ts, "") // after defaults to 0: the whole log
 	full, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
@@ -206,8 +203,11 @@ func TestWALFetchTornStream(t *testing.T) {
 		if n > int64(cut) {
 			t.Fatalf("cut %d: consumed %d bytes past the tear", cut, n)
 		}
-		// Resume exactly where the clean prefix ended.
-		resp := fetchWAL(t, ts, fmt.Sprintf("?from=%d", wal.HeaderSize+n))
+		var after uint64
+		if len(head) > 0 {
+			after = head[len(head)-1].Seq
+		}
+		resp := fetchWAL(t, ts, fmt.Sprintf("?after=%d", after))
 		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil || resp.StatusCode != http.StatusOK {
@@ -221,50 +221,46 @@ func TestWALFetchTornStream(t *testing.T) {
 	}
 }
 
-// TestWALFetchGenMismatch pins a fetch to a WAL generation and compacts the
-// log out from under it: the stale generation must answer 410 with the
-// current generation in the header, and a fresh snapshot fetch must carry a
-// resume point that works.
-func TestWALFetchGenMismatch(t *testing.T) {
+// TestWALFetchAfterCompaction compacts the leader's log at seq 3 and commits
+// seq 4. A follower at seq 3, caught up when the log was truncated, gets seq
+// 4 alone; one at seq 2, whose next batch went with the old log, gets 410. The
+// seq inside a fresh /snapshot is a resume point that works.
+func TestWALFetchAfterCompaction(t *testing.T) {
 	s, ts := replLeader(t, 3, nil)
-
-	resp := fetchWAL(t, ts, "?gen=1")
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("matching gen: status %d", resp.StatusCode)
-	}
-
-	// Compaction snapshots then truncates the log, superseding every byte
-	// offset a follower holds.
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	commitOne(t, s, 3)
 
-	resp = fetchWAL(t, ts, "?gen=1")
+	resp := fetchWAL(t, ts, "?after=3")
+	got, _, err := wal.ScanStream(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("after=3: status %d (%v)", resp.StatusCode, err)
+	}
+	checkBatches(t, got, 3, 4)
+
+	resp = fetchWAL(t, ts, "?after=2")
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("stale gen: status %d, want 410", resp.StatusCode)
-	}
-	if got := resp.Header.Get("X-Cube-Wal-Gen"); got != "2" {
-		t.Fatalf("stale gen response advertises gen %q, want 2", got)
+		t.Fatalf("after=2 behind the compaction: status %d, want 410", resp.StatusCode)
 	}
 
-	// The snapshot's stamped resume point must be fetchable at the new gen.
 	sresp, err := ts.Client().Get(ts.URL + "/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, sresp.Body)
+	seq, _, err := persist.ReadSnapshot(sresp.Body)
 	sresp.Body.Close()
-	gen := sresp.Header.Get("X-Cube-Wal-Gen")
-	from := sresp.Header.Get("X-Cube-Wal-Size")
-	resp = fetchWAL(t, ts, "?from="+from+"&gen="+gen)
-	io.Copy(io.Discard, resp.Body)
+	if err != nil || seq != 4 || sresp.Header.Get(hdrSeq) != "4" {
+		t.Fatalf("/snapshot at seq %d, stamped %q (%v), want 4", seq, sresp.Header.Get(hdrSeq), err)
+	}
+	resp = fetchWAL(t, ts, fmt.Sprintf("?after=%d", seq))
+	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("resume at snapshot point: status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK || len(body) != 0 {
+		t.Fatalf("resume at the snapshot's seq: status %d, %d bytes, want 200 and none", resp.StatusCode, len(body))
 	}
 }
 
@@ -371,8 +367,10 @@ func sumOf(t *testing.T, ts string, cl *http.Client) (queryResponse, int) {
 
 // TestJoinLeaderFollowsAndRebootstraps runs the full follower lifecycle
 // in-process: bootstrap from /snapshot, tail /wal, reject writes, survive a
-// leader compaction (generation bump → 410 → snapshot re-bootstrap), and
-// converge to the leader's exact answers throughout.
+// leader compaction that lands while it may be behind (410 → snapshot
+// re-bootstrap) or caught up (it keeps tailing), and converge to the leader's
+// exact answers throughout. TestFollowerRebootstrapsOnlyWhenBehindCompaction
+// owns each of those two paths deterministically.
 func TestJoinLeaderFollowsAndRebootstraps(t *testing.T) {
 	leader, lts := replLeader(t, 5, nil)
 
@@ -434,22 +432,80 @@ func TestJoinLeaderFollowsAndRebootstraps(t *testing.T) {
 	}
 	catchUp("tailing")
 
-	// Compact: the follower's byte offset dies with the old log; the pump
-	// must take the 410, re-bootstrap from /snapshot and keep tailing.
-	if err := leader.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
+	// Compact right behind four more commits, then commit past it: the pump
+	// must follow across whichever side of the truncation it polled on.
 	for i := 9; i < 13; i++ {
 		commitOne(t, leader, i)
 	}
-	catchUp("re-bootstrapped")
+	if err := leader.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 13; i < 15; i++ {
+		commitOne(t, leader, i)
+	}
+	catchUp("across the compaction")
+}
+
+// TestFollowerRebootstrapsOnlyWhenBehindCompaction polls a follower by hand
+// (its pump never ticks). Behind a leader compaction, the follower gets a 410
+// and re-bootstraps from /snapshot exactly once, counted in
+// cube_shard_resync_total{kind="follower"}, and then tails the new log.
+// Caught up at a compaction, it keeps following with no re-bootstrap.
+func TestFollowerRebootstrapsOnlyWhenBehindCompaction(t *testing.T) {
+	leader, lts := replLeader(t, 3, nil)
+	f, err := JoinLeader(context.Background(), lts.URL, Options{
+		BlockSize:  3,
+		Fanout:     3,
+		FollowPoll: time.Hour,
+		Logf:       func(string, ...any) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	cl := client.New(client.Options{})
+	poll := func(stage string, seq uint64, resyncs int64) {
+		t.Helper()
+		f.followFetch(cl, lts.URL)
+		if f.Seq() != seq || f.met.resyncFollower.Value() != resyncs {
+			t.Fatalf("%s: follower at seq %d after %d re-bootstraps, want seq %d after %d",
+				stage, f.Seq(), f.met.resyncFollower.Value(), seq, resyncs)
+		}
+		leader.mu.RLock()
+		want := slices.Clone(leader.cube.Data().Data())
+		leader.mu.RUnlock()
+		f.mu.RLock()
+		defer f.mu.RUnlock()
+		if got := f.cube.Data().Data(); !slices.Equal(got, want) {
+			t.Fatalf("%s: follower holds %v, leader %v", stage, got, want)
+		}
+	}
+
+	// Seqs 4 and 5 go with the old log before the follower polls.
+	commitOne(t, leader, 3)
+	commitOne(t, leader, 4)
+	if err := leader.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	commitOne(t, leader, 5)
+	poll("behind the compaction", 6, 1)
+	commitOne(t, leader, 6)
+	poll("tailing the new log", 7, 1)
+
+	// The log is truncated at the follower's own seq.
+	if err := leader.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	poll("caught up at the compaction", 7, 1)
+	commitOne(t, leader, 7)
+	poll("tailing past the compaction", 8, 1)
 }
 
 // TestFollowerLagGauges pins the replication-lag observability contract: a
 // caught-up follower reports zero lag through both Health().ReplicaLagSeq
-// and the cube_replica_wal_lag_seq gauge, a compaction-forced re-bootstrap
-// shows up in cube_shard_resync_total{kind="follower"}, and the lag gauges
-// return to zero after the follower catches back up.
+// and the cube_replica_wal_lag_seq gauge, rides a leader compaction without
+// a re-bootstrap (cube_shard_resync_total{kind="follower"} stays 0), and the
+// lag gauges return to zero after the follower catches back up.
 func TestFollowerLagGauges(t *testing.T) {
 	leader, lts := replLeader(t, 5, nil)
 
@@ -523,18 +579,18 @@ func TestFollowerLagGauges(t *testing.T) {
 		t.Fatalf("follower resync counter should read 0 before any re-bootstrap, metrics:\n%s", m)
 	}
 
-	// Compact the leader: the follower's byte offset dies with the old log,
-	// the pump re-bootstraps on the 410 and the resync counter must tick.
+	// Compact the leader at the follower's seq: the new log starts there, so
+	// the pump keeps tailing it and the resync counter must not tick.
 	if err := leader.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 9; i < 13; i++ {
 		commitOne(t, leader, i)
 	}
-	catchUp("re-bootstrapped")
-	assertCaughtUp("re-bootstrapped")
-	if m := scrape(); !strings.Contains(m, `cube_shard_resync_total{kind="follower"} 1`) {
-		t.Fatalf("follower resync counter missing after re-bootstrap, metrics:\n%s", m)
+	catchUp("across the compaction")
+	assertCaughtUp("across the compaction")
+	if m := scrape(); !strings.Contains(m, `cube_shard_resync_total{kind="follower"} 0`) {
+		t.Fatalf("a caught-up follower re-bootstrapped across a compaction, metrics:\n%s", m)
 	}
 }
 
@@ -945,7 +1001,7 @@ func sumOf2(t *testing.T, ts *httptest.Server, q string) (queryResponse, int) {
 // panicked on the follow pump's goroutine with the commit and write locks
 // held and took the process down.
 func TestApplyReplicatedRejectsBadCoords(t *testing.T) {
-	var log bytes.Buffer
+	var records [][]byte // records[i] is batch i+1's
 	for _, b := range []wal.Batch{
 		{Seq: 1, Updates: []wal.Update{{Coords: []int{1, 1}, Delta: 9}}},
 		{Seq: 2, Updates: []wal.Update{{Coords: []int{2, 3}, Delta: 5}, {Coords: []int{7, 0}, Delta: 1}}}, // a 4×4 cube has no (7, 0)
@@ -954,9 +1010,11 @@ func TestApplyReplicatedRejectsBadCoords(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := wal.AppendRecord(&log, p); err != nil {
+		var rec bytes.Buffer
+		if err := wal.AppendRecord(&rec, p); err != nil {
 			t.Fatal(err)
 		}
+		records = append(records, rec.Bytes())
 	}
 	// The leader's state after the log: what the follower must converge to.
 	later := ndarray.New[int64](4, 4)
@@ -976,18 +1034,16 @@ func TestApplyReplicatedRejectsBadCoords(t *testing.T) {
 			io.WriteString(w, `{"dimensions":[{"name":"x","size":4},{"name":"y","size":4}]}`)
 		case "/snapshot":
 			// Join at seq 0 before the log; re-bootstrap at its end.
-			seq, cells, end := uint64(0), ndarray.New[int64](4, 4), wal.HeaderSize
+			seq, cells := uint64(0), ndarray.New[int64](4, 4)
 			if snapshots.Add(1) > 1 {
-				seq, cells, end = 2, later, wal.HeaderSize+int64(log.Len())
+				seq, cells = 2, later
 			}
-			w.Header().Set(hdrWALGen, "1")
-			w.Header().Set(hdrWALSize, strconv.FormatInt(end, 10))
 			w.Write(snapshot(seq, cells))
 		case "/wal":
 			fetches.Add(1)
-			from, _ := strconv.ParseInt(r.URL.Query().Get("from"), 10, 64)
+			after, _ := strconv.Atoi(r.URL.Query().Get("after"))
 			w.Header().Set(hdrSeq, "2")
-			w.Write(log.Bytes()[min(max(from-wal.HeaderSize, 0), int64(log.Len())):])
+			w.Write(bytes.Join(records[min(after, len(records)):], nil))
 		default:
 			http.NotFound(w, r)
 		}
@@ -1018,5 +1074,23 @@ func TestApplyReplicatedRejectsBadCoords(t *testing.T) {
 	}
 	if s, err := f.router.Sum(context.Background(), ndarray.Reg(0, 3, 0, 3), nil); err != nil || s != 14 {
 		t.Fatalf("follower's full-cube sum = %d (err %v), want 14", s, err)
+	}
+}
+
+// TestApplyReplicatedRejectsGap: a stream that skips a batch stops the
+// follower at the gap. Given seqs 1 and 3, it holds batch 1, refuses batch 3
+// with an error and stays at seq 1; it used to apply batch 3 and claim seq 3
+// without batch 2's deltas.
+func TestApplyReplicatedRejectsGap(t *testing.T) {
+	s := New(cube.New(cube.NewIntDimension("x", 0, 3), cube.NewIntDimension("y", 0, 3)), 1, 2)
+	held, err := s.ApplyReplicated([]wal.Batch{
+		{Seq: 1, Updates: []wal.Update{{Coords: []int{1, 1}, Delta: 9}}},
+		{Seq: 3, Updates: []wal.Update{{Coords: []int{2, 2}, Delta: 5}}},
+	})
+	if held != 1 || err == nil || s.Seq() != 1 {
+		t.Fatalf("ApplyReplicated([1, 3]) held %d, err %v, seq %d; want 1, an error, seq 1", held, err, s.Seq())
+	}
+	if v := s.cube.Data().At(2, 2); v != 0 {
+		t.Fatalf("cell (2, 2) = %d after the refused batch, want 0", v)
 	}
 }

@@ -459,8 +459,9 @@ func TestUpdateBodyLimit(t *testing.T) {
 	}
 }
 
-// TestQueryRejectsSpaceParam: the /advise budget parameter on /query is a
-// client mistake and must fail loudly, not be silently ignored.
+// TestQueryRejectsSpaceParam: a parameter naming no dimension (here the
+// space budget of the §9 planner, which the server does not run) fails the
+// query loudly, not silently ignored.
 func TestQueryRejectsSpaceParam(t *testing.T) {
 	s := New(uniqueCube(7), 5, 4)
 	ts := httptest.NewServer(s.Handler())
@@ -469,8 +470,8 @@ func TestQueryRejectsSpaceParam(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", code)
 	}
-	if !strings.Contains(body, "advise") {
-		t.Fatalf("error %q should point at /advise", body)
+	if !strings.Contains(body, `cube: unknown dimension \"space\"`) {
+		t.Fatalf("error %q should name the unknown dimension", body)
 	}
 }
 

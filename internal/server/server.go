@@ -13,7 +13,6 @@
 //	POST /update                      JSON batch of {coords, delta}
 //	POST /shard/query                 internal: a leader's binary scatter
 //	                                  frame of sub-queries (remote.go)
-//	GET  /advise?space=100000         §9 planner choices for the query log
 //
 // Selector syntax per dimension: name=value, name=lo..hi, name=*
 // (unspecified dimensions default to "all"). op=sum responses include §11
@@ -50,7 +49,6 @@ import (
 	"rangecube/internal/metrics"
 	"rangecube/internal/ndarray"
 	"rangecube/internal/persist"
-	"rangecube/internal/planner"
 	"rangecube/internal/shard"
 	"rangecube/internal/telemetry"
 	"rangecube/internal/trace"
@@ -145,7 +143,7 @@ type Options struct {
 	DegradedProbe time.Duration
 
 	// MaxInflight caps concurrently executing /query, /query/batch,
-	// /update and /advise requests; excess requests are shed immediately
+	// /shard/query and /update requests; excess requests are shed immediately
 	// with 429 and Retry-After. 0 means unlimited.
 	MaxInflight int
 	// QueryTimeout bounds each /query request; past the deadline the
@@ -231,12 +229,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Sizes no deployment tunes: the /advise ring keeps the most recent
-// queryLogSize queried regions, the ingest flusher gathers at most
+// Sizes no deployment tunes: the ingest flusher gathers at most
 // ingestMaxBatch point updates into one group, and a /query/batch request or
 // scatter frame may hold at most maxBatchQueries queries.
 const (
-	queryLogSize    = 10000
 	ingestMaxBatch  = 4096
 	maxBatchQueries = 1024
 )
@@ -291,22 +287,21 @@ type Server struct {
 	sinceSnap int      // batches logged since the last snapshot
 
 	// Replication (replication.go): committed mirrors seq for lock-free
-	// readers (the shard-down lag stamp); walGen counts WAL resets and
-	// recreations so -join followers detect a superseded log (0 without a
-	// WAL); walEnd is the log offset below which every record is applied. A
-	// record is durable before it is applied, so the file may run one record
-	// past walEnd: replication readers (GET /wal, the /snapshot stamp) stop
-	// at walEnd and never ask the file or the Log for a length. All three are
-	// stored inside a write-lock hold, so a read epoch sees them agree.
+	// readers (the shard-down lag stamp); walEnd is the log offset below
+	// which every record is applied. A record is durable before it is
+	// applied, so the file may run one record past walEnd: GET /wal stops at
+	// walEnd and never asks the file or the Log for a length. walOffs[i] is
+	// the offset of batch walBase+1+i's record in the current log, so GET
+	// /wal?after=<seq> finds its start without reading the log. All are
+	// written inside a write-lock hold, so a read epoch sees them agree.
 	committed atomic.Uint64
-	walGen    atomic.Uint64
 	walEnd    atomic.Int64
+	walBase   uint64
+	walOffs   []int64
 
 	batcher *ingest.Batcher // the one commit entry; nil only on a ReadOnly server
 
 	inflight chan struct{} // admission semaphore; nil when unlimited
-
-	qlog *queryLog // recent query regions, input to /advise
 
 	met       *serverMetrics // every series the server records into
 	ridPrefix string         // per-server random prefix for minted request IDs
@@ -394,7 +389,6 @@ func NewWithOptions(c *cube.Cube, opts Options) (*Server, error) {
 		return nil, errors.New("server: a remote-shard leader's state is authoritative, it cannot also accept pushes")
 	}
 	s := &Server{opts: opts, logf: opts.Logf, cube: c}
-	s.qlog = newQueryLog(queryLogSize)
 	s.ridPrefix = ridPrefix()
 	// The tracer exists before telemetry registration so the span counters
 	// can be exported by callback; trace.New returns nil (all span calls
@@ -422,11 +416,15 @@ func NewWithOptions(c *cube.Cube, opts Options) (*Server, error) {
 		s.wal = l
 		s.walEnd.Store(l.Size())
 		l.SetMetrics(&s.met.walMet)
-		// GET /wal hands out a generation token, so -join followers detect a
-		// compacted (superseded) log and re-bootstrap.
-		s.walGen.Store(1)
+		// Index the replayed batches for GET /wal: the log holds its records
+		// back to back after the header.
+		s.walBase = s.seq
+		at := wal.HeaderSize
 		replayed := 0
 		for _, b := range batches {
+			p, _ := wal.EncodeBatch(b) // b was decoded from a record, so it encodes
+			off := at
+			at += wal.FrameSize + int64(len(p))
 			if b.Seq <= s.seq {
 				continue // already folded into the snapshot
 			}
@@ -435,6 +433,7 @@ func NewWithOptions(c *cube.Cube, opts Options) (*Server, error) {
 				return nil, fmt.Errorf("server: replaying batch %d: %w", b.Seq, err)
 			}
 			s.seq = b.Seq
+			s.walOffs = append(s.walOffs, off)
 			replayed++
 		}
 		s.sinceSnap = replayed
@@ -617,8 +616,8 @@ func (s *Server) compact() error {
 	if err := s.wal.Reset(); err != nil {
 		return fmt.Errorf("server: truncating WAL after snapshot: %w", err)
 	}
-	// Followers tailing the old log must re-anchor on the snapshot just
-	// written — their byte offsets no longer mean anything.
+	// The log now starts after seq: a follower behind it re-anchors on the
+	// snapshot just written.
 	s.publishWALReset()
 	s.met.compactions.Inc()
 	s.sinceSnap = 0
@@ -643,7 +642,6 @@ func (s *Server) Handler() http.Handler {
 	// once a batch is WAL-logged it must finish applying, never abandon
 	// half-applied state.
 	mux.Handle("POST /update", s.limited(http.HandlerFunc(s.handleUpdate)))
-	mux.Handle("GET /advise", s.limited(http.HandlerFunc(s.handleAdvise)))
 	// The probes bypass admission control for the same reason /metrics does:
 	// an orchestrator must be able to assess a server precisely when it is
 	// overloaded or degraded.
@@ -725,11 +723,6 @@ func (s *Server) parseRegion(params url.Values) (ndarray.Region, error) {
 	for name, vals := range params {
 		if name == "op" {
 			continue
-		}
-		if name == "space" {
-			// Catch the common confusion with /advise explicitly instead of
-			// reporting a baffling "unknown dimension".
-			return nil, fmt.Errorf("%q is an /advise parameter, not a query selector", name)
 		}
 		if len(vals) != 1 {
 			return nil, fmt.Errorf("dimension %q specified %d times", name, len(vals))
@@ -832,7 +825,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.qlog.Add(region)
 	results := make([]batchResult, 1)
 	if err := s.evalSlots(r.Context(), []batchSlot{{op: op, region: region}}, results); err != nil {
 		s.writeCtxError(w, r, err)
@@ -1073,51 +1065,5 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		EnqueuedUnixNS: res.Enqueued.UnixNano(),
 		QueueWaitNS:    res.Flushed.Sub(res.Enqueued).Nanoseconds(),
 		CommitNS:       res.Committed.Sub(res.Flushed).Nanoseconds(),
-	})
-}
-
-// handleAdvise runs the §9 planner over the accumulated query log.
-func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
-	space := 1e6
-	if v := r.URL.Query().Get("space"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f <= 0 {
-			s.writeError(w, r, http.StatusBadRequest, "bad space budget %q", v)
-			return
-		}
-		space = f
-	}
-	log := s.qlog.Snapshot()
-	if len(log) == 0 {
-		s.writeError(w, r, http.StatusConflict, "no queries logged yet")
-		return
-	}
-	s.mu.RLock()
-	c := s.cube
-	s.mu.RUnlock()
-	p, err := planner.New(c, log, space)
-	if err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	type choice struct {
-		Dimensions []string `json:"dimensions"`
-		BlockSize  int      `json:"block_size"`
-	}
-	choices := make([]choice, 0, len(p.Choices()))
-	for _, ch := range p.Choices() {
-		var names []string
-		for j := 0; j < c.Dims(); j++ {
-			if ch.Dims&(1<<uint(j)) != 0 {
-				names = append(names, c.Dimension(j).Name())
-			}
-		}
-		choices = append(choices, choice{Dimensions: names, BlockSize: ch.BlockSize})
-	}
-	s.writeJSON(w, r, http.StatusOK, map[string]any{
-		"queries_profiled": len(log),
-		"space_budget":     space,
-		"space_used":       p.SpaceUsed(),
-		"choices":          choices,
 	})
 }

@@ -211,36 +211,6 @@ func TestUpdateValidation(t *testing.T) {
 	}
 }
 
-func TestAdviseEndpoint(t *testing.T) {
-	s, _ := testServer(t)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	// Before any queries: nothing to profile.
-	if code := get(t, ts, "/advise", nil); code != http.StatusConflict {
-		t.Fatalf("empty-log advise status %d", code)
-	}
-	for i := 0; i < 20; i++ {
-		get(t, ts, fmt.Sprintf("/query?op=sum&age=%d..%d&year=1991..1996", 1+i, 20+i), nil)
-	}
-	var out struct {
-		QueriesProfiled int     `json:"queries_profiled"`
-		SpaceUsed       float64 `json:"space_used"`
-		Choices         []struct {
-			Dimensions []string `json:"dimensions"`
-			BlockSize  int      `json:"block_size"`
-		} `json:"choices"`
-	}
-	if code := get(t, ts, "/advise?space=100000", &out); code != http.StatusOK {
-		t.Fatalf("advise status %d", code)
-	}
-	if out.QueriesProfiled != 20 || len(out.Choices) == 0 {
-		t.Fatalf("advise = %+v", out)
-	}
-	if code := get(t, ts, "/advise?space=-3", nil); code != http.StatusBadRequest {
-		t.Fatal("negative budget accepted")
-	}
-}
-
 // Concurrent readers and a writer exercise the locking.
 func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	s, _ := testServer(t)

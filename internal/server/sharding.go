@@ -31,14 +31,15 @@ func (s *Server) buildRouter() error {
 	return err
 }
 
-// publishWALReset records that the WAL was truncated or recreated: -join
-// followers must not trust their byte offsets into it anymore. The caller
-// holds commitMu, and the snapshot that supersedes the old log contents is
-// durable. The new (generation, end) pair is stored under the write lock so
-// no read epoch pairs one log's offset with the other's generation.
+// publishWALReset records that the WAL was truncated or recreated: it now
+// starts after the current seq, so GET /wal answers 410 to a follower behind
+// it. The caller holds commitMu, and the snapshot that supersedes the old log
+// contents is durable. The new end and index are stored under the write lock
+// so no read epoch pairs one log's end with the other's offsets.
 func (s *Server) publishWALReset() {
 	s.mu.Lock()
 	s.walEnd.Store(wal.HeaderSize)
-	s.walGen.Add(1)
+	s.walBase = s.seq
+	s.walOffs = s.walOffs[:0]
 	s.mu.Unlock()
 }

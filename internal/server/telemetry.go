@@ -316,9 +316,6 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 
 	// Sources that keep their own counts are exported by callback — a
 	// callback cannot drift from them.
-	reg.GaugeFunc("cube_advise_log_entries",
-		"Query regions held in the /advise ring buffer.", func() int64 { return int64(s.qlog.Len()) })
-
 	reg.CounterFunc("cube_parallel_for_total",
 		"Fork-join dispatches on the worker pool (including inline runs).",
 		func() int64 { c, _, _ := parallel.Stats(); return c })
@@ -398,7 +395,7 @@ func engineLabel(rt *shard.Router, b int, op string) string {
 // label stays low-cardinality no matter what clients probe for.
 func pathLabel(p string) string {
 	switch p {
-	case "/schema", "/query", "/query/batch", "/shard/query", "/update", "/advise", "/metrics",
+	case "/schema", "/query", "/query/batch", "/shard/query", "/update", "/metrics",
 		"/healthz", "/readyz", "/wal", "/snapshot", "/state", "/debug/traces":
 		return p
 	}
