@@ -100,7 +100,7 @@ func serverFlags(fs *flag.FlagSet) func() server.Options {
 	maxInflight := fs.Int("max-inflight", 64, "max concurrent requests (queries and updates) before shedding with 429 (0 = unlimited)")
 	queryTimeout := fs.Duration("query-timeout", 10*time.Second, "per-query deadline (0 = none)")
 	shardTimeout := fs.Duration("shard-timeout", 2*time.Second, "per-sub-query deadline against a remote shard")
-	shardHedge := fs.Duration("shard-hedge-after", 100*time.Millisecond, "launch one hedged duplicate read sub-query after a remote shard is silent this long (0 = no hedging; updates are never hedged)")
+	shardHedge := fs.Duration("shard-hedge-after", 100*time.Millisecond, "launch one hedged duplicate of a remote shard read or update record after the shard is silent this long (0 = no hedging)")
 	shardProbe := fs.Duration("shard-probe", time.Second, "how often down remote shards are re-pushed their slab state (0 = probe off)")
 	ingestQueue := fs.Int("ingest-queue", 256, "ingestion pipeline queue depth; concurrent /update writers group-commit with one fsync per flushed group")
 	ingestMaxWait := fs.Duration("ingest-max-wait", 0, "how long the flusher holds an under-filled group open for more writers (0 = commit as soon as the queue is momentarily empty)")
@@ -180,6 +180,9 @@ func run() error {
 	if opts.SnapshotPath != "" && opts.WALPath == "" {
 		return errors.New("-snapshot requires -wal (a snapshot alone cannot make updates durable)")
 	}
+	if *serveShard >= 0 && opts.WALPath != "" {
+		return errors.New("-serve-shard takes no -wal or -snapshot (a shard's slab is pushed by the leader, which logs every update)")
+	}
 
 	// The cube: inferred from the CSV in leader mode; a shard process boots a
 	// one-cell placeholder and waits for the leader's slab push; a follower
@@ -212,8 +215,9 @@ func run() error {
 	}
 	if *serveShard >= 0 {
 		// Shard process: its slab is derived state the leader regenerates on
-		// every attach, so it accepts wholesale /state pushes and sheds
-		// queries until the first one lands.
+		// every attach, so it accepts wholesale /state pushes, sheds queries
+		// until the first one lands, and takes updates only as the leader's
+		// records.
 		opts.AcceptState = true
 		opts.AwaitState = true
 	}

@@ -35,14 +35,6 @@ type Options struct {
 	MaxBackoff  time.Duration
 	// HTTPClient overrides the transport (httptest servers, timeouts).
 	HTTPClient *http.Client
-	// NoRetryTransportErrors fails immediately on a transport-level error
-	// (connection reset, EOF mid-response) instead of retrying it. Such
-	// errors are ambiguous — the server may have processed the request
-	// before the connection died — so callers whose requests are not
-	// idempotent and who cannot dedupe set this to rule out a double
-	// apply. Shed statuses (429/503/...) are still retried either way:
-	// a shed request was never enqueued, so re-sending it is safe.
-	NoRetryTransportErrors bool
 	// Rand seeds the jitter for deterministic tests; nil uses the global
 	// source. The client serializes access, so a shared *rand.Rand is safe.
 	Rand *rand.Rand
@@ -52,8 +44,8 @@ type Options struct {
 // server. The cube API is safe to retry blindly: queries are read-only and
 // an /update that was shed (429/503) was never enqueued, so re-submitting
 // cannot double-apply. (A retry after an ambiguous transport error can
-// double-apply; callers that cannot tolerate that must dedupe themselves
-// or set NoRetryTransportErrors to fail fast instead.)
+// double-apply an /update; a shard's record carries its seq, so a shard
+// applies a re-sent one once.)
 type Client struct {
 	opt Options
 
@@ -210,9 +202,6 @@ func (c *Client) Do(ctx context.Context, method, url string, body []byte) (*http
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
-			}
-			if c.opt.NoRetryTransportErrors {
-				return nil, fmt.Errorf("client: %s %s: %w (ambiguous transport error, not retried)", method, url, err)
 			}
 			lastErr, lastResp = err, nil
 			continue

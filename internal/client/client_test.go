@@ -148,43 +148,6 @@ func TestBodyResentOnRetry(t *testing.T) {
 	}
 }
 
-// NoRetryTransportErrors: an ambiguous transport failure (connection
-// killed mid-exchange, outcome unknown) returns immediately instead of
-// re-sending — but shed statuses are still retried, since a shed request
-// was never enqueued.
-func TestNoRetryTransportErrors(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n := calls.Add(1)
-		if n == 1 {
-			// First call sheds: safe to retry even without transport retries.
-			w.Header().Set("Retry-After", "0")
-			http.Error(w, "busy", http.StatusTooManyRequests)
-			return
-		}
-		// Every later call dies mid-exchange: ambiguous, must not be re-sent.
-		c, _, err := w.(http.Hijacker).Hijack()
-		if err != nil {
-			t.Errorf("hijack: %v", err)
-			return
-		}
-		c.Close()
-	}))
-	defer srv.Close()
-
-	c := newTestClient(srv, Options{MaxAttempts: 5, NoRetryTransportErrors: true})
-	resp, err := c.Do(context.Background(), http.MethodPost, srv.URL, []byte(`{}`))
-	if err == nil || resp != nil {
-		t.Fatalf("resp=%v err=%v, want nil response + error", resp, err)
-	}
-	if !strings.Contains(err.Error(), "not retried") {
-		t.Fatalf("error does not mark the ambiguous failure: %v", err)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("server saw %d calls, want 2 (one shed retry, no transport retry)", got)
-	}
-}
-
 // Jitter draws stay inside [floor, window) and are deterministic under a
 // seeded source.
 func TestBackoffBounds(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"rangecube/internal/cube"
 	"rangecube/internal/metrics"
@@ -49,8 +48,8 @@ type batchSlot struct {
 
 // evalSlots is the one read path: every GET /query (a batch of one) and every
 // POST /query/batch lands here with its parsed slots, and here alone it is
-// decided who answers — the remote tier's lock-free seqlock scatter (every
-// slot that touches a shard), or the router under the read lock (one epoch
+// decided who answers — the remote tier's seq-stamped scatter (every slot
+// that touches a shard), or the router under the read lock (one epoch
 // for the whole batch, whatever updates are racing it). Answers land in
 // results; an item whose evaluation panicked fails only its own slot. The
 // returned error fails the whole request: a cancellation, a deadline or a
@@ -73,7 +72,7 @@ func (s *Server) evalSlots(ctx context.Context, slots []batchSlot, results []bat
 	// pinned across its network round trips would make every commit wait out
 	// the slowest shard before it could apply (the lock is write-preferring,
 	// so every later read would queue behind that commit in turn).
-	// Consistency comes from the scatter seqlock instead — see evalRemote.
+	// Consistency comes from the shards' seq stamps instead — see evalRemote.
 	// What is left for the lock (counts, empty regions) reaches no shard.
 	if s.remoteEngines != nil {
 		live -= s.evalRemote(ctx, slots, results)
@@ -184,12 +183,12 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	// Parsing is lock-free on every server that cannot accept a /state push:
 	// its cube and dimensions are immutable, so a batch never queues behind
 	// the commit path's write-preferring lock just to read them — that wait
-	// would also tax remote-bound batches, which never need the leader's
-	// lock at all. Only an AcceptState server (a shard process, a joined
-	// follower) takes a read epoch here: a push may swap the cube, and
-	// a region parsed against the old dimensions must never reach the new
-	// structures. (The lock is dropped before evaluation, which pins its own
-	// epoch; same-shape state copies keep old regions valid.)
+	// would also tax remote-bound batches, which need the leader's lock only
+	// for a retry. Only an AcceptState server (a shard process) takes a read
+	// epoch here: a push may swap the cube, and a region parsed against the
+	// old dimensions must never reach the new structures. (The lock is
+	// dropped before evaluation, which pins its own epoch; same-shape state
+	// copies keep old regions valid.)
 	results := make([]batchResult, len(items))
 	slots := make([]batchSlot, len(items))
 	if s.opts.AcceptState {
@@ -244,14 +243,12 @@ type batchEnvelope struct {
 // (or failed) slots are cleared so runSlots skips them; their count is
 // returned.
 //
-// The call runs without the leader's read lock. Cross-shard snapshot
-// consistency is validated optimistically against the commit path's scatter
-// seqlock: a batch whose round trips overlap a delta scatter (the only window
-// in which the shards disagree) is retried, one that lands between scatters
-// saw every shard at the same group-commit boundary. After a few torn
-// attempts under sustained write pressure the last answer is kept — each
-// shard is internally consistent, so the worst case is an answer reflecting a
-// prefix of one racing group, never garbage.
+// The first attempt runs without the leader's read lock. Every shard stamps
+// its answer with the seq it holds, and Router.Answer refuses answers whose
+// stamps differ: a commit's scatter ran between the exchanges. That attempt
+// is retried once under the read lock. A commit scatters inside its
+// write-lock hold, so no scatter can run during the retry, and every shard
+// that answers it is at the leader's seq.
 func (s *Server) evalRemote(ctx context.Context, slots []batchSlot, results []batchResult) int {
 	idx := make([]int, 0, len(slots))
 	qs := make([]shard.Query, 0, len(slots))
@@ -269,33 +266,12 @@ func (s *Server) evalRemote(ctx context.Context, slots []batchSlot, results []ba
 	for k := range counters {
 		counters[k] = &store[k]
 	}
-	var as []shard.Answer
-	var err error
-	const maxTorn = 4
-	for attempt := 0; ; attempt++ {
-		// Wait out an in-flight delta scatter before reading rather than
-		// validating after the fact alone: a commit's propagation window
-		// would fail every concurrent batch at once, and the resulting
-		// re-scatter stampede costs far more than the sub-millisecond nap
-		// (the window is the /update round trips alone: the commit's fsync
-		// is over before its scatter starts).
-		e0 := s.awaitScatterQuiesce(ctx)
-		as, err = s.router.Answer(ctx, qs, counters)
-		if err != nil {
-			break
-		}
-		if e1 := s.scatterSeq.Load(); e1 == e0 {
-			break
-		}
+	as, err := s.router.Answer(ctx, qs, counters)
+	if errors.Is(err, shard.ErrSeqMismatch) {
 		trace.StatsFrom(ctx).AddTorn()
-		if attempt >= maxTorn {
-			s.met.tornScatters.Inc()
-			trace.FromContext(ctx).Set("torn_kept", "true")
-			break
-		}
-		for k := range store {
-			store[k] = metrics.Counter{}
-		}
+		s.mu.RLock()
+		as, err = s.router.Answer(ctx, qs, counters)
+		s.mu.RUnlock()
 	}
 	for k, i := range idx {
 		resp := queryResponse{Op: slots[i].op, Volume: slots[i].region.Volume(), Accesses: store[k].Total()}
@@ -314,25 +290,6 @@ func (s *Server) evalRemote(ctx context.Context, slots []batchSlot, results []ba
 		results[i].Result = &resp
 	}
 	return len(idx)
-}
-
-// awaitScatterQuiesce naps until no commit scatter is propagating to the
-// shard processes, returning the (even) epoch it observed — the epoch a
-// subsequent gather validates against. Cancellation returns early with
-// whatever epoch is current; the caller's round trips will surface the
-// context error themselves.
-func (s *Server) awaitScatterQuiesce(ctx context.Context) uint64 {
-	for {
-		e := s.scatterSeq.Load()
-		if e&1 == 0 {
-			return e
-		}
-		select {
-		case <-ctx.Done():
-			return e
-		case <-time.After(200 * time.Microsecond):
-		}
-	}
 }
 
 // regionFromSpecs resolves a name→selector map to a rank-domain region

@@ -182,16 +182,13 @@ func (s *Server) commitLocked(ctx context.Context, cells []shard.PointDelta) (ui
 	s.seq++
 	seq := s.seq
 	if s.remoteEngines != nil {
-		// The seqlock brackets the window in which the shard processes
-		// disagree about the batch: lock-free batched readers that overlap it
-		// retry, ones that land between scatters see every shard pre-batch or
-		// every shard post-batch. It sits in the same write-lock hold as the
-		// sequence bump, which is what lets resyncShard conclude from an
-		// unchanged seq that no scatter slipped past its state push.
+		// Every up shard is sent the record of seq. The scatter sits in the
+		// same write-lock hold as the sequence bump, which is what lets
+		// resyncShard conclude from an unchanged seq that no scatter slipped
+		// past its state push, and lets a gather under the read lock see
+		// every shard at one seq.
 		ssp := sp.Child("commit.scatter")
-		s.scatterSeq.Add(1)
 		s.router.Apply(trace.NewContext(ctx, ssp), cells)
-		s.scatterSeq.Add(1)
 		ssp.End()
 	}
 	asp := sp.Child("structures.apply")
@@ -223,8 +220,8 @@ func (s *Server) commitLocked(ctx context.Context, cells []shard.PointDelta) (ui
 //
 // Exactly one owner writes each logical cube cell (snapshots and recovery
 // read the cube). A remote leader's shard processes hold their own slabs and
-// already have the batch (commitLocked scattered it inside the seqlock
-// bracket), so the leader writes its cube itself; every other server's
+// already have the batch (commitLocked scattered it), so the leader writes
+// its cube itself; every other server's
 // one-shard router serves the cube's array in place, and its Apply writes
 // the cells.
 func (s *Server) applyCellsLocked(ctx context.Context, cells []shard.PointDelta) {

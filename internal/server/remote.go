@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -22,8 +23,11 @@ import (
 
 // The remote shard tier: Options.ShardURLs turns the leader's router into a
 // fleet of RemoteEngines, each speaking the Engine contract to a cubeserver
-// shard process: reads as scatter frames on POST /shard/query, writes on the
-// ordinary POST /update, state on POST /state. The leader's cube and WAL
+// shard process: reads as scatter frames on POST /shard/query, writes as the
+// leader's seq-numbered log records on POST /shard/apply, state on POST
+// /state. A shard is a follower of the leader's log restricted to its slab:
+// it applies the records through ApplyReplicated, as a -join follower does,
+// and stamps every answer with the seq it holds. The leader's cube and WAL
 // stay authoritative — shard processes hold derived state the leader can
 // regenerate at any time, which is what makes partial failure survivable:
 // a shard that dies loses nothing, it just stops answering until the resync
@@ -99,7 +103,7 @@ func (s *Server) attachRemoteShards() {
 //
 // The push races the commit path: a batch that commits while the snapshot
 // is in flight scatters to the still-down engine, fails fast, and is
-// dropped, so the pushed state is already stale by the time it lands.
+// not sent, so the pushed state is already stale by the time it lands.
 // Marking up is therefore gated on s.seq not having moved past the
 // captured sequence — checked under the read lock, which excludes the
 // commit path (it bumps seq and scatters inside one write-lock hold; only
@@ -135,7 +139,7 @@ func (s *Server) resyncShard(e *shard.RemoteEngine) error {
 		s.mu.RLock()
 		current := s.seq == seq
 		if current {
-			e.MarkUp(lo, hi)
+			e.MarkUp(seq, lo, hi)
 		}
 		s.mu.RUnlock()
 		if current {
@@ -182,45 +186,83 @@ func (s *Server) resyncDownShards() {
 // is then built in; decoded items hold no reference into it.
 var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 
+// readRecord reads a request body that is one sealed record — a leader's
+// scatter frame or update record — into *bufP and returns its payload. The
+// leader always declares the length, so the body is bounded before a byte of
+// it is buffered. On failure it has answered: 503 while the shard awaits its
+// first /state push, 413 or 400.
+func (s *Server) readRecord(w http.ResponseWriter, r *http.Request, bufP *[]byte) ([]byte, bool) {
+	if s.awaitingState.Load() {
+		s.writeAwaiting(w, r)
+		return nil, false
+	}
+	if r.ContentLength < 0 || r.ContentLength > s.opts.MaxUpdateBytes {
+		s.met.tooLarge.Inc()
+		s.writeError(w, r, http.StatusRequestEntityTooLarge, "record of %d bytes (at most %d, length required)", r.ContentLength, s.opts.MaxUpdateBytes)
+		return nil, false
+	}
+	buf := slices.Grow((*bufP)[:0], int(r.ContentLength))[:r.ContentLength]
+	*bufP = buf
+	_, err := io.ReadFull(r.Body, buf)
+	var payload []byte
+	if err == nil {
+		payload, err = wal.OpenRecord(buf)
+	}
+	if err != nil {
+		s.writeError(w, r, http.StatusBadRequest, "%s: %v", r.URL.Path, err)
+		return nil, false
+	}
+	return payload, true
+}
+
+// handleShardApply applies one of the leader's update records to this
+// shard's slab through ApplyReplicated, the apply a -join follower uses: a
+// record at or below the shard's seq is acked and not applied again (a
+// retried or hedged duplicate), coordinates outside the slab get 400 and a
+// gap in the seq 409, both with nothing changed.
+func (s *Server) handleShardApply(w http.ResponseWriter, r *http.Request) {
+	bufP := frameBufs.Get().(*[]byte)
+	defer frameBufs.Put(bufP)
+	payload, ok := s.readRecord(w, r, bufP)
+	if !ok {
+		return
+	}
+	b, err := wal.DecodeBatch(payload)
+	if err == nil {
+		_, err = s.ApplyReplicated([]wal.Batch{b})
+	}
+	switch {
+	case errors.Is(err, errSeqGap):
+		s.writeError(w, r, http.StatusConflict, "%v", err)
+	case err != nil:
+		s.writeError(w, r, http.StatusBadRequest, "%v", err)
+	}
+}
+
 // handleShardQuery answers one scatter frame (shard/frame.go): every
 // sub-query a leader's client batch has for this shard, whatever the ops.
 // The frame is nothing but Router.Answer serialised — each item runs through
 // this server's own router on the worker pool, under one read epoch, feeds
 // the per-op §8 cost observers like any query, and a panic fails its item
-// alone. The decoder has bounded count, dimensionality and body before
-// anything was allocated; whether a range fits the cube is checked here,
-// inside the epoch that evaluates it, because a /state push may swap the cube.
+// alone; the answer is stamped with the seq of that epoch. The decoder has
+// bounded count, dimensionality and body before anything was allocated;
+// whether a range fits the cube is checked here, inside the epoch that
+// evaluates it, because a /state push may swap the cube.
 func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
-	if s.awaitingState.Load() {
-		s.writeAwaiting(w, r)
-		return
-	}
-	// The leader always declares the frame's length, so the body is bounded
-	// before a byte of it is buffered.
-	if r.ContentLength < 0 || r.ContentLength > s.opts.MaxUpdateBytes {
-		s.met.tooLarge.Inc()
-		s.writeError(w, r, http.StatusRequestEntityTooLarge, "scatter frame of %d bytes (at most %d, length required)", r.ContentLength, s.opts.MaxUpdateBytes)
-		return
-	}
 	bufP := frameBufs.Get().(*[]byte)
 	defer frameBufs.Put(bufP)
-	buf := slices.Grow((*bufP)[:0], int(r.ContentLength))[:r.ContentLength]
-	*bufP = buf
-	_, err := io.ReadFull(r.Body, buf)
-	var items []shard.Item
-	if err == nil {
-		var payload []byte
-		if payload, err = wal.OpenRecord(buf); err == nil {
-			items, err = shard.DecodeQueries(payload, maxBatchQueries)
-		}
+	payload, ok := s.readRecord(w, r, bufP)
+	if !ok {
+		return
 	}
+	items, err := shard.DecodeQueries(payload, maxBatchQueries)
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, "scatter frame: %v", err)
 		return
 	}
 	ctx := r.Context()
 	s.mu.RLock()
-	shape, work := s.cube.Shape(), len(items)
+	seq, shape, work := s.seq, s.cube.Shape(), len(items)
 	for i := range items {
 		it := &items[i]
 		if len(it.Local) != len(shape) {
@@ -245,7 +287,7 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeCtxError(w, r, err)
 		return
 	}
-	out, err := wal.SealRecord(shard.AppendAnswers(buf[:wal.FrameSize], items))
+	out, err := wal.SealRecord(shard.AppendAnswers((*bufP)[:wal.FrameSize], seq, items))
 	if err != nil {
 		s.writeError(w, r, http.StatusInternalServerError, "%v", err)
 		return
@@ -293,31 +335,18 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 }
 
 // resetState replaces the server's cube state with a replicated snapshot
-// and rebuilds the router over it, all under one write epoch, then
-// re-anchors local durability on it with only commitMu held.
-// A shape change is only legal while the server is still awaiting its first
-// state (the placeholder cube has no meaning); afterwards the shape is
-// pinned and a mismatched push is rejected. The follower pump also lands
-// here when it re-bootstraps from the leader's /snapshot.
+// and rebuilds the router over it, all under one write epoch. A replica
+// keeps no local log or snapshot (NewWithOptions and JoinLeader see to it),
+// so there is no durability to re-anchor. A shape change is only legal while
+// the server is still awaiting its first state (the placeholder cube has no
+// meaning); afterwards the shape is pinned and a mismatched push is rejected.
+// The follower pump also lands here when it re-bootstraps from the leader's
+// /snapshot.
 func (s *Server) resetState(seq uint64, cells *ndarray.Array[int64]) error {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
 	if err := s.installState(seq, cells); err != nil {
 		return err
-	}
-	// Everything previously logged or snapshotted locally describes a state
-	// this server no longer holds.
-	if s.wal != nil {
-		if s.opts.SnapshotPath != "" {
-			s.sinceSnap = 1 // force the compaction even if nothing was logged
-			if err := s.compact(); err != nil {
-				s.logf("%v", err)
-			}
-		} else if err := s.wal.Reset(); err != nil {
-			s.logf("server: resetting WAL after state push: %v", err)
-		} else {
-			s.publishWALReset()
-		}
 	}
 	s.awaitingState.Store(false)
 	s.logf("server: installed pushed state: shape %v, seq %d", cells.Shape(), seq)

@@ -29,8 +29,13 @@ import (
 // compaction truncated it), the leader answers 410 and the follower
 // re-bootstraps from /snapshot.
 
-// ErrReadOnly rejects writes submitted to a read-only follower.
-var ErrReadOnly = errors.New("server: read-only follower, updates go to the leader")
+// ErrReadOnly rejects writes submitted to a replica: a -join follower or a
+// shard process.
+var ErrReadOnly = errors.New("server: read-only replica, updates go to the leader")
+
+// errSeqGap refuses a replicated batch that is not numbered one past the
+// replica's seq.
+var errSeqGap = errors.New("does not follow")
 
 // hdrSeq stamps a replication response with the sequence committed at
 // capture time.
@@ -138,9 +143,12 @@ func (s *Server) handleSnapshotFetch(w http.ResponseWriter, r *http.Request) {
 // batch naming a cell that does not exist, or leaving a gap in the sequence,
 // is left unapplied with an error, and so is every batch after it. It returns
 // how many batches, from the first, this server now holds, applied here or
-// skipped as already held.
+// skipped as already held. A -join follower's pump and a shard's POST
+// /shard/apply both land here.
 func (s *Server) ApplyReplicated(batches []wal.Batch) (applied int, err error) {
-	shape := s.cube.Shape() // immutable, as in SubmitUpdates
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
+	shape := s.cube.Shape() // a /state push, which may swap the cube, holds commitMu
 	valid := len(batches)
 check:
 	for i, b := range batches {
@@ -151,14 +159,12 @@ check:
 			}
 		}
 	}
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
 	for i, b := range batches[:valid] {
 		if b.Seq <= s.seq {
 			continue
 		}
 		if b.Seq != s.seq+1 {
-			return i, fmt.Errorf("server: replicated batch seq %d does not follow seq %d", b.Seq, s.seq)
+			return i, fmt.Errorf("server: replicated batch seq %d %w seq %d", b.Seq, errSeqGap, s.seq)
 		}
 		cells := make([]shard.PointDelta, len(b.Updates))
 		for k, u := range b.Updates {

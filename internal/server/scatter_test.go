@@ -9,15 +9,19 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"rangecube/internal/core/batchsum"
 	"rangecube/internal/cube"
 	"rangecube/internal/naive"
 	"rangecube/internal/ndarray"
+	"rangecube/internal/persist"
 	"rangecube/internal/shard"
 	"rangecube/internal/wal"
 )
@@ -123,7 +127,7 @@ func TestLeaderHoldsNoLockAcrossShardReads(t *testing.T) {
 		func(shard int, r *http.Request) {
 			// Every read route this tier has ever used, so the test means the
 			// same thing against a build that reads through another one.
-			if shard == 1 && r.URL.Path != "/update" && r.URL.Path != "/state" {
+			if shard == 1 && r.URL.Path != "/update" && r.URL.Path != "/shard/apply" && r.URL.Path != "/state" {
 				parked <- struct{}{}
 				<-release
 			}
@@ -366,6 +370,14 @@ func TestShardQueryRouteRefusals(t *testing.T) {
 	if code := post(frame); code != http.StatusOK {
 		t.Fatalf("a valid frame answered %d", code)
 	}
+	v1 := bytes.Clone(frame)
+	v1[wal.FrameSize] = 1
+	if _, err := wal.SealRecord(v1); err != nil {
+		t.Fatal(err)
+	}
+	if code := post(v1); code != http.StatusBadRequest {
+		t.Fatalf("a version-1 frame answered %d, want 400", code)
+	}
 	frame[len(frame)-1] ^= 1
 	if code := post(frame); code != http.StatusBadRequest {
 		t.Fatalf("a frame with a broken checksum answered %d, want 400", code)
@@ -379,4 +391,319 @@ func TestShardQueryRouteRefusals(t *testing.T) {
 	if code := post(frame); code != http.StatusServiceUnavailable {
 		t.Fatalf("a shard still awaiting its state answered a frame with %d, want 503", code)
 	}
+}
+
+// TestTornGatherNeverServedExact overlaps a whole-cube sum's lock-free gather
+// with a commit that lands in both slabs, +1000 at a shard-0 cell and +1 at a
+// shard-1 cell, so the oracle only ever holds S + 1001·j. On each of shard 1's
+// first six frame arrivals the hook commits and waits up to 200 ms for the
+// ack: a lock-free gather's commit is acked at once, and the timeout lets a
+// gather that holds the leader's read lock, which the commit waits for, go
+// on. Whatever the interleaving, an answer served as exact is the sum at one
+// seq.
+func TestTornGatherNeverServedExact(t *testing.T) {
+	var tr *scatterTier
+	var arrivals atomic.Int64
+	var commits sync.WaitGroup
+	commit := func() {
+		acked := make(chan struct{})
+		commits.Add(1)
+		go func() {
+			defer commits.Done()
+			defer close(acked)
+			resp, err := http.Post(tr.lts.URL+"/update?durability=sync", "application/json",
+				strings.NewReader(`{"updates":[{"coords":[1,2],"delta":1000},{"coords":[7,3],"delta":1}]}`))
+			if err != nil {
+				t.Errorf("commit: %v", err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("commit answered %s", resp.Status)
+			}
+		}()
+		select {
+		case <-acked:
+		case <-time.After(200 * time.Millisecond):
+		}
+	}
+	var asked atomic.Bool
+	tr = newScatterTier(t, Options{ShardHedgeAfter: -1}, func(shard int, r *http.Request) {
+		if shard == 1 && r.URL.Path == "/shard/query" && !asked.Load() && arrivals.Add(1) <= 6 {
+			commit()
+		}
+	})
+	s0 := naive.SumInt64(tr.oracle, tr.oracle.Bounds(), nil)
+	var got queryResponse
+	code := get(t, tr.lts, "/query?op=sum", &got)
+	asked.Store(true)
+	commits.Wait()
+	if d := got.Value - s0; code != http.StatusOK || got.Partial || d%1001 != 0 || *got.LowerBnd != got.Value || *got.UpperBnd != got.Value {
+		t.Fatalf("whole-cube sum answered %+v (status %d), S = %d: not S + 1001·j", got, code, s0)
+	}
+	j := min(arrivals.Load(), 6)
+	if code := get(t, tr.lts, "/query?op=sum", &got); code != http.StatusOK || got.Value != s0+1001*j {
+		t.Fatalf("after %d commits the sum is %d (status %d), want %d", j, got.Value, code, s0+1001*j)
+	}
+}
+
+// TestOneDroppedScatterKeepsShardUp drops the connection of the first update
+// scatter to shard 1 before the shard reads it. The record is re-sent and
+// acked, so the shard stays up and at the leader's seq: no resync push.
+func TestOneDroppedScatterKeepsShardUp(t *testing.T) {
+	var dropped atomic.Bool
+	tr := newScatterTier(t, Options{Metrics: true}, func(shard int, r *http.Request) {
+		write := r.Method == http.MethodPost && r.URL.Path != "/state" && r.URL.Path != "/shard/query"
+		if shard == 1 && write && dropped.CompareAndSwap(false, true) {
+			panic(http.ErrAbortHandler)
+		}
+	})
+	resyncs := seriesValue(scrape(t, tr.lts), "cube_shard_resync_total", `kind="shard"`)
+	if code, _ := postUpdates(t, tr.lts, "sync", []jsonUpdate{{Coords: []int{7, 3}, Delta: 5}}); code != http.StatusOK {
+		t.Fatalf("commit answered %d", code)
+	}
+	tr.oracle.Set(tr.oracle.At(7, 3)+5, 7, 3)
+	if !dropped.Load() {
+		t.Fatal("no update scatter reached shard 1")
+	}
+	if h := tr.leader.Health(); !h.Ready || len(h.ShardsDown) != 0 {
+		t.Fatalf("after one dropped scatter the leader reads %+v, want ready with no shard down", h)
+	}
+	if got := seriesValue(scrape(t, tr.lts), "cube_shard_resync_total", `kind="shard"`); got != resyncs {
+		t.Fatalf(`cube_shard_resync_total{kind="shard"} went %v → %v, want no resync`, resyncs, got)
+	}
+	if seq := tr.shards[1].s.Seq(); seq != tr.leader.Seq() {
+		t.Fatalf("shard 1 at seq %d, leader at %d", seq, tr.leader.Seq())
+	}
+	var sum queryResponse
+	if code := get(t, tr.lts, "/query?op=sum&x=5..9", &sum); code != http.StatusOK || sum.Partial || sum.Value != naive.SumInt64(tr.oracle, tr.region(5, 9, 0, 7), nil) {
+		t.Fatalf("sum over shard 1's slab = %+v (status %d)", sum, code)
+	}
+}
+
+// TestEveryShardHoldsLeaderSeq: commits inside shard 0's slab still move
+// shard 1 to the leader's seq — it is sent an empty record — so every up
+// shard reports the leader's seq on /readyz.
+func TestEveryShardHoldsLeaderSeq(t *testing.T) {
+	tr := newScatterTier(t, Options{}, nil)
+	for k := 0; k < 2; k++ {
+		if code, _ := postUpdates(t, tr.lts, "sync", []jsonUpdate{{Coords: []int{2, k}, Delta: 3}}); code != http.StatusOK {
+			t.Fatalf("commit %d answered %d", k, code)
+		}
+		tr.oracle.Set(tr.oracle.At(2, k)+3, 2, k)
+	}
+	lead := tr.leader.Health().Seq
+	for i, p := range tr.shards {
+		if got := p.s.Health().Seq; got != lead || lead != 2 {
+			t.Fatalf("shard %d at seq %d, leader at %d (want 2)", i, got, lead)
+		}
+	}
+	var sum queryResponse
+	if code := get(t, tr.lts, "/query?op=sum", &sum); code != http.StatusOK || sum.Value != naive.SumInt64(tr.oracle, tr.oracle.Bounds(), nil) {
+		t.Fatalf("whole-cube sum = %+v (status %d)", sum, code)
+	}
+}
+
+// TestShardRefusesClientUpdates: a shard process is a replica. A client's
+// POST /update sent straight to it is refused with 403, before and after its
+// first state push, and changes nothing; it runs no ingest pipeline.
+func TestShardRefusesClientUpdates(t *testing.T) {
+	tr := newScatterTier(t, Options{}, nil)
+	fresh := startShardProc(t, "127.0.0.1:0")
+	t.Cleanup(fresh.stop)
+	for _, p := range []*shardProc{tr.shards[0], fresh} {
+		resp, err := http.Post("http://"+p.addr+"/update", "application/json", strings.NewReader(`{"updates":[{"coords":[0,0],"delta":5}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusForbidden {
+			t.Fatalf("a client /update to a shard answered %s, want 403", resp.Status)
+		}
+		if p.s.batcher != nil || p.s.Seq() != 0 {
+			t.Fatalf("shard runs a batcher (%v) or moved to seq %d", p.s.batcher != nil, p.s.Seq())
+		}
+	}
+	var sum queryResponse
+	if code := get(t, tr.lts, "/query?op=sum", &sum); code != http.StatusOK || sum.Value != naive.SumInt64(tr.oracle, tr.oracle.Bounds(), nil) {
+		t.Fatalf("whole-cube sum = %+v (status %d)", sum, code)
+	}
+}
+
+// TestShardRefusesLocalDurability: a shard's state is the leader's to push,
+// so a local WAL or snapshot is refused at construction. One used to be
+// accepted, and after a push the shard could not reboot from it.
+func TestShardRefusesLocalDurability(t *testing.T) {
+	dir := t.TempDir()
+	for _, o := range []Options{
+		{WALPath: filepath.Join(dir, "u.wal")},
+		{WALPath: filepath.Join(dir, "u.wal"), SnapshotPath: filepath.Join(dir, "c.snap")},
+		{SnapshotPath: filepath.Join(dir, "c.snap")},
+	} {
+		o.Fanout, o.AcceptState, o.AwaitState, o.Logf = 2, true, true, func(string, ...any) {}
+		if s, err := NewWithOptions(cube.New(cube.NewIntDimension("d0", 0, 0)), o); err == nil {
+			s.Close()
+			t.Fatalf("a shard with WAL %q and snapshot %q was built", o.WALPath, o.SnapshotPath)
+		}
+	}
+}
+
+// pushSlab installs cells at seq on a shard process, as the leader's /state
+// push does.
+func pushSlab(t testing.TB, url string, seq uint64, cells *ndarray.Array[int64]) {
+	t.Helper()
+	var b bytes.Buffer
+	if err := persist.WriteSnapshot(&b, seq, cells); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/state", "application/octet-stream", &b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("state push answered %s", resp.Status)
+	}
+}
+
+// sealedBatch is a leader's update record: one sealed WAL batch.
+func sealedBatch(t testing.TB, seq uint64, ups ...wal.Update) []byte {
+	t.Helper()
+	rec, err := wal.AppendBatch(make([]byte, wal.FrameSize), wal.Batch{Seq: seq, Updates: ups})
+	if err == nil {
+		rec, err = wal.SealRecord(rec)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// TestShardApplyOnce: a shard applies each of the leader's records once, in
+// seq order. The same record twice, and an older record after a newer one,
+// are acked and applied once; a gap gets 409 and bad coordinates 400, with
+// nothing changed. A leader's engine whose record the shard refuses marks
+// itself down; one whose record the shard already holds stays up.
+func TestShardApplyOnce(t *testing.T) {
+	p := startShardProc(t, "127.0.0.1:0")
+	t.Cleanup(p.stop)
+	url := "http://" + p.addr
+	slab := ndarray.New[int64](4, 3)
+	slab.Set(10, 1, 2)
+	pushSlab(t, url, 5, slab)
+	state := func() (seq uint64, cell int64) {
+		p.s.mu.RLock()
+		defer p.s.mu.RUnlock()
+		return p.s.seq, p.s.cube.Data().At(1, 2)
+	}
+	for k, step := range []struct {
+		rec  []byte
+		code int
+		seq  uint64
+		cell int64
+		what string
+	}{
+		{sealedBatch(t, 6, wal.Update{Coords: []int{1, 2}, Delta: 7}), 200, 6, 17, "the next record"},
+		{sealedBatch(t, 6, wal.Update{Coords: []int{1, 2}, Delta: 7}), 200, 6, 17, "the same record again"},
+		{sealedBatch(t, 7, wal.Update{Coords: []int{1, 2}, Delta: 1}), 200, 7, 18, "the record after it"},
+		{sealedBatch(t, 6, wal.Update{Coords: []int{1, 2}, Delta: 7}), 200, 7, 18, "an older record after a newer one"},
+		{sealedBatch(t, 9, wal.Update{Coords: []int{1, 2}, Delta: 100}), 409, 7, 18, "a gap"},
+		{sealedBatch(t, 8, wal.Update{Coords: []int{1, 2}, Delta: 100}, wal.Update{Coords: []int{4, 0}, Delta: 1}), 400, 7, 18, "a cell outside the slab"},
+		{sealedBatch(t, 8), 200, 8, 18, "an empty record"},
+	} {
+		resp, err := http.Post(url+"/shard/apply", "application/octet-stream", bytes.NewReader(step.rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if seq, cell := state(); resp.StatusCode != step.code || seq != step.seq || cell != step.cell {
+			t.Fatalf("step %d, %s: status %d, seq %d, cell %d; want %d, %d, %d", k, step.what, resp.StatusCode, seq, cell, step.code, step.seq, step.cell)
+		}
+	}
+
+	ctx := context.Background()
+	up := []batchsum.IntUpdate{{Coords: []int{1, 2}, Delta: 50}}
+	held := shard.NewRemoteEngine(0, url, shard.RemoteOptions{HedgeAfter: -1})
+	held.MarkUp(7, 0, 18)
+	if err := held.Apply(ctx, up); err != nil || held.Down() {
+		t.Fatalf("an engine re-sending the held record 8: err %v, down %v", err, held.Down())
+	}
+	ahead := shard.NewRemoteEngine(0, url, shard.RemoteOptions{HedgeAfter: -1})
+	ahead.MarkUp(9, 0, 18)
+	if err := ahead.Apply(ctx, up); err == nil || !ahead.Down() {
+		t.Fatalf("an engine sending record 10 to a shard at 8: err %v, down %v; want an error and the engine down", err, ahead.Down())
+	}
+	if seq, cell := state(); seq != 8 || cell != 18 {
+		t.Fatalf("shard at seq %d with cell %d after the engines' records, want 8 and 18", seq, cell)
+	}
+}
+
+// FuzzShardApply feeds raw bodies to POST /shard/apply on a shard holding a
+// 4×3 slab at seq 5. Whatever the bytes, the handler answers without a panic,
+// and a body it refuses leaves the seq and the whole-slab sum as they were;
+// an accepted one is a record it already held or record 6 applied.
+func FuzzShardApply(f *testing.F) {
+	s, err := NewWithOptions(cube.New(cube.NewIntDimension("d0", 0, 0)), Options{
+		BlockSize: 2, Fanout: 2, AcceptState: true, AwaitState: true, Logf: func(string, ...any) {},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { s.Close() })
+	h := s.Handler()
+	slab := ndarray.New[int64](4, 3)
+	for k := range slab.Data() {
+		slab.Data()[k] = int64(k*7%11 - 3)
+	}
+	total := naive.SumInt64(slab, slab.Bounds(), nil)
+
+	valid := sealedBatch(f, 6, wal.Update{Coords: []int{3, 2}, Delta: 4}, wal.Update{Coords: []int{0, 1}, Delta: -9})
+	f.Add(valid)
+	f.Add(sealedBatch(f, 5, wal.Update{Coords: []int{1, 1}, Delta: 2}))     // held
+	f.Add(sealedBatch(f, 8, wal.Update{Coords: []int{1, 1}, Delta: 2}))     // gap
+	f.Add(sealedBatch(f, 6, wal.Update{Coords: []int{4, 0}, Delta: 2}))     // outside the slab
+	f.Add(sealedBatch(f, 6, wal.Update{Coords: []int{1, 1, 0}, Delta: 2}))  // wrong rank
+	f.Add(sealedBatch(f, 6))                                                // empty
+	f.Add(valid[:len(valid)-3])                                             // truncated
+	f.Add(append(valid[:len(valid)-1:len(valid)-1], valid[len(valid)-1]^1)) // bad CRC
+	f.Add([]byte(`{"updates":[{"coords":[0,0],"delta":5}]}`))
+	f.Add([]byte{})
+
+	sum := func(t *testing.T) int64 {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?op=sum", nil))
+		var out queryResponse
+		if err := json.NewDecoder(rec.Body).Decode(&out); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("whole-slab sum: status %d, %v", rec.Code, err)
+		}
+		return out.Value
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if err := s.resetState(5, slab.Clone()); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/shard/apply", bytes.NewReader(body)))
+		want, wantSeq := total, uint64(5)
+		switch rec.Code {
+		case http.StatusOK:
+			payload, _ := wal.OpenRecord(body)
+			if b, err := wal.DecodeBatch(payload); err == nil && b.Seq == 6 {
+				wantSeq = 6
+				for _, u := range b.Updates {
+					want += u.Delta
+				}
+			}
+		case http.StatusBadRequest, http.StatusConflict, http.StatusRequestEntityTooLarge:
+		default:
+			t.Fatalf("answered %d: %s", rec.Code, rec.Body)
+		}
+		if seq, got := s.Seq(), sum(t); seq != wantSeq || got != want {
+			t.Fatalf("status %d left seq %d and sum %d, want %d and %d", rec.Code, seq, got, wantSeq, want)
+		}
+	})
 }

@@ -13,6 +13,8 @@
 //	POST /update                      JSON batch of {coords, delta}
 //	POST /shard/query                 internal: a leader's binary scatter
 //	                                  frame of sub-queries (remote.go)
+//	POST /shard/apply                 internal: a leader's update record,
+//	                                  on a shard process (remote.go)
 //
 // Selector syntax per dimension: name=value, name=lo..hi, name=*
 // (unspecified dimensions default to "all"). op=sum responses include §11
@@ -89,28 +91,30 @@ type Options struct {
 	// ShardTimeout bounds each remote read or scatter round trip, hedge
 	// included. 0 means 2s.
 	ShardTimeout time.Duration
-	// ShardHedgeAfter is how long a remote read may stall before one
-	// hedged duplicate is launched (first answer wins). 0 means 100ms;
-	// negative disables hedging. Only idempotent reads hedge — update
-	// scatters are sent at most once and resolve failure via resync.
+	// ShardHedgeAfter is how long a remote read or update record may stall
+	// before one hedged duplicate is launched (first answer wins). 0 means
+	// 100ms; negative disables hedging.
 	ShardHedgeAfter time.Duration
 	// ShardProbe is how often the leader retries down shards with a fresh
 	// slab-state push. 0 means 1s; negative disables the probe (a down
 	// shard then stays down until restart).
 	ShardProbe time.Duration
 
-	// AcceptState mounts POST /state: a leader may replace this server's
-	// entire cube state with a pushed snapshot. Shard processes (cubeserver
-	// -serve-shard) run with it; it must stay off on any server whose own
-	// state is authoritative.
+	// AcceptState makes the server a shard process (cubeserver
+	// -serve-shard): a replica whose leader replaces its entire cube state
+	// with a pushed snapshot (POST /state) and sends it its update records
+	// (POST /shard/apply). It implies ReadOnly and takes no WALPath or
+	// SnapshotPath; it must stay off on any server whose own state is
+	// authoritative.
 	AcceptState bool
-	// AwaitState boots the server answering queries and updates with 503
-	// until the first accepted /state push installs real state. Requires
+	// AwaitState boots the server answering queries and update records with
+	// 503 until the first accepted /state push installs real state. Requires
 	// AcceptState; it is how a shard process avoids serving its placeholder
 	// cube as if it were data.
 	AwaitState bool
 	// ReadOnly rejects every update with 403: the server is a replica whose
-	// state arrives through replication (JoinLeader), never through /update.
+	// state arrives through replication (JoinLeader, AcceptState), never
+	// through /update.
 	ReadOnly bool
 	// LeaderURL names the writable leader in ReadOnly rejection bodies and
 	// is set by JoinLeader.
@@ -264,13 +268,6 @@ type Server struct {
 	// (remote.go); nil otherwise.
 	remoteEngines []*shard.RemoteEngine
 
-	// scatterSeq is a seqlock around the commit path's remote scatter: odd
-	// while a batch's deltas are propagating to the shard processes (the
-	// shards are heterogeneous), even once every shard has applied them.
-	// Remote reads run lock-free and validate against it instead of holding
-	// the read lock across network round trips (batch.go).
-	scatterSeq atomic.Uint64
-
 	// awaitingState gates serving until the first /state push installs real
 	// data (remote.go).
 	awaitingState atomic.Bool
@@ -388,6 +385,12 @@ func NewWithOptions(c *cube.Cube, opts Options) (*Server, error) {
 	if opts.AcceptState && len(opts.ShardURLs) > 0 {
 		return nil, errors.New("server: a remote-shard leader's state is authoritative, it cannot also accept pushes")
 	}
+	if opts.AcceptState && (opts.WALPath != "" || opts.SnapshotPath != "") {
+		// A shard's slab is the leader's to push: a local log or snapshot of
+		// it could only ever reboot the shard into a state it no longer holds.
+		return nil, errors.New("server: a shard process keeps no WAL or snapshot, its state is pushed by the leader")
+	}
+	opts.ReadOnly = opts.ReadOnly || opts.AcceptState
 	s := &Server{opts: opts, logf: opts.Logf, cube: c}
 	s.ridPrefix = ridPrefix()
 	// The tracer exists before telemetry registration so the span counters
@@ -648,13 +651,15 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	// The replication surface bypasses admission control: a follower must be
-	// able to catch up (and a leader to push state) precisely when the server
-	// is busiest, and neither competes for the structures' read epochs —
-	// /wal streams raw log bytes, /snapshot reads one epoch briefly.
+	// able to catch up (and a leader to push state and records) precisely
+	// when the server is busiest, and neither competes for the structures'
+	// read epochs — /wal streams raw log bytes, /snapshot reads one epoch
+	// briefly.
 	mux.HandleFunc("GET /wal", s.handleWALFetch)
 	mux.HandleFunc("GET /snapshot", s.handleSnapshotFetch)
 	if s.opts.AcceptState {
 		mux.HandleFunc("POST /state", s.handleState)
+		mux.HandleFunc("POST /shard/apply", s.handleShardApply)
 	}
 	if s.opts.Metrics {
 		mux.Handle("GET /metrics", s.met.reg.Handler())
@@ -810,10 +815,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, "unknown op %q (sum, count, avg, max, min)", op)
 		return
 	}
-	// Only an AcceptState server (shard process, joined follower) parses
-	// under the read epoch: its /state push may swap the cube. Every other
-	// server's cube is immutable, so parsing stays off the write-preferring
-	// lock and never queues behind a commit's apply.
+	// Only an AcceptState server (a shard process) parses under the read
+	// epoch: its /state push may swap the cube. Every other server's cube is
+	// immutable, so parsing stays off the write-preferring lock and never
+	// queues behind a commit's apply.
 	if s.opts.AcceptState {
 		s.mu.RLock()
 	}
@@ -968,10 +973,6 @@ type updateResponse struct {
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	if s.awaitingState.Load() {
-		s.writeAwaiting(w, r)
-		return
-	}
 	if s.opts.ReadOnly {
 		// A replica's state arrives through replication; a write here would
 		// fork it from the leader. 403, not 503: retrying this server will
@@ -980,7 +981,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		if s.opts.LeaderURL != "" {
 			hint = " (leader: " + s.opts.LeaderURL + ")"
 		}
-		s.writeError(w, r, http.StatusForbidden, "read-only follower, updates go to the leader%s", hint)
+		s.writeError(w, r, http.StatusForbidden, "read-only replica, updates go to the leader%s", hint)
 		return
 	}
 	if s.degraded.Load() {
@@ -1005,10 +1006,10 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, "empty update batch")
 		return
 	}
-	// Lock-free cube read: the pointer only moves before awaitingState flips
-	// false (a swap this handler's gate already ruled out), and this path
-	// must not touch s.mu — the queue-full 429 has to come back even while a
-	// commit is parked on the write lock.
+	// Lock-free cube read: the pointer only moves on an AcceptState server,
+	// which the ReadOnly gate above already refused, and this path must not
+	// touch s.mu — the queue-full 429 has to come back even while a commit
+	// is parked on the write lock.
 	shape := s.cube.Shape()
 	for i, u := range req.Updates {
 		if err := checkCoords(shape, u.Coords); err != nil {

@@ -56,10 +56,6 @@ type serverMetrics struct {
 	// walMet. cube_degraded itself is a callback gauge over Server.degraded.
 	recoveries *telemetry.Counter
 
-	// Sharded serving tier. The cube_shard_* series export the router's own
-	// scatter–gather counts by callback.
-	tornScatters *telemetry.Counter // lock-free remote reads that gave up the seqlock retry
-
 	// Resynchronizations: a follower re-bootstrapping after its shipped WAL
 	// was superseded (kind=follower), or a leader pushing full state to a
 	// remote shard that came back from down (kind=shard). Pinned children so
@@ -204,8 +200,6 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 	reg.CounterFunc("cube_shard_remote_partials_total",
 		"Sum answers degraded to partial (bounds-only) by a down remote shard.",
 		remoteStat(func(st *shard.RemoteStats) uint64 { return st.Partials.Load() }))
-	m.tornScatters = reg.Counter("cube_shard_remote_torn_reads_total",
-		"Lock-free remote batch reads that exhausted the scatter-seqlock retry budget and kept a possibly-torn answer.")
 
 	// Replication-lag visibility. On a -join follower the WAL-ship loop
 	// records the leader's committed sequence (from the fetch response
@@ -395,7 +389,7 @@ func engineLabel(rt *shard.Router, b int, op string) string {
 // label stays low-cardinality no matter what clients probe for.
 func pathLabel(p string) string {
 	switch p {
-	case "/schema", "/query", "/query/batch", "/shard/query", "/update", "/metrics",
+	case "/schema", "/query", "/query/batch", "/shard/query", "/shard/apply", "/update", "/metrics",
 		"/healthz", "/readyz", "/wal", "/snapshot", "/state", "/debug/traces":
 		return p
 	}

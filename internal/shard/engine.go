@@ -21,6 +21,11 @@ import (
 // bounds covering the absent slab, instead of failing the query.
 var ErrShardDown = errors.New("shard: shard unavailable")
 
+// ErrSeqMismatch fails a gather whose remote shards answered at different
+// seqs: a commit's scatter ran between their exchanges, so the merged answer
+// would be of no single cube state.
+var ErrSeqMismatch = errors.New("shard: shards answered at different seqs")
+
 // Engine is one shard's serving surface as the router sees it: one batched
 // read and scattered update batches. All regions and coordinates are in the
 // shard's local (slab) frame; the router owns the translation. Two
@@ -72,6 +77,9 @@ type Item struct {
 	// Err is the answering shard's refusal of this item: it travels as the
 	// status byte, and DecodeAnswers fails on it.
 	Err error
+	// Seq is the seq of the state a remote shard answered at, the same for
+	// every item of its frame; 0 from an in-process engine.
+	Seq uint64
 
 	query int // the query of the batch this item was cut from
 }

@@ -12,18 +12,21 @@ import (
 // The scatter frame: Engine.Answer serialised, the one read RPC between a
 // leader and a shard process (POST /shard/query). Each direction is one
 // wal.SealRecord record (u32 length, u32 CRC32C) around a little-endian
-// payload; a payload is a header and count items:
+// payload; a payload is a header and count items, and an answer's header is
+// followed by the seq of the state that answered every item:
 //
 //	header:  u8 version, u8 dims, u32 count
 //	query:   u8 op, dims × (i32 lo, i32 hi)          shard-local, fixed size
+//	seq:     u64                                     answers only
 //	answer:  u8 status, u8 found, i64 value, i64 accesses, found × dims × i32 at
 //
 // A sum's exact value is its own §11 bounds, so none travel. A peer that
 // reads a version it does not speak refuses the frame, which the leader
 // treats like any other 4xx: a permanent error, no hedge, no down-marking.
 const (
-	frameVersion = 1
+	frameVersion = 2
 	frameHeader  = 6
+	answerHeader = frameHeader + 8
 	maxFrameDims = 64
 	answerFixed  = 1 + 1 + 8 + 8
 )
@@ -100,10 +103,11 @@ func DecodeQueries(p []byte, max int) ([]Item, error) {
 	return items, nil
 }
 
-// AppendAnswers appends the response payload for answered items.
-func AppendAnswers(dst []byte, items []Item) []byte {
+// AppendAnswers appends the response payload for items answered at seq.
+func AppendAnswers(dst []byte, seq uint64, items []Item) []byte {
 	dst = append(dst, frameVersion, byte(len(items[0].Local)))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(items)))
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
 	for k := range items {
 		it := &items[k]
 		status, found := byte(0), byte(0)
@@ -125,11 +129,11 @@ func AppendAnswers(dst []byte, items []Item) []byte {
 }
 
 // DecodeAnswers fills items, the queries that were sent, from a response
-// payload: the value (its own bounds), an extreme's cell, and the shard's
-// access count as auxiliary cost — the leader touched none of those cells
-// itself, but the work was done on the query's behalf. Nothing is sized from
-// the payload: count and dims must be the items' own, and an item the shard
-// refused fails the whole decode.
+// payload: the shard's seq, the value (its own bounds), an extreme's cell,
+// and the shard's access count as auxiliary cost — the leader touched none of
+// those cells itself, but the work was done on the query's behalf. Nothing is
+// sized from the payload: count and dims must be the items' own, and an item
+// the shard refused fails the whole decode.
 func DecodeAnswers(p []byte, items []Item) error {
 	dims, n, b, err := header(p, len(items))
 	if err != nil {
@@ -138,6 +142,10 @@ func DecodeAnswers(p []byte, items []Item) error {
 	if n != len(items) || dims != len(items[0].Local) {
 		return fmt.Errorf("%w: %d answers of %d dims to %d queries of %d", errFrame, n, dims, len(items), len(items[0].Local))
 	}
+	if len(b) < answerHeader-frameHeader {
+		return fmt.Errorf("%w: no seq after the header", errFrame)
+	}
+	seq, b := binary.LittleEndian.Uint64(b), b[answerHeader-frameHeader:]
 	for k := range items {
 		it := &items[k]
 		if len(b) < answerFixed || b[1] > 1 || len(b) < answerFixed+int(b[1])*4*dims {
@@ -150,7 +158,7 @@ func DecodeAnswers(p []byte, items []Item) error {
 		if accesses < 0 {
 			return fmt.Errorf("%w: answer %d counts %d accesses", errFrame, k, accesses)
 		}
-		it.Value = int64(binary.LittleEndian.Uint64(b[2:]))
+		it.Value, it.Seq = int64(binary.LittleEndian.Uint64(b[2:])), seq
 		it.Lo, it.Hi, it.At, it.Cost = it.Value, it.Value, nil, metrics.Counter{Aux: accesses}
 		b = b[answerFixed:]
 		if found {

@@ -10,7 +10,7 @@ import (
 )
 
 // frameSeeds builds, for d = 1…4, a valid sealed request and the valid sealed
-// answer to it.
+// answer to it, stamped with seq 10·d.
 func frameSeeds(t testing.TB) (seeds [][]byte) {
 	for d := 1; d <= 4; d++ {
 		items := make([]Item, 3)
@@ -33,7 +33,7 @@ func frameSeeds(t testing.TB) (seeds [][]byte) {
 				items[k].At[d-1] = k + 1
 			}
 		}
-		ans, err := wal.SealRecord(AppendAnswers(make([]byte, wal.FrameSize), items))
+		ans, err := wal.SealRecord(AppendAnswers(make([]byte, wal.FrameSize), uint64(10*d), items))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,18 +60,19 @@ func FuzzScatterFrame(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
-	req := seeds[2]                                                                      // d = 2
-	f.Add(req[:len(req)-5])                                                              // truncated
-	f.Add(append(bytes.Clone(req[:len(req)-1]), req[len(req)-1]^0x40))                   // bad CRC
-	f.Add(reseal(f, req, func(p []byte) []byte { p[0] = 9; return p }))                  // unknown version
-	f.Add(reseal(f, req, func(p []byte) []byte { p[1] = 3; return p }))                  // dims mismatch
-	f.Add(reseal(f, req, func(p []byte) []byte { p[frameHeader] = 7; return p }))        // unknown op
-	f.Add(reseal(f, req, func(p []byte) []byte { p[frameHeader+1] = 200; return p }))    // lo > hi + 1
-	f.Add(reseal(f, req, func(p []byte) []byte { p[frameHeader+8] = 0x7f; return p }))   // hi ≥ any shape
-	f.Add(reseal(f, req, func(p []byte) []byte { p[4] = 0xff; return p }))               // count larger than the body
-	f.Add(reseal(f, seeds[3], func(p []byte) []byte { p[frameHeader] = 1; return p }))   // refused item
-	f.Add(reseal(f, seeds[3], func(p []byte) []byte { return p[:len(p)-3] }))            // answer cut short
-	f.Add(reseal(f, seeds[3], func(p []byte) []byte { p[frameHeader+1] = 2; return p })) // bad found flag
+	req := seeds[2]                                                                       // d = 2
+	f.Add(req[:len(req)-5])                                                               // truncated
+	f.Add(append(bytes.Clone(req[:len(req)-1]), req[len(req)-1]^0x40))                    // bad CRC
+	f.Add(reseal(f, req, func(p []byte) []byte { p[0] = 9; return p }))                   // unknown version
+	f.Add(reseal(f, req, func(p []byte) []byte { p[1] = 3; return p }))                   // dims mismatch
+	f.Add(reseal(f, req, func(p []byte) []byte { p[frameHeader] = 7; return p }))         // unknown op
+	f.Add(reseal(f, req, func(p []byte) []byte { p[frameHeader+1] = 200; return p }))     // lo > hi + 1
+	f.Add(reseal(f, req, func(p []byte) []byte { p[frameHeader+8] = 0x7f; return p }))    // hi ≥ any shape
+	f.Add(reseal(f, req, func(p []byte) []byte { p[4] = 0xff; return p }))                // count larger than the body
+	f.Add(reseal(f, seeds[3], func(p []byte) []byte { p[answerHeader] = 1; return p }))   // refused item
+	f.Add(reseal(f, seeds[3], func(p []byte) []byte { return p[:len(p)-3] }))             // answer cut short
+	f.Add(reseal(f, seeds[3], func(p []byte) []byte { p[answerHeader+1] = 2; return p })) // bad found flag
+	f.Add(reseal(f, req, func(p []byte) []byte { p[0] = 1; return p }))                   // version 1, no seq in its answer
 
 	f.Fuzz(func(t *testing.T, rec []byte) {
 		payload, err := wal.OpenRecord(rec)
@@ -109,7 +110,7 @@ func FuzzScatterFrame(f *testing.F) {
 			items[k].Local = make(ndarray.Region, dims)
 		}
 		if err := DecodeAnswers(payload, items); err == nil {
-			if again := AppendAnswers(nil, items); !bytes.Equal(again, payload) {
+			if again := AppendAnswers(nil, items[0].Seq, items); !bytes.Equal(again, payload) {
 				t.Fatalf("answer re-encodes to % x, was % x", again, payload)
 			}
 		}
@@ -140,7 +141,7 @@ func TestScatterFrameRoundTrip(t *testing.T) {
 		}
 		for k, it := range items {
 			wantAt := it.Op != OpSum && k+d != 3
-			if it.Value != int64(-7*(k+d)) || it.Lo != it.Value || it.Hi != it.Value || it.Cost.Total() != int64(3*k) ||
+			if it.Seq != uint64(10*d) || it.Value != int64(-7*(k+d)) || it.Lo != it.Value || it.Hi != it.Value || it.Cost.Total() != int64(3*k) ||
 				(it.At != nil) != wantAt || (wantAt && it.At[d-1] != k+1) {
 				t.Fatalf("d=%d: answer %d decoded to %+v", d, k, it)
 			}
@@ -152,6 +153,7 @@ func TestScatterFrameRoundTrip(t *testing.T) {
 	req, ans := seeds[2][wal.FrameSize:], seeds[3][wal.FrameSize:]
 	for name, p := range map[string][]byte{
 		"unknown version": append([]byte{9}, req[1:]...),
+		"version 1":       append([]byte{1}, req[1:]...),
 		"dims mismatch":   append([]byte{frameVersion, 3}, req[2:]...),
 		"count over body": append(append(bytes.Clone(req[:2]), 0, 1, 0, 0), req[frameHeader:]...),
 		"unknown op":      append(append(bytes.Clone(req[:frameHeader]), 7), req[frameHeader+1:]...),
@@ -164,11 +166,13 @@ func TestScatterFrameRoundTrip(t *testing.T) {
 	}
 	items, _ := DecodeQueries(req, 3)
 	for name, p := range map[string][]byte{
-		"refused item":    append(append(bytes.Clone(ans[:frameHeader]), 1), ans[frameHeader+1:]...),
-		"bad found flag":  append(append(bytes.Clone(ans[:frameHeader+1]), 2), ans[frameHeader+2:]...),
+		"refused item":    append(append(bytes.Clone(ans[:answerHeader]), 1), ans[answerHeader+1:]...),
+		"bad found flag":  append(append(bytes.Clone(ans[:answerHeader+1]), 2), ans[answerHeader+2:]...),
 		"truncated":       ans[:len(ans)-3],
 		"trailing bytes":  append(bytes.Clone(ans), 0),
 		"unknown version": append([]byte{9}, ans[1:]...),
+		"no seq":          ans[:frameHeader+3],
+		"version 1":       append(append([]byte{1}, ans[1:frameHeader]...), ans[answerHeader:]...),
 	} {
 		if err := DecodeAnswers(p, items); err == nil {
 			t.Errorf("answer decoder accepted a frame with %s", name)

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -24,8 +23,8 @@ import (
 // RemoteStats aggregates the remote tier's failure handling across all of a
 // router's engines, for the cube_shard_remote_* telemetry series.
 type RemoteStats struct {
-	// Errors counts reads and scatters that exhausted their retries
-	// and hedge against a shard (each one marks the shard down).
+	// Errors counts down-markings: reads and scatters that exhausted their
+	// retries and hedge against a shard, and records a shard refused.
 	Errors atomic.Uint64
 	// Hedges counts hedged duplicate requests launched after a primary
 	// stalled past the hedge delay.
@@ -43,9 +42,8 @@ type RemoteOptions struct {
 	Timeout time.Duration
 	// HedgeAfter is how long the primary request may stall before one
 	// hedged duplicate is launched; first success wins. 0 means 100ms;
-	// negative disables hedging. Only idempotent reads (queries) hedge:
-	// an update scatter is never duplicated, because the shard has no way
-	// to dedupe a hedge pair that both commit.
+	// negative disables hedging. Reads and update records hedge alike: a
+	// record carries its seq, so the shard applies a duplicate once.
 	HedgeAfter time.Duration
 	// HTTPClient overrides the transport (httptest servers, pooled
 	// keep-alive tuning). Nil uses a transport with a generous idle pool —
@@ -67,33 +65,30 @@ type RemoteOptions struct {
 
 // RemoteEngine speaks the Engine contract to a cubeserver shard process in
 // two RPCs: Answer is one binary scatter frame (frame.go) on POST
-// /shard/query, whatever the ops it carries, and Apply is the JSON POST
-// /update every writer uses. The shard process serves its slab as a cube in
-// the slab's own frame, so local regions and coordinates travel as they are.
+// /shard/query, whatever the ops it carries, and Apply is one sealed WAL
+// record of the leader's batch on POST /shard/apply, numbered with the
+// leader's seq. The shard process serves its slab as a cube in the slab's own
+// frame, so local regions and coordinates travel as they are.
 //
 // Partial-failure handling lives here: every round trip gets a per-shard
-// deadline, reads get one hedged retry (updates are never hedged or
-// re-sent on ambiguous transport errors — they are not idempotent), and a
-// round trip that still fails marks the engine down. A down engine fails
-// fast with ErrShardDown — no network attempts — until the serving tier's
-// resync probe pushes fresh slab state and calls MarkUp. While down,
+// deadline, a retry of transport errors and one hedged duplicate — a read is
+// read-only and a record is applied once whatever reaches the shard twice —
+// and a round trip that still fails marks the engine down. A down engine
+// fails fast with ErrShardDown — no network attempts — until the serving
+// tier's resync probe pushes fresh slab state and calls MarkUp. While down,
 // CellBounds keeps widening under Apply so the missing-slab intervals stay
 // valid against the leader's true state.
 type RemoteEngine struct {
 	shard int
 	base  string // shard process base URL, no trailing slash
 	opt   RemoteOptions
-	// cl carries idempotent reads (retries transport errors freely); wcl
-	// carries update scatters and fails fast on ambiguous transport
-	// errors — a blind re-send could double-apply a delta batch the shard
-	// already committed.
-	cl  *client.Client
-	wcl *client.Client
+	cl    *client.Client
 
 	down atomic.Bool
 
 	mu             sync.Mutex
 	cellLo, cellHi int64
+	seq            uint64 // the leader seq the shard acked last, or was pushed
 }
 
 // NewRemoteEngine builds the transport for shard i served at baseURL.
@@ -114,17 +109,10 @@ func NewRemoteEngine(i int, baseURL string, opt RemoteOptions) *RemoteEngine {
 		shard: i,
 		base:  strings.TrimRight(baseURL, "/"),
 		opt:   opt,
-		// Few, fast attempts: the gather's hedge and the leader's resync
-		// probe own slow-failure handling; long client backoffs would just
-		// hold the query past its deadline.
+		// Few, fast attempts: the hedge and the leader's resync probe own
+		// slow-failure handling; long client backoffs would just hold the
+		// exchange past its deadline.
 		cl: client.New(client.Options{MaxAttempts: 2, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 50 * time.Millisecond, HTTPClient: hc}),
-		// The write client may still retry a shed status (429/503 means the
-		// shard never enqueued the batch) but never an ambiguous transport
-		// error: with durability=sync the shard may have committed the batch
-		// before the connection died, and it has no idempotency token to
-		// dedupe a re-send. The failed scatter marks the engine down instead;
-		// the resync push restores the authoritative slab.
-		wcl: client.New(client.Options{MaxAttempts: 2, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 50 * time.Millisecond, HTTPClient: hc, NoRetryTransportErrors: true}),
 	}
 }
 
@@ -137,11 +125,12 @@ func (e *RemoteEngine) URL() string { return e.base }
 // Down reports whether the engine is marked down (failing fast).
 func (e *RemoteEngine) Down() bool { return e.down.Load() }
 
-// MarkUp clears the down state after a resync, resetting the cell-value
-// bounds to the exact slab bounds the resync computed.
-func (e *RemoteEngine) MarkUp(cellLo, cellHi int64) {
+// MarkUp clears the down state after a resync pushed the slab at seq,
+// resetting the cell-value bounds to the exact slab bounds the resync
+// computed. The next Apply sends the record numbered seq+1.
+func (e *RemoteEngine) MarkUp(seq uint64, cellLo, cellHi int64) {
 	e.mu.Lock()
-	e.cellLo, e.cellHi = cellLo, cellHi
+	e.cellLo, e.cellHi, e.seq = cellLo, cellHi, seq
 	e.mu.Unlock()
 	if e.down.CompareAndSwap(true, false) {
 		if e.opt.OnUp != nil {
@@ -206,7 +195,7 @@ func (e *RemoteEngine) Answer(ctx context.Context, items []Item) error {
 	if err != nil {
 		return err
 	}
-	data, err := e.roundTrip(ctx, e.base+"/shard/query", req, len(items), true)
+	data, err := e.roundTrip(ctx, "shard.query", "/shard/query", req, len(items))
 	if err != nil {
 		return err
 	}
@@ -247,17 +236,14 @@ func (e *RemoteEngine) SumBatchFull(ctx context.Context, regions []ndarray.Regio
 	return parts, nil
 }
 
-// Apply scatters one local-frame update batch to the shard process. The
-// conservative cell-value bounds widen first, unconditionally: whether or
-// not the shard hears about these deltas, the leader's true cell values
-// move by them, and the bounds must keep covering the truth for the
-// missing-slab intervals to stay honest.
-//
-// The batch is not idempotent — the shard has no token to dedupe it on —
-// so the scatter is sent at most once per transport exchange: no hedged
-// duplicate, no re-send after an ambiguous transport error. A scatter that
-// fails marks the engine down and the resync push restores agreement; a
-// duplicate commit would double-apply silently and diverge forever.
+// Apply sends the shard one local-frame update batch as the record of the
+// leader's next seq and advances the engine's seq on the ack. The
+// conservative cell-value bounds widen first, unconditionally: whether or not
+// the shard hears about these deltas, the leader's true cell values move by
+// them, and the bounds must keep covering the truth for the missing-slab
+// intervals to stay honest. A record the shard refuses (a gap, a cell it does
+// not hold) marks the engine down like a failed round trip: the shard no
+// longer holds the leader's state, and the resync push restores it.
 func (e *RemoteEngine) Apply(ctx context.Context, ups []batchsum.IntUpdate) error {
 	e.mu.Lock()
 	for _, u := range ups {
@@ -267,24 +253,28 @@ func (e *RemoteEngine) Apply(ctx context.Context, ups []batchsum.IntUpdate) erro
 			e.cellHi += u.Delta
 		}
 	}
+	seq := e.seq + 1
 	e.mu.Unlock()
 
-	type wireUpdate struct {
-		Coords []int `json:"coords"`
-		Delta  int64 `json:"delta"`
-	}
-	wire := struct {
-		Updates []wireUpdate `json:"updates"`
-	}{Updates: make([]wireUpdate, len(ups))}
+	b := wal.Batch{Seq: seq, Updates: make([]wal.Update, len(ups))}
 	for i, u := range ups {
-		wire.Updates[i] = wireUpdate{Coords: u.Coords, Delta: u.Delta}
+		b.Updates[i] = wal.Update(u)
 	}
-	body, err := json.Marshal(wire)
+	rec, err := wal.AppendBatch(make([]byte, wal.FrameSize), b)
+	if err == nil {
+		rec, err = wal.SealRecord(rec)
+	}
 	if err != nil {
 		return err
 	}
-	_, err = e.roundTrip(ctx, e.base+"/update?durability=sync", body, len(ups), false)
-	return err
+	if _, err = e.roundTrip(ctx, "shard.scatter", "/shard/apply", rec, len(ups)); err != nil {
+		e.MarkDown(err)
+		return err
+	}
+	e.mu.Lock()
+	e.seq = seq
+	e.mu.Unlock()
+	return nil
 }
 
 // permanentError marks a 4xx answer: the shard is healthy, the request is
@@ -294,20 +284,11 @@ type permanentError struct{ msg string }
 func (e *permanentError) Error() string { return e.msg }
 
 // roundTrip performs one logical POST of body, carrying items sub-queries or
-// deltas, against the shard with the partial-failure machinery: fail fast
-// when down, a per-shard deadline, one hedged duplicate after the hedge delay
-// (first success wins, the child context cancels the loser), and a
-// down-marking on exhaustion.
-//
-// idempotent=false (update scatters) disables the hedge and routes through
-// the non-retrying write client: the shard cannot dedupe a duplicate delta
-// batch, so the batch is sent at most once per transport exchange and a
-// failure is resolved by down-marking + resync, never by a blind re-send.
-func (e *RemoteEngine) roundTrip(ctx context.Context, u string, body []byte, items int, idempotent bool) ([]byte, error) {
-	name := "shard.query"
-	if !idempotent {
-		name = "shard.scatter"
-	}
+// deltas, to the shard's route with the partial-failure machinery, traced as
+// span name: fail fast when down, a per-shard deadline, one hedged duplicate
+// after the hedge delay (first success wins, the child context cancels the
+// loser), and a down-marking on exhaustion.
+func (e *RemoteEngine) roundTrip(ctx context.Context, name, route string, body []byte, items int) ([]byte, error) {
 	sp := trace.FromContext(ctx).Child(name)
 	sp.SetShard(e.shard)
 	if sp != nil {
@@ -321,22 +302,18 @@ func (e *RemoteEngine) roundTrip(ctx context.Context, u string, body []byte, ite
 	rctx, cancel := context.WithTimeout(trace.NewContext(ctx, sp), e.opt.Timeout)
 	defer cancel()
 
-	cl := e.cl
-	if !idempotent {
-		cl = e.wcl
-	}
 	type result struct {
 		data []byte
 		err  error
 	}
 	ch := make(chan result, 2)
 	attempt := func(actx context.Context) {
-		data, err := e.once(actx, cl, u, body)
+		data, err := e.once(actx, e.base+route, body)
 		ch <- result{data, err}
 	}
 	go attempt(rctx)
 	var hedge <-chan time.Time
-	if idempotent && e.opt.HedgeAfter > 0 {
+	if e.opt.HedgeAfter > 0 {
 		t := time.NewTimer(e.opt.HedgeAfter)
 		defer t.Stop()
 		hedge = t.C
@@ -388,11 +365,10 @@ func (e *RemoteEngine) roundTrip(ctx context.Context, u string, body []byte, ite
 	}
 }
 
-// once is a single client exchange through cl (the retrying read client or
-// the non-retrying write client); the response body is fully read so the
-// connection returns to the keep-alive pool.
-func (e *RemoteEngine) once(ctx context.Context, cl *client.Client, u string, body []byte) ([]byte, error) {
-	resp, err := cl.Do(ctx, http.MethodPost, u, body)
+// once is a single exchange through the retrying client; the response body
+// is fully read so the connection returns to the keep-alive pool.
+func (e *RemoteEngine) once(ctx context.Context, u string, body []byte) ([]byte, error) {
+	resp, err := e.cl.Do(ctx, http.MethodPost, u, body)
 	if err != nil {
 		return nil, err
 	}

@@ -3,8 +3,11 @@ package shard
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,33 +17,56 @@ import (
 	"rangecube/internal/wal"
 )
 
-// The hedge must fire for idempotent reads and must NOT fire for update
-// scatters: an /update batch carries no idempotency token, so a hedged
-// duplicate that both commit would double-apply the deltas and silently
-// diverge the shard from the leader.
-func TestUpdateScatterNeverHedges(t *testing.T) {
-	var gets, posts atomic.Int64
-	answer, err := wal.SealRecord(AppendAnswers(make([]byte, wal.FrameSize), []Item{{Local: ndarray.Region{{Lo: 0, Hi: 3}}, Value: 5}}))
+// recordSeq decodes the leader seq of a POST /shard/apply body.
+func recordSeq(t *testing.T, r *http.Request) uint64 {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		t.Errorf("reading record: %v", err)
+		return 0
+	}
+	payload, err := wal.OpenRecord(body)
+	if err != nil {
+		t.Errorf("opening record: %v", err)
+		return 0
+	}
+	b, err := wal.DecodeBatch(payload)
+	if err != nil {
+		t.Errorf("decoding record: %v", err)
+	}
+	return b.Seq
+}
+
+// Reads and update records hedge alike: a record carries its seq, so a
+// hedged duplicate that reaches the shard too is applied once there. Both
+// copies of the stalled record carry the engine's next seq, and the ack
+// advances it.
+func TestUpdateScatterHedgesStalledRecord(t *testing.T) {
+	var reads atomic.Int64
+	var mu sync.Mutex
+	var seqs []uint64
+	answer, err := wal.SealRecord(AppendAnswers(make([]byte, wal.FrameSize), 0, []Item{{Local: ndarray.Region{{Lo: 0, Hi: 3}}, Value: 5}}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// Count arrivals before the stall: a canceled hedge loser still
 		// arrived, and the assertion is about what was *sent*. The stall
-		// outlasts the hedge delay so a hedged duplicate, if armed, always
-		// launches before the primary answers.
+		// outlasts the hedge delay so the hedged duplicate always launches
+		// before the primary answers.
 		switch r.URL.Path {
 		case "/shard/query":
-			gets.Add(1)
-		case "/update":
-			posts.Add(1)
+			reads.Add(1)
+		case "/shard/apply":
+			seq := recordSeq(t, r)
+			mu.Lock()
+			seqs = append(seqs, seq)
+			mu.Unlock()
 		}
 		time.Sleep(60 * time.Millisecond)
 		switch r.URL.Path {
 		case "/shard/query":
 			w.Write(answer)
-		case "/update":
-			w.Write([]byte(`{}`))
+		case "/shard/apply":
 		default:
 			http.NotFound(w, r)
 		}
@@ -57,26 +83,37 @@ func TestUpdateScatterNeverHedges(t *testing.T) {
 	if parts, err := e.SumBatchFull(context.Background(), []ndarray.Region{r}, nil); err != nil || parts[0] != (SumPart{5, 5, 5}) {
 		t.Fatalf("stalled read answered %v, %v", parts, err)
 	}
-	if got := gets.Load(); got < 2 {
+	if got := reads.Load(); got < 2 {
 		t.Fatalf("stalled read saw %d requests, want >= 2 (hedge must fire)", got)
 	}
 
-	if err := e.Apply(context.Background(), []batchsum.IntUpdate{{Coords: []int{1}, Delta: 7}}); err != nil {
-		t.Fatal(err)
-	}
-	if got := posts.Load(); got != 1 {
-		t.Fatalf("stalled update scatter saw %d requests, want exactly 1 (never hedged)", got)
+	e.MarkUp(4, 0, 0)
+	for want := uint64(5); want <= 6; want++ {
+		if err := e.Apply(context.Background(), []batchsum.IntUpdate{{Coords: []int{1}, Delta: 7}}); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		got := slices.Clone(seqs)
+		seqs = nil
+		mu.Unlock()
+		if len(got) < 2 || slices.ContainsFunc(got, func(s uint64) bool { return s != want }) {
+			t.Fatalf("stalled record was sent as seqs %v, want seq %d at least twice (hedge must fire)", got, want)
+		}
 	}
 }
 
-// An ambiguous transport error on an update scatter (connection killed
-// mid-exchange: the shard may or may not have committed) must not be
-// re-sent. The engine fails the scatter once, marks itself down, and
-// leaves recovery to the resync push.
-func TestUpdateScatterNoTransportRetry(t *testing.T) {
+// A record whose connection drops before the shard answers (the outcome
+// unknown to the leader) is re-sent: applied or not, the shard acks it once
+// it holds its seq. The engine stays up.
+func TestUpdateScatterRetriesDroppedRecord(t *testing.T) {
 	var posts atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		posts.Add(1)
+		if seq := recordSeq(t, r); seq != 1 {
+			t.Errorf("attempt carried seq %d, want 1", seq)
+		}
+		if posts.Add(1) > 1 {
+			return
+		}
 		c, _, err := w.(http.Hijacker).Hijack()
 		if err != nil {
 			t.Errorf("hijack: %v", err)
@@ -90,29 +127,31 @@ func TestUpdateScatterNoTransportRetry(t *testing.T) {
 		Timeout:    2 * time.Second,
 		HTTPClient: srv.Client(),
 	})
-	err := e.Apply(context.Background(), []batchsum.IntUpdate{{Coords: []int{1}, Delta: 7}})
-	if !errors.Is(err, ErrShardDown) {
-		t.Fatalf("Apply error = %v, want ErrShardDown", err)
+	if err := e.Apply(context.Background(), []batchsum.IntUpdate{{Coords: []int{1}, Delta: 7}}); err != nil {
+		t.Fatalf("Apply after one dropped connection: %v", err)
 	}
-	if !e.Down() {
-		t.Fatal("engine not marked down after a failed scatter")
+	if e.Down() {
+		t.Fatal("engine marked down after a re-sent record was acked")
 	}
-	if got := posts.Load(); got != 1 {
-		t.Fatalf("server saw %d update attempts, want exactly 1 (ambiguous errors must not be retried)", got)
+	if got := posts.Load(); got != 2 {
+		t.Fatalf("shard saw %d attempts, want 2 (dropped, then re-sent)", got)
 	}
 }
 
-// A shed update (429/503) was never enqueued by the shard, so re-sending it
-// cannot double-apply — that retry stays allowed on the write path.
+// A shed record (429/503) was never applied, so it is re-sent like any
+// request.
 func TestUpdateScatterRetriesShedding(t *testing.T) {
 	var posts atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/shard/apply" {
+			http.NotFound(w, r)
+			return
+		}
 		if posts.Add(1) == 1 {
 			w.Header().Set("Retry-After", "0")
 			http.Error(w, "queue full", http.StatusTooManyRequests)
 			return
 		}
-		w.Write([]byte(`{}`))
 	}))
 	defer srv.Close()
 

@@ -191,7 +191,9 @@ type Answer struct {
 // [V·cellLo, V·cellHi] to the bounds and is listed in Missing) and fails every
 // other op that needs it, in that query's Err. cs[qi] (nillable entries)
 // receives query qi's access cost. The returned error fails the whole batch:
-// the caller's context ended, or a shard failed in a way that is not absence.
+// the caller's context ended, a shard failed in a way that is not absence, or
+// the shards that answered did so at different seqs (ErrSeqMismatch), so no
+// answer is one cube state.
 func (rt *Router) Answer(ctx context.Context, qs []Query, cs []*metrics.Counter) ([]Answer, error) {
 	groups := make([][]Item, len(rt.shards))
 	total := 0
@@ -226,6 +228,15 @@ func (rt *Router) Answer(ctx context.Context, qs []Query, cs []*metrics.Counter)
 			return nil, ctx.Err()
 		}
 		return nil, fmt.Errorf("shard %d: %w", i, err)
+	}
+	seq, stamped := uint64(0), -1 // the seq of shard stamped, the last that answered
+	for i, g := range groups {
+		if len(g) > 0 && errs[i] == nil {
+			if stamped >= 0 && g[0].Seq != seq {
+				return nil, fmt.Errorf("%w: shard %d at seq %d, shard %d at seq %d", ErrSeqMismatch, stamped, seq, i, g[0].Seq)
+			}
+			seq, stamped = g[0].Seq, i
+		}
 	}
 	out := make([]Answer, len(qs))
 	for i, g := range groups {
@@ -269,7 +280,7 @@ func (rt *Router) Answer(ctx context.Context, qs []Query, cs []*metrics.Counter)
 }
 
 // fanOut is the router's one fan-out, reads and update scatters alike:
-// call(shard i, groups[i]) for every shard with a non-empty group, errors by
+// call(shard i, groups[i]) for every shard with a non-nil group, errors by
 // shard. In-process engines, and a single busy network engine, are called in
 // shard order on this goroutine: a read forks only over its batch, above the
 // router, never below it. Network engines get a goroutine per busy shard so
@@ -279,13 +290,13 @@ func fanOut[T any](ctx context.Context, rt *Router, label string, groups [][]T, 
 	errs := make([]error, len(groups))
 	busy := 0
 	for i := range groups {
-		if len(groups[i]) > 0 {
+		if groups[i] != nil {
 			busy++
 		}
 	}
 	if !rt.netIO || busy < 2 {
 		for i := range groups {
-			if len(groups[i]) > 0 {
+			if groups[i] != nil {
 				errs[i] = call(rt.shards[i], ctx, groups[i])
 			}
 		}
@@ -295,7 +306,7 @@ func fanOut[T any](ctx context.Context, rt *Router, label string, groups [][]T, 
 	defer cancel()
 	var wg sync.WaitGroup
 	for i := range groups {
-		if len(groups[i]) == 0 {
+		if groups[i] == nil {
 			continue
 		}
 		wg.Add(1)
@@ -353,8 +364,10 @@ func (rt *Router) Extreme(ctx context.Context, r ndarray.Region, min bool, c *me
 
 // Apply scatters one coalesced update batch to the owning shards and
 // commits each shard's piece: in shard order on this goroutine for
-// in-process engines, concurrently for remote ones. The batch is one epoch:
-// the caller must exclude queries for the duration.
+// in-process engines, concurrently for remote ones. A remote engine is sent
+// its piece even when the batch misses its slab — an empty record — so every
+// shard that is up holds the leader's seq. The batch is one epoch: the
+// caller must exclude queries for the duration.
 //
 // A remote shard that fails its scatter does not fail the commit: the
 // leader's cube and WAL are authoritative, the engine marks itself down,
@@ -367,6 +380,11 @@ func (rt *Router) Extreme(ctx context.Context, r ndarray.Region, min bool, c *me
 func (rt *Router) Apply(ctx context.Context, cells []PointDelta) {
 	rt.scatterCells.Add(uint64(len(cells)))
 	groups := make([][]batchsum.IntUpdate, len(rt.shards))
+	if rt.netIO {
+		for i := range groups {
+			groups[i] = []batchsum.IntUpdate{}
+		}
+	}
 	dim := rt.m.Dim()
 	for _, c := range cells {
 		i := rt.m.Owner(c.Coords[dim])
@@ -374,10 +392,9 @@ func (rt *Router) Apply(ctx context.Context, cells []PointDelta) {
 		local[dim] -= rt.m.Slab(i).Lo
 		groups[i] = append(groups[i], batchsum.IntUpdate{Coords: local, Delta: c.Delta})
 	}
-	// Detached from the caller's deadline, keeping its trace. For remote shards
-	// the fan-out's window is one round trip, not a sequential sweep of them —
-	// exactly how long the commit path's seqlock holds lock-free readers off
-	// the shards (server/commit.go).
+	// Detached from the caller's deadline, keeping its trace. For remote
+	// shards the fan-out's window is one round trip, not a sequential sweep
+	// of them.
 	ctx = trace.NewContext(context.Background(), trace.FromContext(ctx))
 	fanOut(ctx, rt, "apply", groups, func(e Engine, ctx context.Context, ups []batchsum.IntUpdate) error {
 		// A failed remote scatter is recorded by the engine itself (down flag

@@ -56,8 +56,8 @@ func Inject(ctx context.Context, h http.Header) {
 
 // Stats is the per-request accounting record the scatter layer fills in and
 // the access log reports: how many shard sub-queries the request fanned out
-// to, whether any answer came back partial, and how many torn-read retries
-// the scatter seqlock forced. A nil *Stats is valid and records nothing.
+// to, whether any answer came back partial, and how many gathers were asked
+// again because the shards' seq stamps differed. A nil *Stats is valid and records nothing.
 type Stats struct {
 	fanout  atomic.Int64
 	torn    atomic.Int64
@@ -103,14 +103,15 @@ func (st *Stats) Partial() bool {
 	return st != nil && st.partial.Load()
 }
 
-// AddTorn records one torn-read retry under the scatter seqlock.
+// AddTorn records one gather asked again because the shards answered at
+// different seqs.
 func (st *Stats) AddTorn() {
 	if st != nil {
 		st.torn.Add(1)
 	}
 }
 
-// Torn reports the torn-read retry count.
+// Torn reports how many gathers were asked again.
 func (st *Stats) Torn() int64 {
 	if st == nil {
 		return 0

@@ -20,8 +20,8 @@
 // This package also owns the request-scoped context plumbing that both
 // internal/server and internal/shard need (the shard package must not
 // import the server): the request ID, the active span, and the per-request
-// Stats record the router fills in (shard fan-out, partial answers, torn
-// scatter retries) for the access log.
+// Stats record the router fills in (shard fan-out, partial answers, gathers
+// retried on a seq mismatch) for the access log.
 package trace
 
 import (

@@ -78,21 +78,22 @@ type Batch struct {
 // EncodeBatch serializes a batch payload. All updates must share a
 // dimensionality ≤ 64 with coordinates that fit in int32 — the server
 // validates batches against the cube shape before logging, so a failure
-// here means a caller bug.
+// here means a caller bug. A batch with no updates encodes as dims 0 and
+// count 0: the log never holds one, but a remote shard is sent one for a
+// commit that misses its slab, so it stays at the leader's seq.
 func EncodeBatch(b Batch) ([]byte, error) {
-	return appendBatch(nil, b)
+	return AppendBatch(nil, b)
 }
 
-// appendBatch encodes the batch payload onto dst (appending, so callers on
+// AppendBatch encodes the batch payload onto dst (appending, so callers on
 // the hot path can reuse one buffer across batches instead of allocating
 // per append).
-func appendBatch(dst []byte, b Batch) ([]byte, error) {
-	if len(b.Updates) == 0 {
-		return nil, errors.New("wal: empty batch")
-	}
-	dims := len(b.Updates[0].Coords)
-	if dims < 1 || dims > maxDims {
-		return nil, fmt.Errorf("wal: %d-dimensional update", dims)
+func AppendBatch(dst []byte, b Batch) ([]byte, error) {
+	dims := 0
+	if len(b.Updates) > 0 {
+		if dims = len(b.Updates[0].Coords); dims < 1 || dims > maxDims {
+			return nil, fmt.Errorf("wal: %d-dimensional update", dims)
+		}
 	}
 	dst = binary.LittleEndian.AppendUint64(dst, b.Seq)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(dims))
@@ -122,6 +123,9 @@ func DecodeBatch(p []byte) (Batch, error) {
 	seq := binary.LittleEndian.Uint64(p[0:])
 	dims := int(binary.LittleEndian.Uint16(p[8:]))
 	count := int(binary.LittleEndian.Uint32(p[10:]))
+	if dims == 0 && count == 0 && len(p) == head {
+		return Batch{Seq: seq}, nil // a commit that missed a shard's slab
+	}
 	if dims < 1 || dims > maxDims {
 		return Batch{}, fmt.Errorf("wal: %d-dimensional payload", dims)
 	}
@@ -517,7 +521,7 @@ func (l *Log) Append(b Batch) error {
 	if cap(rec) < frameSize {
 		rec = make([]byte, frameSize, 512)
 	}
-	rec, err := appendBatch(rec[:frameSize], b)
+	rec, err := AppendBatch(rec[:frameSize], b)
 	if err != nil {
 		recordPool.Put(recP)
 		return err

@@ -23,7 +23,9 @@ func testBatches(n int) []Batch {
 }
 
 func TestBatchRoundTrip(t *testing.T) {
-	for _, b := range testBatches(5) {
+	// A batch with no updates is what a shard whose slab a commit misses is
+	// sent.
+	for _, b := range append(testBatches(5), Batch{Seq: 9}) {
 		p, err := EncodeBatch(b)
 		if err != nil {
 			t.Fatal(err)
@@ -40,7 +42,6 @@ func TestBatchRoundTrip(t *testing.T) {
 
 func TestEncodeBatchRejectsMalformed(t *testing.T) {
 	cases := map[string]Batch{
-		"empty":      {Seq: 1},
 		"no coords":  {Seq: 1, Updates: []Update{{Delta: 1}}},
 		"mixed dims": {Seq: 1, Updates: []Update{{Coords: []int{1, 2}}, {Coords: []int{1}}}},
 		"wide coord": {Seq: 1, Updates: []Update{{Coords: []int{1 << 40}}}},
