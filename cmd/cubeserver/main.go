@@ -99,16 +99,13 @@ func serverFlags(fs *flag.FlagSet) func() server.Options {
 	compactEvery := fs.Int("compact-every", 64, "snapshot and truncate the WAL every N batches")
 	maxInflight := fs.Int("max-inflight", 64, "max concurrent requests (queries and updates) before shedding with 429 (0 = unlimited)")
 	queryTimeout := fs.Duration("query-timeout", 10*time.Second, "per-query deadline (0 = none)")
-	shardTimeout := fs.Duration("shard-timeout", 2*time.Second, "per-sub-query deadline against a remote shard")
-	shardHedge := fs.Duration("shard-hedge-after", 100*time.Millisecond, "launch one hedged duplicate of a remote shard read or update record after the shard is silent this long (0 = no hedging)")
+	shardTimeout := fs.Duration("shard-timeout", 2*time.Second, "per-sub-query deadline against a remote shard; a shard silent for a twentieth of it gets one hedged duplicate of the read or update record")
 	shardProbe := fs.Duration("shard-probe", time.Second, "how often down remote shards are re-pushed their slab state (0 = probe off)")
 	ingestQueue := fs.Int("ingest-queue", 256, "ingestion pipeline queue depth; concurrent /update writers group-commit with one fsync per flushed group")
-	ingestMaxWait := fs.Duration("ingest-max-wait", 0, "how long the flusher holds an under-filled group open for more writers (0 = commit as soon as the queue is momentarily empty)")
 	ingestDurability := fs.String("ingest-durability", "sync", "default /update ack mode: sync (200 after the group fsync) or async (202 at enqueue); clients override per request with ?durability=")
 	metrics := fs.Bool("metrics", true, "serve the Prometheus exposition at GET /metrics")
 	accessLog := fs.Bool("access-log", false, "log one line per request (method, path, status, bytes, latency, request ID, shard fan-out, trace ID when sampled)")
 	traceSample := fs.Float64("trace-sample", 0.01, "fraction of requests traced into GET /debug/traces; slow, partial and error requests are always kept (0 = tracing off)")
-	traceStore := fs.Int("trace-store", 256, "spans retained in the in-memory trace ring")
 	slowQuery := fs.Duration("slow-query", 250*time.Millisecond, "requests at or over this latency log a slow-query exemplar line and are always traced (0 = off)")
 	degradedProbe := fs.Duration("degraded-probe", time.Second, "how often a poisoned WAL triggers a storage-recovery attempt while degraded (0 = probe off)")
 	return func() server.Options {
@@ -123,24 +120,18 @@ func serverFlags(fs *flag.FlagSet) func() server.Options {
 			Metrics:      *metrics,
 			AccessLog:    *accessLog,
 			TraceSample:  *traceSample,
-			TraceStore:   *traceStore,
 			SlowQuery:    *slowQuery,
 
 			IngestQueue:      *ingestQueue,
-			IngestMaxWait:    *ingestMaxWait,
 			IngestDurability: *ingestDurability,
 
 			DegradedProbe: *degradedProbe,
 
-			ShardTimeout:    *shardTimeout,
-			ShardHedgeAfter: *shardHedge,
-			ShardProbe:      *shardProbe,
+			ShardTimeout: *shardTimeout,
+			ShardProbe:   *shardProbe,
 		}
 		// These flags' contract is "0 = off"; the options reserve 0 for their
 		// defaults and disable only on negative.
-		if *shardHedge == 0 {
-			opts.ShardHedgeAfter = -1
-		}
 		if *shardProbe == 0 {
 			opts.ShardProbe = -1
 		}

@@ -18,7 +18,6 @@ func TestZeroFlagMeansOff(t *testing.T) {
 		flag string
 		get  func(server.Options) float64
 	}{
-		{"shard-hedge-after", func(o server.Options) float64 { return float64(o.ShardHedgeAfter) }},
 		{"shard-probe", func(o server.Options) float64 { return float64(o.ShardProbe) }},
 		{"trace-sample", func(o server.Options) float64 { return o.TraceSample }},
 		{"slow-query", func(o server.Options) float64 { return float64(o.SlowQuery) }},

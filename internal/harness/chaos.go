@@ -100,7 +100,6 @@ func Chaos(n, writers, readers int, duration time.Duration) (Table, ChaosResult)
 		SnapshotPath:  filepath.Join(dir, "cube.snap"),
 		CompactEvery:  8, // cross compaction boundaries during the soak
 		IngestQueue:   4 * writers,
-		IngestMaxWait: 200 * time.Microsecond,
 		WALOpenFile:   func(p string) (wal.File, error) { return inj.Open(p) },
 		DegradedProbe: 5 * time.Millisecond,
 	}

@@ -126,12 +126,10 @@ func TestMultiProcessTraceSmoke(t *testing.T) {
 	cells := g.UniformCube([]int{n, n}, 1000)
 	srv := newBenchServer(n, cells.Data(), server.Options{
 		BlockSize: 1, Fanout: 4,
-		ShardURLs:       urls,
-		ShardTimeout:    300 * time.Millisecond,
-		ShardHedgeAfter: 50 * time.Millisecond,
-		ShardProbe:      200 * time.Millisecond,
-		TraceSample:     1, // record everything; the smoke asserts exact traces
-		TraceStore:      512,
+		ShardURLs:    urls,
+		ShardTimeout: time.Second, // hedges at 50 ms
+		ShardProbe:   200 * time.Millisecond,
+		TraceSample:  1, // record everything; the smoke asserts exact traces
 	})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())

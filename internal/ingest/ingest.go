@@ -1,8 +1,8 @@
 // Package ingest implements the server's async ingestion pipeline: a
 // bounded-queue group-commit batcher in front of the §5 batch-update
 // machinery. Concurrent writers enqueue point updates; a single flusher
-// goroutine drains the queue on batch-size-or-max-wait, hands the whole
-// group to one commit callback (which coalesces duplicate coordinates,
+// goroutine drains the queue until it is empty or the group is full, hands
+// the whole group to one commit callback (which coalesces duplicate coordinates,
 // appends ONE WAL batch with ONE fsync, and applies everything under ONE
 // write-lock epoch), and fans the committed sequence number back out to
 // the writers that asked to wait for it.
@@ -110,11 +110,6 @@ type Options struct {
 	// MaxBatch caps the point updates collected into one flushed group;
 	// the flusher commits as soon as a group reaches it. <=0 means 4096.
 	MaxBatch int
-	// MaxWait is how long the flusher holds an under-filled group open
-	// for more arrivals before committing it. 0 commits as soon as the
-	// queue is momentarily empty ("natural" group commit: batches form
-	// exactly while a commit is in flight, adding no idle latency).
-	MaxWait time.Duration
 	// Commit is the group commit callback; required.
 	Commit CommitFunc
 	// Metrics is the optional telemetry sink.
@@ -209,8 +204,9 @@ func (b *Batcher) Stop() {
 }
 
 // run is the flusher: block for the first pending submission, gather more
-// until MaxBatch updates are in hand or MaxWait elapses (or, with MaxWait
-// zero, until the queue is momentarily empty), then commit the group.
+// until MaxBatch updates are in hand or the queue is momentarily empty, then
+// commit the group. Groups form while a commit is in flight, so the flusher
+// never waits for arrivals.
 func (b *Batcher) run() {
 	defer close(b.done)
 	for {
@@ -232,7 +228,7 @@ func (b *Batcher) gather(first *request) ([]*request, bool) {
 	group := []*request{first}
 	total := len(first.updates)
 
-	// Greedy phase: take everything already queued, no waiting.
+	// Take everything already queued, no waiting.
 	for total < b.opts.MaxBatch {
 		select {
 		case r, ok := <-b.ch:
@@ -242,26 +238,6 @@ func (b *Batcher) gather(first *request) ([]*request, bool) {
 			group = append(group, r)
 			total += len(r.updates)
 		default:
-			if b.opts.MaxWait <= 0 {
-				return group, true
-			}
-			// Patient phase: the queue is momentarily empty but the group
-			// is under-filled; hold it open for stragglers until MaxWait
-			// from the first arrival.
-			timer := time.NewTimer(b.opts.MaxWait)
-			defer timer.Stop()
-			for total < b.opts.MaxBatch {
-				select {
-				case r, ok := <-b.ch:
-					if !ok {
-						return group, false
-					}
-					group = append(group, r)
-					total += len(r.updates)
-				case <-timer.C:
-					return group, true
-				}
-			}
 			return group, true
 		}
 	}

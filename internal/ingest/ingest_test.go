@@ -225,26 +225,6 @@ func TestMaxBatchSplitsGroups(t *testing.T) {
 	}
 }
 
-// TestMaxWaitFlushesLoneSubmission: with MaxWait set, a lone submission
-// must commit within roughly MaxWait even though the queue stays empty.
-func TestMaxWaitFlushesLoneSubmission(t *testing.T) {
-	gc := &gatedCommit{}
-	b := New(Options{QueueSize: 16, MaxBatch: 1 << 20, MaxWait: 10 * time.Millisecond, Commit: gc.commit})
-	defer b.Stop()
-	ack, _, err := b.Submit([]Update{up(0, 0, 1)}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case r := <-ack:
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("lone submission never flushed despite MaxWait")
-	}
-}
-
 // TestConcurrentSubmittersAllCommit hammers Submit from many goroutines
 // (the -race soak shape) and checks nothing is lost or double-committed.
 func TestConcurrentSubmittersAllCommit(t *testing.T) {

@@ -28,7 +28,7 @@ var walUpsPool = sync.Pool{New: func() any { return new([]wal.Update) }}
 // cell fails the whole submission with an error, as /update fails it with
 // 400, and nothing of it is queued.
 func (s *Server) SubmitUpdates(ups []ingest.Update, sync bool) (<-chan ingest.Result, error) {
-	if s.opts.ReadOnly {
+	if s.readOnly {
 		return nil, ErrReadOnly
 	}
 	if s.degraded.Load() {

@@ -634,10 +634,7 @@ func TestIngestDuplicateCoordsRacingQueries(t *testing.T) {
 		queriesPerWorker = 30
 	)
 	dir := t.TempDir()
-	s, ts := ingestTestServer(t, dir, func(o *Options) {
-		o.IngestQueue = 128
-		o.IngestMaxWait = 200 * time.Microsecond
-	})
+	s, ts := ingestTestServer(t, dir, func(o *Options) { o.IngestQueue = 128 })
 
 	// A 3x3 coordinate pool guarantees heavy duplication within groups.
 	pool := [][]int{{0, 0}, {0, 1}, {0, 2}, {1, 0}, {1, 1}, {1, 2}, {2, 0}, {2, 1}, {2, 2}}

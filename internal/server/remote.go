@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rangecube/internal/client"
@@ -50,28 +49,8 @@ func (s *Server) initRemoteSharding(m shard.Map) error {
 	// simply never get a slab.
 	engines := make([]shard.Engine, m.Shards())
 	remotes := make([]*shard.RemoteEngine, m.Shards())
-	// Down/up stamps feed the cube_shard_lag_* gauges: when a shard goes
-	// down we record the instant and the sequence it last agreed with the
-	// leader at, so lag reads as "how far behind the tier's worst shard is"
-	// in both batches and wall-clock time until the resync probe clears it.
-	s.shardDownAt = make([]atomic.Int64, m.Shards())
-	s.shardDownSeq = make([]atomic.Uint64, m.Shards())
 	for i, u := range s.opts.ShardURLs[:m.Shards()] {
-		i := i
-		e := shard.NewRemoteEngine(i, u, shard.RemoteOptions{
-			Timeout:    s.opts.ShardTimeout,
-			HedgeAfter: s.opts.ShardHedgeAfter,
-			Stats:      stats,
-			Logf:       s.logf,
-			OnDown: func(int) {
-				s.shardDownSeq[i].Store(s.committed.Load())
-				s.shardDownAt[i].Store(time.Now().UnixNano())
-			},
-			OnUp: func(int) {
-				s.shardDownAt[i].Store(0)
-				s.shardDownSeq[i].Store(0)
-			},
-		})
+		e := shard.NewRemoteEngine(i, u, shard.RemoteOptions{Timeout: s.opts.ShardTimeout, Stats: stats, Logf: s.logf})
 		remotes[i], engines[i] = e, e
 	}
 	rt, err := shard.NewRouterEngines(m, engines, stats)

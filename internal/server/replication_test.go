@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/big"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -375,10 +376,9 @@ func TestJoinLeaderFollowsAndRebootstraps(t *testing.T) {
 	leader, lts := replLeader(t, 5, nil)
 
 	f, err := JoinLeader(context.Background(), lts.URL, Options{
-		BlockSize:  3,
-		Fanout:     3,
-		FollowPoll: 2 * time.Millisecond,
-		Logf:       func(string, ...any) {},
+		BlockSize: 3,
+		Fanout:    3,
+		Logf:      func(string, ...any) {},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -447,17 +447,16 @@ func TestJoinLeaderFollowsAndRebootstraps(t *testing.T) {
 }
 
 // TestFollowerRebootstrapsOnlyWhenBehindCompaction polls a follower by hand
-// (its pump never ticks). Behind a leader compaction, the follower gets a 410
+// (it is bootstrapped without a pump). Behind a leader compaction, the follower gets a 410
 // and re-bootstraps from /snapshot exactly once, counted in
 // cube_shard_resync_total{kind="follower"}, and then tails the new log.
 // Caught up at a compaction, it keeps following with no re-bootstrap.
 func TestFollowerRebootstrapsOnlyWhenBehindCompaction(t *testing.T) {
 	leader, lts := replLeader(t, 3, nil)
-	f, err := JoinLeader(context.Background(), lts.URL, Options{
-		BlockSize:  3,
-		Fanout:     3,
-		FollowPoll: time.Hour,
-		Logf:       func(string, ...any) {},
+	f, err := bootstrapFollower(context.Background(), lts.URL, Options{
+		BlockSize: 3,
+		Fanout:    3,
+		Logf:      func(string, ...any) {},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -466,7 +465,7 @@ func TestFollowerRebootstrapsOnlyWhenBehindCompaction(t *testing.T) {
 	cl := client.New(client.Options{})
 	poll := func(stage string, seq uint64, resyncs int64) {
 		t.Helper()
-		f.followFetch(cl, lts.URL)
+		f.followFetch(cl)
 		if f.Seq() != seq || f.met.resyncFollower.Value() != resyncs {
 			t.Fatalf("%s: follower at seq %d after %d re-bootstraps, want seq %d after %d",
 				stage, f.Seq(), f.met.resyncFollower.Value(), seq, resyncs)
@@ -510,11 +509,10 @@ func TestFollowerLagGauges(t *testing.T) {
 	leader, lts := replLeader(t, 5, nil)
 
 	f, err := JoinLeader(context.Background(), lts.URL, Options{
-		BlockSize:  3,
-		Fanout:     3,
-		FollowPoll: 2 * time.Millisecond,
-		Metrics:    true,
-		Logf:       func(string, ...any) {},
+		BlockSize: 3,
+		Fanout:    3,
+		Metrics:   true,
+		Logf:      func(string, ...any) {},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -773,6 +771,88 @@ func TestRemoteShardTier(t *testing.T) {
 	}
 }
 
+// TestShardLagGauges reads cube_shard_lag_seq and cube_shard_lag_seconds off
+// a leader over two shards. Killed, shard 1 is k batches behind after k
+// commits; restarted and re-pushed by the probe, both gauges read 0. A shard
+// that never synced holds none of the leader's batches, so it reads the
+// leader's seq: here a seq recovered from the leader's WAL at boot.
+func TestShardLagGauges(t *testing.T) {
+	newCube := func() *cube.Cube {
+		return cube.New(cube.NewIntDimension("x", 0, 9), cube.NewIntDimension("y", 0, 7))
+	}
+	walPath := filepath.Join(t.TempDir(), "u.wal")
+	p0 := startShardProc(t, "127.0.0.1:0")
+	p1 := startShardProc(t, "127.0.0.1:0")
+	t.Cleanup(func() { p0.stop(); p1.stop() })
+	boot := func(shard1 string) (*Server, *httptest.Server) {
+		leader, err := NewWithOptions(newCube(), Options{
+			BlockSize: 3, Fanout: 3, Metrics: true, WALPath: walPath,
+			ShardURLs:  []string{"http://" + p0.addr, shard1},
+			ShardProbe: 10 * time.Millisecond,
+			Logf:       func(string, ...any) {},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return leader, httptest.NewServer(leader.Handler())
+	}
+	commit := func(leader *Server) {
+		t.Helper()
+		ack, err := leader.SubmitUpdates([]ingest.Update{{Coords: []int{9, 0}, Delta: 1}}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := <-ack; res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	lag := func(lts *httptest.Server) (seq, secs float64) {
+		t.Helper()
+		body := scrape(t, lts)
+		return seriesValue(body, "cube_shard_lag_seq", ""), seriesValue(body, "cube_shard_lag_seconds", "")
+	}
+
+	leader, lts := boot("http://" + p1.addr)
+	commit(leader)
+	if seq, secs := lag(lts); seq != 0 || secs != 0 {
+		t.Fatalf("every shard up: lag %v batches, %v s, want 0 and 0", seq, secs)
+	}
+	p1.stop()
+	const k = 3
+	for range k {
+		commit(leader)
+	}
+	if seq, secs := lag(lts); seq != k || secs < 0 {
+		t.Fatalf("shard 1 down for %d commits: lag %v batches, %v s, want %d and >= 0", k, seq, secs, k)
+	}
+	p1b := startShardProc(t, p1.addr)
+	t.Cleanup(p1b.stop)
+	for deadline := time.Now().Add(5 * time.Second); !leader.Health().Ready; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("shard 1 never resynced: %+v", leader.Health())
+		}
+	}
+	if seq, secs := lag(lts); seq != 0 || secs != 0 {
+		t.Fatalf("shard 1 resynced: lag %v batches, %v s, want 0 and 0", seq, secs)
+	}
+	lts.Close()
+	leader.Close()
+
+	// Reboot over the same WAL, at seq 1 + k, with shard 1 at an address
+	// that refuses every push.
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := "http://" + l.Addr().String()
+	l.Close()
+	leader, lts = boot(dead)
+	t.Cleanup(func() { lts.Close(); leader.Close() })
+	if seq, _ := lag(lts); seq != 1+k || leader.Seq() != 1+k {
+		t.Fatalf("never-synced shard at leader seq %d: lag %v batches, want %d", leader.Seq(), seq, 1+k)
+	}
+}
+
 // A shard that never attaches (its address refuses connections from boot)
 // must still contribute covering bounds to partial sums: the leader seeds
 // each engine's conservative cell-value bounds from the authoritative slab
@@ -830,6 +910,80 @@ func TestNeverSyncedShardBoundsCoverOracle(t *testing.T) {
 	}
 	if *out.LowerBnd > want || want > *out.UpperBnd {
 		t.Fatalf("never-synced shard bounds [%d, %d] miss oracle %d", *out.LowerBnd, *out.UpperBnd, want)
+	}
+}
+
+// TestPartialBoundsNeverWrap serves partial sums over a 2048×1024 cube in two
+// x slabs whose never-synced second slab holds cells of 2^44, so a missing
+// piece of volume V is charged V·2^44: it fits in int64 below V = 2^19 and
+// wraps to 0 at V = 2^20, where an unsaturated merge answered the whole cube
+// as [7, 7]. Every partial interval must contain the math/big sum or say
+// unbounded, and a piece that fits must stay bounded.
+func TestPartialBoundsNeverWrap(t *testing.T) {
+	const cell = int64(1) << 44
+	c := cube.New(cube.NewIntDimension("x", 0, 2047), cube.NewIntDimension("y", 0, 1023))
+	a := c.Data()
+	a.Set(7, 5, 5) // the live slab's only nonzero cell
+	for x := 1024; x < 2048; x++ {
+		for y := 0; y < 1024; y++ {
+			a.Set(cell, x, y)
+		}
+	}
+	p0 := startShardProc(t, "127.0.0.1:0")
+	t.Cleanup(p0.stop)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := l.Addr().String()
+	l.Close()
+	leader, err := NewWithOptions(c, Options{
+		BlockSize: 1, Fanout: 4,
+		ShardURLs:    []string{"http://" + p0.addr, "http://" + deadAddr},
+		ShardTimeout: time.Second,
+		ShardProbe:   -1, // no probe: the shard must stay never-synced
+		Logf:         func(string, ...any) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lts := httptest.NewServer(leader.Handler())
+	t.Cleanup(func() { lts.Close(); leader.Close() })
+	if m := leader.router.Map(); m.Dim() != 0 || m.Slab(1) != (ndarray.Range{Lo: 1024, Hi: 2047}) {
+		t.Fatalf("the leader split dimension %d with slab 1 = %v, want x at 1024", m.Dim(), m.Slab(1))
+	}
+
+	for _, q := range []struct {
+		x0, x1, y0, y1 int
+		bounded        bool
+	}{
+		{0, 2047, 0, 1023, false}, // V = 2^20 missing
+		{1024, 2047, 0, 1023, false},
+		{1024, 1535, 0, 1023, false},   // V = 2^19: 2^63 is one past MaxInt64
+		{1024, 1535, 0, 1022, true},    // V = 2^19 − 512
+		{1000, 1055, 0, 15, true},      // a live and a missing piece
+		{2047, 2047, 1023, 1023, true}, // one cell
+	} {
+		r := ndarray.Region{{Lo: q.x0, Hi: q.x1}, {Lo: q.y0, Hi: q.y1}}
+		missing := r.Volume()
+		if q.x0 < 1024 {
+			missing = (q.x1 - 1023) * (q.y1 - q.y0 + 1)
+		}
+		want := new(big.Int).Mul(big.NewInt(int64(missing)), big.NewInt(cell))
+		if q.x0 <= 5 && 5 <= q.x1 && q.y0 <= 5 && 5 <= q.y1 {
+			want.Add(want, big.NewInt(7))
+		}
+		out, code := sumOf2(t, lts, fmt.Sprintf("/query?op=sum&x=%d..%d&y=%d..%d", q.x0, q.x1, q.y0, q.y1))
+		if code != http.StatusOK || !out.Partial || out.LowerBnd == nil || out.UpperBnd == nil {
+			t.Fatalf("sum over %v: %+v status %d, want a partial answer with bounds", r, out, code)
+		}
+		lo, hi := big.NewInt(*out.LowerBnd), big.NewInt(*out.UpperBnd)
+		if !out.Unbounded && (lo.Cmp(want) > 0 || want.Cmp(hi) > 0) {
+			t.Errorf("sum over %v: bounds [%d, %d] miss %v and do not say unbounded", r, *out.LowerBnd, *out.UpperBnd, want)
+		}
+		if out.Unbounded == q.bounded {
+			t.Errorf("sum over %v: unbounded = %v, want %v (bounds [%d, %d], sum %v)", r, out.Unbounded, !q.bounded, *out.LowerBnd, *out.UpperBnd, want)
+		}
 	}
 }
 
@@ -1051,10 +1205,9 @@ func TestApplyReplicatedRejectsBadCoords(t *testing.T) {
 	t.Cleanup(leader.Close)
 
 	f, err := JoinLeader(context.Background(), leader.URL, Options{
-		BlockSize:  1,
-		Fanout:     2,
-		FollowPoll: 2 * time.Millisecond,
-		Logf:       func(string, ...any) {},
+		BlockSize: 1,
+		Fanout:    2,
+		Logf:      func(string, ...any) {},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -118,12 +118,14 @@ func (tr *scatterTier) region(x0, x1, y0, y1 int) ndarray.Region {
 // read behind it). Released, both answer with a value the oracle held inside
 // their request window.
 func TestLeaderHoldsNoLockAcrossShardReads(t *testing.T) {
-	parked := make(chan struct{}, 8) // arrivals at the parked route; hedging is off, so two
+	parked := make(chan struct{}, 8) // arrivals at the parked route: two, as no hedge fires
 	release := make(chan struct{})
 	var once sync.Once
 	unpark := func() { once.Do(func() { close(release) }) }
 	defer unpark() // before the tier's cleanups: closing a server waits for its parked requests
-	tr := newScatterTier(t, Options{ShardTimeout: 20 * time.Second, ShardHedgeAfter: -1},
+	// A read parks at most the 5 s the test waits for anything; the hedge
+	// fires at a twentieth of the deadline, past that.
+	tr := newScatterTier(t, Options{ShardTimeout: 100 * time.Second},
 		func(shard int, r *http.Request) {
 			// Every read route this tier has ever used, so the test means the
 			// same thing against a build that reads through another one.
@@ -429,7 +431,9 @@ func TestTornGatherNeverServedExact(t *testing.T) {
 		}
 	}
 	var asked atomic.Bool
-	tr = newScatterTier(t, Options{ShardHedgeAfter: -1}, func(shard int, r *http.Request) {
+	// A frame parks for at most the hook's 200 ms wait; the hedge fires at a
+	// twentieth of the deadline, 500 ms.
+	tr = newScatterTier(t, Options{ShardTimeout: 10 * time.Second}, func(shard int, r *http.Request) {
 		if shard == 1 && r.URL.Path == "/shard/query" && !asked.Load() && arrivals.Add(1) <= 6 {
 			commit()
 		}

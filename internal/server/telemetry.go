@@ -205,8 +205,9 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 	// records the leader's committed sequence (from the fetch response
 	// header) and the wall-clock instant of its last successful fetch; the
 	// gauges derive lag in both units and read 0 once caught up. On a leader
-	// with remote shards, the down hooks stamp when each shard went down and
-	// what was committed then; the gauges report the worst shard still down.
+	// with remote shards, each down engine holds the instant it went down and
+	// the last seq its shard acked; the gauges report the worst shard still
+	// down.
 	resyncVec := reg.CounterVec("cube_shard_resync_total",
 		"Full-state resynchronizations: kind=follower (WAL stream superseded, re-bootstrapped) or kind=shard (recovered remote shard re-seeded by the leader).",
 		"kind")
@@ -234,16 +235,13 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 			return int64(time.Since(time.Unix(0, at)) / time.Second)
 		})
 	reg.GaugeFunc("cube_shard_lag_seq",
-		"Committed batches the most-behind down remote shard is missing (0 when every shard is up).",
+		"Committed batches the most-behind down remote shard is missing (0 when every shard is up; the leader's seq for a shard never synced).",
 		func() int64 {
 			var worst uint64
-			have := s.Seq()
-			for i := range s.shardDownAt {
-				if s.shardDownAt[i].Load() == 0 {
-					continue
-				}
-				if at := s.shardDownSeq[i].Load(); have > at && have-at > worst {
-					worst = have - at
+			have := s.committed.Load()
+			for _, e := range s.remoteEngines {
+				if at := e.Seq(); e.Down() && have > at {
+					worst = max(worst, have-at)
 				}
 			}
 			return int64(worst)
@@ -252,11 +250,9 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 		"Whole seconds the longest-down remote shard has been down (0 when every shard is up).",
 		func() int64 {
 			var worst int64
-			for i := range s.shardDownAt {
-				if at := s.shardDownAt[i].Load(); at != 0 {
-					if d := int64(time.Since(time.Unix(0, at)) / time.Second); d > worst {
-						worst = d
-					}
+			for _, e := range s.remoteEngines {
+				if at := e.DownSince(); !at.IsZero() {
+					worst = max(worst, int64(time.Since(at)/time.Second))
 				}
 			}
 			return worst

@@ -41,7 +41,7 @@ type RemoteOptions struct {
 	// retrying client's attempts and the hedge). 0 means 2s.
 	Timeout time.Duration
 	// HedgeAfter is how long the primary request may stall before one
-	// hedged duplicate is launched; first success wins. 0 means 100ms;
+	// hedged duplicate is launched; first success wins. 0 means Timeout/20;
 	// negative disables hedging. Reads and update records hedge alike: a
 	// record carries its seq, so the shard applies a duplicate once.
 	HedgeAfter time.Duration
@@ -52,13 +52,6 @@ type RemoteOptions struct {
 	// Stats, when non-nil, receives the engine's error/hedge counts
 	// (shared across a router's engines).
 	Stats *RemoteStats
-	// OnDown, when non-nil, fires once per up→down transition, before the
-	// transition is logged. The serving tier uses it to timestamp the
-	// outage for its replication-lag gauges.
-	OnDown func(shard int)
-	// OnUp, when non-nil, fires once per down→up transition (MarkUp after a
-	// successful resync).
-	OnUp func(shard int)
 	// Logf receives operational lines (shard marked down). Nil discards.
 	Logf func(format string, args ...any)
 }
@@ -84,7 +77,7 @@ type RemoteEngine struct {
 	opt   RemoteOptions
 	cl    *client.Client
 
-	down atomic.Bool
+	downAt atomic.Int64 // unixnano of the up→down transition; 0 while up
 
 	mu             sync.Mutex
 	cellLo, cellHi int64
@@ -97,7 +90,7 @@ func NewRemoteEngine(i int, baseURL string, opt RemoteOptions) *RemoteEngine {
 		opt.Timeout = 2 * time.Second
 	}
 	if opt.HedgeAfter == 0 {
-		opt.HedgeAfter = 100 * time.Millisecond
+		opt.HedgeAfter = opt.Timeout / 20
 	}
 	hc := opt.HTTPClient
 	if hc == nil {
@@ -123,7 +116,22 @@ func (e *RemoteEngine) Shard() int { return e.shard }
 func (e *RemoteEngine) URL() string { return e.base }
 
 // Down reports whether the engine is marked down (failing fast).
-func (e *RemoteEngine) Down() bool { return e.down.Load() }
+func (e *RemoteEngine) Down() bool { return e.downAt.Load() != 0 }
+
+// DownSince returns when the engine was marked down; zero while it is up.
+func (e *RemoteEngine) DownSince() time.Time {
+	if at := e.downAt.Load(); at != 0 {
+		return time.Unix(0, at)
+	}
+	return time.Time{}
+}
+
+// Seq returns the leader seq the shard acked last, or was pushed.
+func (e *RemoteEngine) Seq() uint64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.seq
+}
 
 // MarkUp clears the down state after a resync pushed the slab at seq,
 // resetting the cell-value bounds to the exact slab bounds the resync
@@ -132,10 +140,7 @@ func (e *RemoteEngine) MarkUp(seq uint64, cellLo, cellHi int64) {
 	e.mu.Lock()
 	e.cellLo, e.cellHi, e.seq = cellLo, cellHi, seq
 	e.mu.Unlock()
-	if e.down.CompareAndSwap(true, false) {
-		if e.opt.OnUp != nil {
-			e.opt.OnUp(e.shard)
-		}
+	if e.downAt.Swap(0) != 0 {
 		e.logf("shard %d (%s): marked up after resync", e.shard, e.base)
 	}
 }
@@ -156,12 +161,9 @@ func (e *RemoteEngine) SeedCellBounds(cellLo, cellHi int64) {
 // MarkDown forces the down state (the serving tier uses it when an attach
 // push fails; round-trip failures set it themselves).
 func (e *RemoteEngine) MarkDown(cause error) {
-	if e.down.CompareAndSwap(false, true) {
+	if e.downAt.CompareAndSwap(0, time.Now().UnixNano()) {
 		if e.opt.Stats != nil {
 			e.opt.Stats.Errors.Add(1)
-		}
-		if e.opt.OnDown != nil {
-			e.opt.OnDown(e.shard)
 		}
 		e.logf("shard %d (%s): marked down: %v", e.shard, e.base, cause)
 	}
@@ -241,16 +243,17 @@ func (e *RemoteEngine) SumBatchFull(ctx context.Context, regions []ndarray.Regio
 // conservative cell-value bounds widen first, unconditionally: whether or not
 // the shard hears about these deltas, the leader's true cell values move by
 // them, and the bounds must keep covering the truth for the missing-slab
-// intervals to stay honest. A record the shard refuses (a gap, a cell it does
+// intervals to stay honest; they saturate at the int64 limits rather than
+// wrap. A record the shard refuses (a gap, a cell it does
 // not hold) marks the engine down like a failed round trip: the shard no
 // longer holds the leader's state, and the resync push restores it.
 func (e *RemoteEngine) Apply(ctx context.Context, ups []batchsum.IntUpdate) error {
 	e.mu.Lock()
 	for _, u := range ups {
 		if u.Delta < 0 {
-			e.cellLo += u.Delta
+			e.cellLo, _ = addSat(e.cellLo, u.Delta)
 		} else {
-			e.cellHi += u.Delta
+			e.cellHi, _ = addSat(e.cellHi, u.Delta)
 		}
 	}
 	seq := e.seq + 1
@@ -295,7 +298,7 @@ func (e *RemoteEngine) roundTrip(ctx context.Context, name, route string, body [
 		sp.Set("items", strconv.Itoa(items))
 	}
 	defer sp.End()
-	if e.down.Load() {
+	if e.Down() {
 		sp.SetError("fast fail: shard marked down")
 		return nil, fmt.Errorf("%w (shard %d marked down)", ErrShardDown, e.shard)
 	}

@@ -39,8 +39,24 @@ func recordSeq(t *testing.T, r *http.Request) uint64 {
 // Reads and update records hedge alike: a record carries its seq, so a
 // hedged duplicate that reaches the shard too is applied once there. Both
 // copies of the stalled record carry the engine's next seq, and the ack
-// advances it.
+// advances it. An unset HedgeAfter hedges at a twentieth of the deadline:
+// 20 ms under a 400 ms one, inside the 60 ms stall; 500 ms under a 10 s one,
+// past it.
 func TestUpdateScatterHedgesStalledRecord(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		opts  RemoteOptions
+		hedge bool
+	}{
+		{"HedgeAfter 5ms", RemoteOptions{Timeout: 2 * time.Second, HedgeAfter: 5 * time.Millisecond}, true},
+		{"Timeout/20 of 400ms", RemoteOptions{Timeout: 400 * time.Millisecond}, true},
+		{"Timeout/20 of 10s", RemoteOptions{Timeout: 10 * time.Second}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) { testStalledRecord(t, c.opts, c.hedge) })
+	}
+}
+
+func testStalledRecord(t *testing.T, opts RemoteOptions, hedge bool) {
 	var reads atomic.Int64
 	var mu sync.Mutex
 	var seqs []uint64
@@ -50,9 +66,7 @@ func TestUpdateScatterHedgesStalledRecord(t *testing.T) {
 	}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// Count arrivals before the stall: a canceled hedge loser still
-		// arrived, and the assertion is about what was *sent*. The stall
-		// outlasts the hedge delay so the hedged duplicate always launches
-		// before the primary answers.
+		// arrived, and the assertion is about what was *sent*.
 		switch r.URL.Path {
 		case "/shard/query":
 			reads.Add(1)
@@ -73,18 +87,21 @@ func TestUpdateScatterHedgesStalledRecord(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	e := NewRemoteEngine(0, srv.URL, RemoteOptions{
-		Timeout:    2 * time.Second,
-		HedgeAfter: 5 * time.Millisecond,
-		HTTPClient: srv.Client(),
-	})
+	opts.HTTPClient = srv.Client()
+	e := NewRemoteEngine(0, srv.URL, opts)
 	r := ndarray.Region{{Lo: 0, Hi: 3}}
+	sent := func(n int) bool {
+		if hedge {
+			return n >= 2
+		}
+		return n == 1
+	}
 
 	if parts, err := e.SumBatchFull(context.Background(), []ndarray.Region{r}, nil); err != nil || parts[0] != (SumPart{5, 5, 5}) {
 		t.Fatalf("stalled read answered %v, %v", parts, err)
 	}
-	if got := reads.Load(); got < 2 {
-		t.Fatalf("stalled read saw %d requests, want >= 2 (hedge must fire)", got)
+	if got := reads.Load(); !sent(int(got)) {
+		t.Fatalf("stalled read saw %d requests, want a hedge: %v", got, hedge)
 	}
 
 	e.MarkUp(4, 0, 0)
@@ -96,8 +113,8 @@ func TestUpdateScatterHedgesStalledRecord(t *testing.T) {
 		got := slices.Clone(seqs)
 		seqs = nil
 		mu.Unlock()
-		if len(got) < 2 || slices.ContainsFunc(got, func(s uint64) bool { return s != want }) {
-			t.Fatalf("stalled record was sent as seqs %v, want seq %d at least twice (hedge must fire)", got, want)
+		if !sent(len(got)) || slices.ContainsFunc(got, func(s uint64) bool { return s != want }) {
+			t.Fatalf("stalled record was sent as seqs %v, want seq %d, hedged: %v", got, want, hedge)
 		}
 	}
 }

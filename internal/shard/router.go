@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime/pprof"
 	"slices"
 	"strconv"
@@ -162,10 +164,47 @@ type SumResult struct {
 	// Missing lists the shard indices whose slabs are absent from Value;
 	// nil for a complete (exact) answer.
 	Missing []int
+	// Unbounded says that a bound passed an int64 limit. [Lo, Hi] is then
+	// [MinInt64, MaxInt64], which need not contain an answer outside int64.
+	Unbounded bool
 }
 
 // Partial reports whether the answer is missing any slab.
 func (r SumResult) Partial() bool { return len(r.Missing) > 0 }
+
+// widen adds [lo, hi] to r's bounds; fit false says the caller's own terms
+// already passed an int64 limit. A bound that passes one never wraps: it
+// leaves [Lo, Hi] at the whole of int64, marked Unbounded, for the rest of
+// the merge.
+func (r *SumResult) widen(lo, hi int64, fit bool) {
+	lo, okLo := addSat(r.Lo, lo)
+	hi, okHi := addSat(r.Hi, hi)
+	if r.Unbounded = r.Unbounded || !fit || !okLo || !okHi; r.Unbounded {
+		lo, hi = math.MinInt64, math.MaxInt64
+	}
+	r.Lo, r.Hi = lo, hi
+}
+
+// addSat returns x + y, saturated at the int64 limits, and whether it fit.
+func addSat(x, y int64) (int64, bool) {
+	s := x + y
+	switch {
+	case (s > x) == (y > 0):
+		return s, true
+	case y < 0:
+		return math.MinInt64, false
+	}
+	return math.MaxInt64, false
+}
+
+// mulVolume returns vol·c for a volume vol ≥ 0 and whether it fits in int64.
+func mulVolume(vol, c int64) (int64, bool) {
+	hi, lo := bits.Mul64(uint64(vol), uint64(max(c, -c))) // |c|, MinInt64's too
+	if c < 0 {
+		return -int64(lo), hi == 0 && lo <= 1<<63
+	}
+	return int64(lo), hi == 0 && lo <= math.MaxInt64
+}
 
 // Answer is one query's merged result: a sum fills the SumResult, an extreme
 // Value and At.
@@ -189,7 +228,8 @@ type Answer struct {
 // tie-break a single tree's descent uses, so the reported cell is
 // deterministic. A down shard degrades an OpSumFull (its slab contributes
 // [V·cellLo, V·cellHi] to the bounds and is listed in Missing) and fails every
-// other op that needs it, in that query's Err. cs[qi] (nillable entries)
+// other op that needs it, in that query's Err; bounds that pass an int64
+// limit leave the answer Unbounded. cs[qi] (nillable entries)
 // receives query qi's access cost. The returned error fails the whole batch:
 // the caller's context ended, a shard failed in a way that is not absence, or
 // the shards that answered did so at different seqs (ErrSeqMismatch), so no
@@ -246,8 +286,9 @@ func (rt *Router) Answer(ctx context.Context, qs []Query, cs []*metrics.Counter)
 			case errs[i] != nil && it.Op == OpSumFull:
 				cl, ch := rt.shards[i].CellBounds()
 				vol := int64(it.Local.Volume())
-				a.Lo += vol * cl
-				a.Hi += vol * ch
+				lo, okLo := mulVolume(vol, cl)
+				hi, okHi := mulVolume(vol, ch)
+				a.widen(lo, hi, okLo && okHi)
 				a.Missing = append(a.Missing, i)
 			case errs[i] != nil && a.Err == nil:
 				a.Err = fmt.Errorf("shard %d: %w", i, errs[i])
@@ -257,8 +298,7 @@ func (rt *Router) Answer(ctx context.Context, qs []Query, cs []*metrics.Counter)
 			}
 			if it.Op == OpSum || it.Op == OpSumFull {
 				a.Value += it.Value
-				a.Lo += it.Lo
-				a.Hi += it.Hi
+				a.widen(it.Lo, it.Hi, true)
 			} else if it.At != nil && (a.At == nil || (it.Op == OpMin && it.Value < a.Value) || (it.Op == OpMax && it.Value > a.Value)) {
 				a.Value, a.At = it.Value, rt.m.Global(i, it.At, it.At)
 			}

@@ -125,27 +125,14 @@ func (m Map) Owner(x int) int {
 	return i
 }
 
-// SubQuery is one shard's piece of a decomposed query: the region in the
-// shard's local coordinates (split dimension translated by −Slab(i).Lo).
-type SubQuery struct {
-	Shard int
-	Local ndarray.Region
-}
-
-// Decompose splits a logical-cube region into per-shard sub-queries. The
-// sub-regions exactly partition the query region: translated back to
-// global coordinates they are pairwise disjoint and their union is the
-// region, so per-shard volumes sum to the region's volume — the identity
-// that makes sharded sums, counts and averages lossless. An empty region
-// decomposes to nothing.
-func (m Map) Decompose(r ndarray.Region) []SubQuery {
-	var subs []SubQuery
-	m.cut(r, func(i int, local ndarray.Region) { subs = append(subs, SubQuery{Shard: i, Local: local}) })
-	return subs
-}
-
-// cut is Decompose as a visit in shard order, for the router's scatter: the
-// pieces go straight into its per-shard groups.
+// cut splits a logical-cube region into per-shard pieces, visited in shard
+// order, each in its shard's local coordinates (split dimension translated
+// by −Slab(i).Lo); the router's scatter puts them straight into its
+// per-shard groups. The pieces exactly partition the region: translated back
+// to global coordinates they are pairwise disjoint and their union is the
+// region, so per-shard volumes sum to the region's volume — the identity that
+// makes sharded sums, counts and averages lossless. An empty region yields no
+// piece.
 func (m Map) cut(r ndarray.Region, visit func(shard int, local ndarray.Region)) {
 	if len(r) != len(m.shape) || r.Empty() {
 		return
@@ -163,7 +150,7 @@ func (m Map) cut(r ndarray.Region, visit func(shard int, local ndarray.Region)) 
 }
 
 // Global translates shard i's local coordinates back to the logical cube
-// (the inverse of Decompose's translation), writing into dst when it has
+// (the inverse of cut's translation), writing into dst when it has
 // capacity. Extreme queries use it to report the argmax cell's true
 // position.
 func (m Map) Global(i int, local []int, dst []int) []int {

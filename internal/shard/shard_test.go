@@ -38,6 +38,19 @@ func (c decompCase) String() string {
 
 func (c decompCase) mapOf() (Map, error) { return NewMapSlabs(c.shape, c.dim, c.slabs) }
 
+// SubQuery is one shard's piece of a region, as cut visits it.
+type SubQuery struct {
+	Shard int
+	Local ndarray.Region
+}
+
+// Decompose collects cut's pieces of r.
+func (m Map) Decompose(r ndarray.Region) []SubQuery {
+	var subs []SubQuery
+	m.cut(r, func(i int, local ndarray.Region) { subs = append(subs, SubQuery{Shard: i, Local: local}) })
+	return subs
+}
+
 // decomposeViolation checks the partition property on one case: the
 // sub-queries, translated back to global coordinates, must cover every
 // cell of the region exactly once and no cell outside it, each within its
