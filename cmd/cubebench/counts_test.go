@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -43,6 +45,7 @@ const countsFile = "../../COUNTS.txt"
 func TestCountLedger(t *testing.T) {
 	var l ledger
 	routerRows(t, &l)
+	argmaxRows(t, &l)
 	edgeMixRows(t, &l)
 	handlerRows(t, &l)
 	tierRows(t, &l)
@@ -147,7 +150,8 @@ func regionKinds(g *workload.Gen, shape []int) []regionKind {
 // routerRows counts sums at d = 1..4 and b = 1, 4, 32 (32 only where every
 // extent is at least 2b), and max and min at fanout 4, through a one-shard
 // shard.NewRouter: the structure set a server answers from, edge arrays
-// included.
+// included. Each (shape, b) also records the bytes per cube cell of every
+// structure the router holds.
 func routerRows(t *testing.T, l *ledger) {
 	ctx := context.Background()
 	for d, shape := range [][]int{{4096}, {256, 256}, {64, 64, 64}, {16, 16, 16, 16}} {
@@ -160,6 +164,10 @@ func routerRows(t *testing.T, l *ledger) {
 				continue
 			}
 			rt := newRouter(t, a, b)
+			bytes := rt.StructureBytes()
+			for _, st := range []string{"cells", "blocked", "edges", "maxtree", "mintree"} {
+				l.add("router.bytes", name, strconv.Itoa(b), st+" bytes/cell", strconv.FormatFloat(float64(bytes[st])/float64(a.Size()), 'f', 4, 64))
+			}
 			for _, k := range kinds {
 				var c metrics.Counter
 				for _, r := range k.regions {
@@ -188,6 +196,34 @@ func routerRows(t *testing.T, l *ledger) {
 				l.add(path, name, "-", k.name+" aux/"+op, perOp(c.Aux, regionsPerKind))
 				l.add(path, name, "-", k.name+" steps/"+op, perOp(c.Steps, regionsPerKind))
 			}
+		}
+	}
+}
+
+// argmaxRows digests which cell answers a max and a min: FNV-64a over the
+// (offset, value) answers to 256 seeded regions of a tie-heavy cube (cells in
+// [0, 3]) at fanout 4. Ties resolve to the first cell of a tree level's walk,
+// so a change to the order in which a level is built moves the digest.
+func argmaxRows(t *testing.T, l *ledger) {
+	const regions = 256
+	ctx := context.Background()
+	for d, shape := range [][]int{{4096}, {256, 256}, {64, 64, 64}, {16, 16, 16, 16}} {
+		g := workload.New(int64(200 + d))
+		a := g.UniformCube(shape, 4)
+		rt := newRouter(t, a, 1)
+		for _, op := range []string{"max", "min"} {
+			h := fnv.New64a()
+			var buf [16]byte
+			for range regions {
+				at, v, ok, err := rt.Extreme(ctx, g.UniformRegion(shape), op == "min", nil)
+				if err != nil || !ok {
+					t.Fatalf("%s over %v: ok=%v err=%v", op, shape, ok, err)
+				}
+				binary.LittleEndian.PutUint64(buf[:8], uint64(a.Offset(at...)))
+				binary.LittleEndian.PutUint64(buf[8:], uint64(v))
+				h.Write(buf[:])
+			}
+			l.add("router."+op, shapeName(shape), "-", "argmax fnv64a", fmt.Sprintf("%016x", h.Sum64()))
 		}
 	}
 }
