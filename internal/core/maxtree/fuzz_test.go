@@ -9,7 +9,8 @@ import (
 )
 
 // FuzzRangeMax drives the §6 tree with fuzzer-chosen geometry, data and a
-// §7 batch update against the naive scan. It was the only core engine
+// §7 batch update against the naive scan, and checks the build level by
+// level against the reference walk. It was the only core engine
 // without a fuzz target; the seed corpus encodes the shapes the
 // conformance harness's shrinker converges to (degenerate extent-1
 // dimensions, unaligned single-cell queries at the high boundary) plus the
@@ -28,6 +29,9 @@ func FuzzRangeMax(f *testing.F) {
 		a := ndarray.New[int64](shape...)
 		a.Fill(func([]int) int64 { return int64(rng.Intn(401) - 200) })
 		tr := Build(a, fanout)
+		if msg := diffLevels(tr, buildReference(a, fanout, false), int64Bits); msg != "" {
+			t.Fatalf("shape=%v b=%d: build differs from the reference walk: %s", shape, fanout, msg)
+		}
 		twin := Build(a.Clone(), fanout) // repaired by a caller that writes the cube itself
 
 		r := ndarray.Region{

@@ -86,7 +86,8 @@ func build[T cmp.Ordered](a *ndarray.Array[T], b int, min bool) *Tree[T] {
 // contracted leading dimension (disjoint output nodes per worker); within a
 // slab cells are still visited in storage order, so ties resolve exactly as
 // in a sequential walk — the first candidate in storage order wins. A nil
-// prevOffs means prevVals is the cube itself (entry i sits at cube offset i).
+// prevOffs means prevVals is the cube itself (entry i sits at cube offset i);
+// otherwise a last pass maps each winner's index through prevOffs.
 func contract[T cmp.Ordered](t *Tree[T], prevVals *ndarray.Array[T], prevOffs []int) level[T] {
 	b := t.b
 	shape := prevVals.Shape()
@@ -99,26 +100,63 @@ func contract[T cmp.Ordered](t *Tree[T], prevVals *ndarray.Array[T], prevOffs []
 	vals := ndarray.New[T](nshape...)
 	offs := make([]int, vals.Size())
 	seen := make([]bool, vals.Size())
-	vdata := vals.Data()
-	data := prevVals.Data()
+	vdata, data := vals.Data(), prevVals.Data()
+	fold := foldMax[T]
+	if t.min {
+		fold = foldMin[T]
+	}
 	ndarray.ContractSlabs(prevVals, bs, vals.Strides(), func(off, lo, hi, cbase int) {
-		for x := lo; x < hi; {
-			q := x / b
-			end := min((q+1)*b, hi)
-			slot := cbase + q
-			v, o, sn := vdata[slot], offs[slot], seen[slot]
-			for ; x < end; x++ {
-				if !sn || t.better(data[off+x], v) {
-					v, o, sn = data[off+x], off+x, true
-					if prevOffs != nil {
-						o = prevOffs[off+x]
-					}
-				}
-			}
-			vdata[slot], offs[slot], seen[slot] = v, o, sn
-		}
+		// A run is the first to touch all of its slots, or none of them.
+		slot := cbase + lo/b
+		fold(vdata[slot:], offs[slot:], data[:off+hi], off+lo, b, !seen[slot])
+		seen[slot] = true
 	})
+	if prevOffs != nil {
+		for k, i := range offs {
+			offs[k] = prevOffs[i]
+		}
+	}
 	return level[T]{vals: vals, offs: offs}
+}
+
+// foldMax folds data[i:] into vals and offs, b cells to a slot, keeping the
+// first maximum of each block and its index into data. i is on a block
+// edge; seed starts each slot from its block's first cell instead of from
+// what the slot holds. The strict > keeps ties with the earlier cell and
+// compiles to conditional moves.
+func foldMax[T cmp.Ordered](vals []T, offs []int, data []T, i, b int, seed bool) {
+	for s := 0; i < len(data); s++ {
+		blk := data[i:min(i+b, len(data))]
+		v, o := vals[s], offs[s]
+		if seed {
+			v, o = blk[0], i
+		}
+		for k, x := range blk {
+			if x > v {
+				v, o = x, i+k
+			}
+		}
+		vals[s], offs[s] = v, o
+		i += len(blk)
+	}
+}
+
+// foldMin is foldMax with the comparison mirrored.
+func foldMin[T cmp.Ordered](vals []T, offs []int, data []T, i, b int, seed bool) {
+	for s := 0; i < len(data); s++ {
+		blk := data[i:min(i+b, len(data))]
+		v, o := vals[s], offs[s]
+		if seed {
+			v, o = blk[0], i
+		}
+		for k, x := range blk {
+			if x < v {
+				v, o = x, i+k
+			}
+		}
+		vals[s], offs[s] = v, o
+		i += len(blk)
+	}
 }
 
 // better reports whether x beats y under the tree's ordering. Ties are not

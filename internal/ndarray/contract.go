@@ -14,7 +14,8 @@ import (
 //
 // The kernel is called once per innermost-axis run, with (off, lo, hi,
 // cbase): the run's cells are Data()[off+x] for x in [lo, hi) at innermost
-// coordinate x, and the contracted slot of cell x is cbase + x/bs[d-1]
+// coordinate x, lo is a multiple of bs[d-1], and the contracted slot of
+// cell x is cbase + x/bs[d-1]
 // (cbase already folds in the contracted contribution of the outer
 // dimensions; for d == 1 the runs are the blocks themselves and cbase is 0).
 //
