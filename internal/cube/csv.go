@@ -21,7 +21,8 @@ import (
 //
 // Column order in the header determines dimension order. The measure
 // column may appear anywhere. Returns the cube and the number of records
-// loaded.
+// loaded. A load whose measures sum past int64 on one cell is refused with
+// an error naming the record that crossed the limit.
 //
 // The input is read once. No record is kept: each dimension column holds
 // one int per record and the measures one int64 per record, so a load holds
@@ -99,7 +100,11 @@ func InferCSV(r io.Reader, measureCol string) (*Cube, int, error) {
 		for k, c := range cols {
 			off += c.vals[rec] * strides[k]
 		}
-		data[off] += m
+		s := data[off] + m
+		if (s > data[off]) != (m > 0) {
+			return nil, 0, fmt.Errorf("cube: record %d: measure %d takes its cell past the int64 range", rec+1, m)
+		}
+		data[off] = s
 	}
 	return out, len(measures), nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -259,6 +260,26 @@ func TestInferCSVRejectsShapeTooLarge(t *testing.T) {
 	}
 }
 
+// TestInferCSVRefusesCellOverflow: two records on one cell whose measures
+// sum past int64 used to wrap the cell silently; the load is refused and the
+// error names the second record.
+func TestInferCSVRefusesCellOverflow(t *testing.T) {
+	half := strconv.FormatInt(math.MaxInt64/2+1, 10)
+	data := "region,revenue\nwest," + half + "\neast,1\nwest," + half + "\n"
+	_, _, err := InferCSV(strings.NewReader(data), "revenue")
+	if err == nil || !strings.Contains(err.Error(), "record 3") {
+		t.Fatalf("InferCSV = %v, want an error naming record 3", err)
+	}
+	matchReference(t, data, "revenue")
+	// The same records without the overflow load, the negative side too.
+	for _, ok := range []string{"region,revenue\nwest," + half + "\nwest,-" + half + "\n", "region,revenue\nwest,-" + half + "\nwest,-" + half + "\n"} {
+		if _, _, err := InferCSV(strings.NewReader(ok), "revenue"); err != nil {
+			t.Fatalf("InferCSV(%q) = %v", ok, err)
+		}
+		matchReference(t, ok, "revenue")
+	}
+}
+
 func TestInferCSVMatchesReference(t *testing.T) {
 	for _, tc := range inferCSVCorpus {
 		t.Run(tc.name, func(t *testing.T) { matchReference(t, tc.data, tc.measure) })
@@ -392,9 +413,12 @@ func inferCSVReference(r io.Reader, measureCol string) (*Cube, int, error) {
 		dimCols = append(dimCols, i)
 	}
 
-	// Pass 2: load.
+	// Pass 2: load. A cell that sums past int64 fails the load, but only
+	// once every measure has parsed, as InferCSV reports it.
 	c := New(dims...)
 	values := make([]any, len(dims))
+	coords := make([]int, len(dims))
+	var overflow error
 	for rowIdx, row := range rows {
 		measure, err := strconv.ParseInt(row[measureIdx], 10, 64)
 		if err != nil {
@@ -411,9 +435,20 @@ func inferCSVReference(r io.Reader, measureCol string) (*Cube, int, error) {
 				values[k] = row[col]
 			}
 		}
+		for k, v := range values {
+			if coords[k], err = c.dims[k].Rank(v); err != nil {
+				return nil, 0, fmt.Errorf("cube: record %d: %w", rowIdx+1, err)
+			}
+		}
+		if cell := c.data.At(coords...); overflow == nil && (cell+measure > cell) != (measure > 0) {
+			overflow = fmt.Errorf("cube: record %d: measure %d takes its cell past the int64 range", rowIdx+1, measure)
+		}
 		if err := c.Add(measure, values...); err != nil {
 			return nil, 0, fmt.Errorf("cube: record %d: %w", rowIdx+1, err)
 		}
+	}
+	if overflow != nil {
+		return nil, 0, overflow
 	}
 	return c, len(rows), nil
 }
