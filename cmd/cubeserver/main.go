@@ -76,9 +76,7 @@ import (
 	"time"
 
 	"rangecube/internal/cube"
-	"rangecube/internal/faultio"
 	"rangecube/internal/server"
-	"rangecube/internal/wal"
 )
 
 func main() {
@@ -158,7 +156,6 @@ func run() error {
 	join := flag.String("join", "", "run as a read-only follower of the leader at this URL, bootstrapping from /snapshot and tailing /wal (-data not required)")
 	drain := flag.Duration("drain", 10*time.Second, "grace period for in-flight requests on shutdown")
 	debugAddr := flag.String("debug-addr", "", "separate listener for /debug/pprof and /debug/vars (off when empty)")
-	chaosWAL := flag.String("chaos-wal", "", "TESTING ONLY: inject WAL fsync faults, as after:count — let AFTER syncs succeed, then fail the next COUNT (requires -wal)")
 	flag.Parse()
 	opts := options()
 	if *serveShard >= 0 && *join != "" {
@@ -212,24 +209,6 @@ func run() error {
 		opts.AcceptState = true
 		opts.AwaitState = true
 	}
-	if *chaosWAL != "" {
-		// Testing hook for CI's degraded-mode smoke: the WAL's backing file
-		// answers to a fault injector armed to fail a burst of fsyncs after a
-		// warm-up, driving the live server through poison → degraded →
-		// probe-recovery without any real disk misbehavior.
-		if opts.WALPath == "" {
-			return errors.New("-chaos-wal requires -wal")
-		}
-		var after, count int
-		if _, err := fmt.Sscanf(*chaosWAL, "%d:%d", &after, &count); err != nil || after < 0 || count <= 0 {
-			return fmt.Errorf("-chaos-wal %q: want AFTER:COUNT with COUNT > 0", *chaosWAL)
-		}
-		inj := faultio.NewInjector()
-		inj.ArmSyncs(after, count, faultio.ErrIO)
-		opts.WALOpenFile = func(p string) (wal.File, error) { return inj.Open(p) }
-		fmt.Fprintf(os.Stderr, "cubeserver: CHAOS: WAL will fail %d fsyncs after the next %d succeed\n", count, after)
-	}
-
 	var srv *server.Server
 	var err error
 	if *join != "" {

@@ -43,14 +43,6 @@ type Injector struct {
 	syncErr    error
 	delay      time.Duration
 
-	// armAfter/armFail is the deferred flavor: once the injector has seen
-	// armAfter syncs in total, the next armFail syncs fail. It exists for
-	// the cubeserver -chaos-wal flag, where the fault must fire on a live
-	// server some appends into its run.
-	armAfter int
-	armFail  int
-	armErr   error
-
 	writes, syncs, injected int64
 }
 
@@ -79,18 +71,6 @@ func (i *Injector) FailSyncs(n int, err error) {
 	i.mu.Unlock()
 }
 
-// ArmSyncs schedules a deferred burst: after the injector has seen `after`
-// Sync calls in total (across all its files, boot syncs included), the next
-// `fail` syncs fail with err (ErrNoSpace when nil).
-func (i *Injector) ArmSyncs(after, fail int, err error) {
-	if err == nil {
-		err = ErrNoSpace
-	}
-	i.mu.Lock()
-	i.armAfter, i.armFail, i.armErr = after, fail, err
-	i.mu.Unlock()
-}
-
 // SetDelay makes every Write and Sync stall for d first — the slow-disk
 // flavor. Zero clears it.
 func (i *Injector) SetDelay(d time.Duration) {
@@ -102,7 +82,7 @@ func (i *Injector) SetDelay(d time.Duration) {
 // Clear disarms every pending fault and delay; counters are retained.
 func (i *Injector) Clear() {
 	i.mu.Lock()
-	i.failWrites, i.failSyncs, i.armFail, i.armAfter = 0, 0, 0, 0
+	i.failWrites, i.failSyncs = 0, 0
 	i.delay = 0
 	i.mu.Unlock()
 }
@@ -144,11 +124,6 @@ func (i *Injector) takeSync() (time.Duration, error) {
 		i.failSyncs--
 		i.injected++
 		return d, i.syncErr
-	}
-	if i.armFail > 0 && i.syncs > int64(i.armAfter) {
-		i.armFail--
-		i.injected++
-		return d, i.armErr
 	}
 	return d, nil
 }

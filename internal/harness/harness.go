@@ -14,15 +14,18 @@ import (
 	"rangecube/internal/server"
 )
 
-// newBenchServer builds a quiet server over an n×n cube holding cells, the
-// shape the chaos soak and the multi-process smokes drive.
+// newBenchServer builds a server over an n×n cube holding cells, the shape
+// the chaos soak and the multi-process smokes drive; it is quiet unless opts
+// carries a Logf.
 func newBenchServer(n int, cells []int64, opts server.Options) *server.Server {
 	c := cube.New(
 		cube.NewIntDimension("d0", 0, n-1),
 		cube.NewIntDimension("d1", 0, n-1),
 	)
 	copy(c.Data().Data(), cells)
-	opts.Logf = func(string, ...any) {}
+	if opts.Logf == nil {
+		opts.Logf = func(string, ...any) {}
+	}
 	srv, err := server.NewWithOptions(c, opts)
 	if err != nil {
 		panic(fmt.Sprintf("harness: building server: %v", err))

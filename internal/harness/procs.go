@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -76,18 +77,26 @@ type ShardProc struct {
 	Addr  string
 	bin   string
 	cmd   *exec.Cmd
+
+	flags  []string  // passed after the ones start always sets
+	stderr io.Writer // the child's stderr; os.Stderr when nil
 }
 
 // StartShardProc spawns shard process index on addr (an empty addr picks a
 // free loopback port) and waits for its /healthz to answer.
 func StartShardProc(bin string, index int, addr string) (*ShardProc, error) {
-	if addr == "" {
+	return startShardProc(&ShardProc{Index: index, Addr: addr, bin: bin})
+}
+
+// startShardProc is StartShardProc for a p that may carry extra flags and
+// an stderr sink.
+func startShardProc(p *ShardProc) (*ShardProc, error) {
+	if p.Addr == "" {
 		var err error
-		if addr, err = FreeAddr(); err != nil {
+		if p.Addr, err = FreeAddr(); err != nil {
 			return nil, err
 		}
 	}
-	p := &ShardProc{Index: index, Addr: addr, bin: bin}
 	if err := p.start(); err != nil {
 		return nil, err
 	}
@@ -98,13 +107,16 @@ func StartShardProc(bin string, index int, addr string) (*ShardProc, error) {
 func (p *ShardProc) URL() string { return "http://" + p.Addr }
 
 func (p *ShardProc) start() error {
-	cmd := exec.Command(p.bin,
+	cmd := exec.Command(p.bin, append([]string{
 		"-serve-shard", fmt.Sprint(p.Index),
 		"-addr", p.Addr,
 		"-metrics=false",
-	)
+	}, p.flags...)...)
 	cmd.Stdout = nil
 	cmd.Stderr = os.Stderr
+	if p.stderr != nil {
+		cmd.Stderr = p.stderr
+	}
 	if err := cmd.Start(); err != nil {
 		return fmt.Errorf("harness: starting shard %d: %w", p.Index, err)
 	}

@@ -7,7 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -96,13 +98,67 @@ func assertConnected(t *testing.T, spans []traceSpan, extra map[string]bool, wan
 	}
 }
 
+// lockedLog collects one process's log output: a child's stderr pipe or a
+// server's Logf writes it while the test reads it.
+type lockedLog struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedLog) printf(format string, args ...any) { fmt.Fprintf(l, format+"\n", args...) }
+
+// await polls until the log holds want: a server logs a request's access
+// line as its handler returns, which races the client reading the response.
+func (l *lockedLog) await(t *testing.T, want, where string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		l.mu.Lock()
+		ok := strings.Contains(l.b.String(), want)
+		l.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s log never carried %q", where, want)
+		}
+	}
+}
+
+// metricValue reads one unlabelled sample off srv's /metrics exposition, or
+// -1 when it is absent.
+func metricValue(t *testing.T, srv *server.Server, name string) float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := srv.Metrics().WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s sample %q: %v", name, v, err)
+			}
+			return f
+		}
+	}
+	return -1
+}
+
 // TestMultiProcessTraceSmoke is the tracing acceptance run: one batched
 // query against a leader scatter–gathering over three real shard processes
 // must yield a single connected span tree — root request span, per-item
 // query spans, per-shard RPC children on the leader, and adopted server
 // spans (same trace ID, parented onto the leader's RPC spans) in each shard
-// process's own ring. Then a SIGSTOP-stalled shard must leave a trace
-// carrying the hedged duplicate's span and a down-marked RPC span.
+// process's own ring — and the trace ID on the leader's and every shard's
+// access-log line. Then a SIGSTOP-stalled shard must leave a trace carrying
+// the hedged duplicate's span and a down-marked RPC span, and the leader's
+// remote-shard counters must count both.
 func TestMultiProcessTraceSmoke(t *testing.T) {
 	bin, err := BuildCubeserver(t.TempDir())
 	if err != nil {
@@ -111,8 +167,9 @@ func TestMultiProcessTraceSmoke(t *testing.T) {
 	const shards = 3
 	var procs []*ShardProc
 	var urls []string
+	var shardLogs [shards]lockedLog
 	for i := 0; i < shards; i++ {
-		p, err := StartShardProc(bin, i, "")
+		p, err := startShardProc(&ShardProc{Index: i, bin: bin, flags: []string{"-access-log"}, stderr: &shardLogs[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,6 +177,7 @@ func TestMultiProcessTraceSmoke(t *testing.T) {
 		procs = append(procs, p)
 		urls = append(urls, p.URL())
 	}
+	var leaderLog lockedLog
 
 	const n = 64
 	g := workload.New(131)
@@ -130,6 +188,8 @@ func TestMultiProcessTraceSmoke(t *testing.T) {
 		ShardTimeout: time.Second, // hedges at 50 ms
 		ShardProbe:   200 * time.Millisecond,
 		TraceSample:  1, // record everything; the smoke asserts exact traces
+		AccessLog:    true,
+		Logf:         leaderLog.printf,
 	})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
@@ -195,6 +255,12 @@ func TestMultiProcessTraceSmoke(t *testing.T) {
 			t.Fatalf("shard %d retained no spans for trace %s", i, tid)
 		}
 	}
+	// The same ID joins the access logs: the leader's line for the batch and
+	// each shard's line for the frame it served.
+	leaderLog.await(t, "trace="+tid, "leader")
+	for i := range shardLogs {
+		shardLogs[i].await(t, "trace="+tid, fmt.Sprintf("shard %d", i))
+	}
 
 	// Phase 2: freeze shard 1. The very next query stalls against it, fires
 	// the hedged duplicate at 50ms, exhausts both attempts at the 300ms
@@ -239,5 +305,8 @@ func TestMultiProcessTraceSmoke(t *testing.T) {
 	if !sawHedge || !sawDown {
 		t.Fatalf("stalled-shard trace missing spans: shard.hedge=%v down-marked=%v (got %d spans)",
 			sawHedge, sawDown, len(stallSpans))
+	}
+	if hedges, errs := metricValue(t, srv, "cube_shard_remote_hedges_total"), metricValue(t, srv, "cube_shard_remote_errors_total"); hedges < 1 || errs < 1 {
+		t.Fatalf("after the stall: cube_shard_remote_hedges_total %v, cube_shard_remote_errors_total %v, want >= 1 each", hedges, errs)
 	}
 }

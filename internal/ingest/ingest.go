@@ -82,24 +82,12 @@ type CommitFunc func(ctx context.Context, groups [][]Update) (seq uint64, err er
 // be nil (telemetry primitives no-op on nil receivers), as may the
 // *Metrics itself.
 type Metrics struct {
-	// Enqueued counts accepted submissions; Rejected counts submissions
-	// shed on a full queue.
-	Enqueued *telemetry.Counter
-	Rejected *telemetry.Counter
 	// Flushes counts flushed groups — with a WAL attached this is the
 	// fsync count, so Flushes vs update totals is the fsync amortization.
 	Flushes *telemetry.Counter
-	// BatchUpdates and BatchRequests observe the size of each flushed
-	// group in raw point updates and in writer submissions.
-	BatchUpdates  *telemetry.Histogram
-	BatchRequests *telemetry.Histogram
-	// QueueDelayNanos observes, per submission, the time from enqueue to
-	// its group's flush start. CommitNanos observes, per group, the
-	// commit latency (coalesce + WAL append + fsync + apply).
-	QueueDelayNanos *telemetry.Histogram
-	CommitNanos     *telemetry.Histogram
-	// Depth tracks the number of submissions waiting in the queue.
-	Depth *telemetry.Gauge
+	// CommitNanos observes, per group, the commit latency (coalesce + WAL
+	// append + fsync + apply).
+	CommitNanos *telemetry.Histogram
 }
 
 // Options configures a Batcher.
@@ -171,15 +159,8 @@ func (b *Batcher) Submit(updates []Update, sync bool) (<-chan Result, time.Time,
 	}
 	select {
 	case b.ch <- r:
-		if m := b.opts.Metrics; m != nil {
-			m.Enqueued.Inc()
-			m.Depth.Inc()
-		}
 		return r.ack, r.enqueued, nil
 	default:
-		if m := b.opts.Metrics; m != nil {
-			m.Rejected.Inc()
-		}
 		return nil, time.Time{}, ErrQueueFull
 	}
 }
@@ -249,18 +230,8 @@ func (b *Batcher) gather(first *request) ([]*request, bool) {
 func (b *Batcher) flush(group []*request) {
 	flushed := time.Now()
 	groups := make([][]Update, len(group))
-	total := 0
 	for i, r := range group {
 		groups[i] = r.updates
-		total += len(r.updates)
-	}
-	if m := b.opts.Metrics; m != nil {
-		m.Depth.Add(int64(-len(group)))
-		m.BatchRequests.Observe(int64(len(group)))
-		m.BatchUpdates.Observe(int64(total))
-		for _, r := range group {
-			m.QueueDelayNanos.Observe(flushed.Sub(r.enqueued).Nanoseconds())
-		}
 	}
 
 	seq, err := b.opts.Commit(context.Background(), groups)

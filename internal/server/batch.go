@@ -160,7 +160,6 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	if err := json.NewDecoder(r.Body).Decode(&items); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			s.met.tooLarge.Inc()
 			s.writeError(w, r, http.StatusRequestEntityTooLarge, "query batch exceeds %d bytes", tooBig.Limit)
 			return
 		}
@@ -172,7 +171,6 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(items) > maxBatchQueries {
-		s.met.tooLarge.Inc()
 		s.writeError(w, r, http.StatusRequestEntityTooLarge, "batch of %d queries exceeds the %d-query limit", len(items), maxBatchQueries)
 		return
 	}

@@ -104,14 +104,6 @@ func (s *Server) commitGroups(ctx context.Context, groups [][]ingest.Update) (ui
 			live = append(live, c)
 		}
 	}
-	if raw > 0 {
-		den := len(live)
-		if den == 0 {
-			den = 1
-		}
-		s.met.coalesceRatio.Observe(int64(raw) * 100 / int64(den))
-	}
-
 	sp.Set("cells", strconv.Itoa(len(live)))
 
 	if len(live) == 0 {

@@ -75,7 +75,7 @@ func querySum(t *testing.T, ts *httptest.Server) int64 {
 // A single repairable fsync fault is invisible to clients: the update acks
 // 200, the server never degrades, and the repair shows up in Health.
 func TestUpdateSurvivesRepairableFault(t *testing.T) {
-	s, ts, inj, _ := faultyServer(t, nil)
+	s, ts, inj, _ := faultyServer(t, func(o *Options) { o.Metrics = true })
 	inj.FailSyncs(1, faultio.ErrIO)
 	status, ack := postUpdates(t, ts, "", []jsonUpdate{{Coords: []int{1, 2}, Delta: 5}})
 	if status != 200 || ack.Seq != 1 {
@@ -84,6 +84,10 @@ func TestUpdateSurvivesRepairableFault(t *testing.T) {
 	h := s.Health()
 	if h.Degraded || h.WALFaults != 1 || h.WALRepairs != 1 {
 		t.Fatalf("health after inline repair: %+v", h)
+	}
+	body := scrape(t, ts)
+	if faults, repairs := seriesValue(body, "cube_wal_faults_total", ""), seriesValue(body, "cube_wal_repairs_total", ""); faults != 1 || repairs != 1 {
+		t.Fatalf("cube_wal_faults_total %v, cube_wal_repairs_total %v after one inline repair, want 1 and 1", faults, repairs)
 	}
 	if got := querySum(t, ts); got != 5 {
 		t.Fatalf("sum=%d, want 5", got)
@@ -96,7 +100,7 @@ func TestUpdateSurvivesRepairableFault(t *testing.T) {
 // restart, after which a reboot from the recovery artifacts reproduces
 // exactly the acked state.
 func TestDegradedModeAndProbeRecovery(t *testing.T) {
-	s, ts, inj, dir := faultyServer(t, nil)
+	s, ts, inj, dir := faultyServer(t, func(o *Options) { o.Metrics = true })
 
 	if status, _ := postUpdates(t, ts, "", []jsonUpdate{{Coords: []int{0, 0}, Delta: 7}}); status != 200 {
 		t.Fatalf("healthy update: status %d", status)
@@ -141,6 +145,9 @@ func TestDegradedModeAndProbeRecovery(t *testing.T) {
 	if h.Ready || !h.Degraded || h.Reason == "" {
 		t.Fatalf("/readyz body while degraded: %+v", h)
 	}
+	if got := seriesValue(scrape(t, ts), "cube_degraded", ""); got != 1 {
+		t.Fatalf("cube_degraded = %v while degraded, want 1", got)
+	}
 
 	// Reads are unaffected and reflect only acked state — the failed update
 	// must not have applied.
@@ -153,6 +160,10 @@ func TestDegradedModeAndProbeRecovery(t *testing.T) {
 	waitRecovered(t, s)
 	if status := get(t, ts, "/readyz", &h); status != 200 || !h.Ready || h.Recoveries < 1 {
 		t.Fatalf("/readyz after recovery: status %d body %+v", status, h)
+	}
+	body := scrape(t, ts)
+	if degraded, recoveries := seriesValue(body, "cube_degraded", ""), seriesValue(body, "cube_storage_recoveries_total", ""); degraded != 0 || recoveries < 1 {
+		t.Fatalf("after recovery: cube_degraded %v, cube_storage_recoveries_total %v, want 0 and >= 1", degraded, recoveries)
 	}
 
 	// Writes work again with a contiguous sequence.

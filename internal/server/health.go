@@ -197,7 +197,7 @@ func (s *Server) recoverStorageLocked() error {
 		// an operator intervenes.
 		return errors.New("server: recovery requires a snapshot path")
 	}
-	err := s.snapshotLocked(s.met.recoveries, "storage recovered with a fresh WAL", func() error {
+	err := s.snapshotLocked("storage recovered with a fresh WAL", func() error {
 		nl, err := wal.Create(s.opts.WALPath, s.opts.WALOpenFile)
 		if err != nil {
 			return err
@@ -215,6 +215,7 @@ func (s *Server) recoverStorageLocked() error {
 		return nil
 	})
 	if err == nil {
+		s.met.recoveries.Inc()
 		s.exitDegraded()
 	}
 	return err

@@ -83,8 +83,8 @@ func (s *Server) instrumented(next http.Handler) http.Handler {
 		sp := s.tracer.StartRequest(r.Method+" "+path, r.Header.Get)
 		ctx, stats := trace.WithStats(ctx)
 		if sp.Recording() {
-			// Echo the trace ID so a caller (or the CI smoke) can find this
-			// request's tree in /debug/traces without parsing logs.
+			// Echo the trace ID so a caller (or the trace smoke test) can
+			// find this request's tree in /debug/traces without parsing logs.
 			w.Header().Set(trace.HeaderTraceID, sp.TraceID())
 		}
 		r = r.WithContext(trace.NewContext(ctx, sp))

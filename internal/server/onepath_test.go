@@ -151,6 +151,14 @@ func TestQueryIsBatchOfOne(t *testing.T) {
 			if has := strings.Contains(metrics.String(), "cube_structure_bytes{"); has != (cfg.opts.ShardURLs == nil) {
 				t.Fatalf("/metrics carries cube_structure_bytes samples = %v", has)
 			}
+			// Every sum, avg, max and min above, on both routes, is one router
+			// query, and each fans out to at least one sub-query.
+			shards, queries, subqueries := seriesValue(metrics.String(), "cube_shards", ""),
+				seriesValue(metrics.String(), "cube_shard_queries_total", ""),
+				seriesValue(metrics.String(), "cube_shard_subqueries_total", "")
+			if shards != float64(max(1, len(cfg.opts.ShardURLs))) || queries != float64(2*4*len(selectors)) || subqueries < queries {
+				t.Fatalf("cube_shards %v, cube_shard_queries_total %v, cube_shard_subqueries_total %v", shards, queries, subqueries)
+			}
 
 			if cfg.opts.ShardURLs == nil {
 				return
@@ -186,6 +194,10 @@ func TestQueryIsBatchOfOne(t *testing.T) {
 				if time.Now().After(deadline) {
 					t.Fatalf("sum never degraded to partial: %+v", one)
 				}
+			}
+			body := scrape(t, ts)
+			if errs, partials := seriesValue(body, "cube_shard_remote_errors_total", ""), seriesValue(body, "cube_shard_remote_partials_total", ""); errs < 1 || partials < 2 {
+				t.Fatalf("with shard 2 down: cube_shard_remote_errors_total %v, cube_shard_remote_partials_total %v, want >= 1 and >= 2", errs, partials)
 			}
 		})
 	}

@@ -176,7 +176,6 @@ func (s *Server) readRecord(w http.ResponseWriter, r *http.Request, bufP *[]byte
 		return nil, false
 	}
 	if r.ContentLength < 0 || r.ContentLength > s.opts.MaxUpdateBytes {
-		s.met.tooLarge.Inc()
 		s.writeError(w, r, http.StatusRequestEntityTooLarge, "record of %d bytes (at most %d, length required)", r.ContentLength, s.opts.MaxUpdateBytes)
 		return nil, false
 	}

@@ -397,6 +397,9 @@ func TestQueryDeadline(t *testing.T) {
 			t.Fatalf("%s: doomed query took %v", q, el)
 		}
 	}
+	if got := seriesValue(exposition(t, s), "cube_http_timeout_total", ""); got != 2 {
+		t.Fatalf("cube_http_timeout_total = %v after two doomed queries, want 2", got)
+	}
 }
 
 // TestPanicRecovery: a panicking handler becomes a logged 500 JSON error;
@@ -419,6 +422,9 @@ func TestPanicRecovery(t *testing.T) {
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || out.Error == "" {
 		t.Fatalf("panic response body %q", rec.Body.String())
+	}
+	if got := seriesValue(exposition(t, s), "cube_http_panic_total", ""); got != 1 {
+		t.Fatalf("cube_http_panic_total = %v after one recovered panic, want 1", got)
 	}
 
 	abort := s.recovered(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -474,8 +474,12 @@ func TestOneDroppedScatterKeepsShardUp(t *testing.T) {
 	if h := tr.leader.Health(); !h.Ready || len(h.ShardsDown) != 0 {
 		t.Fatalf("after one dropped scatter the leader reads %+v, want ready with no shard down", h)
 	}
-	if got := seriesValue(scrape(t, tr.lts), "cube_shard_resync_total", `kind="shard"`); got != resyncs {
+	body := scrape(t, tr.lts)
+	if got := seriesValue(body, "cube_shard_resync_total", `kind="shard"`); got != resyncs {
 		t.Fatalf(`cube_shard_resync_total{kind="shard"} went %v → %v, want no resync`, resyncs, got)
+	}
+	if got := seriesValue(body, "cube_shard_scatter_cells_total", ""); got != 1 {
+		t.Fatalf("cube_shard_scatter_cells_total = %v after a one-cell commit, want 1", got)
 	}
 	if seq := tr.shards[1].s.Seq(); seq != tr.leader.Seq() {
 		t.Fatalf("shard 1 at seq %d, leader at %d", seq, tr.leader.Seq())

@@ -593,21 +593,19 @@ func (s *Server) compact() error {
 	if s.sinceSnap == 0 {
 		return nil // nothing new since the last snapshot
 	}
-	return s.snapshotLocked(s.met.compactions, "WAL truncated", s.wal.Reset)
+	return s.snapshotLocked("WAL truncated", s.wal.Reset)
 }
 
 // snapshotLocked writes the cells at seq to SnapshotPath atomically, then
 // has restart begin the log after them — compaction truncates it, storage
 // recovery supersedes it — publishes that the log now starts after seq (a
-// follower behind it re-anchors on the snapshot just written), and counts
-// and logs the outcome. The caller holds commitMu. A failure leaves the
-// published log as it was.
-func (s *Server) snapshotLocked(count *telemetry.Counter, done string, restart func() error) error {
-	stop := s.met.snapshotNanos.Time()
+// follower behind it re-anchors on the snapshot just written), and logs the
+// outcome. The caller holds commitMu. A failure leaves the published log as
+// it was.
+func (s *Server) snapshotLocked(done string, restart func() error) error {
 	err := persist.WriteFileAtomic(s.opts.SnapshotPath, func(w io.Writer) error {
 		return persist.WriteSnapshot(w, s.seq, s.cube.Data())
 	})
-	stop()
 	if err != nil {
 		return fmt.Errorf("server: snapshot: %w", err)
 	}
@@ -616,7 +614,6 @@ func (s *Server) snapshotLocked(count *telemetry.Counter, done string, restart f
 	}
 	s.publishWALReset()
 	s.sinceSnap = 0
-	count.Inc()
 	s.logf("server: snapshot %s at seq %d, %s", s.opts.SnapshotPath, s.seq, done)
 	return nil
 }
@@ -991,7 +988,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			s.met.tooLarge.Inc()
 			s.writeError(w, r, http.StatusRequestEntityTooLarge, "update batch exceeds %d bytes", tooBig.Limit)
 			return
 		}

@@ -9,7 +9,6 @@ import (
 
 	"rangecube/internal/ingest"
 	"rangecube/internal/metrics"
-	"rangecube/internal/parallel"
 	"rangecube/internal/shard"
 	"rangecube/internal/telemetry"
 	"rangecube/internal/trace"
@@ -32,24 +31,18 @@ type serverMetrics struct {
 	shed     *telemetry.Counter // 429 from the admission semaphore
 	timeouts *telemetry.Counter // 503 from the query deadline
 	panics   *telemetry.Counter // recovered handler panics (500)
-	tooLarge *telemetry.Counter // 413 from body and batch caps
 
 	// Batch endpoint shape.
 	batchQueries  *telemetry.Histogram // queries per /query/batch request
 	batchItemErrs *telemetry.Histogram // failed items per /query/batch request
 	updateBatches *telemetry.Counter
 	updateCells   *telemetry.Counter
-	compactions   *telemetry.Counter
-	snapshotNanos *telemetry.Histogram // compaction snapshot write latency
 	writeLockHold *telemetry.Histogram // per commit: how long readers were excluded
 	walMet        wal.Metrics
 
-	// Ingestion pipeline: the batcher records its own series through
-	// ingestMet; coalesceRatio is recorded by the commit path (which owns
-	// the coalescing) as raw updates per surviving coalesced update, in
-	// percent (100 = nothing merged, 400 = 4 raw updates per cell).
-	ingestMet     ingest.Metrics
-	coalesceRatio *telemetry.Histogram
+	// Ingestion pipeline: the batcher records its flush count and commit
+	// latency through ingestMet.
+	ingestMet ingest.Metrics
 
 	// Storage-fault tolerance: recoveries counts successful degraded-mode
 	// exits (fresh snapshot + new WAL); the faults/repairs counters live in
@@ -93,8 +86,6 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 		"Queries abandoned at the deadline and answered 503.")
 	m.panics = reg.Counter("cube_http_panic_total",
 		"Handler panics recovered into 500 responses.")
-	m.tooLarge = reg.Counter("cube_http_too_large_total",
-		"Requests rejected with 413 (body or batch over the cap).")
 
 	m.batchQueries = reg.Histogram("cube_batch_queries",
 		"Queries carried per /query/batch request.", 1)
@@ -105,46 +96,24 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 		"Update batches applied.")
 	m.updateCells = reg.Counter("cube_update_cells_total",
 		"Cell deltas applied across all update batches.")
-	m.compactions = reg.Counter("cube_wal_compactions_total",
-		"Snapshot-then-truncate compactions completed.")
-	m.snapshotNanos = reg.Histogram("cube_snapshot_seconds",
-		"Latency of writing one compaction snapshot.", 1e-9)
 	m.writeLockHold = reg.Histogram("cube_write_lock_hold_seconds",
 		"Time one commit held the write lock, readers excluded: shard scatter and structure apply, never the WAL append or fsync.", 1e-9)
 
-	// Ingestion pipeline. cube_ingest_batch_updates doubles as the fsync
-	// amortization distribution: with a WAL attached every flushed group
-	// is exactly one fsync, so the histogram reads "updates per fsync".
+	// Ingestion pipeline. With a WAL attached every flushed group is
+	// exactly one fsync, so cube_update_cells_total over
+	// cube_ingest_flushes_total reads "updates per fsync".
 	m.ingestMet = ingest.Metrics{
-		Enqueued: reg.Counter("cube_ingest_enqueued_total",
-			"Update submissions accepted into the ingest queue."),
-		Rejected: reg.Counter("cube_ingest_rejected_total",
-			"Update submissions shed with 429 on a full ingest queue."),
 		Flushes: reg.Counter("cube_ingest_flushes_total",
 			"Groups flushed by the ingest batcher (one WAL fsync each)."),
-		BatchUpdates: reg.Histogram("cube_ingest_batch_updates",
-			"Point updates per flushed group (updates amortized per WAL fsync).", 1),
-		BatchRequests: reg.Histogram("cube_ingest_batch_requests",
-			"Writer submissions per flushed group.", 1),
-		QueueDelayNanos: reg.Histogram("cube_ingest_queue_delay_seconds",
-			"Time from enqueue to the submission's group flush.", 1e-9),
 		CommitNanos: reg.Histogram("cube_ingest_commit_seconds",
 			"Group commit latency: coalesce, WAL append + fsync, apply.", 1e-9),
-		Depth: reg.Gauge("cube_ingest_queue_depth",
-			"Submissions waiting in the ingest queue."),
 	}
-	m.coalesceRatio = reg.Histogram("cube_ingest_coalesce_ratio",
-		"Raw updates per surviving coalesced cell delta, in percent (100 = no duplicates merged).", 0.01)
 
 	m.walMet = wal.Metrics{
 		AppendBytes: reg.Counter("cube_wal_append_bytes_total",
 			"Durable bytes appended to the write-ahead log."),
-		AppendBatches: reg.Counter("cube_wal_append_batches_total",
-			"Batches appended to the write-ahead log."),
 		FsyncSeconds: reg.Histogram("cube_wal_fsync_seconds",
 			"Latency of the fsync that commits each WAL append.", 1e-9),
-		Resets: reg.Counter("cube_wal_resets_total",
-			"WAL truncations back to the header after a snapshot."),
 		Faults: reg.Counter("cube_wal_faults_total",
 			"WAL storage errors: failed append writes and fsyncs, and failed compaction resets."),
 		Repairs: reg.Counter("cube_wal_repairs_total",
@@ -274,16 +243,6 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 			return int64(time.Since(time.Unix(0, at)) / time.Second)
 		})
 
-	// Tracing volume, so an operator can see sampling work without scraping
-	// /debug/traces: started counts roots considered, kept counts spans that
-	// reached the ring (sampled, slow, partial or error).
-	reg.CounterFunc("cube_trace_spans_total",
-		"Root spans started (every request when tracing is enabled).",
-		func() int64 { return s.tracer.Started() })
-	reg.CounterFunc("cube_trace_spans_kept_total",
-		"Spans retained in the trace ring (sampled roots, their children, and late-kept slow/partial/error roots).",
-		func() int64 { return s.tracer.Kept() })
-
 	reg.GaugeFunc("cube_degraded",
 		"1 while the server is in degraded read-only mode, 0 otherwise.",
 		func() int64 {
@@ -303,18 +262,6 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 		"Auxiliary precomputed entries read per query (§8 cost model).", 1, "op", "engine")
 	m.costSteps = reg.HistogramVec("cube_query_cost_steps",
 		"Combining operations per query (§8 cost model).", 1, "op", "engine")
-
-	// Sources that keep their own counts are exported by callback — a
-	// callback cannot drift from them.
-	reg.CounterFunc("cube_parallel_for_total",
-		"Fork-join dispatches on the worker pool (including inline runs).",
-		func() int64 { c, _, _ := parallel.Stats(); return c })
-	reg.CounterFunc("cube_parallel_chunks_total",
-		"Chunks dispatched across all pool runs.",
-		func() int64 { _, c, _ := parallel.Stats(); return c })
-	reg.GaugeFunc("cube_parallel_active_chunks",
-		"Chunks executing on the pool right now (the pool has no queue; this is its depth).",
-		func() int64 { _, _, a := parallel.Stats(); return a })
 
 	reg.GaugeFunc("cube_server_seq",
 		"Sequence number of the last applied update batch.",

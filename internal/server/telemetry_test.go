@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -65,6 +66,17 @@ func scrape(t *testing.T, ts *httptest.Server) string {
 		t.Fatal(err)
 	}
 	return string(body)
+}
+
+// exposition renders s's registry as GET /metrics would, for servers whose
+// test drives a handler directly or mounts no /metrics route.
+func exposition(t *testing.T, s *Server) string {
+	t.Helper()
+	var b strings.Builder
+	if err := s.Metrics().WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }
 
 // seriesValue returns the value of the first sample line whose name matches
@@ -163,6 +175,7 @@ func testMetricsEndToEnd(t *testing.T, engine string, blockSize int) {
 		{"cube_batch_queries_count", "", 1},
 		{"cube_batch_item_errors_sum", "", 1}, // the bogus op failed its slot
 		{"cube_server_seq", "", 1},
+		{"cube_wal_last_append_age_seconds", "", 0}, // whole seconds: 0 this soon after the append
 	}
 	for _, c := range checks {
 		if got := seriesValue(body, c.name, c.labels); got < c.min {
@@ -189,6 +202,15 @@ func testMetricsEndToEnd(t *testing.T, engine string, blockSize int) {
 		"cube_cache_hits_total", "cube_cache_misses_total", "cube_cache_evictions_total",
 		"cube_cache_flushes_total", "cube_cache_entries",
 		"cube_followers", "cube_replica_lag", "cube_replica_batches_total", "cube_replica_fallbacks_total",
+		// Series no code, test, runbook or bench scrape read.
+		"cube_http_too_large_total",
+		"cube_ingest_enqueued_total", "cube_ingest_rejected_total", "cube_ingest_batch_updates",
+		"cube_ingest_batch_requests", "cube_ingest_queue_delay_seconds", "cube_ingest_queue_depth",
+		"cube_ingest_coalesce_ratio",
+		"cube_parallel_for_total", "cube_parallel_chunks_total", "cube_parallel_active_chunks",
+		"cube_snapshot_seconds", "cube_wal_compactions_total", "cube_wal_resets_total",
+		"cube_wal_append_batches_total",
+		"cube_trace_spans_total", "cube_trace_spans_kept_total",
 	} {
 		if got := seriesValue(body, gone, ""); got != -1 || strings.Contains(body, "# HELP "+gone+" ") {
 			t.Errorf("removed series %s is exported", gone)
@@ -211,6 +233,67 @@ func testMetricsEndToEnd(t *testing.T, engine string, blockSize int) {
 	}
 	if strings.Contains(body, `cube_structure_bytes{structure="prefixsum"}`) {
 		t.Error(`cube_structure_bytes reports structure="prefixsum": P is never built beside the index`)
+	}
+}
+
+// TestMetricsTable holds README's Observability table to what a server
+// exports: one row per family, of the family's type, and every row names
+// what reads the family. newServerMetrics registers every family whatever
+// the options, so one plain server shows them all.
+func TestMetricsTable(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "\n## Observability\n")
+	if !ok {
+		t.Fatal("README has no Observability section")
+	}
+	if end := strings.Index(section, "\n## "); end >= 0 {
+		section = section[:end]
+	}
+	rows := map[string]string{} // family → type
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "| `cube_") {
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		if len(cells) != 4 {
+			t.Fatalf("table row %q has %d cells, want 4: family, type, labels, read by", line, len(cells))
+		}
+		name := strings.Trim(strings.TrimSpace(cells[0]), "`")
+		if _, dup := rows[name]; dup {
+			t.Errorf("%s has two rows", name)
+		}
+		rows[name] = strings.TrimSpace(cells[1])
+		if strings.TrimSpace(cells[3]) == "" {
+			t.Errorf("%s: nothing reads it", name)
+		}
+	}
+
+	s, err := NewWithOptions(cube.New(cube.NewIntDimension("x", 0, 3)), Options{BlockSize: 1, Fanout: 2, Logf: func(string, ...any) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	exported := map[string]string{}
+	for _, line := range strings.Split(exposition(t, s), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, typ, _ := strings.Cut(rest, " ")
+			exported[name] = typ
+		}
+	}
+	for name, typ := range exported {
+		if got, ok := rows[name]; !ok {
+			t.Errorf("%s (%s) is exported but has no README row", name, typ)
+		} else if got != typ {
+			t.Errorf("%s is a %s, README says %s", name, typ, got)
+		}
+	}
+	for name := range rows {
+		if _, ok := exported[name]; !ok {
+			t.Errorf("README lists %s, which no server exports", name)
+		}
 	}
 }
 
@@ -367,8 +450,12 @@ func TestShedAccounting(t *testing.T) {
 	}()
 
 	// Once the parked handler holds the only slot, any further request must
-	// shed deterministically.
+	// shed deterministically. The scrape itself is the second request in
+	// flight.
 	<-holding
+	if got := seriesValue(scrape(t, ts), "cube_http_inflight", ""); got != 2 {
+		t.Errorf("cube_http_inflight = %v with one request parked, want 2 (it and the scrape)", got)
+	}
 	resp, err := ts.Client().Get(ts.URL + "/query")
 	if err != nil {
 		t.Fatal(err)

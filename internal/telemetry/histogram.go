@@ -15,10 +15,9 @@ const NumBuckets = 64
 // Histogram is a lock-free log2-bucketed histogram of non-negative int64
 // observations (negative values clamp to zero). Recording is two atomic
 // adds: the value's bucket and the running sum. All state is integer, so
-// concurrent recording, sharded recording with a later Merge, and a
-// sequential run of the same observations all produce bit-identical totals
-// regardless of interleaving — the property the conformance par==seq tests
-// rely on.
+// concurrent recording and a sequential run of the same observations
+// produce bit-identical totals regardless of interleaving — the property
+// the conformance par==seq tests rely on.
 //
 // Scale is a display-time multiplier applied by the exposition renderer and
 // by Snapshot quantiles; the stored counts stay raw. A latency histogram
@@ -41,22 +40,6 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[bits.Len64(uint64(v))%NumBuckets].v.Add(1)
 	h.sum.v.Add(v)
 	h.count.v.Add(1)
-}
-
-// Merge folds src's buckets, sum and count into h. Pure integer addition:
-// merging worker shards in any order yields the same histogram as recording
-// every observation on h directly. Either histogram may be nil.
-func (h *Histogram) Merge(src *Histogram) {
-	if h == nil || src == nil {
-		return
-	}
-	for i := range src.buckets {
-		if n := src.buckets[i].v.Load(); n != 0 {
-			h.buckets[i].v.Add(n)
-		}
-	}
-	h.sum.v.Add(src.sum.v.Load())
-	h.count.v.Add(src.count.v.Load())
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram's counts, safe to
@@ -131,13 +114,4 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 		}
 	}
 	return math.Inf(1) // unreachable: cum reaches Count
-}
-
-// Mean returns the arithmetic mean of the recorded values in raw units,
-// or 0 when nothing was recorded.
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
 }

@@ -113,8 +113,8 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 
 // CounterFunc registers a counter whose value is read from fn at render
 // time — for sources that already keep their own monotonic counts (the
-// result cache's hit/miss totals, the parallel pool's task counts) so the
-// numbers are never accounted twice.
+// shard router's query and remote-engine totals) so the numbers are never
+// accounted twice.
 func (r *Registry) CounterFunc(name, help string, fn func() int64) {
 	if r == nil {
 		return
@@ -166,14 +166,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	return &CounterVec{f: r.register(name, help, "counter", 1, labels)}
 }
 
-// GaugeVec registers a gauge family with the given label names.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	return &GaugeVec{f: r.register(name, help, "gauge", 1, labels)}
-}
-
 // HistogramVec registers a histogram family with the given label names.
 func (r *Registry) HistogramVec(name, help string, scale float64, labels ...string) *HistogramVec {
 	if r == nil {
@@ -187,9 +179,6 @@ func (r *Registry) HistogramVec(name, help string, scale float64, labels ...stri
 
 // CounterVec is a labeled counter family.
 type CounterVec struct{ f *family }
-
-// GaugeVec is a labeled gauge family.
-type GaugeVec struct{ f *family }
 
 // HistogramVec is a labeled histogram family.
 type HistogramVec struct{ f *family }
@@ -208,8 +197,6 @@ func (f *family) childFor(values []string) *child {
 		switch f.typ {
 		case "counter":
 			c.counter = &Counter{}
-		case "gauge":
-			c.gauge = &Gauge{}
 		case "histogram":
 			c.hist = &Histogram{}
 		}
@@ -226,14 +213,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 		return nil
 	}
 	return v.f.childFor(values).counter
-}
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return v.f.childFor(values).gauge
 }
 
 // With returns the histogram for the given label values.

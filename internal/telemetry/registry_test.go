@@ -17,7 +17,7 @@ func TestExpositionGolden(t *testing.T) {
 	rv.With("/q", "200").Add(2)
 	rv.With("/q", "500").Inc()
 	rv.With("/u", "200").Inc()
-	r.Gauge("t_inflight", "In-flight requests.").Set(2)
+	r.Gauge("t_inflight", "In-flight requests.").Add(2)
 	r.GaugeFunc("t_entries", "Cache entries.", func() int64 { return 7 })
 	r.GaugeVecFunc("t_bytes", "Bytes by part.", "part", func() map[string]int64 {
 		return map[string]int64{"tree": 16, "cells": 8}

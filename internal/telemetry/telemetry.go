@@ -12,9 +12,9 @@
 //
 // Concurrency model: every primitive is safe for concurrent use and every
 // hot-path operation is a single atomic add (histograms: two). Histogram
-// state is pure integer counts, so Merge is associative and commutative and
-// a parallel run's totals are bit-identical to a sequential run's — the same
-// determinism contract the kernel counters in internal/metrics follow.
+// state is pure integer counts, so a parallel run's totals are
+// bit-identical to a sequential run's — the same determinism contract the
+// kernel counters in internal/metrics follow.
 //
 // Nil receivers are valid everywhere and record nothing, mirroring
 // metrics.Counter: code holding an unwired primitive (a WAL opened outside a
@@ -24,7 +24,6 @@ package telemetry
 import (
 	"strconv"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing counter.
@@ -56,13 +55,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
-
 // Add adjusts the gauge by n (which may be negative).
 func (g *Gauge) Add(n int64) {
 	if g != nil {
@@ -82,19 +74,6 @@ func (g *Gauge) Value() int64 {
 		return 0
 	}
 	return g.v.Load()
-}
-
-// Timer measures one operation's duration into a histogram. Usage:
-//
-//	defer h.Time()()
-//
-// or stop := h.Time(); ...; stop(). A nil histogram returns a no-op stop.
-func (h *Histogram) Time() func() {
-	if h == nil {
-		return func() {}
-	}
-	t0 := time.Now()
-	return func() { h.Observe(time.Since(t0).Nanoseconds()) }
 }
 
 // formatFloat renders a float the way the exposition format expects:

@@ -44,40 +44,6 @@ func TestHistogramConcurrentEqualsSequential(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeDeterministic: per-worker shards merged in any order
-// equal direct recording — Merge is pure integer addition, so the parallel
-// pool's merge-in-worker-order convention is bit-deterministic.
-func TestHistogramMergeDeterministic(t *testing.T) {
-	const shards = 5
-	const per = 1000
-
-	var direct Histogram
-	sh := make([]*Histogram, shards)
-	for s := range sh {
-		sh[s] = &Histogram{}
-		for i := 0; i < per; i++ {
-			v := int64(s*1000+i) * int64(i%17)
-			direct.Observe(v)
-			sh[s].Observe(v)
-		}
-	}
-
-	var fwd, rev Histogram
-	for s := 0; s < shards; s++ {
-		fwd.Merge(sh[s])
-	}
-	for s := shards - 1; s >= 0; s-- {
-		rev.Merge(sh[s])
-	}
-	want := direct.Snapshot()
-	if got := fwd.Snapshot(); got != want {
-		t.Fatalf("forward merge differs from direct recording")
-	}
-	if got := rev.Snapshot(); got != want {
-		t.Fatalf("reverse merge differs from direct recording")
-	}
-}
-
 func TestHistogramBuckets(t *testing.T) {
 	var h Histogram
 	for _, v := range []int64{0, -5, 1, 2, 3, 4, 7, 8, 1 << 40} {
@@ -122,9 +88,6 @@ func TestQuantile(t *testing.T) {
 	if got := empty.Snapshot().Quantile(0.5); got != 0 {
 		t.Errorf("empty histogram quantile = %v, want 0", got)
 	}
-	if got := s.Mean(); math.Abs(got-500.5) > 1e-9 {
-		t.Errorf("mean = %v, want 500.5", got)
-	}
 }
 
 // TestNilSafety: a nil registry yields nil primitives, and every operation
@@ -143,11 +106,9 @@ func TestNilSafety(t *testing.T) {
 
 	c.Inc()
 	c.Add(5)
-	g.Set(3)
+	g.Inc()
 	g.Dec()
 	h.Observe(10)
-	h.Time()()
-	h.Merge(&Histogram{})
 	cv.With("v").Inc()
 	hv.With("v").Observe(1)
 	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 {

@@ -85,9 +85,6 @@ type Tracer struct {
 	// idState drives the splitmix64 ID/sampling stream, seeded from
 	// crypto/rand so concurrent processes do not collide on trace IDs.
 	idState atomic.Uint64
-
-	started atomic.Int64 // spans created
-	kept    atomic.Int64 // spans stored in the ring
 }
 
 // New builds a Tracer, or returns nil (tracing disabled) when
@@ -142,22 +139,6 @@ func (t *Tracer) SlowThreshold() time.Duration {
 		return 0
 	}
 	return t.slow
-}
-
-// Started reports the number of spans created so far.
-func (t *Tracer) Started() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.started.Load()
-}
-
-// Kept reports the number of spans stored in the ring so far.
-func (t *Tracer) Kept() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.kept.Load()
 }
 
 // id returns the next non-zero pseudo-random 64-bit ID (splitmix64 over an
@@ -220,7 +201,6 @@ func (t *Tracer) StartRequest(name string, get func(string) string) *Span {
 }
 
 func (t *Tracer) newSpan(name string, traceID, parentID uint64, recording bool) *Span {
-	t.started.Add(1)
 	return &Span{
 		tr:        t,
 		traceID:   traceID,
@@ -237,7 +217,6 @@ func (t *Tracer) newSpan(name string, traceID, parentID uint64, recording bool) 
 func (t *Tracer) keep(sp *Span) {
 	slot := (t.next.Add(1) - 1) % uint64(len(t.ring))
 	t.ring[slot].Store(sp)
-	t.kept.Add(1)
 }
 
 // Span is one timed operation in a trace. A nil *Span is valid everywhere

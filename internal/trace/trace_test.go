@@ -16,7 +16,7 @@ func TestNilSafety(t *testing.T) {
 	if tr.StartRequest("x", func(string) string { return "" }) != nil {
 		t.Fatal("nil tracer adopted a span")
 	}
-	if tr.Snapshot() != nil || tr.Started() != 0 || tr.Kept() != 0 {
+	if tr.Snapshot() != nil {
 		t.Fatal("nil tracer reported state")
 	}
 	if tr.SampleRate() != 0 || tr.StoreSize() != 0 || tr.SlowThreshold() != 0 {
@@ -158,9 +158,6 @@ func TestRingWraps(t *testing.T) {
 	if got := len(tr.Snapshot()); got != 4 {
 		t.Fatalf("ring holds %d spans, want 4", got)
 	}
-	if tr.Kept() != 10 {
-		t.Fatalf("kept counter %d, want 10", tr.Kept())
-	}
 }
 
 func TestEndIdempotent(t *testing.T) {
@@ -200,8 +197,8 @@ func TestConcurrentKeepAndSnapshot(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if tr.Started() != 8*200*2 {
-		t.Fatalf("started %d, want %d", tr.Started(), 8*200*2)
+	if got := len(tr.Snapshot()); got != 32 {
+		t.Fatalf("ring holds %d spans after 3200 keeps, want 32", got)
 	}
 }
 

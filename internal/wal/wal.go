@@ -278,15 +278,11 @@ func scanRecords(r io.Reader) (batches []Batch, n int64, err error) {
 // *Metrics disables accounting entirely — the default for logs opened
 // outside a server.
 type Metrics struct {
-	// AppendBytes counts durable bytes appended (frame + payload), and
-	// AppendBatches the batches they carried.
-	AppendBytes   *telemetry.Counter
-	AppendBatches *telemetry.Counter
+	// AppendBytes counts durable bytes appended (frame + payload).
+	AppendBytes *telemetry.Counter
 	// FsyncSeconds observes the latency of each successful appending fsync
 	// in nanoseconds (export with scale 1e-9).
 	FsyncSeconds *telemetry.Histogram
-	// Resets counts snapshot-driven truncations back to the header.
-	Resets *telemetry.Counter
 	// Faults counts storage errors: Append's failed writes and fsyncs, and
 	// the failed truncate, fsync or seek with which Reset poisons the log.
 	// Repairs counts the Append faults healed in place by the
@@ -560,7 +556,6 @@ func (l *Log) Append(b Batch) error {
 	}
 	if l.met != nil {
 		l.met.AppendBytes.Add(int64(len(rec)))
-		l.met.AppendBatches.Inc()
 	}
 	l.size += int64(len(rec))
 	l.lastSeq = b.Seq
@@ -609,9 +604,6 @@ func (l *Log) Reset() error {
 		return l.Poisoned()
 	}
 	l.size = headerSize
-	if l.met != nil {
-		l.met.Resets.Inc()
-	}
 	return nil
 }
 
