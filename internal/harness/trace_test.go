@@ -152,10 +152,10 @@ func metricValue(t *testing.T, srv *server.Server, name string) float64 {
 
 // TestMultiProcessTraceSmoke is the tracing acceptance run: one batched
 // query against a leader scatter–gathering over three real shard processes
-// must yield a single connected span tree — root request span, per-item
-// query spans, per-shard RPC children on the leader, and adopted server
-// spans (same trace ID, parented onto the leader's RPC spans) in each shard
-// process's own ring — and the trace ID on the leader's and every shard's
+// must yield a single connected span tree — root request span and per-shard
+// RPC children on the leader, and adopted server spans (same trace ID,
+// parented onto the leader's RPC spans) with per-item query spans in each
+// shard process's own ring — and the trace ID on the leader's and every shard's
 // access-log line. Then a SIGSTOP-stalled shard must leave a trace carrying
 // the hedged duplicate's span and a down-marked RPC span, and the leader's
 // remote-shard counters must count both.
@@ -197,8 +197,9 @@ func TestMultiProcessTraceSmoke(t *testing.T) {
 
 	// Phase 1: healthy tier. One batched query must produce one connected
 	// tree on the leader and adopted spans in every shard process.
-	// Sum items scatter to the shard tier (shard.* RPC spans); the count item
-	// evaluates per-slot in-process (a query.count span).
+	// Sum items scatter to the shard tier (shard.* RPC spans on the leader,
+	// query.* item spans on each shard); the count item is answered from its
+	// region's volume, does no work and gets no span.
 	items := []map[string]any{
 		{"op": "sum", "select": map[string]string{"d0": fmt.Sprintf("0..%d", n-1), "d1": fmt.Sprintf("0..%d", n-1)}},
 		{"op": "sum", "select": map[string]string{"d0": "3..17", "d1": "8..40"}},
@@ -222,7 +223,7 @@ func TestMultiProcessTraceSmoke(t *testing.T) {
 	leaderSpans := fetchTrace(t, ts.URL, tid)
 	assertConnected(t, leaderSpans, nil, 1, "leader")
 	leaderIDs := make(map[string]bool, len(leaderSpans))
-	var sawRoot, sawItem, sawRPC bool
+	var sawRoot, sawRPC bool
 	for _, sp := range leaderSpans {
 		leaderIDs[sp.SpanID] = true
 		switch {
@@ -232,7 +233,7 @@ func TestMultiProcessTraceSmoke(t *testing.T) {
 				t.Fatalf("leader root span named %q, want %q", sp.Name, "POST /query/batch")
 			}
 		case strings.HasPrefix(sp.Name, "query."):
-			sawItem = true
+			t.Fatalf("leader span %q: a remote leader evaluates no item itself", sp.Name)
 		case strings.HasPrefix(sp.Name, "shard."):
 			sawRPC = true
 			if sp.Shard < 0 || sp.Shard >= shards {
@@ -240,19 +241,24 @@ func TestMultiProcessTraceSmoke(t *testing.T) {
 			}
 		}
 	}
-	if !sawRoot || !sawItem || !sawRPC {
-		t.Fatalf("leader trace missing spans: root=%v query.*=%v shard.*=%v (got %d spans)",
-			sawRoot, sawItem, sawRPC, len(leaderSpans))
+	if !sawRoot || !sawRPC {
+		t.Fatalf("leader trace missing spans: root=%v shard.*=%v (got %d spans)",
+			sawRoot, sawRPC, len(leaderSpans))
 	}
 
 	// Each shard process adopted the propagated trace: same trace ID in its
 	// own ring, every span parented onto a leader RPC span (wire propagation
-	// via X-Trace-Id / X-Parent-Span).
+	// via X-Trace-Id / X-Parent-Span), and a query.* span for the items it
+	// evaluated.
 	for i, p := range procs {
 		shardSpans := fetchTrace(t, p.URL(), tid)
 		assertConnected(t, shardSpans, leaderIDs, 0, fmt.Sprintf("shard %d", i))
-		if len(shardSpans) == 0 {
-			t.Fatalf("shard %d retained no spans for trace %s", i, tid)
+		sawItem := false
+		for _, sp := range shardSpans {
+			sawItem = sawItem || strings.HasPrefix(sp.Name, "query.")
+		}
+		if !sawItem {
+			t.Fatalf("shard %d retained no query.* span for trace %s (got %d spans)", i, tid, len(shardSpans))
 		}
 	}
 	// The same ID joins the access logs: the leader's line for the batch and

@@ -10,7 +10,6 @@ import (
 	"rangecube/internal/cube"
 	"rangecube/internal/metrics"
 	"rangecube/internal/ndarray"
-	"rangecube/internal/parallel"
 	"rangecube/internal/shard"
 	"rangecube/internal/trace"
 )
@@ -26,125 +25,118 @@ type batchQuery struct {
 
 // batchResult is one element of the response array, in request order:
 // either the query's answer or its error, never both. Errors are isolated
-// per item — a malformed selector or unknown op fails only its own slot.
+// per item — a malformed selector, an unknown op or a panic in evaluation
+// fails only its own slot.
 type batchResult struct {
 	Result *queryResponse `json:"result,omitempty"`
 	Error  string         `json:"error,omitempty"`
-	// err is how the slot's evaluation failed: errInternal (a panic) becomes
-	// the item's Error, anything else fails the whole request.
-	err error
 }
 
-// errInternal marks a batch item whose evaluation panicked; the panic is
-// logged server-side and the client sees only a generic error.
-var errInternal = errors.New("internal error")
-
 // batchSlot is one parsed, runnable batch item (region == nil marks a dead
-// slot whose error is already recorded).
+// slot whose error is already recorded) and the place its answer is built.
 type batchSlot struct {
 	op     string
 	region ndarray.Region
+	resp   queryResponse
+	cost   metrics.Counter
 }
 
 // evalSlots is the one read path: every GET /query (a batch of one) and every
-// POST /query/batch lands here with its parsed slots, and here alone it is
-// decided who answers — the remote tier's seq-stamped scatter (every slot
-// that touches a shard), or the router under the read lock (one epoch
-// for the whole batch, whatever updates are racing it). Answers land in
-// results; an item whose evaluation panicked fails only its own slot. The
-// returned error fails the whole request: a cancellation, a deadline or a
-// down shard abandoned the remaining answers mid-flight.
+// POST /query/batch lands here with its parsed slots. A count is answered from
+// its region's volume; every other live slot goes into one Router.Answer, so
+// a batch is one call against one cube state, and on a local router that call
+// is the batch's one fork (localEngine.Answer).
+//
+// A local router answers under the read lock. A remote one answers without
+// it: the scatter holds no leader state, and a read lock pinned across its
+// network round trips would make every commit wait out the slowest shard
+// before it could apply (the lock is write-preferring, so every later read
+// would queue behind that commit in turn). Every shard stamps its answer with
+// the seq it holds, and Router.Answer refuses answers whose stamps differ: a
+// commit's scatter ran between the exchanges. That answer is asked once more
+// under the read lock. A commit scatters inside its write-lock hold, so no
+// scatter can run during the retry, and every shard that answers it is at the
+// leader's seq.
+//
+// Answers land in results; an item whose evaluation panicked fails only its
+// own slot. The returned error fails the whole request: a cancellation, a
+// deadline, a shard's refusal, or a down shard under an op with no partial
+// form abandoned the remaining answers.
 func (s *Server) evalSlots(ctx context.Context, slots []batchSlot, results []batchResult) error {
-	// Volume drives the pool's work estimate, so point lookups stay inline
-	// while big scans fan out.
-	work, live := 0, 0
+	qs := make([]shard.Query, 0, len(slots))
+	cs := make([]*metrics.Counter, 0, len(slots))
 	for i := range slots {
-		if slots[i].region != nil {
-			work += slots[i].region.Volume()
-			live++
+		q := &slots[i]
+		if q.region == nil {
+			continue
+		}
+		// A zero-volume region has a defined answer shape — explicitly empty,
+		// identity sum, no average — rather than NaN or a bogus extreme leaking
+		// into the encoder. (The HTTP selector grammar cannot express an empty
+		// region today; this guards direct callers and future grammars.)
+		q.resp = queryResponse{Op: q.op, Volume: q.region.Volume()}
+		q.resp.Empty = q.resp.Volume == 0
+		if rop, ok := routerOp(q.op); ok {
+			qs = append(qs, shard.Query{Op: rop, Region: q.region})
+			cs = append(cs, &q.cost)
 		}
 	}
-	if live == 0 {
-		return nil
-	}
-	// The remote scatter runs before the read lock is taken, and takes every
-	// slot that needs a shard: it holds no leader state, and a read lock
-	// pinned across its network round trips would make every commit wait out
-	// the slowest shard before it could apply (the lock is write-preferring,
-	// so every later read would queue behind that commit in turn).
-	// Consistency comes from the shards' seq stamps instead — see evalRemote.
-	// What is left for the lock (counts, empty regions) reaches no shard.
-	if s.remoteEngines != nil {
-		live -= s.evalRemote(ctx, slots, results)
-	}
-	if live > 0 {
-		s.mu.RLock()
-		s.runSlots(ctx, slots, work, results)
-		s.mu.RUnlock()
-	}
-	var fatal error
-	for i := range results {
-		switch err := results[i].err; {
-		case err == nil:
-		case errors.Is(err, errInternal):
-			results[i].Error = errInternal.Error()
-		default:
-			fatal = err
+	var as []shard.Answer
+	var err error
+	// A local router answers under the read lock. A remote one answers
+	// lock-free, then once more under the lock on a seq mismatch. A batch of
+	// counts makes no call.
+	for locked := s.remoteEngines == nil; len(qs) > 0; locked = true {
+		if locked {
+			s.mu.RLock()
 		}
-	}
-	return fatal
-}
-
-// runSlots evaluates every runnable slot, a batch concurrently on the worker
-// pool and a single query on the calling goroutine; the caller holds the
-// read lock around the call.
-func (s *Server) runSlots(ctx context.Context, slots []batchSlot, work int, results []batchResult) {
-	if len(slots) == 1 {
-		s.runSlot(ctx, slots[0], &results[0])
-		return
-	}
-	parallel.For(len(slots), work+len(slots), func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			if slots[i].region != nil {
-				s.runSlot(ctx, slots[i], &results[i])
-			}
+		as, err = s.router.Answer(ctx, qs, cs)
+		if locked {
+			s.mu.RUnlock()
 		}
-	})
-}
-
-// runSlot evaluates one slot into res.
-func (s *Server) runSlot(ctx context.Context, q batchSlot, res *batchResult) {
-	defer s.isolatePanic(ctx, q.op, q.region, &res.err)
-	// One child span per evaluated item: evalSlot publishes the §8 cost
-	// counters into it, so a slow batch's trace shows which item paid. There
-	// is none (and no name to build) unless the request's trace is being
-	// recorded.
-	var sp *trace.Span
-	if parent := trace.FromContext(ctx); parent.Recording() {
-		sp = parent.Child("query." + q.op)
-		ctx = trace.NewContext(ctx, sp)
+		if locked || !errors.Is(err, shard.ErrSeqMismatch) {
+			break
+		}
+		trace.StatsFrom(ctx).AddTorn()
 	}
-	resp, err := s.evalSlot(ctx, q)
 	if err != nil {
-		sp.SetError(err.Error())
-		sp.End()
-		res.err = err
-		return
+		return err
 	}
-	sp.End()
-	res.Result = &resp
+	for i := range slots {
+		q := &slots[i]
+		if q.region == nil {
+			continue
+		}
+		if _, ok := routerOp(q.op); !ok {
+			q.resp.Value = int64(q.resp.Volume) // count
+		} else {
+			a := &as[0]
+			as = as[1:]
+			if errors.Is(a.Err, shard.ErrPanic) {
+				s.logPanic(ctx, a.Err)
+				results[i].Error = "internal error"
+				continue
+			}
+			if a.Err != nil {
+				return a.Err
+			}
+			s.setAnswer(&q.resp, *a)
+		}
+		q.resp.Accesses = q.cost.Total()
+		// Bridge the paper's per-query cost counter into the live §8
+		// histograms: the observers are pinned per op, so this is three atomic
+		// histogram records, no label resolution.
+		q.cost.Publish(s.met.costObs[q.op])
+		results[i].Result = &q.resp
+	}
+	return nil
 }
 
-// isolatePanic, deferred around one item's evaluation, turns a panic into
-// that item's errInternal: a panic on a pool goroutine would kill the process
-// (the recovered middleware only guards the handler goroutine), so evaluation
-// failures degrade to an item error.
-func (s *Server) isolatePanic(ctx context.Context, op string, region ndarray.Region, err *error) {
-	if p := recover(); p != nil {
-		s.met.panics.Inc()
-		s.logf("server: query (%s over %v) rid=%s panicked: %v", op, region, RequestIDFrom(ctx), p)
-		*err = errInternal
-	}
+// logPanic counts and logs a query whose evaluation panicked; its client sees
+// only a generic error.
+func (s *Server) logPanic(ctx context.Context, err error) {
+	s.met.panics.Inc()
+	s.logf("server: rid=%s %v", RequestIDFrom(ctx), err)
 }
 
 // handleQueryBatch parses a JSON array of range queries and evaluates them
@@ -178,39 +170,26 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Parse every item up front; only well-formed items are evaluated
 	// (region == nil marks a dead slot).
-	// Parsing is lock-free on every server that cannot accept a /state push:
-	// its cube and dimensions are immutable, so a batch never queues behind
-	// the commit path's write-preferring lock just to read them — that wait
-	// would also tax remote-bound batches, which need the leader's lock only
-	// for a retry. Only an AcceptState server (a shard process) takes a read
-	// epoch here: a push may swap the cube, and a region parsed against the
-	// old dimensions must never reach the new structures. (The lock is
-	// dropped before evaluation, which pins its own epoch; same-shape state
-	// copies keep old regions valid.)
 	results := make([]batchResult, len(items))
 	slots := make([]batchSlot, len(items))
-	if s.opts.AcceptState {
-		s.mu.RLock()
-	}
-	for i, q := range items {
-		op := q.Op
-		if op == "" {
-			op = "sum"
+	s.parsing(func() {
+		for i, q := range items {
+			op := q.Op
+			if op == "" {
+				op = "sum"
+			}
+			if !validOp(op) {
+				results[i].Error = fmt.Sprintf("unknown op %q (sum, count, avg, max, min)", op)
+				continue
+			}
+			region, err := s.regionFromSpecs(q.Select)
+			if err != nil {
+				results[i].Error = err.Error()
+				continue
+			}
+			slots[i].op, slots[i].region = op, region
 		}
-		if !validOp(op) {
-			results[i].Error = fmt.Sprintf("unknown op %q (sum, count, avg, max, min)", op)
-			continue
-		}
-		region, err := s.regionFromSpecs(q.Select)
-		if err != nil {
-			results[i].Error = err.Error()
-			continue
-		}
-		slots[i] = batchSlot{op: op, region: region}
-	}
-	if s.opts.AcceptState {
-		s.mu.RUnlock()
-	}
+	})
 
 	if err := s.evalSlots(r.Context(), slots, results); err != nil {
 		s.writeCtxError(w, r, err)
@@ -234,64 +213,25 @@ type batchEnvelope struct {
 	Results []batchResult `json:"results"`
 }
 
-// evalRemote answers, when the shard tier is remote, every slot that touches a
-// shard — sum, avg, max and min over a non-empty region — through one
-// Router.Answer: each shard process gets one scatter frame for the whole
-// client batch, whatever the ops, instead of an exchange per item. Answered
-// (or failed) slots are cleared so runSlots skips them; their count is
-// returned.
-//
-// The first attempt runs without the leader's read lock. Every shard stamps
-// its answer with the seq it holds, and Router.Answer refuses answers whose
-// stamps differ: a commit's scatter ran between the exchanges. That attempt
-// is retried once under the read lock. A commit scatters inside its
-// write-lock hold, so no scatter can run during the retry, and every shard
-// that answers it is at the leader's seq.
-func (s *Server) evalRemote(ctx context.Context, slots []batchSlot, results []batchResult) int {
-	idx := make([]int, 0, len(slots))
-	qs := make([]shard.Query, 0, len(slots))
-	for i := range slots {
-		if rop, ok := routerOp(slots[i].op); ok && slots[i].region != nil && slots[i].region.Volume() > 0 {
-			idx = append(idx, i)
-			qs = append(qs, shard.Query{Op: rop, Region: slots[i].region})
-		}
-	}
-	if len(qs) == 0 {
-		return 0
-	}
-	store := make([]metrics.Counter, len(qs))
-	counters := make([]*metrics.Counter, len(qs))
-	for k := range counters {
-		counters[k] = &store[k]
-	}
-	as, err := s.router.Answer(ctx, qs, counters)
-	if errors.Is(err, shard.ErrSeqMismatch) {
-		trace.StatsFrom(ctx).AddTorn()
+// parsing runs parse, which resolves selectors against s.cube. It is
+// lock-free on every server that cannot accept a /state push: its cube and
+// dimensions are immutable, so a request never queues behind the commit
+// path's write-preferring lock just to read them — that wait would also tax
+// remote-bound batches, which need the leader's lock only for a retry. Only
+// an AcceptState server (a shard process) parses under a read epoch: a push
+// may swap the cube, and a region parsed against the old dimensions must
+// never reach the new structures. (The lock is dropped before evaluation,
+// which pins its own epoch; same-shape state copies keep old regions valid.)
+func (s *Server) parsing(parse func()) {
+	if s.opts.AcceptState {
 		s.mu.RLock()
-		as, err = s.router.Answer(ctx, qs, counters)
-		s.mu.RUnlock()
+		defer s.mu.RUnlock()
 	}
-	for k, i := range idx {
-		resp := queryResponse{Op: slots[i].op, Volume: slots[i].region.Volume(), Accesses: store[k].Total()}
-		slots[i].region = nil
-		// A scatter that failed as a whole (cancellation, a shard error that is
-		// not absence) fails every slot like any abandoned evaluation; a down
-		// shard fails only the slots with no partial form.
-		if results[i].err = err; err == nil {
-			results[i].err = as[k].Err
-		}
-		if results[i].err != nil {
-			continue
-		}
-		s.setAnswer(&resp, as[k])
-		store[k].Publish(s.met.costObs[resp.Op])
-		results[i].Result = &resp
-	}
-	return len(idx)
+	parse()
 }
 
-// regionFromSpecs resolves a name→selector map to a rank-domain region
-// (the batch-body form of parseRegion's URL parameters).
+// regionFromSpecs resolves a name→selector map — a batch item's select, or
+// GET /query's parameters — to a rank-domain region.
 func (s *Server) regionFromSpecs(specs map[string]string) (ndarray.Region, error) {
 	sels := make([]cube.Selector, 0, len(specs))
 	for name, spec := range specs {

@@ -13,8 +13,8 @@ import (
 
 	"rangecube/internal/client"
 	"rangecube/internal/cube"
+	"rangecube/internal/metrics"
 	"rangecube/internal/ndarray"
-	"rangecube/internal/parallel"
 	"rangecube/internal/persist"
 	"rangecube/internal/shard"
 	"rangecube/internal/wal"
@@ -219,13 +219,13 @@ func (s *Server) handleShardApply(w http.ResponseWriter, r *http.Request) {
 
 // handleShardQuery answers one scatter frame (shard/frame.go): every
 // sub-query a leader's client batch has for this shard, whatever the ops.
-// The frame is nothing but Router.Answer serialised — each item runs through
-// this server's own router on the worker pool, under one read epoch, feeds
-// the per-op §8 cost observers like any query, and a panic fails its item
-// alone; the answer is stamped with the seq of that epoch. The decoder has
-// bounded count, dimensionality and body before anything was allocated;
-// whether a range fits the cube is checked here, inside the epoch that
-// evaluates it, because a /state push may swap the cube.
+// The frame is nothing but Router.Answer serialised — its valid items are one
+// Router.Answer on this server's own router, under one read epoch, and feed
+// the per-op §8 cost observers like any query; a panic fails its item alone;
+// the answer is stamped with the seq of that epoch. The decoder has bounded
+// count, dimensionality and body before anything was allocated; whether a
+// range fits the cube is checked here, inside the epoch that evaluates it,
+// because a /state push may swap the cube.
 func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 	bufP := frameBufs.Get().(*[]byte)
 	defer frameBufs.Put(bufP)
@@ -239,8 +239,10 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx := r.Context()
+	qs := make([]shard.Query, 0, len(items))
+	cs := make([]*metrics.Counter, 0, len(items))
 	s.mu.RLock()
-	seq, shape, work := s.seq, s.cube.Shape(), len(items)
+	seq, shape := s.seq, s.cube.Shape()
 	for i := range items {
 		it := &items[i]
 		if len(it.Local) != len(shape) {
@@ -251,19 +253,30 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 				it.Err = fmt.Errorf("range %v outside dimension %d of slab %v", it.Local[j], j, shape)
 			}
 		}
-		work += it.Local.Volume()
-	}
-	parallel.For(len(items), work, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			if items[i].Err == nil {
-				s.answerItem(ctx, &items[i])
-			}
+		if it.Err == nil {
+			qs = append(qs, shard.Query{Op: it.Op, Region: it.Local})
+			cs = append(cs, &it.Cost)
 		}
-	})
+	}
+	as, err := s.router.Answer(ctx, qs, cs)
 	s.mu.RUnlock()
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		s.writeCtxError(w, r, err)
 		return
+	}
+	for i := range items {
+		it := &items[i]
+		if it.Err != nil {
+			continue
+		}
+		a := &as[0]
+		as = as[1:]
+		if it.Err = a.Err; a.Err != nil { // on a local router, only a panic
+			s.logPanic(ctx, a.Err)
+			continue
+		}
+		it.Value, it.At = a.Value, a.At
+		it.Cost.Publish(s.met.costObs[it.Op.String()])
 	}
 	out, err := wal.SealRecord(shard.AppendAnswers((*bufP)[:wal.FrameSize], seq, items))
 	if err != nil {
@@ -273,17 +286,6 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 	*bufP = out // keeps an array the answer has grown
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(out)
-}
-
-// answerItem evaluates one item of a scatter frame against the router. The
-// caller holds the read lock.
-func (s *Server) answerItem(ctx context.Context, it *shard.Item) {
-	defer s.isolatePanic(ctx, it.Op.String(), it.Local, &it.Err)
-	a, err := s.router.AnswerOne(ctx, shard.Query{Op: it.Op, Region: it.Local}, &it.Cost)
-	if it.Err = err; err == nil {
-		it.Value, it.At = a.Value, a.At
-		it.Cost.Publish(s.met.costObs[it.Op.String()])
-	}
 }
 
 // writeAwaiting sheds a request arriving before the first /state push has

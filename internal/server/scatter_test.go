@@ -333,7 +333,12 @@ func TestRemoteSumBoundsOneRule(t *testing.T) {
 // checksum is refused whole, and to the leader's engine each is a permanent
 // error: the shard is up, so it is not marked down.
 func TestShardQueryRouteRefusals(t *testing.T) {
-	tr := newScatterTier(t, Options{}, nil)
+	var garble atomic.Bool // replace every scatter frame to shard 1 with garbage
+	tr := newScatterTier(t, Options{}, func(i int, r *http.Request) {
+		if i == 1 && r.URL.Path == "/shard/query" && garble.Load() {
+			r.Body = io.NopCloser(strings.NewReader("not a frame"))
+		}
+	})
 	url := "http://" + tr.shards[0].addr // shard 0's slab is 5 × 8
 	eng := shard.NewRemoteEngine(0, url, shard.RemoteOptions{HedgeAfter: -1})
 	ctx := context.Background()
@@ -387,6 +392,20 @@ func TestShardQueryRouteRefusals(t *testing.T) {
 	if code := post(make([]byte, 9<<20)); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("a 9 MiB frame answered %d, want 413", code)
 	}
+	// A leader whose shard refuses its frame (400, a permanent error) answers
+	// 503 and says the query failed, not that it was canceled.
+	garble.Store(true)
+	resp, err := http.Get(tr.lts.URL + "/query?op=sum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || strings.Contains(string(body), "cancel") || !strings.Contains(string(body), "query failed") {
+		t.Fatalf("a sum through a shard that refuses its frame answered %d %s, want 503 and \"query failed\"", resp.StatusCode, body)
+	}
+	garble.Store(false)
+
 	fresh := startShardProc(t, "127.0.0.1:0")
 	t.Cleanup(fresh.stop)
 	url = "http://" + fresh.addr

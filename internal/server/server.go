@@ -37,7 +37,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"net/url"
 	"os"
 	"slices"
 	"strconv"
@@ -48,7 +47,6 @@ import (
 
 	"rangecube/internal/cube"
 	"rangecube/internal/ingest"
-	"rangecube/internal/metrics"
 	"rangecube/internal/ndarray"
 	"rangecube/internal/persist"
 	"rangecube/internal/shard"
@@ -712,21 +710,6 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// parseRegion translates query parameters into a rank-domain region.
-func (s *Server) parseRegion(params url.Values) (ndarray.Region, error) {
-	sels := make([]cube.Selector, 0, len(params))
-	for name, vals := range params {
-		if name == "op" {
-			continue
-		}
-		if len(vals) != 1 {
-			return nil, fmt.Errorf("dimension %q specified %d times", name, len(vals))
-		}
-		sels = append(sels, selectorFromSpec(name, vals[0]))
-	}
-	return s.cube.Region(sels...)
-}
-
 // selectorFromSpec translates one name=spec selector — the grammar shared
 // by GET /query parameters and POST /query/batch select maps — into a cube
 // selector: "lo..hi", "*", or a single value.
@@ -808,17 +791,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, "unknown op %q (sum, count, avg, max, min)", op)
 		return
 	}
-	// Only an AcceptState server (a shard process) parses under the read
-	// epoch: its /state push may swap the cube. Every other server's cube is
-	// immutable, so parsing stays off the write-preferring lock and never
-	// queues behind a commit's apply.
-	if s.opts.AcceptState {
-		s.mu.RLock()
+	specs := make(map[string]string, len(params))
+	for name, vals := range params {
+		if name == "op" {
+			continue
+		}
+		if len(vals) != 1 {
+			s.writeError(w, r, http.StatusBadRequest, "dimension %q specified %d times", name, len(vals))
+			return
+		}
+		specs[name] = vals[0]
 	}
-	region, err := s.parseRegion(params)
-	if s.opts.AcceptState {
-		s.mu.RUnlock()
-	}
+	var region ndarray.Region
+	var err error
+	s.parsing(func() { region, err = s.regionFromSpecs(specs) })
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, "%v", err)
 		return
@@ -877,66 +863,29 @@ func (s *Server) setAnswer(resp *queryResponse, a shard.Answer) {
 	}
 }
 
-// evalSlot answers one validated query against the router; the caller holds
-// the read lock for the duration. A non-nil error is a cancellation, a
-// deadline or a down shard.
-func (s *Server) evalSlot(ctx context.Context, q batchSlot) (queryResponse, error) {
-	var c metrics.Counter
-	resp := queryResponse{Op: q.op, Volume: q.region.Volume()}
-	// A zero-volume region has a defined answer shape — explicitly empty,
-	// identity sum, no average — rather than NaN or a bogus extreme leaking
-	// into the encoder. (The HTTP selector grammar cannot express an empty
-	// region today; this guards direct callers and future grammars.)
-	resp.Empty = resp.Volume == 0
-	if rop, ok := routerOp(q.op); !ok {
-		resp.Value = int64(resp.Volume)
-	} else {
-		// One scatter answers the query whole — a sum with its §11 bounds and
-		// the partial-failure envelope together.
-		a, err := s.router.AnswerOne(ctx, shard.Query{Op: rop, Region: q.region}, &c)
-		if err != nil {
-			return resp, err
-		}
-		s.setAnswer(&resp, a)
-	}
-	resp.Accesses = c.Total()
-	// Bridge the paper's per-query cost counter into the live §8 histograms.
-	// The observers are pinned per op at construction, so this is three
-	// atomic histogram records, no label resolution.
-	c.Publish(s.met.costObs[q.op])
-	// The same counter annotates the active span (the per-item span evalSlots
-	// opens) with the §8 cost.
-	if sp := trace.FromContext(ctx); sp != nil {
-		c.Publish(sp)
-		sp.SetEngine(engineLabel(s.router, s.opts.BlockSize, q.op))
-		if resp.Partial {
-			sp.SetPartial()
-		}
-	}
-	return resp, nil
-}
-
-// writeCtxError reports an abandoned query. A deadline is the server's
-// fault (503, the client may retry); a cancellation means the client is
-// gone and the status is a formality.
+// writeCtxError reports a query abandoned as a whole, always with 503. A
+// deadline is the server's fault (the client may retry); a cancellation means
+// the client is gone and the status is a formality; anything else — a shard's
+// permanent refusal, an undecodable answer — failed the query.
 func (s *Server) writeCtxError(w http.ResponseWriter, r *http.Request, err error) {
-	if errors.Is(err, shard.ErrShardDown) {
+	switch {
+	case errors.Is(err, shard.ErrShardDown):
 		// A query shape with no partial form (avg, max, min) hit a missing
 		// shard. The honest retry hint is the resync probe's cadence — the
 		// earliest a pushed recovery could have landed.
 		w.Header().Set("Retry-After", strconv.Itoa(ceilSeconds(s.opts.ShardProbe)))
 		s.writeError(w, r, http.StatusServiceUnavailable, "shard unavailable: %v", err)
-		return
-	}
-	if errors.Is(err, context.DeadlineExceeded) {
+	case errors.Is(err, context.DeadlineExceeded):
 		s.met.timeouts.Inc()
 		// A deadline means the server is momentarily too loaded for this
 		// query; one second is the shortest honest retry hint.
 		w.Header().Set("Retry-After", "1")
 		s.writeError(w, r, http.StatusServiceUnavailable, "query exceeded the %v deadline", s.opts.QueryTimeout)
-		return
+	case errors.Is(err, context.Canceled):
+		s.writeError(w, r, http.StatusServiceUnavailable, "query canceled: %v", err)
+	default:
+		s.writeError(w, r, http.StatusServiceUnavailable, "query failed: %v", err)
 	}
-	s.writeError(w, r, http.StatusServiceUnavailable, "query canceled: %v", err)
 }
 
 // updateRequest is the JSON shape of /update batches. Deltas adjust the

@@ -253,16 +253,25 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	wg.Wait()
 }
 
-// TestAvgEmptyRegion checks the defined empty-region answer shape: explicit
-// empty marker, no NaN anywhere (NaN would make json.Marshal fail), no
-// division by zero.
+// TestAvgEmptyRegion checks the defined empty-region answer shape through
+// evalSlots: explicit empty marker on every op, no NaN anywhere (NaN would
+// make json.Marshal fail), no division by zero.
 func TestAvgEmptyRegion(t *testing.T) {
 	s := New(uniqueCube(7), 5, 4)
 	empty := ndarray.Region{{Lo: 0, Hi: -1}, {Lo: 0, Hi: 9}, {Lo: 0, Hi: 1}}
-	for _, op := range []string{"avg", "sum", "count", "max", "min"} {
-		resp, err := s.evalSlot(t.Context(), batchSlot{op: op, region: empty})
-		if err != nil {
-			t.Fatalf("op=%s over empty region: %v", op, err)
+	ops := []string{"avg", "sum", "count", "max", "min"}
+	slots := make([]batchSlot, len(ops))
+	for i, op := range ops {
+		slots[i] = batchSlot{op: op, region: empty}
+	}
+	results := make([]batchResult, len(ops))
+	if err := s.evalSlots(t.Context(), slots, results); err != nil {
+		t.Fatalf("a batch over an empty region: %v", err)
+	}
+	for i, op := range ops {
+		resp := results[i].Result
+		if resp == nil {
+			t.Fatalf("op=%s over empty region: no answer (%q)", op, results[i].Error)
 		}
 		if !resp.Empty {
 			t.Fatalf("op=%s over empty region not marked empty: %+v", op, resp)

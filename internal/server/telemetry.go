@@ -283,7 +283,10 @@ func (s *Server) liveRouter() *shard.Router {
 func (m *serverMetrics) pinCostObservers(s *Server) {
 	obs := make(map[string]metrics.Observer, 5)
 	for _, op := range []string{"sum", "count", "avg", "max", "min"} {
-		eng := engineLabel(s.router, s.opts.BlockSize, op)
+		eng := "volume" // count is answered from the region's geometry alone
+		if rop, ok := routerOp(op); ok {
+			eng = rop.Engine(s.opts.BlockSize, s.router.Shards() > 1)
+		}
 		obs[op] = costObserver{
 			cells: m.costCells.With(op, eng),
 			aux:   m.costAux.With(op, eng),
@@ -302,30 +305,6 @@ func (o costObserver) ObserveCost(cells, aux, steps int64) {
 	o.cells.Observe(cells)
 	o.aux.Observe(aux)
 	o.steps.Observe(steps)
-}
-
-// engineLabel names the structure that answered op on rt, the "engine"
-// dimension of the cost histograms; a router of more than one shard
-// prefixes it with "sharded:". A sum is answered by the blocked index at
-// block size b, which is §3's "prefixsum" array P at b = 1.
-func engineLabel(rt *shard.Router, b int, op string) string {
-	sharded := ""
-	if rt.Shards() > 1 {
-		sharded = "sharded:"
-	}
-	switch op {
-	case "sum", "avg":
-		if b == 1 {
-			return sharded + "prefixsum"
-		}
-		return sharded + "blocked"
-	case "max":
-		return sharded + "maxtree"
-	case "min":
-		return sharded + "mintree"
-	default: // count is answered from the region geometry alone
-		return "volume"
-	}
 }
 
 // pathLabel buckets a request path into the fixed route set so the path

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strconv"
 
 	"rangecube/internal/algebra"
@@ -11,6 +12,7 @@ import (
 	"rangecube/internal/core/maxtree"
 	"rangecube/internal/metrics"
 	"rangecube/internal/ndarray"
+	"rangecube/internal/parallel"
 	"rangecube/internal/trace"
 )
 
@@ -26,6 +28,10 @@ var ErrShardDown = errors.New("shard: shard unavailable")
 // would be of no single cube state.
 var ErrSeqMismatch = errors.New("shard: shards answered at different seqs")
 
+// ErrPanic marks a query whose evaluation panicked. It fails that query
+// alone, in its Answer's Err; the rest of the batch is answered.
+var ErrPanic = errors.New("shard: query panicked")
+
 // Engine is one shard's serving surface as the router sees it: one batched
 // read and scattered update batches. All regions and coordinates are in the
 // shard's local (slab) frame; the router owns the translation. Two
@@ -34,7 +40,8 @@ var ErrSeqMismatch = errors.New("shard: shards answered at different seqs")
 // process, the read as one binary scatter frame).
 type Engine interface {
 	// Answer evaluates items — every sub-query one scatter has for this shard,
-	// whatever their ops — in place. An error fails them all.
+	// whatever their ops — in place. An error fails them all; an item's own Err
+	// fails it alone.
 	Answer(ctx context.Context, items []Item) error
 	// Apply commits one scattered update batch (local coordinates). The
 	// caller serializes Apply against queries.
@@ -61,6 +68,21 @@ const (
 // String names the op as the public API and the cost series do.
 func (op Op) String() string { return [...]string{"sum", "max", "min", "sum"}[op] }
 
+// Engine names the structure that answers op at block size b: the "engine"
+// label of the server's §8 cost histograms and of every query span. A sum is
+// answered by the blocked index, which is §3's "prefixsum" array P at b = 1;
+// sharded prefixes the name on a router of more than one shard.
+func (op Op) Engine(b int, sharded bool) string {
+	name := [...]string{"blocked", "maxtree", "mintree", "blocked"}[op]
+	if name == "blocked" && b == 1 {
+		name = "prefixsum"
+	}
+	if sharded {
+		name = "sharded:" + name
+	}
+	return name
+}
+
 // Item is one shard-local sub-query and, once its engine has answered, the
 // answer — what a scatter frame carries per item in each direction.
 type Item struct {
@@ -74,8 +96,9 @@ type Item struct {
 	At []int
 	// Cost is the §8 access cost of the answer.
 	Cost metrics.Counter
-	// Err is the answering shard's refusal of this item: it travels as the
-	// status byte, and DecodeAnswers fails on it.
+	// Err fails this item alone: a panic in an in-process engine (wrapping
+	// ErrPanic), or the answering shard's refusal of it, which travels as the
+	// status byte and fails DecodeAnswers.
 	Err error
 	// Seq is the seq of the state a remote shard answered at, the same for
 	// every item of its frame; 0 from an in-process engine.
@@ -113,14 +136,18 @@ type localEngine struct {
 	// queued is how many blocks blk's queue holds: written by the commit under
 	// the caller's write lock, read by StructureBytes under its read lock.
 	queued int
+	// blockSize and sharded name the engine on query spans (Op.Engine).
+	blockSize int
+	sharded   bool
 }
 
 func newLocalEngine(a *ndarray.Array[int64], blockSize, fanout int) *localEngine {
 	return &localEngine{
-		cells: a,
-		max:   maxtree.Build(a, fanout),
-		min:   maxtree.BuildMin(a, fanout),
-		blk:   newBlockedSum(a, blockSize),
+		cells:     a,
+		max:       maxtree.Build(a, fanout),
+		min:       maxtree.BuildMin(a, fanout),
+		blk:       newBlockedSum(a, blockSize),
+		blockSize: blockSize,
 	}
 }
 
@@ -148,46 +175,65 @@ func ValueBounds(a *ndarray.Array[int64]) (lo, hi int64) {
 	return lo, hi
 }
 
-// Answer runs each item against the structure its op names.
-func (e *localEngine) Answer(ctx context.Context, items []Item) (err error) {
-	for k := range items {
-		it := &items[k]
-		switch it.Op {
-		case OpSumFull:
-			it.Value, it.Lo, it.Hi, err = e.SumWithBounds(ctx, it.Local, &it.Cost)
-		case OpSum:
-			it.Value, err = e.Sum(ctx, it.Local, &it.Cost)
-			it.Lo, it.Hi = it.Value, it.Value
-		default:
-			it.At, it.Value, _, err = e.Extreme(ctx, it.Local, it.Op == OpMin, &it.Cost)
+// Answer runs each item against the structure its op names. This is a
+// batch's one fork: a group of one runs on the calling goroutine, a larger
+// one on the worker pool, its work estimated as the items' volumes plus their
+// count (nothing forks inside one query). An item that panics fails alone,
+// its Err wrapping ErrPanic; a cancellation, which the structures' own
+// checkpoints report, fails the call.
+func (e *localEngine) Answer(ctx context.Context, items []Item) error {
+	if len(items) == 1 {
+		e.answer(ctx, &items[0])
+	} else {
+		work := len(items)
+		for k := range items {
+			work += items[k].Local.Volume()
 		}
-		if err != nil {
-			return err
+		parallel.For(len(items), work, func(lo, hi, _ int) {
+			for k := lo; k < hi; k++ {
+				e.answer(ctx, &items[k])
+			}
+		})
+	}
+	return ctx.Err()
+}
+
+// answer evaluates one item. A recording trace gets a query.<op> span for it
+// carrying its §8 cost and engine label. A panic becomes the item's Err: on a
+// pool goroutine it would otherwise kill the process.
+func (e *localEngine) answer(ctx context.Context, it *Item) {
+	sp := trace.FromContext(ctx).Child([...]string{"query.sum", "query.max", "query.min", "query.sum"}[it.Op])
+	defer func() {
+		if p := recover(); p != nil {
+			it.Err = fmt.Errorf("%w: %s over %v: %v", ErrPanic, it.Op, it.Local, p)
+		}
+		if sp != nil {
+			it.Cost.Publish(sp)
+			sp.SetEngine(it.Op.Engine(e.blockSize, e.sharded))
+			if it.Err != nil {
+				sp.SetError(it.Err.Error())
+			}
+			sp.End()
+		}
+	}()
+	switch it.Op {
+	case OpSumFull:
+		// The bounds' accesses stay out of the cost: op=sum reports the cost
+		// of the exact answer alone.
+		it.Value, it.Lo, it.Hi, it.Err = blocked.SumBoundsContext(ctx, e.blk, it.Local, &it.Cost)
+	case OpSum:
+		it.Value, it.Err = e.blk.SumContext(ctx, it.Local, &it.Cost)
+		it.Lo, it.Hi = it.Value, it.Value
+	default:
+		tree := e.max
+		if it.Op == OpMin {
+			tree = e.min
+		}
+		off, v, ok, err := tree.MaxIndexContext(ctx, it.Local, &it.Cost)
+		if it.Err = err; err == nil && ok {
+			it.At, it.Value = tree.Cube().Coords(off, nil), v
 		}
 	}
-	return nil
-}
-
-func (e *localEngine) Sum(ctx context.Context, r ndarray.Region, c *metrics.Counter) (int64, error) {
-	return e.blk.SumContext(ctx, r, c)
-}
-
-// SumWithBounds keeps the bounds' accesses out of c: op=sum reports the cost
-// of the exact answer alone.
-func (e *localEngine) SumWithBounds(ctx context.Context, r ndarray.Region, c *metrics.Counter) (int64, int64, int64, error) {
-	return blocked.SumBoundsContext(ctx, e.blk, r, c)
-}
-
-func (e *localEngine) Extreme(ctx context.Context, r ndarray.Region, min bool, c *metrics.Counter) ([]int, int64, bool, error) {
-	tree := e.max
-	if min {
-		tree = e.min
-	}
-	off, v, ok, err := tree.MaxIndexContext(ctx, r, c)
-	if err != nil || !ok {
-		return nil, 0, false, err
-	}
-	return tree.Cube().Coords(off, nil), v, true, nil
 }
 
 // Apply commits one batch to every structure. The three structures over cells

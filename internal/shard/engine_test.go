@@ -162,9 +162,9 @@ func TestStructuresShareCells(t *testing.T) {
 						if got, err := rt.Sum(ctx, r, nil); err != nil || got != want {
 							t.Fatalf("%s step %d: Sum(%v) = %d (err %v), want %d", what, step, r, got, err, want)
 						}
-						full, err := rt.SumFull(ctx, r, nil)
+						full, err := sumFull(ctx, rt, r, nil)
 						if err != nil || full.Value != want || full.Partial() || (blockSize == 1 && (full.Lo != want || full.Hi != want)) {
-							t.Fatalf("%s step %d: SumFull(%v) = %+v (err %v), want %d", what, step, r, full, err, want)
+							t.Fatalf("%s step %d: sumFull(%v) = %+v (err %v), want %d", what, step, r, full, err, want)
 						}
 						for _, min := range []bool{false, true} {
 							coords, v, ok, err := rt.Extreme(ctx, r, min, nil)
@@ -324,7 +324,7 @@ func TestQueuedSumAllocatesNothing(t *testing.T) {
 	costs := make([]metrics.Counter, len(regions))
 	for i := range regions {
 		regions[i] = g.UniformRegion(shape)
-		e.Sum(ctx, regions[i], &costs[i])
+		e.blk.SumContext(ctx, regions[i], &costs[i])
 	}
 	for i := 0; i < n-1; i++ {
 		e.Apply(ctx, []batchsum.IntUpdate{{Coords: []int{i, i * 7 % n}, Delta: int64(i - 100)}})
@@ -334,10 +334,10 @@ func TestQueuedSumAllocatesNothing(t *testing.T) {
 	}
 	for i, r := range regions {
 		var c metrics.Counter
-		if v, err := e.Sum(ctx, r, &c); err != nil || v != naiveSum(e.cells, r) || c != costs[i] {
+		if v, err := e.blk.SumContext(ctx, r, &c); err != nil || v != naiveSum(e.cells, r) || c != costs[i] {
 			t.Fatalf("Sum(%v) over a full queue = %d at cost %v (err %v), want %d at %v", r, v, &c, err, naiveSum(e.cells, r), &costs[i])
 		}
-		if allocs := testing.AllocsPerRun(20, func() { e.Sum(ctx, r, &c) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(20, func() { e.blk.SumContext(ctx, r, &c) }); allocs != 0 {
 			t.Fatalf("Sum(%v) over a full queue allocates %v objects, want 0", r, allocs)
 		}
 	}
@@ -357,14 +357,14 @@ func TestEdgedSumAllocatesNothing(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		r := g.FixedSizeRegion(shape, []int{sides[i%4], sides[i/4]})
 		var c metrics.Counter
-		if v, err := e.Sum(ctx, r, &c); err != nil || v != naiveSum(e.cells, r) || c.Cells+c.Aux == 0 {
+		if v, err := e.blk.SumContext(ctx, r, &c); err != nil || v != naiveSum(e.cells, r) || c.Cells+c.Aux == 0 {
 			t.Fatalf("Sum(%v) = %d at cost %v (err %v), want %d", r, v, &c, err, naiveSum(e.cells, r))
 		}
-		if allocs := testing.AllocsPerRun(20, func() { e.Sum(ctx, r, &c) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(20, func() { e.blk.SumContext(ctx, r, &c) }); allocs != 0 {
 			t.Fatalf("Sum(%v) allocates %v objects, want 0", r, allocs)
 		}
-		if allocs := testing.AllocsPerRun(20, func() { e.SumWithBounds(ctx, r, &c) }); allocs != 0 {
-			t.Fatalf("SumWithBounds(%v) allocates %v objects, want 0", r, allocs)
+		if allocs := testing.AllocsPerRun(20, func() { blocked.SumBoundsContext(ctx, e.blk, r, &c) }); allocs != 0 {
+			t.Fatalf("SumBoundsContext(%v) allocates %v objects, want 0", r, allocs)
 		}
 	}
 }
@@ -435,7 +435,7 @@ func BenchmarkLocalEngineSum(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, _, err := e.SumWithBounds(context.Background(), regions[i%len(regions)], &cost); err != nil {
+				if _, _, _, err := blocked.SumBoundsContext(context.Background(), e.blk, regions[i%len(regions)], &cost); err != nil {
 					b.Fatal(err)
 				}
 			}

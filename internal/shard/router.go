@@ -36,8 +36,8 @@ type PointDelta struct {
 // in-process engines is one call per shard on the calling goroutine. A remote
 // shard that is down degrades sums to partial answers (OpSumFull) with the
 // §11 bounds machinery covering the absent slabs; every other operation fails
-// with an error naming the shard. Answer is the one read path; AnswerOne, Sum,
-// SumFull and Extreme are single-query calls of it.
+// with an error naming the shard. Answer is the one read path; Sum and
+// Extreme are single-query calls of it.
 //
 // The router performs no locking: callers serialize queries against updates
 // (the server holds its RWMutex).
@@ -92,7 +92,9 @@ func NewRouter(a *ndarray.Array[int64], m Map, blockSize, fanout int, sumEngine 
 		if m.Shards() > 1 {
 			slab = SlabCopy(a, m, i)
 		}
-		rt.shards[i] = newLocalEngine(slab, b, fanout)
+		e := newLocalEngine(slab, b, fanout)
+		e.sharded = m.Shards() > 1
+		rt.shards[i] = e
 	}
 	return rt, nil
 }
@@ -214,7 +216,8 @@ type Answer struct {
 	// holding no cell, and for sums.
 	At []int
 	// Err fails this query alone: a shard it needs is down and its op has no
-	// partial form (every op but OpSumFull).
+	// partial form (every op but OpSumFull), or its evaluation panicked
+	// (ErrPanic).
 	Err error
 }
 
@@ -228,9 +231,10 @@ type Answer struct {
 // tie-break a single tree's descent uses, so the reported cell is
 // deterministic. A down shard degrades an OpSumFull (its slab contributes
 // [V·cellLo, V·cellHi] to the bounds and is listed in Missing) and fails every
-// other op that needs it, in that query's Err; bounds that pass an int64
-// limit leave the answer Unbounded. cs[qi] (nillable entries)
-// receives query qi's access cost. The returned error fails the whole batch:
+// other op that needs it, in that query's Err, as does a piece whose
+// evaluation panicked (ErrPanic); bounds that pass an int64 limit leave the
+// answer Unbounded. cs[qi] (nillable entries) receives query qi's access
+// cost. The returned error fails the whole batch:
 // the caller's context ended, a shard failed in a way that is not absence, or
 // the shards that answered did so at different seqs (ErrSeqMismatch), so no
 // answer is one cube state.
@@ -260,7 +264,9 @@ func (rt *Router) Answer(ctx context.Context, qs []Query, cs []*metrics.Counter)
 	}
 	errs := fanOut(trace.NewContext(ctx, sp), rt, "scatter", groups, Engine.Answer)
 	for i, err := range errs {
-		if err == nil || errors.Is(err, ErrShardDown) {
+		// A cancellation while ctx is live is a sibling fanOut canceled after
+		// another shard failed: that failure is the one to name.
+		if err == nil || errors.Is(err, ErrShardDown) || errors.Is(err, context.Canceled) && ctx.Err() == nil {
 			continue
 		}
 		if ctx.Err() != nil {
@@ -292,8 +298,10 @@ func (rt *Router) Answer(ctx context.Context, qs []Query, cs []*metrics.Counter)
 				a.Missing = append(a.Missing, i)
 			case errs[i] != nil && a.Err == nil:
 				a.Err = fmt.Errorf("shard %d: %w", i, errs[i])
+			case it.Err != nil && a.Err == nil:
+				a.Err = it.Err
 			}
-			if errs[i] != nil {
+			if errs[i] != nil || it.Err != nil {
 				continue
 			}
 			if it.Op == OpSum || it.Op == OpSumFull {
@@ -322,8 +330,8 @@ func (rt *Router) Answer(ctx context.Context, qs []Query, cs []*metrics.Counter)
 // fanOut is the router's one fan-out, reads and update scatters alike:
 // call(shard i, groups[i]) for every shard with a non-nil group, errors by
 // shard. In-process engines, and a single busy network engine, are called in
-// shard order on this goroutine: a read forks only over its batch, above the
-// router, never below it. Network engines get a goroutine per busy shard so
+// shard order on this goroutine: a read forks only over one engine's items,
+// in localEngine.Answer. Network engines get a goroutine per busy shard so
 // the round trips overlap, and the first failure that is not a down shard
 // cancels the siblings.
 func fanOut[T any](ctx context.Context, rt *Router, label string, groups [][]T, call func(Engine, context.Context, []T) error) []error {
@@ -364,42 +372,32 @@ func fanOut[T any](ctx context.Context, rt *Router, label string, groups [][]T, 
 	return errs
 }
 
-// AnswerOne is Answer of a single query, its own Err surfaced as the error.
-func (rt *Router) AnswerOne(ctx context.Context, q Query, c *metrics.Counter) (Answer, error) {
-	as, err := rt.Answer(ctx, []Query{q}, []*metrics.Counter{c})
-	if err != nil {
-		return Answer{}, err
-	}
-	return as[0], as[0].Err
-}
-
 // Sum answers an exact range sum over the logical cube; an empty region sums
 // to 0, a down shard fails it.
 func (rt *Router) Sum(ctx context.Context, r ndarray.Region, c *metrics.Counter) (int64, error) {
-	a, err := rt.AnswerOne(ctx, Query{Op: OpSum, Region: r}, c)
-	return a.Value, err
-}
-
-// SumFull answers a range sum, its §11 bounds and — when remote shards are
-// down — the partial-answer degradation.
-func (rt *Router) SumFull(ctx context.Context, r ndarray.Region, c *metrics.Counter) (SumResult, error) {
-	a, err := rt.AnswerOne(ctx, Query{Op: OpSumFull, Region: r}, c)
-	return a.SumResult, err
+	as, err := rt.Answer(ctx, []Query{{Op: OpSum, Region: r}}, []*metrics.Counter{c})
+	if err != nil {
+		return 0, err
+	}
+	return as[0].Value, as[0].Err
 }
 
 // Extreme answers a range max (min=false) or min (min=true). Coords are in
-// logical-cube coordinates; ok=false means the region is empty. Unlike
-// SumFull, an extreme has no partial form: a down shard fails the query.
+// logical-cube coordinates; ok=false means the region is empty. An extreme
+// has no partial form: a down shard fails the query.
 func (rt *Router) Extreme(ctx context.Context, r ndarray.Region, min bool, c *metrics.Counter) (coords []int, v int64, ok bool, err error) {
 	q := Query{Op: OpMax, Region: r}
 	if min {
 		q.Op = OpMin
 	}
-	a, err := rt.AnswerOne(ctx, q, c)
-	if err != nil || a.At == nil {
+	as, err := rt.Answer(ctx, []Query{q}, []*metrics.Counter{c})
+	if err == nil {
+		err = as[0].Err
+	}
+	if err != nil || as[0].At == nil {
 		return nil, 0, false, err
 	}
-	return a.At, a.Value, true, nil
+	return as[0].At, as[0].Value, true, nil
 }
 
 // Apply scatters one coalesced update batch to the owning shards and

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -322,12 +323,12 @@ func TestRouterMatchesNaive(t *testing.T) {
 				if want := naiveSum(mirror, r); got != want {
 					t.Fatalf("%s shards=%v step %d: Sum(%v) = %d, want %d", sumEngine, m.slabs, step, r, got, want)
 				}
-				full, err := rt.SumFull(ctx, r, nil)
+				full, err := sumFull(ctx, rt, r, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if want := naiveSum(mirror, r); full.Value != want || want < full.Lo || want > full.Hi || full.Partial() {
-					t.Fatalf("%s shards=%v step %d: SumFull(%v) = %+v, want value %d inside the bounds", sumEngine, m.slabs, step, r, full, want)
+					t.Fatalf("%s shards=%v step %d: sumFull(%v) = %+v, want value %d inside the bounds", sumEngine, m.slabs, step, r, full, want)
 				}
 				for _, min := range []bool{false, true} {
 					coords, v, ok, err := rt.Extreme(ctx, r, min, nil)
@@ -426,9 +427,9 @@ func TestOneShardRouterIsTheStructures(t *testing.T) {
 			if err != nil || sum != wantSum || got != want {
 				t.Fatalf("b=%d step %d: Sum(%v) = %d cost %v (err %v), direct %d cost %v", blockSize, step, r, sum, got, err, wantSum, want)
 			}
-			full, err := rt.SumFull(ctx, r, &gotFull)
+			full, err := sumFull(ctx, rt, r, &gotFull)
 			if err != nil || full.Value != wantSum || full.Lo != wantLo || full.Hi != wantHi || full.Partial() || gotFull != want {
-				t.Fatalf("b=%d step %d: SumFull(%v) = %+v cost %v (err %v), direct %d in [%d,%d] cost %v",
+				t.Fatalf("b=%d step %d: sumFull(%v) = %+v cost %v (err %v), direct %d in [%d,%d] cost %v",
 					blockSize, step, r, full, gotFull, err, wantSum, wantLo, wantHi, want)
 			}
 			for _, tree := range []*maxtree.Tree[int64]{mx, mn} {
@@ -469,14 +470,25 @@ func TestOneShardRouterIsTheStructures(t *testing.T) {
 	}
 }
 
+// sumFull answers one OpSumFull — a range sum, its §11 bounds and, when
+// remote shards are down, the partial-answer degradation — through Answer.
+func sumFull(ctx context.Context, rt *Router, r ndarray.Region, c *metrics.Counter) (SumResult, error) {
+	as, err := rt.Answer(ctx, []Query{{Op: OpSumFull, Region: r}}, []*metrics.Counter{c})
+	if err != nil {
+		return SumResult{}, err
+	}
+	return as[0].SumResult, as[0].Err
+}
+
 // TestOneShardSumFullStaysCheap pins what the router may add to the
-// unsharded server's hottest call: on a one-shard map SumFull is the engine's
-// SumWithBounds plus a fixed handful of small allocations (the scatter's
-// groups, the cut region and its item, the error and answer slices: five
-// today), run on the calling goroutine. Per-sub heap pointers, a closure for
-// the pool and a reassigned captured context took it to ten, which showed end
-// to end as a slower and less steady GET /query. Extreme rides the same path
-// and is held to what it cost before it did (six).
+// unsharded server's hottest call: on a one-shard map a one-query OpSumFull
+// Answer is the blocked index's SumBoundsContext plus a fixed handful of small
+// allocations (the query and counter slices, the scatter's groups, the cut
+// region and its item, the error and answer slices), run on the calling
+// goroutine. Per-sub heap pointers, a closure for the pool and a reassigned
+// captured context took it to ten, which showed end to end as a slower and
+// less steady GET /query. An extreme rides the same path and is held to what
+// it cost before it did (six).
 func TestOneShardSumFullStaysCheap(t *testing.T) {
 	g := workload.SeededGen(t, *seedFlag, 2)
 	ctx := context.Background()
@@ -492,24 +504,27 @@ func TestOneShardSumFullStaysCheap(t *testing.T) {
 	r := ndarray.Region{{Lo: 5, Hi: 40}, {Lo: 9, Hi: 33}}
 	var c metrics.Counter
 	e := rt.shards[0].(*localEngine)
-	direct := testing.AllocsPerRun(200, func() { e.SumWithBounds(ctx, r, &c) })
-	routed := testing.AllocsPerRun(200, func() { rt.SumFull(ctx, r, &c) })
+	direct := testing.AllocsPerRun(200, func() { blocked.SumBoundsContext(ctx, e.blk, r, &c) })
+	routed := testing.AllocsPerRun(200, func() { rt.Answer(ctx, []Query{{Op: OpSumFull, Region: r}}, []*metrics.Counter{&c}) })
 	if routed > direct+7 {
-		t.Fatalf("one-shard SumFull allocates %.0f times per call, the engine alone %.0f: the router may add at most 7", routed, direct)
+		t.Fatalf("one-shard OpSumFull Answer allocates %.0f times per call, the engine alone %.0f: the router may add at most 7", routed, direct)
 	}
-	direct = testing.AllocsPerRun(200, func() { e.Extreme(ctx, r, false, &c) })
-	routed = testing.AllocsPerRun(200, func() { rt.Extreme(ctx, r, false, &c) })
+	direct = testing.AllocsPerRun(200, func() {
+		off, _, _, _ := e.max.MaxIndexContext(ctx, r, &c)
+		e.max.Cube().Coords(off, nil)
+	})
+	routed = testing.AllocsPerRun(200, func() { rt.Answer(ctx, []Query{{Op: OpMax, Region: r}}, []*metrics.Counter{&c}) })
 	if routed > direct+6 {
-		t.Fatalf("one-shard Extreme allocates %.0f times per call, the engine alone %.0f: the router may add at most 6", routed, direct)
+		t.Fatalf("one-shard OpMax Answer allocates %.0f times per call, the engine alone %.0f: the router may add at most 6", routed, direct)
 	}
 }
 
 // TestQueriesDoNotFork pins the one level of query parallelism: a read forks
-// over its batch (the server's runSlots and shard handler) and nowhere below.
-// With four workers on offer, none of these calls dispatches a single pool
-// run: a blocked sum whose boundary scans read more than the pool's grain, a
-// max descent over more than the grain's cells, and a batch over a 4-shard
-// in-process router.
+// over one engine's items (localEngine.Answer) and nowhere below. With four
+// workers on offer, no single query dispatches a pool run: a blocked sum whose
+// boundary scans read more than the pool's grain, a max descent over more
+// than the grain's cells. A batch over a 4-shard in-process router makes at
+// most one pool call per busy engine, and a batch of one makes none.
 func TestQueriesDoNotFork(t *testing.T) {
 	prev := parallel.SetMaxWorkers(4)
 	t.Cleanup(func() { parallel.SetMaxWorkers(prev) })
@@ -553,7 +568,76 @@ func TestQueriesDoNotFork(t *testing.T) {
 	if _, err := rt.Answer(ctx, []Query{{OpSumFull, whole}, {OpMax, whole}}, nil); err != nil {
 		t.Fatal(err)
 	}
+	if after, _, _ := parallel.Stats(); after-calls > int64(rt.Shards()) {
+		t.Errorf("one batch over a %d-shard in-process router made %d pool calls, want at most one per engine", rt.Shards(), after-calls)
+	}
+
+	calls, _, _ = parallel.Stats()
+	if _, err := rt.Answer(ctx, []Query{{OpSumFull, whole}}, nil); err != nil {
+		t.Fatal(err)
+	}
 	if after, _, _ := parallel.Stats(); after != calls {
-		t.Errorf("one batch over a 4-shard in-process router made %d pool dispatches, want 0", after-calls)
+		t.Errorf("a batch of one over a %d-shard in-process router made %d pool calls, want 0", rt.Shards(), after-calls)
+	}
+}
+
+// TestPanicFailsItsItemAlone hands a local router a batch of good queries and
+// one whose region runs past the cube in the unsplit dimension, which the
+// router's cut passes through unchecked, so its evaluation panics. With four
+// workers on offer and the bad region's volume past the pool's grain, the
+// batch forks: the panic happens on a pool goroutine. The good answers equal
+// the naive oracle, and only the bad query fails, with an error wrapping
+// ErrPanic.
+func TestPanicFailsItsItemAlone(t *testing.T) {
+	prev := parallel.SetMaxWorkers(4)
+	t.Cleanup(func() { parallel.SetMaxWorkers(prev) })
+	g := workload.SeededGen(t, *seedFlag, 4)
+	ctx := context.Background()
+	shape := []int{64, 64}
+	cells := g.UniformCube(shape, 100)
+	mirror := cells.Clone()
+	for _, shards := range []int{1, 2} {
+		m, err := NewMap(shape, 0, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := NewRouter(cells.Clone(), m, 1, 4, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := ndarray.Region{{Lo: 0, Hi: 63}, {Lo: 0, Hi: 1 << 20}}
+		var qs []Query
+		for k := 0; k < 12; k++ {
+			qs = append(qs, Query{Op: []Op{OpSum, OpSumFull, OpMax, OpMin}[k%4], Region: g.UniformRegion(shape)})
+			if k == 5 {
+				qs = append(qs, Query{Op: OpSumFull, Region: bad})
+			}
+		}
+		as, err := rt.Answer(ctx, qs, nil)
+		if err != nil {
+			t.Fatalf("%d shards: a panicking item failed the whole batch: %v", shards, err)
+		}
+		for k, q := range qs {
+			a := as[k]
+			if q.Region.Equal(bad) {
+				if !errors.Is(a.Err, ErrPanic) {
+					t.Fatalf("%d shards: the region past the cube answered %+v, want an error wrapping ErrPanic", shards, a)
+				}
+				continue
+			}
+			if a.Err != nil {
+				t.Fatalf("%d shards: query %d (%v over %v) failed beside the panic: %v", shards, k, q.Op, q.Region, a.Err)
+			}
+			switch q.Op {
+			case OpSum, OpSumFull:
+				if want := naiveSum(mirror, q.Region); a.Value != want {
+					t.Fatalf("%d shards: query %d sums %v to %d, want %d", shards, k, q.Region, a.Value, want)
+				}
+			default:
+				if want, _ := naiveExtreme(mirror, q.Region, q.Op == OpMin); a.Value != want || a.At == nil {
+					t.Fatalf("%d shards: query %d %v over %v = %d at %v, want %d", shards, k, q.Op, q.Region, a.Value, a.At, want)
+				}
+			}
+		}
 	}
 }
