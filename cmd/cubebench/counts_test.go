@@ -395,12 +395,16 @@ func walSize(t *testing.T, path string) int64 {
 
 // tierRows counts the exchanges a leader has with two in-process shards: one
 // per touched shard for a client batch, one per shard for a commit (an
-// empty record when the commit misses its slab).
+// empty record when the commit misses its slab), and one per shard for the
+// commits queued while a delivery was parked. A commit is delivered after its
+// ack, so each count is taken after a read through the leader, which waits
+// for the delivery.
 func tierRows(t *testing.T, l *ledger) {
 	var mu sync.Mutex
 	seen := map[string]int{}
+	var park, parked chan struct{} // shard 1's next /shard/apply signals parked and waits for park
 	var urls []string
-	for range 2 {
+	for i := range 2 {
 		sh, err := server.NewWithOptions(cube.New(cube.NewIntDimension("d0", 0, 0)), server.Options{
 			BlockSize: 1, Fanout: 4, AcceptState: true, AwaitState: true, TraceSample: -1,
 			Logf: func(string, ...any) {},
@@ -412,7 +416,16 @@ func tierRows(t *testing.T, l *ledger) {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			mu.Lock()
 			seen[r.URL.Path]++
+			var hold chan struct{}
+			if i == 1 && r.URL.Path == "/shard/apply" && park != nil {
+				hold = park
+				close(parked)
+				park, parked = nil, nil
+			}
 			mu.Unlock()
+			if hold != nil {
+				<-hold
+			}
 			inner.ServeHTTP(w, r)
 		}))
 		t.Cleanup(func() { ts.Close(); sh.Close() })
@@ -436,5 +449,21 @@ func tierRows(t *testing.T, l *ledger) {
 	}))
 	l.add("tier commit", "32x32", "1", "shard exchanges/commit", exchanges("/shard/apply", func() {
 		serve(t, h, http.MethodPost, "/update", upd)
+		serve(t, h, http.MethodGet, "/query?op=sum", nil)
+	}))
+	// Shard 1 holds the record of the first of 8 commits until all 8 are
+	// acked; records 2–8 then reach each shard in one body.
+	release, arrived := make(chan struct{}), make(chan struct{})
+	mu.Lock()
+	park, parked = release, arrived
+	mu.Unlock()
+	l.add("tier 8 commits", "32x32", "1", "exchanges/8, 1 parked", exchanges("/shard/apply", func() {
+		serve(t, h, http.MethodPost, "/update", upd)
+		<-arrived
+		for range 7 {
+			serve(t, h, http.MethodPost, "/update", upd)
+		}
+		close(release)
+		serve(t, h, http.MethodGet, "/query?op=sum", nil)
 	}))
 }

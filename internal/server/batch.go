@@ -51,12 +51,12 @@ type batchSlot struct {
 // it: the scatter holds no leader state, and a read lock pinned across its
 // network round trips would make every commit wait out the slowest shard
 // before it could apply (the lock is write-preferring, so every later read
-// would queue behind that commit in turn). Every shard stamps its answer with
-// the seq it holds, and Router.Answer refuses answers whose stamps differ: a
-// commit's scatter ran between the exchanges. That answer is asked once more
-// under the read lock. A commit scatters inside its write-lock hold, so no
-// scatter can run during the retry, and every shard that answers it is at the
-// leader's seq.
+// would queue behind that commit in turn). It first waits for the delivery
+// of the seq committed when the read began, so it sees every commit acked
+// before it. Every shard stamps its answer with the seq it holds, and
+// Router.Answer refuses answers whose stamps differ: a delivery ran between
+// the exchanges. That answer is asked once more under the read lock, after
+// the delivery of the leader's seq, so every shard that answers is at it.
 //
 // Answers land in results; an item whose evaluation panicked fails only its
 // own slot. The returned error fails the whole request: a cancellation, a
@@ -83,14 +83,19 @@ func (s *Server) evalSlots(ctx context.Context, slots []batchSlot, results []bat
 	}
 	var as []shard.Answer
 	var err error
-	// A local router answers under the read lock. A remote one answers
-	// lock-free, then once more under the lock on a seq mismatch. A batch of
-	// counts makes no call.
-	for locked := s.remoteEngines == nil; len(qs) > 0; locked = true {
+	// A batch of counts makes no call.
+	remote, seq := s.send != nil, s.committed.Load()
+	for locked := !remote; len(qs) > 0; locked = true {
 		if locked {
 			s.mu.RLock()
+			seq = s.seq
 		}
-		as, err = s.router.Answer(ctx, qs, cs)
+		if remote {
+			err = s.awaitDelivery(ctx, seq)
+		}
+		if err == nil {
+			as, err = s.router.Answer(ctx, qs, cs)
+		}
 		if locked {
 			s.mu.RUnlock()
 		}

@@ -134,12 +134,12 @@ func (s *Server) commitGroups(ctx context.Context, groups [][]ingest.Update) (ui
 // commitLocked commits one coalesced batch, durable first and applied
 // second: the caller holds commitMu, under which the batch is appended and
 // fsynced as seq+1 while readers run on, and the write lock is then held for
-// the in-memory change alone — sequence bump, shard scatter, structure
-// apply and publication as one epoch. A crash in between
-// replays the batch at boot; a WAL failure returns before anything was
-// applied anywhere, with the sequence unchanged. ctx carries the commit
+// the in-memory change alone — sequence bump, structure apply, publication
+// and queueing the batch for the shards' sender — as one epoch. A crash in
+// between replays the batch at boot; a WAL failure returns before anything
+// was applied anywhere, with the sequence unchanged. ctx carries the commit
 // span; each phase records a child, so a slow commit's trace shows whether
-// it waited on the disk, on readers or on the shards.
+// it waited on the disk or on readers.
 func (s *Server) commitLocked(ctx context.Context, cells []shard.PointDelta) (uint64, error) {
 	sp := trace.FromContext(ctx)
 	var at, end int64 // the batch's record in the log
@@ -173,16 +173,6 @@ func (s *Server) commitLocked(ctx context.Context, cells []shard.PointDelta) (ui
 	held := time.Now()
 	s.seq++
 	seq := s.seq
-	if s.remoteEngines != nil {
-		// Every up shard is sent the record of seq. The scatter sits in the
-		// same write-lock hold as the sequence bump, which is what lets
-		// resyncShard conclude from an unchanged seq that no scatter slipped
-		// past its state push, and lets a gather under the read lock see
-		// every shard at one seq.
-		ssp := sp.Child("commit.scatter")
-		s.router.Apply(trace.NewContext(ctx, ssp), cells)
-		ssp.End()
-	}
 	asp := sp.Child("structures.apply")
 	s.applyCellsLocked(trace.NewContext(ctx, asp), cells)
 	asp.End()
@@ -192,6 +182,15 @@ func (s *Server) commitLocked(ctx context.Context, cells []shard.PointDelta) (ui
 	s.walEnd.Store(end)
 	if s.wal != nil {
 		s.walOffs = append(s.walOffs, at)
+	}
+	if snd := s.send; snd != nil { // in the hold that bumps seq, as resyncShard's gate needs
+		snd.mu.Lock()
+		snd.queue = append(snd.queue, shard.Commit{Seq: seq, Cells: cells})
+		snd.mu.Unlock()
+		select {
+		case snd.wake <- struct{}{}:
+		default:
+		}
 	}
 	s.mu.Unlock()
 	s.met.writeLockHold.Observe(time.Since(held).Nanoseconds())
@@ -212,15 +211,16 @@ func (s *Server) commitLocked(ctx context.Context, cells []shard.PointDelta) (ui
 //
 // Exactly one owner writes each logical cube cell (snapshots and recovery
 // read the cube). A remote leader's shard processes hold their own slabs and
-// already have the batch (commitLocked scattered it), so the leader writes
-// its cube itself; every other server's
-// one-shard router serves the cube's array in place, and its Apply writes
-// the cells.
+// are sent the batch by the sender, so the leader writes its cube itself and
+// widens each shard's cell-value bounds, which must cover the batch before it
+// is delivered; every other server's one-shard router serves the cube's array
+// in place, and its Apply writes the cells.
 func (s *Server) applyCellsLocked(ctx context.Context, cells []shard.PointDelta) {
 	if s.remoteEngines != nil {
-		a := s.cube.Data()
+		a, m := s.cube.Data(), s.router.Map()
 		for _, c := range cells {
 			a.Set(a.At(c.Coords...)+c.Delta, c.Coords...)
+			s.remoteEngines[m.Owner(c.Coords[m.Dim()])].Widen(c.Delta)
 		}
 		return
 	}

@@ -2,12 +2,15 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"runtime/debug"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -17,6 +20,7 @@ import (
 	"rangecube/internal/ndarray"
 	"rangecube/internal/persist"
 	"rangecube/internal/shard"
+	"rangecube/internal/trace"
 	"rangecube/internal/wal"
 )
 
@@ -81,15 +85,14 @@ func (s *Server) attachRemoteShards() {
 // missing-slab bounds widen from.
 //
 // The push races the commit path: a batch that commits while the snapshot
-// is in flight scatters to the still-down engine, fails fast, and is
-// not sent, so the pushed state is already stale by the time it lands.
-// Marking up is therefore gated on s.seq not having moved past the
-// captured sequence — checked under the read lock, which excludes the
-// commit path (it bumps seq and scatters inside one write-lock hold; only
-// its WAL append runs outside, and that touches neither), so no batch can
-// slip between the check and the MarkUp. A lost race re-captures and
-// re-pushes a few times; if write load keeps winning, the engine stays down
-// and the probe retries next tick.
+// is in flight is delivered to the still-down engine, which fails fast, so
+// the pushed state is stale by the time it lands. Marking up is therefore
+// gated on s.seq not having moved past the captured sequence — checked under
+// the read lock, which excludes the commit path (it bumps seq and queues the
+// batch in one write-lock hold). A delivery racing the push or the MarkUp
+// carries only batches at or below the captured seq, which the shard skips.
+// A lost race re-captures and re-pushes a few times; if write load keeps
+// winning, the engine stays down and the probe retries next tick.
 func (s *Server) resyncShard(e *shard.RemoteEngine) error {
 	const attempts = 3
 	var seq uint64
@@ -99,7 +102,7 @@ func (s *Server) resyncShard(e *shard.RemoteEngine) error {
 		seq = s.seq
 		lo, hi := shard.ValueBounds(slab)
 		// Seed the engine's conservative cell-value bounds while the capture
-		// is still atomic with the cube (Apply only widens them under the
+		// is still atomic with the cube (a commit widens them under the
 		// write lock): even if the push below fails, a never-synced shard's
 		// missing-slab intervals then cover the authoritative slab instead of
 		// charging it [0, 0].
@@ -161,53 +164,115 @@ func (s *Server) resyncDownShards() {
 	}
 }
 
+// sender delivers a remote leader's commits to its shards off the commit
+// path: a commit is queued under the write lock and acked, one goroutine
+// sends the queue, and a read waits for the delivery covering its seq.
+type sender struct {
+	mu        sync.Mutex
+	queue     []shard.Commit
+	delivered uint64        // the last seq whose delivery finished, acked or failed
+	advanced  chan struct{} // closed and replaced each time delivered moves
+	wake      chan struct{} // cap 1: a commit is queued; closed to stop
+	done      chan struct{}
+	stopOnce  sync.Once
+}
+
+// deliver sends the shards every queued commit. A panic is logged and marks
+// every remote engine down for the probe; either way no read waits on it.
+func (s *Server) deliver() {
+	snd := s.send
+	snd.mu.Lock()
+	commits := snd.queue
+	snd.queue = nil
+	snd.mu.Unlock()
+	if len(commits) == 0 {
+		return
+	}
+	last := commits[len(commits)-1].Seq
+	defer func() {
+		if v := recover(); v != nil {
+			err := fmt.Errorf("delivery through seq %d panicked: %v", last, v)
+			s.logf("server: %v\n%s", err, debug.Stack())
+			for _, e := range s.remoteEngines {
+				e.MarkDown(err)
+			}
+		}
+		snd.mu.Lock()
+		close(snd.advanced)
+		snd.delivered, snd.advanced = last, make(chan struct{})
+		snd.mu.Unlock()
+	}()
+	sp := s.tracer.Root("shard.deliver")
+	sp.Set("records", strconv.Itoa(len(commits)))
+	defer sp.End()
+	s.router.Deliver(trace.NewContext(context.Background(), sp), commits)
+}
+
+// awaitDelivery waits, within ctx, until a delivery through seq has finished.
+// The sender takes no server lock, so the caller may hold the read lock.
+func (s *Server) awaitDelivery(ctx context.Context, seq uint64) error {
+	for {
+		s.send.mu.Lock()
+		done, advanced := s.send.delivered >= seq, s.send.advanced
+		s.send.mu.Unlock()
+		if done {
+			return nil
+		}
+		select {
+		case <-advanced:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
 // frameBufs recycles the buffer a scatter frame is read into and its answer
 // is then built in; decoded items hold no reference into it.
 var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// readRecord reads a request body that is one sealed record — a leader's
-// scatter frame or update record — into *bufP and returns its payload. The
-// leader always declares the length, so the body is bounded before a byte of
-// it is buffered. On failure it has answered: 503 while the shard awaits its
-// first /state push, 413 or 400.
-func (s *Server) readRecord(w http.ResponseWriter, r *http.Request, bufP *[]byte) ([]byte, bool) {
+// readBody reads a request body from the leader — a scatter frame or update
+// records — into *bufP. The leader always declares the length, so the body
+// is bounded before a byte of it is buffered. On failure it has answered:
+// 503 while the shard awaits its first /state push, 413 or 400.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, bufP *[]byte) ([]byte, bool) {
 	if s.awaitingState.Load() {
 		s.writeAwaiting(w, r)
 		return nil, false
 	}
 	if r.ContentLength < 0 || r.ContentLength > s.opts.MaxUpdateBytes {
-		s.writeError(w, r, http.StatusRequestEntityTooLarge, "record of %d bytes (at most %d, length required)", r.ContentLength, s.opts.MaxUpdateBytes)
+		s.writeError(w, r, http.StatusRequestEntityTooLarge, "body of %d bytes (at most %d, length required)", r.ContentLength, s.opts.MaxUpdateBytes)
 		return nil, false
 	}
 	buf := slices.Grow((*bufP)[:0], int(r.ContentLength))[:r.ContentLength]
 	*bufP = buf
-	_, err := io.ReadFull(r.Body, buf)
-	var payload []byte
-	if err == nil {
-		payload, err = wal.OpenRecord(buf)
-	}
-	if err != nil {
+	if _, err := io.ReadFull(r.Body, buf); err != nil {
 		s.writeError(w, r, http.StatusBadRequest, "%s: %v", r.URL.Path, err)
 		return nil, false
 	}
-	return payload, true
+	return buf, true
 }
 
-// handleShardApply applies one of the leader's update records to this
-// shard's slab through ApplyReplicated, the apply a -join follower uses: a
-// record at or below the shard's seq is acked and not applied again (a
-// retried or hedged duplicate), coordinates outside the slab get 400 and a
-// gap in the seq 409, both with nothing changed.
+// handleShardApply applies the leader's update records, sealed back to back
+// as GET /wal serves them, through one ApplyReplicated, the apply a -join
+// follower uses: records at or below the shard's seq are skipped. The whole
+// body is checked first, so a refused one changes nothing: torn, garbled or
+// naming a cell outside the slab gets 400; a gap in the seqs 409.
 func (s *Server) handleShardApply(w http.ResponseWriter, r *http.Request) {
 	bufP := frameBufs.Get().(*[]byte)
 	defer frameBufs.Put(bufP)
-	payload, ok := s.readRecord(w, r, bufP)
+	body, ok := s.readBody(w, r, bufP)
 	if !ok {
 		return
 	}
-	b, err := wal.DecodeBatch(payload)
+	// Reading a byte slice cannot fail, and the shape, read lock-free, is
+	// pinned once the first push has landed.
+	bs, n, _ := wal.ScanStream(bytes.NewReader(body))
+	_, err := checkReplicated(s.cube.Shape(), bs)
+	if n < int64(len(body)) || len(bs) == 0 {
+		err = fmt.Errorf("%s: %d of %d bytes are whole records", r.URL.Path, n, len(body))
+	}
 	if err == nil {
-		_, err = s.ApplyReplicated([]wal.Batch{b})
+		_, err = s.ApplyReplicated(bs)
 	}
 	switch {
 	case errors.Is(err, errSeqGap):
@@ -229,12 +294,13 @@ func (s *Server) handleShardApply(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 	bufP := frameBufs.Get().(*[]byte)
 	defer frameBufs.Put(bufP)
-	payload, ok := s.readRecord(w, r, bufP)
+	body, ok := s.readBody(w, r, bufP)
 	if !ok {
 		return
 	}
-	items, err := shard.DecodeQueries(payload, maxBatchQueries)
-	if err != nil {
+	payload, err := wal.OpenRecord(body)
+	items, derr := shard.DecodeQueries(payload, maxBatchQueries)
+	if err = cmp.Or(err, derr); err != nil {
 		s.writeError(w, r, http.StatusBadRequest, "scatter frame: %v", err)
 		return
 	}

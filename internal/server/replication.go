@@ -151,17 +151,7 @@ func (s *Server) handleSnapshotFetch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) ApplyReplicated(batches []wal.Batch) (applied int, err error) {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
-	shape := s.cube.Shape() // a /state push, which may swap the cube, holds commitMu
-	valid := len(batches)
-check:
-	for i, b := range batches {
-		for k, u := range b.Updates {
-			if cerr := checkCoords(shape, u.Coords); cerr != nil {
-				valid, err = i, fmt.Errorf("server: replicated batch seq %d, update %d: %w", b.Seq, k, cerr)
-				break check
-			}
-		}
-	}
+	valid, err := checkReplicated(s.cube.Shape(), batches) // a /state push, which may swap the cube, holds commitMu
 	for i, b := range batches[:valid] {
 		if b.Seq <= s.seq {
 			continue
@@ -180,6 +170,22 @@ check:
 		s.mu.Unlock()
 	}
 	return valid, err
+}
+
+// checkReplicated returns how many of batches, from the first, name only cells
+// of a cube of shape and follow the batch before by one seq, and why not more.
+func checkReplicated(shape []int, batches []wal.Batch) (int, error) {
+	for i, b := range batches {
+		if i > 0 && b.Seq != batches[i-1].Seq+1 {
+			return i, fmt.Errorf("server: replicated batch seq %d %w seq %d", b.Seq, errSeqGap, batches[i-1].Seq)
+		}
+		for k, u := range b.Updates {
+			if err := checkCoords(shape, u.Coords); err != nil {
+				return i, fmt.Errorf("server: replicated batch seq %d, update %d: %w", b.Seq, k, err)
+			}
+		}
+	}
+	return len(batches), nil
 }
 
 // JoinLeader builds a read-only follower of the cubeserver at leaderURL:

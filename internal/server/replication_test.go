@@ -775,7 +775,9 @@ func TestRemoteShardTier(t *testing.T) {
 // a leader over two shards. Killed, shard 1 is k batches behind after k
 // commits; restarted and re-pushed by the probe, both gauges read 0. A shard
 // that never synced holds none of the leader's batches, so it reads the
-// leader's seq: here a seq recovered from the leader's WAL at boot.
+// leader's seq: here a seq recovered from the leader's WAL at boot. Commits
+// are delivered after the ack, so the gauges are read after a read through
+// the leader, which waits for the delivery.
 func TestShardLagGauges(t *testing.T) {
 	newCube := func() *cube.Cube {
 		return cube.New(cube.NewIntDimension("x", 0, 9), cube.NewIntDimension("y", 0, 7))
@@ -808,6 +810,9 @@ func TestShardLagGauges(t *testing.T) {
 	}
 	lag := func(lts *httptest.Server) (seq, secs float64) {
 		t.Helper()
+		if _, code := sumOf2(t, lts, "/query?op=sum"); code != http.StatusOK {
+			t.Fatalf("a read through the leader answered %d", code)
+		}
 		body := scrape(t, lts)
 		return seriesValue(body, "cube_shard_lag_seq", ""), seriesValue(body, "cube_shard_lag_seconds", "")
 	}
@@ -987,8 +992,8 @@ func TestPartialBoundsNeverWrap(t *testing.T) {
 	}
 }
 
-// A commit that lands while a resync's /state push is in flight scatters to
-// the still-down engine and is dropped — so the pushed snapshot is stale
+// A commit that lands while a resync's /state push is in flight is delivered
+// to the still-down engine and dropped — so the pushed snapshot is stale
 // the moment it arrives. The leader must not mark the shard up off that
 // push (it would serve the stale slab as exact forever); it re-captures and
 // re-pushes until a push survives with no commit racing it.
@@ -1080,12 +1085,16 @@ func TestResyncHoldsDownWhenCommitRacesStatePush(t *testing.T) {
 	}
 
 	// Healthy sanity check, then kill shard 1; a commit into its slab fails
-	// the scatter and marks it down.
+	// its delivery and marks it down. The read after it waits for that
+	// delivery.
 	if out, code := sumOf2(t, lts, "/query?op=sum&x=0..9&y=0..7"); code != http.StatusOK || out.Partial {
 		t.Fatalf("healthy sum: %+v status %d", out, code)
 	}
 	p1.stop()
 	commit(9, 0, 7)
+	if out, code := sumOf2(t, lts, "/query?op=sum&x=0..9&y=0..7"); code != http.StatusOK || !out.Partial {
+		t.Fatalf("sum after shard 1's delivery failed: %+v status %d, want partial", out, code)
+	}
 	if h := leader.Health(); len(h.ShardsDown) != 1 {
 		t.Fatalf("shard 1 not down after its scatter failed: %+v", h)
 	}

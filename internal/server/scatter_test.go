@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -472,8 +473,9 @@ func TestTornGatherNeverServedExact(t *testing.T) {
 }
 
 // TestOneDroppedScatterKeepsShardUp drops the connection of the first update
-// scatter to shard 1 before the shard reads it. The record is re-sent and
-// acked, so the shard stays up and at the leader's seq: no resync push.
+// delivery to shard 1 before the shard reads it. The record is re-sent and
+// acked, so the shard stays up and at the leader's seq: no resync push. A
+// read through the leader waits for the delivery, so the checks follow one.
 func TestOneDroppedScatterKeepsShardUp(t *testing.T) {
 	var dropped atomic.Bool
 	tr := newScatterTier(t, Options{Metrics: true}, func(shard int, r *http.Request) {
@@ -487,6 +489,9 @@ func TestOneDroppedScatterKeepsShardUp(t *testing.T) {
 		t.Fatalf("commit answered %d", code)
 	}
 	tr.oracle.Set(tr.oracle.At(7, 3)+5, 7, 3)
+	if code := get(t, tr.lts, "/query?op=sum", nil); code != http.StatusOK {
+		t.Fatalf("a read after the commit answered %d", code)
+	}
 	if !dropped.Load() {
 		t.Fatal("no update scatter reached shard 1")
 	}
@@ -510,8 +515,9 @@ func TestOneDroppedScatterKeepsShardUp(t *testing.T) {
 }
 
 // TestEveryShardHoldsLeaderSeq: commits inside shard 0's slab still move
-// shard 1 to the leader's seq — it is sent an empty record — so every up
-// shard reports the leader's seq on /readyz.
+// shard 1 to the leader's seq — it is sent an empty record — so once a read
+// through the leader has waited for the delivery, every up shard reports the
+// leader's seq on /readyz.
 func TestEveryShardHoldsLeaderSeq(t *testing.T) {
 	tr := newScatterTier(t, Options{}, nil)
 	for k := 0; k < 2; k++ {
@@ -519,6 +525,9 @@ func TestEveryShardHoldsLeaderSeq(t *testing.T) {
 			t.Fatalf("commit %d answered %d", k, code)
 		}
 		tr.oracle.Set(tr.oracle.At(2, k)+3, 2, k)
+	}
+	if code := get(t, tr.lts, "/query?op=sum&x=0..4", nil); code != http.StatusOK {
+		t.Fatalf("a read after the commits answered %d", code)
 	}
 	lead := tr.leader.Health().Seq
 	for i, p := range tr.shards {
@@ -529,6 +538,117 @@ func TestEveryShardHoldsLeaderSeq(t *testing.T) {
 	var sum queryResponse
 	if code := get(t, tr.lts, "/query?op=sum", &sum); code != http.StatusOK || sum.Value != naive.SumInt64(tr.oracle, tr.oracle.Bounds(), nil) {
 		t.Fatalf("whole-cube sum = %+v (status %d)", sum, code)
+	}
+}
+
+// TestCommitsDoNotWaitOnShards parks shard 1's first update delivery. Eight
+// sync commits are acked while it is parked, and a sum sent during the park
+// answers only after the release, with all eight in it: a commit waits on no
+// shard, and a read waits for the delivery of every commit acked before it.
+func TestCommitsDoNotWaitOnShards(t *testing.T) {
+	release, parked := make(chan struct{}), make(chan struct{})
+	var arrive, unpark sync.Once
+	var released atomic.Bool
+	tr := newScatterTier(t, Options{ShardTimeout: 10 * time.Second}, func(shard int, r *http.Request) {
+		if shard == 1 && r.URL.Path == "/shard/apply" {
+			arrive.Do(func() { close(parked) })
+			<-release // a hedged duplicate parks too
+		}
+	})
+	free := func() { unpark.Do(func() { released.Store(true); close(release) }) }
+	t.Cleanup(free)
+	for k := 0; k < 8; k++ {
+		acked := make(chan int, 1)
+		go func() {
+			body := fmt.Sprintf(`{"updates":[{"coords":[%d,1],"delta":%d},{"coords":[%d,2],"delta":-3}]}`, k, 10+k, 9-k)
+			resp, err := http.Post(tr.lts.URL+"/update?durability=sync", "application/json", strings.NewReader(body))
+			if err != nil {
+				acked <- 0
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			acked <- resp.StatusCode
+		}()
+		select {
+		case code := <-acked:
+			if code != http.StatusOK {
+				t.Fatalf("commit %d answered %d", k+1, code)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("commit %d not acked while shard 1's delivery is parked", k+1)
+		}
+		tr.oracle.Set(tr.oracle.At(k, 1)+int64(10+k), k, 1)
+		tr.oracle.Set(tr.oracle.At(9-k, 2)-3, 9-k, 2)
+	}
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no delivery reached shard 1")
+	}
+
+	type answer struct {
+		got   queryResponse
+		code  int
+		after bool // the release came first
+	}
+	done := make(chan answer, 1)
+	go func() {
+		var a answer
+		resp, err := http.Get(tr.lts.URL + "/query?op=sum")
+		if err == nil {
+			a.code = resp.StatusCode
+			decodeJSON(resp.Body, &a.got)
+			resp.Body.Close()
+		}
+		a.after = released.Load()
+		done <- a
+	}()
+	select {
+	case a := <-done:
+		t.Fatalf("a sum sent during the park answered %+v (status %d) before the release", a.got, a.code)
+	case <-time.After(100 * time.Millisecond):
+	}
+	free()
+	want := naive.SumInt64(tr.oracle, tr.oracle.Bounds(), nil)
+	select {
+	case a := <-done:
+		if !a.after || a.code != http.StatusOK || a.got.Partial || a.got.Value != want {
+			t.Fatalf("sum after the release = %+v (status %d, after release %v), want exact %d", a.got, a.code, a.after, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the sum never answered after the release")
+	}
+	if h := tr.leader.Health(); !h.Ready || h.Seq != 8 {
+		t.Fatalf("after the release the leader reads %+v, want ready at seq 8", h)
+	}
+}
+
+// TestDeliveryPanicMarksShardsDown: a delivery that panics is recovered on
+// the sender's goroutine and marks every remote engine down. The process
+// lives on: a commit is acked, /query answers partially with bounds around
+// the oracle, and the resync brings exact answers back.
+func TestDeliveryPanicMarksShardsDown(t *testing.T) {
+	tr := newScatterTier(t, Options{}, nil)
+	tr.leader.poisonDelivery()
+	for deadline := time.Now().Add(5 * time.Second); len(tr.leader.Health().ShardsDown) != 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("after a panicking delivery the leader reads %+v, want both shards down", tr.leader.Health())
+		}
+	}
+	if code, _ := postUpdates(t, tr.lts, "sync", []jsonUpdate{{Coords: []int{7, 3}, Delta: 5}}); code != http.StatusOK {
+		t.Fatalf("commit after the panic answered %d", code)
+	}
+	tr.oracle.Set(tr.oracle.At(7, 3)+5, 7, 3)
+	want := naive.SumInt64(tr.oracle, tr.oracle.Bounds(), nil)
+	var sum queryResponse
+	if code := get(t, tr.lts, "/query?op=sum", &sum); code != http.StatusOK || !sum.Partial || *sum.LowerBnd > want || want > *sum.UpperBnd {
+		t.Fatalf("sum with both shards down = %+v (status %d), want partial around %d", sum, code, want)
+	}
+	tr.leader.resyncDownShards()
+	var exact queryResponse
+	if code := get(t, tr.lts, "/query?op=sum", &exact); code != http.StatusOK || exact.Partial || exact.Value != want {
+		t.Fatalf("sum after the resync = %+v (status %d), want exact %d", exact, code, want)
 	}
 }
 
@@ -671,8 +791,8 @@ func TestShardApplyOnce(t *testing.T) {
 
 // FuzzShardApply feeds raw bodies to POST /shard/apply on a shard holding a
 // 4×3 slab at seq 5. Whatever the bytes, the handler answers without a panic,
-// and a body it refuses leaves the seq and the whole-slab sum as they were;
-// an accepted one is a record it already held or record 6 applied.
+// and a body it refuses leaves the seq and every cell as they were; an
+// accepted one is a run of records, those above seq 5 applied in order.
 func FuzzShardApply(f *testing.F) {
 	s, err := NewWithOptions(cube.New(cube.NewIntDimension("d0", 0, 0)), Options{
 		BlockSize: 2, Fanout: 2, AcceptState: true, AwaitState: true, Logf: func(string, ...any) {},
@@ -686,9 +806,10 @@ func FuzzShardApply(f *testing.F) {
 	for k := range slab.Data() {
 		slab.Data()[k] = int64(k*7%11 - 3)
 	}
-	total := naive.SumInt64(slab, slab.Bounds(), nil)
 
 	valid := sealedBatch(f, 6, wal.Update{Coords: []int{3, 2}, Delta: 4}, wal.Update{Coords: []int{0, 1}, Delta: -9})
+	next := sealedBatch(f, 7, wal.Update{Coords: []int{2, 0}, Delta: 5})
+	join := func(recs ...[]byte) []byte { return bytes.Join(recs, nil) }
 	f.Add(valid)
 	f.Add(sealedBatch(f, 5, wal.Update{Coords: []int{1, 1}, Delta: 2}))     // held
 	f.Add(sealedBatch(f, 8, wal.Update{Coords: []int{1, 1}, Delta: 2}))     // gap
@@ -697,40 +818,49 @@ func FuzzShardApply(f *testing.F) {
 	f.Add(sealedBatch(f, 6))                                                // empty
 	f.Add(valid[:len(valid)-3])                                             // truncated
 	f.Add(append(valid[:len(valid)-1:len(valid)-1], valid[len(valid)-1]^1)) // bad CRC
+	f.Add(join(valid, next))                                                // two records
+	f.Add(join(sealedBatch(f, 5), valid, next))                             // three, the first held
+	f.Add(join(valid, valid))                                               // a duplicate seq
+	f.Add(join(valid, sealedBatch(f, 8)))                                   // a gap between records
+	f.Add(join(valid, next[:len(next)-3]))                                  // a torn second record
+	f.Add(join(valid, next[:len(next)-1], []byte{next[len(next)-1] ^ 1}))   // a corrupt second record
+	f.Add(join(valid, sealedBatch(f, 7, wal.Update{Coords: []int{9, 0}})))  // a second record outside the slab
 	f.Add([]byte(`{"updates":[{"coords":[0,0],"delta":5}]}`))
 	f.Add([]byte{})
 
-	sum := func(t *testing.T) int64 {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?op=sum", nil))
-		var out queryResponse
-		if err := json.NewDecoder(rec.Body).Decode(&out); err != nil || rec.Code != http.StatusOK {
-			t.Fatalf("whole-slab sum: status %d, %v", rec.Code, err)
-		}
-		return out.Value
-	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if err := s.resetState(5, slab.Clone()); err != nil {
 			t.Fatal(err)
 		}
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/shard/apply", bytes.NewReader(body)))
-		want, wantSeq := total, uint64(5)
+		want, wantSeq := slab.Clone(), uint64(5)
 		switch rec.Code {
 		case http.StatusOK:
-			payload, _ := wal.OpenRecord(body)
-			if b, err := wal.DecodeBatch(payload); err == nil && b.Seq == 6 {
-				wantSeq = 6
-				for _, u := range b.Updates {
-					want += u.Delta
+			bs, _, _ := wal.ScanStream(bytes.NewReader(body))
+			for _, b := range bs {
+				if b.Seq == wantSeq+1 {
+					for _, u := range b.Updates {
+						want.Set(want.At(u.Coords...)+u.Delta, u.Coords...)
+					}
+					wantSeq = b.Seq
 				}
 			}
 		case http.StatusBadRequest, http.StatusConflict, http.StatusRequestEntityTooLarge:
 		default:
 			t.Fatalf("answered %d: %s", rec.Code, rec.Body)
 		}
-		if seq, got := s.Seq(), sum(t); seq != wantSeq || got != want {
-			t.Fatalf("status %d left seq %d and sum %d, want %d and %d", rec.Code, seq, got, wantSeq, want)
+		s.mu.RLock()
+		seq, cells := s.seq, slices.Clone(s.cube.Data().Data())
+		s.mu.RUnlock()
+		if seq != wantSeq || !slices.Equal(cells, want.Data()) {
+			t.Fatalf("status %d left seq %d and cells %v, want %d and %v", rec.Code, seq, cells, wantSeq, want.Data())
+		}
+		sum := httptest.NewRecorder()
+		h.ServeHTTP(sum, httptest.NewRequest(http.MethodGet, "/query?op=sum", nil))
+		var out queryResponse
+		if err := json.NewDecoder(sum.Body).Decode(&out); err != nil || sum.Code != http.StatusOK || out.Value != naive.SumInt64(want, want.Bounds(), nil) {
+			t.Fatalf("whole-slab sum %+v, status %d, %v; want %d", out, sum.Code, err, naive.SumInt64(want, want.Bounds(), nil))
 		}
 	})
 }

@@ -305,6 +305,9 @@ type Server struct {
 	degraded       atomic.Bool
 	degradedReason atomic.Value // string: the fault that flipped the mode
 	draining       atomic.Bool  // graceful shutdown: /readyz 503, still serving
+
+	// send delivers commits to remoteEngines (remote.go); last, so no hot field moved.
+	send *sender
 }
 
 // ticker is a background goroutine calling fn every period until stopped.
@@ -446,6 +449,13 @@ func newServer(c *cube.Cube, opts Options, leaderURL string) (*Server, error) {
 		// up yet is just marked down — the probe keeps retrying, and until
 		// then its slabs answer as missing.
 		s.attachRemoteShards()
+		s.send = &sender{delivered: s.seq, advanced: make(chan struct{}), wake: make(chan struct{}, 1), done: make(chan struct{})}
+		go func() {
+			defer close(s.send.done)
+			for range s.send.wake {
+				s.deliver()
+			}
+		}()
 		if opts.ShardProbe > 0 {
 			s.tickers = append(s.tickers, startTicker(opts.ShardProbe, s.resyncDownShards))
 		}
@@ -553,6 +563,10 @@ func (s *Server) Close() error {
 		// Stop before taking the lock: the drain commits queued groups,
 		// and each commit needs the commit mutex itself.
 		s.batcher.Stop()
+	}
+	if s.send != nil { // after the flusher: it sends what the drain committed
+		s.send.stopOnce.Do(func() { close(s.send.wake) })
+		<-s.send.done
 	}
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()

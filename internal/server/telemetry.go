@@ -97,7 +97,7 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 	m.updateCells = reg.Counter("cube_update_cells_total",
 		"Cell deltas applied across all update batches.")
 	m.writeLockHold = reg.Histogram("cube_write_lock_hold_seconds",
-		"Time one commit held the write lock, readers excluded: shard scatter and structure apply, never the WAL append or fsync.", 1e-9)
+		"Time one commit held the write lock, readers excluded: structure apply, never the WAL append, fsync or shard delivery.", 1e-9)
 
 	// Ingestion pipeline. With a WAL attached every flushed group is
 	// exactly one fsync, so cube_update_cells_total over

@@ -24,7 +24,7 @@ import (
 var ErrShardDown = errors.New("shard: shard unavailable")
 
 // ErrSeqMismatch fails a gather whose remote shards answered at different
-// seqs: a commit's scatter ran between their exchanges, so the merged answer
+// seqs: a delivery ran between their exchanges, so the merged answer
 // would be of no single cube state.
 var ErrSeqMismatch = errors.New("shard: shards answered at different seqs")
 

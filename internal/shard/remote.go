@@ -58,9 +58,9 @@ type RemoteOptions struct {
 
 // RemoteEngine speaks the Engine contract to a cubeserver shard process in
 // two RPCs: Answer is one binary scatter frame (frame.go) on POST
-// /shard/query, whatever the ops it carries, and Apply is one sealed WAL
-// record of the leader's batch on POST /shard/apply, numbered with the
-// leader's seq. The shard process serves its slab as a cube in the slab's own
+// /shard/query, whatever the ops it carries, and Deliver is sealed WAL
+// records of the leader's batches on POST /shard/apply, numbered with the
+// leader's seqs. The shard process serves its slab as a cube in the slab's own
 // frame, so local regions and coordinates travel as they are.
 //
 // Partial-failure handling lives here: every round trip gets a per-shard
@@ -69,7 +69,7 @@ type RemoteOptions struct {
 // and a round trip that still fails marks the engine down. A down engine
 // fails fast with ErrShardDown — no network attempts — until the serving
 // tier's resync probe pushes fresh slab state and calls MarkUp. While down,
-// CellBounds keeps widening under Apply so the missing-slab intervals stay
+// CellBounds keeps widening under Widen so the missing-slab intervals stay
 // valid against the leader's true state.
 type RemoteEngine struct {
 	shard int
@@ -149,7 +149,7 @@ func (e *RemoteEngine) MarkUp(seq uint64, cellLo, cellHi int64) {
 // the down state. The resync path calls it atomically with its slab
 // capture, before the push: a shard whose push then fails (or that never
 // attaches at all) still charges its missing slabs with bounds that cover
-// the authoritative slab, and Apply keeps widening them from there — so a
+// the authoritative slab, and Widen keeps widening them from there — so a
 // partial answer's [Lo, Hi] contains the truth even for a never-synced
 // shard over a cube with nonzero initial data.
 func (e *RemoteEngine) SeedCellBounds(cellLo, cellHi int64) {
@@ -239,43 +239,50 @@ func (e *RemoteEngine) SumBatchFull(ctx context.Context, regions []ndarray.Regio
 }
 
 // Apply sends the shard one local-frame update batch as the record of the
-// leader's next seq and advances the engine's seq on the ack. The
-// conservative cell-value bounds widen first, unconditionally: whether or not
-// the shard hears about these deltas, the leader's true cell values move by
-// them, and the bounds must keep covering the truth for the missing-slab
-// intervals to stay honest; they saturate at the int64 limits rather than
-// wrap. A record the shard refuses (a gap, a cell it does
-// not hold) marks the engine down like a failed round trip: the shard no
-// longer holds the leader's state, and the resync push restores it.
+// leader's next seq: Widen, then a one-record Deliver.
 func (e *RemoteEngine) Apply(ctx context.Context, ups []batchsum.IntUpdate) error {
-	e.mu.Lock()
-	for _, u := range ups {
-		if u.Delta < 0 {
-			e.cellLo, _ = addSat(e.cellLo, u.Delta)
-		} else {
-			e.cellHi, _ = addSat(e.cellHi, u.Delta)
-		}
-	}
-	seq := e.seq + 1
-	e.mu.Unlock()
-
-	b := wal.Batch{Seq: seq, Updates: make([]wal.Update, len(ups))}
+	b := wal.Batch{Seq: e.Seq() + 1, Updates: make([]wal.Update, len(ups))}
 	for i, u := range ups {
+		e.Widen(u.Delta)
 		b.Updates[i] = wal.Update(u)
 	}
-	rec, err := wal.AppendBatch(make([]byte, wal.FrameSize), b)
-	if err == nil {
-		rec, err = wal.SealRecord(rec)
+	return e.Deliver(ctx, []wal.Batch{b})
+}
+
+// Widen widens the cell-value bounds, saturating, by a delta committed to the
+// slab, delivered or not, so missing-slab intervals cover the leader's cells.
+func (e *RemoteEngine) Widen(delta int64) {
+	e.mu.Lock()
+	if delta < 0 {
+		e.cellLo, _ = addSat(e.cellLo, delta)
+	} else {
+		e.cellHi, _ = addSat(e.cellHi, delta)
 	}
-	if err != nil {
-		return err
+	e.mu.Unlock()
+}
+
+// Deliver sends the shard the leader's records bs (local frame, ascending
+// seqs) in one exchange, sealed back to back as GET /wal serves them, and
+// advances the engine's seq on the ack. A refused body (a gap, a cell the
+// shard does not hold) marks the engine down like a failed round trip.
+func (e *RemoteEngine) Deliver(ctx context.Context, bs []wal.Batch) error {
+	var body []byte
+	for _, b := range bs {
+		at := len(body)
+		var err error
+		if body, err = wal.AppendBatch(append(body, make([]byte, wal.FrameSize)...), b); err == nil {
+			_, err = wal.SealRecord(body[at:])
+		}
+		if err != nil {
+			return err
+		}
 	}
-	if _, err = e.roundTrip(ctx, "shard.scatter", "/shard/apply", rec, len(ups)); err != nil {
+	if _, err := e.roundTrip(ctx, "shard.scatter", "/shard/apply", body, len(bs)); err != nil {
 		e.MarkDown(err)
 		return err
 	}
 	e.mu.Lock()
-	e.seq = seq
+	e.seq = max(e.seq, bs[len(bs)-1].Seq)
 	e.mu.Unlock()
 	return nil
 }

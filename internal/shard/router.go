@@ -16,6 +16,7 @@ import (
 	"rangecube/internal/metrics"
 	"rangecube/internal/ndarray"
 	"rangecube/internal/trace"
+	"rangecube/internal/wal"
 )
 
 // PointDelta is one cell update in the logical cube's coordinates — the §5
@@ -400,54 +401,58 @@ func (rt *Router) Extreme(ctx context.Context, r ndarray.Region, min bool, c *me
 	return as[0].At, as[0].Value, true, nil
 }
 
-// Apply scatters one coalesced update batch to the owning shards and
-// commits each shard's piece: in shard order on this goroutine for
-// in-process engines, concurrently for remote ones. A remote engine is sent
-// its piece even when the batch misses its slab — an empty record — so every
-// shard that is up holds the leader's seq. The batch is one epoch: the
-// caller must exclude queries for the duration.
-//
-// A remote shard that fails its scatter does not fail the commit: the
-// leader's cube and WAL are authoritative, the engine marks itself down,
-// and the serving tier's resync probe pushes fresh slab state when the
-// shard returns. Until then the shard's slabs answer as missing.
-//
-// ctx carries tracing only — the scatter itself never gives up early on
-// the caller's behalf (each engine bounds its own round trip), so passing
-// context.Background() is always correct.
+// Apply scatters one coalesced update batch to the owning in-process shards
+// and commits each shard's piece, in shard order on this goroutine. The batch
+// is one epoch: the caller must exclude queries for the duration. Remote
+// shards are sent the leader's records by Deliver instead.
 func (rt *Router) Apply(ctx context.Context, cells []PointDelta) {
 	rt.scatterCells.Add(uint64(len(cells)))
 	groups := make([][]batchsum.IntUpdate, len(rt.shards))
-	if rt.netIO {
-		for i := range groups {
-			groups[i] = []batchsum.IntUpdate{}
-		}
-	}
-	dim := rt.m.Dim()
 	for _, c := range cells {
-		i := rt.m.Owner(c.Coords[dim])
-		local := append([]int(nil), c.Coords...)
-		local[dim] -= rt.m.Slab(i).Lo
+		i, local := rt.local(c.Coords)
 		groups[i] = append(groups[i], batchsum.IntUpdate{Coords: local, Delta: c.Delta})
 	}
-	// Detached from the caller's deadline, keeping its trace. For remote
-	// shards the fan-out's window is one round trip, not a sequential sweep
-	// of them.
-	ctx = trace.NewContext(context.Background(), trace.FromContext(ctx))
-	fanOut(ctx, rt, "apply", groups, func(e Engine, ctx context.Context, ups []batchsum.IntUpdate) error {
-		// A failed remote scatter is recorded by the engine itself (down flag
-		// + error counter) and the commit proceeds on the leader's
-		// authoritative state; reporting it here would cancel the siblings.
-		_ = e.Apply(ctx, ups)
+	fanOut(ctx, rt, "apply", groups, Engine.Apply)
+}
+
+// Commit is one committed batch at the leader's seq, in logical coordinates.
+type Commit struct {
+	Seq   uint64
+	Cells []PointDelta
+}
+
+// Deliver sends each remote shard, concurrently, one exchange holding a record
+// per commit (ascending seqs), empty for a commit that misses its slab, so
+// every up shard holds the leader's seq. ctx carries tracing only.
+func (rt *Router) Deliver(ctx context.Context, commits []Commit) {
+	groups := make([][]wal.Batch, len(rt.shards))
+	for k, c := range commits {
+		rt.scatterCells.Add(uint64(len(c.Cells)))
+		for i := range groups {
+			groups[i] = append(groups[i], wal.Batch{Seq: c.Seq})
+		}
+		for _, d := range c.Cells {
+			i, local := rt.local(d.Coords)
+			groups[i][k].Updates = append(groups[i][k].Updates, wal.Update{Coords: local, Delta: d.Delta})
+		}
+	}
+	fanOut(ctx, rt, "deliver", groups, func(e Engine, ctx context.Context, bs []wal.Batch) error {
+		_ = e.(*RemoteEngine).Deliver(ctx, bs) // reporting a failure would cancel the siblings
 		return nil
 	})
+}
+
+// local returns the shard owning the cell at coords and its slab coordinates.
+func (rt *Router) local(coords []int) (int, []int) {
+	i := rt.m.Owner(coords[rt.m.Dim()])
+	local := append([]int(nil), coords...)
+	local[rt.m.Dim()] -= rt.m.Slab(i).Lo
+	return i, local
 }
 
 // Cell returns one logical-cube cell's current value (test hook for local
 // engines; the serving path never reads single cells through the router).
 func (rt *Router) Cell(coords []int) int64 {
-	i := rt.m.Owner(coords[rt.m.Dim()])
-	local := append([]int(nil), coords...)
-	local[rt.m.Dim()] -= rt.m.Slab(i).Lo
+	i, local := rt.local(coords)
 	return rt.shards[i].(*localEngine).cells.At(local...)
 }
