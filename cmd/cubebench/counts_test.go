@@ -432,7 +432,7 @@ func tierRows(t *testing.T, l *ledger) {
 		urls = append(urls, ts.URL)
 	}
 	// The deadline is far above any in-process exchange, so no hedge fires.
-	leader := ledgerServer(t, server.Options{ShardURLs: urls, ShardProbe: -1, ShardTimeout: 20 * time.Second})
+	leader := ledgerServer(t, server.Options{ShardURLs: urls, ShardTimeout: 20 * time.Second})
 	h := leader.Handler()
 	exchanges := func(route string, do func()) string {
 		mu.Lock()

@@ -20,21 +20,20 @@
 //
 // Updates flow through an ingestion pipeline (-ingest-queue): concurrent
 // /update writers are coalesced through the §5 update model and committed
-// as one WAL batch with one fsync per group. -ingest-durability picks the
-// default acknowledgment (sync = 200 after the group's fsync, async = 202
-// at enqueue; a later sync ack implies every earlier async submission
-// committed), overridable per request with ?durability=; a full queue
-// sheds with 429.
+// as one WAL batch with one fsync per group. An update is acked with 200
+// after its group's fsync, or with 202 at enqueue if it asks
+// ?durability=async (a later sync ack implies every earlier async
+// submission committed); a full queue sheds with 429.
 //
 // Storage faults do not kill the server: a WAL append that fails is rewound
 // and retried once; if the log cannot be repaired it is poisoned and the
 // server degrades to read-only — queries keep serving, updates shed with
-// 503 + Retry-After — while a background probe (-degraded-probe) rebuilds
-// durability from a fresh snapshot and WAL, then re-admits writes. GET
-// /healthz answers 200 whenever the process serves queries; GET /readyz
-// answers 200 only when updates are accepted too (degraded or draining →
-// 503), which is the endpoint load balancers and orchestrator readiness
-// gates should watch.
+// 503 + Retry-After — while a background probe rebuilds durability from a
+// fresh snapshot and WAL (at once, then backing off to once a second), then
+// re-admits writes. GET /healthz answers 200 whenever the process serves
+// queries; GET /readyz answers 200 only when updates are accepted too
+// (degraded or draining → 503), which is the endpoint load balancers and
+// orchestrator readiness gates should watch.
 //
 // Observability: -metrics (default on) mounts GET /metrics with the
 // Prometheus text exposition — per-route latency histograms, shed/timeout
@@ -98,14 +97,11 @@ func serverFlags(fs *flag.FlagSet) func() server.Options {
 	maxInflight := fs.Int("max-inflight", 64, "max concurrent requests (queries and updates) before shedding with 429 (0 = unlimited)")
 	queryTimeout := fs.Duration("query-timeout", 10*time.Second, "per-query deadline (0 = none)")
 	shardTimeout := fs.Duration("shard-timeout", 2*time.Second, "per-sub-query deadline against a remote shard; a shard silent for a twentieth of it gets one hedged duplicate of the read or update record")
-	shardProbe := fs.Duration("shard-probe", time.Second, "how often down remote shards are re-pushed their slab state (0 = probe off)")
 	ingestQueue := fs.Int("ingest-queue", 256, "ingestion pipeline queue depth; concurrent /update writers group-commit with one fsync per flushed group")
-	ingestDurability := fs.String("ingest-durability", "sync", "default /update ack mode: sync (200 after the group fsync) or async (202 at enqueue); clients override per request with ?durability=")
 	metrics := fs.Bool("metrics", true, "serve the Prometheus exposition at GET /metrics")
 	accessLog := fs.Bool("access-log", false, "log one line per request (method, path, status, bytes, latency, request ID, shard fan-out, trace ID when sampled)")
 	traceSample := fs.Float64("trace-sample", 0.01, "fraction of requests traced into GET /debug/traces; slow, partial and error requests are always kept (0 = tracing off)")
 	slowQuery := fs.Duration("slow-query", 250*time.Millisecond, "requests at or over this latency log a slow-query exemplar line and are always traced (0 = off)")
-	degradedProbe := fs.Duration("degraded-probe", time.Second, "how often a poisoned WAL triggers a storage-recovery attempt while degraded (0 = probe off)")
 	return func() server.Options {
 		opts := server.Options{
 			BlockSize:    *block,
@@ -119,28 +115,16 @@ func serverFlags(fs *flag.FlagSet) func() server.Options {
 			AccessLog:    *accessLog,
 			TraceSample:  *traceSample,
 			SlowQuery:    *slowQuery,
-
-			IngestQueue:      *ingestQueue,
-			IngestDurability: *ingestDurability,
-
-			DegradedProbe: *degradedProbe,
-
+			IngestQueue:  *ingestQueue,
 			ShardTimeout: *shardTimeout,
-			ShardProbe:   *shardProbe,
 		}
 		// These flags' contract is "0 = off"; the options reserve 0 for their
 		// defaults and disable only on negative.
-		if *shardProbe == 0 {
-			opts.ShardProbe = -1
-		}
 		if *traceSample == 0 {
 			opts.TraceSample = -1
 		}
 		if *slowQuery == 0 {
 			opts.SlowQuery = -1
-		}
-		if *degradedProbe == 0 {
-			opts.DegradedProbe = -1
 		}
 		return opts
 	}
@@ -151,7 +135,7 @@ func run() error {
 	measure := flag.String("measure", "revenue", "name of the integer measure column")
 	addr := flag.String("addr", ":8080", "listen address")
 	options := serverFlags(flag.CommandLine)
-	shardURLs := flag.String("shard-urls", "", "comma-separated base URLs of shard processes; the leader slab-partitions the cube along the planner-chosen dimension, pushes each its slab and scatter–gathers queries across them")
+	shardURLs := flag.String("shard-urls", "", "comma-separated base URLs of shard processes; the leader slab-partitions the cube along its widest dimension, pushes each its slab and scatter–gathers queries across them")
 	serveShard := flag.Int("serve-shard", -1, "run as shard process N: boot empty, await the leader's slab push on POST /state (-data not required)")
 	join := flag.String("join", "", "run as a read-only follower of the leader at this URL, bootstrapping from /snapshot and tailing /wal (-data not required)")
 	drain := flag.Duration("drain", 10*time.Second, "grace period for in-flight requests on shutdown")

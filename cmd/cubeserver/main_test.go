@@ -12,16 +12,16 @@ import (
 // TestZeroFlagMeansOff pins the flags whose help promises "0 = off": the
 // Options they map to reserve 0 for a default that is on, so each must reach
 // the server as a negative value, while the flag's own default stays on. The
-// defaults also mount GET /metrics, which the operator runbooks scrape.
+// defaults also mount GET /metrics, which the operator runbooks scrape. The
+// probe and durability flags are gone: probes schedule themselves, and an
+// update asks for async durability itself.
 func TestZeroFlagMeansOff(t *testing.T) {
 	cases := []struct {
 		flag string
 		get  func(server.Options) float64
 	}{
-		{"shard-probe", func(o server.Options) float64 { return float64(o.ShardProbe) }},
 		{"trace-sample", func(o server.Options) float64 { return o.TraceSample }},
 		{"slow-query", func(o server.Options) float64 { return float64(o.SlowQuery) }},
-		{"degraded-probe", func(o server.Options) float64 { return float64(o.DegradedProbe) }},
 	}
 	parse := func(args ...string) server.Options {
 		t.Helper()
@@ -46,7 +46,15 @@ func TestZeroFlagMeansOff(t *testing.T) {
 		}
 	}
 	// Explicit values pass through untouched.
-	if o := parse("-shard-probe=250ms"); o.ShardProbe != 250*time.Millisecond {
-		t.Errorf("-shard-probe 250ms: option %v", o.ShardProbe)
+	if o := parse("-slow-query=250ms"); o.SlowQuery != 250*time.Millisecond {
+		t.Errorf("-slow-query 250ms: option %v", o.SlowQuery)
+	}
+	for _, gone := range []string{"shard-probe=1s", "degraded-probe=1s", "ingest-durability=async"} {
+		fs := flag.NewFlagSet("cubeserver", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		serverFlags(fs)
+		if err := fs.Parse([]string{"-" + gone}); err == nil {
+			t.Errorf("-%s still parses", gone)
+		}
 	}
 }

@@ -83,7 +83,6 @@ func newRemoteShardTier(env Env, a *ndarray.Array[int64], name string, n int) (*
 	base, err := newServerVariant(a, dir, name, false, func(o *server.Options) {
 		o.ShardURLs = urls
 		o.ShardTimeout = 5 * time.Second
-		o.ShardProbe = 5 * time.Millisecond
 	})
 	if err != nil {
 		closeShards()

@@ -241,7 +241,6 @@ func newFaultyWalVariant(a *ndarray.Array[int64], dir string) (SumEngine, error)
 	inj := faultio.NewInjector()
 	base, err := newServerVariant(a, dir, "server/faulty-wal", false, func(o *server.Options) {
 		o.WALOpenFile = func(p string) (wal.File, error) { return inj.Open(p) }
-		o.DegradedProbe = 2 * time.Millisecond
 	})
 	if err != nil {
 		return nil, err

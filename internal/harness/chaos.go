@@ -94,14 +94,13 @@ func Chaos(n, writers, readers int, duration time.Duration) (Table, ChaosResult)
 
 	inj := faultio.NewInjector()
 	opts := server.Options{
-		BlockSize:     1,
-		Fanout:        3,
-		WALPath:       filepath.Join(dir, "updates.wal"),
-		SnapshotPath:  filepath.Join(dir, "cube.snap"),
-		CompactEvery:  8, // cross compaction boundaries during the soak
-		IngestQueue:   4 * writers,
-		WALOpenFile:   func(p string) (wal.File, error) { return inj.Open(p) },
-		DegradedProbe: 5 * time.Millisecond,
+		BlockSize:    1,
+		Fanout:       3,
+		WALPath:      filepath.Join(dir, "updates.wal"),
+		SnapshotPath: filepath.Join(dir, "cube.snap"),
+		CompactEvery: 8, // cross compaction boundaries during the soak
+		IngestQueue:  4 * writers,
+		WALOpenFile:  func(p string) (wal.File, error) { return inj.Open(p) },
 	}
 	srv := newBenchServer(n, make([]int64, n*n), opts)
 	ts := httptest.NewServer(srv.Handler())

@@ -61,7 +61,6 @@ func TestMultiProcessSmoke(t *testing.T) {
 		CompactEvery: 1 << 30,
 		ShardURLs:    urls,
 		ShardTimeout: 5 * time.Second,
-		ShardProbe:   100 * time.Millisecond,
 	})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())

@@ -186,8 +186,7 @@ func TestMultiProcessTraceSmoke(t *testing.T) {
 		BlockSize: 1, Fanout: 4,
 		ShardURLs:    urls,
 		ShardTimeout: time.Second, // hedges at 50 ms
-		ShardProbe:   200 * time.Millisecond,
-		TraceSample:  1, // record everything; the smoke asserts exact traces
+		TraceSample:  1,           // record everything; the smoke asserts exact traces
 		AccessLog:    true,
 		Logf:         leaderLog.printf,
 	})

@@ -74,6 +74,19 @@ func CheckShape[T any](shape []int) (int, error) {
 	return n, nil
 }
 
+// WidestDim returns the dimension of shape with the largest extent, the
+// lowest index on ties (0 for an empty shape): the dimension a slab partition
+// without a query log splits, because it has the most room for slabs.
+func WidestDim(shape []int) int {
+	best := 0
+	for j, e := range shape {
+		if e > shape[best] {
+			best = j
+		}
+	}
+	return best
+}
+
 // header validates shape and builds an array with shape and strides set but
 // no backing data, returning it with the total cell count.
 func header[T any](shape []int) (*Array[T], int) {

@@ -50,6 +50,18 @@ func TestCheckShape(t *testing.T) {
 	}
 }
 
+// TestWidestDim: the widest dimension, the lowest index on ties.
+func TestWidestDim(t *testing.T) {
+	for _, c := range []struct {
+		shape []int
+		want  int
+	}{{nil, 0}, {[]int{7}, 0}, {[]int{1, 1}, 0}, {[]int{10, 8}, 0}, {[]int{8, 10}, 1}, {[]int{1, 5, 5}, 1}, {[]int{4, 9, 2, 9}, 1}} {
+		if got := WidestDim(c.shape); got != c.want {
+			t.Errorf("WidestDim(%v) = %d, want %d", c.shape, got, c.want)
+		}
+	}
+}
+
 func TestNewPanicsOnBadShape(t *testing.T) {
 	for _, shape := range [][]int{{}, {0}, {3, -1}, {2, 0, 4}} {
 		func() {

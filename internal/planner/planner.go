@@ -109,37 +109,33 @@ func New(c *cube.Cube, log []ndarray.Region, spaceLimit float64) (*Planner, erro
 // so the scatter cost of a workload is minimized by splitting where its
 // queries are narrowest relative to the extent. Given a query log it
 // returns the dimension of least mean fractional extent; without one it
-// falls back to the widest dimension (most room for non-trivial slabs).
+// falls back to ndarray.WidestDim, the rule a server applies.
 // Ties break toward the lowest dimension index, so the choice is
 // deterministic. An empty shape returns 0.
 func SplitDimension(shape []int, log []ndarray.Region) int {
-	if len(shape) == 0 {
-		return 0
+	if len(log) == 0 {
+		return ndarray.WidestDim(shape)
 	}
 	best, bestScore := 0, math.Inf(1)
 	for j, e := range shape {
 		if e <= 1 {
 			continue // a 1-wide dimension cannot host more than one slab
 		}
-		var score float64
-		if len(log) == 0 {
-			// No workload: prefer width. Fractional-extent scores are in
-			// (0, 1], so 1/e keeps the two regimes on one scale.
+		// A dimension no query constrains scores as the widest would:
+		// fractional-extent scores are in (0, 1], so 1/e keeps the two
+		// regimes on one scale.
+		score, n := 0.0, 0
+		for _, q := range log {
+			if j >= len(q) || q.Empty() {
+				continue
+			}
+			score += float64(q[j].Len()) / float64(e)
+			n++
+		}
+		if n == 0 {
 			score = 1 / float64(e)
 		} else {
-			n := 0
-			for _, q := range log {
-				if j >= len(q) || q.Empty() {
-					continue
-				}
-				score += float64(q[j].Len()) / float64(e)
-				n++
-			}
-			if n == 0 {
-				score = 1 / float64(e)
-			} else {
-				score /= float64(n)
-			}
+			score /= float64(n)
 		}
 		if score < bestScore {
 			best, bestScore = j, score

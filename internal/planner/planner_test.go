@@ -177,3 +177,18 @@ func TestGrandTotalQueries(t *testing.T) {
 		t.Fatalf("grand total = %d, want %d", got, want)
 	}
 }
+
+// TestSplitDimensionWithoutLog: with no query log the split is the one a
+// server makes, ndarray.WidestDim; a log moves it to the dimension its
+// queries span least.
+func TestSplitDimensionWithoutLog(t *testing.T) {
+	for _, shape := range [][]int{nil, {7}, {1, 1}, {10, 8}, {8, 10}, {1, 5, 5}, {4, 9, 2, 9}} {
+		if got, want := SplitDimension(shape, nil), ndarray.WidestDim(shape); got != want {
+			t.Errorf("SplitDimension(%v, nil) = %d, WidestDim %d", shape, got, want)
+		}
+	}
+	log := []ndarray.Region{{{Lo: 0, Hi: 9}, {Lo: 3, Hi: 3}}}
+	if got := SplitDimension([]int{10, 8}, log); got != 1 {
+		t.Errorf("SplitDimension over a log of column queries = %d, want 1", got)
+	}
+}

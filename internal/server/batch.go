@@ -152,7 +152,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeAwaiting(w, r)
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxUpdateBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var items []batchQuery
 	if err := json.NewDecoder(r.Body).Decode(&items); err != nil {
 		var tooBig *http.MaxBytesError

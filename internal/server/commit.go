@@ -187,10 +187,7 @@ func (s *Server) commitLocked(ctx context.Context, cells []shard.PointDelta) (ui
 		snd.mu.Lock()
 		snd.queue = append(snd.queue, shard.Commit{Seq: seq, Cells: cells})
 		snd.mu.Unlock()
-		select {
-		case snd.wake <- struct{}{}:
-		default:
-		}
+		snd.loop.wake()
 	}
 	s.mu.Unlock()
 	s.met.writeLockHold.Observe(time.Since(held).Nanoseconds())

@@ -29,14 +29,13 @@ func faultyServer(t *testing.T, mutate func(*Options)) (*Server, *httptest.Serve
 		cube.NewIntDimension("y", 0, 7),
 	)
 	opts := Options{
-		BlockSize:     3,
-		Fanout:        3,
-		WALPath:       filepath.Join(dir, "updates.wal"),
-		SnapshotPath:  filepath.Join(dir, "cube.snap"),
-		CompactEvery:  1 << 30,
-		WALOpenFile:   func(p string) (wal.File, error) { return inj.Open(p) },
-		DegradedProbe: 2 * time.Millisecond,
-		Logf:          func(string, ...any) {},
+		BlockSize:    3,
+		Fanout:       3,
+		WALPath:      filepath.Join(dir, "updates.wal"),
+		SnapshotPath: filepath.Join(dir, "cube.snap"),
+		CompactEvery: 1 << 30,
+		WALOpenFile:  func(p string) (wal.File, error) { return inj.Open(p) },
+		Logf:         func(string, ...any) {},
 	}
 	if mutate != nil {
 		mutate(&opts)

@@ -15,10 +15,10 @@ import (
 // nothing about the in-memory structures is wrong — every acknowledged
 // batch is still applied and still on the committed prefix. So the server
 // keeps serving queries and sheds writes: /update and SubmitUpdates return
-// 503 + Retry-After, and a background probe periodically rebuilds
+// 503 + Retry-After, and the storage loop, woken as the mode flips, rebuilds
 // durability from scratch (fresh snapshot capturing the full in-memory
-// state, then a brand-new WAL file superseding the poisoned one) and exits
-// degraded mode without a restart.
+// state, then a brand-new WAL file superseding the poisoned one) on a
+// backoff until it succeeds, and exits degraded mode without a restart.
 
 // ErrDegraded matches (with errors.Is) every submission rejected because
 // the server is in degraded read-only mode.
@@ -88,11 +88,12 @@ func (s *Server) Health() Health {
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
 // enterDegraded flips the server into degraded read-only mode (idempotent;
-// the first cause is the reported reason).
+// the first cause is the reported reason) and wakes the storage loop.
 func (s *Server) enterDegraded(cause error) {
 	s.degradedReason.Store(cause.Error())
 	if s.degraded.CompareAndSwap(false, true) {
 		s.logf("server: entering degraded read-only mode: %v", cause)
+		s.storage.wake()
 	}
 }
 
@@ -105,11 +106,11 @@ func (s *Server) exitDegraded() {
 // Degraded reports whether the server is currently shedding updates.
 func (s *Server) Degraded() bool { return s.degraded.Load() }
 
-// writeDegraded sheds one update request: 503 with a Retry-After hint tied
-// to the recovery probe's cadence — a client retrying after one probe
-// period has a real chance of landing on a recovered server.
+// writeDegraded sheds one update request: 503 with a Retry-After of one
+// second, the storage loop's longest wait — a client retrying then has a
+// real chance of landing on a recovered server.
 func (s *Server) writeDegraded(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Retry-After", strconv.Itoa(ceilSeconds(s.opts.DegradedProbe)))
+	w.Header().Set("Retry-After", "1")
 	reason := ""
 	if v, ok := s.degradedReason.Load().(string); ok {
 		reason = ": " + v
@@ -158,26 +159,30 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	status := http.StatusOK
 	if !h.Ready {
 		status = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", strconv.Itoa(ceilSeconds(s.opts.DegradedProbe)))
+		w.Header().Set("Retry-After", "1")
 	}
 	s.writeJSON(w, r, status, h)
 }
 
-// probeStorage is one tick of the background recovery prober: while
-// degraded, rebuild durability under the commit mutex — queries keep being
-// answered throughout — and, on success, exit degraded mode. Only a commit
-// sets the mode and only this tick (or Close, after stopping it) clears it.
-// Healthy ticks are a single atomic load. The prober only exists when a WAL
-// is configured; without one there is no storage to degrade over.
-func (s *Server) probeStorage() {
+// probeStorage is the storage loop's job: while degraded, rebuild
+// durability under the commit mutex — queries keep being answered throughout
+// — and, on success, exit degraded mode. Only a commit sets the mode and
+// only this job (or Close, after stopping it) clears it. A failed attempt
+// returns b's next wait; otherwise the loop sleeps until enterDegraded wakes
+// it, so a healthy server never runs this. The loop only exists with a WAL
+// and a snapshot path, the storage a recovery rebuilds.
+func (s *Server) probeStorage(b *backoff) time.Duration {
 	if !s.degraded.Load() {
-		return
+		return idle
 	}
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
 	if err := s.recoverStorageLocked(); err != nil {
 		s.logf("server: degraded-mode recovery attempt failed: %v", err)
+		return b.failed()
 	}
+	*b = 0
+	return idle
 }
 
 // recoverStorageLocked supersedes a poisoned WAL; the caller holds commitMu.
@@ -186,7 +191,7 @@ func (s *Server) probeStorage() {
 // nothing depends on the old file once the snapshot lands); only then is the
 // log file recreated, which truncates it. A failure at either step leaves
 // the old WAL's committed prefix untouched and the server degraded for the
-// next probe tick.
+// storage loop's next attempt.
 func (s *Server) recoverStorageLocked() error {
 	if s.wal == nil {
 		return errors.New("server: no WAL to recover")

@@ -524,9 +524,7 @@ func TestIngestCrashBetweenFsyncAndApply(t *testing.T) {
 // barrier: everything enqueued before it must be in the log.
 func TestIngestAsyncCrashLosesOnlyTail(t *testing.T) {
 	dir := t.TempDir()
-	s, ts := ingestTestServer(t, dir, func(o *Options) {
-		o.IngestDurability = "async"
-	})
+	s, ts := ingestTestServer(t, dir, nil)
 
 	// Distinct cells per update so coalescing cannot merge them and the
 	// flattened log reads back as the exact submission order.
@@ -534,7 +532,7 @@ func TestIngestAsyncCrashLosesOnlyTail(t *testing.T) {
 	submitted := make([]jsonUpdate, K)
 	for i := 0; i < K; i++ {
 		submitted[i] = jsonUpdate{Coords: []int{i / 8, i % 8}, Delta: int64(i + 1)}
-		code, ack := postUpdates(t, ts, "", []jsonUpdate{submitted[i]})
+		code, ack := postUpdates(t, ts, "async", []jsonUpdate{submitted[i]})
 		if code != http.StatusAccepted {
 			t.Fatalf("async post %d: status %d, want 202", i, code)
 		}

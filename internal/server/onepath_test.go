@@ -72,7 +72,7 @@ func TestQueryIsBatchOfOne(t *testing.T) {
 		{"one-shard-blocked", Options{BlockSize: 3, Fanout: 3, Metrics: true, Logf: quiet}, "blocked"},
 		{"shard-urls", Options{Fanout: 3, Metrics: true, Logf: quiet,
 			ShardURLs:    []string{"http://" + p0.addr, "http://" + p1.addr, "http://" + p2.addr},
-			ShardTimeout: 2 * time.Second, ShardProbe: -1}, "sharded:prefixsum"},
+			ShardTimeout: 2 * time.Second}, "sharded:prefixsum"},
 	}
 	selectors := []struct {
 		get string

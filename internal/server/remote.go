@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime/debug"
 	"slices"
 	"strconv"
 	"sync"
@@ -34,7 +33,7 @@ import (
 // stay authoritative — shard processes hold derived state the leader can
 // regenerate at any time, which is what makes partial failure survivable:
 // a shard that dies loses nothing, it just stops answering until the resync
-// probe pushes its slab back (POST /state) and marks it up again.
+// loop pushes its slab back (POST /state) and marks it up again.
 
 // shardStateTimeout bounds one slab-state push. State bodies scale with the
 // slab, so this is deliberately far looser than the per-query ShardTimeout.
@@ -68,13 +67,14 @@ func (s *Server) initRemoteSharding(m shard.Map) error {
 
 // attachRemoteShards pushes every shard its authoritative slab state at
 // boot. A push that fails marks the shard down instead of failing the
-// leader: the probe keeps retrying, and until it lands the shard's slabs
-// answer as missing (partial sums, 503 extremes).
+// leader and wakes the resync loop, which keeps retrying; until a push
+// lands the shard's slabs answer as missing (partial sums, 503 extremes).
 func (s *Server) attachRemoteShards() {
 	for _, e := range s.remoteEngines {
 		if err := s.resyncShard(e); err != nil {
 			s.logf("server: shard %d (%s) attach failed: %v", e.Shard(), e.URL(), err)
 			e.MarkDown(err)
+			s.resync.wake()
 		}
 	}
 }
@@ -92,7 +92,7 @@ func (s *Server) attachRemoteShards() {
 // batch in one write-lock hold). A delivery racing the push or the MarkUp
 // carries only batches at or below the captured seq, which the shard skips.
 // A lost race re-captures and re-pushes a few times; if write load keeps
-// winning, the engine stays down and the probe retries next tick.
+// winning, the engine stays down and the resync loop retries it later.
 func (s *Server) resyncShard(e *shard.RemoteEngine) error {
 	const attempts = 3
 	var seq uint64
@@ -130,7 +130,7 @@ func (s *Server) resyncShard(e *shard.RemoteEngine) error {
 			return nil
 		}
 	}
-	return fmt.Errorf("shard %d: leader advanced past seq %d during every state push (%d attempts); leaving it down for the probe", e.Shard(), seq, attempts)
+	return fmt.Errorf("shard %d: leader advanced past seq %d during every state push (%d attempts); leaving it down for the resync loop", e.Shard(), seq, attempts)
 }
 
 // pushState POSTs one encoded snapshot to shard e's /state endpoint.
@@ -151,51 +151,78 @@ func (s *Server) pushState(e *shard.RemoteEngine, body []byte) error {
 	return nil
 }
 
-// resyncDownShards is one tick of the resync probe: each down engine gets
-// one fresh state push. Healthy ticks are a handful of atomic loads.
-func (s *Server) resyncDownShards() {
-	for _, e := range s.remoteEngines {
+// resyncTurn is one remote engine's place in the resync schedule: the
+// earliest time of its next state push, and its backoff.
+type resyncTurn struct {
+	at time.Time
+	b  backoff
+}
+
+// resyncDownShards is the resync loop's job: each down engine whose turn has
+// come gets one fresh state push, and an engine found up starts its schedule
+// over. It returns the wait until the next turn, at most maxWait: a read
+// that fails marks an engine down without waking the loop, so a healthy tier
+// is polled once a second, each poll a handful of atomic loads.
+func (s *Server) resyncDownShards(turns []resyncTurn) time.Duration {
+	wait := maxWait
+	for i, e := range s.remoteEngines {
+		t := &turns[i]
 		if !e.Down() {
+			*t = resyncTurn{}
+			continue
+		}
+		if d := time.Until(t.at); d > 0 {
+			wait = min(wait, d)
 			continue
 		}
 		if err := s.resyncShard(e); err != nil {
 			s.logf("server: shard %d resync failed: %v", e.Shard(), err)
+			d := t.b.failed()
+			t.at = time.Now().Add(d)
+			wait = min(wait, d)
+		} else {
+			*t = resyncTurn{}
 		}
 	}
+	return wait
 }
 
 // sender delivers a remote leader's commits to its shards off the commit
-// path: a commit is queued under the write lock and acked, one goroutine
+// path: a commit is queued under the write lock and acked, the sender's loop
 // sends the queue, and a read waits for the delivery covering its seq.
 type sender struct {
 	mu        sync.Mutex
 	queue     []shard.Commit
 	delivered uint64        // the last seq whose delivery finished, acked or failed
 	advanced  chan struct{} // closed and replaced each time delivered moves
-	wake      chan struct{} // cap 1: a commit is queued; closed to stop
-	done      chan struct{}
-	stopOnce  sync.Once
+	loop      *loop         // runs deliver; a queued commit wakes it
 }
 
-// deliver sends the shards every queued commit. A panic is logged and marks
-// every remote engine down for the probe; either way no read waits on it.
-func (s *Server) deliver() {
+// deliver is the sender loop's job: it sends the shards every queued commit,
+// in exchanges of at most maxBodyBytes. A panic marks every remote engine
+// down, and a delivery that leaves one down wakes the resync loop; either way
+// no read waits on these commits any more.
+func (s *Server) deliver() time.Duration {
 	snd := s.send
 	snd.mu.Lock()
 	commits := snd.queue
 	snd.queue = nil
 	snd.mu.Unlock()
 	if len(commits) == 0 {
-		return
+		return idle
 	}
 	last := commits[len(commits)-1].Seq
+	sent := false
 	defer func() {
-		if v := recover(); v != nil {
-			err := fmt.Errorf("delivery through seq %d panicked: %v", last, v)
-			s.logf("server: %v\n%s", err, debug.Stack())
-			for _, e := range s.remoteEngines {
-				e.MarkDown(err)
+		down := false
+		for _, e := range s.remoteEngines {
+			if !sent { // a panic: what reached the shards is unknown
+				e.MarkDown(fmt.Errorf("delivery through seq %d panicked", last))
 			}
+			down = down || e.Down()
+		}
+		if down {
+			s.resync.wake()
 		}
 		snd.mu.Lock()
 		close(snd.advanced)
@@ -205,7 +232,9 @@ func (s *Server) deliver() {
 	sp := s.tracer.Root("shard.deliver")
 	sp.Set("records", strconv.Itoa(len(commits)))
 	defer sp.End()
-	s.router.Deliver(trace.NewContext(context.Background(), sp), commits)
+	s.router.Deliver(trace.NewContext(context.Background(), sp), commits, maxBodyBytes)
+	sent = true
+	return idle
 }
 
 // awaitDelivery waits, within ctx, until a delivery through seq has finished.
@@ -239,8 +268,8 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, bufP *[]byte) 
 		s.writeAwaiting(w, r)
 		return nil, false
 	}
-	if r.ContentLength < 0 || r.ContentLength > s.opts.MaxUpdateBytes {
-		s.writeError(w, r, http.StatusRequestEntityTooLarge, "body of %d bytes (at most %d, length required)", r.ContentLength, s.opts.MaxUpdateBytes)
+	if r.ContentLength < 0 || r.ContentLength > maxBodyBytes {
+		s.writeError(w, r, http.StatusRequestEntityTooLarge, "body of %d bytes (at most %d, length required)", r.ContentLength, maxBodyBytes)
 		return nil, false
 	}
 	buf := slices.Grow((*bufP)[:0], int(r.ContentLength))[:r.ContentLength]

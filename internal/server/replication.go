@@ -199,7 +199,7 @@ func checkReplicated(shape []int, batches []wal.Batch) (int, error) {
 func JoinLeader(ctx context.Context, leaderURL string, opts Options) (*Server, error) {
 	s, err := bootstrapFollower(ctx, leaderURL, opts)
 	if err == nil {
-		s.startFollowPump()
+		s.startLoop("follow pump", followPoll, s.followJob())
 		s.logf("server: joined leader %s at seq %d", s.leaderURL, s.Seq())
 	}
 	return s, err
@@ -279,10 +279,14 @@ func fetchSnapshot(ctx context.Context, cl *client.Client, leaderURL string) (se
 	return seq, cells, nil
 }
 
-// startFollowPump launches the WAL-shipping poll loop; Close stops it.
-func (s *Server) startFollowPump() {
+// followJob is the WAL-shipping follow pump's job: one poll, then followPoll
+// until the next.
+func (s *Server) followJob() func() time.Duration {
 	cl := client.New(client.Options{MaxAttempts: 2, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 200 * time.Millisecond})
-	s.tickers = append(s.tickers, startTicker(followPoll, func() { s.followFetch(cl) }))
+	return func() time.Duration {
+		s.followFetch(cl)
+		return followPoll
+	}
 }
 
 // followFetch performs one replication poll for the batches after this

@@ -655,7 +655,6 @@ func TestRemoteShardTier(t *testing.T) {
 		Fanout:       3,
 		ShardURLs:    []string{"http://" + p0.addr, "http://" + p1.addr},
 		ShardTimeout: 2 * time.Second,
-		ShardProbe:   10 * time.Millisecond,
 		Logf:         func(string, ...any) {},
 	})
 	if err != nil {
@@ -789,9 +788,8 @@ func TestShardLagGauges(t *testing.T) {
 	boot := func(shard1 string) (*Server, *httptest.Server) {
 		leader, err := NewWithOptions(newCube(), Options{
 			BlockSize: 3, Fanout: 3, Metrics: true, WALPath: walPath,
-			ShardURLs:  []string{"http://" + p0.addr, shard1},
-			ShardProbe: 10 * time.Millisecond,
-			Logf:       func(string, ...any) {},
+			ShardURLs: []string{"http://" + p0.addr, shard1},
+			Logf:      func(string, ...any) {},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -892,7 +890,6 @@ func TestNeverSyncedShardBoundsCoverOracle(t *testing.T) {
 		Fanout:       3,
 		ShardURLs:    []string{"http://" + p0.addr, "http://" + deadAddr},
 		ShardTimeout: time.Second,
-		ShardProbe:   -1, // no probe: the shard must stay never-synced
 		Logf:         func(string, ...any) {},
 	})
 	if err != nil {
@@ -946,7 +943,6 @@ func TestPartialBoundsNeverWrap(t *testing.T) {
 		BlockSize: 1, Fanout: 4,
 		ShardURLs:    []string{"http://" + p0.addr, "http://" + deadAddr},
 		ShardTimeout: time.Second,
-		ShardProbe:   -1, // no probe: the shard must stay never-synced
 		Logf:         func(string, ...any) {},
 	})
 	if err != nil {
@@ -1055,7 +1051,6 @@ func TestResyncHoldsDownWhenCommitRacesStatePush(t *testing.T) {
 		Fanout:       3,
 		ShardURLs:    []string{"http://" + p0.addr, gate.URL},
 		ShardTimeout: time.Second,
-		ShardProbe:   10 * time.Millisecond,
 		Logf:         func(string, ...any) {},
 	})
 	if err != nil {

@@ -274,10 +274,9 @@ func TestWALFailureFailsUpdate(t *testing.T) {
 	t.Cleanup(func() { p0.stop(); p1.stop() })
 	leader, err := NewWithOptions(uniqueCube(7), Options{
 		BlockSize: 5, Fanout: 4,
-		WALPath:    filepath.Join(dir, "leader.wal"),
-		ShardURLs:  []string{"http://" + p0.addr, "http://" + p1.addr},
-		ShardProbe: -1,
-		Logf:       t.Logf,
+		WALPath:   filepath.Join(dir, "leader.wal"),
+		ShardURLs: []string{"http://" + p0.addr, "http://" + p1.addr},
+		Logf:      t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -438,29 +437,25 @@ func TestPanicRecovery(t *testing.T) {
 	abort.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/query", nil))
 }
 
-// TestUpdateBodyLimit: a batch larger than MaxUpdateBytes is refused with
-// 413 before it is parsed.
+// TestUpdateBodyLimit: a batch larger than maxBodyBytes is refused with 413
+// before it is parsed.
 func TestUpdateBodyLimit(t *testing.T) {
-	s, err := NewWithOptions(uniqueCube(7), Options{
-		BlockSize: 5, Fanout: 4,
-		MaxUpdateBytes: 128,
-		Logf:           t.Logf,
-	})
+	s := New(uniqueCube(7), 5, 4)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	const one = `{"coords":[0,0,0],"delta":1}`
+	big := `{"updates":[` + strings.Repeat(one+",", maxBodyBytes/len(one)) + one + `]}`
+	resp, err := ts.Client().Post(ts.URL+"/update", "application/json", strings.NewReader(big))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	big := make([]map[string]any, 64)
-	for i := range big {
-		big[i] = map[string]any{"coords": []int{0, 0, 0}, "delta": 1}
-	}
-	code, body := postBatch(t, ts, big)
-	if code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversize batch: %d %s", code, body)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize batch: %d %.200s", resp.StatusCode, body)
 	}
 	// A batch under the limit still works.
-	if code, body := postBatch(t, ts, big[:1]); code != http.StatusOK {
+	if code, body := postBatch(t, ts, []map[string]any{{"coords": []int{0, 0, 0}, "delta": 1}}); code != http.StatusOK {
 		t.Fatalf("small batch: %d %s", code, body)
 	}
 }

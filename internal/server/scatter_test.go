@@ -20,6 +20,7 @@ import (
 
 	"rangecube/internal/core/batchsum"
 	"rangecube/internal/cube"
+	"rangecube/internal/ingest"
 	"rangecube/internal/naive"
 	"rangecube/internal/ndarray"
 	"rangecube/internal/persist"
@@ -60,6 +61,13 @@ func newScatterTier(t *testing.T, opts Options, hook func(shard int, r *http.Req
 			c.Data().Set(int64((x*37+y*11)%61-20), x, y)
 		}
 	}
+	return newScatterTierOver(t, c, opts, hook)
+}
+
+// newScatterTierOver is newScatterTier over the cube c, split along its
+// widest dimension.
+func newScatterTierOver(t *testing.T, c *cube.Cube, opts Options, hook func(shard int, r *http.Request)) *scatterTier {
+	t.Helper()
 	tr := &scatterTier{oracle: c.Data().Clone()}
 	for i := range tr.shards {
 		tr.seen[i] = map[string]int{}
@@ -91,7 +99,7 @@ func newScatterTier(t *testing.T, opts Options, hook func(shard int, r *http.Req
 		t.Cleanup(func() { gate.Close(); p.stop() })
 		opts.ShardURLs = append(opts.ShardURLs, gate.URL)
 	}
-	opts.BlockSize, opts.Fanout, opts.ShardProbe = 3, 3, -1
+	opts.BlockSize, opts.Fanout = 3, 3
 	opts.Logf = func(string, ...any) {}
 	leader, err := NewWithOptions(c, opts)
 	if err != nil {
@@ -624,12 +632,85 @@ func TestCommitsDoNotWaitOnShards(t *testing.T) {
 	}
 }
 
+// TestBacklogDeliveredWithinBodyCap parks shard 1's first update delivery and
+// commits until the records queued behind it pass maxBodyBytes. Released, the
+// sender cuts the backlog into exchanges that each fit the cap, so the shard
+// stays up, takes no resync push, and the sum through the leader is exact.
+func TestBacklogDeliveredWithinBodyCap(t *testing.T) {
+	c := cube.New(cube.NewIntDimension("x", 0, 511), cube.NewIntDimension("y", 0, 63))
+	release, parked := make(chan struct{}), make(chan struct{})
+	var arrive, unpark sync.Once
+	tr := newScatterTierOver(t, c, Options{Metrics: true, ShardTimeout: 100 * time.Second}, func(shard int, r *http.Request) {
+		if shard == 1 && r.URL.Path == "/shard/apply" {
+			arrive.Do(func() { close(parked) })
+			<-release // a hedged duplicate parks too
+		}
+	})
+	free := func() { unpark.Do(func() { close(release) }) }
+	t.Cleanup(free)
+	resyncs := seriesValue(scrape(t, tr.lts), "cube_shard_resync_total", `kind="shard"`)
+
+	// Each commit adds 1 to every cell of shard 1's slab, x 256..511: a
+	// record of 16 bytes per cell on the wire.
+	var ups []ingest.Update
+	for x := 256; x < 512; x++ {
+		for y := 0; y < 64; y++ {
+			ups = append(ups, ingest.Update{Coords: []int{x, y}, Delta: 1})
+		}
+	}
+	commits := 2 + maxBodyBytes/(len(ups)*16)
+	for k := 0; k < commits; k++ {
+		ack, err := tr.leader.SubmitUpdates(ups, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := <-ack; res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if k == 0 {
+			select {
+			case <-parked:
+			case <-time.After(5 * time.Second):
+				t.Fatal("no delivery reached shard 1")
+			}
+		}
+	}
+	for _, u := range ups {
+		tr.oracle.Set(tr.oracle.At(u.Coords...)+int64(commits), u.Coords...)
+	}
+	free()
+
+	var sum queryResponse
+	if code := get(t, tr.lts, "/query?op=sum", &sum); code != http.StatusOK || sum.Partial || sum.Value != naive.SumInt64(tr.oracle, tr.oracle.Bounds(), nil) {
+		t.Fatalf("sum after the backlog = %+v (status %d), want exact %d", sum, code, naive.SumInt64(tr.oracle, tr.oracle.Bounds(), nil))
+	}
+	if h := tr.leader.Health(); !h.Ready || h.Seq != uint64(commits) {
+		t.Fatalf("after the backlog the leader reads %+v, want ready at seq %d", h, commits)
+	}
+	if got := seriesValue(scrape(t, tr.lts), "cube_shard_resync_total", `kind="shard"`); got != resyncs {
+		t.Fatalf(`cube_shard_resync_total{kind="shard"} went %v → %v, want no resync`, resyncs, got)
+	}
+	if n := tr.counts(1)["POST /shard/apply"]; n < 3 {
+		t.Fatalf("shard 1 took %d /shard/apply exchanges, want the parked one and a backlog cut in at least two", n)
+	}
+	if seq := tr.shards[1].s.Seq(); seq != uint64(commits) {
+		t.Fatalf("shard 1 at seq %d, want %d", seq, commits)
+	}
+}
+
 // TestDeliveryPanicMarksShardsDown: a delivery that panics is recovered on
-// the sender's goroutine and marks every remote engine down. The process
-// lives on: a commit is acked, /query answers partially with bounds around
-// the oracle, and the resync brings exact answers back.
+// the sender's loop and marks every remote engine down. The process lives on:
+// a commit is acked, /query answers partially with bounds around the oracle
+// while the shards refuse state pushes, and once they take them again the
+// resync loop brings exact answers back.
 func TestDeliveryPanicMarksShardsDown(t *testing.T) {
-	tr := newScatterTier(t, Options{}, nil)
+	var refuse atomic.Bool
+	tr := newScatterTier(t, Options{}, func(shard int, r *http.Request) {
+		if r.URL.Path == "/state" && refuse.Load() {
+			panic(http.ErrAbortHandler) // holds the shard down
+		}
+	})
+	refuse.Store(true)
 	tr.leader.poisonDelivery()
 	for deadline := time.Now().Add(5 * time.Second); len(tr.leader.Health().ShardsDown) != 2; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
@@ -645,7 +726,12 @@ func TestDeliveryPanicMarksShardsDown(t *testing.T) {
 	if code := get(t, tr.lts, "/query?op=sum", &sum); code != http.StatusOK || !sum.Partial || *sum.LowerBnd > want || want > *sum.UpperBnd {
 		t.Fatalf("sum with both shards down = %+v (status %d), want partial around %d", sum, code, want)
 	}
-	tr.leader.resyncDownShards()
+	refuse.Store(false)
+	for deadline := time.Now().Add(5 * time.Second); !tr.leader.Health().Ready; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the resync loop left the leader at %+v", tr.leader.Health())
+		}
+	}
 	var exact queryResponse
 	if code := get(t, tr.lts, "/query?op=sum", &exact); code != http.StatusOK || exact.Partial || exact.Value != want {
 		t.Fatalf("sum after the resync = %+v (status %d), want exact %d", exact, code, want)

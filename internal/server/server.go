@@ -75,25 +75,21 @@ type Options struct {
 	// "blocked" or "" means BlockSize itself (shard.ResolveBlockSize).
 	SumEngine string
 
-	// ShardURLs, when non-empty, slab-partitions the logical cube along the
-	// planner-chosen dimension (see planner.SplitDimension) across remote
-	// shard processes: entry i is the base URL of the cubeserver process
-	// serving shard i (booted with -serve-shard i). Without it the server
-	// answers through a one-shard router whose engine is built in place over
-	// the cube's own cells. On boot the leader
-	// pushes each shard its authoritative slab state (POST /state), and a
-	// background probe re-pushes whenever a shard was marked down. A shard
-	// that stays unreachable degrades sums to partial answers with §11
-	// bounds covering the absent slab; other ops fail with 503.
+	// ShardURLs, when non-empty, slab-partitions the logical cube along its
+	// widest dimension (ndarray.WidestDim) across remote shard processes:
+	// entry i is the base URL of the cubeserver process serving shard i
+	// (booted with -serve-shard i). Without it the server answers through a
+	// one-shard router whose engine is built in place over the cube's own
+	// cells. On boot the leader pushes each shard its authoritative slab
+	// state (POST /state), and a background probe re-pushes whenever a shard
+	// was marked down, on the schedule of loop.go's backoff. A shard that
+	// stays unreachable degrades sums to partial answers with §11 bounds
+	// covering the absent slab; other ops fail with 503.
 	ShardURLs []string
 	// ShardTimeout bounds each remote read or scatter round trip, hedge
 	// included. 0 means 2s. A read or update record silent for a twentieth
 	// of it gets one hedged duplicate (first answer wins).
 	ShardTimeout time.Duration
-	// ShardProbe is how often the leader retries down shards with a fresh
-	// slab-state push. 0 means 1s; negative disables the probe (a down
-	// shard then stays down until restart).
-	ShardProbe time.Duration
 
 	// AcceptState makes the server a shard process (cubeserver
 	// -serve-shard): a replica whose leader replaces its entire cube state
@@ -125,11 +121,6 @@ type Options struct {
 	// the real filesystem; the disk-chaos harness injects ENOSPC/EIO/fsync
 	// faults here.
 	WALOpenFile wal.OpenFileFunc
-	// DegradedProbe is how often the background prober attempts storage
-	// recovery (fresh snapshot + new WAL) while the server is in degraded
-	// read-only mode. 0 means 1s; negative disables the prober (the server
-	// then stays degraded until restarted).
-	DegradedProbe time.Duration
 
 	// MaxInflight caps concurrently executing /query, /query/batch,
 	// /shard/query and /update requests; excess requests are shed immediately
@@ -139,9 +130,6 @@ type Options struct {
 	// scan abandons work at its next cancellation checkpoint and the
 	// request fails with 503. 0 means no deadline.
 	QueryTimeout time.Duration
-	// MaxUpdateBytes caps the /update request body; larger bodies fail
-	// with 413. 0 means 8 MiB.
-	MaxUpdateBytes int64
 
 	// IngestQueue bounds the group-commit batcher every writable server
 	// commits through: /update writers enqueue (this many pending
@@ -150,12 +138,9 @@ type Options struct {
 	// fsync, and applies it under one write-lock epoch. It commits as soon
 	// as the queue is momentarily empty, so groups form while a commit's
 	// fsync is in flight. A full queue sheds writers with 429. 0 means 256.
+	// An /update is acked after its group's fsync unless it asks
+	// ?durability=async (202 at enqueue; a crash before the flush loses it).
 	IngestQueue int
-	// IngestDurability is the default /update acknowledgment mode:
-	// "sync" (ack after the group's WAL fsync; the default) or "async"
-	// (ack 202 at enqueue; a crash before the flush loses the update).
-	// Writers may override per request with ?durability=.
-	IngestDurability string
 
 	// TraceSample is the distributed-tracing head-sampling rate in [0, 1]:
 	// that fraction of inbound requests records a full span tree into the
@@ -188,20 +173,8 @@ func (o Options) withDefaults() Options {
 	if o.CompactEvery <= 0 {
 		o.CompactEvery = 64
 	}
-	if o.DegradedProbe == 0 {
-		o.DegradedProbe = time.Second
-	}
-	if o.MaxUpdateBytes <= 0 {
-		o.MaxUpdateBytes = 8 << 20
-	}
 	if o.IngestQueue <= 0 {
 		o.IngestQueue = 256
-	}
-	if o.ShardProbe == 0 {
-		o.ShardProbe = time.Second
-	}
-	if o.IngestDurability == "" {
-		o.IngestDurability = "sync"
 	}
 	if o.Logf == nil {
 		o.Logf = log.Printf
@@ -210,11 +183,15 @@ func (o Options) withDefaults() Options {
 }
 
 // Sizes no deployment tunes: the ingest flusher gathers at most
-// ingestMaxBatch point updates into one group, and a /query/batch request or
-// scatter frame may hold at most maxBatchQueries queries.
+// ingestMaxBatch point updates into one group, a /query/batch request or
+// scatter frame may hold at most maxBatchQueries queries, and no request
+// body the server reads (/update, /query/batch, /shard/query, /shard/apply)
+// may pass maxBodyBytes, which a remote leader's sender cuts its deliveries
+// to fit.
 const (
 	ingestMaxBatch  = 4096
 	maxBatchQueries = 1024
+	maxBodyBytes    = 8 << 20
 )
 
 // Server holds the cube and, in a shard.Router, every structure that
@@ -223,6 +200,10 @@ const (
 // incremental algorithms.
 type Server struct {
 	opts Options
+	// Keeps every later field at the offset it had while Options held 40
+	// more bytes of fields: which fields share a cache line measurably moves
+	// the cost of a query.
+	_    [40]byte
 	logf func(format string, args ...any)
 
 	// A read-only server is a replica whose state arrives through
@@ -255,9 +236,8 @@ type Server struct {
 	// data (remote.go).
 	awaitingState atomic.Bool
 
-	// tickers are the background loops — degraded-storage probe, shard
-	// resync probe, WAL-shipping follow pump — that Close stops.
-	tickers []*ticker
+	// loops are the background jobs (loop.go) that Close stops.
+	loops []*loop
 
 	// Once the server is built, wal and seq are written with commitMu and the
 	// write lock both held, so either lock suffices to read them; sinceSnap
@@ -306,35 +286,13 @@ type Server struct {
 	degradedReason atomic.Value // string: the fault that flipped the mode
 	draining       atomic.Bool  // graceful shutdown: /readyz 503, still serving
 
-	// send delivers commits to remoteEngines (remote.go); last, so no hot field moved.
-	send *sender
-}
-
-// ticker is a background goroutine calling fn every period until stopped.
-type ticker struct{ quit, done chan struct{} }
-
-func startTicker(period time.Duration, fn func()) *ticker {
-	t := &ticker{quit: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(t.done)
-		tk := time.NewTicker(period)
-		defer tk.Stop()
-		for {
-			select {
-			case <-t.quit:
-				return
-			case <-tk.C:
-				fn()
-			}
-		}
-	}()
-	return t
-}
-
-// stop ends the loop and waits out a running fn. Call it once.
-func (t *ticker) stop() {
-	close(t.quit)
-	<-t.done
+	// The fields from send on are the remote and storage machinery, after
+	// every hot field so none of those moved: send delivers commits to
+	// remoteEngines and resync re-pushes down shards (remote.go); storage
+	// rebuilds a poisoned log (health.go). Each is nil where it has no job.
+	send    *sender
+	resync  *loop
+	storage *loop
 }
 
 // New builds a purely in-memory server over the cube with the given uniform
@@ -364,9 +322,6 @@ func newServer(c *cube.Cube, opts Options, leaderURL string) (*Server, error) {
 	var err error
 	if opts.BlockSize, err = shard.ResolveBlockSize(opts.SumEngine, opts.BlockSize); err != nil {
 		return nil, err
-	}
-	if opts.IngestDurability != "sync" && opts.IngestDurability != "async" {
-		return nil, fmt.Errorf("server: unknown ingest durability %q (sync, async)", opts.IngestDurability)
 	}
 	if opts.AwaitState && !opts.AcceptState {
 		return nil, errors.New("server: AwaitState requires AcceptState (the state must be allowed to arrive)")
@@ -445,20 +400,14 @@ func newServer(c *cube.Cube, opts Options, leaderURL string) (*Server, error) {
 		s.awaitingState.Store(true)
 	}
 	if len(opts.ShardURLs) > 0 {
+		s.send = &sender{delivered: s.seq, advanced: make(chan struct{})}
+		s.send.loop = s.startLoop("shard delivery", idle, s.deliver)
+		turns := make([]resyncTurn, len(s.remoteEngines))
+		s.resync = s.startLoop("shard resync", maxWait, func() time.Duration { return s.resyncDownShards(turns) })
 		// Push every shard its authoritative slab state. A shard that is not
-		// up yet is just marked down — the probe keeps retrying, and until
-		// then its slabs answer as missing.
+		// up yet is just marked down — the resync loop keeps retrying, and
+		// until then its slabs answer as missing.
 		s.attachRemoteShards()
-		s.send = &sender{delivered: s.seq, advanced: make(chan struct{}), wake: make(chan struct{}, 1), done: make(chan struct{})}
-		go func() {
-			defer close(s.send.done)
-			for range s.send.wake {
-				s.deliver()
-			}
-		}()
-		if opts.ShardProbe > 0 {
-			s.tickers = append(s.tickers, startTicker(opts.ShardProbe, s.resyncDownShards))
-		}
 	}
 
 	if opts.MaxInflight > 0 {
@@ -478,8 +427,9 @@ func newServer(c *cube.Cube, opts Options, leaderURL string) (*Server, error) {
 	// Recovery rebuilds durability as fresh-snapshot-then-new-WAL, so with
 	// no snapshot path a probe could never succeed: a poisoned WAL-only
 	// server stays degraded (still serving reads) until restarted.
-	if s.wal != nil && opts.SnapshotPath != "" && opts.DegradedProbe > 0 {
-		s.tickers = append(s.tickers, startTicker(opts.DegradedProbe, s.probeStorage))
+	if s.wal != nil && opts.SnapshotPath != "" {
+		var b backoff
+		s.storage = s.startLoop("storage probe", idle, func() time.Duration { return s.probeStorage(&b) })
 	}
 	return s, nil
 }
@@ -555,18 +505,16 @@ func (s *Server) Checkpoint() error {
 // Close drains the ingestion pipeline, checkpoints if possible and
 // releases the WAL file. The server must not serve requests afterwards.
 func (s *Server) Close() error {
-	for _, t := range s.tickers {
-		t.stop()
-	}
-	s.tickers = nil // a second Close finds nothing left to stop
 	if s.batcher != nil {
 		// Stop before taking the lock: the drain commits queued groups,
 		// and each commit needs the commit mutex itself.
 		s.batcher.Stop()
 	}
-	if s.send != nil { // after the flusher: it sends what the drain committed
-		s.send.stopOnce.Do(func() { close(s.send.wake) })
-		<-s.send.done
+	for _, l := range s.loops {
+		l.stop()
+	}
+	if s.send != nil { // after the flusher: send what the drain committed
+		s.send.loop.run()
 	}
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
@@ -885,9 +833,9 @@ func (s *Server) writeCtxError(w http.ResponseWriter, r *http.Request, err error
 	switch {
 	case errors.Is(err, shard.ErrShardDown):
 		// A query shape with no partial form (avg, max, min) hit a missing
-		// shard. The honest retry hint is the resync probe's cadence — the
-		// earliest a pushed recovery could have landed.
-		w.Header().Set("Retry-After", strconv.Itoa(ceilSeconds(s.opts.ShardProbe)))
+		// shard. The resync probe retries a down shard at least once a
+		// second, so a pushed recovery may have landed by then.
+		w.Header().Set("Retry-After", "1")
 		s.writeError(w, r, http.StatusServiceUnavailable, "shard unavailable: %v", err)
 	case errors.Is(err, context.DeadlineExceeded):
 		s.met.timeouts.Inc()
@@ -946,7 +894,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		s.writeDegraded(w, r)
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxUpdateBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req updateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
@@ -972,7 +920,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	mode := s.opts.IngestDurability
+	mode := "sync"
 	if v := r.URL.Query().Get("durability"); v != "" {
 		if v != "sync" && v != "async" {
 			s.writeError(w, r, http.StatusBadRequest, "unknown durability %q (sync, async)", v)
@@ -1012,7 +960,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	res := <-ack
 	if res.Err != nil {
 		s.logf("server: group commit failed: %v", res.Err)
-		w.Header().Set("Retry-After", strconv.Itoa(ceilSeconds(s.opts.DegradedProbe)))
+		w.Header().Set("Retry-After", "1") // the storage probe's longest wait
 		s.writeError(w, r, http.StatusServiceUnavailable, "update not durable: %v", res.Err)
 		return
 	}

@@ -1,7 +1,7 @@
 package server
 
 import (
-	"rangecube/internal/planner"
+	"rangecube/internal/ndarray"
 	"rangecube/internal/shard"
 	"rangecube/internal/wal"
 )
@@ -9,7 +9,7 @@ import (
 // The serving tier. The server's query structures are always a shard.Router
 // over the logical cube: one shard serving the cube's cells in place, or
 // remote shard processes (ShardURLs, remote.go) holding the slabs of the cube
-// partitioned along the planner-chosen dimension. Read replicas are separate
+// partitioned along its widest dimension. Read replicas are separate
 // processes that follow the leader's WAL over HTTP (replication.go).
 
 // buildRouter partitions the cube and builds the router over its current
@@ -18,7 +18,7 @@ import (
 func (s *Server) buildRouter() error {
 	n := max(len(s.opts.ShardURLs), 1)
 	shape := s.cube.Shape()
-	m, err := shard.NewMap(shape, planner.SplitDimension(shape, nil), n)
+	m, err := shard.NewMap(shape, ndarray.WidestDim(shape), n)
 	if err != nil {
 		return err
 	}

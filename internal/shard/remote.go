@@ -239,14 +239,15 @@ func (e *RemoteEngine) SumBatchFull(ctx context.Context, regions []ndarray.Regio
 }
 
 // Apply sends the shard one local-frame update batch as the record of the
-// leader's next seq: Widen, then a one-record Deliver.
+// leader's next seq: Widen, then a one-record Deliver (one record goes in one
+// exchange whatever the limit).
 func (e *RemoteEngine) Apply(ctx context.Context, ups []batchsum.IntUpdate) error {
 	b := wal.Batch{Seq: e.Seq() + 1, Updates: make([]wal.Update, len(ups))}
 	for i, u := range ups {
 		e.Widen(u.Delta)
 		b.Updates[i] = wal.Update(u)
 	}
-	return e.Deliver(ctx, []wal.Batch{b})
+	return e.Deliver(ctx, []wal.Batch{b}, 0)
 }
 
 // Widen widens the cell-value bounds, saturating, by a delta committed to the
@@ -262,12 +263,15 @@ func (e *RemoteEngine) Widen(delta int64) {
 }
 
 // Deliver sends the shard the leader's records bs (local frame, ascending
-// seqs) in one exchange, sealed back to back as GET /wal serves them, and
-// advances the engine's seq on the ack. A refused body (a gap, a cell the
-// shard does not hold) marks the engine down like a failed round trip.
-func (e *RemoteEngine) Deliver(ctx context.Context, bs []wal.Batch) error {
+// seqs), sealed back to back as GET /wal serves them, in as few exchanges as
+// keep each body within limit bytes (a record larger than limit goes alone).
+// Each exchange is acked before the next is sent and advances the engine's
+// seq. A refused body (a gap, a cell the shard does not hold) marks the
+// engine down like a failed round trip, and nothing after it is sent.
+func (e *RemoteEngine) Deliver(ctx context.Context, bs []wal.Batch, limit int) error {
 	var body []byte
-	for _, b := range bs {
+	from := 0 // bs[from] is body's first record
+	for k, b := range bs {
 		at := len(body)
 		var err error
 		if body, err = wal.AppendBatch(append(body, make([]byte, wal.FrameSize)...), b); err == nil {
@@ -276,7 +280,19 @@ func (e *RemoteEngine) Deliver(ctx context.Context, bs []wal.Batch) error {
 		if err != nil {
 			return err
 		}
+		if len(body) > limit && at > 0 {
+			if err := e.deliver(ctx, body[:at], bs[from:k]); err != nil {
+				return err
+			}
+			// A new array: a hedged duplicate may still be reading the old.
+			body, from = append([]byte(nil), body[at:]...), k
+		}
 	}
+	return e.deliver(ctx, body, bs[from:])
+}
+
+// deliver is one exchange of Deliver: body holds the records of bs.
+func (e *RemoteEngine) deliver(ctx context.Context, body []byte, bs []wal.Batch) error {
 	if _, err := e.roundTrip(ctx, "shard.scatter", "/shard/apply", body, len(bs)); err != nil {
 		e.MarkDown(err)
 		return err

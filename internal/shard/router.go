@@ -421,10 +421,12 @@ type Commit struct {
 	Cells []PointDelta
 }
 
-// Deliver sends each remote shard, concurrently, one exchange holding a record
-// per commit (ascending seqs), empty for a commit that misses its slab, so
-// every up shard holds the leader's seq. ctx carries tracing only.
-func (rt *Router) Deliver(ctx context.Context, commits []Commit) {
+// Deliver sends each remote shard, concurrently, a record per commit
+// (ascending seqs), empty for a commit that misses its slab, so every up
+// shard holds the leader's seq: one exchange per shard, or as many as keep
+// each body within limit bytes (RemoteEngine.Deliver). ctx carries tracing
+// only.
+func (rt *Router) Deliver(ctx context.Context, commits []Commit, limit int) {
 	groups := make([][]wal.Batch, len(rt.shards))
 	for k, c := range commits {
 		rt.scatterCells.Add(uint64(len(c.Cells)))
@@ -437,7 +439,7 @@ func (rt *Router) Deliver(ctx context.Context, commits []Commit) {
 		}
 	}
 	fanOut(ctx, rt, "deliver", groups, func(e Engine, ctx context.Context, bs []wal.Batch) error {
-		_ = e.(*RemoteEngine).Deliver(ctx, bs) // reporting a failure would cancel the siblings
+		_ = e.(*RemoteEngine).Deliver(ctx, bs, limit) // reporting a failure would cancel the siblings
 		return nil
 	})
 }

@@ -2,10 +2,10 @@
 // and routes range queries and point-update batches to them — the
 // scatter–gather layer of the serving tier.
 //
-// The partition is a slab decomposition: one dimension (chosen by the §9
-// planner heuristic, see planner.SplitDimension) is cut into N contiguous
-// index ranges, and shard i owns the sub-cube whose split-dimension
-// coordinates fall in slab i, at full extent in every other dimension.
+// The partition is a slab decomposition: one dimension (a server splits its
+// widest, ndarray.WidestDim) is cut into N contiguous index ranges, and
+// shard i owns the sub-cube whose split-dimension coordinates fall in slab i,
+// at full extent in every other dimension.
 // Slabs work because every identity the engines rely on is local to an
 // axis-aligned box: a range sum over the logical cube is exactly the sum
 // of the per-shard range sums (SUM additivity, §3), a range max/min is the
