@@ -406,7 +406,7 @@ func tierRows(t *testing.T, l *ledger) {
 	var urls []string
 	for i := range 2 {
 		sh, err := server.NewWithOptions(cube.New(cube.NewIntDimension("d0", 0, 0)), server.Options{
-			BlockSize: 1, Fanout: 4, AcceptState: true, AwaitState: true, TraceSample: -1,
+			BlockSize: 1, Fanout: 4, AcceptState: true, TraceSample: -1,
 			Logf: func(string, ...any) {},
 		})
 		if err != nil {

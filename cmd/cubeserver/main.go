@@ -191,7 +191,6 @@ func run() error {
 		// until the first one lands, and takes updates only as the leader's
 		// records.
 		opts.AcceptState = true
-		opts.AwaitState = true
 	}
 	var srv *server.Server
 	var err error

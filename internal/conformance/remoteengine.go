@@ -38,7 +38,6 @@ func startConformShard() (*conformShard, error) {
 		BlockSize:   2,
 		Fanout:      2,
 		AcceptState: true,
-		AwaitState:  true,
 		Logf:        func(string, ...any) {},
 	})
 	if err != nil {

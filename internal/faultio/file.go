@@ -43,7 +43,7 @@ type Injector struct {
 	syncErr    error
 	delay      time.Duration
 
-	writes, syncs, injected int64
+	writes, injected int64
 }
 
 // NewInjector returns a controller with no faults armed.
@@ -95,9 +95,8 @@ func (i *Injector) Injected() int64 {
 	return i.injected
 }
 
-// Writes and Syncs report the operations observed across all files.
+// Writes reports the writes observed across all files.
 func (i *Injector) Writes() int64 { i.mu.Lock(); defer i.mu.Unlock(); return i.writes }
-func (i *Injector) Syncs() int64  { i.mu.Lock(); defer i.mu.Unlock(); return i.syncs }
 
 // takeWrite consumes one write decision: the stall to apply and the error
 // to inject, if any.
@@ -118,7 +117,6 @@ func (i *Injector) takeWrite() (time.Duration, error) {
 func (i *Injector) takeSync() (time.Duration, error) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	i.syncs++
 	d := i.delay
 	if i.failSyncs > 0 {
 		i.failSyncs--

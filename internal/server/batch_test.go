@@ -23,9 +23,9 @@ type batchOut struct {
 
 // postQueryBatch posts a raw body to /query/batch and decodes the response
 // array when the request succeeds.
-func postQueryBatch(t *testing.T, ts *httptest.Server, body []byte) (int, batchOut, string) {
+func postQueryBatch(t *testing.T, ts peer, body []byte) (int, batchOut, string) {
 	t.Helper()
-	resp, err := ts.Client().Post(ts.URL+"/query/batch", "application/json", bytes.NewReader(body))
+	resp, err := ts.Client().Post(urlOf(ts)+"/query/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,26 +49,10 @@ func faultyServer(t *testing.T, mutate func(*Options)) (*Server, *httptest.Serve
 	return s, ts, inj, dir
 }
 
-// waitRecovered polls until the probe has exited degraded mode.
+// waitRecovered waits until the storage probe has left degraded mode.
 func waitRecovered(t *testing.T, s *Server) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Degraded() {
-		if time.Now().After(deadline) {
-			t.Fatal("server did not recover from degraded mode")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// querySum asks the live server for the whole-cube sum.
-func querySum(t *testing.T, ts *httptest.Server) int64 {
-	t.Helper()
-	var resp queryResponse
-	if status := get(t, ts, "/query?op=sum", &resp); status != 200 {
-		t.Fatalf("query during test: status %d", status)
-	}
-	return resp.Value
+	waitFor(t, "the storage probe to leave degraded mode", func() bool { return !s.Degraded() })
 }
 
 // A single repairable fsync fault is invisible to clients: the update acks
@@ -88,8 +72,8 @@ func TestUpdateSurvivesRepairableFault(t *testing.T) {
 	if faults, repairs := seriesValue(body, "cube_wal_faults_total", ""), seriesValue(body, "cube_wal_repairs_total", ""); faults != 1 || repairs != 1 {
 		t.Fatalf("cube_wal_faults_total %v, cube_wal_repairs_total %v after one inline repair, want 1 and 1", faults, repairs)
 	}
-	if got := querySum(t, ts); got != 5 {
-		t.Fatalf("sum=%d, want 5", got)
+	if got, code := sumOf(t, ts, "/query?op=sum"); code != http.StatusOK || got.Value != 5 {
+		t.Fatalf("sum=%d, want 5 (status %d)", got.Value, code)
 	}
 }
 
@@ -150,8 +134,8 @@ func TestDegradedModeAndProbeRecovery(t *testing.T) {
 
 	// Reads are unaffected and reflect only acked state — the failed update
 	// must not have applied.
-	if got := querySum(t, ts); got != 7 {
-		t.Fatalf("sum while degraded = %d, want 7 (failed update leaked in)", got)
+	if got, code := sumOf(t, ts, "/query?op=sum"); code != http.StatusOK || got.Value != 7 {
+		t.Fatalf("sum while degraded = %d, want 7 (failed update leaked in) (status %d)", got.Value, code)
 	}
 
 	// Heal the disk; the probe rebuilds durability and exits degraded mode.
@@ -170,8 +154,8 @@ func TestDegradedModeAndProbeRecovery(t *testing.T) {
 	if status != 200 || ack.Seq != 2 {
 		t.Fatalf("post-recovery update: status=%d ack=%+v, want 200 seq=2", status, ack)
 	}
-	if got := querySum(t, ts); got != 37 {
-		t.Fatalf("sum after recovery = %d, want 37", got)
+	if got, code := sumOf(t, ts, "/query?op=sum"); code != http.StatusOK || got.Value != 37 {
+		t.Fatalf("sum after recovery = %d, want 37 (status %d)", got.Value, code)
 	}
 
 	// The recovery artifacts (snapshot at the degraded-mode seq + fresh WAL
@@ -302,12 +286,7 @@ func TestQueueFullRetryAfterDerived(t *testing.T) {
 	if _, err := s.SubmitUpdates([]ingest.Update{{Coords: []int{0, 0}, Delta: 1}}, false); err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(5 * time.Second); s.batcher.Depth() > 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("flusher never drained the first submission")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the flusher to drain the first submission", func() bool { return s.batcher.Depth() == 0 })
 	time.Sleep(20 * time.Millisecond) // let the flusher pass gather and block on the lock
 	for {
 		if _, err := s.SubmitUpdates([]ingest.Update{{Coords: []int{0, 0}, Delta: 1}}, false); errors.Is(err, ingest.ErrQueueFull) {

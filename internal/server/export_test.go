@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"net/http"
 	"sync/atomic"
 	"time"
 
@@ -23,20 +24,22 @@ func (s *Server) poisonDelivery() {
 // storageRuns counts the storage loop's jobs, panicked or not.
 func (s *Server) storageRuns() uint64 { return s.storage.runs.Load() }
 
-// joinLeaderPanicking is JoinLeader with a follow pump whose first job panics
-// before it polls. It returns the pump's loop too.
-func joinLeaderPanicking(ctx context.Context, leaderURL string, opts Options) (*Server, *loop, error) {
-	s, err := bootstrapFollower(ctx, leaderURL, opts)
+// joinLeaderPanicking is joinLeader with a follow pump whose first job
+// panics before it polls.
+func joinLeaderPanicking(ctx context.Context, leaderURL string, opts Options, hc *http.Client) (*Server, error) {
+	s, err := bootstrapFollower(ctx, leaderURL, opts, hc)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	poll := s.followJob()
 	var panicked atomic.Bool
-	l := s.startLoop("follow pump", followPoll, func() time.Duration {
+	s.startLoop("follow pump", followPoll, func() time.Duration {
 		if panicked.CompareAndSwap(false, true) {
 			panic("injected into the follow pump")
 		}
-		return poll()
+		return s.followJob()
 	})
-	return s, l, nil
+	return s, nil
 }
+
+// pump is a follower's follow pump, its one loop.
+func (s *Server) pump() *loop { return s.loops[0] }

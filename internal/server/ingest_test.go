@@ -59,13 +59,13 @@ type jsonUpdate struct {
 }
 
 // postUpdates sends one /update request and decodes the acknowledgment.
-func postUpdates(t *testing.T, ts *httptest.Server, durability string, ups []jsonUpdate) (int, updateResponse) {
+func postUpdates(t *testing.T, ts peer, durability string, ups []jsonUpdate) (int, updateResponse) {
 	t.Helper()
 	payload, err := json.Marshal(map[string]any{"updates": ups})
 	if err != nil {
 		t.Fatal(err)
 	}
-	url := ts.URL + "/update"
+	url := urlOf(ts) + "/update"
 	if durability != "" {
 		url += "?durability=" + durability
 	}

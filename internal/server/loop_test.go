@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -56,16 +55,12 @@ func TestHealthyStorageLoopNeverRuns(t *testing.T) {
 			t.Fatalf("query answered %d", code)
 		}
 	}
-	time.Sleep(20 * time.Millisecond)
+	time.Sleep(20 * time.Millisecond) // what is checked is that no timer runs the job
 	if n := s.storageRuns(); n != 0 {
 		t.Fatalf("a healthy server's storage loop ran its job %d times", n)
 	}
 	s.enterDegraded(errors.New("test: log declared poisoned"))
-	for deadline := time.Now().Add(5 * time.Second); s.Degraded(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the storage loop did not recover after enterDegraded woke it")
-		}
-	}
+	waitFor(t, "the storage loop to recover after enterDegraded woke it", func() bool { return !s.Degraded() })
 	if n := s.storageRuns(); n != 1 {
 		t.Fatalf("one recovery took %d runs, want 1", n)
 	}
@@ -98,37 +93,21 @@ func (l *syncLog) find(sub string) string {
 // with its stack, the follower keeps answering /query, and the pump runs
 // again on its next wake and catches up with the leader.
 func TestLoopPanicIsLoggedAndRunsAgain(t *testing.T) {
-	leader, lts := replLeader(t, 3, nil)
 	var logs syncLog
-	f, pump, err := joinLeaderPanicking(context.Background(), lts.URL, Options{BlockSize: 3, Fanout: 3, Logf: logs.printf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fts := httptest.NewServer(f.Handler())
-	t.Cleanup(func() { fts.Close(); f.Close() })
-
-	var line string
-	for deadline := time.Now().Add(5 * time.Second); line == ""; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("no panic was logged")
-		}
-		line = logs.find("follow pump panicked")
-	}
+	tr := replTier(t, 3, joinLeaderPanicking, Options{Logf: logs.printf})
+	leader, f := tr.leader, tr.follower
+	ran(t, f.pump()) // the run that panics, and one after it
+	line := logs.find("follow pump panicked")
 	if !strings.Contains(line, "injected into the follow pump") || !strings.Contains(line, "goroutine ") {
-		t.Fatalf("the panic was logged without its value or stack: %q", line)
+		t.Fatalf("the panic was not logged with its value and stack: %q", line)
 	}
-	if got, code := sumOf(t, fts.URL, fts.Client()); code != http.StatusOK {
+	if got, code := sumOf(t, f, "/query?op=sum"); code != http.StatusOK {
 		t.Fatalf("follower /query after the panic: status %d (%+v)", code, got)
 	}
-	commitOne(t, leader, 3)
-	want, _ := sumOf(t, lts.URL, lts.Client())
-	pump.wake() // sooner than the second a panicked job waits
-	for deadline := time.Now().Add(5 * time.Second); f.Seq() != leader.Seq(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("the pump did not run again: follower at seq %d, leader at %d (%d runs)", f.Seq(), leader.Seq(), pump.runs.Load())
-		}
-	}
-	if got, code := sumOf(t, fts.URL, fts.Client()); code != http.StatusOK || got.Value != want.Value {
-		t.Fatalf("follower sum %d (status %d), want %d", got.Value, code, want.Value)
+	commitOne(t, leader.Server, 3)
+	want, _ := sumOf(t, leader, "/query?op=sum")
+	ran(t, f.pump()) // sooner than the second a panicked job waits
+	if got, code := sumOf(t, f, "/query?op=sum"); code != http.StatusOK || got.Value != want.Value || f.Seq() != leader.Seq() {
+		t.Fatalf("the pump did not run again: follower sum %d at seq %d (status %d), leader %d at seq %d", got.Value, f.Seq(), code, want.Value, leader.Seq())
 	}
 }

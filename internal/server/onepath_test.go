@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -56,23 +55,18 @@ func fieldsOf(r queryResponse) answerFields {
 // one-bounds rule). The remote leader is checked again with a shard down,
 // where sums degrade to the same partial envelope on both routes.
 func TestQueryIsBatchOfOne(t *testing.T) {
-	p0 := startShardProc(t, "127.0.0.1:0")
-	p1 := startShardProc(t, "127.0.0.1:0")
-	p2 := startShardProc(t, "127.0.0.1:0")
-	t.Cleanup(func() { p0.stop(); p1.stop(); p2.stop() })
 	quiet := func(string, ...any) {}
 	configs := []struct {
 		name   string
 		opts   Options
+		shards int    // remote shards behind a leader on a tier
 		engine string // cube_query_cost_* engine label of op=sum
 	}{
 		// The deprecated engine name, as the benchmark still configures its
 		// §3 workloads: b = 1 whatever BlockSize says.
-		{"one-shard", Options{BlockSize: 3, SumEngine: "prefixsum", Fanout: 3, Metrics: true, Logf: quiet}, "prefixsum"},
-		{"one-shard-blocked", Options{BlockSize: 3, Fanout: 3, Metrics: true, Logf: quiet}, "blocked"},
-		{"shard-urls", Options{Fanout: 3, Metrics: true, Logf: quiet,
-			ShardURLs:    []string{"http://" + p0.addr, "http://" + p1.addr, "http://" + p2.addr},
-			ShardTimeout: 2 * time.Second}, "sharded:prefixsum"},
+		{"one-shard", Options{BlockSize: 3, SumEngine: "prefixsum", Fanout: 3, Metrics: true, Logf: quiet}, 0, "prefixsum"},
+		{"one-shard-blocked", Options{BlockSize: 3, Fanout: 3, Metrics: true, Logf: quiet}, 0, "blocked"},
+		{"shard-urls", Options{BlockSize: 1, Fanout: 3, Metrics: true, Logf: quiet, ShardTimeout: 2 * time.Second}, 3, "sharded:prefixsum"},
 	}
 	selectors := []struct {
 		get string
@@ -87,12 +81,20 @@ func TestQueryIsBatchOfOne(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			c := onePathCube()
 			oracle := c.Data().Clone()
-			s, err := NewWithOptions(c, cfg.opts)
-			if err != nil {
-				t.Fatal(err)
+			var ts peer
+			var tr *tier
+			if cfg.shards > 0 {
+				tr = newTier(t, tierSpec{cube: c, shards: cfg.shards, opts: cfg.opts})
+				ts = tr.leader
+			} else {
+				s, err := NewWithOptions(c, cfg.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hs := httptest.NewServer(s.Handler())
+				t.Cleanup(func() { hs.Close(); s.Close() })
+				ts = hs
 			}
-			ts := httptest.NewServer(s.Handler())
-			t.Cleanup(func() { ts.Close(); s.Close() })
 
 			both := func(op, params string, sel map[string]string) queryResponse {
 				t.Helper()
@@ -135,41 +137,33 @@ func TestQueryIsBatchOfOne(t *testing.T) {
 
 			// The engine label follows the router's shard count, so a remote
 			// leader is labelled sharded.
-			var metrics strings.Builder
-			resp, err := ts.Client().Get(ts.URL + "/metrics")
-			if err != nil {
-				t.Fatal(err)
-			}
-			io.Copy(&metrics, resp.Body)
-			resp.Body.Close()
+			metrics := scrape(t, ts)
 			want := fmt.Sprintf(`cube_query_cost_cells_count{op="sum",engine=%q}`, cfg.engine)
-			if !strings.Contains(metrics.String(), want) {
+			if !strings.Contains(metrics, want) {
 				t.Fatalf("/metrics lacks %s", want)
 			}
 			// Structure bytes are this process's own: a leader of remote
 			// shards holds none of the structures and exports no sample.
-			if has := strings.Contains(metrics.String(), "cube_structure_bytes{"); has != (cfg.opts.ShardURLs == nil) {
+			if has := strings.Contains(metrics, "cube_structure_bytes{"); has != (cfg.shards == 0) {
 				t.Fatalf("/metrics carries cube_structure_bytes samples = %v", has)
 			}
 			// Every sum, avg, max and min above, on both routes, is one router
 			// query, and each fans out to at least one sub-query.
-			shards, queries, subqueries := seriesValue(metrics.String(), "cube_shards", ""),
-				seriesValue(metrics.String(), "cube_shard_queries_total", ""),
-				seriesValue(metrics.String(), "cube_shard_subqueries_total", "")
-			if shards != float64(max(1, len(cfg.opts.ShardURLs))) || queries != float64(2*4*len(selectors)) || subqueries < queries {
+			shards, queries, subqueries := seriesValue(metrics, "cube_shards", ""),
+				seriesValue(metrics, "cube_shard_queries_total", ""),
+				seriesValue(metrics, "cube_shard_subqueries_total", "")
+			if shards != float64(max(1, cfg.shards)) || queries != float64(2*4*len(selectors)) || subqueries < queries {
 				t.Fatalf("cube_shards %v, cube_shard_queries_total %v, cube_shard_subqueries_total %v", shards, queries, subqueries)
 			}
 
-			if cfg.opts.ShardURLs == nil {
+			if cfg.shards == 0 {
 				return
 			}
 			// What the leader asked over the wire is visible on each shard where
 			// an operator looks: the scatter frames under their own path label,
 			// and the per-op cost series counting the items they carried.
-			for i, p := range []*shardProc{p0, p1, p2} {
-				rec := httptest.NewRecorder()
-				p.s.Metrics().Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-				body := rec.Body.String()
+			for i, n := range tr.shards {
+				body := exposition(t, n.Server)
 				if seriesValue(body, "cube_http_requests_total", `path="/shard/query"`) == 0 || strings.Contains(body, `path="other"`) {
 					t.Fatalf("shard %d does not count its scatter frames under their own path label", i)
 				}
@@ -179,21 +173,11 @@ func TestQueryIsBatchOfOne(t *testing.T) {
 			}
 			// Take the last slab's shard away: both routes must degrade the
 			// same sum to the same partial envelope, containing the oracle.
-			p2.stop()
+			tr.stop(tr.shards[2])
 			q := selectors[0]
-			deadline := time.Now().Add(5 * time.Second)
-			for {
-				one := both("sum", q.get, q.sel)
-				if one.Partial {
-					sum := naive.SumInt64(oracle, q.r, nil)
-					if len(one.Missing) != 1 || one.Missing[0] != 2 || *one.LowerBnd > sum || *one.UpperBnd < sum {
-						t.Fatalf("partial sum %+v does not cover the oracle's %d with shard 2 missing", one, sum)
-					}
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("sum never degraded to partial: %+v", one)
-				}
+			one := both("sum", q.get, q.sel)
+			if sum := naive.SumInt64(oracle, q.r, nil); !one.Partial || len(one.Missing) != 1 || one.Missing[0] != 2 || *one.LowerBnd > sum || *one.UpperBnd < sum {
+				t.Fatalf("sum with shard 2 gone = %+v, want a partial sum covering the oracle's %d with shard 2 missing", one, sum)
 			}
 			body := scrape(t, ts)
 			if errs, partials := seriesValue(body, "cube_shard_remote_errors_total", ""), seriesValue(body, "cube_shard_remote_partials_total", ""); errs < 1 || partials < 2 {

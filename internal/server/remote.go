@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"rangecube/internal/client"
 	"rangecube/internal/cube"
 	"rangecube/internal/metrics"
 	"rangecube/internal/ndarray"
@@ -53,10 +52,10 @@ func (s *Server) initRemoteSharding(m shard.Map) error {
 	engines := make([]shard.Engine, m.Shards())
 	remotes := make([]*shard.RemoteEngine, m.Shards())
 	for i, u := range s.opts.ShardURLs[:m.Shards()] {
-		e := shard.NewRemoteEngine(i, u, shard.RemoteOptions{Timeout: s.opts.ShardTimeout, Stats: stats, Logf: s.logf})
+		e := shard.NewRemoteEngine(i, u, shard.RemoteOptions{Timeout: s.opts.ShardTimeout, HTTPClient: s.dial, Stats: stats, Logf: s.logf})
 		remotes[i], engines[i] = e, e
 	}
-	rt, err := shard.NewRouterEngines(m, engines, stats)
+	rt, err := shard.NewRouterEngines(m, engines, stats, s.logf)
 	if err != nil {
 		return err
 	}
@@ -137,8 +136,7 @@ func (s *Server) resyncShard(e *shard.RemoteEngine) error {
 func (s *Server) pushState(e *shard.RemoteEngine, body []byte) error {
 	ctx, cancel := context.WithTimeout(context.Background(), shardStateTimeout)
 	defer cancel()
-	cl := client.New(client.Options{MaxAttempts: 2, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 100 * time.Millisecond})
-	resp, err := cl.Do(ctx, http.MethodPost, e.URL()+"/state", body)
+	resp, err := s.peers.Do(ctx, http.MethodPost, e.URL()+"/state", body)
 	if err != nil {
 		// An error-path response comes back already drained and closed.
 		return fmt.Errorf("pushing state to shard %d: %w", e.Shard(), err)

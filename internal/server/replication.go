@@ -197,17 +197,22 @@ func checkReplicated(shape []int, batches []wal.Batch) (int, error) {
 // not ship with the snapshot, so range selectors on a followed cube are
 // rank-domain.
 func JoinLeader(ctx context.Context, leaderURL string, opts Options) (*Server, error) {
-	s, err := bootstrapFollower(ctx, leaderURL, opts)
+	return joinLeader(ctx, leaderURL, opts, newPeerClient())
+}
+
+// joinLeader is JoinLeader dialing through hc.
+func joinLeader(ctx context.Context, leaderURL string, opts Options, hc *http.Client) (*Server, error) {
+	s, err := bootstrapFollower(ctx, leaderURL, opts, hc)
 	if err == nil {
-		s.startLoop("follow pump", followPoll, s.followJob())
+		s.startLoop("follow pump", followPoll, s.followJob)
 		s.logf("server: joined leader %s at seq %d", s.leaderURL, s.Seq())
 	}
 	return s, err
 }
 
 // bootstrapFollower is JoinLeader without the pump: a read-only server over
-// the leader's current snapshot.
-func bootstrapFollower(ctx context.Context, leaderURL string, opts Options) (*Server, error) {
+// the leader's current snapshot, dialing through hc.
+func bootstrapFollower(ctx context.Context, leaderURL string, opts Options, hc *http.Client) (*Server, error) {
 	leaderURL = strings.TrimRight(leaderURL, "/")
 	// A follower holds derived state: no local durability, no remote
 	// shards, and (being read-only) no ingestion pipeline.
@@ -215,9 +220,8 @@ func bootstrapFollower(ctx context.Context, leaderURL string, opts Options) (*Se
 	opts.SnapshotPath = ""
 	opts.ShardURLs = nil
 	opts.AcceptState = false
-	opts.AwaitState = false
 
-	cl := client.New(client.Options{})
+	cl := client.New(client.Options{HTTPClient: hc})
 	var sch struct {
 		Dimensions []struct {
 			Name string `json:"name"`
@@ -246,7 +250,7 @@ func bootstrapFollower(ctx context.Context, leaderURL string, opts Options) (*Se
 	c := cube.New(dims...)
 	copy(c.Data().Data(), cells.Data())
 
-	s, err := newServer(c, opts, leaderURL)
+	s, err := newServer(c, opts, leaderURL, hc)
 	if err != nil {
 		return nil, err
 	}
@@ -281,12 +285,9 @@ func fetchSnapshot(ctx context.Context, cl *client.Client, leaderURL string) (se
 
 // followJob is the WAL-shipping follow pump's job: one poll, then followPoll
 // until the next.
-func (s *Server) followJob() func() time.Duration {
-	cl := client.New(client.Options{MaxAttempts: 2, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 200 * time.Millisecond})
-	return func() time.Duration {
-		s.followFetch(cl)
-		return followPoll
-	}
+func (s *Server) followJob() time.Duration {
+	s.followFetch()
+	return followPoll
 }
 
 // followFetch performs one replication poll for the batches after this
@@ -295,10 +296,10 @@ func (s *Server) followJob() func() time.Duration {
 // this seq, and a batch this cube cannot apply means the log is not one it
 // can follow, so in both cases the follower re-bootstraps from a fresh
 // snapshot.
-func (s *Server) followFetch(cl *client.Client) {
+func (s *Server) followFetch() {
 	ctx, cancel := context.WithTimeout(context.Background(), followFetchTimeout)
 	defer cancel()
-	resp, err := cl.Do(ctx, http.MethodGet, fmt.Sprintf("%s/wal?after=%d", s.leaderURL, s.Seq()), nil)
+	resp, err := s.peers.Do(ctx, http.MethodGet, fmt.Sprintf("%s/wal?after=%d", s.leaderURL, s.Seq()), nil)
 	if err != nil {
 		s.logf("server: follower fetch: %v", err)
 		return
@@ -328,7 +329,7 @@ func (s *Server) followFetch(cl *client.Client) {
 				sp.SetError(aerr.Error())
 				sp.End()
 				s.logf("server: follower apply: %v", aerr)
-				s.rebootstrap(ctx, cl)
+				s.rebootstrap(ctx)
 				return
 			}
 			sp.End()
@@ -338,7 +339,7 @@ func (s *Server) followFetch(cl *client.Client) {
 		}
 		s.followProgress.Store(time.Now().UnixNano())
 	case http.StatusGone:
-		s.rebootstrap(ctx, cl)
+		s.rebootstrap(ctx)
 	default:
 		s.logf("server: follower fetch: unexpected status %s", resp.Status)
 	}
@@ -346,8 +347,8 @@ func (s *Server) followFetch(cl *client.Client) {
 
 // rebootstrap replaces the follower's state with the leader's snapshot. On
 // a failure the follower keeps its state and the next poll tries again.
-func (s *Server) rebootstrap(ctx context.Context, cl *client.Client) {
-	seq, cells, err := fetchSnapshot(ctx, cl, s.leaderURL)
+func (s *Server) rebootstrap(ctx context.Context) {
+	seq, cells, err := fetchSnapshot(ctx, s.peers, s.leaderURL)
 	if err == nil {
 		err = s.resetState(seq, cells)
 	}

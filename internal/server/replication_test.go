@@ -3,11 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/big"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -19,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"rangecube/internal/client"
 	"rangecube/internal/cube"
 	"rangecube/internal/ingest"
 	"rangecube/internal/naive"
@@ -28,36 +25,18 @@ import (
 	"rangecube/internal/wal"
 )
 
-// replLeader boots a durable 8x8 leader over httptest and commits n update
-// batches with distinct, reconstructible deltas.
-func replLeader(t *testing.T, n int, mutate func(*Options)) (*Server, *httptest.Server) {
+// replTier boots a durable leader, commits n update batches with distinct,
+// reconstructible deltas, and then, when follow is set, joins a follower.
+func replTier(t *testing.T, n int, follow func(context.Context, string, Options, *http.Client) (*Server, error), followOpts Options) *tier {
 	t.Helper()
-	dir := t.TempDir()
-	c := cube.New(
-		cube.NewIntDimension("x", 0, 7),
-		cube.NewIntDimension("y", 0, 7),
-	)
-	opts := Options{
-		BlockSize:    3,
-		Fanout:       3,
-		WALPath:      filepath.Join(dir, "updates.wal"),
-		SnapshotPath: filepath.Join(dir, "cube.snap"),
-		CompactEvery: 1 << 30,
-		Logf:         func(string, ...any) {},
-	}
-	if mutate != nil {
-		mutate(&opts)
-	}
-	s, err := NewWithOptions(c, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() { ts.Close(); s.Close() })
+	tr := newTier(t, tierSpec{durable: true})
 	for i := 0; i < n; i++ {
-		commitOne(t, s, i)
+		commitOne(t, tr.leader.Server, i)
 	}
-	return s, ts
+	if follow != nil {
+		tr.join(follow, followOpts)
+	}
+	return tr
 }
 
 // commitOne applies batch i of the reconstructible sequence: cell
@@ -73,16 +52,6 @@ func commitOne(t *testing.T, s *Server, i int) {
 	if res := <-ack; res.Err != nil {
 		t.Fatal(res.Err)
 	}
-}
-
-// fetchWAL GETs /wal with the given query string and returns the response.
-func fetchWAL(t *testing.T, ts *httptest.Server, query string) *http.Response {
-	t.Helper()
-	resp, err := ts.Client().Get(ts.URL + "/wal" + query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
 }
 
 // checkBatches asserts that got is exactly batches from+1..n of the
@@ -104,33 +73,25 @@ func checkBatches(t *testing.T, got []wal.Batch, from, n int) {
 	}
 }
 
-// restartedLeader boots a second leader from copies of s's snapshot and log
-// as a crash leaves them: s is not closed, so nothing is compacted first.
-func restartedLeader(t *testing.T, s *Server) *httptest.Server {
-	t.Helper()
-	dir := t.TempDir()
-	opts := s.opts
+// restartLeader boots a second leader, at host restarted, from copies of the
+// leader's snapshot and log as a crash leaves them: the leader is not
+// closed, so nothing is compacted first.
+func (tr *tier) restartLeader() *node {
+	tr.t.Helper()
+	dir := tr.t.TempDir()
+	opts := tr.leader.opts
 	opts.WALPath = filepath.Join(dir, "updates.wal")
 	opts.SnapshotPath = filepath.Join(dir, "cube.snap")
-	for from, to := range map[string]string{s.opts.WALPath: opts.WALPath, s.opts.SnapshotPath: opts.SnapshotPath} {
+	for from, to := range map[string]string{tr.leader.opts.WALPath: opts.WALPath, tr.leader.opts.SnapshotPath: opts.SnapshotPath} {
 		data, err := os.ReadFile(from)
 		if err != nil {
-			t.Fatal(err)
+			tr.t.Fatal(err)
 		}
 		if err := os.WriteFile(to, data, 0o644); err != nil {
-			t.Fatal(err)
+			tr.t.Fatal(err)
 		}
 	}
-	r, err := NewWithOptions(cube.New(
-		cube.NewIntDimension("x", 0, 7),
-		cube.NewIntDimension("y", 0, 7),
-	), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(r.Handler())
-	t.Cleanup(func() { ts.Close(); r.Close() })
-	return ts
+	return tr.boot("restarted", tierCube(), opts)
 }
 
 // TestWALFetchResumeSweep resumes the replication stream after every seq,
@@ -141,14 +102,14 @@ func restartedLeader(t *testing.T, s *Server) *httptest.Server {
 // one past the leader's seq, answers 410; an unparseable one, 400.
 func TestWALFetchResumeSweep(t *testing.T) {
 	const base, K = 3, 7
-	s, ts := replLeader(t, base, nil)
-	if err := s.Checkpoint(); err != nil {
+	tr := replTier(t, base, nil, Options{})
+	if err := tr.leader.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	for i := base; i < K; i++ {
-		commitOne(t, s, i)
+		commitOne(t, tr.leader.Server, i)
 	}
-	for name, ts := range map[string]*httptest.Server{"live": ts, "restarted": restartedLeader(t, s)} {
+	for name, ts := range map[string]*node{"live": tr.leader, "restarted": tr.restartLeader()} {
 		for after := 0; after <= K+1; after++ {
 			resp := fetchWAL(t, ts, fmt.Sprintf("?after=%d", after))
 			body, err := io.ReadAll(resp.Body)
@@ -188,7 +149,7 @@ func TestWALFetchResumeSweep(t *testing.T) {
 // it decoded yields exactly the missing batches, each applied once.
 func TestWALFetchTornStream(t *testing.T) {
 	const K = 8
-	_, ts := replLeader(t, K, nil)
+	ts := replTier(t, K, nil, Options{}).leader
 
 	resp := fetchWAL(t, ts, "") // after defaults to 0: the whole log
 	full, err := io.ReadAll(resp.Body)
@@ -227,11 +188,12 @@ func TestWALFetchTornStream(t *testing.T) {
 // 4 alone; one at seq 2, whose next batch went with the old log, gets 410. The
 // seq inside a fresh /snapshot is a resume point that works.
 func TestWALFetchAfterCompaction(t *testing.T) {
-	s, ts := replLeader(t, 3, nil)
-	if err := s.Checkpoint(); err != nil {
+	tr := replTier(t, 3, nil, Options{})
+	ts := tr.leader
+	if err := ts.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	commitOne(t, s, 3)
+	commitOne(t, ts.Server, 3)
 
 	resp := fetchWAL(t, ts, "?after=3")
 	got, _, err := wal.ScanStream(resp.Body)
@@ -248,7 +210,7 @@ func TestWALFetchAfterCompaction(t *testing.T) {
 		t.Fatalf("after=2 behind the compaction: status %d, want 410", resp.StatusCode)
 	}
 
-	sresp, err := ts.Client().Get(ts.URL + "/snapshot")
+	sresp, err := ts.Client().Get(urlOf(ts) + "/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +294,7 @@ func TestFollowerNeverAheadOfLeader(t *testing.T) {
 	// while it waits.
 	s.mu.RLock()
 	release()
-	time.Sleep(50 * time.Millisecond)
+	time.Sleep(50 * time.Millisecond) // time for the apply to publish, which it must not do
 	committed, end := s.committed.Load(), s.walEnd.Load()
 	s.mu.RUnlock()
 	if committed != 1 || end != published {
@@ -347,25 +309,6 @@ func TestFollowerNeverAheadOfLeader(t *testing.T) {
 	}
 }
 
-// sumOf asks ts for the whole-cube sum.
-func sumOf(t *testing.T, ts string, cl *http.Client) (queryResponse, int) {
-	t.Helper()
-	resp, err := cl.Get(ts + "/query?op=sum")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out queryResponse
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		io.Copy(io.Discard, resp.Body)
-	}
-	return out, resp.StatusCode
-}
-
 // TestJoinLeaderFollowsAndRebootstraps runs the full follower lifecycle
 // in-process: bootstrap from /snapshot, tail /wal, reject writes, survive a
 // leader compaction that lands while it may be behind (410 → snapshot
@@ -373,75 +316,53 @@ func sumOf(t *testing.T, ts string, cl *http.Client) (queryResponse, int) {
 // exact answers throughout. TestFollowerRebootstrapsOnlyWhenBehindCompaction
 // owns each of those two paths deterministically.
 func TestJoinLeaderFollowsAndRebootstraps(t *testing.T) {
-	leader, lts := replLeader(t, 5, nil)
+	tr := replTier(t, 5, joinLeader, Options{})
+	leader, f := tr.leader, tr.follower
 
-	f, err := JoinLeader(context.Background(), lts.URL, Options{
-		BlockSize: 3,
-		Fanout:    3,
-		Logf:      func(string, ...any) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fts := httptest.NewServer(f.Handler())
-	t.Cleanup(func() { fts.Close(); f.Close() })
-
-	want, code := sumOf(t, lts.URL, lts.Client())
+	want, code := sumOf(t, leader, "/query?op=sum")
 	if code != http.StatusOK {
 		t.Fatalf("leader sum: status %d", code)
 	}
-	got, code := sumOf(t, fts.URL, fts.Client())
+	got, code := sumOf(t, f, "/query?op=sum")
 	if code != http.StatusOK || got.Value != want.Value {
 		t.Fatalf("fresh follower sum %d (status %d), want %d", got.Value, code, want.Value)
 	}
 
 	// Writes bounce with a pointer at the leader.
-	resp, err := fts.Client().Post(fts.URL+"/update", "application/json",
-		strings.NewReader(`{"updates":[{"coords":[0,0],"delta":1}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusForbidden || !strings.Contains(string(body), lts.URL) {
-		t.Fatalf("follower write: status %d body %s", resp.StatusCode, body)
+	code, body := postBatch(t, f, []map[string]any{{"coords": []int{0, 0}, "delta": 1}})
+	if code != http.StatusForbidden || !strings.Contains(body, leader.URL) {
+		t.Fatalf("follower write: status %d body %s", code, body)
 	}
 	if _, err := f.SubmitUpdates([]ingest.Update{{Coords: []int{0, 0}, Delta: 1}}, true); err != ErrReadOnly {
 		t.Fatalf("SubmitUpdates on follower: %v, want ErrReadOnly", err)
 	}
 
+	// One pump run after the leader's commits takes the follower to the
+	// leader's seq, whether it tails the log or re-bootstraps from /snapshot.
 	catchUp := func(stage string) {
 		t.Helper()
-		want, _ := sumOf(t, lts.URL, lts.Client())
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			got, code := sumOf(t, fts.URL, fts.Client())
-			if code == http.StatusOK && got.Value == want.Value && f.Seq() == leader.Seq() {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: follower stuck at sum %d seq %d, leader %d seq %d",
-					stage, got.Value, f.Seq(), want.Value, leader.Seq())
-			}
-			time.Sleep(2 * time.Millisecond)
+		ran(t, f.pump())
+		want, _ := sumOf(t, leader, "/query?op=sum")
+		if got, code := sumOf(t, f, "/query?op=sum"); code != http.StatusOK || got.Value != want.Value || f.Seq() != leader.Seq() {
+			t.Fatalf("%s: follower at sum %d seq %d (status %d), leader %d seq %d", stage, got.Value, f.Seq(), code, want.Value, leader.Seq())
 		}
 	}
 
 	for i := 5; i < 9; i++ {
-		commitOne(t, leader, i)
+		commitOne(t, leader.Server, i)
 	}
 	catchUp("tailing")
 
 	// Compact right behind four more commits, then commit past it: the pump
 	// must follow across whichever side of the truncation it polled on.
 	for i := 9; i < 13; i++ {
-		commitOne(t, leader, i)
+		commitOne(t, leader.Server, i)
 	}
 	if err := leader.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 13; i < 15; i++ {
-		commitOne(t, leader, i)
+		commitOne(t, leader.Server, i)
 	}
 	catchUp("across the compaction")
 }
@@ -452,20 +373,11 @@ func TestJoinLeaderFollowsAndRebootstraps(t *testing.T) {
 // cube_shard_resync_total{kind="follower"}, and then tails the new log.
 // Caught up at a compaction, it keeps following with no re-bootstrap.
 func TestFollowerRebootstrapsOnlyWhenBehindCompaction(t *testing.T) {
-	leader, lts := replLeader(t, 3, nil)
-	f, err := bootstrapFollower(context.Background(), lts.URL, Options{
-		BlockSize: 3,
-		Fanout:    3,
-		Logf:      func(string, ...any) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { f.Close() })
-	cl := client.New(client.Options{})
+	tr := replTier(t, 3, bootstrapFollower, Options{})
+	leader, f := tr.leader, tr.follower
 	poll := func(stage string, seq uint64, resyncs int64) {
 		t.Helper()
-		f.followFetch(cl)
+		f.followFetch()
 		if f.Seq() != seq || f.met.resyncFollower.Value() != resyncs {
 			t.Fatalf("%s: follower at seq %d after %d re-bootstraps, want seq %d after %d",
 				stage, f.Seq(), f.met.resyncFollower.Value(), seq, resyncs)
@@ -481,14 +393,14 @@ func TestFollowerRebootstrapsOnlyWhenBehindCompaction(t *testing.T) {
 	}
 
 	// Seqs 4 and 5 go with the old log before the follower polls.
-	commitOne(t, leader, 3)
-	commitOne(t, leader, 4)
+	commitOne(t, leader.Server, 3)
+	commitOne(t, leader.Server, 4)
 	if err := leader.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	commitOne(t, leader, 5)
+	commitOne(t, leader.Server, 5)
 	poll("behind the compaction", 6, 1)
-	commitOne(t, leader, 6)
+	commitOne(t, leader.Server, 6)
 	poll("tailing the new log", 7, 1)
 
 	// The log is truncated at the follower's own seq.
@@ -496,7 +408,7 @@ func TestFollowerRebootstrapsOnlyWhenBehindCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	poll("caught up at the compaction", 7, 1)
-	commitOne(t, leader, 7)
+	commitOne(t, leader.Server, 7)
 	poll("tailing past the compaction", 8, 1)
 }
 
@@ -506,74 +418,31 @@ func TestFollowerRebootstrapsOnlyWhenBehindCompaction(t *testing.T) {
 // a re-bootstrap (cube_shard_resync_total{kind="follower"} stays 0), and the
 // lag gauges return to zero after the follower catches back up.
 func TestFollowerLagGauges(t *testing.T) {
-	leader, lts := replLeader(t, 5, nil)
+	tr := replTier(t, 5, joinLeader, Options{Metrics: true})
+	leader, f := tr.leader, tr.follower
 
-	f, err := JoinLeader(context.Background(), lts.URL, Options{
-		BlockSize: 3,
-		Fanout:    3,
-		Metrics:   true,
-		Logf:      func(string, ...any) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fts := httptest.NewServer(f.Handler())
-	t.Cleanup(func() { fts.Close(); f.Close() })
-
-	scrape := func() string {
+	// One pump run after the leader's commits applies them and learns the
+	// leader's seq, which is what the lag gauges derive from.
+	caughtUp := func(stage string) {
 		t.Helper()
-		resp, err := fts.Client().Get(fts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		data, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET /metrics: status %d", resp.StatusCode)
-		}
-		return string(data)
-	}
-	catchUp := func(stage string) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for f.Seq() != leader.Seq() {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: follower stuck at seq %d, leader at %d", stage, f.Seq(), leader.Seq())
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	assertCaughtUp := func(stage string) {
-		t.Helper()
-		// The lag gauges derive from the leader seq learned on the *next*
-		// poll after the batches applied, so give the pump a poll or two.
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			h := f.Health()
-			m := scrape()
-			if h.ReplicaLagSeq == 0 &&
-				strings.Contains(m, "cube_replica_wal_lag_seq 0") &&
-				strings.Contains(m, "cube_replica_wal_lag_seconds 0") {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: lag never returned to 0: health lag %d, metrics:\n%s", stage, h.ReplicaLagSeq, m)
-			}
-			time.Sleep(2 * time.Millisecond)
+		ran(t, f.pump())
+		h, m := f.Health(), scrape(t, f)
+		if f.Seq() != leader.Seq() || h.ReplicaLagSeq != 0 ||
+			!strings.Contains(m, "cube_replica_wal_lag_seq 0") ||
+			!strings.Contains(m, "cube_replica_wal_lag_seconds 0") {
+			t.Fatalf("%s: follower at seq %d, leader at %d, health lag %d, metrics:\n%s", stage, f.Seq(), leader.Seq(), h.ReplicaLagSeq, m)
 		}
 	}
 
-	catchUp("join")
-	assertCaughtUp("join")
+	caughtUp("join")
 
 	// Ship sweep: one batch at a time, demanding the gauges return to zero
 	// after every single catch-up, not just at the end.
 	for i := 5; i < 9; i++ {
-		commitOne(t, leader, i)
-		catchUp("tailing")
-		assertCaughtUp("tailing")
+		commitOne(t, leader.Server, i)
+		caughtUp("tailing")
 	}
-	if m := scrape(); !strings.Contains(m, `cube_shard_resync_total{kind="follower"} 0`) {
+	if m := scrape(t, f); !strings.Contains(m, `cube_shard_resync_total{kind="follower"} 0`) {
 		t.Fatalf("follower resync counter should read 0 before any re-bootstrap, metrics:\n%s", m)
 	}
 
@@ -583,51 +452,15 @@ func TestFollowerLagGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 9; i < 13; i++ {
-		commitOne(t, leader, i)
+		commitOne(t, leader.Server, i)
 	}
-	catchUp("across the compaction")
-	assertCaughtUp("across the compaction")
-	if m := scrape(); !strings.Contains(m, `cube_shard_resync_total{kind="follower"} 0`) {
+	caughtUp("across the compaction")
+	if m := scrape(t, f); !strings.Contains(m, `cube_shard_resync_total{kind="follower"} 0`) {
 		t.Fatalf("a caught-up follower re-bootstrapped across a compaction, metrics:\n%s", m)
 	}
 }
 
 // --- remote shard tier ---
-
-// shardProc is an in-test stand-in for a `cubeserver -serve-shard` process:
-// a placeholder server accepting /state pushes, on a listener whose address
-// survives restarts.
-type shardProc struct {
-	addr string
-	s    *Server
-	hs   *http.Server
-}
-
-func startShardProc(t *testing.T, addr string) *shardProc {
-	t.Helper()
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewWithOptions(cube.New(cube.NewIntDimension("d0", 0, 0)), Options{
-		BlockSize:   2,
-		Fanout:      2,
-		AcceptState: true,
-		AwaitState:  true,
-		Logf:        func(string, ...any) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := &http.Server{Handler: s.Handler()}
-	go hs.Serve(l)
-	return &shardProc{addr: l.Addr().String(), s: s, hs: hs}
-}
-
-func (p *shardProc) stop() {
-	p.hs.Close()
-	p.s.Close()
-}
 
 // TestRemoteShardTier is the in-process version of the kill-one-shard
 // smoke: a leader scatter–gathers over two shard servers, answers exactly
@@ -635,47 +468,15 @@ func (p *shardProc) stop() {
 // while one is down (and reports it on /readyz), and converges back to
 // exact answers once the shard returns and the probe re-pushes its slab.
 func TestRemoteShardTier(t *testing.T) {
-	c := cube.New(
-		cube.NewIntDimension("x", 0, 9),
-		cube.NewIntDimension("y", 0, 7),
-	)
-	for x := 0; x < 10; x++ {
-		for y := 0; y < 8; y++ {
-			c.Data().Set(int64(x*17+y*3-40), x, y)
-		}
-	}
-	oracle := c.Data().Clone()
-
-	p0 := startShardProc(t, "127.0.0.1:0")
-	p1 := startShardProc(t, "127.0.0.1:0")
-	t.Cleanup(func() { p0.stop(); p1.stop() })
-
-	leader, err := NewWithOptions(c, Options{
-		BlockSize:    3,
-		Fanout:       3,
-		ShardURLs:    []string{"http://" + p0.addr, "http://" + p1.addr},
-		ShardTimeout: 2 * time.Second,
-		Logf:         func(string, ...any) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lts := httptest.NewServer(leader.Handler())
-	t.Cleanup(func() { lts.Close(); leader.Close() })
-
+	tr := newTier(t, tierSpec{shards: 2, opts: Options{ShardTimeout: 2 * time.Second}})
+	leader := tr.leader
 	query := func(q string) (queryResponse, int) {
 		t.Helper()
-		return sumOf2(t, lts, q)
+		return sumOf(t, leader, q)
 	}
+	naiveSum := func(x0, x1, y0, y1 int) int64 { return naive.SumInt64(tr.oracle, tr.region(x0, x1, y0, y1), nil) }
 
 	// Both shards up: exact answers, no partial marker, 200 /readyz.
-	naiveSum := func(x0, x1, y0, y1 int) int64 {
-		r, err := c.Region(cube.Between("x", x0, x1), cube.Between("y", y0, y1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return naive.SumInt64(oracle, r, nil)
-	}
 	out, code := query("/query?op=sum&x=2..8&y=1..6")
 	if code != http.StatusOK || out.Partial || out.Value != naiveSum(2, 8, 1, 6) {
 		t.Fatalf("healthy sum: %+v status %d, want exact %d", out, code, naiveSum(2, 8, 1, 6))
@@ -685,32 +486,19 @@ func TestRemoteShardTier(t *testing.T) {
 	}
 
 	// Updates scatter through the remote engines and stay exact.
-	ack, err := leader.SubmitUpdates([]ingest.Update{{Coords: []int{3, 3}, Delta: 100}}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := <-ack; res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	oracle.Set(oracle.At(3, 3)+100, 3, 3)
+	tr.commit(3, 3, 100)
 	out, code = query("/query?op=sum&x=2..8&y=1..6")
 	if code != http.StatusOK || out.Partial || out.Value != naiveSum(2, 8, 1, 6) {
 		t.Fatalf("post-update sum: %+v, want exact %d", out, naiveSum(2, 8, 1, 6))
 	}
 
-	// Kill shard 1: sums covering its slab degrade to partial answers whose
-	// bounds still contain the oracle; /readyz flips.
-	p1.stop()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		out, code = query("/query?op=sum&x=2..8&y=1..6")
-		if code == http.StatusOK && out.Partial {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sum never degraded to partial: %+v status %d", out, code)
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Kill shard 1: the first sum covering its slab finds it gone and
+	// degrades to a partial answer whose bounds still contain the oracle;
+	// /readyz flips.
+	tr.stop(tr.shards[1])
+	out, code = query("/query?op=sum&x=2..8&y=1..6")
+	if code != http.StatusOK || !out.Partial {
+		t.Fatalf("sum with shard 1 gone: %+v status %d, want partial", out, code)
 	}
 	if out.LowerBnd == nil || out.UpperBnd == nil {
 		t.Fatalf("partial answer missing bounds: %+v", out)
@@ -724,46 +512,27 @@ func TestRemoteShardTier(t *testing.T) {
 	if h := leader.Health(); h.Ready || len(h.ShardsDown) != 1 {
 		t.Fatalf("degraded Health = %+v", h)
 	}
-	// A sum entirely inside the live shard's slab stays exact. The split
-	// dimension is x (size 10 > 8): shard 0 owns the low half.
+	// A sum entirely inside the live shard's slab stays exact.
 	out, code = query("/query?op=sum&x=0..3&y=0..7")
 	if code != http.StatusOK || out.Partial || out.Value != naiveSum(0, 3, 0, 7) {
 		t.Fatalf("live-slab sum while degraded: %+v, want exact %d", out, naiveSum(0, 3, 0, 7))
 	}
 	// Extremes need every covered slab: 503, not a wrong answer.
-	if _, code = sumOf2(t, lts, "/query?op=max&x=2..8"); code != http.StatusServiceUnavailable {
+	if _, code = query("/query?op=max&x=2..8"); code != http.StatusServiceUnavailable {
 		t.Fatalf("max over a missing slab: status %d, want 503", code)
 	}
 
 	// Updates keep committing while a shard is down (its slab re-syncs from
 	// the leader's authoritative cube on return).
-	ack, err = leader.SubmitUpdates([]ingest.Update{{Coords: []int{9, 0}, Delta: 7}}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := <-ack; res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	oracle.Set(oracle.At(9, 0)+7, 9, 0)
+	tr.commit(9, 0, 7)
 
-	// Restart the shard on the same address: the probe re-pushes the slab
+	// Restart the shard at the same address: the probe re-pushes the slab
 	// (including the update committed while it was down) and exact answers
 	// return.
-	p1b := startShardProc(t, p1.addr)
-	t.Cleanup(p1b.stop)
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		out, code = query("/query?op=sum&x=2..9&y=0..7")
-		if code == http.StatusOK && !out.Partial {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sum never recovered from partial: %+v status %d", out, code)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if want := naiveSum(2, 9, 0, 7); out.Value != want {
-		t.Fatalf("recovered sum %d, want %d", out.Value, want)
+	tr.shards[1] = tr.bootShard("shard1")
+	waitFor(t, "the resync loop to re-push shard 1", func() bool { return leader.Health().Ready })
+	if out, code = query("/query?op=sum&x=2..9&y=0..7"); code != http.StatusOK || out.Partial || out.Value != naiveSum(2, 9, 0, 7) {
+		t.Fatalf("recovered sum %+v (status %d), want exact %d", out, code, naiveSum(2, 9, 0, 7))
 	}
 	if h := leader.Health(); !h.Ready || len(h.ShardsDown) != 0 {
 		t.Fatalf("recovered Health = %+v", h)
@@ -778,82 +547,53 @@ func TestRemoteShardTier(t *testing.T) {
 // are delivered after the ack, so the gauges are read after a read through
 // the leader, which waits for the delivery.
 func TestShardLagGauges(t *testing.T) {
-	newCube := func() *cube.Cube {
-		return cube.New(cube.NewIntDimension("x", 0, 9), cube.NewIntDimension("y", 0, 7))
-	}
-	walPath := filepath.Join(t.TempDir(), "u.wal")
-	p0 := startShardProc(t, "127.0.0.1:0")
-	p1 := startShardProc(t, "127.0.0.1:0")
-	t.Cleanup(func() { p0.stop(); p1.stop() })
-	boot := func(shard1 string) (*Server, *httptest.Server) {
-		leader, err := NewWithOptions(newCube(), Options{
-			BlockSize: 3, Fanout: 3, Metrics: true, WALPath: walPath,
-			ShardURLs: []string{"http://" + p0.addr, shard1},
-			Logf:      func(string, ...any) {},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return leader, httptest.NewServer(leader.Handler())
-	}
-	commit := func(leader *Server) {
+	opts := Options{Metrics: true, WALPath: filepath.Join(t.TempDir(), "u.wal")}
+	tr := newTier(t, tierSpec{shards: 2, opts: opts})
+	lag := func() (seq, secs float64) {
 		t.Helper()
-		ack, err := leader.SubmitUpdates([]ingest.Update{{Coords: []int{9, 0}, Delta: 1}}, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res := <-ack; res.Err != nil {
-			t.Fatal(res.Err)
-		}
-	}
-	lag := func(lts *httptest.Server) (seq, secs float64) {
-		t.Helper()
-		if _, code := sumOf2(t, lts, "/query?op=sum"); code != http.StatusOK {
+		if _, code := sumOf(t, tr.leader, "/query?op=sum"); code != http.StatusOK {
 			t.Fatalf("a read through the leader answered %d", code)
 		}
-		body := scrape(t, lts)
+		body := scrape(t, tr.leader)
 		return seriesValue(body, "cube_shard_lag_seq", ""), seriesValue(body, "cube_shard_lag_seconds", "")
 	}
 
-	leader, lts := boot("http://" + p1.addr)
-	commit(leader)
-	if seq, secs := lag(lts); seq != 0 || secs != 0 {
+	tr.commit(9, 0, 1)
+	if seq, secs := lag(); seq != 0 || secs != 0 {
 		t.Fatalf("every shard up: lag %v batches, %v s, want 0 and 0", seq, secs)
 	}
-	p1.stop()
+	tr.stop(tr.shards[1])
 	const k = 3
 	for range k {
-		commit(leader)
+		tr.commit(9, 0, 1)
 	}
-	if seq, secs := lag(lts); seq != k || secs < 0 {
+	if seq, secs := lag(); seq != k || secs < 0 {
 		t.Fatalf("shard 1 down for %d commits: lag %v batches, %v s, want %d and >= 0", k, seq, secs, k)
 	}
-	p1b := startShardProc(t, p1.addr)
-	t.Cleanup(p1b.stop)
-	for deadline := time.Now().Add(5 * time.Second); !leader.Health().Ready; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("shard 1 never resynced: %+v", leader.Health())
-		}
-	}
-	if seq, secs := lag(lts); seq != 0 || secs != 0 {
+	tr.shards[1] = tr.bootShard("shard1")
+	waitFor(t, "shard 1 to resync", func() bool { return tr.leader.Health().Ready })
+	if seq, secs := lag(); seq != 0 || secs != 0 {
 		t.Fatalf("shard 1 resynced: lag %v batches, %v s, want 0 and 0", seq, secs)
 	}
-	lts.Close()
-	leader.Close()
 
-	// Reboot over the same WAL, at seq 1 + k, with shard 1 at an address
-	// that refuses every push.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	// Reboot at the same address over the same WAL, at seq 1 + k, with shard
+	// 1 at a host that refuses every push.
+	tr.leader.Close()
+	opts = withTierDefaults(opts)
+	opts.ShardURLs = []string{tr.shards[0].URL, "http://nowhere"}
+	tr.leader = tr.boot("leader", tierCube(), opts)
+	if seq, _ := lag(); seq != 1+k || tr.leader.Seq() != 1+k {
+		t.Fatalf("never-synced shard at leader seq %d: lag %v batches, want %d", tr.leader.Seq(), seq, 1+k)
 	}
-	dead := "http://" + l.Addr().String()
-	l.Close()
-	leader, lts = boot(dead)
-	t.Cleanup(func() { lts.Close(); leader.Close() })
-	if seq, _ := lag(lts); seq != 1+k || leader.Seq() != 1+k {
-		t.Fatalf("never-synced shard at leader seq %d: lag %v batches, want %d", leader.Seq(), seq, 1+k)
+}
+
+// refuseShard1 is a wire hook under which shard 1 refuses every exchange from
+// boot, so it never attaches.
+func refuseShard1(host string, r *http.Request) fault {
+	if host == "shard1" {
+		return refuse
 	}
+	return pass
 }
 
 // A shard that never attaches (its address refuses connections from boot)
@@ -863,47 +603,9 @@ func TestShardLagGauges(t *testing.T) {
 // always lies in [Lo, Hi] — holds even for a cube with nonzero initial
 // data and a shard that was never synced.
 func TestNeverSyncedShardBoundsCoverOracle(t *testing.T) {
-	c := cube.New(
-		cube.NewIntDimension("x", 0, 9),
-		cube.NewIntDimension("y", 0, 7),
-	)
-	for x := 0; x < 10; x++ {
-		for y := 0; y < 8; y++ {
-			c.Data().Set(int64(x*17+y*3-40), x, y)
-		}
-	}
-	oracle := c.Data().Clone()
-
-	p0 := startShardProc(t, "127.0.0.1:0")
-	t.Cleanup(p0.stop)
-	// A dead address for shard 1: grab a port, then close the listener so
-	// every push and query is refused.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := l.Addr().String()
-	l.Close()
-
-	leader, err := NewWithOptions(c, Options{
-		BlockSize:    3,
-		Fanout:       3,
-		ShardURLs:    []string{"http://" + p0.addr, "http://" + deadAddr},
-		ShardTimeout: time.Second,
-		Logf:         func(string, ...any) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lts := httptest.NewServer(leader.Handler())
-	t.Cleanup(func() { lts.Close(); leader.Close() })
-
-	r, err := c.Region(cube.Between("x", 0, 9), cube.Between("y", 0, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := naive.SumInt64(oracle, r, nil)
-	out, code := sumOf2(t, lts, "/query?op=sum&x=0..9&y=0..7")
+	tr := newTier(t, tierSpec{shards: 2, opts: Options{ShardTimeout: time.Second}, hook: refuseShard1})
+	want := naive.SumInt64(tr.oracle, tr.oracle.Bounds(), nil)
+	out, code := sumOf(t, tr.leader, "/query?op=sum&x=0..9&y=0..7")
 	if code != http.StatusOK || !out.Partial {
 		t.Fatalf("sum over a never-synced shard: %+v status %d, want a partial answer", out, code)
 	}
@@ -931,29 +633,10 @@ func TestPartialBoundsNeverWrap(t *testing.T) {
 			a.Set(cell, x, y)
 		}
 	}
-	p0 := startShardProc(t, "127.0.0.1:0")
-	t.Cleanup(p0.stop)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := l.Addr().String()
-	l.Close()
-	leader, err := NewWithOptions(c, Options{
-		BlockSize: 1, Fanout: 4,
-		ShardURLs:    []string{"http://" + p0.addr, "http://" + deadAddr},
-		ShardTimeout: time.Second,
-		Logf:         func(string, ...any) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lts := httptest.NewServer(leader.Handler())
-	t.Cleanup(func() { lts.Close(); leader.Close() })
-	if m := leader.router.Map(); m.Dim() != 0 || m.Slab(1) != (ndarray.Range{Lo: 1024, Hi: 2047}) {
+	tr := newTier(t, tierSpec{cube: c, shards: 2, opts: Options{BlockSize: 1, Fanout: 4, ShardTimeout: time.Second}, hook: refuseShard1})
+	if m := tr.leader.router.Map(); m.Dim() != 0 || m.Slab(1) != (ndarray.Range{Lo: 1024, Hi: 2047}) {
 		t.Fatalf("the leader split dimension %d with slab 1 = %v, want x at 1024", m.Dim(), m.Slab(1))
 	}
-
 	for _, q := range []struct {
 		x0, x1, y0, y1 int
 		bounded        bool
@@ -974,7 +657,7 @@ func TestPartialBoundsNeverWrap(t *testing.T) {
 		if q.x0 <= 5 && 5 <= q.x1 && q.y0 <= 5 && 5 <= q.y1 {
 			want.Add(want, big.NewInt(7))
 		}
-		out, code := sumOf2(t, lts, fmt.Sprintf("/query?op=sum&x=%d..%d&y=%d..%d", q.x0, q.x1, q.y0, q.y1))
+		out, code := sumOf(t, tr.leader, fmt.Sprintf("/query?op=sum&x=%d..%d&y=%d..%d", q.x0, q.x1, q.y0, q.y1))
 		if code != http.StatusOK || !out.Partial || out.LowerBnd == nil || out.UpperBnd == nil {
 			t.Fatalf("sum over %v: %+v status %d, want a partial answer with bounds", r, out, code)
 		}
@@ -994,100 +677,29 @@ func TestPartialBoundsNeverWrap(t *testing.T) {
 // push (it would serve the stale slab as exact forever); it re-captures and
 // re-pushes until a push survives with no commit racing it.
 func TestResyncHoldsDownWhenCommitRacesStatePush(t *testing.T) {
-	c := cube.New(
-		cube.NewIntDimension("x", 0, 9),
-		cube.NewIntDimension("y", 0, 7),
-	)
-	for x := 0; x < 10; x++ {
-		for y := 0; y < 8; y++ {
-			c.Data().Set(int64(x*17+y*3-40), x, y)
+	// The gate can hold a /state push to shard 1 mid-flight: the capture
+	// already happened on the leader, so a commit submitted while the push is
+	// held is guaranteed to race it.
+	var holding atomic.Bool
+	g := newGate()
+	tr := newTier(t, tierSpec{shards: 2, opts: Options{ShardTimeout: time.Second}, hook: func(host string, r *http.Request) fault {
+		if host == "shard1" && r.URL.Path == "/state" && holding.Load() {
+			return g.hold(r)
 		}
-	}
-	oracle := c.Data().Clone()
-
-	p0 := startShardProc(t, "127.0.0.1:0")
-	t.Cleanup(p0.stop)
-	p1 := startShardProc(t, "127.0.0.1:0")
-	backend := p1.addr
-
-	// A pass-through gate in front of shard 1 that can hold a /state push
-	// mid-flight: the capture already happened on the leader, so a commit
-	// submitted while the push is held is guaranteed to race it.
-	var hold atomic.Bool
-	held := make(chan struct{}, 1)
-	release := make(chan struct{})
-	gate := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/state" && hold.Load() {
-			select {
-			case held <- struct{}{}:
-			default:
-			}
-			<-release
-		}
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		req, err := http.NewRequest(r.Method, "http://"+backend+r.URL.RequestURI(), bytes.NewReader(body))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body)
-	}))
-	t.Cleanup(gate.Close)
-
-	leader, err := NewWithOptions(c, Options{
-		BlockSize:    3,
-		Fanout:       3,
-		ShardURLs:    []string{"http://" + p0.addr, gate.URL},
-		ShardTimeout: time.Second,
-		Logf:         func(string, ...any) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lts := httptest.NewServer(leader.Handler())
-	t.Cleanup(func() { lts.Close(); leader.Close() })
-
-	commit := func(x, y int, delta int64) {
-		t.Helper()
-		ack, err := leader.SubmitUpdates([]ingest.Update{{Coords: []int{x, y}, Delta: delta}}, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res := <-ack; res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		oracle.Set(oracle.At(x, y)+delta, x, y)
-	}
-	naiveSum := func(x0, x1, y0, y1 int) int64 {
-		t.Helper()
-		r, err := c.Region(cube.Between("x", x0, x1), cube.Between("y", y0, y1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return naive.SumInt64(oracle, r, nil)
-	}
+		return pass
+	}})
+	leader := tr.leader
+	want := func() int64 { return naive.SumInt64(tr.oracle, tr.region(5, 9, 0, 7), nil) }
 
 	// Healthy sanity check, then kill shard 1; a commit into its slab fails
 	// its delivery and marks it down. The read after it waits for that
 	// delivery.
-	if out, code := sumOf2(t, lts, "/query?op=sum&x=0..9&y=0..7"); code != http.StatusOK || out.Partial {
+	if out, code := sumOf(t, leader, "/query?op=sum&x=0..9&y=0..7"); code != http.StatusOK || out.Partial {
 		t.Fatalf("healthy sum: %+v status %d", out, code)
 	}
-	p1.stop()
-	commit(9, 0, 7)
-	if out, code := sumOf2(t, lts, "/query?op=sum&x=0..9&y=0..7"); code != http.StatusOK || !out.Partial {
+	tr.stop(tr.shards[1])
+	tr.commit(9, 0, 7)
+	if out, code := sumOf(t, leader, "/query?op=sum&x=0..9&y=0..7"); code != http.StatusOK || !out.Partial {
 		t.Fatalf("sum after shard 1's delivery failed: %+v status %d, want partial", out, code)
 	}
 	if h := leader.Health(); len(h.ShardsDown) != 1 {
@@ -1096,60 +708,21 @@ func TestResyncHoldsDownWhenCommitRacesStatePush(t *testing.T) {
 
 	// Bring the shard back, but hold the probe's next push mid-flight, and
 	// land a commit into its slab inside the push window.
-	hold.Store(true)
-	p1b := startShardProc(t, backend)
-	t.Cleanup(p1b.stop)
-	select {
-	case <-held:
-	case <-time.After(5 * time.Second):
-		t.Fatal("probe never pushed /state through the gate")
-	}
-	commit(5, 0, 1000)
-	hold.Store(false)
-	close(release)
+	holding.Store(true)
+	tr.shards[1] = tr.bootShard("shard1")
+	g.awaitArrival(t)
+	tr.commit(5, 0, 1000)
+	holding.Store(false)
+	g.open()
 
 	// The held (stale) push must not bring the shard up as current; the
-	// resync re-captures and the tier converges to exact answers that
-	// include the racing commit. The buggy path converges to exact answers
+	// resync re-captures, and the tier comes up with exact answers that
+	// include the racing commit. The buggy path comes up with exact answers
 	// that are permanently wrong instead.
-	want := naiveSum(5, 9, 0, 7)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		out, code := sumOf2(t, lts, "/query?op=sum&x=5..9&y=0..7")
-		if code == http.StatusOK && !out.Partial {
-			if out.Value == want {
-				break
-			}
-			// Exact but wrong would be the bug; give the probe a beat in
-			// case a later resync still corrects it, then fail on deadline.
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("never converged to the exact oracle sum %d: %+v status %d", want, out, code)
-		}
-		time.Sleep(5 * time.Millisecond)
+	waitFor(t, "the resync loop to bring shard 1 up", func() bool { return leader.Health().Ready })
+	if out, code := sumOf(t, leader, "/query?op=sum&x=5..9&y=0..7"); code != http.StatusOK || out.Partial || out.Value != want() {
+		t.Fatalf("shard 1 came up answering %+v (status %d), want the exact oracle sum %d", out, code, want())
 	}
-	if h := leader.Health(); !h.Ready || len(h.ShardsDown) != 0 {
-		t.Fatalf("recovered Health = %+v", h)
-	}
-}
-
-// sumOf2 GETs q from ts and decodes a queryResponse.
-func sumOf2(t *testing.T, ts *httptest.Server, q string) (queryResponse, int) {
-	t.Helper()
-	resp, err := ts.Client().Get(ts.URL + q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out queryResponse
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		io.Copy(io.Discard, resp.Body)
-	}
-	return out, resp.StatusCode
 }
 
 // TestApplyReplicatedRejectsBadCoords: a leader whose /wal serves a CRC-valid
@@ -1164,15 +737,7 @@ func TestApplyReplicatedRejectsBadCoords(t *testing.T) {
 		{Seq: 1, Updates: []wal.Update{{Coords: []int{1, 1}, Delta: 9}}},
 		{Seq: 2, Updates: []wal.Update{{Coords: []int{2, 3}, Delta: 5}, {Coords: []int{7, 0}, Delta: 1}}}, // a 4×4 cube has no (7, 0)
 	} {
-		p, err := wal.EncodeBatch(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rec bytes.Buffer
-		if err := wal.AppendRecord(&rec, p); err != nil {
-			t.Fatal(err)
-		}
-		records = append(records, rec.Bytes())
+		records = append(records, sealedBatch(t, b.Seq, b.Updates...))
 	}
 	// The leader's state after the log: what the follower must converge to.
 	later := ndarray.New[int64](4, 4)
@@ -1185,49 +750,43 @@ func TestApplyReplicatedRejectsBadCoords(t *testing.T) {
 		}
 		return b.Bytes()
 	}
-	var snapshots, fetches atomic.Int32
-	leader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	var snapshots atomic.Int32
+	w := newWire(nil)
+	t.Cleanup(w.close)
+	w.serve("leader", http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/schema":
-			io.WriteString(w, `{"dimensions":[{"name":"x","size":4},{"name":"y","size":4}]}`)
+			io.WriteString(rw, `{"dimensions":[{"name":"x","size":4},{"name":"y","size":4}]}`)
 		case "/snapshot":
 			// Join at seq 0 before the log; re-bootstrap at its end.
 			seq, cells := uint64(0), ndarray.New[int64](4, 4)
 			if snapshots.Add(1) > 1 {
 				seq, cells = 2, later
 			}
-			w.Write(snapshot(seq, cells))
+			rw.Write(snapshot(seq, cells))
 		case "/wal":
-			fetches.Add(1)
 			after, _ := strconv.Atoi(r.URL.Query().Get("after"))
-			w.Header().Set(hdrSeq, "2")
-			w.Write(bytes.Join(records[min(after, len(records)):], nil))
+			rw.Header().Set(hdrSeq, "2")
+			rw.Write(bytes.Join(records[min(after, len(records)):], nil))
 		default:
-			http.NotFound(w, r)
+			http.NotFound(rw, r)
 		}
 	}))
-	t.Cleanup(leader.Close)
 
-	f, err := JoinLeader(context.Background(), leader.URL, Options{
-		BlockSize: 1,
-		Fanout:    2,
-		Logf:      func(string, ...any) {},
-	})
+	f, err := joinLeader(context.Background(), "http://leader", withTierDefaults(Options{BlockSize: 1, Fanout: 2}), w.client)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { f.Close() })
-	deadline := time.Now().Add(5 * time.Second)
-	for snapshots.Load() < 2 || f.Seq() != 2 || fetches.Load() < 4 {
-		if time.Now().After(deadline) {
-			t.Fatalf("follower at seq %d after %d snapshots and %d fetches, want a re-bootstrap to seq 2", f.Seq(), snapshots.Load(), fetches.Load())
-		}
-		time.Sleep(2 * time.Millisecond)
+	// The first poll applies batch 1, refuses batch 2 and re-bootstraps; the
+	// polls after it find nothing more to apply.
+	for w.count("leader", "GET /wal") < 4 {
+		ran(t, f.pump())
 	}
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	if got := f.cube.Data().Data(); !slices.Equal(got, later.Data()) || snapshots.Load() != 2 {
-		t.Fatalf("follower holds %v after %d snapshots, want the leader's %v after 2", got, snapshots.Load(), later.Data())
+	if got := f.cube.Data().Data(); f.seq != 2 || !slices.Equal(got, later.Data()) || snapshots.Load() != 2 {
+		t.Fatalf("follower at seq %d holds %v after %d snapshots, want seq 2 and the leader's %v after 2", f.seq, got, snapshots.Load(), later.Data())
 	}
 	if s, err := f.router.Sum(context.Background(), ndarray.Reg(0, 3, 0, 3), nil); err != nil || s != 14 {
 		t.Fatalf("follower's full-cube sum = %d (err %v), want 14", s, err)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -50,38 +49,6 @@ func randomBatches(seed int64, n int) [][]map[string]any {
 		out[i] = batch
 	}
 	return out
-}
-
-func postBatch(t *testing.T, ts *httptest.Server, batch []map[string]any) (int, string) {
-	t.Helper()
-	body, err := json.Marshal(map[string]any{"updates": batch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := ts.Client().Post(ts.URL+"/update", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, string(b)
-}
-
-func getBody(t *testing.T, ts *httptest.Server, path string) (int, string) {
-	t.Helper()
-	resp, err := ts.Client().Get(ts.URL + path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, string(b)
 }
 
 func randomQueries(seed int64, n int) []string {
@@ -270,35 +237,28 @@ func TestWALFailureFailsUpdate(t *testing.T) {
 	// Remote-shard leader: the scatter starts only once the batch is durable,
 	// so a failed append reaches no shard — there is nothing to compensate
 	// for, and no engine is marked down to force a resync.
-	p0, p1 := startShardProc(t, "127.0.0.1:0"), startShardProc(t, "127.0.0.1:0")
-	t.Cleanup(func() { p0.stop(); p1.stop() })
-	leader, err := NewWithOptions(uniqueCube(7), Options{
+	tr := newTier(t, tierSpec{cube: uniqueCube(7), shards: 2, opts: Options{
 		BlockSize: 5, Fanout: 4,
-		WALPath:   filepath.Join(dir, "leader.wal"),
-		ShardURLs: []string{"http://" + p0.addr, "http://" + p1.addr},
-		Logf:      t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lts := httptest.NewServer(leader.Handler())
-	t.Cleanup(func() { lts.Close(); leader.Close() })
-	_, before = getBody(t, lts, "/query?op=sum&age=1..50")
+		WALPath: filepath.Join(dir, "leader.wal"),
+		Logf:    t.Logf,
+	}})
+	leader := tr.leader
+	_, before = getBody(t, leader, "/query?op=sum&age=1..50")
 
 	leader.wal.Close()
-	code, body = postBatch(t, lts, []map[string]any{{"coords": []int{0, 0, 0}, "delta": 1}})
+	code, body = postBatch(t, leader, []map[string]any{{"coords": []int{0, 0, 0}, "delta": 1}})
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("leader update on dead WAL: %d %s", code, body)
 	}
-	for i, p := range []*shardProc{p0, p1} {
-		if got := p.s.Seq(); got != 0 {
+	for i, n := range tr.shards {
+		if got := n.Seq(); got != 0 {
 			t.Fatalf("shard %d applied %d batches of an update its leader never committed", i, got)
 		}
 	}
 	if h := leader.Health(); len(h.ShardsDown) != 0 || h.Seq != 0 {
 		t.Fatalf("leader after the failed append: %+v, want every shard up at seq 0", h)
 	}
-	if _, after = getBody(t, lts, "/query?op=sum&age=1..50"); before != after {
+	if _, after = getBody(t, leader, "/query?op=sum&age=1..50"); before != after {
 		t.Fatalf("non-durable batch leaked into the tier: %s, was %s", after, before)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -28,95 +29,42 @@ import (
 	"rangecube/internal/wal"
 )
 
-// scatterTier is a leader over two shard servers, each behind a pass-through
-// gate that shows the test every request the leader sends it (and may hold
-// it). x, the larger dimension, is split: shard 0 owns x 0..4, shard 1 x 5..9.
-type scatterTier struct {
-	leader *Server
-	lts    *httptest.Server
-	shards [2]*shardProc
-	oracle *ndarray.Array[int64]
-
-	mu   sync.Mutex
-	seen [2]map[string]int // requests per shard, by "METHOD /path"
-}
-
-func (tr *scatterTier) counts(i int) map[string]int {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	out := make(map[string]int, len(tr.seen[i]))
-	for k, v := range tr.seen[i] {
-		out[k] = v
-	}
-	return out
-}
-
-// newScatterTier boots the tier; hook (nillable) runs in the gate of shard i
-// before each request is passed on.
-func newScatterTier(t *testing.T, opts Options, hook func(shard int, r *http.Request)) *scatterTier {
-	t.Helper()
-	c := cube.New(cube.NewIntDimension("x", 0, 9), cube.NewIntDimension("y", 0, 7))
-	for x := 0; x < 10; x++ {
-		for y := 0; y < 8; y++ {
-			c.Data().Set(int64((x*37+y*11)%61-20), x, y)
-		}
-	}
-	return newScatterTierOver(t, c, opts, hook)
-}
-
-// newScatterTierOver is newScatterTier over the cube c, split along its
-// widest dimension.
-func newScatterTierOver(t *testing.T, c *cube.Cube, opts Options, hook func(shard int, r *http.Request)) *scatterTier {
-	t.Helper()
-	tr := &scatterTier{oracle: c.Data().Clone()}
-	for i := range tr.shards {
-		tr.seen[i] = map[string]int{}
-		p := startShardProc(t, "127.0.0.1:0")
-		tr.shards[i] = p
-		gate := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			tr.mu.Lock()
-			tr.seen[i][r.Method+" "+r.URL.Path]++
-			tr.mu.Unlock()
-			if hook != nil {
-				hook(i, r)
-			}
-			body, _ := io.ReadAll(r.Body)
-			req, err := http.NewRequest(r.Method, "http://"+p.addr+r.URL.RequestURI(), bytes.NewReader(body))
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			req.Header = r.Header.Clone()
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadGateway)
-				return
-			}
-			defer resp.Body.Close()
-			w.WriteHeader(resp.StatusCode)
-			io.Copy(w, resp.Body)
-		}))
-		t.Cleanup(func() { gate.Close(); p.stop() })
-		opts.ShardURLs = append(opts.ShardURLs, gate.URL)
-	}
-	opts.BlockSize, opts.Fanout = 3, 3
-	opts.Logf = func(string, ...any) {}
-	leader, err := NewWithOptions(c, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.leader, tr.lts = leader, httptest.NewServer(leader.Handler())
-	t.Cleanup(func() { tr.lts.Close(); leader.Close() })
-	if h := leader.Health(); len(h.ShardsDown) != 0 {
-		t.Fatalf("tier booted with shards down: %+v", h)
-	}
-	return tr
-}
-
 func decodeJSON(r io.Reader, out any) { json.NewDecoder(r).Decode(out) }
 
-func (tr *scatterTier) region(x0, x1, y0, y1 int) ndarray.Region {
-	return ndarray.Region{{Lo: x0, Hi: x1}, {Lo: y0, Hi: y1}}
+// answer is a reply a test collects off its own goroutine.
+type answer struct {
+	out  queryResponse
+	code int
+}
+
+// ask sends method path (with a JSON body when body is not empty) to p on a
+// goroutine of its own, since a request the wire carries returns only when
+// its handler does, and delivers the reply.
+func ask(p peer, method, path, body string) <-chan answer {
+	ch := make(chan answer, 1)
+	go func() {
+		var a answer
+		req, _ := http.NewRequest(method, urlOf(p)+path, strings.NewReader(body))
+		if resp, err := p.Client().Do(req); err == nil {
+			a.code = resp.StatusCode
+			decodeJSON(resp.Body, &a.out)
+			resp.Body.Close()
+		}
+		ch <- a
+	}()
+	return ch
+}
+
+// within receives from ch, failing the test unless a reply comes in 5 s.
+func within(t *testing.T, what string, ch <-chan answer) answer {
+	t.Helper()
+	select {
+	case a := <-ch:
+		return a
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: no reply in 5 s", what)
+		return answer{}
+	}
 }
 
 // TestLeaderHoldsNoLockAcrossShardReads parks shard 1's reads mid-flight under
@@ -127,79 +75,40 @@ func (tr *scatterTier) region(x0, x1, y0, y1 int) ndarray.Region {
 // read behind it). Released, both answer with a value the oracle held inside
 // their request window.
 func TestLeaderHoldsNoLockAcrossShardReads(t *testing.T) {
-	parked := make(chan struct{}, 8) // arrivals at the parked route: two, as no hedge fires
-	release := make(chan struct{})
-	var once sync.Once
-	unpark := func() { once.Do(func() { close(release) }) }
-	defer unpark() // before the tier's cleanups: closing a server waits for its parked requests
+	g := newGate()
+	defer g.open()
 	// A read parks at most the 5 s the test waits for anything; the hedge
 	// fires at a twentieth of the deadline, past that.
-	tr := newScatterTier(t, Options{ShardTimeout: 100 * time.Second},
-		func(shard int, r *http.Request) {
+	tr := newTier(t, tierSpec{shards: 2, opts: Options{ShardTimeout: 100 * time.Second},
+		hook: func(host string, r *http.Request) fault {
 			// Every read route this tier has ever used, so the test means the
 			// same thing against a build that reads through another one.
-			if shard == 1 && r.URL.Path != "/update" && r.URL.Path != "/shard/apply" && r.URL.Path != "/state" {
-				parked <- struct{}{}
-				<-release
+			if host == "shard1" && r.URL.Path != "/update" && r.URL.Path != "/shard/apply" && r.URL.Path != "/state" {
+				return g.hold(r)
 			}
-		})
-	prompt := &http.Client{Timeout: 5 * time.Second}
+			return pass
+		}})
 
-	type answer struct {
-		out  queryResponse
-		code int
-	}
-	ask := func(q string) <-chan answer {
-		ch := make(chan answer, 1)
-		go func() {
-			var a answer
-			resp, err := http.Get(tr.lts.URL + q)
-			if err == nil {
-				a.code = resp.StatusCode
-				decodeJSON(resp.Body, &a.out)
-				resp.Body.Close()
-			}
-			ch <- a
-		}()
-		return ch
-	}
 	maxR, avgR := tr.region(2, 8, 0, 7), tr.region(3, 6, 1, 6)
 	_, maxBefore, _ := naive.Max(tr.oracle, maxR, nil)
 	avgBefore := naive.SumInt64(tr.oracle, avgR, nil)
-	maxCh := ask("/query?op=max&x=2..8")
-	avgCh := ask("/query?op=avg&x=3..6&y=1..6")
-	for i := 0; i < 2; i++ {
-		select {
-		case <-parked:
-		case <-time.After(5 * time.Second):
-			t.Fatal("the max and the avg never reached shard 1")
-		}
-	}
+	maxCh := ask(tr.leader, http.MethodGet, "/query?op=max&x=2..8", "")
+	avgCh := ask(tr.leader, http.MethodGet, "/query?op=avg&x=3..6&y=1..6", "")
+	g.awaitArrival(t) // the max and the avg, as no hedge fires
+	g.awaitArrival(t)
 
 	// A commit inside both parked regions, in shard 0's slab.
-	resp, err := prompt.Post(tr.lts.URL+"/update?durability=sync", "application/json",
-		strings.NewReader(`{"updates":[{"coords":[3,3],"delta":1000}]}`))
-	if err != nil {
-		t.Fatalf("commit into shard 0's slab while shard 1's reads are parked: %v", err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("commit answered %s", resp.Status)
+	if a := within(t, "commit into shard 0's slab while shard 1's reads are parked",
+		ask(tr.leader, http.MethodPost, "/update?durability=sync", `{"updates":[{"coords":[3,3],"delta":1000}]}`)); a.code != http.StatusOK {
+		t.Fatalf("commit answered %d", a.code)
 	}
 	tr.oracle.Set(tr.oracle.At(3, 3)+1000, 3, 3)
-	resp, err = prompt.Get(tr.lts.URL + "/query?op=sum&x=0..4")
-	if err != nil {
-		t.Fatalf("sum over shard 0's slab while shard 1's reads are parked: %v", err)
-	}
-	var sum queryResponse
-	decodeJSON(resp.Body, &sum)
-	resp.Body.Close()
-	if want := naive.SumInt64(tr.oracle, tr.region(0, 4, 0, 7), nil); resp.StatusCode != http.StatusOK || sum.Value != want {
-		t.Fatalf("sum over shard 0's slab = %+v (%s), oracle %d", sum, resp.Status, want)
+	sum := within(t, "sum over shard 0's slab while shard 1's reads are parked", ask(tr.leader, http.MethodGet, "/query?op=sum&x=0..4", ""))
+	if want := naive.SumInt64(tr.oracle, tr.region(0, 4, 0, 7), nil); sum.code != http.StatusOK || sum.out.Value != want {
+		t.Fatalf("sum over shard 0's slab = %+v (%d), oracle %d", sum.out, sum.code, want)
 	}
 
-	unpark()
+	g.open()
 	_, maxAfter, _ := naive.Max(tr.oracle, maxR, nil)
 	avgAfter := naive.SumInt64(tr.oracle, avgR, nil)
 	if a := <-maxCh; a.code != http.StatusOK || (a.out.Value != maxBefore && a.out.Value != maxAfter) {
@@ -217,17 +126,19 @@ func TestLeaderHoldsNoLockAcrossShardReads(t *testing.T) {
 // the batch hears nothing. The leader's trace shows the same: one shard.query
 // span per shard, carrying the item count.
 func TestOneExchangePerShardPerBatch(t *testing.T) {
-	tr := newScatterTier(t, Options{TraceSample: 1}, nil)
-	const frame = "POST /shard/query"
-	delta := func(before [2]map[string]int) (frames [2]int, public int) {
-		for i := range before {
-			after := tr.counts(i)
-			frames[i] = after[frame] - before[i][frame]
-			public += after["GET /query"] + after["POST /query/batch"]
+	tr := newTier(t, tierSpec{shards: 2, opts: Options{TraceSample: 1}})
+	framesOf := func(host string) int { return tr.w.count(host, "POST /shard/query") }
+	// delta runs do and returns the frames each shard took during it, and the
+	// public reads the shards have ever taken.
+	delta := func(do func()) ([2]int, int) {
+		before := [2]int{framesOf("shard0"), framesOf("shard1")}
+		do()
+		public := 0
+		for _, h := range []string{"shard0", "shard1"} {
+			public += tr.w.count(h, "GET /query") + tr.w.count(h, "POST /query/batch")
 		}
-		return frames, public
+		return [2]int{framesOf("shard0") - before[0], framesOf("shard1") - before[1]}, public
 	}
-	snap := func() [2]map[string]int { return [2]map[string]int{tr.counts(0), tr.counts(1)} }
 
 	// 16 items, every op, every region spanning both slabs.
 	var items []batchQuery
@@ -236,11 +147,13 @@ func TestOneExchangePerShardPerBatch(t *testing.T) {
 		items = append(items, batchQuery{Op: ops[k%len(ops)], Select: map[string]string{
 			"x": fmt.Sprintf("%d..%d", k%5, 5+k%5), "y": fmt.Sprintf("%d..%d", k%3, 4+k%4)}})
 	}
-	before := snap()
-	resp, err := tr.lts.Client().Post(tr.lts.URL+"/query/batch", "application/json", bytes.NewReader(marshalBatch(t, items)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	var resp *http.Response
+	frames, public := delta(func() {
+		var err error
+		if resp, err = tr.leader.Client().Post(tr.leader.URL+"/query/batch", "application/json", bytes.NewReader(marshalBatch(t, items))); err != nil {
+			t.Fatal(err)
+		}
+	})
 	var out batchOut
 	decodeJSON(resp.Body, &out)
 	resp.Body.Close()
@@ -263,7 +176,7 @@ func TestOneExchangePerShardPerBatch(t *testing.T) {
 			t.Fatalf("item %d (%s over %v) = %+v, oracle %d", k, items[k].Op, r, res, want)
 		}
 	}
-	if frames, public := delta(before); frames != [2]int{1, 1} || public != 0 {
+	if frames != [2]int{1, 1} || public != 0 {
 		t.Fatalf("a 16-item mixed batch sent %v scatter frames and %d public reads, want [1 1] and 0", frames, public)
 	}
 	// 13 of the 16 items reach the shards (3 are counts), each cut in two.
@@ -280,28 +193,27 @@ func TestOneExchangePerShardPerBatch(t *testing.T) {
 		t.Fatalf("the batch's trace holds %d shard.query spans, want one per shard", spans)
 	}
 
-	before = snap()
-	var mx queryResponse
-	if code := get(t, tr.lts, "/query?op=max&x=1..8", &mx); code != http.StatusOK {
-		t.Fatalf("GET max: status %d", code)
-	}
-	if frames, public := delta(before); frames != [2]int{1, 1} || public != 0 {
+	if frames, public := delta(func() {
+		var mx queryResponse
+		if code := get(t, tr.leader, "/query?op=max&x=1..8", &mx); code != http.StatusOK {
+			t.Fatalf("GET max: status %d", code)
+		}
+	}); frames != [2]int{1, 1} || public != 0 {
 		t.Fatalf("GET /query?op=max sent %v scatter frames and %d public reads, want [1 1] and 0", frames, public)
 	}
 
-	before = snap()
 	one := marshalBatch(t, []batchQuery{
 		{Op: "sum", Select: map[string]string{"x": "0..4"}},
 		{Op: "min", Select: map[string]string{"x": "1..3", "y": "2..6"}},
 		{Op: "avg", Select: map[string]string{"x": "2"}},
 	})
-	if code, _, raw := postQueryBatch(t, tr.lts, one); code != http.StatusOK {
-		t.Fatalf("one-slab batch: status %d body %s", code, raw)
-	}
-	if frames, public := delta(before); frames != [2]int{1, 0} || public != 0 {
+	if frames, public := delta(func() {
+		if code, _, raw := postQueryBatch(t, tr.leader, one); code != http.StatusOK {
+			t.Fatalf("one-slab batch: status %d body %s", code, raw)
+		}
+	}); frames != [2]int{1, 0} || public != 0 {
 		t.Fatalf("a batch inside shard 0's slab sent %v scatter frames and %d public reads, want [1 0] and 0", frames, public)
 	}
-
 }
 
 // TestRemoteSumBoundsOneRule: a healthy shard contributes its exact sub-sum as
@@ -309,7 +221,7 @@ func TestOneExchangePerShardPerBatch(t *testing.T) {
 // the same region reports the same value and bounds — both the value — asked
 // alone, as a batch of one, or among fifteen others.
 func TestRemoteSumBoundsOneRule(t *testing.T) {
-	tr := newScatterTier(t, Options{}, nil)
+	tr := newTier(t, tierSpec{shards: 2})
 	want := naive.SumInt64(tr.oracle, tr.region(2, 8, 1, 6), nil)
 	sel := map[string]string{"x": "2..8", "y": "1..6"}
 	check := func(how string, r *queryResponse) {
@@ -319,7 +231,7 @@ func TestRemoteSumBoundsOneRule(t *testing.T) {
 		}
 	}
 	var alone queryResponse
-	if code := get(t, tr.lts, "/query?op=sum&x=2..8&y=1..6", &alone); code != http.StatusOK {
+	if code := get(t, tr.leader, "/query?op=sum&x=2..8&y=1..6", &alone); code != http.StatusOK {
 		t.Fatalf("GET: status %d", code)
 	}
 	check("GET /query", &alone)
@@ -328,7 +240,7 @@ func TestRemoteSumBoundsOneRule(t *testing.T) {
 		for k := 1; k < n; k++ {
 			items = append(items, batchQuery{Op: "sum", Select: map[string]string{"x": strconv.Itoa(k % 10)}})
 		}
-		code, out, raw := postQueryBatch(t, tr.lts, marshalBatch(t, items))
+		code, out, raw := postQueryBatch(t, tr.leader, marshalBatch(t, items))
 		if code != http.StatusOK || len(out.Results) != n {
 			t.Fatalf("batch of %d: status %d body %s", n, code, raw)
 		}
@@ -343,13 +255,14 @@ func TestRemoteSumBoundsOneRule(t *testing.T) {
 // error: the shard is up, so it is not marked down.
 func TestShardQueryRouteRefusals(t *testing.T) {
 	var garble atomic.Bool // replace every scatter frame to shard 1 with garbage
-	tr := newScatterTier(t, Options{}, func(i int, r *http.Request) {
-		if i == 1 && r.URL.Path == "/shard/query" && garble.Load() {
-			r.Body = io.NopCloser(strings.NewReader("not a frame"))
+	tr := newTier(t, tierSpec{shards: 2, hook: func(host string, r *http.Request) fault {
+		if host == "shard1" && r.URL.Path == "/shard/query" && garble.Load() {
+			r.Body, r.ContentLength = io.NopCloser(strings.NewReader("not a frame")), int64(len("not a frame"))
 		}
-	})
-	url := "http://" + tr.shards[0].addr // shard 0's slab is 5 × 8
-	eng := shard.NewRemoteEngine(0, url, shard.RemoteOptions{HedgeAfter: -1})
+		return pass
+	}})
+	url := tr.shards[0].URL // shard 0's slab is 5 × 8
+	eng := shard.NewRemoteEngine(0, url, shard.RemoteOptions{HedgeAfter: -1, HTTPClient: tr.w.client})
 	ctx := context.Background()
 	inside := ndarray.Region{{Lo: 1, Hi: 4}, {Lo: 0, Hi: 7}}
 	parts, err := eng.SumBatchFull(ctx, []ndarray.Region{inside}, nil)
@@ -371,7 +284,7 @@ func TestShardQueryRouteRefusals(t *testing.T) {
 		}
 	}
 	post := func(body []byte) int {
-		resp, err := http.Post(url+"/shard/query", "application/octet-stream", bytes.NewReader(body))
+		resp, err := tr.w.client.Post(url+"/shard/query", "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -404,20 +317,13 @@ func TestShardQueryRouteRefusals(t *testing.T) {
 	// A leader whose shard refuses its frame (400, a permanent error) answers
 	// 503 and says the query failed, not that it was canceled.
 	garble.Store(true)
-	resp, err := http.Get(tr.lts.URL + "/query?op=sum")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || strings.Contains(string(body), "cancel") || !strings.Contains(string(body), "query failed") {
-		t.Fatalf("a sum through a shard that refuses its frame answered %d %s, want 503 and \"query failed\"", resp.StatusCode, body)
+	code, body := getBody(t, tr.leader, "/query?op=sum")
+	if code != http.StatusServiceUnavailable || strings.Contains(body, "cancel") || !strings.Contains(body, "query failed") {
+		t.Fatalf("a sum through a shard that refuses its frame answered %d %s, want 503 and \"query failed\"", code, body)
 	}
 	garble.Store(false)
 
-	fresh := startShardProc(t, "127.0.0.1:0")
-	t.Cleanup(fresh.stop)
-	url = "http://" + fresh.addr
+	url = tr.bootShard("fresh").URL
 	if code := post(frame); code != http.StatusServiceUnavailable {
 		t.Fatalf("a shard still awaiting its state answered a frame with %d, want 503", code)
 	}
@@ -429,75 +335,82 @@ func TestShardQueryRouteRefusals(t *testing.T) {
 // first six frame arrivals the hook commits and waits up to 200 ms for the
 // ack: a lock-free gather's commit is acked at once, and the timeout lets a
 // gather that holds the leader's read lock, which the commit waits for, go
-// on. Whatever the interleaving, an answer served as exact is the sum at one
-// seq.
+// on. The hook commits once shard 0's frame is in, and an acked commit's
+// delivery reaches shard 1 before its frame is answered, so a lock-free
+// gather is torn. Whatever the interleaving, an answer served as exact is the
+// sum at one seq.
 func TestTornGatherNeverServedExact(t *testing.T) {
-	var tr *scatterTier
+	var tr *tier
 	var arrivals atomic.Int64
 	var commits sync.WaitGroup
+	// settle spins until cond holds, for at most 5 s: the hook runs on a
+	// leader goroutine, where the test cannot fail.
+	settle := func(cond func() bool) {
+		for deadline := time.Now().Add(5 * time.Second); !cond() && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+	}
 	commit := func() {
-		acked := make(chan struct{})
 		commits.Add(1)
+		reply, acked := ask(tr.leader, http.MethodPost, "/update?durability=sync", `{"updates":[{"coords":[1,2],"delta":1000},{"coords":[7,3],"delta":1}]}`), make(chan struct{})
 		go func() {
 			defer commits.Done()
 			defer close(acked)
-			resp, err := http.Post(tr.lts.URL+"/update?durability=sync", "application/json",
-				strings.NewReader(`{"updates":[{"coords":[1,2],"delta":1000},{"coords":[7,3],"delta":1}]}`))
-			if err != nil {
-				t.Errorf("commit: %v", err)
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("commit answered %s", resp.Status)
+			if a := <-reply; a.code != http.StatusOK {
+				t.Errorf("commit answered %d", a.code)
 			}
 		}()
 		select {
 		case <-acked:
+			settle(func() bool { return tr.shards[1].Seq() == tr.leader.Seq() })
 		case <-time.After(200 * time.Millisecond):
 		}
 	}
 	var asked atomic.Bool
 	// A frame parks for at most the hook's 200 ms wait; the hedge fires at a
 	// twentieth of the deadline, 500 ms.
-	tr = newScatterTier(t, Options{ShardTimeout: 10 * time.Second}, func(shard int, r *http.Request) {
-		if shard == 1 && r.URL.Path == "/shard/query" && !asked.Load() && arrivals.Add(1) <= 6 {
-			commit()
+	tr = newTier(t, tierSpec{shards: 2, opts: Options{ShardTimeout: 10 * time.Second}, hook: func(host string, r *http.Request) fault {
+		if host == "shard1" && r.URL.Path == "/shard/query" && !asked.Load() {
+			if n := arrivals.Add(1); n <= 6 {
+				settle(func() bool { return tr.w.count("shard0", "POST /shard/query") >= int(n) })
+				commit()
+			}
 		}
-	})
+		return pass
+	}})
 	s0 := naive.SumInt64(tr.oracle, tr.oracle.Bounds(), nil)
 	var got queryResponse
-	code := get(t, tr.lts, "/query?op=sum", &got)
+	code := get(t, tr.leader, "/query?op=sum", &got)
 	asked.Store(true)
 	commits.Wait()
 	if d := got.Value - s0; code != http.StatusOK || got.Partial || d%1001 != 0 || *got.LowerBnd != got.Value || *got.UpperBnd != got.Value {
 		t.Fatalf("whole-cube sum answered %+v (status %d), S = %d: not S + 1001·j", got, code, s0)
 	}
 	j := min(arrivals.Load(), 6)
-	if code := get(t, tr.lts, "/query?op=sum", &got); code != http.StatusOK || got.Value != s0+1001*j {
+	if code := get(t, tr.leader, "/query?op=sum", &got); code != http.StatusOK || got.Value != s0+1001*j {
 		t.Fatalf("after %d commits the sum is %d (status %d), want %d", j, got.Value, code, s0+1001*j)
 	}
 }
 
-// TestOneDroppedScatterKeepsShardUp drops the connection of the first update
+// TestOneDroppedScatterKeepsShardUp refuses the connection of the first update
 // delivery to shard 1 before the shard reads it. The record is re-sent and
 // acked, so the shard stays up and at the leader's seq: no resync push. A
 // read through the leader waits for the delivery, so the checks follow one.
 func TestOneDroppedScatterKeepsShardUp(t *testing.T) {
 	var dropped atomic.Bool
-	tr := newScatterTier(t, Options{Metrics: true}, func(shard int, r *http.Request) {
+	tr := newTier(t, tierSpec{shards: 2, opts: Options{Metrics: true}, hook: func(host string, r *http.Request) fault {
 		write := r.Method == http.MethodPost && r.URL.Path != "/state" && r.URL.Path != "/shard/query"
-		if shard == 1 && write && dropped.CompareAndSwap(false, true) {
-			panic(http.ErrAbortHandler)
+		if host == "shard1" && write && dropped.CompareAndSwap(false, true) {
+			return refuse
 		}
-	})
-	resyncs := seriesValue(scrape(t, tr.lts), "cube_shard_resync_total", `kind="shard"`)
-	if code, _ := postUpdates(t, tr.lts, "sync", []jsonUpdate{{Coords: []int{7, 3}, Delta: 5}}); code != http.StatusOK {
+		return pass
+	}})
+	resyncs := seriesValue(scrape(t, tr.leader), "cube_shard_resync_total", `kind="shard"`)
+	if code, _ := postUpdates(t, tr.leader, "sync", []jsonUpdate{{Coords: []int{7, 3}, Delta: 5}}); code != http.StatusOK {
 		t.Fatalf("commit answered %d", code)
 	}
 	tr.oracle.Set(tr.oracle.At(7, 3)+5, 7, 3)
-	if code := get(t, tr.lts, "/query?op=sum", nil); code != http.StatusOK {
+	if code := get(t, tr.leader, "/query?op=sum", nil); code != http.StatusOK {
 		t.Fatalf("a read after the commit answered %d", code)
 	}
 	if !dropped.Load() {
@@ -506,18 +419,17 @@ func TestOneDroppedScatterKeepsShardUp(t *testing.T) {
 	if h := tr.leader.Health(); !h.Ready || len(h.ShardsDown) != 0 {
 		t.Fatalf("after one dropped scatter the leader reads %+v, want ready with no shard down", h)
 	}
-	body := scrape(t, tr.lts)
+	body := scrape(t, tr.leader)
 	if got := seriesValue(body, "cube_shard_resync_total", `kind="shard"`); got != resyncs {
 		t.Fatalf(`cube_shard_resync_total{kind="shard"} went %v → %v, want no resync`, resyncs, got)
 	}
 	if got := seriesValue(body, "cube_shard_scatter_cells_total", ""); got != 1 {
 		t.Fatalf("cube_shard_scatter_cells_total = %v after a one-cell commit, want 1", got)
 	}
-	if seq := tr.shards[1].s.Seq(); seq != tr.leader.Seq() {
+	if seq := tr.shards[1].Seq(); seq != tr.leader.Seq() {
 		t.Fatalf("shard 1 at seq %d, leader at %d", seq, tr.leader.Seq())
 	}
-	var sum queryResponse
-	if code := get(t, tr.lts, "/query?op=sum&x=5..9", &sum); code != http.StatusOK || sum.Partial || sum.Value != naive.SumInt64(tr.oracle, tr.region(5, 9, 0, 7), nil) {
+	if sum, code := sumOf(t, tr.leader, "/query?op=sum&x=5..9"); code != http.StatusOK || sum.Partial || sum.Value != naive.SumInt64(tr.oracle, tr.region(5, 9, 0, 7), nil) {
 		t.Fatalf("sum over shard 1's slab = %+v (status %d)", sum, code)
 	}
 }
@@ -527,24 +439,23 @@ func TestOneDroppedScatterKeepsShardUp(t *testing.T) {
 // through the leader has waited for the delivery, every up shard reports the
 // leader's seq on /readyz.
 func TestEveryShardHoldsLeaderSeq(t *testing.T) {
-	tr := newScatterTier(t, Options{}, nil)
+	tr := newTier(t, tierSpec{shards: 2})
 	for k := 0; k < 2; k++ {
-		if code, _ := postUpdates(t, tr.lts, "sync", []jsonUpdate{{Coords: []int{2, k}, Delta: 3}}); code != http.StatusOK {
+		if code, _ := postUpdates(t, tr.leader, "sync", []jsonUpdate{{Coords: []int{2, k}, Delta: 3}}); code != http.StatusOK {
 			t.Fatalf("commit %d answered %d", k, code)
 		}
 		tr.oracle.Set(tr.oracle.At(2, k)+3, 2, k)
 	}
-	if code := get(t, tr.lts, "/query?op=sum&x=0..4", nil); code != http.StatusOK {
+	if code := get(t, tr.leader, "/query?op=sum&x=0..4", nil); code != http.StatusOK {
 		t.Fatalf("a read after the commits answered %d", code)
 	}
 	lead := tr.leader.Health().Seq
-	for i, p := range tr.shards {
-		if got := p.s.Health().Seq; got != lead || lead != 2 {
+	for i, n := range tr.shards {
+		if got := n.Health().Seq; got != lead || lead != 2 {
 			t.Fatalf("shard %d at seq %d, leader at %d (want 2)", i, got, lead)
 		}
 	}
-	var sum queryResponse
-	if code := get(t, tr.lts, "/query?op=sum", &sum); code != http.StatusOK || sum.Value != naive.SumInt64(tr.oracle, tr.oracle.Bounds(), nil) {
+	if sum, code := sumOf(t, tr.leader, "/query?op=sum"); code != http.StatusOK || sum.Value != naive.SumInt64(tr.oracle, tr.oracle.Bounds(), nil) {
 		t.Fatalf("whole-cube sum = %+v (status %d)", sum, code)
 	}
 }
@@ -554,78 +465,35 @@ func TestEveryShardHoldsLeaderSeq(t *testing.T) {
 // answers only after the release, with all eight in it: a commit waits on no
 // shard, and a read waits for the delivery of every commit acked before it.
 func TestCommitsDoNotWaitOnShards(t *testing.T) {
-	release, parked := make(chan struct{}), make(chan struct{})
-	var arrive, unpark sync.Once
-	var released atomic.Bool
-	tr := newScatterTier(t, Options{ShardTimeout: 10 * time.Second}, func(shard int, r *http.Request) {
-		if shard == 1 && r.URL.Path == "/shard/apply" {
-			arrive.Do(func() { close(parked) })
-			<-release // a hedged duplicate parks too
+	g := newGate()
+	tr := newTier(t, tierSpec{shards: 2, opts: Options{ShardTimeout: 10 * time.Second}, hook: func(host string, r *http.Request) fault {
+		if host == "shard1" && r.URL.Path == "/shard/apply" {
+			return g.hold(r) // a hedged duplicate parks too
 		}
-	})
-	free := func() { unpark.Do(func() { released.Store(true); close(release) }) }
-	t.Cleanup(free)
+		return pass
+	}})
 	for k := 0; k < 8; k++ {
-		acked := make(chan int, 1)
-		go func() {
-			body := fmt.Sprintf(`{"updates":[{"coords":[%d,1],"delta":%d},{"coords":[%d,2],"delta":-3}]}`, k, 10+k, 9-k)
-			resp, err := http.Post(tr.lts.URL+"/update?durability=sync", "application/json", strings.NewReader(body))
-			if err != nil {
-				acked <- 0
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			acked <- resp.StatusCode
-		}()
-		select {
-		case code := <-acked:
-			if code != http.StatusOK {
-				t.Fatalf("commit %d answered %d", k+1, code)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("commit %d not acked while shard 1's delivery is parked", k+1)
+		body := fmt.Sprintf(`{"updates":[{"coords":[%d,1],"delta":%d},{"coords":[%d,2],"delta":-3}]}`, k, 10+k, 9-k)
+		if a := within(t, fmt.Sprintf("commit %d while shard 1's delivery is parked", k+1), ask(tr.leader, http.MethodPost, "/update?durability=sync", body)); a.code != http.StatusOK {
+			t.Fatalf("commit %d answered %d", k+1, a.code)
 		}
 		tr.oracle.Set(tr.oracle.At(k, 1)+int64(10+k), k, 1)
 		tr.oracle.Set(tr.oracle.At(9-k, 2)-3, 9-k, 2)
 	}
-	select {
-	case <-parked:
-	case <-time.After(5 * time.Second):
-		t.Fatal("no delivery reached shard 1")
-	}
+	g.awaitArrival(t)
 
-	type answer struct {
-		got   queryResponse
-		code  int
-		after bool // the release came first
-	}
-	done := make(chan answer, 1)
-	go func() {
-		var a answer
-		resp, err := http.Get(tr.lts.URL + "/query?op=sum")
-		if err == nil {
-			a.code = resp.StatusCode
-			decodeJSON(resp.Body, &a.got)
-			resp.Body.Close()
-		}
-		a.after = released.Load()
-		done <- a
-	}()
+	done := ask(tr.leader, http.MethodGet, "/query?op=sum", "")
 	select {
 	case a := <-done:
-		t.Fatalf("a sum sent during the park answered %+v (status %d) before the release", a.got, a.code)
-	case <-time.After(100 * time.Millisecond):
+		t.Fatalf("a sum sent during the park answered %+v (status %d) before the release", a.out, a.code)
+	case <-time.After(100 * time.Millisecond): // what is checked is that nothing answers
 	}
-	free()
+	g.open()
+	// Shard 1 takes its records only now, so an exact sum with all eight in
+	// it answered after the release.
 	want := naive.SumInt64(tr.oracle, tr.oracle.Bounds(), nil)
-	select {
-	case a := <-done:
-		if !a.after || a.code != http.StatusOK || a.got.Partial || a.got.Value != want {
-			t.Fatalf("sum after the release = %+v (status %d, after release %v), want exact %d", a.got, a.code, a.after, want)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("the sum never answered after the release")
+	if a := within(t, "the sum after the release", done); a.code != http.StatusOK || a.out.Partial || a.out.Value != want {
+		t.Fatalf("sum after the release = %+v (status %d), want exact %d", a.out, a.code, want)
 	}
 	if h := tr.leader.Health(); !h.Ready || h.Seq != 8 {
 		t.Fatalf("after the release the leader reads %+v, want ready at seq 8", h)
@@ -637,18 +505,15 @@ func TestCommitsDoNotWaitOnShards(t *testing.T) {
 // sender cuts the backlog into exchanges that each fit the cap, so the shard
 // stays up, takes no resync push, and the sum through the leader is exact.
 func TestBacklogDeliveredWithinBodyCap(t *testing.T) {
-	c := cube.New(cube.NewIntDimension("x", 0, 511), cube.NewIntDimension("y", 0, 63))
-	release, parked := make(chan struct{}), make(chan struct{})
-	var arrive, unpark sync.Once
-	tr := newScatterTierOver(t, c, Options{Metrics: true, ShardTimeout: 100 * time.Second}, func(shard int, r *http.Request) {
-		if shard == 1 && r.URL.Path == "/shard/apply" {
-			arrive.Do(func() { close(parked) })
-			<-release // a hedged duplicate parks too
-		}
-	})
-	free := func() { unpark.Do(func() { close(release) }) }
-	t.Cleanup(free)
-	resyncs := seriesValue(scrape(t, tr.lts), "cube_shard_resync_total", `kind="shard"`)
+	g := newGate()
+	tr := newTier(t, tierSpec{cube: cube.New(cube.NewIntDimension("x", 0, 511), cube.NewIntDimension("y", 0, 63)), shards: 2,
+		opts: Options{Metrics: true, ShardTimeout: 100 * time.Second}, hook: func(host string, r *http.Request) fault {
+			if host == "shard1" && r.URL.Path == "/shard/apply" {
+				return g.hold(r) // a hedged duplicate parks too
+			}
+			return pass
+		}})
+	resyncs := seriesValue(scrape(t, tr.leader), "cube_shard_resync_total", `kind="shard"`)
 
 	// Each commit adds 1 to every cell of shard 1's slab, x 256..511: a
 	// record of 16 bytes per cell on the wire.
@@ -668,32 +533,27 @@ func TestBacklogDeliveredWithinBodyCap(t *testing.T) {
 			t.Fatal(res.Err)
 		}
 		if k == 0 {
-			select {
-			case <-parked:
-			case <-time.After(5 * time.Second):
-				t.Fatal("no delivery reached shard 1")
-			}
+			g.awaitArrival(t)
 		}
 	}
 	for _, u := range ups {
 		tr.oracle.Set(tr.oracle.At(u.Coords...)+int64(commits), u.Coords...)
 	}
-	free()
+	g.open()
 
-	var sum queryResponse
-	if code := get(t, tr.lts, "/query?op=sum", &sum); code != http.StatusOK || sum.Partial || sum.Value != naive.SumInt64(tr.oracle, tr.oracle.Bounds(), nil) {
+	if sum, code := sumOf(t, tr.leader, "/query?op=sum"); code != http.StatusOK || sum.Partial || sum.Value != naive.SumInt64(tr.oracle, tr.oracle.Bounds(), nil) {
 		t.Fatalf("sum after the backlog = %+v (status %d), want exact %d", sum, code, naive.SumInt64(tr.oracle, tr.oracle.Bounds(), nil))
 	}
 	if h := tr.leader.Health(); !h.Ready || h.Seq != uint64(commits) {
 		t.Fatalf("after the backlog the leader reads %+v, want ready at seq %d", h, commits)
 	}
-	if got := seriesValue(scrape(t, tr.lts), "cube_shard_resync_total", `kind="shard"`); got != resyncs {
+	if got := seriesValue(scrape(t, tr.leader), "cube_shard_resync_total", `kind="shard"`); got != resyncs {
 		t.Fatalf(`cube_shard_resync_total{kind="shard"} went %v → %v, want no resync`, resyncs, got)
 	}
-	if n := tr.counts(1)["POST /shard/apply"]; n < 3 {
+	if n := tr.w.count("shard1", "POST /shard/apply"); n < 3 {
 		t.Fatalf("shard 1 took %d /shard/apply exchanges, want the parked one and a backlog cut in at least two", n)
 	}
-	if seq := tr.shards[1].s.Seq(); seq != uint64(commits) {
+	if seq := tr.shards[1].Seq(); seq != uint64(commits) {
 		t.Fatalf("shard 1 at seq %d, want %d", seq, commits)
 	}
 }
@@ -704,36 +564,33 @@ func TestBacklogDeliveredWithinBodyCap(t *testing.T) {
 // while the shards refuse state pushes, and once they take them again the
 // resync loop brings exact answers back.
 func TestDeliveryPanicMarksShardsDown(t *testing.T) {
-	var refuse atomic.Bool
-	tr := newScatterTier(t, Options{}, func(shard int, r *http.Request) {
-		if r.URL.Path == "/state" && refuse.Load() {
-			panic(http.ErrAbortHandler) // holds the shard down
+	var refusing atomic.Bool
+	tr := newTier(t, tierSpec{shards: 2, hook: func(host string, r *http.Request) fault {
+		if r.URL.Path == "/state" && refusing.Load() {
+			return refuse // holds the shard down
 		}
-	})
-	refuse.Store(true)
+		return pass
+	}})
+	refusing.Store(true)
+	pushes := tr.w.count("shard1", "POST /state")
 	tr.leader.poisonDelivery()
-	for deadline := time.Now().Add(5 * time.Second); len(tr.leader.Health().ShardsDown) != 2; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("after a panicking delivery the leader reads %+v, want both shards down", tr.leader.Health())
-		}
+	// The sender marks both engines down, then wakes the resync loop, whose
+	// refused pushes keep them down.
+	tr.w.await(t, "shard1", "POST /state", pushes+1)
+	if h := tr.leader.Health(); len(h.ShardsDown) != 2 {
+		t.Fatalf("after a panicking delivery the leader reads %+v, want both shards down", h)
 	}
-	if code, _ := postUpdates(t, tr.lts, "sync", []jsonUpdate{{Coords: []int{7, 3}, Delta: 5}}); code != http.StatusOK {
+	if code, _ := postUpdates(t, tr.leader, "sync", []jsonUpdate{{Coords: []int{7, 3}, Delta: 5}}); code != http.StatusOK {
 		t.Fatalf("commit after the panic answered %d", code)
 	}
 	tr.oracle.Set(tr.oracle.At(7, 3)+5, 7, 3)
 	want := naive.SumInt64(tr.oracle, tr.oracle.Bounds(), nil)
-	var sum queryResponse
-	if code := get(t, tr.lts, "/query?op=sum", &sum); code != http.StatusOK || !sum.Partial || *sum.LowerBnd > want || want > *sum.UpperBnd {
+	if sum, code := sumOf(t, tr.leader, "/query?op=sum"); code != http.StatusOK || !sum.Partial || *sum.LowerBnd > want || want > *sum.UpperBnd {
 		t.Fatalf("sum with both shards down = %+v (status %d), want partial around %d", sum, code, want)
 	}
-	refuse.Store(false)
-	for deadline := time.Now().Add(5 * time.Second); !tr.leader.Health().Ready; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("the resync loop left the leader at %+v", tr.leader.Health())
-		}
-	}
-	var exact queryResponse
-	if code := get(t, tr.lts, "/query?op=sum", &exact); code != http.StatusOK || exact.Partial || exact.Value != want {
+	refusing.Store(false)
+	waitFor(t, "the resync loop to bring both shards up", func() bool { return tr.leader.Health().Ready })
+	if exact, code := sumOf(t, tr.leader, "/query?op=sum"); code != http.StatusOK || exact.Partial || exact.Value != want {
 		t.Fatalf("sum after the resync = %+v (status %d), want exact %d", exact, code, want)
 	}
 }
@@ -742,25 +599,16 @@ func TestDeliveryPanicMarksShardsDown(t *testing.T) {
 // POST /update sent straight to it is refused with 403, before and after its
 // first state push, and changes nothing; it runs no ingest pipeline.
 func TestShardRefusesClientUpdates(t *testing.T) {
-	tr := newScatterTier(t, Options{}, nil)
-	fresh := startShardProc(t, "127.0.0.1:0")
-	t.Cleanup(fresh.stop)
-	for _, p := range []*shardProc{tr.shards[0], fresh} {
-		resp, err := http.Post("http://"+p.addr+"/update", "application/json", strings.NewReader(`{"updates":[{"coords":[0,0],"delta":5}]}`))
-		if err != nil {
-			t.Fatal(err)
+	tr := newTier(t, tierSpec{shards: 2})
+	for _, n := range []*node{tr.shards[0], tr.bootShard("fresh")} {
+		if code, _ := postBatch(t, n, []map[string]any{{"coords": []int{0, 0}, "delta": 5}}); code != http.StatusForbidden {
+			t.Fatalf("a client /update to a shard answered %d, want 403", code)
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusForbidden {
-			t.Fatalf("a client /update to a shard answered %s, want 403", resp.Status)
-		}
-		if p.s.batcher != nil || p.s.Seq() != 0 {
-			t.Fatalf("shard runs a batcher (%v) or moved to seq %d", p.s.batcher != nil, p.s.Seq())
+		if n.batcher != nil || n.Seq() != 0 {
+			t.Fatalf("shard runs a batcher (%v) or moved to seq %d", n.batcher != nil, n.Seq())
 		}
 	}
-	var sum queryResponse
-	if code := get(t, tr.lts, "/query?op=sum", &sum); code != http.StatusOK || sum.Value != naive.SumInt64(tr.oracle, tr.oracle.Bounds(), nil) {
+	if sum, code := sumOf(t, tr.leader, "/query?op=sum"); code != http.StatusOK || sum.Value != naive.SumInt64(tr.oracle, tr.oracle.Bounds(), nil) {
 		t.Fatalf("whole-cube sum = %+v (status %d)", sum, code)
 	}
 }
@@ -775,7 +623,7 @@ func TestShardRefusesLocalDurability(t *testing.T) {
 		{WALPath: filepath.Join(dir, "u.wal"), SnapshotPath: filepath.Join(dir, "c.snap")},
 		{SnapshotPath: filepath.Join(dir, "c.snap")},
 	} {
-		o.Fanout, o.AcceptState, o.AwaitState, o.Logf = 2, true, true, func(string, ...any) {}
+		o.Fanout, o.AcceptState, o.Logf = 2, true, func(string, ...any) {}
 		if s, err := NewWithOptions(cube.New(cube.NewIntDimension("d0", 0, 0)), o); err == nil {
 			s.Close()
 			t.Fatalf("a shard with WAL %q and snapshot %q was built", o.WALPath, o.SnapshotPath)
@@ -821,16 +669,20 @@ func sealedBatch(t testing.TB, seq uint64, ups ...wal.Update) []byte {
 // nothing changed. A leader's engine whose record the shard refuses marks
 // itself down; one whose record the shard already holds stays up.
 func TestShardApplyOnce(t *testing.T) {
-	p := startShardProc(t, "127.0.0.1:0")
-	t.Cleanup(p.stop)
-	url := "http://" + p.addr
+	p, err := NewWithOptions(cube.New(cube.NewIntDimension("d0", 0, 0)), Options{BlockSize: 2, Fanout: 2, AcceptState: true, Logf: func(string, ...any) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(p.Handler())
+	t.Cleanup(func() { ts.Close(); p.Close() })
+	url := ts.URL
 	slab := ndarray.New[int64](4, 3)
 	slab.Set(10, 1, 2)
 	pushSlab(t, url, 5, slab)
 	state := func() (seq uint64, cell int64) {
-		p.s.mu.RLock()
-		defer p.s.mu.RUnlock()
-		return p.s.seq, p.s.cube.Data().At(1, 2)
+		p.mu.RLock()
+		defer p.mu.RUnlock()
+		return p.seq, p.cube.Data().At(1, 2)
 	}
 	for k, step := range []struct {
 		rec  []byte
@@ -881,7 +733,7 @@ func TestShardApplyOnce(t *testing.T) {
 // accepted one is a run of records, those above seq 5 applied in order.
 func FuzzShardApply(f *testing.F) {
 	s, err := NewWithOptions(cube.New(cube.NewIntDimension("d0", 0, 0)), Options{
-		BlockSize: 2, Fanout: 2, AcceptState: true, AwaitState: true, Logf: func(string, ...any) {},
+		BlockSize: 2, Fanout: 2, AcceptState: true, Logf: func(string, ...any) {},
 	})
 	if err != nil {
 		f.Fatal(err)

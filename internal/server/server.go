@@ -45,6 +45,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rangecube/internal/client"
 	"rangecube/internal/cube"
 	"rangecube/internal/ingest"
 	"rangecube/internal/ndarray"
@@ -94,14 +95,12 @@ type Options struct {
 	// AcceptState makes the server a shard process (cubeserver
 	// -serve-shard): a replica whose leader replaces its entire cube state
 	// with a pushed snapshot (POST /state) and sends it its update records
-	// (POST /shard/apply). It rejects /update with 403 and takes no WALPath or
-	// SnapshotPath; it must stay off on any server whose own state is
-	// authoritative.
+	// (POST /shard/apply), answering 503 until the first push lands. It
+	// rejects /update with 403 and takes no WALPath or SnapshotPath; it must
+	// stay off on any server whose own state is authoritative.
 	AcceptState bool
-	// AwaitState boots the server answering queries and update records with
-	// 503 until the first accepted /state push installs real state. Requires
-	// AcceptState; it is how a shard process avoids serving its placeholder
-	// cube as if it were data.
+	// AwaitState is ignored (AcceptState awaits its first push); it stays
+	// only while the benchmark still sets it, as SumEngine stays.
 	AwaitState bool
 
 	// WALPath, when non-empty, enables write-ahead logging: every /update
@@ -293,6 +292,11 @@ type Server struct {
 	send    *sender
 	resync  *loop
 	storage *loop
+
+	// dial reaches every peer (shards, a followed leader); peers retries once
+	// over it, for the state pushes and the follow pump.
+	dial  *http.Client
+	peers *client.Client
 }
 
 // New builds a purely in-memory server over the cube with the given uniform
@@ -312,19 +316,24 @@ func New(c *cube.Cube, blockSize, fanout int) *Server {
 // tail, and only then build the query structures from the recovered cells.
 // The cube's cell array is mutated in place to the recovered state.
 func NewWithOptions(c *cube.Cube, opts Options) (*Server, error) {
-	return newServer(c, opts, "")
+	return newServer(c, opts, "", newPeerClient())
 }
 
-// newServer is NewWithOptions for a server that may follow the leader at
-// leaderURL (JoinLeader); a non-empty leaderURL makes it read-only.
-func newServer(c *cube.Cube, opts Options, leaderURL string) (*Server, error) {
+// newPeerClient builds a server's one outbound client: 64 idle connections
+// per host and no total cap, so two shards never evict each other's.
+func newPeerClient() *http.Client {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns, tr.MaxIdleConnsPerHost = 0, 64
+	return &http.Client{Transport: tr}
+}
+
+// newServer is NewWithOptions dialing through hc, for a server that may
+// follow the leader at leaderURL (JoinLeader), which makes it read-only.
+func newServer(c *cube.Cube, opts Options, leaderURL string, hc *http.Client) (*Server, error) {
 	opts = opts.withDefaults()
 	var err error
 	if opts.BlockSize, err = shard.ResolveBlockSize(opts.SumEngine, opts.BlockSize); err != nil {
 		return nil, err
-	}
-	if opts.AwaitState && !opts.AcceptState {
-		return nil, errors.New("server: AwaitState requires AcceptState (the state must be allowed to arrive)")
 	}
 	if opts.AcceptState && len(opts.ShardURLs) > 0 {
 		return nil, errors.New("server: a remote-shard leader's state is authoritative, it cannot also accept pushes")
@@ -334,7 +343,8 @@ func newServer(c *cube.Cube, opts Options, leaderURL string) (*Server, error) {
 		// it could only ever reboot the shard into a state it no longer holds.
 		return nil, errors.New("server: a shard process keeps no WAL or snapshot, its state is pushed by the leader")
 	}
-	s := &Server{opts: opts, logf: opts.Logf, cube: c, readOnly: opts.AcceptState || leaderURL != "", leaderURL: leaderURL}
+	s := &Server{opts: opts, logf: opts.Logf, cube: c, readOnly: opts.AcceptState || leaderURL != "", leaderURL: leaderURL, dial: hc,
+		peers: client.New(client.Options{MaxAttempts: 2, BaseBackoff: 10 * time.Millisecond, HTTPClient: hc})}
 	s.ridPrefix = ridPrefix()
 	// The tracer exists before telemetry registration so the span counters
 	// can be exported by callback; trace.New returns nil (all span calls
@@ -396,9 +406,7 @@ func newServer(c *cube.Cube, opts Options, leaderURL string) (*Server, error) {
 	}
 	s.met.pinCostObservers(s)
 	s.committed.Store(s.seq)
-	if opts.AwaitState {
-		s.awaitingState.Store(true)
-	}
+	s.awaitingState.Store(opts.AcceptState)
 	if len(opts.ShardURLs) > 0 {
 		s.send = &sender{delivered: s.seq, advanced: make(chan struct{})}
 		s.send.loop = s.startLoop("shard delivery", idle, s.deliver)

@@ -35,21 +35,6 @@ func testServer(t *testing.T) (*Server, *cube.Cube) {
 	return New(c, 1, 4), c
 }
 
-func get(t *testing.T, ts *httptest.Server, path string, out any) int {
-	t.Helper()
-	resp, err := ts.Client().Get(ts.URL + path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("decoding %s: %v", path, err)
-		}
-	}
-	return resp.StatusCode
-}
-
 func TestSchemaEndpoint(t *testing.T) {
 	s, _ := testServer(t)
 	ts := httptest.NewServer(s.Handler())

@@ -51,9 +51,9 @@ func metricsTestServer(t *testing.T, blockSize int) (*Server, *httptest.Server) 
 	return s, ts
 }
 
-func scrape(t *testing.T, ts *httptest.Server) string {
+func scrape(t *testing.T, ts peer) string {
 	t.Helper()
-	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	resp, err := ts.Client().Get(urlOf(ts) + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,8 +28,9 @@ var ErrShardDown = errors.New("shard: shard unavailable")
 // would be of no single cube state.
 var ErrSeqMismatch = errors.New("shard: shards answered at different seqs")
 
-// ErrPanic marks a query whose evaluation panicked. It fails that query
-// alone, in its Answer's Err; the rest of the batch is answered.
+// ErrPanic marks a query whose evaluation panicked, which fails that query
+// alone, in its Answer's Err, and a shard exchange that panicked on the
+// leader, which fails the batch.
 var ErrPanic = errors.New("shard: query panicked")
 
 // Engine is one shard's serving surface as the router sees it: one batched

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -34,8 +35,7 @@ type RemoteStats struct {
 }
 
 // RemoteOptions tunes one RemoteEngine. The zero value is usable: 2s
-// per-exchange deadline, one hedged retry after 100ms, a fresh retrying
-// client over the default transport.
+// per-exchange deadline, one hedged retry after 100ms, http.DefaultClient.
 type RemoteOptions struct {
 	// Timeout bounds each read or scatter round trip (including the
 	// retrying client's attempts and the hedge). 0 means 2s.
@@ -45,9 +45,8 @@ type RemoteOptions struct {
 	// negative disables hedging. Reads and update records hedge alike: a
 	// record carries its seq, so the shard applies a duplicate once.
 	HedgeAfter time.Duration
-	// HTTPClient overrides the transport (httptest servers, pooled
-	// keep-alive tuning). Nil uses a transport with a generous idle pool —
-	// scatter traffic is many small requests to one host.
+	// HTTPClient is what the engine dials through: a server passes the one
+	// client it reaches every peer with. Nil means http.DefaultClient.
 	HTTPClient *http.Client
 	// Stats, when non-nil, receives the engine's error/hedge counts
 	// (shared across a router's engines).
@@ -92,12 +91,6 @@ func NewRemoteEngine(i int, baseURL string, opt RemoteOptions) *RemoteEngine {
 	if opt.HedgeAfter == 0 {
 		opt.HedgeAfter = opt.Timeout / 20
 	}
-	hc := opt.HTTPClient
-	if hc == nil {
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.MaxIdleConnsPerHost = 64
-		hc = &http.Client{Transport: tr}
-	}
 	return &RemoteEngine{
 		shard: i,
 		base:  strings.TrimRight(baseURL, "/"),
@@ -105,7 +98,7 @@ func NewRemoteEngine(i int, baseURL string, opt RemoteOptions) *RemoteEngine {
 		// Few, fast attempts: the hedge and the leader's resync probe own
 		// slow-failure handling; long client backoffs would just hold the
 		// exchange past its deadline.
-		cl: client.New(client.Options{MaxAttempts: 2, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 50 * time.Millisecond, HTTPClient: hc}),
+		cl: client.New(client.Options{MaxAttempts: 2, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 50 * time.Millisecond, HTTPClient: opt.HTTPClient}),
 	}
 }
 
@@ -313,7 +306,8 @@ func (e *permanentError) Error() string { return e.msg }
 // deltas, to the shard's route with the partial-failure machinery, traced as
 // span name: fail fast when down, a per-shard deadline, one hedged duplicate
 // after the hedge delay (first success wins, the child context cancels the
-// loser), and a down-marking on exhaustion.
+// loser), and a down-marking on exhaustion. An attempt that panics fails the
+// exchange with ErrPanic and leaves the engine up: the fault is the leader's.
 func (e *RemoteEngine) roundTrip(ctx context.Context, name, route string, body []byte, items int) ([]byte, error) {
 	sp := trace.FromContext(ctx).Child(name)
 	sp.SetShard(e.shard)
@@ -334,8 +328,15 @@ func (e *RemoteEngine) roundTrip(ctx context.Context, name, route string, body [
 	}
 	ch := make(chan result, 2)
 	attempt := func(actx context.Context) {
-		data, err := e.once(actx, e.base+route, body)
-		ch <- result{data, err}
+		var r result
+		defer func() {
+			if p := recover(); p != nil {
+				r.err = fmt.Errorf("%w: POST %s to shard %d: %v", ErrPanic, route, e.shard, p)
+				e.logf("shard %d (%s): POST %s panicked: %v\n%s", e.shard, e.base, route, p, stack())
+			}
+			ch <- r
+		}()
+		r.data, r.err = e.once(actx, e.base+route, body)
 	}
 	go attempt(rctx)
 	var hedge <-chan time.Time
@@ -358,7 +359,7 @@ func (e *RemoteEngine) roundTrip(ctx context.Context, name, route string, body [
 				return r.data, nil
 			}
 			var perm *permanentError
-			if errors.As(r.err, &perm) {
+			if errors.As(r.err, &perm) || errors.Is(r.err, ErrPanic) {
 				sp.SetError(r.err.Error())
 				return nil, r.err
 			}
@@ -414,6 +415,13 @@ func (e *RemoteEngine) once(ctx context.Context, u string, body []byte) ([]byte,
 		return nil, fmt.Errorf("%s", msg)
 	}
 	return data, nil
+}
+
+// stack is the calling goroutine's stack, for the log line of a recovered
+// panic.
+func stack() []byte {
+	buf := make([]byte, 64<<10)
+	return buf[:runtime.Stack(buf, false)]
 }
 
 func firstLine(data []byte) string {

@@ -3,10 +3,12 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -205,4 +207,54 @@ func TestSeedCellBoundsIndependentOfDownState(t *testing.T) {
 	if lo, hi := e.CellBounds(); lo != -7 || hi != 11 {
 		t.Fatalf("CellBounds after Apply = [%d, %d], want [-7, 11]", lo, hi)
 	}
+}
+
+// panicEngine is an engine whose Answer panics.
+type panicEngine struct{ Engine }
+
+func (panicEngine) Answer(context.Context, []Item) error { panic("injected into Answer") }
+
+// panicTransport is a transport whose every round trip panics.
+type panicTransport struct{}
+
+func (panicTransport) RoundTrip(*http.Request) (*http.Response, error) {
+	panic("injected into the transport")
+}
+
+// TestTierGoroutinePanicFailsItsExchange: a panic on one of the tier's own
+// goroutines, a router's per-shard fan-out or a remote engine's attempt, fails
+// that exchange with ErrPanic and logs its stack; the engine stays up, since
+// the fault is the leader's, and the process lives on.
+func TestTierGoroutinePanicFailsItsExchange(t *testing.T) {
+	var logs []string
+	logf := func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
+	logged := func(what string) {
+		t.Helper()
+		for _, l := range logs {
+			if strings.Contains(l, what) && strings.Contains(l, "goroutine ") {
+				return
+			}
+		}
+		t.Fatalf("no log line holds %q and a stack: %q", what, logs)
+	}
+
+	a := ndarray.New[int64](4, 2)
+	m, err := NewMap(a.Shape(), 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRouterEngines(m, []Engine{newLocalEngine(SlabCopy(a, m, 0), 1, 2), panicEngine{}}, nil, logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Answer(context.Background(), []Query{{OpSum, a.Bounds()}}, nil); !errors.Is(err, ErrPanic) {
+		t.Fatalf("a batch whose engine panics on its fan-out goroutine: err %v, want ErrPanic", err)
+	}
+	logged("injected into Answer")
+
+	e := NewRemoteEngine(0, "http://shard", RemoteOptions{HTTPClient: &http.Client{Transport: panicTransport{}}, Logf: logf})
+	if _, err := e.SumBatchFull(context.Background(), []ndarray.Region{a.Bounds()}, nil); !errors.Is(err, ErrPanic) || e.Down() {
+		t.Fatalf("an exchange whose transport panics: err %v, engine down %v; want ErrPanic and the engine up", err, e.Down())
+	}
+	logged("injected into the transport")
 }

@@ -59,6 +59,7 @@ type Router struct {
 	// netIO marks a router whose engines block on network round trips
 	// (NewRouterEngines); fanOut picks its concurrency by it.
 	netIO bool
+	logf  func(format string, args ...any) // a fan-out goroutine's panic
 }
 
 // Stats reports the router's lifetime scatter–gather counts: queries
@@ -118,12 +119,13 @@ func ResolveBlockSize(sumEngine string, blockSize int) (int, error) {
 // NewRouterEngines builds a router over caller-provided engines — the
 // multi-process tier, where each engine is a RemoteEngine speaking to a
 // cubeserver shard process. stats (may be nil) aggregates the engines'
-// failure counters for telemetry.
-func NewRouterEngines(m Map, engines []Engine, stats *RemoteStats) (*Router, error) {
+// failure counters for telemetry; logf receives the stack of a panic on a
+// fan-out goroutine.
+func NewRouterEngines(m Map, engines []Engine, stats *RemoteStats, logf func(format string, args ...any)) (*Router, error) {
 	if len(engines) != m.Shards() {
 		return nil, fmt.Errorf("shard: %d engines for a %d-shard map", len(engines), m.Shards())
 	}
-	return &Router{m: m, shards: engines, remote: stats, netIO: true}, nil
+	return &Router{m: m, shards: engines, remote: stats, netIO: true, logf: logf}, nil
 }
 
 // SlabCopy materializes shard i's sub-cube. Region iteration and the local
@@ -334,7 +336,8 @@ func (rt *Router) Answer(ctx context.Context, qs []Query, cs []*metrics.Counter)
 // shard order on this goroutine: a read forks only over one engine's items,
 // in localEngine.Answer. Network engines get a goroutine per busy shard so
 // the round trips overlap, and the first failure that is not a down shard
-// cancels the siblings.
+// cancels the siblings. A panic on one of those goroutines is that shard's
+// error, wrapping ErrPanic.
 func fanOut[T any](ctx context.Context, rt *Router, label string, groups [][]T, call func(Engine, context.Context, []T) error) []error {
 	errs := make([]error, len(groups))
 	busy := 0
@@ -361,6 +364,13 @@ func fanOut[T any](ctx context.Context, rt *Router, label string, groups [][]T, 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					errs[i] = fmt.Errorf("%w: %s on shard %d: %v", ErrPanic, label, i, p)
+					rt.logf("shard: %s on shard %d panicked: %v\n%s", label, i, p, stack())
+					cancel()
+				}
+			}()
 			// Label the goroutine for pprof: a profile of a stalled batch or
 			// commit shows which shard's round trip it is blocked on.
 			pprof.SetGoroutineLabels(pprof.WithLabels(gctx, pprof.Labels("cube_op", label, "cube_shard", strconv.Itoa(i))))
@@ -438,10 +448,15 @@ func (rt *Router) Deliver(ctx context.Context, commits []Commit, limit int) {
 			groups[i][k].Updates = append(groups[i][k].Updates, wal.Update{Coords: local, Delta: d.Delta})
 		}
 	}
-	fanOut(ctx, rt, "deliver", groups, func(e Engine, ctx context.Context, bs []wal.Batch) error {
+	errs := fanOut(ctx, rt, "deliver", groups, func(e Engine, ctx context.Context, bs []wal.Batch) error {
 		_ = e.(*RemoteEngine).Deliver(ctx, bs, limit) // reporting a failure would cancel the siblings
 		return nil
 	})
+	for i, err := range errs { // a panic: what reached the shard is unknown
+		if err != nil {
+			rt.shards[i].(*RemoteEngine).MarkDown(err)
+		}
+	}
 }
 
 // local returns the shard owning the cell at coords and its slab coordinates.
@@ -450,11 +465,4 @@ func (rt *Router) local(coords []int) (int, []int) {
 	local := append([]int(nil), coords...)
 	local[rt.m.Dim()] -= rt.m.Slab(i).Lo
 	return i, local
-}
-
-// Cell returns one logical-cube cell's current value (test hook for local
-// engines; the serving path never reads single cells through the router).
-func (rt *Router) Cell(coords []int) int64 {
-	i, local := rt.local(coords)
-	return rt.shards[i].(*localEngine).cells.At(local...)
 }

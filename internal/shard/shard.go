@@ -60,31 +60,6 @@ func NewMap(shape []int, dim, n int) (Map, error) {
 	return m, nil
 }
 
-// NewMapSlabs builds a map from explicit slab boundaries (the property
-// tests use it to exercise uneven partitions). The slabs must be ascending,
-// non-empty and exactly tile [0, shape[dim]-1].
-func NewMapSlabs(shape []int, dim int, slabs []ndarray.Range) (Map, error) {
-	m, err := NewMap(shape, dim, 1)
-	if err != nil {
-		return Map{}, err
-	}
-	if len(slabs) == 0 {
-		return Map{}, fmt.Errorf("shard: no slabs")
-	}
-	next := 0
-	for i, s := range slabs {
-		if s.Lo != next || s.Hi < s.Lo {
-			return Map{}, fmt.Errorf("shard: slab %d is %v, want Lo=%d and Hi>=Lo", i, s, next)
-		}
-		next = s.Hi + 1
-	}
-	if next != shape[dim] {
-		return Map{}, fmt.Errorf("shard: slabs end at %d, dimension extent is %d", next, shape[dim])
-	}
-	m.slabs = append([]ndarray.Range(nil), slabs...)
-	return m, nil
-}
-
 // Shards returns the number of shards.
 func (m Map) Shards() int { return len(m.slabs) }
 

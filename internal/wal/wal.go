@@ -178,21 +178,6 @@ func OpenRecord(rec []byte) ([]byte, error) {
 	return rec[frameSize:], nil
 }
 
-// AppendRecord frames and writes one payload: length, CRC32C, bytes. It
-// performs a single Write so a short write leaves at most one torn record
-// at the tail, which recovery discards.
-func AppendRecord(w io.Writer, payload []byte) error {
-	rec, err := SealRecord(append(make([]byte, frameSize, frameSize+len(payload)), payload...))
-	if err != nil {
-		return err
-	}
-	n, err := w.Write(rec)
-	if err == nil && n < len(rec) {
-		err = io.ErrShortWrite
-	}
-	return err
-}
-
 // WriteHeader writes the file header; Open calls it on a fresh log file.
 func WriteHeader(w io.Writer) error {
 	var hdr [headerSize]byte
@@ -433,9 +418,6 @@ func Create(path string, open OpenFileFunc) (*Log, error) {
 	}
 	return &Log{f: f, path: path, size: headerSize}, nil
 }
-
-// LastSeq returns the highest sequence number in the log (0 if empty).
-func (l *Log) LastSeq() uint64 { return l.lastSeq }
 
 // Size returns the committed length of the log file in bytes.
 func (l *Log) Size() int64 { return l.size }

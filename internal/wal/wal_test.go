@@ -2,11 +2,30 @@ package wal
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 )
+
+// AppendRecord frames and writes one payload: length, CRC32C, bytes. It
+// performs a single Write so a short write leaves at most one torn record
+// at the tail, which recovery discards.
+func AppendRecord(w io.Writer, payload []byte) error {
+	rec, err := SealRecord(append(make([]byte, frameSize, frameSize+len(payload)), payload...))
+	if err != nil {
+		return err
+	}
+	n, err := w.Write(rec)
+	if err == nil && n < len(rec) {
+		err = io.ErrShortWrite
+	}
+	return err
+}
+
+// LastSeq returns the highest sequence number in the log (0 if empty).
+func (l *Log) LastSeq() uint64 { return l.lastSeq }
 
 func testBatches(n int) []Batch {
 	out := make([]Batch, n)
