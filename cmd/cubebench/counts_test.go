@@ -49,6 +49,7 @@ func TestCountLedger(t *testing.T) {
 	edgeMixRows(t, &l)
 	handlerRows(t, &l)
 	tierRows(t, &l)
+	loadRows(&l)
 	got := l.String()
 
 	if *update {
@@ -382,6 +383,30 @@ func handlerRows(t *testing.T, l *ledger) {
 		}
 		l.add(rq.name, shape, "1", "allocs", strconv.FormatFloat(allocs, 'f', 0, 64))
 	}
+}
+
+// loadRows counts the allocations of one cube.InferCSV load of a 64×64 grid
+// rendered as bench/ renders its cells: the header d0,d1,revenue and one
+// record per cell.
+func loadRows(l *ledger) {
+	if raceEnabled {
+		return // the race runtime allocates on its own account
+	}
+	const side = 64
+	var b strings.Builder
+	b.WriteString("d0,d1,revenue\n")
+	for i := range side {
+		for j := range side {
+			fmt.Fprintf(&b, "%d,%d,%d\n", i, j, (i*7919+j*104729)%1000-500)
+		}
+	}
+	data := b.String()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, _, err := cube.InferCSV(strings.NewReader(data), "revenue"); err != nil {
+			panic(err)
+		}
+	})
+	l.add("cube.InferCSV", "64x64", "-", "allocs/load", strconv.FormatFloat(allocs, 'f', 0, 64))
 }
 
 func walSize(t *testing.T, path string) int64 {
