@@ -41,7 +41,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cubeql: %v\n", err)
 		os.Exit(1)
 	}
-	c, n, err := cube.InferCSV(bufio.NewReader(f), *measure)
+	c, n, err := cube.InferCSV(f, *measure)
 	f.Close()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cubeql: %v\n", err)

@@ -60,7 +60,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"expvar"
@@ -166,7 +165,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		c, n, err = cube.InferCSV(bufio.NewReader(f), *measure)
+		c, n, err = cube.InferCSV(f, *measure)
 		f.Close()
 		if err != nil {
 			return err
