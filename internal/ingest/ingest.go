@@ -29,6 +29,9 @@ package ingest
 import (
 	"context"
 	"errors"
+	"fmt"
+	"log"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -65,7 +68,8 @@ type Result struct {
 	Flushed   time.Time
 	Committed time.Time
 	// Err is the commit failure, if any; every sync writer in the failed
-	// group sees the same error and nothing was applied.
+	// group sees the same error. After an error the commit returned nothing
+	// was applied; after a panic ("ingest: commit panicked") that is unknown.
 	Err error
 }
 
@@ -102,6 +106,9 @@ type Options struct {
 	Commit CommitFunc
 	// Metrics is the optional telemetry sink.
 	Metrics *Metrics
+	// Logf receives the value and stack of a commit that panicked; nil
+	// means log.Printf.
+	Logf func(format string, args ...any)
 }
 
 // Batcher is the bounded-queue group-commit pipeline. Create with New,
@@ -132,6 +139,9 @@ func New(opts Options) *Batcher {
 	}
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 4096
+	}
+	if opts.Logf == nil {
+		opts.Logf = log.Printf
 	}
 	b := &Batcher{
 		opts: opts,
@@ -234,7 +244,7 @@ func (b *Batcher) flush(group []*request) {
 		groups[i] = r.updates
 	}
 
-	seq, err := b.opts.Commit(context.Background(), groups)
+	seq, err := b.commit(groups)
 	committed := time.Now()
 
 	if m := b.opts.Metrics; m != nil {
@@ -250,4 +260,17 @@ func (b *Batcher) flush(group []*request) {
 			}
 		}
 	}
+}
+
+// commit runs the commit callback on one group. A panic in it is the group's
+// error, its stack logged: the group's writers are failed, and the flusher
+// goes on to the next group.
+func (b *Batcher) commit(groups [][]Update) (seq uint64, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			b.opts.Logf("ingest: commit panicked: %v\n%s", p, debug.Stack())
+			seq, err = 0, fmt.Errorf("ingest: commit panicked: %v", p)
+		}
+	}()
+	return b.opts.Commit(context.Background(), groups)
 }

@@ -3,6 +3,8 @@ package ingest
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -263,5 +265,40 @@ func TestConcurrentSubmittersAllCommit(t *testing.T) {
 	b.Stop()
 	if got, want := total.Load(), submitted.Load(); got != want {
 		t.Fatalf("committed %d updates, submitted %d", got, want)
+	}
+}
+
+// TestCommitPanicFailsItsGroup: a commit that panics fails its group's
+// writers with an error, its value and stack are logged, and the flusher
+// commits the next group.
+func TestCommitPanicFailsItsGroup(t *testing.T) {
+	gc := &gatedCommit{}
+	var logged atomic.Value
+	b := New(Options{
+		Commit: func(ctx context.Context, groups [][]Update) (uint64, error) {
+			if groups[0][0].Delta < 0 {
+				panic("injected into the commit")
+			}
+			return gc.commit(ctx, groups)
+		},
+		Logf: func(format string, args ...any) { logged.Store(fmt.Sprintf(format, args...)) },
+	})
+	defer b.Stop()
+	ack, _, err := b.Submit([]Update{up(0, 0, -1)}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := <-ack; res.Err == nil || !strings.Contains(res.Err.Error(), "commit panicked: injected into the commit") {
+		t.Fatalf("the panicking group's writer got %+v, want a commit-panicked error", res)
+	}
+	if line, _ := logged.Load().(string); !strings.Contains(line, "injected into the commit") || !strings.Contains(line, "goroutine ") {
+		t.Fatalf("the panic was not logged with its value and stack: %q", line)
+	}
+	ack, _, err = b.Submit([]Update{up(1, 1, 2)}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := <-ack; res.Err != nil || res.Seq != 1 {
+		t.Fatalf("the next group after the panic: %+v, want seq 1", res)
 	}
 }

@@ -70,6 +70,19 @@ func (s *Server) SubmitUpdates(ups []ingest.Update, sync bool) (<-chan ingest.Re
 // sampled span, so the pipeline's fsync and apply phases are traceable
 // without a request.
 func (s *Server) commitGroups(ctx context.Context, groups [][]ingest.Update) (uint64, error) {
+	if s.halfApplied.Load() {
+		return 0, errCommitPanicked // a group queued before the panic
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			// The log may hold the batch and the cube only part of it: shed
+			// writes and keep answering reads; a restart replays the log.
+			// The flusher fails the group and logs the stack.
+			s.halfApplied.Store(true)
+			s.enterDegraded(errCommitPanicked)
+			panic(p)
+		}
+	}()
 	sp := s.tracer.Root("commit")
 	defer sp.End()
 	ctx = trace.NewContext(ctx, sp)
@@ -171,25 +184,27 @@ func (s *Server) commitLocked(ctx context.Context, cells []shard.PointDelta) (ui
 	s.mu.Lock()
 	lsp.End()
 	held := time.Now()
-	s.seq++
-	seq := s.seq
-	asp := sp.Child("structures.apply")
-	s.applyCellsLocked(trace.NewContext(ctx, asp), cells)
-	asp.End()
-	// Publish the commit: the lock-free committed mirror, and walEnd and the
-	// record's offset, which let GET /wal at the record just applied.
-	s.committed.Store(seq)
-	s.walEnd.Store(end)
-	if s.wal != nil {
-		s.walOffs = append(s.walOffs, at)
-	}
-	if snd := s.send; snd != nil { // in the hold that bumps seq, as resyncShard's gate needs
-		snd.mu.Lock()
-		snd.queue = append(snd.queue, shard.Commit{Seq: seq, Cells: cells})
-		snd.mu.Unlock()
-		snd.loop.wake()
-	}
-	s.mu.Unlock()
+	seq := func() uint64 {
+		defer s.mu.Unlock() // a panicking apply leaves reads running
+		s.seq++
+		asp := sp.Child("structures.apply")
+		s.applyCellsLocked(trace.NewContext(ctx, asp), cells)
+		asp.End()
+		// Publish the commit: the lock-free committed mirror, and walEnd and
+		// the record's offset, which let GET /wal at the record just applied.
+		s.committed.Store(s.seq)
+		s.walEnd.Store(end)
+		if s.wal != nil {
+			s.walOffs = append(s.walOffs, at)
+		}
+		if snd := s.send; snd != nil { // in the hold that bumps seq, as resyncShard's gate needs
+			snd.mu.Lock()
+			snd.queue = append(snd.queue, shard.Commit{Seq: s.seq, Cells: cells})
+			snd.mu.Unlock()
+			snd.loop.wake()
+		}
+		return s.seq
+	}()
 	s.met.writeLockHold.Observe(time.Since(held).Nanoseconds())
 
 	if s.sinceSnap >= s.opts.CompactEvery {

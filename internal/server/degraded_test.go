@@ -267,6 +267,51 @@ func TestFlusherCommitErrorFansOutAndRecovers(t *testing.T) {
 	}
 }
 
+// A commit that panics in its apply, under the write lock, fails its writer
+// with 503 and leaves reads answering. The server stays degraded with the
+// reason "commit panicked": writes are shed, the storage probe does not
+// snapshot the cube it may have half-applied, and Close leaves the log for
+// the next boot, which replays the batch whole.
+func TestCommitPanicDegradesAndKeepsReading(t *testing.T) {
+	var logs syncLog
+	s, ts, _, dir := faultyServer(t, func(o *Options) { o.Logf = logs.printf })
+	restore := s.poisonApply()
+	status, _ := postUpdates(t, ts, "", []jsonUpdate{{Coords: []int{1, 2}, Delta: 5}})
+	restore()
+	if status != http.StatusServiceUnavailable {
+		t.Fatalf("the panicking commit's /update answered %d, want 503", status)
+	}
+	if line := logs.find("ingest: commit panicked"); !strings.Contains(line, "applyCellsLocked") {
+		t.Fatalf("the panic was not logged with its stack: %q", line)
+	}
+	if _, code := sumOf(t, ts, "/query?op=sum"); code != http.StatusOK {
+		t.Fatalf("/query after the panic: status %d", code)
+	}
+	waitFor(t, "the storage probe to run", func() bool { return s.storageRuns() > 0 })
+	var h Health
+	if code := get(t, ts, "/readyz", &h); code != http.StatusServiceUnavailable || !h.Degraded || h.Reason != "commit panicked" {
+		t.Fatalf("/readyz after the panic: %d %+v, want 503 degraded by \"commit panicked\"", code, h)
+	}
+	if status, _ := postUpdates(t, ts, "", []jsonUpdate{{Coords: []int{3, 3}, Delta: 1}}); status != http.StatusServiceUnavailable {
+		t.Fatalf("/update on the degraded server answered %d, want 503", status)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := NewWithOptions(cube.New(cube.NewIntDimension("x", 0, 7), cube.NewIntDimension("y", 0, 7)), Options{
+		BlockSize: 3, Fanout: 3, WALPath: filepath.Join(dir, "updates.wal"), SnapshotPath: filepath.Join(dir, "cube.snap"),
+		Logf: func(string, ...any) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(again.Handler())
+	defer func() { ts2.Close(); again.Close() }()
+	if got, _ := sumOf(t, ts2, "/query?op=sum"); got.Value != 5 || again.Seq() != 1 {
+		t.Fatalf("the restarted server holds sum %d at seq %d, want the replayed batch: 5 at seq 1", got.Value, again.Seq())
+	}
+}
+
 // The queue-full 429 carries a Retry-After hint derived from the live queue
 // depth and measured commit latency, clamped to [1, 30] seconds.
 func TestQueueFullRetryAfterDerived(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rangecube/internal/ndarray"
 	"rangecube/internal/shard"
 )
 
@@ -19,6 +20,33 @@ func (s *Server) poisonDelivery() {
 	s.send.queue = append(s.send.queue, shard.Commit{Seq: s.seq, Cells: []shard.PointDelta{{}}})
 	s.send.mu.Unlock()
 	s.send.loop.wake()
+}
+
+// poisonApply swaps in a router over a one-cell cube, so that a commit to
+// any other cell panics in its structure apply, under the write lock, before
+// it writes a cell. restore puts the server's own router back.
+func (s *Server) poisonApply() (restore func()) {
+	shape := make([]int, len(s.cube.Shape()))
+	for i := range shape {
+		shape[i] = 1
+	}
+	m, err := shard.NewMap(shape, 0, 1)
+	if err != nil {
+		panic(err)
+	}
+	tiny, err := shard.NewRouter(ndarray.New[int64](shape...), m, 1, 2, "")
+	if err != nil {
+		panic(err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	own := s.router
+	s.router = tiny
+	return func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.router = own
+	}
 }
 
 // storageRuns counts the storage loop's jobs, panicked or not.

@@ -24,6 +24,11 @@ import (
 // the server is in degraded read-only mode.
 var ErrDegraded = errors.New("server: degraded read-only mode, updates shed")
 
+// errCommitPanicked is the degraded reason once a commit has panicked. No
+// probe clears it: the cube may hold part of a batch the log holds whole, so
+// only a restart, which replays the log, makes the server writable again.
+var errCommitPanicked = errors.New("commit panicked")
+
 // Health is the server's self-assessment, the /readyz response body and the
 // introspection surface the chaos harness asserts against.
 type Health struct {
@@ -172,8 +177,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // it, so a healthy server never runs this. The loop only exists with a WAL
 // and a snapshot path, the storage a recovery rebuilds.
 func (s *Server) probeStorage(b *backoff) time.Duration {
-	if !s.degraded.Load() {
-		return idle
+	if !s.degraded.Load() || s.halfApplied.Load() {
+		return idle // a snapshot now would make a half-applied batch durable
 	}
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()

@@ -297,6 +297,10 @@ type Server struct {
 	// over it, for the state pushes and the follow pump.
 	dial  *http.Client
 	peers *client.Client
+
+	// halfApplied is set when a commit panicked (errCommitPanicked): no
+	// commit, storage probe or shutdown compaction writes the cube after it.
+	halfApplied atomic.Bool
 }
 
 // New builds a purely in-memory server over the cube with the given uniform
@@ -430,6 +434,7 @@ func newServer(c *cube.Cube, opts Options, leaderURL string, hc *http.Client) (*
 			MaxBatch:  ingestMaxBatch,
 			Commit:    s.commitGroups,
 			Metrics:   &s.met.ingestMet,
+			Logf:      s.logf,
 		})
 	}
 	// Recovery rebuilds durability as fresh-snapshot-then-new-WAL, so with
@@ -534,10 +539,16 @@ func (s *Server) Close() error {
 	// log; if that also fails the state is still durable on the old
 	// committed prefix, so closing is safe, just noisy.
 	var err error
-	if s.wal.Poisoned() == nil {
+	switch {
+	case s.halfApplied.Load():
+		// The log, not the cube, holds the last batch whole: the next boot
+		// replays it.
+	case s.wal.Poisoned() == nil:
 		err = s.compact()
-	} else if rerr := s.recoverStorageLocked(); rerr != nil {
-		s.logf("server: shutdown recovery failed, closing degraded: %v", rerr)
+	default:
+		if rerr := s.recoverStorageLocked(); rerr != nil {
+			s.logf("server: shutdown recovery failed, closing degraded: %v", rerr)
+		}
 	}
 	if cerr := s.wal.Close(); err == nil {
 		err = cerr
