@@ -89,7 +89,6 @@ func main() {
 // parsed.
 func serverFlags(fs *flag.FlagSet) func() server.Options {
 	block := fs.Int("block", 1, "block size b of the range-sum structure: 1 = the §3 prefix-sum array, larger = the §4 blocked array (b^d times smaller, cheaper updates, boundary scans per sum)")
-	fanout := fs.Int("fanout", 4, "per-dimension fanout of the max/min trees")
 	walPath := fs.String("wal", "", "write-ahead log path (durability off when empty)")
 	snapPath := fs.String("snapshot", "", "snapshot path for compaction and recovery")
 	compactEvery := fs.Int("compact-every", 64, "snapshot and truncate the WAL every N batches")
@@ -104,7 +103,6 @@ func serverFlags(fs *flag.FlagSet) func() server.Options {
 	return func() server.Options {
 		opts := server.Options{
 			BlockSize:    *block,
-			Fanout:       *fanout,
 			WALPath:      *walPath,
 			SnapshotPath: *snapPath,
 			CompactEvery: *compactEvery,

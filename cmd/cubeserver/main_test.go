@@ -13,8 +13,8 @@ import (
 // Options they map to reserve 0 for a default that is on, so each must reach
 // the server as a negative value, while the flag's own default stays on. The
 // defaults also mount GET /metrics, which the operator runbooks scrape. The
-// probe and durability flags are gone: probes schedule themselves, and an
-// update asks for async durability itself.
+// probe, durability and fanout flags are gone: probes schedule themselves,
+// an update asks for async durability itself, and the trees' fanout is 4.
 func TestZeroFlagMeansOff(t *testing.T) {
 	cases := []struct {
 		flag string
@@ -49,7 +49,7 @@ func TestZeroFlagMeansOff(t *testing.T) {
 	if o := parse("-slow-query=250ms"); o.SlowQuery != 250*time.Millisecond {
 		t.Errorf("-slow-query 250ms: option %v", o.SlowQuery)
 	}
-	for _, gone := range []string{"shard-probe=1s", "degraded-probe=1s", "ingest-durability=async"} {
+	for _, gone := range []string{"shard-probe=1s", "degraded-probe=1s", "ingest-durability=async", "fanout=4"} {
 		fs := flag.NewFlagSet("cubeserver", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		serverFlags(fs)

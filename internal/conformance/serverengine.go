@@ -268,7 +268,7 @@ func (e *faultyWalEngine) Apply(batch []batchsum.IntUpdate) error {
 	// the write is acked — only acked writes enter the oracle.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if !e.srv.Degraded() {
+		if !e.srv.Health().Degraded {
 			if err = e.serverEngine.Apply(batch); err == nil {
 				return nil
 			}

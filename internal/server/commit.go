@@ -28,15 +28,8 @@ var walUpsPool = sync.Pool{New: func() any { return new([]wal.Update) }}
 // cell fails the whole submission with an error, as /update fails it with
 // 400, and nothing of it is queued.
 func (s *Server) SubmitUpdates(ups []ingest.Update, sync bool) (<-chan ingest.Result, error) {
-	if s.readOnly {
-		return nil, ErrReadOnly
-	}
-	if s.degraded.Load() {
-		reason := ""
-		if v, ok := s.degradedReason.Load().(string); ok {
-			reason = ": " + v
-		}
-		return nil, fmt.Errorf("%w%s", ErrDegraded, reason)
+	if err := s.refuseWrite(); err != nil {
+		return nil, err
 	}
 	shape := s.cube.Shape() // lock-free, as in handleUpdate
 	for i, u := range ups {
@@ -70,7 +63,7 @@ func (s *Server) SubmitUpdates(ups []ingest.Update, sync bool) (<-chan ingest.Re
 // sampled span, so the pipeline's fsync and apply phases are traceable
 // without a request.
 func (s *Server) commitGroups(ctx context.Context, groups [][]ingest.Update) (uint64, error) {
-	if s.halfApplied.Load() {
+	if s.health.Load().halfApplied() {
 		return 0, errCommitPanicked // a group queued before the panic
 	}
 	defer func() {
@@ -78,8 +71,7 @@ func (s *Server) commitGroups(ctx context.Context, groups [][]ingest.Update) (ui
 			// The log may hold the batch and the cube only part of it: shed
 			// writes and keep answering reads; a restart replays the log.
 			// The flusher fails the group and logs the stack.
-			s.halfApplied.Store(true)
-			s.enterDegraded(errCommitPanicked)
+			s.transition(event{cause: errCommitPanicked})
 			panic(p)
 		}
 	}()
@@ -135,7 +127,7 @@ func (s *Server) commitGroups(ctx context.Context, groups [][]ingest.Update) (ui
 			// An unrepairable storage fault: flip to degraded read-only mode
 			// and let the background probe rebuild durability. Later groups
 			// are shed at submission, not dropped.
-			s.enterDegraded(err)
+			s.transition(event{cause: err})
 		}
 		return 0, err
 	}

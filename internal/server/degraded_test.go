@@ -52,7 +52,7 @@ func faultyServer(t *testing.T, mutate func(*Options)) (*Server, *httptest.Serve
 // waitRecovered waits until the storage probe has left degraded mode.
 func waitRecovered(t *testing.T, s *Server) {
 	t.Helper()
-	waitFor(t, "the storage probe to leave degraded mode", func() bool { return !s.Degraded() })
+	waitFor(t, "the storage probe to leave degraded mode", func() bool { return !s.Health().Degraded })
 }
 
 // A single repairable fsync fault is invisible to clients: the update acks
@@ -95,7 +95,7 @@ func TestDegradedModeAndProbeRecovery(t *testing.T) {
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("update during fault burst: status %d, want 503", status)
 	}
-	if !s.Degraded() {
+	if !s.Health().Degraded {
 		t.Fatal("server not degraded after unrepairable WAL fault")
 	}
 
@@ -216,7 +216,7 @@ func TestFlusherCommitErrorFansOutAndRecovers(t *testing.T) {
 			t.Fatalf("submission %d acked success during fault burst (seq %d)", i, res.Seq)
 		}
 	}
-	if !s.Degraded() {
+	if !s.Health().Degraded {
 		t.Fatal("flusher commit failure did not degrade the server")
 	}
 	if got := s.Seq(); got != 0 {

@@ -6,9 +6,20 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rangecube/internal/cube"
 	"rangecube/internal/ndarray"
 	"rangecube/internal/shard"
 )
+
+// New builds a purely in-memory server over the cube with the given uniform
+// block size for the blocked index and fanout for the max/min trees.
+func New(c *cube.Cube, blockSize, fanout int) *Server {
+	s, err := NewWithOptions(c, Options{BlockSize: blockSize, Fanout: fanout})
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
 
 // poisonDelivery queues a commit whose one cell has no coordinates, so the
 // sender's next delivery panics inside Router.Deliver. It carries the

@@ -2,23 +2,13 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"time"
 
 	"rangecube/internal/wal"
 )
-
-// Degraded read-only mode is the server's answer to a disk it can no longer
-// trust. A poisoned WAL (a storage fault the log's rewind-and-retry repair
-// could not clear) means updates have lost their durability guarantee, but
-// nothing about the in-memory structures is wrong — every acknowledged
-// batch is still applied and still on the committed prefix. So the server
-// keeps serving queries and sheds writes: /update and SubmitUpdates return
-// 503 + Retry-After, and the storage loop, woken as the mode flips, rebuilds
-// durability from scratch (fresh snapshot capturing the full in-memory
-// state, then a brand-new WAL file superseding the poisoned one) on a
-// backoff until it succeeds, and exits degraded mode without a restart.
 
 // ErrDegraded matches (with errors.Is) every submission rejected because
 // the server is in degraded read-only mode.
@@ -44,8 +34,8 @@ type Health struct {
 	// ShardsDown lists remote shards currently marked down; their slabs
 	// answer sum queries as partial and extremes as unavailable.
 	ShardsDown []int `json:"shards_down,omitempty"`
-	// Reason describes the fault that triggered degraded mode, "" when
-	// healthy.
+	// Reason is the first fault of the degraded episode, or "commit
+	// panicked" once a commit has; "" when healthy.
 	Reason string `json:"reason,omitempty"`
 	Seq    uint64 `json:"seq"`
 	// WALFaults / WALRepairs / Recoveries mirror the cube_wal_faults_total,
@@ -60,20 +50,84 @@ type Health struct {
 	ReplicaLagSeq uint64 `json:"replica_lag_seq,omitempty"`
 }
 
+// health is the server's availability, one immutable value that
+// Server.health publishes whole, so every reader sees one state. Degraded
+// read-only mode is the server's answer to a disk it can no longer trust. A
+// poisoned WAL (a storage fault the log's rewind-and-retry repair could not
+// clear) means updates have lost their durability guarantee, but every
+// acknowledged batch is still applied and on the committed prefix. So the
+// server keeps serving queries and sheds writes (refuseWrite), and the
+// storage loop, woken as the mode flips, rebuilds durability (a fresh
+// snapshot, then a new WAL superseding the poisoned one) on a backoff until
+// it succeeds. cause is the first fault of the current degraded episode, nil
+// while writable; a commit panic replaces it with errCommitPanicked.
+type health struct {
+	cause    error
+	draining bool
+}
+
+// halfApplied reports whether a commit panicked (see errCommitPanicked).
+func (h health) halfApplied() bool { return h.cause == errCommitPanicked }
+
+// event is one health transition: a fault (cause: a poisoned log's error or
+// errCommitPanicked), a storage recovery, or else a drain toggle to draining.
+type event struct {
+	cause     error
+	recovered bool
+	draining  bool
+}
+
+// next is the server's one health transition function. It does no I/O.
+func next(h health, e event) health {
+	switch {
+	case e.cause != nil:
+		if h.cause == nil || e.cause == errCommitPanicked {
+			h.cause = e.cause
+		}
+	case e.recovered:
+		if !h.halfApplied() {
+			h.cause = nil
+		}
+	default:
+		h.draining = e.draining
+	}
+	return h
+}
+
+// transition publishes next(current, e) with one compare-and-swap loop, then
+// logs a change of cause; entering degraded mode wakes the storage loop.
+func (s *Server) transition(e event) {
+	for {
+		old := s.health.Load()
+		if h := next(*old, e); s.health.CompareAndSwap(old, &h) {
+			switch {
+			case h.cause == old.cause:
+			case h.cause == nil:
+				s.logf("server: storage recovered, leaving degraded mode")
+			default:
+				s.logf("server: entering degraded read-only mode: %v", h.cause)
+				s.storage.wake()
+			}
+			return
+		}
+	}
+}
+
 // Health reports the server's current availability state.
 func (s *Server) Health() Health {
+	hs := s.health.Load()
 	h := Health{
-		Degraded:   s.degraded.Load(),
-		Draining:   s.draining.Load(),
-		Seq:        s.Seq(),
-		WALFaults:  uint64(s.met.walMet.Faults.Value()),
-		WALRepairs: uint64(s.met.walMet.Repairs.Value()),
-		Recoveries: uint64(s.met.recoveries.Value()),
+		Degraded:      hs.cause != nil,
+		Draining:      hs.draining,
+		AwaitingState: s.awaitingState.Load(),
+		Seq:           s.Seq(),
+		WALFaults:     uint64(s.met.walMet.Faults.Value()),
+		WALRepairs:    uint64(s.met.walMet.Repairs.Value()),
+		Recoveries:    uint64(s.met.recoveries.Value()),
 	}
-	if r, ok := s.degradedReason.Load().(string); ok && h.Degraded {
-		h.Reason = r
+	if h.Degraded {
+		h.Reason = hs.cause.Error()
 	}
-	h.AwaitingState = s.awaitingState.Load()
 	if lead := s.followLeaderSeq.Load(); lead > h.Seq {
 		h.ReplicaLagSeq = lead - h.Seq
 	}
@@ -90,50 +144,27 @@ func (s *Server) Health() Health {
 // balancers stop routing new work, while in-flight and straggler requests
 // are still served. The graceful-shutdown path sets it before the HTTP
 // listener begins its drain.
-func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
+func (s *Server) SetDraining(v bool) { s.transition(event{draining: v}) }
 
-// enterDegraded flips the server into degraded read-only mode (idempotent;
-// the first cause is the reported reason) and wakes the storage loop.
-func (s *Server) enterDegraded(cause error) {
-	s.degradedReason.Store(cause.Error())
-	if s.degraded.CompareAndSwap(false, true) {
-		s.logf("server: entering degraded read-only mode: %v", cause)
-		s.storage.wake()
+// refuseWrite is why the server takes no update now, nil when it takes one:
+// a replica never does (ErrReadOnly), a degraded server not until its storage
+// recovers (ErrDegraded with the episode's first cause).
+func (s *Server) refuseWrite() error {
+	switch c := s.health.Load().cause; {
+	case s.readOnly && s.leaderURL != "":
+		return fmt.Errorf("%w (leader: %s)", ErrReadOnly, s.leaderURL)
+	case s.readOnly:
+		return ErrReadOnly
+	case c != nil:
+		return fmt.Errorf("%w: %v", ErrDegraded, c)
 	}
-}
-
-func (s *Server) exitDegraded() {
-	if s.degraded.CompareAndSwap(true, false) {
-		s.logf("server: storage recovered, leaving degraded mode")
-	}
-}
-
-// Degraded reports whether the server is currently shedding updates.
-func (s *Server) Degraded() bool { return s.degraded.Load() }
-
-// writeDegraded sheds one update request: 503 with a Retry-After of one
-// second, the storage loop's longest wait — a client retrying then has a
-// real chance of landing on a recovered server.
-func (s *Server) writeDegraded(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Retry-After", "1")
-	reason := ""
-	if v, ok := s.degradedReason.Load().(string); ok {
-		reason = ": " + v
-	}
-	s.writeError(w, r, http.StatusServiceUnavailable, "degraded read-only mode, updates shed%s", reason)
+	return nil
 }
 
 // ceilSeconds rounds d up to whole seconds, clamped to [1, 30] — the range
 // a Retry-After header is useful in.
 func ceilSeconds(d time.Duration) int {
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 30 {
-		secs = 30
-	}
-	return secs
+	return min(max(int((d+time.Second-1)/time.Second), 1), 30)
 }
 
 // retryAfterHint estimates when the ingest queue will have room again:
@@ -173,11 +204,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // durability under the commit mutex — queries keep being answered throughout
 // — and, on success, exit degraded mode. Only a commit sets the mode and
 // only this job (or Close, after stopping it) clears it. A failed attempt
-// returns b's next wait; otherwise the loop sleeps until enterDegraded wakes
+// returns b's next wait; otherwise the loop sleeps until transition wakes
 // it, so a healthy server never runs this. The loop only exists with a WAL
 // and a snapshot path, the storage a recovery rebuilds.
 func (s *Server) probeStorage(b *backoff) time.Duration {
-	if !s.degraded.Load() || s.halfApplied.Load() {
+	if h := s.health.Load(); h.cause == nil || h.halfApplied() {
 		return idle // a snapshot now would make a half-applied batch durable
 	}
 	s.commitMu.Lock()
@@ -198,9 +229,6 @@ func (s *Server) probeStorage(b *backoff) time.Duration {
 // the old WAL's committed prefix untouched and the server degraded for the
 // storage loop's next attempt.
 func (s *Server) recoverStorageLocked() error {
-	if s.wal == nil {
-		return errors.New("server: no WAL to recover")
-	}
 	if s.opts.SnapshotPath == "" {
 		// Without a snapshot destination there is nowhere to rebuild
 		// durability; the server stays degraded (still serving reads) until
@@ -226,7 +254,7 @@ func (s *Server) recoverStorageLocked() error {
 	})
 	if err == nil {
 		s.met.recoveries.Inc()
-		s.exitDegraded()
+		s.transition(event{recovered: true})
 	}
 	return err
 }

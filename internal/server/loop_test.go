@@ -59,8 +59,8 @@ func TestHealthyStorageLoopNeverRuns(t *testing.T) {
 	if n := s.storageRuns(); n != 0 {
 		t.Fatalf("a healthy server's storage loop ran its job %d times", n)
 	}
-	s.enterDegraded(errors.New("test: log declared poisoned"))
-	waitFor(t, "the storage loop to recover after enterDegraded woke it", func() bool { return !s.Degraded() })
+	s.transition(event{cause: errors.New("test: log declared poisoned")})
+	waitFor(t, "the storage loop to recover after a fault woke it", func() bool { return !s.Health().Degraded })
 	if n := s.storageRuns(); n != 1 {
 		t.Fatalf("one recovery took %d runs, want 1", n)
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/big"
@@ -333,7 +334,7 @@ func TestJoinLeaderFollowsAndRebootstraps(t *testing.T) {
 	if code != http.StatusForbidden || !strings.Contains(body, leader.URL) {
 		t.Fatalf("follower write: status %d body %s", code, body)
 	}
-	if _, err := f.SubmitUpdates([]ingest.Update{{Coords: []int{0, 0}, Delta: 1}}, true); err != ErrReadOnly {
+	if _, err := f.SubmitUpdates([]ingest.Update{{Coords: []int{0, 0}, Delta: 1}}, true); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("SubmitUpdates on follower: %v, want ErrReadOnly", err)
 	}
 

@@ -13,6 +13,7 @@ import (
 	"rangecube/internal/cube"
 	"rangecube/internal/naive"
 	"rangecube/internal/ndarray"
+	"rangecube/internal/trace"
 )
 
 func testServer(t *testing.T) (*Server, *cube.Cube) {
@@ -267,5 +268,40 @@ func TestAvgEmptyRegion(t *testing.T) {
 		if _, err := json.Marshal(resp); err != nil {
 			t.Fatalf("op=%s empty answer does not encode: %v", op, err)
 		}
+	}
+}
+
+// Options.Fanout 0 means the trees' default of 4, and a fanout below 2 is an
+// error from NewWithOptions, not a panic inside the tree build.
+func TestFanoutZeroMeansFourAndOneIsRefused(t *testing.T) {
+	c := cube.New(cube.NewIntDimension("x", 0, 7), cube.NewIntDimension("y", 0, 7))
+	for i := range c.Data().Data() {
+		c.Data().Data()[i] = int64(i)
+	}
+	s, err := NewWithOptions(c, Options{})
+	if err != nil {
+		t.Fatalf("Fanout 0: %v", err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if got, code := sumOf(t, ts, "/query?op=max&x=0..6"); code != http.StatusOK || got.Value != 55 {
+		t.Fatalf("Fanout 0: max over x 0..6 is %d (status %d), want 55", got.Value, code)
+	}
+	if _, err := NewWithOptions(uniqueCube(7), Options{Fanout: 1}); err == nil {
+		t.Fatal("Fanout 1 built a server")
+	}
+}
+
+// Options.SlowQuery 0 means its documented 250ms for the slow-query exemplar
+// line too, not only for the tracer's keep rule.
+func TestSlowQueryZeroMeansDefault(t *testing.T) {
+	s, err := NewWithOptions(uniqueCube(3), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.opts.SlowQuery != trace.DefaultSlow {
+		t.Fatalf("SlowQuery 0 resolved to %v, want %v", s.opts.SlowQuery, trace.DefaultSlow)
 	}
 }

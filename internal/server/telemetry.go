@@ -46,7 +46,7 @@ type serverMetrics struct {
 
 	// Storage-fault tolerance: recoveries counts successful degraded-mode
 	// exits (fresh snapshot + new WAL); the faults/repairs counters live in
-	// walMet. cube_degraded itself is a callback gauge over Server.degraded.
+	// walMet. cube_degraded itself is a callback gauge over Server.health.
 	recoveries *telemetry.Counter
 
 	// Resynchronizations: a follower re-bootstrapping after its shipped WAL
@@ -246,7 +246,7 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 	reg.GaugeFunc("cube_degraded",
 		"1 while the server is in degraded read-only mode, 0 otherwise.",
 		func() int64 {
-			if s.degraded.Load() {
+			if s.health.Load().cause != nil {
 				return 1
 			}
 			return 0

@@ -85,6 +85,9 @@ func NewRouter(a *ndarray.Array[int64], m Map, blockSize, fanout int, sumEngine 
 	if err != nil {
 		return nil, err
 	}
+	if fanout < 2 {
+		return nil, fmt.Errorf("shard: tree fanout %d, want at least 2", fanout)
+	}
 	if !slices.Equal(a.Shape(), m.Shape()) {
 		return nil, fmt.Errorf("shard: cube shape %v does not match map shape %v", a.Shape(), m.Shape())
 	}
