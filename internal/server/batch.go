@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -84,11 +83,11 @@ func (s *Server) evalSlots(ctx context.Context, slots []batchSlot, results []bat
 	var as []shard.Answer
 	var err error
 	// A batch of counts makes no call.
-	remote, seq := s.send != nil, s.committed.Load()
+	remote, seq := s.send != nil, s.seq.Load()
 	for locked := !remote; len(qs) > 0; locked = true {
 		if locked {
 			s.mu.RLock()
-			seq = s.seq
+			seq = s.seq.Load()
 		}
 		if remote {
 			err = s.awaitDelivery(ctx, seq)
@@ -148,19 +147,8 @@ func (s *Server) logPanic(ctx context.Context, err error) {
 // through evalSlots under one epoch. Item-level failures (bad selector,
 // unknown op, a panic in evaluation) are isolated to their slot.
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
-	if s.awaitingState.Load() {
-		s.writeAwaiting(w, r)
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var items []batchQuery
-	if err := json.NewDecoder(r.Body).Decode(&items); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeError(w, r, http.StatusRequestEntityTooLarge, "query batch exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		s.writeError(w, r, http.StatusBadRequest, "decoding query batch: %v", err)
+	if !s.decodeBody(w, r, "query batch", &items) {
 		return
 	}
 	if len(items) == 0 {
@@ -177,24 +165,22 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	// (region == nil marks a dead slot).
 	results := make([]batchResult, len(items))
 	slots := make([]batchSlot, len(items))
-	s.parsing(func() {
-		for i, q := range items {
-			op := q.Op
-			if op == "" {
-				op = "sum"
-			}
-			if !validOp(op) {
-				results[i].Error = fmt.Sprintf("unknown op %q (sum, count, avg, max, min)", op)
-				continue
-			}
-			region, err := s.regionFromSpecs(q.Select)
-			if err != nil {
-				results[i].Error = err.Error()
-				continue
-			}
-			slots[i].op, slots[i].region = op, region
+	for i, q := range items {
+		op := q.Op
+		if op == "" {
+			op = "sum"
 		}
-	})
+		if !validOp(op) {
+			results[i].Error = fmt.Sprintf("unknown op %q (sum, count, avg, max, min)", op)
+			continue
+		}
+		region, err := s.regionFromSpecs(q.Select)
+		if err != nil {
+			results[i].Error = err.Error()
+			continue
+		}
+		slots[i].op, slots[i].region = op, region
+	}
 
 	if err := s.evalSlots(r.Context(), slots, results); err != nil {
 		s.writeCtxError(w, r, err)
@@ -216,23 +202,6 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 type batchEnvelope struct {
 	Count   int           `json:"count"`
 	Results []batchResult `json:"results"`
-}
-
-// parsing runs parse, which resolves selectors against s.cube. It is
-// lock-free on every server that cannot accept a /state push: its cube and
-// dimensions are immutable, so a request never queues behind the commit
-// path's write-preferring lock just to read them — that wait would also tax
-// remote-bound batches, which need the leader's lock only for a retry. Only
-// an AcceptState server (a shard process) parses under a read epoch: a push
-// may swap the cube, and a region parsed against the old dimensions must
-// never reach the new structures. (The lock is dropped before evaluation,
-// which pins its own epoch; same-shape state copies keep old regions valid.)
-func (s *Server) parsing(parse func()) {
-	if s.opts.AcceptState {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-	}
-	parse()
 }
 
 // regionFromSpecs resolves a name→selector map — a batch item's select, or

@@ -64,7 +64,7 @@ func (s *Server) SubmitUpdates(ups []ingest.Update, sync bool) (<-chan ingest.Re
 // without a request.
 func (s *Server) commitGroups(ctx context.Context, groups [][]ingest.Update) (uint64, error) {
 	if s.health.Load().halfApplied() {
-		return 0, errCommitPanicked // a group queued before the panic
+		return 0, s.groupFailed(errCommitPanicked) // a group queued before the panic
 	}
 	defer func() {
 		if p := recover(); p != nil {
@@ -119,10 +119,8 @@ func (s *Server) commitGroups(ctx context.Context, groups [][]ingest.Update) (ui
 	defer s.commitMu.Unlock()
 	seq, err := s.commitLocked(ctx, live)
 	if err != nil {
-		// The error fans out to every sync writer in the group via their
-		// acks; log it too so async writers' losses are never silent.
 		sp.SetError(err.Error())
-		s.logf("server: group commit failed (seq stays %d): %v", s.seq, err)
+		s.groupFailed(err)
 		if errors.Is(err, wal.ErrPoisoned) {
 			// An unrepairable storage fault: flip to degraded read-only mode
 			// and let the background probe rebuild durability. Later groups
@@ -136,10 +134,19 @@ func (s *Server) commitGroups(ctx context.Context, groups [][]ingest.Update) (ui
 	return seq, nil
 }
 
+// groupFailed logs a failed group once, in the commit path, and returns err.
+// The error fans out to every sync writer in the group via their acks; the
+// line keeps async writers' losses from being silent. The batcher logs a
+// group whose commit panicked.
+func (s *Server) groupFailed(err error) error {
+	s.logf("server: group commit failed (seq stays %d): %v", s.Seq(), err)
+	return err
+}
+
 // commitLocked commits one coalesced batch, durable first and applied
 // second: the caller holds commitMu, under which the batch is appended and
 // fsynced as seq+1 while readers run on, and the write lock is then held for
-// the in-memory change alone — sequence bump, structure apply, publication
+// the in-memory change alone — structure apply, then publishing the new seq
 // and queueing the batch for the shards' sender — as one epoch. A crash in
 // between replays the batch at boot; a WAL failure returns before anything
 // was applied anywhere, with the sequence unchanged. ctx carries the commit
@@ -158,7 +165,7 @@ func (s *Server) commitLocked(ctx context.Context, cells []shard.PointDelta) (ui
 			wups = append(wups, wal.Update{Coords: c.Coords, Delta: c.Delta})
 		}
 		wsp := sp.Child("wal.append")
-		err := s.wal.Append(wal.Batch{Seq: s.seq + 1, Updates: wups})
+		err := s.wal.Append(wal.Batch{Seq: s.seq.Load() + 1, Updates: wups})
 		if err != nil {
 			wsp.SetError(err.Error())
 		}
@@ -178,24 +185,24 @@ func (s *Server) commitLocked(ctx context.Context, cells []shard.PointDelta) (ui
 	held := time.Now()
 	seq := func() uint64 {
 		defer s.mu.Unlock() // a panicking apply leaves reads running
-		s.seq++
+		seq := s.seq.Load() + 1
 		asp := sp.Child("structures.apply")
 		s.applyCellsLocked(trace.NewContext(ctx, asp), cells)
 		asp.End()
-		// Publish the commit: the lock-free committed mirror, and walEnd and
-		// the record's offset, which let GET /wal at the record just applied.
-		s.committed.Store(s.seq)
+		// Publish the commit: seq for lock-free readers, and walEnd and the
+		// record's offset, which let GET /wal at the record just applied.
+		s.seq.Store(seq)
 		s.walEnd.Store(end)
 		if s.wal != nil {
 			s.walOffs = append(s.walOffs, at)
 		}
 		if snd := s.send; snd != nil { // in the hold that bumps seq, as resyncShard's gate needs
 			snd.mu.Lock()
-			snd.queue = append(snd.queue, shard.Commit{Seq: s.seq, Cells: cells})
+			snd.queue = append(snd.queue, shard.Commit{Seq: seq, Cells: cells})
 			snd.mu.Unlock()
 			snd.loop.wake()
 		}
-		return s.seq
+		return seq
 	}()
 	s.met.writeLockHold.Observe(time.Since(held).Nanoseconds())
 

@@ -21,6 +21,13 @@ func New(c *cube.Cube, blockSize, fanout int) *Server {
 	return s
 }
 
+// serveOne is serve's frame over one route, h behind guards, at every path.
+func (s *Server) serveOne(guards guard, h http.HandlerFunc) http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/", route{h, guards})
+	return s.serve(mux)
+}
+
 // poisonDelivery queues a commit whose one cell has no coordinates, so the
 // sender's next delivery panics inside Router.Deliver. It carries the
 // leader's seq, which is already delivered: no read waits on it.
@@ -28,7 +35,7 @@ func (s *Server) poisonDelivery() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.send.mu.Lock()
-	s.send.queue = append(s.send.queue, shard.Commit{Seq: s.seq, Cells: []shard.PointDelta{{}}})
+	s.send.queue = append(s.send.queue, shard.Commit{Seq: s.seq.Load(), Cells: []shard.PointDelta{{}}})
 	s.send.mu.Unlock()
 	s.send.loop.wake()
 }

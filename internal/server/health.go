@@ -39,8 +39,7 @@ type Health struct {
 	Reason string `json:"reason,omitempty"`
 	Seq    uint64 `json:"seq"`
 	// WALFaults / WALRepairs / Recoveries mirror the cube_wal_faults_total,
-	// cube_wal_repairs_total and cube_storage_recoveries_total counters
-	// (0 when telemetry is disabled).
+	// cube_wal_repairs_total and cube_storage_recoveries_total counters.
 	WALFaults  uint64 `json:"wal_faults"`
 	WALRepairs uint64 `json:"wal_repairs"`
 	Recoveries uint64 `json:"recoveries"`

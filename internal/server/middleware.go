@@ -6,16 +6,45 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
+	"strings"
 	"time"
 
 	"rangecube/internal/trace"
 )
 
+// guard is one check serve's frame runs before a route's handler.
+type guard uint8
+
+const (
+	// admit takes a slot of the admission semaphore or sheds the request with
+	// 429 and a Retry-After hint. Shedding beats queueing here because a
+	// queued range query holds memory and, once its client times out,
+	// computes an answer nobody reads.
+	admit guard = 1 << iota
+	// deadline bounds the request context with QueryTimeout; the core scans
+	// observe it at their cancellation checkpoints.
+	deadline
+	// placeholder answers 503 while a shard process awaits its first /state
+	// push: the placeholder cube must never answer as if it were the slab. A
+	// request that passes it needs no lock to read s.cube: installState swaps
+	// the cube under the write lock before resetState stores
+	// awaitingState=false, so the request sees the final cube, and that cube
+	// never moves again (a later push of another shape is refused).
+	placeholder
+)
+
+// route is one registered handler and the guards serve's frame runs before
+// it (its own ServeHTTP runs none).
+type route struct {
+	http.HandlerFunc
+	guards guard
+}
+
 // statusWriter records the committed status code and body size of a
-// response, so the outer middleware can account per-status metrics, emit
-// access-log lines, and know whether a panic can still be converted into a
-// 500. A handler that writes without an explicit WriteHeader has committed
-// an implicit 200, and that is what status() reports.
+// response, so the frame can account per-status metrics, emit access-log
+// lines, and know whether a panic can still be converted into a 500. A
+// handler that writes without an explicit WriteHeader has committed an
+// implicit 200, and that is what status() reports.
 type statusWriter struct {
 	http.ResponseWriter
 	code  int // 0 until the response is committed
@@ -38,9 +67,6 @@ func (sw *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// wrote reports whether any part of the response has been committed.
-func (sw *statusWriter) wrote() bool { return sw.code != 0 }
-
 // status returns the committed status code, or 200 for a handler that
 // returned without writing anything (net/http sends 200 on its behalf).
 func (sw *statusWriter) status() int {
@@ -51,23 +77,32 @@ func (sw *statusWriter) status() int {
 }
 
 // Flush forwards to the underlying writer when it supports streaming, so
-// wrapping a handler in telemetry does not silently break flushing.
+// the frame does not silently break flushing.
 func (sw *statusWriter) Flush() {
 	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
 }
 
-// instrumented is the outermost middleware: it assigns the request its
-// correlation ID (accepting a sane client-supplied X-Request-Id, minting one
-// otherwise, echoing it on the response), wraps the writer so the final
-// status and size are observable, and records the per-route request count,
-// latency histogram, in-flight gauge and optional access-log line. Every
-// inner path — including sheds, timeouts and recovered panics — therefore
-// carries the request ID and lands in cube_http_requests_total under its
-// real status code.
-func (s *Server) instrumented(next http.Handler) http.Handler {
+// serve is the one request frame around every route of mux. It looks the
+// route up once, and its pattern names the request's path label; a request
+// no route matches is labelled "other" and gets the mux's own 404, 405 or
+// redirect. The frame assigns the correlation ID (a sane client-supplied
+// X-Request-Id, or a minted one, echoed on the response), starts the request
+// span and the per-request Stats, and applies a deadline route's timeout, all
+// in one r.WithContext. It then runs the route's guards and handler (run),
+// and records the per-route request count, latency histogram, in-flight
+// gauge and optional access or slow-query line. Every path — sheds,
+// timeouts, placeholders and recovered panics included — therefore carries
+// the request ID and lands in cube_http_requests_total under its real status.
+func (s *Server) serve(mux *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h, pattern := mux.Handler(r)
+		rt, routed := h.(route)
+		path := "other"
+		if routed {
+			_, path, _ = strings.Cut(pattern, " ")
+		}
 		rid := clientRequestID(r.Header.Get(trace.HeaderRequestID))
 		if rid == "" {
 			rid = s.newRequestID()
@@ -75,7 +110,6 @@ func (s *Server) instrumented(next http.Handler) http.Handler {
 		w.Header().Set(trace.HeaderRequestID, rid)
 		ctx := trace.WithRequestID(r.Context(), rid)
 
-		path := pathLabel(r.URL.Path)
 		// The request span: a fresh sampled root, or — when the wire headers
 		// carry a caller's trace (a leader fanning out to this shard) — an
 		// always-recorded child of the remote parent. The per-request Stats
@@ -87,13 +121,22 @@ func (s *Server) instrumented(next http.Handler) http.Handler {
 			// find this request's tree in /debug/traces without parsing logs.
 			w.Header().Set(trace.HeaderTraceID, sp.TraceID())
 		}
+		if rt.guards&deadline != 0 && s.opts.QueryTimeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, s.opts.QueryTimeout)
+			defer cancel()
+		}
 		r = r.WithContext(trace.NewContext(ctx, sp))
 
 		sw := &statusWriter{ResponseWriter: w}
 		s.met.inflight.Inc()
 		t0 := time.Now()
 
-		next.ServeHTTP(sw, r)
+		if routed {
+			s.run(sw, r, rt)
+		} else {
+			mux.ServeHTTP(sw, r)
+		}
 
 		dur := time.Since(t0)
 		s.met.inflight.Dec()
@@ -139,68 +182,43 @@ func (s *Server) instrumented(next http.Handler) http.Handler {
 	})
 }
 
-// recovered converts a panicking handler into a logged 500 JSON response
-// instead of a torn connection — one poisoned request must not read as an
-// outage to every client sharing the connection pool. It reuses the
-// instrumented middleware's statusWriter when present so the 500 is
-// attributed correctly.
-func (s *Server) recovered(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw, ok := w.(*statusWriter)
-		if !ok {
-			sw = &statusWriter{ResponseWriter: w}
+// run runs rt's guards, admission before the placeholder, then its handler.
+// A panic becomes a logged 500 JSON response instead of a torn connection:
+// one poisoned request must not read as an outage to every client sharing
+// the connection pool.
+func (s *Server) run(sw *statusWriter, r *http.Request, rt route) {
+	defer func() {
+		v := recover()
+		if v == nil {
+			return
 		}
-		defer func() {
-			v := recover()
-			if v == nil {
-				return
-			}
-			if v == http.ErrAbortHandler {
-				// The sentinel means "drop the connection on purpose";
-				// net/http handles it, and suppressing it would hide that.
-				panic(v)
-			}
-			s.met.panics.Inc()
-			s.logf("server: panic serving %s %s rid=%s: %v\n%s",
-				r.Method, r.URL.Path, RequestIDFrom(r.Context()), v, debug.Stack())
-			if !sw.wrote() {
-				s.writeError(sw, r, http.StatusInternalServerError, "internal error")
-			}
-		}()
-		next.ServeHTTP(sw, r)
-	})
-}
-
-// limited applies the admission semaphore: a request either acquires a slot
-// immediately or is shed with 429 and a Retry-After hint. Shedding beats
-// queueing here because a queued range query holds memory and, once its
-// client times out, computes an answer nobody reads.
-func (s *Server) limited(next http.Handler) http.Handler {
-	if s.inflight == nil {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if v == http.ErrAbortHandler {
+			// The sentinel means "drop the connection on purpose"; net/http
+			// handles it, and suppressing it would hide that.
+			panic(v)
+		}
+		s.met.panics.Inc()
+		s.logf("server: panic serving %s %s rid=%s: %v\n%s",
+			r.Method, r.URL.Path, RequestIDFrom(r.Context()), v, debug.Stack())
+		if sw.code == 0 {
+			s.writeError(sw, r, http.StatusInternalServerError, "internal error")
+		}
+	}()
+	if rt.guards&admit != 0 && s.inflight != nil {
 		select {
 		case s.inflight <- struct{}{}:
 			defer func() { <-s.inflight }()
-			next.ServeHTTP(w, r)
 		default:
 			s.met.shed.Inc()
-			w.Header().Set("Retry-After", "1")
-			s.writeError(w, r, http.StatusTooManyRequests, "server at capacity (%d in flight)", cap(s.inflight))
+			sw.Header().Set("Retry-After", "1")
+			s.writeError(sw, r, http.StatusTooManyRequests, "server at capacity (%d in flight)", cap(s.inflight))
+			return
 		}
-	})
-}
-
-// deadlined bounds the request context with the configured query timeout;
-// the core scans observe it at their cancellation checkpoints.
-func (s *Server) deadlined(next http.Handler) http.Handler {
-	if s.opts.QueryTimeout <= 0 {
-		return next
 	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.opts.QueryTimeout)
-		defer cancel()
-		next.ServeHTTP(w, r.WithContext(ctx))
-	})
+	if rt.guards&placeholder != 0 && s.awaitingState.Load() {
+		sw.Header().Set("Retry-After", "1")
+		s.writeError(sw, r, http.StatusServiceUnavailable, "awaiting state push from the leader")
+		return
+	}
+	rt.HandlerFunc(sw, r)
 }

@@ -98,7 +98,7 @@ func (s *Server) resyncShard(e *shard.RemoteEngine) error {
 	for attempt := 0; attempt < attempts; attempt++ {
 		s.mu.RLock()
 		slab := shard.SlabCopy(s.cube.Data(), s.router.Map(), e.Shard())
-		seq = s.seq
+		seq = s.seq.Load()
 		lo, hi := shard.ValueBounds(slab)
 		// Seed the engine's conservative cell-value bounds while the capture
 		// is still atomic with the cube (a commit widens them under the
@@ -118,7 +118,7 @@ func (s *Server) resyncShard(e *shard.RemoteEngine) error {
 		}
 
 		s.mu.RLock()
-		current := s.seq == seq
+		current := s.seq.Load() == seq
 		if current {
 			e.MarkUp(seq, lo, hi)
 		}
@@ -260,12 +260,8 @@ var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 // readBody reads a request body from the leader — a scatter frame or update
 // records — into *bufP. The leader always declares the length, so the body
 // is bounded before a byte of it is buffered. On failure it has answered:
-// 503 while the shard awaits its first /state push, 413 or 400.
+// 413 or 400.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, bufP *[]byte) ([]byte, bool) {
-	if s.awaitingState.Load() {
-		s.writeAwaiting(w, r)
-		return nil, false
-	}
 	if r.ContentLength < 0 || r.ContentLength > maxBodyBytes {
 		s.writeError(w, r, http.StatusRequestEntityTooLarge, "body of %d bytes (at most %d, length required)", r.ContentLength, maxBodyBytes)
 		return nil, false
@@ -292,7 +288,7 @@ func (s *Server) handleShardApply(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Reading a byte slice cannot fail, and the shape, read lock-free, is
-	// pinned once the first push has landed.
+	// pinned once the first push has landed (the placeholder guard).
 	bs, n, _ := wal.ScanStream(bytes.NewReader(body))
 	_, err := checkReplicated(s.cube.Shape(), bs)
 	if n < int64(len(body)) || len(bs) == 0 {
@@ -335,7 +331,7 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 	qs := make([]shard.Query, 0, len(items))
 	cs := make([]*metrics.Counter, 0, len(items))
 	s.mu.RLock()
-	seq, shape := s.seq, s.cube.Shape()
+	seq, shape := s.seq.Load(), s.cube.Shape()
 	for i := range items {
 		it := &items[i]
 		if len(it.Local) != len(shape) {
@@ -379,14 +375,6 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 	*bufP = out // keeps an array the answer has grown
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(out)
-}
-
-// writeAwaiting sheds a request arriving before the first /state push has
-// installed real data: the placeholder cube must never answer as if it were
-// the slab.
-func (s *Server) writeAwaiting(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Retry-After", "1")
-	s.writeError(w, r, http.StatusServiceUnavailable, "awaiting state push from the leader")
 }
 
 // handleState accepts a pushed snapshot as this server's entire new state.
@@ -451,7 +439,6 @@ func (s *Server) installState(seq uint64, cells *ndarray.Array[int64]) error {
 	if err := s.buildRouter(); err != nil {
 		return err
 	}
-	s.seq = seq
-	s.committed.Store(seq)
+	s.seq.Store(seq)
 	return nil
 }

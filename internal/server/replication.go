@@ -82,7 +82,7 @@ func (s *Server) handleWALFetch(w http.ResponseWriter, r *http.Request) {
 		after = n
 	}
 	s.mu.RLock()
-	size, seq := s.walEnd.Load(), s.seq
+	size, seq := s.walEnd.Load(), s.seq.Load()
 	from := int64(-1) // the log holds no record of batch after+1
 	if after == seq {
 		from = size
@@ -120,12 +120,12 @@ func (s *Server) handleWALFetch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSnapshotFetch(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	var b bytes.Buffer
-	if err := persist.WriteSnapshot(&b, s.seq, s.cube.Data()); err != nil {
+	if err := persist.WriteSnapshot(&b, s.seq.Load(), s.cube.Data()); err != nil {
 		s.mu.RUnlock()
 		s.writeError(w, r, http.StatusInternalServerError, "encoding snapshot: %v", err)
 		return
 	}
-	seq := s.seq
+	seq := s.seq.Load()
 	s.mu.RUnlock()
 
 	w.Header().Set(hdrSeq, strconv.FormatUint(seq, 10))
@@ -153,11 +153,11 @@ func (s *Server) ApplyReplicated(batches []wal.Batch) (applied int, err error) {
 	defer s.commitMu.Unlock()
 	valid, err := checkReplicated(s.cube.Shape(), batches) // a /state push, which may swap the cube, holds commitMu
 	for i, b := range batches[:valid] {
-		if b.Seq <= s.seq {
+		if b.Seq <= s.seq.Load() {
 			continue
 		}
-		if b.Seq != s.seq+1 {
-			return i, fmt.Errorf("server: replicated batch seq %d %w seq %d", b.Seq, errSeqGap, s.seq)
+		if b.Seq != s.seq.Load()+1 {
+			return i, fmt.Errorf("server: replicated batch seq %d %w seq %d", b.Seq, errSeqGap, s.seq.Load())
 		}
 		cells := make([]shard.PointDelta, len(b.Updates))
 		for k, u := range b.Updates {
@@ -165,8 +165,7 @@ func (s *Server) ApplyReplicated(batches []wal.Batch) (applied int, err error) {
 		}
 		s.mu.Lock()
 		s.applyCellsLocked(context.Background(), cells)
-		s.seq = b.Seq
-		s.committed.Store(s.seq)
+		s.seq.Store(b.Seq)
 		s.mu.Unlock()
 	}
 	return valid, err
@@ -255,9 +254,8 @@ func bootstrapFollower(ctx context.Context, leaderURL string, opts Options, hc *
 		return nil, err
 	}
 	s.mu.Lock()
-	s.seq = seq
+	s.seq.Store(seq)
 	s.mu.Unlock()
-	s.committed.Store(seq)
 	// Seed the lag gauges: at join time the snapshot IS the leader's state,
 	// so the follower starts caught up with a fresh progress stamp.
 	s.followLeaderSeq.Store(seq)

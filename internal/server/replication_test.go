@@ -296,7 +296,7 @@ func TestFollowerNeverAheadOfLeader(t *testing.T) {
 	s.mu.RLock()
 	release()
 	time.Sleep(50 * time.Millisecond) // time for the apply to publish, which it must not do
-	committed, end := s.committed.Load(), s.walEnd.Load()
+	committed, end := s.seq.Load(), s.walEnd.Load()
 	s.mu.RUnlock()
 	if committed != 1 || end != published {
 		t.Fatalf("with the apply held back the leader committed %d and published WAL end %d, want 1 and %d", committed, end, published)
@@ -786,8 +786,8 @@ func TestApplyReplicatedRejectsBadCoords(t *testing.T) {
 	}
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	if got := f.cube.Data().Data(); f.seq != 2 || !slices.Equal(got, later.Data()) || snapshots.Load() != 2 {
-		t.Fatalf("follower at seq %d holds %v after %d snapshots, want seq 2 and the leader's %v after 2", f.seq, got, snapshots.Load(), later.Data())
+	if got := f.cube.Data().Data(); f.seq.Load() != 2 || !slices.Equal(got, later.Data()) || snapshots.Load() != 2 {
+		t.Fatalf("follower at seq %d holds %v after %d snapshots, want seq 2 and the leader's %v after 2", f.seq.Load(), got, snapshots.Load(), later.Data())
 	}
 	if s, err := f.router.Sum(context.Background(), ndarray.Reg(0, 3, 0, 3), nil); err != nil || s != 14 {
 		t.Fatalf("follower's full-cube sum = %d (err %v), want 14", s, err)

@@ -271,14 +271,14 @@ func TestSheddingUnderLoad(t *testing.T) {
 	s.inflight = make(chan struct{}, 1)
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	h := s.limited(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := s.serveOne(admit, func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case started <- struct{}{}:
 		default:
 		}
 		<-release
 		w.WriteHeader(http.StatusOK)
-	}))
+	})
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -368,9 +368,9 @@ func TestPanicRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := s.recovered(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := s.serveOne(0, func(w http.ResponseWriter, r *http.Request) {
 		panic("handler bug")
-	}))
+	})
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/query", nil))
 	if rec.Code != http.StatusInternalServerError {
@@ -386,9 +386,9 @@ func TestPanicRecovery(t *testing.T) {
 		t.Fatalf("cube_http_panic_total = %v after one recovered panic, want 1", got)
 	}
 
-	abort := s.recovered(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	abort := s.serveOne(0, func(w http.ResponseWriter, r *http.Request) {
 		panic(http.ErrAbortHandler)
-	}))
+	})
 	defer func() {
 		if recover() != http.ErrAbortHandler {
 			t.Fatal("ErrAbortHandler was swallowed")

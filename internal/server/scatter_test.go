@@ -682,7 +682,7 @@ func TestShardApplyOnce(t *testing.T) {
 	state := func() (seq uint64, cell int64) {
 		p.mu.RLock()
 		defer p.mu.RUnlock()
-		return p.seq, p.cube.Data().At(1, 2)
+		return p.seq.Load(), p.cube.Data().At(1, 2)
 	}
 	for k, step := range []struct {
 		rec  []byte
@@ -789,7 +789,7 @@ func FuzzShardApply(f *testing.F) {
 			t.Fatalf("answered %d: %s", rec.Code, rec.Body)
 		}
 		s.mu.RLock()
-		seq, cells := s.seq, slices.Clone(s.cube.Data().Data())
+		seq, cells := s.seq.Load(), slices.Clone(s.cube.Data().Data())
 		s.mu.RUnlock()
 		if seq != wantSeq || !slices.Equal(cells, want.Data()) {
 			t.Fatalf("status %d left seq %d and cells %v, want %d and %v", rec.Code, seq, cells, wantSeq, want.Data())

@@ -3,18 +3,8 @@
 // implies: queries run concurrently against immutable structures, updates
 // arrive in batches (§5's nightly-update model) under a write lock, and
 // every response reports the paper's cost proxy (elements accessed)
-// alongside the answer.
-//
-//	GET  /schema                      cube dimensions and sizes
-//	GET  /query?op=sum&age=37..52&type=auto
-//	GET  /query?op=max&year=1990..1995     (also min, avg, count)
-//	POST /query/batch                 JSON array of {op, select}, answered
-//	                                  concurrently under one read epoch
-//	POST /update                      JSON batch of {coords, delta}
-//	POST /shard/query                 internal: a leader's binary scatter
-//	                                  frame of sub-queries (remote.go)
-//	POST /shard/apply                 internal: a leader's update record,
-//	                                  on a shard process (remote.go)
+// alongside the answer. Handler lists every route with its guards, e.g.
+// GET /query?op=sum&age=37..52&type=auto.
 //
 // Selector syntax per dimension: name=value, name=lo..hi, name=*
 // (unspecified dimensions default to "all"). op=sum responses include §11
@@ -49,7 +39,6 @@ import (
 	"rangecube/internal/client"
 	"rangecube/internal/cube"
 	"rangecube/internal/ingest"
-	"rangecube/internal/ndarray"
 	"rangecube/internal/persist"
 	"rangecube/internal/shard"
 	"rangecube/internal/telemetry"
@@ -202,10 +191,10 @@ const (
 // incremental algorithms.
 type Server struct {
 	opts Options
-	// Keeps every later field at the offset it had while Options held 40
-	// more bytes of fields: which fields share a cache line measurably moves
-	// the cost of a query.
-	_    [40]byte
+	// Keeps met, ridSeq and tracer at the offsets they had while Options held
+	// 40 more bytes of fields and Server one more before met: which fields
+	// share a cache line measurably moves the cost of a query.
+	_    [48]byte
 	logf func(format string, args ...any)
 
 	// A read-only server is a replica whose state arrives through
@@ -243,23 +232,23 @@ type Server struct {
 
 	// Once the server is built, wal and seq are written with commitMu and the
 	// write lock both held, so either lock suffices to read them; sinceSnap
-	// belongs to commitMu alone.
+	// belongs to commitMu alone. seq, the sequence number of the last applied
+	// batch, is atomic so that Seq and the lag stamps read it with no lock; a
+	// reader that pairs it with the cube or walEnd loads it under the read lock.
 	wal       *wal.Log // nil when WALPath is empty
-	seq       uint64   // sequence number of the last applied batch
-	sinceSnap int      // batches logged since the last snapshot
+	seq       atomic.Uint64
+	sinceSnap int // batches logged since the last snapshot
 
-	// Replication (replication.go): committed mirrors seq for lock-free
-	// readers (the shard-down lag stamp); walEnd is the log offset below
-	// which every record is applied. A record is durable before it is
-	// applied, so the file may run one record past walEnd: GET /wal stops at
-	// walEnd and never asks the file or the Log for a length. walOffs[i] is
-	// the offset of batch walBase+1+i's record in the current log, so GET
-	// /wal?after=<seq> finds its start without reading the log. All are
-	// written inside a write-lock hold, so a read epoch sees them agree.
-	committed atomic.Uint64
-	walEnd    atomic.Int64
-	walBase   uint64
-	walOffs   []int64
+	// Replication (replication.go): walEnd is the log offset below which
+	// every record is applied. A record is durable before it is applied, so
+	// the file may run one record past walEnd: GET /wal stops at walEnd and
+	// never asks the file or the Log for a length. walOffs[i] is the offset of
+	// batch walBase+1+i's record in the current log, so GET /wal?after=<seq>
+	// finds its start without reading the log. All are written inside a
+	// write-lock hold, so a read epoch sees them agree.
+	walEnd  atomic.Int64
+	walBase uint64
+	walOffs []int64
 
 	batcher *ingest.Batcher // the one commit entry; nil only on a read-only server
 
@@ -363,21 +352,21 @@ func newServer(c *cube.Cube, opts Options, leaderURL string, hc *http.Client) (*
 		l.SetMetrics(&s.met.walMet)
 		// Index the replayed batches for GET /wal: the log holds its records
 		// back to back after the header.
-		s.walBase = s.seq
+		s.walBase = s.seq.Load()
 		at := wal.HeaderSize
 		replayed := 0
 		for _, b := range batches {
 			p, _ := wal.EncodeBatch(b) // b was decoded from a record, so it encodes
 			off := at
 			at += wal.FrameSize + int64(len(p))
-			if b.Seq <= s.seq {
+			if b.Seq <= s.seq.Load() {
 				continue // already folded into the snapshot
 			}
 			if err := s.replayBatch(b); err != nil {
 				l.Close()
 				return nil, fmt.Errorf("server: replaying batch %d: %w", b.Seq, err)
 			}
-			s.seq = b.Seq
+			s.seq.Store(b.Seq)
 			s.walOffs = append(s.walOffs, off)
 			replayed++
 		}
@@ -395,10 +384,9 @@ func newServer(c *cube.Cube, opts Options, leaderURL string, hc *http.Client) (*
 		return nil, err
 	}
 	s.met.pinCostObservers(s)
-	s.committed.Store(s.seq)
 	s.awaitingState.Store(opts.AcceptState)
 	if len(opts.ShardURLs) > 0 {
-		s.send = &sender{delivered: s.seq, advanced: make(chan struct{})}
+		s.send = &sender{delivered: s.seq.Load(), advanced: make(chan struct{})}
 		s.send.loop = s.startLoop("shard delivery", idle, s.deliver)
 		turns := make([]resyncTurn, len(s.remoteEngines))
 		s.resync = s.startLoop("shard resync", maxWait, func() time.Duration { return s.resyncDownShards(turns) })
@@ -452,7 +440,7 @@ func (s *Server) loadSnapshot() error {
 		return fmt.Errorf("server: snapshot shape %v does not match cube %v", cells.Shape(), dst.Shape())
 	}
 	copy(dst.Data(), cells.Data())
-	s.seq = seq
+	s.seq.Store(seq)
 	s.logf("server: loaded snapshot %s (seq %d)", s.opts.SnapshotPath, seq)
 	return nil
 }
@@ -487,11 +475,7 @@ func checkCoords(shape, coords []int) error {
 }
 
 // Seq returns the sequence number of the last applied update batch.
-func (s *Server) Seq() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.seq
-}
+func (s *Server) Seq() uint64 { return s.seq.Load() }
 
 // Checkpoint forces a snapshot-and-truncate compaction. It is what the
 // process calls on graceful shutdown so the next boot replays nothing.
@@ -569,7 +553,7 @@ func (s *Server) compact() error {
 // it was.
 func (s *Server) snapshotLocked(done string, restart func() error) error {
 	err := persist.WriteFileAtomic(s.opts.SnapshotPath, func(w io.Writer) error {
-		return persist.WriteSnapshot(w, s.seq, s.cube.Data())
+		return persist.WriteSnapshot(w, s.seq.Load(), s.cube.Data())
 	})
 	if err != nil {
 		return fmt.Errorf("server: snapshot: %w", err)
@@ -579,57 +563,60 @@ func (s *Server) snapshotLocked(done string, restart func() error) error {
 	}
 	s.publishWALReset()
 	s.sinceSnap = 0
-	s.logf("server: snapshot %s at seq %d, %s", s.opts.SnapshotPath, s.seq, done)
+	s.logf("server: snapshot %s at seq %d, %s", s.opts.SnapshotPath, s.seq.Load(), done)
 	return nil
 }
 
-// Handler returns the HTTP routes wrapped in the robustness and telemetry
-// middleware: request-ID assignment and metric recording outermost, panic
-// recovery inside it, then admission control and per-request deadlines on
-// the query paths. GET /metrics (when enabled) bypasses admission control —
-// the scraper must be able to see the server precisely when it is shedding.
+// Handler returns every route in serve's one frame, each registered once with
+// its guards. An update flood sheds at the same MaxInflight cap as queries,
+// but takes no deadline: a WAL-logged batch must finish applying. The probes,
+// /metrics, /debug/traces and the replication surface bypass admission: they
+// must answer precisely when the server sheds, and none competes for the
+// structures' read epochs. Every route that would read a shard's placeholder
+// cube waits for the first push.
 func (s *Server) Handler() http.Handler {
+	query := admit | deadline | placeholder
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /schema", s.handleSchema)
-	mux.Handle("GET /query", s.limited(s.deadlined(http.HandlerFunc(s.handleQuery))))
-	mux.Handle("POST /query/batch", s.limited(s.deadlined(http.HandlerFunc(s.handleQueryBatch))))
-	// The tier's internal read RPC (remote.go): a leader's scatter frame.
-	mux.Handle("POST /shard/query", s.limited(s.deadlined(http.HandlerFunc(s.handleShardQuery))))
-	// Updates pass admission control too — an update flood must shed at the
-	// same MaxInflight cap as queries, not bypass it — but take no deadline:
-	// once a batch is WAL-logged it must finish applying, never abandon
-	// half-applied state.
-	mux.Handle("POST /update", s.limited(http.HandlerFunc(s.handleUpdate)))
-	// The probes bypass admission control for the same reason /metrics does:
-	// an orchestrator must be able to assess a server precisely when it is
-	// overloaded or degraded.
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	// The replication surface bypasses admission control: a follower must be
-	// able to catch up (and a leader to push state and records) precisely
-	// when the server is busiest, and neither competes for the structures'
-	// read epochs — /wal streams raw log bytes, /snapshot reads one epoch
-	// briefly.
-	mux.HandleFunc("GET /wal", s.handleWALFetch)
-	mux.HandleFunc("GET /snapshot", s.handleSnapshotFetch)
+	mux.Handle("GET /schema", route{s.handleSchema, 0})
+	mux.Handle("GET /query", route{s.handleQuery, query})
+	mux.Handle("POST /query/batch", route{s.handleQueryBatch, query})
+	mux.Handle("POST /shard/query", route{s.handleShardQuery, query}) // a leader's scatter frame (remote.go)
+	mux.Handle("POST /update", route{s.handleUpdate, admit})
+	mux.Handle("GET /healthz", route{s.handleHealthz, 0})
+	mux.Handle("GET /readyz", route{s.handleReadyz, 0})
+	mux.Handle("GET /wal", route{s.handleWALFetch, 0})
+	mux.Handle("GET /snapshot", route{s.handleSnapshotFetch, 0})
 	if s.opts.AcceptState {
-		mux.HandleFunc("POST /state", s.handleState)
-		mux.HandleFunc("POST /shard/apply", s.handleShardApply)
+		mux.Handle("POST /state", route{s.handleState, 0})
+		mux.Handle("POST /shard/apply", route{s.handleShardApply, placeholder})
 	}
 	if s.opts.Metrics {
-		mux.Handle("GET /metrics", s.met.reg.Handler())
+		mux.Handle("GET /metrics", route{s.met.reg.Handler().ServeHTTP, 0})
 	}
-	// The trace store, like /metrics and the probes, bypasses admission
-	// control: the spans explaining an overloaded server must be readable
-	// while it sheds.
-	mux.HandleFunc("GET /debug/traces", s.handleTraces)
-	return s.instrumented(s.recovered(mux))
+	mux.Handle("GET /debug/traces", route{s.handleTraces, 0})
+	return s.serve(mux)
 }
 
 // Metrics returns the server's telemetry registry, for embedding the
 // exposition somewhere other than /metrics.
 func (s *Server) Metrics() *telemetry.Registry {
 	return s.met.reg
+}
+
+// decodeBody decodes a JSON request body of at most maxBodyBytes into v. On
+// failure it has answered, naming the body what: 413 past the cap, else 400.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			s.writeError(w, r, http.StatusRequestEntityTooLarge, "%s exceeds %d bytes", what, tooBig.Limit)
+		} else {
+			s.writeError(w, r, http.StatusBadRequest, "decoding %s: %v", what, err)
+		}
+		return false
+	}
+	return true
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
@@ -745,10 +732,6 @@ func (q *queryResponse) setSum(res shard.SumResult) {
 // handleQuery answers one query as a batch of one: its own parse and 400s,
 // then the same evaluation as POST /query/batch (evalSlots).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if s.awaitingState.Load() {
-		s.writeAwaiting(w, r)
-		return
-	}
 	params := r.URL.Query() // parsed once: op and the selectors both read it
 	op := params.Get("op")
 	if op == "" {
@@ -769,9 +752,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		specs[name] = vals[0]
 	}
-	var region ndarray.Region
-	var err error
-	s.parsing(func() { region, err = s.regionFromSpecs(specs) })
+	region, err := s.regionFromSpecs(specs)
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, "%v", err)
 		return
@@ -893,15 +874,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, status, "%v", err)
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req updateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeError(w, r, http.StatusRequestEntityTooLarge, "update batch exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		s.writeError(w, r, http.StatusBadRequest, "decoding update batch: %v", err)
+	if !s.decodeBody(w, r, "update batch", &req) {
 		return
 	}
 	if len(req.Updates) == 0 {
@@ -957,8 +931,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := <-ack
-	if res.Err != nil {
-		s.logf("server: group commit failed: %v", res.Err)
+	if res.Err != nil { // commitGroups or the batcher has logged the group's failure
 		w.Header().Set("Retry-After", "1") // the storage probe's longest wait
 		s.writeError(w, r, http.StatusServiceUnavailable, "update not durable: %v", res.Err)
 		return

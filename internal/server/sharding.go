@@ -39,7 +39,7 @@ func (s *Server) buildRouter() error {
 func (s *Server) publishWALReset() {
 	s.mu.Lock()
 	s.walEnd.Store(wal.HeaderSize)
-	s.walBase = s.seq
+	s.walBase = s.seq.Load()
 	s.walOffs = s.walOffs[:0]
 	s.mu.Unlock()
 }

@@ -207,7 +207,7 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 		"Committed batches the most-behind down remote shard is missing (0 when every shard is up; the leader's seq for a shard never synced).",
 		func() int64 {
 			var worst uint64
-			have := s.committed.Load()
+			have := s.seq.Load()
 			for _, e := range s.remoteEngines {
 				if at := e.Seq(); e.Down() && have > at {
 					worst = max(worst, have-at)
@@ -305,17 +305,6 @@ func (o costObserver) ObserveCost(cells, aux, steps int64) {
 	o.cells.Observe(cells)
 	o.aux.Observe(aux)
 	o.steps.Observe(steps)
-}
-
-// pathLabel buckets a request path into the fixed route set so the path
-// label stays low-cardinality no matter what clients probe for.
-func pathLabel(p string) string {
-	switch p {
-	case "/schema", "/query", "/query/batch", "/shard/query", "/shard/apply", "/update", "/metrics",
-		"/healthz", "/readyz", "/wal", "/snapshot", "/state", "/debug/traces":
-		return p
-	}
-	return "other"
 }
 
 // RequestIDFrom returns the request's correlation ID, or "" outside the

@@ -425,18 +425,17 @@ func TestShedAccounting(t *testing.T) {
 	}
 	// Occupy the only slot with a handler that signals arrival, then parks
 	// until released.
-	occupied := s.limited(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	mux := http.NewServeMux()
+	mux.Handle("/park", route{func(w http.ResponseWriter, r *http.Request) {
 		close(holding)
 		<-block
 		w.WriteHeader(http.StatusOK)
-	}))
-	mux := http.NewServeMux()
-	mux.Handle("/park", occupied)
-	mux.Handle("/query", s.limited(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	}, admit})
+	mux.Handle("/query", route{func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
-	})))
-	mux.Handle("/metrics", s.met.reg.Handler())
-	ts := httptest.NewServer(s.instrumented(s.recovered(mux)))
+	}, admit})
+	mux.Handle("/metrics", route{s.met.reg.Handler().ServeHTTP, 0})
+	ts := httptest.NewServer(s.serve(mux))
 	defer ts.Close()
 
 	parked := make(chan struct{})

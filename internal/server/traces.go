@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"sort"
 	"strconv"
@@ -95,6 +94,5 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	for _, g := range order {
 		resp.Traces = append(resp.Traces, *g)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	s.writeJSON(w, r, http.StatusOK, resp)
 }
