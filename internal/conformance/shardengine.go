@@ -8,6 +8,7 @@ import (
 	"rangecube/internal/core/maxtree"
 	"rangecube/internal/ndarray"
 	"rangecube/internal/shard"
+	"rangecube/internal/wal"
 )
 
 // --- sharded scatter–gather router ---
@@ -49,9 +50,9 @@ func (e *shardedSumEngine) Sum(r ndarray.Region) (int64, error) {
 }
 
 func (e *shardedSumEngine) Apply(b []batchsum.IntUpdate) error {
-	cells := make([]shard.PointDelta, len(b))
+	cells := make([]wal.Update, len(b))
 	for i, u := range b {
-		cells[i] = shard.PointDelta{Coords: u.Coords, Delta: u.Delta}
+		cells[i] = wal.Update(u)
 	}
 	e.rt.Apply(context.Background(), cells)
 	return nil
@@ -98,14 +99,14 @@ func (e *shardedMaxEngine) Extreme(r ndarray.Region) (int64, bool, error) {
 }
 
 func (e *shardedMaxEngine) Assign(batch []maxtree.PointUpdate[int64]) error {
-	cells := make([]shard.PointDelta, 0, len(batch))
+	cells := make([]wal.Update, 0, len(batch))
 	for _, u := range batch {
 		old := e.cells.At(u.Coords...)
 		if u.Value == old {
 			continue
 		}
 		e.cells.Set(u.Value, u.Coords...)
-		cells = append(cells, shard.PointDelta{Coords: u.Coords, Delta: u.Value - old})
+		cells = append(cells, wal.Update{Coords: u.Coords, Delta: u.Value - old})
 	}
 	e.rt.Apply(context.Background(), cells)
 	return nil

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"rangecube/internal/telemetry"
+	"rangecube/internal/wal"
 )
 
 // ErrQueueFull is returned by Submit when the bounded queue is at
@@ -47,11 +48,10 @@ var ErrQueueFull = errors.New("ingest: queue full")
 // accepted while the queue drains.
 var ErrClosed = errors.New("ingest: batcher closed")
 
-// Update is one point update in the §5 (location, value-to-add) form.
-type Update struct {
-	Coords []int
-	Delta  int64
-}
+// Update is one point update in the §5 (location, value-to-add) form: the
+// log's own record, so a group is logged, applied and sent to the shards as
+// the writers submitted it.
+type Update = wal.Update
 
 // Result is what a sync writer receives after its group commits. The
 // three timestamps let a client (and the response JSON) decompose

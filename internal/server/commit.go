@@ -4,20 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
-	"sync"
 	"time"
 
 	"rangecube/internal/ingest"
-	"rangecube/internal/shard"
 	"rangecube/internal/trace"
 	"rangecube/internal/wal"
 )
-
-// The flush path converts each committed group into a WAL batch. wal.Append
-// encodes synchronously and does not retain the slice past the call, so the
-// backing array is pooled instead of allocated fresh per batch.
-var walUpsPool = sync.Pool{New: func() any { return new([]wal.Update) }}
 
 // SubmitUpdates feeds point updates straight into the ingestion path,
 // bypassing HTTP — the embedded-use API the benchmark harness drives. With
@@ -91,33 +85,28 @@ func (s *Server) commitGroups(ctx context.Context, groups [][]ingest.Update) (ui
 	byOff := make(map[int]int, raw)
 	// One coalesced update per cell: the net value-to-add after merging every
 	// duplicate coordinate in the group.
-	cells := make([]shard.PointDelta, 0, raw)
+	cells := make([]wal.Update, 0, raw)
 	for _, g := range groups {
-		for i := range g {
-			off := a.Offset(g[i].Coords...)
+		for _, u := range g {
+			off := a.Offset(u.Coords...)
 			if j, ok := byOff[off]; ok {
-				cells[j].Delta += g[i].Delta
+				cells[j].Delta += u.Delta
 			} else {
 				byOff[off] = len(cells)
-				cells = append(cells, shard.PointDelta{Coords: g[i].Coords, Delta: g[i].Delta})
+				cells = append(cells, u)
 			}
 		}
 	}
-	live := cells[:0]
-	for _, c := range cells {
-		if c.Delta != 0 {
-			live = append(live, c)
-		}
-	}
-	sp.Set("cells", strconv.Itoa(len(live)))
+	cells = slices.DeleteFunc(cells, func(c wal.Update) bool { return c.Delta == 0 })
+	sp.Set("cells", strconv.Itoa(len(cells)))
 
-	if len(live) == 0 {
+	if len(cells) == 0 {
 		return s.Seq(), nil
 	}
 
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
-	seq, err := s.commitLocked(ctx, live)
+	seq, err := s.commitLocked(ctx, cells)
 	if err != nil {
 		sp.SetError(err.Error())
 		s.groupFailed(err)
@@ -145,66 +134,31 @@ func (s *Server) groupFailed(err error) error {
 
 // commitLocked commits one coalesced batch, durable first and applied
 // second: the caller holds commitMu, under which the batch is appended and
-// fsynced as seq+1 while readers run on, and the write lock is then held for
-// the in-memory change alone — structure apply, then publishing the new seq
-// and queueing the batch for the shards' sender — as one epoch. A crash in
-// between replays the batch at boot; a WAL failure returns before anything
-// was applied anywhere, with the sequence unchanged. ctx carries the commit
-// span; each phase records a child, so a slow commit's trace shows whether
-// it waited on the disk or on readers.
-func (s *Server) commitLocked(ctx context.Context, cells []shard.PointDelta) (uint64, error) {
-	sp := trace.FromContext(ctx)
+// fsynced as seq+1 while readers run on, and then published by applyEpoch. A
+// crash in between replays the batch at boot; a WAL failure returns before
+// anything was applied anywhere, with the sequence unchanged. ctx carries the
+// commit span; each phase records a child, so a slow commit's trace shows
+// whether it waited on the disk or on readers.
+func (s *Server) commitLocked(ctx context.Context, cells []wal.Update) (uint64, error) {
+	b := wal.Batch{Seq: s.seq.Load() + 1, Updates: cells}
 	var at, end int64 // the batch's record in the log
 	if s.wal != nil {
 		at = s.wal.Size()
 		// One Append is one fsync for the whole group — the amortization the
 		// pipeline exists for.
-		wupsP := walUpsPool.Get().(*[]wal.Update)
-		wups := (*wupsP)[:0]
-		for _, c := range cells {
-			wups = append(wups, wal.Update{Coords: c.Coords, Delta: c.Delta})
-		}
-		wsp := sp.Child("wal.append")
-		err := s.wal.Append(wal.Batch{Seq: s.seq.Load() + 1, Updates: wups})
+		wsp := trace.FromContext(ctx).Child("wal.append")
+		err := s.wal.Append(b)
 		if err != nil {
 			wsp.SetError(err.Error())
 		}
 		wsp.End()
-		*wupsP = wups[:0]
-		walUpsPool.Put(wupsP)
 		if err != nil {
 			return 0, err
 		}
 		s.sinceSnap++
 		end = s.wal.Size()
 	}
-
-	lsp := sp.Child("commit.lockwait")
-	s.mu.Lock()
-	lsp.End()
-	held := time.Now()
-	seq := func() uint64 {
-		defer s.mu.Unlock() // a panicking apply leaves reads running
-		seq := s.seq.Load() + 1
-		asp := sp.Child("structures.apply")
-		s.applyCellsLocked(trace.NewContext(ctx, asp), cells)
-		asp.End()
-		// Publish the commit: seq for lock-free readers, and walEnd and the
-		// record's offset, which let GET /wal at the record just applied.
-		s.seq.Store(seq)
-		s.walEnd.Store(end)
-		if s.wal != nil {
-			s.walOffs = append(s.walOffs, at)
-		}
-		if snd := s.send; snd != nil { // in the hold that bumps seq, as resyncShard's gate needs
-			snd.mu.Lock()
-			snd.queue = append(snd.queue, shard.Commit{Seq: seq, Cells: cells})
-			snd.mu.Unlock()
-			snd.loop.wake()
-		}
-		return seq
-	}()
-	s.met.writeLockHold.Observe(time.Since(held).Nanoseconds())
+	s.met.writeLockHold.Observe(s.applyEpoch(ctx, b, at, end).Nanoseconds())
 
 	if s.sinceSnap >= s.opts.CompactEvery {
 		if err := s.compact(); err != nil {
@@ -213,12 +167,45 @@ func (s *Server) commitLocked(ctx context.Context, cells []shard.PointDelta) (ui
 			s.logf("%v", err)
 		}
 	}
-	return seq, nil
+	return b.Seq, nil
 }
 
-// applyCellsLocked applies one coalesced batch to the serving structures.
-// The caller holds the write lock and owns sequencing and durability — the local commit path WAL-logs first, the
-// replication path (ApplyReplicated) trusts the leader's log instead.
+// applyEpoch publishes batch b, numbered one past this server's seq, in one
+// hold of the write lock, released by defer so that a panicking apply leaves
+// reads running. In order: the structures apply b, seq moves to b.Seq for
+// lock-free readers, a logged server publishes walEnd and the offset at of
+// b's record, which let GET /wal ship what was just applied, and a remote
+// leader queues b for its shards' sender, in the hold that moves seq, as
+// resyncShard's gate needs. Leader commits and replicated batches alike land
+// here; the caller holds commitMu. It returns how long the lock was held.
+func (s *Server) applyEpoch(ctx context.Context, b wal.Batch, at, end int64) time.Duration {
+	sp := trace.FromContext(ctx)
+	lsp := sp.Child("commit.lockwait")
+	s.mu.Lock()
+	lsp.End()
+	held := time.Now()
+	defer s.mu.Unlock()
+	asp := sp.Child("structures.apply")
+	s.applyCellsLocked(trace.NewContext(ctx, asp), b.Updates)
+	asp.End()
+	s.seq.Store(b.Seq)
+	if s.wal != nil {
+		s.walEnd.Store(end)
+		s.walOffs = append(s.walOffs, at)
+	}
+	if snd := s.send; snd != nil {
+		snd.mu.Lock()
+		snd.queue = append(snd.queue, b)
+		snd.mu.Unlock()
+		snd.loop.wake()
+	}
+	return time.Since(held)
+}
+
+// applyCellsLocked applies one batch to the serving structures. The caller,
+// applyEpoch, holds the write lock; sequencing and durability are its
+// callers': the local commit path WAL-logs first, the replication path
+// (ApplyReplicated) trusts the leader's log instead.
 //
 // Exactly one owner writes each logical cube cell (snapshots and recovery
 // read the cube). A remote leader's shard processes hold their own slabs and
@@ -226,7 +213,7 @@ func (s *Server) commitLocked(ctx context.Context, cells []shard.PointDelta) (ui
 // widens each shard's cell-value bounds, which must cover the batch before it
 // is delivered; every other server's one-shard router serves the cube's array
 // in place, and its Apply writes the cells.
-func (s *Server) applyCellsLocked(ctx context.Context, cells []shard.PointDelta) {
+func (s *Server) applyCellsLocked(ctx context.Context, cells []wal.Update) {
 	if s.remoteEngines != nil {
 		a, m := s.cube.Data(), s.router.Map()
 		for _, c := range cells {

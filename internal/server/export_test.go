@@ -9,6 +9,7 @@ import (
 	"rangecube/internal/cube"
 	"rangecube/internal/ndarray"
 	"rangecube/internal/shard"
+	"rangecube/internal/wal"
 )
 
 // New builds a purely in-memory server over the cube with the given uniform
@@ -35,7 +36,7 @@ func (s *Server) poisonDelivery() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.send.mu.Lock()
-	s.send.queue = append(s.send.queue, shard.Commit{Seq: s.seq.Load(), Cells: []shard.PointDelta{{}}})
+	s.send.queue = append(s.send.queue, wal.Batch{Seq: s.seq.Load(), Updates: []wal.Update{{}}})
 	s.send.mu.Unlock()
 	s.send.loop.wake()
 }

@@ -132,8 +132,9 @@ func (s *Server) serve(mux *http.ServeMux) http.Handler {
 		s.met.inflight.Inc()
 		t0 := time.Now()
 
+		aborted := false
 		if routed {
-			s.run(sw, r, rt)
+			aborted = s.run(sw, r, rt)
 		} else {
 			mux.ServeHTTP(sw, r)
 		}
@@ -179,23 +180,24 @@ func (s *Server) serve(mux *http.ServeMux) http.Handler {
 				s.logf("slow-query: %s threshold=%s", line, s.opts.SlowQuery)
 			}
 		}
+		if aborted {
+			// The sentinel means "drop the connection on purpose"; net/http
+			// handles it, and suppressing it would hide that.
+			panic(http.ErrAbortHandler)
+		}
 	})
 }
 
 // run runs rt's guards, admission before the placeholder, then its handler.
 // A panic becomes a logged 500 JSON response instead of a torn connection:
 // one poisoned request must not read as an outage to every client sharing
-// the connection pool.
-func (s *Server) run(sw *statusWriter, r *http.Request, rt route) {
+// the connection pool. A panic with http.ErrAbortHandler is reported as
+// aborted instead, for serve to re-raise once it has recorded the request.
+func (s *Server) run(sw *statusWriter, r *http.Request, rt route) (aborted bool) {
 	defer func() {
 		v := recover()
-		if v == nil {
+		if aborted = v == http.ErrAbortHandler; v == nil || aborted {
 			return
-		}
-		if v == http.ErrAbortHandler {
-			// The sentinel means "drop the connection on purpose"; net/http
-			// handles it, and suppressing it would hide that.
-			panic(v)
 		}
 		s.met.panics.Inc()
 		s.logf("server: panic serving %s %s rid=%s: %v\n%s",
@@ -221,4 +223,5 @@ func (s *Server) run(sw *statusWriter, r *http.Request, rt route) {
 		return
 	}
 	rt.HandlerFunc(sw, r)
+	return false
 }

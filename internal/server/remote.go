@@ -190,7 +190,7 @@ func (s *Server) resyncDownShards(turns []resyncTurn) time.Duration {
 // sends the queue, and a read waits for the delivery covering its seq.
 type sender struct {
 	mu        sync.Mutex
-	queue     []shard.Commit
+	queue     []wal.Batch
 	delivered uint64        // the last seq whose delivery finished, acked or failed
 	advanced  chan struct{} // closed and replaced each time delivered moves
 	loop      *loop         // runs deliver; a queued commit wakes it

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"time"
@@ -16,7 +17,6 @@ import (
 	"rangecube/internal/cube"
 	"rangecube/internal/ndarray"
 	"rangecube/internal/persist"
-	"rangecube/internal/shard"
 	"rangecube/internal/wal"
 )
 
@@ -138,35 +138,36 @@ func (s *Server) handleSnapshotFetch(w http.ResponseWriter, r *http.Request) {
 }
 
 // ApplyReplicated applies a leader's WAL batches to this server in
-// sequence order, each as one write epoch. Batches at or below the current
+// sequence order, each as one applyEpoch. Batches at or below the current
 // sequence are skipped, so overlapping fetches (a snapshot resume racing a
 // pending stream) are idempotent; any other batch must be numbered one past
 // the current sequence. Durability is the leader's: nothing is re-logged here.
 // Every batch is checked against the cube's shape before any is applied. A
 // batch naming a cell that does not exist, or leaving a gap in the sequence,
-// is left unapplied with an error, and so is every batch after it. It returns
-// how many batches, from the first, this server now holds, applied here or
+// is left unapplied with an error, and so is every batch after it. An apply
+// that panics is logged with its stack and returned as an error: the cube may
+// hold part of that batch at the seq before it, which only a fresh state (a
+// follower's re-bootstrap, a shard's /state resync) repairs. It returns how
+// many batches, from the first, this server now holds, applied here or
 // skipped as already held. A -join follower's pump and a shard's POST
 // /shard/apply both land here.
 func (s *Server) ApplyReplicated(batches []wal.Batch) (applied int, err error) {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
 	valid, err := checkReplicated(s.cube.Shape(), batches) // a /state push, which may swap the cube, holds commitMu
-	for i, b := range batches[:valid] {
-		if b.Seq <= s.seq.Load() {
-			continue
+	defer func() {
+		if p := recover(); p != nil {
+			s.logf("server: replicated batch seq %d panicked: %v\n%s", batches[applied].Seq, p, debug.Stack())
+			err = fmt.Errorf("server: replicated batch seq %d: apply panicked: %v", batches[applied].Seq, p)
 		}
-		if b.Seq != s.seq.Load()+1 {
-			return i, fmt.Errorf("server: replicated batch seq %d %w seq %d", b.Seq, errSeqGap, s.seq.Load())
+	}()
+	for ; applied < valid; applied++ {
+		if b := batches[applied]; b.Seq > s.seq.Load() {
+			if b.Seq != s.seq.Load()+1 {
+				return applied, fmt.Errorf("server: replicated batch seq %d %w seq %d", b.Seq, errSeqGap, s.seq.Load())
+			}
+			s.applyEpoch(context.Background(), b, 0, 0)
 		}
-		cells := make([]shard.PointDelta, len(b.Updates))
-		for k, u := range b.Updates {
-			cells[k] = shard.PointDelta{Coords: u.Coords, Delta: u.Delta}
-		}
-		s.mu.Lock()
-		s.applyCellsLocked(context.Background(), cells)
-		s.seq.Store(b.Seq)
-		s.mu.Unlock()
 	}
 	return valid, err
 }

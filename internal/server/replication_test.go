@@ -413,6 +413,44 @@ func TestFollowerRebootstrapsOnlyWhenBehindCompaction(t *testing.T) {
 	poll("tailing past the compaction", 8, 1)
 }
 
+// TestFollowerApplyPanicRebootstraps: a replicated batch whose apply panics
+// releases the follower's write lock, and its poll gets the panic back as an
+// apply error, logged with its stack: the follower re-bootstraps from the
+// leader's snapshot, counted in cube_shard_resync_total{kind="follower"}, and
+// answers the leader's sum at the leader's seq. The poll runs on a goroutine
+// of the test's, so a poll that panics or never returns fails the test.
+func TestFollowerApplyPanicRebootstraps(t *testing.T) {
+	var logs syncLog
+	tr := replTier(t, 3, bootstrapFollower, Options{Logf: logs.printf})
+	leader, f := tr.leader, tr.follower
+	f.poisonApply() // the re-bootstrap builds a fresh router
+	commitOne(t, leader.Server, 3)
+	resyncs := f.met.resyncFollower.Value()
+	polled := make(chan any, 1)
+	go func() {
+		defer func() { polled <- recover() }()
+		f.followFetch()
+	}()
+	select {
+	case p := <-polled:
+		if p != nil {
+			t.Fatalf("the poll panicked: %v", p)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the poll did not return")
+	}
+	if line := logs.find("replicated batch seq 4 panicked"); !strings.Contains(line, "applyCellsLocked") {
+		t.Fatalf("the panic was not logged with its stack: %q", line)
+	}
+	if got := f.met.resyncFollower.Value(); got != resyncs+1 {
+		t.Fatalf("%d re-bootstraps after the panicking apply, want %d", got, resyncs+1)
+	}
+	want, _ := sumOf(t, leader, "/query?op=sum")
+	if got, code := sumOf(t, f, "/query?op=sum"); code != http.StatusOK || got.Value != want.Value || f.Seq() != leader.Seq() {
+		t.Fatalf("follower at sum %d seq %d (status %d), leader %d seq %d", got.Value, f.Seq(), code, want.Value, leader.Seq())
+	}
+}
+
 // TestFollowerLagGauges pins the replication-lag observability contract: a
 // caught-up follower reports zero lag through both Health().ReplicaLagSeq
 // and the cube_replica_wal_lag_seq gauge, rides a leader compaction without

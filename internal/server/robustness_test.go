@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -386,15 +387,35 @@ func TestPanicRecovery(t *testing.T) {
 		t.Fatalf("cube_http_panic_total = %v after one recovered panic, want 1", got)
 	}
 
+	// An abort still propagates, and only after the frame has recorded it:
+	// the in-flight gauge is back to 0 and the route has one more sample.
+	requests := func() (n float64) {
+		for _, line := range strings.Split(exposition(t, s), "\n") {
+			if strings.HasPrefix(line, "cube_http_requests_total{") {
+				v, _ := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+				n += v
+			}
+		}
+		return n
+	}
+	before := requests()
 	abort := s.serveOne(0, func(w http.ResponseWriter, r *http.Request) {
 		panic(http.ErrAbortHandler)
 	})
-	defer func() {
-		if recover() != http.ErrAbortHandler {
-			t.Fatal("ErrAbortHandler was swallowed")
-		}
+	func() {
+		defer func() {
+			if recover() != http.ErrAbortHandler {
+				t.Fatal("ErrAbortHandler was swallowed")
+			}
+		}()
+		abort.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/query", nil))
 	}()
-	abort.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/query", nil))
+	if got := seriesValue(exposition(t, s), "cube_http_inflight", ""); got != 0 {
+		t.Fatalf("cube_http_inflight = %v after an aborted request, want 0", got)
+	}
+	if got := requests(); got != before+1 {
+		t.Fatalf("cube_http_requests_total went %v -> %v over one aborted request, want one more", before, got)
+	}
 }
 
 // TestUpdateBodyLimit: a batch larger than maxBodyBytes is refused with 413

@@ -595,6 +595,42 @@ func TestDeliveryPanicMarksShardsDown(t *testing.T) {
 	}
 }
 
+// TestShardApplyPanicResyncs: a delivery whose apply panics on a shard
+// releases the shard's write lock and is answered with an error; the leader
+// marks the shard down and resyncs it with /state, and sums are exact again.
+// Until the lock is seen free, the hook refuses shard 0's /state pushes and
+// any second delivery: at a shard that kept the lock, either would wait on
+// it forever.
+func TestShardApplyPanicResyncs(t *testing.T) {
+	var holding atomic.Bool
+	var applies atomic.Int32
+	tr := newTier(t, tierSpec{shards: 2, hook: func(host string, r *http.Request) fault {
+		if host == "shard0" && holding.Load() && (r.URL.Path == "/state" || r.URL.Path == "/shard/apply" && applies.Add(1) > 1) {
+			return refuse
+		}
+		return pass
+	}})
+	waitFor(t, "both shards up", func() bool { return tr.leader.Health().Ready })
+	holding.Store(true)
+	sh := tr.shards[0]
+	sh.poisonApply()   // the resync builds a fresh router
+	tr.commit(3, 4, 5) // shard 0's slab: x 0..4
+	waitFor(t, "the leader to mark shard 0 down", func() bool { return tr.leader.remoteEngines[0].Down() })
+	waitFor(t, "shard 0's write lock to be free", func() bool {
+		if !sh.mu.TryLock() {
+			return false
+		}
+		sh.mu.Unlock()
+		return true
+	})
+	holding.Store(false)
+	waitFor(t, "the resync loop to bring shard 0 up", func() bool { return tr.leader.Health().Ready })
+	want := naive.SumInt64(tr.oracle, tr.oracle.Bounds(), nil)
+	if sum, code := sumOf(t, tr.leader, "/query?op=sum"); code != http.StatusOK || sum.Partial || sum.Value != want {
+		t.Fatalf("sum after the resync = %+v (status %d), want exact %d", sum, code, want)
+	}
+}
+
 // TestShardRefusesClientUpdates: a shard process is a replica. A client's
 // POST /update sent straight to it is refused with 403, before and after its
 // first state push, and changes nothing; it runs no ingest pipeline.

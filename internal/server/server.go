@@ -839,10 +839,7 @@ func (s *Server) writeCtxError(w http.ResponseWriter, r *http.Request, err error
 // updateRequest is the JSON shape of /update batches. Deltas adjust the
 // SUM structures; the MAX/MIN trees receive the resulting absolute values.
 type updateRequest struct {
-	Updates []struct {
-		Coords []int `json:"coords"`
-		Delta  int64 `json:"delta"`
-	} `json:"updates"`
+	Updates []wal.Update `json:"updates"`
 }
 
 // updateResponse is the JSON shape of /update acknowledgments. The three
@@ -901,11 +898,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		}
 		mode = v
 	}
-	ups := make([]ingest.Update, len(req.Updates))
-	for i, u := range req.Updates {
-		ups[i] = ingest.Update{Coords: u.Coords, Delta: u.Delta}
-	}
-	ack, enq, err := s.batcher.Submit(ups, mode == "sync")
+	ack, enq, err := s.batcher.Submit(req.Updates, mode == "sync")
 	switch {
 	case errors.Is(err, ingest.ErrQueueFull):
 		// The hint is how long the current backlog takes to drain at the
@@ -925,7 +918,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		// a crash before its group's fsync loses it — that is the contract
 		// the client chose.
 		s.writeJSON(w, r, http.StatusAccepted, updateResponse{
-			Applied: len(ups), Durability: "async",
+			Applied: len(req.Updates), Durability: "async",
 			Enqueued: true, EnqueuedUnixNS: enq.UnixNano(),
 		})
 		return
@@ -937,7 +930,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, r, http.StatusOK, updateResponse{
-		Applied: len(ups), Seq: res.Seq, Durability: "sync",
+		Applied: len(req.Updates), Seq: res.Seq, Durability: "sync",
 		EnqueuedUnixNS: res.Enqueued.UnixNano(),
 		QueueWaitNS:    res.Flushed.Sub(res.Enqueued).Nanoseconds(),
 		CommitNS:       res.Committed.Sub(res.Flushed).Nanoseconds(),

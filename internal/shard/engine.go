@@ -7,13 +7,13 @@ import (
 	"strconv"
 
 	"rangecube/internal/algebra"
-	"rangecube/internal/core/batchsum"
 	"rangecube/internal/core/blocked"
 	"rangecube/internal/core/maxtree"
 	"rangecube/internal/metrics"
 	"rangecube/internal/ndarray"
 	"rangecube/internal/parallel"
 	"rangecube/internal/trace"
+	"rangecube/internal/wal"
 )
 
 // ErrShardDown marks a sub-query or scatter that could not reach its shard:
@@ -33,20 +33,19 @@ var ErrSeqMismatch = errors.New("shard: shards answered at different seqs")
 // leader, which fails the batch.
 var ErrPanic = errors.New("shard: query panicked")
 
-// Engine is one shard's serving surface as the router sees it: one batched
-// read and scattered update batches. All regions and coordinates are in the
-// shard's local (slab) frame; the router owns the translation. Two
-// implementations exist: localEngine (the paper's structures over one slab,
-// in process) and RemoteEngine (the same contract spoken to a cubeserver
-// process, the read as one binary scatter frame).
+// Engine is one shard's read surface as the router sees it: one batched
+// read. All regions and coordinates are in the shard's local (slab) frame;
+// the router owns the translation. Two implementations exist: localEngine
+// (the paper's structures over one slab, in process) and RemoteEngine (the
+// same contract spoken to a cubeserver process, the read as one binary
+// scatter frame). Updates are not on it: the router applies a batch to its
+// local engines (Apply) and delivers the leader's records to remote ones
+// (Deliver).
 type Engine interface {
 	// Answer evaluates items — every sub-query one scatter has for this shard,
 	// whatever their ops — in place. An error fails them all; an item's own Err
 	// fails it alone.
 	Answer(ctx context.Context, items []Item) error
-	// Apply commits one scattered update batch (local coordinates). The
-	// caller serializes Apply against queries.
-	Apply(ctx context.Context, ups []batchsum.IntUpdate) error
 	// CellBounds reports a conservative [lo, hi] interval containing every
 	// current cell value in the slab. It never narrows under updates, so a
 	// region of volume V missing from a partial answer contributes
@@ -127,7 +126,7 @@ type Item struct {
 //	min    ≈16/(f^d−1)  the §6 min tree
 //
 // blk, max and min alias cells, so exactly one of them writes per commit (see
-// Apply) and the trees are told each cell's old and new value instead of
+// apply) and the trees are told each cell's old and new value instead of
 // comparing against copies of their own.
 type localEngine struct {
 	cells *ndarray.Array[int64]
@@ -237,21 +236,16 @@ func (e *localEngine) answer(ctx context.Context, it *Item) {
 	}
 }
 
-// Apply commits one batch to every structure. The three structures over cells
-// share one array, so the order is fixed: record each distinct cell's old
-// value (a batch may name a cell twice — replay and replication do not
-// coalesce), let the deltas land — the blocked index writes cells and edge
-// entries and queues the packed half, folding the queue in once it is full —
-// and only then, with every cell of the batch written, hand both trees the
-// same (old, new) list for the §7 repair. The commit's span gains the queue's
-// length and, when the fold runs, a structures.flush child.
-func (e *localEngine) Apply(ctx context.Context, deltas []batchsum.IntUpdate) error {
-	e.apply(ctx, deltas, nil)
-	return nil
-}
-
-// apply is Apply with the blocked index's writes counted in c.
-func (e *localEngine) apply(ctx context.Context, deltas []batchsum.IntUpdate, c *metrics.Counter) {
+// apply commits one batch, in slab coordinates, to every structure, counting
+// the blocked index's writes in c. The three structures over cells share one
+// array, so the order is fixed: record each distinct cell's old value (a
+// batch may name a cell twice — replay and replication do not coalesce), let
+// the deltas land — the blocked index writes cells and edge entries and
+// queues the packed half, folding the queue in once it is full — and only
+// then, with every cell of the batch written, hand both trees the same (old,
+// new) list for the §7 repair. The commit's span gains the queue's length
+// and, when the fold runs, a structures.flush child.
+func (e *localEngine) apply(ctx context.Context, deltas []wal.Update, c *metrics.Counter) {
 	data := e.cells.Data()
 	seen := make(map[int]struct{}, len(deltas))
 	changes := make([]maxtree.CellChange[int64], 0, len(deltas))

@@ -9,13 +9,13 @@ import (
 	"slices"
 	"testing"
 
-	"rangecube/internal/core/batchsum"
 	"rangecube/internal/core/blocked"
 	"rangecube/internal/core/maxtree"
 	"rangecube/internal/core/prefixsum"
 	"rangecube/internal/metrics"
 	"rangecube/internal/naive"
 	"rangecube/internal/ndarray"
+	"rangecube/internal/wal"
 	"rangecube/internal/workload"
 )
 
@@ -134,19 +134,19 @@ func TestStructuresShareCells(t *testing.T) {
 				}
 				what := fmt.Sprintf("b=%d d=%d shards=%d", blockSize, d, shards)
 				for step := 0; step < 12; step++ {
-					var cells []PointDelta
+					var cells []wal.Update
 					for _, u := range g.Updates(shape, 1+rng.Intn(6), 150) {
-						cells = append(cells, PointDelta{Coords: u.Coords, Delta: u.Delta})
+						cells = append(cells, wal.Update{Coords: u.Coords, Delta: u.Delta})
 					}
 					twice, cancel := cells[0].Coords, cells[len(cells)-1].Coords
 					maxOff, _, _ := naive.Max(mirror, mirror.Bounds(), nil)
 					minOff, _, _ := naive.Min(mirror, mirror.Bounds(), nil)
 					cells = append(cells,
-						PointDelta{Coords: twice, Delta: int64(rng.Intn(301) - 150)},
-						PointDelta{Coords: cancel, Delta: 77},
-						PointDelta{Coords: mirror.Coords(maxOff, nil), Delta: -int64(1 + rng.Intn(300))},
-						PointDelta{Coords: mirror.Coords(minOff, nil), Delta: int64(1 + rng.Intn(300))},
-						PointDelta{Coords: cancel, Delta: -77})
+						wal.Update{Coords: twice, Delta: int64(rng.Intn(301) - 150)},
+						wal.Update{Coords: cancel, Delta: 77},
+						wal.Update{Coords: mirror.Coords(maxOff, nil), Delta: -int64(1 + rng.Intn(300))},
+						wal.Update{Coords: mirror.Coords(minOff, nil), Delta: int64(1 + rng.Intn(300))},
+						wal.Update{Coords: cancel, Delta: -77})
 					rng.Shuffle(len(cells), func(i, j int) { cells[i], cells[j] = cells[j], cells[i] })
 					for _, c := range cells {
 						mirror.Set(mirror.At(c.Coords...)+c.Delta, c.Coords...)
@@ -244,7 +244,7 @@ func TestOnlyWhatAnswersIsBuilt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt.Apply(context.Background(), []PointDelta{{Coords: []int{3, 3}, Delta: 5}, {Coords: []int{400, 9}, Delta: -2}})
+		rt.Apply(context.Background(), []wal.Update{{Coords: []int{3, 3}, Delta: 5}, {Coords: []int{400, 9}, Delta: -2}})
 		got := rt.StructureBytes()
 		want := map[string]int64{"cells": 8 * 512 * 512, "blocked": 8 * 52 * 52, "edges": 8 * 2 * 512 * 52, "maxtree": got["maxtree"], "mintree": got["mintree"]}
 		if alias == "prefixsum" {
@@ -284,9 +284,9 @@ func TestCommitQueuesInsteadOfRewritingP(t *testing.T) {
 	e := newLocalEngine(g.UniformCube(shape, 1000), 1, 4)
 	queued, first := map[int]bool{}, n*n
 	for commit := 1; ; commit++ {
-		var deltas []batchsum.IntUpdate
+		var deltas []wal.Update
 		for _, u := range g.Updates(shape, 16, 100) {
-			deltas = append(deltas, batchsum.IntUpdate{Coords: u.Coords, Delta: u.Delta})
+			deltas = append(deltas, wal.Update{Coords: u.Coords, Delta: u.Delta})
 			queued[e.cells.Offset(u.Coords...)] = true
 			first = min(first, e.cells.Offset(u.Coords...))
 		}
@@ -327,7 +327,7 @@ func TestQueuedSumAllocatesNothing(t *testing.T) {
 		e.blk.SumContext(ctx, regions[i], &costs[i])
 	}
 	for i := 0; i < n-1; i++ {
-		e.Apply(ctx, []batchsum.IntUpdate{{Coords: []int{i, i * 7 % n}, Delta: int64(i - 100)}})
+		e.apply(ctx, []wal.Update{{Coords: []int{i, i * 7 % n}, Delta: int64(i - 100)}}, nil)
 	}
 	if e.queued != n-1 {
 		t.Fatalf("%d blocks queued, want %d", e.queued, n-1)
@@ -402,18 +402,16 @@ func BenchmarkLocalEngineApply(b *testing.B) {
 			e := newLocalEngine(g.UniformCube(shape, 1000), eng.blockSize, 4)
 			// Fresh cells every commit, so the queue fills and folds as it does
 			// in service: the cost per op includes the fold, amortized.
-			commits := make([][]batchsum.IntUpdate, 4096)
+			commits := make([][]wal.Update, 4096)
 			for i := range commits {
 				for _, u := range g.Updates(shape, 16, 100) {
-					commits[i] = append(commits[i], batchsum.IntUpdate{Coords: u.Coords, Delta: u.Delta})
+					commits[i] = append(commits[i], wal.Update{Coords: u.Coords, Delta: u.Delta})
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := e.Apply(context.Background(), commits[i%len(commits)]); err != nil {
-					b.Fatal(err)
-				}
+				e.apply(context.Background(), commits[i%len(commits)], nil)
 			}
 		})
 	}
@@ -441,5 +439,35 @@ func BenchmarkLocalEngineSum(b *testing.B) {
 			}
 			b.ReportMetric(float64(cost.Total())/float64(b.N), "accesses/op")
 		})
+	}
+}
+
+// TestOneShardApplyCopiesNoCell: a one-shard router's slab frame is the
+// logical one, so Apply hands the batch to its engine as it is. What Apply
+// allocates beyond the engine's own apply is the same for 64 cells as for
+// one. The deltas are 0 on a cube whose queue never fills, so the engine
+// allocates the same on every run: no tree node changes and no fold runs.
+func TestOneShardApplyCopiesNoCell(t *testing.T) {
+	shape := []int{256, 256}
+	g := workload.New(*seedFlag)
+	m, err := NewMap(shape, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRouter(g.UniformCube(shape, 1000), m, 1, 4, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	extra := func(n int) float64 {
+		cells := make([]wal.Update, n)
+		for i := range cells {
+			cells[i] = wal.Update{Coords: []int{4 * i, 255 - i}}
+		}
+		return testing.AllocsPerRun(50, func() { rt.Apply(ctx, cells) }) -
+			testing.AllocsPerRun(50, func() { rt.shards[0].(*localEngine).apply(ctx, cells, nil) })
+	}
+	if one, many := extra(1), extra(64); one != many {
+		t.Fatalf("Apply allocates %v beyond its engine for one cell and %v for 64, want the same", one, many)
 	}
 }

@@ -233,7 +233,8 @@ func (e *RemoteEngine) SumBatchFull(ctx context.Context, regions []ndarray.Regio
 
 // Apply sends the shard one local-frame update batch as the record of the
 // leader's next seq: Widen, then a one-record Deliver (one record goes in one
-// exchange whatever the limit).
+// exchange whatever the limit). A leader writes its shards by Router.Deliver;
+// this is the one-batch path the benchmark times.
 func (e *RemoteEngine) Apply(ctx context.Context, ups []batchsum.IntUpdate) error {
 	b := wal.Batch{Seq: e.Seq() + 1, Updates: make([]wal.Update, len(ups))}
 	for i, u := range ups {

@@ -12,19 +12,11 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"rangecube/internal/core/batchsum"
 	"rangecube/internal/metrics"
 	"rangecube/internal/ndarray"
 	"rangecube/internal/trace"
 	"rangecube/internal/wal"
 )
-
-// PointDelta is one cell update in the logical cube's coordinates — the §5
-// value-to-add form the server's commit path produces after coalescing.
-type PointDelta struct {
-	Coords []int
-	Delta  int64
-}
 
 // Router partitions one logical cube across N engine shards along a slab
 // map and serves the full query surface over them: sums, counts, averages
@@ -414,24 +406,17 @@ func (rt *Router) Extreme(ctx context.Context, r ndarray.Region, min bool, c *me
 	return as[0].At, as[0].Value, true, nil
 }
 
-// Apply scatters one coalesced update batch to the owning in-process shards
-// and commits each shard's piece, in shard order on this goroutine. The batch
-// is one epoch: the caller must exclude queries for the duration. Remote
-// shards are sent the leader's records by Deliver instead.
-func (rt *Router) Apply(ctx context.Context, cells []PointDelta) {
+// Apply commits one update batch, in logical coordinates, to the owning
+// in-process shards, in shard order on this goroutine. The batch is one
+// epoch: the caller must exclude queries for the duration. Remote shards are
+// sent the leader's records by Deliver instead.
+func (rt *Router) Apply(ctx context.Context, cells []wal.Update) {
 	rt.scatterCells.Add(uint64(len(cells)))
-	groups := make([][]batchsum.IntUpdate, len(rt.shards))
-	for _, c := range cells {
-		i, local := rt.local(c.Coords)
-		groups[i] = append(groups[i], batchsum.IntUpdate{Coords: local, Delta: c.Delta})
+	for i, part := range rt.split(cells) {
+		if len(part) > 0 {
+			rt.shards[i].(*localEngine).apply(ctx, part, nil)
+		}
 	}
-	fanOut(ctx, rt, "apply", groups, Engine.Apply)
-}
-
-// Commit is one committed batch at the leader's seq, in logical coordinates.
-type Commit struct {
-	Seq   uint64
-	Cells []PointDelta
 }
 
 // Deliver sends each remote shard, concurrently, a record per commit
@@ -439,16 +424,12 @@ type Commit struct {
 // shard holds the leader's seq: one exchange per shard, or as many as keep
 // each body within limit bytes (RemoteEngine.Deliver). ctx carries tracing
 // only.
-func (rt *Router) Deliver(ctx context.Context, commits []Commit, limit int) {
+func (rt *Router) Deliver(ctx context.Context, commits []wal.Batch, limit int) {
 	groups := make([][]wal.Batch, len(rt.shards))
-	for k, c := range commits {
-		rt.scatterCells.Add(uint64(len(c.Cells)))
-		for i := range groups {
-			groups[i] = append(groups[i], wal.Batch{Seq: c.Seq})
-		}
-		for _, d := range c.Cells {
-			i, local := rt.local(d.Coords)
-			groups[i][k].Updates = append(groups[i][k].Updates, wal.Update{Coords: local, Delta: d.Delta})
+	for _, c := range commits {
+		rt.scatterCells.Add(uint64(len(c.Updates)))
+		for i, part := range rt.split(c.Updates) {
+			groups[i] = append(groups[i], wal.Batch{Seq: c.Seq, Updates: part})
 		}
 	}
 	errs := fanOut(ctx, rt, "deliver", groups, func(e Engine, ctx context.Context, bs []wal.Batch) error {
@@ -462,10 +443,19 @@ func (rt *Router) Deliver(ctx context.Context, commits []Commit, limit int) {
 	}
 }
 
-// local returns the shard owning the cell at coords and its slab coordinates.
-func (rt *Router) local(coords []int) (int, []int) {
-	i := rt.m.Owner(coords[rt.m.Dim()])
-	local := append([]int(nil), coords...)
-	local[rt.m.Dim()] -= rt.m.Slab(i).Lo
-	return i, local
+// split cuts cells, in logical coordinates, into each shard's part in its
+// slab frame. A one-shard map's slab frame is the logical one, so its one
+// part is cells itself.
+func (rt *Router) split(cells []wal.Update) [][]wal.Update {
+	if len(rt.shards) == 1 {
+		return [][]wal.Update{cells}
+	}
+	parts := make([][]wal.Update, len(rt.shards))
+	for _, c := range cells {
+		i := rt.m.Owner(c.Coords[rt.m.Dim()])
+		local := append([]int(nil), c.Coords...)
+		local[rt.m.Dim()] -= rt.m.Slab(i).Lo
+		parts[i] = append(parts[i], wal.Update{Coords: local, Delta: c.Delta})
+	}
+	return parts
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rangecube/internal/core/batchsum"
@@ -16,6 +17,7 @@ import (
 	"rangecube/internal/metrics"
 	"rangecube/internal/ndarray"
 	"rangecube/internal/parallel"
+	"rangecube/internal/wal"
 	"rangecube/internal/workload"
 )
 
@@ -67,7 +69,9 @@ func NewMapSlabs(shape []int, dim int, slabs []ndarray.Range) (Map, error) {
 // Cell returns one logical-cube cell's current value on a router of local
 // engines.
 func (rt *Router) Cell(coords []int) int64 {
-	i, local := rt.local(coords)
+	i := rt.m.Owner(coords[rt.m.Dim()])
+	local := slices.Clone(coords)
+	local[rt.m.Dim()] -= rt.m.Slab(i).Lo
 	return rt.shards[i].(*localEngine).cells.At(local...)
 }
 
@@ -385,12 +389,12 @@ func TestRouterMatchesNaive(t *testing.T) {
 				// Deltas are floored so no cell goes negative: the §11
 				// bounds identity only holds for non-negative measures.
 				ups := g.Updates(shape, 1+rng.Intn(5), 20)
-				cells := make([]PointDelta, len(ups))
+				cells := make([]wal.Update, len(ups))
 				for i, u := range ups {
 					if cur := mirror.At(u.Coords...); cur+u.Delta < 0 {
 						u.Delta = -cur
 					}
-					cells[i] = PointDelta{Coords: u.Coords, Delta: u.Delta}
+					cells[i] = wal.Update{Coords: u.Coords, Delta: u.Delta}
 					mirror.Set(mirror.At(u.Coords...)+u.Delta, u.Coords...)
 				}
 				rt.Apply(context.Background(), cells)
@@ -481,10 +485,10 @@ func TestOneShardRouterIsTheStructures(t *testing.T) {
 			}
 			ups := g.Updates(shape, 1+step%4, 20)
 			deltas := make([]batchsum.IntUpdate, len(ups))
-			pds := make([]PointDelta, len(ups))
+			pds := make([]wal.Update, len(ups))
 			for i, u := range ups {
 				deltas[i] = batchsum.IntUpdate{Coords: u.Coords, Delta: u.Delta}
-				pds[i] = PointDelta{Coords: u.Coords, Delta: u.Delta}
+				pds[i] = wal.Update{Coords: u.Coords, Delta: u.Delta}
 			}
 			batchsum.ApplyInt(ps, deltas, nil)
 			batchsum.ApplyBlockedInt(bl, deltas, nil)
