@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"rangecube/internal/core/maxtree"
 	"rangecube/internal/cube"
 	"rangecube/internal/metrics"
 	"rangecube/internal/ndarray"
@@ -50,6 +51,7 @@ func TestCountLedger(t *testing.T) {
 	handlerRows(t, &l)
 	tierRows(t, &l)
 	loadRows(&l)
+	repairRows(&l)
 	got := l.String()
 
 	if *update {
@@ -407,6 +409,39 @@ func loadRows(l *ledger) {
 		}
 	})
 	l.add("cube.InferCSV", "64x64", "-", "allocs/load", strconv.FormatFloat(allocs, 'f', 0, 64))
+}
+
+// repairRows counts the allocations of one §7 repair of 64 cells on a
+// 256×256 max tree of fanout 4: the cells written and then handed to
+// Repair, alternately set and restored, so every run repairs the same tree.
+func repairRows(l *ledger) {
+	if raceEnabled {
+		return // the race runtime allocates on its own account
+	}
+	shape := []int{256, 256}
+	g := workload.New(17)
+	a := g.UniformCube(shape, 1000)
+	tr := maxtree.Build(a, 4)
+	var batches [2][]maxtree.CellChange[int64]
+	for _, u := range g.Updates(shape, 64, 500) {
+		off := a.Offset(u.Coords...)
+		if slices.ContainsFunc(batches[0], func(c maxtree.CellChange[int64]) bool { return c.Off == off }) {
+			continue
+		}
+		old, new := a.Data()[off], a.Data()[off]+u.Delta
+		batches[0] = append(batches[0], maxtree.CellChange[int64]{Off: off, Old: old, New: new})
+		batches[1] = append(batches[1], maxtree.CellChange[int64]{Off: off, Old: new, New: old})
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		b := batches[i%2]
+		for _, c := range b {
+			a.Data()[c.Off] = c.New
+		}
+		tr.Repair(b, nil)
+		i++
+	})
+	l.add("maxtree.Repair", "256x256", "-", fmt.Sprintf("allocs/%d cells", len(batches[0])), strconv.FormatFloat(allocs, 'f', 0, 64))
 }
 
 func walSize(t *testing.T, path string) int64 {

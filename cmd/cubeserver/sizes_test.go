@@ -130,10 +130,11 @@ func sizeRows(t *testing.T) string {
 }
 
 // ledgerDocs are the root documents the ledger sizes, in name order; a new
-// document joins the ledger by being named here.
+// document joins the ledger by being named here. ROADMAP.md is not one: a
+// re-anchor rewrites it alone, and a row pinning its size would fail that.
 var ledgerDocs = []string{
 	"CHANGES.md", "DESIGN.md", "EXPERIMENTS.md", "PAPER.md", "PAPERS.md",
-	"README.md", "ROADMAP.md", "SNIPPETS.md", "TESTING.md",
+	"README.md", "SNIPPETS.md", "TESTING.md",
 }
 
 // scanPackages reads every .go file under the repository root, bench/

@@ -54,7 +54,7 @@ func (e *shardedSumEngine) Apply(b []batchsum.IntUpdate) error {
 	for i, u := range b {
 		cells[i] = wal.Update(u)
 	}
-	e.rt.Apply(context.Background(), cells)
+	e.rt.Apply(context.Background(), wal.Coalesce(e.rt.Map().Shape(), cells))
 	return nil
 }
 
@@ -108,6 +108,6 @@ func (e *shardedMaxEngine) Assign(batch []maxtree.PointUpdate[int64]) error {
 		e.cells.Set(u.Value, u.Coords...)
 		cells = append(cells, wal.Update{Coords: u.Coords, Delta: u.Value - old})
 	}
-	e.rt.Apply(context.Background(), cells)
+	e.rt.Apply(context.Background(), wal.Coalesce(e.cells.Shape(), cells))
 	return nil
 }

@@ -30,6 +30,7 @@ type Tree[T cmp.Ordered] struct {
 	b      int
 	min    bool // when true the tree answers range-MIN instead of range-MAX
 	levels []level[T]
+	repair repairBufs[T]
 }
 
 // level holds one contracted grid: the best value in each node's region and

@@ -1,10 +1,11 @@
 package maxtree
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"rangecube/internal/metrics"
-	"rangecube/internal/ndarray"
 )
 
 // PointUpdate assigns a new absolute value to one cube cell, the paper's
@@ -79,10 +80,13 @@ func (t *Tree[T]) BatchUpdate(updates []PointUpdate[T], c *metrics.Counter) Upda
 // Every cell of the batch must be written before the call (a level-1 rescan
 // reads the cube), offsets must be distinct, and Old must be the value the
 // tree was last consistent with. changes is only read, so a max and a min
-// tree over the same cells are repaired from the same list.
+// tree over the same cells are repaired from the same list. The update
+// points of each level live in buffers the tree keeps, so a repair allocates
+// nothing once they have grown to the batch.
 func (t *Tree[T]) Repair(changes []CellChange[T], c *metrics.Counter) UpdateStats {
 	var stats UpdateStats
-	list := make([]carried[T], 0, len(changes))
+	rb := &t.repair
+	list, next := rb.list[:0], rb.next[:0]
 	for _, ch := range changes {
 		if ch.New != ch.Old { // drop no-ops
 			list = append(list, carried[T]{
@@ -93,16 +97,35 @@ func (t *Tree[T]) Repair(changes []CellChange[T], c *metrics.Counter) UpdateStat
 		}
 	}
 	for lvlIdx := 1; lvlIdx <= len(t.levels) && len(list) > 0; lvlIdx++ {
-		list = t.updateLevel(lvlIdx, list, c, &stats)
+		next = t.updateLevel(lvlIdx, list, next[:0], c, &stats)
+		list, next = next, list
 	}
+	rb.list, rb.next = list, next
 	return stats
 }
 
+// repairBufs is Repair's scratch: the update points of the level being
+// repaired and of the next one, and the grouping of the first by parent.
+type repairBufs[T cmp.Ordered] struct {
+	list, next []carried[T]
+	keys       []groupKey
+	head       []int // per update point: where its group starts in keys, or −1 after the first
+	bounds     []int // a rescanned block's lo, hi and cursor per dimension
+}
+
+// groupKey places update point i of a level's list in the group of its
+// parent node poff.
+type groupKey struct{ poff, i int }
+
 // updateLevel runs one phase: the update points on level lvlIdx−1 (the
 // children) are grouped by parent node at lvlIdx, each block is processed
-// with the tag protocol, and the resulting parent changes are returned as
-// the next phase's update points.
-func (t *Tree[T]) updateLevel(lvlIdx int, list []carried[T], c *metrics.Counter, stats *UpdateStats) []carried[T] {
+// with the tag protocol, and the resulting parent changes are appended to
+// next as the next phase's update points. Sorting (parent, position) pairs
+// makes each group one run that keeps its points in list order, which is
+// the tag protocol's input; the groups are then taken in the order of their
+// first point, which is the next level's list order, so ties resolve as the
+// list dictates.
+func (t *Tree[T]) updateLevel(lvlIdx int, list, next []carried[T], c *metrics.Counter, stats *UpdateStats) []carried[T] {
 	lv := &t.levels[lvlIdx-1]
 	var childShape []int
 	var childStrides []int
@@ -114,35 +137,44 @@ func (t *Tree[T]) updateLevel(lvlIdx int, list []carried[T], c *metrics.Counter,
 	}
 	pstrides := lv.vals.Strides()
 
-	// Group update points by parent node, preserving list order per group.
-	groups := make(map[int][]carried[T])
-	var order []int
-	coords := make([]int, len(childShape))
-	for _, u := range list {
-		off := u.childOff
+	rb := &t.repair
+	keys := rb.keys[:0]
+	for i, u := range list {
+		off, poff := u.childOff, 0
 		for j, s := range childStrides {
-			coords[j] = off / s
+			poff += off / s / t.b * pstrides[j]
 			off %= s
 		}
-		poff := 0
-		for j := range coords {
-			poff += (coords[j] / t.b) * pstrides[j]
-		}
-		if _, ok := groups[poff]; !ok {
-			order = append(order, poff)
-		}
-		groups[poff] = append(groups[poff], u)
+		keys = append(keys, groupKey{poff, i})
 	}
+	slices.SortFunc(keys, func(x, y groupKey) int {
+		return cmp.Or(cmp.Compare(x.poff, y.poff), cmp.Compare(x.i, y.i))
+	})
+	head := slices.Grow(rb.head[:0], len(list))[:len(list)]
+	for k, key := range keys {
+		head[key.i] = -1
+		if k == 0 || keys[k-1].poff != key.poff {
+			head[key.i] = k
+		}
+	}
+	rb.keys, rb.head = keys, head
 
-	var next []carried[T]
-	for _, poff := range order {
+	for _, first := range head {
+		if first < 0 {
+			continue
+		}
+		poff := keys[first].poff
 		stats.Touched++
 		origVal := lv.vals.Data()[poff]
 		origArg := lv.offs[poff]
 		candVal, candArg := origVal, origArg
 		tag := 0
 		c.AddAux(1)
-		for _, u := range groups[poff] {
+		for _, key := range keys[first:] {
+			if key.poff != poff {
+				break
+			}
+			u := &list[key.i]
 			c.AddSteps(1)
 			switch {
 			case t.better(u.newVal, candVal):
@@ -191,44 +223,63 @@ func (t *Tree[T]) updateLevel(lvlIdx int, list []carried[T], c *metrics.Counter,
 }
 
 // rescanBlock scans every child entry covered by the parent node at poff on
-// level lvlIdx and returns the best (value, cube-offset) pair.
-func (t *Tree[T]) rescanBlock(lvlIdx, poff int, childShape, childStrides []int, c *metrics.Counter, stats *UpdateStats) (T, int) {
-	lv := &t.levels[lvlIdx-1]
-	pcoords := lv.vals.Coords(poff, nil)
-	block := make(ndarray.Region, len(pcoords))
-	for j, k := range pcoords {
-		lo := k * t.b
-		hi := lo + t.b - 1
-		if hi >= childShape[j] {
-			hi = childShape[j] - 1
-		}
-		block[j] = ndarray.Range{Lo: lo, Hi: hi}
+// level lvlIdx, in storage order, and returns the best (value, cube-offset)
+// pair: the first best, as a build keeps it. It walks the block a row of the
+// last dimension at a time.
+func (t *Tree[T]) rescanBlock(lvlIdx, node int, childShape, childStrides []int, c *metrics.Counter, stats *UpdateStats) (T, int) {
+	d := len(childShape)
+	bounds := slices.Grow(t.repair.bounds[:0], 3*d)[:3*d]
+	t.repair.bounds = bounds
+	lo, hi, at := bounds[:d], bounds[d:2*d], bounds[2*d:]
+	poff := node
+	for j, s := range t.levels[lvlIdx-1].vals.Strides() {
+		lo[j] = poff / s * t.b
+		hi[j] = min(lo[j]+t.b, childShape[j])
+		poff %= s
+	}
+	copy(at, lo)
+	vals, offs := t.a.Data(), []int(nil) // level 0 is the cube: an entry's offset is its own
+	if lvlIdx > 1 {
+		g := t.levels[lvlIdx-2]
+		vals, offs = g.vals.Data(), g.offs
 	}
 	var bestVal T
 	bestArg := -1
-	first := true
-	visit := func(val T, arg int) {
-		stats.RescanSize++
-		c.AddSteps(1)
-		if first || t.better(val, bestVal) {
-			bestVal, bestArg, first = val, arg, false
+	for {
+		base := 0
+		for j, x := range at {
+			base += x * childStrides[j]
+		}
+		row := vals[base : base+hi[d-1]-lo[d-1]]
+		for k, v := range row {
+			if bestArg < 0 || t.better(v, bestVal) {
+				bestVal, bestArg = v, base+k
+			}
+		}
+		n := int64(len(row))
+		stats.RescanSize += len(row)
+		c.AddSteps(n)
+		if offs == nil {
+			c.AddCells(n)
+		} else {
+			c.AddAux(n)
+		}
+		j := d - 2
+		for ; j >= 0; j-- {
+			if at[j]++; at[j] < hi[j] {
+				break
+			}
+			at[j] = lo[j]
+		}
+		if j < 0 {
+			break
 		}
 	}
-	if lvlIdx == 1 {
-		data := t.a.Data()
-		ndarray.ForEachOffset(t.a, block, func(off int) {
-			c.AddCells(1)
-			visit(data[off], off)
-		})
-	} else {
-		g := t.levels[lvlIdx-2]
-		ndarray.ForEachOffset(g.vals, block, func(off int) {
-			c.AddAux(1)
-			visit(g.vals.Data()[off], g.offs[off])
-		})
+	if bestArg < 0 {
+		panic(fmt.Sprintf("maxtree: empty block at level %d node %d", lvlIdx, node))
 	}
-	if first {
-		panic(fmt.Sprintf("maxtree: empty block at level %d node %d", lvlIdx, poff))
+	if offs != nil {
+		bestArg = offs[bestArg]
 	}
 	return bestVal, bestArg
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"rangecube/internal/metrics"
 	"rangecube/internal/ndarray"
 )
 
@@ -286,6 +287,159 @@ func TestRepairMatchesBatchUpdate(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// refRepair is Repair as it was first written, grouping each level's update
+// points in a map: the reference the sorted grouping must match node for
+// node, argmax offsets and UpdateStats included.
+func refRepair(t *Tree[int64], changes []CellChange[int64], c *metrics.Counter) UpdateStats {
+	var stats UpdateStats
+	var list []carried[int64]
+	for _, ch := range changes {
+		if ch.New != ch.Old {
+			list = append(list, carried[int64]{childOff: ch.Off, oldVal: ch.Old, oldArg: ch.Off, newVal: ch.New, newArg: ch.Off})
+		}
+	}
+	for lvlIdx := 1; lvlIdx <= len(t.levels) && len(list) > 0; lvlIdx++ {
+		list = refUpdateLevel(t, lvlIdx, list, c, &stats)
+	}
+	return stats
+}
+
+func refUpdateLevel(t *Tree[int64], lvlIdx int, list []carried[int64], c *metrics.Counter, stats *UpdateStats) []carried[int64] {
+	lv := &t.levels[lvlIdx-1]
+	child := t.a
+	if lvlIdx > 1 {
+		child = t.levels[lvlIdx-2].vals
+	}
+	pstrides := lv.vals.Strides()
+	groups := make(map[int][]carried[int64])
+	var order []int
+	for _, u := range list {
+		poff := 0
+		for j, k := range child.Coords(u.childOff, nil) {
+			poff += k / t.b * pstrides[j]
+		}
+		if _, ok := groups[poff]; !ok {
+			order = append(order, poff)
+		}
+		groups[poff] = append(groups[poff], u)
+	}
+	var next []carried[int64]
+	for _, poff := range order {
+		stats.Touched++
+		origVal, origArg := lv.vals.Data()[poff], lv.offs[poff]
+		candVal, candArg := origVal, origArg
+		tag := 0
+		c.AddAux(1)
+		for _, u := range groups[poff] {
+			c.AddSteps(1)
+			switch {
+			case t.better(u.newVal, candVal):
+				candVal, candArg, tag = u.newVal, u.newArg, 1
+			case u.newVal == candVal && tag == -1:
+				candArg, tag = u.newArg, 1
+			case candArg == u.oldArg:
+				if u.newVal == candVal && u.newArg != candArg {
+					candArg, tag = u.newArg, 1
+				} else if t.better(candVal, u.newVal) {
+					tag = -1
+				}
+			}
+		}
+		if tag == -1 {
+			stats.Rescans++
+			block := make(ndarray.Region, child.Dims())
+			for j, k := range lv.vals.Coords(poff, nil) {
+				block[j] = ndarray.Range{Lo: k * t.b, Hi: min(k*t.b+t.b, child.Shape()[j]) - 1}
+			}
+			first := true
+			ndarray.ForEachOffset(child, block, func(off int) {
+				stats.RescanSize++
+				c.AddSteps(1)
+				val, arg := child.Data()[off], off
+				if lvlIdx == 1 {
+					c.AddCells(1)
+				} else {
+					c.AddAux(1)
+					arg = t.levels[lvlIdx-2].offs[off]
+				}
+				if first || t.better(val, candVal) {
+					candVal, candArg, first = val, arg, false
+				}
+			})
+		}
+		if tag != 0 && (candVal != origVal || candArg != origArg) {
+			lv.vals.Data()[poff], lv.offs[poff] = candVal, candArg
+			next = append(next, carried[int64]{childOff: poff, oldVal: origVal, oldArg: origArg, newVal: candVal, newArg: candArg})
+			stats.Propagated++
+		}
+	}
+	return next
+}
+
+// tieBatch draws a batch of distinct cells over values 0..3, so ties are
+// everywhere, and adds the two cases the tag protocol branches on: the
+// root's extreme loses its value (a rescan, unless something recovers it),
+// and a sibling in its level-1 block reaches that value (a recovery).
+func tieBatch(rng *rand.Rand, tr *Tree[int64]) []CellChange[int64] {
+	a := tr.Cube()
+	root := tr.levels[len(tr.levels)-1]
+	lost := root.offs[0]
+	at := map[int]bool{}
+	var changes []CellChange[int64]
+	set := func(off int, v int64) {
+		if !at[off] {
+			at[off] = true
+			changes = append(changes, CellChange[int64]{Off: off, Old: a.Data()[off], New: v})
+		}
+	}
+	worse := root.vals.Data()[0] - 1
+	if tr.IsMin() {
+		worse += 2
+	}
+	set(lost, worse)
+	if sib := lost ^ 1; rng.Intn(2) == 0 && sib < a.Size() {
+		set(sib, root.vals.Data()[0])
+	}
+	for range 1 + rng.Intn(24) {
+		set(rng.Intn(a.Size()), int64(rng.Intn(4)))
+	}
+	rng.Shuffle(len(changes), func(i, j int) { changes[i], changes[j] = changes[j], changes[i] })
+	return changes
+}
+
+// Property: Repair's sorted grouping leaves every tree exactly as the
+// map-grouped reference does — values, argmax offsets, UpdateStats and
+// counted accesses — batch after batch, for max and min trees over
+// tie-heavy cubes of 1 to 3 dimensions, with rescans and recoveries.
+func TestRepairMatchesMapGrouping(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		a := randomCube(rng, 3, 17)
+		a.Fill(func([]int) int64 { return int64(rng.Intn(4)) })
+		b := 2 + rng.Intn(3)
+		build := Build[int64]
+		if seed%2 == 0 {
+			build = BuildMin[int64]
+		}
+		got, want := build(a, b), build(a.Clone(), b)
+		for round := 0; round < 6; round++ {
+			changes := tieBatch(rng, got)
+			for _, ch := range changes {
+				got.Cube().Data()[ch.Off] = ch.New
+				want.Cube().Data()[ch.Off] = ch.New
+			}
+			var gc, wc metrics.Counter
+			if got.Repair(changes, &gc) != refRepair(want, changes, &wc) || gc != wc || !sameTree(got, want) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 	"time"
 
@@ -79,25 +78,8 @@ func (s *Server) commitGroups(ctx context.Context, groups [][]ingest.Update) (ui
 	}
 	sp.Set("groups", strconv.Itoa(len(groups)))
 	sp.Set("raw_updates", strconv.Itoa(raw))
-	// Offsets depend only on the cube's immutable shape/strides, so the
-	// coalescing pass runs outside the lock.
-	a := s.cube.Data()
-	byOff := make(map[int]int, raw)
-	// One coalesced update per cell: the net value-to-add after merging every
-	// duplicate coordinate in the group.
-	cells := make([]wal.Update, 0, raw)
-	for _, g := range groups {
-		for _, u := range g {
-			off := a.Offset(u.Coords...)
-			if j, ok := byOff[off]; ok {
-				cells[j].Delta += u.Delta
-			} else {
-				byOff[off] = len(cells)
-				cells = append(cells, u)
-			}
-		}
-	}
-	cells = slices.DeleteFunc(cells, func(c wal.Update) bool { return c.Delta == 0 })
+	// The shape is immutable, so the coalescing pass runs outside the lock.
+	cells := wal.Coalesce(s.cube.Shape(), groups...)
 	sp.Set("cells", strconv.Itoa(len(cells)))
 
 	if len(cells) == 0 {

@@ -141,7 +141,8 @@ func (s *Server) handleSnapshotFetch(w http.ResponseWriter, r *http.Request) {
 // sequence order, each as one applyEpoch. Batches at or below the current
 // sequence are skipped, so overlapping fetches (a snapshot resume racing a
 // pending stream) are idempotent; any other batch must be numbered one past
-// the current sequence. Durability is the leader's: nothing is re-logged here.
+// the current sequence, and is coalesced (wal.Coalesce) before it is
+// applied. Durability is the leader's: nothing is re-logged here.
 // Every batch is checked against the cube's shape before any is applied. A
 // batch naming a cell that does not exist, or leaving a gap in the sequence,
 // is left unapplied with an error, and so is every batch after it. An apply
@@ -154,7 +155,8 @@ func (s *Server) handleSnapshotFetch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) ApplyReplicated(batches []wal.Batch) (applied int, err error) {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
-	valid, err := checkReplicated(s.cube.Shape(), batches) // a /state push, which may swap the cube, holds commitMu
+	shape := s.cube.Shape() // a /state push, which may swap the cube, holds commitMu
+	valid, err := checkReplicated(shape, batches)
 	defer func() {
 		if p := recover(); p != nil {
 			s.logf("server: replicated batch seq %d panicked: %v\n%s", batches[applied].Seq, p, debug.Stack())
@@ -166,6 +168,9 @@ func (s *Server) ApplyReplicated(batches []wal.Batch) (applied int, err error) {
 			if b.Seq != s.seq.Load()+1 {
 				return applied, fmt.Errorf("server: replicated batch seq %d %w seq %d", b.Seq, errSeqGap, s.seq.Load())
 			}
+			// A leader's records name each cell once; any other record is
+			// folded to that form here, as the engines' apply requires.
+			b.Updates = wal.Coalesce(shape, b.Updates)
 			s.applyEpoch(context.Background(), b, 0, 0)
 		}
 	}

@@ -832,6 +832,68 @@ func TestApplyReplicatedRejectsBadCoords(t *testing.T) {
 	}
 }
 
+// TestRecordsRepeatingACellCoalesce: a commit never logs a cell twice, yet
+// WAL replay and replication are the two boundaries where a record that
+// does can arrive, and the engines' apply trusts each cell to be named
+// once. Replay adds into the cells before any structure is built; a
+// replicated record is coalesced before it is applied. Either way the cell
+// ends at its net delta and the trees agree with a scan of the cells. The
+// repeated cell's deltas first fall and then rise past every cell, so an
+// apply handed both would leave the max tree holding the risen value.
+func TestRecordsRepeatingACellCoalesce(t *testing.T) {
+	newCube := func() *cube.Cube {
+		c := cube.New(cube.NewIntDimension("x", 0, 3), cube.NewIntDimension("y", 0, 3))
+		for i := range c.Data().Data() {
+			c.Data().Data()[i] = int64(i)
+		}
+		return c
+	}
+	record := wal.Batch{Seq: 1, Updates: []wal.Update{
+		{Coords: []int{1, 1}, Delta: -95}, {Coords: []int{2, 0}, Delta: 3}, {Coords: []int{1, 1}, Delta: 100},
+	}}
+	check := func(t *testing.T, s *Server) {
+		t.Helper()
+		a := s.cube.Data()
+		if s.Seq() != 1 || a.At(1, 1) != 10 || a.At(2, 0) != 11 {
+			t.Fatalf("seq %d, cells (1,1) = %d and (2,0) = %d; want seq 1, 10 and 11", s.Seq(), a.At(1, 1), a.At(2, 0))
+		}
+		for _, isMin := range []bool{false, true} {
+			_, v, _, err := s.router.Extreme(context.Background(), a.Bounds(), isMin, nil)
+			want := naive.Max
+			if isMin {
+				want = naive.Min
+			}
+			if _, w, _ := want(a, a.Bounds(), nil); err != nil || v != w {
+				t.Fatalf("min=%v: the tree answers %d (err %v), the cells %d", isMin, v, err, w)
+			}
+		}
+	}
+	t.Run("replay", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "updates.wal")
+		l, err := wal.Create(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Append(record); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		s, err := NewWithOptions(newCube(), Options{BlockSize: 1, Fanout: 2, WALPath: path, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		check(t, s)
+	})
+	t.Run("replication", func(t *testing.T) {
+		s := New(newCube(), 1, 2)
+		if held, err := s.ApplyReplicated([]wal.Batch{record}); held != 1 || err != nil {
+			t.Fatalf("ApplyReplicated held %d, err %v; want 1, nil", held, err)
+		}
+		check(t, s)
+	})
+}
+
 // TestApplyReplicatedRejectsGap: a stream that skips a batch stops the
 // follower at the gap. Given seqs 1 and 3, it holds batch 1, refuses batch 3
 // with an error and stays at seq 1; it used to apply batch 3 and claim seq 3

@@ -603,11 +603,22 @@ func (s *Server) Metrics() *telemetry.Registry {
 	return s.met.reg
 }
 
-// decodeBody decodes a JSON request body of at most maxBodyBytes into v. On
-// failure it has answered, naming the body what: 413 past the cap, else 400.
+// decodeBody decodes a JSON request body of at most maxBodyBytes into v,
+// refusing anything but whitespace after the value. On failure it has
+// answered, naming the body what: 413 past the cap, else 400.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	dec := json.NewDecoder(r.Body)
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if err == nil {
+			err = errors.New("data after the value")
+		}
+	}
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.writeError(w, r, http.StatusRequestEntityTooLarge, "%s exceeds %d bytes", what, tooBig.Limit)
@@ -836,12 +847,6 @@ func (s *Server) writeCtxError(w http.ResponseWriter, r *http.Request, err error
 	}
 }
 
-// updateRequest is the JSON shape of /update batches. Deltas adjust the
-// SUM structures; the MAX/MIN trees receive the resulting absolute values.
-type updateRequest struct {
-	Updates []wal.Update `json:"updates"`
-}
-
 // updateResponse is the JSON shape of /update acknowledgments. The three
 // pipeline fields decompose ingestion latency for sync writers: when the
 // submission entered the queue, how long it waited for its group's flush,
@@ -871,11 +876,11 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, status, "%v", err)
 		return
 	}
-	var req updateRequest
-	if !s.decodeBody(w, r, "update batch", &req) {
+	updates, ok := s.readUpdates(w, r)
+	if !ok {
 		return
 	}
-	if len(req.Updates) == 0 {
+	if len(updates) == 0 {
 		s.writeError(w, r, http.StatusBadRequest, "empty update batch")
 		return
 	}
@@ -884,7 +889,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// touch s.mu — the queue-full 429 has to come back even while a commit
 	// is parked on the write lock.
 	shape := s.cube.Shape()
-	for i, u := range req.Updates {
+	for i, u := range updates {
 		if err := checkCoords(shape, u.Coords); err != nil {
 			s.writeError(w, r, http.StatusBadRequest, "update %d: %v", i, err)
 			return
@@ -898,7 +903,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		}
 		mode = v
 	}
-	ack, enq, err := s.batcher.Submit(req.Updates, mode == "sync")
+	ack, enq, err := s.batcher.Submit(updates, mode == "sync")
 	switch {
 	case errors.Is(err, ingest.ErrQueueFull):
 		// The hint is how long the current backlog takes to drain at the
@@ -918,7 +923,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		// a crash before its group's fsync loses it — that is the contract
 		// the client chose.
 		s.writeJSON(w, r, http.StatusAccepted, updateResponse{
-			Applied: len(req.Updates), Durability: "async",
+			Applied: len(updates), Durability: "async",
 			Enqueued: true, EnqueuedUnixNS: enq.UnixNano(),
 		})
 		return
@@ -930,7 +935,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, r, http.StatusOK, updateResponse{
-		Applied: len(req.Updates), Seq: res.Seq, Durability: "sync",
+		Applied: len(updates), Seq: res.Seq, Durability: "sync",
 		EnqueuedUnixNS: res.Enqueued.UnixNano(),
 		QueueWaitNS:    res.Flushed.Sub(res.Enqueued).Nanoseconds(),
 		CommitNS:       res.Committed.Sub(res.Flushed).Nanoseconds(),

@@ -136,6 +136,8 @@ type localEngine struct {
 	// queued is how many blocks blk's queue holds: written by the commit under
 	// the caller's write lock, read by StructureBytes under its read lock.
 	queued int
+	// changes is apply's (cell, old, new) list, kept across commits.
+	changes []maxtree.CellChange[int64]
 	// blockSize and sharded name the engine on query spans (Op.Engine).
 	blockSize int
 	sharded   bool
@@ -237,25 +239,24 @@ func (e *localEngine) answer(ctx context.Context, it *Item) {
 }
 
 // apply commits one batch, in slab coordinates, to every structure, counting
-// the blocked index's writes in c. The three structures over cells share one
-// array, so the order is fixed: record each distinct cell's old value (a
-// batch may name a cell twice — replay and replication do not coalesce), let
-// the deltas land — the blocked index writes cells and edge entries and
-// queues the packed half, folding the queue in once it is full — and only
-// then, with every cell of the batch written, hand both trees the same (old,
-// new) list for the §7 repair. The commit's span gains the queue's length
-// and, when the fold runs, a structures.flush child.
+// the blocked index's writes in c. The batch names each cell once: a commit
+// coalesces its group, and ApplyReplicated a replicated record, before it
+// gets here. The three structures over cells share one array, so the order
+// is fixed: record each cell's old and new value, let the deltas land — the
+// blocked index writes cells and edge entries and queues the packed half,
+// folding the queue in once it is full — and only then, with every cell of
+// the batch written, hand both trees the same (old, new) list for the §7
+// repair. The list lives in a buffer the engine keeps. The commit's span
+// gains the queue's length and, when the fold runs, a structures.flush
+// child.
 func (e *localEngine) apply(ctx context.Context, deltas []wal.Update, c *metrics.Counter) {
 	data := e.cells.Data()
-	seen := make(map[int]struct{}, len(deltas))
-	changes := make([]maxtree.CellChange[int64], 0, len(deltas))
+	changes := e.changes[:0]
 	for _, d := range deltas {
 		off := e.cells.Offset(d.Coords...)
-		if _, dup := seen[off]; !dup {
-			seen[off] = struct{}{}
-			changes = append(changes, maxtree.CellChange[int64]{Off: off, Old: data[off]})
-		}
+		changes = append(changes, maxtree.CellChange[int64]{Off: off, Old: data[off], New: data[off] + d.Delta})
 	}
+	e.changes = changes
 	full := false
 	for _, d := range deltas {
 		e.queued, full = e.blk.ApplyQueued(d.Coords, d.Delta, c)
@@ -268,9 +269,6 @@ func (e *localEngine) apply(ctx context.Context, deltas []wal.Update, c *metrics
 		e.blk.Flush(c)
 		e.queued = 0
 		sp.End()
-	}
-	for i := range changes {
-		changes[i].New = data[changes[i].Off]
 	}
 	e.max.Repair(changes, nil)
 	e.min.Repair(changes, nil)

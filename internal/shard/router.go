@@ -407,8 +407,9 @@ func (rt *Router) Extreme(ctx context.Context, r ndarray.Region, min bool, c *me
 }
 
 // Apply commits one update batch, in logical coordinates, to the owning
-// in-process shards, in shard order on this goroutine. The batch is one
-// epoch: the caller must exclude queries for the duration. Remote shards are
+// in-process shards, in shard order on this goroutine. The batch must name
+// each cell once, as wal.Coalesce leaves it. It is one epoch: the caller
+// must exclude queries for the duration. Remote shards are
 // sent the leader's records by Deliver instead.
 func (rt *Router) Apply(ctx context.Context, cells []wal.Update) {
 	rt.scatterCells.Add(uint64(len(cells)))

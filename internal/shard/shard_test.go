@@ -397,7 +397,7 @@ func TestRouterMatchesNaive(t *testing.T) {
 					cells[i] = wal.Update{Coords: u.Coords, Delta: u.Delta}
 					mirror.Set(mirror.At(u.Coords...)+u.Delta, u.Coords...)
 				}
-				rt.Apply(context.Background(), cells)
+				rt.Apply(context.Background(), wal.Coalesce(shape, cells))
 				probe := cells[rng.Intn(len(cells))].Coords
 				if got, want := rt.Cell(probe), mirror.At(probe...); got != want {
 					t.Fatalf("Cell(%v) = %d after scatter, want %d", probe, got, want)
@@ -498,7 +498,7 @@ func TestOneShardRouterIsTheStructures(t *testing.T) {
 			}
 			mx.BatchUpdate(assigns, nil)
 			mn.BatchUpdate(assigns, nil)
-			rt.Apply(ctx, pds)
+			rt.Apply(ctx, wal.Coalesce(shape, pds))
 			if !reflect.DeepEqual(cells.Data(), own.Data()) {
 				t.Fatalf("b=%d step %d: the router's in-place cells diverged from the directly-updated cube", blockSize, step)
 			}

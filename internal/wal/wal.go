@@ -32,6 +32,7 @@
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -39,6 +40,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,6 +75,60 @@ type Update struct {
 type Batch struct {
 	Seq     uint64
 	Updates []Update
+}
+
+// Coalesce folds updates into one per cell of a cube of the given shape, in
+// the order each cell first appears: the deltas of a cell named more than
+// once add up (the §5 value-to-add form is order-independent) and a cell
+// whose net delta is zero is dropped. Every update must name a cell of the
+// cube. One group that already names each cell once with a nonzero delta is
+// returned as it is; otherwise the result is a new slice sharing the
+// updates' coordinates. Cells are grouped by sorting, not hashing, and up to
+// 32 of them need no allocation to be found distinct.
+func Coalesce(shape []int, groups ...[]Update) []Update {
+	type cell struct {
+		off, g, k int // the cell's row-major offset and its first update
+		delta     int64
+	}
+	var stack [32]cell
+	cells := stack[:0]
+	for g, ups := range groups {
+		for k, u := range ups {
+			off := 0
+			for j, x := range u.Coords {
+				off = off*shape[j] + x
+			}
+			cells = append(cells, cell{off, g, k, u.Delta})
+		}
+	}
+	n := len(cells)
+	slices.SortFunc(cells, func(x, y cell) int {
+		return cmp.Or(cmp.Compare(x.off, y.off), cmp.Compare(x.g, y.g), cmp.Compare(x.k, y.k))
+	})
+	w := 0
+	for _, c := range cells {
+		if w > 0 && cells[w-1].off == c.off {
+			cells[w-1].delta += c.delta
+		} else {
+			cells[w] = c
+			w++
+		}
+	}
+	cells = cells[:w]
+	zero := slices.ContainsFunc(cells, func(c cell) bool { return c.delta == 0 })
+	if len(groups) == 1 && w == n && !zero {
+		return groups[0]
+	}
+	slices.SortFunc(cells, func(x, y cell) int {
+		return cmp.Or(cmp.Compare(x.g, y.g), cmp.Compare(x.k, y.k))
+	})
+	out := make([]Update, 0, w)
+	for _, c := range cells {
+		if c.delta != 0 {
+			out = append(out, Update{Coords: groups[c.g][c.k].Coords, Delta: c.delta})
+		}
+	}
+	return out
 }
 
 // EncodeBatch serializes a batch payload. All updates must share a

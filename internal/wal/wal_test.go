@@ -256,3 +256,36 @@ func TestScanRejectsNonWAL(t *testing.T) {
 		}
 	}
 }
+
+// TestCoalesce: one update per cell, in first-appearance order across the
+// groups, with the deltas of a repeated cell added and a cell netting zero
+// dropped; a lone group that is already coalesced comes back as it is, and
+// one past the 32 cells checked without allocating is coalesced too.
+func TestCoalesce(t *testing.T) {
+	shape := []int{4, 5}
+	at := func(x, y int) []int { return []int{x, y} }
+	got := Coalesce(shape,
+		[]Update{{at(1, 2), 5}, {at(3, 4), 7}, {at(1, 2), -2}},
+		[]Update{{at(0, 0), 0}, {at(3, 4), -7}, {at(2, 0), 1}, {at(1, 2), 4}})
+	want := []Update{{at(1, 2), 7}, {at(2, 0), 1}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Coalesce = %v, want %v", got, want)
+	}
+	lone := []Update{{at(3, 1), 2}, {at(0, 4), -1}}
+	if got := Coalesce(shape, lone); &got[0] != &lone[0] || len(got) != 2 {
+		t.Fatalf("a coalesced group came back as %v, not itself", got)
+	}
+	var many []Update
+	for i := range 20 {
+		many = append(many, Update{at(i%4, i%5), 1}, Update{at(i%4, i%5), 1})
+	}
+	got = Coalesce(shape, many)
+	if len(got) != 20 {
+		t.Fatalf("40 updates of 20 cells coalesced to %d", len(got))
+	}
+	for i, u := range got {
+		if !reflect.DeepEqual(u, Update{at(i%4, i%5), 2}) {
+			t.Fatalf("cell %d coalesced to %v, want %v +2", i, u, at(i%4, i%5))
+		}
+	}
+}
