@@ -413,7 +413,8 @@ func loadRows(l *ledger) {
 
 // repairRows counts the allocations of one §7 repair of 64 cells on a
 // 256×256 max tree of fanout 4: the cells written and then handed to
-// Repair, alternately set and restored, so every run repairs the same tree.
+// Repair, alternately set and restored, so every run repairs the same tree;
+// then of a BatchUpdate of 64 points on it, and of one §6 query.
 func repairRows(l *ledger) {
 	if raceEnabled {
 		return // the race runtime allocates on its own account
@@ -442,6 +443,34 @@ func repairRows(l *ledger) {
 		i++
 	})
 	l.add("maxtree.Repair", "256x256", "-", fmt.Sprintf("allocs/%d cells", len(batches[0])), strconv.FormatFloat(allocs, 'f', 0, 64))
+
+	// The library's §7 entry on the same tree: 64 point updates, some naming
+	// a cell twice, alternately set and restored.
+	var sets [2][]maxtree.PointUpdate[int64]
+	for _, u := range g.Updates(shape, 64, 500) {
+		sets[0] = append(sets[0], maxtree.PointUpdate[int64]{Coords: u.Coords, Value: a.At(u.Coords...) + u.Delta})
+		sets[1] = append(sets[1], maxtree.PointUpdate[int64]{Coords: u.Coords, Value: a.At(u.Coords...)})
+	}
+	i = 0
+	allocs = testing.AllocsPerRun(20, func() {
+		tr.BatchUpdate(sets[i%2], nil)
+		i++
+	})
+	l.add("maxtree.BatchUpdate", "256x256", "-", fmt.Sprintf("allocs/%d cells", len(sets[0])), strconv.FormatFloat(allocs, 'f', 0, 64))
+
+	// A §6 query as a server asks it, under a context that can be canceled.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	regions := make([]ndarray.Region, 64)
+	for k := range regions {
+		regions[k] = g.UniformRegion(shape)
+	}
+	i = 0
+	allocs = testing.AllocsPerRun(200, func() {
+		tr.MaxIndexContext(ctx, regions[i%len(regions)], nil)
+		i++
+	})
+	l.add("maxtree.MaxIndex", "256x256", "-", "allocs/query", strconv.FormatFloat(allocs, 'f', 0, 64))
 }
 
 func walSize(t *testing.T, path string) int64 {

@@ -44,7 +44,7 @@ type Array[T any, G algebra.Group[T]] struct {
 	// edges is nil for the paper's structure. BuildWithEdges fills it,
 	// indexed by the set of dimensions an array keeps at cell resolution
 	// (bit j for dimension j); see edges.go.
-	edges []*ndarray.Array[T]
+	edges []*edgeArray[T]
 	// qoff, qval and qat are the queue of packed's deferred §5 value-to-adds
 	// (queue.go): one per block, sorted by packed offset, with the block's
 	// packed coordinates past the first, d − 1 per block, in qat.
@@ -431,15 +431,15 @@ func (bl *Array[T, G]) eval(p *piece, c *metrics.Counter, ck *ctxcheck.Checker) 
 		if keep == 0 { // C = K, S = ∅: the superblock
 			total = bl.packedSum(p.block, c)
 		} else {
-			arr := bl.a
-			if bl.edges != nil && bl.edges[keep] != nil {
+			var arr *edgeArray[T] // nil: the cube
+			if bl.edges != nil {
 				arr = bl.edges[keep]
 			}
 			both := uint(0) // the dimensions of S with a gap on both sides of R_j
 			for j := range reg {
 				bit := uint(1) << j
 				switch {
-				case keep&bit == 0 && arr != bl.a: // whole blocks: B_j, or aligned
+				case keep&bit == 0 && arr != nil: // whole blocks: B_j, or aligned
 					reg[j] = p.block[j]
 				case s&bit == 0: // R_j, or aligned in the cube
 					reg[j] = p.sub[j]
@@ -496,7 +496,7 @@ func (bl *Array[T, G]) complement(p *piece, reg ndarray.Region, c *metrics.Count
 			if reg[j] = gap; reg.Empty() {
 				continue
 			}
-			part, err := bl.scan(bl.a, reg, c, ck)
+			part, err := bl.scan(nil, reg, c, ck)
 			if err != nil {
 				return total, err
 			}
@@ -509,28 +509,40 @@ func (bl *Array[T, G]) complement(p *piece, reg ndarray.Region, c *metrics.Count
 	return total, nil
 }
 
-// scan sums region r of arr — the cube or an edge array — directly, one
-// contiguous innermost-axis line at a time, checkpointing ck per line and
-// accounting the counter once per scan rather than once per entry. The
-// canonical int64 SUM sums each line in a plain int64 loop.
-func (bl *Array[T, G]) scan(arr *ndarray.Array[T], r ndarray.Region, c *metrics.Counter, ck *ctxcheck.Checker) (T, error) {
+// scan sums region r of arr — an edge array, or the cube when arr is nil —
+// directly, one contiguous run of its innermost stored axis at a time,
+// checkpointing ck per run and accounting the counter once per scan rather
+// than once per entry. The canonical int64 SUM sums each run in a plain
+// int64 loop.
+func (bl *Array[T, G]) scan(arr *edgeArray[T], r ndarray.Region, c *metrics.Counter, ck *ctxcheck.Checker) (T, error) {
 	total := bl.g.Identity()
 	if r.Empty() {
 		return total, nil
 	}
-	data, strides := arr.Data(), arr.Strides()
+	data, strides, order := bl.a.Data(), bl.a.Strides(), []int(nil)
+	if arr != nil {
+		data, strides, order = arr.data, arr.strides, arr.order
+	}
+	// axis is the dimension stored k-th from the outside.
+	axis := func(k int) int {
+		if order == nil {
+			return k
+		}
+		return order[k]
+	}
 	last := len(r) - 1
-	n, off, lines := r[last].Len(), 0, 1
+	inner := axis(last)
+	n, off, runs := r[inner].Len(), 0, 1
 	for j, rng := range r {
 		off += rng.Lo * strides[j]
-		if j < last {
-			lines *= rng.Len()
+		if j != inner {
+			runs *= rng.Len()
 		}
 	}
-	var buf [4]int // the line's position in r, over dimensions 0..d−2
+	var buf [4]int // the run's position in r, by dimension
 	at := buf[:]
-	if last > len(buf) {
-		at = make([]int, last)
+	if len(r) > len(buf) {
+		at = make([]int, len(r))
 	}
 	data64, _ := any(data).([]int64)
 	if _, ok := any(bl.g).(algebra.IntSum); !ok {
@@ -539,9 +551,9 @@ func (bl *Array[T, G]) scan(arr *ndarray.Array[T], r ndarray.Region, c *metrics.
 	var sum64 int64
 	var err error
 	done := 0
-	for ; done < lines; done++ {
-		// A canceled query stops between lines, having touched and
-		// accounted only the lines before.
+	for ; done < runs; done++ {
+		// A canceled query stops between runs, having touched and
+		// accounted only the runs before.
 		if err = ck.Tick(int64(n)); err != nil {
 			break
 		}
@@ -554,7 +566,8 @@ func (bl *Array[T, G]) scan(arr *ndarray.Array[T], r ndarray.Region, c *metrics.
 				total = bl.g.Combine(total, v)
 			}
 		}
-		for j := last - 1; j >= 0; j-- {
+		for k := last - 1; k >= 0; k-- {
+			j := axis(k)
 			off += strides[j]
 			if at[j]++; at[j] < r[j].Len() {
 				break
@@ -567,7 +580,7 @@ func (bl *Array[T, G]) scan(arr *ndarray.Array[T], r ndarray.Region, c *metrics.
 		total = any(sum64).(T)
 	}
 	cells := int64(done * n)
-	if arr == bl.a {
+	if arr == nil {
 		c.AddCells(cells)
 	} else {
 		c.AddAux(cells)

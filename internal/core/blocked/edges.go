@@ -2,6 +2,7 @@ package blocked
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rangecube/internal/algebra"
@@ -28,6 +29,50 @@ import (
 // and the full set is the cube itself, so none of those is stored. With k
 // blocked dimensions that is 2^k − 2 arrays; with every b_j > 1 and n_j > 1,
 // N·(∏(1+1/b_j) − 1 − ∏1/b_j) entries together.
+//
+// An array stores the dimensions it keeps outermost and those it contracts
+// innermost, each group in ascending order: in 2-d the array keeping
+// dimension 1 is [n1][⌈n0/b0⌉]. A boundary strip is thin in the kept
+// dimensions and long in the contracted ones, so it is ∏|R_kept| runs of
+// adjacent entries rather than rows an array's width apart.
+
+// edgeArray is one edge array: its entries in storage order, the stride of
+// each dimension and the dimensions from outermost to innermost.
+type edgeArray[T any] struct {
+	data    []T
+	strides []int
+	order   []int
+}
+
+// newEdgeArray lays out the cube of the given shape contracted by bs outside
+// keep, its entries zero.
+func newEdgeArray[T any](shape, bs []int, keep uint) *edgeArray[T] {
+	d := len(shape)
+	e := &edgeArray[T]{strides: make([]int, d), order: make([]int, 0, d)}
+	for _, kept := range []bool{true, false} {
+		for j := range d {
+			if (keep&(1<<j) != 0) == kept {
+				e.order = append(e.order, j)
+			}
+		}
+	}
+	size := 1
+	for k := d - 1; k >= 0; k-- {
+		j := e.order[k]
+		e.strides[j] = size
+		size *= contractedExtent(shape[j], bs[j], keep&(1<<j) != 0)
+	}
+	e.data = make([]T, size)
+	return e
+}
+
+// contractedExtent is an extent of n cells contracted by b, or n kept.
+func contractedExtent(n, b int, kept bool) int {
+	if kept {
+		return n
+	}
+	return (n + b - 1) / b
+}
 
 // BuildWithEdges is BuildDims plus the edge arrays, all filled in the same
 // single storage-order walk of the cube. Sums, bounds and errors are those of
@@ -43,7 +88,7 @@ func (bl *Array[T, G]) EdgeSize() int {
 	size := 0
 	for _, e := range bl.edges {
 		if e != nil {
-			size += e.Size()
+			size += len(e.data)
 		}
 	}
 	return size
@@ -61,9 +106,8 @@ func (bl *Array[T, G]) addToCell(coords []int, delta T) int {
 		if e == nil {
 			continue
 		}
-		edata := e.Data()
-		eoff := contractedOffset(coords, bl.bs, e.Strides(), uint(keep))
-		edata[eoff] = bl.g.Combine(edata[eoff], delta)
+		eoff := contractedOffset(coords, bl.bs, e.strides, uint(keep))
+		e.data[eoff] = bl.g.Combine(e.data[eoff], delta)
 		written++
 	}
 	return written
@@ -104,31 +148,30 @@ func build[T any, G algebra.Group[T]](a *ndarray.Array[T], bs []int, withEdges b
 		}
 	}
 	var g G
-	contracted := func(keep uint) *ndarray.Array[T] {
-		shape := make([]int, d)
-		for j, n := range a.Shape() {
-			shape[j] = n
-			if keep&(1<<j) == 0 {
-				shape[j] = (n + bs[j] - 1) / bs[j]
-			}
-		}
-		arr := ndarray.New[T](shape...)
-		if _, zero := any(g).(algebra.IntSum); !zero { // New already holds IntSum's identity
-			data, id := arr.Data(), g.Identity()
+	identity := func(data []T) { // New and make already hold IntSum's identity
+		if _, zero := any(g).(algebra.IntSum); !zero {
+			id := g.Identity()
 			for i := range data {
 				data[i] = id
 			}
 		}
-		return arr
 	}
 	bl := &Array[T, G]{a: a, bs: append([]int(nil), bs...)}
-	full := contracted(0) // what §4.3 contracts A into, and packed once prefix-summed
-	targets := []target[T]{{arr: full}}
+	// full is what §4.3 contracts A into, and packed once prefix-summed.
+	fullShape := make([]int, d)
+	for j, n := range a.Shape() {
+		fullShape[j] = contractedExtent(n, bs[j], false)
+	}
+	full := ndarray.New[T](fullShape...)
+	identity(full.Data())
+	targets := []target[T]{{data: full.Data(), strides: full.Strides()}}
 	if withEdges && blockedDims&(blockedDims-1) != 0 { // two blocked dimensions or more
-		bl.edges = make([]*ndarray.Array[T], 1<<d)
+		bl.edges = make([]*edgeArray[T], 1<<d)
 		for keep := (blockedDims - 1) & blockedDims; keep != 0; keep = (keep - 1) & blockedDims {
-			bl.edges[keep] = contracted(keep)
-			targets = append(targets, target[T]{keep: keep, arr: bl.edges[keep]})
+			e := newEdgeArray[T](a.Shape(), bs, keep)
+			identity(e.data)
+			bl.edges[keep] = e
+			targets = append(targets, newTarget(e, a.Shape(), bs, keep))
 		}
 	}
 	// Phase 1: contract, into every target at once.
@@ -139,10 +182,100 @@ func build[T any, G algebra.Group[T]](a *ndarray.Array[T], bs []int, withEdges b
 }
 
 // target is one output of the contraction walk: the cube contracted by bs in
-// every dimension outside keep.
+// every dimension outside keep, its entries and their strides. The walk
+// writes a target laid out as it walks the cube, in natural order, in place.
+// One stored in another order (an edge array keeping a dimension after one
+// it contracts) takes one block-row of dimension 0 at a time in a worker's
+// slab, in natural order, and stores it in its own order once it is done
+// (store).
 type target[T any] struct {
-	keep uint
-	arr  *ndarray.Array[T]
+	keep    uint
+	data    []T
+	strides []int // per dimension, in data
+	order   []int // the dimensions from outermost to innermost in data
+	// For a target stored in another order: its natural shape and the
+	// strides of a natural layout of it. shape is nil for a target written
+	// in place.
+	shape, natural []int
+}
+
+// newTarget is the target that fills edge array e.
+func newTarget[T any](e *edgeArray[T], shape, bs []int, keep uint) target[T] {
+	t := target[T]{keep: keep, data: e.data, strides: e.strides, order: e.order}
+	if slices.IsSorted(e.order) {
+		return t
+	}
+	d := len(shape)
+	t.shape, t.natural = make([]int, d), make([]int, d)
+	size := 1
+	for j := d - 1; j >= 0; j-- {
+		t.shape[j] = contractedExtent(shape[j], bs[j], keep&(1<<j) != 0)
+		t.natural[j] = size
+		size *= t.shape[j]
+	}
+	return t
+}
+
+// slab is how many entries of the target one block-row of the cube covers.
+func (t *target[T]) slab(b0 int) int {
+	if t.keep&1 == 0 {
+		return t.natural[0]
+	}
+	return b0 * t.natural[0]
+}
+
+// rows returns the target's dimension-0 rows that the cube's block-row k0
+// covers, ending at the cube row hi0.
+func (t *target[T]) rows(k0, b0, hi0 int) (first, n int) {
+	if t.keep&1 == 0 {
+		return k0, 1
+	}
+	return k0 * b0, hi0 - k0*b0
+}
+
+// store moves the natural-order slab of the target's rows [first, first+n)
+// of dimension 0 into its storage, leaving id behind for the next block-row.
+// It writes each entry once, in runs along the innermost dimension in
+// storage order that the slab holds more than one entry of (a contracted
+// dimension 0 holds one per block-row), the other dimensions in storage
+// order around them. at is scratch of one int per dimension.
+func (t *target[T]) store(slab []T, at []int, first, n int, id T) {
+	d := len(t.shape)
+	extent := func(j int) int {
+		if j == 0 {
+			return n
+		}
+		return t.shape[j]
+	}
+	clear(at)
+	last := d - 1
+	for last > 0 && extent(t.order[last]) == 1 {
+		last--
+	}
+	inner := t.order[last]
+	runLen, dstep, sstep := extent(inner), t.strides[inner], t.natural[inner]
+	for {
+		doff, soff := first*t.strides[0], 0
+		for j, x := range at {
+			doff += x * t.strides[j]
+			soff += x * t.natural[j]
+		}
+		for x := range runLen {
+			s := soff + x*sstep
+			t.data[doff+x*dstep], slab[s] = slab[s], id
+		}
+		k := last - 1
+		for ; k >= 0; k-- {
+			j := t.order[k]
+			if at[j]++; at[j] < extent(j) {
+				break
+			}
+			at[j] = 0
+		}
+		if k < 0 {
+			return
+		}
+	}
 }
 
 // contract folds the cube into every target in one walk in storage order,
@@ -164,21 +297,97 @@ func contract[T any, G algebra.Group[T]](a *ndarray.Array[T], bs []int, targets 
 	shape, strides := a.Shape(), a.Strides()
 	last := len(shape) - 1
 	b := bs[last]
-	// The nb targets that contract the innermost axis go first; outs are the
-	// targets' entries, and a line's bases its first entry's offset in each.
+	// The nb targets that contract the innermost axis go first.
 	lastBit := uint(1) << last
 	sort.SliceStable(targets, func(i, j int) bool { return targets[i].keep&lastBit < targets[j].keep&lastBit })
 	nb := 0
 	for b > 1 && nb < len(targets) && targets[nb].keep&lastBit == 0 {
 		nb++
 	}
-	outs := make([][]T, len(targets))
-	for i, t := range targets {
-		outs[i] = t.arr.Data()
-	}
 	adata := a.Data()
-	// kernel folds the run [lo, hi) of the line starting at offset off.
-	kernel := func(off, lo, hi int, bases []int) {
+	_, intSum := any(g).(algebra.IntSum)
+	data64, _ := any(adata).([]int64)
+	if !intSum {
+		data64 = nil
+	}
+	m0 := (shape[0] + bs[0] - 1) / bs[0]
+	parallel.For(m0, len(adata), func(klo, khi, _ int) {
+		// outs are where a line goes in each target: the target's entries, or
+		// this worker's slab of it; bases are a line's first entry there.
+		outs := make([][]T, len(targets))
+		id := g.Identity()
+		for i, t := range targets {
+			outs[i] = t.data
+			if t.shape != nil {
+				outs[i] = make([]T, t.slab(bs[0]))
+				if !intSum { // make already holds IntSum's identity
+					for x := range outs[i] {
+						outs[i][x] = id
+					}
+				}
+			}
+		}
+		kernel := foldLines[T, G](adata, outs, nb, b)
+		if data64 != nil {
+			kernel = foldLines64(data64, any(outs).([][]int64), nb, b)
+		}
+		bases := make([]int, len(targets))
+		if last == 0 { // the one line is the cube: a worker's blocks are a run of it
+			kernel(0, klo*bs[0], min(khi*bs[0], shape[0]), bases)
+			return
+		}
+		coords := make([]int, last) // a line's start, over dimensions 0..d−2
+		at := make([]int, last+1)
+		for k0 := klo; k0 < khi; k0++ {
+			hi0 := min((k0+1)*bs[0], shape[0])
+			clear(coords)
+			coords[0] = k0 * bs[0]
+			for {
+				off := 0
+				for j, x := range coords {
+					off += x * strides[j]
+				}
+				for i, t := range targets {
+					if t.shape != nil {
+						first, _ := t.rows(k0, bs[0], hi0)
+						bases[i] = contractedOffset(coords, bs, t.natural, t.keep) - first*t.natural[0]
+					} else {
+						bases[i] = contractedOffset(coords, bs, t.strides, t.keep)
+					}
+				}
+				kernel(off, 0, shape[last], bases)
+				j := last - 1
+				for ; j >= 0; j-- {
+					coords[j]++
+					lim := shape[j]
+					if j == 0 {
+						lim = hi0
+					}
+					if coords[j] < lim {
+						break
+					}
+					coords[j] = 0
+				}
+				if j < 0 {
+					break
+				}
+			}
+			for i, t := range targets {
+				if t.shape != nil {
+					first, n := t.rows(k0, bs[0], hi0)
+					t.store(outs[i], at, first, n, id)
+				}
+			}
+		}
+	})
+}
+
+// foldLines is the kernel of every group but the int64 SUM: it folds the
+// run [lo, hi) of the cube line starting at offset off into outs, cell by
+// cell into each target.
+func foldLines[T any, G algebra.Group[T]](adata []T, outs [][]T, nb, b int) func(off, lo, hi int, bases []int) {
+	var g G
+	return func(off, lo, hi int, bases []int) {
 		for i, out := range outs[:nb] {
 			for x := lo; x < hi; {
 				q := x / b
@@ -197,85 +406,48 @@ func contract[T any, G algebra.Group[T]](a *ndarray.Array[T], bs []int, targets 
 			}
 		}
 	}
-	if data64, ok := any(adata).([]int64); ok {
-		if _, ok := any(g).(algebra.IntSum); ok {
-			outs64 := any(outs).([][]int64)
-			kernel = func(off, lo, hi int, bases []int) {
-				if nb == 0 {
-					line := data64[off+lo : off+hi]
-					for i, out := range outs64 {
-						row := out[bases[i]+lo:][:len(line)]
-						for k, v := range line {
-							row[k] += v
-						}
-					}
-					return
-				}
-				for x := lo; x < hi; {
-					q := x / b
-					end := min((q+1)*b, hi)
-					seg := data64[off+x : off+end]
-					// Four independent accumulators: one would serialize
-					// the adds behind each other's latency.
-					var acc, s1, s2, s3 int64
-					rest := seg
-					for ; len(rest) >= 4; rest = rest[4:] {
-						acc, s1, s2, s3 = acc+rest[0], s1+rest[1], s2+rest[2], s3+rest[3]
-					}
-					for _, v := range rest {
-						acc += v
-					}
-					acc += s1 + s2 + s3
-					for i, out := range outs64[:nb] {
-						out[bases[i]+q] += acc
-					}
-					// Now, while the segment is in L1; a whole line need not be.
-					for i, out := range outs64[nb:] {
-						row := out[bases[nb+i]+x:][:len(seg)]
-						for k, v := range seg {
-							row[k] += v
-						}
-					}
-					x = end
+}
+
+// foldLines64 is foldLines for the int64 SUM: each block is summed once for
+// all targets.
+func foldLines64(data64 []int64, outs64 [][]int64, nb, b int) func(off, lo, hi int, bases []int) {
+	return func(off, lo, hi int, bases []int) {
+		if nb == 0 {
+			line := data64[off+lo : off+hi]
+			for i, out := range outs64 {
+				row := out[bases[i]+lo:][:len(line)]
+				for k, v := range line {
+					row[k] += v
 				}
 			}
-		}
-	}
-
-	m0 := (shape[0] + bs[0] - 1) / bs[0]
-	parallel.For(m0, len(adata), func(klo, khi, _ int) {
-		lo0, hi0 := klo*bs[0], min(khi*bs[0], shape[0])
-		bases := make([]int, len(targets))
-		if last == 0 { // the one line is the cube: a worker's blocks are a run of it
-			kernel(0, lo0, hi0, bases)
 			return
 		}
-		coords := make([]int, last) // a line's start, over dimensions 0..d−2
-		coords[0] = lo0
-		for {
-			off := 0
-			for j, x := range coords {
-				off += x * strides[j]
+		for x := lo; x < hi; {
+			q := x / b
+			end := min((q+1)*b, hi)
+			seg := data64[off+x : off+end]
+			// Four independent accumulators: one would serialize
+			// the adds behind each other's latency.
+			var acc, s1, s2, s3 int64
+			rest := seg
+			for ; len(rest) >= 4; rest = rest[4:] {
+				acc, s1, s2, s3 = acc+rest[0], s1+rest[1], s2+rest[2], s3+rest[3]
 			}
-			for i, t := range targets {
-				bases[i] = contractedOffset(coords, bs, t.arr.Strides(), t.keep)
+			for _, v := range rest {
+				acc += v
 			}
-			kernel(off, 0, shape[last], bases)
-			j := last - 1
-			for ; j >= 0; j-- {
-				coords[j]++
-				lim := shape[j]
-				if j == 0 {
-					lim = hi0
+			acc += s1 + s2 + s3
+			for i, out := range outs64[:nb] {
+				out[bases[i]+q] += acc
+			}
+			// Now, while the segment is in L1; a whole line need not be.
+			for i, out := range outs64[nb:] {
+				row := out[bases[nb+i]+x:][:len(seg)]
+				for k, v := range seg {
+					row[k] += v
 				}
-				if coords[j] < lim {
-					break
-				}
-				coords[j] = 0
 			}
-			if j < 0 {
-				return
-			}
+			x = end
 		}
-	})
+	}
 }

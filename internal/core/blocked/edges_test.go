@@ -269,3 +269,52 @@ func TestEdgeArraysCutAccesses(t *testing.T) {
 			k, &ce, &cp, k*(1<<2-2))
 	}
 }
+
+// TestEdgeStripsAreRuns: every edge array stores the dimensions it keeps
+// outermost and those it contracts innermost, each group ascending, so its
+// stride-1 axis is a contracted dimension and a boundary strip, thin in the
+// kept dimensions, is a few runs of adjacent entries. In 2-d the array
+// keeping dimension 1 is [n1][⌈n0/b0⌉]. Each array still holds the
+// contraction of the cells, before and after a batch (checkEdgesFresh).
+func TestEdgeStripsAreRuns(t *testing.T) {
+	g := workload.SeededGen(t, *blocked.SeedFlag, 7)
+	for _, tc := range []struct{ shape, bs []int }{
+		{[]int{64, 96}, []int{8, 8}},
+		{[]int{33, 41, 17}, []int{4, 5, 3}},
+		{[]int{9, 12, 7, 10}, []int{2, 3, 2, 4}},
+		{[]int{20, 1, 30}, []int{4, 4, 1}},
+	} {
+		what := fmt.Sprintf("shape %v bs %v", tc.shape, tc.bs)
+		bl := buildWithEdges(g.UniformCube(tc.shape, 1000), tc.bs)
+		orders := bl.EdgeOrders()
+		if len(orders) == 0 && len(tc.shape) > 1 && tc.shape[1] > 1 {
+			t.Fatalf("%s: no edge arrays", what)
+		}
+		for keep, order := range orders {
+			var want []int
+			for _, kept := range []bool{true, false} {
+				for j := range tc.shape {
+					if (keep&(1<<j) != 0) == kept {
+						want = append(want, j)
+					}
+				}
+			}
+			if !slices.Equal(order, want) {
+				t.Errorf("%s: the edge array keeping %b stores its dimensions in the order %v, want %v", what, keep, order, want)
+			}
+			if inner := order[len(order)-1]; keep&(1<<inner) != 0 {
+				t.Errorf("%s: the edge array keeping %b has the kept dimension %d as its stride-1 axis", what, keep, inner)
+			}
+		}
+		checkEdgesFresh(t, bl, what)
+		var ups []batchsum.IntUpdate
+		for _, u := range g.Updates(tc.shape, 12, 50) {
+			ups = append(ups, batchsum.IntUpdate{Coords: u.Coords, Delta: u.Delta})
+		}
+		batchsum.ApplyBlockedInt(bl, ups, nil)
+		checkEdgesFresh(t, bl, what+" after a batch")
+	}
+	if got := buildWithEdges(ndarray.New[int64](64, 96), []int{8, 8}).EdgeOrders()[0b10]; !slices.Equal(got, []int{1, 0}) {
+		t.Errorf("2-d: the array keeping dimension 1 stores %v, want [1 0]: [n1][⌈n0/b0⌉]", got)
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"sync"
 
 	"rangecube/internal/ctxcheck"
 	"rangecube/internal/metrics"
@@ -31,6 +32,9 @@ type Tree[T cmp.Ordered] struct {
 	min    bool // when true the tree answers range-MIN instead of range-MAX
 	levels []level[T]
 	repair repairBufs[T]
+	// descents recycles the searches' scratch (*descent[T]), so a MaxIndex
+	// allocates nothing.
+	descents sync.Pool
 }
 
 // level holds one contracted grid: the best value in each node's region and
@@ -281,29 +285,50 @@ func (t *Tree[T]) maxIndex(ctx context.Context, r ndarray.Region, c *metrics.Cou
 		c.AddCells(1)
 		return off, t.a.Data()[off], true, nil
 	}
-	node := make([]int, d)
-	for j := range r {
-		node[j] = r[j].Lo / side
-	}
 	lv := t.levels[lvl-1]
-	noff := lv.vals.Offset(node...)
+	noff := 0
+	for j, st := range lv.vals.Strides() {
+		noff += r[j].Lo / side * st
+	}
 	c.AddAux(1)
-	coords := make([]int, d)
-	if r.Contains(t.a.Coords(lv.offs[noff], coords)) {
+	if t.holds(r, lv.offs[noff]) {
 		// Line (4)-(5) of Max_index: the covering node's maximum already
 		// falls inside R.
 		return lv.offs[noff], lv.vals.Data()[noff], true, nil
 	}
 	// Initialize the candidate to the region's low corner, as the paper
 	// does (current_max_index = ℓ), then branch-and-bound downward.
-	curOff := 0
+	s, _ := t.descents.Get().(*descent[T])
+	if s == nil {
+		s = new(descent[T])
+	}
+	s.t, s.c, s.ck = t, c, s.check.Reset(ctx)
+	s.off = 0
 	for j := range r {
-		curOff += r[j].Lo * t.a.Strides()[j]
+		s.off += r[j].Lo * t.a.Strides()[j]
 	}
 	c.AddCells(1)
-	curVal := t.a.Data()[curOff]
-	curOff, curVal, err = t.descend(lvl, node, r, curOff, curVal, c, ctxcheck.New(ctx))
-	return curOff, curVal, true, err
+	s.val = t.a.Data()[s.off]
+	s.nodes, s.regs = s.nodes[:0], append(s.regs[:0], r...)
+	for j := range r {
+		s.nodes = append(s.nodes, r[j].Lo/side)
+	}
+	err = s.descend(lvl, 0)
+	offset, value = s.off, s.val
+	s.t, s.c, s.ck, s.check = nil, nil, nil, ctxcheck.Checker{}
+	t.descents.Put(s)
+	return offset, value, true, err
+}
+
+// holds reports whether the cube cell at offset off lies in r.
+func (t *Tree[T]) holds(r ndarray.Region, off int) bool {
+	for j, st := range t.a.Strides() {
+		if x := off / st; x < r[j].Lo || x > r[j].Hi {
+			return false
+		}
+		off %= st
+	}
+	return true
 }
 
 // MaxBounds implements the §11 approximate answer for range-max: a lower
@@ -352,15 +377,14 @@ func (t *Tree[T]) MaxBounds(r ndarray.Region, c *metrics.Counter) (lo, hi T, exa
 	if lvl == 0 {
 		return lo, lo, true
 	}
-	node := make([]int, d)
-	for j := range r {
-		node[j] = r[j].Lo / side
-	}
 	lv := t.levels[lvl-1]
-	noff := lv.vals.Offset(node...)
+	noff := 0
+	for j, st := range lv.vals.Strides() {
+		noff += r[j].Lo / side * st
+	}
 	c.AddAux(1)
 	hi = lv.vals.Data()[noff]
-	if r.Contains(t.a.Coords(lv.offs[noff], make([]int, d))) {
+	if t.holds(r, lv.offs[noff]) {
 		return hi, hi, true
 	}
 	if t.min {
@@ -371,145 +395,160 @@ func (t *Tree[T]) MaxBounds(r ndarray.Region, c *metrics.Counter) (lo, hi T, exa
 	return lo, hi, false
 }
 
-// descend is the paper's get_max_index: x is the node at levelIdx whose
-// covered region intersects R; it scans x's children, first the internal
-// and Bin children (whose stored maxima are usable directly), then recurses
-// into Bout children that can still beat the current candidate.
-func (t *Tree[T]) descend(levelIdx int, node []int, r ndarray.Region, curOff int, curVal T, c *metrics.Counter, ck *ctxcheck.Checker) (int, T, error) {
-	childLevel := levelIdx - 1
-	if childLevel == 0 {
-		// Children are cube cells: every cell inside R is a candidate. The
-		// block is scanned one contiguous line at a time, with the counter
-		// accounted per line (totals match per-cell accounting). The
+// descent is one Max_index search: the candidate, and a stack of nodes to
+// search, each its coordinates in its level's grid and its part of the query
+// region, d of each per node. Entry 0 is the node covering R; each
+// scanChildren pushes the Bout children it defers and their descend pops
+// them. The tree pools descents, so once the stack has grown to a search's
+// depth a search allocates nothing.
+type descent[T cmp.Ordered] struct {
+	t      *Tree[T]
+	c      *metrics.Counter
+	ck     *ctxcheck.Checker // nil, or &check
+	check  ctxcheck.Checker
+	off    int // the candidate's cube offset
+	val    T   // and value
+	nodes  []int
+	regs   []ndarray.Range
+	cursor []int // an odometer over a node's children or a region's lines
+}
+
+// descend is the paper's get_max_index for stack entry e, a node at
+// levelIdx whose covered region holds its region: it scans the node's
+// children, first the internal and Bin children (whose stored maxima are
+// usable directly), then recurses into Bout children that can still beat the
+// candidate.
+func (s *descent[T]) descend(levelIdx, e int) error {
+	t, d := s.t, s.t.a.Dims()
+	if levelIdx == 1 {
+		// Children are cube cells, and the node's region lies inside its
+		// block: every cell of the region is a candidate. The region is
+		// scanned one contiguous line at a time in storage order, with the
+		// counter accounted per line (totals match per-cell accounting). The
 		// cancellation checkpoint fires between lines; once it reports an
 		// error the remaining lines are skipped, untouched and unaccounted.
-		inter := t.childRange(levelIdx, node).Intersect(r)
-		data := t.a.Data()
+		r := s.regs[e*d : e*d+d]
+		data, strides := t.a.Data(), t.a.Strides()
+		at := s.odometer(d)
+		last := d - 1
+		n, off := r[last].Len(), 0
+		for j := range r {
+			off += r[j].Lo * strides[j]
+		}
 		cells := int64(0)
 		var err error
-		ndarray.ForEachLine(t.a, inter, func(ln ndarray.Line) {
-			if err != nil {
-				return
+		for {
+			if err = s.ck.Tick(int64(n)); err != nil {
+				break
 			}
-			if err = ck.Tick(int64(ln.Len)); err != nil {
-				return
-			}
-			row := data[ln.Off : ln.Off+ln.Len]
-			for i, v := range row {
-				if t.better(v, curVal) {
-					curOff, curVal = ln.Off+i, v
+			for i, v := range data[off : off+n] {
+				if t.better(v, s.val) {
+					s.off, s.val = off+i, v
 				}
 			}
-			cells += int64(ln.Len)
-		})
-		c.AddCells(cells)
-		c.AddSteps(cells)
-		return curOff, curVal, err
+			cells += int64(n)
+			j := last - 1
+			for ; j >= 0; j-- {
+				off += strides[j]
+				if at[j]++; at[j] < r[j].Len() {
+					break
+				}
+				off -= at[j] * strides[j]
+				at[j] = 0
+			}
+			if j < 0 {
+				break
+			}
+		}
+		s.c.AddCells(cells)
+		s.c.AddSteps(cells)
+		return err
 	}
 
-	var bouts []boundaryChild
-	var err error
-	curOff, curVal, bouts, err = t.scanChildren(levelIdx, node, r, curOff, curVal, c, ck)
-	if err != nil {
-		return curOff, curVal, err
-	}
-	lv := t.levels[childLevel-1]
+	base := len(s.nodes) / d
+	err := s.scanChildren(levelIdx, e)
+	lv := t.levels[levelIdx-2]
 	// Lines (4)-(6): recurse into boundary children only if their
 	// precomputed maximum can still beat the candidate — the
 	// branch-and-bound pruning.
-	for _, bo := range bouts {
-		c.AddSteps(1)
-		if t.better(lv.vals.Data()[bo.noff], curVal) {
-			k := lv.vals.Coords(bo.noff, nil)
-			if curOff, curVal, err = t.descend(childLevel, k, bo.inter, curOff, curVal, c, ck); err != nil {
-				return curOff, curVal, err
-			}
+	for k := base; err == nil && k < len(s.nodes)/d; k++ {
+		s.c.AddSteps(1)
+		noff := 0
+		for j, st := range lv.vals.Strides() {
+			noff += s.nodes[k*d+j] * st
+		}
+		if t.better(lv.vals.Data()[noff], s.val) {
+			err = s.descend(levelIdx-1, k)
 		}
 	}
-	return curOff, curVal, nil
+	s.nodes, s.regs = s.nodes[:base*d], s.regs[:base*d]
+	return err
 }
 
-// childRange returns the coordinate range of node's children in the child
-// grid, clipped to that grid (the last block of a level may be ragged).
-func (t *Tree[T]) childRange(levelIdx int, node []int) ndarray.Region {
-	childLevel := levelIdx - 1
-	var childShape []int
-	if childLevel == 0 {
-		childShape = t.a.Shape()
-	} else {
-		childShape = t.levels[childLevel-1].vals.Shape()
-	}
-	cr := make(ndarray.Region, len(node))
-	for j, k := range node {
-		lo := k * t.b
-		hi := lo + t.b - 1
-		if hi >= childShape[j] {
-			hi = childShape[j] - 1
-		}
-		cr[j] = ndarray.Range{Lo: lo, Hi: hi}
-	}
-	return cr
+// odometer returns the zeroed cursor for a walk over d dimensions.
+func (s *descent[T]) odometer(d int) []int {
+	s.cursor = append(s.cursor[:0], make([]int, d)...)
+	return s.cursor
 }
 
-// boundaryChild is a deferred Bout child: its offset in the child level and
-// its intersection with the query region.
-type boundaryChild struct {
-	noff  int
-	inter ndarray.Region
-}
-
-// scanChildren is the first pass of get_max_index over node's children at
-// levelIdx (which must be ≥ 2, so the children are tree nodes, not cells):
-// external children are skipped, internal and Bin children fold their
+// scanChildren is the first pass of get_max_index over the children of
+// stack entry e at levelIdx (which must be ≥ 2, so the children are tree
+// nodes, not cells), in storage order. External children, which lie outside
+// the entry's region, are not visited; internal and Bin children fold their
 // stored maxima into the candidate in visit order, and Bout children are
-// collected — in the same visit order — for the caller's pruned recursion.
-func (t *Tree[T]) scanChildren(levelIdx int, node []int, r ndarray.Region, curOff int, curVal T, c *metrics.Counter, ck *ctxcheck.Checker) (int, T, []boundaryChild, error) {
-	d := len(node)
-	childLevel := levelIdx - 1
-	lv := t.levels[childLevel-1]
-	side := pow(t.b, childLevel)
-	coords := make([]int, d)
-	var bouts []boundaryChild
-	var err error
-	t.childRange(levelIdx, node).ForEach(func(k []int) {
-		if err != nil {
-			return
+// pushed — in the same visit order — for the caller's pruned recursion, with
+// their covered region clipped to the entry's.
+func (s *descent[T]) scanChildren(levelIdx, e int) error {
+	t, d := s.t, s.t.a.Dims()
+	lv := t.levels[levelIdx-2]
+	side := pow(t.b, levelIdx-1)
+	shape, vals := t.a.Shape(), lv.vals.Data()
+	// The children meeting the region are a box of the child grid, since the
+	// region lies inside the node's block.
+	k := s.odometer(d)
+	for j := range k {
+		k[j] = s.regs[e*d+j].Lo / side
+	}
+	for {
+		if err := s.ck.Tick(1); err != nil {
+			return err
 		}
-		if err = ck.Tick(1); err != nil {
-			return
-		}
-		// C(y) for child y = k.
-		cov := make(ndarray.Region, d)
+		r := s.regs[e*d : e*d+d]
 		internal := true
-		external := false
+		noff := 0
 		for j, kj := range k {
 			lo := kj * side
-			hi := lo + side - 1
-			if n := t.a.Shape()[j]; hi >= n {
-				hi = n - 1
-			}
-			cov[j] = ndarray.Range{Lo: lo, Hi: hi}
+			hi := min(lo+side-1, shape[j]-1)
 			if lo < r[j].Lo || hi > r[j].Hi {
 				internal = false
 			}
-			if hi < r[j].Lo || lo > r[j].Hi {
-				external = true
-			}
+			noff += kj * lv.vals.Strides()[j]
 		}
-		if external {
-			return // E(x,R): disjoint from the query
-		}
-		noff := lv.vals.Offset(k...)
-		c.AddAux(1)
-		if internal || r.Contains(t.a.Coords(lv.offs[noff], coords)) {
+		s.c.AddAux(1)
+		if internal || t.holds(r, lv.offs[noff]) {
 			// I(x,R) ∪ Bin(x,R): the stored maximum is inside R.
-			c.AddSteps(1)
-			if t.better(lv.vals.Data()[noff], curVal) {
-				curOff, curVal = lv.offs[noff], lv.vals.Data()[noff]
+			s.c.AddSteps(1)
+			if t.better(vals[noff], s.val) {
+				s.off, s.val = lv.offs[noff], vals[noff]
 			}
-			return
+		} else {
+			// Bout(x,R): C(y) ∩ R, deferred.
+			s.nodes = append(s.nodes, k...)
+			for j, kj := range k {
+				lo := kj * side
+				hi := min(lo+side-1, shape[j]-1)
+				s.regs = append(s.regs, ndarray.Range{Lo: max(lo, s.regs[e*d+j].Lo), Hi: min(hi, s.regs[e*d+j].Hi)})
+			}
 		}
-		bouts = append(bouts, boundaryChild{noff: noff, inter: cov.Intersect(r)})
-	})
-	return curOff, curVal, bouts, err
+		j := d - 1
+		for ; j >= 0; j-- {
+			if k[j]++; k[j] <= s.regs[e*d+j].Hi/side {
+				break
+			}
+			k[j] = s.regs[e*d+j].Lo / side
+		}
+		if j < 0 {
+			return nil
+		}
+	}
 }

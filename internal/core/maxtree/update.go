@@ -48,21 +48,41 @@ type CellChange[T any] struct {
 // BatchUpdate applies a batch of point updates to the cube and repairs the
 // precomputed tree with Repair. Duplicate indices in the batch are combined
 // first (last value wins), the "minor modification" the paper says lifts its
-// distinct-index assumption.
+// distinct-index assumption. Sorting (offset, position) pairs puts each
+// cell's updates in one run: the run's first position places the cell's
+// change, in the order the batch first names its cells, and its last
+// position gives the value. The pairs and the changes live in buffers the
+// tree keeps, so a batch allocates nothing once they have grown to it.
 func (t *Tree[T]) BatchUpdate(updates []PointUpdate[T], c *metrics.Counter) UpdateStats {
-	// Phase 0 input: dedup by cell, record old values, write the cube.
-	data := t.a.Data()
-	seen := make(map[int]int, len(updates)) // cube offset -> index in changes
-	changes := make([]CellChange[T], 0, len(updates))
-	for _, u := range updates {
-		off := t.a.Offset(u.Coords...)
-		if i, ok := seen[off]; ok {
-			changes[i].New = u.Value
-			continue
-		}
-		seen[off] = len(changes)
-		changes = append(changes, CellChange[T]{Off: off, Old: data[off], New: u.Value})
+	rb := &t.repair
+	keys := rb.keys[:0]
+	for i, u := range updates {
+		keys = append(keys, groupKey{t.a.Offset(u.Coords...), i})
 	}
+	slices.SortFunc(keys, func(x, y groupKey) int {
+		return cmp.Or(cmp.Compare(x.poff, y.poff), cmp.Compare(x.i, y.i))
+	})
+	// run[i] is, for the first update of a cell, where its run ends in keys;
+	// −1 for every later one.
+	run := slices.Grow(rb.head[:0], len(updates))[:len(updates)]
+	for k := 0; k < len(keys); {
+		e := k
+		for e+1 < len(keys) && keys[e+1].poff == keys[k].poff {
+			run[keys[e+1].i] = -1
+			e++
+		}
+		run[keys[k].i] = e
+		k = e + 1
+	}
+	data := t.a.Data()
+	changes := rb.changes[:0]
+	for _, e := range run {
+		if e >= 0 {
+			off := keys[e].poff
+			changes = append(changes, CellChange[T]{Off: off, Old: data[off], New: updates[keys[e].i].Value})
+		}
+	}
+	rb.keys, rb.head, rb.changes = keys, run, changes
 	for _, ch := range changes {
 		data[ch.Off] = ch.New
 		c.AddCells(1)
@@ -106,11 +126,14 @@ func (t *Tree[T]) Repair(changes []CellChange[T], c *metrics.Counter) UpdateStat
 
 // repairBufs is Repair's scratch: the update points of the level being
 // repaired and of the next one, and the grouping of the first by parent.
+// BatchUpdate groups its batch by cell in keys and head first, and keeps the
+// changes it hands Repair.
 type repairBufs[T cmp.Ordered] struct {
 	list, next []carried[T]
 	keys       []groupKey
 	head       []int // per update point: where its group starts in keys, or −1 after the first
 	bounds     []int // a rescanned block's lo, hi and cursor per dimension
+	changes    []CellChange[T]
 }
 
 // groupKey places update point i of a level's list in the group of its

@@ -40,6 +40,16 @@ func New(ctx context.Context) *Checker {
 	return &Checker{ctx: ctx}
 }
 
+// Reset binds a Checker the caller keeps and reuses to ctx, as New binds a
+// fresh one: it returns ck, or nil when ctx can never be canceled.
+func (ck *Checker) Reset(ctx context.Context) *Checker {
+	if ctx == nil || ctx.Done() == nil {
+		return nil
+	}
+	*ck = Checker{ctx: ctx}
+	return ck
+}
+
 // Tick records that n more cells are about to be scanned and returns the
 // context's error if a checkpoint fires and the context is done. A nil
 // receiver always returns nil.

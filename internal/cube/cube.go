@@ -14,6 +14,7 @@ package cube
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"rangecube/internal/ndarray"
 )
@@ -68,25 +69,80 @@ func (d *Dimension) Size() int {
 func (d *Dimension) Rank(value any) (int, error) {
 	switch v := value.(type) {
 	case int:
-		if d.index != nil {
-			return 0, fmt.Errorf("cube: dimension %q is categorical; got int %d", d.name, v)
-		}
-		if v < d.lo || v > d.hi {
-			return 0, fmt.Errorf("cube: value %d outside domain %d..%d of %q", v, d.lo, d.hi, d.name)
-		}
-		return v - d.lo, nil
+		return d.rankInt(v)
 	case string:
-		if d.index == nil {
-			return 0, fmt.Errorf("cube: dimension %q is integer; got string %q", d.name, v)
-		}
-		r, ok := d.index[v]
-		if !ok {
-			return 0, fmt.Errorf("cube: unknown value %q for dimension %q", v, d.name)
-		}
-		return r, nil
+		return d.rankString(v)
 	default:
 		return 0, fmt.Errorf("cube: unsupported value type %T for dimension %q", value, d.name)
 	}
+}
+
+// rankInt is Rank of an int value, without boxing it.
+func (d *Dimension) rankInt(v int) (int, error) {
+	if d.index != nil {
+		return 0, fmt.Errorf("cube: dimension %q is categorical; got int %d", d.name, v)
+	}
+	if v < d.lo || v > d.hi {
+		return 0, fmt.Errorf("cube: value %d outside domain %d..%d of %q", v, d.lo, d.hi, d.name)
+	}
+	return v - d.lo, nil
+}
+
+// rankString is Rank of a string value.
+func (d *Dimension) rankString(v string) (int, error) {
+	if d.index == nil {
+		return 0, fmt.Errorf("cube: dimension %q is integer; got string %q", d.name, v)
+	}
+	r, ok := d.index[v]
+	if !ok {
+		return 0, fmt.Errorf("cube: unknown value %q for dimension %q", v, d.name)
+	}
+	return r, nil
+}
+
+// Spec resolves one selector of the HTTP API's grammar — "lo..hi", "*" or a
+// single value, where a value that strconv.Atoi parses is an int and any
+// other a string — to the ranks it selects, as Region resolves the Selector
+// it names.
+func (d *Dimension) Spec(spec string) (ndarray.Range, error) {
+	rank := func(v string) (int, error) {
+		if n, err := strconv.Atoi(v); err == nil {
+			return d.rankInt(n)
+		}
+		return d.rankString(v)
+	}
+	lo, hi, isRange := strings.Cut(spec, "..")
+	switch {
+	case isRange:
+		l, err := rank(lo)
+		if err != nil {
+			return ndarray.Range{}, err
+		}
+		h, err := rank(hi)
+		if err != nil {
+			return ndarray.Range{}, err
+		}
+		if h < l {
+			return ndarray.Range{}, invertedRange(d.name)
+		}
+		return ndarray.Range{Lo: l, Hi: h}, nil
+	case spec == "*":
+		return ndarray.Range{Lo: 0, Hi: d.Size() - 1}, nil
+	default:
+		r, err := rank(spec)
+		return ndarray.Range{Lo: r, Hi: r}, err
+	}
+}
+
+// AppendValue appends ValueAt(rank) to dst.
+func (d *Dimension) AppendValue(dst []byte, rank int) []byte {
+	if rank < 0 || rank >= d.Size() {
+		panic(fmt.Sprintf("cube: rank %d outside dimension %q", rank, d.name))
+	}
+	if d.index != nil {
+		return append(dst, d.values[rank]...)
+	}
+	return strconv.AppendInt(dst, int64(d.lo+rank), 10)
 }
 
 // ValueAt renders the attribute value at a rank.
@@ -188,9 +244,9 @@ func (c *Cube) Region(sels ...Selector) (ndarray.Region, error) {
 		r[i] = ndarray.Range{Lo: 0, Hi: d.Size() - 1}
 	}
 	for k, s := range sels {
-		i, ok := c.byName[s.dim]
-		if !ok {
-			return nil, fmt.Errorf("cube: unknown dimension %q", s.dim)
+		i, err := c.Index(s.dim)
+		if err != nil {
+			return nil, err
 		}
 		for _, p := range sels[:k] {
 			if p.dim == s.dim {
@@ -210,7 +266,7 @@ func (c *Cube) Region(sels ...Selector) (ndarray.Region, error) {
 				return nil, err
 			}
 			if hi < lo {
-				return nil, fmt.Errorf("cube: inverted range on %q", s.dim)
+				return nil, invertedRange(s.dim)
 			}
 			r[i] = ndarray.Range{Lo: lo, Hi: hi}
 		default:
@@ -222,6 +278,19 @@ func (c *Cube) Region(sels ...Selector) (ndarray.Region, error) {
 		}
 	}
 	return r, nil
+}
+
+// Index returns the position of the dimension named name.
+func (c *Cube) Index(name string) (int, error) {
+	i, ok := c.byName[name]
+	if !ok {
+		return 0, fmt.Errorf("cube: unknown dimension %q", name)
+	}
+	return i, nil
+}
+
+func invertedRange(dim string) error {
+	return fmt.Errorf("cube: inverted range on %q", dim)
 }
 
 // Cuboid materializes the group-by over the named subset of dimensions

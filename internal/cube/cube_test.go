@@ -1,6 +1,8 @@
 package cube
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"rangecube/internal/naive"
@@ -190,5 +192,59 @@ func TestCuboid(t *testing.T) {
 	}
 	if _, err := c.Cuboid("state", "state"); err == nil {
 		t.Fatal("repeated dimension accepted")
+	}
+}
+
+// TestSpecResolvesAsRegion: Spec resolves every selector of the HTTP grammar
+// to the range, or the error, Region gives the Selector it names with each
+// value an int when strconv.Atoi takes it — signs, leading zeros, int64's
+// edges, spaces, empty and repeated "..", unknown and numeric categories.
+func TestSpecResolvesAsRegion(t *testing.T) {
+	c := New(NewIntDimension("age", -20, 60), NewCategoryDimension("state", "CA", "NY", "7", "", "a..b"))
+	conv := func(s string) any {
+		if v, err := strconv.Atoi(s); err == nil {
+			return v
+		}
+		return s
+	}
+	values := []string{"0", "3", "-3", "+3", "007", "-0", "+", "-", "", " 3", "3 ", "1_0", "60", "61", "-20", "-21",
+		"9223372036854775807", "9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+		"99999999999999999999", "CA", "NY", "7", "TX", "ca", "a", "b", "*"}
+	for _, name := range []string{"age", "state"} {
+		j, err := c.Index(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var specs []string
+		for _, lo := range values {
+			specs = append(specs, lo)
+			for _, hi := range values {
+				specs = append(specs, lo+".."+hi)
+			}
+		}
+		specs = append(specs, "..", "1..2..3", "a..b", "*..*")
+		for _, spec := range specs {
+			var sel Selector
+			lo, hi, isRange := strings.Cut(spec, "..")
+			switch {
+			case isRange:
+				sel = Between(name, conv(lo), conv(hi))
+			case spec == "*":
+				sel = All(name)
+			default:
+				sel = Eq(name, conv(spec))
+			}
+			want, werr := c.Region(sel)
+			got, gerr := c.Dimension(j).Spec(spec)
+			switch {
+			case (werr == nil) != (gerr == nil) || werr != nil && werr.Error() != gerr.Error():
+				t.Fatalf("%s=%q: error %v, Region's %v", name, spec, gerr, werr)
+			case werr == nil && got != want[j]:
+				t.Fatalf("%s=%q: %v, Region's %v", name, spec, got, want[j])
+			}
+		}
+	}
+	if _, err := c.Index("zz"); err == nil || err.Error() != `cube: unknown dimension "zz"` {
+		t.Fatalf("Index(zz) = %v", err)
 	}
 }

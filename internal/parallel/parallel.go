@@ -39,16 +39,17 @@ var maxWorkers atomic.Int64
 // fork-join with no run queue, so "queue depth" is the number of chunks
 // currently executing (activeChunks); forCalls and chunksRun are lifetime
 // totals. The sequential fallback pays exactly one atomic add per call and
-// the parallel path three more per dispatch — nothing per item.
+// the parallel path three more per dispatch — nothing per item. An Each
+// worker counts as a chunk.
 var (
-	forCalls     atomic.Int64 // For invocations (both paths)
+	forCalls     atomic.Int64 // For and Each invocations (both paths)
 	chunksRun    atomic.Int64 // chunks dispatched, inline chunk 0 included
 	activeChunks atomic.Int64 // chunks executing right now
 )
 
 // Stats reports the pool's lifetime dispatch counts and current occupancy:
-// calls to For, total chunks those calls dispatched, and the
-// number of chunks executing at this instant.
+// calls to For and Each, total chunks (Each workers) those calls dispatched,
+// and the number executing at this instant.
 func Stats() (calls, chunks, active int64) {
 	return forCalls.Load(), chunksRun.Load(), activeChunks.Load()
 }
@@ -127,6 +128,52 @@ func For(n, work int, body func(lo, hi, worker int)) int {
 		}()
 	}
 	body(0, n/w, 0)
+	wg.Wait()
+	return w
+}
+
+// Each runs body(i) once for every i in [0, n), for items whose costs are
+// close but whose workers may start late: a batch of queries. The workers —
+// as many as For would use for n items and work — claim items one at a time
+// from a shared counter, the calling goroutine first, so it starts on item 0
+// at once and a helper that starts late takes only what is left. Which
+// worker runs an item is not deterministic; use For where a result depends
+// on the split. It returns the number of workers used; below Grain, or with
+// one worker, the items run inline in order, and one item runs inline
+// without counting as a call.
+func Each(n, work int, body func(i int)) int {
+	if n <= 1 {
+		if n == 1 {
+			body(0)
+		}
+		return n
+	}
+	forCalls.Add(1)
+	w := chunks(n, work)
+	if w == 1 {
+		for i := range n {
+			body(i)
+		}
+		return 1
+	}
+	chunksRun.Add(int64(w))
+	activeChunks.Add(int64(w))
+	defer activeChunks.Add(-int64(w))
+	var next atomic.Int64
+	claim := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			body(i)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(w - 1)
+	for k := 1; k < w; k++ {
+		go func() {
+			defer wg.Done()
+			claim()
+		}()
+	}
+	claim()
 	wg.Wait()
 	return w
 }

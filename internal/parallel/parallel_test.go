@@ -3,7 +3,9 @@ package parallel
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForCoversRangeExactlyOnce(t *testing.T) {
@@ -101,5 +103,64 @@ func TestForParallelDisjointWrites(t *testing.T) {
 		if v != int64(i) {
 			t.Fatalf("data[%d] = %d", i, v)
 		}
+	}
+}
+
+// TestEachAnswersEveryIndexOnce: Each runs body(i) exactly once for every i
+// in [0, n) — with one item (inline, no pool call), fewer items than
+// workers, and many items on four workers — and counts its calls and workers
+// in Stats as For does.
+func TestEachAnswersEveryIndexOnce(t *testing.T) {
+	defer SetMaxWorkers(SetMaxWorkers(4))
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 64, 1000} {
+		seen := make([]atomic.Int32, n)
+		calls, chunks, _ := Stats()
+		used := Each(n, n*Grain, func(i int) { seen[i].Add(1) })
+		for i := range seen {
+			if s := seen[i].Load(); s != 1 {
+				t.Fatalf("n=%d: index %d answered %d times", n, i, s)
+			}
+		}
+		after, afterChunks, active := Stats()
+		switch {
+		case n <= 1:
+			if used != n || after != calls {
+				t.Fatalf("n=%d: %d workers and %d pool calls, want %d inline and none", n, used, after-calls, n)
+			}
+		case used != min(n, 4) || after-calls != 1 || afterChunks-chunks != int64(used):
+			t.Fatalf("n=%d: %d workers, %d calls, %d chunks counted", n, used, after-calls, afterChunks-chunks)
+		}
+		if active != 0 {
+			t.Fatalf("n=%d: %d chunks still active after Each returned", n, active)
+		}
+	}
+	if used := Each(100, Grain-1, func(int) {}); used != 1 {
+		t.Fatalf("below the grain Each used %d workers, want 1", used)
+	}
+}
+
+// TestEachClaimsItemsOneAtATime: workers take items one at a time, not in
+// contiguous chunks, so while one worker is held on item 0 another runs
+// every other item; split in halves, item 1 would wait behind item 0.
+func TestEachClaimsItemsOneAtATime(t *testing.T) {
+	defer SetMaxWorkers(SetMaxWorkers(2))
+	const n = 6
+	var rest sync.WaitGroup
+	rest.Add(n - 1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		Each(n, n*Grain, func(i int) {
+			if i == 0 {
+				rest.Wait()
+				return
+			}
+			rest.Done()
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("item 0 waited 10 s for items another worker never claimed")
 	}
 }

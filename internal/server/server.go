@@ -28,9 +28,9 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"net/url"
 	"os"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,6 +39,7 @@ import (
 	"rangecube/internal/client"
 	"rangecube/internal/cube"
 	"rangecube/internal/ingest"
+	"rangecube/internal/ndarray"
 	"rangecube/internal/persist"
 	"rangecube/internal/shard"
 	"rangecube/internal/telemetry"
@@ -603,33 +604,6 @@ func (s *Server) Metrics() *telemetry.Registry {
 	return s.met.reg
 }
 
-// decodeBody decodes a JSON request body of at most maxBodyBytes into v,
-// refusing anything but whitespace after the value. On failure it has
-// answered, naming the body what: 413 past the cap, else 400.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	err := dec.Decode(v)
-	if err == nil {
-		if _, err = dec.Token(); err == io.EOF {
-			return true
-		}
-		if err == nil {
-			err = errors.New("data after the value")
-		}
-	}
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeError(w, r, http.StatusRequestEntityTooLarge, "%s exceeds %d bytes", what, tooBig.Limit)
-		} else {
-			s.writeError(w, r, http.StatusBadRequest, "decoding %s: %v", what, err)
-		}
-		return false
-	}
-	return true
-}
-
 func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -675,109 +649,61 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// selectorFromSpec translates one name=spec selector — the grammar shared
-// by GET /query parameters and POST /query/batch select maps — into a cube
-// selector: "lo..hi", "*", or a single value.
-func selectorFromSpec(name, spec string) cube.Selector {
-	lo, hi, isRange := strings.Cut(spec, "..")
-	conv := func(s string) any {
-		if v, err := strconv.Atoi(s); err == nil {
-			return v
-		}
-		return s
-	}
-	switch {
-	case isRange:
-		return cube.Between(name, conv(lo), conv(hi))
-	case spec == "*":
-		return cube.All(name)
-	default:
-		return cube.Eq(name, conv(spec))
-	}
-}
-
-// validOp reports whether op names a supported query operator.
-func validOp(op string) bool {
-	switch op {
-	case "sum", "count", "avg", "max", "min":
-		return true
-	}
-	return false
-}
-
-// queryResponse is the JSON shape of /query answers.
-type queryResponse struct {
-	Op      string   `json:"op"`
-	Value   int64    `json:"value"`
-	Average float64  `json:"average,omitempty"`
-	At      []string `json:"at,omitempty"`
-	Empty   bool     `json:"empty,omitempty"`
-	// Bounds are reported only for op=sum (§11); 0 is a legitimate lower
-	// bound, so these are not omitempty.
-	LowerBnd *int64 `json:"lower_bound,omitempty"`
-	UpperBnd *int64 `json:"upper_bound,omitempty"`
-	Volume   int    `json:"volume"`
-	// Accesses is the paper's cost proxy for answering this request.
-	Accesses int64 `json:"accesses"`
-	// Partial marks a sum answered with one or more remote shards
-	// unreachable: Value is the exact sum over the reachable slabs only,
-	// while the §11 [lower, upper] bounds still contain the true answer —
-	// each missing slab contributes volume × its conservative cell-value
-	// bounds. Missing lists the absent shard indices.
-	Partial bool  `json:"partial,omitempty"`
-	Missing []int `json:"missing_shards,omitempty"`
-	// Unbounded marks bounds that passed an int64 limit: they are the whole
-	// of int64 and need not contain an answer outside it.
-	Unbounded bool `json:"unbounded,omitempty"`
-}
-
-// setSum fills in an op=sum answer: the value, its §11 bounds and, when
-// shards were unreachable, the partial-answer envelope.
-func (q *queryResponse) setSum(res shard.SumResult) {
-	q.Value = res.Value
-	lo, hi := res.Lo, res.Hi
-	q.LowerBnd, q.UpperBnd = &lo, &hi
-	q.Partial, q.Missing, q.Unbounded = res.Partial(), res.Missing, res.Unbounded
-}
-
 // handleQuery answers one query as a batch of one: its own parse and 400s,
-// then the same evaluation as POST /query/batch (evalSlots).
+// then the same evaluation as POST /query/batch (evalSlots). Its selectors
+// are taken in the order the query string first names them, so the bad one
+// a 400 names is the first.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	params := r.URL.Query() // parsed once: op and the selectors both read it
-	op := params.Get("op")
-	if op == "" {
-		op = "sum"
-	}
-	if !validOp(op) {
-		s.writeError(w, r, http.StatusBadRequest, "unknown op %q (sum, count, avg, max, min)", op)
+	given := cmp.Or(params.Get("op"), "sum")
+	op, ok := validOp(given)
+	if !ok {
+		s.writeError(w, r, http.StatusBadRequest, "unknown op %q (sum, count, avg, max, min)", given)
 		return
 	}
-	specs := make(map[string]string, len(params))
-	for name, vals := range params {
-		if name == "op" {
+	c := s.cube
+	var buf [4]named
+	sel := selection{named: buf[:0]}
+	if d := c.Dims(); d <= len(buf) {
+		sel.named = buf[:d]
+	} else {
+		sel.named = make([]named, d)
+	}
+	sel.clear()
+	// The names in the order of their first pair, as url.ParseQuery reads
+	// pairs: one holding a ';' or an undecodable name or value is not a pair.
+	for raw := r.URL.RawQuery; raw != ""; {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		key, value, _ := strings.Cut(pair, "=")
+		name, kerr := url.QueryUnescape(key)
+		_, verr := url.QueryUnescape(value)
+		vals, given := params[name]
+		if strings.Contains(pair, ";") || kerr != nil || verr != nil || !given || name == "op" {
 			continue
 		}
+		delete(params, name)
 		if len(vals) != 1 {
-			s.writeError(w, r, http.StatusBadRequest, "dimension %q specified %d times", name, len(vals))
-			return
+			sel.addBad(fmt.Errorf("dimension %q specified %d times", name, len(vals)))
+		} else {
+			sel.add(c, name, vals[0])
 		}
-		specs[name] = vals[0]
 	}
-	region, err := s.regionFromSpecs(specs)
-	if err != nil {
+	region := make(ndarray.Region, c.Dims())
+	if err := sel.resolve(c, region); err != nil {
 		s.writeError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	results := make([]batchResult, 1)
-	if err := s.evalSlots(r.Context(), []batchSlot{{op: op, region: region}}, results); err != nil {
+	slots := []batchSlot{{op: op, region: region}}
+	if err := s.evalSlots(r.Context(), slots); err != nil {
 		s.writeCtxError(w, r, err)
 		return
 	}
-	if results[0].Result == nil {
-		s.writeError(w, r, http.StatusInternalServerError, "%s", results[0].Error)
+	if slots[0].err != "" {
+		s.writeError(w, r, http.StatusInternalServerError, "%s", slots[0].err)
 		return
 	}
-	s.writeJSON(w, r, http.StatusOK, results[0].Result)
+	s.writeEncoded(w, http.StatusOK, func(dst []byte) []byte { return appendAnswer(dst, &slots[0].ans, c) })
 }
 
 // routerOp maps a public op onto the router's: op=sum is the sum with §11
@@ -795,31 +721,6 @@ func routerOp(op string) (rop shard.Op, ok bool) {
 		return shard.OpMin, true
 	}
 	return 0, false
-}
-
-// setAnswer shapes the router's answer to resp.Op into the public response.
-func (s *Server) setAnswer(resp *queryResponse, a shard.Answer) {
-	switch resp.Op {
-	case "sum":
-		resp.setSum(a.SumResult)
-	case "avg":
-		if resp.Volume > 0 {
-			resp.Average = float64(a.Value) / float64(resp.Volume)
-		}
-		resp.Value = a.Value
-	default: // max, min
-		if a.At == nil {
-			resp.Empty = true
-			break
-		}
-		resp.Value = a.Value
-		at := make([]string, len(a.At))
-		for i, rank := range a.At {
-			d := s.cube.Dimension(i)
-			at[i] = d.Name() + "=" + d.ValueAt(rank)
-		}
-		resp.At = at
-	}
 }
 
 // writeCtxError reports a query abandoned as a whole, always with 503. A

@@ -250,15 +250,14 @@ func TestAvgEmptyRegion(t *testing.T) {
 	for i, op := range ops {
 		slots[i] = batchSlot{op: op, region: empty}
 	}
-	results := make([]batchResult, len(ops))
-	if err := s.evalSlots(t.Context(), slots, results); err != nil {
+	if err := s.evalSlots(t.Context(), slots); err != nil {
 		t.Fatalf("a batch over an empty region: %v", err)
 	}
 	for i, op := range ops {
-		resp := results[i].Result
-		if resp == nil {
-			t.Fatalf("op=%s over empty region: no answer (%q)", op, results[i].Error)
+		if slots[i].err != "" {
+			t.Fatalf("op=%s over empty region: no answer (%q)", op, slots[i].err)
 		}
+		resp := responseOf(&slots[i].ans, s.cube)
 		if !resp.Empty {
 			t.Fatalf("op=%s over empty region not marked empty: %+v", op, resp)
 		}

@@ -3,12 +3,8 @@ package server
 import (
 	"bytes"
 	"errors"
-	"fmt"
-	"math"
 	"net/http"
-	"strings"
 	"sync"
-	"unicode/utf8"
 
 	"rangecube/internal/wal"
 )
@@ -34,21 +30,15 @@ import (
 // that history: elems[i] is the last update written at index i, and its
 // coordinates sit in ints[off:off+hist], of which the first n are current.
 type updateBody struct {
-	buf   []byte
-	i     int // the parse's position in buf
-	depth int
+	scanner
 	elems []updateElem
 	ints  []int
-	key   []byte // an escaped key, unescaped
 }
 
 type updateElem struct {
 	delta        int64
 	off, n, hist int
 }
-
-// maxDepth is encoding/json's nesting limit.
-const maxDepth = 10000
 
 var (
 	keyUpdates = []byte("updates")
@@ -66,16 +56,8 @@ var updateBodies = sync.Pool{New: func() any { return new(updateBody) }}
 func (s *Server) readUpdates(w http.ResponseWriter, r *http.Request) ([]wal.Update, bool) {
 	p := updateBodies.Get().(*updateBody)
 	defer updateBodies.Put(p)
-	buf := bytes.NewBuffer(p.buf[:0])
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	p.buf = buf.Bytes()
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeError(w, r, http.StatusRequestEntityTooLarge, "update batch exceeds %d bytes", tooBig.Limit)
-		} else {
-			s.writeError(w, r, http.StatusBadRequest, "reading update batch: %v", err)
-		}
+	body, ok := s.readRequest(w, r, p.buf, "update batch")
+	if p.buf = body; !ok {
 		return nil, false
 	}
 	ups, err := p.decode()
@@ -84,6 +66,23 @@ func (s *Server) readUpdates(w http.ResponseWriter, r *http.Request) ([]wal.Upda
 		return nil, false
 	}
 	return ups, true
+}
+
+// readRequest reads a client's request body, the what of the errors, of at
+// most maxBodyBytes into buf's array, growing it as needed. On failure it
+// has answered: 413 past the cap, else 400.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, buf []byte, what string) ([]byte, bool) {
+	b := bytes.NewBuffer(buf[:0])
+	_, err := b.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			s.writeError(w, r, http.StatusRequestEntityTooLarge, "%s exceeds %d bytes", what, tooBig.Limit)
+		} else {
+			s.writeError(w, r, http.StatusBadRequest, "reading %s: %v", what, err)
+		}
+	}
+	return b.Bytes(), err == nil
 }
 
 // decode parses p.buf into its batch. The coordinates of the whole batch
@@ -193,242 +192,4 @@ func (p *updateBody) field(e *updateElem, key []byte) error {
 		e.hist = 0
 	}
 	return err
-}
-
-// each steps over the object or array at p.i, handing visit each member's
-// key (nil in an array) and index with p.i at its value, and returns how
-// many members it held.
-func (p *updateBody) each(visit func(key []byte, i int) error) (int, error) {
-	end := byte('}')
-	if p.peek() == '[' {
-		end = ']'
-	}
-	p.i++
-	if p.depth++; p.depth > maxDepth {
-		return 0, p.fail("nested past %d levels", maxDepth)
-	}
-	n := 0
-	if p.ws(); p.peek() != end {
-		for ; ; n++ {
-			var key []byte
-			if end == '}' {
-				var err error
-				if key, err = p.readKey(); err != nil {
-					return n, err
-				}
-				if p.ws(); p.peek() != ':' {
-					return n, p.fail("want ':'")
-				}
-				p.i++
-				p.ws()
-			}
-			if err := visit(key, n); err != nil {
-				return n, err
-			}
-			if p.ws(); p.peek() != ',' {
-				break
-			}
-			p.i++
-			p.ws()
-		}
-		n++
-	}
-	if p.peek() != end {
-		return n, p.fail("want ',' or %q", end)
-	}
-	p.i++
-	p.depth--
-	return n, nil
-}
-
-// skip checks and steps over a value no field takes.
-func (p *updateBody) skip() error {
-	var err error
-	switch c := p.peek(); {
-	case c == '{' || c == '[':
-		_, err = p.each(func([]byte, int) error { return p.skip() })
-	case c == '"':
-		_, err = p.str()
-	case c == '-' || '0' <= c && c <= '9':
-		_, _, err = p.number()
-	case !p.null() && !p.literal("true") && !p.literal("false"):
-		err = p.fail("want a value")
-	}
-	return err
-}
-
-// readKey steps over a key and returns it unescaped. Field names hold only
-// letters, so an escape other than \u is kept as a byte no name holds, and
-// a \u escape of a UTF-16 surrogate, whose rune folds to no ASCII letter,
-// as U+FFFD.
-func (p *updateBody) readKey() ([]byte, error) {
-	if p.peek() != '"' {
-		return nil, p.fail("want a key")
-	}
-	start := p.i + 1
-	escaped, err := p.str()
-	if err != nil {
-		return nil, err
-	}
-	raw, key := p.buf[start:p.i-1], p.key[:0]
-	if !escaped {
-		return raw, nil
-	}
-	for k := 0; k < len(raw); k++ {
-		switch {
-		case raw[k] != '\\':
-			key = append(key, raw[k])
-		case raw[k+1] != 'u':
-			key = append(key, 0)
-			k++
-		default:
-			r := rune(0)
-			for _, h := range raw[k+2 : k+6] {
-				r = r<<4 | rune(unhex(h))
-			}
-			if 0xD800 <= r && r < 0xE000 {
-				r = utf8.RuneError
-			}
-			key = utf8.AppendRune(key, r)
-			k += 5
-		}
-	}
-	p.key = key
-	return key, nil
-}
-
-// str steps over a string and reports whether it holds an escape.
-func (p *updateBody) str() (escaped bool, err error) {
-	for p.i++; p.i < len(p.buf); p.i++ {
-		switch c := p.buf[p.i]; {
-		case c == '"':
-			p.i++
-			return escaped, nil
-		case c < 0x20:
-			return escaped, p.fail("control character in a string")
-		case c != '\\':
-		case p.i+1 < len(p.buf) && strings.IndexByte(`"\/bfnrt`, p.buf[p.i+1]) >= 0:
-			escaped = true
-			p.i++
-		case p.i+5 < len(p.buf) && p.buf[p.i+1] == 'u' &&
-			unhex(p.buf[p.i+2])|unhex(p.buf[p.i+3])|unhex(p.buf[p.i+4])|unhex(p.buf[p.i+5]) >= 0:
-			escaped = true
-			p.i += 5
-		default:
-			return escaped, p.fail("bad escape")
-		}
-	}
-	return escaped, p.fail("unterminated string")
-}
-
-// unhex is the value of hex digit c, −1 for any other byte.
-func unhex(c byte) int {
-	switch {
-	case '0' <= c && c <= '9':
-		return int(c - '0')
-	case 'a' <= c && c <= 'f':
-		return int(c - 'a' + 10)
-	case 'A' <= c && c <= 'F':
-		return int(c - 'A' + 10)
-	}
-	return -1
-}
-
-// integer decodes a number that must be an integer fitting in int64, as a
-// coordinate or a delta must: 1.0, 1e0 and 2^63 are numbers, and refused.
-func (p *updateBody) integer() (int64, error) {
-	start := p.i
-	v, ok, err := p.number()
-	if err == nil && !ok {
-		err = fmt.Errorf("number %s is not an int64", p.buf[start:p.i])
-	}
-	return v, err
-}
-
-// number steps over a number and returns its value, ok when it is an
-// integer literal in int64's range.
-func (p *updateBody) number() (v int64, ok bool, err error) {
-	neg := p.peek() == '-'
-	if neg {
-		p.i++
-	}
-	var u uint64
-	over := false
-	switch c := p.peek(); {
-	case c == '0':
-		p.i++
-	case '1' <= c && c <= '9':
-		for ; p.i < len(p.buf) && '0' <= p.buf[p.i] && p.buf[p.i] <= '9'; p.i++ {
-			d := uint64(p.buf[p.i] - '0')
-			over = over || u > (math.MaxUint64-d)/10
-			u = u*10 + d
-		}
-	default:
-		return 0, false, p.fail("want a digit")
-	}
-	ok = !over && (u <= math.MaxInt64 || neg && u == 1<<63)
-	if p.peek() == '.' {
-		p.i++
-		if !p.digits() {
-			return 0, false, p.fail("want a digit after '.'")
-		}
-		ok = false
-	}
-	if c := p.peek(); c == 'e' || c == 'E' {
-		if p.i++; p.peek() == '+' || p.peek() == '-' {
-			p.i++
-		}
-		if !p.digits() {
-			return 0, false, p.fail("want an exponent")
-		}
-		ok = false
-	}
-	if v = int64(u); neg {
-		v = -v
-	}
-	return v, ok, nil
-}
-
-// digits steps over one or more digits.
-func (p *updateBody) digits() bool {
-	start := p.i
-	for p.i < len(p.buf) && '0' <= p.buf[p.i] && p.buf[p.i] <= '9' {
-		p.i++
-	}
-	return p.i > start
-}
-
-// null steps over a null and reports whether there was one.
-func (p *updateBody) null() bool { return p.literal("null") }
-
-// literal steps over word and reports whether it was there.
-func (p *updateBody) literal(word string) bool {
-	if len(p.buf)-p.i < len(word) || string(p.buf[p.i:p.i+len(word)]) != word {
-		return false
-	}
-	p.i += len(word)
-	return true
-}
-
-// ws steps over JSON whitespace.
-func (p *updateBody) ws() {
-	for ; p.i < len(p.buf); p.i++ {
-		switch p.buf[p.i] {
-		case ' ', '\t', '\n', '\r':
-		default:
-			return
-		}
-	}
-}
-
-// peek returns the byte at p.i, 0 at the end.
-func (p *updateBody) peek() byte {
-	if p.i < len(p.buf) {
-		return p.buf[p.i]
-	}
-	return 0
-}
-
-func (p *updateBody) fail(format string, args ...any) error {
-	return fmt.Errorf("offset %d: %s", p.i, fmt.Sprintf(format, args...))
 }

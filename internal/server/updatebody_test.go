@@ -88,7 +88,7 @@ func FuzzUpdateBody(f *testing.F) {
 		dec := json.NewDecoder(bytes.NewReader(body))
 		werr := dec.Decode(&want)
 		trailing := werr == nil && len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0
-		got, gerr := (&updateBody{buf: body}).decode()
+		got, gerr := (&updateBody{scanner: scanner{buf: body}}).decode()
 		switch {
 		case werr != nil || trailing:
 			if gerr == nil {
@@ -108,7 +108,7 @@ func FuzzUpdateBody(f *testing.F) {
 // array, each capped at its own length, and the pooled decoder keeps no
 // reference into what it returns.
 func TestUpdateBodyDecodesIntoOneSlab(t *testing.T) {
-	p := &updateBody{buf: []byte(`{"updates":[{"coords":[1,2],"delta":3},{"coords":[4,5],"delta":6},{"coords":[7,8],"delta":9}]}`)}
+	p := &updateBody{scanner: scanner{buf: []byte(`{"updates":[{"coords":[1,2],"delta":3},{"coords":[4,5],"delta":6},{"coords":[7,8],"delta":9}]}`)}}
 	ups, err := p.decode()
 	if err != nil || len(ups) != 3 {
 		t.Fatalf("decoded %v, err %v", ups, err)

@@ -180,23 +180,21 @@ func ValueBounds(a *ndarray.Array[int64]) (lo, hi int64) {
 // Answer runs each item against the structure its op names. This is a
 // batch's one fork: a group of one runs on the calling goroutine, a larger
 // one on the worker pool, its work estimated as the items' volumes plus their
-// count (nothing forks inside one query). An item that panics fails alone,
-// its Err wrapping ErrPanic; a cancellation, which the structures' own
+// count (nothing forks inside one query). The workers claim items one at a
+// time (parallel.Each), so the calling goroutine starts at once and a helper
+// that starts late takes what is left. An item that panics fails alone, its
+// Err wrapping ErrPanic; a cancellation, which the structures' own
 // checkpoints report, fails the call.
 func (e *localEngine) Answer(ctx context.Context, items []Item) error {
-	if len(items) == 1 {
+	if len(items) == 1 { // no closure to allocate
 		e.answer(ctx, &items[0])
-	} else {
-		work := len(items)
-		for k := range items {
-			work += items[k].Local.Volume()
-		}
-		parallel.For(len(items), work, func(lo, hi, _ int) {
-			for k := lo; k < hi; k++ {
-				e.answer(ctx, &items[k])
-			}
-		})
+		return ctx.Err()
 	}
+	work := len(items)
+	for k := range items {
+		work += items[k].Local.Volume()
+	}
+	parallel.Each(len(items), work, func(k int) { e.answer(ctx, &items[k]) })
 	return ctx.Err()
 }
 
