@@ -104,17 +104,21 @@ func contract[T cmp.Ordered](t *Tree[T], prevVals *ndarray.Array[T], prevOffs []
 	}
 	vals := ndarray.New[T](nshape...)
 	offs := make([]int, vals.Size())
-	seen := make([]bool, vals.Size())
 	vdata, data := vals.Data(), prevVals.Data()
 	fold := foldMax[T]
 	if t.min {
 		fold = foldMin[T]
 	}
 	ndarray.ContractSlabs(prevVals, bs, vals.Strides(), func(off, lo, hi, cbase int) {
-		// A run is the first to touch all of its slots, or none of them.
+		// A run is the first to touch all of its slots, or none of them: the
+		// first when its line starts a block in every outer dimension.
+		first := true
+		for j, line := len(shape)-2, off/shape[len(shape)-1]; j >= 0; j-- {
+			first = first && line%shape[j]%b == 0
+			line /= shape[j]
+		}
 		slot := cbase + lo/b
-		fold(vdata[slot:], offs[slot:], data[:off+hi], off+lo, b, !seen[slot])
-		seen[slot] = true
+		fold(vdata[slot:], offs[slot:], data[:off+hi], off+lo, b, first)
 	})
 	if prevOffs != nil {
 		for k, i := range offs {

@@ -1,16 +1,14 @@
 package cube
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/csv"
 	"fmt"
 	"io"
-	"math/bits"
+	"math"
 	"slices"
 	"strconv"
 
 	"rangecube/internal/ndarray"
+	"rangecube/internal/parallel"
 )
 
 // InferCSV reads CSV data with a header row, infers a dimension per column
@@ -25,170 +23,180 @@ import (
 // loaded. A load whose measures sum past int64 on one cell is refused with
 // an error naming the record that crossed the limit.
 //
-// The input is read once. No record is kept: each dimension column holds
-// one int per record and the measures one int64 per record, so a load holds
-// 8·(d+1) bytes per record besides the cube.
+// The input is read once, in line-aligned chunks of about 256 KiB that the
+// worker pool parses into parts, one reused buffer per worker; the parts
+// merge in input order, so the domains, the cells and every error are those
+// of reading the records one by one. No record is kept: each dimension
+// column holds one int per record and the measures one int64 per record, so
+// a load holds 8·(d+1) bytes per record plus one chunk buffer per worker
+// besides the cube.
 func InferCSV(r io.Reader, measureCol string) (*Cube, int, error) {
-	rs := &records{br: bufio.NewReaderSize(r, 64<<10)}
-	names, err := rs.next()
+	src := &source{r: r, size: chunkLen}
+	var buf, chunk []byte
+	var header []string
+	for header == nil {
+		var quoted bool
+		if chunk, quoted = src.read(buf); quoted {
+			return inferQuoted(src, chunk, measureCol)
+		}
+		if len(chunk) == 0 {
+			return nil, 0, fmt.Errorf("cube: reading CSV header: %w", src.err)
+		}
+		buf = chunk[:0]
+		header, chunk = src.header(chunk)
+	}
+	l, err := newLayout(header, measureCol)
 	if err != nil {
-		return nil, 0, fmt.Errorf("cube: reading CSV header: %w", err)
+		return nil, 0, err
 	}
-	header := make([]string, len(names))
-	for i, f := range names {
-		header[i] = string(f)
+	p0 := src.add(false)
+	workers := 1
+	if !src.done {
+		workers = parallel.Workers()
 	}
+	parallel.Each(workers, workers*parallel.Grain, func(w int) {
+		if w == 0 {
+			src.parse(l, p0, chunk, buf)
+		} else {
+			src.parse(l, nil, nil, nil)
+		}
+	})
+	return l.merge(src)
+}
+
+// inferQuoted loads an input whose header chunk holds a '"': encoding/csv
+// reads all of it, the header included, into one part.
+func inferQuoted(src *source, chunk []byte, measureCol string) (*Cube, int, error) {
+	cr := src.csv(chunk)
+	header, err := cr.Read()
+	if err != nil {
+		return nil, 0, fmt.Errorf("cube: reading CSV header: %w", offset(err, src.lines))
+	}
+	l, err := newLayout(header, measureCol)
+	if err != nil {
+		return nil, 0, err
+	}
+	src.add(true).scanQuoted(cr, l)
+	return l.merge(src)
+}
+
+// layout is the header's plan for a record: the dimension column each field
+// feeds, -1 for the measure's, and the columns' names.
+type layout struct {
+	names []string
+	cols  []int
+}
+
+func newLayout(header []string, measureCol string) (*layout, error) {
 	measureIdx := slices.Index(header, measureCol)
 	if measureIdx < 0 {
-		return nil, 0, fmt.Errorf("cube: measure column %q not in header %v", measureCol, header)
+		return nil, fmt.Errorf("cube: measure column %q not in header %v", measureCol, header)
 	}
 	if len(header) < 2 {
-		return nil, 0, fmt.Errorf("cube: need at least one dimension column besides the measure")
+		return nil, fmt.Errorf("cube: need at least one dimension column besides the measure")
 	}
-
-	cols := make([]*column, 0, len(header)-1)
+	l := &layout{cols: make([]int, len(header))}
 	for i, h := range header {
+		l.cols[i] = -1
 		if i != measureIdx {
-			cols = append(cols, &column{name: h, field: i, allInt: true})
+			l.cols[i] = len(l.names)
+			l.names = append(l.names, h)
 		}
 	}
-	var measures blocks[int64]
-	n := 0
-	var badMeasure error // returned only once every record has been read
-	for {
-		// records rejects a record whose field count differs from the
-		// header's, so rec has a field for every column.
-		rec, err := rs.next()
-		if err == io.EOF {
-			break
+	return l, nil
+}
+
+// merge merges the source's parts in input order into a cube. A failed load
+// reports the first fault in input order, faults of reading before the
+// others, as a loader reading record by record would.
+func (l *layout) merge(src *source) (*Cube, int, error) {
+	parts := src.parts
+	lines, n := src.lines, 0
+	for _, p := range parts {
+		if p.err != nil {
+			return nil, 0, fmt.Errorf("cube: reading CSV: %w", offset(p.err, lines))
 		}
-		if err != nil {
-			return nil, 0, fmt.Errorf("cube: reading CSV: %w", err)
-		}
-		n++
-		m, err := parseInt(rec[measureIdx], 64)
-		if err != nil && badMeasure == nil {
-			badMeasure = fmt.Errorf("cube: record %d: measure %q is not an integer", n, rec[measureIdx])
-		}
-		measures.add(m)
-		for _, c := range cols {
-			c.add(rec[c.field])
-		}
+		lines, n = lines+p.lines, n+p.n
+	}
+	if src.err != nil && src.err != io.EOF {
+		return nil, 0, fmt.Errorf("cube: reading CSV: %w", src.err)
 	}
 	if n == 0 {
 		return nil, 0, fmt.Errorf("cube: no records")
 	}
-
-	dims := make([]*Dimension, len(cols))
-	for k, c := range cols {
-		for _, p := range cols[:k] {
-			if p.name == c.name {
-				return nil, 0, fmt.Errorf("cube: header repeats dimension column %q", c.name)
-			}
+	for k, name := range l.names {
+		if slices.Contains(l.names[:k], name) {
+			return nil, 0, fmt.Errorf("cube: header repeats dimension column %q", name)
 		}
-		dims[k] = c.dimension(n)
 	}
-	if badMeasure != nil {
-		return nil, 0, badMeasure
+	rec := 0
+	for _, p := range parts {
+		if p.bad != 0 {
+			return nil, 0, fmt.Errorf("cube: record %d: measure %q is not an integer", rec+p.bad, p.badText)
+		}
+		rec += p.n
 	}
+
+	dims := make([]*Dimension, len(l.names))
+	ranks := make([]ranks, len(dims))
 	shape := make([]int, len(dims))
-	for k, d := range dims {
-		shape[k] = d.Size()
+	for k, name := range l.names {
+		dims[k], ranks[k] = dimension(name, parts, k, n)
+		shape[k] = dims[k].Size()
 	}
 	if _, err := ndarray.CheckShape[int64](shape); err != nil {
 		return nil, 0, fmt.Errorf("cube: the columns' domains make no cube: %w", err)
 	}
-	out := New(dims...)
-	data, strides := out.data.Data(), out.data.Strides()
-	for b, ms := range measures {
-		for i, m := range ms {
-			off := 0
-			for k, c := range cols {
-				off += c.vals[b][i] * strides[k]
+	// Each part's records become cell offsets, in its first column, on the
+	// workers. A value column's lo moves into base: Σ(v−lo)·s is exact even
+	// where a v·s wraps. The other columns are dropped before the cube is
+	// allocated.
+	strides, base := make([]int, len(dims)), 0
+	for k, stride := len(dims)-1, 1; k >= 0; k-- {
+		strides[k], stride = stride, stride*shape[k]
+		if ranks[k].ids == nil {
+			base -= ranks[k].lo * strides[k]
+		}
+	}
+	eachPart(parts, n, func(i int) {
+		p := parts[i]
+		offs := p.cols[0].vals
+		for k := range p.cols {
+			vals, s := p.cols[k].vals, strides[k]
+			if ids := ranks[k].ids; ids != nil {
+				rank := ids[i]
+				for j, id := range vals {
+					vals[j] = rank[id]
+				}
 			}
+			if k == 0 {
+				for j, v := range vals {
+					offs[j] = v*s + base
+				}
+			} else {
+				for j, v := range vals {
+					offs[j] += v * s
+				}
+			}
+		}
+		clear(p.cols[1:])
+	})
+	out := New(dims...)
+	data := out.data.Data()
+	rec = 0
+	for _, p := range parts {
+		offs := p.cols[0].vals[:len(p.measures)]
+		for j, m := range p.measures {
+			off := offs[j]
 			s := data[off] + m
 			if (s > data[off]) != (m > 0) {
-				return nil, 0, fmt.Errorf("cube: record %d: measure %d takes its cell past the int64 range", b*blockLen+i+1, m)
+				return nil, 0, fmt.Errorf("cube: record %d: measure %d takes its cell past the int64 range", rec+j+1, m)
 			}
 			data[off] = s
 		}
+		rec += p.n
 	}
 	return out, n, nil
-}
-
-// records reads CSV records as encoding/csv's default Reader does. It splits
-// a line holding no '"' on ',' itself, in its buffer: "\r\n" ends a line as
-// "\n" does, a '\r' before EOF is dropped, blank lines are skipped, and each
-// record is as wide as the first. From the first '"' on, a csv.Reader parses
-// the rest, its line numbers offset by the lines before, as if read alone.
-type records struct {
-	br     *bufio.Reader
-	lines  int      // lines read before the first '"'
-	fields int      // the first record's width; 0 until it is read
-	rec    [][]byte // the last record's fields
-	buf    []byte   // a line longer than br's buffer, joined; or cr's last record
-	cr     *csv.Reader
-}
-
-// next returns the next record, valid until the call after, or io.EOF.
-func (rs *records) next() ([][]byte, error) {
-	for rs.cr == nil {
-		line, err := rs.br.ReadSlice('\n')
-		if err == bufio.ErrBufferFull {
-			rs.buf = append(rs.buf[:0], line...)
-			for err == bufio.ErrBufferFull {
-				line, err = rs.br.ReadSlice('\n')
-				rs.buf = append(rs.buf, line...)
-			}
-			line = rs.buf
-		}
-		if err != nil && (err != io.EOF || len(line) == 0) {
-			return nil, err
-		}
-		if bytes.IndexByte(line, '"') >= 0 {
-			rs.cr = csv.NewReader(io.MultiReader(bytes.NewReader(bytes.Clone(line)), rs.br))
-			rs.cr.ReuseRecord = true
-			rs.cr.FieldsPerRecord = rs.fields
-			break
-		}
-		rs.lines++
-		if n := len(line); line[n-1] == '\n' {
-			line = line[:n-1]
-		}
-		if n := len(line); n > 0 && line[n-1] == '\r' {
-			line = line[:n-1]
-		}
-		if len(line) == 0 {
-			continue
-		}
-		rec, start := rs.rec[:0], 0
-		for i, c := range line {
-			if c == ',' {
-				rec = append(rec, line[start:i])
-				start = i + 1
-			}
-		}
-		rs.rec = append(rec, line[start:])
-		if rs.fields == 0 {
-			rs.fields = len(rs.rec)
-		} else if len(rs.rec) != rs.fields {
-			return nil, &csv.ParseError{StartLine: rs.lines, Line: rs.lines, Column: 1, Err: csv.ErrFieldCount}
-		}
-		return rs.rec, nil
-	}
-	rec, err := rs.cr.Read()
-	if pe, ok := err.(*csv.ParseError); ok {
-		pe.StartLine, pe.Line = pe.StartLine+rs.lines, pe.Line+rs.lines
-	}
-	if err != nil {
-		return nil, err
-	}
-	rs.buf, rs.rec = rs.buf[:0], rs.rec[:0]
-	for _, f := range rec {
-		rs.buf = append(rs.buf, f...)
-		rs.rec = append(rs.rec, rs.buf[len(rs.buf)-len(f):])
-	}
-	return rs.rec, nil
 }
 
 // parseInt is strconv.ParseInt(b, 10, bitSize) for a bitSize of 32 or 64.
@@ -212,31 +220,14 @@ func parseInt(b []byte, bitSize int) (int64, error) {
 	return sign * v, nil
 }
 
-// blocks holds a column of values in blocks of blockLen: the first grows as
-// a slice does, each later one is allocated whole, so a load never copies
-// what it has read to make room.
-type blocks[T int | int64] [][]T
-
-const blockLen = 1 << 16
-
-func (bs *blocks[T]) add(v T) {
-	n := len(*bs)
-	if n == 0 || len((*bs)[n-1]) == blockLen {
-		*bs = append(*bs, make([]T, 0, min(n, 1)*blockLen))
-		n++
-	}
-	(*bs)[n-1] = append((*bs)[n-1], v)
-}
-
-// column is one dimension column of a load. vals holds an int per record:
+// column is one dimension column of a part. vals holds an int per record:
 // the value itself while every spelling so far is a canonical integer, after
-// that an id into dict, the column's distinct spellings; dimension rewrites
-// both kinds to ranks.
+// that an id into words, the part's distinct spellings in first-appearance
+// order; merge rewrites both kinds to ranks, then to cell offsets.
 type column struct {
-	name     string
-	field    int
-	vals     blocks[int]
-	dict     map[string]int
+	vals     []int
+	dict     map[string]int // spelling → id; nil while vals are values
+	words    []string
 	allInt   bool // every value so far parses as an int, and min and max bound them
 	min, max int
 }
@@ -246,14 +237,9 @@ func (c *column) add(s []byte) {
 		v64, err := parseInt(s, strconv.IntSize)
 		v := int(v64)
 		if err == nil {
-			if len(c.vals) == 0 || v < c.min {
-				c.min = v
-			}
-			if len(c.vals) == 0 || v > c.max {
-				c.max = v
-			}
+			c.min, c.max = min(c.min, v), max(c.max, v)
 			if c.dict == nil && canonical(s) {
-				c.vals.add(v)
+				c.vals = append(c.vals, v)
 				return
 			}
 		} else {
@@ -263,7 +249,7 @@ func (c *column) add(s []byte) {
 	if c.dict == nil {
 		c.spell()
 	}
-	c.vals.add(c.intern(s))
+	c.vals = append(c.vals, c.intern(s))
 }
 
 // canonical reports whether s, which strconv.Atoi accepted, is the spelling
@@ -280,10 +266,8 @@ func canonical(s []byte) bool {
 // canonical.
 func (c *column) spell() {
 	c.dict = make(map[string]int)
-	for _, b := range c.vals {
-		for i, v := range b {
-			b[i] = c.intern([]byte(strconv.Itoa(v)))
-		}
+	for i, v := range c.vals {
+		c.vals[i] = c.intern([]byte(strconv.Itoa(v)))
 	}
 }
 
@@ -292,81 +276,114 @@ func (c *column) spell() {
 func (c *column) intern(s []byte) int {
 	id, ok := c.dict[string(s)]
 	if !ok {
-		id = len(c.dict)
-		c.dict[string(s)] = id
+		id = len(c.words)
+		c.words = append(c.words, string(s))
+		c.dict[c.words[id]] = id
 	}
 	return id
 }
 
-// dimension decides the column's domain and rewrites vals to ranks in it.
-// An integer column is a dense domain min..max unless its extent exceeds
-// 16·distinct+64, counting distinct spellings; otherwise, and for any other
-// column, the domain is the distinct spellings in sorted order.
-func (c *column) dimension(rows int) *Dimension {
-	if c.allInt {
-		span := uint64(c.max) - uint64(c.min) // max−min, exact over all of int
-		distinct := len(c.dict)
-		if c.dict == nil {
-			distinct = rows // a span past 16·rows+64 is sparse whatever the count
-			if span < uint64(16*rows+64) {
-				distinct = c.distinctInts(span)
-			}
-		}
-		if span < uint64(16*distinct+64) {
-			if c.dict == nil {
-				for _, b := range c.vals {
-					for i := range b {
-						b[i] -= c.min
-					}
-				}
-			} else {
-				rank := make([]int, len(c.dict))
-				for s, id := range c.dict {
-					v, _ := strconv.Atoi(s)
-					rank[id] = v - c.min
-				}
-				c.remap(rank)
-			}
-			return NewIntDimension(c.name, c.min, c.max)
-		}
-	}
-	if c.dict == nil {
-		c.spell()
-	}
-	values := make([]string, 0, len(c.dict))
-	for s := range c.dict {
-		values = append(values, s)
-	}
-	slices.Sort(values)
-	rank := make([]int, len(values))
-	for r, s := range values {
-		rank[c.dict[s]] = r
-	}
-	c.remap(rank)
-	return NewCategoryDimension(c.name, values...)
+// ranks maps a column's vals to ranks: v−lo, or where ids is set, the
+// part's ids through ids[part].
+type ranks struct {
+	lo  int
+	ids [][]int
 }
 
-// distinctInts counts the column's distinct values with a bitset over
-// min..min+span.
-func (c *column) distinctInts(span uint64) int {
+// dimension decides column k's domain from every part's. An integer column
+// is a dense domain min..max unless its extent exceeds 16·distinct+64,
+// counting distinct spellings; otherwise, and for any other column, the
+// domain is the distinct spellings in sorted order.
+func dimension(name string, parts []*part, k, rows int) (*Dimension, ranks) {
+	allInt, spelled := true, false
+	lo, hi := math.MaxInt, math.MinInt
+	for _, p := range parts {
+		c := &p.cols[k]
+		allInt, spelled = allInt && c.allInt, spelled || c.dict != nil
+		lo, hi = min(lo, c.min), max(hi, c.max)
+	}
+	span := uint64(hi) - uint64(lo) // hi−lo, exact over all of int
+	if allInt && !spelled && dense(parts, k, lo, span, rows) {
+		return NewIntDimension(name, lo, hi), ranks{lo: lo}
+	}
+
+	// The domain is a set of spellings: merge the parts' in input order,
+	// mapping each part's ids to the merged ones, then to ranks.
+	eachPart(parts, rows, func(i int) {
+		if c := &parts[i].cols[k]; c.dict == nil {
+			c.spell()
+		}
+	})
+	ids := make(map[string]int)
+	var words []string
+	local := make([][]int, len(parts))
+	for i, p := range parts {
+		local[i] = make([]int, len(p.cols[k].words))
+		for id, s := range p.cols[k].words {
+			g, ok := ids[s]
+			if !ok {
+				g = len(words)
+				ids[s] = g
+				words = append(words, s)
+			}
+			local[i][id] = g
+		}
+	}
+	rank := make([]int, len(words))
+	var d *Dimension
+	if allInt && span < uint64(16*len(words)+64) {
+		for g, s := range words {
+			v, _ := strconv.Atoi(s)
+			rank[g] = v - lo
+		}
+		d = NewIntDimension(name, lo, hi)
+	} else {
+		slices.Sort(words)
+		for r, s := range words {
+			rank[ids[s]] = r
+		}
+		d = NewCategoryDimension(name, words...)
+	}
+	for _, to := range local {
+		for id, g := range to {
+			to[id] = rank[g]
+		}
+	}
+	return d, ranks{ids: local}
+}
+
+// dense reports whether column k's values, all within lo..lo+span, are
+// distinct enough for the dense domain: 16·distinct+64 > span. It counts
+// them with a bitset until they are.
+func dense(parts []*part, k, lo int, span uint64, rows int) bool {
+	if span < 64 {
+		return true
+	}
+	need := (span-64)/16 + 1
+	if need > uint64(rows) {
+		return false
+	}
 	set := make([]uint64, span/64+1)
-	for _, b := range c.vals {
-		for _, v := range b {
-			o := uint64(v) - uint64(c.min)
-			set[o/64] |= 1 << (o % 64)
+	for _, p := range parts {
+		for _, v := range p.cols[k].vals {
+			o := uint64(v) - uint64(lo)
+			if w, bit := set[o/64], uint64(1)<<(o%64); w&bit == 0 {
+				set[o/64] = w | bit
+				if need--; need == 0 {
+					return true
+				}
+			}
 		}
 	}
-	n := 0
-	for _, w := range set {
-		n += bits.OnesCount64(w)
-	}
-	return n
+	return false
 }
 
-func (c *column) remap(rank []int) {
-	for _, b := range c.vals {
-		for i, id := range b {
-			b[i] = rank[id]
+// eachPart runs f on the index of every part, split over the workers when
+// the load's rows make that worth it.
+func eachPart(parts []*part, rows int, f func(i int)) {
+	parallel.For(len(parts), rows, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			f(i)
 		}
-	}
+	})
 }

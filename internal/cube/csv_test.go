@@ -3,6 +3,7 @@ package cube
 import (
 	"bytes"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -11,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"rangecube/internal/naive"
 )
@@ -163,6 +165,16 @@ var inferCSVCorpus = []struct{ name, data, measure string }{
 	{"measure past int64", "x,m\n1,2\n2,9223372036854775808\n", "m"},
 	{"measure below int64", "x,m\n1,-9223372036854775809\n", "m"},
 	{"odd measure spellings", "x,m\n1,+7\n2,-0\n3,007\n", "m"},
+	{"span one past the limit", "x,m\n0,1\n96,2\n0,3\n0,4\n", "m"},
+	// Chunk edges: at the chunk sizes of matchReference, each of these
+	// falls across several chunks.
+	{"quote in a later chunk", "a,m\n1,2\n3,4\n5,6\n\"7\",8\n9,10,11\n", "m"},
+	{"ragged in a later chunk after a bad measure", "a,m\n1,x\n2,3\n4,5\n6,7\n8,9,10\n", "m"},
+	{"crlf, blank line and final cr across chunks", "a,m\r\n1,2\r\n\r\n3,4\r\n\n5,6\r\n7,8\r", "m"},
+	{"line longer than a chunk", "a,m\n1,2\n" + strings.Repeat("y", 100) + ",3\n4,5\n", "m"},
+	{"odd spelling and a word in a later chunk", "x,y,m\n1,1,1\n2,2,2\n3,3,3\n4,4,4\n007,5,5\n6,foo,6\n", "m"},
+	{"odd spelling in a later chunk, sparse", "x,m\n1,1\n2,2\n3,3\n01000,4\n", "m"},
+	{"cell overflow in a later part", "r,m\nw,4611686018427387904\ne,1\ne,2\ne,3\nw,4611686018427387904\n", "m"},
 }
 
 // cellBudget caps the cells a fuzz input may ask for, so that neither loader
@@ -208,43 +220,53 @@ func referenceOutcome(data, measure string) (c *Cube, n int, err error, panicked
 	return c, n, err, nil
 }
 
-// matchReference fails t unless InferCSV gives what inferCSVReference gives:
-// the same error text, or the same record count, dimensions (name, kind,
-// size, every value) and cells. Where the reference panics, InferCSV must
-// return an error or a cube holding every record's measure.
+// chunkLens are the chunk sizes matchReference loads at: the default, and
+// sizes that cut a small input into a chunk of one line or a few each.
+var chunkLens = []int{chunkLen, 1, 7}
+
+// matchReference fails t unless InferCSV, at each of chunkLens, gives what
+// inferCSVReference gives: the same error text, or the same record count,
+// dimensions (name, kind, size, every value) and cells. Where the reference
+// panics, InferCSV must return an error or a cube holding every record's
+// measure.
 func matchReference(t *testing.T, data, measure string) {
 	t.Helper()
 	want, wantN, wantErr, panicked := referenceOutcome(data, measure)
-	got, n, err := InferCSV(strings.NewReader(data), measure)
-	if panicked != nil {
-		if err == nil && naive.SumInt64(got.Data(), got.Data().Bounds(), nil) != measureTotal(data, measure) {
-			t.Fatalf("reference panicked (%v); InferCSV returned a cube that lost measures", panicked)
-		}
-		return
-	}
-	if wantErr != nil || err != nil {
-		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
-			t.Fatalf("error %v, reference %v", err, wantErr)
-		}
-		return
-	}
-	if n != wantN || got.Dims() != want.Dims() {
-		t.Fatalf("%d records over %d dims, reference %d over %d", n, got.Dims(), wantN, want.Dims())
-	}
-	for k := range want.dims {
-		g, w := got.Dimension(k), want.Dimension(k)
-		if g.Name() != w.Name() || (g.index == nil) != (w.index == nil) || g.Size() != w.Size() {
-			t.Fatalf("dim %d: %q int=%v size %d, reference %q int=%v size %d",
-				k, g.Name(), g.index == nil, g.Size(), w.Name(), w.index == nil, w.Size())
-		}
-		for r := 0; r < w.Size(); r++ {
-			if g.ValueAt(r) != w.ValueAt(r) {
-				t.Fatalf("dim %q rank %d: %q, reference %q", w.Name(), r, g.ValueAt(r), w.ValueAt(r))
+	for _, size := range chunkLens {
+		withChunkLen(size, func() {
+			t.Logf("chunks of %d bytes", size) // shown with a failure that follows
+			got, n, err := InferCSV(strings.NewReader(data), measure)
+			if panicked != nil {
+				if err == nil && naive.SumInt64(got.Data(), got.Data().Bounds(), nil) != measureTotal(data, measure) {
+					t.Fatalf("reference panicked (%v); InferCSV returned a cube that lost measures", panicked)
+				}
+				return
 			}
-		}
-	}
-	if !slices.Equal(got.Data().Data(), want.Data().Data()) {
-		t.Fatal("cells differ from the reference's")
+			if wantErr != nil || err != nil {
+				if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Fatalf("error %v, reference %v", err, wantErr)
+				}
+				return
+			}
+			if n != wantN || got.Dims() != want.Dims() {
+				t.Fatalf("%d records over %d dims, reference %d over %d", n, got.Dims(), wantN, want.Dims())
+			}
+			for k := range want.dims {
+				g, w := got.Dimension(k), want.Dimension(k)
+				if g.Name() != w.Name() || (g.index == nil) != (w.index == nil) || g.Size() != w.Size() {
+					t.Fatalf("dim %d: %q int=%v size %d, reference %q int=%v size %d",
+						k, g.Name(), g.index == nil, g.Size(), w.Name(), w.index == nil, w.Size())
+				}
+				for r := 0; r < w.Size(); r++ {
+					if g.ValueAt(r) != w.ValueAt(r) {
+						t.Fatalf("dim %q rank %d: %q, reference %q", w.Name(), r, g.ValueAt(r), w.ValueAt(r))
+					}
+				}
+			}
+			if !slices.Equal(got.Data().Data(), want.Data().Data()) {
+				t.Fatal("cells differ from the reference's")
+			}
+		})
 	}
 }
 
@@ -480,4 +502,51 @@ func inferCSVReference(r io.Reader, measureCol string) (*Cube, int, error) {
 		return nil, 0, overflow
 	}
 	return c, len(rows), nil
+}
+
+// A reader's error fails the load after any fault in the lines before it,
+// the header's included, however the input is cut into chunks.
+func TestInferCSVReadError(t *testing.T) {
+	boom := errors.New("boom")
+	cases := []struct{ data, want string }{
+		{"", "cube: reading CSV header: boom"},
+		{"\na,", "cube: reading CSV header: boom"},
+		{"a,m\n1,2\n3,", "cube: reading CSV: boom"},
+		{"a,m\n1,x\n", "cube: reading CSV: boom"},
+		{"a,m\n1,2,3\n4,5\n", "cube: reading CSV: record on line 2: wrong number of fields"},
+		{"a,m\n1,2\n\"3\",4\n", "cube: reading CSV: boom"},
+	}
+	for _, size := range chunkLens {
+		withChunkLen(size, func() {
+			for _, tc := range cases {
+				_, _, err := InferCSV(io.MultiReader(strings.NewReader(tc.data), iotest.ErrReader(boom)), "m")
+				if fmt.Sprint(err) != tc.want {
+					t.Errorf("chunks of %d bytes, %q then an error: %v, want %s", size, tc.data, err, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// endless is an input whose records never end; n counts the bytes read.
+type endless struct{ n int }
+
+func (e *endless) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = "4,5\n"[(e.n+i)%4]
+	}
+	e.n += len(p)
+	return len(p), nil
+}
+
+// A fault ends the reading: the load fails without reading the rest.
+func TestInferCSVStopsAtAFault(t *testing.T) {
+	rest := &endless{}
+	_, _, err := InferCSV(io.MultiReader(strings.NewReader("a,m\n1,2,3\n"), rest), "m")
+	if want := "cube: reading CSV: record on line 2: wrong number of fields"; fmt.Sprint(err) != want {
+		t.Fatalf("error %v, want %s", err, want)
+	}
+	if rest.n > 16*chunkLen {
+		t.Fatalf("read %d bytes past the fault", rest.n)
+	}
 }

@@ -217,9 +217,9 @@ func TestOnlyWhatAnswersIsBuilt(t *testing.T) {
 		e := newLocalEngine(cells, int(blockSize), fanout)
 		runtime.ReadMemStats(&after)
 		trees := uint64(16 * (e.max.Nodes() + e.min.Nodes()))
-		// Slack, 5% of the cells, of which half is used: 512 is not a multiple
-		// of 10, so every contracted extent is 52 where the closed form has
-		// 51.2 (+7 KiB), and the tree builds' transients (~42 KiB).
+		// Slack, 5% of the cells, of which a quarter is used: 512 is not a
+		// multiple of 10, so every contracted extent is 52 where the closed
+		// form has 51.2 (+7 KiB), and the builds' transients (~17 KiB).
 		limit := trees + cellBytes/20 + cellBytes*((blockSize+1)*(blockSize+1)-blockSize*blockSize)/(blockSize*blockSize)
 		wantEdges := 2 * 512 * 52
 		if blockSize == 1 {

@@ -237,7 +237,12 @@ type Answer struct {
 // the shards that answered did so at different seqs (ErrSeqMismatch), so no
 // answer is one cube state.
 func (rt *Router) Answer(ctx context.Context, qs []Query, cs []*metrics.Counter) ([]Answer, error) {
-	groups := make([][]Item, len(rt.shards))
+	var oneGroup [1][]Item // a one-shard router's groups and errors stay on the stack
+	var oneErr [1]error
+	groups, errs := oneGroup[:], oneErr[:]
+	if n := len(rt.shards); n > 1 {
+		groups, errs = make([][]Item, n), make([]error, n)
+	}
 	total := 0
 	for qi, q := range qs {
 		rt.m.cut(q.Region, func(i int, local ndarray.Region) {
@@ -260,7 +265,7 @@ func (rt *Router) Answer(ctx context.Context, qs []Query, cs []*metrics.Counter)
 		sp.Set("subqueries", strconv.Itoa(total))
 		defer sp.End()
 	}
-	errs := fanOut(trace.NewContext(ctx, sp), rt, "scatter", groups, Engine.Answer)
+	fanOut(trace.NewContext(ctx, sp), rt, "scatter", groups, errs, Engine.Answer)
 	for i, err := range errs {
 		// A cancellation while ctx is live is a sibling fanOut canceled after
 		// another shard failed: that failure is the one to name.
@@ -326,15 +331,14 @@ func (rt *Router) Answer(ctx context.Context, qs []Query, cs []*metrics.Counter)
 }
 
 // fanOut is the router's one fan-out, reads and update scatters alike:
-// call(shard i, groups[i]) for every shard with a non-nil group, errors by
-// shard. In-process engines, and a single busy network engine, are called in
-// shard order on this goroutine: a read forks only over one engine's items,
-// in localEngine.Answer. Network engines get a goroutine per busy shard so
-// the round trips overlap, and the first failure that is not a down shard
-// cancels the siblings. A panic on one of those goroutines is that shard's
-// error, wrapping ErrPanic.
-func fanOut[T any](ctx context.Context, rt *Router, label string, groups [][]T, call func(Engine, context.Context, []T) error) []error {
-	errs := make([]error, len(groups))
+// call(shard i, groups[i]) for every shard with a non-nil group, its error in
+// errs[i]. In-process engines, and a single busy network engine, are called
+// in shard order on this goroutine: a read forks only over one engine's
+// items, in localEngine.Answer. Network engines get a goroutine per busy
+// shard so the round trips overlap, and the first failure that is not a down
+// shard cancels the siblings. A panic on one of those goroutines is that
+// shard's error, wrapping ErrPanic.
+func fanOut[T any](ctx context.Context, rt *Router, label string, groups [][]T, errs []error, call func(Engine, context.Context, []T) error) {
 	busy := 0
 	for i := range groups {
 		if groups[i] != nil {
@@ -347,8 +351,10 @@ func fanOut[T any](ctx context.Context, rt *Router, label string, groups [][]T, 
 				errs[i] = call(rt.shards[i], ctx, groups[i])
 			}
 		}
-		return errs
+		return
 	}
+	res := make([]error, len(groups)) // the goroutines', so that errs stays where its caller put it
+	defer copy(errs, res)
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -357,11 +363,11 @@ func fanOut[T any](ctx context.Context, rt *Router, label string, groups [][]T, 
 			continue
 		}
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, group []T) { // group, not groups: the caller's slice stays off the heap
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
-					errs[i] = fmt.Errorf("%w: %s on shard %d: %v", ErrPanic, label, i, p)
+					res[i] = fmt.Errorf("%w: %s on shard %d: %v", ErrPanic, label, i, p)
 					rt.logf("shard: %s on shard %d panicked: %v\n%s", label, i, p, stack())
 					cancel()
 				}
@@ -369,13 +375,12 @@ func fanOut[T any](ctx context.Context, rt *Router, label string, groups [][]T, 
 			// Label the goroutine for pprof: a profile of a stalled batch or
 			// commit shows which shard's round trip it is blocked on.
 			pprof.SetGoroutineLabels(pprof.WithLabels(gctx, pprof.Labels("cube_op", label, "cube_shard", strconv.Itoa(i))))
-			if errs[i] = call(rt.shards[i], gctx, groups[i]); errs[i] != nil && !errors.Is(errs[i], ErrShardDown) {
+			if res[i] = call(rt.shards[i], gctx, group); res[i] != nil && !errors.Is(res[i], ErrShardDown) {
 				cancel()
 			}
-		}(i)
+		}(i, groups[i])
 	}
 	wg.Wait()
-	return errs
 }
 
 // Sum answers an exact range sum over the logical cube; an empty region sums
@@ -433,7 +438,8 @@ func (rt *Router) Deliver(ctx context.Context, commits []wal.Batch, limit int) {
 			groups[i] = append(groups[i], wal.Batch{Seq: c.Seq, Updates: part})
 		}
 	}
-	errs := fanOut(ctx, rt, "deliver", groups, func(e Engine, ctx context.Context, bs []wal.Batch) error {
+	errs := make([]error, len(groups))
+	fanOut(ctx, rt, "deliver", groups, errs, func(e Engine, ctx context.Context, bs []wal.Batch) error {
 		_ = e.(*RemoteEngine).Deliver(ctx, bs, limit) // reporting a failure would cancel the siblings
 		return nil
 	})

@@ -118,6 +118,10 @@ func (m Map) cut(r ndarray.Region, visit func(shard int, local ndarray.Region)) 
 		if piece.Empty() {
 			continue
 		}
+		if slab.Lo == 0 && piece == want {
+			visit(i, r) // the whole region on a slab from 0: its own local form
+			continue
+		}
 		local := r.Clone()
 		local[m.dim] = ndarray.Range{Lo: piece.Lo - slab.Lo, Hi: piece.Hi - slab.Lo}
 		visit(i, local)
