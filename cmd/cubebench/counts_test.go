@@ -24,6 +24,7 @@ import (
 	"rangecube/internal/cube"
 	"rangecube/internal/metrics"
 	"rangecube/internal/ndarray"
+	"rangecube/internal/persist"
 	"rangecube/internal/server"
 	"rangecube/internal/shard"
 	"rangecube/internal/workload"
@@ -389,7 +390,8 @@ func handlerRows(t *testing.T, l *ledger) {
 
 // loadRows counts the allocations of one cube.InferCSV load of a 64×64 grid
 // rendered as bench/ renders its cells: the header d0,d1,revenue and one
-// record per cell.
+// record per cell; then of reading back a snapshot of the loaded cells, as a
+// boot, a /state push and a follower's bootstrap read one.
 func loadRows(l *ledger) {
 	if raceEnabled {
 		return // the race runtime allocates on its own account
@@ -409,6 +411,21 @@ func loadRows(l *ledger) {
 		}
 	})
 	l.add("cube.InferCSV", "64x64", "-", "allocs/load", strconv.FormatFloat(allocs, 'f', 0, 64))
+
+	c, _, err := cube.InferCSV(strings.NewReader(data), "revenue")
+	var snap bytes.Buffer
+	if err == nil {
+		err = persist.WriteSnapshot(&snap, 1, c.Data())
+	}
+	if err != nil {
+		panic(err)
+	}
+	allocs = testing.AllocsPerRun(5, func() {
+		if _, _, err := persist.ReadSnapshot(bytes.NewReader(snap.Bytes())); err != nil {
+			panic(err)
+		}
+	})
+	l.add("persist.ReadSnapshot", "64x64", "-", "allocs/read", strconv.FormatFloat(allocs, 'f', 0, 64))
 }
 
 // repairRows counts the allocations of one §7 repair of 64 cells on a

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -128,6 +129,45 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if !slices.Equal(cells.Shape(), a.Shape()) || !slices.Equal(cells.Data(), a.Data()) {
 		t.Fatal("cells differ after round trip")
+	}
+}
+
+// TestSnapshotReadAllocatesItsCells bounds what decoding a 1024² snapshot
+// allocates: at most 2.1× its cells into a fresh array, which doubles as the
+// cells arrive, and under a tenth of them into an array given to decode into,
+// whose shape the snapshot's must match. (Reading by binary.Read into 64K-cell
+// chunks appended one by one allocated 7×.)
+func TestSnapshotReadAllocatesItsCells(t *testing.T) {
+	a := ndarray.New[int64](1024, 1024)
+	for i := range a.Data() {
+		a.Data()[i] = int64(i*7919) - 1<<40
+	}
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, 7, a); err != nil {
+		t.Fatal(err)
+	}
+	read := func(into ...*ndarray.Array[int64]) float64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		seq, cells, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), into...)
+		runtime.ReadMemStats(&after)
+		if err != nil || seq != 7 || !slices.Equal(cells.Shape(), a.Shape()) || !slices.Equal(cells.Data(), a.Data()) {
+			t.Fatalf("read seq %d, err %v, or cells that differ", seq, err)
+		}
+		if len(into) > 0 && cells != into[0] {
+			t.Fatal("the cells were not decoded into the array given")
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(8*a.Size())
+	}
+	if got := read(); got > 2.1 {
+		t.Fatalf("a read allocated %.2f× its cells, want at most 2.1×", got)
+	}
+	if got := read(ndarray.New[int64](1024, 1024)); got > 0.1 {
+		t.Fatalf("a read into an array allocated %.2f× its cells, want under 0.1×", got)
+	}
+	if _, _, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), ndarray.New[int64](1024, 1023)); err == nil {
+		t.Fatal("a snapshot was read into an array of another shape")
 	}
 }
 

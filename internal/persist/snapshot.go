@@ -34,7 +34,10 @@ func WriteSnapshot(w io.Writer, seq uint64, cells *ndarray.Array[int64]) error {
 }
 
 // ReadSnapshot deserializes a serving snapshot and verifies its checksum.
-func ReadSnapshot(r io.Reader) (seq uint64, cells *ndarray.Array[int64], err error) {
+// Given into, it decodes the cells straight into into[0], whose shape the
+// snapshot's must match, and returns it; a read that fails may have written
+// part of it.
+func ReadSnapshot(r io.Reader, into ...*ndarray.Array[int64]) (seq uint64, cells *ndarray.Array[int64], err error) {
 	cr := &crcReader{r: r}
 	ver, err := readHeader(cr, KindSnapshot)
 	if err != nil {
@@ -43,7 +46,10 @@ func ReadSnapshot(r io.Reader) (seq uint64, cells *ndarray.Array[int64], err err
 	if err := binary.Read(cr, binary.LittleEndian, &seq); err != nil {
 		return 0, nil, err
 	}
-	cells, err = readArray(cr)
+	if len(into) > 0 {
+		cells = into[0]
+	}
+	cells, err = readArray(cr, cells)
 	if err != nil {
 		return 0, nil, err
 	}

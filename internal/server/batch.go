@@ -15,22 +15,24 @@ import (
 	"rangecube/internal/trace"
 )
 
-// batchSlot is one query of a batch — GET /query is a batch of one — from
-// its parse to its answer: its op and region, then its answer or its error.
-// A slot whose err is set before evaluation is dead: it is answered with its
-// error alone.
+// batchSlot is one query of a batch — GET /query is a batch of one, and a
+// scatter frame's item is one too — from its parse to its answer: its op and
+// region, then its answer or its error. A slot whose err is set before
+// evaluation is dead: it is answered with its error alone.
 type batchSlot struct {
-	op     string // one of the five op names
+	op     string   // one of the five op names
+	rop    shard.Op // the router op answering op; none for a count
 	region ndarray.Region
 	err    string
 	ans    queryAnswer
 	cost   metrics.Counter
 }
 
-// evalSlots is the one read path: every GET /query (a batch of one) and every
-// POST /query/batch lands here with its parsed slots. A count is answered from
-// its region's volume; every other live slot goes into one Router.Answer, so
-// a batch is one call against one cube state, and on a local router that call
+// evalSlots is the one read path: every GET /query (a batch of one), every
+// POST /query/batch and every scatter frame a shard answers (POST
+// /shard/query) lands here with its parsed slots. A count is answered from its
+// region's volume; every other live slot goes into one Router.Answer, so a
+// batch is one call against one cube state, and on a local router that call
 // is the batch's one fork (localEngine.Answer).
 //
 // A local router answers under the read lock. A remote one answers without
@@ -45,10 +47,12 @@ type batchSlot struct {
 // the delivery of the leader's seq, so every shard that answers is at it.
 //
 // Answers land in the slots; an item whose evaluation panicked fails only
-// its own slot. The returned error fails the whole request: a cancellation,
-// a deadline, a shard's refusal, or a down shard under an op with no partial
-// form abandoned the remaining answers.
-func (s *Server) evalSlots(ctx context.Context, slots []batchSlot) error {
+// its own slot. It returns the seq the answers are of: the one read under the
+// lock, or for a remote leader's lock-free answer the one whose delivery it
+// awaited, which the shards' common stamp may have passed. The error fails
+// the whole request: a cancellation, a deadline, a shard's refusal, or a down
+// shard under an op with no partial form abandoned the remaining answers.
+func (s *Server) evalSlots(ctx context.Context, slots []batchSlot) (uint64, error) {
 	qs := make([]shard.Query, 0, len(slots))
 	cs := make([]*metrics.Counter, 0, len(slots))
 	for i := range slots {
@@ -62,8 +66,8 @@ func (s *Server) evalSlots(ctx context.Context, slots []batchSlot) error {
 		// region today; this guards direct callers and future grammars.)
 		q.ans = queryAnswer{op: q.op, volume: q.region.Volume()}
 		q.ans.empty = q.ans.volume == 0
-		if rop, ok := routerOp(q.op); ok {
-			qs = append(qs, shard.Query{Op: rop, Region: q.region})
+		if q.op != "count" {
+			qs = append(qs, shard.Query{Op: q.rop, Region: q.region})
 			cs = append(cs, &q.cost)
 		}
 	}
@@ -91,15 +95,15 @@ func (s *Server) evalSlots(ctx context.Context, slots []batchSlot) error {
 		trace.StatsFrom(ctx).AddTorn()
 	}
 	if err != nil {
-		return err
+		return 0, err
 	}
 	for i := range slots {
 		q := &slots[i]
 		if q.err != "" {
 			continue
 		}
-		if _, ok := routerOp(q.op); !ok {
-			q.ans.value = int64(q.ans.volume) // count
+		if q.op == "count" {
+			q.ans.value = int64(q.ans.volume)
 		} else {
 			a := &as[0]
 			as = as[1:]
@@ -109,7 +113,7 @@ func (s *Server) evalSlots(ctx context.Context, slots []batchSlot) error {
 				continue
 			}
 			if a.Err != nil {
-				return a.Err
+				return 0, a.Err
 			}
 			q.ans.set(a)
 		}
@@ -119,7 +123,7 @@ func (s *Server) evalSlots(ctx context.Context, slots []batchSlot) error {
 		// histogram records, no label resolution.
 		q.cost.Publish(s.met.costObs[q.op])
 	}
-	return nil
+	return seq, nil
 }
 
 // logPanic counts and logs a query whose evaluation panicked; its client sees
@@ -181,7 +185,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	slots := p.slots(c)
 	defer clear(slots) // the pooled slots keep no answer alive
 
-	if err := s.evalSlots(r.Context(), slots); err != nil {
+	if _, err := s.evalSlots(r.Context(), slots); err != nil {
 		s.writeCtxError(w, r, err)
 		return
 	}
@@ -356,12 +360,12 @@ func (p *batchBody) slots(c *cube.Cube) []batchSlot {
 		if q.op == "" {
 			q.op = "sum"
 		}
-		if op, ok := validOp(q.op); !ok {
+		op, rop, ok := validOp(q.op)
+		if !ok {
 			q.err = fmt.Sprintf("unknown op %q (sum, count, avg, max, min)", q.op)
 			continue
-		} else {
-			q.op = op
 		}
+		q.op, q.rop = op, rop
 		q.region = ranges[k*d : k*d+d : k*d+d]
 		if err := it.sel.resolve(c, q.region); err != nil {
 			q.err, q.region = err.Error(), nil
@@ -441,12 +445,22 @@ func (sel *selection) resolve(c *cube.Cube, r ndarray.Region) error {
 	return err
 }
 
-// validOp returns the name of the supported query operator op names.
-func validOp(op string) (string, bool) {
-	for _, name := range [...]string{"sum", "count", "avg", "max", "min"} {
-		if op == name {
-			return name, true
+// ops are the supported query operators and the router op answering each:
+// op=sum is the sum with §11 bounds and the partial envelope, op=avg an exact
+// sum divided by the volume. A count has none: its region's geometry answers
+// it alone.
+var ops = [...]struct {
+	name string
+	rop  shard.Op
+}{{"sum", shard.OpSumFull}, {"count", 0}, {"avg", shard.OpSum}, {"max", shard.OpMax}, {"min", shard.OpMin}}
+
+// validOp returns the name of the supported query operator op names and its
+// router op.
+func validOp(op string) (string, shard.Op, bool) {
+	for _, o := range ops {
+		if op == o.name {
+			return o.name, o.rop, true
 		}
 	}
-	return "", false
+	return "", 0, false
 }

@@ -212,7 +212,7 @@ func FuzzQueryBatch(f *testing.F) {
 					t.Fatalf("%q item %d: dimension %d named %v with %q; encoding/json's select %q", body, k, j, nd.pos >= 0, nd.spec, w.Select)
 				}
 			}
-			if _, ok := validOp(cmp.Or(w.Op, "sum")); !ok {
+			if _, _, ok := validOp(cmp.Or(w.Op, "sum")); !ok {
 				continue
 			}
 			region, err := s.regionFromSpecs(w.Select)

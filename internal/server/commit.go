@@ -24,11 +24,8 @@ func (s *Server) SubmitUpdates(ups []ingest.Update, sync bool) (<-chan ingest.Re
 	if err := s.refuseWrite(); err != nil {
 		return nil, err
 	}
-	shape := s.cube.Shape() // lock-free, as in handleUpdate
-	for i, u := range ups {
-		if err := checkCoords(shape, u.Coords); err != nil {
-			return nil, fmt.Errorf("server: update %d: %w", i, err)
-		}
+	if err := checkUpdates(s.cube.Shape(), ups); err != nil { // lock-free, as in handleUpdate
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	ack, _, err := s.batcher.Submit(ups, sync)
 	if err != nil {

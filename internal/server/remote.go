@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"rangecube/internal/cube"
-	"rangecube/internal/metrics"
 	"rangecube/internal/ndarray"
 	"rangecube/internal/persist"
 	"rangecube/internal/shard"
@@ -253,38 +252,16 @@ func (s *Server) awaitDelivery(ctx context.Context, seq uint64) error {
 	}
 }
 
-// frameBufs recycles the buffer a scatter frame is read into and its answer
-// is then built in; decoded items hold no reference into it.
-var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// readBody reads a request body from the leader — a scatter frame or update
-// records — into *bufP. The leader always declares the length, so the body
-// is bounded before a byte of it is buffered. On failure it has answered:
-// 413 or 400.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request, bufP *[]byte) ([]byte, bool) {
-	if r.ContentLength < 0 || r.ContentLength > maxBodyBytes {
-		s.writeError(w, r, http.StatusRequestEntityTooLarge, "body of %d bytes (at most %d, length required)", r.ContentLength, maxBodyBytes)
-		return nil, false
-	}
-	buf := slices.Grow((*bufP)[:0], int(r.ContentLength))[:r.ContentLength]
-	*bufP = buf
-	if _, err := io.ReadFull(r.Body, buf); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "%s: %v", r.URL.Path, err)
-		return nil, false
-	}
-	return buf, true
-}
-
 // handleShardApply applies the leader's update records, sealed back to back
 // as GET /wal serves them, through one ApplyReplicated, the apply a -join
 // follower uses: records at or below the shard's seq are skipped. The whole
 // body is checked first, so a refused one changes nothing: torn, garbled or
 // naming a cell outside the slab gets 400; a gap in the seqs 409.
 func (s *Server) handleShardApply(w http.ResponseWriter, r *http.Request) {
-	bufP := frameBufs.Get().(*[]byte)
-	defer frameBufs.Put(bufP)
-	body, ok := s.readBody(w, r, bufP)
-	if !ok {
+	bufP := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(bufP)
+	body, ok := s.readRequest(w, r, *bufP, "update records")
+	if *bufP = body; !ok {
 		return
 	}
 	// Reading a byte slice cannot fail, and the shape, read lock-free, is
@@ -306,19 +283,19 @@ func (s *Server) handleShardApply(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleShardQuery answers one scatter frame (shard/frame.go): every
-// sub-query a leader's client batch has for this shard, whatever the ops.
-// The frame is nothing but Router.Answer serialised — its valid items are one
-// Router.Answer on this server's own router, under one read epoch, and feed
-// the per-op §8 cost observers like any query; a panic fails its item alone;
-// the answer is stamped with the seq of that epoch. The decoder has bounded
-// count, dimensionality and body before anything was allocated; whether a
-// range fits the cube is checked here, inside the epoch that evaluates it,
-// because a /state push may swap the cube.
+// sub-query a leader's client batch has for this shard, whatever the ops. It
+// is a codec around evalSlots, the read path of GET /query and POST
+// /query/batch: each item is a slot, the slots are one evaluation under one
+// read epoch, and the answers are stamped with the seq it returns. An item
+// whose evaluation panics fails alone, and every answer feeds the per-op §8
+// cost observers. The decoder has bounded count, dimensionality and body
+// before anything was allocated; a range outside the slab fails its item,
+// checked without the lock because the placeholder guard pins the shape.
 func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
-	bufP := frameBufs.Get().(*[]byte)
-	defer frameBufs.Put(bufP)
-	body, ok := s.readBody(w, r, bufP)
-	if !ok {
+	bufP := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(bufP)
+	body, ok := s.readRequest(w, r, *bufP, "scatter frame")
+	if *bufP = body; !ok {
 		return
 	}
 	payload, err := wal.OpenRecord(body)
@@ -327,47 +304,30 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, "scatter frame: %v", err)
 		return
 	}
-	ctx := r.Context()
-	qs := make([]shard.Query, 0, len(items))
-	cs := make([]*metrics.Counter, 0, len(items))
-	s.mu.RLock()
-	seq, shape := s.seq.Load(), s.cube.Shape()
-	for i := range items {
-		it := &items[i]
-		if len(it.Local) != len(shape) {
-			it.Err = fmt.Errorf("%d-dimensional region over a %d-dimensional slab", len(it.Local), len(shape))
-		}
-		for j := 0; it.Err == nil && j < len(shape); j++ {
-			if it.Local[j].Hi >= shape[j] {
-				it.Err = fmt.Errorf("range %v outside dimension %d of slab %v", it.Local[j], j, shape)
+	shape := s.cube.Shape()
+	slots := make([]batchSlot, len(items))
+	for i, it := range items {
+		q := &slots[i]
+		*q = batchSlot{op: it.Op.String(), rop: it.Op, region: it.Local}
+		for j, rng := range it.Local {
+			if len(it.Local) != len(shape) || rng.Hi >= shape[j] {
+				q.err = "outside the slab"
 			}
 		}
-		if it.Err == nil {
-			qs = append(qs, shard.Query{Op: it.Op, Region: it.Local})
-			cs = append(cs, &it.Cost)
-		}
 	}
-	as, err := s.router.Answer(ctx, qs, cs)
-	s.mu.RUnlock()
+	seq, err := s.evalSlots(r.Context(), slots)
 	if err != nil {
 		s.writeCtxError(w, r, err)
 		return
 	}
 	for i := range items {
-		it := &items[i]
-		if it.Err != nil {
-			continue
+		it, q := &items[i], &slots[i]
+		it.Value, it.At, it.Cost = q.ans.value, q.ans.at, q.cost
+		if q.err != "" {
+			it.Err = errors.New(q.err) // the status byte; its text stays here
 		}
-		a := &as[0]
-		as = as[1:]
-		if it.Err = a.Err; a.Err != nil { // on a local router, only a panic
-			s.logPanic(ctx, a.Err)
-			continue
-		}
-		it.Value, it.At = a.Value, a.At
-		it.Cost.Publish(s.met.costObs[it.Op.String()])
 	}
-	out, err := wal.SealRecord(shard.AppendAnswers((*bufP)[:wal.FrameSize], seq, items))
+	out, err := wal.SealRecord(shard.AppendAnswers(body[:wal.FrameSize], seq, items))
 	if err != nil {
 		s.writeError(w, r, http.StatusInternalServerError, "%v", err)
 		return

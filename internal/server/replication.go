@@ -184,10 +184,8 @@ func checkReplicated(shape []int, batches []wal.Batch) (int, error) {
 		if i > 0 && b.Seq != batches[i-1].Seq+1 {
 			return i, fmt.Errorf("server: replicated batch seq %d %w seq %d", b.Seq, errSeqGap, batches[i-1].Seq)
 		}
-		for k, u := range b.Updates {
-			if err := checkCoords(shape, u.Coords); err != nil {
-				return i, fmt.Errorf("server: replicated batch seq %d, update %d: %w", b.Seq, k, err)
-			}
+		if err := checkUpdates(shape, b.Updates); err != nil {
+			return i, fmt.Errorf("server: replicated batch seq %d, %w", b.Seq, err)
 		}
 	}
 	return len(batches), nil

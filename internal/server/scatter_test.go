@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -326,6 +327,82 @@ func TestShardQueryRouteRefusals(t *testing.T) {
 	url = tr.bootShard("fresh").URL
 	if code := post(frame); code != http.StatusServiceUnavailable {
 		t.Fatalf("a shard still awaiting its state answered a frame with %d, want 503", code)
+	}
+}
+
+// TestShardBodiesNeedNoLength: a shard reads a scatter frame and update
+// records sent without a declared length (chunked) as it reads any request
+// body, and still refuses one past maxBodyBytes with 413.
+func TestShardBodiesNeedNoLength(t *testing.T) {
+	tr := newTier(t, tierSpec{shards: 2, hook: func(host string, r *http.Request) fault {
+		if strings.HasPrefix(r.URL.Path, "/shard/") {
+			r.ContentLength = -1
+		}
+		return pass
+	}})
+	waitFor(t, "both shards up", func() bool { return tr.leader.Health().Ready })
+	tr.commit(3, 4, 5)
+	tr.commit(7, 1, -2)
+	want := naive.SumInt64(tr.oracle, tr.oracle.Bounds(), nil)
+	if sum, code := sumOf(t, tr.leader, "/query?op=sum"); code != http.StatusOK || sum.Partial || sum.Value != want {
+		t.Fatalf("sum over chunked frames = %+v (status %d), want exact %d", sum, code, want)
+	}
+	for i, sh := range tr.shards {
+		if sh.Seq() != tr.leader.Seq() {
+			t.Fatalf("shard %d at seq %d after chunked records, the leader at %d", i, sh.Seq(), tr.leader.Seq())
+		}
+	}
+	for _, path := range []string{"/shard/query", "/shard/apply"} {
+		resp, err := tr.w.client.Post(tr.shards[0].URL+path, "application/octet-stream", bytes.NewReader(make([]byte, maxBodyBytes+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("a chunked %s body past the cap answered %d, want 413", path, resp.StatusCode)
+		}
+	}
+}
+
+// TestShardItemPanicFailsItsItemAlone: a scatter-frame item whose evaluation
+// panics on a shard process fails alone, as status byte 1 beside an item
+// answered with its §8 cost, and the shard counts it in cube_http_panic_total. The leader whose
+// frame holds such an item sees it refused: it answers 503 and leaves the
+// shard up.
+func TestShardItemPanicFailsItsItemAlone(t *testing.T) {
+	tr := newTier(t, tierSpec{shards: 2})
+	waitFor(t, "both shards up", func() bool { return tr.leader.Health().Ready })
+	sh := tr.shards[0] // its slab is 5 × 8
+	// A one-cell router, which cuts regions along x alone: the second item
+	// reads past its cell in y and panics.
+	defer sh.poisonApply()()
+	panics := seriesValue(exposition(t, sh.Server), "cube_http_panic_total", "")
+	items := []shard.Item{
+		{Op: shard.OpSum, Local: ndarray.Region{{Lo: 0, Hi: 0}, {Lo: 0, Hi: 0}}},
+		{Op: shard.OpSum, Local: ndarray.Region{{Lo: 0, Hi: 0}, {Lo: 0, Hi: 7}}},
+	}
+	frame, err := wal.SealRecord(shard.AppendQueries(make([]byte, wal.FrameSize), items))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := tr.w.client.Post(sh.URL+"/shard/query", "application/octet-stream", bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	// A 6-byte header and the seq, then the first sum's 18-byte answer:
+	// status, found, value and its accesses.
+	payload, err := wal.OpenRecord(body)
+	if resp.StatusCode != http.StatusOK || err != nil || len(payload) < 33 || payload[14] != 0 || payload[15] != 0 || binary.LittleEndian.Uint64(payload[24:]) == 0 || payload[32] != 1 {
+		t.Fatalf("a frame with a panicking item answered %d %v %x, want the first sum answered with its cost and the second's status 1", resp.StatusCode, err, payload)
+	}
+	if got := seriesValue(exposition(t, sh.Server), "cube_http_panic_total", ""); got != panics+1 {
+		t.Fatalf("cube_http_panic_total = %v after one panicking item, want %v", got, panics+1)
+	}
+	code, out := getBody(t, tr.leader, "/query?op=avg")
+	if code != http.StatusServiceUnavailable || !strings.Contains(out, "refused") || tr.leader.remoteEngines[0].Down() {
+		t.Fatalf("an avg through the panicking shard answered %d %s (shard down: %v), want 503, refused and the shard up", code, out, tr.leader.remoteEngines[0].Down())
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -432,15 +431,11 @@ func (s *Server) loadSnapshot() error {
 		return err
 	}
 	defer f.Close()
-	seq, cells, err := persist.ReadSnapshot(f)
+	// Straight into the cube: a load that fails fails the boot.
+	seq, _, err := persist.ReadSnapshot(f, s.cube.Data())
 	if err != nil {
 		return fmt.Errorf("server: loading snapshot %s: %w", s.opts.SnapshotPath, err)
 	}
-	dst := s.cube.Data()
-	if !slices.Equal(dst.Shape(), cells.Shape()) {
-		return fmt.Errorf("server: snapshot shape %v does not match cube %v", cells.Shape(), dst.Shape())
-	}
-	copy(dst.Data(), cells.Data())
 	s.seq.Store(seq)
 	s.logf("server: loaded snapshot %s (seq %d)", s.opts.SnapshotPath, seq)
 	return nil
@@ -450,26 +445,28 @@ func (s *Server) loadSnapshot() error {
 // query structures are built afterwards, so no incremental repair is needed.
 func (s *Server) replayBatch(b wal.Batch) error {
 	a := s.cube.Data()
+	if err := checkUpdates(a.Shape(), b.Updates); err != nil {
+		return err
+	}
 	for _, u := range b.Updates {
-		if err := checkCoords(a.Shape(), u.Coords); err != nil {
-			return err
-		}
 		a.Set(a.At(u.Coords...)+u.Delta, u.Coords...)
 	}
 	return nil
 }
 
-// checkCoords reports why coords do not name a cell of a cube of the given
-// shape: a wrong rank or a coordinate out of range. Every update is checked
-// before it is queued or applied, because the commit path computes cell
-// offsets, which panic on such coordinates.
-func checkCoords(shape, coords []int) error {
-	if len(coords) != len(shape) {
-		return fmt.Errorf("%d coords, want %d", len(coords), len(shape))
-	}
-	for j, x := range coords {
-		if x < 0 || x >= shape[j] {
-			return fmt.Errorf("coordinate %d out of bounds in dimension %d", x, j)
+// checkUpdates names the first of ups whose coordinates do not name a cell of
+// a cube of the given shape: a wrong rank or a coordinate out of range. Every
+// update is checked before it is queued or applied, because the commit path
+// computes cell offsets, which panic on such coordinates.
+func checkUpdates(shape []int, ups []wal.Update) error {
+	for i, u := range ups {
+		if len(u.Coords) != len(shape) {
+			return fmt.Errorf("update %d: %d coords, want %d", i, len(u.Coords), len(shape))
+		}
+		for j, x := range u.Coords {
+			if x < 0 || x >= shape[j] {
+				return fmt.Errorf("update %d: coordinate %d out of bounds in dimension %d", i, x, j)
+			}
 		}
 	}
 	return nil
@@ -656,7 +653,7 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	params := r.URL.Query() // parsed once: op and the selectors both read it
 	given := cmp.Or(params.Get("op"), "sum")
-	op, ok := validOp(given)
+	op, rop, ok := validOp(given)
 	if !ok {
 		s.writeError(w, r, http.StatusBadRequest, "unknown op %q (sum, count, avg, max, min)", given)
 		return
@@ -694,8 +691,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	slots := []batchSlot{{op: op, region: region}}
-	if err := s.evalSlots(r.Context(), slots); err != nil {
+	slots := []batchSlot{{op: op, rop: rop, region: region}}
+	if _, err := s.evalSlots(r.Context(), slots); err != nil {
 		s.writeCtxError(w, r, err)
 		return
 	}
@@ -704,23 +701,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeEncoded(w, http.StatusOK, func(dst []byte) []byte { return appendAnswer(dst, &slots[0].ans, c) })
-}
-
-// routerOp maps a public op onto the router's: op=sum is the sum with §11
-// bounds and the partial envelope, op=avg an exact sum divided by the volume.
-// ok is false for count, which the region's geometry answers alone.
-func routerOp(op string) (rop shard.Op, ok bool) {
-	switch op {
-	case "sum":
-		return shard.OpSumFull, true
-	case "avg":
-		return shard.OpSum, true
-	case "max":
-		return shard.OpMax, true
-	case "min":
-		return shard.OpMin, true
-	}
-	return 0, false
 }
 
 // writeCtxError reports a query abandoned as a whole, always with 503. A
@@ -789,12 +769,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// which the read-only gate above already refused, and this path must not
 	// touch s.mu — the queue-full 429 has to come back even while a commit
 	// is parked on the write lock.
-	shape := s.cube.Shape()
-	for i, u := range updates {
-		if err := checkCoords(shape, u.Coords); err != nil {
-			s.writeError(w, r, http.StatusBadRequest, "update %d: %v", i, err)
-			return
-		}
+	if err := checkUpdates(s.cube.Shape(), updates); err != nil {
+		s.writeError(w, r, http.StatusBadRequest, "%v", err)
+		return
 	}
 	mode := "sync"
 	if v := r.URL.Query().Get("durability"); v != "" {

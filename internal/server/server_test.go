@@ -248,9 +248,10 @@ func TestAvgEmptyRegion(t *testing.T) {
 	ops := []string{"avg", "sum", "count", "max", "min"}
 	slots := make([]batchSlot, len(ops))
 	for i, op := range ops {
-		slots[i] = batchSlot{op: op, region: empty}
+		_, rop, _ := validOp(op)
+		slots[i] = batchSlot{op: op, rop: rop, region: empty}
 	}
-	if err := s.evalSlots(t.Context(), slots); err != nil {
+	if _, err := s.evalSlots(t.Context(), slots); err != nil {
 		t.Fatalf("a batch over an empty region: %v", err)
 	}
 	for i, op := range ops {

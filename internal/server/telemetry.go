@@ -282,15 +282,15 @@ func (s *Server) liveRouter() *shard.Router {
 // router with the same shard count, so the labels stand.
 func (m *serverMetrics) pinCostObservers(s *Server) {
 	obs := make(map[string]metrics.Observer, 5)
-	for _, op := range []string{"sum", "count", "avg", "max", "min"} {
+	for _, op := range ops {
 		eng := "volume" // count is answered from the region's geometry alone
-		if rop, ok := routerOp(op); ok {
-			eng = rop.Engine(s.opts.BlockSize, s.router.Shards() > 1)
+		if op.name != "count" {
+			eng = op.rop.Engine(s.opts.BlockSize, s.router.Shards() > 1)
 		}
-		obs[op] = costObserver{
-			cells: m.costCells.With(op, eng),
-			aux:   m.costAux.With(op, eng),
-			steps: m.costSteps.With(op, eng),
+		obs[op.name] = costObserver{
+			cells: m.costCells.With(op.name, eng),
+			aux:   m.costAux.With(op.name, eng),
+			steps: m.costSteps.With(op.name, eng),
 		}
 	}
 	m.costObs = obs
