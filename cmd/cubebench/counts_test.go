@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -426,6 +427,29 @@ func loadRows(l *ledger) {
 		}
 	})
 	l.add("persist.ReadSnapshot", "64x64", "-", "allocs/read", strconv.FormatFloat(allocs, 'f', 0, 64))
+	allocs = testing.AllocsPerRun(5, func() {
+		snap.Reset()
+		if err := persist.WriteSnapshot(&snap, 1, c.Data()); err != nil {
+			panic(err)
+		}
+	})
+	l.add("persist.WriteSnapshot", "64x64", "-", "allocs/write", strconv.FormatFloat(allocs, 'f', 0, 64))
+
+	// What a leader allocates to push a shard its slab: the body, encoded
+	// from the cube's runs, and the slab's value bounds, here for shard 1 of
+	// two split along y, a run per row.
+	a := workload.New(17).UniformCube([]int{256, 256}, 1000)
+	slab := ndarray.Region{{Lo: 0, Hi: 255}, {Lo: 128, Hi: 255}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const pushes = 5
+	for range pushes {
+		persist.EncodeSnapshot(1, a, slab)
+		shard.ValueBounds(a, slab)
+	}
+	runtime.ReadMemStats(&after)
+	perCell := float64(after.TotalAlloc-before.TotalAlloc) / pushes / float64(slab.Volume())
+	l.add("leader slab push", "256x256", "-", "B/pushed cell", strconv.FormatFloat(perCell, 'f', 2, 64))
 }
 
 // repairRows counts the allocations of one §7 repair of 64 cells on a

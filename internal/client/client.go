@@ -159,8 +159,13 @@ func (c *Client) backoff(retry int, hint time.Duration) time.Duration {
 // status, 4xx/5xx included) it returns the response with an unread body.
 // When attempts or deadline run out it returns the last shed response (body
 // drained and closed, so callers check StatusCode only) alongside a
-// descriptive error; on pure transport failure the response is nil.
+// descriptive error; on pure transport failure the response is nil. A body
+// goes as application/octet-stream; DoJSON's as application/json.
 func (c *Client) Do(ctx context.Context, method, url string, body []byte) (*http.Response, error) {
+	return c.do(ctx, method, url, body, "application/octet-stream")
+}
+
+func (c *Client) do(ctx context.Context, method, url string, body []byte, contentType string) (*http.Response, error) {
 	var lastResp *http.Response
 	var lastErr error
 	for attempt := 0; attempt < c.opt.MaxAttempts; attempt++ {
@@ -190,7 +195,7 @@ func (c *Client) Do(ctx context.Context, method, url string, body []byte) (*http
 			return nil, err
 		}
 		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
+			req.Header.Set("Content-Type", contentType)
 		}
 		// Correlation travels with the context: the request ID always, the
 		// trace linkage headers only for traces being recorded. This is the
@@ -233,7 +238,7 @@ func (c *Client) DoJSON(ctx context.Context, method, url string, in, out any) (i
 			return 0, err
 		}
 	}
-	resp, err := c.Do(ctx, method, url, body)
+	resp, err := c.do(ctx, method, url, body, "application/json")
 	if err != nil {
 		status := 0
 		if resp != nil {

@@ -216,3 +216,25 @@ func TestRetryAfterHTTPDateHeader(t *testing.T) {
 		t.Fatalf("backoff %v below the server's %v hint", got, d)
 	}
 }
+
+// A body's Content-Type says what it is: JSON from DoJSON, raw bytes (the
+// tier's /state, /shard/query and /shard/apply bodies) from Do.
+func TestContentTypeNamesTheBody(t *testing.T) {
+	var got atomic.Value
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got.Store(r.Header.Get("Content-Type"))
+	}))
+	defer srv.Close()
+	c := newTestClient(srv, Options{})
+	if _, err := c.DoJSON(context.Background(), http.MethodPost, srv.URL, map[string]int{"a": 1}, nil); err != nil || got.Load() != "application/json" {
+		t.Fatalf("DoJSON sent Content-Type %q (err %v), want application/json", got.Load(), err)
+	}
+	resp, err := c.Do(context.Background(), http.MethodPost, srv.URL, []byte{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got.Load() != "application/octet-stream" {
+		t.Fatalf("Do sent Content-Type %q, want application/octet-stream", got.Load())
+	}
+}

@@ -13,6 +13,7 @@ package cube
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -162,28 +163,40 @@ func (d *Dimension) ValueAt(rank int) string {
 type Cube struct {
 	dims   []*Dimension
 	byName map[string]int
+	shape  []int // the dimensions' sizes: Shape never reads data, which Adopt moves
 	data   *ndarray.Array[int64]
 }
 
 // New allocates an empty cube over the given dimensions.
-func New(dims ...*Dimension) *Cube {
+func New(dims ...*Dimension) *Cube { return Over(nil, dims...) }
+
+// Over returns a cube over the given dimensions whose cells are a, which it
+// adopts; a's shape must be the dimensions' sizes, and a nil a is all zeros.
+func Over(a *ndarray.Array[int64], dims ...*Dimension) *Cube {
 	if len(dims) == 0 {
 		panic("cube: need at least one dimension")
 	}
-	shape := make([]int, len(dims))
-	byName := make(map[string]int, len(dims))
+	c := &Cube{dims: dims, byName: make(map[string]int, len(dims)), shape: make([]int, len(dims))}
 	for i, d := range dims {
-		shape[i] = d.Size()
-		if _, dup := byName[d.name]; dup {
+		if _, dup := c.byName[d.name]; dup {
 			panic(fmt.Sprintf("cube: duplicate dimension name %q", d.name))
 		}
-		byName[d.name] = i
+		c.byName[d.name], c.shape[i] = i, d.Size()
 	}
-	return &Cube{
-		dims:   dims,
-		byName: byName,
-		data:   ndarray.New[int64](shape...),
+	if a == nil {
+		a = ndarray.New[int64](c.shape...)
 	}
+	c.Adopt(a)
+	return c
+}
+
+// Adopt makes a the cube's cells; a's shape must be the cube's. Shape, Dims
+// and Dimension read no cells, so their callers need not exclude Adopt.
+func (c *Cube) Adopt(a *ndarray.Array[int64]) {
+	if !slices.Equal(a.Shape(), c.shape) {
+		panic(fmt.Sprintf("cube: cells of shape %v for a cube of shape %v", a.Shape(), c.shape))
+	}
+	c.data = a
 }
 
 // Dims returns the dimensionality d.
@@ -193,7 +206,7 @@ func (c *Cube) Dims() int { return len(c.dims) }
 func (c *Cube) Dimension(i int) *Dimension { return c.dims[i] }
 
 // Shape returns the rank-domain extents.
-func (c *Cube) Shape() []int { return c.data.Shape() }
+func (c *Cube) Shape() []int { return c.shape }
 
 // Data exposes the dense measure array for the query engines.
 func (c *Cube) Data() *ndarray.Array[int64] { return c.data }

@@ -1,6 +1,7 @@
 package cube
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -246,5 +247,31 @@ func TestSpecResolvesAsRegion(t *testing.T) {
 	}
 	if _, err := c.Index("zz"); err == nil || err.Error() != `cube: unknown dimension "zz"` {
 		t.Fatalf("Index(zz) = %v", err)
+	}
+}
+
+// Over and Adopt take the cells given without copying them, and refuse cells
+// of another shape.
+func TestCubeAdoptsItsCells(t *testing.T) {
+	dims := []*Dimension{NewIntDimension("x", 0, 2), NewIntDimension("y", 0, 1)}
+	a := ndarray.New[int64](3, 2)
+	c := Over(a, dims...)
+	b := ndarray.New[int64](3, 2)
+	c.Adopt(b)
+	if c.Data() != b || &c.Data().Data()[0] != &b.Data()[0] || !slices.Equal(c.Shape(), []int{3, 2}) {
+		t.Fatal("the cube does not hold the cells it adopted")
+	}
+	for name, f := range map[string]func(){
+		"Over":  func() { Over(ndarray.New[int64](2, 3), dims...) },
+		"Adopt": func() { c.Adopt(ndarray.New[int64](6)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s took cells of another shape", name)
+				}
+			}()
+			f()
+		}()
 	}
 }

@@ -177,42 +177,12 @@ func (r Region) ForEach(visit func(coords []int)) {
 }
 
 // ForEachOffset visits every point of the region within an array of the
-// given shape/strides, in row-major order, passing the flat offset. It is
-// the hot path used by scan baselines and boundary-region summation; it
-// advances offsets incrementally instead of recomputing them per point.
+// given shape/strides, in row-major order, passing the flat offset: each
+// innermost run of ForEachLine, cell by cell.
 func ForEachOffset[T any](a *Array[T], r Region, visit func(offset int)) {
-	if len(r) != len(a.shape) {
-		panic("ndarray: region dimensionality does not match array")
-	}
-	if r.Empty() {
-		return
-	}
-	for i, rng := range r {
-		if rng.Lo < 0 || rng.Hi >= a.shape[i] {
-			panic(fmt.Sprintf("ndarray: region %v out of bounds for shape %v", r, a.shape))
+	ForEachLine(a, r, func(ln Line) {
+		for off := ln.Off; off < ln.Off+ln.Len; off++ {
+			visit(off)
 		}
-	}
-	d := len(r)
-	coords := make([]int, d)
-	off := 0
-	for i := range r {
-		coords[i] = r[i].Lo
-		off += r[i].Lo * a.strides[i]
-	}
-	for {
-		visit(off)
-		i := d - 1
-		for ; i >= 0; i-- {
-			coords[i]++
-			off += a.strides[i]
-			if coords[i] <= r[i].Hi {
-				break
-			}
-			off -= (coords[i] - r[i].Lo) * a.strides[i]
-			coords[i] = r[i].Lo
-		}
-		if i < 0 {
-			return
-		}
-	}
+	})
 }

@@ -101,8 +101,10 @@ func TestReadsVersion1WithoutChecksum(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := writeArray(&buf, ps.P()); err != nil {
-		t.Fatal(err)
+	e := &encoder{w: &buf}
+	e.array(ps.P(), ps.P().Bounds())
+	if e.flush(); e.err != nil {
+		t.Fatal(e.err)
 	}
 	got, err := ReadPrefixSum(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -133,10 +135,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotReadAllocatesItsCells bounds what decoding a 1024² snapshot
-// allocates: at most 2.1× its cells into a fresh array, which doubles as the
-// cells arrive, and under a tenth of them into an array given to decode into,
-// whose shape the snapshot's must match. (Reading by binary.Read into 64K-cell
-// chunks appended one by one allocated 7×.)
+// allocates: at most 1.1× its cells into a fresh array when the input's
+// length is known, which takes one allocation; at most 2.1× when it is not,
+// into an array that doubles as the cells arrive; and under a tenth of them
+// into an array given to decode into, whose shape the snapshot's must match.
+// (Reading by binary.Read into 64K-cell chunks appended one by one allocated
+// 7×.)
 func TestSnapshotReadAllocatesItsCells(t *testing.T) {
 	a := ndarray.New[int64](1024, 1024)
 	for i := range a.Data() {
@@ -146,11 +150,11 @@ func TestSnapshotReadAllocatesItsCells(t *testing.T) {
 	if err := WriteSnapshot(&buf, 7, a); err != nil {
 		t.Fatal(err)
 	}
-	read := func(into ...*ndarray.Array[int64]) float64 {
+	read := func(size int64, into ...*ndarray.Array[int64]) float64 {
 		t.Helper()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		seq, cells, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), into...)
+		seq, cells, err := ReadSnapshotSized(bytes.NewReader(buf.Bytes()), size, into...)
 		runtime.ReadMemStats(&after)
 		if err != nil || seq != 7 || !slices.Equal(cells.Shape(), a.Shape()) || !slices.Equal(cells.Data(), a.Data()) {
 			t.Fatalf("read seq %d, err %v, or cells that differ", seq, err)
@@ -160,14 +164,75 @@ func TestSnapshotReadAllocatesItsCells(t *testing.T) {
 		}
 		return float64(after.TotalAlloc-before.TotalAlloc) / float64(8*a.Size())
 	}
-	if got := read(); got > 2.1 {
-		t.Fatalf("a read allocated %.2f× its cells, want at most 2.1×", got)
+	if got := read(int64(buf.Len())); got > 1.1 {
+		t.Fatalf("a read of known length allocated %.2f× its cells, want at most 1.1×", got)
 	}
-	if got := read(ndarray.New[int64](1024, 1024)); got > 0.1 {
+	if got := read(0); got > 2.1 {
+		t.Fatalf("a read of unknown length allocated %.2f× its cells, want at most 2.1×", got)
+	}
+	if got := read(0, ndarray.New[int64](1024, 1024)); got > 0.1 {
 		t.Fatalf("a read into an array allocated %.2f× its cells, want under 0.1×", got)
 	}
 	if _, _, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), ndarray.New[int64](1024, 1023)); err == nil {
 		t.Fatal("a snapshot was read into an array of another shape")
+	}
+}
+
+// TestHostileLengthAllocatesLittle reads a snapshot whose header claims 2^40
+// cells over 256 KiB of them. Known to be that short, the input fails before
+// the cells are allocated; of unknown length, it fails at its end, having
+// allocated at most a few times what it held, never the claim.
+func TestHostileLengthAllocatesLittle(t *testing.T) {
+	e := newEncoder(nil, 0, KindSnapshot)
+	e.u64(1)
+	e.ints([]int{1 << 20, 1 << 20})
+	body := append(e.buf, make([]byte, 256<<10)...)
+	for _, c := range []struct {
+		size  int64
+		bound uint64
+	}{
+		{int64(len(body)), 4 << 10},
+		{0, 4*uint64(len(body)) + 16*chunkCells},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := ReadSnapshotSized(bytes.NewReader(body), c.size)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; err == nil || got > c.bound {
+			t.Errorf("size %d: err %v after allocating %d bytes, want an error within %d", c.size, err, got, c.bound)
+		}
+	}
+}
+
+// TestEncodeSnapshotOfRegion holds EncodeSnapshot of a region, read straight
+// from the array's runs, to WriteSnapshot of the region's copy, byte for byte:
+// regions that cut every dimension, and runs longer than a chunk.
+func TestEncodeSnapshotOfRegion(t *testing.T) {
+	for _, c := range []struct {
+		shape []int
+		r     ndarray.Region
+	}{
+		{[]int{5, 6, 7}, ndarray.Region{{Lo: 1, Hi: 3}, {Lo: 0, Hi: 5}, {Lo: 2, Hi: 4}}},
+		{[]int{3, 3 * chunkCells}, ndarray.Region{{Lo: 1, Hi: 2}, {Lo: 5, Hi: 3*chunkCells - 2}}},
+		{[]int{4}, ndarray.Region{{Lo: 0, Hi: 3}}},
+	} {
+		a := ndarray.New[int64](c.shape...)
+		for i := range a.Data() {
+			a.Data()[i] = int64(i*7919) - 1<<40
+		}
+		shape := make([]int, len(c.r))
+		for j, rng := range c.r {
+			shape[j] = rng.Len()
+		}
+		cp, k := ndarray.New[int64](shape...), 0
+		ndarray.ForEachOffset(a, c.r, func(off int) { cp.Data()[k] = a.Data()[off]; k++ })
+		var want bytes.Buffer
+		if err := WriteSnapshot(&want, 5, cp); err != nil {
+			t.Fatal(err)
+		}
+		if got := EncodeSnapshot(5, a, c.r); !bytes.Equal(got, want.Bytes()) || cap(got) != len(got) {
+			t.Errorf("region %v of %v: %d bytes (cap %d), want the copy's %d", c.r, c.shape, len(got), cap(got), want.Len())
+		}
 	}
 }
 

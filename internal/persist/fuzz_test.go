@@ -53,5 +53,8 @@ func FuzzReaders(f *testing.F) {
 		if _, cells, err := ReadSnapshot(bytes.NewReader(data)); err == nil {
 			_ = cells.Size()
 		}
+		if _, cells, err := ReadSnapshotSized(bytes.NewReader(data), int64(len(data))); err == nil {
+			_ = cells.Size()
+		}
 	})
 }

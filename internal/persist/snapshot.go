@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -18,19 +17,25 @@ import (
 const KindSnapshot Kind = 4
 
 // WriteSnapshot serializes a serving snapshot: seq is the sequence number
-// of the last update batch folded into cells.
+// of the last update batch folded into cells. It streams through one chunk
+// of memory, whatever the size of cells.
 func WriteSnapshot(w io.Writer, seq uint64, cells *ndarray.Array[int64]) error {
-	cw := &crcWriter{w: w}
-	if err := writeHeader(cw, KindSnapshot); err != nil {
-		return err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, seq); err != nil {
-		return err
-	}
-	if err := writeArray(cw, cells); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, cw.sum)
+	e := newEncoder(w, 0, KindSnapshot)
+	e.u64(seq)
+	e.array(cells, cells.Bounds())
+	_, err := e.finish()
+	return err
+}
+
+// EncodeSnapshot returns the snapshot at seq of region r of a, in one
+// allocation of its exact size: the bytes WriteSnapshot writes for a copy of
+// that region, encoded straight from a's runs without the copy.
+func EncodeSnapshot(seq uint64, a *ndarray.Array[int64], r ndarray.Region) []byte {
+	e := newEncoder(nil, 4+2+1+8+4+8*len(r)+8*r.Volume()+4, KindSnapshot)
+	e.u64(seq)
+	e.array(a, r)
+	body, _ := e.finish()
+	return body
 }
 
 // ReadSnapshot deserializes a serving snapshot and verifies its checksum.
@@ -38,25 +43,21 @@ func WriteSnapshot(w io.Writer, seq uint64, cells *ndarray.Array[int64]) error {
 // snapshot's must match, and returns it; a read that fails may have written
 // part of it.
 func ReadSnapshot(r io.Reader, into ...*ndarray.Array[int64]) (seq uint64, cells *ndarray.Array[int64], err error) {
-	cr := &crcReader{r: r}
-	ver, err := readHeader(cr, KindSnapshot)
-	if err != nil {
-		return 0, nil, err
-	}
-	if err := binary.Read(cr, binary.LittleEndian, &seq); err != nil {
-		return 0, nil, err
-	}
+	return ReadSnapshotSized(r, 0, into...)
+}
+
+// ReadSnapshotSized is ReadSnapshot of an input of size bytes (≤ 0: unknown).
+// The cells take one allocation, and a header that claims more cells than
+// the input holds fails before any.
+func ReadSnapshotSized(r io.Reader, size int64, into ...*ndarray.Array[int64]) (seq uint64, cells *ndarray.Array[int64], err error) {
+	d := open(r, size, KindSnapshot)
+	seq = d.u64()
 	if len(into) > 0 {
 		cells = into[0]
 	}
-	cells, err = readArray(cr, cells)
-	if err != nil {
+	cells = d.array(cells)
+	if err := d.close(); err != nil {
 		return 0, nil, err
-	}
-	if ver >= version {
-		if err := cr.verify(); err != nil {
-			return 0, nil, err
-		}
 	}
 	return seq, cells, nil
 }

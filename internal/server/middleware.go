@@ -26,10 +26,11 @@ const (
 	deadline
 	// placeholder answers 503 while a shard process awaits its first /state
 	// push: the placeholder cube must never answer as if it were the slab. A
-	// request that passes it needs no lock to read s.cube: installState swaps
-	// the cube under the write lock before resetState stores
-	// awaitingState=false, so the request sees the final cube, and that cube
-	// never moves again (a later push of another shape is refused).
+	// request that passes it needs no lock to read s.cube's shape and
+	// dimensions: resetState swaps the cube under the write lock before it
+	// stores awaitingState=false, so the request sees the final cube, and that
+	// cube never moves again (a later push adopts its cells into it, or is
+	// refused for another shape).
 	placeholder
 )
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime/debug"
 	"slices"
 	"strconv"
 	"sync"
@@ -63,24 +64,45 @@ func (s *Server) initRemoteSharding(m shard.Map) error {
 	return nil
 }
 
-// attachRemoteShards pushes every shard its authoritative slab state at
-// boot. A push that fails marks the shard down instead of failing the
-// leader and wakes the resync loop, which keeps retrying; until a push
-// lands the shard's slabs answer as missing (partial sums, 503 extremes).
+// attachRemoteShards pushes every shard its slab state at boot, all at
+// once. A push that fails marks the shard down instead of failing the leader
+// and wakes the resync loop, which keeps retrying; until a push lands the
+// shard's slabs answer as missing (partial sums, 503 extremes).
 func (s *Server) attachRemoteShards() {
-	for _, e := range s.remoteEngines {
+	s.eachEngine(func(_ int, e *shard.RemoteEngine) {
 		if err := s.resyncShard(e); err != nil {
-			s.logf("server: shard %d (%s) attach failed: %v", e.Shard(), e.URL(), err)
-			e.MarkDown(err)
+			e.MarkDown(fmt.Errorf("attach: %w", err))
 			s.resync.wake()
 		}
+	})
+}
+
+// eachEngine runs f for every remote engine at once, a goroutine each, so a
+// slow or parked shard holds up no other, and returns when all have; a call
+// that panics is logged, marks its engine down and wakes the resync loop.
+func (s *Server) eachEngine(f func(i int, e *shard.RemoteEngine)) {
+	var wg sync.WaitGroup
+	for i, e := range s.remoteEngines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					s.logf("server: shard %d: state push panicked: %v\n%s", e.Shard(), v, debug.Stack())
+					e.MarkDown(fmt.Errorf("state push panicked: %v", v))
+					s.resync.wake()
+				}
+			}()
+			f(i, e)
+		}()
 	}
+	wg.Wait()
 }
 
 // resyncShard pushes shard e its slab of the leader's cube as a snapshot
 // (POST /state) and, on success, marks the engine up with the slab's exact
 // cell-value bounds — the tight restart of the conservative interval the
-// missing-slab bounds widen from.
+// missing-slab bounds widen from. The body is encoded from the cube's runs.
 //
 // The push races the commit path: a batch that commits while the snapshot
 // is in flight is delivered to the still-down engine, which fails fast, so
@@ -96,9 +118,12 @@ func (s *Server) resyncShard(e *shard.RemoteEngine) error {
 	var seq uint64
 	for attempt := 0; attempt < attempts; attempt++ {
 		s.mu.RLock()
-		slab := shard.SlabCopy(s.cube.Data(), s.router.Map(), e.Shard())
+		a, m := s.cube.Data(), s.router.Map()
+		slab := a.Bounds()
+		slab[m.Dim()] = m.Slab(e.Shard())
 		seq = s.seq.Load()
-		lo, hi := shard.ValueBounds(slab)
+		body := persist.EncodeSnapshot(seq, a, slab)
+		lo, hi := shard.ValueBounds(a, slab)
 		// Seed the engine's conservative cell-value bounds while the capture
 		// is still atomic with the cube (a commit widens them under the
 		// write lock): even if the push below fails, a never-synced shard's
@@ -107,12 +132,7 @@ func (s *Server) resyncShard(e *shard.RemoteEngine) error {
 		e.SeedCellBounds(lo, hi)
 		s.mu.RUnlock()
 
-		var buf bytes.Buffer
-		if err := persist.WriteSnapshot(&buf, seq, slab); err != nil {
-			return fmt.Errorf("encoding slab state for shard %d: %w", e.Shard(), err)
-		}
-
-		if err := s.pushState(e, buf.Bytes()); err != nil {
+		if err := s.pushState(e, body); err != nil {
 			return err
 		}
 
@@ -124,7 +144,7 @@ func (s *Server) resyncShard(e *shard.RemoteEngine) error {
 		s.mu.RUnlock()
 		if current {
 			s.met.resyncShard.Inc()
-			s.logf("server: shard %d (%s) synced at seq %d (%d cells)", e.Shard(), e.URL(), seq, slab.Size())
+			s.logf("server: shard %d (%s) synced at seq %d (%d cells)", e.Shard(), e.URL(), seq, slab.Volume())
 			return nil
 		}
 	}
@@ -155,30 +175,30 @@ type resyncTurn struct {
 	b  backoff
 }
 
-// resyncDownShards is the resync loop's job: each down engine whose turn has
-// come gets one fresh state push, and an engine found up starts its schedule
-// over. It returns the wait until the next turn, at most maxWait: a read
-// that fails marks an engine down without waking the loop, so a healthy tier
-// is polled once a second, each poll a handful of atomic loads.
+// resyncDownShards is the resync loop's job: the down engines whose turn has
+// come get a fresh state push at once, and one found up starts its schedule
+// over. It returns the wait until the next turn, at most maxWait: a failed
+// read marks an engine down without waking the loop, so a healthy tier is
+// polled once a second.
 func (s *Server) resyncDownShards(turns []resyncTurn) time.Duration {
+	s.eachEngine(func(i int, e *shard.RemoteEngine) {
+		switch t := &turns[i]; {
+		case !e.Down():
+			*t = resyncTurn{}
+		case time.Now().Before(t.at):
+		default:
+			if err := s.resyncShard(e); err != nil {
+				s.logf("server: shard %d resync failed: %v", e.Shard(), err)
+				t.at = time.Now().Add(t.b.failed())
+			} else {
+				*t = resyncTurn{}
+			}
+		}
+	})
 	wait := maxWait
-	for i, e := range s.remoteEngines {
-		t := &turns[i]
-		if !e.Down() {
-			*t = resyncTurn{}
-			continue
-		}
-		if d := time.Until(t.at); d > 0 {
-			wait = min(wait, d)
-			continue
-		}
-		if err := s.resyncShard(e); err != nil {
-			s.logf("server: shard %d resync failed: %v", e.Shard(), err)
-			d := t.b.failed()
-			t.at = time.Now().Add(d)
-			wait = min(wait, d)
-		} else {
-			*t = resyncTurn{}
+	for _, t := range turns {
+		if !t.at.IsZero() {
+			wait = min(wait, max(time.Until(t.at), 0))
 		}
 	}
 	return wait
@@ -343,7 +363,7 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 // mount this.
 func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxStateBytes)
-	seq, cells, err := persist.ReadSnapshot(r.Body)
+	seq, cells, err := persist.ReadSnapshotSized(r.Body, min(r.ContentLength, maxStateBytes))
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, "decoding state push: %v", err)
 		return
@@ -355,36 +375,26 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, http.StatusOK, map[string]any{"seq": seq, "cells": cells.Size()})
 }
 
-// resetState replaces the server's cube state with a replicated snapshot
-// and rebuilds the router over it, all under one write epoch. A replica
-// keeps no local log or snapshot (NewWithOptions and JoinLeader see to it),
-// so there is no durability to re-anchor. A shape change is only legal while
-// the server is still awaiting its first state (the placeholder cube has no
-// meaning); afterwards the shape is pinned and a mismatched push is rejected.
-// The follower pump also lands here when it re-bootstraps from the leader's
-// /snapshot.
+// resetState replaces the server's cube state with a replicated snapshot,
+// whose cells the cube adopts, and rebuilds the router over it, all under
+// one write epoch. A replica keeps no local log or snapshot (NewWithOptions
+// and JoinLeader see to it), so there is no durability to re-anchor. A shape
+// change is only legal while the server is still awaiting its first state
+// (the placeholder cube has no meaning); afterwards the shape is pinned and
+// a mismatched push is rejected. The follower pump also lands here when it
+// re-bootstraps from the leader's /snapshot.
 func (s *Server) resetState(seq uint64, cells *ndarray.Array[int64]) error {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
-	if err := s.installState(seq, cells); err != nil {
-		return err
-	}
-	s.awaitingState.Store(false)
-	s.logf("server: installed pushed state: shape %v, seq %d", cells.Shape(), seq)
-	return nil
-}
-
-// installState is resetState's write epoch; the caller holds commitMu.
-func (s *Server) installState(seq uint64, cells *ndarray.Array[int64]) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	shape := cells.Shape()
-	if slices.Equal(s.cube.Shape(), shape) {
-		copy(s.cube.Data().Data(), cells.Data())
-	} else {
-		if !s.awaitingState.Load() {
-			return fmt.Errorf("server: pushed state shape %v does not match cube %v", shape, s.cube.Shape())
-		}
+	switch {
+	case slices.Equal(s.cube.Shape(), shape):
+		s.cube.Adopt(cells)
+	case !s.awaitingState.Load():
+		return fmt.Errorf("server: pushed state shape %v does not match cube %v", shape, s.cube.Shape())
+	default:
 		// First push: the placeholder gives way to a cube of the pushed
 		// shape with canonical integer dimensions (value == rank), the frame
 		// remote slab queries are phrased in.
@@ -392,13 +402,13 @@ func (s *Server) installState(seq uint64, cells *ndarray.Array[int64]) error {
 		for j, n := range shape {
 			dims[j] = cube.NewIntDimension(fmt.Sprintf("d%d", j), 0, n-1)
 		}
-		c := cube.New(dims...)
-		copy(c.Data().Data(), cells.Data())
-		s.cube = c
+		s.cube = cube.Over(cells, dims...)
 	}
 	if err := s.buildRouter(); err != nil {
 		return err
 	}
 	s.seq.Store(seq)
+	s.awaitingState.Store(false)
+	s.logf("server: installed pushed state: shape %v, seq %d", shape, seq)
 	return nil
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -119,20 +118,15 @@ func (s *Server) handleWALFetch(w http.ResponseWriter, r *http.Request) {
 // that applies it: GET /wal?after=<seq> ships every later batch.
 func (s *Server) handleSnapshotFetch(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
-	var b bytes.Buffer
-	if err := persist.WriteSnapshot(&b, s.seq.Load(), s.cube.Data()); err != nil {
-		s.mu.RUnlock()
-		s.writeError(w, r, http.StatusInternalServerError, "encoding snapshot: %v", err)
-		return
-	}
-	seq := s.seq.Load()
+	a, seq := s.cube.Data(), s.seq.Load()
+	body := persist.EncodeSnapshot(seq, a, a.Bounds())
 	s.mu.RUnlock()
 
 	w.Header().Set(hdrSeq, strconv.FormatUint(seq, 10))
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(b.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(b.Bytes()); err != nil {
+	if _, err := w.Write(body); err != nil {
 		s.logf("server: /snapshot stream rid=%s: %v", RequestIDFrom(r.Context()), err)
 	}
 }
@@ -250,8 +244,7 @@ func bootstrapFollower(ctx context.Context, leaderURL string, opts Options, hc *
 		}
 		dims[j] = cube.NewIntDimension(name, 0, n-1)
 	}
-	c := cube.New(dims...)
-	copy(c.Data().Data(), cells.Data())
+	c := cube.Over(cells, dims...)
 
 	s, err := newServer(c, opts, leaderURL, hc)
 	if err != nil {
@@ -278,7 +271,7 @@ func fetchSnapshot(ctx context.Context, cl *client.Client, leaderURL string) (se
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return 0, nil, fmt.Errorf("GET /snapshot: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
 	}
-	seq, cells, err = persist.ReadSnapshot(resp.Body)
+	seq, cells, err = persist.ReadSnapshotSized(resp.Body, resp.ContentLength)
 	if err != nil {
 		return 0, nil, fmt.Errorf("decoding snapshot: %w", err)
 	}

@@ -633,7 +633,7 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	// The cube pointer can move under a /state push; one epoch of it answers
 	// the whole response.
 	s.mu.RLock()
-	c := s.cube
+	c, cells := s.cube, s.cube.Data().Size()
 	s.mu.RUnlock()
 	dims := make([]dim, c.Dims())
 	for i := range dims {
@@ -642,7 +642,7 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	}
 	s.writeJSON(w, r, http.StatusOK, map[string]any{
 		"dimensions": dims,
-		"cells":      c.Data().Size(),
+		"cells":      cells,
 	})
 }
 

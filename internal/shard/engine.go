@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 
 	"rangecube/internal/algebra"
@@ -163,17 +164,17 @@ func newBlockedSum(a *ndarray.Array[int64], blockSize int) *blocked.IntArray {
 	return blocked.BuildWithEdges[int64, algebra.IntSum](a, bs)
 }
 
-// ValueBounds returns the smallest and largest cell value of a ([0, 0] for
-// an empty array): the exact bounds a RemoteEngine's conservative interval
-// restarts from.
-func ValueBounds(a *ndarray.Array[int64]) (lo, hi int64) {
+// ValueBounds returns the smallest and largest cell value in region r of a,
+// which must not be empty, a run at a time: the exact bounds a
+// RemoteEngine's conservative interval restarts from.
+func ValueBounds(a *ndarray.Array[int64], r ndarray.Region) (lo, hi int64) {
 	data := a.Data()
-	if len(data) > 0 {
-		lo, hi = data[0], data[0]
-		for _, v := range data[1:] {
+	lo, hi = math.MaxInt64, math.MinInt64
+	ndarray.ForEachLine(a, r, func(ln ndarray.Line) {
+		for _, v := range data[ln.Off : ln.Off+ln.Len] {
 			lo, hi = min(lo, v), max(hi, v)
 		}
-	}
+	})
 	return lo, hi
 }
 
@@ -274,7 +275,7 @@ func (e *localEngine) apply(ctx context.Context, deltas []wal.Update, c *metrics
 
 // CellBounds scans the slab: a local engine is never down, so no serving
 // path asks and nothing is kept running for it.
-func (e *localEngine) CellBounds() (int64, int64) { return ValueBounds(e.cells) }
+func (e *localEngine) CellBounds() (int64, int64) { return ValueBounds(e.cells, e.cells.Bounds()) }
 
 // StructureBytes reports the bytes each serving structure holds, summed over
 // the router's local engines and keyed cells, blocked (the packed array, §3's

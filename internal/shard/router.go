@@ -123,20 +123,15 @@ func NewRouterEngines(m Map, engines []Engine, stats *RemoteStats, logf func(for
 	return &Router{m: m, shards: engines, remote: stats, netIO: true, logf: logf}, nil
 }
 
-// SlabCopy materializes shard i's sub-cube. Region iteration and the local
-// array share row-major order, so the copy is a single ordered pass. The
-// leader's resync path exports it to push authoritative slab state to a
-// rebooted remote shard.
+// SlabCopy materializes shard i's sub-cube a run at a time: the slab's runs,
+// in row-major order, are the copy's cells back to back.
 func SlabCopy(a *ndarray.Array[int64], m Map, i int) *ndarray.Array[int64] {
 	local := ndarray.New[int64](m.LocalShape(i)...)
 	region := a.Bounds()
 	region[m.Dim()] = m.Slab(i)
-	dst := local.Data()
-	src := a.Data()
-	k := 0
-	ndarray.ForEachOffset(a, region, func(off int) {
-		dst[k] = src[off]
-		k++
+	dst, src := local.Data(), a.Data()
+	ndarray.ForEachLine(a, region, func(ln ndarray.Line) {
+		dst = dst[copy(dst, src[ln.Off:ln.Off+ln.Len]):]
 	})
 	return local
 }
