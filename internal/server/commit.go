@@ -154,9 +154,11 @@ func (s *Server) commitLocked(ctx context.Context, cells []wal.Update) (uint64, 
 // reads running. In order: the structures apply b, seq moves to b.Seq for
 // lock-free readers, a logged server publishes walEnd and the offset at of
 // b's record, which let GET /wal ship what was just applied, and a remote
-// leader queues b for its shards' sender, in the hold that moves seq, as
-// resyncShard's gate needs. Leader commits and replicated batches alike land
-// here; the caller holds commitMu. It returns how long the lock was held.
+// leader queues b for its shards' sender in the same hold that moves seq: a
+// resync that captures seq S and calls RemoteEngine.Hold under the read lock
+// then sees every batch above S reach the engine after its hold opened.
+// Leader commits and replicated batches alike land here; the caller holds
+// commitMu. It returns how long the lock was held.
 func (s *Server) applyEpoch(ctx context.Context, b wal.Batch, at, end int64) time.Duration {
 	sp := trace.FromContext(ctx)
 	lsp := sp.Child("commit.lockwait")

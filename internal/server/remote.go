@@ -6,7 +6,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime/debug"
 	"slices"
@@ -43,7 +42,7 @@ const maxStateBytes = 1 << 30
 
 // initRemoteSharding builds the remote engines and the router over them.
 // Called by buildRouter when ShardURLs is set; the state push happens later
-// (attachRemoteShards), after recovery has produced the cells to push.
+// (newServer), after recovery has produced the cells to push.
 func (s *Server) initRemoteSharding(m shard.Map) error {
 	stats := &shard.RemoteStats{}
 	// The map may clamp below the configured URL count (a tiny split
@@ -62,19 +61,6 @@ func (s *Server) initRemoteSharding(m shard.Map) error {
 	s.router, s.remoteEngines = rt, remotes
 	s.logf("server: %d remote shards along dimension %d (%s)", m.Shards(), m.Dim(), s.cube.Dimension(m.Dim()).Name())
 	return nil
-}
-
-// attachRemoteShards pushes every shard its slab state at boot, all at
-// once. A push that fails marks the shard down instead of failing the leader
-// and wakes the resync loop, which keeps retrying; until a push lands the
-// shard's slabs answer as missing (partial sums, 503 extremes).
-func (s *Server) attachRemoteShards() {
-	s.eachEngine(func(_ int, e *shard.RemoteEngine) {
-		if err := s.resyncShard(e); err != nil {
-			e.MarkDown(fmt.Errorf("attach: %w", err))
-			s.resync.wake()
-		}
-	})
 }
 
 // eachEngine runs f for every remote engine at once, a goroutine each, so a
@@ -99,72 +85,29 @@ func (s *Server) eachEngine(f func(i int, e *shard.RemoteEngine)) {
 	wg.Wait()
 }
 
-// resyncShard pushes shard e its slab of the leader's cube as a snapshot
-// (POST /state) and, on success, marks the engine up with the slab's exact
-// cell-value bounds — the tight restart of the conservative interval the
-// missing-slab bounds widen from. The body is encoded from the cube's runs.
-//
-// The push races the commit path: a batch that commits while the snapshot
-// is in flight is delivered to the still-down engine, which fails fast, so
-// the pushed state is stale by the time it lands. Marking up is therefore
-// gated on s.seq not having moved past the captured sequence — checked under
-// the read lock, which excludes the commit path (it bumps seq and queues the
-// batch in one write-lock hold). A delivery racing the push or the MarkUp
-// carries only batches at or below the captured seq, which the shard skips.
-// A lost race re-captures and re-pushes a few times; if write load keeps
-// winning, the engine stays down and the resync loop retries it later.
+// resyncShard has the engine push shard e its slab of the leader's cube and
+// mark it up. The slab, encoded from the cube's runs, its exact bounds and
+// the engine's hold are taken at one seq in one hold of the read lock: the
+// commits above it queue later (applyEpoch), so the engine holds them until
+// its push has landed. A failed push leaves the engine down.
 func (s *Server) resyncShard(e *shard.RemoteEngine) error {
-	const attempts = 3
-	var seq uint64
-	for attempt := 0; attempt < attempts; attempt++ {
-		s.mu.RLock()
-		a, m := s.cube.Data(), s.router.Map()
-		slab := a.Bounds()
-		slab[m.Dim()] = m.Slab(e.Shard())
-		seq = s.seq.Load()
-		body := persist.EncodeSnapshot(seq, a, slab)
-		lo, hi := shard.ValueBounds(a, slab)
-		// Seed the engine's conservative cell-value bounds while the capture
-		// is still atomic with the cube (a commit widens them under the
-		// write lock): even if the push below fails, a never-synced shard's
-		// missing-slab intervals then cover the authoritative slab instead of
-		// charging it [0, 0].
-		e.SeedCellBounds(lo, hi)
-		s.mu.RUnlock()
+	s.mu.RLock()
+	a, m := s.cube.Data(), s.router.Map()
+	slab := a.Bounds()
+	slab[m.Dim()] = m.Slab(e.Shard())
+	seq := s.seq.Load()
+	body := persist.EncodeSnapshot(seq, a, slab)
+	lo, hi := shard.ValueBounds(a, slab)
+	e.Hold(seq, lo, hi)
+	s.mu.RUnlock()
 
-		if err := s.pushState(e, body); err != nil {
-			return err
-		}
-
-		s.mu.RLock()
-		current := s.seq.Load() == seq
-		if current {
-			e.MarkUp(seq, lo, hi)
-		}
-		s.mu.RUnlock()
-		if current {
-			s.met.resyncShard.Inc()
-			s.logf("server: shard %d (%s) synced at seq %d (%d cells)", e.Shard(), e.URL(), seq, slab.Volume())
-			return nil
-		}
-	}
-	return fmt.Errorf("shard %d: leader advanced past seq %d during every state push (%d attempts); leaving it down for the resync loop", e.Shard(), seq, attempts)
-}
-
-// pushState POSTs one encoded snapshot to shard e's /state endpoint.
-func (s *Server) pushState(e *shard.RemoteEngine, body []byte) error {
 	ctx, cancel := context.WithTimeout(context.Background(), shardStateTimeout)
 	defer cancel()
-	resp, err := s.peers.Do(ctx, http.MethodPost, e.URL()+"/state", body)
-	if err != nil {
-		// An error-path response comes back already drained and closed.
-		return fmt.Errorf("pushing state to shard %d: %w", e.Shard(), err)
+	if err := e.Sync(ctx, body, maxBodyBytes); err != nil {
+		return err
 	}
-	defer drainBody(resp)
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("shard %d rejected state push: %s: %s", e.Shard(), resp.Status, bytes.TrimSpace(msg))
-	}
+	s.met.resyncShard.Inc()
+	s.logf("server: shard %d (%s) synced at seq %d (%d cells)", e.Shard(), e.URL(), seq, slab.Volume())
 	return nil
 }
 

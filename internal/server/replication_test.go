@@ -710,11 +710,11 @@ func TestPartialBoundsNeverWrap(t *testing.T) {
 	}
 }
 
-// A commit that lands while a resync's /state push is in flight is delivered
-// to the still-down engine and dropped — so the pushed snapshot is stale
-// the moment it arrives. The leader must not mark the shard up off that
-// push (it would serve the stale slab as exact forever); it re-captures and
-// re-pushes until a push survives with no commit racing it.
+// A commit that lands while a resync's /state push is in flight is newer
+// than the pushed snapshot, so the snapshot is stale the moment it arrives.
+// The leader must not mark the shard up off the push alone (it would serve
+// the stale slab as exact forever): the engine holds the racing commit's
+// record behind the push and sends it before it marks the shard up.
 func TestResyncHoldsDownWhenCommitRacesStatePush(t *testing.T) {
 	// The gate can hold a /state push to shard 1 mid-flight: the capture
 	// already happened on the leader, so a commit submitted while the push is

@@ -20,7 +20,6 @@ import (
 	"testing"
 	"time"
 
-	"rangecube/internal/core/batchsum"
 	"rangecube/internal/cube"
 	"rangecube/internal/ingest"
 	"rangecube/internal/naive"
@@ -824,15 +823,13 @@ func TestShardApplyOnce(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	up := []batchsum.IntUpdate{{Coords: []int{1, 2}, Delta: 50}}
+	up := []wal.Update{{Coords: []int{1, 2}, Delta: 50}}
 	held := shard.NewRemoteEngine(0, url, shard.RemoteOptions{HedgeAfter: -1})
-	held.MarkUp(7, 0, 18)
-	if err := held.Apply(ctx, up); err != nil || held.Down() {
+	if err := held.Deliver(ctx, []wal.Batch{{Seq: 8, Updates: up}}, 0); err != nil || held.Down() {
 		t.Fatalf("an engine re-sending the held record 8: err %v, down %v", err, held.Down())
 	}
 	ahead := shard.NewRemoteEngine(0, url, shard.RemoteOptions{HedgeAfter: -1})
-	ahead.MarkUp(9, 0, 18)
-	if err := ahead.Apply(ctx, up); err == nil || !ahead.Down() {
+	if err := ahead.Deliver(ctx, []wal.Batch{{Seq: 10, Updates: up}}, 0); err == nil || !ahead.Down() {
 		t.Fatalf("an engine sending record 10 to a shard at 8: err %v, down %v; want an error and the engine down", err, ahead.Down())
 	}
 	if seq, cell := state(); seq != 8 || cell != 18 {

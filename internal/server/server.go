@@ -390,10 +390,14 @@ func newServer(c *cube.Cube, opts Options, leaderURL string, hc *http.Client) (*
 		s.send.loop = s.startLoop("shard delivery", idle, s.deliver)
 		turns := make([]resyncTurn, len(s.remoteEngines))
 		s.resync = s.startLoop("shard resync", maxWait, func() time.Duration { return s.resyncDownShards(turns) })
-		// Push every shard its authoritative slab state. A shard that is not
-		// up yet is just marked down — the resync loop keeps retrying, and
-		// until then its slabs answer as missing.
-		s.attachRemoteShards()
+		// Push every shard its slab at once. A failed push marks the shard
+		// down and wakes the resync loop, which keeps retrying; until then
+		// its slabs answer as missing (partial sums, 503 extremes).
+		s.eachEngine(func(_ int, e *shard.RemoteEngine) {
+			if s.resyncShard(e) != nil {
+				s.resync.wake()
+			}
+		})
 	}
 
 	if opts.MaxInflight > 0 {

@@ -66,10 +66,10 @@ type RemoteOptions struct {
 // deadline, a retry of transport errors and one hedged duplicate — a read is
 // read-only and a record is applied once whatever reaches the shard twice —
 // and a round trip that still fails marks the engine down. A down engine
-// fails fast with ErrShardDown — no network attempts — until the serving
-// tier's resync probe pushes fresh slab state and calls MarkUp. While down,
-// CellBounds keeps widening under Widen so the missing-slab intervals stay
-// valid against the leader's true state.
+// fails fast with ErrShardDown — no network attempts — until a resync (Hold,
+// then Sync) pushes fresh slab state and marks it up. While down, CellBounds
+// keeps widening under Widen so the missing-slab intervals stay valid against
+// the leader's true state.
 type RemoteEngine struct {
 	shard int
 	base  string // shard process base URL, no trailing slash
@@ -77,10 +77,14 @@ type RemoteEngine struct {
 	cl    *client.Client
 
 	downAt atomic.Int64 // unixnano of the up→down transition; 0 while up
+	sendMu sync.Mutex   // the send order: Deliver, or Sync's flush, one at a time
 
 	mu             sync.Mutex
 	cellLo, cellHi int64
-	seq            uint64 // the leader seq the shard acked last, or was pushed
+	seq            uint64      // the leader seq the shard acked last, or was pushed
+	holding        bool        // a resync's hold is open (Hold to Sync)
+	holdAt         uint64      // the seq of the held resync's slab
+	held           []wal.Batch // the records Deliver kept meanwhile
 }
 
 // NewRemoteEngine builds the transport for shard i served at baseURL.
@@ -126,33 +130,58 @@ func (e *RemoteEngine) Seq() uint64 {
 	return e.seq
 }
 
-// MarkUp clears the down state after a resync pushed the slab at seq,
-// resetting the cell-value bounds to the exact slab bounds the resync
-// computed. The next Apply sends the record numbered seq+1.
-func (e *RemoteEngine) MarkUp(seq uint64, cellLo, cellHi int64) {
+// Hold opens a resync of the slab captured at seq, whose exact cell-value
+// bounds it seeds (covering even if the push fails): until Sync, Deliver
+// keeps its records. The caller captures and calls Hold under the lock in
+// which its commits move seq and queue their batch, so every record above
+// seq reaches Deliver after Hold. The engine is then its shard's one writer,
+// in seq order. One resync at a time: Sync must follow.
+func (e *RemoteEngine) Hold(seq uint64, cellLo, cellHi int64) {
 	e.mu.Lock()
-	e.cellLo, e.cellHi, e.seq = cellLo, cellHi, seq
+	e.cellLo, e.cellHi = cellLo, cellHi
+	e.holding, e.holdAt, e.held = true, seq, nil
 	e.mu.Unlock()
+}
+
+// Sync POSTs body, the slab at the held seq, to the shard's /state, sends the
+// held records even though the engine is down, in exchanges of at most limit
+// bytes, and only then marks it up: the slab at seq plus the records above
+// it is the leader's slab (SUM is a group, PAPER §1). The POST holds no send
+// order, so a parked push stalls no delivery. Seq moves to the held seq once
+// the push lands. A failure marks the engine down. Only Sync ends the hold.
+func (e *RemoteEngine) Sync(ctx context.Context, body []byte, limit int) error {
+	defer e.unhold(false) // a failed or panicking push; else a no-op
+	if _, err := e.once(ctx, e.base+"/state", body); err != nil {
+		e.MarkDown(err)
+		return err
+	}
+	e.sendMu.Lock()
+	defer e.sendMu.Unlock()
+	if err := e.send(ctx, e.unhold(true), limit, false); err != nil {
+		return err
+	}
 	if e.downAt.Swap(0) != 0 {
 		e.logf("shard %d (%s): marked up after resync", e.shard, e.base)
 	}
+	return nil
 }
 
-// SeedCellBounds installs conservative cell-value bounds without touching
-// the down state. The resync path calls it atomically with its slab
-// capture, before the push: a shard whose push then fails (or that never
-// attaches at all) still charges its missing slabs with bounds that cover
-// the authoritative slab, and Widen keeps widening them from there — so a
-// partial answer's [Lo, Hi] contains the truth even for a never-synced
-// shard over a cube with nonzero initial data.
-func (e *RemoteEngine) SeedCellBounds(cellLo, cellHi int64) {
+// unhold ends the hold and returns the records it kept; after a landed push
+// the engine's seq moves to the held seq.
+func (e *RemoteEngine) unhold(pushed bool) []wal.Batch {
 	e.mu.Lock()
-	e.cellLo, e.cellHi = cellLo, cellHi
-	e.mu.Unlock()
+	defer e.mu.Unlock()
+	if pushed {
+		e.seq = e.holdAt
+	}
+	held := e.held
+	e.holding, e.held = false, nil
+	return held
 }
 
-// MarkDown forces the down state (the serving tier uses it when an attach
-// push fails; round-trip failures set it themselves).
+// MarkDown forces the down state; round-trip failures set it themselves. It
+// leaves a hold open: a delivery in flight when it opened carries only
+// records the push covers.
 func (e *RemoteEngine) MarkDown(cause error) {
 	if e.downAt.CompareAndSwap(0, time.Now().UnixNano()) {
 		if e.opt.Stats != nil {
@@ -190,7 +219,7 @@ func (e *RemoteEngine) Answer(ctx context.Context, items []Item) error {
 	if err != nil {
 		return err
 	}
-	data, err := e.roundTrip(ctx, "shard.query", "/shard/query", req, len(items))
+	data, err := e.roundTrip(ctx, "shard.query", "/shard/query", req, len(items), true)
 	if err != nil {
 		return err
 	}
@@ -261,8 +290,28 @@ func (e *RemoteEngine) Widen(delta int64) {
 // keep each body within limit bytes (a record larger than limit goes alone).
 // Each exchange is acked before the next is sent and advances the engine's
 // seq. A refused body (a gap, a cell the shard does not hold) marks the
-// engine down like a failed round trip, and nothing after it is sent.
+// engine down like a failed round trip, and nothing after it is sent. While
+// a resync's hold is open, bs is kept for Sync to send after the push (the
+// shard skips the records the push covers).
 func (e *RemoteEngine) Deliver(ctx context.Context, bs []wal.Batch, limit int) error {
+	e.sendMu.Lock()
+	defer e.sendMu.Unlock()
+	e.mu.Lock()
+	if e.holding {
+		e.held = append(e.held, bs...)
+		e.mu.Unlock()
+		return nil
+	}
+	e.mu.Unlock()
+	return e.send(ctx, bs, limit, true)
+}
+
+// send is Deliver's exchanges, in the send order its caller holds; a down
+// engine fails fast only with failFast.
+func (e *RemoteEngine) send(ctx context.Context, bs []wal.Batch, limit int, failFast bool) error {
+	if len(bs) == 0 {
+		return nil
+	}
 	var body []byte
 	from := 0 // bs[from] is body's first record
 	for k, b := range bs {
@@ -275,19 +324,19 @@ func (e *RemoteEngine) Deliver(ctx context.Context, bs []wal.Batch, limit int) e
 			return err
 		}
 		if len(body) > limit && at > 0 {
-			if err := e.deliver(ctx, body[:at], bs[from:k]); err != nil {
+			if err := e.deliver(ctx, body[:at], bs[from:k], failFast); err != nil {
 				return err
 			}
 			// A new array: a hedged duplicate may still be reading the old.
 			body, from = append([]byte(nil), body[at:]...), k
 		}
 	}
-	return e.deliver(ctx, body, bs[from:])
+	return e.deliver(ctx, body, bs[from:], failFast)
 }
 
-// deliver is one exchange of Deliver: body holds the records of bs.
-func (e *RemoteEngine) deliver(ctx context.Context, body []byte, bs []wal.Batch) error {
-	if _, err := e.roundTrip(ctx, "shard.scatter", "/shard/apply", body, len(bs)); err != nil {
+// deliver is one exchange of send: body holds the records of bs.
+func (e *RemoteEngine) deliver(ctx context.Context, body []byte, bs []wal.Batch, failFast bool) error {
+	if _, err := e.roundTrip(ctx, "shard.scatter", "/shard/apply", body, len(bs), failFast); err != nil {
 		e.MarkDown(err)
 		return err
 	}
@@ -305,18 +354,19 @@ func (e *permanentError) Error() string { return e.msg }
 
 // roundTrip performs one logical POST of body, carrying items sub-queries or
 // deltas, to the shard's route with the partial-failure machinery, traced as
-// span name: fail fast when down, a per-shard deadline, one hedged duplicate
-// after the hedge delay (first success wins, the child context cancels the
-// loser), and a down-marking on exhaustion. An attempt that panics fails the
-// exchange with ErrPanic and leaves the engine up: the fault is the leader's.
-func (e *RemoteEngine) roundTrip(ctx context.Context, name, route string, body []byte, items int) ([]byte, error) {
+// span name: fail fast when down (with failFast), a per-shard deadline, one
+// hedged duplicate after the hedge delay (first success wins, the child
+// context cancels the loser), and a down-marking on exhaustion. An attempt
+// that panics fails the exchange with ErrPanic and leaves the engine up: the
+// fault is the leader's.
+func (e *RemoteEngine) roundTrip(ctx context.Context, name, route string, body []byte, items int, failFast bool) ([]byte, error) {
 	sp := trace.FromContext(ctx).Child(name)
 	sp.SetShard(e.shard)
 	if sp != nil {
 		sp.Set("items", strconv.Itoa(items))
 	}
 	defer sp.End()
-	if e.Down() {
+	if failFast && e.Down() {
 		sp.SetError("fast fail: shard marked down")
 		return nil, fmt.Errorf("%w (shard %d marked down)", ErrShardDown, e.shard)
 	}

@@ -82,7 +82,7 @@ func testStalledRecord(t *testing.T, opts RemoteOptions, hedge bool) {
 		switch r.URL.Path {
 		case "/shard/query":
 			w.Write(answer)
-		case "/shard/apply":
+		case "/shard/apply", "/state":
 		default:
 			http.NotFound(w, r)
 		}
@@ -106,7 +106,10 @@ func testStalledRecord(t *testing.T, opts RemoteOptions, hedge bool) {
 		t.Fatalf("stalled read saw %d requests, want a hedge: %v", got, hedge)
 	}
 
-	e.MarkUp(4, 0, 0)
+	e.Hold(4, 0, 0)
+	if err := e.Sync(context.Background(), nil, 0); err != nil || e.Seq() != 4 {
+		t.Fatalf("a push of seq 4 synced the engine at %d: %v", e.Seq(), err)
+	}
 	for want := uint64(5); want <= 6; want++ {
 		if err := e.Apply(context.Background(), []batchsum.IntUpdate{{Coords: []int{1}, Delta: 7}}); err != nil {
 			t.Fatal(err)
@@ -189,21 +192,32 @@ func TestUpdateScatterRetriesShedding(t *testing.T) {
 	}
 }
 
-// SeedCellBounds installs covering bounds without flipping the down state,
-// and Apply keeps widening them — the invariant that keeps a never-synced
-// shard's missing-slab intervals honest.
-func TestSeedCellBoundsIndependentOfDownState(t *testing.T) {
+// Hold seeds covering bounds without marking the engine up, and a push that
+// fails leaves it down at its old seq with the hold ended, so Deliver fails
+// fast again; Apply keeps widening the bounds — the invariant that keeps a
+// never-synced shard's missing-slab intervals honest.
+func TestHoldSeedsBoundsWithoutMarkingUp(t *testing.T) {
 	e := NewRemoteEngine(0, "http://127.0.0.1:0", RemoteOptions{})
 	e.MarkDown(errors.New("boot attach failed"))
-	e.SeedCellBounds(-3, 9)
+	e.Hold(3, -3, 9)
 	if !e.Down() {
-		t.Fatal("SeedCellBounds cleared the down state")
+		t.Fatal("Hold cleared the down state")
 	}
 	if lo, hi := e.CellBounds(); lo != -3 || hi != 9 {
 		t.Fatalf("CellBounds = [%d, %d], want [-3, 9]", lo, hi)
 	}
+	ctx := context.Background()
+	if err := e.Deliver(ctx, []wal.Batch{{Seq: 4}}, 0); err != nil {
+		t.Fatalf("Deliver under a hold: %v, want the record kept", err)
+	}
+	if err := e.Sync(ctx, nil, 0); err == nil || !e.Down() || e.Seq() != 0 {
+		t.Fatalf("a push to a closed port: err %v, down %v, seq %d; want an error, down, seq 0", err, e.Down(), e.Seq())
+	}
+	if err := e.Deliver(ctx, []wal.Batch{{Seq: 5}}, 0); !errors.Is(err, ErrShardDown) {
+		t.Fatalf("Deliver after a failed Sync: %v, want ErrShardDown", err)
+	}
 	// A scatter against a down engine still widens the bounds first.
-	_ = e.Apply(context.Background(), []batchsum.IntUpdate{{Coords: []int{0}, Delta: -4}, {Coords: []int{1}, Delta: 2}})
+	_ = e.Apply(ctx, []batchsum.IntUpdate{{Coords: []int{0}, Delta: -4}, {Coords: []int{1}, Delta: 2}})
 	if lo, hi := e.CellBounds(); lo != -7 || hi != 11 {
 		t.Fatalf("CellBounds after Apply = [%d, %d], want [-7, 11]", lo, hi)
 	}
