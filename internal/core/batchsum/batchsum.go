@@ -112,7 +112,7 @@ func forEach[T any, G algebra.Group[T]](shape []int, j int, ups []Update[T], pre
 // returns the number of update-class regions used. Each affected P entry is
 // combined with its region's value-to-add exactly once. It does not touch
 // the original cube (in the basic algorithm the cube may have been
-// discarded); use ApplyToCube for callers that retain A.
+// discarded).
 //
 // The update-class regions are disjoint (Property 2), so they are applied
 // through the line kernels with the region list sharded across the worker
@@ -174,17 +174,6 @@ func ApplyBlocked[T any, G algebra.Group[T]](bl *blocked.Array[T, G], updates []
 // ApplyBlockedInt is ApplyBlocked for the canonical int64 SUM measure.
 func ApplyBlockedInt(bl *blocked.IntArray, updates []IntUpdate, c *metrics.Counter) int {
 	return ApplyBlocked[int64, algebra.IntSum](bl, updates, c)
-}
-
-// ApplyToCube applies the queued updates to a retained original cube; the
-// paper's model updates A immediately on each user update and queues the
-// value-to-add for the later combined update of P (§5.1).
-func ApplyToCube[T any, G algebra.Group[T]](a *ndarray.Array[T], updates []Update[T]) {
-	var g G
-	for _, u := range updates {
-		off := a.Offset(u.Coords...)
-		a.Data()[off] = g.Combine(a.Data()[off], u.Delta)
-	}
 }
 
 // MaxRegions returns the Theorem 2 bound ∏_{j=0}^{d−1}(k+j)/d! on the

@@ -190,6 +190,16 @@ func TestPartitionCorrectnessProperty(t *testing.T) {
 	}
 }
 
+// applyToCube combines each update's delta into its cell of a, the cube a
+// test keeps beside P.
+func applyToCube[T any, G algebra.Group[T]](a *ndarray.Array[T], updates []Update[T]) {
+	var g G
+	for _, u := range updates {
+		off := a.Offset(u.Coords...)
+		a.Data()[off] = g.Combine(a.Data()[off], u.Delta)
+	}
+}
+
 // Property: Apply leaves P identical to a fresh build over the updated cube.
 func TestApplyMatchesRebuildProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -199,7 +209,7 @@ func TestApplyMatchesRebuildProperty(t *testing.T) {
 		k := 1 + rng.Intn(8)
 		ups := randomUpdates(rng, a.Shape(), k)
 		ApplyInt(ps, ups, nil)
-		ApplyToCube[int64, algebra.IntSum](a, ups)
+		applyToCube[int64, algebra.IntSum](a, ups)
 		fresh := prefixsum.BuildInt(a)
 		for off, want := range fresh.P().Data() {
 			if ps.P().Data()[off] != want {

@@ -73,7 +73,7 @@ func TestApplyGenericGroupParallel(t *testing.T) {
 		{Coords: []int{64, 66}, Delta: 7},
 	}
 	Apply[uint64, algebra.Xor](ps, ups, nil)
-	ApplyToCube[uint64, algebra.Xor](a, ups)
+	applyToCube[uint64, algebra.Xor](a, ups)
 	want := prefixsum.Build[uint64, algebra.Xor](a)
 	for i, v := range ps.P().Data() {
 		if v != want.P().Data()[i] {

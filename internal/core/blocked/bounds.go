@@ -5,7 +5,6 @@ import (
 	"context"
 
 	"rangecube/internal/algebra"
-	"rangecube/internal/ctxcheck"
 	"rangecube/internal/metrics"
 	"rangecube/internal/ndarray"
 )
@@ -22,36 +21,12 @@ import (
 // non-negative (the usual case for OLAP measures like revenue or counts);
 // with negative values only the trivial ordering lo ≤ hi is guaranteed.
 func Bounds[T cmp.Ordered, G algebra.Group[T]](bl *Array[T, G], r ndarray.Region, c *metrics.Counter) (lo, hi T) {
-	lo, hi, _ = bounds(bl, r, c, nil) // a nil checker never fails
-	return lo, hi
-}
-
-// BoundsContext is Bounds with cooperative cancellation: the pass over the
-// up-to-3^d decomposed sub-regions checkpoints ctx, so even a
-// high-dimensional bounds pass abandons a canceled request promptly. On
-// cancellation the returned bounds are partial and meaningless.
-func BoundsContext[T cmp.Ordered, G algebra.Group[T]](ctx context.Context, bl *Array[T, G], r ndarray.Region, c *metrics.Counter) (lo, hi T, err error) {
-	return bounds(bl, r, c, ctxcheck.New(ctx))
-}
-
-// SumBoundsContext is SumContext and BoundsContext over one decomposition of
-// r: the exact sum v with its cost attributed to c, and the §11 bounds of
-// the same sub-regions, bit-identical to BoundsContext's, whose packed reads
-// are kept out of c.
-func SumBoundsContext[T cmp.Ordered, G algebra.Group[T]](ctx context.Context, bl *Array[T, G], r ndarray.Region, c *metrics.Counter) (v, lo, hi T, err error) {
-	return bl.sum(ctx, r, c, true)
-}
-
-func bounds[T cmp.Ordered, G algebra.Group[T]](bl *Array[T, G], r ndarray.Region, c *metrics.Counter, ck *ctxcheck.Checker) (lo, hi T, err error) {
 	lo, hi = bl.g.Identity(), bl.g.Identity()
 	var splits [4]dimSplit
 	var ranges [3 * 4]ndarray.Range
 	w := bl.decompose(r, splits[:])
 	p := subRegionOver(ranges[:], len(r))
 	for w.next(&p) {
-		if err := ck.Tick(1); err != nil {
-			return lo, hi, err
-		}
 		s := bl.packedSum(p.block, c) // the superblock; the region itself when internal
 		if p.keep == 0 {
 			lo = bl.g.Combine(lo, s)
@@ -59,5 +34,13 @@ func bounds[T cmp.Ordered, G algebra.Group[T]](bl *Array[T, G], r ndarray.Region
 		hi = bl.g.Combine(hi, s)
 		c.AddSteps(1)
 	}
-	return lo, hi, nil
+	return lo, hi
+}
+
+// SumBoundsContext is SumContext and Bounds over one decomposition of r: the
+// exact sum v with its cost attributed to c, and the §11 bounds of the same
+// sub-regions, bit-identical to Bounds', whose packed reads are kept out of
+// c. It checkpoints ctx like SumContext.
+func SumBoundsContext[T cmp.Ordered, G algebra.Group[T]](ctx context.Context, bl *Array[T, G], r ndarray.Region, c *metrics.Counter) (v, lo, hi T, err error) {
+	return bl.sum(ctx, r, c, true)
 }

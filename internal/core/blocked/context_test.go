@@ -94,6 +94,8 @@ func TestSumContextCanceledAbandonsScan(t *testing.T) {
 	}
 }
 
+// TestBoundsContextMatchesBounds holds SumBoundsContext's bounds to Bounds'
+// and its sum to Sum's, and a canceled context to its error.
 func TestBoundsContextMatchesBounds(t *testing.T) {
 	a := ndarray.New[int64](64, 64)
 	rng := rand.New(rand.NewSource(8))
@@ -103,13 +105,14 @@ func TestBoundsContextMatchesBounds(t *testing.T) {
 	bl := BuildInt(a, 8)
 	r := ndarray.Region{{Lo: 3, Hi: 60}, {Lo: 5, Hi: 59}}
 	wantLo, wantHi := Bounds(bl, r, nil)
-	gotLo, gotHi, err := BoundsContext(context.Background(), bl, r, nil)
-	if err != nil || gotLo != wantLo || gotHi != wantHi {
-		t.Fatalf("BoundsContext = (%d, %d, %v), want (%d, %d)", gotLo, gotHi, err, wantLo, wantHi)
+	wantSum := bl.Sum(r, nil)
+	gotSum, gotLo, gotHi, err := SumBoundsContext(context.Background(), bl, r, nil)
+	if err != nil || gotSum != wantSum || gotLo != wantLo || gotHi != wantHi {
+		t.Fatalf("SumBoundsContext = %d in (%d, %d), %v; want %d in (%d, %d)", gotSum, gotLo, gotHi, err, wantSum, wantLo, wantHi)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := BoundsContext(ctx, bl, r, nil); err != context.Canceled {
-		t.Fatalf("canceled BoundsContext err = %v", err)
+	if _, _, _, err := SumBoundsContext(ctx, bl, r, nil); err != context.Canceled {
+		t.Fatalf("canceled SumBoundsContext err = %v", err)
 	}
 }

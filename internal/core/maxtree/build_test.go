@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"rangecube/internal/metrics"
 	"rangecube/internal/ndarray"
 	"rangecube/internal/parallel"
 	"rangecube/internal/workload"
@@ -93,40 +94,72 @@ func diffLevels[T cmp.Ordered](got, want *Tree[T], bits func(T) uint64) string {
 
 func int64Bits(v int64) uint64 { return uint64(v) }
 
-// checkMatchesReference builds a's max and min trees at fanout b with both
-// walks and fails on the first node where they differ.
+// checkMatchesReference builds a's max and min trees at fanout b, one
+// walk each, and fails on the first node where they differ from the
+// reference walk's.
 func checkMatchesReference[T cmp.Ordered](t *testing.T, a *ndarray.Array[T], b int, bits func(T) uint64) {
 	t.Helper()
 	for _, min := range []bool{false, true} {
-		if msg := diffLevels(build(a, b, min), buildReference(a, b, min), bits); msg != "" {
+		got := Build(a, b)
+		if min {
+			got = BuildMin(a, b)
+		}
+		if msg := diffLevels(got, buildReference(a, b, min), bits); msg != "" {
 			t.Fatalf("shape %v b=%d min=%v: %s", a.Shape(), b, min, msg)
 		}
 	}
 }
 
-// TestBuildMatchesReference holds the level kernel to the walk it replaced:
-// every level's values and argmax offsets, bit for bit, at d = 1..4 with
-// ragged extents (the large shapes pass the worker pool's grain, the small
-// ones hold extent-1 dimensions), fanouts 2..5, values from nearly all ties
-// to nearly none, float cubes holding NaN, ±0 and ±Inf, on one worker and
-// on eight.
-func TestBuildMatchesReference(t *testing.T) {
+// checkBothMatchesReference builds a's max and min trees at fanout b in one
+// walk and fails on the first node, or the first of a few random regions'
+// MaxIndex answers, where either differs from the reference's.
+func checkBothMatchesReference[T cmp.Ordered](t *testing.T, rng *rand.Rand, a *ndarray.Array[T], b int, bits func(T) uint64) {
+	t.Helper()
+	mx, mn := BuildBoth(a, b)
+	for _, got := range []*Tree[T]{mx, mn} {
+		want := buildReference(a, b, got.min)
+		if msg := diffLevels(got, want, bits); msg != "" {
+			t.Fatalf("shape %v b=%d min=%v: %s", a.Shape(), b, got.min, msg)
+		}
+		for range 8 {
+			r := make(ndarray.Region, a.Dims())
+			for j, n := range a.Shape() {
+				lo := rng.Intn(n)
+				r[j] = ndarray.Range{Lo: lo, Hi: lo + rng.Intn(n-lo)}
+			}
+			var gc, wc metrics.Counter
+			gotOff, gotVal, _ := got.MaxIndex(r, &gc)
+			wantOff, wantVal, _ := want.MaxIndex(r, &wc)
+			if gotOff != wantOff || bits(gotVal) != bits(wantVal) || gc != wc {
+				t.Fatalf("shape %v b=%d min=%v region %v: MaxIndex %v at %d (%+v), reference %v at %d (%+v)", a.Shape(), b, got.min, r, gotVal, gotOff, gc, wantVal, wantOff, wc)
+			}
+		}
+	}
+}
+
+// buildGrid runs checkInt and checkFloat over the trees' test grid: d =
+// 1..4 with ragged extents (the large shapes pass the worker pool's grain,
+// the small ones hold extent-1 dimensions), fanouts 2..5, int values from
+// nearly all ties to nearly none, negative ones among them, and float cubes
+// holding NaN, ±0 and ±Inf, on one worker and on eight.
+func buildGrid(t *testing.T, checkInt func(*ndarray.Array[int64], int), checkFloat func(*ndarray.Array[float64], int)) {
 	rng := rand.New(rand.NewSource(*seedFlag))
 	t.Logf("seed %d", *seedFlag)
 	shapes := [][]int{{40001}, {211, 197}, {37, 35, 33}, {17, 15, 13, 12}, {1}, {7, 1}, {5, 1, 9}, {3, 2, 1, 4}}
 	specials := []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1)}
+	spans := [][2]int64{{0, 1}, {0, 50}, {0, 1 << 40}, {0, 2}, {-50, 50}, {-1 << 40, 1 << 40}}
 	for _, workers := range []int{1, 8} {
 		prev := parallel.SetMaxWorkers(workers)
 		t.Cleanup(func() { parallel.SetMaxWorkers(prev) })
 		t.Logf("workers %d", workers)
 		for _, shape := range shapes {
-			for _, hi := range []int64{1, 50, 1 << 40} {
+			for _, span := range spans {
 				a := ndarray.New[int64](shape...)
 				for i := range a.Data() {
-					a.Data()[i] = rng.Int63n(hi + 1)
+					a.Data()[i] = span[0] + rng.Int63n(span[1]-span[0]+1)
 				}
 				for b := 2; b <= 5; b++ {
-					checkMatchesReference(t, a, b, int64Bits)
+					checkInt(a, b)
 				}
 			}
 			f := ndarray.New[float64](shape...)
@@ -137,21 +170,45 @@ func TestBuildMatchesReference(t *testing.T) {
 				}
 			}
 			for b := 2; b <= 5; b++ {
-				checkMatchesReference(t, f, b, math.Float64bits)
+				checkFloat(f, b)
 			}
 		}
 	}
 }
 
-// BenchmarkBuild prices one Build and one BuildMin per cube cell at the
-// server's fanout, on a cube that fits in cache and on scan-large's.
+// TestBuildMatchesReference holds Build's and BuildMin's level kernel to the
+// walk it replaced: every level's values and argmax offsets, bit for bit,
+// over buildGrid.
+func TestBuildMatchesReference(t *testing.T) {
+	buildGrid(t,
+		func(a *ndarray.Array[int64], b int) { checkMatchesReference(t, a, b, int64Bits) },
+		func(a *ndarray.Array[float64], b int) { checkMatchesReference(t, a, b, math.Float64bits) })
+}
+
+// TestBuildBothMatchesReference holds BuildBoth's one walk for two trees to
+// the same reference over the same grid, and their MaxIndex answers and
+// costs to the reference trees'.
+func TestBuildBothMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(*seedFlag))
+	buildGrid(t,
+		func(a *ndarray.Array[int64], b int) { checkBothMatchesReference(t, rng, a, b, int64Bits) },
+		func(a *ndarray.Array[float64], b int) { checkBothMatchesReference(t, rng, a, b, math.Float64bits) })
+}
+
+// BenchmarkBuild prices one Build, one BuildMin and one BuildBoth per cube
+// cell at the server's fanout, on a cube that fits in cache and on
+// scan-large's.
 func BenchmarkBuild(b *testing.B) {
 	for _, n := range []int{1024, 4096} {
 		a := workload.New(1).UniformCube([]int{n, n}, 1<<20)
 		for _, bld := range []struct {
 			name  string
-			build func(*ndarray.Array[int64], int) *Tree[int64]
-		}{{"Build", Build[int64]}, {"BuildMin", BuildMin[int64]}} {
+			build func(*ndarray.Array[int64], int)
+		}{
+			{"Build", func(a *ndarray.Array[int64], b int) { Build(a, b) }},
+			{"BuildMin", func(a *ndarray.Array[int64], b int) { BuildMin(a, b) }},
+			{"Both", func(a *ndarray.Array[int64], b int) { BuildBoth(a, b) }},
+		} {
 			b.Run(fmt.Sprintf("%s/%d", bld.name, n), func(b *testing.B) {
 				for range b.N {
 					bld.build(a, 4)

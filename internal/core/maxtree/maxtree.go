@@ -16,6 +16,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"rangecube/internal/ctxcheck"
@@ -48,68 +49,61 @@ type level[T cmp.Ordered] struct {
 // fanout b^d). The cube is retained by reference; see BatchUpdate for
 // keeping the tree consistent under updates.
 func Build[T cmp.Ordered](a *ndarray.Array[T], b int) *Tree[T] {
-	return build(a, b, false)
+	t, _ := build(a, b, true, false)
+	return t
 }
 
 // BuildMin constructs a range-min tree; everything else is identical.
 func BuildMin[T cmp.Ordered](a *ndarray.Array[T], b int) *Tree[T] {
-	return build(a, b, true)
-}
-
-func build[T cmp.Ordered](a *ndarray.Array[T], b int, min bool) *Tree[T] {
-	if b < 2 {
-		panic(fmt.Sprintf("maxtree: fanout %d < 2", b))
-	}
-	t := &Tree[T]{a: a, b: b, min: min}
-	// Build levels bottom-up until a single node covers everything, exactly
-	// as §6.1.1/§6.2 describe; dimensions whose extent reaches 1 simply stop
-	// contracting (the tree "degenerates into a lower dimension"). Level 0 is
-	// the cube, where an entry's offset is its own index: no offset slice.
-	prevVals, prevOffs := a, []int(nil)
-	for {
-		shape := prevVals.Shape()
-		done := true
-		for _, n := range shape {
-			if n > 1 {
-				done = false
-				break
-			}
-		}
-		if done {
-			break
-		}
-		cur := contract(t, prevVals, prevOffs)
-		t.levels = append(t.levels, cur)
-		prevVals, prevOffs = cur.vals, cur.offs
-	}
+	_, t := build(a, b, false, true)
 	return t
 }
 
-// contract builds the next level from the previous one: every b×...×b block
-// of the previous grid is reduced to its best entry. The walk is
-// line-oriented and fanned out across the worker pool by slabs of the
-// contracted leading dimension (disjoint output nodes per worker); within a
-// slab cells are still visited in storage order, so ties resolve exactly as
-// in a sequential walk — the first candidate in storage order wins. A nil
-// prevOffs means prevVals is the cube itself (entry i sits at cube offset i);
-// otherwise a last pass maps each winner's index through prevOffs.
-func contract[T cmp.Ordered](t *Tree[T], prevVals *ndarray.Array[T], prevOffs []int) level[T] {
-	b := t.b
-	shape := prevVals.Shape()
-	nshape := make([]int, len(shape))
-	bs := make([]int, len(shape))
+// BuildBoth constructs the max and the min tree of a in one walk per level,
+// each equal to what Build and BuildMin return.
+func BuildBoth[T cmp.Ordered](a *ndarray.Array[T], b int) (max, min *Tree[T]) {
+	return build(a, b, true, true)
+}
+
+// build constructs the trees asked for; the other is nil.
+func build[T cmp.Ordered](a *ndarray.Array[T], b int, wantMax, wantMin bool) (mx, mn *Tree[T]) {
+	if b < 2 {
+		panic(fmt.Sprintf("maxtree: fanout %d < 2", b))
+	}
+	if wantMax {
+		mx = &Tree[T]{a: a, b: b}
+	}
+	if wantMin {
+		mn = &Tree[T]{a: a, b: b, min: true}
+	}
+	// Build levels bottom-up until a single node covers everything, exactly
+	// as §6.1.1/§6.2 describe; dimensions whose extent reaches 1 simply stop
+	// contracting (the tree "degenerates into a lower dimension").
+	for below := a; slices.Max(below.Shape()) > 1; {
+		below = contract(mx, mn, below)
+	}
+	return mx, mn
+}
+
+// contract adds the next level to each non-nil tree in one walk of the level
+// below, which has the same shape in both: every b×...×b block of it is
+// reduced to its best entry. The walk is line-oriented and fanned out across
+// the worker pool by slabs of the contracted leading dimension (disjoint
+// output nodes per worker); within a slab cells are still visited in storage
+// order, so ties resolve exactly as in a sequential walk — the first
+// candidate in storage order wins. It returns the new level's values (either
+// tree's: only the shape is read).
+func contract[T cmp.Ordered](mx, mn *Tree[T], below *ndarray.Array[T]) *ndarray.Array[T] {
+	t := cmp.Or(mx, mn)
+	b, shape := t.b, below.Shape()
+	nshape, bs := make([]int, len(shape)), make([]int, len(shape))
 	for i, n := range shape {
-		nshape[i] = (n + b - 1) / b
-		bs[i] = b
+		nshape[i], bs[i] = (n+b-1)/b, b
 	}
-	vals := ndarray.New[T](nshape...)
-	offs := make([]int, vals.Size())
-	vdata, data := vals.Data(), prevVals.Data()
-	fold := foldMax[T]
-	if t.min {
-		fold = foldMin[T]
-	}
-	ndarray.ContractSlabs(prevVals, bs, vals.Strides(), func(off, lo, hi, cbase int) {
+	xv, xo, xd := mx.grow(nshape)
+	nv, no, nd := mn.grow(nshape)
+	next := t.levels[len(t.levels)-1].vals
+	ndarray.ContractSlabs(below, bs, next.Strides(), func(off, lo, hi, cbase int) {
 		// A run is the first to touch all of its slots, or none of them: the
 		// first when its line starts a block in every outer dimension.
 		first := true
@@ -117,15 +111,50 @@ func contract[T cmp.Ordered](t *Tree[T], prevVals *ndarray.Array[T], prevOffs []
 			first = first && line%shape[j]%b == 0
 			line /= shape[j]
 		}
-		slot := cbase + lo/b
-		fold(vdata[slot:], offs[slot:], data[:off+hi], off+lo, b, first)
-	})
-	if prevOffs != nil {
-		for k, i := range offs {
-			offs[k] = prevOffs[i]
+		slot, i := cbase+lo/b, off+lo
+		switch {
+		case mn == nil:
+			foldMax(xv[slot:], xo[slot:], xd[:off+hi], i, b, first)
+		case mx == nil:
+			foldMin(nv[slot:], no[slot:], nd[:off+hi], i, b, first)
+		default:
+			foldBoth(xv[slot:], xo[slot:], xd[:off+hi], nv[slot:], no[slot:], nd[:off+hi], i, b, first)
 		}
+	})
+	mx.remap()
+	mn.remap()
+	return next
+}
+
+// grow appends an empty level of shape nshape to t and returns its values
+// and offsets with the values of the level below (the cube's, under level
+// 1). A nil t grows nothing.
+func (t *Tree[T]) grow(nshape []int) (vals []T, offs []int, below []T) {
+	if t == nil {
+		return nil, nil, nil
 	}
-	return level[T]{vals: vals, offs: offs}
+	below = t.a.Data()
+	if n := len(t.levels); n > 0 {
+		below = t.levels[n-1].vals.Data()
+	}
+	lv := level[T]{vals: ndarray.New[T](nshape...)}
+	lv.offs = make([]int, lv.vals.Size())
+	t.levels = append(t.levels, lv)
+	return lv.vals.Data(), lv.offs, below
+}
+
+// remap turns the top level's winners, found as indices into the level
+// below, into cube offsets through that level's own. Under level 1 lies the
+// cube, where entry i sits at offset i, so there is nothing to map; a nil t
+// maps nothing.
+func (t *Tree[T]) remap() {
+	if t == nil || len(t.levels) < 2 {
+		return
+	}
+	prev, offs := t.levels[len(t.levels)-2].offs, t.levels[len(t.levels)-1].offs
+	for k, i := range offs {
+		offs[k] = prev[i]
+	}
 }
 
 // foldMax folds data[i:] into vals and offs, b cells to a slot, keeping the
@@ -165,6 +194,32 @@ func foldMin[T cmp.Ordered](vals []T, offs []int, data []T, i, b int, seed bool)
 		}
 		vals[s], offs[s] = v, o
 		i += len(blk)
+	}
+}
+
+// foldBoth is foldMax into xv and xo over xd beside foldMin into nv and no
+// over nd, in one pass: xd and nd are the two trees' levels below, one slice
+// (the cube) under level 1. The two compare/select chains are independent,
+// so the core runs them side by side.
+func foldBoth[T cmp.Ordered](xv []T, xo []int, xd []T, nv []T, no []int, nd []T, i, b int, seed bool) {
+	n := (len(xd) - i + b - 1) / b
+	xv, xo, nv, no, nd = xv[:n], xo[:n], nv[:n], no[:n], nd[:len(xd)]
+	for s := range xv {
+		end := min(i+b, len(xd))
+		hv, ho, lv, lo := xv[s], xo[s], nv[s], no[s]
+		if seed {
+			hv, ho, lv, lo = xd[i], i, nd[i], i
+		}
+		for k := i; k < end; k++ {
+			if x := xd[k]; x > hv {
+				hv, ho = x, k
+			}
+			if x := nd[k]; x < lv {
+				lv, lo = x, k
+			}
+		}
+		xv[s], xo[s], nv[s], no[s] = hv, ho, lv, lo
+		i = end
 	}
 }
 

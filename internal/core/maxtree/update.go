@@ -306,11 +306,3 @@ func (t *Tree[T]) rescanBlock(lvlIdx, node int, childShape, childStrides []int, 
 	}
 	return bestVal, bestArg
 }
-
-// Rebuild recomputes every tree level from the cube. It is the O(N)
-// fallback baseline against which BatchUpdate is benchmarked and
-// property-tested.
-func (t *Tree[T]) Rebuild() {
-	fresh := build(t.a, t.b, t.min)
-	t.levels = fresh.levels
-}

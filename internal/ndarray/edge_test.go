@@ -68,9 +68,9 @@ func TestLinesEdgeRegions(t *testing.T) {
 				}
 				// Single-cell regions decompose into exactly one length-1 run
 				// whatever the axis.
-				if tc.wantCells == 1 && (ls.Count() != 1 || ls.Len() != 1 || ls.Line(0).Off != want[0]) {
+				if tc.wantCells == 1 && (ls.Count() != 1 || ls.Len() != 1 || got[0] != want[0]) {
 					t.Fatalf("axis %d: single cell gave Count=%d Len=%d Off=%d, want 1/1/%d",
-						axis, ls.Count(), ls.Len(), ls.Line(0).Off, want[0])
+						axis, ls.Count(), ls.Len(), got[0], want[0])
 				}
 			}
 		})

@@ -11,11 +11,11 @@ type Line struct {
 }
 
 // Lines is the decomposition of a rectangular region into its 1-D runs
-// along one axis: Count() runs, each of Len() cells with stride Stride(),
-// ordered row-major over the remaining dimensions. It is the substrate of
-// the bulk kernels — a worker takes a contiguous chunk [lo, hi) of line
-// indices and walks each run with a tight loop instead of a per-cell
-// odometer and per-cell bounds checks.
+// along one axis: Count() runs, each of Len() cells, ordered row-major over
+// the remaining dimensions. It is the substrate of the bulk kernels — a
+// worker takes a contiguous chunk [lo, hi) of line indices and walks each
+// run with a tight loop instead of a per-cell odometer and per-cell bounds
+// checks.
 //
 // The value is immutable after construction and safe for concurrent use:
 // ForEach keeps its cursor in locals, so disjoint chunks may be visited
@@ -74,27 +74,6 @@ func (ls Lines) Count() int { return ls.count }
 
 // Len returns the number of cells in each run.
 func (ls Lines) Len() int { return ls.lineLen }
-
-// Stride returns the offset step between consecutive cells of a run; it is
-// 1 when the runs lie along the innermost axis.
-func (ls Lines) Stride() int { return ls.stride }
-
-// Line returns the i-th run in row-major order, in O(d) time. Chunked
-// iteration should prefer ForEach, which advances incrementally.
-func (ls Lines) Line(i int) Line {
-	if i < 0 || i >= ls.count {
-		panic(fmt.Sprintf("ndarray: line index %d out of range [0,%d)", i, ls.count))
-	}
-	off := ls.base
-	for j := len(ls.r) - 1; j >= 0; j-- {
-		if j != ls.axis {
-			n := ls.r[j].Len()
-			off += (i % n) * ls.strides[j]
-			i /= n
-		}
-	}
-	return Line{Off: off, Len: ls.lineLen, Stride: ls.stride}
-}
 
 // ForEach visits runs lo..hi-1 in row-major order with O(1) amortized cost
 // per run. Distinct goroutines may call ForEach concurrently on disjoint

@@ -1,6 +1,7 @@
 package ndarray
 
 import (
+	"slices"
 	"testing"
 
 	"rangecube/internal/parallel"
@@ -34,6 +35,9 @@ func TestLinesMatchForEachOffset(t *testing.T) {
 			ls := LinesOf(a, tc.r, axis)
 			var got []int
 			ls.ForEach(0, ls.Count(), func(ln Line) {
+				if axis == a.Dims()-1 && ln.Stride != 1 {
+					t.Fatalf("innermost stride = %d, want 1", ln.Stride)
+				}
 				for i := 0; i < ln.Len; i++ {
 					got = append(got, ln.Off+i*ln.Stride)
 				}
@@ -61,36 +65,41 @@ func TestLinesMatchForEachOffset(t *testing.T) {
 						t.Fatalf("shape %v region %v: innermost lines out of storage order at %d", tc.shape, tc.r, i)
 					}
 				}
-				if ls.Count() > 0 && ls.Stride() != 1 {
-					t.Fatalf("innermost stride = %d, want 1", ls.Stride())
-				}
 			}
 		}
 	}
 }
 
-func TestLinesRandomAccessAgreesWithForEach(t *testing.T) {
+// TestLinesChunksMatchForEachOffset checks that ForEach along any axis, over
+// any split of the runs into two chunks, visits the cells ForEachOffset
+// does, in the same order as one unsplit sweep.
+func TestLinesChunksMatchForEachOffset(t *testing.T) {
 	a := New[int64](5, 6, 7)
 	r := Reg(1, 4, 0, 5, 2, 6)
-	ls := LinesOf(a, r, 1)
-	i := 0
-	ls.ForEach(0, ls.Count(), func(ln Line) {
-		if got := ls.Line(i); got != ln {
-			t.Fatalf("Line(%d) = %+v, ForEach yielded %+v", i, got, ln)
+	want := collectOffsets(a, r)
+	for axis := range a.Dims() {
+		ls := LinesOf(a, r, axis)
+		sweep := func(lo, mid, hi int) []int {
+			var got []int
+			visit := func(ln Line) {
+				for i := 0; i < ln.Len; i++ {
+					got = append(got, ln.Off+i*ln.Stride)
+				}
+			}
+			ls.ForEach(lo, mid, visit)
+			ls.ForEach(mid, hi, visit)
+			return got
 		}
-		i++
-	})
-	if i != ls.Count() {
-		t.Fatalf("ForEach yielded %d lines, Count is %d", i, ls.Count())
-	}
-	// Chunked iteration must concatenate to the full sweep.
-	var chunked []Line
-	mid := ls.Count() / 2
-	ls.ForEach(0, mid, func(ln Line) { chunked = append(chunked, ln) })
-	ls.ForEach(mid, ls.Count(), func(ln Line) { chunked = append(chunked, ln) })
-	for k, ln := range chunked {
-		if ls.Line(k) != ln {
-			t.Fatalf("chunked iteration diverges at line %d", k)
+		whole := sweep(0, 0, ls.Count())
+		sorted := slices.Clone(whole)
+		slices.Sort(sorted)
+		if !slices.Equal(sorted, want) {
+			t.Fatalf("axis %d: ForEach visits %v, ForEachOffset %v", axis, sorted, want)
+		}
+		for mid := 1; mid < ls.Count(); mid++ {
+			if got := sweep(0, mid, ls.Count()); !slices.Equal(got, whole) {
+				t.Fatalf("axis %d: chunks split at %d visit %v, one sweep %v", axis, mid, got, whole)
+			}
 		}
 	}
 }

@@ -720,7 +720,7 @@ func TestResyncHoldsDownWhenCommitRacesStatePush(t *testing.T) {
 	// already happened on the leader, so a commit submitted while the push is
 	// held is guaranteed to race it.
 	var holding atomic.Bool
-	g := newGate()
+	g := newGate(t)
 	tr := newTier(t, tierSpec{shards: 2, opts: Options{ShardTimeout: time.Second}, hook: func(host string, r *http.Request) fault {
 		if host == "shard1" && r.URL.Path == "/state" && holding.Load() {
 			return g.hold(r)

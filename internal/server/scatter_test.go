@@ -75,7 +75,7 @@ func within(t *testing.T, what string, ch <-chan answer) answer {
 // read behind it). Released, both answer with a value the oracle held inside
 // their request window.
 func TestLeaderHoldsNoLockAcrossShardReads(t *testing.T) {
-	g := newGate()
+	g := newGate(t)
 	defer g.open()
 	// A read parks at most the 5 s the test waits for anything; the hedge
 	// fires at a twentieth of the deadline, past that.
@@ -541,7 +541,7 @@ func TestEveryShardHoldsLeaderSeq(t *testing.T) {
 // answers only after the release, with all eight in it: a commit waits on no
 // shard, and a read waits for the delivery of every commit acked before it.
 func TestCommitsDoNotWaitOnShards(t *testing.T) {
-	g := newGate()
+	g := newGate(t)
 	tr := newTier(t, tierSpec{shards: 2, opts: Options{ShardTimeout: 10 * time.Second}, hook: func(host string, r *http.Request) fault {
 		if host == "shard1" && r.URL.Path == "/shard/apply" {
 			return g.hold(r) // a hedged duplicate parks too
@@ -581,7 +581,7 @@ func TestCommitsDoNotWaitOnShards(t *testing.T) {
 // sender cuts the backlog into exchanges that each fit the cap, so the shard
 // stays up, takes no resync push, and the sum through the leader is exact.
 func TestBacklogDeliveredWithinBodyCap(t *testing.T) {
-	g := newGate()
+	g := newGate(t)
 	tr := newTier(t, tierSpec{cube: cube.New(cube.NewIntDimension("x", 0, 511), cube.NewIntDimension("y", 0, 63)), shards: 2,
 		opts: Options{Metrics: true, ShardTimeout: 100 * time.Second}, hook: func(host string, r *http.Request) fault {
 			if host == "shard1" && r.URL.Path == "/shard/apply" {

@@ -75,7 +75,7 @@ func TestPushedSlabIsItsCopy(t *testing.T) {
 // delays no other. A leader that pushes one shard after the other never
 // reaches shard 1 while shard 0 is parked, and the gate opens only after 5 s.
 func TestParkedPushHoldsUpNoOtherShard(t *testing.T) {
-	g := newGate()
+	g := newGate(t)
 	synced := make(chan struct{})
 	var once sync.Once
 	logf := func(format string, args ...any) {
@@ -225,7 +225,7 @@ func TestRestartedShardSyncsUnderSteadyCommits(t *testing.T) {
 // would answer its slab exactly, without the commit.
 func TestResyncAnswersPartialUntilHeldRecordsLand(t *testing.T) {
 	var pushing, flushing atomic.Bool
-	push, flush := newGate(), newGate()
+	push, flush := newGate(t), newGate(t)
 	tr := newTier(t, tierSpec{shards: 2, hook: func(host string, r *http.Request) fault {
 		switch {
 		case host != "shard1":
@@ -262,7 +262,7 @@ func TestResyncAnswersPartialUntilHeldRecordsLand(t *testing.T) {
 // and every read waiting on one, until the gate opens after 5 s.
 func TestParkedPushHoldsUpNoDelivery(t *testing.T) {
 	var pushing, starved atomic.Bool
-	g := newGate()
+	g := newGate(t)
 	tr := newTier(t, tierSpec{shards: 2, hook: func(host string, r *http.Request) fault {
 		if host == "shard0" && r.URL.Path == "/state" && pushing.Load() {
 			return g.hold(r)
@@ -297,7 +297,7 @@ func TestParkedPushHoldsUpNoDelivery(t *testing.T) {
 // sums exactly.
 func TestResyncSurvivesFailedInFlightDelivery(t *testing.T) {
 	var pushing, failing atomic.Bool
-	push, inFlight := newGate(), newGate()
+	push, inFlight := newGate(t), newGate(t)
 	tr := newTier(t, tierSpec{shards: 2, hook: func(host string, r *http.Request) fault {
 		switch {
 		case host != "shard1":

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -126,26 +128,50 @@ func (w *wire) await(t testing.TB, host, route string, n int) {
 	}
 }
 
-// gate parks the exchanges a hook hands it until it opens.
+// gate parks the exchanges a hook hands it until it opens. One parked past
+// bound fails the gate's test, naming its host and route, and is refused, so
+// a test whose read blocks before it opens its gate fails instead of hanging
+// go test; once that test has ended, a gate reports nothing.
 type gate struct {
+	t       testing.TB
+	bound   time.Duration
 	arrived chan struct{} // a token per parked arrival, buffered past any count a test awaits
 	release chan struct{}
 	once    sync.Once
+	mu      sync.Mutex
+	ended   bool
 }
 
-func newGate() *gate { return &gate{arrived: make(chan struct{}, 64), release: make(chan struct{})} }
+func newGate(t testing.TB) *gate {
+	g := &gate{t: t, bound: 10 * time.Second, arrived: make(chan struct{}, 64), release: make(chan struct{})}
+	t.Cleanup(func() {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		g.ended = true
+	})
+	return g
+}
 
-// hold parks r until the gate opens, and refuses it if r's context ends
-// first.
+// hold parks r until the gate opens, and refuses it if r's context ends or
+// its bound passes first.
 func (g *gate) hold(r *http.Request) fault {
 	select {
 	case g.arrived <- struct{}{}:
 	default:
 	}
+	bound := time.NewTimer(g.bound)
+	defer bound.Stop()
 	select {
 	case <-g.release:
 		return pass
 	case <-r.Context().Done():
+		return refuse
+	case <-bound.C:
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		if !g.ended {
+			g.t.Errorf("gate: %s %s %s parked for %v and never released", r.Host, r.Method, r.URL.Path, g.bound)
+		}
 		return refuse
 	}
 }
@@ -162,12 +188,36 @@ func (g *gate) awaitArrival(t testing.TB) {
 
 func (g *gate) open() { g.once.Do(func() { close(g.release) }) }
 
+// reports is a test's testing.TB whose Errorf records instead of failing.
+type reports struct {
+	testing.TB
+	mu   sync.Mutex
+	msgs []string
+}
+
+func (r *reports) Errorf(format string, args ...any) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.msgs = append(r.msgs, fmt.Sprintf(format, args...))
+}
+
+func (r *reports) got() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return slices.Clone(r.msgs)
+}
+
 // TestWire pins the wire's contract: an unregistered host fails like a
-// refused dial; a parked exchange returns when released and fails when its
-// context ends; a lost response means the handler ran and the caller saw a
+// refused dial; a parked exchange returns when released, fails when its
+// context ends, and past its gate's bound fails its test unless that test
+// has ended; a lost response means the handler ran and the caller saw a
 // transport error; and the counts are exact under concurrent callers.
 func TestWire(t *testing.T) {
-	parked, held := newGate(), newGate() // held never opens
+	parked, held := newGate(t), newGate(t) // held never opens
+	stuckTest := &reports{TB: t}
+	stuck := newGate(stuckTest) // never opens
+	stuck.bound = 20 * time.Millisecond
+	var late *gate // a gate whose test ends while it parks an exchange
 	var ran atomic.Int64
 	w := newWire(func(host string, r *http.Request) fault {
 		switch r.URL.Path {
@@ -175,6 +225,10 @@ func TestWire(t *testing.T) {
 			return parked.hold(r)
 		case "/hold":
 			return held.hold(r)
+		case "/stuck":
+			return stuck.hold(r)
+		case "/late":
+			return late.hold(r)
 		case "/lose":
 			return loseAck
 		}
@@ -233,6 +287,34 @@ func TestWire(t *testing.T) {
 			cancel()
 			if err := <-errc; err == nil || ran.Load() != before {
 				return fmt.Errorf("err %v after %d handler runs, want an error and none", err, ran.Load()-before)
+			}
+			return nil
+		}},
+		{"a parked exchange past its bound fails its test", func() error {
+			before := ran.Load()
+			if _, err := do(bg, "h", "/stuck"); !errors.Is(err, syscall.ECONNREFUSED) || ran.Load() != before {
+				return fmt.Errorf("err %v after %d handler runs, want a refused dial and none", err, ran.Load()-before)
+			}
+			if got := stuckTest.got(); len(got) != 1 || !strings.Contains(got[0], "h POST /stuck") {
+				return fmt.Errorf("the gate's test saw %q, want one error naming h POST /stuck", got)
+			}
+			return nil
+		}},
+		{"a gate reports nothing once its test has ended", func() error {
+			lateTest := &reports{}
+			errc := make(chan error, 1)
+			t.Run("ends while parked", func(t *testing.T) {
+				lateTest.TB = t
+				late = newGate(lateTest)
+				late.bound = 20 * time.Millisecond
+				go func() { _, err := do(bg, "h", "/late"); errc <- err }()
+				late.awaitArrival(t)
+			})
+			if err := <-errc; !errors.Is(err, syscall.ECONNREFUSED) {
+				return fmt.Errorf("err %v, want a refused dial", err)
+			}
+			if got := lateTest.got(); len(got) != 0 {
+				return fmt.Errorf("the ended test's gate reported %q", got)
 			}
 			return nil
 		}},

@@ -145,13 +145,8 @@ type localEngine struct {
 }
 
 func newLocalEngine(a *ndarray.Array[int64], blockSize, fanout int) *localEngine {
-	return &localEngine{
-		cells:     a,
-		max:       maxtree.Build(a, fanout),
-		min:       maxtree.BuildMin(a, fanout),
-		blk:       newBlockedSum(a, blockSize),
-		blockSize: blockSize,
-	}
+	mx, mn := maxtree.BuildBoth(a, fanout)
+	return &localEngine{cells: a, max: mx, min: mn, blk: newBlockedSum(a, blockSize), blockSize: blockSize}
 }
 
 // newBlockedSum builds the blocked index the way an engine does: with edge

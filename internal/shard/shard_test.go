@@ -449,10 +449,7 @@ func TestOneShardRouterIsTheStructures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantLo, wantHi, err := blocked.BoundsContext(ctx, bl, r, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			wantLo, wantHi := blocked.Bounds(bl, r, nil)
 			if blockSize == 1 {
 				var pc metrics.Counter
 				if v := ps.Sum(r, &pc); v != wantSum || wantLo != v || wantHi != v || pc.Cells != want.Cells || pc.Aux != want.Aux || pc.Steps+1 != want.Steps {
